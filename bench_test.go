@@ -310,13 +310,13 @@ func BenchmarkTable1Quickstart(b *testing.B) {
 // shards grow, since batches are absorbed by the shards concurrently while
 // per-shard results stay exactly sequential. (On a single-core box the
 // sweep degenerates to measuring fan-out overhead.) Each shard count runs
-// both ingest paths: direct (per-shard lock per sub-batch) and pipelined
-// (per-shard batching writers, StartPipeline).
+// both ways of calling the write path: inline (one call per shard's
+// sub-batch) and pipelined (per-shard batching writers, StartPipeline).
 func BenchmarkPoolAppend(b *testing.B) {
 	const batch = 64
 	const nRows = 4096
 	for _, shards := range []int{1, 2, 4, 8} {
-		for _, mode := range []string{"direct", "pipelined"} {
+		for _, mode := range []string{"inline", "pipelined"} {
 			b.Run(fmt.Sprintf("shards=%d/%s", shards, mode), func(b *testing.B) {
 				s := newBenchStream(b, "nba", 5, 7)
 				s.tuple(b, nRows-1) // force generation
@@ -430,12 +430,12 @@ func BenchmarkPoolQuery(b *testing.B) {
 }
 
 // BenchmarkPoolQueryDeepCursor pins the pagination complexity class: one
-// page at depth 0 versus one page deep in the cursor chain, on the scan
-// path (which re-walks and re-sorts every fact before the cursor, so a
-// deep page costs O(n)) and the indexed path (seek + O(page) walk, so
-// depth must not matter). The index/deep:first ratio staying near 1 while
-// scan/deep grows with the fact count is the tentpole's acceptance
-// number.
+// page at depth 0 versus one page deep in the cursor chain, on the
+// reference scan (query_oracle_test.go — it re-walks and re-sorts every
+// fact before the cursor, so a deep page costs O(n)) and the served
+// indexed path (seek + O(page) walk, so depth must not matter). The
+// index/deep:first ratio staying near 1 while scan/deep grows with the
+// fact count is the index's acceptance number.
 func BenchmarkPoolQueryDeepCursor(b *testing.B) {
 	const nRows = 4096
 	const pageLimit = 100
@@ -467,7 +467,7 @@ func BenchmarkPoolQueryDeepCursor(b *testing.B) {
 	}
 	filter := FactFilter{Shard: AllShards, TupleID: -1}
 	// Walk once to find the chain's midpoint cursor — the "deep" page.
-	// Both paths produce byte-identical cursors, so one walk serves both.
+	// The scan produces byte-identical cursors, so one walk serves both.
 	var cursors []string
 	cursor := ""
 	for {
@@ -486,20 +486,21 @@ func BenchmarkPoolQueryDeepCursor(b *testing.B) {
 	}
 	deep := cursors[len(cursors)/2]
 	b.Logf("%d pages of %d; deep page at depth %d", len(cursors)+1, pageLimit, len(cursors)/2+1)
-	for _, path := range []string{"scan", "index"} {
-		pool.SetScanQueries(path == "scan")
+	for _, path := range []struct {
+		name  string
+		query func(FactFilter, string, int) (FactPage, error)
+	}{{"scan", pool.scanFacts}, {"index", pool.QueryFacts}} {
 		for _, probe := range []struct{ name, cursor string }{{"first", ""}, {"deep", deep}} {
-			b.Run(fmt.Sprintf("%s/%s", path, probe.name), func(b *testing.B) {
+			b.Run(fmt.Sprintf("%s/%s", path.name, probe.name), func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					if _, err := pool.QueryFacts(filter, probe.cursor, pageLimit); err != nil {
+					if _, err := path.query(filter, probe.cursor, pageLimit); err != nil {
 						b.Fatal(err)
 					}
 				}
 			})
 		}
 	}
-	pool.SetScanQueries(false)
 }
 
 // TestMain keeps the benchmark file's imports exercised under plain

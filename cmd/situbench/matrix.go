@@ -9,9 +9,9 @@ package main
 //
 // The daemon is configured through flags every binary in the repo's
 // BENCH_PR*.json lineage understands: workers > 1 selects
-// -algo parallel-bottomup -workers N (the engine -shard-workers is
-// shorthand for), workers == 1 the default sbottomup — so the same
-// command benchmarks an old binary (before) and a new one (after).
+// -algo parallel-bottomup -workers N, workers == 1 the default
+// sbottomup — so the same command benchmarks an old binary (before) and
+// a new one (after).
 //
 // Each point runs -matrix-trials times and keeps the median-throughput
 // trial's report. -matrix-json writes the whole sweep as one JSON

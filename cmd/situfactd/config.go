@@ -38,14 +38,12 @@ func registerFlags(fs *flag.FlagSet, cfg *config) {
 	fs.IntVar(&cfg.shards, "shards", 0, "pool shard count (0 = GOMAXPROCS)")
 	fs.StringVar(&cfg.shardDim, "shard-dim", "", "dimension attribute whose value routes a row to its shard (default: first of -dims)")
 	fs.IntVar(&cfg.workers, "workers", 0, "goroutines per engine for the parallel-* algorithms (0 = GOMAXPROCS)")
-	fs.IntVar(&cfg.shardWorkers, "shard-workers", 0, "run each shard's discovery with this many parallel-bottomup workers (shorthand for -algo parallel-bottomup -workers N; 0/1 = keep -algo; incompatible with -state-dir)")
 	fs.StringVar(&cfg.stateDir, "state-dir", "", "snapshot directory: restore on start, save on graceful shutdown (empty = no persistence)")
 	fs.BoolVar(&cfg.wal, "wal", false, "write-ahead log under <state-dir>/wal: journal every ingest before applying it, replay the tail on start (requires -state-dir)")
 	fs.DurationVar(&cfg.walSync, "wal-sync", 0, "WAL durability: 0 fsyncs (group-committed) before acknowledging each request; >0 fsyncs in the background on this interval, risking up to one interval of acknowledged records on crash")
 	fs.Int64Var(&cfg.walSegBytes, "wal-segment-bytes", 0, "WAL segment rotation threshold in bytes (0 = 64 MiB)")
 	fs.DurationVar(&cfg.snapInterval, "snapshot-interval", 0, "background checkpoint period: snapshot every shard and truncate covered WAL segments (0 = snapshot only on graceful shutdown)")
 	fs.IntVar(&cfg.boardCap, "topk", 128, "capacity of the GET /v1/facts/top leaderboard")
-	fs.BoolVar(&cfg.pipeline, "pipeline", true, "pipelined ingest: per-shard batching writer goroutines journal, fsync and apply whole queue drains at once (false = take the shard locks directly per request)")
 	fs.IntVar(&cfg.pipeQueue, "pipeline-queue", 0, "per-shard ingest queue depth; a full queue blocks producers (0 = 256)")
 	fs.BoolVar(&cfg.pipeAdaptive, "pipeline-adaptive", true, "let each shard's queue capacity float between a floor and -pipeline-queue, growing on backpressure and shrinking when calm (false = fixed at -pipeline-queue)")
 	fs.StringVar(&cfg.pprofAddr, "pprof-addr", "", "serve net/http/pprof on this extra listener (e.g. localhost:6060); empty = off. Keep it on a loopback or firewalled port")
@@ -54,7 +52,6 @@ func registerFlags(fs *flag.FlagSet, cfg *config) {
 	fs.Uint64Var(&cfg.followMaxLag, "follow-max-lag", 0, "replication lag in records beyond which the follower's /healthz degrades to 503 (0 = no bound)")
 	fs.IntVar(&cfg.followRebootstrapMax, "follow-rebootstrap-max", 5, "consecutive snapshot re-bootstrap attempts a follower makes after a fatal replication error (leader WAL epoch change, truncated tail) before giving up; 0 disables self-healing")
 	fs.DurationVar(&cfg.readCacheTTL, "read-cache-ttl", 0, "front /v1/facts and /v1/facts/top with a TTL'd singleflight cache; staleness is bounded by the TTL on a leader and by replication progress on a follower (0 = off)")
-	fs.BoolVar(&cfg.factIndex, "fact-index", true, "serve /v1/facts pages and ?source=live leaderboards from the incremental fact index (seek + O(page) walk); false falls back to the reference full-scan read path — results are identical, only latency differs")
 	fs.StringVar(&cfg.faultPlan, "fault-plan", os.Getenv("SITUFACTD_FAULT_PLAN"),
 		"TESTING ONLY: inject WAL I/O faults per this plan (see internal/faultfs; e.g. 'fsync:from=3;clear-after=2s'); defaults to $SITUFACTD_FAULT_PLAN so test harnesses can arm child processes; requires -wal")
 	fs.BoolVar(&cfg.walVerifyMode, "wal-verify", false, "offline fsck: scan <state-dir>/wal segment by segment (framing, CRCs, LSN density), print a report, and exit — non-zero on corruption; the log is opened read-only and never modified")
@@ -151,8 +148,7 @@ func (cfg *config) validate() error {
 	}{
 		{"-dhat", cfg.dhat}, {"-mhat", cfg.mhat},
 		{"-shards", cfg.shards}, {"-workers", cfg.workers},
-		{"-shard-workers", cfg.shardWorkers}, {"-topk", cfg.boardCap},
-		{"-pipeline-queue", cfg.pipeQueue},
+		{"-topk", cfg.boardCap}, {"-pipeline-queue", cfg.pipeQueue},
 		{"-follow-rebootstrap-max", cfg.followRebootstrapMax},
 		{"-rate-burst", cfg.rateBurst}, {"-max-inflight", cfg.maxInflight},
 	} {
@@ -202,9 +198,6 @@ func (cfg *config) validate() error {
 	}
 	if cfg.rateBurst > 0 && cfg.rateLimit <= 0 {
 		return fmt.Errorf("-rate-burst %d without -rate-limit: a burst is meaningless with no rate", cfg.rateBurst)
-	}
-	if cfg.shardWorkers > 1 && cfg.stateDir != "" {
-		return fmt.Errorf("-shard-workers %d runs parallel-bottomup per shard, which cannot snapshot: drop -state-dir or -shard-workers", cfg.shardWorkers)
 	}
 	return nil
 }

@@ -66,10 +66,6 @@ func TestConfigValidateTable(t *testing.T) {
 		{"follow without state dir", func(c *config) { c.follow = "http://leader:8080" }, "-follow requires -state-dir"},
 		{"fault plan without wal", func(c *config) { c.faultPlan = "fsync:from=1" }, "-fault-plan"},
 		{"burst without rate", func(c *config) { c.rateBurst = 10 }, "-rate-burst"},
-		{"shard workers with state dir", func(c *config) {
-			c.shardWorkers = 4
-			c.stateDir = "/tmp/x"
-		}, "-shard-workers"},
 
 		// Valid combinations that must NOT be rejected.
 		{"wal with state dir", func(c *config) { c.stateDir = "/tmp/x"; c.wal = true }, ""},
@@ -174,6 +170,10 @@ func TestConfigFileRejects(t *testing.T) {
 		{"nested config", `{"config": "other.json"}`, "cannot nest"},
 		{"trailing garbage", `{"shards": 4} {"shards": 5}`, "trailing data"},
 		{"not an object", `[1, 2, 3]`, "cannot unmarshal"},
+		// Flags that no longer exist are unknown keys like any other.
+		{"removed pipeline switch", `{"pipeline": false}`, `unknown key "pipeline"`},
+		{"removed fact-index switch", `{"fact-index": false}`, `unknown key "fact-index"`},
+		{"removed shard-workers", `{"shard-workers": 2}`, `unknown key "shard-workers"`},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

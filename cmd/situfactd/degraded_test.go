@@ -46,7 +46,6 @@ func healthStatus(t *testing.T, url string) (int, healthResponse) {
 func TestDegradedModeServesReadsAndHeals(t *testing.T) {
 	cfg := gamelogConfig(2, t.TempDir())
 	cfg.wal = true
-	cfg.pipeline = true
 	cfg.faultPlan = "fsync:from=999999" // inert; armed for real below
 	s, ts := startServer(t, cfg)
 

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"flag"
 	"os"
 	"regexp"
 	"slices"
@@ -42,6 +43,48 @@ func TestAPIDocEndpoints(t *testing.T) {
 
 	if !slices.Equal(documented, registered) {
 		t.Errorf("docs/API.md endpoint headings drifted from the mux registrations:\n  documented: %v\n  registered: %v",
+			documented, registered)
+	}
+}
+
+// TestAPIDocFlags is the flag-side doc-drift guard: the set of -flag
+// names docs/API.md mentions in inline code, in its daemon part (before
+// "## Load testing", where situbench's own flags begin), must equal the
+// set registerFlags registers. A flag added without documentation — or a
+// passage still describing a removed one — fails CI.
+func TestAPIDocFlags(t *testing.T) {
+	data, err := os.ReadFile("../../docs/API.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	daemon, _, found := strings.Cut(string(data), "\n## Load testing")
+	if !found {
+		t.Fatal(`docs/API.md has no "## Load testing" heading to end the daemon part at`)
+	}
+	// Fenced examples are usage, not documentation; only inline code counts.
+	daemon = regexp.MustCompile("(?s)```.*?```").ReplaceAllString(daemon, "")
+	flagRE := regexp.MustCompile(`(?:^|[\s(])-([a-z][a-z-]*)`)
+	seen := map[string]bool{}
+	for _, span := range regexp.MustCompile("`[^`]+`").FindAllString(daemon, -1) {
+		for _, m := range flagRE.FindAllStringSubmatch(strings.Trim(span, "`"), -1) {
+			seen[m[1]] = true
+		}
+	}
+	var documented []string
+	for name := range seen {
+		documented = append(documented, name)
+	}
+	slices.Sort(documented)
+
+	var cfg config
+	fs := flag.NewFlagSet("test", flag.ContinueOnError)
+	registerFlags(fs, &cfg)
+	var registered []string
+	fs.VisitAll(func(f *flag.Flag) { registered = append(registered, f.Name) })
+	slices.Sort(registered)
+
+	if !slices.Equal(documented, registered) {
+		t.Errorf("docs/API.md flags drifted from registerFlags:\n  documented: %v\n  registered: %v",
 			documented, registered)
 	}
 }

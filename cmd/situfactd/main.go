@@ -12,8 +12,7 @@
 //	          [-dhat 0] [-mhat 0] [-workers 0] [-state-dir /var/lib/situfactd] \
 //	          [-wal] [-wal-sync 0s] [-wal-segment-bytes 0] \
 //	          [-snapshot-interval 0s] [-topk 128] [-relation stream] \
-//	          [-pipeline] [-pipeline-queue 0] [-pipeline-adaptive] \
-//	          [-shard-workers 0] [-read-cache-ttl 0s] [-fact-index] \
+//	          [-pipeline-queue 0] [-pipeline-adaptive] [-read-cache-ttl 0s] \
 //	          [-follow http://leader:8080] [-follow-poll 500ms] [-follow-max-lag 0]
 //
 // Endpoints (wire format in docs/API.md):
@@ -77,7 +76,6 @@ func main() {
 			log.Fatal(err)
 		}
 	}
-	cfg.scanFacts = !cfg.factIndex
 	if err := cfg.validate(); err != nil {
 		log.Fatal(err)
 	}

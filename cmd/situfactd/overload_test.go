@@ -106,7 +106,6 @@ func TestOverloadDrillShedsWithoutAckedLoss(t *testing.T) {
 	dir := t.TempDir()
 	cfg := gamelogConfig(3, dir)
 	cfg.wal = true
-	cfg.pipeline = true
 	cfg.pipeQueue = 2
 	cfg.pipeAdaptive = false
 	cfg.shedWindow = 50 * time.Millisecond

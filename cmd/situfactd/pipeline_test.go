@@ -1,93 +1,113 @@
 package main
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
 	"net/http"
 	"testing"
+
+	situfact "repro"
 )
 
-// TestServerPipelineEquivalence runs the same stream through a
-// pipelined daemon (-pipeline, the default binary configuration) and a
-// direct-path one: responses, leaderboards and merged work counters must
-// be identical, and the pipelined daemon's /v1/metrics must account for
-// every operation in its ingest block.
+// TestServerPipelineEquivalence runs the same stream through the daemon
+// (handlers → shard writer queues → committer) and through an
+// in-process Pool that calls the write path inline: every arrival's
+// facts, the merged work counters and the live leaderboard must be
+// identical, and the daemon's /v1/metrics must account for every
+// operation in its ingest block.
 func TestServerPipelineEquivalence(t *testing.T) {
-	direct := gamelogConfig(2, "")
-	piped := gamelogConfig(2, "")
-	piped.pipeline = true
-
-	sd, tsd := startServer(t, direct)
-	sp, tsp := startServer(t, piped)
-	defer sd.close()
-	defer sp.close()
+	cfg := gamelogConfig(2, "")
+	s, ts := startServer(t, cfg)
+	defer s.close()
+	ref, err := situfact.NewPool(s.schema, situfact.PoolOptions{Shards: 2, ShardDim: "team"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ref.Close()
+	sameArrival := func(label string, got *arrivalResponse, want *situfact.Arrival) {
+		t.Helper()
+		if id := fmt.Sprintf("%d:%d", want.Shard, want.TupleID); got.ID != id || got.FactCount != len(want.Facts) {
+			t.Fatalf("%s: daemon arrival %s/%d facts, inline pool %s/%d", label, got.ID, got.FactCount, id, len(want.Facts))
+		}
+		wantFacts := make([]factWire, len(want.Facts))
+		for i, f := range want.Facts {
+			wantFacts[i] = toWireFact(f)
+		}
+		if !sameJSON(t, got.Facts, wantFacts) {
+			t.Fatalf("%s: facts diverged:\n daemon %+v\n inline %+v", label, got.Facts, wantFacts)
+		}
+	}
 
 	var rows []rowWire
 	rows = append(rows, table1...)
 	rows = append(rows, wesley)
 	var deleted int
 	for i, row := range rows {
-		var wantArr, gotArr arrivalResponse
-		doJSON(t, http.MethodPost, tsd.URL+"/v1/tuples", reqOf(row), &wantArr)
-		doJSON(t, http.MethodPost, tsp.URL+"/v1/tuples", reqOf(row), &gotArr)
-		if wantArr.ID != gotArr.ID || wantArr.FactCount != gotArr.FactCount {
-			t.Fatalf("row %d: pipelined arrival %s/%d facts, direct %s/%d",
-				i, gotArr.ID, gotArr.FactCount, wantArr.ID, wantArr.FactCount)
+		want, err := ref.Append(row.Dims, row.Measures)
+		if err != nil {
+			t.Fatal(err)
 		}
-		// Retract one mid-stream row through both daemons: deletes ride
-		// the same per-shard queues as appends.
+		var got arrivalResponse
+		doJSON(t, http.MethodPost, ts.URL+"/v1/tuples", reqOf(row), &got)
+		sameArrival(fmt.Sprintf("row %d", i), &got, want)
+		// Retract one mid-stream row on both sides: deletes ride the same
+		// per-shard queues as appends.
 		if i == 2 {
-			for _, url := range []string{tsd.URL, tsp.URL} {
-				req, err := http.NewRequest(http.MethodDelete, url+"/v1/tuples/"+gotArr.ID, nil)
-				if err != nil {
-					t.Fatal(err)
-				}
-				resp, err := http.DefaultClient.Do(req)
-				if err != nil {
-					t.Fatal(err)
-				}
-				resp.Body.Close()
-				if resp.StatusCode != http.StatusNoContent {
-					t.Fatalf("delete %s via %s: status %d", gotArr.ID, url, resp.StatusCode)
-				}
+			if err := ref.Delete(want.Shard, want.TupleID); err != nil {
+				t.Fatal(err)
+			}
+			if resp := doJSON(t, http.MethodDelete, ts.URL+"/v1/tuples/"+got.ID, nil, nil); resp.StatusCode != http.StatusNoContent {
+				t.Fatalf("delete %s: status %d", got.ID, resp.StatusCode)
 			}
 			deleted++
 		}
 	}
-	// Batch through both daemons too.
-	var wantBatch, gotBatch batchResponse
-	doJSON(t, http.MethodPost, tsd.URL+"/v1/tuples:batch", batchRequest{Rows: rows}, &wantBatch)
-	doJSON(t, http.MethodPost, tsp.URL+"/v1/tuples:batch", batchRequest{Rows: rows}, &gotBatch)
-	for i := range wantBatch.Arrivals {
-		w, g := wantBatch.Arrivals[i], gotBatch.Arrivals[i]
-		if w.ID != g.ID || w.FactCount != g.FactCount {
-			t.Fatalf("batch row %d: pipelined %s/%d facts, direct %s/%d",
-				i, g.ID, g.FactCount, w.ID, w.FactCount)
+	// Batch through both too.
+	batch := make([]situfact.Row, len(rows))
+	for i, row := range rows {
+		batch[i] = situfact.Row{Dims: row.Dims, Measures: row.Measures}
+	}
+	wantBatch, err := ref.AppendBatch(batch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var gotBatch batchResponse
+	doJSON(t, http.MethodPost, ts.URL+"/v1/tuples:batch", batchRequest{Rows: rows}, &gotBatch)
+	for i := range wantBatch {
+		g, w := gotBatch.Arrivals[i], wantBatch[i]
+		if id := fmt.Sprintf("%d:%d", w.Shard, w.TupleID); g.ID != id || g.FactCount != len(w.Facts) {
+			t.Fatalf("batch row %d: daemon %s/%d facts, inline pool %s/%d", i, g.ID, g.FactCount, id, len(w.Facts))
 		}
 	}
 
-	var wantM, gotM metricsResponse
-	doJSON(t, http.MethodGet, tsd.URL+"/v1/metrics", nil, &wantM)
-	doJSON(t, http.MethodGet, tsp.URL+"/v1/metrics", nil, &gotM)
-	if gotM.Merged != wantM.Merged {
-		t.Errorf("pipelined merged metrics %+v, direct %+v", gotM.Merged, wantM.Merged)
+	var gotM metricsResponse
+	doJSON(t, http.MethodGet, ts.URL+"/v1/metrics", nil, &gotM)
+	if want := toWireMetrics(ref.Metrics()); gotM.Merged != want {
+		t.Errorf("daemon merged metrics %+v, inline pool %+v", gotM.Merged, want)
 	}
-	if gotM.Len != wantM.Len {
-		t.Errorf("pipelined len %d, direct %d", gotM.Len, wantM.Len)
+	if gotM.Len != ref.Len() {
+		t.Errorf("daemon len %d, inline pool %d", gotM.Len, ref.Len())
 	}
-	var wantTop, gotTop topFactsResponse
-	doJSON(t, http.MethodGet, tsd.URL+"/v1/facts/top?k=64", nil, &wantTop)
-	doJSON(t, http.MethodGet, tsp.URL+"/v1/facts/top?k=64", nil, &gotTop)
-	if fmt.Sprintf("%+v", gotTop) != fmt.Sprintf("%+v", wantTop) {
-		t.Errorf("pipelined leaderboard diverged from direct path:\n got %+v\nwant %+v", gotTop, wantTop)
+	wantTop, err := ref.TopFacts(64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var gotTop topLiveResponse
+	doJSON(t, http.MethodGet, ts.URL+"/v1/facts/top?k=64&source=live", nil, &gotTop)
+	if len(gotTop.Facts) != len(wantTop) {
+		t.Fatalf("live leaderboard has %d facts, inline pool %d", len(gotTop.Facts), len(wantTop))
+	}
+	for i := range wantTop {
+		if want := toQueryFactWire(&wantTop[i]); !sameJSON(t, gotTop.Facts[i], want) {
+			t.Errorf("live leaderboard entry %d diverged:\n daemon %+v\n inline %+v", i, gotTop.Facts[i], want)
+		}
 	}
 
 	// The ingest block must account for every operation.
-	if wantM.Ingest.Pipeline {
-		t.Error("direct daemon reports ingest.pipeline = true")
-	}
 	ing := gotM.Ingest
 	if !ing.Pipeline {
-		t.Fatal("pipelined daemon reports ingest.pipeline = false")
+		t.Fatal("leader reports ingest.pipeline = false")
 	}
 	wantOps := uint64(2*len(rows) + deleted)
 	if ing.Enqueued != wantOps {
@@ -118,13 +138,26 @@ func TestServerPipelineEquivalence(t *testing.T) {
 	}
 }
 
-// TestServerPipelineRecovery checkpoints and restarts a pipelined
-// daemon with a WAL: recovery (which runs on the direct path, before
-// the pipeline starts) must hand the pipelined daemon identical state.
+// sameJSON reports whether two values have the same wire rendering.
+func sameJSON(t *testing.T, a, b any) bool {
+	t.Helper()
+	ja, err := json.Marshal(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	jb, err := json.Marshal(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return bytes.Equal(ja, jb)
+}
+
+// TestServerPipelineRecovery checkpoints and restarts a daemon with a
+// WAL: recovery (which applies its records inline, before the pipeline
+// starts) must hand the restarted daemon identical state.
 func TestServerPipelineRecovery(t *testing.T) {
 	stateDir := t.TempDir()
 	cfg := gamelogConfig(2, stateDir)
-	cfg.pipeline = true
 	cfg.wal = true
 	s, ts := startServer(t, cfg)
 	for _, row := range table1 {
@@ -155,8 +188,8 @@ func TestServerPipelineRecovery(t *testing.T) {
 	if !after.Ingest.Pipeline {
 		t.Error("recovered daemon is not running the pipeline")
 	}
-	// Replay happened on the direct path: the fresh pipeline has seen no ops.
+	// Replay ran inline: the fresh pipeline has seen no ops.
 	if after.Ingest.Enqueued != 0 {
-		t.Errorf("recovery enqueued %d ops onto the pipeline; replay must use the direct path", after.Ingest.Enqueued)
+		t.Errorf("recovery enqueued %d ops onto the pipeline; replay must run inline", after.Ingest.Enqueued)
 	}
 }

@@ -163,7 +163,6 @@ type replState struct {
 	// Re-bootstrap inputs: everything bootstrapPool needs to rebuild the
 	// follower's pool from a fresh leader snapshot after a fatal error.
 	schema         *situfact.Schema
-	scanFacts      bool
 	bootstrapDir   string
 	rebootstrapMax int // consecutive attempts per fatal episode; 0 = disabled
 
@@ -203,7 +202,7 @@ func newFollower(cfg config) (*server, error) {
 	leader := strings.TrimRight(cfg.follow, "/")
 	client := &http.Client{Timeout: 5 * time.Minute}
 	bootstrapDir := filepath.Join(cfg.stateDir, "bootstrap")
-	pool, sidecars, epoch, err := bootstrapPool(client, leader, bootstrapDir, schema, cfg.scanFacts)
+	pool, sidecars, epoch, err := bootstrapPool(client, leader, bootstrapDir, schema)
 	if err != nil {
 		return nil, fmt.Errorf("situfactd: %w", err)
 	}
@@ -212,9 +211,9 @@ func newFollower(cfg config) (*server, error) {
 		bcap = 128
 	}
 	// The follower never checkpoints (stateDir was scratch for the
-	// bootstrap only), and the ingest pipeline would race ApplyTail.
+	// bootstrap only) and never starts the ingest pipeline, which would
+	// race ApplyTail.
 	cfg.stateDir = ""
-	cfg.pipeline = false
 	s := &server{
 		cfg:      cfg,
 		schema:   schema,
@@ -244,7 +243,6 @@ func newFollower(cfg config) (*server, error) {
 		maxLag:         cfg.followMaxLag,
 		poll:           poll,
 		schema:         schema,
-		scanFacts:      cfg.scanFacts,
 		bootstrapDir:   bootstrapDir,
 		rebootstrapMax: cfg.followRebootstrapMax,
 		stop:           make(chan struct{}),
@@ -263,7 +261,7 @@ func newFollower(cfg config) (*server, error) {
 // torn download is never worth salvaging) and restores a serving pool
 // from it. Shared by the initial bootstrap and the automatic re-bootstrap
 // after a fatal replication error.
-func bootstrapPool(client *http.Client, leader, bootstrapDir string, schema *situfact.Schema, scanFacts bool) (*situfact.Pool, map[string][]byte, string, error) {
+func bootstrapPool(client *http.Client, leader, bootstrapDir string, schema *situfact.Schema) (*situfact.Pool, map[string][]byte, string, error) {
 	if err := os.RemoveAll(bootstrapDir); err != nil {
 		return nil, nil, "", fmt.Errorf("clearing %s: %w", bootstrapDir, err)
 	}
@@ -282,9 +280,8 @@ func bootstrapPool(client *http.Client, leader, bootstrapDir string, schema *sit
 		pool.Close()
 		return nil, nil, "", fmt.Errorf("leader snapshot carries no WAL epoch: the leader must run -wal")
 	}
-	// Same read path as the leader: the fact index was rebuilt during the
-	// snapshot restore above and ApplyTail maintains it from here on.
-	pool.SetScanQueries(scanFacts)
+	// The fact index reads are served from was rebuilt during the restore
+	// above, and ApplyTail maintains it from here on.
 	return pool, sidecars, epoch, nil
 }
 
@@ -416,7 +413,7 @@ func (r *replState) rebootstrap(s *server, rng *rand.Rand) bool {
 		}
 		log.Printf("re-bootstrapping from %s (attempt %d/%d) after: %s",
 			r.leader, attempt, r.rebootstrapMax, r.fatalReason())
-		pool, sidecars, epoch, err := bootstrapPool(r.client, r.leader, r.bootstrapDir, r.schema, r.scanFacts)
+		pool, sidecars, epoch, err := bootstrapPool(r.client, r.leader, r.bootstrapDir, r.schema)
 		if err == nil {
 			s.poolv.Store(pool)
 			if lb, ok := sidecars[sidecarLeaderboard]; ok {

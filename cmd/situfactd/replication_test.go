@@ -12,6 +12,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	situfact "repro"
 )
 
 // followerOf starts an in-process read-only follower of the given leader
@@ -187,36 +189,33 @@ func TestFollowerServesIdenticalFacts(t *testing.T) {
 	}
 }
 
-// TestFollowerIndexedReadsIdentical pins the read path the fleet actually
-// runs: leader and follower both serving from the incremental fact index
-// (the -fact-index default) must stay byte-identical across appends and a
-// delete — and a second follower forced onto the reference scan path must
-// produce those same bytes, so the index cannot drift from the scan even
-// across the replication boundary.
+// TestFollowerIndexedReadsIdentical pins the read path the fleet runs:
+// leader and follower, both serving from the incremental fact index, must
+// stay byte-identical across appends and a delete — and identical to an
+// in-process Pool fed the same history directly, whose index was only
+// ever grown by live appends: never rebuilt by a snapshot restore, never
+// maintained through ApplyTail.
 func TestFollowerIndexedReadsIdentical(t *testing.T) {
 	cfg := gamelogConfig(2, t.TempDir())
 	cfg.wal = true
 	leader, lts := startServer(t, cfg)
-	if leader.db().ScanQueries() {
-		t.Fatal("leader is not index-backed under the default config")
+	ref, err := situfact.NewPool(leader.schema, situfact.PoolOptions{Shards: 2, ShardDim: "team"})
+	if err != nil {
+		t.Fatal(err)
 	}
+	defer ref.Close()
 	for i, row := range table1 {
 		if resp := doJSON(t, "POST", lts.URL+"/v1/tuples", reqOf(row), nil); resp.StatusCode != http.StatusOK {
 			t.Fatalf("leader: row %d: status %d", i, resp.StatusCode)
 		}
+		if _, err := ref.Append(row.Dims, row.Measures); err != nil {
+			t.Fatal(err)
+		}
 	}
 
-	indexed, its := followerOf(t, lts.URL, 2)
-	scanCfg := gamelogConfig(2, t.TempDir())
-	scanCfg.follow = lts.URL
-	scanCfg.followPoll = 20 * time.Millisecond
-	scanCfg.scanFacts = true
-	scanner, sts := startServer(t, scanCfg)
-	if indexed.db().ScanQueries() || !scanner.db().ScanQueries() {
-		t.Fatal("follower read paths not wired from config")
-	}
+	_, its := followerOf(t, lts.URL, 2)
 
-	// Mutate past the bootstrap so both followers exercise ApplyTail's
+	// Mutate past the bootstrap so the follower exercises ApplyTail's
 	// index maintenance, not just the restore-time rebuild.
 	if resp := doJSON(t, "POST", lts.URL+"/v1/tuples", reqOf(wesley), nil); resp.StatusCode != http.StatusOK {
 		t.Fatalf("leader: wesley rejected: status %d", resp.StatusCode)
@@ -225,12 +224,32 @@ func TestFollowerIndexedReadsIdentical(t *testing.T) {
 	if resp := doJSON(t, "DELETE", fmt.Sprintf("%s/v1/tuples/%d:0", lts.URL, celtics), nil, nil); resp.StatusCode != http.StatusNoContent {
 		t.Fatalf("leader: delete rejected: status %d", resp.StatusCode)
 	}
-	head := uint64(len(table1)) + 2
-	waitApplied(t, its.URL, head)
-	waitApplied(t, sts.URL, head)
+	if _, err := ref.Append(wesley.Dims, wesley.Measures); err != nil {
+		t.Fatal(err)
+	}
+	if err := ref.Delete(celtics, 0); err != nil {
+		t.Fatal(err)
+	}
+	waitApplied(t, its.URL, uint64(len(table1))+2)
 
 	assertSameReads(t, lts.URL, its.URL, gamelogQueries)
-	assertSameReads(t, lts.URL, sts.URL, gamelogQueries)
+	// The reference pool is served by a bare server: same handlers, no
+	// daemon around it.
+	var bare server
+	bare.poolv.Store(ref)
+	rts := httptest.NewServer(bare.handler())
+	defer rts.Close()
+	for _, q := range gamelogQueries {
+		fp, rp := factsPages(t, its.URL, q, 3), factsPages(t, rts.URL, q, 3)
+		if len(fp) != len(rp) {
+			t.Fatalf("query %q: follower returned %d pages, reference pool %d", q, len(fp), len(rp))
+		}
+		for i := range fp {
+			if !bytes.Equal(fp[i], rp[i]) {
+				t.Errorf("query %q page %d diverged:\nfollower  %s\nreference %s", q, i, fp[i], rp[i])
+			}
+		}
+	}
 
 	lm, fm := getMetrics(t, lts.URL), getMetrics(t, its.URL)
 	if !lm.Index.Serving || !fm.Index.Serving {
@@ -239,18 +258,17 @@ func TestFollowerIndexedReadsIdentical(t *testing.T) {
 	if lm.Index.Entries == 0 || lm.Index.Entries != fm.Index.Entries {
 		t.Errorf("index entries diverged: leader %d follower %d", lm.Index.Entries, fm.Index.Entries)
 	}
-	if sm := getMetrics(t, sts.URL); sm.Index.Serving {
-		t.Errorf("scan follower reports index serving: %+v", sm.Index)
-	} else if sm.Index.Entries != lm.Index.Entries {
-		t.Errorf("scan follower's (idle) index entries %d != leader's %d: maintenance must not depend on the read path", sm.Index.Entries, lm.Index.Entries)
+	if got := ref.IndexStats().Entries; got != lm.Index.Entries {
+		t.Errorf("reference pool's index holds %d entries, leader's %d", got, lm.Index.Entries)
 	}
 
 	// The live leaderboard ranks current cells, so it sees the delete the
 	// same way on every node.
 	_, ltop := getBody(t, lts.URL+"/v1/facts/top?k=16&source=live")
 	_, itop := getBody(t, its.URL+"/v1/facts/top?k=16&source=live")
-	if !bytes.Equal(ltop, itop) {
-		t.Errorf("live leaderboard diverged:\nleader   %s\nfollower %s", ltop, itop)
+	_, rtop := getBody(t, rts.URL+"/v1/facts/top?k=16&source=live")
+	if !bytes.Equal(ltop, itop) || !bytes.Equal(ltop, rtop) {
+		t.Errorf("live leaderboard diverged:\nleader    %s\nfollower  %s\nreference %s", ltop, itop, rtop)
 	}
 }
 

@@ -36,14 +36,12 @@ type config struct {
 	shards       int           // pool shard count
 	shardDim     string        // dimension routing rows to shards; "" = first dimension
 	workers      int           // worker count for the parallel-* algorithms
-	shardWorkers int           // >1 = parallel-bottomup with N workers per shard
 	stateDir     string        // snapshot directory; "" disables persistence
 	wal          bool          // journal ingest to <stateDir>/wal, replay on start
 	walSync      time.Duration // 0 = fsync before every ack; >0 = background interval fsync
 	walSegBytes  int64         // WAL segment rotation threshold (0 = 64 MiB)
 	snapInterval time.Duration // background checkpoint period; 0 = shutdown-only snapshots
 	boardCap     int           // leaderboard capacity for GET /v1/facts/top
-	pipeline     bool          // per-shard batching ingest writers (Pool.StartPipeline)
 	pipeQueue    int           // per-shard ingest queue depth (0 = 256)
 	pipeAdaptive bool          // adaptive queue capacities (PipelineOptions.AdaptiveQueue)
 	pprofAddr    string        // extra net/http/pprof listener; "" = off
@@ -51,7 +49,6 @@ type config struct {
 	followPoll   time.Duration // follower WAL-tail poll period (0 = 500ms)
 	followMaxLag uint64        // replication lag (records) beyond which /healthz degrades
 	readCacheTTL time.Duration // TTL of the read cache over /v1/facts{,/top}; 0 = off
-	scanFacts    bool          // serve reads from the reference full scan (-fact-index=false); zero value = index-backed
 	faultPlan    string        // faultfs plan injected under the WAL (testing only); "" = none
 	// followRebootstrapMax caps automatic follower re-bootstraps after a
 	// fatal replication error; 0 = never re-bootstrap (fatal states stand
@@ -72,18 +69,15 @@ type config struct {
 	idleTimeout    time.Duration // http.Server.IdleTimeout for keep-alives
 	maxBody        int64         // POST /v1/tuples body cap in bytes
 	maxBatchBody   int64         // POST /v1/tuples:batch body cap in bytes
-	factIndex      bool          // flag view of the read path (scanFacts = !factIndex)
 	walVerifyMode  bool          // -wal-verify: offline fsck then exit
 }
 
 // server owns the pool and the leaderboard. Append/Delete handlers rely on
 // the Pool's own ingest discipline for safety — the server adds no request
-// serialization of its own. By default the pool runs the ingest pipeline
-// (-pipeline): handlers enqueue onto per-shard batching writers and
-// arrivals racing for one shard are applied in enqueue order; with
-// -pipeline=false they take the per-shard locks directly and are ordered
-// by lock acquisition. Either way different shards proceed in parallel
-// (see docs/ARCHITECTURE.md for why that ordering is sound).
+// serialization of its own. A leader's pool runs the ingest pipeline:
+// handlers enqueue onto per-shard batching writers, arrivals racing for
+// one shard are applied in enqueue order, and different shards proceed in
+// parallel (see docs/ARCHITECTURE.md for why that ordering is sound).
 type server struct {
 	cfg      config
 	schema   *situfact.Schema
@@ -119,7 +113,7 @@ type server struct {
 	// Admission control (nil members = that layer is off; every accessor
 	// on them is nil-safe). limiter and admit protect leaders and
 	// followers alike; shedder only runs where there is a pipeline to
-	// watch, so it is nil on followers and with -pipeline=false.
+	// watch, so it is nil on followers.
 	limiter *middleware.Limiter
 	admit   *middleware.Gate
 	shedder *middleware.Shedder
@@ -192,20 +186,6 @@ func newServer(cfg config) (*server, error) {
 	if algo == "" {
 		algo = string(situfact.AlgoSBottomUp)
 	}
-	workers := cfg.workers
-	if cfg.shardWorkers > 1 {
-		// -shard-workers is shorthand for "apply each shard's batches with
-		// N discovery goroutines": it upgrades the bottomup family to
-		// parallel-bottomup. An explicit -algo outside that family is a
-		// contradiction, not something to silently override.
-		switch situfact.Algorithm(algo) {
-		case situfact.AlgoBottomUp, situfact.AlgoSBottomUp, situfact.AlgoParallelBottomUp:
-			algo = string(situfact.AlgoParallelBottomUp)
-			workers = cfg.shardWorkers
-		default:
-			return nil, fmt.Errorf("situfactd: -shard-workers %d runs parallel-bottomup per shard, which conflicts with -algo %s", cfg.shardWorkers, algo)
-		}
-	}
 	var pool *situfact.Pool
 	var sidecars map[string][]byte
 	if cfg.stateDir != "" {
@@ -244,17 +224,13 @@ func newServer(cfg config) (*server, error) {
 				Algorithm:      situfact.Algorithm(algo),
 				MaxBoundDims:   cfg.dhat,
 				MaxMeasureDims: cfg.mhat,
-				Workers:        workers,
+				Workers:        cfg.workers,
 			},
 		})
 		if err != nil {
 			return nil, err
 		}
 	}
-	// -fact-index=false keeps the reference scan path on the read side;
-	// the index itself is maintained either way, so the flag can be
-	// flipped across restarts without any rebuild cost beyond recovery.
-	pool.SetScanQueries(cfg.scanFacts)
 	// Refuse -state-dir with an engine snapshots cannot serialise now,
 	// not at the first SIGTERM.
 	if cfg.stateDir != "" && !pool.CanSnapshot() {
@@ -345,17 +321,15 @@ func newServer(cfg config) (*server, error) {
 		}
 		s.wal = wal
 	}
-	// The pipeline starts last: recovery (restore + replay) runs on the
-	// direct path, and every live request from here on batches through the
-	// per-shard writers.
-	if cfg.pipeline {
-		if err := pool.StartPipeline(situfact.PipelineOptions{
-			QueueDepth:    cfg.pipeQueue,
-			AdaptiveQueue: cfg.pipeAdaptive,
-		}); err != nil {
-			s.close()
-			return nil, fmt.Errorf("situfactd: %w", err)
-		}
+	// The pipeline starts last: recovery (restore + replay) applies its
+	// records inline, and every live request from here on batches through
+	// the per-shard writers.
+	if err := pool.StartPipeline(situfact.PipelineOptions{
+		QueueDepth:    cfg.pipeQueue,
+		AdaptiveQueue: cfg.pipeAdaptive,
+	}); err != nil {
+		s.close()
+		return nil, fmt.Errorf("situfactd: %w", err)
 	}
 	s.startShedLoop()
 	if s.wal != nil {
@@ -432,9 +406,9 @@ func newReadCache(cfg config) *readcache.Cache {
 func (s *server) initAdmission() {
 	s.limiter = middleware.NewLimiter(s.cfg.rateLimit, s.cfg.rateBurst)
 	s.admit = middleware.NewGate(s.cfg.maxInflight)
-	if s.cfg.pipeline && s.cfg.follow == "" && s.cfg.shedWindow > 0 {
-		// Shedding watches the ingest pipeline's backpressure; without a
-		// pipeline (follower, -pipeline=false) there is nothing to watch.
+	if s.cfg.follow == "" && s.cfg.shedWindow > 0 {
+		// Shedding watches the ingest pipeline's backpressure; a follower
+		// runs none, so there is nothing to watch.
 		s.shedder = middleware.NewShedder(s.cfg.shedWindow)
 	}
 }

@@ -90,7 +90,7 @@ type schemaResponse struct {
 	Shards     int           `json:"shards"`
 	Algorithm  string        `json:"algorithm"`
 	// Workers is the discovery goroutines per shard engine (1 for the
-	// single-threaded algorithms; >1 under -shard-workers).
+	// single-threaded algorithms; >1 under the parallel-* ones).
 	Workers int `json:"workers"`
 }
 
@@ -158,8 +158,8 @@ type ingestShardWire struct {
 
 // ingestWire is the ingest-pipeline block of GET /v1/metrics.
 type ingestWire struct {
-	// Pipeline reports whether the per-shard batching writers are running
-	// (-pipeline); false means requests take the direct locked path and
+	// Pipeline reports whether the per-shard batching writers are running:
+	// true on a leader; false on a follower, which takes no writes, and
 	// the remaining fields are zero.
 	Pipeline bool `json:"pipeline"`
 	// QueueDepth and QueueCap sum the shards' pending-operation counts
@@ -302,9 +302,8 @@ type overloadWire struct {
 
 // indexWire is the incremental-fact-index block of GET /v1/metrics.
 type indexWire struct {
-	// Serving reports whether /v1/facts pages are answered from the index
-	// (-fact-index, the default) rather than the reference full scan. The
-	// index is maintained and its counters advance either way.
+	// Serving reports whether the engines maintain the index /v1/facts
+	// pages are answered from (the lattice algorithms do).
 	Serving bool `json:"serving"`
 	// Entries is the live (key, mask) count summed over shards — one per
 	// stored fact cell.

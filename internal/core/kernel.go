@@ -7,46 +7,22 @@ import "math/bits"
 // rows of a µ(C,M) cell (stride 1+W: one id slot, then the vector). The
 // single-row kernel cmpVecs (core.go) streams one row per call; the
 // kernels here walk the flat row page directly and test the candidate
-// against two or four stored rows per pass, so the candidate's
-// coordinates and the subspace's index list load once per pass instead of
-// once per row. Per-row verdicts are bit-identical to cmpVecs; only the
-// early-exit granularity moves — a multi-row pass bails out when EVERY
-// lane has become incomparable, where the single-row kernel bails per
-// row. Work counters are unaffected: callers charge Comparisons per row
-// VISITED, which the scan helpers report independently of how many float
-// compares a pass actually executed.
+// against four stored rows per pass, so the candidate's coordinates and
+// the subspace's index list load once per pass instead of once per row.
+// Per-row verdicts are bit-identical to cmpVecs; only the early-exit
+// granularity moves — a multi-row pass bails out when EVERY lane has
+// become incomparable, where the single-row kernel bails per row. Work
+// counters are unaffected: callers charge Comparisons per row VISITED,
+// which the scan helpers report independently of how many float compares
+// a pass actually executed.
 //
 // Lane encoding: bit l of the returned masks refers to row l of the pass.
 // dom bit set = that row dominates the candidate (t ≺ u); doms bit set =
 // the candidate dominates that row (t ≻ u).
 
-// cmpVecs2 compares tv against the two rows starting at element offsets
-// k0 and k1 of the packed page (vector at offset +1 of each row), over
-// the measure indices idx.
-func cmpVecs2(tv, rows []float64, k0, k1 int, idx []uint8) (dom, doms uint8) {
-	var gt, lt uint8
-	for _, j := range idx {
-		a, o := tv[j], int(j)+1
-		b0, b1 := rows[k0+o], rows[k1+o]
-		if a > b0 {
-			gt |= 1
-		} else if a < b0 {
-			lt |= 1
-		}
-		if a > b1 {
-			gt |= 2
-		} else if a < b1 {
-			lt |= 2
-		}
-		if gt&lt == 3 { // every lane incomparable: no verdict can emerge
-			return 0, 0
-		}
-	}
-	return lt &^ gt, gt &^ lt
-}
-
-// cmpVecs4 is the four-row form of cmpVecs2 — the production pass width
-// of the cell scans below.
+// cmpVecs4 compares tv against the four rows starting at element offsets
+// k0..k3 of the packed page (vector at offset +1 of each row), over the
+// measure indices idx — the pass width of the cell scans below.
 func cmpVecs4(tv, rows []float64, k0, k1, k2, k3 int, idx []uint8) (dom, doms uint8) {
 	var gt, lt uint8
 	for _, j := range idx {
@@ -140,49 +116,4 @@ func scanAll(tv, rows []float64, n, stride int, idx []uint8, dom, doms []int) ([
 		}
 	}
 	return dom, doms
-}
-
-// scanFirstDom1 and scanFirstDom2 are the one- and two-row-per-pass
-// forms of scanFirstDom, kept as benchmark baselines (scanFirstDom1 is
-// the shape of the pre-batching inner loop): BenchmarkCmpKernel pins the
-// production four-row kernel against them at Fig-7 warm points.
-func scanFirstDom1(tv, rows []float64, n, stride int, idx []uint8, rem []int) (visited int, dominated bool, _ []int) {
-	for i, k := 0, 0; i < n; i, k = i+1, k+stride {
-		d, ds := cmpVecs(tv, rows[k+1:k+stride], idx)
-		if d {
-			return i + 1, true, rem
-		}
-		if ds {
-			rem = append(rem, i)
-		}
-	}
-	return n, false, rem
-}
-
-func scanFirstDom2(tv, rows []float64, n, stride int, idx []uint8, rem []int) (visited int, dominated bool, _ []int) {
-	i, k := 0, 0
-	for ; i+2 <= n; i, k = i+2, k+2*stride {
-		dom, doms := cmpVecs2(tv, rows, k, k+stride, idx)
-		if dom|doms == 0 {
-			continue
-		}
-		for l := 0; l < 2; l++ {
-			if dom&(1<<l) != 0 {
-				return i + l + 1, true, rem
-			}
-			if doms&(1<<l) != 0 {
-				rem = append(rem, i+l)
-			}
-		}
-	}
-	if i < n {
-		d, ds := cmpVecs(tv, rows[k+1:k+stride], idx)
-		if d {
-			return i + 1, true, rem
-		}
-		if ds {
-			rem = append(rem, i)
-		}
-	}
-	return n, false, rem
 }

@@ -124,3 +124,71 @@ func TestCmpKernelBenchAgreement(t *testing.T) {
 		}
 	}
 }
+
+// scanFirstDom1 and scanFirstDom2 are the one- and two-row-per-pass
+// forms of scanFirstDom, kept as benchmark baselines (scanFirstDom1 is
+// the shape of the pre-batching inner loop): BenchmarkCmpKernel pins the
+// production four-row kernel against them at Fig-7 warm points.
+func scanFirstDom1(tv, rows []float64, n, stride int, idx []uint8, rem []int) (visited int, dominated bool, _ []int) {
+	for i, k := 0, 0; i < n; i, k = i+1, k+stride {
+		d, ds := cmpVecs(tv, rows[k+1:k+stride], idx)
+		if d {
+			return i + 1, true, rem
+		}
+		if ds {
+			rem = append(rem, i)
+		}
+	}
+	return n, false, rem
+}
+
+func scanFirstDom2(tv, rows []float64, n, stride int, idx []uint8, rem []int) (visited int, dominated bool, _ []int) {
+	i, k := 0, 0
+	for ; i+2 <= n; i, k = i+2, k+2*stride {
+		dom, doms := cmpVecs2(tv, rows, k, k+stride, idx)
+		if dom|doms == 0 {
+			continue
+		}
+		for l := 0; l < 2; l++ {
+			if dom&(1<<l) != 0 {
+				return i + l + 1, true, rem
+			}
+			if doms&(1<<l) != 0 {
+				rem = append(rem, i+l)
+			}
+		}
+	}
+	if i < n {
+		d, ds := cmpVecs(tv, rows[k+1:k+stride], idx)
+		if d {
+			return i + 1, true, rem
+		}
+		if ds {
+			rem = append(rem, i)
+		}
+	}
+	return n, false, rem
+}
+
+// cmpVecs2 is the two-row form of cmpVecs4.
+func cmpVecs2(tv, rows []float64, k0, k1 int, idx []uint8) (dom, doms uint8) {
+	var gt, lt uint8
+	for _, j := range idx {
+		a, o := tv[j], int(j)+1
+		b0, b1 := rows[k0+o], rows[k1+o]
+		if a > b0 {
+			gt |= 1
+		} else if a < b0 {
+			lt |= 1
+		}
+		if a > b1 {
+			gt |= 2
+		} else if a < b1 {
+			lt |= 2
+		}
+		if gt&lt == 3 { // every lane incomparable: no verdict can emerge
+			return 0, 0
+		}
+	}
+	return lt &^ gt, gt &^ lt
+}

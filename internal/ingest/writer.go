@@ -145,7 +145,7 @@ func startWriter[T any](floor, ceil int, process func(batch []T)) *Writer[T] {
 
 // Enqueue appends op to the queue, blocking while the queue is full. It
 // reports false when the writer is closed (the op was not accepted) —
-// callers fall back to their direct path.
+// callers then process the op themselves.
 func (w *Writer[T]) Enqueue(op T) bool {
 	w.mu.Lock()
 	for len(w.queue) >= w.cap && !w.closed {
@@ -170,8 +170,8 @@ func (w *Writer[T]) Enqueue(op T) bool {
 // or acknowledged for it (counted in Stats.Canceled). Once the op is in
 // the queue the cancellation point has passed and the op completes
 // normally, exactly like Enqueue. ok mirrors Enqueue's: false with a nil
-// error means the writer is closed and the caller should fall back to
-// its direct path.
+// error means the writer is closed and the caller should process the
+// op itself.
 func (w *Writer[T]) EnqueueContext(ctx context.Context, op T) (ok bool, err error) {
 	if ctx.Done() == nil {
 		return w.Enqueue(op), nil

@@ -1,32 +1,28 @@
 package situfact
 
 import (
-	"context"
-	"errors"
 	"fmt"
-	"sync"
 
 	"repro/internal/ingest"
-	"repro/internal/persist"
 )
 
 // Pipelined ingest: StartPipeline gives every shard a long-lived writer
 // goroutine fed by a bounded queue, decoupling accept → journal → apply
 // → respond. Append/AppendBatch/Delete keep their synchronous APIs —
 // the caller still returns only after its operation is applied and (with
-// a WAL) durable — but instead of taking the shard lock and journaling
-// per row, they enqueue an operation and wait on its future. The writer
-// drains whatever has queued since its last wakeup and pays the per-row
-// overheads once per batch: one WAL append pass (persist.WAL.AppendAll),
-// one shard-lock acquisition covering journal + apply, and one
+// a WAL) durable — but instead of calling applyShard themselves with a
+// batch of one, they enqueue the op and wait on its future. The writer
+// hands applyShard whatever has queued since its last wakeup, so the
+// per-row overheads are paid once per batch: one WAL append pass, one
+// shard-lock acquisition covering journal + apply, and one
 // group-committed fsync. Under load, batches grow and per-row cost
 // amortises toward the engine's own apply time; when idle, batches are
-// single ops and the path degenerates to the direct one.
+// single ops. The path of one op is handler → shard writer → committer →
+// handler.
 //
-// Invariants carried over from the direct path, exactly:
+// Queued or inline, applyShard's invariants are the same:
 //   - journal-before-apply, under the owning shard's lock, so each
-//     shard's journal order equals its apply order (Checkpoint's
-//     truncation-cover proof depends on this atomicity);
+//     shard's journal order equals its apply order;
 //   - acknowledgement only after the record's group-committed fsync
 //     (ack-after-fsync), durability mode per WALOptions;
 //   - per-shard FIFO: operations racing for one shard are applied in
@@ -35,9 +31,9 @@ import (
 // Lifecycle: start the pipeline after recovery (ReplayWAL + AttachWAL)
 // and before serving traffic; stop it after in-flight operations have
 // drained. Stopping while calls are in flight is a lifecycle race like
-// AttachWAL's — in-flight operations still complete correctly (they fall
-// back to the direct path), but ordering with the draining writers is no
-// longer guaranteed.
+// AttachWAL's — in-flight operations still complete correctly (they run
+// inline), but ordering with the draining writers is no longer
+// guaranteed.
 
 // PipelineOptions configures Pool.StartPipeline.
 type PipelineOptions struct {
@@ -137,26 +133,6 @@ type pipeline struct {
 	// instead of tracking the batch rate.
 	commits    chan commitGroup
 	commitDone chan struct{}
-	// completions feeds durably-committed batches to the completion
-	// worker pool, which wakes the waiting callers. The committer hands
-	// completed groups off here instead of calling wg.Done itself, so a
-	// slow waiter (descheduled caller, contended runqueue) never delays
-	// the next group fsync.
-	completions chan completion
-	compWG      sync.WaitGroup
-}
-
-// completionWorkers is the completion pool's size. Completion is cheap
-// (flip two fields, wg.Done) — the pool exists to overlap wakeup latency
-// with the committer's next fsync, not to parallelise compute, so a
-// small fixed pool suffices at any shard count.
-const completionWorkers = 4
-
-// completion is one durably-committed batch whose futures are ready to
-// complete; err is the group fsync's failure, if any.
-type completion struct {
-	ops []*ingestOp
-	err error
 }
 
 // commitGroup is one drained batch awaiting durability: every op is
@@ -166,69 +142,35 @@ type commitGroup struct {
 	ops []*ingestOp
 }
 
-// ingestOp is one queued operation plus its completion future. The
-// writer goroutine fills arr/err and calls wg.Done exactly once; the
-// enqueuing caller owns the op again after wg.Wait returns.
-type ingestOp struct {
-	rec persist.Record // Type + Shard, Dims/Measures (append) or TupleID (delete)
-	arr *Arrival       // result of a successful append
-	err error
-	wg  *sync.WaitGroup
-}
-
-// opPool recycles ingestOps: steady-state ingest costs no future
-// allocations beyond the caller's stack WaitGroup.
-var opPool = sync.Pool{New: func() any { return new(ingestOp) }}
-
-func getOp() *ingestOp { return opPool.Get().(*ingestOp) }
-
-func putOp(op *ingestOp) {
-	*op = ingestOp{}
-	opPool.Put(op)
-}
-
 // StartPipeline starts one batching writer per shard and routes every
 // subsequent Append/AppendBatch/Delete through it. Call after recovery
 // (ReplayWAL/AttachWAL), before serving traffic. A pool accepts one
 // pipeline at a time; StopPipeline (or Close) tears it down.
 func (p *Pool) StartPipeline(opt PipelineOptions) error {
 	pipe := &pipeline{
-		writers:     make([]*ingest.Writer[*ingestOp], len(p.shards)),
-		commits:     make(chan commitGroup, 4*len(p.shards)),
-		commitDone:  make(chan struct{}),
-		completions: make(chan completion, 4*len(p.shards)),
+		writers: make([]*ingest.Writer[*ingestOp], len(p.shards)),
+		// Room for a few batches per shard, so a writer rarely blocks on
+		// the hand-off while one fsync is in flight.
+		commits:    make(chan commitGroup, 4*len(p.shards)),
+		commitDone: make(chan struct{}),
 	}
 	for i := range pipe.writers {
 		shard := i
-		// recs is the writer's private journal-batch scratch: the writer
-		// goroutine is the only user, so one slice serves every batch.
-		var recs []persist.Record
 		process := func(batch []*ingestOp) {
-			recs = p.processShardBatch(pipe, shard, batch, recs[:0])
+			lsn := p.applyShard(shard, batch)
+			if lsn == 0 {
+				settle(batch, nil) // nothing to wait for: no WAL, or the journal pass failed
+				return
+			}
+			// The ops are copied out because the writer recycles its batch
+			// slice as soon as this returns.
+			pipe.commits <- commitGroup{lsn: lsn, ops: append([]*ingestOp(nil), batch...)}
 		}
 		if opt.AdaptiveQueue {
 			pipe.writers[i] = ingest.NewAdaptiveWriter(0, opt.QueueDepth, process)
 		} else {
 			pipe.writers[i] = ingest.NewWriter(opt.QueueDepth, process)
 		}
-	}
-	pipe.compWG.Add(completionWorkers)
-	for i := 0; i < completionWorkers; i++ {
-		go func() {
-			defer pipe.compWG.Done()
-			for c := range pipe.completions {
-				for _, op := range c.ops {
-					// A failed durability wait reports ErrWALFailed even
-					// where the apply succeeded (matching the direct path);
-					// an apply error that already happened keeps its own,
-					// more specific error.
-					if c.err != nil && op.err == nil {
-						op.arr, op.err = nil, c.err
-					}
-					op.wg.Done()
-				}
-			}
-		}()
 	}
 	go p.commitLoop(pipe)
 	if !p.pipe.CompareAndSwap(nil, pipe) {
@@ -243,8 +185,8 @@ func (p *Pool) StartPipeline(opt PipelineOptions) error {
 }
 
 // StopPipeline detaches the pipeline, drains every shard's queue, stops
-// the writers and the committer; the pool reverts to the direct ingest
-// path. A no-op when no pipeline is running.
+// the writers and the committer; callers run the write path inline
+// again. A no-op when no pipeline is running.
 func (p *Pool) StopPipeline() {
 	pipe := p.pipe.Swap(nil)
 	if pipe == nil {
@@ -260,19 +202,11 @@ func (p *Pool) StopPipeline() {
 
 // commitLoop is the pipeline's durability stage: it gathers every batch
 // the writers have handed off, waits out ONE fsync covering the highest
-// LSN among them, and hands the completed groups to the completion pool.
-// While that fsync is on disk more batches queue up and join the next
-// pass — cross-shard group commit at the granularity of whole batches.
-// Futures complete off this goroutine so a slow waiter never stalls the
-// next group fsync.
+// LSN among them, and completes their futures. While that fsync is on
+// disk more batches queue up and join the next pass — cross-shard group
+// commit at the granularity of whole batches.
 func (p *Pool) commitLoop(pipe *pipeline) {
 	defer close(pipe.commitDone)
-	// Runs before commitDone closes (LIFO): the completion pool drains
-	// every handed-off group, so StopPipeline's wait covers all futures.
-	defer func() {
-		close(pipe.completions)
-		pipe.compWG.Wait()
-	}()
 	var pending []commitGroup
 	for {
 		grp, ok := <-pipe.commits
@@ -296,17 +230,11 @@ func (p *Pool) commitLoop(pipe *pipeline) {
 		}
 		var top uint64
 		for _, g := range pending {
-			if g.lsn > top {
-				top = g.lsn
-			}
+			top = max(top, g.lsn)
 		}
-		err := p.wal.commit(top)
-		var werr error
-		if err != nil {
-			werr = fmt.Errorf("%w: %w", ErrWALFailed, err)
-		}
+		err := p.commit(top)
 		for _, g := range pending {
-			pipe.completions <- completion{ops: g.ops, err: werr}
+			settle(g.ops, err)
 		}
 		if closed {
 			return
@@ -326,187 +254,4 @@ func (p *Pool) PipelineStats() []IngestStats {
 		out[i] = w.Stats()
 	}
 	return out
-}
-
-// processShardBatch is the shard writer's drain handler: one WAL append
-// pass and one shard-lock acquisition cover the whole batch. The lock
-// spans journal + apply so the shard's journal order equals its apply
-// order — the same atomicity the direct path gets from journaling under
-// the lock, which Checkpoint's truncation cover relies on. Journaled
-// batches are then handed to the committer, which completes the futures
-// once a group fsync covers them — this writer immediately drains its
-// next batch instead of waiting. Unjournaled batches (no WAL) complete
-// inline. Errors are stored unwrapped (no "situfact:" prefix); the
-// enqueuing caller adds its own context, mirroring journalAppend's
-// contract.
-func (p *Pool) processShardBatch(pipe *pipeline, shard int, ops []*ingestOp, recs []persist.Record) []persist.Record {
-	sh := &p.shards[shard]
-	sh.mu.Lock()
-	var lastLSN, firstLSN uint64
-	if p.wal != nil {
-		for _, op := range ops {
-			recs = append(recs, op.rec)
-		}
-		last, err := p.wal.w.AppendAll(recs)
-		if err != nil {
-			sh.mu.Unlock()
-			werr := fmt.Errorf("%w: %w", ErrWALFailed, err)
-			for _, op := range ops {
-				op.err = werr
-				op.wg.Done()
-			}
-			return recs
-		}
-		lastLSN = last
-		firstLSN = last - uint64(len(ops)) + 1
-	}
-	for i, op := range ops {
-		var lsn uint64
-		if lastLSN > 0 {
-			lsn = firstLSN + uint64(i)
-		}
-		switch op.rec.Type {
-		case persist.RecAppend:
-			arr, err := sh.eng.Append(op.rec.Dims, op.rec.Measures)
-			if err != nil {
-				// Journaled but failed to apply: replay re-fails the record
-				// identically, exactly as on the direct path.
-				op.err = err
-				continue
-			}
-			if lsn > 0 {
-				sh.lastLSN = lsn
-			}
-			arr.Shard = shard
-			op.arr = arr
-		case persist.RecDelete:
-			err := sh.eng.Delete(op.rec.TupleID)
-			if err == nil && lsn > 0 {
-				sh.lastLSN = lsn
-			}
-			op.err = err
-		}
-	}
-	sh.mu.Unlock()
-	if lastLSN > 0 {
-		// Hand the batch to the committer. The ops are copied out because
-		// the writer recycles its batch slice as soon as this returns.
-		pipe.commits <- commitGroup{lsn: lastLSN, ops: append([]*ingestOp(nil), ops...)}
-		return recs
-	}
-	for _, op := range ops {
-		op.wg.Done()
-	}
-	return recs
-}
-
-// enqueueWait enqueues op on shard's writer and waits out its future.
-// ok reports whether the pipeline accepted the op; when false with a
-// nil error (the pipeline stopped mid-call) the caller must run its
-// direct path. A non-nil error is ctx's — the caller gave up while
-// parked on a full queue, before the op was accepted, so nothing was
-// journaled or acknowledged (Stats.Canceled counts it). Cancellation
-// only applies at the queue boundary: once accepted the op completes
-// and the wait is unconditional (its record may already be journaled).
-func (p *Pool) enqueueWait(ctx context.Context, pipe *pipeline, shard int, op *ingestOp) (ok bool, err error) {
-	var wg sync.WaitGroup
-	wg.Add(1)
-	op.wg = &wg
-	ok, err = pipe.writers[shard].EnqueueContext(ctx, op)
-	if !ok {
-		return false, err
-	}
-	wg.Wait()
-	return true, nil
-}
-
-// pipelineAppend runs one append through the pipeline. handled reports
-// whether the pipeline resolved the call (including by cancellation);
-// when false the caller falls back to the direct path.
-func (p *Pool) pipelineAppend(ctx context.Context, pipe *pipeline, shard int, dims []string, measures []float64) (arr *Arrival, err error, handled bool) {
-	op := getOp()
-	op.rec = persist.Record{Type: persist.RecAppend, Shard: shard, Dims: dims, Measures: measures}
-	ok, cerr := p.enqueueWait(ctx, pipe, shard, op)
-	if !ok {
-		putOp(op)
-		if cerr != nil {
-			return nil, fmt.Errorf("situfact: pool: enqueue canceled: %w", cerr), true
-		}
-		return nil, nil, false
-	}
-	arr, err = op.arr, op.err
-	putOp(op)
-	if err != nil && errors.Is(err, ErrWALFailed) {
-		err = fmt.Errorf("situfact: pool: %w", err)
-	}
-	return arr, err, true
-}
-
-// pipelineDelete runs one delete through the pipeline — the same queue
-// as appends, so a shard's deletes order with its appends exactly as
-// they were enqueued. handled is as in pipelineAppend.
-func (p *Pool) pipelineDelete(ctx context.Context, pipe *pipeline, shard int, tupleID int64) (err error, handled bool) {
-	op := getOp()
-	op.rec = persist.Record{Type: persist.RecDelete, Shard: shard, TupleID: tupleID}
-	ok, cerr := p.enqueueWait(ctx, pipe, shard, op)
-	if !ok {
-		putOp(op)
-		if cerr != nil {
-			return fmt.Errorf("situfact: pool: enqueue canceled: %w", cerr), true
-		}
-		return nil, false
-	}
-	err = op.err
-	putOp(op)
-	if err != nil && errors.Is(err, ErrWALFailed) {
-		err = fmt.Errorf("situfact: pool: %w", err)
-	}
-	return err, true
-}
-
-// pipelineAppendBatch fans rows across the shard writers and waits for
-// every future. Rows keep input order within each shard (enqueue order =
-// apply order); the returned arrivals are in input order. Unlike the
-// direct path, an engine error on one row does not stop that shard's
-// later rows — every row is journaled and attempted, and errors are
-// joined per row. A ctx that ends mid-fan-out stops ENQUEUING: rows
-// already accepted complete normally (they may be journaled), rows not
-// yet enqueued fail with ctx's error — never a half-acknowledged row.
-func (p *Pool) pipelineAppendBatch(ctx context.Context, pipe *pipeline, rows []Row) ([]*Arrival, error) {
-	ops := make([]*ingestOp, len(rows))
-	var wg sync.WaitGroup
-	wg.Add(len(rows))
-	for i, r := range rows {
-		shard := p.ShardFor(r.Dims[p.shardDim])
-		op := getOp()
-		op.rec = persist.Record{Type: persist.RecAppend, Shard: shard, Dims: r.Dims, Measures: r.Measures}
-		op.wg = &wg
-		ops[i] = op
-		ok, cerr := pipe.writers[shard].EnqueueContext(ctx, op)
-		if ok {
-			continue
-		}
-		if cerr != nil {
-			// Caller canceled while parked: this row (and only this row)
-			// was never accepted. Resolve its future locally.
-			op.err = fmt.Errorf("enqueue canceled: %w", cerr)
-			wg.Done()
-			continue
-		}
-		// Pipeline stopped mid-call (a lifecycle race the API forbids);
-		// resolve this row directly so the batch still completes.
-		op.arr, op.err = p.directAppend(shard, r.Dims, r.Measures)
-		wg.Done()
-	}
-	wg.Wait()
-	out := make([]*Arrival, len(rows))
-	var errs []error
-	for i, op := range ops {
-		out[i] = op.arr
-		if op.err != nil {
-			errs = append(errs, fmt.Errorf("situfact: pool shard %d, row %d: %w", op.rec.Shard, i, op.err))
-		}
-		putOp(op)
-	}
-	return out, errors.Join(errs...)
 }

@@ -3,6 +3,7 @@ package situfact
 import (
 	"errors"
 	"fmt"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -23,22 +24,22 @@ func newPipelinedPool(t *testing.T, shards int, depth int) *Pool {
 	return p
 }
 
-// TestPipelineEquivalence is the pipeline's acceptance property: routed
-// through the per-shard batching writers, every arrival's facts and the
-// pool's final metrics are bit-identical to the direct Pool.Append path
-// over the same substream — via Append, AppendBatch, and interleaved
-// Deletes.
+// TestPipelineEquivalence is the pipeline's acceptance property: the
+// write path called from the per-shard batching writers yields, for
+// every arrival, facts bit-identical to the same function called inline
+// over the same substream, and the same final metrics — via Append,
+// AppendBatch, and interleaved Deletes.
 func TestPipelineEquivalence(t *testing.T) {
 	rows := poolRows(200)
-	direct, err := NewPool(poolSchema(t), PoolOptions{Shards: 3, ShardDim: "team"})
+	inline, err := NewPool(poolSchema(t), PoolOptions{Shards: 3, ShardDim: "team"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer direct.Close()
+	defer inline.Close()
 	piped := newPipelinedPool(t, 3, 0)
 
 	for i, r := range rows {
-		want, err := direct.Append(r.Dims, r.Measures)
+		want, err := inline.Append(r.Dims, r.Measures)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -47,12 +48,12 @@ func TestPipelineEquivalence(t *testing.T) {
 			t.Fatal(err)
 		}
 		if got.Shard != want.Shard {
-			t.Fatalf("row %d routed to shard %d, direct path routed to %d", i, got.Shard, want.Shard)
+			t.Fatalf("row %d routed to shard %d, inline pool routed to %d", i, got.Shard, want.Shard)
 		}
 		factsEqual(t, fmt.Sprintf("row %d (pipelined Append)", i), want, got)
 		// Interleave deletes so the queue carries both op types in order.
 		if i%17 == 3 {
-			if err := direct.Delete(want.Shard, want.TupleID); err != nil {
+			if err := inline.Delete(want.Shard, want.TupleID); err != nil {
 				t.Fatal(err)
 			}
 			if err := piped.Delete(got.Shard, got.TupleID); err != nil {
@@ -60,24 +61,24 @@ func TestPipelineEquivalence(t *testing.T) {
 			}
 		}
 	}
-	if dm, pm := direct.Metrics(), piped.Metrics(); dm != pm {
-		t.Errorf("pipelined metrics %+v != direct %+v", pm, dm)
+	if dm, pm := inline.Metrics(), piped.Metrics(); dm != pm {
+		t.Errorf("pipelined metrics %+v != inline %+v", pm, dm)
 	}
-	if direct.Len() != piped.Len() {
-		t.Errorf("pipelined Len %d != direct %d", piped.Len(), direct.Len())
+	if inline.Len() != piped.Len() {
+		t.Errorf("pipelined Len %d != inline %d", piped.Len(), inline.Len())
 	}
 
-	// AppendBatch through the pipeline, against the same direct reference.
-	directB, err := NewPool(poolSchema(t), PoolOptions{Shards: 3, ShardDim: "team"})
+	// AppendBatch through the pipeline, against the same inline reference.
+	inlineB, err := NewPool(poolSchema(t), PoolOptions{Shards: 3, ShardDim: "team"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer directB.Close()
+	defer inlineB.Close()
 	pipedB := newPipelinedPool(t, 3, 8) // small queue: batches must split
 	var wantArrs, gotArrs []*Arrival
 	for lo := 0; lo < len(rows); lo += 32 {
 		hi := min(lo+32, len(rows))
-		w, err := directB.AppendBatch(rows[lo:hi])
+		w, err := inlineB.AppendBatch(rows[lo:hi])
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -91,17 +92,17 @@ func TestPipelineEquivalence(t *testing.T) {
 	for i := range wantArrs {
 		factsEqual(t, fmt.Sprintf("row %d (pipelined AppendBatch)", i), wantArrs[i], gotArrs[i])
 	}
-	if dm, pm := directB.Metrics(), pipedB.Metrics(); dm != pm {
-		t.Errorf("pipelined batch metrics %+v != direct %+v", pm, dm)
+	if dm, pm := inlineB.Metrics(), pipedB.Metrics(); dm != pm {
+		t.Errorf("pipelined batch metrics %+v != inline %+v", pm, dm)
 	}
 }
 
 // TestPipelineAdaptiveEquivalence is TestPipelineEquivalence with every
-// multicore feature on at once: adaptive queue depths, parallel-bottomup
-// shard engines, and the completion worker pool (always on under the
-// pipeline). Facts and metrics must stay bit-identical both to the
-// direct path over the same engines and to a fixed-depth pipeline —
-// queue-capacity movement is pure mechanics, invisible to discovery.
+// multicore feature on at once: adaptive queue depths and
+// parallel-bottomup shard engines. Facts and metrics must stay
+// bit-identical both to inline execution over the same engines and to a
+// fixed-depth pipeline — queue-capacity movement is pure mechanics,
+// invisible to discovery.
 func TestPipelineAdaptiveEquivalence(t *testing.T) {
 	eng := Options{Algorithm: AlgoParallelBottomUp, Workers: 2}
 	newP := func(pipelined, adaptive bool) *Pool {
@@ -117,9 +118,9 @@ func TestPipelineAdaptiveEquivalence(t *testing.T) {
 		}
 		return p
 	}
-	direct, fixed, adaptive := newP(false, false), newP(true, false), newP(true, true)
+	inline, fixed, adaptive := newP(false, false), newP(true, false), newP(true, true)
 	for i, r := range poolRows(180) {
-		want, err := direct.Append(r.Dims, r.Measures)
+		want, err := inline.Append(r.Dims, r.Measures)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -134,22 +135,22 @@ func TestPipelineAdaptiveEquivalence(t *testing.T) {
 		factsEqual(t, fmt.Sprintf("row %d (fixed-depth)", i), want, gf)
 		factsEqual(t, fmt.Sprintf("row %d (adaptive-depth)", i), want, ga)
 		if i%13 == 5 {
-			for name, p := range map[string]*Pool{"direct": direct, "fixed": fixed, "adaptive": adaptive} {
+			for name, p := range map[string]*Pool{"inline": inline, "fixed": fixed, "adaptive": adaptive} {
 				if err := p.Delete(want.Shard, want.TupleID); err != nil {
 					t.Fatalf("row %d: %s delete: %v", i, name, err)
 				}
 			}
 		}
 	}
-	dm := direct.Metrics()
+	dm := inline.Metrics()
 	if fm := fixed.Metrics(); fm != dm {
-		t.Errorf("fixed-depth metrics %+v != direct %+v", fm, dm)
+		t.Errorf("fixed-depth metrics %+v != inline %+v", fm, dm)
 	}
 	if am := adaptive.Metrics(); am != dm {
-		t.Errorf("adaptive-depth metrics %+v != direct %+v", am, dm)
+		t.Errorf("adaptive-depth metrics %+v != inline %+v", am, dm)
 	}
-	if direct.Len() != fixed.Len() || direct.Len() != adaptive.Len() {
-		t.Errorf("Len: direct %d, fixed %d, adaptive %d", direct.Len(), fixed.Len(), adaptive.Len())
+	if inline.Len() != fixed.Len() || inline.Len() != adaptive.Len() {
+		t.Errorf("Len: inline %d, fixed %d, adaptive %d", inline.Len(), fixed.Len(), adaptive.Len())
 	}
 	// The adaptive writers must report capacities inside [floor, ceiling];
 	// the fixed ones must sit exactly at the configured depth.
@@ -168,11 +169,90 @@ func TestPipelineAdaptiveEquivalence(t *testing.T) {
 	}
 }
 
+// TestFailedDeleteInlineVsQueued pins the one reachable journaled-then-
+// failed op: a Delete of a tombstoned or unknown tuple is journaled before
+// its validity is known, fails at apply, and must (a) return the same
+// error whether the write path ran inline or from a writer queue and (b)
+// re-fail at replay, counted Failed, leaving recovered state untouched.
+func TestFailedDeleteInlineVsQueued(t *testing.T) {
+	rows := poolRows(6)
+	errs := map[string][]string{}
+	for _, mode := range []string{"inline", "queued"} {
+		dir := t.TempDir()
+		p, err := NewPool(poolSchema(t), PoolOptions{Shards: 2, ShardDim: "team"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		w, err := OpenWAL(p, dir, WALOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := p.AttachWAL(w); err != nil {
+			t.Fatal(err)
+		}
+		if mode == "queued" {
+			if err := p.StartPipeline(PipelineOptions{}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var first *Arrival
+		for _, r := range rows {
+			arr, err := p.Append(r.Dims, r.Measures)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if first == nil {
+				first = arr
+			}
+		}
+		if err := p.Delete(first.Shard, first.TupleID); err != nil {
+			t.Fatal(err)
+		}
+		again := p.Delete(first.Shard, first.TupleID)
+		unknown := p.Delete(first.Shard, 999)
+		if !errors.Is(again, ErrAlreadyDeleted) || !errors.Is(unknown, ErrNotFound) {
+			t.Fatalf("%s: repeated delete = %v, unknown delete = %v", mode, again, unknown)
+		}
+		errs[mode] = []string{again.Error(), unknown.Error()}
+		wantMetrics, wantLen := p.Metrics(), p.Len()
+		if err := p.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+
+		r, err := NewPool(poolSchema(t), PoolOptions{Shards: 2, ShardDim: "team"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer r.Close()
+		w2, err := OpenWAL(r, dir, WALOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer w2.Close()
+		stats, err := r.ReplayWAL(w2, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if stats.Records != len(rows)+3 || stats.Applied != len(rows)+1 || stats.Failed != 2 {
+			t.Errorf("%s: replay stats %+v, want %d records, %d applied, 2 failed", mode, stats, len(rows)+3, len(rows)+1)
+		}
+		if r.Metrics() != wantMetrics || r.Len() != wantLen {
+			t.Errorf("%s: replayed len %d metrics %+v, want %d %+v", mode, r.Len(), r.Metrics(), wantLen, wantMetrics)
+		}
+	}
+	if !reflect.DeepEqual(errs["inline"], errs["queued"]) {
+		t.Errorf("failed deletes report differently:\n inline %q\n queued %q", errs["inline"], errs["queued"])
+	}
+}
+
 // TestPipelineCompletionStress hammers a journaled adaptive pipeline
 // from many goroutines while the pipeline is stopped and restarted
 // mid-flight: every acknowledged op must be applied exactly once, and
-// shutdown must drain the completion pool (a lost wg.Done here deadlocks
-// the test). Run under -race in CI with -count=3.
+// shutdown must complete every handed-off future (a lost wg.Done here
+// deadlocks the test). Run under -race in CI with -count=3.
 func TestPipelineCompletionStress(t *testing.T) {
 	dir := t.TempDir()
 	p, err := NewPool(poolSchema(t), PoolOptions{Shards: 4, ShardDim: "team"})
@@ -226,8 +306,8 @@ func TestPipelineCompletionStress(t *testing.T) {
 			}
 		}(g)
 	}
-	// Bounce the pipeline mid-flight: racing ops fall back to the direct
-	// path, and the restart races new enqueues against fresh writers.
+	// Bounce the pipeline mid-flight: racing ops run inline, and the
+	// restart races new enqueues against fresh writers.
 	for i := 0; i < 3; i++ {
 		p.StopPipeline()
 		start()
@@ -475,7 +555,8 @@ func TestPipelineStress(t *testing.T) {
 }
 
 // TestPipelineLifecycle pins start/stop semantics: double start errors,
-// stop reverts to the direct path, and both paths ingest correctly.
+// stop reverts to inline execution, and both ways of calling ingest
+// correctly.
 func TestPipelineLifecycle(t *testing.T) {
 	p, err := NewPool(poolSchema(t), PoolOptions{Shards: 2, ShardDim: "team"})
 	if err != nil {
@@ -502,7 +583,7 @@ func TestPipelineLifecycle(t *testing.T) {
 		t.Fatal("PipelineStats non-nil after stop")
 	}
 	if _, err := p.Append(rows[1].Dims, rows[1].Measures); err != nil {
-		t.Fatalf("direct append after StopPipeline: %v", err)
+		t.Fatalf("inline append after StopPipeline: %v", err)
 	}
 	p.StopPipeline() // idempotent
 	if err := p.StartPipeline(PipelineOptions{}); err != nil {

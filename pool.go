@@ -48,12 +48,9 @@ type Pool struct {
 	// with a different epoch (see Pool.adoptWAL in wal.go).
 	walEpoch string
 	// pipe, when non-nil, is the running ingest pipeline: one batching
-	// writer goroutine per shard (see pipeline.go). Nil = direct path.
+	// writer goroutine per shard (see pipeline.go). Nil = callers run the
+	// write path inline.
 	pipe atomic.Pointer[pipeline]
-	// scanQueries, when true, routes QueryFacts/TopFacts through the
-	// reference full-scan path instead of the incremental fact index.
-	// The index is maintained either way — only the read side switches.
-	scanQueries atomic.Bool
 }
 
 type poolShard struct {
@@ -67,6 +64,8 @@ type poolShard struct {
 	// this shard (0 = none), maintained under mu. Snapshots record it so
 	// recovery replays exactly the uncovered tail.
 	lastLSN uint64
+	// recs is applyShard's journal-batch scratch, used under mu.
+	recs []persist.Record
 }
 
 // Row is one arrival for Pool.AppendBatch: dimension values and measure
@@ -144,8 +143,8 @@ func (p *Pool) ShardFor(value string) int {
 // Append routes one arriving row to the shard owning its partition value
 // and processes it there. It may be called from any number of goroutines;
 // arrivals racing for one shard are serialised in lock-acquisition order
-// (direct path) or enqueue order (with the ingest pipeline running —
-// see StartPipeline); either way each shard applies them sequentially.
+// (inline) or enqueue order (with the ingest pipeline running — see
+// StartPipeline); either way each shard applies them sequentially.
 func (p *Pool) Append(dims []string, measures []float64) (*Arrival, error) {
 	return p.AppendContext(context.Background(), dims, measures)
 }
@@ -168,73 +167,15 @@ func (p *Pool) AppendContext(ctx context.Context, dims []string, measures []floa
 		return nil, fmt.Errorf("situfact: pool: %d measure values for %d attributes",
 			len(measures), p.schema.rs.NumMeasures())
 	}
-	shard := p.ShardFor(dims[p.shardDim])
+	rec := persist.Record{Type: persist.RecAppend, Shard: p.ShardFor(dims[p.shardDim]),
+		Dims: dims, Measures: measures}
 	// Oversized rows are rejected before the queue or the journal sees
 	// them: one defective row must fail alone, not poison a whole drained
 	// batch (and must never leave a permanent record in the WAL).
-	if p.wal != nil && (persist.Record{Type: persist.RecAppend, Shard: shard,
-		Dims: dims, Measures: measures}).Oversized() {
+	if p.wal != nil && rec.Oversized() {
 		return nil, fmt.Errorf("situfact: pool: %w (the WAL caps one record at 16 MiB)", ErrRowTooLarge)
 	}
-	if pipe := p.pipe.Load(); pipe != nil {
-		if arr, err, handled := p.pipelineAppend(ctx, pipe, shard, dims, measures); handled {
-			return arr, err
-		}
-	}
-	return p.directAppend(shard, dims, measures)
-}
-
-// directAppend is the unpipelined ingest path: journal and apply under
-// the shard's lock, then wait out the record's fsync. The caller has
-// already validated the row and resolved its shard.
-func (p *Pool) directAppend(shard int, dims []string, measures []float64) (*Arrival, error) {
-	s := &p.shards[shard]
-	s.mu.Lock()
-	lsn, err := p.journalAppend(shard, dims, measures)
-	if err != nil {
-		s.mu.Unlock()
-		return nil, fmt.Errorf("situfact: pool: %w", err)
-	}
-	arr, err := s.eng.Append(dims, measures)
-	if err == nil && lsn > 0 {
-		s.lastLSN = lsn
-	}
-	s.mu.Unlock()
-	if err != nil {
-		return nil, err
-	}
-	// Durability wait happens outside the shard lock: later arrivals for
-	// this shard can journal meanwhile and share the same fsync.
-	if lsn > 0 {
-		if err := p.wal.commit(lsn); err != nil {
-			return nil, fmt.Errorf("situfact: pool: %w: %w", ErrWALFailed, err)
-		}
-	}
-	arr.Shard = shard
-	return arr, nil
-}
-
-// journalAppend journals one append when a WAL is attached. Caller holds
-// the owning shard's lock. Errors wrap ErrWALFailed (the request was
-// fine; the log was not) and carry no "situfact:" prefix — callers add
-// their own context.
-func (p *Pool) journalAppend(shard int, dims []string, measures []float64) (uint64, error) {
-	if p.wal == nil {
-		return 0, nil
-	}
-	rec := persist.Record{
-		Type: persist.RecAppend, Shard: shard, Dims: dims, Measures: measures,
-	}
-	if rec.Oversized() {
-		// The row, not the log, is at fault — do not wrap ErrWALFailed,
-		// which callers treat as retryable.
-		return 0, fmt.Errorf("%w (the WAL caps one record at 16 MiB)", ErrRowTooLarge)
-	}
-	lsn, err := p.wal.w.Append(rec)
-	if err != nil {
-		return 0, fmt.Errorf("%w: %w", ErrWALFailed, err)
-	}
-	return lsn, nil
+	return p.submit(ctx, rec)
 }
 
 // AppendBatch routes a batch of rows across the shards and processes the
@@ -242,21 +183,17 @@ func (p *Pool) journalAppend(shard int, dims []string, measures []float64) (uint
 // the returned arrivals are in input order (arrival i belongs to row i).
 //
 // The batch is pre-validated: a malformed row fails the whole call before
-// any row is processed. An engine error mid-batch stops that shard and is
-// reported after the remaining shards finish; arrivals already produced
-// (including later rows of unaffected shards) are returned alongside the
-// error, with the failed shard's unprocessed entries left nil. With the
-// ingest pipeline running (StartPipeline) the rows fan out to the shard
-// writers instead: every row is journaled and attempted — an engine error
-// on one row no longer stops that shard's later rows — and failures are
-// joined per row, with only the failed rows' entries nil.
+// any row is processed. Past that, every row is journaled and attempted:
+// failures are joined per row and returned alongside the arrivals that
+// did commit, with only the failed rows' entries nil.
 func (p *Pool) AppendBatch(rows []Row) ([]*Arrival, error) {
 	return p.AppendBatchContext(context.Background(), rows)
 }
 
 // AppendBatchContext is AppendBatch with the same queue-boundary
 // cancellation as AppendContext: rows already enqueued when ctx ends
-// complete normally, rows not yet enqueued fail with ctx's error.
+// complete normally (they may be journaled), rows not yet enqueued fail
+// with ctx's error — never a half-acknowledged row.
 func (p *Pool) AppendBatchContext(ctx context.Context, rows []Row) ([]*Arrival, error) {
 	d, m := p.schema.rs.NumDims(), p.schema.rs.NumMeasures()
 	for i, r := range rows {
@@ -264,73 +201,56 @@ func (p *Pool) AppendBatchContext(ctx context.Context, rows []Row) ([]*Arrival, 
 			return nil, fmt.Errorf("situfact: pool: row %d has %d/%d values for a %d/%d schema",
 				i, len(r.Dims), len(r.Measures), d, m)
 		}
-		// Pre-check with the batch's widest possible shard index: the
-		// shard varint contributes to the encoded size, and a pre-check
-		// with shard 0 could pass a row that journalAppend's re-check
-		// (with the real shard) rejects mid-batch.
+		// Checked with the batch's widest possible shard index: the shard
+		// varint contributes to the encoded size, and no row that passes
+		// here may fail the journal pass mid-batch.
 		if p.wal != nil && (persist.Record{Type: persist.RecAppend, Shard: len(p.shards) - 1,
 			Dims: r.Dims, Measures: r.Measures}).Oversized() {
 			return nil, fmt.Errorf("situfact: pool: row %d: %w (the WAL caps one record at 16 MiB)",
 				i, ErrRowTooLarge)
 		}
 	}
-	if pipe := p.pipe.Load(); pipe != nil {
-		return p.pipelineAppendBatch(ctx, pipe, rows)
-	}
-	perShard := make([][]int, len(p.shards))
-	for i, r := range rows {
-		s := p.ShardFor(r.Dims[p.shardDim])
-		perShard[s] = append(perShard[s], i)
-	}
-	out := make([]*Arrival, len(rows))
-	errs := make([]error, len(p.shards))
-	maxLSN := make([]uint64, len(p.shards))
+	ops := make([]*ingestOp, len(rows))
+	// inline[s] collects shard s's rows, in input order, that no writer
+	// queue accepted: all of them without a pipeline.
+	inline := make([][]*ingestOp, len(p.shards))
+	pipe := p.pipe.Load()
 	var wg sync.WaitGroup
-	for s, idxs := range perShard {
-		if len(idxs) == 0 {
-			continue
-		}
-		wg.Add(1)
-		go func(s int, idxs []int) {
-			defer wg.Done()
-			sh := &p.shards[s]
-			sh.mu.Lock()
-			defer sh.mu.Unlock()
-			for _, i := range idxs {
-				lsn, err := p.journalAppend(s, rows[i].Dims, rows[i].Measures)
-				if err != nil {
-					errs[s] = fmt.Errorf("situfact: pool shard %d, row %d: %w", s, i, err)
-					return
-				}
-				arr, err := sh.eng.Append(rows[i].Dims, rows[i].Measures)
-				if err != nil {
-					errs[s] = fmt.Errorf("situfact: pool shard %d, row %d: %w", s, i, err)
-					return
-				}
-				if lsn > 0 {
-					sh.lastLSN = lsn
-					maxLSN[s] = lsn
-				}
-				arr.Shard = s
-				out[i] = arr
+	for i, r := range rows {
+		shard := p.ShardFor(r.Dims[p.shardDim])
+		op := getOp()
+		op.rec = persist.Record{Type: persist.RecAppend, Shard: shard, Dims: r.Dims, Measures: r.Measures}
+		ops[i] = op
+		if pipe != nil {
+			op.wg = &wg
+			wg.Add(1)
+			ok, cerr := pipe.writers[shard].EnqueueContext(ctx, op)
+			if ok {
+				continue
 			}
-		}(s, idxs)
+			op.wg = nil
+			wg.Done()
+			if cerr != nil {
+				// Caller canceled while parked: this row (and only this row)
+				// was never accepted.
+				op.err = fmt.Errorf("enqueue canceled: %w", cerr)
+				continue
+			}
+			// The pipeline stopped mid-call (a lifecycle race the API
+			// forbids); run the row inline so the batch still completes.
+		}
+		inline[shard] = append(inline[shard], op)
 	}
+	p.applyInline(inline)
 	wg.Wait()
-	// One durability wait covers the whole batch: a single group-committed
-	// fsync at the highest journaled LSN.
-	if p.wal != nil {
-		var top uint64
-		for _, l := range maxLSN {
-			if l > top {
-				top = l
-			}
+	out := make([]*Arrival, len(rows))
+	var errs []error
+	for i, op := range ops {
+		out[i] = op.arr
+		if op.err != nil {
+			errs = append(errs, fmt.Errorf("situfact: pool shard %d, row %d: %w", op.rec.Shard, i, op.err))
 		}
-		if top > 0 {
-			if err := p.wal.commit(top); err != nil {
-				errs = append(errs, fmt.Errorf("situfact: pool: %w: %w", ErrWALFailed, err))
-			}
-		}
+		putOp(op)
 	}
 	return out, errors.Join(errs...)
 }
@@ -338,7 +258,9 @@ func (p *Pool) AppendBatchContext(ctx context.Context, rows []Row) ([]*Arrival, 
 // Delete retracts tuple tupleID of the given shard — TupleIDs are
 // per-shard substream positions, so the pair (shard, tupleID) from an
 // Arrival names a tuple uniquely. Like Engine.Delete it requires the
-// BottomUp family.
+// BottomUp family. It travels the same path (and, with the pipeline
+// running, the same queue) as appends, so a shard's deletes order with
+// its appends exactly as they were issued.
 func (p *Pool) Delete(shard int, tupleID int64) error {
 	return p.DeleteContext(context.Background(), shard, tupleID)
 }
@@ -355,41 +277,193 @@ func (p *Pool) DeleteContext(ctx context.Context, shard int, tupleID int64) erro
 		return fmt.Errorf("situfact: pool: Delete requires the BottomUp family; engines run %s: %w",
 			p.Algorithm(), ErrDeleteUnsupported)
 	}
-	if pipe := p.pipe.Load(); pipe != nil {
-		if err, handled := p.pipelineDelete(ctx, pipe, shard, tupleID); handled {
-			return err
+	// Journaled before tuple validity is known: a delete that fails at
+	// apply (unknown or tombstoned tuple) re-fails identically at replay,
+	// so the record is harmless.
+	_, err := p.submit(ctx, persist.Record{Type: persist.RecDelete, Shard: shard, TupleID: tupleID})
+	return err
+}
+
+// The write path. Every mutation of a shard — a live Append, AppendBatch
+// or Delete, a record re-applied by ReplayWAL or ApplyTail — is an
+// ingestOp handed to applyShard, the one function that journals and
+// applies. There are two ways of calling it: inline, on the caller's
+// goroutine (submit and applyInline, and always for replay), or queued,
+// from the shard's pipeline writer with whatever has queued since its
+// last wakeup (pipeline.go). Either way the caller returns only after its
+// op is applied and, with a WAL, durable.
+
+// ingestOp is one mutation plus its outcome. applyShard fills arr/err (or
+// skipped); a queued op also carries the future its enqueuer waits on,
+// completed exactly once by settle.
+type ingestOp struct {
+	// rec is the operation: Type + Shard, Dims/Measures (append) or
+	// TupleID (delete). LSN is non-zero on entry only for a replayed
+	// record; a live op receives its LSN from the journal pass.
+	rec persist.Record
+	arr *Arrival // result of a successful append
+	err error
+	// skipped reports a replayed record at or below the shard's
+	// watermark: already reflected in the restored state, not re-applied.
+	skipped bool
+	wg      *sync.WaitGroup // nil for inline ops
+}
+
+// opPool recycles live ingestOps.
+var opPool = sync.Pool{New: func() any { return new(ingestOp) }}
+
+func getOp() *ingestOp { return opPool.Get().(*ingestOp) }
+
+func putOp(op *ingestOp) {
+	*op = ingestOp{}
+	opPool.Put(op)
+}
+
+// applyShard runs ops, in order, against one shard under its write lock:
+// one journal pass (a single WAL.AppendAll assigning the ops their LSNs;
+// skipped when they already carry LSNs — replay — or no WAL is attached),
+// then the apply loop, advancing the shard's watermark past every op
+// that succeeded. The lock spans journal + apply, so the shard's journal
+// order equals its apply order — Checkpoint's truncation cover relies on
+// that atomicity. Outcomes land on the ops, unwrapped (callers add their
+// own context); a failed journal pass fails every op with ErrWALFailed
+// and applies none. It returns the highest LSN it journaled (0 = none)
+// for the caller to make durable before acknowledging: the fsync wait
+// happens outside the lock, so later ops for this shard journal
+// meanwhile and share it. A journaled op that fails to apply (a delete
+// of an unknown tuple, say) leaves a record replay re-fails identically.
+func (p *Pool) applyShard(shard int, ops []*ingestOp) (journaled uint64) {
+	sh := &p.shards[shard]
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	replay := ops[0].rec.LSN != 0
+	if p.wal != nil && !replay {
+		sh.recs = sh.recs[:0]
+		for _, op := range ops {
+			sh.recs = append(sh.recs, op.rec)
+		}
+		last, err := p.wal.w.AppendAll(sh.recs)
+		if err != nil {
+			err = fmt.Errorf("%w: %w", ErrWALFailed, err)
+			for _, op := range ops {
+				op.err = err
+			}
+			return 0
+		}
+		journaled = last
+		for i, op := range ops {
+			op.rec.LSN = last - uint64(len(ops)-1-i)
 		}
 	}
-	s := &p.shards[shard]
-	s.mu.Lock()
-	var lsn uint64
-	if p.wal != nil {
-		// Journaled before tuple validity is known: a delete that fails
-		// below (unknown or tombstoned tuple) re-fails identically at
-		// replay, so the record is harmless.
-		var jerr error
-		lsn, jerr = p.wal.w.Append(persist.Record{
-			Type: persist.RecDelete, Shard: shard, TupleID: tupleID,
-		})
-		if jerr != nil {
-			s.mu.Unlock()
-			return fmt.Errorf("situfact: pool: %w: %w", ErrWALFailed, jerr)
+	for _, op := range ops {
+		if replay && op.rec.LSN <= sh.lastLSN {
+			op.skipped = true
+			continue
+		}
+		switch op.rec.Type {
+		case persist.RecAppend:
+			if op.arr, op.err = sh.eng.Append(op.rec.Dims, op.rec.Measures); op.err == nil {
+				op.arr.Shard = shard
+			}
+		case persist.RecDelete:
+			op.err = sh.eng.Delete(op.rec.TupleID)
+		}
+		if op.err == nil && op.rec.LSN > 0 {
+			sh.lastLSN = op.rec.LSN
 		}
 	}
-	err := s.eng.Delete(tupleID)
-	if err == nil && lsn > 0 {
-		s.lastLSN = lsn
+	return journaled
+}
+
+// commit waits until every record up to lsn (0 = nothing was journaled)
+// is durable under the log's sync mode.
+func (p *Pool) commit(lsn uint64) error {
+	if lsn == 0 {
+		return nil
 	}
-	s.mu.Unlock()
-	if err != nil {
-		return err
-	}
-	if lsn > 0 {
-		if err := p.wal.commit(lsn); err != nil {
-			return fmt.Errorf("situfact: pool: %w: %w", ErrWALFailed, err)
-		}
+	if err := p.wal.commit(lsn); err != nil {
+		return fmt.Errorf("%w: %w", ErrWALFailed, err)
 	}
 	return nil
+}
+
+// settle acknowledges applied ops once their durability wait has ended
+// with commitErr. A failed wait reports ErrWALFailed even where the
+// apply succeeded; an op that already failed keeps its own, more
+// specific error. Queued ops' futures complete here — the enqueuer owns
+// the op again from that moment.
+func settle(ops []*ingestOp, commitErr error) {
+	for _, op := range ops {
+		if commitErr != nil && op.err == nil {
+			op.arr, op.err = nil, commitErr
+		}
+		if op.wg != nil {
+			op.wg.Done()
+		}
+	}
+}
+
+// applyInline runs groups[s] against shard s for every non-empty group,
+// shards concurrently, then waits out one group-committed fsync at the
+// highest journaled LSN before acknowledging any of them.
+func (p *Pool) applyInline(groups [][]*ingestOp) {
+	journaled := make([]uint64, len(groups))
+	var wg sync.WaitGroup
+	for s, ops := range groups {
+		if len(ops) == 0 {
+			continue
+		}
+		wg.Add(1)
+		go func(s int, ops []*ingestOp) {
+			defer wg.Done()
+			journaled[s] = p.applyShard(s, ops)
+		}(s, ops)
+	}
+	wg.Wait()
+	var top uint64
+	for _, l := range journaled {
+		top = max(top, l)
+	}
+	err := p.commit(top)
+	for _, ops := range groups {
+		settle(ops, err)
+	}
+}
+
+// submit runs one live op through the write path — on its shard's writer
+// queue when the pipeline runs, inline otherwise — and returns its
+// outcome once it is applied and durable. A non-nil ctx error means the
+// caller gave up while parked on a full queue, before the op was
+// accepted: nothing was journaled or acknowledged. Cancellation only
+// applies at that boundary; once accepted the op completes and the wait
+// is unconditional (its record may already be journaled).
+func (p *Pool) submit(ctx context.Context, rec persist.Record) (*Arrival, error) {
+	op := getOp()
+	defer putOp(op)
+	op.rec = rec
+	queued := false
+	if pipe := p.pipe.Load(); pipe != nil {
+		var wg sync.WaitGroup
+		wg.Add(1)
+		op.wg = &wg
+		var cerr error
+		if queued, cerr = pipe.writers[rec.Shard].EnqueueContext(ctx, op); cerr != nil {
+			return nil, fmt.Errorf("situfact: pool: enqueue canceled: %w", cerr)
+		}
+		if queued {
+			wg.Wait()
+		}
+	}
+	if !queued {
+		// No pipeline, or it stopped between the load and the enqueue.
+		op.wg = nil
+		ops := []*ingestOp{op}
+		settle(ops, p.commit(p.applyShard(rec.Shard, ops)))
+	}
+	if errors.Is(op.err, ErrWALFailed) {
+		return nil, fmt.Errorf("situfact: pool: %w", op.err)
+	}
+	return op.arr, op.err
 }
 
 // Algorithm returns the name of the algorithm the shard engines run.
@@ -413,22 +487,12 @@ type ShardStat struct {
 	Metrics Metrics
 }
 
-// SetScanQueries selects the read path: false (the default) serves
-// QueryFacts/TopFacts from the incremental fact index, true from the
-// reference full-scan path. Semantically the two are identical — the
-// scan path survives as the reference implementation the equivalence
-// tests compare against, and as an escape hatch.
-func (p *Pool) SetScanQueries(scan bool) { p.scanQueries.Store(scan) }
-
-// ScanQueries reports whether the reference scan path serves queries.
-func (p *Pool) ScanQueries() bool { return p.scanQueries.Load() }
-
 // IndexStat is a monitoring snapshot of the incremental fact index,
 // summed over the shards.
 type IndexStat struct {
-	// Serving reports whether the index (rather than the reference scan
-	// path) answers queries: the pool's engines maintain one and
-	// SetScanQueries(true) was not called.
+	// Serving reports whether the pool's engines maintain a fact index
+	// (the lattice algorithms over the in-memory store do); without one
+	// QueryFacts and TopFacts fail.
 	Serving bool
 	// Entries is the live indexed cell count across shards.
 	Entries int64
@@ -444,13 +508,12 @@ type IndexStat struct {
 // IndexStats returns the fact-index counters merged over all shards,
 // each shard read under its own lock.
 func (p *Pool) IndexStats() IndexStat {
-	st := IndexStat{Serving: !p.scanQueries.Load()}
-	indexed := false
+	var st IndexStat
 	for i := range p.shards {
 		s := &p.shards[i]
 		s.mu.RLock()
 		if s.eng.fidx != nil {
-			indexed = true
+			st.Serving = true
 			is := s.eng.fidx.Stats()
 			st.Entries += int64(is.Entries)
 			st.Inserts += is.Inserts
@@ -458,9 +521,6 @@ func (p *Pool) IndexStats() IndexStat {
 			st.Seeks += is.Seeks
 		}
 		s.mu.RUnlock()
-	}
-	if !indexed {
-		st.Serving = false
 	}
 	return st
 }

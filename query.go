@@ -194,12 +194,16 @@ func decodeCursor(s string) (queryCursor, error) {
 	return c, nil
 }
 
-// QueryFacts scans the pool's fact groups matching the filter, ordered by
-// (shard, constraint key, subspace mask), returning up to limit of them
+// QueryFacts returns the pool's fact groups matching the filter, ordered
+// by (shard, constraint key, subspace mask), up to limit of them
 // (limit <= 0 = no cap) starting after the cursor ("" = from the start).
-// Each shard's read lock is held only while that shard's cells are
-// collected — one shard at a time, never across the whole call — so
-// queries and ingest interleave per shard.
+// It reads the incremental fact index: per shard, one O(log n) seek to
+// the resume position and an O(page) forward walk, never collecting or
+// sorting the shard's full fact set. Each shard's read lock is held only
+// while that shard's cells are collected — one shard at a time, never
+// across the whole call — so queries and ingest interleave per shard.
+// The tests' reference scan (scanFacts, query_oracle_test.go) must return
+// bit-identical pages, cursors included.
 func (p *Pool) QueryFacts(f FactFilter, cursor string, limit int) (FactPage, error) {
 	return p.QueryFactsContext(context.Background(), f, cursor, limit)
 }
@@ -236,60 +240,6 @@ func (p *Pool) QueryFactsContext(ctx context.Context, f FactFilter, cursor strin
 	if f.Shard >= 0 {
 		first, last = f.Shard, f.Shard
 	}
-	if !p.scanQueries.Load() {
-		return p.queryFactsIndexed(ctx, plan, cur, first, last, limit)
-	}
-	var page FactPage
-	for shard := first; shard <= last; shard++ {
-		if cur != nil && shard < cur.shard {
-			continue
-		}
-		if err := ctx.Err(); err != nil {
-			return FactPage{}, fmt.Errorf("situfact: query: %w", err)
-		}
-		s := &p.shards[shard]
-		s.mu.RLock()
-		facts, err := s.eng.queryFacts(plan, shard)
-		s.mu.RUnlock()
-		if err != nil {
-			return FactPage{}, err
-		}
-		sort.Slice(facts, func(i, j int) bool {
-			if facts[i].sortKey != facts[j].sortKey {
-				return facts[i].sortKey < facts[j].sortKey
-			}
-			return facts[i].sortMask < facts[j].sortMask
-		})
-		for i := range facts {
-			qf := facts[i]
-			if cur != nil && shard == cur.shard {
-				if qf.sortKey < cur.key || (qf.sortKey == cur.key && qf.sortMask <= cur.mask) {
-					continue
-				}
-			}
-			page.Facts = append(page.Facts, qf)
-			if limit > 0 && len(page.Facts) == limit {
-				// More may follow: later cells of this shard, or any later
-				// shard. Only the very last cell of the last shard ends the
-				// scan with certainty.
-				if i < len(facts)-1 || shard < last {
-					page.NextCursor = encodeCursor(queryCursor{
-						shard: shard, key: qf.sortKey, mask: qf.sortMask,
-					})
-				}
-				return page, nil
-			}
-		}
-	}
-	return page, nil
-}
-
-// queryFactsIndexed is QueryFacts over the incremental fact index: per
-// shard, one O(log n) seek to the resume position and an O(page) forward
-// walk, never collecting or sorting the shard's full fact set. It must
-// return bit-identical pages (cursors included) to the scan loop above —
-// the equivalence property test holds the two paths together.
-func (p *Pool) queryFactsIndexed(ctx context.Context, plan queryPlan, cur *queryCursor, first, last, limit int) (FactPage, error) {
 	var page FactPage
 	for shard := first; shard <= last; shard++ {
 		if cur != nil && shard < cur.shard {
@@ -315,8 +265,9 @@ func (p *Pool) queryFactsIndexed(ctx context.Context, plan queryPlan, cur *query
 		}
 		page.Facts = append(page.Facts, facts...)
 		if limit > 0 && len(page.Facts) == limit {
-			// Same certainty rule as the scan path: only the last matching
-			// cell of the last shard ends the scan without a cursor.
+			// More may follow: later cells of this shard, or any later
+			// shard. Only the last matching cell of the last shard ends
+			// the scan with certainty.
 			if more || shard < last {
 				qf := page.Facts[len(page.Facts)-1]
 				page.NextCursor = encodeCursor(queryCursor{
@@ -329,58 +280,10 @@ func (p *Pool) queryFactsIndexed(ctx context.Context, plan queryPlan, cur *query
 	return page, nil
 }
 
-// queryFacts collects the shard engine's fact groups matching the plan.
-// The caller holds the shard's read lock.
-func (e *Engine) queryFacts(q queryPlan, shard int) ([]QueryFact, error) {
-	mem, ok := memoryStoreOf(e.disc)
-	if !ok {
-		return nil, fmt.Errorf("situfact: queries require a lattice algorithm over the in-memory store (engine runs %s)", e.disc.Name())
-	}
-	// Resolve condition values against this shard's dictionary: a value
-	// the shard never saw matches nothing here (other shards may hold it).
-	d := e.table.Dict()
-	condCodes := make([]int32, len(q.condDims))
-	for i, dim := range q.condDims {
-		code, ok := d.Lookup(dim, q.condVals[i])
-		if !ok {
-			return nil, nil
-		}
-		condCodes[i] = code
-	}
-	nd := e.schema.NumDims()
-	var out []QueryFact
-	var walkErr error
-	mem.Walk(func(k store.CellKey, c store.Cell) {
-		if walkErr != nil {
-			return
-		}
-		if q.haveMask && k.M != q.mask {
-			return
-		}
-		if q.tuple && !c.ContainsID(q.tupleID) {
-			return
-		}
-		cons, err := lattice.ParseKey(k.C, nd)
-		if err != nil {
-			walkErr = fmt.Errorf("situfact: query: shard %d: %w", shard, err)
-			return
-		}
-		for i, dim := range q.condDims {
-			if cons.Vals[dim] != condCodes[i] {
-				return
-			}
-		}
-		out = append(out, e.factFromCell(shard, string(k.C), uint32(k.M), c, cons))
-	})
-	if walkErr != nil {
-		return nil, walkErr
-	}
-	return out, nil
-}
-
 // factFromCell builds the QueryFact for one matching cell; cons must be
 // the parse of key. It is the single construction point shared by the
-// scan and index-backed query paths, so the two emit bit-identical facts.
+// served path and the tests' reference scan, so the two emit
+// bit-identical facts.
 func (e *Engine) factFromCell(shard int, key string, mask uint32, c store.Cell, cons lattice.Constraint) QueryFact {
 	d := e.table.Dict()
 	qf := QueryFact{
@@ -480,7 +383,7 @@ func (e *Engine) queryFactsSeek(q queryPlan, shard int, after *queryCursor, want
 	for it.Valid() {
 		ent := it.Entry()
 		if len(ent.Key) != keyLen {
-			// Surface exactly the error the scan path would (via ParseKey).
+			// Surface exactly the error the reference scan would (via ParseKey).
 			_, perr := lattice.ParseKey(lattice.Key(ent.Key), nd)
 			return nil, false, fmt.Errorf("situfact: query: shard %d: %w", shard, perr)
 		}
@@ -543,8 +446,8 @@ func (e *Engine) queryFactsSeek(q queryPlan, shard int, after *queryCursor, want
 }
 
 // TopFacts returns the k highest-prominence fact groups currently live
-// across all shards, computed from the current µ-store state (the
-// incremental fact index, or the scan path when SetScanQueries(true)).
+// across all shards, computed from the current µ-store state through
+// the incremental fact index.
 // Unlike the daemon's arrival-history leaderboard this is a live view:
 // deletes and skyline churn are reflected immediately. Order: prominence
 // descending, then (shard, constraint key, subspace mask) ascending so
@@ -554,17 +457,10 @@ func (p *Pool) TopFacts(k int) ([]QueryFact, error) {
 		return nil, nil
 	}
 	var all []QueryFact
-	scan := p.scanQueries.Load()
 	for shard := range p.shards {
 		s := &p.shards[shard]
-		var facts []QueryFact
-		var err error
 		s.mu.RLock()
-		if scan {
-			facts, err = s.eng.queryFacts(queryPlan{}, shard)
-		} else {
-			facts, _, err = s.eng.queryFactsSeek(queryPlan{}, shard, nil, 0)
-		}
+		facts, _, err := s.eng.queryFactsSeek(queryPlan{}, shard, nil, 0)
 		s.mu.RUnlock()
 		if err != nil {
 			return nil, err

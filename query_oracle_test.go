@@ -1,0 +1,127 @@
+package situfact
+
+import (
+	"fmt"
+	"sort"
+
+	"repro/internal/lattice"
+	"repro/internal/store"
+)
+
+// The reference read path: a full walk of each shard's µ store, sorted
+// and filtered per query — O(n) per page where the served path
+// (Pool.QueryFacts over the incremental fact index) is O(page). It was
+// the product's read path before the index and is kept here, verbatim,
+// as the oracle TestPoolQueryIndexScanEquivalence,
+// TestPoolQueryEquivalence and BenchmarkPoolQueryDeepCursor compare
+// against.
+
+// scanFacts is QueryFacts answered by the reference scan. The filter and
+// cursor must be valid (the tests take them from QueryFacts itself).
+func (p *Pool) scanFacts(f FactFilter, cursor string, limit int) (FactPage, error) {
+	plan, err := p.planQuery(f)
+	if err != nil {
+		return FactPage{}, err
+	}
+	var cur *queryCursor
+	if cursor != "" {
+		c, err := decodeCursor(cursor)
+		if err != nil {
+			return FactPage{}, err
+		}
+		cur = &c
+	}
+	first, last := 0, len(p.shards)-1
+	if f.Shard >= 0 {
+		first, last = f.Shard, f.Shard
+	}
+	var page FactPage
+	for shard := first; shard <= last; shard++ {
+		if cur != nil && shard < cur.shard {
+			continue
+		}
+		s := &p.shards[shard]
+		s.mu.RLock()
+		facts, err := s.eng.queryFacts(plan, shard)
+		s.mu.RUnlock()
+		if err != nil {
+			return FactPage{}, err
+		}
+		sort.Slice(facts, func(i, j int) bool {
+			if facts[i].sortKey != facts[j].sortKey {
+				return facts[i].sortKey < facts[j].sortKey
+			}
+			return facts[i].sortMask < facts[j].sortMask
+		})
+		for i := range facts {
+			qf := facts[i]
+			if cur != nil && shard == cur.shard {
+				if qf.sortKey < cur.key || (qf.sortKey == cur.key && qf.sortMask <= cur.mask) {
+					continue
+				}
+			}
+			page.Facts = append(page.Facts, qf)
+			if limit > 0 && len(page.Facts) == limit {
+				// More may follow: later cells of this shard, or any later
+				// shard. Only the very last cell of the last shard ends the
+				// scan with certainty.
+				if i < len(facts)-1 || shard < last {
+					page.NextCursor = encodeCursor(queryCursor{
+						shard: shard, key: qf.sortKey, mask: qf.sortMask,
+					})
+				}
+				return page, nil
+			}
+		}
+	}
+	return page, nil
+}
+
+// queryFacts collects the shard engine's fact groups matching the plan.
+// The caller holds the shard's read lock.
+func (e *Engine) queryFacts(q queryPlan, shard int) ([]QueryFact, error) {
+	mem, ok := memoryStoreOf(e.disc)
+	if !ok {
+		return nil, fmt.Errorf("situfact: queries require a lattice algorithm over the in-memory store (engine runs %s)", e.disc.Name())
+	}
+	// Resolve condition values against this shard's dictionary: a value
+	// the shard never saw matches nothing here (other shards may hold it).
+	d := e.table.Dict()
+	condCodes := make([]int32, len(q.condDims))
+	for i, dim := range q.condDims {
+		code, ok := d.Lookup(dim, q.condVals[i])
+		if !ok {
+			return nil, nil
+		}
+		condCodes[i] = code
+	}
+	nd := e.schema.NumDims()
+	var out []QueryFact
+	var walkErr error
+	mem.Walk(func(k store.CellKey, c store.Cell) {
+		if walkErr != nil {
+			return
+		}
+		if q.haveMask && k.M != q.mask {
+			return
+		}
+		if q.tuple && !c.ContainsID(q.tupleID) {
+			return
+		}
+		cons, err := lattice.ParseKey(k.C, nd)
+		if err != nil {
+			walkErr = fmt.Errorf("situfact: query: shard %d: %w", shard, err)
+			return
+		}
+		for i, dim := range q.condDims {
+			if cons.Vals[dim] != condCodes[i] {
+				return
+			}
+		}
+		out = append(out, e.factFromCell(shard, string(k.C), uint32(k.M), c, cons))
+	})
+	if walkErr != nil {
+		return nil, walkErr
+	}
+	return out, nil
+}

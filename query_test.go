@@ -291,7 +291,7 @@ func TestPoolQueryEquivalence(t *testing.T) {
 // collectPages walks the full cursor chain, keeping every page whole —
 // facts, internal sort coordinates, and the NextCursor strings — so two
 // read paths can be compared byte-for-byte, pagination artifacts included.
-func collectPages(t *testing.T, p *Pool, f FactFilter, limit int) []FactPage {
+func collectPages(t *testing.T, query func(FactFilter, string, int) (FactPage, error), f FactFilter, limit int) []FactPage {
 	t.Helper()
 	var out []FactPage
 	cursor := ""
@@ -299,9 +299,9 @@ func collectPages(t *testing.T, p *Pool, f FactFilter, limit int) []FactPage {
 		if pages > 100000 {
 			t.Fatal("pagination does not terminate")
 		}
-		page, err := p.QueryFacts(f, cursor, limit)
+		page, err := query(f, cursor, limit)
 		if err != nil {
-			t.Fatalf("QueryFacts(cursor %q): %v", cursor, err)
+			t.Fatalf("query(cursor %q): %v", cursor, err)
 		}
 		out = append(out, page)
 		if page.NextCursor == "" {
@@ -350,7 +350,8 @@ type poolHandle struct {
 	id    int64
 }
 
-// comparePaths drains random filtered queries through both read paths and
+// comparePaths drains random filtered queries through the served read
+// path (the fact index) and the reference scan (query_oracle_test.go) and
 // fails on the first byte-level difference: page boundaries, cursor
 // strings, fact contents, and internal sort coordinates must all agree.
 func comparePaths(t *testing.T, pool *Pool, rng *rand.Rand, shards, trials int, rows []Row, live []poolHandle, label string) {
@@ -358,11 +359,8 @@ func comparePaths(t *testing.T, pool *Pool, rng *rand.Rand, shards, trials int, 
 	for trial := 0; trial < trials; trial++ {
 		f := randomQueryFilter(rng, shards, rows, live)
 		limit := rng.Intn(7) // 0 = unpaginated
-		pool.SetScanQueries(false)
-		idxPages := collectPages(t, pool, f, limit)
-		pool.SetScanQueries(true)
-		scanPages := collectPages(t, pool, f, limit)
-		pool.SetScanQueries(false)
+		idxPages := collectPages(t, pool.QueryFacts, f, limit)
+		scanPages := collectPages(t, pool.scanFacts, f, limit)
 		if len(idxPages) != len(scanPages) {
 			t.Fatalf("%s trial %d (filter %+v, limit %d): index path made %d pages, scan path %d",
 				label, trial, f, limit, len(idxPages), len(scanPages))

@@ -7,6 +7,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/lattice"
@@ -174,7 +175,7 @@ func LoadSnapshot(schema *Schema, r io.Reader) (*Engine, error) {
 	// The cell replay drove the fact index through the store observer; a
 	// count mismatch means the index missed a lifecycle event (or the
 	// snapshot carried a duplicate/empty cell) and queries would silently
-	// diverge from the scan path — fail the restore instead.
+	// diverge from the stored cells — fail the restore instead.
 	if eng.fidx != nil && eng.fidx.Len() != len(sf.Cells) {
 		return nil, fmt.Errorf("situfact: snapshot restore: fact index rebuilt %d entries for %d cells",
 			eng.fidx.Len(), len(sf.Cells))
@@ -218,8 +219,9 @@ func (p *Pool) SaveSnapshot(dir string) error {
 type CheckpointStats struct {
 	// Generation numbers the committed snapshot.
 	Generation uint64
-	// TruncatableLSN is the highest WAL LSN reflected in every shard's
-	// snapshot file: records at or below it will never be replayed, so
+	// TruncatableLSN is the lowest shard watermark the manifest pins:
+	// records at or below it will never be replayed — by this pool's
+	// recovery or by a follower restored from the snapshot — so
 	// WAL.TruncateBefore(TruncatableLSN+1) is safe. Zero without a WAL.
 	TruncatableLSN uint64
 }
@@ -245,7 +247,6 @@ func (p *Pool) Checkpoint(dir string, sidecars func() (map[string][]byte, error)
 	}
 	// New generation's shard files first; the manifest commit comes last.
 	lsns := make([]uint64, len(p.shards))
-	covers := make([]uint64, len(p.shards))
 	var buf bytes.Buffer
 	for i := range p.shards {
 		s := &p.shards[i]
@@ -254,15 +255,17 @@ func (p *Pool) Checkpoint(dir string, sidecars func() (map[string][]byte, error)
 		// plus a rename) happens after, so a checkpoint stalls the shard's
 		// ingest for the serialization time, not the disk time.
 		s.mu.Lock()
-		lsns[i] = s.lastLSN
-		// Journal and apply are atomic under this lock, so every WAL
-		// record ≤ the log's current head either succeeded on this shard
-		// (lsn ≤ lastLSN, inside the snapshot) or failed deterministically
-		// (droppable). The head is therefore this shard's truncation
-		// cover — typically well past lastLSN for shards the hash routes
-		// few rows to, which would otherwise pin truncation at zero.
+		// Journal and apply are atomic under this lock (applyShard), so
+		// every WAL record ≤ the log's current head either succeeded on
+		// this shard (inside the snapshot), failed deterministically
+		// (droppable) or belongs to another shard. The head is therefore
+		// this shard's watermark — typically well past its lastLSN for
+		// shards the hash routes few rows to. Pinning lastLSN instead
+		// would leave such a shard's watermark below the truncation point
+		// derived from the heads, and a follower restored from this
+		// snapshot would ask for records the leader no longer has.
 		if p.wal != nil {
-			covers[i] = p.wal.w.LastLSN()
+			lsns[i] = p.wal.w.LastLSN()
 		}
 		err := s.eng.SaveSnapshot(&buf)
 		s.mu.Unlock()
@@ -282,17 +285,9 @@ func (p *Pool) Checkpoint(dir string, sidecars func() (map[string][]byte, error)
 	// operation on restart, and a later recovery would skip that operation
 	// as "already in the snapshot". This also holds in interval-sync mode,
 	// where appends are acknowledged ahead of the fsync.
-	if p.wal != nil {
-		var top uint64
-		for _, l := range lsns {
-			if l > top {
-				top = l
-			}
-		}
-		if top > 0 {
-			if err := p.wal.w.WaitSync(top); err != nil {
-				return CheckpointStats{}, fmt.Errorf("situfact: pool snapshot: wal sync: %w", err)
-			}
+	if top := slices.Max(lsns); top > 0 {
+		if err := p.wal.w.WaitSync(top); err != nil {
+			return CheckpointStats{}, fmt.Errorf("situfact: pool snapshot: wal sync: %w", err)
 		}
 	}
 	var side map[string][]byte
@@ -324,16 +319,7 @@ func (p *Pool) Checkpoint(dir string, sidecars func() (map[string][]byte, error)
 	if havePrev {
 		persist.RemoveGeneration(dir, prev.Shards, prev.Generation)
 	}
-	stats := CheckpointStats{Generation: gen}
-	if p.wal != nil {
-		stats.TruncatableLSN = covers[0]
-		for _, l := range covers[1:] {
-			if l < stats.TruncatableLSN {
-				stats.TruncatableLSN = l
-			}
-		}
-	}
-	return stats, nil
+	return CheckpointStats{Generation: gen, TruncatableLSN: slices.Min(lsns)}, nil
 }
 
 // LoadPoolSnapshot reconstructs a pool from a directory written by

@@ -246,12 +246,17 @@ func (p *Pool) ReplayWAL(w *WAL, onArrival func(*Arrival)) (ReplayStats, error) 
 	return stats, nil
 }
 
-// applyRecord applies one journaled record to the owning shard, skipping
-// records at or below the shard's watermark — the shared re-application
-// step behind crash recovery (ReplayWAL) and follower catch-up
-// (ApplyTail). Each record takes its shard's write lock for exactly the
-// journal-order apply a live ingest would.
+// applyRecord re-applies one journaled record — the shared step behind
+// crash recovery (ReplayWAL) and follower catch-up (ApplyTail). It
+// validates the record, hands it to applyShard (which, because the record
+// carries its LSN, journals nothing and skips it when the shard's
+// watermark already covers it) and classifies the outcome.
 func (p *Pool) applyRecord(rec persist.Record, stats *ReplayStats, onArrival func(*Arrival)) error {
+	if rec.LSN == 0 {
+		// LSNs start at 1; applyShard would take an unnumbered record for
+		// a live op.
+		return fmt.Errorf("situfact: wal replay: record without an LSN")
+	}
 	stats.Records++
 	stats.LastLSN = rec.LSN
 	switch rec.Type {
@@ -260,67 +265,43 @@ func (p *Pool) applyRecord(rec persist.Record, stats *ReplayStats, onArrival fun
 			return fmt.Errorf("situfact: wal replay: record %d has %d dimension values for schema %s",
 				rec.LSN, len(rec.Dims), p.schema.rs)
 		}
-		shard := p.ShardFor(rec.Dims[p.shardDim])
-		s := &p.shards[shard]
-		s.mu.Lock()
-		if rec.LSN <= s.lastLSN {
-			s.mu.Unlock()
-			stats.Skipped++
-			return nil
-		}
-		arr, err := s.eng.Append(rec.Dims, rec.Measures)
-		if err == nil {
-			s.lastLSN = rec.LSN
-		}
-		s.mu.Unlock()
-		if err != nil {
-			// The original application failed the same deterministic
-			// way (journaling precedes applying), so the record adds
-			// nothing to recovered state.
-			stats.Failed++
-			return nil
-		}
-		arr.Shard = shard
-		stats.Applied++
-		if onArrival != nil {
-			onArrival(arr)
-		}
+		rec.Shard = p.ShardFor(rec.Dims[p.shardDim])
 	case persist.RecDelete:
 		if rec.Shard < 0 || rec.Shard >= len(p.shards) {
 			return fmt.Errorf("situfact: wal replay: record %d targets shard %d of %d",
 				rec.LSN, rec.Shard, len(p.shards))
 		}
-		s := &p.shards[rec.Shard]
-		s.mu.Lock()
-		if rec.LSN <= s.lastLSN {
-			s.mu.Unlock()
-			stats.Skipped++
-			return nil
-		}
-		err := s.eng.Delete(rec.TupleID)
-		if err == nil {
-			s.lastLSN = rec.LSN
-		}
-		s.mu.Unlock()
-		switch {
-		case err == nil:
-			stats.Applied++
-		case errors.Is(err, ErrNotFound) || errors.Is(err, ErrAlreadyDeleted):
-			stats.Failed++ // the original Delete failed identically
-		default:
-			// Pool.Delete rejects unsupported deletes before journaling,
-			// so a RecDelete proves the writing pool applied (or could
-			// have applied) it. ErrDeleteUnsupported here means the pool
-			// was restarted under a non-deleting algorithm — real drift,
-			// like any other unexpected failure.
-			return fmt.Errorf("situfact: wal replay: record %d: %w", rec.LSN, err)
-		}
 	case persist.RecNoop:
 		// Repair filler over an LSN a write fault destroyed: no operation,
 		// no shard, no watermark to advance.
 		stats.Skipped++
+		return nil
 	default:
 		return fmt.Errorf("situfact: wal replay: record %d has unknown type %d", rec.LSN, rec.Type)
+	}
+	op := ingestOp{rec: rec}
+	p.applyShard(rec.Shard, []*ingestOp{&op})
+	switch {
+	case op.skipped:
+		stats.Skipped++
+	case op.err == nil:
+		stats.Applied++
+		if op.arr != nil && onArrival != nil {
+			onArrival(op.arr)
+		}
+	case rec.Type == persist.RecAppend,
+		errors.Is(op.err, ErrNotFound), errors.Is(op.err, ErrAlreadyDeleted):
+		// The original application failed the same deterministic way
+		// (journaling precedes applying), so the record adds nothing to
+		// recovered state.
+		stats.Failed++
+	default:
+		// Pool.Delete rejects unsupported deletes before journaling, so a
+		// RecDelete proves the writing pool applied (or could have
+		// applied) it. ErrDeleteUnsupported here means the pool was
+		// restarted under a non-deleting algorithm — real drift, like any
+		// other unexpected failure.
+		return fmt.Errorf("situfact: wal replay: record %d: %w", rec.LSN, op.err)
 	}
 	return nil
 }

@@ -326,6 +326,76 @@ func TestCheckpointSyncsCoveredRecords(t *testing.T) {
 	}
 }
 
+// TestCheckpointWatermarksCoverTruncation: the truncation point a
+// checkpoint reports and the per-shard watermarks its manifest pins must
+// agree — both are the log head seen under each shard's lock. A shard the
+// hash routes no recent rows to used to keep its low lastLSN in the
+// manifest while TruncatableLSN was taken from the head, so a follower
+// restored from the snapshot computed a tail cursor below the leader's
+// truncation point and met a gap it could never close.
+func TestCheckpointWatermarksCoverTruncation(t *testing.T) {
+	rows := poolRows(61)
+	snapDir, walDir := t.TempDir(), t.TempDir()
+	p, err := NewPool(poolSchema(t), PoolOptions{Shards: 3, ShardDim: "team"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	// Tiny segments, so truncation has whole segments to drop.
+	w, err := OpenWAL(p, walDir, WALOptions{SegmentBytes: 256})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	if err := p.AttachWAL(w); err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range rows[:60] {
+		if _, err := p.Append(r.Dims, r.Measures); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st, err := p.Checkpoint(snapDir, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.TruncatableLSN != 60 {
+		t.Fatalf("TruncatableLSN = %d, want the log head 60", st.TruncatableLSN)
+	}
+	if err := w.TruncateBefore(st.TruncatableLSN + 1); err != nil {
+		t.Fatal(err)
+	}
+
+	follower, _, err := RestorePool(poolSchema(t), snapDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer follower.Close()
+	cursor := follower.TailCursor()
+	if cursor != st.TruncatableLSN+1 {
+		t.Fatalf("restored pool tails from LSN %d (watermarks %v), but the checkpoint let the leader truncate through %d",
+			cursor, follower.ShardLSNs(), st.TruncatableLSN)
+	}
+	if _, err := p.Append(rows[60].Dims, rows[60].Measures); err != nil {
+		t.Fatal(err)
+	}
+	recs, _, _, err := w.ReadTail(cursor, 100)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(recs) != 1 || recs[0].LSN != cursor {
+		t.Fatalf("ReadTail(%d) = %+v, want exactly record %d", cursor, recs, cursor)
+	}
+	as, err := follower.ApplyTail(w.Epoch(), recs, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if as.Applied != 1 || follower.Len() != p.Len() || follower.Metrics() != p.Metrics() {
+		t.Errorf("follower applied %d, len %d, metrics %+v; leader len %d, metrics %+v",
+			as.Applied, follower.Len(), follower.Metrics(), p.Len(), p.Metrics())
+	}
+}
+
 // TestCheckpointSidecars: sidecar payloads commit atomically with the
 // snapshot and come back from RestorePool.
 func TestCheckpointSidecars(t *testing.T) {
