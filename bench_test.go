@@ -370,6 +370,50 @@ func BenchmarkPoolAppend(b *testing.B) {
 	}
 }
 
+// BenchmarkEngineAppendWide is one whole Engine.Append — discovery, scoring
+// and fact materialisation — per iteration at the paper's Fig 7a shape
+// (NBA d=5, m=7, d̂=4; the stream of TestEngineAppendAllocsScaleWithConstraints),
+// against an engine warmed with 300 rows. An arrival there has some two
+// thousand facts (reported as facts/row), so ns/op and allocs/op show what a
+// fact costs after it is discovered. The engine is rebuilt every 200
+// arrivals, outside the timer, so every iteration count measures the same
+// depth of relation.
+func BenchmarkEngineAppendWide(b *testing.B) {
+	const warm, span = 300, 200
+	schema, rows := wideStream(b, warm+span)
+	var eng *Engine
+	defer func() { eng.Close() }()
+	facts := 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if i%span == 0 {
+			b.StopTimer()
+			if eng != nil {
+				eng.Close()
+			}
+			var err error
+			if eng, err = New(schema, Options{MaxBoundDims: wideDhat}); err != nil {
+				b.Fatal(err)
+			}
+			for _, r := range rows[:warm] {
+				if _, err := eng.Append(r.Dims, r.Measures); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.StartTimer()
+		}
+		r := rows[warm+i%span]
+		arr, err := eng.Append(r.Dims, r.Measures)
+		if err != nil {
+			b.Fatal(err)
+		}
+		facts += len(arr.Facts)
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(facts)/float64(b.N), "facts/row")
+}
+
 // BenchmarkPoolQuery measures the read path against a warmed pool on the
 // NBA feed: ns/op is one QueryFacts page (limit 100, cursor-advanced so
 // successive iterations walk the whole fact set) while the "mixed" mode

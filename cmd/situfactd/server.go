@@ -958,17 +958,20 @@ func writeIngestCtxErr(w http.ResponseWriter, r *http.Request, err error) bool {
 // exactly the offers the original run made. It returns the arrival's
 // wire id so the ingest path formats it once.
 func (s *server) feedBoard(arr *situfact.Arrival) string {
-	id := fmt.Sprintf("%d:%d", arr.Shard, arr.TupleID)
+	id := strconv.Itoa(arr.Shard) + ":" + strconv.FormatInt(arr.TupleID, 10)
 	// Pre-filter against the board's floor before paying for wire
 	// conversion: after warmup almost no fact clears a full board. The
 	// floor only rises, so a stale read can only admit extra candidates —
-	// offerAll rechecks under its own lock.
+	// offerAll rechecks under its own lock. Facts arrive in descending
+	// prominence, so the first one that cannot enter ends the walk: an
+	// arrival's thousands of facts cost one test, not one each.
 	floor, full := s.board.floor()
 	var scored []boardEntry
 	for _, f := range arr.Facts {
-		if f.Prominence > 0 && (!full || f.Prominence > floor) {
-			scored = append(scored, boardEntry{ID: id, Prominence: f.Prominence, Fact: toWireFact(f)})
+		if f.Prominence <= 0 || (full && f.Prominence <= floor) {
+			break
 		}
+		scored = append(scored, boardEntry{ID: id, Prominence: f.Prominence, Fact: toWireFact(f)})
 	}
 	s.board.offerAll(scored)
 	return id

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -44,5 +45,49 @@ func TestBottomUpSteadyStateAllocs(t *testing.T) {
 		t.Errorf("BottomUp.Process steady-state allocations = %.1f/op, budget %.0f "+
 			"(a per-visited-constraint or per-fact allocation crept back into the hot path)",
 			avg, maxAvg)
+	}
+}
+
+// TestEmittedFactsShareConstraintValues pins the aliasing contract of
+// Fact.Constraint.Vals: the facts of one arrival over one constraint share
+// a backing array, an append to one copies instead of spilling into the
+// next constraint's values, and no later arrival writes a value slice that
+// an earlier fact still holds.
+func TestEmittedFactsShareConstraintValues(t *testing.T) {
+	rng := rand.New(rand.NewSource(14))
+	tb := randomTable(t, rng, 120, 3, 3, 3, 4)
+	for _, alg := range allAlgorithms(t, Config{Schema: tb.Schema(), MaxBound: -1, MaxMeasure: -1}) {
+		name := alg.Name()
+		type kept struct {
+			fact Fact
+			vals []int32 // copy taken at arrival time
+		}
+		var all []kept
+		shared := false
+		for _, tu := range tb.Tuples() {
+			facts := alg.Process(tu)
+			byMask := map[uint32][]int32{}
+			for _, f := range facts {
+				v := f.Constraint.Vals
+				if len(v) != cap(v) {
+					t.Fatalf("%s: Vals %v has spare capacity %d", name, v, cap(v)-len(v))
+				}
+				mask := uint32(f.Constraint.BoundMask())
+				if prev, ok := byMask[mask]; ok && &prev[0] == &v[0] {
+					shared = true
+				}
+				byMask[mask] = v
+				all = append(all, kept{f, append([]int32(nil), v...)})
+			}
+		}
+		if !shared {
+			t.Errorf("%s: no two facts of an arrival shared a constraint's values", name)
+		}
+		for _, k := range all {
+			if !slices.Equal(k.fact.Constraint.Vals, k.vals) {
+				t.Fatalf("%s: a retained fact's constraint changed from %v to %v", name, k.vals, k.fact.Constraint.Vals)
+			}
+		}
+		alg.Close()
 	}
 }

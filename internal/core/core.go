@@ -17,7 +17,10 @@ const MaxLatticeDims = 16
 // Fact is one discovered situational fact: the arriving tuple is a
 // contextual skyline tuple for (Constraint, Subspace).
 type Fact struct {
-	// Constraint is the context selector C.
+	// Constraint is the context selector C. Its Vals are read-only: the
+	// facts of one arrival over the same constraint share one backing
+	// array, capped at its length so that an append copies. It is never
+	// written again, however long the fact is kept.
 	Constraint lattice.Constraint
 	// Subspace is the measure subspace mask M.
 	Subspace subspace.Mask
@@ -128,8 +131,10 @@ type base struct {
 	keyStamp uint32
 	keyEpoch []uint32
 	cids     []store.ConstraintID
-	vals     []int32 // fact-constraint arena (see emit)
-	factCap  int     // last arrival's fact count, seeds the next facts slice
+	vals     []int32   // fact-constraint arena (see emit)
+	factVals [][]int32 // this tuple's emitted constraint values, by mask
+	valsSeen []uint32  // factVals[c] is current iff valsSeen[c] == keyStamp
+	factCap  int       // last arrival's fact count, seeds the next facts slice
 
 	// Scratch of the batched cell scans (kernel.go): row indices the
 	// candidate dominates / is dominated by in the cell under scan, and
@@ -223,6 +228,8 @@ func newBase(cfg Config) (*base, error) {
 		inQueue:  make([]uint32, size),
 		inAnces:  make([]uint32, size),
 		keyEpoch: make([]uint32, size),
+		factVals: make([][]int32, size),
+		valsSeen: make([]uint32, size),
 		cids:     make([]store.ConstraintID, size),
 	}, nil
 }
@@ -248,7 +255,7 @@ func (b *base) newTupleScratch(t *relation.Tuple) {
 	b.keyStamp++
 	if b.keyStamp == 0 {
 		for i := range b.keyEpoch {
-			b.keyEpoch[i] = 0
+			b.keyEpoch[i], b.valsSeen[i] = 0, 0
 		}
 		b.keyStamp = 1
 	}
@@ -304,26 +311,31 @@ func (b *base) indices(m subspace.Mask) []uint8 {
 	return idx
 }
 
-// emit materialises a fact. Constraint value slices are carved out of a
-// block arena — one allocation per emitBlock facts instead of one per
-// fact (fact emission dominated the old allocation profile). Blocks are
-// never reused, so emitted facts stay valid indefinitely; the three-index
-// slice keeps a fact's Vals from being overwritten by later emits.
+// emit materialises a fact. A tuple's thousands of facts draw on the at
+// most 2^d constraints of C^t, so the value slice of each is built once
+// per tuple and shared, read-only, by every fact over it (see Fact). The
+// slices are carved out of a block arena — one allocation per emitBlock
+// constraints. Blocks are never reused, so emitted facts stay valid
+// indefinitely; the three-index slice keeps one constraint's Vals from
+// being overwritten by the next.
 func (b *base) emit(t *relation.Tuple, c lattice.Mask, m subspace.Mask, facts []Fact) []Fact {
 	b.met.Facts++
-	if cap(b.vals)-len(b.vals) < b.d {
-		b.vals = make([]int32, 0, emitBlock*b.d)
-	}
-	start := len(b.vals)
-	for i := 0; i < b.d; i++ {
-		v := lattice.Wildcard
-		if c&(1<<uint(i)) != 0 {
-			v = t.Dims[i]
+	if b.valsSeen[c] != b.keyStamp {
+		if cap(b.vals)-len(b.vals) < b.d {
+			b.vals = make([]int32, 0, emitBlock*b.d)
 		}
-		b.vals = append(b.vals, v)
+		start := len(b.vals)
+		for i := 0; i < b.d; i++ {
+			v := lattice.Wildcard
+			if c&(1<<uint(i)) != 0 {
+				v = t.Dims[i]
+			}
+			b.vals = append(b.vals, v)
+		}
+		b.factVals[c] = b.vals[start:len(b.vals):len(b.vals)]
+		b.valsSeen[c] = b.keyStamp
 	}
-	vals := b.vals[start:len(b.vals):len(b.vals)]
-	return append(facts, Fact{Constraint: lattice.Constraint{Vals: vals}, Subspace: m})
+	return append(facts, Fact{Constraint: lattice.Constraint{Vals: b.factVals[c]}, Subspace: m})
 }
 
 // emitBlock is the fact-arena block size, in constraints.

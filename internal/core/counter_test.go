@@ -69,3 +69,33 @@ func TestContextCounterRespectsCap(t *testing.T) {
 		t.Errorf("bound-1 constraint = %d, want 3", got)
 	}
 }
+
+// TestContextCounterProbesAllocateNothing: once a tuple's constraints have
+// counts, observing, unobserving and sizing them builds every key in stack
+// scratch; and a count back at zero is dropped, so the counter tracks the
+// live constraints rather than every constraint ever seen.
+func TestContextCounterProbesAllocateNothing(t *testing.T) {
+	tb := table4(t)
+	cc := NewContextCounter(3, -1)
+	for _, tu := range tb.Tuples() {
+		cc.Observe(tu)
+	}
+	tu := tb.Tuples()[4]
+	full := lattice.Constraint{Vals: tu.Dims}
+	if avg := testing.AllocsPerRun(100, func() {
+		cc.Observe(tu)
+		cc.ContextSize(full)
+		cc.Unobserve(tu)
+	}); avg != 0 {
+		t.Errorf("Observe+ContextSize+Unobserve of seen constraints = %.0f allocs, want 0", avg)
+	}
+	for _, tu := range tb.Tuples() {
+		cc.Unobserve(tu)
+	}
+	if n := len(cc.counts); n != 0 {
+		t.Errorf("%d constraints kept after every tuple was unobserved", n)
+	}
+	if snap := cc.Snapshot(); len(snap) != 0 {
+		t.Errorf("snapshot of an emptied counter = %v", snap)
+	}
+}

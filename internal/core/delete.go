@@ -1,7 +1,6 @@
 package core
 
 import (
-	"repro/internal/lattice"
 	"repro/internal/relation"
 	"repro/internal/subspace"
 )
@@ -97,19 +96,6 @@ func (a *Oracle) Delete(u *relation.Tuple) {
 		if w.ID == u.ID {
 			a.history = append(a.history[:i], a.history[i+1:]...)
 			return
-		}
-	}
-}
-
-// Unobserve reverses Observe for a deleted tuple, keeping |σ_C(R)|
-// counters exact under deletion.
-func (cc *ContextCounter) Unobserve(t *relation.Tuple) {
-	for _, m := range cc.masks {
-		k := lattice.KeyFromTuple(t, m)
-		if n := cc.counts[k] - 1; n > 0 {
-			cc.counts[k] = n
-		} else {
-			delete(cc.counts, k)
 		}
 	}
 }

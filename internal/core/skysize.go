@@ -17,10 +17,10 @@ type SkylineSizer interface {
 
 // SkylineSize implements SkylineSizer for the BottomUp family: Invariant 1
 // makes µ(C,M) the skyline itself, so the size is the cell length. The
-// probe goes through Interner.Lookup so sizing absent constraints does not
+// probe goes through Interner.LookupConstraint so sizing absent constraints does not
 // grow the intern table.
 func (a *BottomUp) SkylineSize(c lattice.Constraint, m subspace.Mask) int {
-	id, ok := a.in.Lookup(c.Key())
+	id, ok := a.in.LookupConstraint(c)
 	if !ok {
 		return 0
 	}
@@ -38,7 +38,7 @@ func (a *TopDown) SkylineSize(c lattice.Constraint, m subspace.Mask) int {
 	var seen map[int64]bool
 	count := 0
 	visit := func(anc lattice.Constraint) {
-		id, ok := a.in.Lookup(anc.Key())
+		id, ok := a.in.LookupConstraint(anc)
 		if !ok {
 			return
 		}
@@ -86,9 +86,15 @@ var (
 // over the observed stream: each arrival increments the counters of all
 // constraints it satisfies. It is the numerator of the prominence measure
 // and is shared by any algorithm via composition.
+//
+// Every probe builds its key in stack scratch (the interner's
+// m[string(buf)] idiom) and counts are updated through a pointer, so
+// observing, unobserving and sizing a constraint that has a count allocate
+// nothing. A count that falls back to zero is dropped, so the map tracks
+// the live constraints, not every constraint ever seen.
 type ContextCounter struct {
 	masks  []lattice.Mask
-	counts map[lattice.Key]int64
+	counts map[string]*int64 // by constraint key; never zero
 }
 
 // NewContextCounter creates a counter for d dimension attributes with the
@@ -96,28 +102,55 @@ type ContextCounter struct {
 func NewContextCounter(d, maxBound int) *ContextCounter {
 	return &ContextCounter{
 		masks:  lattice.CtMasks(d, maxBound),
-		counts: make(map[lattice.Key]int64),
+		counts: make(map[string]*int64),
 	}
 }
 
 // Observe folds an arrival into the counters.
 func (cc *ContextCounter) Observe(t *relation.Tuple) {
+	var scratch [lattice.KeyScratch]byte
 	for _, m := range cc.masks {
-		cc.counts[lattice.KeyFromTuple(t, m)]++
+		buf := lattice.AppendKeyFromTuple(scratch[:0], t, m)
+		n, ok := cc.counts[string(buf)]
+		if !ok { // first sight of a constraint: its key and its count
+			n = new(int64)
+			cc.counts[string(buf)] = n
+		}
+		*n++
+	}
+}
+
+// Unobserve reverses Observe for a deleted tuple, keeping |σ_C(R)|
+// counters exact under deletion.
+func (cc *ContextCounter) Unobserve(t *relation.Tuple) {
+	var scratch [lattice.KeyScratch]byte
+	for _, m := range cc.masks {
+		buf := lattice.AppendKeyFromTuple(scratch[:0], t, m)
+		n, ok := cc.counts[string(buf)]
+		if !ok {
+			continue
+		}
+		if *n--; *n <= 0 {
+			delete(cc.counts, string(buf))
+		}
 	}
 }
 
 // ContextSize returns |σ_C(R)| for the constraint (0 if never observed).
 func (cc *ContextCounter) ContextSize(c lattice.Constraint) int64 {
-	return cc.counts[c.Key()]
+	var scratch [lattice.KeyScratch]byte
+	if n, ok := cc.counts[string(c.AppendKey(scratch[:0]))]; ok {
+		return *n
+	}
+	return 0
 }
 
 // Snapshot returns a copy of the raw counters, keyed by constraint key.
 // Used by engine persistence.
 func (cc *ContextCounter) Snapshot() map[string]int64 {
 	out := make(map[string]int64, len(cc.counts))
-	for k, v := range cc.counts {
-		out[string(k)] = v
+	for k, n := range cc.counts {
+		out[k] = *n
 	}
 	return out
 }
@@ -125,8 +158,8 @@ func (cc *ContextCounter) Snapshot() map[string]int64 {
 // Restore replaces the counters with a snapshot previously produced by
 // Snapshot.
 func (cc *ContextCounter) Restore(counts map[string]int64) {
-	cc.counts = make(map[lattice.Key]int64, len(counts))
+	cc.counts = make(map[string]*int64, len(counts))
 	for k, v := range counts {
-		cc.counts[lattice.Key(k)] = v
+		cc.counts[k] = &v
 	}
 }

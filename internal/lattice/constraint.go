@@ -115,11 +115,23 @@ func (c Constraint) Equal(other Constraint) bool {
 // Constraints from different tuples that bind the same values produce equal
 // keys, which is what makes the global µ(C,M) store shareable.
 func (c Constraint) Key() Key {
-	buf := make([]byte, 4*len(c.Vals))
-	for i, v := range c.Vals {
-		binary.LittleEndian.PutUint32(buf[4*i:], uint32(v))
+	return Key(c.AppendKey(make([]byte, 0, 4*len(c.Vals))))
+}
+
+// KeyScratch is the size of the stack buffer key-building callers hand to
+// AppendKey / AppendKeyFromTuple: 4 bytes per dimension for the deepest
+// lattice the algorithms accept (core.MaxLatticeDims = 16). A wider
+// constraint still works; append spills its key to the heap.
+const KeyScratch = 64
+
+// AppendKey appends c's key bytes to dst and returns the extended slice —
+// the Constraint counterpart of AppendKeyFromTuple: with a stack scratch
+// and a m[string(buf)] probe, looking a constraint up allocates nothing.
+func (c Constraint) AppendKey(dst []byte) []byte {
+	for _, v := range c.Vals {
+		dst = binary.LittleEndian.AppendUint32(dst, uint32(v))
 	}
-	return Key(buf)
+	return dst
 }
 
 // Key is the canonical map key for a constraint. It is a plain string of

@@ -11,7 +11,9 @@
 package prominence
 
 import (
-	"sort"
+	"cmp"
+	"math/bits"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/lattice"
@@ -37,36 +39,111 @@ type ContextSizer interface {
 
 // Score computes the prominence of every fact and returns them sorted in
 // descending prominence (ties broken by more bound attributes first, then
-// smaller subspace, for stable and intuition-friendly output).
+// smaller subspace, for stable and intuition-friendly output; the final
+// tie-break is the byte order of the constraints' store keys).
+//
+// The facts of one arrival number in the thousands but draw their
+// constraints from the at most 2^d members of C^t, so everything that
+// depends on the constraint alone — the context size and the bound count —
+// is resolved once per distinct constraint, and each fact's sort key is
+// computed once, not once per comparison.
 func Score(facts []core.Fact, ctx ContextSizer, sky core.SkylineSizer) []ScoredFact {
-	out := make([]ScoredFact, 0, len(facts))
-	for _, f := range facts {
-		cs := ctx.ContextSize(f.Constraint)
-		ss := sky.SkylineSize(f.Constraint, f.Subspace)
-		sf := ScoredFact{Fact: f, ContextSize: cs, SkylineSize: ss}
-		if ss > 0 {
-			sf.Prominence = float64(cs) / float64(ss)
-		}
-		out = append(out, sf)
+	memo := contextMemo{
+		index: make(map[string]int32, min(len(facts), 32)),
+		ents:  make([]contextEntry, 0, min(len(facts), 32)),
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Prominence != out[j].Prominence {
-			return out[i].Prominence > out[j].Prominence
+	keys := make([]sortKey, len(facts))
+	for i, f := range facts {
+		ci := memo.resolve(f.Constraint, ctx)
+		ent := &memo.ents[ci]
+		ss := sky.SkylineSize(f.Constraint, f.Subspace)
+		k := sortKey{
+			rank:    uint64(^ent.bound)<<40 | uint64(subspace.Size(f.Subspace))<<32 | uint64(f.Subspace),
+			skyline: ss,
+			context: ci,
+			fact:    int32(i),
 		}
-		bi, bj := out[i].Constraint.Bound(), out[j].Constraint.Bound()
-		if bi != bj {
-			return bi > bj
+		if ss > 0 {
+			k.prominence = float64(ent.size) / float64(ss)
 		}
-		si, sj := subspace.Size(out[i].Subspace), subspace.Size(out[j].Subspace)
-		if si != sj {
-			return si < sj
+		keys[i] = k
+	}
+	slices.SortFunc(keys, func(a, b sortKey) int {
+		switch {
+		case a.prominence > b.prominence:
+			return -1
+		case a.prominence < b.prominence:
+			return 1
+		case a.rank != b.rank:
+			return cmp.Compare(a.rank, b.rank)
+		case a.context == b.context:
+			return 0
 		}
-		if out[i].Subspace != out[j].Subspace {
-			return out[i].Subspace < out[j].Subspace
-		}
-		return out[i].Constraint.Key() < out[j].Constraint.Key()
+		return compareKeyOrder(memo.ents[a.context].vals, memo.ents[b.context].vals)
 	})
+	out := make([]ScoredFact, len(keys))
+	for i, k := range keys {
+		out[i] = ScoredFact{
+			Fact:        facts[k.fact],
+			ContextSize: memo.ents[k.context].size,
+			SkylineSize: k.skyline,
+			Prominence:  k.prominence,
+		}
+	}
 	return out
+}
+
+// sortKey is everything Score's ordering reads about one fact.
+type sortKey struct {
+	prominence float64
+	// rank packs the tie-breaks after prominence so that smaller sorts
+	// first: inverted bound count, subspace size, subspace mask.
+	rank    uint64
+	skyline int
+	context int32 // the constraint's contextMemo entry
+	fact    int32 // position in the input
+}
+
+// contextMemo holds what Score knows about each distinct constraint of its
+// input. Constraints are identified by value — equal constraints from
+// different tuples carry different Vals slices — through their key bytes,
+// built in stack scratch so that only the first sight of a constraint
+// allocates.
+type contextMemo struct {
+	index map[string]int32 // constraint key → position in ents
+	ents  []contextEntry
+}
+
+type contextEntry struct {
+	vals  []int32
+	size  int64  // |σ_C(R)|
+	bound uint16 // bound(C)
+}
+
+// resolve returns the entry index of c, sizing its context on first sight.
+func (m *contextMemo) resolve(c lattice.Constraint, ctx ContextSizer) int32 {
+	var scratch [lattice.KeyScratch]byte
+	key := c.AppendKey(scratch[:0])
+	i, ok := m.index[string(key)]
+	if !ok {
+		i = int32(len(m.ents))
+		m.ents = append(m.ents, contextEntry{vals: c.Vals, size: ctx.ContextSize(c), bound: uint16(c.Bound())})
+		m.index[string(key)] = i
+	}
+	return i
+}
+
+// compareKeyOrder orders two constraints as their lattice.Key strings
+// compare, without building them: a key is the little-endian bytes of each
+// value in turn, so value pairs compare byte-reversed (Wildcard, all ones,
+// sorts last) and a key that is a prefix of the other sorts first.
+func compareKeyOrder(a, b []int32) int {
+	for i := 0; i < len(a) && i < len(b); i++ {
+		if a[i] != b[i] {
+			return cmp.Compare(bits.ReverseBytes32(uint32(a[i])), bits.ReverseBytes32(uint32(b[i])))
+		}
+	}
+	return cmp.Compare(len(a), len(b))
 }
 
 // TopK returns the k highest-prominence facts (all of them if k ≤ 0 or

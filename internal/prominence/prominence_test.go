@@ -2,6 +2,8 @@ package prominence
 
 import (
 	"math/rand"
+	"reflect"
+	"sort"
 	"testing"
 
 	"repro/internal/core"
@@ -191,3 +193,147 @@ func TestEmptyScore(t *testing.T) {
 type sizerFunc func(lattice.Constraint, subspace.Mask) int
 
 func (f sizerFunc) SkylineSize(c lattice.Constraint, m subspace.Mask) int { return f(c, m) }
+
+type contextFunc func(lattice.Constraint) int64
+
+func (f contextFunc) ContextSize(c lattice.Constraint) int64 { return f(c) }
+
+// referenceOrder is Score as it was before the per-constraint memo and the
+// precomputed sort keys: every fact sized on its own, sort.Slice over the
+// scored facts, ties broken on freshly built Constraint.Key() strings. It
+// survives here as the oracle Score's output must equal.
+func referenceOrder(facts []core.Fact, ctx ContextSizer, sky core.SkylineSizer) []ScoredFact {
+	out := make([]ScoredFact, 0, len(facts))
+	for _, f := range facts {
+		cs := ctx.ContextSize(f.Constraint)
+		ss := sky.SkylineSize(f.Constraint, f.Subspace)
+		sf := ScoredFact{Fact: f, ContextSize: cs, SkylineSize: ss}
+		if ss > 0 {
+			sf.Prominence = float64(cs) / float64(ss)
+		}
+		out = append(out, sf)
+	}
+	sort.Slice(out, func(i, j int) bool {
+		if out[i].Prominence != out[j].Prominence {
+			return out[i].Prominence > out[j].Prominence
+		}
+		bi, bj := out[i].Constraint.Bound(), out[j].Constraint.Bound()
+		if bi != bj {
+			return bi > bj
+		}
+		si, sj := subspace.Size(out[i].Subspace), subspace.Size(out[j].Subspace)
+		if si != sj {
+			return si < sj
+		}
+		if out[i].Subspace != out[j].Subspace {
+			return out[i].Subspace < out[j].Subspace
+		}
+		return out[i].Constraint.Key() < out[j].Constraint.Key()
+	})
+	return out
+}
+
+// TestScoreMatchesReferenceOrder: over random schemas and fact sets built
+// to tie — few distinct sizes, Wildcard-heavy constraints, codes whose
+// little-endian bytes order differently from their values, the same
+// constraint arriving in separate Vals slices (with the same subspace too)
+// — Score returns exactly what the reference returns, element for element.
+func TestScoreMatchesReferenceOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(2014))
+	// Codes straddling byte boundaries: 256 < 1 as keys (00 01 00 00 vs
+	// 01 00 00 00), 65536 < 256 < 1.
+	codes := []int32{0, 1, 2, 255, 256, 257, 65535, 65536, 1 << 24, 1<<31 - 1}
+	for round := 0; round < 300; round++ {
+		d := 1 + rng.Intn(6)
+		m := 1 + rng.Intn(5)
+		ncodes := 1 + rng.Intn(len(codes))
+		wild := rng.Float64()
+		newVals := func() []int32 {
+			vals := make([]int32, d)
+			for i := range vals {
+				vals[i] = codes[rng.Intn(ncodes)]
+				if rng.Float64() < wild {
+					vals[i] = lattice.Wildcard
+				}
+			}
+			return vals
+		}
+		n := rng.Intn(400)
+		facts := make([]core.Fact, 0, n)
+		for len(facts) < n {
+			f := core.Fact{
+				Constraint: lattice.Constraint{Vals: newVals()},
+				Subspace:   subspace.Mask(1 + rng.Intn(1<<uint(m)-1)),
+			}
+			facts = append(facts, f)
+			// The same constraint again, as another tuple would emit it.
+			for len(facts) < n && rng.Intn(3) == 0 {
+				dup := core.Fact{
+					Constraint: lattice.Constraint{Vals: append([]int32(nil), f.Constraint.Vals...)},
+					Subspace:   f.Subspace,
+				}
+				if rng.Intn(2) == 0 {
+					dup.Subspace = subspace.Mask(1 + rng.Intn(1<<uint(m)-1))
+				}
+				facts = append(facts, dup)
+			}
+		}
+		// Sizes are functions of the values alone and take few distinct
+		// values, so prominence ties are the rule; some skylines are empty.
+		ctxMod, skyMod := int64(1+rng.Intn(4)), 1+rng.Intn(3)
+		ctx := contextFunc(func(c lattice.Constraint) int64 {
+			var h int64
+			for _, v := range c.Vals {
+				h = h*31 + int64(v) + 2
+			}
+			return 1 + (h%ctxMod+ctxMod)%ctxMod
+		})
+		sky := sizerFunc(func(c lattice.Constraint, sm subspace.Mask) int {
+			return (c.Bound() + int(sm)) % (skyMod + 1)
+		})
+		got, want := Score(facts, ctx, sky), referenceOrder(facts, ctx, sky)
+		if len(got) != len(want) {
+			t.Fatalf("round %d: %d scored facts, reference has %d", round, len(got), len(want))
+		}
+		for i := range want {
+			if !reflect.DeepEqual(got[i], want[i]) {
+				t.Fatalf("round %d (d=%d m=%d n=%d), position %d:\n got  %+v\n want %+v", round, d, m, n, i, got[i], want[i])
+			}
+		}
+	}
+}
+
+// TestScoreMixedWidths: Score is a general function, so constraints of
+// different widths may meet in one input; a key that is a prefix of
+// another sorts first, as the key strings do.
+func TestScoreMixedWidths(t *testing.T) {
+	W := lattice.Wildcard
+	facts := []core.Fact{
+		{Constraint: lattice.Constraint{Vals: []int32{W, W}}, Subspace: 1},
+		{Constraint: lattice.Constraint{Vals: []int32{W}}, Subspace: 1},
+		{Constraint: lattice.Constraint{Vals: []int32{W, W, W}}, Subspace: 1},
+	}
+	one := contextFunc(func(lattice.Constraint) int64 { return 1 })
+	sky := sizerFunc(func(lattice.Constraint, subspace.Mask) int { return 1 })
+	if got, want := Score(facts, one, sky), referenceOrder(facts, one, sky); !reflect.DeepEqual(got, want) {
+		t.Errorf("got %+v, want %+v", got, want)
+	}
+}
+
+// TestScoreSizesEachConstraintOnce: the context size is probed once per
+// distinct constraint of the input, however many facts share it.
+func TestScoreSizesEachConstraintOnce(t *testing.T) {
+	W := lattice.Wildcard
+	var facts []core.Fact
+	for sm := subspace.Mask(1); sm < 64; sm++ {
+		for _, vals := range [][]int32{{W, W}, {1, W}, {W, 1}, {1, 1}} {
+			facts = append(facts, core.Fact{Constraint: lattice.Constraint{Vals: append([]int32(nil), vals...)}, Subspace: sm})
+		}
+	}
+	probes := 0
+	ctx := contextFunc(func(lattice.Constraint) int64 { probes++; return 7 })
+	Score(facts, ctx, sizerFunc(func(lattice.Constraint, subspace.Mask) int { return 1 }))
+	if probes != 4 {
+		t.Errorf("%d context-size probes for 4 distinct constraints over %d facts", probes, len(facts))
+	}
+}

@@ -63,16 +63,11 @@ func NewInterner() *Interner {
 	return &Interner{ids: make(map[string]ConstraintID)}
 }
 
-// maxKeyScratch covers 4 bytes per dimension for the deepest lattice the
-// algorithms accept (core.MaxLatticeDims = 16); wider schemas fall back to
-// a heap-allocated scratch buffer inside append.
-const maxKeyScratch = 64
-
 // InternTuple returns the id of the constraint of C^t selected by mask,
 // building the key in stack scratch so a cell visit allocates nothing
 // once the constraint has been seen.
 func (in *Interner) InternTuple(t *relation.Tuple, mask lattice.Mask) ConstraintID {
-	var scratch [maxKeyScratch]byte
+	var scratch [lattice.KeyScratch]byte
 	buf := lattice.AppendKeyFromTuple(scratch[:0], t, mask)
 	in.mu.RLock()
 	id, ok := in.ids[string(buf)]
@@ -101,6 +96,18 @@ func (in *Interner) Intern(k lattice.Key) ConstraintID {
 func (in *Interner) Lookup(k lattice.Key) (ConstraintID, bool) {
 	in.mu.RLock()
 	id, ok := in.ids[string(k)]
+	in.mu.RUnlock()
+	return id, ok
+}
+
+// LookupConstraint is Lookup for a materialised constraint, with the key
+// built in stack scratch like InternTuple's: sizing a fact's skyline
+// allocates nothing.
+func (in *Interner) LookupConstraint(c lattice.Constraint) (ConstraintID, bool) {
+	var scratch [lattice.KeyScratch]byte
+	buf := c.AppendKey(scratch[:0])
+	in.mu.RLock()
+	id, ok := in.ids[string(buf)]
 	in.mu.RUnlock()
 	return id, ok
 }

@@ -3,11 +3,12 @@ package situfact
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 
 	"repro/internal/core"
 	"repro/internal/factindex"
+	"repro/internal/lattice"
 	"repro/internal/prominence"
 	"repro/internal/relation"
 	"repro/internal/store"
@@ -99,6 +100,11 @@ type Condition struct {
 }
 
 // Fact is one discovered situational fact, decoded for human consumption.
+//
+// Conditions and Measures are read-only: the facts of one arrival that
+// share a context (or a measure subspace) share one backing array for it.
+// The slices are capped at their length, so appending to one copies and
+// leaves the neighbours alone; writing an element in place does not.
 type Fact struct {
 	// Conditions is the conjunctive context constraint; empty means the
 	// whole table.
@@ -125,7 +131,9 @@ func (f Fact) String() string {
 		if i > 0 {
 			b.WriteString(" ∧ ")
 		}
-		fmt.Fprintf(&b, "%s=%s", c.Attr, c.Value)
+		b.WriteString(c.Attr)
+		b.WriteByte('=')
+		b.WriteString(c.Value)
 	}
 	b.WriteString(" | {")
 	b.WriteString(strings.Join(f.Measures, ", "))
@@ -222,6 +230,8 @@ type Engine struct {
 	// serve queries anyway).
 	fidx *factindex.Index
 
+	dec factDecoder
+
 	// construction parameters retained for snapshots
 	algorithm  Algorithm
 	maxBound   int
@@ -274,7 +284,9 @@ func New(schema *Schema, opt Options) (*Engine, error) {
 		if err != nil {
 			return fail(err)
 		}
-		return &Engine{schema: rs, table: relation.NewTable(rs), disc: sb, fileSt: fileSt}, nil
+		eng := &Engine{schema: rs, table: relation.NewTable(rs), disc: sb, fileSt: fileSt}
+		eng.dec = newFactDecoder(rs, eng.table.Dict(), maxBound)
+		return eng, nil
 	}
 	disc, err := core.NewDiscoverer(string(algo), cfg)
 	if err != nil {
@@ -294,6 +306,7 @@ func New(schema *Schema, opt Options) (*Engine, error) {
 		maxBound:   maxBound,
 		maxMeasure: maxMeasure,
 	}
+	eng.dec = newFactDecoder(rs, eng.table.Dict(), maxBound)
 	if !opt.DisableProminence {
 		if sizer == nil {
 			return fail(fmt.Errorf("situfact: prominence tracking requires a lattice algorithm (BottomUp/TopDown family); %q has no µ store", algo))
@@ -323,43 +336,126 @@ func (e *Engine) Append(dims []string, measures []float64) (*Arrival, error) {
 	if err != nil {
 		return nil, err
 	}
-	raw := e.disc.Process(tu)
-	arr := &Arrival{TupleID: tu.ID}
-	if e.counter != nil {
-		e.counter.Observe(tu)
-		scored := prominence.Score(raw, e.counter, e.sizer)
-		arr.Facts = make([]Fact, 0, len(scored))
-		for _, sf := range scored {
-			f := e.decode(sf.Fact)
-			f.ContextSize = sf.ContextSize
-			f.SkylineSize = sf.SkylineSize
-			f.Prominence = sf.Prominence
-			arr.Facts = append(arr.Facts, f)
-		}
-		return arr, nil
-	}
-	arr.Facts = make([]Fact, 0, len(raw))
-	for _, rf := range raw {
-		arr.Facts = append(arr.Facts, e.decode(rf))
-	}
-	sort.Slice(arr.Facts, func(i, j int) bool {
-		return arr.Facts[i].String() < arr.Facts[j].String()
-	})
-	return arr, nil
+	return e.arrival(tu, e.disc.Process(tu)), nil
 }
 
-func (e *Engine) decode(rf core.Fact) Fact {
-	f := Fact{Measures: subspace.Names(rf.Subspace, e.schema)}
-	for i, v := range rf.Constraint.Vals {
-		if v < 0 {
-			continue
+// arrival is everything Append does after discovery: it folds tu into the
+// context counters, scores the facts discovery found for it and decodes
+// them, sorted. Its cost follows the distinct constraints of the arrival,
+// not its facts, apart from the one slice of each.
+func (e *Engine) arrival(tu *relation.Tuple, raw []core.Fact) *Arrival {
+	arr := &Arrival{TupleID: tu.ID, Facts: make([]Fact, len(raw))}
+	defer e.dec.endArrival()
+	if e.counter != nil {
+		e.counter.Observe(tu)
+		for i, sf := range prominence.Score(raw, e.counter, e.sizer) {
+			arr.Facts[i] = Fact{
+				Conditions:  e.dec.conditions(sf.Constraint),
+				Measures:    e.dec.measures(sf.Subspace),
+				ContextSize: sf.ContextSize,
+				SkylineSize: sf.SkylineSize,
+				Prominence:  sf.Prominence,
+			}
 		}
-		f.Conditions = append(f.Conditions, Condition{
-			Attr:  e.schema.Dim(i).Name,
-			Value: e.table.Dict().Decode(i, v),
-		})
+		return arr
 	}
-	return f
+	// Without prominence the order is that of the rendered facts; each is
+	// rendered once, not once per comparison.
+	type rendered struct {
+		text string
+		fact Fact
+	}
+	byText := make([]rendered, len(raw))
+	for i, rf := range raw {
+		f := Fact{Conditions: e.dec.conditions(rf.Constraint), Measures: e.dec.measures(rf.Subspace)}
+		byText[i] = rendered{f.String(), f}
+	}
+	slices.SortFunc(byText, func(a, b rendered) int { return strings.Compare(a.text, b.text) })
+	for i, r := range byText {
+		arr.Facts[i] = r.fact
+	}
+	return arr
+}
+
+// factDecoder turns the coded facts of one arrival into Facts without
+// decoding anything twice: an arrival has thousands of facts but they draw
+// on at most 2^d contexts and 2^m measure subspaces.
+type factDecoder struct {
+	schema *relation.Schema
+	dict   *relation.Dict
+
+	// names[M] is the measure-name list of subspace M, built on first use
+	// and never written again; every fact over M shares it.
+	names [][]string
+
+	// byMask[b] is the decoded context of the current arrival's constraint
+	// binding the attributes in b. Every constraint of one arrival is a
+	// member of C^t, so the bound mask identifies it. The entries belong to
+	// the arrival being built: endArrival drops them (filled lists which),
+	// and the slices themselves are carved from arena, which is allocated
+	// fresh and never written again once handed out.
+	byMask [][]Condition
+	filled []lattice.Mask
+	arena  []Condition
+	chunk  int // arena allocation size: room for all of C^t when that is small
+}
+
+func newFactDecoder(rs *relation.Schema, dict *relation.Dict, maxBound int) factDecoder {
+	chunk := 0
+	for _, m := range lattice.CtMasks(rs.NumDims(), maxBound) {
+		chunk += lattice.PopCount(m)
+	}
+	return factDecoder{
+		schema: rs,
+		dict:   dict,
+		names:  make([][]string, 1<<uint(rs.NumMeasures())),
+		byMask: make([][]Condition, 1<<uint(rs.NumDims())),
+		chunk:  min(chunk, 256),
+	}
+}
+
+// measures returns the shared name list of subspace m.
+func (d *factDecoder) measures(m subspace.Mask) []string {
+	names := d.names[m]
+	if names == nil {
+		names = subspace.Names(m, d.schema)
+		names = names[:len(names):len(names)]
+		d.names[m] = names
+	}
+	return names
+}
+
+// conditions returns the decoded context of c, shared by every fact of the
+// current arrival with that constraint; nil for ⊤.
+func (d *factDecoder) conditions(c lattice.Constraint) []Condition {
+	bound := c.BoundMask()
+	if conds := d.byMask[bound]; conds != nil || bound == 0 {
+		return conds
+	}
+	if n := lattice.PopCount(bound); cap(d.arena)-len(d.arena) < n {
+		d.arena = make([]Condition, 0, max(d.chunk, n))
+	}
+	start := len(d.arena)
+	for i, v := range c.Vals {
+		if v != lattice.Wildcard {
+			d.arena = append(d.arena, Condition{Attr: d.schema.Dim(i).Name, Value: d.dict.Decode(i, v)})
+		}
+	}
+	conds := d.arena[start:len(d.arena):len(d.arena)]
+	d.byMask[bound] = conds
+	d.filled = append(d.filled, bound)
+	return conds
+}
+
+// endArrival forgets the arrival's contexts: the next arrival binds other
+// values under the same masks, and what was handed out is now the
+// caller's.
+func (d *factDecoder) endArrival() {
+	for _, b := range d.filled {
+		d.byMask[b] = nil
+	}
+	d.filled = d.filled[:0]
+	d.arena = nil
 }
 
 // Delete retracts a previously appended tuple by ID — the paper's §VIII
