@@ -121,9 +121,8 @@ func (a *BottomUp) traverse(t *relation.Tuple, m subspace.Mask, root bool, facts
 		}
 	}
 	stride, tv, idx := a.vw+1, t.Oriented, a.midx[m]
-	for len(a.queue) > 0 {
-		c := a.queue[0]
-		a.queue = a.queue[1:]
+	for head := 0; head < len(a.queue); head++ {
+		c := a.queue[head]
 		if a.pruned[c] == a.epoch {
 			// Pruned after being enqueued; its parents are pruned too
 			// (pruned sets are submask-closed), so drop the branch.

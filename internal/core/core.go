@@ -123,6 +123,9 @@ type base struct {
 	met Metrics
 
 	// Epoch-stamped per-mask scratch (avoids O(2^d) clearing per subspace).
+	// queue is one pass's traversal order: a pass truncates it, appends each
+	// mask at most once and walks it by index, so its storage — at most 2^d
+	// masks — is allocated once per algorithm instance, not once per pass.
 	epoch    uint32
 	pruned   []uint32
 	inQueue  []uint32

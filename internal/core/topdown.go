@@ -101,9 +101,8 @@ func (a *TopDown) traverseRoot(t *relation.Tuple, m subspace.Mask, record bool, 
 	a.queue = append(a.queue[:0], 0) // ⊤
 	a.inQueue[0] = a.epoch
 	stride, tv, idx := a.vw+1, t.Oriented, a.midx[m]
-	for len(a.queue) > 0 {
-		c := a.queue[0]
-		a.queue = a.queue[1:]
+	for head := 0; head < len(a.queue); head++ {
+		c := a.queue[head]
 		a.met.Traversed++
 		ref := a.cellRef(t, c, m)
 		cell := a.st.Load(ref)
@@ -179,9 +178,8 @@ func (a *TopDown) traverseNode(t *relation.Tuple, m subspace.Mask, facts []Fact)
 	a.queue = append(a.queue[:0], 0)
 	a.inQueue[0] = a.epoch
 	stride, tv, idx := a.vw+1, t.Oriented, a.midx[m]
-	for len(a.queue) > 0 {
-		c := a.queue[0]
-		a.queue = a.queue[1:]
+	for head := 0; head < len(a.queue); head++ {
+		c := a.queue[head]
 		if a.pruned[c] != a.epoch {
 			// Only non-pruned constraints are truly "visited" (cell
 			// examined); pruned ones are skipped over by the walk, which

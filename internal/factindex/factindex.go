@@ -1,5 +1,5 @@
 // Package factindex is the incremental fact index: an ordered set of the
-// µ(C,M) store's live cell coordinates, keyed exactly the way the query
+// µ(C,M) store's live cell coordinates, iterated exactly the way the query
 // surface orders its results — raw constraint-key bytes first, subspace
 // mask second. It is maintained in lockstep with the write path (one
 // Insert when a cell comes into existence, one Delete when it is
@@ -7,68 +7,82 @@
 // forward O(page) instead of re-collecting and re-sorting every live cell
 // per page.
 //
-// The structure is a plain in-memory B-tree. Keys are stored as Go
-// strings sharing the store interner's backing bytes, so the index adds
-// ~2 words per cell on top of the store itself. Concurrency follows the
-// store's own discipline: mutations happen under the owning shard's
-// write lock, iteration under its read lock — the tree itself takes no
-// locks and must not be mutated while an Iter is live.
+// The structure has two levels, because cells come and go thousands at a
+// time while the constraints they sit under change slowly. The upper level
+// is an in-memory B-tree over the constraints that have at least one live
+// cell, ordered by key; each entry carries the constraint's interned id.
+// The lower level is, per constraint id, the ascending list of its live
+// subspace masks. Insert and Delete address a constraint by id — an array
+// lookup — and edit its short mask list; the tree, the key string and the
+// keyOf callback are touched only when a constraint gains its first cell
+// or loses its last. Keys are Go strings sharing the store interner's
+// backing bytes, so the index costs about four bytes per cell plus six
+// words per constraint on top of the store itself.
+//
+// Concurrency follows the store's own discipline: mutations happen under
+// the owning shard's write lock, iteration under its read lock — the index
+// itself takes no locks and must not be mutated while an Iter is live.
 package factindex
 
-import "sync/atomic"
+import (
+	"slices"
+	"sync/atomic"
+)
 
 // Entry is one indexed cell coordinate: the canonical constraint key
-// bytes and the measure-subspace mask.
+// bytes, the id the store interned them under, and the measure-subspace
+// mask. Entries iterate in (Key bytes, Mask) order; ID is a function of
+// Key.
 type Entry struct {
 	Key  string
+	ID   uint32
 	Mask uint32
 }
 
-// less orders entries by (key bytes, mask) — byte-string lexicographic on
-// the key, numeric on the mask. This must stay identical to the query
-// path's result ordering: cursors are (key, mask) positions in this
-// exact order.
-func less(a, b Entry) bool {
-	if a.Key != b.Key {
-		return a.Key < b.Key
-	}
-	return a.Mask < b.Mask
+// constraint is one item of the upper level: a constraint with live cells.
+type constraint struct {
+	key string
+	id  uint32
 }
 
+// less orders the upper level by key bytes, lexicographically. Together
+// with the ascending mask lists this must stay identical to the query
+// path's result ordering: cursors are (key, mask) positions in that order.
+func less(a, b string) bool { return a < b }
+
 // B-tree node arity. 31 items per node keeps splits cheap (a split
-// copies ~16 entries) while staying 3 levels deep past a million cells.
+// copies ~16 entries) while staying 3 levels deep past ten thousand
+// constraints.
 const (
 	maxItems = 31
 	minItems = maxItems / 2
 )
 
 type node struct {
-	items    []Entry // ordered; len ≥ 1 except a just-emptied root
-	children []*node // nil for leaves; len == len(items)+1 otherwise
+	items    []constraint // ordered; len ≥ 1 except a just-emptied root
+	children []*node      // nil for leaves; len == len(items)+1 otherwise
 }
 
-// find returns the position of the first item ≥ e, and whether it equals e.
-func (n *node) find(e Entry) (int, bool) {
+// find returns the position of the first item with key ≥ key, and whether
+// it equals key.
+func (n *node) find(key string) (int, bool) {
 	lo, hi := 0, len(n.items)
 	for lo < hi {
 		mid := (lo + hi) / 2
-		if less(n.items[mid], e) {
+		if less(n.items[mid].key, key) {
 			lo = mid + 1
 		} else {
 			hi = mid
 		}
 	}
-	if lo < len(n.items) && !less(e, n.items[lo]) {
-		return lo, true
-	}
-	return lo, false
+	return lo, lo < len(n.items) && n.items[lo].key == key
 }
 
 // split divides the node at item i, returning the separator and the new
 // right sibling.
-func (n *node) split(i int) (Entry, *node) {
+func (n *node) split(i int) (constraint, *node) {
 	mid := n.items[i]
-	right := &node{items: append(make([]Entry, 0, maxItems), n.items[i+1:]...)}
+	right := &node{items: append(make([]constraint, 0, maxItems), n.items[i+1:]...)}
 	n.items = n.items[:i]
 	if n.children != nil {
 		right.children = append(make([]*node, 0, maxItems+1), n.children[i+1:]...)
@@ -77,73 +91,55 @@ func (n *node) split(i int) (Entry, *node) {
 	return mid, right
 }
 
-// insert adds e under n (known non-full), reporting whether the set grew
-// (false = e was already present).
-func (n *node) insert(e Entry) bool {
-	i, found := n.find(e)
-	if found {
-		return false
-	}
+// insert adds c under n (known non-full); c's key must not be present.
+func (n *node) insert(c constraint) {
+	i, _ := n.find(c.key)
 	if n.children == nil {
-		n.items = append(n.items, Entry{})
-		copy(n.items[i+1:], n.items[i:])
-		n.items[i] = e
-		return true
+		n.items = slices.Insert(n.items, i, c)
+		return
 	}
 	if child := n.children[i]; len(child.items) == maxItems {
 		mid, right := child.split(maxItems / 2)
-		n.items = append(n.items, Entry{})
-		copy(n.items[i+1:], n.items[i:])
-		n.items[i] = mid
-		n.children = append(n.children, nil)
-		copy(n.children[i+2:], n.children[i+1:])
-		n.children[i+1] = right
-		switch {
-		case less(mid, e):
+		n.items = slices.Insert(n.items, i, mid)
+		n.children = slices.Insert(n.children, i+1, right)
+		if less(mid.key, c.key) {
 			i++
-		case !less(e, mid): // e == mid: the separator IS the entry
-			return false
 		}
 	}
-	return n.children[i].insert(e)
+	n.children[i].insert(c)
 }
 
-// delete removes e from the subtree under n, reporting whether it was
+// delete removes key from the subtree under n, reporting whether it was
 // present. The caller guarantees len(n.items) > minItems unless n is the
 // root (the grow-before-descend discipline below maintains it).
-func (n *node) delete(e Entry) bool {
-	i, found := n.find(e)
+func (n *node) delete(key string) bool {
+	i, found := n.find(key)
 	if n.children == nil {
 		if !found {
 			return false
 		}
-		copy(n.items[i:], n.items[i+1:])
-		n.items = n.items[:len(n.items)-1]
-		return true
-	}
-	if found {
-		// e separates two subtrees: replace it with its in-order
-		// predecessor (the max of the left subtree), removed from there.
-		if len(n.children[i].items) <= minItems {
-			n.grow(i)
-			return n.delete(e) // indices shifted; retry from this node
-		}
-		n.items[i] = n.children[i].removeMax()
+		n.items = slices.Delete(n.items, i, i+1)
 		return true
 	}
 	if len(n.children[i].items) <= minItems {
 		n.grow(i)
-		return n.delete(e)
+		return n.delete(key) // indices shifted; retry from this node
 	}
-	return n.children[i].delete(e)
+	if found {
+		// key separates two subtrees: replace it with its in-order
+		// predecessor (the max of the left subtree), removed from there.
+		n.items[i] = n.children[i].removeMax()
+		return true
+	}
+	return n.children[i].delete(key)
 }
 
-// removeMax extracts the subtree's largest entry.
-func (n *node) removeMax() Entry {
+// removeMax extracts the subtree's largest item.
+func (n *node) removeMax() constraint {
 	if n.children == nil {
-		e := n.items[len(n.items)-1]
+		c := n.items[len(n.items)-1]
 		n.items = n.items[:len(n.items)-1]
-		return e
+		return c
 	}
 	i := len(n.children) - 1
 	if len(n.children[i].items) <= minItems {
@@ -159,17 +155,12 @@ func (n *node) grow(i int) {
 	if i > 0 && len(n.children[i-1].items) > minItems {
 		// Rotate right: left sibling's max → separator → child's front.
 		child, left := n.children[i], n.children[i-1]
-		child.items = append(child.items, Entry{})
-		copy(child.items[1:], child.items)
-		child.items[0] = n.items[i-1]
+		child.items = slices.Insert(child.items, 0, n.items[i-1])
 		n.items[i-1] = left.items[len(left.items)-1]
 		left.items = left.items[:len(left.items)-1]
 		if left.children != nil {
-			mv := left.children[len(left.children)-1]
+			child.children = slices.Insert(child.children, 0, left.children[len(left.children)-1])
 			left.children = left.children[:len(left.children)-1]
-			child.children = append(child.children, nil)
-			copy(child.children[1:], child.children)
-			child.children[0] = mv
 		}
 		return
 	}
@@ -178,12 +169,10 @@ func (n *node) grow(i int) {
 		child, right := n.children[i], n.children[i+1]
 		child.items = append(child.items, n.items[i])
 		n.items[i] = right.items[0]
-		copy(right.items, right.items[1:])
-		right.items = right.items[:len(right.items)-1]
+		right.items = slices.Delete(right.items, 0, 1)
 		if right.children != nil {
 			child.children = append(child.children, right.children[0])
-			copy(right.children, right.children[1:])
-			right.children = right.children[:len(right.children)-1]
+			right.children = slices.Delete(right.children, 0, 1)
 		}
 		return
 	}
@@ -195,28 +184,36 @@ func (n *node) grow(i int) {
 	left.items = append(left.items, n.items[i])
 	left.items = append(left.items, right.items...)
 	left.children = append(left.children, right.children...)
-	copy(n.items[i:], n.items[i+1:])
-	n.items = n.items[:len(n.items)-1]
-	copy(n.children[i+1:], n.children[i+2:])
-	n.children = n.children[:len(n.children)-1]
+	n.items = slices.Delete(n.items, i, i+1)
+	n.children = slices.Delete(n.children, i+1, i+2)
 }
 
 // Index is the per-shard incremental fact index. See the package note for
-// the locking discipline.
+// the structure and the locking discipline.
 type Index struct {
-	root *node
-	len  int
+	// keyOf decodes a constraint id to its key bytes (the store interner's
+	// Key); called when a constraint enters or leaves the tree, never per
+	// cell.
+	keyOf func(id uint32) string
+
+	root *node // the constraints with live cells, by key
+	// masks[id] is constraint id's live subspace masks, ascending; the
+	// constraint is in the tree exactly when the list is non-empty.
+	masks [][]uint32
+	len   int // live cells: Σ len(masks[id])
 
 	// inserts/deletes are cumulative maintenance counters, mutated under
-	// the same (write) lock as the tree; seeks counts iterator seek
+	// the same (write) lock as the structure; seeks counts iterator seek
 	// operations and is atomic because readers bump it under a shared lock.
 	inserts uint64
 	deletes uint64
 	seeks   atomic.Uint64
 }
 
-// New returns an empty index.
-func New() *Index { return &Index{} }
+// New returns an empty index over constraints identified by dense ids;
+// keyOf must map an id to the same key bytes for the index's lifetime, and
+// distinct ids to distinct keys.
+func New(keyOf func(id uint32) string) *Index { return &Index{keyOf: keyOf} }
 
 // Len returns the number of indexed cells.
 func (ix *Index) Len() int { return ix.len }
@@ -225,8 +222,9 @@ func (ix *Index) Len() int { return ix.len }
 type Stats struct {
 	// Entries is the live indexed cell count.
 	Entries int
-	// Inserts and Deletes count maintenance operations since creation
-	// (snapshot restore and WAL replay rebuild through Inserts too).
+	// Inserts and Deletes count per-cell maintenance operations since
+	// creation (snapshot restore and WAL replay rebuild through Inserts
+	// too).
 	Inserts uint64
 	Deletes uint64
 	// Seeks counts iterator seek operations (cursor positioning and
@@ -241,33 +239,60 @@ func (ix *Index) Stats() Stats {
 }
 
 // Insert adds the cell coordinate (idempotent).
-func (ix *Index) Insert(key string, mask uint32) {
+func (ix *Index) Insert(id, mask uint32) {
 	ix.inserts++
-	e := Entry{Key: key, Mask: mask}
+	if int(id) >= len(ix.masks) {
+		ix.masks = append(ix.masks, make([][]uint32, int(id)+1-len(ix.masks))...)
+	}
+	run := ix.masks[id]
+	// Discovery and snapshot restore present a constraint's cells in
+	// (mostly) ascending mask order: past the last mask there is nothing to
+	// search.
+	i := len(run)
+	if i > 0 && run[i-1] >= mask {
+		var found bool
+		if i, found = slices.BinarySearch(run, mask); found {
+			return
+		}
+	} else if i == 0 {
+		ix.insertConstraint(constraint{key: ix.keyOf(id), id: id})
+	}
+	ix.masks[id] = slices.Insert(run, i, mask)
+	ix.len++
+}
+
+func (ix *Index) insertConstraint(c constraint) {
 	if ix.root == nil {
-		ix.root = &node{items: append(make([]Entry, 0, maxItems), e)}
-		ix.len = 1
-		return
+		ix.root = &node{items: make([]constraint, 0, maxItems)}
 	}
 	if len(ix.root.items) == maxItems {
 		left := ix.root
 		mid, right := left.split(maxItems / 2)
-		ix.root = &node{items: []Entry{mid}, children: []*node{left, right}}
+		ix.root = &node{items: []constraint{mid}, children: []*node{left, right}}
 	}
-	if ix.root.insert(e) {
-		ix.len++
-	}
+	ix.root.insert(c)
 }
 
 // Delete removes the cell coordinate (idempotent).
-func (ix *Index) Delete(key string, mask uint32) {
+func (ix *Index) Delete(id, mask uint32) {
 	ix.deletes++
-	if ix.root == nil {
+	if int(id) >= len(ix.masks) {
 		return
 	}
-	if ix.root.delete(Entry{Key: key, Mask: mask}) {
-		ix.len--
+	run := ix.masks[id]
+	i, found := slices.BinarySearch(run, mask)
+	if !found {
+		return
 	}
+	ix.len--
+	if len(run) > 1 {
+		ix.masks[id] = slices.Delete(run, i, i+1)
+		return
+	}
+	// The constraint's last cell: it leaves the tree, and its list's
+	// storage goes with it.
+	ix.masks[id] = nil
+	ix.root.delete(ix.keyOf(id))
 	if len(ix.root.items) == 0 {
 		if ix.root.children == nil {
 			ix.root = nil
@@ -285,11 +310,15 @@ type frame struct {
 	i int
 }
 
-// Iter is a forward iterator. It holds a path into the tree, so the tree
-// must not be mutated while the Iter is in use.
+// Iter is a forward iterator. It holds a path into the tree and a
+// position in the current constraint's mask list, so the index must not be
+// mutated while the Iter is in use.
 type Iter struct {
 	ix    *Index
 	stack []frame
+	cur   constraint // the constraint under the iterator, when Valid
+	run   []uint32   // its live masks
+	j     int        // position in run
 }
 
 // Seek returns an iterator positioned at the first entry ≥ (key, mask).
@@ -301,26 +330,44 @@ func (ix *Index) Seek(key string, mask uint32) *Iter {
 
 // SeekGE repositions the iterator at the first entry ≥ (key, mask),
 // invalid when none exists. Re-seeking an existing iterator reuses its
-// path storage — the predicate-pushdown skip path.
+// path storage — the predicate-pushdown skip path — and a seek within the
+// constraint the iterator already stands on does not descend the tree.
 func (it *Iter) SeekGE(key string, mask uint32) {
 	it.ix.seeks.Add(1)
-	it.stack = it.stack[:0]
-	e := Entry{Key: key, Mask: mask}
-	n := it.ix.root
-	for n != nil {
-		i, found := n.find(e)
-		it.stack = append(it.stack, frame{n: n, i: i})
-		if found || n.children == nil {
-			break
+	if len(it.stack) == 0 || it.cur.key != key {
+		it.stack = it.stack[:0]
+		for n := it.ix.root; n != nil; {
+			i, found := n.find(key)
+			it.stack = append(it.stack, frame{n: n, i: i})
+			if found || n.children == nil {
+				break
+			}
+			n = n.children[i]
 		}
-		n = n.children[i]
+		it.popToValid()
+		if !it.enter() || it.cur.key != key {
+			return // at the first mask of the first constraint after key
+		}
 	}
-	it.popToValid()
+	if it.j, _ = slices.BinarySearch(it.run, mask); it.j == len(it.run) {
+		it.nextConstraint()
+	}
+}
+
+// enter loads the constraint the path names, at its first mask; false when
+// the path is exhausted.
+func (it *Iter) enter() bool {
+	if len(it.stack) == 0 {
+		return false
+	}
+	top := it.stack[len(it.stack)-1]
+	it.cur = top.n.items[top.i]
+	it.run, it.j = it.ix.masks[it.cur.id], 0
+	return true
 }
 
 // popToValid discards exhausted frames until the top frame names a live
-// item (the iterator's current entry) or the stack empties (iteration
-// done).
+// item or the stack empties (iteration done).
 func (it *Iter) popToValid() {
 	for len(it.stack) > 0 {
 		top := it.stack[len(it.stack)-1]
@@ -331,13 +378,33 @@ func (it *Iter) popToValid() {
 	}
 }
 
+// nextConstraint advances the path to the next constraint in key order.
+func (it *Iter) nextConstraint() {
+	top := &it.stack[len(it.stack)-1]
+	n := top.n
+	top.i++
+	if n.children != nil {
+		// The subtree between the just-visited item and the next one comes
+		// first: descend its left spine down to a leaf (a non-root node
+		// always holds ≥ minItems items).
+		for c := n.children[top.i]; ; c = c.children[0] {
+			it.stack = append(it.stack, frame{n: c})
+			if c.children == nil {
+				break
+			}
+		}
+	} else {
+		it.popToValid()
+	}
+	it.enter()
+}
+
 // Valid reports whether the iterator is positioned on an entry.
 func (it *Iter) Valid() bool { return len(it.stack) > 0 }
 
 // Entry returns the current entry; the iterator must be Valid.
 func (it *Iter) Entry() Entry {
-	top := it.stack[len(it.stack)-1]
-	return top.n.items[top.i]
+	return Entry{Key: it.cur.key, ID: it.cur.id, Mask: it.run[it.j]}
 }
 
 // Next advances to the next entry in (key, mask) order.
@@ -345,18 +412,7 @@ func (it *Iter) Next() {
 	if len(it.stack) == 0 {
 		return
 	}
-	top := &it.stack[len(it.stack)-1]
-	n := top.n
-	top.i++
-	if n.children != nil {
-		// The subtree between the just-visited item and the next one comes
-		// first: descend its left spine down to a leaf.
-		for c := n.children[top.i]; ; c = c.children[0] {
-			it.stack = append(it.stack, frame{n: c})
-			if c.children == nil {
-				return // a non-root node always holds ≥ minItems entries
-			}
-		}
+	if it.j++; it.j == len(it.run) {
+		it.nextConstraint()
 	}
-	it.popToValid()
 }

@@ -12,6 +12,7 @@ package prominence
 
 import (
 	"cmp"
+	"math"
 	"math/bits"
 	"slices"
 
@@ -40,97 +41,246 @@ type ContextSizer interface {
 // Score computes the prominence of every fact and returns them sorted in
 // descending prominence (ties broken by more bound attributes first, then
 // smaller subspace, for stable and intuition-friendly output; the final
-// tie-break is the byte order of the constraints' store keys).
-//
-// The facts of one arrival number in the thousands but draw their
-// constraints from the at most 2^d members of C^t, so everything that
-// depends on the constraint alone — the context size and the bound count —
-// is resolved once per distinct constraint, and each fact's sort key is
-// computed once, not once per comparison.
+// tie-break is the byte order of the constraints' store keys). It is
+// Ranker.Rank written out as a slice.
 func Score(facts []core.Fact, ctx ContextSizer, sky core.SkylineSizer) []ScoredFact {
-	memo := contextMemo{
-		index: make(map[string]int32, min(len(facts), 32)),
-		ents:  make([]contextEntry, 0, min(len(facts), 32)),
-	}
-	keys := make([]sortKey, len(facts))
-	for i, f := range facts {
-		ci := memo.resolve(f.Constraint, ctx)
-		ent := &memo.ents[ci]
-		ss := sky.SkylineSize(f.Constraint, f.Subspace)
-		k := sortKey{
-			rank:    uint64(^ent.bound)<<40 | uint64(subspace.Size(f.Subspace))<<32 | uint64(f.Subspace),
-			skyline: ss,
-			context: ci,
-			fact:    int32(i),
-		}
-		if ss > 0 {
-			k.prominence = float64(ent.size) / float64(ss)
-		}
-		keys[i] = k
-	}
-	slices.SortFunc(keys, func(a, b sortKey) int {
-		switch {
-		case a.prominence > b.prominence:
-			return -1
-		case a.prominence < b.prominence:
-			return 1
-		case a.rank != b.rank:
-			return cmp.Compare(a.rank, b.rank)
-		case a.context == b.context:
-			return 0
-		}
-		return compareKeyOrder(memo.ents[a.context].vals, memo.ents[b.context].vals)
-	})
-	out := make([]ScoredFact, len(keys))
-	for i, k := range keys {
-		out[i] = ScoredFact{
-			Fact:        facts[k.fact],
-			ContextSize: memo.ents[k.context].size,
-			SkylineSize: k.skyline,
-			Prominence:  k.prominence,
-		}
+	var r Ranker
+	r.Rank(facts, ctx, sky)
+	out := make([]ScoredFact, r.Len())
+	for i := range out {
+		out[i] = r.At(i)
 	}
 	return out
 }
 
-// sortKey is everything Score's ordering reads about one fact.
-type sortKey struct {
-	prominence float64
-	// rank packs the tie-breaks after prominence so that smaller sorts
-	// first: inverted bound count, subspace size, subspace mask.
-	rank    uint64
-	skyline int
-	context int32 // the constraint's contextMemo entry
-	fact    int32 // position in the input
-}
+// Ranker computes Score's ranking without writing it out: Rank orders the
+// facts, At reads the i-th of them. A Ranker keeps its working storage from
+// one Rank to the next, so an engine that ranks every arrival through its
+// own Ranker allocates nothing for it once warm; the zero value is ready.
+// It refers to its last input until the next Rank, and is not safe for
+// concurrent use.
+//
+// The facts of one arrival number in the thousands but draw their
+// constraints from the at most 2^d members of C^t, so everything that
+// depends on the constraint alone — the context size, the bound count, its
+// id in the skyline sizer's store, its place in key order — is resolved
+// once per distinct constraint, and the sort reads nothing but three
+// integers per fact.
+type Ranker struct {
+	facts []core.Fact
+	words [numWords][]uint64 // what the order reads, by input position
+	sky   []int              // skyline size, by input position
+	perm  []uint32           // the ranking: input positions, best first
+	spare []uint32           // the sort's other buffer
 
-// contextMemo holds what Score knows about each distinct constraint of its
-// input. Constraints are identified by value — equal constraints from
-// different tuples carry different Vals slices — through their key bytes,
-// built in stack scratch so that only the first sight of a constraint
-// allocates.
-type contextMemo struct {
-	index map[string]int32 // constraint key → position in ents
+	// The distinct constraints of the input. Constraints are identified by
+	// value — equal constraints from different tuples carry different Vals
+	// slices — and found without building or hashing their key bytes:
+	// heads buckets them by bound mask (within one arrival the bound mask
+	// IS the constraint), next chains the ones sharing a bucket, and a
+	// probe compares values.
 	ents  []contextEntry
+	heads []int32 // bucket → 1 + position in ents of the chain's first entry
+	order []int32 // ents positions in key order
 }
 
 type contextEntry struct {
-	vals  []int32
-	size  int64  // |σ_C(R)|
-	bound uint16 // bound(C)
+	vals   []int32
+	size   int64  // |σ_C(R)|
+	rank   uint64 // the constraint's part of a fact's wordRank
+	id     uint32 // ConstraintSizer's id for the constraint, when stored
+	stored bool
+	bucket uint32
+	next   int32  // 1 + position of the next entry in the bucket, 0 at the end
+	ord    uint32 // position in key order among ents
 }
 
-// resolve returns the entry index of c, sizing its context on first sight.
-func (m *contextMemo) resolve(c lattice.Constraint, ctx ContextSizer) int32 {
-	var scratch [lattice.KeyScratch]byte
-	key := c.AppendKey(scratch[:0])
-	i, ok := m.index[string(key)]
-	if !ok {
-		i = int32(len(m.ents))
-		m.ents = append(m.ents, contextEntry{vals: c.Vals, size: ctx.ContextSize(c), bound: uint16(c.Bound())})
-		m.index[string(key)] = i
+// The ordering reads three integers about each fact, held in words by
+// input position; facts rank by them ascending, first word most
+// significant.
+const (
+	// wordProminence is the fact's prominence, mapped so that a larger
+	// prominence is a smaller integer.
+	wordProminence = iota
+	// wordRank packs the tie-breaks after prominence: inverted bound count,
+	// subspace size, subspace mask.
+	wordRank
+	// wordOrd is the constraint's position in key order, the last
+	// tie-break. (While the facts are being scored it is the constraint's
+	// position in ents, which At finds again through order.)
+	wordOrd
+	numWords
+)
+
+// sort fills perm with the input positions in ranking order: a stable LSD
+// radix sort of the positions, by the bytes of the words that differ
+// between facts at all — about a dozen of the twenty-four at the paper's
+// shape: most of prominence's, one each for mask, size, bound count and
+// ordinal. Facts equal in every word keep their input order.
+func (r *Ranker) sort() {
+	n := len(r.facts)
+	r.perm, r.spare = sized(r.perm, n), sized(r.spare, n)
+	for i := range r.perm {
+		r.perm[i] = uint32(i)
 	}
-	return i
+	if n < 2 {
+		return
+	}
+	for w := numWords - 1; w >= 0; w-- {
+		word := r.words[w]
+		var differ uint64
+		for _, v := range word {
+			differ |= v ^ word[0]
+		}
+		for shift := 0; differ>>shift != 0; shift += 8 {
+			if differ>>shift&0xff == 0 {
+				continue
+			}
+			var next [256]uint32
+			for _, v := range word {
+				next[uint8(v>>shift)]++
+			}
+			at := uint32(0)
+			for d, c := range next {
+				next[d], at = at, at+c
+			}
+			for _, pos := range r.perm {
+				d := uint8(word[pos] >> shift)
+				r.spare[next[d]] = pos
+				next[d]++
+			}
+			r.perm, r.spare = r.spare, r.perm
+		}
+	}
+}
+
+// sized returns s at length n, in its own storage when that is large
+// enough; the contents are whatever was there.
+func sized[T any](s []T, n int) []T { return slices.Grow(s[:0], n)[:n] }
+
+// descending maps a float to an integer that orders the other way round:
+// a > b ⇔ descending(a) < descending(b), for any two non-NaN floats.
+func descending(f float64) uint64 {
+	b := math.Float64bits(f)
+	if b>>63 != 0 {
+		return b // negatives last, the most negative last of all
+	}
+	return ^b &^ (1 << 63)
+}
+
+// ascending is the inverse of descending.
+func ascending(u uint64) float64 {
+	if u>>63 != 0 {
+		return math.Float64frombits(u)
+	}
+	return math.Float64frombits(^u &^ (1 << 63))
+}
+
+// maxBucketBits caps the bucket table at 4096 slots however wide the
+// constraints are; wider bound masks share buckets.
+const maxBucketBits = 12
+
+// Rank orders facts as Score documents. ctx is asked once per distinct
+// constraint. When sky is a core.ConstraintSizer it resolves each distinct
+// constraint once and sizes every fact by id; any other sizer is asked
+// fact by fact.
+func (r *Ranker) Rank(facts []core.Fact, ctx ContextSizer, sky core.SkylineSizer) {
+	for i := range r.ents {
+		r.heads[r.ents[i].bucket] = 0
+	}
+	clear(r.ents) // the entries hold the last input's Vals
+	r.ents = r.ents[:0]
+	r.facts = facts
+	for w := range r.words {
+		r.words[w] = sized(r.words[w], len(facts))
+	}
+	r.sky = sized(r.sky, len(facts))
+	proms, ranks, ords := r.words[wordProminence], r.words[wordRank], r.words[wordOrd]
+	byID, _ := sky.(core.ConstraintSizer)
+
+	for i, f := range facts {
+		ei := r.resolve(f.Constraint, ctx, byID)
+		ent := &r.ents[ei]
+		ss := 0
+		switch {
+		case byID == nil:
+			ss = sky.SkylineSize(f.Constraint, f.Subspace)
+		case ent.stored:
+			ss = byID.SkylineSizeOf(ent.id, f.Subspace)
+		}
+		var prom float64
+		if ss > 0 {
+			prom = float64(ent.size) / float64(ss)
+		}
+		r.sky[i] = ss
+		proms[i] = descending(prom)
+		ranks[i] = ent.rank | uint64(subspace.Size(f.Subspace))<<32 | uint64(f.Subspace)
+		ords[i] = uint64(ei)
+	}
+
+	// Each constraint's ordinal in key order, once per call rather than
+	// once per comparison of two facts that tie on everything else.
+	r.order = sized(r.order, len(r.ents))
+	for i := range r.order {
+		r.order[i] = int32(i)
+	}
+	slices.SortFunc(r.order, func(a, b int32) int {
+		return compareKeyOrder(r.ents[a].vals, r.ents[b].vals)
+	})
+	for ord, ei := range r.order {
+		r.ents[ei].ord = uint32(ord)
+	}
+	for i, ei := range ords {
+		ords[i] = uint64(r.ents[ei].ord)
+	}
+	r.sort()
+}
+
+// Len returns the number of ranked facts.
+func (r *Ranker) Len() int { return len(r.perm) }
+
+// At returns the fact ranked i-th, scored.
+func (r *Ranker) At(i int) ScoredFact {
+	pos := r.perm[i]
+	return ScoredFact{
+		Fact:        r.facts[pos],
+		ContextSize: r.ents[r.order[r.words[wordOrd][pos]]].size,
+		SkylineSize: r.sky[pos],
+		Prominence:  ascending(r.words[wordProminence][pos]),
+	}
+}
+
+// resolve returns the position in ents of c's entry, making it — sizing
+// c's context, resolving its id — on first sight.
+func (r *Ranker) resolve(c lattice.Constraint, ctx ContextSizer, byID core.ConstraintSizer) int32 {
+	if want := 1 << min(len(c.Vals), maxBucketBits); want > len(r.heads) {
+		r.heads = make([]int32, want)
+		for i := range r.ents { // re-bucket what is already there
+			e := &r.ents[i]
+			e.bucket = uint32(lattice.Constraint{Vals: e.vals}.BoundMask()) & uint32(want-1)
+			e.next, r.heads[e.bucket] = r.heads[e.bucket], int32(i)+1
+		}
+	}
+	bound := c.BoundMask()
+	bucket := uint32(bound) & uint32(len(r.heads)-1)
+	for at := r.heads[bucket]; at != 0; at = r.ents[at-1].next {
+		if slices.Equal(r.ents[at-1].vals, c.Vals) {
+			return at - 1
+		}
+	}
+	e := contextEntry{
+		vals:   c.Vals,
+		size:   ctx.ContextSize(c),
+		rank:   uint64(^uint16(c.Bound())) << 40,
+		bucket: bucket,
+		next:   r.heads[bucket],
+	}
+	if byID != nil {
+		e.id, e.stored = byID.ResolveConstraint(c)
+	}
+	r.ents = append(r.ents, e)
+	r.heads[bucket] = int32(len(r.ents))
+	return int32(len(r.ents)) - 1
 }
 
 // compareKeyOrder orders two constraints as their lattice.Key strings

@@ -1,12 +1,14 @@
 package prominence
 
 import (
+	"math"
 	"math/rand"
 	"reflect"
 	"sort"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/gen"
 	"repro/internal/lattice"
 	"repro/internal/relation"
 	"repro/internal/subspace"
@@ -194,6 +196,39 @@ type sizerFunc func(lattice.Constraint, subspace.Mask) int
 
 func (f sizerFunc) SkylineSize(c lattice.Constraint, m subspace.Mask) int { return f(c, m) }
 
+// byIDSizer serves a sizerFunc through core.ConstraintSizer: ids are
+// positions in the list of constraints resolved so far; the constraints
+// absent reports are not stored (every skyline of theirs is empty). It
+// counts the calls of each kind.
+type byIDSizer struct {
+	size   sizerFunc
+	absent func(lattice.Constraint) bool
+	seen   []lattice.Constraint
+
+	resolves, byID, byConstraint int
+}
+
+func (s *byIDSizer) SkylineSize(c lattice.Constraint, m subspace.Mask) int {
+	s.byConstraint++
+	return s.size(c, m)
+}
+
+func (s *byIDSizer) ResolveConstraint(c lattice.Constraint) (uint32, bool) {
+	s.resolves++
+	if s.absent != nil && s.absent(c) {
+		return 0, false
+	}
+	s.seen = append(s.seen, c)
+	return uint32(len(s.seen) - 1), true
+}
+
+func (s *byIDSizer) SkylineSizeOf(id uint32, m subspace.Mask) int {
+	s.byID++
+	return s.size(s.seen[id], m)
+}
+
+var _ core.ConstraintSizer = (*byIDSizer)(nil)
+
 type contextFunc func(lattice.Constraint) int64
 
 func (f contextFunc) ContextSize(c lattice.Constraint) int64 { return f(c) }
@@ -238,6 +273,13 @@ func referenceOrder(facts []core.Fact, ctx ContextSizer, sky core.SkylineSizer) 
 // little-endian bytes order differently from their values, the same
 // constraint arriving in separate Vals slices (with the same subspace too)
 // — Score returns exactly what the reference returns, element for element.
+// Every third round draws its constraints the way arrivals do, as C^t
+// members of a handful of tuples, so that facts of different tuples share a
+// bound mask and differ only in the values under it; every fourth gives
+// every fact the same prominence, so that the order runs through all three
+// tie-breaks down to the constraints' key order. Each input is ranked
+// twice, through a plain sizer and through a ConstraintSizer some of whose
+// constraints are not stored.
 func TestScoreMatchesReferenceOrder(t *testing.T) {
 	rng := rand.New(rand.NewSource(2014))
 	// Codes straddling byte boundaries: 256 < 1 as keys (00 01 00 00 vs
@@ -257,6 +299,26 @@ func TestScoreMatchesReferenceOrder(t *testing.T) {
 				}
 			}
 			return vals
+		}
+		if round%3 == 0 {
+			tuples := make([][]int32, 2+rng.Intn(4))
+			for i := range tuples {
+				tuples[i] = make([]int32, d)
+				for j := range tuples[i] {
+					tuples[i][j] = codes[rng.Intn(ncodes)]
+				}
+			}
+			newVals = func() []int32 {
+				tu, bound := tuples[rng.Intn(len(tuples))], rng.Intn(1<<uint(d))
+				vals := make([]int32, d)
+				for i := range vals {
+					vals[i] = lattice.Wildcard
+					if bound&(1<<uint(i)) != 0 {
+						vals[i] = tu[i]
+					}
+				}
+				return vals
+			}
 		}
 		n := rng.Intn(400)
 		facts := make([]core.Fact, 0, n)
@@ -281,23 +343,39 @@ func TestScoreMatchesReferenceOrder(t *testing.T) {
 		// Sizes are functions of the values alone and take few distinct
 		// values, so prominence ties are the rule; some skylines are empty.
 		ctxMod, skyMod := int64(1+rng.Intn(4)), 1+rng.Intn(3)
-		ctx := contextFunc(func(c lattice.Constraint) int64 {
+		if round%4 == 0 {
+			ctxMod, skyMod = 1, 0 // one context size, one skyline size: all tie
+		}
+		hash := func(c lattice.Constraint) int64 {
 			var h int64
 			for _, v := range c.Vals {
 				h = h*31 + int64(v) + 2
 			}
-			return 1 + (h%ctxMod+ctxMod)%ctxMod
-		})
-		sky := sizerFunc(func(c lattice.Constraint, sm subspace.Mask) int {
-			return (c.Bound() + int(sm)) % (skyMod + 1)
-		})
-		got, want := Score(facts, ctx, sky), referenceOrder(facts, ctx, sky)
-		if len(got) != len(want) {
-			t.Fatalf("round %d: %d scored facts, reference has %d", round, len(got), len(want))
+			return h
 		}
-		for i := range want {
-			if !reflect.DeepEqual(got[i], want[i]) {
-				t.Fatalf("round %d (d=%d m=%d n=%d), position %d:\n got  %+v\n want %+v", round, d, m, n, i, got[i], want[i])
+		ctx := contextFunc(func(c lattice.Constraint) int64 {
+			return 1 + (hash(c)%ctxMod+ctxMod)%ctxMod
+		})
+		absent := func(c lattice.Constraint) bool { return skyMod > 0 && hash(c)%5 == 0 }
+		sky := sizerFunc(func(c lattice.Constraint, sm subspace.Mask) int {
+			if absent(c) {
+				return 0
+			}
+			return 1 + (c.Bound()+int(sm))%(skyMod+1) - min(skyMod, 1)
+		})
+		want := referenceOrder(facts, ctx, sky)
+		for name, sizer := range map[string]core.SkylineSizer{
+			"per fact":       sky,
+			"per constraint": &byIDSizer{size: sky, absent: absent},
+		} {
+			got := Score(facts, ctx, sizer)
+			if len(got) != len(want) {
+				t.Fatalf("round %d, sized %s: %d scored facts, reference has %d", round, name, len(got), len(want))
+			}
+			for i := range want {
+				if !reflect.DeepEqual(got[i], want[i]) {
+					t.Fatalf("round %d (d=%d m=%d n=%d), sized %s, position %d:\n got  %+v\n want %+v", round, d, m, n, name, i, got[i], want[i])
+				}
 			}
 		}
 	}
@@ -320,20 +398,80 @@ func TestScoreMixedWidths(t *testing.T) {
 	}
 }
 
-// TestScoreSizesEachConstraintOnce: the context size is probed once per
-// distinct constraint of the input, however many facts share it.
+// TestScoreSizesEachConstraintOnce: the context size is probed, and the
+// constraint's id in the sizer's store resolved, once per distinct
+// constraint of the input, however many facts share it; only the cell
+// lookup by id is per fact.
 func TestScoreSizesEachConstraintOnce(t *testing.T) {
 	W := lattice.Wildcard
 	var facts []core.Fact
 	for sm := subspace.Mask(1); sm < 64; sm++ {
-		for _, vals := range [][]int32{{W, W}, {1, W}, {W, 1}, {1, 1}} {
+		for _, vals := range [][]int32{{W, W}, {1, W}, {W, 1}, {1, 1}, {2, 1}} {
 			facts = append(facts, core.Fact{Constraint: lattice.Constraint{Vals: append([]int32(nil), vals...)}, Subspace: sm})
 		}
 	}
 	probes := 0
 	ctx := contextFunc(func(lattice.Constraint) int64 { probes++; return 7 })
-	Score(facts, ctx, sizerFunc(func(lattice.Constraint, subspace.Mask) int { return 1 }))
-	if probes != 4 {
-		t.Errorf("%d context-size probes for 4 distinct constraints over %d facts", probes, len(facts))
+	sky := &byIDSizer{size: func(lattice.Constraint, subspace.Mask) int { return 1 }}
+	Score(facts, ctx, sky)
+	if probes != 5 {
+		t.Errorf("%d context-size probes for 5 distinct constraints over %d facts", probes, len(facts))
 	}
+	if sky.resolves != 5 || sky.byID != len(facts) || sky.byConstraint != 0 {
+		t.Errorf("%d constraint-id resolutions, %d sizings by id and %d by constraint for 5 distinct constraints over %d facts",
+			sky.resolves, sky.byID, sky.byConstraint, len(facts))
+	}
+}
+
+// TestDescendingKeepsFloatOrder: the integer a prominence sorts by orders
+// floats the other way round, and maps back exactly.
+func TestDescendingKeepsFloatOrder(t *testing.T) {
+	vals := []float64{math.Inf(1), 1e300, 7.0 / 3, 2, 1.5, 1 + 1e-15, 1, 1.0 / 3, 5e-324, 0, -5e-324, -1, -2.5, math.Inf(-1)}
+	for i, v := range vals {
+		if got := ascending(descending(v)); got != v {
+			t.Errorf("ascending(descending(%g)) = %g", v, got)
+		}
+		if i > 0 && descending(vals[i-1]) >= descending(v) {
+			t.Errorf("%g > %g but descending gives %#x ≥ %#x", vals[i-1], v, descending(vals[i-1]), descending(v))
+		}
+	}
+}
+
+// BenchmarkRankWide ranks arrivals of the paper's Fig 7a shape (NBA d=5,
+// m=7, d̂=4, some two thousand facts over at most 31 constraints each)
+// through one warm Ranker against the BottomUp store that discovered them;
+// ns/op is one arrival's scoring and ordering, facts/op its size.
+func BenchmarkRankWide(b *testing.B) {
+	const rows, kept = 400, 50
+	g, err := gen.NewNBA(gen.NBAConfig{Seed: 2014}, 5, 7)
+	if err != nil {
+		b.Fatal(err)
+	}
+	tb := relation.NewTable(g.Schema())
+	if err := g.Fill(tb, rows); err != nil {
+		b.Fatal(err)
+	}
+	alg, err := core.NewSBottomUp(core.Config{Schema: g.Schema(), MaxBound: 4, MaxMeasure: -1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer alg.Close()
+	cc := core.NewContextCounter(5, 4)
+	var arrivals [][]core.Fact
+	for i, tu := range tb.Tuples() {
+		facts := alg.Process(tu)
+		cc.Observe(tu)
+		if i >= rows-kept {
+			arrivals = append(arrivals, facts)
+		}
+	}
+	var r Ranker
+	facts := 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		r.Rank(arrivals[i%kept], cc, alg)
+		facts += r.Len()
+	}
+	b.ReportMetric(float64(facts)/float64(b.N), "facts/op")
 }

@@ -333,9 +333,9 @@ type Memory struct {
 	// observer, when set, is called from Save at every cell lifecycle
 	// transition: created=true when a cell comes into existence,
 	// created=false when an emptied cell is evicted. In-place updates of a
-	// live cell do not fire — the cell's (key, mask) identity is unchanged,
-	// which is all the incremental fact index tracks.
-	observer func(k CellKey, created bool)
+	// live cell do not fire — the cell's (constraint, mask) identity is
+	// unchanged, which is all the incremental fact index tracks.
+	observer func(c ConstraintID, m subspace.Mask, created bool)
 }
 
 // slabShift sizes Memory's cell pages: 4096 cells (~130 KiB) per page.
@@ -362,9 +362,12 @@ func newMemoryShared(in *Interner, width int) *Memory {
 }
 
 // SetObserver installs the cell lifecycle callback (see the observer
-// field). The observer runs synchronously inside Save under whatever
-// lock the caller holds; it must not call back into the store.
-func (m *Memory) SetObserver(fn func(k CellKey, created bool)) {
+// field). The cell is named the way Save was handed it — the interned
+// constraint id and the subspace mask, no key decoded on its behalf; an
+// observer that wants the key bytes asks the Interner, when it needs them.
+// The observer runs synchronously inside Save under whatever lock the
+// caller holds; it must not call back into the store's cells.
+func (m *Memory) SetObserver(fn func(c ConstraintID, m subspace.Mask, created bool)) {
 	m.observer = fn
 }
 
@@ -460,7 +463,7 @@ func (m *Memory) Save(ref CellRef, c Cell) {
 		m.stats.Cells--
 		if m.observer != nil {
 			cid, mask := RefParts(ref)
-			m.observer(CellKey{C: m.in.Key(cid), M: mask}, false)
+			m.observer(cid, mask, false)
 		}
 	case len(c.Rows) > 0 && i < 0:
 		if n := len(m.free); n > 0 {
@@ -479,7 +482,7 @@ func (m *Memory) Save(ref CellRef, c Cell) {
 		m.stats.Cells++
 		if m.observer != nil {
 			cid, mask := RefParts(ref)
-			m.observer(CellKey{C: m.in.Key(cid), M: mask}, true)
+			m.observer(cid, mask, true)
 		}
 	case len(c.Rows) > 0:
 		s := m.cellAt(i)

@@ -1,12 +1,13 @@
 package situfact
 
 import (
+	"cmp"
 	"context"
 	"encoding/base64"
 	"encoding/binary"
 	"encoding/hex"
 	"fmt"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -294,7 +295,7 @@ func (e *Engine) factFromCell(shard int, key string, mask uint32, c store.Cell, 
 		sortKey:     key,
 		sortMask:    mask,
 	}
-	sort.Slice(qf.TupleIDs, func(i, j int) bool { return qf.TupleIDs[i] < qf.TupleIDs[j] })
+	slices.Sort(qf.TupleIDs)
 	for dim, v := range cons.Vals {
 		if v < 0 {
 			continue
@@ -368,8 +369,11 @@ func (e *Engine) queryFactsSeek(q queryPlan, shard int, after *queryCursor, want
 		binary.LittleEndian.PutUint32(b[:], uint32(condCodes[i]))
 		blocks[i] = condBlock{off: 4 * dim, want: string(b[:])}
 	}
-	sort.Slice(blocks, func(i, j int) bool { return blocks[i].off < blocks[j].off })
-	in := mem.Interner()
+	slices.SortFunc(blocks, func(a, b condBlock) int { return cmp.Compare(a.off, b.off) })
+	// The index hands out a constraint's cells as one run of masks: its key
+	// is parsed on the first cell of the run that reaches the page.
+	var cons lattice.Constraint
+	parsedFor := ""
 
 	var it *factindex.Iter
 	switch {
@@ -420,11 +424,7 @@ func (e *Engine) queryFactsSeek(q queryPlan, shard int, after *queryCursor, want
 			}
 			continue
 		}
-		id, ok := in.Lookup(lattice.Key(ent.Key))
-		if !ok {
-			return nil, false, fmt.Errorf("situfact: query: shard %d: fact index entry %x has no interned constraint", shard, ent.Key)
-		}
-		c := mem.Peek(store.Ref(id, subspace.Mask(ent.Mask)))
+		c := mem.Peek(store.Ref(ent.ID, subspace.Mask(ent.Mask)))
 		if c.Len() == 0 {
 			return nil, false, fmt.Errorf("situfact: query: shard %d: fact index entry %x/%d has no stored cell", shard, ent.Key, ent.Mask)
 		}
@@ -435,9 +435,12 @@ func (e *Engine) queryFactsSeek(q queryPlan, shard int, after *queryCursor, want
 		if want > 0 && len(facts) == want {
 			return facts, true, nil // the page is full and a match follows it
 		}
-		cons, perr := lattice.ParseKey(lattice.Key(ent.Key), nd)
-		if perr != nil {
-			return nil, false, fmt.Errorf("situfact: query: shard %d: %w", shard, perr)
+		if ent.Key != parsedFor {
+			var perr error
+			if cons, perr = lattice.ParseKey(lattice.Key(ent.Key), nd); perr != nil {
+				return nil, false, fmt.Errorf("situfact: query: shard %d: %w", shard, perr)
+			}
+			parsedFor = ent.Key
 		}
 		facts = append(facts, e.factFromCell(shard, ent.Key, ent.Mask, c, cons))
 		it.Next()
@@ -467,18 +470,16 @@ func (p *Pool) TopFacts(k int) ([]QueryFact, error) {
 		}
 		all = append(all, facts...)
 	}
-	sort.Slice(all, func(i, j int) bool {
-		a, b := all[i], all[j]
-		if a.Prominence != b.Prominence {
-			return a.Prominence > b.Prominence
+	slices.SortFunc(all, func(a, b QueryFact) int {
+		switch {
+		case a.Prominence != b.Prominence:
+			return cmp.Compare(b.Prominence, a.Prominence)
+		case a.Shard != b.Shard:
+			return cmp.Compare(a.Shard, b.Shard)
+		case a.sortKey != b.sortKey:
+			return strings.Compare(a.sortKey, b.sortKey)
 		}
-		if a.Shard != b.Shard {
-			return a.Shard < b.Shard
-		}
-		if a.sortKey != b.sortKey {
-			return a.sortKey < b.sortKey
-		}
-		return a.sortMask < b.sortMask
+		return cmp.Compare(a.sortMask, b.sortMask)
 	})
 	if k < len(all) {
 		all = all[:k]

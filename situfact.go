@@ -218,14 +218,16 @@ type Engine struct {
 	disc    core.Discoverer
 	sizer   core.SkylineSizer
 	counter *core.ContextCounter
+	ranker  prominence.Ranker // arrival's ranking scratch, kept warm
 	fileSt  *store.File
 	deleted map[int64]bool
 
 	// fidx is the incremental fact index over the engine's µ store: the
 	// live cell coordinates in (constraint key, subspace mask) order,
-	// maintained through the store's cell-lifecycle observer so EVERY
-	// mutation path — ingest, delete, WAL replay, snapshot-restore cell
-	// replay, follower tail apply — keeps it current without its own hook.
+	// addressed by the store's own constraint ids and maintained through
+	// the store's cell-lifecycle observer so EVERY mutation path — ingest,
+	// delete, WAL replay, snapshot-restore cell replay, follower tail
+	// apply — keeps it current without its own hook.
 	// Nil for engines without an in-memory lattice store (which cannot
 	// serve queries anyway).
 	fidx *factindex.Index
@@ -315,12 +317,13 @@ func New(schema *Schema, opt Options) (*Engine, error) {
 		eng.counter = core.NewContextCounter(rs.NumDims(), maxBound)
 	}
 	if mem, ok := memoryStoreOf(disc); ok {
-		idx := factindex.New()
-		mem.SetObserver(func(k store.CellKey, created bool) {
+		in := mem.Interner()
+		idx := factindex.New(func(id uint32) string { return string(in.Key(id)) })
+		mem.SetObserver(func(c store.ConstraintID, m subspace.Mask, created bool) {
 			if created {
-				idx.Insert(string(k.C), uint32(k.M))
+				idx.Insert(c, m)
 			} else {
-				idx.Delete(string(k.C), uint32(k.M))
+				idx.Delete(c, m)
 			}
 		})
 		eng.fidx = idx
@@ -340,15 +343,18 @@ func (e *Engine) Append(dims []string, measures []float64) (*Arrival, error) {
 }
 
 // arrival is everything Append does after discovery: it folds tu into the
-// context counters, scores the facts discovery found for it and decodes
-// them, sorted. Its cost follows the distinct constraints of the arrival,
-// not its facts, apart from the one slice of each.
+// context counters, ranks the facts discovery found for it (the ranking
+// prominence.Score writes out) and decodes them in that order, straight
+// into the arrival. Its cost follows the distinct constraints of the
+// arrival, not its facts, apart from the sort and the facts slice itself.
 func (e *Engine) arrival(tu *relation.Tuple, raw []core.Fact) *Arrival {
 	arr := &Arrival{TupleID: tu.ID, Facts: make([]Fact, len(raw))}
 	defer e.dec.endArrival()
 	if e.counter != nil {
 		e.counter.Observe(tu)
-		for i, sf := range prominence.Score(raw, e.counter, e.sizer) {
+		e.ranker.Rank(raw, e.counter, e.sizer)
+		for i := range arr.Facts {
+			sf := e.ranker.At(i)
 			arr.Facts[i] = Fact{
 				Conditions:  e.dec.conditions(sf.Constraint),
 				Measures:    e.dec.measures(sf.Subspace),
