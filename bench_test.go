@@ -7,7 +7,8 @@ package situfact
 // latency the paper charts.
 //
 // For the full experiment drivers (checkpointed series, counters, file
-// I/O, prominence distributions) run `go run ./cmd/situbench -exp all`.
+// I/O, prominence distributions) run `go run ./cmd/situbench -exp all`;
+// for the daemon end to end, `bash bench/run.sh` (bench/README.md).
 
 import (
 	"fmt"

@@ -28,12 +28,14 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"os"
 	"os/exec"
 	"strconv"
 	"strings"
 	"sync"
+	"syscall"
 	"time"
 )
 
@@ -419,4 +421,65 @@ func chaosCompareReads(leader, follower string) (int, error) {
 		return pages, fmt.Errorf("leaderboards differ between leader and follower")
 	}
 	return pages, nil
+}
+
+// freePort reserves an ephemeral localhost port and releases it for the
+// daemon. The tiny reuse race is harmless here: the daemon's bind fails,
+// waitHealthy times out, and the drill errors out.
+func freePort() (int, error) {
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		return 0, err
+	}
+	port := l.Addr().(*net.TCPAddr).Port
+	l.Close()
+	return port, nil
+}
+
+// waitHealthy polls GET /healthz until the daemon answers 200, it exits
+// (bad flags, bind failure), or the timeout lapses.
+func waitHealthy(base string, timeout time.Duration, exited <-chan struct{}) error {
+	client := &http.Client{Timeout: time.Second}
+	deadline := time.Now().Add(timeout)
+	for time.Now().Before(deadline) {
+		select {
+		case <-exited:
+			return fmt.Errorf("daemon exited before becoming healthy")
+		default:
+		}
+		resp, err := client.Get(base + "/healthz")
+		if err == nil {
+			io.Copy(io.Discard, resp.Body)
+			resp.Body.Close()
+			if resp.StatusCode == http.StatusOK {
+				return nil
+			}
+		}
+		time.Sleep(50 * time.Millisecond)
+	}
+	return fmt.Errorf("daemon not healthy after %s", timeout)
+}
+
+// stopDaemon SIGTERMs the daemon and waits briefly for the graceful path,
+// escalating to SIGKILL so a wedged daemon cannot hang the drill.
+func stopDaemon(cmd *exec.Cmd, exited <-chan struct{}) {
+	if cmd.Process == nil {
+		return
+	}
+	cmd.Process.Signal(syscall.SIGTERM)
+	select {
+	case <-exited:
+	case <-time.After(10 * time.Second):
+		cmd.Process.Kill()
+		<-exited
+	}
+}
+
+// tail returns the last at-most-n bytes of s, for error context.
+func tail(s string, n int) string {
+	s = strings.TrimSpace(s)
+	if len(s) <= n {
+		return s
+	}
+	return "…" + s[len(s)-n:]
 }

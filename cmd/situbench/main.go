@@ -12,57 +12,16 @@
 // Experiment ids: fig7a fig7b fig7c fig8a fig8b fig8c fig9 fig10 fig11
 // fig12a fig12b fig12c fig13 fig14 fig15 casestudy all.
 //
-// With -bench-json <path>, situbench instead re-measures the Fig 7/8 warm
-// points (per-tuple ns/op, allocs/op, cmp/tuple per algorithm) through
-// testing.Benchmark and writes them as one JSON document — the format of
-// the repository's BENCH_PR*.json perf trajectory:
+// With -chaos <situfactd-binary>, situbench instead runs the durability
+// drill behind CI's TestChaosHarness: fault-injected kill -9 cycles over
+// one state directory, then zero-acked-row-loss and byte-identical
+// follower-convergence checks (see chaos.go):
 //
-//	situbench -bench-json BENCH_PR4.json
+//	situbench -chaos ./situfactd [-chaos-cycles 3] [-chaos-rows 400] \
+//	          [-chaos-conns 4] [-chaos-fault-plans ',fsync:from=3;clear-after=750ms'] \
+//	          [-chaos-json chaos.json]
 //
-// With -serve-url, situbench is instead an HTTP load generator against a
-// running situfactd daemon (see load.go), reporting end-to-end ingest
-// throughput and tail latency:
-//
-//	situfactd -dims player,team,opp -measures points,rebounds &
-//	situbench -serve-url http://localhost:8080 \
-//	          [-load-conns 8] [-load-duration 10s] [-load-batch 1] [-load-card 50] \
-//	          [-load-dist uniform|zipf] [-load-zipf-s 1.2] \
-//	          [-load-delete-frac 0] [-load-read-frac 0] \
-//	          [-load-read-url http://follower:8081] [-load-json report.json]
-//
-// With -load-page-walk on top of -serve-url, situbench instead walks the
-// full GET /v1/facts cursor chain (read-only) and reports per-page latency
-// by page depth — the probe that separates the O(page) indexed read path
-// from the O(n·pages) reference scan (see pagewalk.go):
-//
-//	situbench -serve-url http://localhost:8080 -load-page-walk \
-//	          [-load-page-limit 50] [-load-page-walks 10] \
-//	          [-load-read-url http://follower:8081] [-load-json walk.json]
-//
-// With -load-overload on top of -serve-url, situbench instead drives the
-// daemon deliberately past its configured capacity: workers honor each
-// 429/503 response's Retry-After (capped by -load-backoff-cap) and the
-// report separates accepted, shed, and rate-limited requests, quoting
-// latency quantiles over accepted requests only (see overload.go):
-//
-//	situbench -serve-url http://localhost:8080 -load-overload \
-//	          [-load-conns 32] [-load-duration 10s] \
-//	          [-load-backoff-cap 1s] [-load-json overload.json]
-//
-// -load-dist zipf skews the daemon's shard dimension (exponent
-// -load-zipf-s > 1) so tail latency reflects hot-shard contention.
-// -load-delete-frac mixes DELETEs of previously acked ids into the
-// stream; -load-json writes the run's report (rows/s, p50/p99 latency at
-// the fixed connection count) as one JSON document.
-//
-// With -matrix <situfactd-binary>, situbench sweeps a multicore grid —
-// shards × discovery workers × connections × delete fraction — launching
-// a fresh daemon per trial and running the fixed-work load against each
-// point (see matrix.go):
-//
-//	situbench -matrix ./situfactd -matrix-shards 1,4 -matrix-workers 1,2 \
-//	          -matrix-conns 1,16 -matrix-delete-fracs 0 \
-//	          [-matrix-rows 4000] [-matrix-trials 3] [-matrix-json matrix.json]
+// Load against a running daemon is bench/run.sh's job (see bench/README.md).
 package main
 
 import (
@@ -71,7 +30,6 @@ import (
 	"io"
 	"os"
 	"strings"
-	"time"
 
 	"repro/internal/harness"
 )
@@ -99,68 +57,52 @@ var order = []string{
 	"fig10", "fig11", "fig12a", "fig12b", "fig12c", "fig13", "fig14", "fig15",
 }
 
-func main() {
-	exp := flag.String("exp", "", "experiment id (fig7a..fig15, casestudy, all)")
-	n := flag.Int("n", 0, "stream length (0 = per-experiment default)")
-	d := flag.Int("d", 0, "dimension attributes (0 = default)")
-	m := flag.Int("m", 0, "measure attributes (0 = default)")
-	dhat := flag.Int("dhat", 0, "max bound dimension attrs d̂ (0 = default 4, -1 = no cap)")
-	mhat := flag.Int("mhat", 0, "max measure subspace size m̂ (0 = default: no cap, 3 for §VII)")
-	tau := flag.Float64("tau", 0, "prominence threshold τ (0 = scaled default)")
-	seed := flag.Int64("seed", 1, "workload seed")
-	csv := flag.Bool("csv", false, "emit CSV instead of aligned text")
-	out := flag.String("out", "", "output file (default stdout)")
-	benchJSON := flag.String("bench-json", "", "write Fig 7/8 warm-point measurements (ns/op, allocs/op, cmp/tuple per algorithm) as JSON to this path and exit (ignores -exp)")
-	serveURL := flag.String("serve-url", "", "situfactd base URL; switches to HTTP load-generator mode (ignores -exp)")
-	loadConns := flag.Int("load-conns", 8, "concurrent connections in load mode")
-	loadDur := flag.Duration("load-duration", 10*time.Second, "run length in load mode")
-	loadBatch := flag.Int("load-batch", 1, "rows per request in load mode (> 1 uses /v1/tuples:batch)")
-	loadCard := flag.Int("load-card", 50, "distinct values per dimension attribute in load mode")
-	loadDist := flag.String("load-dist", "uniform", "shard-dim value distribution in load mode: uniform | zipf (hot-shard skew)")
-	loadZipfS := flag.Float64("load-zipf-s", 1.2, "zipf exponent s > 1 for -load-dist zipf (larger = more skew)")
-	loadDelFrac := flag.Float64("load-delete-frac", 0, "fraction of load-mode requests that DELETE a previously acked id (mixed append/delete workload; 0 = append-only)")
-	loadReadFrac := flag.Float64("load-read-frac", 0, "fraction of load-mode requests that query facts (GET /v1/facts/top and /v1/facts alternating); reads do not consume -load-rows (0 = write-only)")
-	loadReadURL := flag.String("load-read-url", "", "base URL reads go to in load mode, e.g. a read-only follower (empty = the -serve-url daemon)")
-	loadRows := flag.Int64("load-rows", 0, "fixed-work load mode: stop after this many appended rows; -load-duration becomes a timeout cap (0 = run for the duration)")
-	loadJSON := flag.String("load-json", "", "also write the load-mode report as JSON to this path (schema situbench-load/v1)")
-	loadPageWalk := flag.Bool("load-page-walk", false, "walk the full GET /v1/facts cursor chain instead of generating load, reporting per-page latency by page depth (read-only; pages come from -load-read-url when set); -load-json writes schema situbench-pagewalk/v1")
-	loadOverload := flag.Bool("load-overload", false, "drive the daemon past capacity instead of measuring peak throughput: honor Retry-After with capped backoff on 429/503 and report accepted/shed/limited plus accepted-only latency quantiles; -load-json writes schema situbench-overload/v1")
-	loadBackoffCap := flag.Duration("load-backoff-cap", time.Second, "upper bound on a single Retry-After backoff sleep in overload mode")
-	loadPageLimit := flag.Int("load-page-limit", 50, "page size (limit=) in page-walk mode")
-	loadPageWalks := flag.Int("load-page-walks", 10, "full cursor-chain walks in page-walk mode; latency quantiles pool across walks")
-	matrixBin := flag.String("matrix", "", "situfactd binary path; switches to multicore matrix mode (ignores -exp and -serve-url)")
-	matrixShards := flag.String("matrix-shards", "1,4", "comma-separated -shards values to sweep in matrix mode")
-	matrixWorkers := flag.String("matrix-workers", "1", "comma-separated discovery workers per shard to sweep (>1 runs parallel-bottomup)")
-	matrixConns := flag.String("matrix-conns", "1,16", "comma-separated connection counts to sweep in matrix mode")
-	matrixDelFracs := flag.String("matrix-delete-fracs", "0", "comma-separated delete fractions to sweep in matrix mode")
-	matrixRows := flag.Int64("matrix-rows", 4000, "fixed work per matrix point: appended rows into a fresh daemon")
-	matrixTrials := flag.Int("matrix-trials", 1, "trials per matrix point; the median-throughput trial is reported")
-	matrixJSON := flag.String("matrix-json", "", "write the matrix sweep as JSON to this path (schema situbench-matrix/v1)")
-	chaosBin := flag.String("chaos", "", "situfactd binary path; switches to chaos mode: fault-injected kill -9 cycles, then verify zero acked-row loss and byte-identical follower convergence (ignores -exp and -serve-url)")
-	chaosCycles := flag.Int("chaos-cycles", 3, "kill -9 cycles in chaos mode")
-	chaosRows := flag.Int64("chaos-rows", 400, "acked-row target per chaos cycle (the kill may land earlier)")
-	chaosConns := flag.Int("chaos-conns", 4, "concurrent posters per chaos cycle")
-	chaosPlans := flag.String("chaos-fault-plans", ",fsync:from=3;clear-after=750ms,write:enospc-after=4096;clear-after=750ms",
+// config is situbench's parsed command line.
+type config struct {
+	exp        string
+	params     harness.Params
+	csv        bool
+	out        string
+	chaos      chaosParams
+	chaosPlans string // comma-separated, split into chaos.FaultPlans
+}
+
+// registerFlags declares every situbench flag on fs, filling cfg. main
+// uses it with flag.CommandLine; the doc-drift guard builds a private
+// FlagSet to compare the registered names against the documented ones.
+func registerFlags(fs *flag.FlagSet, cfg *config) {
+	fs.StringVar(&cfg.exp, "exp", "", "experiment id (fig7a..fig15, casestudy, all)")
+	fs.IntVar(&cfg.params.N, "n", 0, "stream length (0 = per-experiment default)")
+	fs.IntVar(&cfg.params.D, "d", 0, "dimension attributes (0 = default)")
+	fs.IntVar(&cfg.params.M, "m", 0, "measure attributes (0 = default)")
+	fs.IntVar(&cfg.params.MaxBound, "dhat", 0, "max bound dimension attrs d̂ (0 = default 4, -1 = no cap)")
+	fs.IntVar(&cfg.params.MaxMeasure, "mhat", 0, "max measure subspace size m̂ (0 = default: no cap, 3 for §VII)")
+	fs.Float64Var(&cfg.params.Tau, "tau", 0, "prominence threshold τ (0 = scaled default)")
+	fs.Int64Var(&cfg.params.Seed, "seed", 1, "workload seed")
+	fs.BoolVar(&cfg.csv, "csv", false, "emit CSV instead of aligned text")
+	fs.StringVar(&cfg.out, "out", "", "output file (default stdout)")
+	fs.StringVar(&cfg.chaos.Binary, "chaos", "", "situfactd binary path; switches to chaos mode: fault-injected kill -9 cycles, then verify zero acked-row loss and byte-identical follower convergence (ignores -exp)")
+	fs.IntVar(&cfg.chaos.Cycles, "chaos-cycles", 3, "kill -9 cycles in chaos mode")
+	fs.Int64Var(&cfg.chaos.Rows, "chaos-rows", 400, "acked-row target per chaos cycle (the kill may land earlier)")
+	fs.IntVar(&cfg.chaos.Conns, "chaos-conns", 4, "concurrent posters per chaos cycle")
+	fs.StringVar(&cfg.chaosPlans, "chaos-fault-plans", ",fsync:from=3;clear-after=750ms,write:enospc-after=4096;clear-after=750ms",
 		"comma-separated faultfs plans applied round-robin across chaos cycles (clauses within a plan use ';'); an empty element = a fault-free cycle")
-	chaosJSON := flag.String("chaos-json", "", "write the chaos drill report as JSON to this path (schema situbench-chaos/v1)")
+	fs.StringVar(&cfg.chaos.JSONPath, "chaos-json", "", "write the chaos drill report as JSON to this path (schema situbench-chaos/v1)")
+}
+
+func main() {
+	var cfg config
+	registerFlags(flag.CommandLine, &cfg)
 	flag.Parse()
 
-	if *exp == "" && *serveURL == "" && *benchJSON == "" && *matrixBin == "" && *chaosBin == "" {
+	if cfg.exp == "" && cfg.chaos.Binary == "" {
 		flag.Usage()
 		os.Exit(2)
 	}
 
-	if *benchJSON != "" {
-		if err := runBenchJSON(*benchJSON, os.Stderr); err != nil {
-			fatal(err)
-		}
-		return
-	}
-	p := harness.Params{N: *n, D: *d, M: *m, MaxBound: *dhat, MaxMeasure: *mhat, Tau: *tau, Seed: *seed}
-
 	var w io.Writer = os.Stdout
-	if *out != "" {
-		f, err := os.Create(*out)
+	if cfg.out != "" {
+		f, err := os.Create(cfg.out)
 		if err != nil {
 			fatal(err)
 		}
@@ -168,149 +110,36 @@ func main() {
 		w = f
 	}
 
-	if *chaosBin != "" {
-		var plans []string
-		if *chaosPlans != "" {
-			plans = strings.Split(*chaosPlans, ",")
+	if cfg.chaos.Binary != "" {
+		if cfg.chaosPlans != "" {
+			cfg.chaos.FaultPlans = strings.Split(cfg.chaosPlans, ",")
 		}
-		// Cap the per-cycle wall time with -load-duration only when the
-		// caller set it; runChaos picks its own default otherwise.
-		var cycleCap time.Duration
-		flag.Visit(func(f *flag.Flag) {
-			if f.Name == "load-duration" {
-				cycleCap = *loadDur
-			}
-		})
-		if err := runChaos(w, chaosParams{
-			Binary:     *chaosBin,
-			Cycles:     *chaosCycles,
-			Rows:       *chaosRows,
-			Conns:      *chaosConns,
-			FaultPlans: plans,
-			CycleCap:   cycleCap,
-			JSONPath:   *chaosJSON,
-		}); err != nil {
+		if err := runChaos(w, cfg.chaos); err != nil {
 			fatal(err)
 		}
 		return
 	}
 
-	if *matrixBin != "" {
-		shards, err := parseIntList("-matrix-shards", *matrixShards)
-		if err != nil {
-			fatal(err)
-		}
-		workers, err := parseIntList("-matrix-workers", *matrixWorkers)
-		if err != nil {
-			fatal(err)
-		}
-		conns, err := parseIntList("-matrix-conns", *matrixConns)
-		if err != nil {
-			fatal(err)
-		}
-		fracs, err := parseFloatList("-matrix-delete-fracs", *matrixDelFracs)
-		if err != nil {
-			fatal(err)
-		}
-		// -load-duration is only a per-trial cap here (matrix points are
-		// fixed-work); its 10s load-mode default is too tight for slow grid
-		// points, so it applies only when set explicitly and runMatrix
-		// otherwise picks its own generous cap.
-		var trialCap time.Duration
-		flag.Visit(func(f *flag.Flag) {
-			if f.Name == "load-duration" {
-				trialCap = *loadDur
-			}
-		})
-		if err := runMatrix(w, matrixParams{
-			Binary:      *matrixBin,
-			Shards:      shards,
-			Workers:     workers,
-			Conns:       conns,
-			DeleteFracs: fracs,
-			Rows:        *matrixRows,
-			Trials:      *matrixTrials,
-			Batch:       *loadBatch,
-			Card:        *loadCard,
-			Timeout:     trialCap,
-			Seed:        *seed,
-			JSONPath:    *matrixJSON,
-		}); err != nil {
-			fatal(err)
-		}
-		return
-	}
-
-	if *serveURL != "" && *loadOverload {
-		if err := runOverload(w, overloadParams{
-			URL:        *serveURL,
-			Conns:      *loadConns,
-			Duration:   *loadDur,
-			Card:       *loadCard,
-			BackoffCap: *loadBackoffCap,
-			JSONPath:   *loadJSON,
-			Seed:       *seed,
-		}); err != nil {
-			fatal(err)
-		}
-		return
-	}
-
-	if *serveURL != "" && *loadPageWalk {
-		if err := runPageWalk(w, pageWalkParams{
-			URL:      *serveURL,
-			ReadURL:  *loadReadURL,
-			Limit:    *loadPageLimit,
-			Walks:    *loadPageWalks,
-			JSONPath: *loadJSON,
-		}); err != nil {
-			fatal(err)
-		}
-		return
-	}
-
-	if *serveURL != "" {
-		err := runLoad(w, loadParams{
-			URL:        *serveURL,
-			Conns:      *loadConns,
-			Duration:   *loadDur,
-			Batch:      *loadBatch,
-			Card:       *loadCard,
-			Dist:       *loadDist,
-			ZipfS:      *loadZipfS,
-			DeleteFrac: *loadDelFrac,
-			ReadFrac:   *loadReadFrac,
-			ReadURL:    *loadReadURL,
-			Rows:       *loadRows,
-			JSONPath:   *loadJSON,
-			Seed:       *seed,
-		})
-		if err != nil {
-			fatal(err)
-		}
-		return
-	}
-
-	switch *exp {
+	switch cfg.exp {
 	case "all":
 		for _, id := range order {
-			if err := runOne(w, id, p, *csv); err != nil {
+			if err := runOne(w, id, cfg.params, cfg.csv); err != nil {
 				fatal(err)
 			}
 			fmt.Fprintln(w)
 		}
-		if err := harness.CaseStudy(w, p); err != nil {
+		if err := harness.CaseStudy(w, cfg.params); err != nil {
 			fatal(err)
 		}
 	case "casestudy":
-		if err := harness.CaseStudy(w, p); err != nil {
+		if err := harness.CaseStudy(w, cfg.params); err != nil {
 			fatal(err)
 		}
 	default:
-		if _, ok := experiments[*exp]; !ok {
-			fatal(fmt.Errorf("unknown experiment %q (want fig7a..fig15, casestudy, all)", *exp))
+		if _, ok := experiments[cfg.exp]; !ok {
+			fatal(fmt.Errorf("unknown experiment %q (want fig7a..fig15, casestudy, all)", cfg.exp))
 		}
-		if err := runOne(w, *exp, p, *csv); err != nil {
+		if err := runOne(w, cfg.exp, cfg.params, cfg.csv); err != nil {
 			fatal(err)
 		}
 	}

@@ -11,18 +11,14 @@
 //
 //	situfact -dims player,team,opp_team -measures points,rebounds,-fouls \
 //	         [-algo sbottomup] [-dhat 3] [-mhat 3] [-tau 100] [-top 3] \
-//	         [-shards 4] [-shard-dim team] [-workers 4] [-batch 64] [input.csv]
+//	         [-shards 4] [-shard-dim team] [-batch 64] [input.csv]
 //
 // With no input file, rows are read from stdin, enabling live pipelines:
 //
 //	tail -f gamelog.csv | situfact -dims ... -measures ...
 //
-// Concurrency comes in two independent, stackable forms: -shards N
-// partitions the stream by the -shard-dim value across N engines running
-// in parallel (batches of -batch rows are fanned out together), and
-// -workers W with -algo parallel-topdown or parallel-bottomup
-// parallelises each engine internally across measure subspaces.
-//
+// -shards N partitions the stream by the -shard-dim value across N engines
+// running in parallel (batches of -batch rows are fanned out together).
 // Sharded mode trades latency for throughput: output appears only when a
 // batch fills (or at EOF), so a slow live feed can sit on buffered rows
 // indefinitely. For tail -f–style pipelines use -batch 1 (per-row
@@ -54,7 +50,6 @@ type config struct {
 	quiet    bool    // summary only
 	shards   int     // engine count; ≤ 1 = single engine
 	shardDim string  // dimension routing rows to shards; "" = first dimension
-	workers  int     // worker count for the parallel-* algorithms
 	batch    int     // rows fanned out per AppendBatch in sharded mode
 }
 
@@ -70,7 +65,6 @@ func main() {
 	flag.BoolVar(&cfg.quiet, "quiet", false, "suppress per-arrival output; print summary only")
 	flag.IntVar(&cfg.shards, "shards", 1, "partition the stream across this many engines (≤ 1 = single engine)")
 	flag.StringVar(&cfg.shardDim, "shard-dim", "", "dimension column whose value routes a row to its shard (default: first of -dims)")
-	flag.IntVar(&cfg.workers, "workers", 0, "goroutines per engine for the parallel-* algorithms (0 = GOMAXPROCS)")
 	flag.IntVar(&cfg.batch, "batch", 64, "rows fanned out together per batch in sharded mode (output waits for a full batch; use 1 for live feeds)")
 	flag.Parse()
 
@@ -119,7 +113,6 @@ func run(in io.Reader, out io.Writer, cfg config) error {
 		Algorithm:      situfact.Algorithm(cfg.algo),
 		MaxBoundDims:   cfg.dhat,
 		MaxMeasureDims: cfg.mhat,
-		Workers:        cfg.workers,
 	}
 	switch opt.Algorithm {
 	case situfact.AlgoBruteForce, situfact.AlgoBaselineSeq, situfact.AlgoBaselineIdx, situfact.AlgoCCSC:

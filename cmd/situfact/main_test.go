@@ -105,22 +105,6 @@ func TestRunSharded(t *testing.T) {
 	}
 }
 
-func TestRunShardedParallelWorkers(t *testing.T) {
-	// Both concurrency layers stacked: sharded pool of parallel engines.
-	var out bytes.Buffer
-	cfg := base()
-	cfg.dims = "player,month,season,team,opp_team"
-	cfg.measures = "points,assists,rebounds"
-	cfg.algo, cfg.workers = "parallel-bottomup", 2
-	cfg.shards, cfg.shardDim = 2, "team"
-	if err := run(strings.NewReader(gamelogCSV), &out, cfg); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(out.String(), "Parallel(BottomUp") {
-		t.Errorf("summary missing parallel algorithm name:\n%s", out.String())
-	}
-}
-
 func TestRunErrors(t *testing.T) {
 	var out bytes.Buffer
 	mk := func(dims, measures, algo string) config {

@@ -37,7 +37,6 @@ func registerFlags(fs *flag.FlagSet, cfg *config) {
 	fs.IntVar(&cfg.mhat, "mhat", 0, "max measure subspace size (0 = no cap)")
 	fs.IntVar(&cfg.shards, "shards", 0, "pool shard count (0 = GOMAXPROCS)")
 	fs.StringVar(&cfg.shardDim, "shard-dim", "", "dimension attribute whose value routes a row to its shard (default: first of -dims)")
-	fs.IntVar(&cfg.workers, "workers", 0, "goroutines per engine for the parallel-* algorithms (0 = GOMAXPROCS)")
 	fs.StringVar(&cfg.stateDir, "state-dir", "", "snapshot directory: restore on start, save on graceful shutdown (empty = no persistence)")
 	fs.BoolVar(&cfg.wal, "wal", false, "write-ahead log under <state-dir>/wal: journal every ingest before applying it, replay the tail on start (requires -state-dir)")
 	fs.DurationVar(&cfg.walSync, "wal-sync", 0, "WAL durability: 0 fsyncs (group-committed) before acknowledging each request; >0 fsyncs in the background on this interval, risking up to one interval of acknowledged records on crash")
@@ -147,8 +146,8 @@ func (cfg *config) validate() error {
 		v    int
 	}{
 		{"-dhat", cfg.dhat}, {"-mhat", cfg.mhat},
-		{"-shards", cfg.shards}, {"-workers", cfg.workers},
-		{"-topk", cfg.boardCap}, {"-pipeline-queue", cfg.pipeQueue},
+		{"-shards", cfg.shards}, {"-topk", cfg.boardCap},
+		{"-pipeline-queue", cfg.pipeQueue},
 		{"-follow-rebootstrap-max", cfg.followRebootstrapMax},
 		{"-rate-burst", cfg.rateBurst}, {"-max-inflight", cfg.maxInflight},
 	} {

@@ -2,6 +2,7 @@ package main
 
 import (
 	"flag"
+	"io"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -44,7 +45,6 @@ func TestConfigValidateTable(t *testing.T) {
 	}{
 		{"negative shards", func(c *config) { c.shards = -1 }, "-shards"},
 		{"negative dhat", func(c *config) { c.dhat = -2 }, "-dhat"},
-		{"negative workers", func(c *config) { c.workers = -1 }, "-workers"},
 		{"negative topk", func(c *config) { c.boardCap = -5 }, "-topk"},
 		{"negative queue", func(c *config) { c.pipeQueue = -1 }, "-pipeline-queue"},
 		{"negative rate burst", func(c *config) { c.rateBurst = -3 }, "-rate-burst"},
@@ -174,6 +174,7 @@ func TestConfigFileRejects(t *testing.T) {
 		{"removed pipeline switch", `{"pipeline": false}`, `unknown key "pipeline"`},
 		{"removed fact-index switch", `{"fact-index": false}`, `unknown key "fact-index"`},
 		{"removed shard-workers", `{"shard-workers": 2}`, `unknown key "shard-workers"`},
+		{"removed workers", `{"workers": 2}`, `unknown key "workers"`},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -185,6 +186,16 @@ func TestConfigFileRejects(t *testing.T) {
 				t.Fatalf("error %q does not contain %q", err, tc.wantErr)
 			}
 		})
+	}
+	// A removed flag is as unknown on the command line as in the file.
+	for _, name := range []string{"pipeline", "fact-index", "shard-workers", "workers"} {
+		var cfg config
+		fs := flag.NewFlagSet("test", flag.ContinueOnError)
+		fs.SetOutput(io.Discard)
+		registerFlags(fs, &cfg)
+		if err := fs.Parse([]string{"-" + name + "=1"}); err == nil {
+			t.Errorf("removed flag -%s still parses", name)
+		}
 	}
 }
 
@@ -213,7 +224,6 @@ func TestConfigValidateProperty(t *testing.T) {
 		cfg.shards = rng.Intn(64)
 		cfg.dhat = rng.Intn(8)
 		cfg.mhat = rng.Intn(8)
-		cfg.workers = rng.Intn(16)
 		cfg.boardCap = rng.Intn(1024)
 		cfg.pipeQueue = rng.Intn(4096)
 		cfg.walSync = dur(5000)

@@ -49,17 +49,18 @@ func TestAPIDocEndpoints(t *testing.T) {
 
 // TestAPIDocFlags is the flag-side doc-drift guard: the set of -flag
 // names docs/API.md mentions in inline code, in its daemon part (before
-// "## Load testing", where situbench's own flags begin), must equal the
-// set registerFlags registers. A flag added without documentation — or a
-// passage still describing a removed one — fails CI.
+// "## Chaos mode", where situbench's own flags begin — cmd/situbench's
+// TestDocFlags guards those), must equal the set registerFlags registers.
+// A flag added without documentation — or a passage still describing a
+// removed one — fails CI.
 func TestAPIDocFlags(t *testing.T) {
 	data, err := os.ReadFile("../../docs/API.md")
 	if err != nil {
 		t.Fatal(err)
 	}
-	daemon, _, found := strings.Cut(string(data), "\n## Load testing")
+	daemon, _, found := strings.Cut(string(data), "\n## Chaos mode")
 	if !found {
-		t.Fatal(`docs/API.md has no "## Load testing" heading to end the daemon part at`)
+		t.Fatal(`docs/API.md has no "## Chaos mode" heading to end the daemon part at`)
 	}
 	// Fenced examples are usage, not documentation; only inline code counts.
 	daemon = regexp.MustCompile("(?s)```.*?```").ReplaceAllString(daemon, "")

@@ -9,7 +9,7 @@
 //
 //	situfactd -dims player,team,opp_team -measures points,rebounds,-fouls \
 //	          [-addr :8080] [-algo sbottomup] [-shards 4] [-shard-dim team] \
-//	          [-dhat 0] [-mhat 0] [-workers 0] [-state-dir /var/lib/situfactd] \
+//	          [-dhat 0] [-mhat 0] [-state-dir /var/lib/situfactd] \
 //	          [-wal] [-wal-sync 0s] [-wal-segment-bytes 0] \
 //	          [-snapshot-interval 0s] [-topk 128] [-relation stream] \
 //	          [-pipeline-queue 0] [-pipeline-adaptive] [-read-cache-ttl 0s] \

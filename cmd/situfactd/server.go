@@ -35,7 +35,6 @@ type config struct {
 	mhat         int           // max measure subspace size (0 = no cap)
 	shards       int           // pool shard count
 	shardDim     string        // dimension routing rows to shards; "" = first dimension
-	workers      int           // worker count for the parallel-* algorithms
 	stateDir     string        // snapshot directory; "" disables persistence
 	wal          bool          // journal ingest to <stateDir>/wal, replay on start
 	walSync      time.Duration // 0 = fsync before every ack; >0 = background interval fsync
@@ -211,8 +210,8 @@ func newServer(cfg config) (*server, error) {
 			if !strings.EqualFold(pool.Algorithm(), algo) {
 				log.Printf("warning: -algo %s ignored, snapshot was taken under %s", algo, pool.Algorithm())
 			}
-			if cfg.dhat != 0 || cfg.mhat != 0 || cfg.workers != 0 {
-				log.Printf("warning: -dhat/-mhat/-workers are pinned by the snapshot; flag values ignored")
+			if cfg.dhat != 0 || cfg.mhat != 0 {
+				log.Printf("warning: -dhat/-mhat are pinned by the snapshot; flag values ignored")
 			}
 		}
 	}
@@ -224,18 +223,11 @@ func newServer(cfg config) (*server, error) {
 				Algorithm:      situfact.Algorithm(algo),
 				MaxBoundDims:   cfg.dhat,
 				MaxMeasureDims: cfg.mhat,
-				Workers:        cfg.workers,
 			},
 		})
 		if err != nil {
 			return nil, err
 		}
-	}
-	// Refuse -state-dir with an engine snapshots cannot serialise now,
-	// not at the first SIGTERM.
-	if cfg.stateDir != "" && !pool.CanSnapshot() {
-		pool.Close()
-		return nil, fmt.Errorf("situfactd: -state-dir requires a snapshot-capable algorithm (lattice family over the in-memory store), not %q", algo)
 	}
 	bcap := cfg.boardCap
 	if bcap <= 0 {
@@ -647,7 +639,6 @@ func (s *server) handleSchema(w http.ResponseWriter, r *http.Request) {
 		ShardDim:   pool.ShardDim(),
 		Shards:     pool.Shards(),
 		Algorithm:  pool.Algorithm(),
-		Workers:    pool.Workers(),
 	})
 }
 

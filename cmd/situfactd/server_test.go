@@ -306,29 +306,19 @@ func TestParseTupleID(t *testing.T) {
 	}
 }
 
-// TestServerStateDirValidation: algorithms that cannot snapshot are
-// rejected at startup, not at the first shutdown.
+// TestServerStateDirValidation: a corrupt manifest must fail startup, not
+// silently start empty.
 func TestServerStateDirValidation(t *testing.T) {
-	cfg := gamelogConfig(1, t.TempDir())
-	// parallel-bottomup builds a working pool (prominence included) but
-	// cannot snapshot — the capability check, not pool construction, must
-	// reject it.
-	cfg.algo = "parallel-bottomup"
-	if _, err := newServer(cfg); err == nil {
-		t.Error("parallel-bottomup with -state-dir accepted")
-	}
-	// A corrupt manifest must fail startup, not silently start empty.
 	corrupt := t.TempDir()
 	if err := os.WriteFile(filepath.Join(corrupt, "pool.manifest"), []byte("garbage"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	cfg = gamelogConfig(1, corrupt)
+	cfg := gamelogConfig(1, corrupt)
 	if _, err := newServer(cfg); err == nil {
 		t.Error("corrupt manifest accepted as fresh start")
 	}
 
 	cfg.stateDir = ""
-	cfg.algo = ""
 	s, err := newServer(cfg)
 	if err != nil {
 		t.Fatal(err)

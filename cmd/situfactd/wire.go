@@ -89,9 +89,6 @@ type schemaResponse struct {
 	ShardDim   string        `json:"shard_dim"`
 	Shards     int           `json:"shards"`
 	Algorithm  string        `json:"algorithm"`
-	// Workers is the discovery goroutines per shard engine (1 for the
-	// single-threaded algorithms; >1 under the parallel-* ones).
-	Workers int `json:"workers"`
 }
 
 // metricsWire mirrors situfact.Metrics.

@@ -31,10 +31,7 @@
 // safe for concurrent use. For partitioned feeds — per-team game logs,
 // per-station weather streams — Pool shards one logical stream across
 // many engines by a chosen dimension and drives them concurrently; see
-// Pool and ExamplePool. Within one engine, the parallel-* algorithms
-// (AlgoParallelTopDown, AlgoParallelBottomUp) split discovery itself
-// across Options.Workers goroutines, one measure-subspace partition each.
-// The two forms stack: shards split the stream, workers split the lattice.
+// Pool and ExamplePool.
 //
 // # Persistence
 //
@@ -49,6 +46,7 @@
 //
 // Three commands wrap the package: cmd/situfact (streaming CSV monitor),
 // cmd/situfactd (HTTP daemon serving discovery over JSON, documented in
-// docs/API.md), and cmd/situbench (paper-figure regeneration and an HTTP
-// load generator). docs/ARCHITECTURE.md maps the layers.
+// docs/API.md), and cmd/situbench (paper-figure regeneration and the
+// kill -9 chaos drill). bench/ is the end-to-end benchmark;
+// docs/ARCHITECTURE.md maps the layers.
 package situfact

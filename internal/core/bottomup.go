@@ -1,8 +1,6 @@
 package core
 
 import (
-	"fmt"
-
 	"repro/internal/lattice"
 	"repro/internal/relation"
 	"repro/internal/subspace"
@@ -46,9 +44,6 @@ func NewBottomUp(cfg Config) (*BottomUp, error) {
 
 // NewSBottomUp creates SBottomUp (sharing across measure subspaces).
 func NewSBottomUp(cfg Config) (*BottomUp, error) {
-	if cfg.Subspaces != nil {
-		return nil, fmt.Errorf("core: SBottomUp shares work across ALL subspaces; explicit subspace subsets require the non-shared algorithms")
-	}
 	b, err := newBase(cfg)
 	if err != nil {
 		return nil, err

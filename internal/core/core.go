@@ -70,14 +70,6 @@ type Config struct {
 	// Store is the µ(C,M) store for the lattice algorithms; nil selects a
 	// fresh in-memory store. Baselines ignore it.
 	Store store.Store
-	// Subspaces, when non-nil, restricts discovery to exactly these
-	// measure subspaces instead of every subspace with ≤ m̂ attributes.
-	// Used by the Parallel driver to partition subspaces across workers;
-	// each mask must be non-empty and within the schema's measure space.
-	Subspaces []subspace.Mask
-	// Workers is the goroutine count of the parallel drivers (≤ 0 selects
-	// GOMAXPROCS); the sequential algorithms ignore it.
-	Workers int
 }
 
 func (c Config) validate() error {
@@ -183,17 +175,6 @@ func newBase(cfg Config) (*base, error) {
 		return nil, fmt.Errorf("core: store vector width %d does not match schema's %d measures", st.Width(), m)
 	}
 	subs := subspace.Enumerate(m, mhat)
-	if cfg.Subspaces != nil {
-		subs = append([]subspace.Mask(nil), cfg.Subspaces...)
-		for _, s := range subs {
-			if s == 0 || s&^subspace.Full(m) != 0 {
-				return nil, fmt.Errorf("core: invalid explicit subspace %b for m=%d", s, m)
-			}
-			if subspace.Size(s) > mhat {
-				return nil, fmt.Errorf("core: explicit subspace %b exceeds m̂=%d", s, mhat)
-			}
-		}
-	}
 	fullM := subspace.Full(m)
 	midx := make([][]uint8, int(fullM)+1)
 	fill := func(s subspace.Mask) {

@@ -5,12 +5,6 @@ import (
 	"repro/internal/subspace"
 )
 
-// CanDelete reports deletion support; true for the whole BottomUp family.
-// The engine layer discovers deletion capability through this method
-// rather than by concrete type, so wrappers (e.g. Parallel over BottomUp
-// workers) can offer it too.
-func (a *BottomUp) CanDelete() bool { return true }
-
 // Delete removes tuple u from the BottomUp-family state, repairing
 // Invariant 1 exactly — the paper's §VIII "allowing deletion and update of
 // data" future-work item. alive must be the remaining relation (u already

@@ -3,7 +3,7 @@
 // arrived tuple t, find every constraint–measure pair (C, M) such that t
 // is a contextual skyline tuple of λ_M(σ_C(R)).
 //
-// Eight sequential algorithms are provided, mirroring the paper's §IV–V:
+// Eight algorithms are provided, mirroring the paper's §IV–V:
 //
 //	BruteForce   Alg. 2 — compare with every tuple, per constraint, per subspace
 //	BaselineSeq  Alg. 3 — sequential scan + Proposition-3 pruning
@@ -14,9 +14,7 @@
 //	SBottomUp    §V-C — BottomUp + sharing across measure subspaces
 //	STopDown     Alg. 6 — TopDown + sharing across measure subspaces
 //
-// plus two engineering extensions beyond the paper: Parallel partitions
-// the measure subspaces across workers running BottomUp or TopDown over
-// one shared striped-lock store, and Skyband generalises discovery to
+// plus one extension beyond the paper: Skyband generalises discovery to
 // contextual k-skybands. All discovery algorithms produce identical fact
 // sets; they differ in time, memory and I/O profiles (the subject of the
 // paper's evaluation).

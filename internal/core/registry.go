@@ -61,8 +61,7 @@ func Algorithms() []string {
 	return out
 }
 
-// The eight paper algorithms plus the parallel drivers. The parallel
-// entries consume Config.Workers; the sequential ones ignore it.
+// The eight paper algorithms.
 func init() {
 	Register("bruteforce", func(cfg Config) (Discoverer, error) { return NewBruteForce(cfg) })
 	Register("baselineseq", func(cfg Config) (Discoverer, error) { return NewBaselineSeq(cfg) })
@@ -72,10 +71,4 @@ func init() {
 	Register("topdown", func(cfg Config) (Discoverer, error) { return NewTopDown(cfg) })
 	Register("sbottomup", func(cfg Config) (Discoverer, error) { return NewSBottomUp(cfg) })
 	Register("stopdown", func(cfg Config) (Discoverer, error) { return NewSTopDown(cfg) })
-	Register("parallel-topdown", func(cfg Config) (Discoverer, error) {
-		return NewParallel(cfg, "topdown", cfg.Workers)
-	})
-	Register("parallel-bottomup", func(cfg Config) (Discoverer, error) {
-		return NewParallel(cfg, "bottomup", cfg.Workers)
-	})
 }

@@ -10,7 +10,6 @@ func TestRegistryBuiltins(t *testing.T) {
 	for _, want := range []string{
 		"bruteforce", "baselineseq", "baselineidx", "ccsc",
 		"bottomup", "topdown", "sbottomup", "stopdown",
-		"parallel-topdown", "parallel-bottomup",
 	} {
 		found := false
 		for _, n := range names {
@@ -47,23 +46,6 @@ func TestRegistryUnknown(t *testing.T) {
 	// The error must teach: it lists what IS registered.
 	if !strings.Contains(err.Error(), "sbottomup") {
 		t.Errorf("unknown-algorithm error does not list alternatives: %v", err)
-	}
-}
-
-func TestRegistryWorkersKnob(t *testing.T) {
-	tb := table4(t) // m=2 → 3 subspaces
-	cfg := Config{Schema: tb.Schema(), MaxBound: -1, MaxMeasure: -1, Workers: 2}
-	d, err := NewDiscoverer("parallel-topdown", cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer d.Close()
-	p, ok := d.(*Parallel)
-	if !ok {
-		t.Fatalf("parallel-topdown built a %T", d)
-	}
-	if p.Workers() != 2 {
-		t.Errorf("Workers = %d, want 2 (Config.Workers)", p.Workers())
 	}
 }
 

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"fmt"
-
 	"repro/internal/lattice"
 	"repro/internal/relation"
 	"repro/internal/store"
@@ -46,9 +44,6 @@ func NewTopDown(cfg Config) (*TopDown, error) {
 
 // NewSTopDown creates STopDown (sharing across measure subspaces).
 func NewSTopDown(cfg Config) (*TopDown, error) {
-	if cfg.Subspaces != nil {
-		return nil, fmt.Errorf("core: STopDown shares work across ALL subspaces; explicit subspace subsets require the non-shared algorithms")
-	}
 	b, err := newBase(cfg)
 	if err != nil {
 		return nil, err

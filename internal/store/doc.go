@@ -4,7 +4,7 @@
 // Interner, cells are addressed by one packed uint64 (constraint id +
 // subspace mask), and a cell's members live in a single flat float64 row
 // array — id-tagged, pointer-free, cache-contiguous (see
-// docs/ARCHITECTURE.md § "Hot path & memory layout"). Three
+// docs/ARCHITECTURE.md § "Hot path & memory layout"). Two
 // implementations cover the system's settings:
 //
 //   - Memory: append-only cell pages behind a dense, hash-free
@@ -13,8 +13,6 @@
 //   - File: one binary file per non-empty cell; a visit reads the whole
 //     cell into a buffer, mutates the buffer, and overwrites the file when
 //     the visit ends (paper §VI-C, verbatim semantics).
-//   - Sharded: a striped-lock in-memory store shared by the parallel
-//     drivers' workers — an extension beyond the single-threaded paper.
 //
 // The Load/Save protocol is shaped by the file implementation: algorithms
 // Load a cell, work on the returned value, and Save it back if (and only

@@ -50,8 +50,11 @@ func (k CellKey) String() string {
 // Interner hash-conses constraint keys to dense ids. The forward map is
 // keyed by the raw key bytes; the reverse slice decodes ids back to keys
 // for snapshots, file naming and diagnostics. It is safe for concurrent
-// use (the parallel driver's workers intern through one shared table); the
-// steady-state path takes only a read lock and performs no allocation.
+// use: engines reach it under their owner's lock today (a Pool's queries
+// resolve ids beside each other under a shard's read lock, never beside
+// a write), and the table keeps its own lock so that safety does not rest
+// on the caller. The steady-state path takes only a read lock and
+// performs no allocation.
 type Interner struct {
 	mu   sync.RWMutex
 	ids  map[string]ConstraintID
@@ -348,13 +351,7 @@ const (
 // NewMemory creates an empty in-memory store for vectors of the given
 // width (the schema's measure count).
 func NewMemory(width int) *Memory {
-	return newMemoryShared(NewInterner(), width)
-}
-
-// newMemoryShared creates a Memory over an externally shared interner
-// (the sharded store's stripes must agree on ids).
-func newMemoryShared(in *Interner, width int) *Memory {
-	m := &Memory{in: in, width: width}
+	m := &Memory{in: NewInterner(), width: width}
 	if width > denseMaxWidth {
 		m.idx = make(map[CellRef]int32)
 	}

@@ -97,16 +97,14 @@ func TestPipelineEquivalence(t *testing.T) {
 	}
 }
 
-// TestPipelineAdaptiveEquivalence is TestPipelineEquivalence with every
-// multicore feature on at once: adaptive queue depths and
-// parallel-bottomup shard engines. Facts and metrics must stay
-// bit-identical both to inline execution over the same engines and to a
-// fixed-depth pipeline — queue-capacity movement is pure mechanics,
-// invisible to discovery.
+// TestPipelineAdaptiveEquivalence is TestPipelineEquivalence with
+// adaptive queue depths on. Facts and metrics must stay bit-identical
+// both to inline execution over the same engines and to a fixed-depth
+// pipeline — queue-capacity movement is pure mechanics, invisible to
+// discovery.
 func TestPipelineAdaptiveEquivalence(t *testing.T) {
-	eng := Options{Algorithm: AlgoParallelBottomUp, Workers: 2}
 	newP := func(pipelined, adaptive bool) *Pool {
-		p, err := NewPool(poolSchema(t), PoolOptions{Shards: 3, ShardDim: "team", Engine: eng})
+		p, err := NewPool(poolSchema(t), PoolOptions{Shards: 3, ShardDim: "team"})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -84,8 +84,7 @@ type PoolOptions struct {
 	ShardDim string
 	// Engine configures every shard's engine identically. When
 	// Engine.StoreDir is non-empty, shard i stores its cells under
-	// <StoreDir>/shard-<i>; the parallel-* algorithms reject StoreDir
-	// (their workers share an in-memory store).
+	// <StoreDir>/shard-<i>.
 	Engine Options
 }
 
@@ -472,10 +471,6 @@ func (p *Pool) Algorithm() string { return p.shards[0].eng.Algorithm() }
 // CanDelete reports whether Delete supports this pool's engines (the
 // BottomUp family; all shards run the same algorithm).
 func (p *Pool) CanDelete() bool { return p.shards[0].eng.CanDelete() }
-
-// Workers returns the discovery goroutines per shard engine (1 for the
-// single-threaded algorithms; all shards run the same configuration).
-func (p *Pool) Workers() int { return p.shards[0].eng.Workers() }
 
 // ShardStat describes one shard of a pool for monitoring.
 type ShardStat struct {

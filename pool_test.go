@@ -3,7 +3,6 @@ package situfact
 import (
 	"fmt"
 	"math/rand"
-	"strings"
 	"sync"
 	"testing"
 )
@@ -257,34 +256,5 @@ func TestPoolFileStore(t *testing.T) {
 	}
 	if err := p.DestroyStore(); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// TestPoolParallelEngines stacks both concurrency layers: a sharded pool
-// whose engines are themselves parallel drivers.
-func TestPoolParallelEngines(t *testing.T) {
-	p, err := NewPool(poolSchema(t), PoolOptions{
-		Shards:   2,
-		ShardDim: "team",
-		Engine:   Options{Algorithm: AlgoParallelBottomUp, Workers: 2},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer p.Close()
-	rows := poolRows(60)
-	arrs, err := p.AppendBatch(rows)
-	if err != nil {
-		t.Fatal(err)
-	}
-	solo := soloArrivals(t, p, rows)
-	for i := range rows {
-		if len(arrs[i].Facts) != len(solo[i].Facts) {
-			t.Fatalf("row %d: %d facts via parallel engines, solo has %d",
-				i, len(arrs[i].Facts), len(solo[i].Facts))
-		}
-	}
-	if !strings.Contains(p.Algorithm(), "Parallel") {
-		t.Errorf("pool algorithm = %q", p.Algorithm())
 	}
 }

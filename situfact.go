@@ -41,23 +41,18 @@ type Algorithm string
 
 // The available algorithms. STopDown and SBottomUp share computation
 // across measure subspaces (§V-C); the baselines exist mainly for
-// benchmarking. The Parallel* drivers partition the measure subspaces
-// across Options.Workers goroutines running the non-shared lattice
-// algorithms over one shared striped-lock store — an engineering
-// extension beyond the single-threaded paper. Algorithm names resolve
-// through the core registry (core.Register), so extensions register
-// themselves without touching this package.
+// benchmarking. Algorithm names resolve through the core registry
+// (core.Register), so extensions register themselves without touching
+// this package.
 const (
-	AlgoBruteForce       Algorithm = "bruteforce"
-	AlgoBaselineSeq      Algorithm = "baselineseq"
-	AlgoBaselineIdx      Algorithm = "baselineidx"
-	AlgoCCSC             Algorithm = "ccsc"
-	AlgoBottomUp         Algorithm = "bottomup"
-	AlgoTopDown          Algorithm = "topdown"
-	AlgoSBottomUp        Algorithm = "sbottomup"
-	AlgoSTopDown         Algorithm = "stopdown"
-	AlgoParallelTopDown  Algorithm = "parallel-topdown"
-	AlgoParallelBottomUp Algorithm = "parallel-bottomup"
+	AlgoBruteForce  Algorithm = "bruteforce"
+	AlgoBaselineSeq Algorithm = "baselineseq"
+	AlgoBaselineIdx Algorithm = "baselineidx"
+	AlgoCCSC        Algorithm = "ccsc"
+	AlgoBottomUp    Algorithm = "bottomup"
+	AlgoTopDown     Algorithm = "topdown"
+	AlgoSBottomUp   Algorithm = "sbottomup"
+	AlgoSTopDown    Algorithm = "stopdown"
 )
 
 // Algorithms returns the names of every registered algorithm, sorted.
@@ -88,9 +83,6 @@ type Options struct {
 	// extension beyond the paper; see core.Skyband. It overrides
 	// Algorithm and implies DisableProminence.
 	SkybandK int
-	// Workers is the goroutine count of the Parallel* algorithms; 0 or
-	// negative selects GOMAXPROCS. Sequential algorithms ignore it.
-	Workers int
 }
 
 // Condition is one bound attribute of a fact's context, e.g. team=Celtics.
@@ -259,11 +251,6 @@ func New(schema *Schema, opt Options) (*Engine, error) {
 	if algo == "" {
 		algo = AlgoSBottomUp
 	}
-	if opt.StoreDir != "" && (algo == AlgoParallelTopDown || algo == AlgoParallelBottomUp) {
-		// The parallel drivers own a shared in-memory sharded store; fail
-		// before creating the on-disk directory.
-		return nil, fmt.Errorf("situfact: %s does not support StoreDir (parallel workers share an in-memory store)", algo)
-	}
 	var fileSt *store.File
 	if opt.StoreDir != "" {
 		fs, err := store.NewFile(opt.StoreDir, rs)
@@ -280,7 +267,6 @@ func New(schema *Schema, opt Options) (*Engine, error) {
 		}
 		return nil, err
 	}
-	cfg.Workers = opt.Workers
 	if opt.SkybandK >= 2 {
 		sb, err := core.NewSkyband(cfg, opt.SkybandK)
 		if err != nil {
@@ -296,8 +282,8 @@ func New(schema *Schema, opt Options) (*Engine, error) {
 		// package prefix so callers see one coherent message.
 		return fail(fmt.Errorf("situfact: %s", strings.TrimPrefix(err.Error(), "core: ")))
 	}
-	// The lattice families (and the parallel drivers over them) can size
-	// contextual skylines; the baselines cannot.
+	// The lattice families can size contextual skylines; the baselines
+	// cannot.
 	sizer, _ := disc.(core.SkylineSizer)
 	eng := &Engine{
 		schema:     rs,
@@ -469,16 +455,15 @@ func (d *factDecoder) endArrival() {
 // exactly (tuples that the deleted one was suppressing re-enter their
 // contextual skylines) and prominence counters are decremented.
 //
-// Deletion is supported by the BottomUp family — including the parallel
-// driver over BottomUp workers — only (Invariant 1 makes local repair
-// possible); engines running other algorithms return an error. An update
-// is a Delete followed by an Append.
+// Deletion is supported by the BottomUp family only (Invariant 1 makes
+// local repair possible); engines running other algorithms return an
+// error. An update is a Delete followed by an Append.
 func (e *Engine) Delete(tupleID int64) error {
-	if !e.CanDelete() {
+	bu, ok := e.disc.(deleter)
+	if !ok {
 		return fmt.Errorf("situfact: Delete requires the BottomUp family; engine runs %s: %w",
 			e.disc.Name(), ErrDeleteUnsupported)
 	}
-	bu := e.disc.(deleter) // CanDelete just proved the assertion holds
 	if tupleID < 0 || tupleID >= int64(e.table.Len()) {
 		return fmt.Errorf("situfact: Delete: tuple %d: %w", tupleID, ErrNotFound)
 	}
@@ -498,11 +483,10 @@ func (e *Engine) Delete(tupleID int64) error {
 }
 
 // CanDelete reports whether Delete supports this engine's algorithm
-// (the BottomUp family, including the parallel driver over BottomUp
-// workers).
+// (the BottomUp family).
 func (e *Engine) CanDelete() bool {
-	bu, ok := e.disc.(deleter)
-	return ok && bu.CanDelete()
+	_, ok := e.disc.(deleter)
+	return ok
 }
 
 // Update retracts tuple tupleID and appends its replacement, returning
@@ -515,10 +499,8 @@ func (e *Engine) Update(tupleID int64, dims []string, measures []float64) (*Arri
 }
 
 // deleter is the deletion capability the engine discovers on its
-// algorithm: core.BottomUp and core.Parallel both satisfy it, the latter
-// reporting CanDelete only over BottomUp workers.
+// algorithm: core.BottomUp (plain and shared) satisfies it.
 type deleter interface {
-	CanDelete() bool
 	Delete(u *relation.Tuple, alive []*relation.Tuple)
 }
 
@@ -541,16 +523,6 @@ func (e *Engine) Len() int { return e.table.Len() - len(e.deleted) }
 
 // Algorithm returns the name of the underlying algorithm.
 func (e *Engine) Algorithm() string { return e.disc.Name() }
-
-// Workers returns the number of discovery goroutines one Process call
-// runs: the Parallel* engines' (possibly clamped) worker count, 1 for
-// every single-threaded algorithm.
-func (e *Engine) Workers() int {
-	if p, ok := e.disc.(*core.Parallel); ok {
-		return p.Workers()
-	}
-	return 1
-}
 
 // Metrics returns a snapshot of the work counters.
 func (e *Engine) Metrics() Metrics {

@@ -1,7 +1,6 @@
 package situfact
 
 import (
-	"os"
 	"strings"
 	"testing"
 )
@@ -95,8 +94,7 @@ func TestEngineEndToEnd(t *testing.T) {
 func TestEngineAlgorithms(t *testing.T) {
 	// Every algorithm must agree on |S_t7| through the public API.
 	for _, algo := range []Algorithm{AlgoBruteForce, AlgoBaselineSeq, AlgoBaselineIdx, AlgoCCSC,
-		AlgoBottomUp, AlgoTopDown, AlgoSBottomUp, AlgoSTopDown,
-		AlgoParallelTopDown, AlgoParallelBottomUp} {
+		AlgoBottomUp, AlgoTopDown, AlgoSBottomUp, AlgoSTopDown} {
 		opt := Options{Algorithm: algo}
 		switch algo {
 		case AlgoBruteForce, AlgoBaselineSeq, AlgoBaselineIdx, AlgoCCSC:
@@ -117,101 +115,6 @@ func TestEngineAlgorithms(t *testing.T) {
 			t.Errorf("%s: |S_t7| = %d, want 195", algo, len(last.Facts))
 		}
 		eng.Close()
-	}
-}
-
-// TestEngineParallelEquivalence: the parallel constants must reproduce
-// their sequential counterparts exactly through the public API — same
-// facts, same prominence numerators and denominators — for several worker
-// counts.
-func TestEngineParallelEquivalence(t *testing.T) {
-	for _, pair := range []struct{ seq, par Algorithm }{
-		{AlgoTopDown, AlgoParallelTopDown},
-		{AlgoBottomUp, AlgoParallelBottomUp},
-	} {
-		ref, err := New(gamelogSchema(t), Options{Algorithm: pair.seq})
-		if err != nil {
-			t.Fatal(err)
-		}
-		var want []*Arrival
-		for _, r := range table1Rows {
-			arr, err := ref.Append(r.d, r.m)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want = append(want, arr)
-		}
-		ref.Close()
-		for _, workers := range []int{1, 2, 4} {
-			eng, err := New(gamelogSchema(t), Options{Algorithm: pair.par, Workers: workers})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !strings.Contains(eng.Algorithm(), "Parallel") {
-				t.Errorf("%s engine reports algorithm %q", pair.par, eng.Algorithm())
-			}
-			for i, r := range table1Rows {
-				arr, err := eng.Append(r.d, r.m)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if len(arr.Facts) != len(want[i].Facts) {
-					t.Fatalf("%s W=%d tuple %d: %d facts, sequential has %d",
-						pair.par, workers, i, len(arr.Facts), len(want[i].Facts))
-				}
-				for j := range arr.Facts {
-					w, g := want[i].Facts[j], arr.Facts[j]
-					if w.String() != g.String() || w.ContextSize != g.ContextSize ||
-						w.SkylineSize != g.SkylineSize {
-						t.Fatalf("%s W=%d tuple %d fact %d: %s vs sequential %s",
-							pair.par, workers, i, j, g, w)
-					}
-				}
-			}
-			if got := eng.Metrics().Tuples; got != int64(len(table1Rows)) {
-				t.Errorf("%s W=%d: Metrics.Tuples = %d, want %d",
-					pair.par, workers, got, len(table1Rows))
-			}
-			eng.Close()
-		}
-	}
-}
-
-// TestEngineParallelDelete: deletion works through the parallel BottomUp
-// driver exactly as through the sequential one (same scenario as
-// TestEngineDelete), while the parallel TopDown driver refuses it.
-func TestEngineParallelDelete(t *testing.T) {
-	eng, err := New(gamelogSchema(t), Options{Algorithm: AlgoParallelBottomUp, Workers: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer eng.Close()
-	for _, r := range table1Rows[:6] {
-		if _, err := eng.Append(r.d, r.m); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := eng.Delete(5); err != nil {
-		t.Fatal(err)
-	}
-	if err := eng.Delete(2); err != nil {
-		t.Fatal(err)
-	}
-	last, err := eng.Append(table1Rows[6].d, table1Rows[6].m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(last.Facts) != 218 {
-		t.Errorf("|S_t7| after parallel deletions = %d, want 218 (the sequential answer)", len(last.Facts))
-	}
-	td, err := New(gamelogSchema(t), Options{Algorithm: AlgoParallelTopDown})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer td.Close()
-	td.Append(table1Rows[0].d, table1Rows[0].m)
-	if err := td.Delete(0); err == nil {
-		t.Error("parallel TopDown engine accepted Delete")
 	}
 }
 
@@ -260,23 +163,6 @@ func TestEngineOptionErrors(t *testing.T) {
 		if strings.Contains(err.Error(), "core:") {
 			t.Errorf("internal package prefix leaked: %v", err)
 		}
-	}
-	// The parallel drivers share an in-memory store: StoreDir must be
-	// rejected up front with an actionable message, creating nothing on
-	// disk.
-	dir := t.TempDir() + "/cells"
-	if _, err := New(gamelogSchema(t), Options{Algorithm: AlgoParallelTopDown, StoreDir: dir}); err == nil ||
-		!strings.Contains(err.Error(), "StoreDir") {
-		t.Errorf("parallel + StoreDir: %v", err)
-	}
-	if _, err := os.Stat(dir); !os.IsNotExist(err) {
-		t.Errorf("rejected parallel + StoreDir still created %s", dir)
-	}
-	if _, err := NewPool(gamelogSchema(t), PoolOptions{
-		Shards: 2,
-		Engine: Options{Algorithm: AlgoParallelBottomUp, StoreDir: dir},
-	}); err == nil || !strings.Contains(err.Error(), "StoreDir") {
-		t.Errorf("pool parallel + StoreDir: %v", err)
 	}
 	// Prominence requires a lattice algorithm.
 	if _, err := New(gamelogSchema(t), Options{Algorithm: AlgoBaselineSeq}); err == nil {
