@@ -115,7 +115,7 @@ func (a *BottomUp) traverse(t *relation.Tuple, m subspace.Mask, root bool, facts
 			a.inQueue[bm] = a.epoch
 		}
 	}
-	stride, tv, idx := a.vw+1, t.Oriented, a.midx[m]
+	tv, idx := t.Oriented, a.midx[m]
 	for head := 0; head < len(a.queue); head++ {
 		c := a.queue[head]
 		if a.pruned[c] == a.epoch {
@@ -126,19 +126,18 @@ func (a *BottomUp) traverse(t *relation.Tuple, m subspace.Mask, root bool, facts
 		a.met.Traversed++
 		ref := a.cellRef(t, c, m)
 		cell := a.st.Load(ref)
-		// Batched scan (kernel.go): four stored rows per pass, stopping at
-		// the first one dominating t. One Comparison is charged per row
-		// visited — the same sequence of logical rows the old
-		// row-at-a-time loop walked (removals were order-preserving), so
-		// the counter stays bit-identical.
-		visited, dominated, rem := scanFirstDom(tv, cell.Rows, cell.Len(), stride, idx, a.remIdx[:0])
+		// Batched scan (kernel.go): four members per pass, stopping at the
+		// first one dominating t. One Comparison is charged per member
+		// visited — the sequence a member-at-a-time loop walks (removals
+		// are order-preserving), so the counter is that loop's.
+		ids := cell.IDs()
+		visited, dominated, rem := scanFirstDom(tv, a.vecs, ids, a.m, idx, a.remIdx[:0])
 		a.met.Comparisons += int64(visited)
 		if root {
 			// Record one Proposition-4 relation per visited distinct tuple,
-			// in row order, off the still-uncompacted page — the same uids
-			// in the same order the interleaved loop recorded them.
-			for i := 0; i < visited; i++ {
-				if uid := cell.ID(i); !a.recSeen[uid] {
+			// in member order, off the still-uncompacted cell.
+			for _, id := range ids[:visited] {
+				if uid := int64(id); !a.recSeen[uid] {
 					a.recSeen[uid] = true
 					u := a.tupleByID(uid)
 					a.recs = append(a.recs, pairRec{sharedOf(t, u), subspace.Compare(t, u, a.m)})
@@ -158,7 +157,7 @@ func (a *BottomUp) traverse(t *relation.Tuple, m subspace.Mask, root bool, facts
 			if emitting {
 				facts = a.emit(t, c, m, facts)
 			}
-			cell.Append(t.ID, tv)
+			cell.Append(t.ID)
 			changed = true
 			for cc := c; cc != 0; {
 				bit := cc & -cc

@@ -98,7 +98,6 @@ type base struct {
 
 	st store.Store
 	in *store.Interner // st's intern table (cached to skip the interface call)
-	vw int             // cell vector width == m
 
 	// midx[s] lists the measure indices of subspace s — the dominance
 	// kernel iterates this flat list instead of scanning mask bits.
@@ -107,10 +106,15 @@ type base struct {
 	midx [][]uint8
 
 	// reg resolves tuple ids back to tuples (reg[id], ids are arrival
-	// positions). Cells store only ids and oriented vectors; the rare
-	// paths that need dimension values — TopDown re-homing, SkylineSize,
-	// the S* record passes — resolve through here.
+	// positions). Cells store only ids; the rare paths that need dimension
+	// values — TopDown re-homing, SkylineSize, the S* record passes —
+	// resolve through here.
 	reg []*relation.Tuple
+	// vecs is the measure-vector arena the cell scans read: tuple id's
+	// oriented vector is vecs[id·m : (id+1)·m], kept once per tuple however
+	// many cells hold it. Flat and pointer-free — a scan's only memory
+	// besides the cell's id list.
+	vecs []float64
 
 	met Metrics
 
@@ -131,7 +135,7 @@ type base struct {
 	valsSeen []uint32  // factVals[c] is current iff valsSeen[c] == keyStamp
 	factCap  int       // last arrival's fact count, seeds the next facts slice
 
-	// Scratch of the batched cell scans (kernel.go): row indices the
+	// Scratch of the batched cell scans (kernel.go): member indices the
 	// candidate dominates / is dominated by in the cell under scan, and
 	// the evictees' tuple ids resolved before the cell is compacted.
 	remIdx    []int
@@ -206,7 +210,6 @@ func newBase(cfg Config) (*base, error) {
 		fullM:    fullM,
 		st:       st,
 		in:       st.Interner(),
-		vw:       m,
 		midx:     midx,
 		pruned:   make([]uint32, size),
 		inQueue:  make([]uint32, size),
@@ -245,21 +248,26 @@ func (b *base) newTupleScratch(t *relation.Tuple) {
 	}
 }
 
-// register makes t resolvable by id; idempotent.
+// register makes t and its oriented vector resolvable by id; idempotent.
 func (b *base) register(t *relation.Tuple) {
 	for int64(len(b.reg)) <= t.ID {
 		b.reg = append(b.reg, nil)
+		b.vecs = append(b.vecs, make([]float64, b.m)...)
 	}
 	b.reg[t.ID] = t
+	copy(b.vec(t.ID), t.Oriented)
 }
 
 // RegisterTuple exposes register for snapshot restore: restored cells
-// reference tuples that never went through Process, and later re-homing or
-// SkylineSize calls must still resolve their ids.
+// reference tuples that never went through Process, and later cell scans,
+// re-homing or SkylineSize calls must still resolve their ids.
 func (b *base) RegisterTuple(t *relation.Tuple) { b.register(t) }
 
 // tupleByID resolves a cell member back to its tuple.
 func (b *base) tupleByID(id int64) *relation.Tuple { return b.reg[id] }
+
+// vec returns the arena row of tuple id.
+func (b *base) vec(id int64) []float64 { return b.vecs[int(id)*b.m : (int(id)+1)*b.m] }
 
 // cid returns the interned constraint id of the C^t member selected by c,
 // cached per tuple (the id depends only on t's dimension values and c).

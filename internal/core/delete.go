@@ -2,6 +2,7 @@ package core
 
 import (
 	"repro/internal/relation"
+	"repro/internal/store"
 	"repro/internal/subspace"
 )
 
@@ -19,11 +20,12 @@ import (
 // candidates is complete because any dominator chases up to a skyline
 // tuple of the shrunken context, which lies in exactly that union.
 //
-// Cost: O(|C^u| · #subspaces · n) per deletion — a scan per affected
-// cell. Deletions are expected to be rare relative to arrivals; the
-// TopDown family does not support deletion (re-deriving maximal skyline
-// constraints for promoted tuples requires global recomputation), which
-// mirrors the trade-off the two storage schemes already embody.
+// Cost: one pass over alive per constraint of C^u to collect its context,
+// then, for each cell that held u, a scan of that context. Deletions are
+// expected to be rare relative to arrivals; the TopDown family does not
+// support deletion (re-deriving maximal skyline constraints for promoted
+// tuples requires global recomputation), which mirrors the trade-off the
+// two storage schemes already embody.
 func (a *BottomUp) Delete(u *relation.Tuple, alive []*relation.Tuple) {
 	a.newTupleScratch(u)
 	subs := a.subs
@@ -31,10 +33,12 @@ func (a *BottomUp) Delete(u *relation.Tuple, alive []*relation.Tuple) {
 		// The sharing root pass maintains full-space cells too.
 		subs = append(append([]subspace.Mask(nil), subs...), a.fullM)
 	}
-	for _, m := range subs {
-		idx := a.indices(m)
-		for _, c := range a.ctMasks {
-			ref := a.cellRef(u, c, m)
+	var ctx, cands []*relation.Tuple
+	for _, c := range a.ctMasks {
+		cid := a.cid(u, c)
+		collected := false
+		for _, m := range subs {
+			ref := store.Ref(cid, m)
 			cell := a.st.Load(ref)
 			if cell.Len() == 0 {
 				continue
@@ -42,12 +46,20 @@ func (a *BottomUp) Delete(u *relation.Tuple, alive []*relation.Tuple) {
 			if !cell.RemoveID(u.ID) {
 				continue // u was not in this skyline: nothing changes
 			}
-			// Collect the context tuples u was dominating here.
-			var cands []*relation.Tuple
-			for _, w := range alive {
-				if w.ID == u.ID || !satisfiesMask(u, w, c) {
-					continue
+			if !collected {
+				// σ_C(alive) − u, scanned out of alive once per constraint:
+				// every cell of C that held u repairs from it.
+				ctx, collected = ctx[:0], true
+				for _, w := range alive {
+					if w.ID != u.ID && satisfiesMask(u, w, c) {
+						ctx = append(ctx, w)
+					}
 				}
+			}
+			idx := a.indices(m)
+			// Collect the context tuples u was dominating here.
+			cands = cands[:0]
+			for _, w := range ctx {
 				a.met.Comparisons++
 				if _, doms := cmpVecs(u.Oriented, w.Oriented, idx); doms {
 					cands = append(cands, w)
@@ -55,9 +67,9 @@ func (a *BottomUp) Delete(u *relation.Tuple, alive []*relation.Tuple) {
 			}
 			for _, w := range cands {
 				dominated := false
-				for i := 0; i < cell.Len(); i++ {
+				for _, id := range cell.IDs() {
 					a.met.Comparisons++
-					if _, doms := cmpVecs(cell.Row(i), w.Oriented, idx); doms {
+					if _, doms := cmpVecs(a.vec(int64(id)), w.Oriented, idx); doms {
 						dominated = true
 						break
 					}
@@ -75,7 +87,7 @@ func (a *BottomUp) Delete(u *relation.Tuple, alive []*relation.Tuple) {
 					}
 				}
 				if !dominated {
-					cell.Append(w.ID, w.Oriented)
+					cell.Append(w.ID)
 				}
 			}
 			a.st.Save(ref, cell)

@@ -19,6 +19,13 @@
 // sets; they differ in time, memory and I/O profiles (the subject of the
 // paper's evaluation).
 //
+// The lattice algorithms keep their µ(C,M) cells in a store.Store as lists
+// of tuple ids. What a scan compares against is held here, once per tuple:
+// base.vecs is one flat arena of oriented measure vectors (tuple id's row
+// at id·m) and base.reg resolves an id back to its tuple; both are filled
+// when a tuple is first processed, or by RegisterTuple after a snapshot
+// restore. The cell scans (kernel.go) take the arena and a cell's id list.
+//
 // Algorithms are constructed through a registry (Register/NewDiscoverer)
 // keyed by lower-case name, so extensions plug in without touching the
 // public API layer. Every Discoverer reports Metrics (comparisons,

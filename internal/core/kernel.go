@@ -3,12 +3,13 @@ package core
 import "math/bits"
 
 // Batched dominance kernels. The discovery algorithms spend most of their
-// time comparing an arriving tuple's oriented vector against the packed
-// rows of a µ(C,M) cell (stride 1+W: one id slot, then the vector). The
-// single-row kernel cmpVecs (core.go) streams one row per call; the
-// kernels here walk the flat row page directly and test the candidate
-// against four stored rows per pass, so the candidate's coordinates and
-// the subspace's index list load once per pass instead of once per row.
+// time comparing an arriving tuple's oriented vector against the members
+// of a µ(C,M) cell. A cell is a list of tuple ids; member id's vector is
+// the m-wide row at id·m of the algorithm's vector arena (base.vecs). The
+// single-row kernel cmpVecs (core.go) compares one row per call; the
+// kernels here test the candidate against four members' rows per pass, so
+// the candidate's coordinates and the subspace's index list load once per
+// pass instead of once per row.
 // Per-row verdicts are bit-identical to cmpVecs; only the early-exit
 // granularity moves — a multi-row pass bails out when EVERY lane has
 // become incomparable, where the single-row kernel bails per row. Work
@@ -21,13 +22,13 @@ import "math/bits"
 // the candidate dominates that row (t ≻ u).
 
 // cmpVecs4 compares tv against the four rows starting at element offsets
-// k0..k3 of the packed page (vector at offset +1 of each row), over the
-// measure indices idx — the pass width of the cell scans below.
-func cmpVecs4(tv, rows []float64, k0, k1, k2, k3 int, idx []uint8) (dom, doms uint8) {
+// k0..k3 of the arena, over the measure indices idx — the pass width of
+// the cell scans below.
+func cmpVecs4(tv, arena []float64, k0, k1, k2, k3 int, idx []uint8) (dom, doms uint8) {
 	var gt, lt uint8
 	for _, j := range idx {
-		a, o := tv[j], int(j)+1
-		b0, b1, b2, b3 := rows[k0+o], rows[k1+o], rows[k2+o], rows[k3+o]
+		a, o := tv[j], int(j)
+		b0, b1, b2, b3 := arena[k0+o], arena[k1+o], arena[k2+o], arena[k3+o]
 		if a > b0 {
 			gt |= 1
 		} else if a < b0 {
@@ -55,18 +56,19 @@ func cmpVecs4(tv, rows []float64, k0, k1, k2, k3 int, idx []uint8) (dom, doms ui
 	return lt &^ gt, gt &^ lt
 }
 
-// scanFirstDom walks a cell's n packed rows front to back, four per pass,
-// comparing tv against each stored vector. It stops at the first row that
-// dominates tv — BottomUp's Invariant-1 break — and returns the number of
-// rows visited (the caller's Comparisons charge: every row up to and
-// including the dominator, or all n), whether a dominator was found, and
-// rem extended with the indices of visited rows tv dominates. Rows past
-// the first dominator are never reported even when a wide pass happened
-// to test them, so verdict order matches the row-at-a-time scan exactly.
-func scanFirstDom(tv, rows []float64, n, stride int, idx []uint8, rem []int) (visited int, dominated bool, _ []int) {
-	i, k := 0, 0
-	for ; i+4 <= n; i, k = i+4, k+4*stride {
-		dom, doms := cmpVecs4(tv, rows, k, k+stride, k+2*stride, k+3*stride, idx)
+// scanFirstDom walks a cell's members (ids, rows m wide in arena) front to
+// back, four per pass, comparing tv against each one's vector. It stops at
+// the first member that dominates tv — BottomUp's Invariant-1 break — and
+// returns the number of members visited (the caller's Comparisons charge:
+// every one up to and including the dominator, or all of them), whether a
+// dominator was found, and rem extended with the indices of visited
+// members tv dominates. Members past the first dominator are never
+// reported even when a wide pass happened to test them, so verdict order
+// matches the row-at-a-time scan exactly.
+func scanFirstDom(tv, arena []float64, ids []uint32, m int, idx []uint8, rem []int) (visited int, dominated bool, _ []int) {
+	i, n := 0, len(ids)
+	for ; i+4 <= n; i += 4 {
+		dom, doms := cmpVecs4(tv, arena, int(ids[i])*m, int(ids[i+1])*m, int(ids[i+2])*m, int(ids[i+3])*m, idx)
 		if dom|doms == 0 {
 			continue
 		}
@@ -79,8 +81,9 @@ func scanFirstDom(tv, rows []float64, n, stride int, idx []uint8, rem []int) (vi
 			}
 		}
 	}
-	for ; i < n; i, k = i+1, k+stride {
-		d, ds := cmpVecs(tv, rows[k+1:k+stride], idx)
+	for ; i < n; i++ {
+		k := int(ids[i]) * m
+		d, ds := cmpVecs(tv, arena[k:k+m], idx)
 		if d {
 			return i + 1, true, rem
 		}
@@ -91,14 +94,14 @@ func scanFirstDom(tv, rows []float64, n, stride int, idx []uint8, rem []int) (vi
 	return n, false, rem
 }
 
-// scanAll compares tv against every one of the n packed rows, four per
-// pass, appending the indices of rows that dominate tv to dom and of rows
-// tv dominates to doms (both in row order). TopDown visits every row of a
-// cell — no early break — so the caller charges n Comparisons.
-func scanAll(tv, rows []float64, n, stride int, idx []uint8, dom, doms []int) ([]int, []int) {
-	i, k := 0, 0
-	for ; i+4 <= n; i, k = i+4, k+4*stride {
-		db, dsb := cmpVecs4(tv, rows, k, k+stride, k+2*stride, k+3*stride, idx)
+// scanAll compares tv against every member of a cell, four per pass,
+// appending the indices of members that dominate tv to dom and of members
+// tv dominates to doms (both in member order). TopDown visits every member
+// of a cell — no early break — so the caller charges len(ids) Comparisons.
+func scanAll(tv, arena []float64, ids []uint32, m int, idx []uint8, dom, doms []int) ([]int, []int) {
+	i, n := 0, len(ids)
+	for ; i+4 <= n; i += 4 {
+		db, dsb := cmpVecs4(tv, arena, int(ids[i])*m, int(ids[i+1])*m, int(ids[i+2])*m, int(ids[i+3])*m, idx)
 		for b := db; b != 0; b &= b - 1 {
 			dom = append(dom, i+bits.TrailingZeros8(b))
 		}
@@ -106,8 +109,9 @@ func scanAll(tv, rows []float64, n, stride int, idx []uint8, dom, doms []int) ([
 			doms = append(doms, i+bits.TrailingZeros8(b))
 		}
 	}
-	for ; i < n; i, k = i+1, k+stride {
-		d, ds := cmpVecs(tv, rows[k+1:k+stride], idx)
+	for ; i < n; i++ {
+		k := int(ids[i]) * m
+		d, ds := cmpVecs(tv, arena[k:k+m], idx)
 		if d {
 			dom = append(dom, i)
 		}

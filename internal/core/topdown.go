@@ -95,41 +95,40 @@ func (a *TopDown) traverseRoot(t *relation.Tuple, m subspace.Mask, record bool, 
 	emitting := !record || a.mhat == a.m
 	a.queue = append(a.queue[:0], 0) // ⊤
 	a.inQueue[0] = a.epoch
-	stride, tv, idx := a.vw+1, t.Oriented, a.midx[m]
+	tv, idx := t.Oriented, a.midx[m]
 	for head := 0; head < len(a.queue); head++ {
 		c := a.queue[head]
 		a.met.Traversed++
 		ref := a.cellRef(t, c, m)
 		cell := a.st.Load(ref)
-		n := cell.Len()
-		// Batched scan (kernel.go): every row is visited — TopDown cannot
+		ids := cell.IDs()
+		// Batched scan (kernel.go): every member is visited — TopDown cannot
 		// break at a dominator, other stored tuples may prune different
-		// intersection lattices — so n Comparisons are charged, exactly as
-		// the row-at-a-time loop did.
-		dom, doms := scanAll(tv, cell.Rows, n, stride, idx, a.domIdx[:0], a.remIdx[:0])
-		a.met.Comparisons += int64(n)
+		// intersection lattices — so one Comparison is charged per member.
+		dom, doms := scanAll(tv, a.vecs, ids, a.m, idx, a.domIdx[:0], a.remIdx[:0])
+		a.met.Comparisons += int64(len(ids))
 		if record {
-			for i := 0; i < n; i++ {
-				if uid := cell.ID(i); !a.recSeen[uid] {
+			for _, id := range ids {
+				if uid := int64(id); !a.recSeen[uid] {
 					a.recSeen[uid] = true
 					u := a.tupleByID(uid)
 					a.recs = append(a.recs, pairRec{sharedOf(t, u), subspace.Compare(t, u, a.m)})
 				}
 			}
 		}
-		// Dominated procedure: prune C^{t,u} per dominating row.
+		// Dominated procedure: prune C^{t,u} per dominating member.
 		for _, i := range dom {
-			a.markSubmasksPruned(sharedOf(t, a.tupleByID(cell.ID(i))))
+			a.markSubmasksPruned(sharedOf(t, a.tupleByID(int64(ids[i]))))
 		}
 		a.domIdx = dom[:0]
-		// Dominates procedure: evict every dominated row in one compaction
-		// (ids resolved first — compaction shifts them), then re-home each
-		// evictee, in row order as before.
+		// Dominates procedure: evict every dominated member in one
+		// compaction (ids copied out first — compaction shifts them), then
+		// re-home each evictee, in member order.
 		changed := false
 		if len(doms) > 0 {
 			a.rehomeIDs = a.rehomeIDs[:0]
 			for _, i := range doms {
-				a.rehomeIDs = append(a.rehomeIDs, cell.ID(i))
+				a.rehomeIDs = append(a.rehomeIDs, int64(ids[i]))
 			}
 			cell.RemoveSorted(doms)
 			changed = true
@@ -143,7 +142,7 @@ func (a *TopDown) traverseRoot(t *relation.Tuple, m subspace.Mask, record bool, 
 				facts = a.emit(t, c, m, facts)
 			}
 			if a.inAnces[c] != a.epoch {
-				cell.Append(t.ID, tv)
+				cell.Append(t.ID)
 				changed = true
 			}
 		}
@@ -172,7 +171,7 @@ func (a *TopDown) traverseNode(t *relation.Tuple, m subspace.Mask, facts []Fact)
 	}
 	a.queue = append(a.queue[:0], 0)
 	a.inQueue[0] = a.epoch
-	stride, tv, idx := a.vw+1, t.Oriented, a.midx[m]
+	tv, idx := t.Oriented, a.midx[m]
 	for head := 0; head < len(a.queue); head++ {
 		c := a.queue[head]
 		if a.pruned[c] != a.epoch {
@@ -183,17 +182,17 @@ func (a *TopDown) traverseNode(t *relation.Tuple, m subspace.Mask, facts []Fact)
 			facts = a.emit(t, c, m, facts)
 			ref := a.cellRef(t, c, m)
 			cell := a.st.Load(ref)
-			n := cell.Len()
-			// The pre-pruning is complete for this pass (no stored row can
+			ids := cell.IDs()
+			// The pre-pruning is complete for this pass (no stored member can
 			// dominate t at a non-pruned constraint), so only the evictions
 			// matter; the batched scan's dominator list stays empty.
-			_, doms := scanAll(tv, cell.Rows, n, stride, idx, a.domIdx[:0], a.remIdx[:0])
-			a.met.Comparisons += int64(n)
+			_, doms := scanAll(tv, a.vecs, ids, a.m, idx, a.domIdx[:0], a.remIdx[:0])
+			a.met.Comparisons += int64(len(ids))
 			changed := false
 			if len(doms) > 0 {
 				a.rehomeIDs = a.rehomeIDs[:0]
 				for _, i := range doms {
-					a.rehomeIDs = append(a.rehomeIDs, cell.ID(i))
+					a.rehomeIDs = append(a.rehomeIDs, int64(ids[i]))
 				}
 				cell.RemoveSorted(doms)
 				changed = true
@@ -203,7 +202,7 @@ func (a *TopDown) traverseNode(t *relation.Tuple, m subspace.Mask, facts []Fact)
 			}
 			a.remIdx = doms[:0]
 			if a.inAnces[c] != a.epoch {
-				cell.Append(t.ID, tv)
+				cell.Append(t.ID)
 				changed = true
 			}
 			if changed {
@@ -280,7 +279,7 @@ func (a *TopDown) rehome(t *relation.Tuple, uid int64, c lattice.Mask, m subspac
 		if !stored {
 			ref := store.Ref(a.in.InternTuple(u, child), m)
 			cell := a.st.Load(ref)
-			cell.Append(uid, u.Oriented)
+			cell.Append(uid)
 			a.st.Save(ref, cell)
 		}
 	}

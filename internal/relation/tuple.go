@@ -1,6 +1,7 @@
 package relation
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 )
@@ -136,11 +137,31 @@ type Table struct {
 	schema *Schema
 	dict   *Dict
 	tuples []*Tuple
+	limit  int64 // MaxTuples; a field so that a test can reach it
 }
+
+// MaxTuples is the number of tuples a table accepts. A tuple's ID is its
+// position in the table, and the µ cells of the discovery algorithms keep
+// their members as 32-bit ids.
+const MaxTuples = 1 << 32
+
+// ErrTableFull is wrapped by the error Append and AppendEncoded return for
+// the row past the limit; the refused call leaves the table as it was.
+var ErrTableFull = errors.New("table holds as many tuples as 32-bit tuple ids can name")
 
 // NewTable creates an empty table over schema.
 func NewTable(schema *Schema) *Table {
-	return &Table{schema: schema, dict: NewDict(schema)}
+	return &Table{schema: schema, dict: NewDict(schema), limit: MaxTuples}
+}
+
+// nextID returns the ID the next appended tuple takes, or the error that
+// refuses it.
+func (tb *Table) nextID() (int64, error) {
+	id := int64(len(tb.tuples))
+	if id >= tb.limit {
+		return 0, fmt.Errorf("%w (%d)", ErrTableFull, tb.limit)
+	}
+	return id, nil
 }
 
 // Schema returns the table's schema.
@@ -165,11 +186,15 @@ func (tb *Table) Append(dims []string, measures []float64) (*Tuple, error) {
 	if len(dims) != tb.schema.NumDims() {
 		return nil, fmt.Errorf("relation: append: got %d dimension values, want %d", len(dims), tb.schema.NumDims())
 	}
+	id, err := tb.nextID()
+	if err != nil {
+		return nil, fmt.Errorf("relation: append: %w", err)
+	}
 	codes := make([]int32, len(dims))
 	for i, v := range dims {
 		codes[i] = tb.dict.Encode(i, v)
 	}
-	t, err := NewTuple(tb.schema, int64(len(tb.tuples)), codes, measures)
+	t, err := NewTuple(tb.schema, id, codes, measures)
 	if err != nil {
 		return nil, err
 	}
@@ -184,6 +209,10 @@ func (tb *Table) AppendEncoded(dims []int32, measures []float64) (*Tuple, error)
 	if len(dims) != tb.schema.NumDims() {
 		return nil, fmt.Errorf("relation: append-encoded: got %d dimension values, want %d", len(dims), tb.schema.NumDims())
 	}
+	id, err := tb.nextID()
+	if err != nil {
+		return nil, fmt.Errorf("relation: append-encoded: %w", err)
+	}
 	for i, c := range dims {
 		if c < 0 {
 			return nil, fmt.Errorf("relation: append-encoded: negative code %d for dimension %d", c, i)
@@ -192,7 +221,7 @@ func (tb *Table) AppendEncoded(dims []int32, measures []float64) (*Tuple, error)
 			tb.dict.Encode(i, fmt.Sprintf("%s#%d", tb.schema.Dim(i).Name, tb.dict.Cardinality(i)))
 		}
 	}
-	t, err := NewTuple(tb.schema, int64(len(tb.tuples)), dims, measures)
+	t, err := NewTuple(tb.schema, id, dims, measures)
 	if err != nil {
 		return nil, err
 	}

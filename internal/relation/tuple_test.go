@@ -2,6 +2,9 @@ package relation
 
 import (
 	"bytes"
+	"errors"
+	"fmt"
+	"math"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -75,6 +78,60 @@ func TestAppendArityErrors(t *testing.T) {
 	}
 	if _, err := tb.AppendEncoded([]int32{-2, 0, 0, 0, 0}, []float64{1, 2, 3, 4}); err == nil {
 		t.Error("AppendEncoded accepted negative code")
+	}
+}
+
+// TestTableLimit drives both append paths to a lowered row limit and past
+// it: the row at position limit−1 is the last one accepted and carries the
+// last id a cell can hold, the rows at limit and limit+1 are refused with
+// ErrTableFull and an error that names the limit, and a refused row leaves
+// neither a tuple nor a dictionary entry behind.
+func TestTableLimit(t *testing.T) {
+	const limit = 5
+	appends := map[string]func(tb *Table, i int) (*Tuple, error){
+		"Append": func(tb *Table, i int) (*Tuple, error) {
+			return tb.Append([]string{fmt.Sprint("p", i), "Feb", "1994-95", "Celtics", "Nets"}, []float64{1, 2, 3, 4})
+		},
+		"AppendEncoded": func(tb *Table, i int) (*Tuple, error) {
+			return tb.AppendEncoded([]int32{int32(i), 0, 0, 0, 0}, []float64{1, 2, 3, 4})
+		},
+	}
+	for name, appendRow := range appends {
+		t.Run(name, func(t *testing.T) {
+			tb := NewTable(testSchema(t))
+			if tb.limit != MaxTuples || MaxTuples-1 != math.MaxUint32 {
+				t.Fatalf("a new table accepts %d tuples, MaxTuples is %d: the last id must be %d",
+					tb.limit, int64(MaxTuples), uint32(math.MaxUint32))
+			}
+			tb.limit = limit
+			for _, tc := range []struct {
+				row  int // position of the row being appended
+				full bool
+			}{
+				{0, false}, {1, false}, {2, false}, {3, false},
+				{limit - 1, false},
+				{limit, true},
+				{limit + 1, true},
+			} {
+				tu, err := appendRow(tb, tc.row)
+				if !tc.full {
+					if err != nil || tu.ID != int64(tc.row) {
+						t.Fatalf("row %d of %d: tuple %+v, error %v", tc.row, limit, tu, err)
+					}
+					continue
+				}
+				if !errors.Is(err, ErrTableFull) || tu != nil {
+					t.Fatalf("row %d of %d: tuple %+v, error %v, want ErrTableFull", tc.row, limit, tu, err)
+				}
+				if !strings.Contains(err.Error(), fmt.Sprint(limit)) {
+					t.Errorf("row %d: error %q does not name the limit %d", tc.row, err, limit)
+				}
+				if tb.Len() != limit || tb.Dict().Cardinality(0) != limit {
+					t.Errorf("row %d: the refused append left %d tuples and %d player values, want %d and %d",
+						tc.row, tb.Len(), tb.Dict().Cardinality(0), limit, limit)
+				}
+			}
+		})
 	}
 }
 

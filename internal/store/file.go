@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"fmt"
-	"math"
 	"os"
 	"path/filepath"
 
@@ -21,9 +20,8 @@ import (
 //
 // Files are named by the hex of the constraint key plus the subspace mask
 // and sharded into 256 subdirectories by a simple byte fold, keeping
-// directory sizes manageable for large lattices. Each row is the SoA cell
-// entry — tuple id plus the oriented vector, little endian — so a load
-// rebuilds the cell without re-deriving orientation from the schema.
+// directory sizes manageable for large lattices. A cell file is the cell:
+// its member tuple ids in insertion order, four little-endian bytes each.
 type File struct {
 	dir   string
 	in    *Interner
@@ -57,8 +55,8 @@ func NewFile(dir string, schema *relation.Schema) (*File, error) {
 	}, nil
 }
 
-// rowSize is the encoded byte size of one cell member.
-func (f *File) rowSize() int { return 8 + 8*f.width }
+// idSize is the encoded byte size of one cell member.
+const idSize = 4
 
 func (f *File) path(ref CellRef) string {
 	id, mask := RefParts(ref)
@@ -82,7 +80,7 @@ func (f *File) Interner() *Interner { return f.in }
 func (f *File) Load(ref CellRef) Cell {
 	n, ok := f.cellSizes[ref]
 	if !ok || n == 0 {
-		return Cell{W: f.width}
+		return Cell{}
 	}
 	buf, err := os.ReadFile(f.path(ref))
 	if err != nil {
@@ -90,12 +88,12 @@ func (f *File) Load(ref CellRef) Cell {
 		panic(fmt.Sprintf("store: cell %x vanished: %v", ref, err))
 	}
 	f.stats.Reads++
-	if len(buf)%f.rowSize() != 0 {
-		panic(fmt.Sprintf("store: cell %x corrupt: %d bytes, row size %d", ref, len(buf), f.rowSize()))
+	if len(buf) != n*idSize {
+		panic(fmt.Sprintf("store: cell %x corrupt: %d bytes for %d members", ref, len(buf), n))
 	}
-	c := Cell{W: f.width, Rows: make([]float64, len(buf)/8)}
-	for i := range c.Rows {
-		c.Rows[i] = math.Float64frombits(binary.LittleEndian.Uint64(buf[8*i:]))
+	var c Cell
+	for ; len(buf) > 0; buf = buf[idSize:] {
+		c.Append(int64(binary.LittleEndian.Uint32(buf)))
 	}
 	return c
 }
@@ -117,8 +115,8 @@ func (f *File) Save(ref CellRef, c Cell) {
 		return
 	}
 	f.enc = f.enc[:0]
-	for _, v := range c.Rows {
-		f.enc = binary.LittleEndian.AppendUint64(f.enc, math.Float64bits(v))
+	for _, id := range c.IDs() {
+		f.enc = binary.LittleEndian.AppendUint32(f.enc, id)
 	}
 	if err := os.WriteFile(f.path(ref), f.enc, 0o644); err != nil {
 		panic(fmt.Sprintf("store: write cell %x: %v", ref, err))

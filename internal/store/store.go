@@ -2,7 +2,6 @@ package store
 
 import (
 	"fmt"
-	"math"
 	"sync"
 
 	"repro/internal/lattice"
@@ -142,100 +141,84 @@ func (in *Interner) Len() int {
 	return len(in.keys)
 }
 
-// Cell is one µ(C,M) cell as a single contiguous row store: each member
-// tuple occupies a (1+W)-wide row in Rows — its id (stored bit-exactly as
-// a float64 payload, never operated on arithmetically) followed by its
-// W-wide oriented measure vector (larger always better). The skyline scan
-// streams over one flat float64 array — contiguous cache lines — instead
-// of chasing tuple pointers, and a cell's whole lifetime costs a single
-// heap object. Dimension values are NOT stored; algorithms resolve them
-// through their tuple registry on the rare paths that need them.
+// Cell is one µ(C,M) cell: the ids of its member tuples, in insertion
+// order, and nothing else. An id is 32 bits wide (relation.MaxTuples is the
+// checked limit). The oriented measure vectors are not stored: the
+// algorithms keep one vector per tuple in an arena indexed by id, and a
+// skyline scan reads a member's row there. Most cells hold exactly one
+// tuple; that member sits inline in the value, so such a cell owns no heap
+// object. Dimension values are resolved through the algorithms' tuple
+// registry on the rare paths that need them.
 type Cell struct {
-	// W is the measure-vector width (the schema's measure count); the row
-	// stride is W+1.
-	W int
-	// Rows holds the packed member rows: [idBits, v_0, …, v_{W-1}]*.
-	Rows []float64
+	n    int       // member count
+	one  [1]uint32 // the member when n == 1
+	many []uint32  // the members when n >= 2
 }
 
-// Stride returns the per-member row width, 1+W.
-func (c Cell) Stride() int { return c.W + 1 }
-
 // Len returns the number of member tuples.
-func (c Cell) Len() int {
-	if c.W == 0 {
-		return 0
+func (c Cell) Len() int { return c.n }
+
+// IDs returns the member ids in insertion order. The slice aliases the
+// cell: it is valid until the cell is next mutated, and must not be
+// written through.
+func (c *Cell) IDs() []uint32 {
+	if c.n <= 1 {
+		return c.one[:c.n]
 	}
-	return len(c.Rows) / (c.W + 1)
+	return c.many
 }
 
 // ID returns the i-th member's tuple id.
-func (c Cell) ID(i int) int64 {
-	return int64(math.Float64bits(c.Rows[i*(c.W+1)]))
-}
+func (c Cell) ID(i int) int64 { return int64(c.IDs()[i]) }
 
-// Row returns the i-th member's oriented vector.
-func (c Cell) Row(i int) []float64 {
-	s := i*(c.W+1) + 1
-	return c.Rows[s : s+c.W]
-}
-
-// Append adds a member; vec must be W wide. A first append allocates
-// exactly one row (measured cell populations average ~1 member); later
-// appends double, so a growing cell's lifetime costs O(log n) heap
-// objects instead of one per insertion.
-func (c *Cell) Append(id int64, vec []float64) {
-	need := 1 + c.W
-	if cap(c.Rows)-len(c.Rows) < need {
-		newCap := 2 * cap(c.Rows)
-		if newCap < len(c.Rows)+need {
-			newCap = len(c.Rows) + need
-		}
-		grown := make([]float64, len(c.Rows), newCap)
-		copy(grown, c.Rows)
-		c.Rows = grown
+// Append adds a member. The first member is stored inline; the second
+// moves both to a list with room for four (the cells that outgrow the
+// inline form average three members), which doubles from there.
+func (c *Cell) Append(id int64) {
+	switch c.n {
+	case 0:
+		c.one[0] = uint32(id)
+	case 1:
+		c.many = append(make([]uint32, 0, 4), c.one[0], uint32(id))
+	default:
+		c.many = append(c.many, uint32(id))
 	}
-	c.Rows = append(c.Rows, math.Float64frombits(uint64(id)))
-	c.Rows = append(c.Rows, vec...)
-}
-
-// RemoveAt deletes the i-th member preserving order — the single removal
-// path every algorithm shares.
-func (c *Cell) RemoveAt(i int) {
-	stride := c.W + 1
-	copy(c.Rows[i*stride:], c.Rows[(i+1)*stride:])
-	c.Rows = c.Rows[:len(c.Rows)-stride]
+	c.n++
 }
 
 // RemoveSorted deletes the members at the given ascending indices in one
-// order-preserving compaction pass. The batched dominance scan collects
-// every row the candidate dominates and removes them together: one O(n)
-// memmove instead of one per removal (RemoveAt restarts its copy at every
-// call, so r removals cost O(r·n) there).
+// order-preserving compaction pass: the batched dominance scan collects
+// every member the candidate dominates and removes them together.
 func (c *Cell) RemoveSorted(idxs []int) {
 	if len(idxs) == 0 {
 		return
 	}
-	stride := c.W + 1
-	n := c.Len()
+	ids := c.IDs()
 	dst, k := idxs[0], 0
-	for i := idxs[0]; i < n; i++ {
+	for i := idxs[0]; i < len(ids); i++ {
 		if k < len(idxs) && idxs[k] == i {
 			k++
 			continue
 		}
-		copy(c.Rows[dst*stride:(dst+1)*stride], c.Rows[i*stride:(i+1)*stride])
+		ids[dst] = ids[i]
 		dst++
 	}
-	c.Rows = c.Rows[:dst*stride]
+	if dst >= 2 {
+		c.many = c.many[:dst]
+	} else {
+		// Back to the inline form; the list is dropped, not kept for a
+		// regrowth that most cells never see.
+		c.one[0], c.many = ids[0], nil
+	}
+	c.n = dst
 }
 
 // RemoveID deletes the member with the given tuple id (order-preserving),
 // reporting whether a removal happened.
 func (c *Cell) RemoveID(id int64) bool {
-	for i, n := 0, c.Len(); i < n; i++ {
-		if c.ID(i) == id {
-			c.RemoveAt(i)
+	for i, m := range c.IDs() {
+		if int64(m) == id {
+			c.RemoveSorted([]int{i})
 			return true
 		}
 	}
@@ -244,28 +227,22 @@ func (c *Cell) RemoveID(id int64) bool {
 
 // ContainsID reports whether the cell holds the tuple.
 func (c Cell) ContainsID(id int64) bool {
-	for i, n := 0, c.Len(); i < n; i++ {
-		if c.ID(i) == id {
+	for _, m := range c.IDs() {
+		if int64(m) == id {
 			return true
 		}
 	}
 	return false
 }
 
-// IDList returns the member tuple ids in insertion order (snapshot and
-// test support; not a hot path).
+// IDList returns a copy of the member tuple ids in insertion order
+// (snapshots, query results, tests; not a hot path).
 func (c Cell) IDList() []int64 {
-	out := make([]int64, c.Len())
-	for i := range out {
-		out[i] = c.ID(i)
+	out := make([]int64, c.n)
+	for i, m := range c.IDs() {
+		out[i] = int64(m)
 	}
 	return out
-}
-
-// Clone returns a deep copy (snapshot/test support; stores hand out live
-// slices).
-func (c Cell) Clone() Cell {
-	return Cell{W: c.W, Rows: append([]float64(nil), c.Rows...)}
 }
 
 // Stats reports store-level counters used by the paper's Figures 10 and 12:
@@ -289,7 +266,8 @@ type Stats struct {
 // of the store because id assignment must be coherent with cell
 // addressing for the store's whole lifetime.
 type Store interface {
-	// Width returns the cells' vector width (the schema's measure count).
+	// Width returns the schema's measure count: cells are addressed by
+	// subspace masks below 2^Width.
 	Width() int
 	// Interner returns the store's constraint intern table.
 	Interner() *Interner
@@ -307,29 +285,41 @@ type Store interface {
 }
 
 // denseMaxWidth bounds the measure width for which Memory indexes cells
-// by dense per-constraint subspace arrays (2^width int32 slots per active
-// constraint — 64 KiB at width 14). Wider schemas fall back to a map.
+// by dense per-constraint blocks (2^width 8-byte slots per live constraint
+// — 128 KiB at width 14). Wider schemas fall back to a map.
 const denseMaxWidth = 14
 
-// Memory is the in-memory store. Cells live in append-only pages; the
-// (constraint id, subspace mask) → cell resolution is a dense
-// two-dimensional array lookup — slots[cid][mask] — with no hashing at
-// all: the interner's ids are dense by construction and subspace masks
-// are small, so the index is a few MiB even at millions of cells and
-// stays cache-resident where a cell map would thrash. Saving a mutated
-// existing cell writes its slot directly. Schemas wider than
-// denseMaxWidth measures use a map index instead (the dense form would
-// cost 4·2^m bytes per constraint).
+// slot is a cell as Memory keeps it: eight bytes and no pointer, so a block
+// of slots is memory the collector never scans.
+type slot struct {
+	n   uint32 // member count; 0 = no cell
+	ref uint32 // n == 1: the member itself; n >= 2: its list's index in Memory.lists
+}
+
+// block holds every cell of one constraint.
+type block struct {
+	cells []slot // by subspace mask, 2^width long; nil while the constraint has no cell
+	live  int32  // non-empty slots
+}
+
+// Memory is the in-memory store. Each live constraint owns one block of
+// 2^width slots indexed by subspace mask, so resolving (constraint id,
+// subspace mask) is two array lookups with no hashing: the interner's ids
+// are dense by construction and subspace masks are small. A one-member
+// cell — four in five of them — is its slot; the member lists of the
+// others are kept aside in lists, the only part of the store that holds
+// pointers. A block is released when its last cell empties. Schemas wider
+// than denseMaxWidth measures keep their slots in a map instead (a block
+// would cost 8·2^m bytes per constraint).
 type Memory struct {
 	in    *Interner
 	width int
 
-	slots [][]int32         // dense index: per-cid mask → slab slot (-1 absent)
-	idx   map[CellRef]int32 // fallback index when width > denseMaxWidth
+	blocks []block          // by constraint id
+	idx    map[CellRef]slot // instead of blocks when width > denseMaxWidth
 
-	pages [][]Cell // fixed slabSize pages; slot i = pages[i>>slabShift][i&slabMask]
-	next  int32    // first never-used slot
-	free  []int32  // slots left behind by emptied cells
+	lists [][]uint32 // member lists of the cells with two or more members
+	spare []uint32   // vacated indices of lists
 
 	stats Stats
 
@@ -341,19 +331,12 @@ type Memory struct {
 	observer func(c ConstraintID, m subspace.Mask, created bool)
 }
 
-// slabShift sizes Memory's cell pages: 4096 cells (~130 KiB) per page.
-const (
-	slabShift = 12
-	slabSize  = 1 << slabShift
-	slabMask  = slabSize - 1
-)
-
-// NewMemory creates an empty in-memory store for vectors of the given
-// width (the schema's measure count).
+// NewMemory creates an empty in-memory store for a schema with the given
+// number of measures (cells are addressed by subspace masks below 2^width).
 func NewMemory(width int) *Memory {
 	m := &Memory{in: NewInterner(), width: width}
 	if width > denseMaxWidth {
-		m.idx = make(map[CellRef]int32)
+		m.idx = make(map[CellRef]slot)
 	}
 	return m
 }
@@ -374,121 +357,118 @@ func (m *Memory) Width() int { return m.width }
 // Interner implements Store.
 func (m *Memory) Interner() *Interner { return m.in }
 
-func (m *Memory) cellAt(i int32) *Cell {
-	return &m.pages[i>>slabShift][i&slabMask]
-}
-
-// lookup resolves a ref to its slab slot, -1 when absent.
-func (m *Memory) lookup(ref CellRef) int32 {
+// lookup resolves a ref to its slot, the zero slot when there is no cell.
+func (m *Memory) lookup(ref CellRef) slot {
 	if m.idx != nil {
-		if i, ok := m.idx[ref]; ok {
-			return i
-		}
-		return -1
+		return m.idx[ref]
 	}
 	cid, mask := RefParts(ref)
-	if int(cid) >= len(m.slots) {
-		return -1
+	if int(cid) >= len(m.blocks) || m.blocks[cid].cells == nil {
+		return slot{}
 	}
-	s := m.slots[cid]
-	if s == nil {
-		return -1
-	}
-	return s[mask]
+	return m.blocks[cid].cells[mask]
 }
 
-// setSlot binds (or, with -1, unbinds) a ref in the index.
-func (m *Memory) setSlot(ref CellRef, i int32) {
+// bind stores s as the slot of ref; was is the slot it replaces, and the
+// two are not both empty. The block comes with a constraint's first cell
+// and goes with its last.
+func (m *Memory) bind(ref CellRef, was, s slot) {
 	if m.idx != nil {
-		if i < 0 {
+		if s.n == 0 {
 			delete(m.idx, ref)
 		} else {
-			m.idx[ref] = i
+			m.idx[ref] = s
 		}
 		return
 	}
 	cid, mask := RefParts(ref)
-	for int(cid) >= len(m.slots) {
-		m.slots = append(m.slots, nil)
+	for int(cid) >= len(m.blocks) {
+		m.blocks = append(m.blocks, block{})
 	}
-	s := m.slots[cid]
-	if s == nil {
-		if i < 0 {
+	b := &m.blocks[cid]
+	switch {
+	case was.n == 0:
+		if b.cells == nil {
+			b.cells = make([]slot, 1<<uint(m.width))
+		}
+		b.live++
+	case s.n == 0:
+		if b.live--; b.live == 0 {
+			b.cells = nil
 			return
 		}
-		s = make([]int32, 1<<uint(m.width))
-		for j := range s {
-			s[j] = -1
-		}
-		m.slots[cid] = s
 	}
-	s[mask] = i
+	b.cells[mask] = s
+}
+
+// cell rebuilds the handed-out form of a slot. A list is shared with the
+// store, not copied: that is what lets the algorithms edit a cell in place
+// between Load and Save.
+func (m *Memory) cell(s slot) Cell {
+	if s.n >= 2 {
+		return Cell{n: int(s.n), many: m.lists[s.ref]}
+	}
+	return Cell{n: int(s.n), one: [1]uint32{s.ref}}
 }
 
 // Load implements Store.
 func (m *Memory) Load(ref CellRef) Cell {
-	i := m.lookup(ref)
-	if i < 0 {
-		return Cell{W: m.width}
+	s := m.lookup(ref)
+	if s.n > 0 {
+		m.stats.Reads++
 	}
-	m.stats.Reads++ // the index never holds empty cells
-	return *m.cellAt(i)
+	return m.cell(s)
 }
 
 // Peek returns the cell at ref without bumping the Reads counter. Query
 // paths use it: they run under a shared (read) lock where a counter write
 // would race, and a follower answering reads must not drift its store
 // counters away from the leader's (snapshot byte-identity).
-func (m *Memory) Peek(ref CellRef) Cell {
-	i := m.lookup(ref)
-	if i < 0 {
-		return Cell{W: m.width}
-	}
-	return *m.cellAt(i)
-}
+func (m *Memory) Peek(ref CellRef) Cell { return m.cell(m.lookup(ref)) }
 
-// Save implements Store.
+// Save implements Store. Everything is resolved again from ref, so a cell
+// handed out by Load stays valid across Saves of other cells (TopDown
+// re-homes evictees into other cells between one cell's Load and Save).
 func (m *Memory) Save(ref CellRef, c Cell) {
-	i := m.lookup(ref)
-	switch {
-	case len(c.Rows) == 0 && i >= 0:
-		s := m.cellAt(i)
-		m.stats.StoredTuples -= int64(s.Len())
-		*s = Cell{}
-		m.free = append(m.free, i)
-		m.setSlot(ref, -1)
-		m.stats.Cells--
-		if m.observer != nil {
-			cid, mask := RefParts(ref)
-			m.observer(cid, mask, false)
-		}
-	case len(c.Rows) > 0 && i < 0:
-		if n := len(m.free); n > 0 {
-			i = m.free[n-1]
-			m.free = m.free[:n-1]
-		} else {
-			if int(m.next)>>slabShift == len(m.pages) {
-				m.pages = append(m.pages, make([]Cell, slabSize))
-			}
-			i = m.next
-			m.next++
-		}
-		*m.cellAt(i) = c
-		m.setSlot(ref, i)
-		m.stats.StoredTuples += int64(c.Len())
-		m.stats.Cells++
-		if m.observer != nil {
-			cid, mask := RefParts(ref)
-			m.observer(cid, mask, true)
-		}
-	case len(c.Rows) > 0:
-		s := m.cellAt(i)
-		m.stats.StoredTuples += int64(c.Len() - s.Len())
-		*s = c
-	default:
+	was := m.lookup(ref)
+	if was.n == 0 && c.n == 0 {
 		return // empty → empty: nothing happened
 	}
+	s := slot{n: uint32(c.n)}
+	switch {
+	case c.n == 1:
+		s.ref = c.one[0]
+	case c.n >= 2:
+		switch {
+		case was.n >= 2:
+			s.ref = was.ref
+		case len(m.spare) > 0:
+			s.ref = m.spare[len(m.spare)-1]
+			m.spare = m.spare[:len(m.spare)-1]
+		default:
+			s.ref = uint32(len(m.lists))
+			m.lists = append(m.lists, nil)
+		}
+		m.lists[s.ref] = c.many
+	}
+	if was.n >= 2 && c.n < 2 {
+		m.lists[was.ref] = nil
+		m.spare = append(m.spare, was.ref)
+	}
+	m.bind(ref, was, s)
+	m.stats.StoredTuples += int64(c.n) - int64(was.n)
 	m.stats.Writes++
+	if created := was.n == 0; created || c.n == 0 {
+		if created {
+			m.stats.Cells++
+		} else {
+			m.stats.Cells--
+		}
+		if m.observer != nil {
+			cid, mask := RefParts(ref)
+			m.observer(cid, mask, created)
+		}
+	}
 }
 
 // LoadKey is Load addressed by logical key (snapshot restore, invariant
@@ -497,7 +477,7 @@ func (m *Memory) Save(ref CellRef, c Cell) {
 func (m *Memory) LoadKey(k CellKey) Cell {
 	id, ok := m.in.Lookup(k.C)
 	if !ok {
-		return Cell{W: m.width}
+		return Cell{}
 	}
 	return m.Load(Ref(id, k.M))
 }
@@ -518,30 +498,24 @@ func (m *Memory) RestoreStats(s Stats) { m.stats = s }
 // Close implements Store.
 func (m *Memory) Close() error { return nil }
 
-// Walk visits every non-empty cell in logical-key form; used by snapshot
-// encoding and invariant checkers. The cell is the live value — callers
-// must not mutate it.
+// Walk visits every non-empty cell in logical-key form, in ascending
+// (constraint id, subspace mask) order — in no particular order for the
+// map form; used by snapshot encoding and invariant checkers. The cell is
+// the live value — callers must not mutate it.
 func (m *Memory) Walk(fn func(CellKey, Cell)) {
-	if m.idx != nil {
-		for ref, i := range m.idx {
-			id, mask := RefParts(ref)
-			fn(CellKey{C: m.in.Key(id), M: mask}, *m.cellAt(i))
-		}
-		return
+	for ref, s := range m.idx {
+		id, mask := RefParts(ref)
+		fn(CellKey{C: m.in.Key(id), M: mask}, m.cell(s))
 	}
-	for cid, s := range m.slots {
-		if s == nil {
+	for cid, b := range m.blocks {
+		if b.cells == nil {
 			continue
 		}
-		var key lattice.Key
-		for mask, i := range s {
-			if i < 0 {
-				continue
+		key := m.in.Key(ConstraintID(cid))
+		for mask, s := range b.cells {
+			if s.n > 0 {
+				fn(CellKey{C: key, M: subspace.Mask(mask)}, m.cell(s))
 			}
-			if key == "" {
-				key = m.in.Key(ConstraintID(cid))
-			}
-			fn(CellKey{C: key, M: subspace.Mask(mask)}, *m.cellAt(i))
 		}
 	}
 }

@@ -1,6 +1,10 @@
 package store
 
 import (
+	"fmt"
+	"math"
+	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/lattice"
@@ -39,11 +43,11 @@ func ref(t *testing.T, st Store, tu *relation.Tuple, cm lattice.Mask, sub uint32
 	return Ref(st.Interner().InternTuple(tu, cm), sub)
 }
 
-// cellOf builds a SoA cell from tuples.
-func cellOf(w int, ts ...*relation.Tuple) Cell {
-	c := Cell{W: w}
+// cellOf builds a cell holding the tuples.
+func cellOf(ts ...*relation.Tuple) Cell {
+	var c Cell
 	for _, tu := range ts {
-		c.Append(tu.ID, tu.Oriented)
+		c.Append(tu.ID)
 	}
 	return c
 }
@@ -59,8 +63,8 @@ func testStoreBasics(t *testing.T, st Store) {
 	}
 	// The store owns saved cells (the memory store keeps them live and the
 	// Load/mutate/Save protocol edits them in place), so hand over copies.
-	st.Save(k1, cellOf(st.Width(), ts[:3]...))
-	st.Save(k2, cellOf(st.Width(), ts[3:4]...))
+	st.Save(k1, cellOf(ts[:3]...))
+	st.Save(k2, cellOf(ts[3:4]...))
 
 	stats := st.Stats()
 	if stats.StoredTuples != 4 {
@@ -75,8 +79,8 @@ func testStoreBasics(t *testing.T, st Store) {
 		t.Fatalf("loaded %d tuples, want 3", got.Len())
 	}
 	for i := 0; i < got.Len(); i++ {
-		if got.ID(i) != ts[i].ID || got.Row(i)[1] != ts[i].Oriented[1] {
-			t.Errorf("tuple %d mismatch: %v/%v vs %+v", i, got.ID(i), got.Row(i), ts[i])
+		if got.ID(i) != ts[i].ID {
+			t.Errorf("member %d = %d, want %d", i, got.ID(i), ts[i].ID)
 		}
 	}
 
@@ -93,7 +97,7 @@ func testStoreBasics(t *testing.T, st Store) {
 	}
 
 	// Empty a cell: it must disappear.
-	st.Save(k2, Cell{W: st.Width()})
+	st.Save(k2, Cell{})
 	if st.Stats().Cells != 1 {
 		t.Errorf("Cells after emptying = %d, want 1", st.Stats().Cells)
 	}
@@ -103,7 +107,7 @@ func testStoreBasics(t *testing.T, st Store) {
 
 	// Saving empty to an already-empty cell is a no-op, not a write.
 	w := st.Stats().Writes
-	st.Save(k2, Cell{W: st.Width()})
+	st.Save(k2, Cell{})
 	if st.Stats().Writes != w {
 		t.Error("empty→empty save counted as a write")
 	}
@@ -138,7 +142,7 @@ func TestFileStoreIOCounters(t *testing.T) {
 	if st.Stats().Reads != 0 {
 		t.Errorf("empty load counted as read")
 	}
-	st.Save(k, cellOf(st.Width(), ts...))
+	st.Save(k, cellOf(ts...))
 	if st.Stats().Writes != 1 {
 		t.Errorf("Writes = %d, want 1", st.Stats().Writes)
 	}
@@ -149,32 +153,29 @@ func TestFileStoreIOCounters(t *testing.T) {
 }
 
 func TestFileStoreRoundTrip(t *testing.T) {
-	// File store materialises a fresh cell per load; the oriented vectors
-	// must survive the disk round-trip bit-exactly.
+	// File store materialises a fresh cell per load; the member ids must
+	// survive the disk round-trip, in order, across the inline/list boundary.
 	s := storeSchema(t)
 	st, err := NewFile(t.TempDir(), s)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts := mkTuples(t, s, 2)
+	ts := mkTuples(t, s, 5)
 	k := ref(t, st, ts[0], 0b01, 0b01)
-	st.Save(k, cellOf(st.Width(), ts...))
-	got := st.Load(k)
-	if got.Len() != 2 {
-		t.Fatalf("loaded %d rows, want 2", got.Len())
-	}
-	for i, tu := range ts {
-		if got.ID(i) != tu.ID {
-			t.Errorf("row %d id = %d, want %d", i, got.ID(i), tu.ID)
+	for n := 1; n <= len(ts); n++ {
+		st.Save(k, cellOf(ts[:n]...))
+		got := st.Load(k)
+		if got.Len() != n {
+			t.Fatalf("loaded %d members, want %d", got.Len(), n)
 		}
-		for j, v := range tu.Oriented {
-			if got.Row(i)[j] != v {
-				t.Errorf("row %d vec[%d] = %v, want %v", i, j, got.Row(i)[j], v)
+		for i, tu := range ts[:n] {
+			if got.ID(i) != tu.ID {
+				t.Errorf("%d members: member %d = %d, want %d", n, i, got.ID(i), tu.ID)
 			}
 		}
-	}
-	if !got.RemoveID(ts[0].ID) {
-		t.Error("RemoveID must match file-loaded rows")
+		if !got.RemoveID(ts[0].ID) {
+			t.Error("RemoveID must match file-loaded members")
+		}
 	}
 }
 
@@ -182,8 +183,8 @@ func TestMemoryWalk(t *testing.T) {
 	s := storeSchema(t)
 	m := NewMemory(2)
 	ts := mkTuples(t, s, 4)
-	m.Save(ref(t, m, ts[0], 0b01, 0b01), cellOf(2, ts[:2]...))
-	m.Save(ref(t, m, ts[0], 0b10, 0b10), cellOf(2, ts[2:]...))
+	m.Save(ref(t, m, ts[0], 0b01, 0b01), cellOf(ts[:2]...))
+	m.Save(ref(t, m, ts[0], 0b10, 0b10), cellOf(ts[2:]...))
 	cells, entries := 0, 0
 	m.Walk(func(k CellKey, c Cell) {
 		cells++
@@ -208,7 +209,7 @@ func TestMemoryLogicalKeyAccess(t *testing.T) {
 	if m.Interner().Len() != 0 {
 		t.Fatal("LoadKey of absent cell grew the intern table")
 	}
-	m.SaveKey(k, cellOf(2, ts...))
+	m.SaveKey(k, cellOf(ts...))
 	if got := m.LoadKey(k); got.Len() != 2 || !got.ContainsID(ts[1].ID) {
 		t.Errorf("LoadKey after SaveKey = %v", got)
 	}
@@ -217,15 +218,12 @@ func TestMemoryLogicalKeyAccess(t *testing.T) {
 func TestCellRemoval(t *testing.T) {
 	s := storeSchema(t)
 	ts := mkTuples(t, s, 3)
-	c := cellOf(2, ts...)
+	c := cellOf(ts...)
 	if !c.RemoveID(ts[1].ID) {
 		t.Fatal("RemoveID missed present tuple")
 	}
 	if c.Len() != 2 || c.ID(0) != ts[0].ID || c.ID(1) != ts[2].ID {
 		t.Errorf("RemoveID did not preserve order: %v", c.IDList())
-	}
-	if c.Row(1)[0] != ts[2].Oriented[0] {
-		t.Errorf("RemoveID left stale vector: %v", c.Rows)
 	}
 	if c.RemoveID(ts[1].ID) {
 		t.Error("RemoveID found an absent tuple")
@@ -242,16 +240,9 @@ func TestCellRemoval(t *testing.T) {
 }
 
 // TestCellRemoveSorted pins the batched removal path (the dominance
-// kernel removes every row a candidate dominates in one compaction pass)
-// against repeated RemoveAt, which is its semantic definition.
+// kernel removes every member a candidate dominates in one compaction
+// pass) against removing the same indices from a plain slice, last first.
 func TestCellRemoveSorted(t *testing.T) {
-	mk := func(n int) Cell {
-		c := Cell{W: 2}
-		for i := 0; i < n; i++ {
-			c.Append(int64(100+i), []float64{float64(i), float64(-i)})
-		}
-		return c
-	}
 	cases := [][]int{
 		nil,
 		{0},
@@ -260,27 +251,270 @@ func TestCellRemoveSorted(t *testing.T) {
 		{5, 6, 7},
 		{0, 3, 6},
 		{1, 2, 5, 6},
+		{1, 2, 3, 4, 5, 6, 7}, // down to the inline form
 		{0, 1, 2, 3, 4, 5, 6, 7},
 	}
 	for _, idxs := range cases {
-		got, want := mk(8), mk(8)
+		var got Cell
+		var want []int64
+		for i := 0; i < 8; i++ {
+			got.Append(int64(100 + i))
+			want = append(want, int64(100+i))
+		}
 		got.RemoveSorted(idxs)
-		for i := len(idxs) - 1; i >= 0; i-- {
-			want.RemoveAt(idxs[i])
+		if want = without(want, idxs); !slices.Equal(got.IDList(), want) {
+			t.Errorf("RemoveSorted(%v) left %v, want %v", idxs, got.IDList(), want)
 		}
-		if got.Len() != want.Len() {
-			t.Errorf("RemoveSorted(%v): Len %d, want %d", idxs, got.Len(), want.Len())
-			continue
+	}
+}
+
+// without returns ids less the members at the given ascending indices —
+// what RemoveSorted must leave, on a plain slice.
+func without(ids []int64, idxs []int) []int64 {
+	for i := len(idxs) - 1; i >= 0; i-- {
+		ids = slices.Delete(ids, idxs[i], idxs[i]+1)
+	}
+	return ids
+}
+
+// checkCell compares every read accessor of c against the model.
+func checkCell(t *testing.T, what string, c Cell, want []int64) {
+	t.Helper()
+	if c.Len() != len(want) || len(c.IDs()) != len(want) || !slices.Equal(c.IDList(), want) {
+		t.Fatalf("%s: cell holds %v (Len %d, %d IDs), want %v", what, c.IDList(), c.Len(), len(c.IDs()), want)
+	}
+	for i, id := range want {
+		if c.ID(i) != id || int64(c.IDs()[i]) != id || !c.ContainsID(id) {
+			t.Fatalf("%s: member %d: ID %d, IDs %d, ContainsID %v, want %d", what, i, c.ID(i), c.IDs()[i], c.ContainsID(id), id)
 		}
-		for i := 0; i < want.Len(); i++ {
-			if got.ID(i) != want.ID(i) {
-				t.Errorf("RemoveSorted(%v): ID(%d) = %d, want %d", idxs, i, got.ID(i), want.ID(i))
-			}
-			for j, v := range want.Row(i) {
-				if got.Row(i)[j] != v {
-					t.Errorf("RemoveSorted(%v): Row(%d)[%d] = %g, want %g", idxs, i, j, got.Row(i)[j], v)
+	}
+}
+
+// TestCellModel drives a Cell and a plain []int64 through the same seeded
+// Append / RemoveSorted / RemoveID sequence. Sizes hover around the
+// empty / inline / list boundaries (0↔1↔2 members), where the
+// representation changes; ids reach the top of the 32-bit range.
+func TestCellModel(t *testing.T) {
+	rng := rand.New(rand.NewSource(18))
+	var c Cell
+	var model []int64
+	next := int64(math.MaxUint32 - 2000)
+	crossed := map[[2]int]int{}
+	for step := 0; step < 4000; step++ {
+		before := len(model)
+		switch op := rng.Intn(8); {
+		case len(model) == 0 || op < 3 && len(model) < 6:
+			c.Append(next)
+			model = append(model, next)
+			next++
+		case op < 6:
+			// A sorted random subset of the indices; sometimes all of them.
+			var idxs []int
+			for i := range model {
+				if rng.Intn(3) == 0 || op == 5 && rng.Intn(2) == 0 {
+					idxs = append(idxs, i)
 				}
 			}
+			c.RemoveSorted(idxs)
+			model = without(model, idxs)
+		case op == 6:
+			id := model[rng.Intn(len(model))]
+			if !c.RemoveID(id) {
+				t.Fatalf("step %d: RemoveID(%d) missed a member of %v", step, id, model)
+			}
+			model = without(model, []int{slices.Index(model, id)})
+		default:
+			if c.RemoveID(next) || c.ContainsID(next) {
+				t.Fatalf("step %d: found %d, which was never appended", step, next)
+			}
+		}
+		checkCell(t, fmt.Sprintf("step %d", step), c, model)
+		crossed[[2]int{min(before, 2), min(len(model), 2)}]++
+	}
+	for _, tr := range [][2]int{{0, 1}, {1, 0}, {1, 2}, {2, 1}, {2, 0}, {2, 2}} {
+		if crossed[tr] == 0 {
+			t.Errorf("the sequence never took a cell from %d to %d members (2 = two or more)", tr[0], tr[1])
+		}
+	}
+}
+
+// TestMemoryModel drives a Memory and a map[CellRef][]int64 through the
+// same seeded Load / mutate / Save sequence, in the dense form and in the
+// map form, and compares after every step: the loaded cell, Stats, the
+// observer's events (exactly one per empty↔non-empty transition), and —
+// white-box — that a constraint owns a block exactly while it has a cell
+// and a list is kept exactly for the cells with two or more members. One
+// step in three saves two other cells between a cell's Load and its Save,
+// as TopDown's re-homing does. Walk is checked against the sorted model.
+func TestMemoryModel(t *testing.T) {
+	for _, width := range []int{3, denseMaxWidth + 1} {
+		t.Run(fmt.Sprintf("width=%d", width), func(t *testing.T) { testMemoryModel(t, width) })
+	}
+}
+
+func testMemoryModel(t *testing.T, width int) {
+	const constraints, masks = 5, 7
+	rng := rand.New(rand.NewSource(int64(width)))
+	m := NewMemory(width)
+	type event struct {
+		ref     CellRef
+		created bool
+	}
+	var events, wantEvents []event
+	m.SetObserver(func(c ConstraintID, mask uint32, created bool) {
+		events = append(events, event{Ref(c, mask), created})
+	})
+	var cids []ConstraintID
+	for i := 0; i < constraints; i++ {
+		cids = append(cids, m.Interner().Intern(lattice.Key([]byte{byte(i), 0, 0, 0})))
+	}
+	model := map[CellRef][]int64{}
+	var want Stats
+	next := int64(0)
+	randomRef := func(not ...CellRef) CellRef {
+		for {
+			r := Ref(cids[rng.Intn(constraints)], uint32(1+rng.Intn(masks)))
+			if !slices.Contains(not, r) {
+				return r
+			}
+		}
+	}
+	load := func(r CellRef) Cell {
+		c := m.Load(r)
+		if len(model[r]) > 0 {
+			want.Reads++
+		}
+		checkCell(t, fmt.Sprintf("Load(%x)", r), c, model[r])
+		return c
+	}
+	// mutate edits c and returns what the model should hold after its Save.
+	mutate := func(r CellRef, c *Cell) []int64 {
+		ids := slices.Clone(model[r])
+		switch op := rng.Intn(6); {
+		case len(ids) == 0 || op < 3 && len(ids) < 5:
+			for n := 1 + rng.Intn(2); n > 0; n-- {
+				c.Append(next)
+				ids = append(ids, next)
+				next++
+			}
+		case op < 5:
+			var idxs []int
+			for i := range ids {
+				if rng.Intn(2) == 0 {
+					idxs = append(idxs, i)
+				}
+			}
+			c.RemoveSorted(idxs)
+			ids = without(ids, idxs)
+		default: // empty it
+			for len(ids) > 0 {
+				c.RemoveID(ids[0])
+				ids = ids[1:]
+			}
+		}
+		return ids
+	}
+	save := func(r CellRef, c Cell, ids []int64) {
+		m.Save(r, c)
+		was := len(model[r])
+		if was > 0 || len(ids) > 0 {
+			want.Writes++
+		}
+		want.StoredTuples += int64(len(ids) - was)
+		if (was == 0) != (len(ids) == 0) {
+			wantEvents = append(wantEvents, event{r, was == 0})
+			if was == 0 {
+				want.Cells++
+			} else {
+				want.Cells--
+			}
+		}
+		if len(ids) == 0 {
+			delete(model, r)
+		} else {
+			model[r] = ids
+		}
+	}
+	for step := 0; step < 3000; step++ {
+		a := randomRef()
+		ca := load(a)
+		idsA := mutate(a, &ca)
+		if step%3 == 0 {
+			b := randomRef(a)
+			cb := load(b)
+			save(b, cb, mutate(b, &cb))
+			c := randomRef(a, b)
+			cc := load(c)
+			save(c, cc, mutate(c, &cc))
+		}
+		save(a, ca, idsA)
+
+		if got := m.Stats(); got != want {
+			t.Fatalf("step %d: Stats %+v, want %+v", step, got, want)
+		}
+		if !slices.Equal(events, wantEvents) {
+			t.Fatalf("step %d: observer saw %v, want %v", step, events, wantEvents)
+		}
+		events, wantEvents = events[:0], wantEvents[:0]
+		checkCell(t, fmt.Sprintf("step %d: Peek(%x)", step, a), m.Peek(a), model[a])
+		if m.Stats() != want {
+			t.Fatalf("step %d: Peek moved the counters", step)
+		}
+		lists := 0
+		for _, ids := range model {
+			if len(ids) >= 2 {
+				lists++
+			}
+		}
+		if kept := len(m.lists) - len(m.spare); kept != lists {
+			t.Fatalf("step %d: %d member lists kept for %d cells with two or more members", step, kept, lists)
+		}
+		for _, i := range m.spare {
+			if m.lists[i] != nil {
+				t.Fatalf("step %d: vacated list %d still holds %v", step, i, m.lists[i])
+			}
+		}
+		if m.idx != nil && len(m.idx) != len(model) {
+			t.Fatalf("step %d: %d map slots for %d cells", step, len(m.idx), len(model))
+		}
+		// blocks reaches the highest constraint id saved so far; it stays
+		// empty in the map form.
+		for _, cid := range cids[:len(m.blocks)] {
+			live := 0
+			for mask := uint32(1); mask <= masks; mask++ {
+				if len(model[Ref(cid, mask)]) > 0 {
+					live++
+				}
+			}
+			b := m.blocks[cid]
+			if int(b.live) != live || (b.cells != nil) != (live > 0) {
+				t.Fatalf("step %d: constraint %d has %d cells, its block says %d (allocated: %v)",
+					step, cid, live, b.live, b.cells != nil)
+			}
+		}
+		if step%100 != 0 {
+			continue
+		}
+		var walked []CellRef
+		m.Walk(func(k CellKey, c Cell) {
+			id, ok := m.Interner().Lookup(k.C)
+			if !ok {
+				t.Fatalf("step %d: Walk handed out unknown key %x", step, string(k.C))
+			}
+			r := Ref(id, k.M)
+			walked = append(walked, r)
+			checkCell(t, fmt.Sprintf("step %d: Walk(%x)", step, r), c, model[r])
+		})
+		wantWalk := make([]CellRef, 0, len(model))
+		for r := range model {
+			wantWalk = append(wantWalk, r)
+		}
+		slices.Sort(wantWalk) // a CellRef orders by (constraint id, mask)
+		if m.idx != nil {
+			slices.Sort(walked) // the map form promises no order
+		}
+		if !slices.Equal(walked, wantWalk) {
+			t.Fatalf("step %d: Walk order %x, want %x", step, walked, wantWalk)
 		}
 	}
 }

@@ -90,8 +90,8 @@ func (e *Engine) SaveSnapshot(w io.Writer) error {
 		Reads: met.Reads, Writes: met.Writes,
 	}
 	// Cells persist in logical key→tuple-id form: the wire format is
-	// independent of the in-memory SoA layout, so snapshots written before
-	// the interned-id refactor restore identically.
+	// independent of the in-memory layout, so snapshots written before the
+	// interned-id refactor restore identically.
 	mem.Walk(func(k store.CellKey, c store.Cell) {
 		sf.Cells = append(sf.Cells, persist.SnapCell{
 			CKey: string(k.C),
@@ -136,17 +136,15 @@ func LoadSnapshot(schema *Schema, r io.Reader) (*Engine, error) {
 			d.Encode(dim, v)
 		}
 	}
-	byID := make(map[int64]*relation.Tuple, len(sf.Tuples))
 	for _, st := range sf.Tuples {
-		tu, err := eng.table.AppendEncoded(st.Dims, st.Raw)
-		if err != nil {
+		if _, err := eng.table.AppendEncoded(st.Dims, st.Raw); err != nil {
 			return nil, fmt.Errorf("situfact: snapshot tuple: %w", err)
 		}
-		byID[tu.ID] = tu
 	}
 	// Cells store only tuple ids; the discoverer's registry must be able to
-	// resolve restored ids (TopDown re-homing, SkylineSize) even though
-	// these tuples never went through Process.
+	// resolve restored ids to tuples and measure vectors (cell scans,
+	// TopDown re-homing, SkylineSize) even though these tuples never went
+	// through Process.
 	if rt, ok := eng.disc.(interface{ RegisterTuple(*relation.Tuple) }); ok {
 		for _, tu := range eng.table.Tuples() {
 			rt.RegisterTuple(tu)
@@ -162,13 +160,12 @@ func LoadSnapshot(schema *Schema, r io.Reader) (*Engine, error) {
 		eng.counter.Restore(sf.Counts)
 	}
 	for _, cell := range sf.Cells {
-		c := store.Cell{W: mem.Width()}
+		var c store.Cell
 		for _, id := range cell.IDs {
-			tu, ok := byID[id]
-			if !ok {
+			if id < 0 || id >= int64(eng.table.Len()) { // a tuple's id is its table position
 				return nil, fmt.Errorf("situfact: snapshot cell references unknown tuple %d", id)
 			}
-			c.Append(tu.ID, tu.Oriented)
+			c.Append(id)
 		}
 		mem.SaveKey(store.CellKey{C: lattice.Key(cell.CKey), M: subspace.Mask(cell.M)}, c)
 	}
