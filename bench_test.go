@@ -46,7 +46,7 @@ type benchStream struct {
 	fill func(n int) error
 }
 
-func newBenchStream(b *testing.B, dataset string, d, m int) *benchStream {
+func newBenchStream(b testing.TB, dataset string, d, m int) *benchStream {
 	b.Helper()
 	switch dataset {
 	case "nba":
@@ -69,7 +69,7 @@ func newBenchStream(b *testing.B, dataset string, d, m int) *benchStream {
 	}
 }
 
-func (s *benchStream) tuple(b *testing.B, i int) *relation.Tuple {
+func (s *benchStream) tuple(b testing.TB, i int) *relation.Tuple {
 	for i >= s.tb.Len() {
 		if err := s.fill(4096); err != nil {
 			b.Fatal(err)
@@ -415,78 +415,15 @@ func BenchmarkEngineAppendWide(b *testing.B) {
 	b.ReportMetric(float64(facts)/float64(b.N), "facts/row")
 }
 
-// BenchmarkPoolQuery measures the read path against a warmed pool on the
-// NBA feed: ns/op is one QueryFacts page (limit 100, cursor-advanced so
-// successive iterations walk the whole fact set) while the "mixed" mode
-// interleaves one appended row per page, so the page pays for read-lock
-// acquisition against live ingest rather than an idle pool.
-func BenchmarkPoolQuery(b *testing.B) {
+// benchQueryPool is the read benchmarks' pool: the first 4 096 rows of the
+// NBA feed (d=5, m=7) under d̂=3, m̂=3, sharded by team and fully ingested —
+// some hundreds of thousands of fact groups. It returns the rows too, for
+// benchmarks that keep ingesting.
+func benchQueryPool(tb testing.TB, shards int) (*Pool, []Row) {
+	tb.Helper()
 	const nRows = 4096
-	const pageLimit = 100
-	for _, shards := range []int{1, 4} {
-		for _, mode := range []string{"page", "mixed"} {
-			b.Run(fmt.Sprintf("shards=%d/%s", shards, mode), func(b *testing.B) {
-				s := newBenchStream(b, "nba", 5, 7)
-				s.tuple(b, nRows-1)
-				dict := s.tb.Dict()
-				d := s.tb.Schema().NumDims()
-				rows := make([]Row, nRows)
-				for i := range rows {
-					tu := s.tb.At(i)
-					dims := make([]string, d)
-					for j := 0; j < d; j++ {
-						dims[j] = dict.Decode(j, tu.Dims[j])
-					}
-					rows[i] = Row{Dims: dims, Measures: tu.Raw}
-				}
-				pool, err := NewPool(WrapSchema(s.tb.Schema()), PoolOptions{
-					Shards:   shards,
-					ShardDim: "team",
-					Engine:   Options{MaxBoundDims: 3, MaxMeasureDims: 3},
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				defer pool.Close()
-				if _, err := pool.AppendBatch(rows); err != nil {
-					b.Fatal(err)
-				}
-				filter := FactFilter{Shard: AllShards, TupleID: -1}
-				cursor := ""
-				next := 0
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if mode == "mixed" {
-						if _, err := pool.Append(rows[next%nRows].Dims, rows[next%nRows].Measures); err != nil {
-							b.Fatal(err)
-						}
-						next++
-					}
-					page, err := pool.QueryFacts(filter, cursor, pageLimit)
-					if err != nil {
-						b.Fatal(err)
-					}
-					cursor = page.NextCursor // wraps to "" at the end: restart
-				}
-			})
-		}
-	}
-}
-
-// BenchmarkPoolQueryDeepCursor pins the pagination complexity class: one
-// page at depth 0 versus one page deep in the cursor chain, on the
-// reference scan (query_oracle_test.go — it re-walks and re-sorts every
-// fact before the cursor, so a deep page costs O(n)) and the served
-// indexed path (seek + O(page) walk, so depth must not matter). The
-// index/deep:first ratio staying near 1 while scan/deep grows with the
-// fact count is the index's acceptance number.
-func BenchmarkPoolQueryDeepCursor(b *testing.B) {
-	const nRows = 4096
-	const pageLimit = 100
-	const shards = 4
-	s := newBenchStream(b, "nba", 5, 7)
-	s.tuple(b, nRows-1)
+	s := newBenchStream(tb, "nba", 5, 7)
+	s.tuple(tb, nRows-1)
 	dict := s.tb.Dict()
 	d := s.tb.Schema().NumDims()
 	rows := make([]Row, nRows)
@@ -504,12 +441,80 @@ func BenchmarkPoolQueryDeepCursor(b *testing.B) {
 		Engine:   Options{MaxBoundDims: 3, MaxMeasureDims: 3},
 	})
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
-	defer pool.Close()
 	if _, err := pool.AppendBatch(rows); err != nil {
-		b.Fatal(err)
+		pool.Close()
+		tb.Fatal(err)
 	}
+	return pool, rows
+}
+
+// BenchmarkPoolQuery measures the read path against a warmed pool on the
+// NBA feed: ns/op is one QueryFacts page (limit 100, cursor-advanced so
+// successive iterations walk the whole fact set) while the "mixed" mode
+// interleaves one appended row per page, so the page pays for read-lock
+// acquisition against live ingest rather than an idle pool.
+func BenchmarkPoolQuery(b *testing.B) {
+	const pageLimit = 100
+	for _, shards := range []int{1, 4} {
+		for _, mode := range []string{"page", "mixed"} {
+			b.Run(fmt.Sprintf("shards=%d/%s", shards, mode), func(b *testing.B) {
+				pool, rows := benchQueryPool(b, shards)
+				defer pool.Close()
+				filter := FactFilter{Shard: AllShards, TupleID: -1}
+				cursor := ""
+				next := 0
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if mode == "mixed" {
+						if _, err := pool.Append(rows[next%len(rows)].Dims, rows[next%len(rows)].Measures); err != nil {
+							b.Fatal(err)
+						}
+						next++
+					}
+					page, err := pool.QueryFacts(filter, cursor, pageLimit)
+					if err != nil {
+						b.Fatal(err)
+					}
+					cursor = page.NextCursor // wraps to "" at the end: restart
+				}
+			})
+		}
+	}
+}
+
+// BenchmarkPoolTopFacts is one leaderboard fill — Pool.TopFacts(10), what a
+// GET /v1/facts/top costs behind the read cache — on the 4-shard query
+// pool. The walk probes the context counter once per live constraint and
+// materialises ten facts per shard; cells/op is what the scan it replaced
+// had to materialise and sort instead.
+func BenchmarkPoolTopFacts(b *testing.B) {
+	pool, _ := benchQueryPool(b, 4)
+	defer pool.Close()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if facts, err := pool.TopFacts(10); err != nil || len(facts) != 10 {
+			b.Fatalf("TopFacts(10) = %d facts, %v", len(facts), err)
+		}
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(pool.IndexStats().Entries), "cells/op")
+}
+
+// BenchmarkPoolQueryDeepCursor pins the pagination complexity class: one
+// page at depth 0 versus one page deep in the cursor chain, on the
+// reference scan (query_oracle_test.go — it re-walks and re-sorts every
+// fact before the cursor, so a deep page costs O(n)) and the served
+// indexed path (seek + O(page) walk, so depth must not matter). The
+// index/deep:first ratio staying near 1 while scan/deep grows with the
+// fact count is the index's acceptance number.
+func BenchmarkPoolQueryDeepCursor(b *testing.B) {
+	const pageLimit = 100
+	pool, _ := benchQueryPool(b, 4)
+	defer pool.Close()
 	filter := FactFilter{Shard: AllShards, TupleID: -1}
 	// Walk once to find the chain's midpoint cursor — the "deep" page.
 	// The scan produces byte-identical cursors, so one walk serves both.

@@ -42,7 +42,6 @@ func registerFlags(fs *flag.FlagSet, cfg *config) {
 	fs.DurationVar(&cfg.walSync, "wal-sync", 0, "WAL durability: 0 fsyncs (group-committed) before acknowledging each request; >0 fsyncs in the background on this interval, risking up to one interval of acknowledged records on crash")
 	fs.Int64Var(&cfg.walSegBytes, "wal-segment-bytes", 0, "WAL segment rotation threshold in bytes (0 = 64 MiB)")
 	fs.DurationVar(&cfg.snapInterval, "snapshot-interval", 0, "background checkpoint period: snapshot every shard and truncate covered WAL segments (0 = snapshot only on graceful shutdown)")
-	fs.IntVar(&cfg.boardCap, "topk", 128, "capacity of the GET /v1/facts/top leaderboard")
 	fs.IntVar(&cfg.pipeQueue, "pipeline-queue", 0, "per-shard ingest queue depth; a full queue blocks producers (0 = 256)")
 	fs.BoolVar(&cfg.pipeAdaptive, "pipeline-adaptive", true, "let each shard's queue capacity float between a floor and -pipeline-queue, growing on backpressure and shrinking when calm (false = fixed at -pipeline-queue)")
 	fs.StringVar(&cfg.pprofAddr, "pprof-addr", "", "serve net/http/pprof on this extra listener (e.g. localhost:6060); empty = off. Keep it on a loopback or firewalled port")
@@ -146,8 +145,7 @@ func (cfg *config) validate() error {
 		v    int
 	}{
 		{"-dhat", cfg.dhat}, {"-mhat", cfg.mhat},
-		{"-shards", cfg.shards}, {"-topk", cfg.boardCap},
-		{"-pipeline-queue", cfg.pipeQueue},
+		{"-shards", cfg.shards}, {"-pipeline-queue", cfg.pipeQueue},
 		{"-follow-rebootstrap-max", cfg.followRebootstrapMax},
 		{"-rate-burst", cfg.rateBurst}, {"-max-inflight", cfg.maxInflight},
 	} {

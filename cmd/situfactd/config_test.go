@@ -45,7 +45,6 @@ func TestConfigValidateTable(t *testing.T) {
 	}{
 		{"negative shards", func(c *config) { c.shards = -1 }, "-shards"},
 		{"negative dhat", func(c *config) { c.dhat = -2 }, "-dhat"},
-		{"negative topk", func(c *config) { c.boardCap = -5 }, "-topk"},
 		{"negative queue", func(c *config) { c.pipeQueue = -1 }, "-pipeline-queue"},
 		{"negative rate burst", func(c *config) { c.rateBurst = -3 }, "-rate-burst"},
 		{"negative max inflight", func(c *config) { c.maxInflight = -1 }, "-max-inflight"},
@@ -175,6 +174,7 @@ func TestConfigFileRejects(t *testing.T) {
 		{"removed fact-index switch", `{"fact-index": false}`, `unknown key "fact-index"`},
 		{"removed shard-workers", `{"shard-workers": 2}`, `unknown key "shard-workers"`},
 		{"removed workers", `{"workers": 2}`, `unknown key "workers"`},
+		{"removed topk", `{"topk": 64}`, `unknown key "topk"`},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -188,7 +188,7 @@ func TestConfigFileRejects(t *testing.T) {
 		})
 	}
 	// A removed flag is as unknown on the command line as in the file.
-	for _, name := range []string{"pipeline", "fact-index", "shard-workers", "workers"} {
+	for _, name := range []string{"pipeline", "fact-index", "shard-workers", "workers", "topk"} {
 		var cfg config
 		fs := flag.NewFlagSet("test", flag.ContinueOnError)
 		fs.SetOutput(io.Discard)
@@ -224,7 +224,6 @@ func TestConfigValidateProperty(t *testing.T) {
 		cfg.shards = rng.Intn(64)
 		cfg.dhat = rng.Intn(8)
 		cfg.mhat = rng.Intn(8)
-		cfg.boardCap = rng.Intn(1024)
 		cfg.pipeQueue = rng.Intn(4096)
 		cfg.walSync = dur(5000)
 		cfg.snapInterval = dur(60000)
@@ -249,7 +248,7 @@ func TestConfigValidateProperty(t *testing.T) {
 	}
 	corruptions := []func(*config){
 		func(c *config) { c.shards = -1 - rng.Intn(100) },
-		func(c *config) { c.boardCap = -1 - rng.Intn(100) },
+		func(c *config) { c.pipeQueue = -1 - rng.Intn(100) },
 		func(c *config) { c.rateLimit = -float64(1 + rng.Intn(100)) },
 		func(c *config) { c.shedWindow = -dur(5000) - time.Millisecond },
 		func(c *config) { c.requestTimeout = -dur(5000) - time.Millisecond },

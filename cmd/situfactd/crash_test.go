@@ -165,7 +165,6 @@ func startDaemonAt(t *testing.T, bin, stateDir, addr string, extra ...string) *d
 		"-wal",
 		"-wal-segment-bytes", "4096",
 		"-snapshot-interval", "150ms",
-		"-topk", "64",
 	}
 	args = append(args, extra...)
 	cmd := exec.Command(bin, args...)

@@ -11,7 +11,7 @@
 //	          [-addr :8080] [-algo sbottomup] [-shards 4] [-shard-dim team] \
 //	          [-dhat 0] [-mhat 0] [-state-dir /var/lib/situfactd] \
 //	          [-wal] [-wal-sync 0s] [-wal-segment-bytes 0] \
-//	          [-snapshot-interval 0s] [-topk 128] [-relation stream] \
+//	          [-snapshot-interval 0s] [-relation stream] \
 //	          [-pipeline-queue 0] [-pipeline-adaptive] [-read-cache-ttl 0s] \
 //	          [-follow http://leader:8080] [-follow-poll 500ms] [-follow-max-lag 0]
 //
@@ -21,7 +21,7 @@
 //	POST   /v1/tuples:batch  many arrivals, fanned across shards concurrently
 //	DELETE /v1/tuples/{id}   retract an arrival by its "<shard>:<tuple_id>" handle
 //	GET    /v1/facts         page through the live fact set with filters
-//	GET    /v1/facts/top?k=  highest-prominence facts since startup
+//	GET    /v1/facts/top?k=  the k most prominent facts of the live fact set
 //	GET    /v1/tuples/{id}   point read of one ingested row
 //	GET    /v1/metrics       merged work counters + per-shard breakdown
 //	GET    /v1/schema        the relation schema the daemon was started with

@@ -13,7 +13,7 @@ import (
 // TestServerPipelineEquivalence runs the same stream through the daemon
 // (handlers → shard writer queues → committer) and through an
 // in-process Pool that calls the write path inline: every arrival's
-// facts, the merged work counters and the live leaderboard must be
+// facts, the merged work counters and the leaderboard must be
 // identical, and the daemon's /v1/metrics must account for every
 // operation in its ingest block.
 func TestServerPipelineEquivalence(t *testing.T) {
@@ -93,14 +93,14 @@ func TestServerPipelineEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var gotTop topLiveResponse
-	doJSON(t, http.MethodGet, ts.URL+"/v1/facts/top?k=64&source=live", nil, &gotTop)
+	var gotTop topFactsResponse
+	doJSON(t, http.MethodGet, ts.URL+"/v1/facts/top?k=64", nil, &gotTop)
 	if len(gotTop.Facts) != len(wantTop) {
-		t.Fatalf("live leaderboard has %d facts, inline pool %d", len(gotTop.Facts), len(wantTop))
+		t.Fatalf("leaderboard has %d facts, inline pool %d", len(gotTop.Facts), len(wantTop))
 	}
 	for i := range wantTop {
 		if want := toQueryFactWire(&wantTop[i]); !sameJSON(t, gotTop.Facts[i], want) {
-			t.Errorf("live leaderboard entry %d diverged:\n daemon %+v\n inline %+v", i, gotTop.Facts[i], want)
+			t.Errorf("leaderboard entry %d diverged:\n daemon %+v\n inline %+v", i, gotTop.Facts[i], want)
 		}
 	}
 

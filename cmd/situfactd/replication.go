@@ -202,13 +202,9 @@ func newFollower(cfg config) (*server, error) {
 	leader := strings.TrimRight(cfg.follow, "/")
 	client := &http.Client{Timeout: 5 * time.Minute}
 	bootstrapDir := filepath.Join(cfg.stateDir, "bootstrap")
-	pool, sidecars, epoch, err := bootstrapPool(client, leader, bootstrapDir, schema)
+	pool, epoch, err := bootstrapPool(client, leader, bootstrapDir, schema)
 	if err != nil {
 		return nil, fmt.Errorf("situfactd: %w", err)
-	}
-	bcap := cfg.boardCap
-	if bcap <= 0 {
-		bcap = 128
 	}
 	// The follower never checkpoints (stateDir was scratch for the
 	// bootstrap only) and never starts the ingest pipeline, which would
@@ -218,7 +214,6 @@ func newFollower(cfg config) (*server, error) {
 		cfg:      cfg,
 		schema:   schema,
 		measures: wires,
-		board:    &leaderboard{cap: bcap},
 		started:  time.Now(),
 		cache:    newReadCache(cfg),
 	}
@@ -226,11 +221,6 @@ func newFollower(cfg config) (*server, error) {
 	// fleet is exactly where unbounded read fan-in lands.
 	s.initAdmission()
 	s.poolv.Store(pool)
-	if lb, ok := sidecars[sidecarLeaderboard]; ok {
-		if err := s.board.restore(lb); err != nil {
-			log.Printf("warning: leaderboard sidecar unreadable, starting it empty: %v", err)
-		}
-	}
 	poll := cfg.followPoll
 	if poll <= 0 {
 		poll = 500 * time.Millisecond
@@ -261,28 +251,28 @@ func newFollower(cfg config) (*server, error) {
 // torn download is never worth salvaging) and restores a serving pool
 // from it. Shared by the initial bootstrap and the automatic re-bootstrap
 // after a fatal replication error.
-func bootstrapPool(client *http.Client, leader, bootstrapDir string, schema *situfact.Schema) (*situfact.Pool, map[string][]byte, string, error) {
+func bootstrapPool(client *http.Client, leader, bootstrapDir string, schema *situfact.Schema) (*situfact.Pool, string, error) {
 	if err := os.RemoveAll(bootstrapDir); err != nil {
-		return nil, nil, "", fmt.Errorf("clearing %s: %w", bootstrapDir, err)
+		return nil, "", fmt.Errorf("clearing %s: %w", bootstrapDir, err)
 	}
 	if err := os.MkdirAll(bootstrapDir, 0o755); err != nil {
-		return nil, nil, "", err
+		return nil, "", err
 	}
 	if err := fetchSnapshot(client, leader, bootstrapDir); err != nil {
-		return nil, nil, "", fmt.Errorf("bootstrap from %s: %w", leader, err)
+		return nil, "", fmt.Errorf("bootstrap from %s: %w", leader, err)
 	}
-	pool, sidecars, err := situfact.RestorePool(schema, bootstrapDir)
+	pool, _, err := situfact.RestorePool(schema, bootstrapDir)
 	if err != nil {
-		return nil, nil, "", fmt.Errorf("restoring leader snapshot: %w", err)
+		return nil, "", fmt.Errorf("restoring leader snapshot: %w", err)
 	}
 	epoch := pool.WALEpoch()
 	if epoch == "" {
 		pool.Close()
-		return nil, nil, "", fmt.Errorf("leader snapshot carries no WAL epoch: the leader must run -wal")
+		return nil, "", fmt.Errorf("leader snapshot carries no WAL epoch: the leader must run -wal")
 	}
 	// The fact index reads are served from was rebuilt during the restore
 	// above, and ApplyTail maintains it from here on.
-	return pool, sidecars, epoch, nil
+	return pool, epoch, nil
 }
 
 // fetchSnapshot downloads the leader's snapshot stream into dir. Each
@@ -413,16 +403,9 @@ func (r *replState) rebootstrap(s *server, rng *rand.Rand) bool {
 		}
 		log.Printf("re-bootstrapping from %s (attempt %d/%d) after: %s",
 			r.leader, attempt, r.rebootstrapMax, r.fatalReason())
-		pool, sidecars, epoch, err := bootstrapPool(r.client, r.leader, r.bootstrapDir, r.schema)
+		pool, epoch, err := bootstrapPool(r.client, r.leader, r.bootstrapDir, r.schema)
 		if err == nil {
 			s.poolv.Store(pool)
-			if lb, ok := sidecars[sidecarLeaderboard]; ok {
-				if err := s.board.restore(lb); err != nil {
-					log.Printf("warning: leaderboard sidecar unreadable after re-bootstrap: %v", err)
-				}
-			} else {
-				s.board.restore([]byte("null")) // leader ships no board: clear ours
-			}
 			// Everything cached predates the new pool.
 			if s.cache != nil {
 				s.cache.InvalidateFunc(func(string) bool { return true })
@@ -503,7 +486,7 @@ func (r *replState) drain(s *server) bool {
 				}
 			}
 			before := pool.ShardLSNs()
-			stats, err := pool.ApplyTail(resp.Epoch, recs, func(arr *situfact.Arrival) { s.feedBoard(arr) })
+			stats, err := pool.ApplyTail(resp.Epoch, recs, nil)
 			r.mu.Lock()
 			r.applied.Records += stats.Records
 			r.applied.Applied += stats.Applied

@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -169,16 +170,30 @@ func TestFollowerServesIdenticalFacts(t *testing.T) {
 	}
 
 	// Mutate the leader — another append plus a delete — and require
-	// convergence again.
+	// convergence again. The leaderboard ranks the live fact set, so the
+	// deleted tuple leaves it on both nodes.
 	if resp := doJSON(t, "POST", lts.URL+"/v1/tuples", reqOf(wesley), nil); resp.StatusCode != http.StatusOK {
 		t.Fatalf("leader: wesley rejected: status %d", resp.StatusCode)
 	}
 	celtics := leader.db().ShardFor("Celtics")
+	ranks := func(base string) bool {
+		var top topFactsResponse
+		doJSON(t, "GET", base+"/v1/facts/top?k=500", nil, &top)
+		return slices.ContainsFunc(top.Facts, func(f queryFactWire) bool {
+			return f.Shard == celtics && slices.Contains(f.TupleIDs, 0)
+		})
+	}
+	if !ranks(lts.URL) {
+		t.Fatalf("tuple %d:0 ranks nowhere on the leader before its deletion", celtics)
+	}
 	if resp := doJSON(t, "DELETE", fmt.Sprintf("%s/v1/tuples/%d:0", lts.URL, celtics), nil, nil); resp.StatusCode != http.StatusNoContent {
 		t.Fatalf("leader: delete rejected: status %d", resp.StatusCode)
 	}
 	waitApplied(t, fts.URL, uint64(len(table1))+2)
 	assertSameReads(t, lts.URL, fts.URL, gamelogQueries)
+	if ranks(lts.URL) || ranks(fts.URL) {
+		t.Errorf("deleted tuple %d:0 still on a leaderboard: leader %v, follower %v", celtics, ranks(lts.URL), ranks(fts.URL))
+	}
 
 	lm, fm2 := getMetrics(t, lts.URL), getMetrics(t, fts.URL)
 	if lm.Merged != fm2.Merged {
@@ -262,13 +277,13 @@ func TestFollowerIndexedReadsIdentical(t *testing.T) {
 		t.Errorf("reference pool's index holds %d entries, leader's %d", got, lm.Index.Entries)
 	}
 
-	// The live leaderboard ranks current cells, so it sees the delete the
-	// same way on every node.
-	_, ltop := getBody(t, lts.URL+"/v1/facts/top?k=16&source=live")
-	_, itop := getBody(t, its.URL+"/v1/facts/top?k=16&source=live")
-	_, rtop := getBody(t, rts.URL+"/v1/facts/top?k=16&source=live")
+	// The leaderboard ranks current cells, so it sees the delete the same
+	// way on every node.
+	_, ltop := getBody(t, lts.URL+"/v1/facts/top?k=16")
+	_, itop := getBody(t, its.URL+"/v1/facts/top?k=16")
+	_, rtop := getBody(t, rts.URL+"/v1/facts/top?k=16")
 	if !bytes.Equal(ltop, itop) || !bytes.Equal(ltop, rtop) {
-		t.Errorf("live leaderboard diverged:\nleader    %s\nfollower  %s\nreference %s", ltop, itop, rtop)
+		t.Errorf("leaderboard diverged:\nleader    %s\nfollower  %s\nreference %s", ltop, itop, rtop)
 	}
 }
 
@@ -286,7 +301,6 @@ func TestInvalidatorFor(t *testing.T) {
 		{"facts|2|where|...", false},
 		{"facts|-1|all-shards", true}, // cross-shard page
 		{"top|10", true},              // leaderboard
-		{"top|live|16", true},
 	}
 	for _, c := range cases {
 		if got := pred(c.key); got != c.want {
@@ -440,7 +454,6 @@ func TestFollowerConvergesAcrossLeaderCrash(t *testing.T) {
 		measures:   "points,rebounds",
 		shards:     3,
 		shardDim:   "team",
-		boardCap:   64,
 		stateDir:   t.TempDir(),
 		follow:     d.url,
 		followPoll: 20 * time.Millisecond,

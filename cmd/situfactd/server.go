@@ -7,11 +7,9 @@ import (
 	"errors"
 	"fmt"
 	"log"
-	"math"
 	"net/http"
 	"os"
 	"path/filepath"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -40,7 +38,6 @@ type config struct {
 	walSync      time.Duration // 0 = fsync before every ack; >0 = background interval fsync
 	walSegBytes  int64         // WAL segment rotation threshold (0 = 64 MiB)
 	snapInterval time.Duration // background checkpoint period; 0 = shutdown-only snapshots
-	boardCap     int           // leaderboard capacity for GET /v1/facts/top
 	pipeQueue    int           // per-shard ingest queue depth (0 = 256)
 	pipeAdaptive bool          // adaptive queue capacities (PipelineOptions.AdaptiveQueue)
 	pprofAddr    string        // extra net/http/pprof listener; "" = off
@@ -71,9 +68,9 @@ type config struct {
 	walVerifyMode  bool          // -wal-verify: offline fsck then exit
 }
 
-// server owns the pool and the leaderboard. Append/Delete handlers rely on
-// the Pool's own ingest discipline for safety — the server adds no request
-// serialization of its own. A leader's pool runs the ingest pipeline:
+// server owns the pool. Append/Delete handlers rely on the Pool's own
+// ingest discipline for safety — the server adds no request serialization
+// of its own. A leader's pool runs the ingest pipeline:
 // handlers enqueue onto per-shard batching writers, arrivals racing for
 // one shard are applied in enqueue order, and different shards proceed in
 // parallel (see docs/ARCHITECTURE.md for why that ordering is sound).
@@ -87,7 +84,6 @@ type server struct {
 	// two pools within one request. On a leader it is set once.
 	poolv   atomic.Pointer[situfact.Pool]
 	wal     *situfact.WAL // nil without -wal
-	board   *leaderboard
 	started time.Time
 	// cache fronts the hot read endpoints (/v1/facts, /v1/facts/top) with
 	// a TTL'd singleflight layer; nil without -read-cache-ttl. On a
@@ -125,21 +121,11 @@ type server struct {
 
 	// stateMu serialises checkpoints (background snapshotter vs shutdown).
 	stateMu sync.Mutex
-	// gate orders board feeds against checkpoints: append handlers hold it
-	// for read across apply+feed, and the checkpoint's sidecar callback
-	// takes it for write as a barrier — so the captured leaderboard
-	// contains every arrival the captured shard snapshots contain, and
-	// anything newer is re-fed by WAL replay (offerAll deduplicates).
-	gate sync.RWMutex
 	// snapMu guards the snapshot telemetry for GET /v1/metrics.
 	snapMu   sync.Mutex
 	lastSnap time.Time // zero until the first checkpoint this process
 	snapGen  uint64
 }
-
-// sidecarLeaderboard keys the persisted leaderboard in the snapshot
-// manifest's sidecars.
-const sidecarLeaderboard = "leaderboard"
 
 // db returns the pool currently serving requests. Handlers call it once
 // per request and work against that pool for the request's whole
@@ -167,8 +153,7 @@ func buildSchema(cfg config) (*situfact.Schema, []measureWire, error) {
 
 // newServer builds the pool and the server around it, running the full
 // recovery sequence when cfg.stateDir holds prior state: restore the
-// newest snapshot (including the leaderboard sidecar), replay the WAL
-// tail through the ingest path so derived state catches up, then attach
+// newest snapshot, replay the WAL tail through the write path, then attach
 // the WAL for live journaling.
 func newServer(cfg config) (*server, error) {
 	if cfg.follow != "" {
@@ -186,9 +171,10 @@ func newServer(cfg config) (*server, error) {
 		algo = string(situfact.AlgoSBottomUp)
 	}
 	var pool *situfact.Pool
-	var sidecars map[string][]byte
 	if cfg.stateDir != "" {
-		pool, sidecars, err = situfact.RestorePool(schema, cfg.stateDir)
+		// The manifest's sidecars are ignored: this daemon writes none, and
+		// one an older binary left behind is bytes nobody reads.
+		pool, _, err = situfact.RestorePool(schema, cfg.stateDir)
 		switch {
 		case errors.Is(err, situfact.ErrNoSnapshot):
 			pool = nil // fresh start below
@@ -229,27 +215,15 @@ func newServer(cfg config) (*server, error) {
 			return nil, err
 		}
 	}
-	bcap := cfg.boardCap
-	if bcap <= 0 {
-		bcap = 128
-	}
 	s := &server{
 		cfg:      cfg,
 		schema:   schema,
 		measures: wires,
-		board:    &leaderboard{cap: bcap},
 		started:  time.Now(),
 		cache:    newReadCache(cfg),
 	}
 	s.initAdmission()
 	s.poolv.Store(pool)
-	if lb, ok := sidecars[sidecarLeaderboard]; ok {
-		if err := s.board.restore(lb); err != nil {
-			// The board is a monitoring view; a bad sidecar should not
-			// block recovery of the relation itself.
-			log.Printf("warning: leaderboard sidecar unreadable, starting it empty: %v", err)
-		}
-	}
 	if !cfg.wal && cfg.stateDir != "" {
 		// A journal from a prior -wal run may hold acknowledged rows past
 		// the newest snapshot; starting without -wal would silently drop
@@ -293,10 +267,10 @@ func newServer(cfg config) (*server, error) {
 			pool.Close()
 			return nil, fmt.Errorf("situfactd: %w", err)
 		}
-		// Replay through the ingest path: the pool re-applies the tail and
-		// every replayed arrival re-feeds the leaderboard, exactly as the
-		// original request did.
-		stats, err := pool.ReplayWAL(wal, func(arr *situfact.Arrival) { s.feedBoard(arr) })
+		// Replay through the write path, unobserved: the tail changes the
+		// pool's state exactly as the original requests did, and nobody
+		// reads the facts they reported, so they are not ranked again.
+		stats, err := pool.ReplayWAL(wal, nil)
 		if err != nil {
 			wal.Close()
 			pool.Close()
@@ -510,8 +484,8 @@ func (s *server) handler() http.Handler {
 // with the background snapshotter.
 func (s *server) saveState() error { return s.checkpoint() }
 
-// checkpoint snapshots every shard plus the leaderboard sidecar into the
-// state dir and truncates WAL segments the new generation covers.
+// checkpoint snapshots every shard into the state dir and truncates WAL
+// segments the new generation covers.
 func (s *server) checkpoint() error {
 	if s.cfg.stateDir == "" {
 		return nil
@@ -527,7 +501,7 @@ func (s *server) checkpoint() error {
 // subsequent file streaming — no newer generation may replace the files
 // mid stream. Caller holds s.stateMu.
 func (s *server) checkpointLocked() (situfact.CheckpointStats, error) {
-	stats, err := s.db().Checkpoint(s.cfg.stateDir, s.snapshotSidecars)
+	stats, err := s.db().Checkpoint(s.cfg.stateDir, nil)
 	if err != nil {
 		return stats, err
 	}
@@ -543,20 +517,6 @@ func (s *server) checkpointLocked() (situfact.CheckpointStats, error) {
 		}
 	}
 	return stats, nil
-}
-
-// snapshotSidecars captures the leaderboard for the manifest. Called by
-// Pool.Checkpoint after the shard files are written: the write-lock
-// barrier waits out handlers mid feed, so the captured board holds every
-// arrival the shard snapshots hold (anything newer is re-fed by replay).
-func (s *server) snapshotSidecars() (map[string][]byte, error) {
-	s.gate.Lock()
-	s.gate.Unlock() // barrier only: nothing to do inside
-	b, err := s.board.marshal()
-	if err != nil {
-		return nil, err
-	}
-	return map[string][]byte{sidecarLeaderboard: b}, nil
 }
 
 // snapshotLoop checkpoints on a fixed period until ctx is cancelled — the
@@ -720,39 +680,36 @@ func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, resp)
 }
 
+// topDefaultK is GET /v1/facts/top's k when the request names none; like
+// /v1/facts' limit it is capped at factsMaxLimit.
+const topDefaultK = 10
+
+// handleTopFacts serves the leaderboard: the k highest-prominence fact
+// groups of the current fact set (Pool.TopFacts), so a deleted tuple's
+// facts leave it and a follower ranks exactly as its leader does. The
+// cache key carries the clamped k: every k past the cap shares one fill.
 func (s *server) handleTopFacts(w http.ResponseWriter, r *http.Request) {
-	k := 10
+	k := topDefaultK
 	if q := r.URL.Query().Get("k"); q != "" {
 		n, err := strconv.Atoi(q)
 		if err != nil || n < 0 {
 			writeErr(w, http.StatusBadRequest, fmt.Sprintf("bad k %q", q))
 			return
 		}
-		k = n
+		k = min(n, factsMaxLimit)
 	}
-	switch src := r.URL.Query().Get("source"); src {
-	case "", "board":
-		s.serveCached(w, "top|"+strconv.Itoa(k), func() ([]byte, error) {
-			return marshalBody(topFactsResponse{Facts: s.board.top(k)})
-		})
-	case "live":
-		// The live leaderboard ranks the current fact set straight out of
-		// the incremental index (every cell, not just recent arrivals), so
-		// it reflects deletions the arrival-history board cannot see.
-		s.serveCached(w, "top|live|"+strconv.Itoa(k), func() ([]byte, error) {
-			facts, err := s.db().TopFacts(k)
-			if err != nil {
-				return nil, err
-			}
-			resp := topLiveResponse{Source: "live", Facts: make([]queryFactWire, len(facts))}
-			for i := range facts {
-				resp.Facts[i] = toQueryFactWire(&facts[i])
-			}
-			return marshalBody(resp)
-		})
-	default:
-		writeErr(w, http.StatusBadRequest, fmt.Sprintf("bad source %q: want board or live", src))
-	}
+	pool := s.db()
+	s.serveCached(w, "top|"+strconv.Itoa(k), func() ([]byte, error) {
+		facts, err := pool.TopFacts(k)
+		if err != nil {
+			return nil, err
+		}
+		resp := topFactsResponse{Source: "live", Facts: make([]queryFactWire, len(facts))}
+		for i := range facts {
+			resp.Facts[i] = toQueryFactWire(&facts[i])
+		}
+		return marshalBody(resp)
+	})
 }
 
 // rejectOnFollower answers write requests on a follower with 403: the
@@ -774,24 +731,7 @@ func (s *server) handleAppend(w http.ResponseWriter, r *http.Request) {
 	if !decodeBody(w, r, s.maxBodyBytes(), &req) {
 		return
 	}
-	// The gate is held across apply + board feed (toArrival) so a
-	// concurrent checkpoint's board capture never falls between them —
-	// but NOT across the response write: a client that stops reading must
-	// not hold up the checkpoint barrier (and, through the pending
-	// writer, all other ingest). The closure's defer keeps the lock
-	// panic-safe. See server.gate.
-	var arr *situfact.Arrival
-	var resp arrivalResponse
-	err := func() error {
-		s.gate.RLock()
-		defer s.gate.RUnlock()
-		var err error
-		if arr, err = s.db().AppendContext(r.Context(), req.Dims, req.Measures); err != nil {
-			return err
-		}
-		resp = s.toArrival(arr, req.Top, true)
-		return nil
-	}()
+	arr, err := s.db().AppendContext(r.Context(), req.Dims, req.Measures)
 	if err != nil {
 		if writeIngestCtxErr(w, r, err) {
 			return
@@ -808,6 +748,7 @@ func (s *server) handleAppend(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, err.Error())
 		return
 	}
+	resp := toArrival(arr, req.Top, true)
 	if req.Narrate != nil {
 		values := make(map[string]float64, len(s.measures))
 		for i, m := range s.measures {
@@ -837,27 +778,7 @@ func (s *server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	for i, rw := range req.Rows {
 		rows[i] = situfact.Row{Dims: rw.Dims, Measures: rw.Measures}
 	}
-	// Like handleAppend: the gate covers apply + board feeds only, never
-	// the response write, and a closure defer keeps it panic-safe.
-	var arrs []*situfact.Arrival
-	var resp batchResponse
-	var batchErr error
-	func() {
-		s.gate.RLock()
-		defer s.gate.RUnlock()
-		arrs, batchErr = s.db().AppendBatchContext(r.Context(), rows)
-		if arrs == nil {
-			return // pre-validation failure: nothing applied, nothing to feed
-		}
-		resp.Arrivals = make([]*arrivalResponse, len(arrs))
-		for i, arr := range arrs {
-			if arr == nil {
-				continue // unprocessed row of a failed shard
-			}
-			a := s.toArrival(arr, req.Top, req.Top > 0)
-			resp.Arrivals[i] = &a
-		}
-	}()
+	arrs, batchErr := s.db().AppendBatchContext(r.Context(), rows)
 	if batchErr != nil && arrs == nil {
 		// Nothing was processed: usually a pre-validation failure (400),
 		// but a poisoned WAL also fails whole batches before any arrival.
@@ -871,6 +792,14 @@ func (s *server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		}
 		writeErr(w, http.StatusBadRequest, batchErr.Error())
 		return
+	}
+	resp := batchResponse{Arrivals: make([]*arrivalResponse, len(arrs))}
+	for i, arr := range arrs {
+		if arr == nil {
+			continue // unprocessed row of a failed shard
+		}
+		a := toArrival(arr, req.Top, req.Top > 0)
+		resp.Arrivals[i] = &a
 	}
 	if batchErr != nil {
 		// Mid-batch engine failure: the arrivals present above DID commit;
@@ -944,36 +873,11 @@ func writeIngestCtxErr(w http.ResponseWriter, r *http.Request, err error) bool {
 	return false
 }
 
-// feedBoard offers an arrival's scored facts to the leaderboard — the
-// live ingest path and WAL replay share it, so a recovered board sees
-// exactly the offers the original run made. It returns the arrival's
-// wire id so the ingest path formats it once.
-func (s *server) feedBoard(arr *situfact.Arrival) string {
-	id := strconv.Itoa(arr.Shard) + ":" + strconv.FormatInt(arr.TupleID, 10)
-	// Pre-filter against the board's floor before paying for wire
-	// conversion: after warmup almost no fact clears a full board. The
-	// floor only rises, so a stale read can only admit extra candidates —
-	// offerAll rechecks under its own lock. Facts arrive in descending
-	// prominence, so the first one that cannot enter ends the walk: an
-	// arrival's thousands of facts cost one test, not one each.
-	floor, full := s.board.floor()
-	var scored []boardEntry
-	for _, f := range arr.Facts {
-		if f.Prominence <= 0 || (full && f.Prominence <= floor) {
-			break
-		}
-		scored = append(scored, boardEntry{ID: id, Prominence: f.Prominence, Fact: toWireFact(f)})
-	}
-	s.board.offerAll(scored)
-	return id
-}
-
-// toArrival converts an arrival, caps the returned facts at top (0 = all
-// when includeFacts), and feeds the leaderboard with every scored fact.
-func (s *server) toArrival(arr *situfact.Arrival, top int, includeFacts bool) arrivalResponse {
-	id := s.feedBoard(arr)
+// toArrival converts an arrival, capping the returned facts at top (0 =
+// all of them) when includeFacts.
+func toArrival(arr *situfact.Arrival, top int, includeFacts bool) arrivalResponse {
 	resp := arrivalResponse{
-		ID:        id,
+		ID:        strconv.Itoa(arr.Shard) + ":" + strconv.FormatInt(arr.TupleID, 10),
 		Shard:     arr.Shard,
 		TupleID:   arr.TupleID,
 		FactCount: len(arr.Facts),
@@ -1109,127 +1013,4 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 
 func writeErr(w http.ResponseWriter, status int, msg string) {
 	writeJSON(w, status, errorResponse{Error: strings.TrimPrefix(msg, "situfact: ")})
-}
-
-// leaderboard retains the highest-prominence facts seen for
-// GET /v1/facts/top. It is a monitoring view, not part of the discovery
-// semantics: entries are not retracted when their tuple is deleted. With
-// -state-dir it survives restarts — checkpoints persist it as a manifest
-// sidecar, and WAL replay re-offers the tail's facts.
-type leaderboard struct {
-	mu      sync.Mutex
-	cap     int
-	entries []boardEntry
-	// floorBits/full cache the rejection threshold for lock-free reads
-	// (floor): floorBits is the Float64bits of the weakest entry's
-	// prominence, full whether the board is at capacity. Updated under mu
-	// (updateFloor); readers may see a momentarily stale pair, which can
-	// only admit extra candidates — offerAll rechecks under the lock.
-	floorBits atomic.Uint64
-	full      atomic.Bool
-}
-
-// updateFloor refreshes the lock-free threshold cache; caller holds mu.
-func (b *leaderboard) updateFloor() {
-	if len(b.entries) < b.cap {
-		b.full.Store(false)
-		b.floorBits.Store(0)
-		return
-	}
-	b.floorBits.Store(math.Float64bits(b.entries[len(b.entries)-1].Prominence))
-	b.full.Store(true)
-}
-
-// offerAll inserts the entries in descending-prominence order (stable for
-// ties: earlier arrivals rank first), dropping whatever falls beyond the
-// capacity. One lock acquisition covers the whole batch — an arrival can
-// carry hundreds of scored facts, and the board is shared by all shards.
-//
-// Offers are idempotent: an entry naming the same arrival and fact as one
-// already on the board is dropped, so recovery — which re-offers facts
-// the snapshot may already contain — cannot double-list a fact.
-func (b *leaderboard) offerAll(entries []boardEntry) {
-	if len(entries) == 0 {
-		return
-	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	for _, e := range entries {
-		if len(b.entries) == b.cap && e.Prominence <= b.entries[len(b.entries)-1].Prominence {
-			continue
-		}
-		i := sort.Search(len(b.entries), func(i int) bool {
-			return b.entries[i].Prominence < e.Prominence
-		})
-		// A duplicate shares the prominence, so it can only live in the
-		// equal run just above the insertion point.
-		dup := false
-		for j := i - 1; j >= 0 && b.entries[j].Prominence == e.Prominence; j-- {
-			if b.entries[j].ID == e.ID && b.entries[j].Fact.Text == e.Fact.Text {
-				dup = true
-				break
-			}
-		}
-		if dup {
-			continue
-		}
-		b.entries = append(b.entries, boardEntry{})
-		copy(b.entries[i+1:], b.entries[i:])
-		b.entries[i] = e
-		if len(b.entries) > b.cap {
-			b.entries = b.entries[:b.cap]
-		}
-	}
-	b.updateFloor()
-}
-
-// marshal serialises the board for the checkpoint sidecar.
-func (b *leaderboard) marshal() ([]byte, error) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return json.Marshal(b.entries)
-}
-
-// restore replaces the board with a sidecar written by marshal, trimming
-// to the (possibly smaller) current capacity.
-func (b *leaderboard) restore(data []byte) error {
-	var entries []boardEntry
-	if err := json.Unmarshal(data, &entries); err != nil {
-		return err
-	}
-	// Stored sorted; re-sort defensively so a hand-edited sidecar cannot
-	// break the ordered-insert invariant.
-	sort.SliceStable(entries, func(i, j int) bool {
-		return entries[i].Prominence > entries[j].Prominence
-	})
-	if len(entries) > b.cap {
-		entries = entries[:b.cap]
-	}
-	b.mu.Lock()
-	b.entries = entries
-	b.updateFloor()
-	b.mu.Unlock()
-	return nil
-}
-
-// floor returns the prominence of the board's weakest entry and whether
-// the board is at capacity (only then is the floor a rejection threshold).
-// It is lock-free — the ingest hot path calls it per arrival, and after
-// warmup almost every arrival stops here — reading the cache offerAll
-// and restore maintain; a stale read only admits extra candidates, which
-// offerAll re-filters under its lock.
-func (b *leaderboard) floor() (float64, bool) {
-	return math.Float64frombits(b.floorBits.Load()), b.full.Load()
-}
-
-// top returns the k highest-prominence entries.
-func (b *leaderboard) top(k int) []boardEntry {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if k > len(b.entries) {
-		k = len(b.entries)
-	}
-	out := make([]boardEntry, k)
-	copy(out, b.entries[:k])
-	return out
 }

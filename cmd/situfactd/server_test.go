@@ -9,9 +9,13 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
+	"time"
+
+	situfact "repro"
 )
 
 // table1 is the paper's Table I mini-world, identical to the root
@@ -42,7 +46,6 @@ func gamelogConfig(shards int, stateDir string) config {
 		shards:   shards,
 		shardDim: "team",
 		stateDir: stateDir,
-		boardCap: 128,
 	}
 }
 
@@ -245,38 +248,129 @@ func TestServerBatchDeleteAndErrors(t *testing.T) {
 	}
 }
 
+// TestServerTopFacts pins GET /v1/facts/top: one shape (queryFactWire
+// entries, source live), best first, exactly the ranking an
+// in-process pool fed the same history computes — a delete included — with
+// k defaulted, clamped like /v1/facts' limit, validated, and nothing else
+// read from the query string.
 func TestServerTopFacts(t *testing.T) {
-	_, ts := startServer(t, gamelogConfig(1, ""))
+	cfg := gamelogConfig(2, "")
+	cfg.readCacheTTL = time.Hour // fills are counted below; nothing expires mid-test
+	s, ts := startServer(t, cfg)
+	ref, err := situfact.NewPool(s.schema, situfact.PoolOptions{Shards: 2, ShardDim: "team"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ref.Close()
 	for _, row := range append(append([]rowWire{}, table1...), wesley) {
-		doJSON(t, "POST", ts.URL+"/v1/tuples", reqOf(row), nil)
-	}
-	var top topFactsResponse
-	doJSON(t, "GET", ts.URL+"/v1/facts/top?k=5", nil, &top)
-	if len(top.Facts) != 5 {
-		t.Fatalf("got %d leaderboard entries, want 5", len(top.Facts))
-	}
-	for i := 1; i < len(top.Facts); i++ {
-		if top.Facts[i].Prominence > top.Facts[i-1].Prominence {
-			t.Errorf("leaderboard out of order at %d: %g > %g",
-				i, top.Facts[i].Prominence, top.Facts[i-1].Prominence)
+		if resp := doJSON(t, "POST", ts.URL+"/v1/tuples", reqOf(row), nil); resp.StatusCode != 200 {
+			t.Fatalf("ingest rejected: status %d", resp.StatusCode)
+		}
+		if _, err := ref.Append(row.Dims, row.Measures); err != nil {
+			t.Fatal(err)
 		}
 	}
-	if resp := doJSON(t, "GET", ts.URL+"/v1/facts/top?k=-1", nil, nil); resp.StatusCode != 400 {
-		t.Errorf("negative k: status %d, want 400", resp.StatusCode)
+	// check compares a response with the reference pool's TopFacts(k),
+	// entry for entry as the wire renders them.
+	check := func(query string, k int) topFactsResponse {
+		t.Helper()
+		status, body := getBody(t, ts.URL+"/v1/facts/top"+query)
+		if status != http.StatusOK {
+			t.Fatalf("GET /v1/facts/top%s: status %d: %s", query, status, body)
+		}
+		var top topFactsResponse
+		if err := json.Unmarshal(body, &top); err != nil {
+			t.Fatal(err)
+		}
+		want, err := ref.TopFacts(k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if top.Source != "live" || len(top.Facts) != len(want) {
+			t.Fatalf("top%s: source %q with %d facts, want \"live\" with %d", query, top.Source, len(top.Facts), len(want))
+		}
+		for i := range want {
+			if !sameJSON(t, top.Facts[i], toQueryFactWire(&want[i])) {
+				t.Fatalf("top%s entry %d:\n daemon %+v\n pool   %+v", query, i, top.Facts[i], want[i])
+			}
+			if i > 0 && top.Facts[i].Prominence > top.Facts[i-1].Prominence {
+				t.Errorf("top%s out of order at %d: %g > %g", query, i, top.Facts[i].Prominence, top.Facts[i-1].Prominence)
+			}
+		}
+		return top
 	}
-}
+	top := check("?k=5", 5)
+	if len(top.Facts) != 5 {
+		t.Fatalf("got %d entries, want 5", len(top.Facts))
+	}
+	// The wire shape is /v1/facts' fact, not an arrival's.
+	var raw struct {
+		Facts []map[string]json.RawMessage `json:"facts"`
+	}
+	_, body := getBody(t, ts.URL+"/v1/facts/top?k=5")
+	if err := json.Unmarshal(body, &raw); err != nil {
+		t.Fatal(err)
+	}
+	for _, key := range []string{"shard", "measures", "context_size", "skyline_size", "prominence", "tuple_ids", "text"} {
+		if _, ok := raw.Facts[0][key]; !ok {
+			t.Errorf("top entry lacks %q: %s", key, body)
+		}
+	}
+	for _, key := range []string{"id", "fact"} {
+		if _, ok := raw.Facts[0][key]; ok {
+			t.Errorf("top entry carries the arrival-board key %q: %s", key, body)
+		}
+	}
 
-func TestLeaderboard(t *testing.T) {
-	b := &leaderboard{cap: 3}
-	b.offerAll([]boardEntry{{ID: "0", Prominence: 1}, {ID: "1", Prominence: 5}, {ID: "2", Prominence: 3}})
-	b.offerAll([]boardEntry{{ID: "3", Prominence: 4}, {ID: "4", Prominence: 2}, {ID: "5", Prominence: 6}})
-	got := b.top(10)
-	if len(got) != 3 {
-		t.Fatalf("got %d entries, want 3 (capacity)", len(got))
+	check("", 10) // default k
+	all, err := ref.TopFacts(1 << 20)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for i, want := range []float64{6, 5, 4} {
-		if got[i].Prominence != want {
-			t.Errorf("entry %d prominence = %g, want %g", i, got[i].Prominence, want)
+	if len(all) <= factsMaxLimit {
+		t.Fatalf("only %d fact groups: the clamp at %d needs more", len(all), factsMaxLimit)
+	}
+	clamped := check("?k=9999", factsMaxLimit)
+	if len(clamped.Facts) != factsMaxLimit {
+		t.Fatalf("k=9999 returned %d entries, want the cap %d", len(clamped.Facts), factsMaxLimit)
+	}
+	before := getMetrics(t, ts.URL).ReadCache
+	check("?k=1000000000", factsMaxLimit)
+	check("?k=500", factsMaxLimit)
+	if after := getMetrics(t, ts.URL).ReadCache; after.Misses != before.Misses || after.Hits != before.Hits+2 {
+		t.Errorf("k=1000000000 and k=500 after k=9999: cache hits %d -> %d, misses %d -> %d; every k past the cap must share one fill",
+			before.Hits, after.Hits, before.Misses, after.Misses)
+	}
+	if got := check("?k=0", 0); len(got.Facts) != 0 {
+		t.Errorf("k=0 returned %d entries", len(got.Facts))
+	}
+	// source is not a parameter any more: whatever it says, same body.
+	_, plain := getBody(t, ts.URL+"/v1/facts/top?k=7")
+	for _, q := range []string{"?k=7&source=live", "?k=7&source=board", "?k=7&source=bogus"} {
+		if _, got := getBody(t, ts.URL+"/v1/facts/top"+q); !bytes.Equal(got, plain) {
+			t.Errorf("top%s differs from ?k=7:\n%s\n%s", q, got, plain)
+		}
+	}
+	for _, q := range []string{"?k=-1", "?k=ten", "?k=1e3", "?k=99999999999999999999"} {
+		if status, _ := getBody(t, ts.URL+"/v1/facts/top"+q); status != http.StatusBadRequest {
+			t.Errorf("top%s: status %d, want 400", q, status)
+		}
+	}
+
+	// The ranking is of the live fact set: retract the tuple behind the
+	// best fact and no entry of the next fill names it.
+	shard, victim := top.Facts[0].Shard, top.Facts[0].TupleIDs[0]
+	url := fmt.Sprintf("%s/v1/tuples/%d:%d", ts.URL, shard, victim)
+	if resp := doJSON(t, "DELETE", url, nil, nil); resp.StatusCode != http.StatusNoContent {
+		t.Fatalf("DELETE %s: status %d", url, resp.StatusCode)
+	}
+	if err := ref.Delete(shard, victim); err != nil {
+		t.Fatal(err)
+	}
+	s.cache.InvalidateFunc(func(string) bool { return true })
+	for _, f := range check("?k=500", factsMaxLimit).Facts {
+		if f.Shard == shard && slices.Contains(f.TupleIDs, victim) {
+			t.Fatalf("deleted tuple %d:%d still ranks: %+v", shard, victim, f)
 		}
 	}
 }
@@ -388,9 +482,9 @@ func TestServerWALCrashRecovery(t *testing.T) {
 	}
 }
 
-// TestServerCheckpointPlusWALTail: a mid-stream checkpoint (with the
-// leaderboard sidecar) plus the WAL tail after it must recover the same
-// state as never stopping — and truncate covered segments.
+// TestServerCheckpointPlusWALTail: a mid-stream checkpoint plus the WAL
+// tail after it must recover the same state as never stopping — and
+// truncate covered segments.
 func TestServerCheckpointPlusWALTail(t *testing.T) {
 	stateDir := t.TempDir()
 	cfg := walConfig(1, stateDir)
@@ -442,6 +536,45 @@ func TestServerCheckpointPlusWALTail(t *testing.T) {
 	}
 }
 
+// TestServerIgnoresLeaderboardSidecar: daemons that kept an arrival-history
+// board persisted it as a "leaderboard" sidecar in the snapshot manifest. A
+// state dir that still carries one restores cleanly, and what the sidecar
+// remembers is not served: the leaderboard is the restored state's ranking.
+func TestServerIgnoresLeaderboardSidecar(t *testing.T) {
+	stateDir := t.TempDir()
+	s, ts := startServer(t, gamelogConfig(2, stateDir))
+	for _, row := range append(append([]rowWire{}, table1...), wesley) {
+		doJSON(t, "POST", ts.URL+"/v1/tuples", reqOf(row), nil)
+	}
+	_, want := getBody(t, ts.URL+"/v1/facts/top?k=20")
+	ts.Close()
+	// The board's own format, ranking a fact no tuple supports.
+	const board = `[{"id":"0:1","prominence":99,"fact":{"conditions":[],"measures":["points"],"prominence":99,"text":"remembered"}}]`
+	if _, err := s.db().Checkpoint(stateDir, func() (map[string][]byte, error) {
+		return map[string][]byte{"leaderboard": []byte(board)}, nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.close(); err != nil {
+		t.Fatal(err)
+	}
+	pool, sidecars, err := situfact.RestorePool(s.schema, stateDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pool.Close()
+	if string(sidecars["leaderboard"]) != board {
+		t.Fatalf("manifest sidecars = %q: the state dir does not carry the board", sidecars)
+	}
+
+	s2, ts2 := startServer(t, gamelogConfig(2, stateDir))
+	defer s2.close()
+	_, got := getBody(t, ts2.URL+"/v1/facts/top?k=20")
+	if !bytes.Equal(got, want) || bytes.Contains(got, []byte("remembered")) {
+		t.Errorf("leaderboard after restoring a state dir with a board sidecar:\n got %s\nwant %s", got, want)
+	}
+}
+
 // TestServerWALFlagValidation: -wal without -state-dir is refused.
 func TestServerWALFlagValidation(t *testing.T) {
 	cfg := gamelogConfig(1, "")
@@ -451,57 +584,14 @@ func TestServerWALFlagValidation(t *testing.T) {
 	}
 }
 
-func TestLeaderboardPersistence(t *testing.T) {
-	b := &leaderboard{cap: 3}
-	b.offerAll([]boardEntry{
-		{ID: "0:1", Prominence: 5, Fact: factWire{Text: "a"}},
-		{ID: "0:2", Prominence: 3, Fact: factWire{Text: "b"}},
-	})
-	data, err := b.marshal()
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Restore into a smaller board: trimmed, still sorted.
-	b2 := &leaderboard{cap: 1}
-	if err := b2.restore(data); err != nil {
-		t.Fatal(err)
-	}
-	if got := b2.top(5); len(got) != 1 || got[0].ID != "0:1" {
-		t.Fatalf("restored+trimmed board = %+v", got)
-	}
-	// Re-offering an entry already on the board (as WAL replay does) must
-	// not duplicate it.
-	b3 := &leaderboard{cap: 4}
-	if err := b3.restore(data); err != nil {
-		t.Fatal(err)
-	}
-	b3.offerAll([]boardEntry{{ID: "0:1", Prominence: 5, Fact: factWire{Text: "a"}}})
-	if got := b3.top(5); len(got) != 2 {
-		t.Fatalf("re-offer duplicated a board entry: %+v", got)
-	}
-	// A distinct fact at the same prominence still enters.
-	b3.offerAll([]boardEntry{{ID: "1:9", Prominence: 5, Fact: factWire{Text: "c"}}})
-	if got := b3.top(5); len(got) != 3 {
-		t.Fatalf("distinct same-prominence entry rejected: %+v", got)
-	}
-	if err := b3.restore([]byte("junk")); err == nil {
-		t.Error("garbage sidecar accepted")
-	}
-}
-
-// TestServerConcurrentIngestAndCheckpoint hammers the gate/sidecar
-// interplay: many writers (singles and batches) race repeated checkpoints
-// and metrics reads. Run under -race in CI; afterwards, crash-recovery
-// must still rebuild the exact state.
+// TestServerConcurrentIngestAndCheckpoint: many writers (singles and
+// batches) race repeated checkpoints, leaderboard fills and metrics reads.
+// Run under -race in CI; afterwards, crash-recovery must still rebuild the
+// exact state.
 func TestServerConcurrentIngestAndCheckpoint(t *testing.T) {
 	stateDir := t.TempDir()
 	cfg := walConfig(3, stateDir)
 	cfg.walSegBytes = 1024
-	// A board big enough never to evict: with eviction, which of several
-	// prominence-TIED entries survives depends on insertion order, which
-	// concurrency (and replay's LSN order) legitimately permutes. Without
-	// eviction the recovered membership is fully deterministic.
-	cfg.boardCap = 1 << 20
 	s, ts := startServer(t, cfg)
 
 	const writers, perWriter = 4, 12
@@ -533,6 +623,10 @@ func TestServerConcurrentIngestAndCheckpoint(t *testing.T) {
 			}
 			var m metricsResponse
 			doJSON(t, "GET", ts.URL+"/v1/metrics", nil, &m)
+			if status, body := getBody(t, ts.URL+"/v1/facts/top?k=64"); status != http.StatusOK {
+				t.Errorf("leaderboard under load: status %d: %s", status, body)
+				return
+			}
 		}
 	}()
 	wg.Wait()
@@ -542,8 +636,7 @@ func TestServerConcurrentIngestAndCheckpoint(t *testing.T) {
 	if before.Len != writers*perWriter {
 		t.Fatalf("len = %d, want %d", before.Len, writers*perWriter)
 	}
-	var beforeTop topFactsResponse
-	doJSON(t, "GET", ts.URL+"/v1/facts/top?k=1000000", nil, &beforeTop)
+	_, beforeTop := getBody(t, ts.URL+"/v1/facts/top?k=500")
 
 	ts.Close() // crash
 
@@ -554,24 +647,10 @@ func TestServerConcurrentIngestAndCheckpoint(t *testing.T) {
 	if after.Merged != before.Merged || after.Len != before.Len {
 		t.Errorf("recovered metrics = %+v/%d, want %+v/%d", after.Merged, after.Len, before.Merged, before.Len)
 	}
-	// Concurrency makes board *insertion order* nondeterministic for tied
-	// prominences, but the recovered board must hold the same entry set.
-	var afterTop topFactsResponse
-	doJSON(t, "GET", ts2.URL+"/v1/facts/top?k=1000000", nil, &afterTop)
-	if len(afterTop.Facts) != len(beforeTop.Facts) {
-		t.Fatalf("recovered board has %d entries, want %d", len(afterTop.Facts), len(beforeTop.Facts))
-	}
-	key := func(e boardEntry) string { return fmt.Sprintf("%s|%s|%g", e.ID, e.Fact.Text, e.Prominence) }
-	want := make(map[string]int)
-	for _, e := range beforeTop.Facts {
-		want[key(e)]++
-	}
-	for _, e := range afterTop.Facts {
-		want[key(e)]--
-	}
-	for k, n := range want {
-		if n != 0 {
-			t.Errorf("board entry multiset differs at %q (Δ%d)", k, n)
-		}
+	// The ranking is a function of the recovered state — per-shard apply
+	// order is journal order, whatever the writers' interleaving was — so
+	// the recovered leaderboard is the same bytes, ties included.
+	if _, afterTop := getBody(t, ts2.URL+"/v1/facts/top?k=500"); !bytes.Equal(afterTop, beforeTop) {
+		t.Errorf("recovered leaderboard diverged:\n got %s\nwant %s", afterTop, beforeTop)
 	}
 }

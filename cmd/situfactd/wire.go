@@ -330,24 +330,12 @@ type metricsResponse struct {
 	Index         indexWire        `json:"index"`
 }
 
-// boardEntry is one leaderboard row of GET /v1/facts/top.
-type boardEntry struct {
-	// ID names the arrival the fact belongs to ("<shard>:<tuple_id>").
-	ID         string   `json:"id"`
-	Prominence float64  `json:"prominence"`
-	Fact       factWire `json:"fact"`
-}
-
-// topFactsResponse is the body of GET /v1/facts/top.
+// topFactsResponse is the body of GET /v1/facts/top: the k
+// highest-prominence fact groups of the current fact set, best first. They
+// are live µ-store cells, hence queryFactWire. Source is the constant
+// "live": the ranking is computed from current state, not remembered from
+// arrivals.
 type topFactsResponse struct {
-	Facts []boardEntry `json:"facts"`
-}
-
-// topLiveResponse is the body of GET /v1/facts/top?source=live: the
-// k highest-prominence facts ranked over the current µ-store contents
-// (index-backed), not the arrival history the board keeps. Entries are
-// queryFactWire because they are live cells, not remembered arrivals.
-type topLiveResponse struct {
 	Source string          `json:"source"`
 	Facts  []queryFactWire `json:"facts"`
 }

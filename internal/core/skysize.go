@@ -168,6 +168,15 @@ func (cc *ContextCounter) ContextSize(c lattice.Constraint) int64 {
 	return 0
 }
 
+// SizeOfKey is ContextSize by key bytes (Constraint.AppendKey's encoding,
+// which the store's interner shares): nothing is parsed or built.
+func (cc *ContextCounter) SizeOfKey(key string) int64 {
+	if n, ok := cc.counts[key]; ok {
+		return *n
+	}
+	return 0
+}
+
 // Snapshot returns a copy of the raw counters, keyed by constraint key.
 // Used by engine persistence.
 func (cc *ContextCounter) Snapshot() map[string]int64 {

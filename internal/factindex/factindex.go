@@ -5,7 +5,8 @@
 // Insert when a cell comes into existence, one Delete when it is
 // evicted), so a paginated read seeks to its cursor in O(log n) and walks
 // forward O(page) instead of re-collecting and re-sorting every live cell
-// per page.
+// per page, and a ranking steps over the constraints it can rule out
+// (Iter.NextConstraint) without visiting their cells.
 //
 // The structure has two levels, because cells come and go thousands at a
 // time while the constraints they sit under change slowly. The upper level
@@ -350,7 +351,7 @@ func (it *Iter) SeekGE(key string, mask uint32) {
 		}
 	}
 	if it.j, _ = slices.BinarySearch(it.run, mask); it.j == len(it.run) {
-		it.nextConstraint()
+		it.NextConstraint()
 	}
 }
 
@@ -378,8 +379,14 @@ func (it *Iter) popToValid() {
 	}
 }
 
-// nextConstraint advances the path to the next constraint in key order.
-func (it *Iter) nextConstraint() {
+// NextConstraint advances to the first entry of the next constraint in key
+// order, leaving the rest of the current one's masks unvisited. It is what
+// Next does at the end of a run — one step along the path, no descent from
+// the root, no key comparison — whatever number of cells it passes over.
+func (it *Iter) NextConstraint() {
+	if len(it.stack) == 0 {
+		return
+	}
 	top := &it.stack[len(it.stack)-1]
 	n := top.n
 	top.i++
@@ -413,6 +420,6 @@ func (it *Iter) Next() {
 		return
 	}
 	if it.j++; it.j == len(it.run) {
-		it.nextConstraint()
+		it.NextConstraint()
 	}
 }

@@ -101,6 +101,39 @@ func checkEqual(t *testing.T, ix *Index, want refModel) {
 	if ix.Len() != len(want) {
 		t.Fatalf("Len() = %d, want %d", ix.Len(), len(want))
 	}
+	checkConstraintWalk(t, ix, want)
+}
+
+// checkConstraintWalk steps through the index a constraint at a time: from
+// the first cell of each run, and from a cell some way into it (the walk's
+// stride varies with the run's position so every offset gets its turn),
+// NextConstraint must land on the first cell of the reference's next key.
+func checkConstraintWalk(t *testing.T, ix *Index, want refModel) {
+	t.Helper()
+	it := ix.Seek("", 0)
+	runs := 0
+	for i := 0; i < len(want); runs++ {
+		end := i
+		for end < len(want) && want[end].Key == want[i].Key {
+			end++
+		}
+		for into := runs % 3; into > 0 && i+1 < end; into-- {
+			it.Next()
+			i++
+		}
+		if !it.Valid() || it.Entry() != want[i] {
+			t.Fatalf("constraint walk: run %d is not at %x/%d", runs, want[i].Key, want[i].Mask)
+		}
+		it.NextConstraint()
+		i = end
+	}
+	if it.Valid() {
+		t.Fatalf("constraint walk: %x/%d follows the reference's last constraint", it.Entry().Key, it.Entry().Mask)
+	}
+	it.NextConstraint() // past the end: stays there
+	if it.Valid() {
+		t.Fatal("NextConstraint revived an exhausted iterator")
+	}
 }
 
 // checkInvariants verifies both levels. Upper: B-tree structure (per-node
@@ -379,6 +412,66 @@ func TestIndexSeek(t *testing.T) {
 	if got := ix.Stats().Seeks - seeks; got != reseeks {
 		t.Fatalf("%d re-seeks counted as %d", reseeks, got)
 	}
+}
+
+// TestIndexNextConstraint pins the in-order step where the tree's shape
+// changes under it: a walk over more constraints than one node holds (so
+// it climbs out of a leaf, takes a separator and descends the next
+// subtree), the same walk after each further split, and after constraints
+// lose their last cell — from the front, the back, a separator position
+// and everything in between. The step is not a seek and is not counted as
+// one.
+func TestIndexNextConstraint(t *testing.T) {
+	kt := newKeyTable()
+	ix := New(kt.keyOf)
+	var ref refModel
+	key := func(i int) string {
+		var b [4]byte
+		binary.BigEndian.PutUint32(b[:], uint32(i)) // ascending i = ascending key
+		return string(b[:])
+	}
+	const constraints = 40 * maxItems // three levels deep
+	for i := 0; i < constraints; i++ {
+		// Every third constraint holds a run, the rest a single cell.
+		for m := uint32(0); m <= uint32(i%3/2)*4; m++ {
+			e := kt.entry(key(i*7919%constraints), m)
+			ix.Insert(e.ID, e.Mask)
+			ref.insert(e)
+		}
+		if i == maxItems || i == maxItems+1 || i%97 == 0 {
+			// maxItems+1 constraints do not fit the root: the first split
+			// has just happened.
+			checkEqual(t, ix, ref)
+			checkInvariants(t, ix)
+		}
+	}
+	if ix.root.children == nil || ix.root.children[0].children == nil {
+		t.Fatalf("%d constraints did not grow the tree to three levels", constraints)
+	}
+	seeks := ix.Stats().Seeks
+	checkConstraintWalk(t, ix, ref)
+	if got := ix.Stats().Seeks - seeks; got != 1 {
+		t.Fatalf("a walk over %d constraints counted %d seeks, want 1 (its start)", constraints, got)
+	}
+	// Constraints leave: a skipped-over constraint and a departed one must
+	// look the same to the walk.
+	rng := rand.New(rand.NewSource(3))
+	for _, i := range append([]int{0, constraints - 1}, rng.Perm(constraints)[:constraints/2]...) {
+		for len(ix.masks[kt.id(key(i))]) > 0 {
+			e := kt.entry(key(i), ix.masks[kt.id(key(i))][0])
+			ix.Delete(e.ID, e.Mask)
+			ref.remove(e)
+		}
+		if it := ix.Seek(key(i), 0); it.Valid() && it.Entry().Key <= key(i) {
+			t.Fatalf("constraint %d still reachable after its last cell left", i)
+		}
+		if i%53 == 0 {
+			checkEqual(t, ix, ref)
+			checkInvariants(t, ix)
+		}
+	}
+	checkEqual(t, ix, ref)
+	checkInvariants(t, ix)
 }
 
 // TestIndexIdempotent pins that duplicate inserts and deletes of absent

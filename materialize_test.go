@@ -52,7 +52,8 @@ func wideStream(tb testing.TB, n int) (*Schema, []Row) {
 // two key strings to score it, a condition slice grown by append and a name
 // slice to decode it — ~25 000 allocations per arrival.
 //
-// What Append does after discovery (Engine.arrival) allocates a constant —
+// What Append does after discovery (counting the tuple, then
+// Engine.arrival) allocates a constant —
 // the arrival, its facts, one condition arena; the ranking works in storage
 // the engine keeps, which only an arrival with more facts than any before
 // it regrows — plus a key and a count on the counter's first sight of a
@@ -126,6 +127,7 @@ func TestEngineAppendAllocsScaleWithConstraints(t *testing.T) {
 		raw := eng.disc.Process(tu)
 		runtime.ReadMemStats(&ms)
 		mallocs := ms.Mallocs
+		eng.counter.Observe(tu)
 		arr := eng.arrival(tu, raw)
 		runtime.ReadMemStats(&ms)
 		samples = append(samples, sample{len(arr.Facts), ms.Mallocs - mallocs})
@@ -160,11 +162,10 @@ func TestEngineArrivalMatchesScore(t *testing.T) {
 		rs, dict := eng.schema, eng.table.Dict()
 		facts := 0
 		for _, r := range rows {
-			tu, err := eng.table.Append(r.Dims, r.Measures)
+			tu, raw, err := eng.apply(r.Dims, r.Measures)
 			if err != nil {
 				t.Fatal(err)
 			}
-			raw := eng.disc.Process(tu)
 			got := eng.arrival(tu, raw).Facts
 			// The counters now hold tu, as they did when arrival ranked.
 			want := make([]Fact, 0, len(raw))

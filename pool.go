@@ -305,7 +305,10 @@ type ingestOp struct {
 	// skipped reports a replayed record at or below the shard's
 	// watermark: already reflected in the restored state, not re-applied.
 	skipped bool
-	wg      *sync.WaitGroup // nil for inline ops
+	// quiet marks a replayed append nobody observes: applied through
+	// Engine.appendQuiet, arr stays nil.
+	quiet bool
+	wg    *sync.WaitGroup // nil for inline ops
 }
 
 // opPool recycles live ingestOps.
@@ -361,7 +364,9 @@ func (p *Pool) applyShard(shard int, ops []*ingestOp) (journaled uint64) {
 		}
 		switch op.rec.Type {
 		case persist.RecAppend:
-			if op.arr, op.err = sh.eng.Append(op.rec.Dims, op.rec.Measures); op.err == nil {
+			if op.quiet {
+				op.err = sh.eng.appendQuiet(op.rec.Dims, op.rec.Measures)
+			} else if op.arr, op.err = sh.eng.Append(op.rec.Dims, op.rec.Measures); op.err == nil {
 				op.arr.Shard = shard
 			}
 		case persist.RecDelete:

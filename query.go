@@ -314,6 +314,16 @@ func (e *Engine) factFromCell(shard int, key string, mask uint32, c store.Cell, 
 	return qf
 }
 
+// indexedStore returns the in-memory µ store the fact index covers, or the
+// error reads report on an engine without one (baselines, file store).
+func (e *Engine) indexedStore() (*store.Memory, error) {
+	mem, ok := memoryStoreOf(e.disc)
+	if !ok || e.fidx == nil {
+		return nil, fmt.Errorf("situfact: queries require a lattice algorithm over the in-memory store (engine runs %s)", e.disc.Name())
+	}
+	return mem, nil
+}
+
 // keyAfterPrefix returns the smallest byte string ordering strictly after
 // every string with the given prefix, and false when none exists (the
 // prefix is empty or all 0xFF — i.e. nothing past it).
@@ -338,9 +348,9 @@ func keyAfterPrefix(prefix string) (string, bool) {
 // jump rather than visiting its cells. The caller holds the shard's read
 // lock, which is what makes iterating the live tree safe.
 func (e *Engine) queryFactsSeek(q queryPlan, shard int, after *queryCursor, want int) (facts []QueryFact, more bool, err error) {
-	mem, ok := memoryStoreOf(e.disc)
-	if !ok || e.fidx == nil {
-		return nil, false, fmt.Errorf("situfact: queries require a lattice algorithm over the in-memory store (engine runs %s)", e.disc.Name())
+	mem, err := e.indexedStore()
+	if err != nil {
+		return nil, false, err
 	}
 	// Resolve condition values against this shard's dictionary: a value
 	// the shard never saw matches nothing here (other shards may hold it).
@@ -449,12 +459,14 @@ func (e *Engine) queryFactsSeek(q queryPlan, shard int, after *queryCursor, want
 }
 
 // TopFacts returns the k highest-prominence fact groups currently live
-// across all shards, computed from the current µ-store state through
-// the incremental fact index.
-// Unlike the daemon's arrival-history leaderboard this is a live view:
-// deletes and skyline churn are reflected immediately. Order: prominence
-// descending, then (shard, constraint key, subspace mask) ascending so
-// ties break deterministically and leader/follower agree byte-for-byte.
+// across all shards — the paper's §VII ranking |σ_C(R)| / |λ_M(σ_C(R))|
+// over the current µ-store state, deletes included. Order: prominence
+// descending, then (shard, constraint key, subspace mask) ascending, so
+// ties break deterministically and leader and follower agree byte for
+// byte. Each shard contributes its own k best, found under its read lock
+// by a walk over its constraints (Engine.topFacts), and only those are
+// materialised; scanTopFacts (query_oracle_test.go), which materialises
+// and sorts every fact group, is the reference it must equal.
 func (p *Pool) TopFacts(k int) ([]QueryFact, error) {
 	if k <= 0 {
 		return nil, nil
@@ -463,7 +475,7 @@ func (p *Pool) TopFacts(k int) ([]QueryFact, error) {
 	for shard := range p.shards {
 		s := &p.shards[shard]
 		s.mu.RLock()
-		facts, _, err := s.eng.queryFactsSeek(queryPlan{}, shard, nil, 0)
+		facts, err := s.eng.topFacts(shard, k)
 		s.mu.RUnlock()
 		if err != nil {
 			return nil, err
@@ -471,20 +483,83 @@ func (p *Pool) TopFacts(k int) ([]QueryFact, error) {
 		all = append(all, facts...)
 	}
 	slices.SortFunc(all, func(a, b QueryFact) int {
-		switch {
-		case a.Prominence != b.Prominence:
-			return cmp.Compare(b.Prominence, a.Prominence)
-		case a.Shard != b.Shard:
-			return cmp.Compare(a.Shard, b.Shard)
-		case a.sortKey != b.sortKey:
-			return strings.Compare(a.sortKey, b.sortKey)
-		}
-		return cmp.Compare(a.sortMask, b.sortMask)
+		return cmp.Or(cmp.Compare(b.Prominence, a.Prominence), cmp.Compare(a.Shard, b.Shard),
+			strings.Compare(a.sortKey, b.sortKey), cmp.Compare(a.sortMask, b.sortMask))
 	})
-	if k < len(all) {
-		all = all[:k]
+	return all[:min(k, len(all))], nil
+}
+
+// topCell is a candidate of a shard's top k: its prominence and the index
+// entry that finds its cell again.
+type topCell struct {
+	prom float64
+	ent  factindex.Entry
+}
+
+// bestCells orders cells as TopFacts ranks them within a shard and keeps
+// the first k.
+func bestCells(cells []topCell, k int) []topCell {
+	slices.SortFunc(cells, func(a, b topCell) int {
+		if c := cmp.Compare(b.prom, a.prom); c != 0 {
+			return c
+		}
+		return cmp.Or(strings.Compare(a.ent.Key, b.ent.Key), cmp.Compare(a.ent.Mask, b.ent.Mask))
+	})
+	return cells[:min(k, len(cells))]
+}
+
+// topFacts returns the shard's k highest-prominence fact groups, best
+// first; the caller holds the shard's read lock. It is a threshold walk
+// over the fact index's constraints, not its cells: ctx(C) = |σ_C(R)|,
+// probed with the key bytes the index holds, bounds the prominence of every
+// cell of C (a live skyline has at least one tuple), so a constraint whose
+// ctx is strictly below the bar — the k-th best prominence among the
+// candidates when they were last cut back to k — is stepped over whole.
+// Strictly, because a cell that equals the bar may still win the (key,
+// mask) tie-break. Candidates gather up to 2k before each cut, so keeping
+// them costs O(log k) a cell. Without a counter every ctx is 0, nothing is
+// skipped and the answer is the first k cells in key order.
+func (e *Engine) topFacts(shard, k int) ([]QueryFact, error) {
+	mem, err := e.indexedStore()
+	if err != nil {
+		return nil, err
 	}
-	return all, nil
+	var best []topCell
+	bar := -1.0 // below every prominence until k candidates have been seen
+	for it := e.fidx.Seek("", 0); it.Valid(); {
+		first, ctx := it.Entry(), 0.0
+		if e.counter != nil {
+			ctx = float64(e.counter.SizeOfKey(first.Key))
+		}
+		if ctx < bar {
+			it.NextConstraint()
+			continue
+		}
+		for ; it.Valid() && it.Entry().ID == first.ID; it.Next() {
+			ent := it.Entry()
+			size := mem.Peek(store.Ref(ent.ID, subspace.Mask(ent.Mask))).Len()
+			if size == 0 {
+				return nil, fmt.Errorf("situfact: query: shard %d: fact index entry %x/%d has no stored cell", shard, ent.Key, ent.Mask)
+			}
+			if prom := ctx / float64(size); prom >= bar {
+				if best = append(best, topCell{prom, ent}); len(best)/2 >= k {
+					best = bestCells(best, k)
+					bar = best[k-1].prom
+				}
+			}
+		}
+	}
+	best = bestCells(best, k)
+	facts := make([]QueryFact, len(best))
+	for i, c := range best {
+		cons, err := lattice.ParseKey(lattice.Key(c.ent.Key), e.schema.NumDims())
+		if err != nil {
+			return nil, fmt.Errorf("situfact: query: shard %d: %w", shard, err)
+		}
+		cell := mem.Peek(store.Ref(c.ent.ID, subspace.Mask(c.ent.Mask)))
+		facts[i] = e.factFromCell(shard, c.ent.Key, c.ent.Mask, cell, cons)
+	}
+	return facts, nil
 }
 
 // Tuple returns stored tuple tupleID of the given shard, decoded, under

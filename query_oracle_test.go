@@ -1,8 +1,11 @@
 package situfact
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
+	"strings"
 
 	"repro/internal/lattice"
 	"repro/internal/store"
@@ -14,7 +17,7 @@ import (
 // the product's read path before the index and is kept here, verbatim,
 // as the oracle TestPoolQueryIndexScanEquivalence,
 // TestPoolQueryEquivalence and BenchmarkPoolQueryDeepCursor compare
-// against.
+// against; scanTopFacts ranks its output for the leaderboard's tests.
 
 // scanFacts is QueryFacts answered by the reference scan. The filter and
 // cursor must be valid (the tests take them from QueryFacts itself).
@@ -75,6 +78,45 @@ func (p *Pool) scanFacts(f FactFilter, cursor string, limit int) (FactPage, erro
 		}
 	}
 	return page, nil
+}
+
+// scanTopFacts is TopFacts answered the way it was served before the
+// threshold walk: materialise every fact group of every shard, sort them
+// all, keep k. O(cells) where the walk is O(live constraints + k); kept,
+// with its comparator, as the oracle TestPoolQueryTopFactsReference and
+// TestPoolReplayQuietEquivalence compare against. The facts come from the
+// reference scan of the store, so the oracle does not read the index the
+// walk steps through.
+func (p *Pool) scanTopFacts(k int) ([]QueryFact, error) {
+	if k <= 0 {
+		return nil, nil
+	}
+	var all []QueryFact
+	for shard := range p.shards {
+		s := &p.shards[shard]
+		s.mu.RLock()
+		facts, err := s.eng.queryFacts(queryPlan{}, shard)
+		s.mu.RUnlock()
+		if err != nil {
+			return nil, err
+		}
+		all = append(all, facts...)
+	}
+	slices.SortFunc(all, func(a, b QueryFact) int {
+		switch {
+		case a.Prominence != b.Prominence:
+			return cmp.Compare(b.Prominence, a.Prominence)
+		case a.Shard != b.Shard:
+			return cmp.Compare(a.Shard, b.Shard)
+		case a.sortKey != b.sortKey:
+			return strings.Compare(a.sortKey, b.sortKey)
+		}
+		return cmp.Compare(a.sortMask, b.sortMask)
+	})
+	if k < len(all) {
+		all = all[:k]
+	}
+	return all, nil
 }
 
 // queryFacts collects the shard engine's fact groups matching the plan.

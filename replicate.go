@@ -150,8 +150,8 @@ func (p *Pool) TailCursor() uint64 {
 // the same per-record path ReplayWAL uses. epoch names the log instance
 // the records came from: the first ApplyTail pins it (a pool restored
 // from a leader snapshot already carries it from the manifest), and a
-// different epoch later fails with ErrEpochMismatch. onArrival, when
-// non-nil, observes every applied append's arrival.
+// different epoch later fails with ErrEpochMismatch. onArrival is
+// ReplayWAL's: nil applies the appends without ranking their facts.
 //
 // The pool must not itself be journaling (ApplyTail re-applies another
 // log's records; journaling them again would fork history) and must not

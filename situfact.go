@@ -319,25 +319,56 @@ func New(schema *Schema, opt Options) (*Engine, error) {
 
 // Append processes one arriving tuple: dims are the dimension values in
 // schema order, measures the measure values in schema order. It returns
-// the arrival's situational facts.
+// the arrival's situational facts, ranked.
 func (e *Engine) Append(dims []string, measures []float64) (*Arrival, error) {
-	tu, err := e.table.Append(dims, measures)
+	tu, raw, err := e.apply(dims, measures)
 	if err != nil {
 		return nil, err
 	}
-	return e.arrival(tu, e.disc.Process(tu)), nil
+	return e.arrival(tu, raw), nil
 }
 
-// arrival is everything Append does after discovery: it folds tu into the
-// context counters, ranks the facts discovery found for it (the ranking
-// prominence.Score writes out) and decodes them in that order, straight
-// into the arrival. Its cost follows the distinct constraints of the
-// arrival, not its facts, apart from the sort and the facts slice itself.
+// apply is what an arriving tuple changes: it joins the table, discovery
+// folds it into the µ store (and, through the store's observer, the fact
+// index) and the context counters count it. The facts come back raw.
+func (e *Engine) apply(dims []string, measures []float64) (*relation.Tuple, []core.Fact, error) {
+	tu, err := e.table.Append(dims, measures)
+	if err != nil {
+		return nil, nil, err
+	}
+	raw := e.disc.Process(tu)
+	if e.counter != nil {
+		e.counter.Observe(tu)
+	}
+	return tu, raw, nil
+}
+
+// appendQuiet is Append for a row whose facts nobody reads (a journaled row
+// re-applied without an observer): no ranking, no decoding, no []Fact. The
+// facts are still sized, because sizing is a counted store read
+// (Metrics.Reads) and a replica's counters must equal its leader's.
+func (e *Engine) appendQuiet(dims []string, measures []float64) error {
+	_, raw, err := e.apply(dims, measures)
+	if err != nil {
+		return err
+	}
+	if e.counter != nil {
+		for _, f := range raw {
+			e.sizer.SkylineSize(f.Constraint, f.Subspace)
+		}
+	}
+	return nil
+}
+
+// arrival is what Append does after apply: it ranks the facts discovery
+// found for tu (the ranking prominence.Score writes out) and decodes them
+// in that order, straight into the arrival. Its cost follows the distinct
+// constraints of the arrival, not its facts, apart from the sort and the
+// facts slice itself.
 func (e *Engine) arrival(tu *relation.Tuple, raw []core.Fact) *Arrival {
 	arr := &Arrival{TupleID: tu.ID, Facts: make([]Fact, len(raw))}
 	defer e.dec.endArrival()
 	if e.counter != nil {
-		e.counter.Observe(tu)
 		e.ranker.Rank(raw, e.counter, e.sizer)
 		for i := range arr.Facts {
 			sf := e.ranker.At(i)

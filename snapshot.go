@@ -228,8 +228,9 @@ type CheckpointStats struct {
 // position it reflects, so recovery replays exactly the uncovered tail.
 // sidecars, when non-nil, is invoked after the shard files are written
 // and before the manifest commits; the payloads it returns are committed
-// atomically with the snapshot (the daemon persists its leaderboard this
-// way — the callback ordering lets it barrier against in-flight ingest).
+// atomically with the snapshot and handed back by RestorePool — a hook for
+// a caller's derived state (the callback ordering lets it barrier against
+// in-flight ingest first).
 func (p *Pool) Checkpoint(dir string, sidecars func() (map[string][]byte, error)) (CheckpointStats, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return CheckpointStats{}, fmt.Errorf("situfact: pool snapshot: %w", err)

@@ -2,6 +2,7 @@ package situfact
 
 import (
 	"errors"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -116,16 +117,24 @@ func TestPoolWALReplayOnly(t *testing.T) {
 	defer recovered.Close()
 	w2 := f.openWAL(t, recovered)
 	defer w2.Close()
-	var replayed int
-	stats, err := recovered.ReplayWAL(w2, func(a *Arrival) { replayed++ })
+	var replayed []*Arrival
+	stats, err := recovered.ReplayWAL(w2, func(a *Arrival) { replayed = append(replayed, a) })
 	if err != nil {
 		t.Fatal(err)
 	}
 	if stats.Applied != 6 || stats.Failed != 1 || stats.Skipped != 0 {
 		t.Fatalf("replay stats = %+v, want 6 applied / 1 failed / 0 skipped", stats)
 	}
-	if replayed != 5 {
-		t.Fatalf("onArrival saw %d appends, want 5", replayed)
+	// An observer sees every replayed append as its original caller did:
+	// same handle, same facts in the same order.
+	if len(replayed) != 5 {
+		t.Fatalf("onArrival saw %d appends, want 5", len(replayed))
+	}
+	for i, a := range replayed {
+		if len(a.Facts) == 0 || !reflect.DeepEqual(a, arrs[i]) {
+			t.Fatalf("replayed arrival %d = %d:%d with %d facts, original %d:%d with %d",
+				i, a.Shard, a.TupleID, len(a.Facts), arrs[i].Shard, arrs[i].TupleID, len(arrs[i].Facts))
+		}
 	}
 	if err := recovered.AttachWAL(w2); err != nil {
 		t.Fatal(err)
@@ -134,6 +143,138 @@ func TestPoolWALReplayOnly(t *testing.T) {
 	// The tombstone survived replay.
 	if err := recovered.Delete(arrs[3].Shard, arrs[3].TupleID); err == nil {
 		t.Error("tombstone lost across WAL replay")
+	}
+}
+
+// TestPoolReplayQuietEquivalence: a journal re-applied with nobody watching
+// (nil onArrival: the appends' facts are neither ranked nor rendered) leaves
+// exactly the state the same journal leaves under an observer, which is the
+// state of the pool that wrote it — work counters (the store's read count
+// among them: sizing a fact is a read), index size, every fact group and
+// the leaderboard — through crash recovery (ReplayWAL) and through a
+// follower's tail apply (ApplyTail) alike, for both lattice families and
+// with prominence off.
+func TestPoolReplayQuietEquivalence(t *testing.T) {
+	schema := queryTestSchema(t)
+	for _, tc := range []struct {
+		name string
+		opt  Options
+	}{
+		{"sbottomup", Options{}},
+		{"stopdown", Options{Algorithm: AlgoSTopDown}},
+		{"noprominence", Options{DisableProminence: true}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			newPool := func() *Pool {
+				p, err := NewPool(schema, PoolOptions{Shards: 3, ShardDim: "region", Engine: tc.opt})
+				if err != nil {
+					t.Fatal(err)
+				}
+				t.Cleanup(func() { p.Close() })
+				return p
+			}
+			walDir := t.TempDir()
+			writer := newPool()
+			w, err := OpenWAL(writer, walDir, WALOptions{SyncInterval: time.Minute})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer w.Close()
+			if err := writer.AttachWAL(w); err != nil {
+				t.Fatal(err)
+			}
+			rng := rand.New(rand.NewSource(77))
+			appends := 0
+			var live []poolHandle
+			for i := 0; i < 150; i++ {
+				if writer.CanDelete() && len(live) > 4 && i%7 == 0 {
+					h := live[rng.Intn(len(live))]
+					// Repeats re-fail as "already deleted", at replay too.
+					writer.Delete(h.shard, h.id)
+					continue
+				}
+				r := randomRow(rng)
+				arr, err := writer.Append(r.Dims, r.Measures)
+				if err != nil {
+					t.Fatal(err)
+				}
+				appends++
+				live = append(live, poolHandle{shard: arr.Shard, id: arr.TupleID})
+			}
+			if err := w.Sync(); err != nil {
+				t.Fatal(err)
+			}
+			recs, _, more, err := w.ReadTail(1, 1<<20)
+			if err != nil || more {
+				t.Fatalf("ReadTail: %d records, more=%v, %v", len(recs), more, err)
+			}
+
+			type outcome struct {
+				name  string
+				pool  *Pool
+				stats ReplayStats
+			}
+			outcomes := []outcome{{name: "writer", pool: writer}}
+			for _, watched := range []bool{true, false} {
+				seen, facts := 0, int64(0)
+				var observer func(*Arrival)
+				name := "unobserved"
+				if watched {
+					name = "observed"
+					observer = func(a *Arrival) {
+						seen++
+						facts += int64(len(a.Facts))
+					}
+				}
+				replayed, tailed := newPool(), newPool()
+				rs, err := replayed.ReplayWAL(w, observer)
+				if err != nil {
+					t.Fatal(err)
+				}
+				ts, err := tailed.ApplyTail(w.Epoch(), recs, observer)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if watched && (seen != 2*appends || facts != 2*writer.Metrics().Facts) {
+					t.Fatalf("observer saw %d arrivals with %d facts over two passes, writer reported %d with %d",
+						seen, facts, appends, writer.Metrics().Facts)
+				}
+				outcomes = append(outcomes,
+					outcome{"ReplayWAL " + name, replayed, rs}, outcome{"ApplyTail " + name, tailed, ts})
+			}
+
+			all := FactFilter{Shard: AllShards, TupleID: -1}
+			want := outcomes[0]
+			wantFacts := collectPaginated(t, want.pool, all, 0)
+			wantTop, err := want.pool.TopFacts(64)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(wantFacts) < 64 {
+				t.Fatalf("history leaves only %d fact groups", len(wantFacts))
+			}
+			for _, got := range outcomes[1:] {
+				if got.stats != outcomes[1].stats || got.stats.Applied < appends {
+					t.Errorf("%s: stats %+v, ReplayWAL observed %+v", got.name, got.stats, outcomes[1].stats)
+				}
+				if g, w := got.pool.Metrics(), want.pool.Metrics(); g != w {
+					t.Errorf("%s: Metrics %+v, writer %+v", got.name, g, w)
+				}
+				if g, w := got.pool.IndexStats().Entries, want.pool.IndexStats().Entries; g != w {
+					t.Errorf("%s: %d index entries, writer %d", got.name, g, w)
+				}
+				if !sameQueryFacts(collectPaginated(t, got.pool, all, 0), wantFacts) {
+					t.Errorf("%s: the fact set differs from the writer's", got.name)
+				}
+				top, err := got.pool.TopFacts(64)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !sameQueryFacts(top, wantTop) {
+					t.Errorf("%s: TopFacts(64) differs from the writer's", got.name)
+				}
+			}
+		})
 	}
 }
 
