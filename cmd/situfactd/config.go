@@ -17,10 +17,7 @@ import (
 	"os"
 	"sort"
 	"strconv"
-	"strings"
 	"time"
-
-	situfact "repro"
 )
 
 // registerFlags declares every situfactd flag on fs, filling cfg. main
@@ -32,7 +29,7 @@ func registerFlags(fs *flag.FlagSet, cfg *config) {
 	fs.StringVar(&cfg.relation, "relation", "stream", "relation name (part of the schema signature snapshots validate)")
 	fs.StringVar(&cfg.dims, "dims", "", "comma-separated dimension attribute names (required)")
 	fs.StringVar(&cfg.measures, "measures", "", "comma-separated measure attribute names; '-' prefix = smaller-is-better (required)")
-	fs.StringVar(&cfg.algo, "algo", "sbottomup", "algorithm: "+strings.Join(situfact.Algorithms(), "|"))
+	fs.StringVar(&cfg.algo, "algo", "sbottomup", "algorithm: sbottomup|bottomup (reads are served from the stored cells, which are the contextual skylines only under BottomUp's Invariant 1; any other is refused)")
 	fs.IntVar(&cfg.dhat, "dhat", 0, "max bound dimension attributes (0 = no cap)")
 	fs.IntVar(&cfg.mhat, "mhat", 0, "max measure subspace size (0 = no cap)")
 	fs.IntVar(&cfg.shards, "shards", 0, "pool shard count (0 = GOMAXPROCS)")

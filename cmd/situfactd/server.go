@@ -171,6 +171,7 @@ func newServer(cfg config) (*server, error) {
 		algo = string(situfact.AlgoSBottomUp)
 	}
 	var pool *situfact.Pool
+	pinnedBy := "-algo " + algo // what chose the pool's algorithm
 	if cfg.stateDir != "" {
 		// The manifest's sidecars are ignored: this daemon writes none, and
 		// one an older binary left behind is bytes nobody reads.
@@ -185,6 +186,7 @@ func newServer(cfg config) (*server, error) {
 		default:
 			log.Printf("restored %d shards (%d tuples) from %s",
 				pool.Shards(), pool.Len(), cfg.stateDir)
+			pinnedBy = "the snapshot in " + cfg.stateDir
 			// A snapshot pins shard count, routing, algorithm and caps;
 			// flags that ask for something else are overridden — say so.
 			if cfg.shards > 0 && cfg.shards != pool.Shards() {
@@ -214,6 +216,13 @@ func newServer(cfg config) (*server, error) {
 		if err != nil {
 			return nil, err
 		}
+	}
+	// Half the daemon's surface is reads, and they take an algorithm whose
+	// stored cells are the fact set (bottomup, sbottomup): refuse the others
+	// now, in the read path's own words, not at the first GET.
+	if _, err := pool.QueryFacts(situfact.FactFilter{Shard: situfact.AllShards}, "", 1); err != nil {
+		pool.Close()
+		return nil, fmt.Errorf("situfactd: %s: %w", pinnedBy, err)
 	}
 	s := &server{
 		cfg:      cfg,

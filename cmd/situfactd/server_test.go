@@ -423,6 +423,47 @@ func TestServerStateDirValidation(t *testing.T) {
 	}
 }
 
+// TestServerRefusesTopDownFamily: reads report a stored cell as a contextual
+// skyline, which a TopDown cell is not (Invariant 2: a tuple sits at its
+// maximal skyline constraints only), so the daemon refuses the family at
+// startup — asked for by -algo or pinned by a state dir's snapshot — with
+// the sentence the read path itself uses.
+func TestServerRefusesTopDownFamily(t *testing.T) {
+	const sentence = "queries require bottomup or sbottomup over the in-memory store: " +
+		"only BottomUp's Invariant 1 makes a stored cell the contextual skyline a read reports"
+	for _, algo := range []string{"topdown", "stopdown"} {
+		cfg := gamelogConfig(2, "")
+		cfg.algo = algo
+		if _, err := newServer(cfg); err == nil || !strings.Contains(err.Error(), sentence) ||
+			!strings.Contains(err.Error(), "-algo "+algo) {
+			t.Errorf("-algo %s: newServer error = %v", algo, err)
+		}
+
+		stateDir := t.TempDir()
+		schema, _, err := buildSchema(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pool, err := situfact.NewPool(schema, situfact.PoolOptions{
+			Shards: 2, ShardDim: "team", Engine: situfact.Options{Algorithm: situfact.Algorithm(algo)},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := pool.Append(table1[0].Dims, table1[0].Measures); err != nil {
+			t.Fatal(err)
+		}
+		if err := pool.SaveSnapshot(stateDir); err != nil {
+			t.Fatal(err)
+		}
+		pool.Close()
+		if _, err := newServer(gamelogConfig(2, stateDir)); err == nil || !strings.Contains(err.Error(), sentence) ||
+			!strings.Contains(err.Error(), "the snapshot in "+stateDir) {
+			t.Errorf("state dir snapshotted under %s: newServer error = %v", algo, err)
+		}
+	}
+}
+
 // walConfig enables the journal on a gamelog config.
 func walConfig(shards int, stateDir string) config {
 	cfg := gamelogConfig(shards, stateDir)

@@ -300,13 +300,14 @@ type overloadWire struct {
 // indexWire is the incremental-fact-index block of GET /v1/metrics.
 type indexWire struct {
 	// Serving reports whether the engines maintain the index /v1/facts
-	// pages are answered from (the lattice algorithms do).
+	// pages are answered from (bottomup and sbottomup do).
 	Serving bool `json:"serving"`
-	// Entries is the live (key, mask) count summed over shards — one per
-	// stored fact cell.
+	// Entries is the live cell count summed over shards — one per fact
+	// group.
 	Entries int64 `json:"entries"`
-	// Inserts/Deletes count index maintenance operations since start;
-	// Seeks counts ordered lookups run on behalf of queries.
+	// Inserts/Deletes count index maintenance operations since start (a
+	// constraint's first cell, its last); Seeks counts ordered lookups run
+	// on behalf of queries.
 	Inserts uint64 `json:"inserts"`
 	Deletes uint64 `json:"deletes"`
 	Seeks   uint64 `json:"seeks"`

@@ -10,9 +10,9 @@ import (
 )
 
 // TestREADMEAlgorithmTable is a doc-drift guard: the README's algorithm
-// table must list exactly the algorithms the registry knows. Registering a
-// new algorithm without documenting it (or documenting one that was
-// removed) fails CI.
+// table must list exactly the algorithms core.NewDiscoverer knows. Adding
+// an algorithm without documenting it (or documenting one that was removed)
+// fails CI.
 func TestREADMEAlgorithmTable(t *testing.T) {
 	data, err := os.ReadFile("README.md")
 	if err != nil {

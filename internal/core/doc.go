@@ -26,9 +26,8 @@
 // when a tuple is first processed, or by RegisterTuple after a snapshot
 // restore. The cell scans (kernel.go) take the arena and a cell's id list.
 //
-// Algorithms are constructed through a registry (Register/NewDiscoverer)
-// keyed by lower-case name, so extensions plug in without touching the
-// public API layer. Every Discoverer reports Metrics (comparisons,
+// Algorithms are constructed by lower-case name through NewDiscoverer's
+// table of the eight. Every Discoverer reports Metrics (comparisons,
 // traversed constraints, facts) and its store's I/O counters; the
 // BottomUp family additionally supports exact deletion (Delete), and the
 // lattice families expose contextual skyline sizes (SkylineSizer) for

@@ -48,20 +48,3 @@ func TestRegistryUnknown(t *testing.T) {
 		t.Errorf("unknown-algorithm error does not list alternatives: %v", err)
 	}
 }
-
-func TestRegisterPanics(t *testing.T) {
-	expectPanic := func(name string, fn func()) {
-		t.Helper()
-		defer func() {
-			if recover() == nil {
-				t.Errorf("%s did not panic", name)
-			}
-		}()
-		fn()
-	}
-	f := func(cfg Config) (Discoverer, error) { return NewTopDown(cfg) }
-	expectPanic("empty name", func() { Register("", f) })
-	expectPanic("upper-case name", func() { Register("TopDown", f) })
-	expectPanic("nil factory", func() { Register("fresh-name", nil) })
-	expectPanic("duplicate", func() { Register("topdown", f) })
-}

@@ -1,28 +1,27 @@
-// Package factindex is the incremental fact index: an ordered set of the
-// µ(C,M) store's live cell coordinates, iterated exactly the way the query
-// surface orders its results — raw constraint-key bytes first, subspace
-// mask second. It is maintained in lockstep with the write path (one
-// Insert when a cell comes into existence, one Delete when it is
-// evicted), so a paginated read seeks to its cursor in O(log n) and walks
-// forward O(page) instead of re-collecting and re-sorting every live cell
-// per page, and a ranking steps over the constraints it can rule out
-// (Iter.NextConstraint) without visiting their cells.
+// Package factindex is the incremental fact index: the one thing about the
+// µ(C,M) store's live cells that the store does not already know — the
+// key-byte order of the constraints that have one. The query surface orders
+// its results by raw constraint-key bytes first, subspace mask second; the
+// index is an in-memory B-tree over the constraints with at least one live
+// cell, ordered by key, each entry carrying the constraint's interned id,
+// and a constraint's live masks are read straight off its store block
+// (masksOf), where they are ascending by construction. So a paginated read
+// seeks to its cursor in O(log n) and walks forward O(page) instead of
+// re-collecting and re-sorting every live cell per page, and a ranking steps
+// over the constraints it can rule out (Iter.NextConstraint) without
+// touching their cells.
 //
-// The structure has two levels, because cells come and go thousands at a
-// time while the constraints they sit under change slowly. The upper level
-// is an in-memory B-tree over the constraints that have at least one live
-// cell, ordered by key; each entry carries the constraint's interned id.
-// The lower level is, per constraint id, the ascending list of its live
-// subspace masks. Insert and Delete address a constraint by id — an array
-// lookup — and edit its short mask list; the tree, the key string and the
-// keyOf callback are touched only when a constraint gains its first cell
-// or loses its last. Keys are Go strings sharing the store interner's
-// backing bytes, so the index costs about four bytes per cell plus six
-// words per constraint on top of the store itself.
+// The index is maintained in lockstep with the write path at the only two
+// moments it cares about: one Insert when a constraint gains its first cell,
+// one Delete when it loses its last. Cells coming and going in between are
+// the store's business alone. Keys are Go strings sharing the store
+// interner's backing bytes, so the index costs six words per live constraint
+// on top of the store itself.
 //
 // Concurrency follows the store's own discipline: mutations happen under
 // the owning shard's write lock, iteration under its read lock — the index
-// itself takes no locks and must not be mutated while an Iter is live.
+// itself takes no locks, and neither it nor the store may be mutated while
+// an Iter is live.
 package factindex
 
 import (
@@ -40,14 +39,14 @@ type Entry struct {
 	Mask uint32
 }
 
-// constraint is one item of the upper level: a constraint with live cells.
+// constraint is one item of the tree: a constraint with live cells.
 type constraint struct {
 	key string
 	id  uint32
 }
 
-// less orders the upper level by key bytes, lexicographically. Together
-// with the ascending mask lists this must stay identical to the query
+// less orders the tree by key bytes, lexicographically. Together with the
+// ascending masks of a store block this must stay identical to the query
 // path's result ordering: cursors are (key, mask) positions in that order.
 func less(a, b string) bool { return a < b }
 
@@ -92,9 +91,12 @@ func (n *node) split(i int) (constraint, *node) {
 	return mid, right
 }
 
-// insert adds c under n (known non-full); c's key must not be present.
+// insert adds c under n (known non-full), unless its key is already there.
 func (n *node) insert(c constraint) {
-	i, _ := n.find(c.key)
+	i, found := n.find(c.key)
+	if found {
+		return
+	}
 	if n.children == nil {
 		n.items = slices.Insert(n.items, i, c)
 		return
@@ -193,15 +195,14 @@ func (n *node) grow(i int) {
 // the structure and the locking discipline.
 type Index struct {
 	// keyOf decodes a constraint id to its key bytes (the store interner's
-	// Key); called when a constraint enters or leaves the tree, never per
-	// cell.
+	// Key); called when a constraint enters or leaves the tree.
 	keyOf func(id uint32) string
+	// masksOf appends constraint id's live subspace masks to buf, ascending
+	// (the store's Masks); called when an iterator first needs a mask of the
+	// constraint it stands on.
+	masksOf func(id uint32, buf []uint32) []uint32
 
 	root *node // the constraints with live cells, by key
-	// masks[id] is constraint id's live subspace masks, ascending; the
-	// constraint is in the tree exactly when the list is non-empty.
-	masks [][]uint32
-	len   int // live cells: Σ len(masks[id])
 
 	// inserts/deletes are cumulative maintenance counters, mutated under
 	// the same (write) lock as the structure; seeks counts iterator seek
@@ -211,21 +212,19 @@ type Index struct {
 	seeks   atomic.Uint64
 }
 
-// New returns an empty index over constraints identified by dense ids;
+// New returns an empty index over constraints identified by dense ids.
 // keyOf must map an id to the same key bytes for the index's lifetime, and
-// distinct ids to distinct keys.
-func New(keyOf func(id uint32) string) *Index { return &Index{keyOf: keyOf} }
-
-// Len returns the number of indexed cells.
-func (ix *Index) Len() int { return ix.len }
+// distinct ids to distinct keys; masksOf must return at least one mask for
+// every constraint that is in the index.
+func New(keyOf func(id uint32) string, masksOf func(id uint32, buf []uint32) []uint32) *Index {
+	return &Index{keyOf: keyOf, masksOf: masksOf}
+}
 
 // Stats is a monitoring snapshot of one index.
 type Stats struct {
-	// Entries is the live indexed cell count.
-	Entries int
-	// Inserts and Deletes count per-cell maintenance operations since
-	// creation (snapshot restore and WAL replay rebuild through Inserts
-	// too).
+	// Inserts and Deletes count constraint transitions since creation — a
+	// first cell, a last cell (snapshot restore and WAL replay rebuild
+	// through Inserts too).
 	Inserts uint64
 	Deletes uint64
 	// Seeks counts iterator seek operations (cursor positioning and
@@ -236,33 +235,12 @@ type Stats struct {
 // Stats returns a monitoring snapshot. Call it under the same lock
 // regime as Insert/Delete (the owning shard's lock, either side).
 func (ix *Index) Stats() Stats {
-	return Stats{Entries: ix.len, Inserts: ix.inserts, Deletes: ix.deletes, Seeks: ix.seeks.Load()}
+	return Stats{Inserts: ix.inserts, Deletes: ix.deletes, Seeks: ix.seeks.Load()}
 }
 
-// Insert adds the cell coordinate (idempotent).
-func (ix *Index) Insert(id, mask uint32) {
+// Insert adds constraint id, which has just gained its first live cell.
+func (ix *Index) Insert(id uint32) {
 	ix.inserts++
-	if int(id) >= len(ix.masks) {
-		ix.masks = append(ix.masks, make([][]uint32, int(id)+1-len(ix.masks))...)
-	}
-	run := ix.masks[id]
-	// Discovery and snapshot restore present a constraint's cells in
-	// (mostly) ascending mask order: past the last mask there is nothing to
-	// search.
-	i := len(run)
-	if i > 0 && run[i-1] >= mask {
-		var found bool
-		if i, found = slices.BinarySearch(run, mask); found {
-			return
-		}
-	} else if i == 0 {
-		ix.insertConstraint(constraint{key: ix.keyOf(id), id: id})
-	}
-	ix.masks[id] = slices.Insert(run, i, mask)
-	ix.len++
-}
-
-func (ix *Index) insertConstraint(c constraint) {
 	if ix.root == nil {
 		ix.root = &node{items: make([]constraint, 0, maxItems)}
 	}
@@ -271,28 +249,15 @@ func (ix *Index) insertConstraint(c constraint) {
 		mid, right := left.split(maxItems / 2)
 		ix.root = &node{items: []constraint{mid}, children: []*node{left, right}}
 	}
-	ix.root.insert(c)
+	ix.root.insert(constraint{key: ix.keyOf(id), id: id})
 }
 
-// Delete removes the cell coordinate (idempotent).
-func (ix *Index) Delete(id, mask uint32) {
+// Delete removes constraint id, which has just lost its last live cell.
+func (ix *Index) Delete(id uint32) {
 	ix.deletes++
-	if int(id) >= len(ix.masks) {
+	if ix.root == nil {
 		return
 	}
-	run := ix.masks[id]
-	i, found := slices.BinarySearch(run, mask)
-	if !found {
-		return
-	}
-	ix.len--
-	if len(run) > 1 {
-		ix.masks[id] = slices.Delete(run, i, i+1)
-		return
-	}
-	// The constraint's last cell: it leaves the tree, and its list's
-	// storage goes with it.
-	ix.masks[id] = nil
 	ix.root.delete(ix.keyOf(id))
 	if len(ix.root.items) == 0 {
 		if ix.root.children == nil {
@@ -311,15 +276,16 @@ type frame struct {
 	i int
 }
 
-// Iter is a forward iterator. It holds a path into the tree and a
-// position in the current constraint's mask list, so the index must not be
-// mutated while the Iter is in use.
+// Iter is a forward iterator. It holds a path into the tree and a copy of
+// the current constraint's live masks, read from the store the first time
+// one is needed, so neither may be mutated while the Iter is in use.
 type Iter struct {
-	ix    *Index
-	stack []frame
-	cur   constraint // the constraint under the iterator, when Valid
-	run   []uint32   // its live masks
-	j     int        // position in run
+	ix     *Index
+	stack  []frame
+	cur    constraint // the constraint under the iterator, when Valid
+	run    []uint32   // its live masks, once filled; the buffer is reused
+	filled bool
+	j      int // position in run
 }
 
 // Seek returns an iterator positioned at the first entry ≥ (key, mask).
@@ -332,7 +298,9 @@ func (ix *Index) Seek(key string, mask uint32) *Iter {
 // SeekGE repositions the iterator at the first entry ≥ (key, mask),
 // invalid when none exists. Re-seeking an existing iterator reuses its
 // path storage — the predicate-pushdown skip path — and a seek within the
-// constraint the iterator already stands on does not descend the tree.
+// constraint the iterator already stands on does not descend the tree. Any
+// mask is in range: past a constraint's last live mask is the first entry
+// of the next constraint.
 func (it *Iter) SeekGE(key string, mask uint32) {
 	it.ix.seeks.Add(1)
 	if len(it.stack) == 0 || it.cur.key != key {
@@ -350,22 +318,38 @@ func (it *Iter) SeekGE(key string, mask uint32) {
 			return // at the first mask of the first constraint after key
 		}
 	}
-	if it.j, _ = slices.BinarySearch(it.run, mask); it.j == len(it.run) {
+	run := it.masks()
+	if it.j, _ = slices.BinarySearch(run, mask); it.j == len(run) {
 		it.NextConstraint()
 	}
 }
 
-// enter loads the constraint the path names, at its first mask; false when
-// the path is exhausted.
+// enter stands the iterator on the constraint the path names, at its first
+// mask, without reading its masks yet; false when the path is exhausted.
 func (it *Iter) enter() bool {
 	if len(it.stack) == 0 {
 		return false
 	}
 	top := it.stack[len(it.stack)-1]
 	it.cur = top.n.items[top.i]
-	it.run, it.j = it.ix.masks[it.cur.id], 0
+	it.filled, it.j = false, 0
 	return true
 }
+
+// masks returns the current constraint's live masks, reading them from the
+// store on first use: a constraint stepped over whole is never read.
+func (it *Iter) masks() []uint32 {
+	if !it.filled {
+		it.run, it.filled = it.ix.masksOf(it.cur.id, it.run[:0]), true
+	}
+	return it.run
+}
+
+// Masks returns the current constraint's live masks from the iterator's
+// position on, ascending: Entry's Mask and those Next would visit before
+// leaving the constraint. The iterator must be Valid; the slice is its own
+// buffer, good until it next moves.
+func (it *Iter) Masks() []uint32 { return it.masks()[it.j:] }
 
 // popToValid discards exhausted frames until the top frame names a live
 // item or the stack empties (iteration done).
@@ -380,9 +364,10 @@ func (it *Iter) popToValid() {
 }
 
 // NextConstraint advances to the first entry of the next constraint in key
-// order, leaving the rest of the current one's masks unvisited. It is what
-// Next does at the end of a run — one step along the path, no descent from
-// the root, no key comparison — whatever number of cells it passes over.
+// order, leaving the rest of the current one's masks unvisited — unread, if
+// no entry of it was asked for. It is what Next does at the end of a run —
+// one step along the path, no descent from the root, no key comparison —
+// whatever number of cells it passes over.
 func (it *Iter) NextConstraint() {
 	if len(it.stack) == 0 {
 		return
@@ -409,9 +394,13 @@ func (it *Iter) NextConstraint() {
 // Valid reports whether the iterator is positioned on an entry.
 func (it *Iter) Valid() bool { return len(it.stack) > 0 }
 
+// Constraint returns the key and id of the constraint the iterator stands
+// on, without reading its masks; the iterator must be Valid.
+func (it *Iter) Constraint() (key string, id uint32) { return it.cur.key, it.cur.id }
+
 // Entry returns the current entry; the iterator must be Valid.
 func (it *Iter) Entry() Entry {
-	return Entry{Key: it.cur.key, ID: it.cur.id, Mask: it.run[it.j]}
+	return Entry{Key: it.cur.key, ID: it.cur.id, Mask: it.masks()[it.j]}
 }
 
 // Next advances to the next entry in (key, mask) order.
@@ -419,7 +408,7 @@ func (it *Iter) Next() {
 	if len(it.stack) == 0 {
 		return
 	}
-	if it.j++; it.j == len(it.run) {
+	if it.j++; it.j == len(it.masks()) {
 		it.NextConstraint()
 	}
 }

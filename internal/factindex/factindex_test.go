@@ -68,6 +68,58 @@ func (m *refModel) remove(e Entry) {
 	*m = (*m)[:len(*m)-1]
 }
 
+// run returns the model's cells of one constraint, ascending by mask.
+func (m refModel) run(key string) []Entry {
+	i, _ := m.search(Entry{Key: key})
+	j := i
+	for j < len(m) && m[j].Key == key {
+		j++
+	}
+	return m[i:j]
+}
+
+// world stands in for the store: the cells live in the reference model, the
+// index hears only of a constraint's first cell and its last — as the store's
+// observer tells it — and reads a constraint's masks back through masksOf.
+type world struct {
+	kt        *keyTable
+	ref       refModel
+	ix        *Index
+	maskReads int // masksOf calls: constraints whose cells an iterator read
+}
+
+func newWorld() *world {
+	w := &world{kt: newKeyTable()}
+	w.ix = New(w.kt.keyOf, func(id uint32, buf []uint32) []uint32 {
+		w.maskReads++
+		for _, e := range w.ref.run(w.kt.keyOf(id)) {
+			buf = append(buf, e.Mask)
+		}
+		return buf
+	})
+	return w
+}
+
+// put adds the cell (idempotent) and returns its entry.
+func (w *world) put(key string, mask uint32) Entry {
+	e := w.kt.entry(key, mask)
+	first := len(w.ref.run(key)) == 0
+	w.ref.insert(e)
+	if first {
+		w.ix.Insert(e.ID)
+	}
+	return e
+}
+
+// drop removes the cell (idempotent).
+func (w *world) drop(key string, mask uint32) {
+	had := len(w.ref.run(key)) > 0
+	w.ref.remove(w.kt.entry(key, mask))
+	if had && len(w.ref.run(key)) == 0 {
+		w.ix.Delete(w.kt.id(key))
+	}
+}
+
 // collect walks the whole index through the iterator.
 func collect(ix *Index) []Entry {
 	var out []Entry
@@ -86,9 +138,9 @@ func randKey(rng *rand.Rand, dims, vals int) string {
 	return string(b)
 }
 
-func checkEqual(t *testing.T, ix *Index, want refModel) {
+func checkEqual(t *testing.T, w *world) {
 	t.Helper()
-	got := collect(ix)
+	got, want := collect(w.ix), w.ref
 	if len(got) != len(want) {
 		t.Fatalf("index has %d entries, reference has %d", len(got), len(want))
 	}
@@ -98,33 +150,52 @@ func checkEqual(t *testing.T, ix *Index, want refModel) {
 				i, got[i].Key, got[i].Mask, got[i].ID, want[i].Key, want[i].Mask, want[i].ID)
 		}
 	}
-	if ix.Len() != len(want) {
-		t.Fatalf("Len() = %d, want %d", ix.Len(), len(want))
-	}
-	checkConstraintWalk(t, ix, want)
+	checkConstraintWalk(t, w)
 }
 
 // checkConstraintWalk steps through the index a constraint at a time: from
 // the first cell of each run, and from a cell some way into it (the walk's
 // stride varies with the run's position so every offset gets its turn),
-// NextConstraint must land on the first cell of the reference's next key.
-func checkConstraintWalk(t *testing.T, ix *Index, want refModel) {
+// Masks must be the rest of the reference's run and NextConstraint must
+// land on the first cell of the reference's next key. A constraint the walk
+// asks nothing of but its name is stepped over without its masks being read.
+func checkConstraintWalk(t *testing.T, w *world) {
 	t.Helper()
-	it := ix.Seek("", 0)
+	want := w.ref
+	it := w.ix.Seek("", 0)
 	runs := 0
 	for i := 0; i < len(want); runs++ {
 		end := i
 		for end < len(want) && want[end].Key == want[i].Key {
 			end++
 		}
-		for into := runs % 3; into > 0 && i+1 < end; into-- {
-			it.Next()
-			i++
+		reads := w.maskReads
+		if key, id := it.Constraint(); !it.Valid() || key != want[i].Key || id != want[i].ID {
+			t.Fatalf("constraint walk: run %d is not at constraint %x (id %d)", runs, want[i].Key, want[i].ID)
 		}
-		if !it.Valid() || it.Entry() != want[i] {
-			t.Fatalf("constraint walk: run %d is not at %x/%d", runs, want[i].Key, want[i].Mask)
+		bare := runs%4 == 3 // every fourth run is stepped over by name alone
+		if !bare {
+			for into := runs % 3; into > 0 && i+1 < end; into-- {
+				it.Next()
+				i++
+			}
+			if it.Entry() != want[i] {
+				t.Fatalf("constraint walk: run %d is not at %x/%d", runs, want[i].Key, want[i].Mask)
+			}
+			rest := it.Masks()
+			if len(rest) != end-i {
+				t.Fatalf("constraint walk: %d masks left in run %d, want %d", len(rest), runs, end-i)
+			}
+			for k, m := range rest {
+				if m != want[i+k].Mask {
+					t.Fatalf("constraint walk: run %d mask %d is %d, want %d", runs, k, m, want[i+k].Mask)
+				}
+			}
 		}
 		it.NextConstraint()
+		if got := w.maskReads - reads; got > 1 || bare && got != 0 {
+			t.Fatalf("constraint walk: run %d cost %d reads of its masks (stepped over by name alone: %v)", runs, got, bare)
+		}
 		i = end
 	}
 	if it.Valid() {
@@ -136,17 +207,15 @@ func checkConstraintWalk(t *testing.T, ix *Index, want refModel) {
 	}
 }
 
-// checkInvariants verifies both levels. Upper: B-tree structure (per-node
-// item bounds and ordering, child/item count relation, uniform leaf depth)
-// and keys strictly ascending across the whole tree. Lower: every
-// constraint in the tree has a non-empty, strictly ascending mask list;
-// every non-empty list belongs to a constraint in the tree (so id ↔ key is
-// a bijection over the live constraints, with keyOf as its inverse); and
-// Len is the sum of the list lengths.
-func checkInvariants(t *testing.T, ix *Index) {
+// checkInvariants verifies the B-tree structure (per-node item bounds and
+// ordering, child/item count relation, uniform leaf depth), keys strictly
+// ascending across the whole tree, and that the tree holds exactly the
+// constraints with a live cell — so id ↔ key is a bijection over them, with
+// keyOf as its inverse.
+func checkInvariants(t *testing.T, w *world) {
 	t.Helper()
+	ix := w.ix
 	inTree := map[uint32]bool{}
-	cells := 0
 	prevKey, havePrev := "", false
 	leafDepth := -1
 	var walk func(n *node, depth int, isRoot bool)
@@ -162,10 +231,9 @@ func checkInvariants(t *testing.T, ix *Index) {
 		if got := ix.keyOf(c.id); got != c.key {
 			t.Fatalf("tree item %x carries id %d, which decodes to %x", c.key, c.id, got)
 		}
-		if int(c.id) >= len(ix.masks) || len(ix.masks[c.id]) == 0 {
-			t.Fatalf("constraint %x (id %d) is in the tree without a live mask", c.key, c.id)
+		if len(w.ref.run(c.key)) == 0 {
+			t.Fatalf("constraint %x (id %d) is in the tree without a live cell", c.key, c.id)
 		}
-		cells += len(ix.masks[c.id])
 	}
 	walk = func(n *node, depth int, isRoot bool) {
 		if len(n.items) > maxItems {
@@ -201,29 +269,21 @@ func checkInvariants(t *testing.T, ix *Index) {
 	if ix.root != nil {
 		walk(ix.root, 0, true)
 	}
-	for id, run := range ix.masks {
-		if len(run) > 0 && !inTree[uint32(id)] {
-			t.Fatalf("constraint id %d has %d live masks but is not in the tree", id, len(run))
+	for _, e := range w.ref {
+		if !inTree[e.ID] {
+			t.Fatalf("constraint %x (id %d) has a live cell but is not in the tree", e.Key, e.ID)
 		}
-		for j := 1; j < len(run); j++ {
-			if run[j-1] >= run[j] {
-				t.Fatalf("constraint id %d: masks not strictly ascending at %d: %v", id, j, run)
-			}
-		}
-	}
-	if cells != ix.Len() {
-		t.Fatalf("Len() = %d, mask lists hold %d cells", ix.Len(), cells)
 	}
 }
 
-// TestIndexRandomized drives random interleaved inserts and deletes
-// against the sorted-slice reference, checking full-order equality and
-// invariants at every step boundary. The shapes differ in how cells spread
-// over constraints: hundreds of constraints with a cell or two each (the
-// tree splits, rotates and merges as they come and go), short runs, a few
-// long ones (most operations edit the middle of a run and constraints
-// rarely leave), and masks beyond 2^14, the width past which the store
-// itself stops indexing densely.
+// TestIndexRandomized drives random interleaved cell creations and
+// evictions against the sorted-slice reference, checking full-order equality
+// and invariants at every step boundary. The shapes differ in how cells
+// spread over constraints: hundreds of constraints with a cell or two each
+// (the tree splits, rotates and merges as they come and go), short runs, a
+// few long ones (constraints rarely leave, and every walk reads runs that
+// changed under a tree that did not), and masks beyond 2^14, the width past
+// which the store's blocks are sparse.
 func TestIndexRandomized(t *testing.T) {
 	shapes := []struct {
 		name             string
@@ -237,9 +297,7 @@ func TestIndexRandomized(t *testing.T) {
 	for _, sh := range shapes {
 		for _, seed := range []int64{1, 7, 42, 1234} {
 			rng := rand.New(rand.NewSource(seed))
-			kt := newKeyTable()
-			ix := New(kt.keyOf)
-			var ref refModel
+			w := newWorld()
 			randMask := func() uint32 {
 				if sh.bits > 14 && rng.Intn(2) == 0 {
 					return 1<<14 + uint32(rng.Intn(16)) // collide above the dense width too
@@ -247,107 +305,106 @@ func TestIndexRandomized(t *testing.T) {
 				return uint32(rng.Intn(1 << sh.bits))
 			}
 			for step := 0; step < 4000; step++ {
-				e := kt.entry(randKey(rng, sh.dims, sh.vals), randMask())
+				key, mask := randKey(rng, sh.dims, sh.vals), randMask()
 				if rng.Intn(3) == 0 {
-					ix.Delete(e.ID, e.Mask)
-					ref.remove(e)
+					w.drop(key, mask)
 				} else {
-					ix.Insert(e.ID, e.Mask)
-					ref.insert(e)
+					w.put(key, mask)
 				}
 				if step%97 == 0 {
-					checkEqual(t, ix, ref)
-					checkInvariants(t, ix)
+					checkEqual(t, w)
+					checkInvariants(t, w)
 				}
 			}
-			checkEqual(t, ix, ref)
-			checkInvariants(t, ix)
-			// Drain completely: every delete path (a run's first, middle,
-			// last and only mask; rotations, merges, root collapse) gets
-			// exercised on the way down.
-			for len(ref) > 0 {
-				e := ref[rng.Intn(len(ref))]
-				ix.Delete(e.ID, e.Mask)
-				ref.remove(e)
-				if len(ref)%211 == 0 {
-					checkEqual(t, ix, ref)
-					checkInvariants(t, ix)
+			checkEqual(t, w)
+			checkInvariants(t, w)
+			// Drain completely: every tree delete path (leaf and separator
+			// positions, rotations, merges, root collapse) gets exercised on
+			// the way down.
+			for len(w.ref) > 0 {
+				e := w.ref[rng.Intn(len(w.ref))]
+				w.drop(e.Key, e.Mask)
+				if len(w.ref)%211 == 0 {
+					checkEqual(t, w)
+					checkInvariants(t, w)
 				}
 			}
-			if ix.Len() != 0 || ix.root != nil {
-				t.Fatalf("%s seed %d: drained index not empty: len=%d root=%v", sh.name, seed, ix.Len(), ix.root)
+			if w.ix.root != nil {
+				t.Fatalf("%s seed %d: drained index keeps a root: %v", sh.name, seed, w.ix.root)
+			}
+			if st := w.ix.Stats(); st.Inserts != st.Deletes || st.Inserts == 0 {
+				t.Fatalf("%s seed %d: drained after %d inserts and %d deletes", sh.name, seed, st.Inserts, st.Deletes)
 			}
 			// Every constraint comes back under the id it had before its
 			// last cell left.
 			for i := 0; i < 300; i++ {
-				e := kt.entry(kt.keys[rng.Intn(len(kt.keys))], randMask())
-				ix.Insert(e.ID, e.Mask)
-				ref.insert(e)
+				w.put(w.kt.keys[rng.Intn(len(w.kt.keys))], randMask())
 			}
-			checkEqual(t, ix, ref)
-			checkInvariants(t, ix)
+			checkEqual(t, w)
+			checkInvariants(t, w)
 		}
 	}
 }
 
-// TestIndexRunEdges walks one constraint's run through every eviction
-// position — first, middle, last and only mask — between two neighbours
-// that must stay put, then re-creates it.
+// TestIndexRunEdges takes one constraint's cells away one at a time between
+// two neighbours that must stay put: the index hears nothing until the last
+// one goes, yet every walk in between must show the run as the store has it
+// now — the masks are read, not remembered — and then the constraint leaves
+// the tree and comes back under the same id.
 func TestIndexRunEdges(t *testing.T) {
-	kt := newKeyTable()
-	ix := New(kt.keyOf)
-	var ref refModel
+	w := newWorld()
 	apply := func(insert bool, key string, mask uint32) {
 		t.Helper()
-		e := kt.entry(key, mask)
 		if insert {
-			ix.Insert(e.ID, e.Mask)
-			ref.insert(e)
+			w.put(key, mask)
 		} else {
-			ix.Delete(e.ID, e.Mask)
-			ref.remove(e)
+			w.drop(key, mask)
 		}
-		checkEqual(t, ix, ref)
-		checkInvariants(t, ix)
+		checkEqual(t, w)
+		checkInvariants(t, w)
 	}
 	apply(true, "aaaa", 9)
 	apply(true, "cccc", 1)
-	// Out of order on purpose: the run must come out ascending.
 	for _, m := range []uint32{5, 1, 1 << 20, 3, 7, 1 << 14} {
 		apply(true, "bbbb", m)
 	}
-	apply(false, "bbbb", 1)     // first
-	apply(false, "bbbb", 5)     // middle
-	apply(false, "bbbb", 1<<20) // last
-	apply(false, "bbbb", 4)     // absent, inside the run
-	apply(false, "bbbb", 3)
-	apply(false, "bbbb", 1<<14)
+	if st := w.ix.Stats(); st.Inserts != 3 || st.Deletes != 0 {
+		t.Fatalf("stats = %+v after eight cells under three constraints, want 3 inserts", st)
+	}
+	for _, m := range []uint32{1, 5, 1 << 20, 3, 1 << 14} { // first, middle, last, …
+		apply(false, "bbbb", m)
+	}
+	if st := w.ix.Stats(); st.Deletes != 0 {
+		t.Fatalf("stats = %+v: a constraint that keeps a cell must not be deleted", st)
+	}
 	apply(false, "bbbb", 7) // only: the constraint leaves the tree
-	if it := ix.Seek("bbbb", 0); !it.Valid() || it.Entry().Key != "cccc" {
+	if it := w.ix.Seek("bbbb", 0); !it.Valid() || it.Entry().Key != "cccc" {
 		t.Fatalf("seek at an emptied constraint did not land on its successor")
 	}
-	apply(false, "bbbb", 7) // gone already
-	apply(true, "bbbb", 2)  // back, same id
+	id := w.kt.id("bbbb")
+	apply(true, "bbbb", 2) // back, same id
 	apply(true, "bbbb", 0)
-	if got := ix.Stats(); got.Inserts != 10 || got.Deletes != 8 || got.Entries != 4 {
-		t.Fatalf("stats = %+v, want 10 inserts / 8 deletes / 4 entries: every call counts, effective or not", got)
+	if it := w.ix.Seek("bbbb", 0); !it.Valid() || it.Entry() != (Entry{Key: "bbbb", ID: id, Mask: 0}) {
+		t.Fatalf("re-created constraint is not back under id %d", id)
+	}
+	if got := w.ix.Stats(); got.Inserts != 4 || got.Deletes != 1 {
+		t.Fatalf("stats = %+v, want 4 inserts / 1 delete: one per constraint transition", got)
 	}
 }
 
 // TestIndexSeek checks Seek and SeekGE against the reference for random
 // probe points and for the positions only runs have: inside a run, one
 // past a run's last mask, at key+"\x00" (how the query path steps over a
-// key), and re-seeks of a live iterator within and across runs.
+// key), and re-seeks of a live iterator within and across runs. Probe masks
+// reach 2^32−1: a cursor is client bytes, and any mask past a constraint's
+// last live one must come out at the next constraint.
 func TestIndexSeek(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
-	kt := newKeyTable()
-	ix := New(kt.keyOf)
-	var ref refModel
+	w := newWorld()
 	for i := 0; i < 1500; i++ {
-		e := kt.entry(randKey(rng, 2, 5), uint32(rng.Intn(64)))
-		ix.Insert(e.ID, e.Mask)
-		ref.insert(e)
+		w.put(randKey(rng, 2, 5), uint32(rng.Intn(64)))
 	}
+	ix, ref := w.ix, w.ref
 	// check compares the iterator's position, and the walk from it, with
 	// the reference's first entry ≥ (key, mask).
 	check := func(it *Iter, key string, mask uint32) {
@@ -380,6 +437,7 @@ func TestIndexSeek(t *testing.T) {
 		e := ref[rng.Intn(len(ref))]
 		probe(e.Key, e.Mask)
 		probe(e.Key, e.Mask+1)
+		probe(e.Key, 1<<31)
 		probe(e.Key, ^uint32(0))
 		probe(e.Key+"\x00", 0)
 	}
@@ -420,11 +478,9 @@ func TestIndexSeek(t *testing.T) {
 // subtree), the same walk after each further split, and after constraints
 // lose their last cell — from the front, the back, a separator position
 // and everything in between. The step is not a seek and is not counted as
-// one.
+// one, and a walk that only steps reads no constraint's masks at all.
 func TestIndexNextConstraint(t *testing.T) {
-	kt := newKeyTable()
-	ix := New(kt.keyOf)
-	var ref refModel
+	w := newWorld()
 	key := func(i int) string {
 		var b [4]byte
 		binary.BigEndian.PutUint32(b[:], uint32(i)) // ascending i = ascending key
@@ -434,140 +490,72 @@ func TestIndexNextConstraint(t *testing.T) {
 	for i := 0; i < constraints; i++ {
 		// Every third constraint holds a run, the rest a single cell.
 		for m := uint32(0); m <= uint32(i%3/2)*4; m++ {
-			e := kt.entry(key(i*7919%constraints), m)
-			ix.Insert(e.ID, e.Mask)
-			ref.insert(e)
+			w.put(key(i*7919%constraints), m)
 		}
 		if i == maxItems || i == maxItems+1 || i%97 == 0 {
 			// maxItems+1 constraints do not fit the root: the first split
 			// has just happened.
-			checkEqual(t, ix, ref)
-			checkInvariants(t, ix)
+			checkEqual(t, w)
+			checkInvariants(t, w)
 		}
 	}
+	ix := w.ix
 	if ix.root.children == nil || ix.root.children[0].children == nil {
 		t.Fatalf("%d constraints did not grow the tree to three levels", constraints)
 	}
 	seeks := ix.Stats().Seeks
-	checkConstraintWalk(t, ix, ref)
+	checkConstraintWalk(t, w)
 	if got := ix.Stats().Seeks - seeks; got != 1 {
 		t.Fatalf("a walk over %d constraints counted %d seeks, want 1 (its start)", constraints, got)
+	}
+	reads, stepped := w.maskReads, 0
+	for it := ix.Seek("", 0); it.Valid(); it.NextConstraint() {
+		if k, _ := it.Constraint(); k != key(stepped) {
+			t.Fatalf("step %d of the bare walk stands on %x", stepped, k)
+		}
+		stepped++
+	}
+	if stepped != constraints || w.maskReads != reads {
+		t.Fatalf("a bare walk stepped over %d of %d constraints and read the masks of %d", stepped, constraints, w.maskReads-reads)
 	}
 	// Constraints leave: a skipped-over constraint and a departed one must
 	// look the same to the walk.
 	rng := rand.New(rand.NewSource(3))
 	for _, i := range append([]int{0, constraints - 1}, rng.Perm(constraints)[:constraints/2]...) {
-		for len(ix.masks[kt.id(key(i))]) > 0 {
-			e := kt.entry(key(i), ix.masks[kt.id(key(i))][0])
-			ix.Delete(e.ID, e.Mask)
-			ref.remove(e)
+		for run := w.ref.run(key(i)); len(run) > 0; run = w.ref.run(key(i)) {
+			w.drop(key(i), run[0].Mask)
 		}
 		if it := ix.Seek(key(i), 0); it.Valid() && it.Entry().Key <= key(i) {
 			t.Fatalf("constraint %d still reachable after its last cell left", i)
 		}
 		if i%53 == 0 {
-			checkEqual(t, ix, ref)
-			checkInvariants(t, ix)
+			checkEqual(t, w)
+			checkInvariants(t, w)
 		}
 	}
-	checkEqual(t, ix, ref)
-	checkInvariants(t, ix)
+	checkEqual(t, w)
+	checkInvariants(t, w)
 }
 
-// TestIndexIdempotent pins that duplicate inserts and deletes of absent
-// entries leave the set unchanged while still counting as operations.
+// TestIndexIdempotent pins that a repeated Insert of a constraint already in
+// the tree and a Delete of one that is not leave the set unchanged while
+// still counting as operations.
 func TestIndexIdempotent(t *testing.T) {
-	kt := newKeyTable()
-	ix := New(kt.keyOf)
-	a, b := kt.id("aaaa"), kt.id("bbbb")
-	ix.Insert(a, 3)
-	ix.Insert(a, 3)
-	if ix.Len() != 1 {
-		t.Fatalf("Len after duplicate insert = %d, want 1", ix.Len())
-	}
-	ix.Delete(b, 1)
-	ix.Delete(b+7, 1) // an id the index never saw
-	if ix.Len() != 1 {
-		t.Fatalf("Len after absent delete = %d, want 1", ix.Len())
-	}
-	ix.Delete(a, 3)
-	ix.Delete(a, 3)
-	if ix.Len() != 0 {
-		t.Fatalf("Len after drain = %d, want 0", ix.Len())
-	}
-	st := ix.Stats()
-	if st.Inserts != 2 || st.Deletes != 4 || st.Entries != 0 {
-		t.Fatalf("stats = %+v, want 2 inserts / 4 deletes / 0 entries", st)
-	}
-	checkInvariants(t, ix)
-}
-
-// BenchmarkIndexInsertArrival is the index maintenance of one arrival at
-// the paper's Fig 7a shape: 1 243 new cells spread over the 31 constraints
-// of C^t — half of them constraints the index already holds, half new —
-// presented the way discovery creates them (subspace by subspace, each
-// across the constraints), into an index of 600 000 cells. The cells are
-// taken out again off the clock, so every iteration meets the same index.
-func BenchmarkIndexInsertArrival(b *testing.B) {
-	const (
-		constraints = 12000
-		perRun      = 50 // 600 000 cells
-		ct          = 31
-		cells       = 1243
-	)
-	kt := newKeyTable()
-	key := func(i int) string {
-		var k [20]byte // d = 5
-		binary.LittleEndian.PutUint32(k[:], uint32(i*7919))
-		binary.LittleEndian.PutUint32(k[8:], uint32(i))
-		return string(k[:])
-	}
-	ix := New(kt.keyOf)
-	for i := 0; i < constraints; i++ {
-		id := kt.id(key(i))
-		for m := uint32(1); m <= perRun; m++ {
-			ix.Insert(id, m)
-		}
-	}
-	if ix.Len() != constraints*perRun {
-		b.Fatalf("index holds %d cells", ix.Len())
-	}
-	rng := rand.New(rand.NewSource(5))
-	ids := make([]uint32, ct)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for n := 0; n < b.N; n++ {
-		b.StopTimer()
-		base := rng.Intn(constraints)
-		for i := range ids {
-			if i%2 == 0 {
-				ids[i] = uint32((base + i*373) % constraints)
-			} else {
-				ids[i] = kt.id(key(constraints + n*ct + i))
-			}
-		}
-		b.StartTimer()
-		// Masks 51…91 are new to every constraint: 40 per constraint, and
-		// a 41st for the first three.
-		done := 0
-		for m := uint32(perRun + 1); done < cells; m++ {
-			for i, id := range ids {
-				if m == perRun+41 && i >= cells-40*ct {
-					break
-				}
-				ix.Insert(id, m)
-				done++
-			}
-		}
-		b.StopTimer()
-		for m := uint32(perRun + 1); m <= perRun+41; m++ {
-			for _, id := range ids {
-				ix.Delete(id, m)
-			}
-		}
-		if ix.Len() != constraints*perRun {
-			b.Fatalf("index holds %d cells after an arrival was taken out again", ix.Len())
-		}
-		b.StartTimer()
+	w := newWorld()
+	w.ix.Delete(w.kt.id("zzzz")) // an empty index has nothing to lose
+	a := w.put("aaaa", 3).ID
+	w.put("cccc", 1)
+	w.ix.Insert(a)
+	w.ix.Insert(a)
+	checkEqual(t, w)
+	checkInvariants(t, w)
+	w.ix.Delete(w.kt.id("bbbb")) // interned, never had a cell
+	checkEqual(t, w)
+	w.drop("aaaa", 3)
+	w.ix.Delete(a)
+	checkEqual(t, w)
+	checkInvariants(t, w)
+	if st := w.ix.Stats(); st.Inserts != 4 || st.Deletes != 4 {
+		t.Fatalf("stats = %+v, want 4 inserts / 4 deletes", st)
 	}
 }

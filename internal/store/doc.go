@@ -8,10 +8,14 @@
 // § "Hot path & memory layout"). Two implementations cover the system's
 // settings:
 //
-//   - Memory: one block of 2^m pointer-free slots per live constraint,
-//     indexed by subspace mask; a one-member cell is its slot, the id
-//     lists of the others are kept aside (paper §VI-B) — the default, and
-//     the only store snapshots serialise.
+//   - Memory: one block of pointer-free slots per live constraint — 2^m
+//     of them indexed by subspace mask, or past 14 measures the live ones
+//     only, sorted by mask; a one-member cell is its slot, the id lists of
+//     the others are kept aside (paper §VI-B). The block is the one record
+//     of a constraint's live cells: Masks reads them off in ascending
+//     order, and the observer hears only of a block's allocation and its
+//     release, which is all the fact index (internal/factindex) keeps. The
+//     default, and the only store snapshots serialise.
 //   - File: one binary file per non-empty cell, holding the member ids
 //     (four little-endian bytes each); a visit reads the whole cell into a
 //     buffer, mutates the buffer, and overwrites the file when the visit

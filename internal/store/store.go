@@ -2,6 +2,7 @@ package store
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
 	"repro/internal/lattice"
@@ -284,9 +285,9 @@ type Store interface {
 	Close() error
 }
 
-// denseMaxWidth bounds the measure width for which Memory indexes cells
-// by dense per-constraint blocks (2^width 8-byte slots per live constraint
-// — 128 KiB at width 14). Wider schemas fall back to a map.
+// denseMaxWidth bounds the measure width for which a block is 2^width slots
+// indexed by subspace mask (128 KiB at width 14). Wider schemas keep only
+// the live slots of a constraint, sorted.
 const denseMaxWidth = 14
 
 // slot is a cell as Memory keeps it: eight bytes and no pointer, so a block
@@ -296,91 +297,88 @@ type slot struct {
 	ref uint32 // n == 1: the member itself; n >= 2: its list's index in Memory.lists
 }
 
-// block holds every cell of one constraint.
+// block holds every cell of one constraint, in one of two layouts chosen by
+// the store's width. Dense: cells is 2^width slots indexed by subspace mask
+// and masks stays nil. Sparse: cells holds the live slots only, ascending by
+// subspace mask, and masks[i] is the mask of cells[i]. Either way the block
+// is the one record of which of the constraint's cells are live.
 type block struct {
-	cells []slot // by subspace mask, 2^width long; nil while the constraint has no cell
-	live  int32  // non-empty slots
+	cells []slot
+	masks []uint32
+	live  int32 // non-empty slots; 0 = the constraint has no cell and no storage
 }
 
-// Memory is the in-memory store. Each live constraint owns one block of
-// 2^width slots indexed by subspace mask, so resolving (constraint id,
-// subspace mask) is two array lookups with no hashing: the interner's ids
-// are dense by construction and subspace masks are small. A one-member
-// cell — four in five of them — is its slot; the member lists of the
-// others are kept aside in lists, the only part of the store that holds
-// pointers. A block is released when its last cell empties. Schemas wider
-// than denseMaxWidth measures keep their slots in a map instead (a block
-// would cost 8·2^m bytes per constraint).
+// Memory is the in-memory store. Each live constraint owns one block, so
+// resolving (constraint id, subspace mask) is two array lookups with no
+// hashing in the dense layout — the interner's ids are dense by construction
+// and subspace masks are small — and an array lookup plus a binary search of
+// a short list in the sparse one. A one-member cell — four in five of them —
+// is its slot; the member lists of the others are kept aside in lists, the
+// only part of the store that holds pointers. A block comes with its
+// constraint's first cell and is released when its last cell empties.
 type Memory struct {
 	in    *Interner
 	width int
 
-	blocks []block          // by constraint id
-	idx    map[CellRef]slot // instead of blocks when width > denseMaxWidth
+	blocks []block // by constraint id
 
 	lists [][]uint32 // member lists of the cells with two or more members
 	spare []uint32   // vacated indices of lists
 
 	stats Stats
 
-	// observer, when set, is called from Save at every cell lifecycle
-	// transition: created=true when a cell comes into existence,
-	// created=false when an emptied cell is evicted. In-place updates of a
-	// live cell do not fire — the cell's (constraint, mask) identity is
-	// unchanged, which is all the incremental fact index tracks.
-	observer func(c ConstraintID, m subspace.Mask, created bool)
+	// observer, when set, is called from Save when a constraint gains its
+	// first cell (live=true: its block has just been allocated) and when it
+	// loses its last (live=false: the block has just been released). Cells
+	// coming and going under a constraint that keeps at least one do not
+	// fire: which cells those are is read off the block (Masks).
+	observer func(c ConstraintID, live bool)
 }
 
 // NewMemory creates an empty in-memory store for a schema with the given
 // number of measures (cells are addressed by subspace masks below 2^width).
 func NewMemory(width int) *Memory {
-	m := &Memory{in: NewInterner(), width: width}
-	if width > denseMaxWidth {
-		m.idx = make(map[CellRef]slot)
-	}
-	return m
+	return &Memory{in: NewInterner(), width: width}
 }
 
-// SetObserver installs the cell lifecycle callback (see the observer
-// field). The cell is named the way Save was handed it — the interned
-// constraint id and the subspace mask, no key decoded on its behalf; an
-// observer that wants the key bytes asks the Interner, when it needs them.
-// The observer runs synchronously inside Save under whatever lock the
-// caller holds; it must not call back into the store's cells.
-func (m *Memory) SetObserver(fn func(c ConstraintID, m subspace.Mask, created bool)) {
+// SetObserver installs the constraint lifecycle callback (see the observer
+// field). The constraint is named by its interned id, no key decoded on the
+// observer's behalf; one that wants the key bytes asks the Interner. The
+// observer runs synchronously inside Save under whatever lock the caller
+// holds; it must not call back into the store's cells.
+func (m *Memory) SetObserver(fn func(c ConstraintID, live bool)) {
 	m.observer = fn
 }
 
 // Width implements Store.
 func (m *Memory) Width() int { return m.width }
 
+// dense reports which layout the store's blocks have.
+func (m *Memory) dense() bool { return m.width <= denseMaxWidth }
+
 // Interner implements Store.
 func (m *Memory) Interner() *Interner { return m.in }
 
 // lookup resolves a ref to its slot, the zero slot when there is no cell.
 func (m *Memory) lookup(ref CellRef) slot {
-	if m.idx != nil {
-		return m.idx[ref]
-	}
 	cid, mask := RefParts(ref)
-	if int(cid) >= len(m.blocks) || m.blocks[cid].cells == nil {
+	if int(cid) >= len(m.blocks) || m.blocks[cid].live == 0 {
 		return slot{}
 	}
-	return m.blocks[cid].cells[mask]
+	b := &m.blocks[cid]
+	if m.dense() {
+		return b.cells[mask]
+	}
+	if i, ok := slices.BinarySearch(b.masks, mask); ok {
+		return b.cells[i]
+	}
+	return slot{}
 }
 
 // bind stores s as the slot of ref; was is the slot it replaces, and the
 // two are not both empty. The block comes with a constraint's first cell
-// and goes with its last.
+// and goes with its last, and the observer hears of exactly those two.
 func (m *Memory) bind(ref CellRef, was, s slot) {
-	if m.idx != nil {
-		if s.n == 0 {
-			delete(m.idx, ref)
-		} else {
-			m.idx[ref] = s
-		}
-		return
-	}
 	cid, mask := RefParts(ref)
 	for int(cid) >= len(m.blocks) {
 		m.blocks = append(m.blocks, block{})
@@ -388,17 +386,57 @@ func (m *Memory) bind(ref CellRef, was, s slot) {
 	b := &m.blocks[cid]
 	switch {
 	case was.n == 0:
-		if b.cells == nil {
-			b.cells = make([]slot, 1<<uint(m.width))
+		if b.live++; b.live == 1 {
+			if m.dense() {
+				b.cells = make([]slot, 1<<uint(m.width))
+			}
+			if m.observer != nil {
+				m.observer(cid, true)
+			}
 		}
-		b.live++
 	case s.n == 0:
 		if b.live--; b.live == 0 {
-			b.cells = nil
+			*b = block{}
+			if m.observer != nil {
+				m.observer(cid, false)
+			}
 			return
 		}
 	}
-	b.cells[mask] = s
+	if m.dense() {
+		b.cells[mask] = s
+		return
+	}
+	switch i, found := slices.BinarySearch(b.masks, mask); {
+	case !found:
+		b.masks = slices.Insert(b.masks, i, mask)
+		b.cells = slices.Insert(b.cells, i, s)
+	case s.n == 0:
+		b.masks = slices.Delete(b.masks, i, i+1)
+		b.cells = slices.Delete(b.cells, i, i+1)
+	default:
+		b.cells[i] = s
+	}
+}
+
+// Masks appends the subspace masks of constraint c's live cells to buf,
+// ascending, and returns it: the block read in the order the query surface
+// pages through a constraint. Like Peek it touches no counter.
+func (m *Memory) Masks(c ConstraintID, buf []uint32) []uint32 {
+	if int(c) >= len(m.blocks) {
+		return buf
+	}
+	b := &m.blocks[c]
+	if !m.dense() {
+		return append(buf, b.masks...)
+	}
+	buf = slices.Grow(buf, int(b.live))
+	for mask, s := range b.cells {
+		if s.n > 0 {
+			buf = append(buf, uint32(mask))
+		}
+	}
+	return buf
 }
 
 // cell rebuilds the handed-out form of a slot. A list is shared with the
@@ -458,16 +496,11 @@ func (m *Memory) Save(ref CellRef, c Cell) {
 	m.bind(ref, was, s)
 	m.stats.StoredTuples += int64(c.n) - int64(was.n)
 	m.stats.Writes++
-	if created := was.n == 0; created || c.n == 0 {
-		if created {
-			m.stats.Cells++
-		} else {
-			m.stats.Cells--
-		}
-		if m.observer != nil {
-			cid, mask := RefParts(ref)
-			m.observer(cid, mask, created)
-		}
+	switch {
+	case was.n == 0:
+		m.stats.Cells++
+	case c.n == 0:
+		m.stats.Cells--
 	}
 }
 
@@ -499,23 +532,25 @@ func (m *Memory) RestoreStats(s Stats) { m.stats = s }
 func (m *Memory) Close() error { return nil }
 
 // Walk visits every non-empty cell in logical-key form, in ascending
-// (constraint id, subspace mask) order — in no particular order for the
-// map form; used by snapshot encoding and invariant checkers. The cell is
-// the live value — callers must not mutate it.
+// (constraint id, subspace mask) order; used by snapshot encoding and
+// invariant checkers. The cell is the live value — callers must not mutate
+// it.
 func (m *Memory) Walk(fn func(CellKey, Cell)) {
-	for ref, s := range m.idx {
-		id, mask := RefParts(ref)
-		fn(CellKey{C: m.in.Key(id), M: mask}, m.cell(s))
-	}
-	for cid, b := range m.blocks {
-		if b.cells == nil {
+	for cid := range m.blocks {
+		b := &m.blocks[cid]
+		if b.live == 0 {
 			continue
 		}
 		key := m.in.Key(ConstraintID(cid))
-		for mask, s := range b.cells {
-			if s.n > 0 {
-				fn(CellKey{C: key, M: subspace.Mask(mask)}, m.cell(s))
+		for i, s := range b.cells {
+			if s.n == 0 {
+				continue
 			}
+			mask := subspace.Mask(i)
+			if !m.dense() {
+				mask = b.masks[i]
+			}
+			fn(CellKey{C: key, M: mask}, m.cell(s))
 		}
 	}
 }

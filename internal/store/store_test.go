@@ -339,13 +339,16 @@ func TestCellModel(t *testing.T) {
 }
 
 // TestMemoryModel drives a Memory and a map[CellRef][]int64 through the
-// same seeded Load / mutate / Save sequence, in the dense form and in the
-// map form, and compares after every step: the loaded cell, Stats, the
-// observer's events (exactly one per empty↔non-empty transition), and —
-// white-box — that a constraint owns a block exactly while it has a cell
-// and a list is kept exactly for the cells with two or more members. One
-// step in three saves two other cells between a cell's Load and its Save,
-// as TopDown's re-homing does. Walk is checked against the sorted model.
+// same seeded Load / mutate / Save sequence, in the dense layout and in the
+// sparse one, and compares after every step: the loaded cell, Stats, Masks
+// of every constraint (the model's live masks, ascending), the observer's
+// events (exactly one when a constraint gains its first cell and one when it
+// loses its last, none in between), and — white-box — that a constraint
+// owns a block exactly while it has a cell, that a sparse block holds its
+// live slots and nothing else, and that a list is kept exactly for the
+// cells with two or more members. One step in three saves two other cells
+// between a cell's Load and its Save, as TopDown's re-homing does. Walk is
+// checked against the sorted model.
 func TestMemoryModel(t *testing.T) {
 	for _, width := range []int{3, denseMaxWidth + 1} {
 		t.Run(fmt.Sprintf("width=%d", width), func(t *testing.T) { testMemoryModel(t, width) })
@@ -357,23 +360,38 @@ func testMemoryModel(t *testing.T, width int) {
 	rng := rand.New(rand.NewSource(int64(width)))
 	m := NewMemory(width)
 	type event struct {
-		ref     CellRef
-		created bool
+		c    ConstraintID
+		live bool
 	}
 	var events, wantEvents []event
-	m.SetObserver(func(c ConstraintID, mask uint32, created bool) {
-		events = append(events, event{Ref(c, mask), created})
+	fired := map[bool]int{}
+	m.SetObserver(func(c ConstraintID, live bool) {
+		events = append(events, event{c, live})
+		fired[live]++
 	})
 	var cids []ConstraintID
 	for i := 0; i < constraints; i++ {
 		cids = append(cids, m.Interner().Intern(lattice.Key([]byte{byte(i), 0, 0, 0})))
 	}
 	model := map[CellRef][]int64{}
+	// liveMasks is what Masks must return for a constraint, from the model.
+	liveMasks := func(cid ConstraintID) []uint32 {
+		var out []uint32
+		for mask := uint32(1); mask <= masks; mask++ {
+			if len(model[Ref(cid, mask)]) > 0 {
+				out = append(out, mask)
+			}
+		}
+		return out
+	}
 	var want Stats
 	next := int64(0)
+	// Constraint i draws from the masks 1 … 2i+1 (at most all seven): the
+	// low ones keep losing their last cell, the high ones almost never do.
 	randomRef := func(not ...CellRef) CellRef {
 		for {
-			r := Ref(cids[rng.Intn(constraints)], uint32(1+rng.Intn(masks)))
+			i := rng.Intn(constraints)
+			r := Ref(cids[i], uint32(1+rng.Intn(min(2*i+1, masks))))
 			if !slices.Contains(not, r) {
 				return r
 			}
@@ -421,18 +439,22 @@ func testMemoryModel(t *testing.T, width int) {
 			want.Writes++
 		}
 		want.StoredTuples += int64(len(ids) - was)
+		cid, _ := RefParts(r)
+		before := len(liveMasks(cid))
+		if len(ids) == 0 {
+			delete(model, r)
+		} else {
+			model[r] = ids
+		}
 		if (was == 0) != (len(ids) == 0) {
-			wantEvents = append(wantEvents, event{r, was == 0})
 			if was == 0 {
 				want.Cells++
 			} else {
 				want.Cells--
 			}
-		}
-		if len(ids) == 0 {
-			delete(model, r)
-		} else {
-			model[r] = ids
+			if after := len(liveMasks(cid)); before == 0 || after == 0 {
+				wantEvents = append(wantEvents, event{cid, after > 0})
+			}
 		}
 	}
 	for step := 0; step < 3000; step++ {
@@ -474,22 +496,33 @@ func testMemoryModel(t *testing.T, width int) {
 				t.Fatalf("step %d: vacated list %d still holds %v", step, i, m.lists[i])
 			}
 		}
-		if m.idx != nil && len(m.idx) != len(model) {
-			t.Fatalf("step %d: %d map slots for %d cells", step, len(m.idx), len(model))
+		if len(m.blocks) > constraints {
+			t.Fatalf("step %d: %d blocks for %d constraints", step, len(m.blocks), constraints)
 		}
-		// blocks reaches the highest constraint id saved so far; it stays
-		// empty in the map form.
-		for _, cid := range cids[:len(m.blocks)] {
-			live := 0
-			for mask := uint32(1); mask <= masks; mask++ {
-				if len(model[Ref(cid, mask)]) > 0 {
-					live++
+		// blocks reaches the highest constraint id saved so far; Masks must
+		// answer for the ids past it too.
+		for i, cid := range cids {
+			live := liveMasks(cid)
+			if got := m.Masks(cid, []uint32{99}); !slices.Equal(got, append([]uint32{99}, live...)) {
+				t.Fatalf("step %d: Masks(%d) appended %v to [99], want %v", step, cid, got[1:], live)
+			}
+			if i >= len(m.blocks) {
+				if len(live) > 0 {
+					t.Fatalf("step %d: constraint %d has cells and no block", step, cid)
 				}
+				continue
 			}
 			b := m.blocks[cid]
-			if int(b.live) != live || (b.cells != nil) != (live > 0) {
+			if int(b.live) != len(live) || (b.cells != nil) != (len(live) > 0) {
 				t.Fatalf("step %d: constraint %d has %d cells, its block says %d (allocated: %v)",
-					step, cid, live, b.live, b.cells != nil)
+					step, cid, len(live), b.live, b.cells != nil)
+			}
+			if width > denseMaxWidth && (!slices.Equal(b.masks, live) || len(b.cells) != len(live)) {
+				t.Fatalf("step %d: constraint %d: sparse block holds masks %v in %d slots, want %v",
+					step, cid, b.masks, len(b.cells), live)
+			}
+			if width <= denseMaxWidth && (b.masks != nil || len(b.cells) != 0 && len(b.cells) != 1<<width) {
+				t.Fatalf("step %d: constraint %d: dense block has %d slots and masks %v", step, cid, len(b.cells), b.masks)
 			}
 		}
 		if step%100 != 0 {
@@ -510,12 +543,13 @@ func testMemoryModel(t *testing.T, width int) {
 			wantWalk = append(wantWalk, r)
 		}
 		slices.Sort(wantWalk) // a CellRef orders by (constraint id, mask)
-		if m.idx != nil {
-			slices.Sort(walked) // the map form promises no order
-		}
 		if !slices.Equal(walked, wantWalk) {
 			t.Fatalf("step %d: Walk order %x, want %x", step, walked, wantWalk)
 		}
+	}
+	if fired[true] < 10 || fired[false] < 10 {
+		t.Errorf("the sequence allocated a block %d times and released one %d times: too few to check the lifecycle",
+			fired[true], fired[false])
 	}
 }
 

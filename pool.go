@@ -491,13 +491,15 @@ type ShardStat struct {
 // summed over the shards.
 type IndexStat struct {
 	// Serving reports whether the pool's engines maintain a fact index
-	// (the lattice algorithms over the in-memory store do); without one
+	// (bottomup and sbottomup over the in-memory store do); without one
 	// QueryFacts and TopFacts fail.
 	Serving bool
-	// Entries is the live indexed cell count across shards.
+	// Entries is the live cell count of the indexed stores across shards:
+	// the fact groups a full QueryFacts walk returns.
 	Entries int64
-	// Inserts and Deletes count index maintenance operations (snapshot
-	// restore and WAL replay rebuild through Inserts too).
+	// Inserts and Deletes count the index's maintenance operations: a
+	// constraint gaining its first cell, a constraint losing its last
+	// (snapshot restore and WAL replay rebuild through Inserts too).
 	Inserts uint64
 	Deletes uint64
 	// Seeks counts iterator seek operations: cursor positioning plus
@@ -512,10 +514,10 @@ func (p *Pool) IndexStats() IndexStat {
 	for i := range p.shards {
 		s := &p.shards[i]
 		s.mu.RLock()
-		if s.eng.fidx != nil {
+		if e := s.eng; e.fidx != nil {
 			st.Serving = true
-			is := s.eng.fidx.Stats()
-			st.Entries += int64(is.Entries)
+			st.Entries += e.mem.Stats().Cells
+			is := e.fidx.Stats()
 			st.Inserts += is.Inserts
 			st.Deletes += is.Deletes
 			st.Seeks += is.Seeks

@@ -18,9 +18,10 @@ import (
 )
 
 // The pool's read path: point lookups of stored tuples and paginated,
-// filtered scans of the current fact set (every (context, subspace) cell
-// of the µ store IS a contextual skyline, i.e. a group of situational
-// facts). Reads take each shard's read lock only while collecting that
+// filtered scans of the current fact set (under BottomUp's Invariant 1 —
+// the engines indexedStore admits — every (context, subspace) cell of the µ
+// store IS a contextual skyline, i.e. a group of situational facts). Reads
+// take each shard's read lock only while collecting that
 // shard's page, so they ride alongside ingest instead of stalling it —
 // and, through the same methods, a read-only follower serves the exact
 // query surface the leader does.
@@ -314,14 +315,18 @@ func (e *Engine) factFromCell(shard int, key string, mask uint32, c store.Cell, 
 	return qf
 }
 
-// indexedStore returns the in-memory µ store the fact index covers, or the
-// error reads report on an engine without one (baselines, file store).
-func (e *Engine) indexedStore() (*store.Memory, error) {
-	mem, ok := memoryStoreOf(e.disc)
-	if !ok || e.fidx == nil {
-		return nil, fmt.Errorf("situfact: queries require a lattice algorithm over the in-memory store (engine runs %s)", e.disc.Name())
+// indexedStore returns the µ store reads are served from and the index that
+// orders its constraints, or the error every read surface reports on an
+// engine without them. A read reports a stored cell µ(C,M) as the contextual
+// skyline λ_M(σ_C(R)); only BottomUp's Invariant 1 makes it one (TopDown's
+// Invariant 2 keeps a tuple at its maximal skyline constraints only, the
+// baselines keep no cells, the file store is not indexed).
+func (e *Engine) indexedStore() (*store.Memory, *factindex.Index, error) {
+	if e.fidx == nil {
+		return nil, nil, fmt.Errorf("situfact: queries require bottomup or sbottomup over the in-memory store: "+
+			"only BottomUp's Invariant 1 makes a stored cell the contextual skyline a read reports (engine runs %s)", e.disc.Name())
 	}
-	return mem, nil
+	return e.mem, e.fidx, nil
 }
 
 // keyAfterPrefix returns the smallest byte string ordering strictly after
@@ -348,7 +353,7 @@ func keyAfterPrefix(prefix string) (string, bool) {
 // jump rather than visiting its cells. The caller holds the shard's read
 // lock, which is what makes iterating the live tree safe.
 func (e *Engine) queryFactsSeek(q queryPlan, shard int, after *queryCursor, want int) (facts []QueryFact, more bool, err error) {
-	mem, err := e.indexedStore()
+	mem, fidx, err := e.indexedStore()
 	if err != nil {
 		return nil, false, err
 	}
@@ -388,30 +393,32 @@ func (e *Engine) queryFactsSeek(q queryPlan, shard int, after *queryCursor, want
 	var it *factindex.Iter
 	switch {
 	case after == nil:
-		it = e.fidx.Seek("", 0)
+		it = fidx.Seek("", 0)
 	case after.mask == ^uint32(0):
-		it = e.fidx.Seek(after.key+"\x00", 0)
+		it = fidx.Seek(after.key+"\x00", 0)
 	default:
-		it = e.fidx.Seek(after.key, after.mask+1)
+		it = fidx.Seek(after.key, after.mask+1)
 	}
 	for it.Valid() {
-		ent := it.Entry()
-		if len(ent.Key) != keyLen {
+		// The key alone decides the pushdown: a constraint the conditions
+		// rule out is left without its cells being read.
+		key, _ := it.Constraint()
+		if len(key) != keyLen {
 			// Surface exactly the error the reference scan would (via ParseKey).
-			_, perr := lattice.ParseKey(lattice.Key(ent.Key), nd)
+			_, perr := lattice.ParseKey(lattice.Key(key), nd)
 			return nil, false, fmt.Errorf("situfact: query: shard %d: %w", shard, perr)
 		}
 		seeked := false
 		for _, b := range blocks {
-			got := ent.Key[b.off : b.off+4]
+			got := key[b.off : b.off+4]
 			if got == b.want {
 				continue
 			}
 			if got < b.want {
 				// The matching region for this prefix starts at the wanted
 				// block value; jump to it.
-				it.SeekGE(ent.Key[:b.off]+b.want, 0)
-			} else if next, ok := keyAfterPrefix(ent.Key[:b.off]); ok {
+				it.SeekGE(key[:b.off]+b.want, 0)
+			} else if next, ok := keyAfterPrefix(key[:b.off]); ok {
 				// Already past the wanted value under this prefix: no key
 				// with the prefix can match anymore; skip the whole prefix.
 				it.SeekGE(next, 0)
@@ -424,6 +431,7 @@ func (e *Engine) queryFactsSeek(q queryPlan, shard int, after *queryCursor, want
 		if seeked {
 			continue
 		}
+		ent := it.Entry()
 		if q.haveMask && ent.Mask != uint32(q.mask) {
 			if ent.Mask < uint32(q.mask) {
 				it.SeekGE(ent.Key, uint32(q.mask))
@@ -435,9 +443,6 @@ func (e *Engine) queryFactsSeek(q queryPlan, shard int, after *queryCursor, want
 			continue
 		}
 		c := mem.Peek(store.Ref(ent.ID, subspace.Mask(ent.Mask)))
-		if c.Len() == 0 {
-			return nil, false, fmt.Errorf("situfact: query: shard %d: fact index entry %x/%d has no stored cell", shard, ent.Key, ent.Mask)
-		}
 		if q.tuple && !c.ContainsID(q.tupleID) {
 			it.Next()
 			continue
@@ -520,29 +525,26 @@ func bestCells(cells []topCell, k int) []topCell {
 // them costs O(log k) a cell. Without a counter every ctx is 0, nothing is
 // skipped and the answer is the first k cells in key order.
 func (e *Engine) topFacts(shard, k int) ([]QueryFact, error) {
-	mem, err := e.indexedStore()
+	mem, fidx, err := e.indexedStore()
 	if err != nil {
 		return nil, err
 	}
 	var best []topCell
 	bar := -1.0 // below every prominence until k candidates have been seen
-	for it := e.fidx.Seek("", 0); it.Valid(); {
-		first, ctx := it.Entry(), 0.0
+	for it := fidx.Seek("", 0); it.Valid(); it.NextConstraint() {
+		key, id := it.Constraint()
+		ctx := 0.0
 		if e.counter != nil {
-			ctx = float64(e.counter.SizeOfKey(first.Key))
+			ctx = float64(e.counter.SizeOfKey(key))
 		}
 		if ctx < bar {
-			it.NextConstraint()
-			continue
+			continue // stepped over whole: its block is never read
 		}
-		for ; it.Valid() && it.Entry().ID == first.ID; it.Next() {
-			ent := it.Entry()
-			size := mem.Peek(store.Ref(ent.ID, subspace.Mask(ent.Mask))).Len()
-			if size == 0 {
-				return nil, fmt.Errorf("situfact: query: shard %d: fact index entry %x/%d has no stored cell", shard, ent.Key, ent.Mask)
-			}
+		for _, mask := range it.Masks() {
+			size := mem.Peek(store.Ref(id, mask)).Len()
 			if prom := ctx / float64(size); prom >= bar {
-				if best = append(best, topCell{prom, ent}); len(best)/2 >= k {
+				best = append(best, topCell{prom, factindex.Entry{Key: key, ID: id, Mask: mask}})
+				if len(best)/2 >= k {
 					best = bestCells(best, k)
 					bar = best[k-1].prom
 				}

@@ -122,9 +122,9 @@ func (p *Pool) scanTopFacts(k int) ([]QueryFact, error) {
 // queryFacts collects the shard engine's fact groups matching the plan.
 // The caller holds the shard's read lock.
 func (e *Engine) queryFacts(q queryPlan, shard int) ([]QueryFact, error) {
-	mem, ok := memoryStoreOf(e.disc)
-	if !ok {
-		return nil, fmt.Errorf("situfact: queries require a lattice algorithm over the in-memory store (engine runs %s)", e.disc.Name())
+	mem := e.mem
+	if mem == nil {
+		return nil, fmt.Errorf("situfact: the reference scan needs an in-memory µ store (engine runs %s)", e.disc.Name())
 	}
 	// Resolve condition values against this shard's dictionary: a value
 	// the shard never saw matches nothing here (other shards may hold it).

@@ -1,12 +1,16 @@
 package situfact
 
 import (
+	"encoding/base64"
 	"errors"
 	"fmt"
+	"math/bits"
 	"math/rand"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
+	"time"
 )
 
 // queryTestSchema builds a small 4-dim / 3-measure schema whose low
@@ -288,6 +292,216 @@ func TestPoolQueryEquivalence(t *testing.T) {
 	}
 }
 
+// oracleFacts computes a pool's fact set from nothing but the rows it was
+// fed: per shard, for every constraint binding at most dhat attributes whose
+// context σ_C(R) is non-empty and every measure subspace of at most mhat
+// attributes, the contextual skyline λ_M(σ_C(R)) by a quadratic dominance
+// scan — the definition, not an algorithm, and no µ cell is read. Rows are
+// the shard's live tuples by tuple id; the result is in no particular order.
+func oracleFacts(shards []map[int64]Row, dhat, mhat int) []QueryFact {
+	dimNames := []string{"region", "kind", "tier", "label"}
+	measNames := []string{"score", "cost", "bonus"}
+	larger := []bool{true, false, true} // queryTestSchema's directions
+	// dominates: a is at least as good as b on every attribute of sub and
+	// better on one.
+	dominates := func(a, b Row, sub int) bool {
+		better := false
+		for i := range measNames {
+			if sub&(1<<i) == 0 {
+				continue
+			}
+			x, y := a.Measures[i], b.Measures[i]
+			if !larger[i] {
+				x, y = -x, -y
+			}
+			if x < y {
+				return false
+			}
+			better = better || x > y
+		}
+		return better
+	}
+	var out []QueryFact
+	for shard, rows := range shards {
+		for bound := 0; bound < 1<<len(dimNames); bound++ {
+			if bits.OnesCount(uint(bound)) > dhat {
+				continue
+			}
+			contexts := map[string][]int64{} // bound values → the tuples that carry them
+			for id, r := range rows {
+				var vals strings.Builder
+				for d := range dimNames {
+					if bound&(1<<d) != 0 {
+						vals.WriteString(r.Dims[d] + "\x00")
+					}
+				}
+				key := vals.String()
+				contexts[key] = append(contexts[key], id)
+			}
+			for _, ids := range contexts {
+				slices.Sort(ids)
+				var conditions []Condition
+				for d, name := range dimNames {
+					if bound&(1<<d) != 0 {
+						conditions = append(conditions, Condition{Attr: name, Value: rows[ids[0]].Dims[d]})
+					}
+				}
+				for sub := 1; sub < 1<<len(measNames); sub++ {
+					if bits.OnesCount(uint(sub)) > mhat {
+						continue
+					}
+					qf := QueryFact{Shard: shard, Conditions: conditions, ContextSize: int64(len(ids))}
+					for i, name := range measNames {
+						if sub&(1<<i) != 0 {
+							qf.Measures = append(qf.Measures, name)
+						}
+					}
+					for _, id := range ids {
+						if !slices.ContainsFunc(ids, func(o int64) bool { return dominates(rows[o], rows[id], sub) }) {
+							qf.TupleIDs = append(qf.TupleIDs, id)
+						}
+					}
+					qf.SkylineSize = len(qf.TupleIDs)
+					qf.Prominence = float64(qf.ContextSize) / float64(qf.SkylineSize)
+					out = append(out, qf)
+				}
+			}
+		}
+	}
+	return out
+}
+
+// TestPoolQueryFactsAreTheContextualSkylines holds the read path to the
+// paper's contract — facts = oracle facts — with an oracle that does not
+// read the store: every other read reference (scanFacts, scanTopFacts, the
+// solo engines of TestPoolQueryEquivalence) walks the same µ cells as the
+// code under test, so a pool whose cells are not the contextual skylines
+// (TopDown's Invariant 2 keeps a tuple at its maximal constraints only)
+// agrees with all of them while serving storage, not facts. After a seeded
+// history with deletes, and again after checkpoint + restore + unobserved
+// replay, the full QueryFacts walk must equal oracleFacts group for group —
+// conditions, measures, tuple ids, skyline size, context size, prominence —
+// with nothing missing and nothing extra.
+func TestPoolQueryFactsAreTheContextualSkylines(t *testing.T) {
+	schema := queryTestSchema(t)
+	for _, tc := range []struct {
+		name       string
+		shards     int
+		opt        Options
+		dhat, mhat int // the caps the options spell, for the oracle
+	}{
+		{"sbottomup/shards=1", 1, Options{}, 4, 3},
+		{"sbottomup/shards=4", 4, Options{}, 4, 3},
+		{"bottomup/shards=4", 4, Options{Algorithm: AlgoBottomUp}, 4, 3},
+		{"bottomup/shards=1/dhat=2/mhat=2", 1, Options{Algorithm: AlgoBottomUp, MaxBoundDims: 2, MaxMeasureDims: 2}, 2, 2},
+		{"sbottomup/shards=4/dhat=3", 4, Options{MaxBoundDims: 3}, 3, 3},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(23))
+			walDir, snapDir := t.TempDir(), t.TempDir()
+			pool, err := NewPool(schema, PoolOptions{Shards: tc.shards, ShardDim: "region", Engine: tc.opt})
+			if err != nil {
+				t.Fatal(err)
+			}
+			w, err := OpenWAL(pool, walDir, WALOptions{SyncInterval: time.Minute})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := pool.AttachWAL(w); err != nil {
+				t.Fatal(err)
+			}
+			defer func() {
+				pool.Close()
+				w.Close()
+			}()
+			live := make([]map[int64]Row, tc.shards)
+			for i := range live {
+				live[i] = map[int64]Row{}
+			}
+			var handles []poolHandle
+			mutate := func(steps int) {
+				t.Helper()
+				for i := 0; i < steps; i++ {
+					if len(handles) > 8 && rng.Intn(5) == 0 {
+						j := rng.Intn(len(handles))
+						h := handles[j]
+						handles[j] = handles[len(handles)-1]
+						handles = handles[:len(handles)-1]
+						if err := pool.Delete(h.shard, h.id); err != nil {
+							t.Fatal(err)
+						}
+						delete(live[h.shard], h.id)
+						continue
+					}
+					r := randomRow(rng)
+					arr, err := pool.Append(r.Dims, r.Measures)
+					if err != nil {
+						t.Fatal(err)
+					}
+					live[arr.Shard][arr.TupleID] = r
+					handles = append(handles, poolHandle{shard: arr.Shard, id: arr.TupleID})
+				}
+			}
+			check := func(when string) {
+				t.Helper()
+				got := map[string]bool{}
+				for _, qf := range collectPaginated(t, pool, FactFilter{Shard: AllShards}, 64) {
+					if got[factKey(qf)] {
+						t.Errorf("%s: served twice: %s", when, factKey(qf))
+					}
+					got[factKey(qf)] = true
+				}
+				want := oracleFacts(live, tc.dhat, tc.mhat)
+				missing := 0
+				for _, qf := range want {
+					if !got[factKey(qf)] {
+						if missing++; missing <= 5 {
+							t.Errorf("%s: not served: %s", when, factKey(qf))
+						}
+					}
+					delete(got, factKey(qf))
+				}
+				extra := 0
+				for k := range got {
+					if extra++; extra <= 5 {
+						t.Errorf("%s: served, but no contextual skyline: %s", when, k)
+					}
+				}
+				if missing > 0 || len(got) > 0 {
+					t.Fatalf("%s: of %d contextual skylines %d are not served, and %d served groups are not one",
+						when, len(want), missing, len(got))
+				}
+				if st := pool.IndexStats(); st.Entries != int64(len(want)) {
+					t.Errorf("%s: IndexStats().Entries = %d, the oracle has %d fact groups", when, st.Entries, len(want))
+				}
+			}
+			mutate(90)
+			if _, err := pool.Checkpoint(snapDir, nil); err != nil {
+				t.Fatal(err)
+			}
+			mutate(50)
+			check("after the history")
+
+			if err := pool.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if err := w.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if pool, _, err = RestorePool(schema, snapDir); err != nil {
+				t.Fatal(err)
+			}
+			if w, err = OpenWAL(pool, walDir, WALOptions{}); err != nil {
+				t.Fatal(err)
+			}
+			if stats, err := pool.ReplayWAL(w, nil); err != nil || stats.Applied == 0 {
+				t.Fatalf("replay: %+v, %v", stats, err)
+			}
+			check("after checkpoint + restore + unobserved replay")
+		})
+	}
+}
+
 // collectPages walks the full cursor chain, keeping every page whole —
 // facts, internal sort coordinates, and the NextCursor strings — so two
 // read paths can be compared byte-for-byte, pagination artifacts included.
@@ -539,6 +753,153 @@ func TestQueryFactsValidation(t *testing.T) {
 		{Attr: "kind", Value: "kind-0"}, {Attr: "kind", Value: "kind-0"},
 	}}, "", 10); err != nil {
 		t.Fatalf("duplicate equal conditions: %v", err)
+	}
+}
+
+// TestQueryFactsCursorIsClientBytes: a cursor is bytes a client sends, so
+// its key and mask are anything — and the position they name is looked up in
+// an index of constraints and in a store block. Whatever they are, the page
+// is the one the order defines (the facts strictly after (key, mask) in key
+// bytes, then mask — the reference scan computes it by comparing, indexing
+// nothing), in both block layouts, with and without a measure filter (which
+// re-seeks inside the constraint the walk landed on), and never a panic.
+func TestQueryFactsCursorIsClientBytes(t *testing.T) {
+	wide := NewSchemaBuilder("wide").Dimension("region").Dimension("kind")
+	for i := 0; i < 15; i++ { // past the store's dense width: sparse blocks
+		wide.Measure(fmt.Sprintf("m%d", i), LargerBetter)
+	}
+	wideSchema, err := wide.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, form := range []struct {
+		name    string
+		schema  *Schema
+		opt     Options
+		width   int
+		measure string
+		row     func(i int) Row
+	}{
+		{"dense", queryTestSchema(t), Options{}, 3, "cost", func(i int) Row {
+			return Row{
+				Dims:     []string{"region-0", fmt.Sprintf("kind-%d", i%3), "tier-0", fmt.Sprintf("label-%d", i%2)},
+				Measures: []float64{float64(i % 4), float64(i % 3), float64(7 - i)},
+			}
+		}},
+		{"sparse", wideSchema, Options{MaxMeasureDims: 2}, 15, "m14", func(i int) Row {
+			r := Row{Dims: []string{"region-0", fmt.Sprintf("kind-%d", i%3)}, Measures: make([]float64, 15)}
+			for j := range r.Measures {
+				r.Measures[j] = float64((i*7 + j*3) % 5)
+			}
+			return r
+		}},
+	} {
+		t.Run(form.name, func(t *testing.T) {
+			pool, err := NewPool(form.schema, PoolOptions{Shards: 1, ShardDim: "region", Engine: form.opt})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer pool.Close()
+			for i := 0; i < 8; i++ {
+				r := form.row(i)
+				if _, err := pool.Append(r.Dims, r.Measures); err != nil {
+					t.Fatal(err)
+				}
+			}
+			// One more row, alone under kind=gone; deleting it takes the last
+			// cell of every constraint that binds the value.
+			r := form.row(8)
+			r.Dims[1] = "gone"
+			arr, err := pool.Append(r.Dims, r.Measures)
+			if err != nil {
+				t.Fatal(err)
+			}
+			everything := FactFilter{Shard: AllShards}
+			goneKey := ""
+			for _, qf := range collectPaginated(t, pool, everything, 0) {
+				if len(qf.Conditions) == 1 && qf.Conditions[0] == (Condition{Attr: "kind", Value: "gone"}) {
+					goneKey = qf.sortKey
+				}
+			}
+			if err := pool.Delete(arr.Shard, arr.TupleID); err != nil {
+				t.Fatal(err)
+			}
+			var keys []string // the live constraints, in key order
+			for _, qf := range collectPaginated(t, pool, everything, 0) {
+				if len(keys) == 0 || keys[len(keys)-1] != qf.sortKey {
+					keys = append(keys, qf.sortKey)
+				}
+			}
+			if goneKey == "" || slices.Contains(keys, goneKey) || len(keys) < 6 {
+				t.Fatalf("fixture: %d live constraints, kind=gone had key %x", len(keys), goneKey)
+			}
+			key, last := keys[len(keys)/2], keys[len(keys)-1]
+			absent := "\xfe\xff\xff\x00" + key[4:] // well-formed, a region code no row has
+			full := uint32(1)<<form.width - 1
+
+			type outcome int
+			const (
+				anyPage   outcome = iota // whatever the order says
+				nextKey                  // the first cell of the constraint after the cursor's
+				emptyPage                // no facts, no cursor
+			)
+			for _, tc := range []struct {
+				name string
+				key  string
+				mask uint32
+				want outcome
+			}{
+				{"the full subspace", key, full, nextKey},
+				{"one past the block", key, full + 1, nextKey},
+				{"a mask between two blocks' worth", key, 1 << 20, nextKey},
+				{"the largest mask", key, ^uint32(0), nextKey},
+				{"mask 0", key, 0, anyPage},
+				{"the last constraint, the largest mask", last, ^uint32(0), emptyPage},
+				{"past every key", "\xff\xff\xff\xff\xff\xff\xff\xff\xff\xff\xff\xff\xff\xff\xff\xff\xff", 0, emptyPage},
+				{"a key cut short", key[:len(key)-1], full + 1, anyPage},
+				{"a key too long", key + "\x01", 3, nextKey},
+				{"no key at all", "", ^uint32(0), anyPage},
+				{"a well-formed key no constraint has", absent, 1, anyPage},
+				{"a constraint whose last cell was just deleted", goneKey, 0, anyPage},
+				{"the same, past its block", goneKey, full + 1, anyPage},
+			} {
+				cursor := encodeCursor(queryCursor{shard: 0, key: tc.key, mask: tc.mask})
+				for _, f := range []FactFilter{everything, {Shard: AllShards, Measures: []string{form.measure}}} {
+					for _, limit := range []int{1, 5, 0} {
+						got, err := pool.QueryFacts(f, cursor, limit)
+						if err != nil {
+							t.Fatalf("%s (measures %v, limit %d): %v", tc.name, f.Measures, limit, err)
+						}
+						want, err := pool.scanFacts(f, cursor, limit)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if !sameQueryFacts(got.Facts, want.Facts) || got.NextCursor != want.NextCursor {
+							t.Fatalf("%s (measures %v, limit %d): %d facts then cursor %q, the order says %d then %q",
+								tc.name, f.Measures, limit, len(got.Facts), got.NextCursor, len(want.Facts), want.NextCursor)
+						}
+						switch {
+						case tc.want == emptyPage && (len(got.Facts) != 0 || got.NextCursor != ""):
+							t.Errorf("%s: %d facts and cursor %q, want the clean empty page", tc.name, len(got.Facts), got.NextCursor)
+						case tc.want == nextKey && (len(got.Facts) == 0 || got.Facts[0].sortKey <= tc.key):
+							t.Errorf("%s (measures %v, limit %d): the page does not start in the next constraint", tc.name, f.Measures, limit)
+						}
+					}
+				}
+			}
+			for name, raw := range map[string]string{
+				"a mask past 32 bits":   "v1|0|" + fmt.Sprintf("%x", key) + "|4294967296",
+				"a negative mask":       "v1|0|" + fmt.Sprintf("%x", key) + "|-1",
+				"a key not in hex":      "v1|0|zz|1",
+				"another version":       "v2|0|" + fmt.Sprintf("%x", key) + "|1",
+				"a shard past the pool": "v1|7|" + fmt.Sprintf("%x", key) + "|1",
+			} {
+				cursor := base64.RawURLEncoding.EncodeToString([]byte(raw))
+				if _, err := pool.QueryFacts(everything, cursor, 5); err == nil || !strings.Contains(err.Error(), "malformed cursor") {
+					t.Errorf("%s: err = %v, want malformed cursor", name, err)
+				}
+			}
+		})
 	}
 }
 

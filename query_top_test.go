@@ -62,12 +62,34 @@ func checkTopFacts(t *testing.T, pool *Pool, label string) []QueryFact {
 	return full
 }
 
+// checkReadsRefused requires both read surfaces to refuse the pool with the
+// one sentence Engine.indexedStore gives, naming the invariant reads rest on.
+func checkReadsRefused(t *testing.T, pool *Pool) {
+	t.Helper()
+	if st := pool.IndexStats(); st != (IndexStat{}) {
+		t.Errorf("IndexStats = %+v on a pool that serves no reads", st)
+	}
+	_, err := pool.TopFacts(3)
+	if err == nil || !strings.Contains(err.Error(), "queries require bottomup or sbottomup over the in-memory store") ||
+		!strings.Contains(err.Error(), "Invariant 1") {
+		t.Errorf("TopFacts error = %v", err)
+	}
+	for _, f := range []FactFilter{{Shard: AllShards}, {Shard: 0, WithTuple: true}} {
+		if _, qerr := pool.QueryFacts(f, "", 3); qerr == nil || err == nil || qerr.Error() != err.Error() {
+			t.Errorf("QueryFacts(%+v) error %v, TopFacts error %v: want one message", f, qerr, err)
+		}
+	}
+}
+
 // TestPoolQueryTopFactsReference proves the threshold walk against the
 // ranking it replaced: after every append and delete of a seeded random
 // history — with a checkpoint, a restart from it and a WAL replay in the
-// middle — TopFacts equals the reference at every depth, for both lattice
-// families, one shard and several, and with prominence disabled (no
-// counter: nothing bounds anything and the order is key order).
+// middle — TopFacts equals the reference at every depth, for both BottomUp
+// algorithms, one shard and several, and with prominence disabled (no
+// counter: nothing bounds anything and the order is key order). A TopDown
+// pool is refused instead, before and after it holds rows: its cells are
+// Invariant 2's — a tuple sits at its maximal skyline constraints only —
+// so ranking them would rank storage, not facts.
 func TestPoolQueryTopFactsReference(t *testing.T) {
 	schema := queryTestSchema(t)
 	for _, tc := range []struct {
@@ -86,6 +108,18 @@ func TestPoolQueryTopFactsReference(t *testing.T) {
 				pool, err := NewPool(schema, PoolOptions{Shards: shards, ShardDim: "region", Engine: tc.opt})
 				if err != nil {
 					t.Fatal(err)
+				}
+				if tc.opt.Algorithm == AlgoSTopDown {
+					defer pool.Close()
+					checkReadsRefused(t, pool)
+					for i := 0; i < 20; i++ {
+						r := randomRow(rng)
+						if _, err := pool.Append(r.Dims, r.Measures); err != nil {
+							t.Fatal(err)
+						}
+					}
+					checkReadsRefused(t, pool)
+					return
 				}
 				// Interval sync: the journal is read back after a clean Close,
 				// and an fsync per step would be most of the test's time.
@@ -107,7 +141,7 @@ func TestPoolQueryTopFactsReference(t *testing.T) {
 				mutate := func(phase string, steps int) {
 					t.Helper()
 					for i := 0; i < steps; i++ {
-						if pool.CanDelete() && len(live) > 8 && rng.Intn(6) == 0 {
+						if len(live) > 8 && rng.Intn(6) == 0 {
 							j := rng.Intn(len(live))
 							h := live[j]
 							live[j] = live[len(live)-1]
@@ -157,15 +191,9 @@ func TestPoolQueryTopFactsReference(t *testing.T) {
 				}
 				mutate("after restart", 40)
 				// Every depth must have cut a longer ranking short at some
-				// point. (TopDown stores a tuple at its maximal constraints
-				// only — a few hundred cells on this schema — so there the
-				// deepest cut is k=64.)
-				deepest := 500
-				if !pool.CanDelete() {
-					deepest = 64
-				}
-				if facts <= deepest {
-					t.Fatalf("history ends with %d fact groups: k=%d never truncated", facts, deepest)
+				// point.
+				if facts <= 500 {
+					t.Fatalf("history ends with %d fact groups: k=500 never truncated", facts)
 				}
 			})
 		}
@@ -242,23 +270,18 @@ func TestPoolQueryTopFactsNeedsIndex(t *testing.T) {
 		"baseline":   {Algorithm: AlgoBaselineSeq, DisableProminence: true},
 		"file store": {StoreDir: t.TempDir()},
 	} {
-		pool, err := NewPool(schema, PoolOptions{Shards: 2, ShardDim: "region", Engine: opt})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := pool.Append([]string{"region-0", "kind-0", "tier-0", "label-0"}, []float64{1, 2, 3}); err != nil {
-			t.Fatal(err)
-		}
-		_, err = pool.TopFacts(3)
-		if err == nil || !strings.Contains(err.Error(), "queries require a lattice algorithm over the in-memory store") {
-			t.Errorf("%s: TopFacts error = %v", name, err)
-		}
-		_, qerr := pool.QueryFacts(FactFilter{Shard: AllShards}, "", 3)
-		if qerr == nil || qerr.Error() != err.Error() {
-			t.Errorf("%s: QueryFacts error %v, TopFacts error %v: want one message", name, qerr, err)
-		}
-		pool.Close()
-		pool.DestroyStore()
+		t.Run(name, func(t *testing.T) {
+			pool, err := NewPool(schema, PoolOptions{Shards: 2, ShardDim: "region", Engine: opt})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := pool.Append([]string{"region-0", "kind-0", "tier-0", "label-0"}, []float64{1, 2, 3}); err != nil {
+				t.Fatal(err)
+			}
+			checkReadsRefused(t, pool)
+			pool.Close()
+			pool.DestroyStore()
+		})
 	}
 }
 

@@ -41,9 +41,8 @@ type Algorithm string
 
 // The available algorithms. STopDown and SBottomUp share computation
 // across measure subspaces (§V-C); the baselines exist mainly for
-// benchmarking. Algorithm names resolve through the core registry
-// (core.Register), so extensions register themselves without touching
-// this package.
+// benchmarking. Algorithm names resolve through core.NewDiscoverer's table
+// of the eight.
 const (
 	AlgoBruteForce  Algorithm = "bruteforce"
 	AlgoBaselineSeq Algorithm = "baselineseq"
@@ -214,14 +213,16 @@ type Engine struct {
 	fileSt  *store.File
 	deleted map[int64]bool
 
-	// fidx is the incremental fact index over the engine's µ store: the
-	// live cell coordinates in (constraint key, subspace mask) order,
-	// addressed by the store's own constraint ids and maintained through
-	// the store's cell-lifecycle observer so EVERY mutation path — ingest,
-	// delete, WAL replay, snapshot-restore cell replay, follower tail
-	// apply — keeps it current without its own hook.
-	// Nil for engines without an in-memory lattice store (which cannot
-	// serve queries anyway).
+	// mem is the in-memory µ store of a lattice algorithm, resolved once at
+	// construction; nil for the baselines and the file store, which can
+	// neither snapshot nor serve reads.
+	mem *store.Memory
+	// fidx orders mem's live constraints by key for the read path
+	// (indexedStore); the store's constraint-lifecycle observer keeps it
+	// current, so EVERY mutation path — ingest, delete, WAL replay,
+	// snapshot-restore cell replay, follower tail apply — does without its
+	// own hook. Nil unless the algorithm is of the BottomUp family over mem:
+	// only there is a stored cell the contextual skyline a read reports.
 	fidx *factindex.Index
 
 	dec factDecoder
@@ -302,14 +303,16 @@ func New(schema *Schema, opt Options) (*Engine, error) {
 		eng.sizer = sizer
 		eng.counter = core.NewContextCounter(rs.NumDims(), maxBound)
 	}
-	if mem, ok := memoryStoreOf(disc); ok {
+	eng.mem = memoryStoreOf(disc)
+	if _, ok := disc.(*core.BottomUp); ok && eng.mem != nil {
+		mem := eng.mem
 		in := mem.Interner()
-		idx := factindex.New(func(id uint32) string { return string(in.Key(id)) })
-		mem.SetObserver(func(c store.ConstraintID, m subspace.Mask, created bool) {
-			if created {
-				idx.Insert(c, m)
+		idx := factindex.New(func(id uint32) string { return string(in.Key(id)) }, mem.Masks)
+		mem.SetObserver(func(c store.ConstraintID, live bool) {
+			if live {
+				idx.Insert(c)
 			} else {
-				idx.Delete(c, m)
+				idx.Delete(c)
 			}
 		})
 		eng.fidx = idx

@@ -36,10 +36,7 @@ func schemaSig(s *relation.Schema) string {
 
 // CanSnapshot reports whether SaveSnapshot supports this engine: a
 // lattice algorithm (BottomUp/TopDown family) over the in-memory store.
-func (e *Engine) CanSnapshot() bool {
-	_, ok := memoryStoreOf(e.disc)
-	return ok
-}
+func (e *Engine) CanSnapshot() bool { return e.mem != nil }
 
 // CanSnapshot reports whether SaveSnapshot supports this pool's engines.
 func (p *Pool) CanSnapshot() bool { return p.shards[0].eng.CanSnapshot() }
@@ -54,8 +51,8 @@ var ErrNoSnapshot = errors.New("no pool snapshot")
 // SaveSnapshot writes the engine's state to w. See the package note above
 // for which engines support it.
 func (e *Engine) SaveSnapshot(w io.Writer) error {
-	mem, ok := memoryStoreOf(e.disc)
-	if !ok {
+	mem := e.mem
+	if mem == nil {
 		return fmt.Errorf("situfact: snapshots require a lattice algorithm over the in-memory store (engine runs %s)", e.disc.Name())
 	}
 	sf := persist.EngineSnapshot{
@@ -91,7 +88,10 @@ func (e *Engine) SaveSnapshot(w io.Writer) error {
 	}
 	// Cells persist in logical key→tuple-id form: the wire format is
 	// independent of the in-memory layout, so snapshots written before the
-	// interned-id refactor restore identically.
+	// interned-id refactor restore identically. The store knows how many
+	// there are; a list grown by append leaves several times its size to the
+	// collector while the shard is locked.
+	sf.Cells = make([]persist.SnapCell, 0, met.Cells)
 	mem.Walk(func(k store.CellKey, c store.Cell) {
 		sf.Cells = append(sf.Cells, persist.SnapCell{
 			CKey: string(k.C),
@@ -125,8 +125,8 @@ func LoadSnapshot(schema *Schema, r io.Reader) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	mem, ok := memoryStoreOf(eng.disc)
-	if !ok {
+	mem := eng.mem
+	if mem == nil {
 		return nil, fmt.Errorf("situfact: snapshot algorithm %q has no in-memory store", sf.Algorithm)
 	}
 	// Rebuild the dictionary in code order, then the table.
@@ -168,14 +168,6 @@ func LoadSnapshot(schema *Schema, r io.Reader) (*Engine, error) {
 			c.Append(id)
 		}
 		mem.SaveKey(store.CellKey{C: lattice.Key(cell.CKey), M: subspace.Mask(cell.M)}, c)
-	}
-	// The cell replay drove the fact index through the store observer; a
-	// count mismatch means the index missed a lifecycle event (or the
-	// snapshot carried a duplicate/empty cell) and queries would silently
-	// diverge from the stored cells — fail the restore instead.
-	if eng.fidx != nil && eng.fidx.Len() != len(sf.Cells) {
-		return nil, fmt.Errorf("situfact: snapshot restore: fact index rebuilt %d entries for %d cells",
-			eng.fidx.Len(), len(sf.Cells))
 	}
 	// Replaying the cells above recomputed StoredTuples/Cells but counted
 	// the replay itself as I/O; overwrite all counters with the saved ones.
@@ -379,21 +371,15 @@ func RestorePool(schema *Schema, dir string) (*Pool, map[string][]byte, error) {
 	return p, man.Sidecars, nil
 }
 
-// memoryStoreOf extracts the in-memory µ store of a lattice discoverer.
-// Baselines embed an (unused) default store too, so the algorithm type is
-// checked explicitly: only the BottomUp/TopDown families keep their whole
-// state in the µ store.
-func memoryStoreOf(d core.Discoverer) (*store.Memory, bool) {
+// memoryStoreOf extracts the in-memory µ store of a lattice discoverer, nil
+// when there is none. Baselines embed an (unused) default store too, so the
+// algorithm type is checked explicitly: only the BottomUp/TopDown families
+// keep their whole state in the µ store.
+func memoryStoreOf(d core.Discoverer) *store.Memory {
 	switch d.(type) {
 	case *core.BottomUp, *core.TopDown:
-	default:
-		return nil, false
+		mem, _ := d.(interface{ Store() store.Store }).Store().(*store.Memory)
+		return mem
 	}
-	type storer interface{ Store() store.Store }
-	s, ok := d.(storer)
-	if !ok {
-		return nil, false
-	}
-	mem, ok := s.Store().(*store.Memory)
-	return mem, ok
+	return nil
 }
