@@ -13,6 +13,7 @@ package situfact
 import (
 	"fmt"
 	"os"
+	"path/filepath"
 	"testing"
 
 	"repro/internal/core"
@@ -550,6 +551,106 @@ func BenchmarkPoolQueryDeepCursor(b *testing.B) {
 				}
 			})
 		}
+	}
+}
+
+// snapshotShapes are the preloads of the two gated benchmark workloads a
+// snapshot dominates (bench/spec.go: restart-follow and wide-single), four
+// shards by team: the state a daemon checkpoints during set-up and restores
+// on restart and on follower bootstrap.
+var snapshotShapes = []struct {
+	name          string
+	d, m, dhat, n int
+}{
+	{"narrow_d4_m4_n10000", 4, 4, 4, 10000},
+	{"wide_d5_m7_n150", 5, 7, 4, 150},
+}
+
+// snapshotBenchPool ingests the first n games of the league at the shape.
+func snapshotBenchPool(tb testing.TB, d, m, dhat, n int) *Pool {
+	tb.Helper()
+	schema, rows := nbaRows(tb, d, m, n)
+	pool, err := NewPool(schema, PoolOptions{
+		Shards: 4, ShardDim: "team", Engine: Options{MaxBoundDims: dhat},
+	})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if _, err := pool.AppendBatch(rows); err != nil {
+		pool.Close()
+		tb.Fatal(err)
+	}
+	return pool
+}
+
+// snapshotDirBytes sums the shard snapshot files of a checkpoint directory.
+func snapshotDirBytes(tb testing.TB, dir string) int64 {
+	tb.Helper()
+	files, err := filepath.Glob(filepath.Join(dir, "shard-*.snap"))
+	if err != nil || len(files) == 0 {
+		tb.Fatalf("no shard snapshots in %s (%v)", dir, err)
+	}
+	var total int64
+	for _, f := range files {
+		st, err := os.Stat(f)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		total += st.Size()
+	}
+	return total
+}
+
+// BenchmarkPoolCheckpoint is one Pool.Checkpoint of a loaded pool per
+// iteration — encode under each shard's lock, atomic file write, manifest
+// commit — at the two gated shapes; bytes/row is what it leaves on disk.
+func BenchmarkPoolCheckpoint(b *testing.B) {
+	for _, sh := range snapshotShapes {
+		b.Run(sh.name, func(b *testing.B) {
+			pool := snapshotBenchPool(b, sh.d, sh.m, sh.dhat, sh.n)
+			defer pool.Close()
+			dir := b.TempDir()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := pool.Checkpoint(dir, nil); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.StopTimer()
+			b.ReportMetric(float64(snapshotDirBytes(b, dir))/float64(sh.n), "bytes/row")
+		})
+	}
+}
+
+// BenchmarkPoolRestore is one RestorePool of that checkpoint per iteration:
+// what a restart pays before it replays its journal tail, and a follower
+// before it asks for one.
+func BenchmarkPoolRestore(b *testing.B) {
+	for _, sh := range snapshotShapes {
+		b.Run(sh.name, func(b *testing.B) {
+			pool := snapshotBenchPool(b, sh.d, sh.m, sh.dhat, sh.n)
+			defer pool.Close()
+			dir := b.TempDir()
+			if _, err := pool.Checkpoint(dir, nil); err != nil {
+				b.Fatal(err)
+			}
+			schema := pool.schema
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				restored, _, err := RestorePool(schema, dir)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if restored.Len() != sh.n {
+					b.Fatalf("restored %d rows, want %d", restored.Len(), sh.n)
+				}
+				restored.Close()
+			}
+			b.StopTimer()
+			b.ReportMetric(float64(snapshotDirBytes(b, dir))/float64(sh.n), "bytes/row")
+		})
 	}
 }
 

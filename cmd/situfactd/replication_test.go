@@ -7,6 +7,8 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"reflect"
 	"slices"
 	"strings"
@@ -15,6 +17,7 @@ import (
 	"time"
 
 	situfact "repro"
+	"repro/internal/persist"
 )
 
 // followerOf starts an in-process read-only follower of the given leader
@@ -142,7 +145,7 @@ func TestFollowerServesIdenticalFacts(t *testing.T) {
 		}
 	}
 
-	_, fts := followerOf(t, lts.URL, 2)
+	follower, fts := followerOf(t, lts.URL, 2)
 	waitApplied(t, fts.URL, uint64(len(table1)))
 	assertSameReads(t, lts.URL, fts.URL, gamelogQueries)
 
@@ -201,6 +204,32 @@ func TestFollowerServesIdenticalFacts(t *testing.T) {
 	}
 	if !reflect.DeepEqual(lm.PerShard, fm2.PerShard) {
 		t.Errorf("per-shard metrics diverged:\nleader   %+v\nfollower %+v", lm.PerShard, fm2.PerShard)
+	}
+
+	// Same LSN, same bytes: a snapshot has no map order in it and a restore
+	// numbers the constraints as the writer had them, so the follower —
+	// restored from the leader's files, then fed its tail — checkpoints to
+	// the shard files the leader writes.
+	ldir, fdir := t.TempDir(), t.TempDir()
+	if _, err := leader.db().Checkpoint(ldir, nil); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := follower.db().Checkpoint(fdir, nil); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ {
+		name := persist.ShardSnapshotName(i, 1)
+		lf, err := os.ReadFile(filepath.Join(ldir, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		ff, err := os.ReadFile(filepath.Join(fdir, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(lf, ff) {
+			t.Errorf("%s: leader wrote %d bytes, follower %d, and they differ", name, len(lf), len(ff))
+		}
 	}
 }
 

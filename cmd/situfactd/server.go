@@ -122,9 +122,9 @@ type server struct {
 	// stateMu serialises checkpoints (background snapshotter vs shutdown).
 	stateMu sync.Mutex
 	// snapMu guards the snapshot telemetry for GET /v1/metrics.
-	snapMu   sync.Mutex
-	lastSnap time.Time // zero until the first checkpoint this process
-	snapGen  uint64
+	snapMu    sync.Mutex
+	lastSnap  time.Time // zero until the first checkpoint this process
+	snapStats situfact.CheckpointStats
 }
 
 // db returns the pool currently serving requests. Handlers call it once
@@ -175,6 +175,7 @@ func newServer(cfg config) (*server, error) {
 	if cfg.stateDir != "" {
 		// The manifest's sidecars are ignored: this daemon writes none, and
 		// one an older binary left behind is bytes nobody reads.
+		began := time.Now()
 		pool, _, err = situfact.RestorePool(schema, cfg.stateDir)
 		switch {
 		case errors.Is(err, situfact.ErrNoSnapshot):
@@ -184,8 +185,8 @@ func newServer(cfg config) (*server, error) {
 			// starting empty over existing state would be silent data loss.
 			return nil, fmt.Errorf("situfactd: restore %s: %w", cfg.stateDir, err)
 		default:
-			log.Printf("restored %d shards (%d tuples) from %s",
-				pool.Shards(), pool.Len(), cfg.stateDir)
+			log.Printf("restored %d shards (%d tuples) from %s in %s",
+				pool.Shards(), pool.Len(), cfg.stateDir, time.Since(began).Round(100*time.Microsecond))
 			pinnedBy = "the snapshot in " + cfg.stateDir
 			// A snapshot pins shard count, routing, algorithm and caps;
 			// flags that ask for something else are overridden — say so.
@@ -279,6 +280,7 @@ func newServer(cfg config) (*server, error) {
 		// Replay through the write path, unobserved: the tail changes the
 		// pool's state exactly as the original requests did, and nobody
 		// reads the facts they reported, so they are not ranked again.
+		began := time.Now()
 		stats, err := pool.ReplayWAL(wal, nil)
 		if err != nil {
 			wal.Close()
@@ -286,8 +288,8 @@ func newServer(cfg config) (*server, error) {
 			return nil, fmt.Errorf("situfactd: wal replay: %w", err)
 		}
 		if stats.Records > 0 {
-			log.Printf("wal: replayed %d records (%d applied, %d already in snapshot, %d re-failed); %d tuples live",
-				stats.Records, stats.Applied, stats.Skipped, stats.Failed, pool.Len())
+			log.Printf("wal: replayed %d records (%d applied, %d already in snapshot, %d re-failed) in %s; %d tuples live",
+				stats.Records, stats.Applied, stats.Skipped, stats.Failed, time.Since(began).Round(100*time.Microsecond), pool.Len())
 		}
 		if err := pool.AttachWAL(wal); err != nil {
 			wal.Close()
@@ -516,7 +518,7 @@ func (s *server) checkpointLocked() (situfact.CheckpointStats, error) {
 	}
 	s.snapMu.Lock()
 	s.lastSnap = time.Now()
-	s.snapGen = stats.Generation
+	s.snapStats = stats
 	s.snapMu.Unlock()
 	if s.wal != nil && stats.TruncatableLSN > 0 {
 		if err := s.wal.TruncateBefore(stats.TruncatableLSN + 1); err != nil {
@@ -651,7 +653,10 @@ func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	s.snapMu.Lock()
 	if !s.lastSnap.IsZero() {
 		resp.Snapshot.SecondsSinceLast = time.Since(s.lastSnap).Seconds()
-		resp.Snapshot.Generation = s.snapGen
+		resp.Snapshot.Generation = s.snapStats.Generation
+		resp.Snapshot.LastBytes = s.snapStats.Bytes
+		resp.Snapshot.LastMS = float64(s.snapStats.Elapsed) / float64(time.Millisecond)
+		resp.Snapshot.LastHoldMS = float64(s.snapStats.LongestHold) / float64(time.Millisecond)
 	}
 	s.snapMu.Unlock()
 	if s.repl != nil {

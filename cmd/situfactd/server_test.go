@@ -16,6 +16,7 @@ import (
 	"time"
 
 	situfact "repro"
+	"repro/internal/persist"
 )
 
 // table1 is the paper's Table I mini-world, identical to the root
@@ -545,6 +546,19 @@ func TestServerCheckpointPlusWALTail(t *testing.T) {
 	doJSON(t, "GET", ts.URL+"/v1/metrics", nil, &before)
 	if !before.Snapshot.Enabled || before.Snapshot.Generation != 1 || before.Snapshot.SecondsSinceLast < 0 {
 		t.Errorf("snapshot metrics after checkpoint = %+v", before.Snapshot)
+	}
+	// What the checkpoint cost: the bytes are those of the generation's
+	// shard files, and a lock hold is part of the whole.
+	var onDisk int64
+	for i := 0; i < s.db().Shards(); i++ {
+		st, err := os.Stat(filepath.Join(cfg.stateDir, persist.ShardSnapshotName(i, 1)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		onDisk += st.Size()
+	}
+	if sn := before.Snapshot; sn.LastBytes != onDisk || sn.LastMS <= 0 || sn.LastHoldMS <= 0 || sn.LastHoldMS > sn.LastMS {
+		t.Errorf("snapshot cost metrics = %+v, want last_bytes %d and 0 < last_hold_ms <= last_ms", sn, onDisk)
 	}
 	var beforeTop topFactsResponse
 	doJSON(t, "GET", ts.URL+"/v1/facts/top?k=50", nil, &beforeTop)

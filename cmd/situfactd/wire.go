@@ -223,6 +223,13 @@ type snapshotWire struct {
 	// SecondsSinceLast is the age of that checkpoint; -1 before the first
 	// one (a restored-at-boot snapshot predates this process).
 	SecondsSinceLast float64 `json:"seconds_since_last"`
+	// LastBytes, LastMS and LastHoldMS describe that checkpoint: the size
+	// of its shard files, how long it took from the first shard to the
+	// manifest, and the longest it held any one shard's lock — the most it
+	// can have delayed an append.
+	LastBytes  int64   `json:"last_bytes,omitempty"`
+	LastMS     float64 `json:"last_ms,omitempty"`
+	LastHoldMS float64 `json:"last_hold_ms,omitempty"`
 }
 
 // replicationWire is the follower block of GET /v1/metrics (absent on a

@@ -43,12 +43,23 @@ func TestContextCounter(t *testing.T) {
 		t.Errorf("after unobserve |σ_⊤| = %d, want 4", got)
 	}
 
-	// Snapshot/Restore round trip.
-	snap := cc.Snapshot()
+	// Each → Reset/Set round trip (engine persistence). The restored counts
+	// must be the live kind: further arrivals and deletions move them.
 	cc2 := NewContextCounter(3, -1)
-	cc2.Restore(snap)
-	if got := cc2.ContextSize(c); got != cc.ContextSize(c) {
-		t.Errorf("restored counter disagrees: %d vs %d", got, cc.ContextSize(c))
+	cc2.Observe(tb.Tuples()[0]) // dropped by Reset
+	cc2.Reset(cc.Len())
+	cc.Each(cc2.Set)
+	if cc2.Len() != cc.Len() {
+		t.Errorf("restored counter has %d counts, want %d", cc2.Len(), cc.Len())
+	}
+	cc.Each(func(key string, n int64) {
+		if got := cc2.SizeOfKey(key); got != n {
+			t.Errorf("restored count of %x = %d, want %d", key, got, n)
+		}
+	})
+	cc2.Observe(tb.Tuples()[4])
+	if got := cc2.ContextSize(full); got != 2 {
+		t.Errorf("restored counter after observe |σ_abc| = %d, want 2", got)
 	}
 }
 
@@ -95,7 +106,7 @@ func TestContextCounterProbesAllocateNothing(t *testing.T) {
 	if n := len(cc.counts); n != 0 {
 		t.Errorf("%d constraints kept after every tuple was unobserved", n)
 	}
-	if snap := cc.Snapshot(); len(snap) != 0 {
-		t.Errorf("snapshot of an emptied counter = %v", snap)
+	if cc.Len() != 0 {
+		t.Errorf("Len of an emptied counter = %d", cc.Len())
 	}
 }

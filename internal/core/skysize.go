@@ -177,21 +177,24 @@ func (cc *ContextCounter) SizeOfKey(key string) int64 {
 	return 0
 }
 
-// Snapshot returns a copy of the raw counters, keyed by constraint key.
-// Used by engine persistence.
-func (cc *ContextCounter) Snapshot() map[string]int64 {
-	out := make(map[string]int64, len(cc.counts))
+// Len returns the number of constraints that have a count.
+func (cc *ContextCounter) Len() int { return len(cc.counts) }
+
+// Each calls fn with every constraint key that has a count, in no
+// particular order. Used by engine persistence.
+func (cc *ContextCounter) Each(fn func(key string, n int64)) {
 	for k, n := range cc.counts {
-		out[k] = *n
+		fn(k, *n)
 	}
-	return out
 }
 
-// Restore replaces the counters with a snapshot previously produced by
-// Snapshot.
-func (cc *ContextCounter) Restore(counts map[string]int64) {
-	cc.counts = make(map[string]*int64, len(counts))
-	for k, v := range counts {
-		cc.counts[k] = &v
-	}
+// Reset drops every count and makes room for n; snapshot restore then Sets
+// each (key, count) pair it read.
+func (cc *ContextCounter) Reset(n int) {
+	cc.counts = make(map[string]*int64, n)
+}
+
+// Set makes n, which must be positive, the count of the constraint key.
+func (cc *ContextCounter) Set(key string, n int64) {
+	cc.counts[key] = &n
 }

@@ -11,9 +11,13 @@
 //     single fsync covering all of them. Segments rotate at a size
 //     threshold and are deleted once a snapshot covers them.
 //
-//   - EngineSnapshot — the gob codec for one engine's complete state
-//     (dictionary, tuples, tombstones, µ-store cells, prominence counters,
-//     work metrics), previously embedded in the root snapshot.go.
+//   - Snapshot — the codec for one engine's complete state (dictionary,
+//     tuples, tombstones, µ-store cells, prominence counters, work
+//     metrics). Format v2 is written: the µ store's per-constraint blocks
+//     flat, in length-prefixed, checksummed sections (snapshot.go has the
+//     layout). Format v1, one gob struct per engine, is read only, so
+//     older state directories restore. Both decode to the same checked,
+//     flat Snapshot; errors wrap ErrCorruptSnapshot.
 //
 //   - Manifest — the generational commit record of a pool snapshot
 //     directory. Shard files carry a generation number; the manifest,

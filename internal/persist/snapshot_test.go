@@ -1,0 +1,299 @@
+package persist
+
+import (
+	"bytes"
+	"encoding/gob"
+	"errors"
+	"fmt"
+	"reflect"
+	"strings"
+	"testing"
+)
+
+// sampleSnapshot is a small valid state over d=2, m=2: three tuples, one
+// tombstone, two live constraints (one with two cells, one of them with two
+// members) and one context count without a cell.
+func sampleSnapshot() *Snapshot {
+	key := func(a, b byte) string { return string([]byte{a, 0, 0, 0, b, 0, 0, 0}) }
+	return &Snapshot{
+		SnapshotHeader: SnapshotHeader{
+			SchemaSig: "r(a,b;x,y)", Algorithm: "topdown", D: 2, M: 2,
+			MaxBound: -1, MaxMeas: 2, Prominence: true,
+			Counters: SnapCounters{Tuples: 3, Comparisons: 9, Traversed: 12, Facts: 7, StoredTuples: 4, Cells: 3, Reads: 5, Writes: 6},
+		},
+		Dict:    [][]string{{"a0", "a1"}, {"b0", "", "b2"}},
+		N:       3,
+		Dims:    []int32{0, 0, 1, 2, 0, 1},
+		Raw:     []float64{1, 2, 3.5, -4, 0, 300},
+		Deleted: []int64{1},
+
+		Keys:   key(0, 0) + key(1, 2),
+		Counts: []int64{2, 1},
+		Live:   []uint32{2, 1},
+		Masks:  []uint32{1, 3, 2},
+		Sizes:  []uint32{1, 2, 1},
+		IDs:    []uint32{0, 0, 2, 1},
+
+		ExtraKeys:   key(0, 255) + key(1, 0),
+		ExtraCounts: []int64{1, 200},
+	}
+}
+
+// encodeSnapshot writes a decoded snapshot back out through the encoder.
+func encodeSnapshot(s *Snapshot) []byte {
+	e := NewSnapshotEncoder(nil, s.SnapshotHeader)
+	e.Dict(s.Dict)
+	e.Tuples(s.N,
+		func(i int) []int32 { return s.Dims[i*s.D : (i+1)*s.D] },
+		func(i int) []float64 { return s.Raw[i*s.M : (i+1)*s.M] })
+	e.Tombstones(s.Deleted)
+	e.BeginCells()
+	kl := s.KeyLen()
+	cell, member := 0, 0
+	for i, live := range s.Live {
+		var count int64
+		if s.Prominence {
+			count = s.Counts[i]
+		}
+		e.Constraint(s.Keys[i*kl:(i+1)*kl], count, int(live))
+		for ; live > 0; live, cell = live-1, cell+1 {
+			e.Cell(s.Masks[cell], s.IDs[member:member+int(s.Sizes[cell])])
+			member += int(s.Sizes[cell])
+		}
+	}
+	e.EndCells()
+	var extra []ContextCount
+	for i, n := range s.ExtraCounts {
+		extra = append(extra, ContextCount{Key: s.ExtraKeys[i*kl : (i+1)*kl], N: n})
+	}
+	e.Counts(extra)
+	return e.Bytes()
+}
+
+// encodeV1 writes the same state in the gob format, cell by cell.
+func encodeV1(t testing.TB, s *Snapshot) []byte {
+	t.Helper()
+	v := snapshotV1{
+		Magic: snapshotV1Magic, SchemaSig: s.SchemaSig, Algorithm: s.Algorithm,
+		MaxBound: s.MaxBound, MaxMeas: s.MaxMeas,
+		DictValues: s.Dict, Deleted: s.Deleted, Counters: s.Counters,
+	}
+	for i := 0; i < s.N; i++ {
+		v.Tuples = append(v.Tuples, tupleV1{Dims: s.Dims[i*s.D : (i+1)*s.D], Raw: s.Raw[i*s.M : (i+1)*s.M]})
+	}
+	kl := s.KeyLen()
+	if s.Prominence {
+		v.Counts = map[string]int64{}
+		for i, n := range s.ExtraCounts {
+			v.Counts[s.ExtraKeys[i*kl:(i+1)*kl]] = n
+		}
+	}
+	cell, member := 0, 0
+	for i, live := range s.Live {
+		key := s.Keys[i*kl : (i+1)*kl]
+		if s.Prominence {
+			v.Counts[key] = s.Counts[i]
+		}
+		for ; live > 0; live, cell = live-1, cell+1 {
+			c := cellV1{CKey: key, M: s.Masks[cell]}
+			for _, id := range s.IDs[member : member+int(s.Sizes[cell])] {
+				c.IDs = append(c.IDs, int64(id))
+			}
+			member += int(s.Sizes[cell])
+			v.Cells = append(v.Cells, c)
+		}
+	}
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(&v); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+func TestSnapshotRoundTrip(t *testing.T) {
+	want := sampleSnapshot()
+	for _, enc := range []struct {
+		name string
+		data []byte
+	}{{"v2", encodeSnapshot(want)}, {"v1", encodeV1(t, want)}} {
+		got, err := DecodeSnapshot(enc.data)
+		if err != nil {
+			t.Fatalf("%s: %v", enc.name, err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: decoded\n %+v\nwant\n %+v", enc.name, got, want)
+		}
+		// Whatever the file's format, the decoded state writes out as the
+		// same v2 bytes: no map order, no source format left in it.
+		if !bytes.Equal(encodeSnapshot(got), encodeSnapshot(want)) {
+			t.Errorf("%s: re-encoding differs from the v2 encoding of the same state", enc.name)
+		}
+	}
+
+	// Without prominence there are no counts, in either place.
+	bare := sampleSnapshot()
+	bare.Prominence, bare.Counts, bare.ExtraKeys, bare.ExtraCounts = false, nil, "", nil
+	for _, data := range [][]byte{encodeSnapshot(bare), encodeV1(t, bare)} {
+		got, err := DecodeSnapshot(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Prominence || got.Counts != nil || len(got.ExtraCounts) != 0 || !reflect.DeepEqual(got.IDs, bare.IDs) {
+			t.Errorf("prominence-free snapshot decoded as %+v", got)
+		}
+	}
+}
+
+// TestDecodeSnapshotRejects: each way a structurally sound file can still be
+// unusable — every value a restore would index with — is refused by both
+// decoders with an error that wraps ErrCorruptSnapshot and names the section
+// and the constraint, cell or tuple at fault.
+func TestDecodeSnapshotRejects(t *testing.T) {
+	cases := []struct {
+		name   string
+		mutate func(s *Snapshot)
+		want   string // substring of the error
+		v2only bool   // not expressible in, or not kept by, the v1 layout
+	}{
+		{"mask past 2^m", func(s *Snapshot) { s.Masks[2] = 1 << 9 }, "cells: constraint 1: cell 0: mask 512", false},
+		{"mask 2^m", func(s *Snapshot) { s.Masks[1] = 4 }, "cells: constraint 0: cell 1: mask 4", false},
+		{"mask zero", func(s *Snapshot) { s.Masks[0] = 0 }, "cells: constraint 0: cell 0: mask 0", false},
+		{"mask repeats", func(s *Snapshot) { s.Masks[1] = 1 }, "cells: constraint 0: cell 1: mask 1 after 1", false},
+		{"masks descend", func(s *Snapshot) { s.Masks[0], s.Masks[1] = 3, 1 }, "cells: constraint 0: cell 1: mask 1 after 3", true},
+		{"empty cell", func(s *Snapshot) { s.Sizes[2], s.IDs = 0, s.IDs[:3] }, "cells: constraint 1: cell 0: 0 members", false},
+		{"constraint without cells", func(s *Snapshot) {
+			s.Live, s.Masks, s.Sizes, s.IDs = []uint32{2, 0}, s.Masks[:2], s.Sizes[:2], s.IDs[:3]
+		}, "cells: constraint 1: 0 cells", true},
+		{"member past the table", func(s *Snapshot) { s.IDs[2] = 3 }, "cells: constraint 0: cell 1: member 1: tuple 3 of 3", false},
+		{"context count zero", func(s *Snapshot) { s.Counts[1] = 0 }, "cells: constraint 1: context count 0", false},
+		{"cell-less count zero", func(s *Snapshot) { s.ExtraCounts[0] = 0 }, "counts: constraint 0: context count 0", false},
+		{"cell-less counts out of order", func(s *Snapshot) {
+			kl := s.KeyLen()
+			s.ExtraKeys = s.ExtraKeys[kl:] + s.ExtraKeys[:kl]
+		}, "counts: constraint 1: key not after", true},
+		{"counts without prominence", func(s *Snapshot) { s.Prominence, s.Counts = false, nil }, "counts: context counts in a snapshot without prominence", true},
+		{"tombstone past the table", func(s *Snapshot) { s.Deleted[0] = 3 }, "tombstones: tombstone 0: tuple 3 of 3", false},
+		{"tombstone repeats", func(s *Snapshot) { s.Deleted = []int64{1, 1} }, "tombstones: tombstone 1: tuple 1 after 1", false},
+		{"code outside the dictionary", func(s *Snapshot) { s.Dims[3] = 3 }, "tuples: tuple 1: dimension 1: code 3 outside the dictionary's 3 values", false},
+		{"negative code", func(s *Snapshot) { s.Dims[0] = -1 }, "tuples: tuple 0: dimension 0: code -1", false},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			s := sampleSnapshot()
+			tc.mutate(s)
+			encodings := map[string][]byte{"v2": encodeSnapshot(s)}
+			if !tc.v2only {
+				encodings["v1"] = encodeV1(t, s)
+			}
+			for format, data := range encodings {
+				got, err := DecodeSnapshot(data)
+				if err == nil {
+					t.Fatalf("%s: accepted: %+v", format, got)
+				}
+				if !errors.Is(err, ErrCorruptSnapshot) || !strings.Contains(err.Error(), tc.want) {
+					t.Errorf("%s: error %q, want one wrapping ErrCorruptSnapshot that says %q", format, err, tc.want)
+				}
+			}
+		})
+	}
+
+	// What only the v1 layout can say: a key of the wrong length, a member
+	// that is no 32-bit id, tuples of different widths.
+	v1cases := []struct {
+		name   string
+		mutate func(v *snapshotV1)
+		want   string
+	}{
+		{"short key", func(v *snapshotV1) { v.Cells[2].CKey = "abc" }, "cells: constraint 1: key of 3 bytes under 2 dimensions"},
+		{"short count key", func(v *snapshotV1) { v.Counts["abc"] = 1 }, "counts: constraint 2: key of 3 bytes under 2 dimensions"},
+		{"negative member", func(v *snapshotV1) { v.Cells[1].IDs[0] = -1 }, "cells: constraint 0: cell 1: member -1 is no tuple id"},
+		{"ragged tuple", func(v *snapshotV1) { v.Tuples[1].Raw = v.Tuples[1].Raw[:1] }, "tuples: tuple 1: 2 codes and 1 measures"},
+		{"foreign gob", func(v *snapshotV1) { v.Magic = "something else" }, "magic: a gob stream, but not a snapshot"},
+	}
+	for _, tc := range v1cases {
+		t.Run("v1 "+tc.name, func(t *testing.T) {
+			var v snapshotV1
+			if err := gob.NewDecoder(bytes.NewReader(encodeV1(t, sampleSnapshot()))).Decode(&v); err != nil {
+				t.Fatal(err)
+			}
+			tc.mutate(&v)
+			var buf bytes.Buffer
+			if err := gob.NewEncoder(&buf).Encode(&v); err != nil {
+				t.Fatal(err)
+			}
+			_, err := DecodeSnapshot(buf.Bytes())
+			if !errors.Is(err, ErrCorruptSnapshot) || !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("error %v, want one wrapping ErrCorruptSnapshot that says %q", err, tc.want)
+			}
+		})
+	}
+}
+
+var snapshotSections = []string{"magic", "header", "dict", "tuples", "tombstones", "cells", "counts"}
+
+// checkRejected asserts the decoder's contract for bytes that are not a
+// snapshot: an error wrapping ErrCorruptSnapshot that names a section.
+func checkRejected(t *testing.T, what string, data []byte) {
+	t.Helper()
+	s, err := DecodeSnapshot(data)
+	if err == nil {
+		t.Fatalf("%s: accepted: %+v", what, s)
+	}
+	if !errors.Is(err, ErrCorruptSnapshot) {
+		t.Fatalf("%s: error %q does not wrap ErrCorruptSnapshot", what, err)
+	}
+	for _, name := range snapshotSections {
+		if strings.Contains(err.Error(), ": "+name+": ") {
+			return
+		}
+	}
+	t.Fatalf("%s: error %q names no section", what, err)
+}
+
+// TestDecodeSnapshotSingleCorruption: any valid file decodes; the same file
+// with any one byte changed, or cut short anywhere, is refused naming the
+// section — and nothing panics on the way.
+func TestDecodeSnapshotSingleCorruption(t *testing.T) {
+	bare := sampleSnapshot()
+	bare.Prominence, bare.Counts, bare.ExtraKeys, bare.ExtraCounts = false, nil, "", nil
+	for _, s := range []*Snapshot{sampleSnapshot(), bare} {
+		valid := encodeSnapshot(s)
+		if _, err := DecodeSnapshot(valid); err != nil {
+			t.Fatal(err)
+		}
+		for i := range valid {
+			for _, flip := range []byte{0x01, 0x80, 0xff} {
+				bad := bytes.Clone(valid)
+				bad[i] ^= flip
+				checkRejected(t, fmt.Sprintf("byte %d flipped", i), bad)
+			}
+		}
+		for n := 0; n < len(valid); n++ {
+			checkRejected(t, fmt.Sprintf("cut to %d bytes", n), valid[:n])
+		}
+		checkRejected(t, "one byte appended", append(bytes.Clone(valid), 0))
+	}
+}
+
+// TestDecodeSnapshotLengthsBeforeAllocation: a count that the rest of its
+// section cannot hold is refused by comparing it with the bytes that remain,
+// not by trying to allocate it. The checksum is recomputed, as a frame that
+// is corrupt and still checksums would have it.
+func TestDecodeSnapshotLengthsBeforeAllocation(t *testing.T) {
+	huge := sampleSnapshot()
+	e := NewSnapshotEncoder(nil, huge.SnapshotHeader)
+	e.Dict(huge.Dict)
+	e.open()
+	e.uvarint(1 << 50) // tuple count
+	e.close()
+	checkRejected(t, "2^50 tuples", e.Bytes())
+
+	e = NewSnapshotEncoder(nil, huge.SnapshotHeader)
+	e.Dict(huge.Dict)
+	e.Tuples(0, nil, nil)
+	e.Tombstones(nil)
+	e.BeginCells()
+	e.constraints, e.cells, e.ids = 1<<40, 1<<41, 1<<42
+	e.EndCells()
+	checkRejected(t, "2^40 constraints", e.Bytes())
+}

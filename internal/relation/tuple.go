@@ -126,6 +126,10 @@ func (d *Dict) Decode(dim int, code int32) string {
 	return d.decode[dim][code]
 }
 
+// Values returns dimension dim's values in code order. Callers must not
+// mutate the slice.
+func (d *Dict) Values(dim int) []string { return d.decode[dim] }
+
 // Cardinality returns |dom(d_i)| seen so far for dimension dim.
 func (d *Dict) Cardinality(dim int) int { return len(d.decode[dim]) }
 

@@ -35,9 +35,8 @@ func RefParts(r CellRef) (ConstraintID, subspace.Mask) {
 }
 
 // CellKey is the logical (decoded) identity of a cell: the canonical
-// constraint key plus the subspace mask. It appears on the snapshot/Walk
-// boundary — the persisted form stays layout-independent — while the hot
-// path speaks CellRef.
+// constraint key plus the subspace mask. Walk and the invariant checkers
+// speak it; the hot path speaks CellRef.
 type CellKey struct {
 	C lattice.Key
 	M subspace.Mask
@@ -81,7 +80,9 @@ func (in *Interner) InternTuple(t *relation.Tuple, mask lattice.Mask) Constraint
 	return in.internSlow(buf)
 }
 
-// Intern returns (assigning if needed) the id of a canonical key.
+// Intern returns (assigning if needed) the id of a canonical key. A key seen
+// for the first time is kept as handed in, not copied: a snapshot restore
+// interns slices of one string that holds all its keys.
 func (in *Interner) Intern(k lattice.Key) ConstraintID {
 	in.mu.RLock()
 	id, ok := in.ids[string(k)]
@@ -89,7 +90,22 @@ func (in *Interner) Intern(k lattice.Key) ConstraintID {
 	if ok {
 		return id
 	}
-	return in.internSlow([]byte(k))
+	in.mu.Lock()
+	defer in.mu.Unlock()
+	if id, ok := in.ids[string(k)]; ok { // raced another interner
+		return id
+	}
+	return in.add(k)
+}
+
+// grow makes room for n more keys; only an empty table's map can be sized.
+func (in *Interner) grow(n int) {
+	in.mu.Lock()
+	defer in.mu.Unlock()
+	if len(in.ids) == 0 {
+		in.ids = make(map[string]ConstraintID, n)
+	}
+	in.keys = slices.Grow(in.keys, n)
 }
 
 // Lookup returns the id of k without assigning one; ok is false when the
@@ -121,7 +137,11 @@ func (in *Interner) internSlow(buf []byte) ConstraintID {
 	if id, ok := in.ids[string(buf)]; ok { // raced another interner
 		return id
 	}
-	k := lattice.Key(buf) // the one allocation: first sight of a constraint
+	return in.add(lattice.Key(buf)) // the one allocation: first sight of a constraint
+}
+
+// add assigns the next id to k; the caller holds the write lock.
+func (in *Interner) add(k lattice.Key) ConstraintID {
 	id := ConstraintID(len(in.keys))
 	in.keys = append(in.keys, k)
 	in.ids[string(k)] = id
@@ -324,6 +344,7 @@ type Memory struct {
 
 	lists [][]uint32 // member lists of the cells with two or more members
 	spare []uint32   // vacated indices of lists
+	chunk []uint32   // what RestoreConstraint cuts its member lists from
 
 	stats Stats
 
@@ -476,18 +497,11 @@ func (m *Memory) Save(ref CellRef, c Cell) {
 	switch {
 	case c.n == 1:
 		s.ref = c.one[0]
-	case c.n >= 2:
-		switch {
-		case was.n >= 2:
-			s.ref = was.ref
-		case len(m.spare) > 0:
-			s.ref = m.spare[len(m.spare)-1]
-			m.spare = m.spare[:len(m.spare)-1]
-		default:
-			s.ref = uint32(len(m.lists))
-			m.lists = append(m.lists, nil)
-		}
+	case c.n >= 2 && was.n >= 2:
+		s.ref = was.ref
 		m.lists[s.ref] = c.many
+	case c.n >= 2:
+		s.ref = m.keepList(c.many)
 	}
 	if was.n >= 2 && c.n < 2 {
 		m.lists[was.ref] = nil
@@ -504,20 +518,100 @@ func (m *Memory) Save(ref CellRef, c Cell) {
 	}
 }
 
-// LoadKey is Load addressed by logical key (snapshot restore, invariant
-// checkers); absent constraints read as empty without growing the intern
-// table.
+// keepList files a member list under a vacated index of lists, or a new one.
+func (m *Memory) keepList(ids []uint32) uint32 {
+	if n := len(m.spare); n > 0 {
+		i := m.spare[n-1]
+		m.spare = m.spare[:n-1]
+		m.lists[i] = ids
+		return i
+	}
+	m.lists = append(m.lists, ids)
+	return uint32(len(m.lists) - 1)
+}
+
+// Grow makes room for that many more constraints with cells and that many
+// more cells of two or more members, so a restore that knows both does not
+// grow the store's tables by doubling.
+func (m *Memory) Grow(constraints, lists int) {
+	m.in.grow(constraints)
+	m.blocks = slices.Grow(m.blocks, constraints)
+	m.lists = slices.Grow(m.lists, lists)
+}
+
+// cut copies ids into the current chunk, starting another when it is full: a
+// restore's member lists cost one allocation per few thousand, not one each.
+// The copy has no spare capacity, so a cell that grows moves out of the chunk.
+func (m *Memory) cut(ids []uint32) []uint32 {
+	if len(ids) > cap(m.chunk)-len(m.chunk) {
+		m.chunk = make([]uint32, 0, max(len(ids), 1<<14))
+	}
+	at := len(m.chunk)
+	m.chunk = append(m.chunk, ids...)
+	return m.chunk[at:len(m.chunk):len(m.chunk)]
+}
+
+// RestoreConstraint installs every cell of one constraint at once: snapshot
+// restore's entry, one Intern, one block and one observer call where
+// replaying the cells through Save would probe and bind per cell.
+// masks are the subspace masks of the cells, ascending; sizes[i] is cell i's
+// member count, at least one; ids holds the members of the cells one after
+// another, and the number of them the cells took is returned. The counters
+// move as if each cell had been saved once. A constraint that already has a
+// cell, or a mask outside the store's width, is refused with nothing changed.
+func (m *Memory) RestoreConstraint(key lattice.Key, masks, sizes, ids []uint32) (int, error) {
+	if len(masks) == 0 {
+		return 0, nil
+	}
+	if top := masks[len(masks)-1]; uint64(top) >= 1<<uint(m.width) {
+		return 0, fmt.Errorf("store: subspace mask %d in a store of %d measures", top, m.width)
+	}
+	cid := m.in.Intern(key)
+	for int(cid) >= len(m.blocks) {
+		m.blocks = append(m.blocks, block{})
+	}
+	b := &m.blocks[cid]
+	if b.live != 0 {
+		return 0, fmt.Errorf("store: constraint %x already has cells", string(key))
+	}
+	if m.dense() {
+		b.cells = make([]slot, 1<<uint(m.width))
+	} else {
+		b.cells = make([]slot, len(masks))
+		b.masks = slices.Clone(masks)
+	}
+	used := 0
+	for i, mask := range masks {
+		n := int(sizes[i])
+		s := slot{n: uint32(n), ref: ids[used]}
+		if n >= 2 {
+			s.ref = m.keepList(m.cut(ids[used : used+n]))
+		}
+		used += n
+		if m.dense() {
+			b.cells[mask] = s
+		} else {
+			b.cells[i] = s
+		}
+	}
+	b.live = int32(len(masks))
+	m.stats.Cells += int64(len(masks))
+	m.stats.Writes += int64(len(masks))
+	m.stats.StoredTuples += int64(used)
+	if m.observer != nil {
+		m.observer(cid, true)
+	}
+	return used, nil
+}
+
+// LoadKey is Load addressed by logical key (invariant checkers); absent
+// constraints read as empty without growing the intern table.
 func (m *Memory) LoadKey(k CellKey) Cell {
 	id, ok := m.in.Lookup(k.C)
 	if !ok {
 		return Cell{}
 	}
 	return m.Load(Ref(id, k.M))
-}
-
-// SaveKey is Save addressed by logical key (snapshot restore).
-func (m *Memory) SaveKey(k CellKey, c Cell) {
-	m.Save(Ref(m.in.Intern(k.C), k.M), c)
 }
 
 // Stats implements Store.
@@ -531,27 +625,44 @@ func (m *Memory) RestoreStats(s Stats) { m.stats = s }
 // Close implements Store.
 func (m *Memory) Close() error { return nil }
 
+// Live returns the number of cells constraint c has.
+func (m *Memory) Live(c ConstraintID) int {
+	if int(c) >= len(m.blocks) {
+		return 0
+	}
+	return int(m.blocks[c].live)
+}
+
+// EachCell visits the cells of constraint c in ascending subspace-mask
+// order: the block as a snapshot writes it. The cell is the live value —
+// callers must not mutate it — and like Peek the visit touches no counter.
+func (m *Memory) EachCell(c ConstraintID, fn func(mask subspace.Mask, cell Cell)) {
+	if int(c) >= len(m.blocks) {
+		return
+	}
+	b := &m.blocks[c]
+	for i, s := range b.cells {
+		if s.n == 0 {
+			continue
+		}
+		mask := subspace.Mask(i)
+		if !m.dense() {
+			mask = b.masks[i]
+		}
+		fn(mask, m.cell(s))
+	}
+}
+
 // Walk visits every non-empty cell in logical-key form, in ascending
-// (constraint id, subspace mask) order; used by snapshot encoding and
-// invariant checkers. The cell is the live value — callers must not mutate
-// it.
+// (constraint id, subspace mask) order — the order a snapshot writes them
+// in; used by invariant checkers.
 func (m *Memory) Walk(fn func(CellKey, Cell)) {
 	for cid := range m.blocks {
-		b := &m.blocks[cid]
-		if b.live == 0 {
+		if m.blocks[cid].live == 0 {
 			continue
 		}
 		key := m.in.Key(ConstraintID(cid))
-		for i, s := range b.cells {
-			if s.n == 0 {
-				continue
-			}
-			mask := subspace.Mask(i)
-			if !m.dense() {
-				mask = b.masks[i]
-			}
-			fn(CellKey{C: key, M: mask}, m.cell(s))
-		}
+		m.EachCell(ConstraintID(cid), func(mask subspace.Mask, c Cell) { fn(CellKey{C: key, M: mask}, c) })
 	}
 }
 

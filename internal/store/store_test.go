@@ -209,9 +209,9 @@ func TestMemoryLogicalKeyAccess(t *testing.T) {
 	if m.Interner().Len() != 0 {
 		t.Fatal("LoadKey of absent cell grew the intern table")
 	}
-	m.SaveKey(k, cellOf(ts...))
+	m.Save(Ref(m.Interner().Intern(k.C), k.M), cellOf(ts...))
 	if got := m.LoadKey(k); got.Len() != 2 || !got.ContainsID(ts[1].ID) {
-		t.Errorf("LoadKey after SaveKey = %v", got)
+		t.Errorf("LoadKey after Save = %v", got)
 	}
 }
 
@@ -457,7 +457,65 @@ func testMemoryModel(t *testing.T, width int) {
 			}
 		}
 	}
+	// restore is RestoreConstraint against the model: it must leave the store
+	// as saving the same cells one by one would, and tell the observer once.
+	restore := func(i int) {
+		cid := cids[i]
+		key := m.Interner().Key(cid)
+		var rmasks, sizes, ids []uint32
+		top := uint32(min(2*i+1, masks)) // the masks randomRef draws for it
+		for mask := uint32(1); mask <= top; mask++ {
+			if rng.Intn(2) == 0 && (mask < top || len(rmasks) > 0) {
+				continue // skip it, but never all of them
+			}
+			n := 1 + rng.Intn(3)
+			rmasks, sizes = append(rmasks, mask), append(sizes, uint32(n))
+			for ; n > 0; n-- {
+				ids = append(ids, uint32(next))
+				next++
+			}
+		}
+		tail := []uint32{7, 7} // members of some later constraint: not this one's
+		used, err := m.RestoreConstraint(key, rmasks, sizes, append(ids, tail...))
+		if len(liveMasks(cid)) > 0 {
+			if err == nil {
+				t.Fatalf("RestoreConstraint over constraint %d, which has cells, was accepted", cid)
+			}
+			return
+		}
+		if err != nil || used != len(ids) {
+			t.Fatalf("RestoreConstraint(%d, %v, %v) = %d, %v; want %d members taken", cid, rmasks, sizes, used, err, len(ids))
+		}
+		for j, mask := range rmasks {
+			n := int(sizes[j])
+			for _, id := range ids[:n] {
+				model[Ref(cid, mask)] = append(model[Ref(cid, mask)], int64(id))
+			}
+			ids = ids[n:]
+			want.Cells++
+			want.Writes++
+			want.StoredTuples += int64(n)
+		}
+		wantEvents = append(wantEvents, event{cid, true})
+	}
+	if _, err := m.RestoreConstraint(m.Interner().Key(cids[0]), []uint32{1, 1 << uint(width)}, []uint32{1, 1}, []uint32{0, 1}); err == nil {
+		t.Fatalf("RestoreConstraint took mask %d in a store of width %d", 1<<uint(width), width)
+	}
+	restored := 0
 	for step := 0; step < 3000; step++ {
+		if step%5 == 0 {
+			// An empty constraint if there is one (constraint 0 often is), and
+			// the refusal otherwise.
+			i := rng.Intn(constraints)
+			for j := range cids {
+				if len(liveMasks(cids[j])) == 0 {
+					i = j
+					restored++
+					break
+				}
+			}
+			restore(i)
+		}
 		a := randomRef()
 		ca := load(a)
 		idsA := mutate(a, &ca)
@@ -546,6 +604,9 @@ func testMemoryModel(t *testing.T, width int) {
 		if !slices.Equal(walked, wantWalk) {
 			t.Fatalf("step %d: Walk order %x, want %x", step, walked, wantWalk)
 		}
+	}
+	if restored < 10 {
+		t.Errorf("the sequence restored a constraint in bulk %d times: too few to check it", restored)
 	}
 	if fired[true] < 10 || fired[false] < 10 {
 		t.Errorf("the sequence allocated a block %d times and released one %d times: too few to check the lifecycle",

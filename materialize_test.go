@@ -25,7 +25,14 @@ const (
 // wideStream generates n rows of the NBA feed at the wide shape.
 func wideStream(tb testing.TB, n int) (*Schema, []Row) {
 	tb.Helper()
-	g, err := gen.NewNBA(gen.NBAConfig{Seed: 2014}, wideDims, wideMeasures)
+	return nbaRows(tb, wideDims, wideMeasures, n)
+}
+
+// nbaRows draws the first n games of the league (generator seed 2014, the
+// repository benchmark's) in the d/m space, as rows an engine or pool takes.
+func nbaRows(tb testing.TB, d, m, n int) (*Schema, []Row) {
+	tb.Helper()
+	g, err := gen.NewNBA(gen.NBAConfig{Seed: 2014}, d, m)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -36,7 +43,7 @@ func wideStream(tb testing.TB, n int) (*Schema, []Row) {
 	rows := make([]Row, n)
 	for i := range rows {
 		tu := table.At(i)
-		dims := make([]string, wideDims)
+		dims := make([]string, d)
 		for j := range dims {
 			dims[j] = table.Dict().Decode(j, tu.Dims[j])
 		}

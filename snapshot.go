@@ -1,13 +1,14 @@
 package situfact
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
 	"slices"
+	"strings"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/lattice"
@@ -23,7 +24,9 @@ import (
 // production necessity the paper leaves implicit. This file is a thin
 // wrapper translating engine/pool state to and from internal/persist,
 // which owns the codec, the generational manifest, and the write-ahead
-// log (see wal.go for journaling and recovery).
+// log (see wal.go for journaling and recovery). Format v2 is written —
+// the µ store's blocks, constraint by constraint, straight into the
+// encoder — and v1 (gob) is still read.
 //
 // Snapshots are supported for engines running the lattice algorithms
 // (BottomUp/TopDown families) over the default in-memory store; engines
@@ -51,76 +54,135 @@ var ErrNoSnapshot = errors.New("no pool snapshot")
 // SaveSnapshot writes the engine's state to w. See the package note above
 // for which engines support it.
 func (e *Engine) SaveSnapshot(w io.Writer) error {
+	buf, err := e.appendSnapshot(nil)
+	if err != nil {
+		return err
+	}
+	_, err = w.Write(buf)
+	return err
+}
+
+// appendSnapshot appends the engine's state to buf in snapshot format v2:
+// one pass over the tuple table and the µ store's blocks that mutates
+// nothing, so a shard's read lock covers it.
+func (e *Engine) appendSnapshot(buf []byte) ([]byte, error) {
 	mem := e.mem
 	if mem == nil {
-		return fmt.Errorf("situfact: snapshots require a lattice algorithm over the in-memory store (engine runs %s)", e.disc.Name())
-	}
-	sf := persist.EngineSnapshot{
-		SchemaSig: schemaSig(e.schema),
-		Algorithm: string(e.algorithm),
-		MaxBound:  e.maxBound,
-		MaxMeas:   e.maxMeasure,
-	}
-	d := e.table.Dict()
-	sf.DictValues = make([][]string, e.schema.NumDims())
-	for i := range sf.DictValues {
-		vals := make([]string, d.Cardinality(i))
-		for c := range vals {
-			vals[c] = d.Decode(i, int32(c))
-		}
-		sf.DictValues[i] = vals
-	}
-	for _, tu := range e.table.Tuples() {
-		sf.Tuples = append(sf.Tuples, persist.SnapTuple{Dims: tu.Dims, Raw: tu.Raw})
-	}
-	for id := range e.deleted {
-		sf.Deleted = append(sf.Deleted, id)
-	}
-	if e.counter != nil {
-		sf.Counts = e.counter.Snapshot()
+		return nil, fmt.Errorf("situfact: snapshots require a lattice algorithm over the in-memory store (engine runs %s)", e.disc.Name())
 	}
 	met := e.Metrics()
-	sf.Counters = persist.SnapCounters{
-		Tuples: met.Tuples, Comparisons: met.Comparisons,
-		Traversed: met.Traversed, Facts: met.Facts,
-		StoredTuples: met.StoredTuples, Cells: met.Cells,
-		Reads: met.Reads, Writes: met.Writes,
-	}
-	// Cells persist in logical key→tuple-id form: the wire format is
-	// independent of the in-memory layout, so snapshots written before the
-	// interned-id refactor restore identically. The store knows how many
-	// there are; a list grown by append leaves several times its size to the
-	// collector while the shard is locked.
-	sf.Cells = make([]persist.SnapCell, 0, met.Cells)
-	mem.Walk(func(k store.CellKey, c store.Cell) {
-		sf.Cells = append(sf.Cells, persist.SnapCell{
-			CKey: string(k.C),
-			M:    uint32(k.M),
-			IDs:  c.IDList(),
-		})
+	// Sized once, the buffer is not grown by doubling under the lock: the
+	// tuple arenas, a key and two counts per constraint, a mask and a member
+	// count per cell, two bytes for most member ids.
+	d, m, in := e.schema.NumDims(), e.schema.NumMeasures(), mem.Interner()
+	buf = slices.Grow(buf, e.table.Len()*(4*d+8*m)+in.Len()*(4*d+4)+int(met.Cells)*2+int(met.StoredTuples)*2)
+	enc := persist.NewSnapshotEncoder(buf, persist.SnapshotHeader{
+		SchemaSig: schemaSig(e.schema),
+		Algorithm: string(e.algorithm),
+		D:         d,
+		M:         m,
+		MaxBound:  e.maxBound,
+		MaxMeas:   e.maxMeasure,
+
+		Prominence: e.counter != nil,
+		Counters: persist.SnapCounters{
+			Tuples: met.Tuples, Comparisons: met.Comparisons,
+			Traversed: met.Traversed, Facts: met.Facts,
+			StoredTuples: met.StoredTuples, Cells: met.Cells,
+			Reads: met.Reads, Writes: met.Writes,
+		},
 	})
-	return persist.EncodeEngine(w, &sf)
+	dict := make([][]string, d)
+	for i := range dict {
+		dict[i] = e.table.Dict().Values(i)
+	}
+	enc.Dict(dict)
+	tuples := e.table.Tuples()
+	enc.Tuples(len(tuples),
+		func(i int) []int32 { return tuples[i].Dims },
+		func(i int) []float64 { return tuples[i].Raw })
+	deleted := make([]int64, 0, len(e.deleted))
+	for id := range e.deleted {
+		deleted = append(deleted, id)
+	}
+	slices.Sort(deleted)
+	enc.Tombstones(deleted)
+
+	// The blocks, in constraint-id order: a restore interns the keys in the
+	// order it reads them, so the restored store numbers its constraints in
+	// this order too and its next snapshot repeats these bytes.
+	enc.BeginCells()
+	writeCell := func(mask subspace.Mask, cell store.Cell) { enc.Cell(mask, cell.IDs()) }
+	live := 0
+	for c, n := store.ConstraintID(0), in.Len(); int(c) < n; c++ {
+		cells := mem.Live(c)
+		if cells == 0 {
+			continue
+		}
+		key := string(in.Key(c))
+		var count int64
+		if e.counter != nil {
+			if count = e.counter.SizeOfKey(key); count <= 0 {
+				return nil, fmt.Errorf("situfact: snapshot: constraint %x has cells and no context count", key)
+			}
+		}
+		enc.Constraint(key, count, cells)
+		mem.EachCell(c, writeCell)
+		live++
+	}
+	enc.EndCells()
+	// A constraint with tuples in its context and none in a cell: TopDown
+	// keeps a tuple only at its maximal skyline constraints (Invariant 2).
+	// Every live constraint has a count, so equal sizes mean there is none.
+	var extra []persist.ContextCount
+	if e.counter != nil && e.counter.Len() != live {
+		e.counter.Each(func(key string, n int64) {
+			if c, ok := in.Lookup(lattice.Key(key)); !ok || mem.Live(c) == 0 {
+				extra = append(extra, persist.ContextCount{Key: key, N: n})
+			}
+		})
+		slices.SortFunc(extra, func(a, b persist.ContextCount) int { return strings.Compare(a.Key, b.Key) })
+	}
+	enc.Counts(extra)
+	return enc.Bytes(), nil
 }
 
 // LoadSnapshot reconstructs an engine from a snapshot written by
-// SaveSnapshot. The schema must match the one the snapshot was taken
-// under.
+// SaveSnapshot — in format v2, or in the gob format v1 of earlier builds.
+// The schema must match the one the snapshot was taken under. An error for
+// bytes that are not an acceptable snapshot wraps persist.ErrCorruptSnapshot.
 func LoadSnapshot(schema *Schema, r io.Reader) (*Engine, error) {
+	data, err := io.ReadAll(r)
+	if err != nil {
+		return nil, fmt.Errorf("situfact: reading snapshot: %w", err)
+	}
+	return loadSnapshot(schema, data)
+}
+
+func loadSnapshot(schema *Schema, data []byte) (*Engine, error) {
 	if schema == nil || schema.rs == nil {
 		return nil, fmt.Errorf("situfact: nil schema")
 	}
-	sf, err := persist.DecodeEngine(r)
+	sf, err := persist.DecodeSnapshot(data)
 	if err != nil {
 		return nil, fmt.Errorf("situfact: %w", err)
 	}
 	if got := schemaSig(schema.rs); got != sf.SchemaSig {
 		return nil, fmt.Errorf("situfact: snapshot schema %q does not match %q", sf.SchemaSig, got)
 	}
+	// The decoder checked the snapshot against its own d and m; they index
+	// this schema's structures below. (A v1 file without tuples has no m,
+	// and no cells either.)
+	d, m := schema.rs.NumDims(), schema.rs.NumMeasures()
+	if sf.D != d || sf.N > 0 && sf.M != m {
+		return nil, fmt.Errorf("situfact: %w: header: %d dimensions and %d measures under a schema of %d and %d",
+			persist.ErrCorruptSnapshot, sf.D, sf.M, d, m)
+	}
 	eng, err := New(schema, Options{
 		Algorithm:         Algorithm(sf.Algorithm),
 		MaxBoundDims:      sf.MaxBound,
 		MaxMeasureDims:    sf.MaxMeas,
-		DisableProminence: sf.Counts == nil,
+		DisableProminence: !sf.Prominence,
 	})
 	if err != nil {
 		return nil, err
@@ -130,14 +192,14 @@ func LoadSnapshot(schema *Schema, r io.Reader) (*Engine, error) {
 		return nil, fmt.Errorf("situfact: snapshot algorithm %q has no in-memory store", sf.Algorithm)
 	}
 	// Rebuild the dictionary in code order, then the table.
-	d := eng.table.Dict()
-	for dim, vals := range sf.DictValues {
+	dict := eng.table.Dict()
+	for dim, vals := range sf.Dict {
 		for _, v := range vals {
-			d.Encode(dim, v)
+			dict.Encode(dim, v)
 		}
 	}
-	for _, st := range sf.Tuples {
-		if _, err := eng.table.AppendEncoded(st.Dims, st.Raw); err != nil {
+	for i := 0; i < sf.N; i++ {
+		if _, err := eng.table.AppendEncoded(sf.Dims[i*d:(i+1)*d], sf.Raw[i*m:(i+1)*m]); err != nil {
 			return nil, fmt.Errorf("situfact: snapshot tuple: %w", err)
 		}
 	}
@@ -150,30 +212,45 @@ func LoadSnapshot(schema *Schema, r io.Reader) (*Engine, error) {
 			rt.RegisterTuple(tu)
 		}
 	}
-	for _, id := range sf.Deleted {
-		if eng.deleted == nil {
-			eng.deleted = make(map[int64]bool)
+	if len(sf.Deleted) > 0 {
+		eng.deleted = make(map[int64]bool, len(sf.Deleted))
+		for _, id := range sf.Deleted {
+			eng.deleted[id] = true
 		}
-		eng.deleted[id] = true
 	}
-	if sf.Counts != nil {
-		eng.counter.Restore(sf.Counts)
+	// One block per constraint, in file order: the store interns the keys as
+	// they come, which is what makes the restored constraint ids — and with
+	// them Walk order and the next snapshot's bytes — those of the writer.
+	if sf.Prominence {
+		eng.counter.Reset(len(sf.Live) + len(sf.ExtraCounts))
 	}
-	for _, cell := range sf.Cells {
-		var c store.Cell
-		for _, id := range cell.IDs {
-			if id < 0 || id >= int64(eng.table.Len()) { // a tuple's id is its table position
-				return nil, fmt.Errorf("situfact: snapshot cell references unknown tuple %d", id)
-			}
-			c.Append(id)
+	lists := 0
+	for _, size := range sf.Sizes {
+		if size >= 2 {
+			lists++
 		}
-		mem.SaveKey(store.CellKey{C: lattice.Key(cell.CKey), M: subspace.Mask(cell.M)}, c)
 	}
-	// Replaying the cells above recomputed StoredTuples/Cells but counted
-	// the replay itself as I/O; overwrite all counters with the saved ones.
-	// Snapshots written before Counters existed decode it as all-zero —
-	// leave the replay-derived store stats in place for those rather than
-	// zeroing live gauges.
+	mem.Grow(len(sf.Live), lists)
+	kl := sf.KeyLen()
+	cell, member := 0, 0
+	for i, live := range sf.Live {
+		key := sf.Keys[i*kl : (i+1)*kl]
+		used, err := mem.RestoreConstraint(lattice.Key(key), sf.Masks[cell:cell+int(live)], sf.Sizes[cell:cell+int(live)], sf.IDs[member:])
+		if err != nil {
+			return nil, fmt.Errorf("situfact: %w: cells: constraint %d: %v", persist.ErrCorruptSnapshot, i, err)
+		}
+		cell, member = cell+int(live), member+used
+		if sf.Prominence {
+			eng.counter.Set(key, sf.Counts[i])
+		}
+	}
+	for i, n := range sf.ExtraCounts {
+		eng.counter.Set(sf.ExtraKeys[i*kl:(i+1)*kl], n)
+	}
+	// Restoring the cells recomputed StoredTuples/Cells but counted itself
+	// as I/O; overwrite all counters with the saved ones. Snapshots written
+	// before Counters existed decode it as all-zero — leave the store stats
+	// the restore derived in place for those rather than zeroing live gauges.
 	if sf.Counters != (persist.SnapCounters{}) {
 		if rm, ok := eng.disc.(interface{ RestoreMetrics(core.Metrics) }); ok {
 			rm.RestoreMetrics(core.Metrics{
@@ -213,6 +290,13 @@ type CheckpointStats struct {
 	// recovery or by a follower restored from the snapshot — so
 	// WAL.TruncateBefore(TruncatableLSN+1) is safe. Zero without a WAL.
 	TruncatableLSN uint64
+	// Bytes is the total size of the generation's shard files.
+	Bytes int64
+	// Elapsed is how long the checkpoint took, first shard to manifest.
+	Elapsed time.Duration
+	// LongestHold is the longest any one shard's lock was held: what the
+	// checkpoint can have added to the latency of an append beside it.
+	LongestHold time.Duration
 }
 
 // Checkpoint writes the pool's state into dir as a new snapshot
@@ -236,16 +320,19 @@ func (p *Pool) Checkpoint(dir string, sidecars func() (map[string][]byte, error)
 		gen = prev.Generation + 1
 	}
 	// New generation's shard files first; the manifest commit comes last.
+	began := time.Now()
+	stats := CheckpointStats{Generation: gen}
 	lsns := make([]uint64, len(p.shards))
-	var buf bytes.Buffer
+	var buf []byte // one encode buffer, reused shard after shard
 	for i := range p.shards {
 		s := &p.shards[i]
-		buf.Reset()
 		// Only the encode holds the shard lock; the file write (two fsyncs
 		// plus a rename) happens after, so a checkpoint stalls the shard's
-		// ingest for the serialization time, not the disk time.
-		s.mu.Lock()
-		// Journal and apply are atomic under this lock (applyShard), so
+		// ingest for the serialization time, not the disk time. The encode
+		// mutates nothing, so it shares the lock with readers.
+		s.mu.RLock()
+		locked := time.Now()
+		// Journal and apply are atomic under the write lock (applyShard), so
 		// every WAL record ≤ the log's current head either succeeded on
 		// this shard (inside the snapshot), failed deterministically
 		// (droppable) or belongs to another shard. The head is therefore
@@ -257,17 +344,19 @@ func (p *Pool) Checkpoint(dir string, sidecars func() (map[string][]byte, error)
 		if p.wal != nil {
 			lsns[i] = p.wal.w.LastLSN()
 		}
-		err := s.eng.SaveSnapshot(&buf)
-		s.mu.Unlock()
+		buf, err = s.eng.appendSnapshot(buf[:0])
+		s.mu.RUnlock()
+		stats.LongestHold = max(stats.LongestHold, time.Since(locked))
 		if err == nil {
 			err = persist.WriteFileAtomic(filepath.Join(dir, persist.ShardSnapshotName(i, gen)), func(w io.Writer) error {
-				_, werr := w.Write(buf.Bytes())
+				_, werr := w.Write(buf)
 				return werr
 			})
 		}
 		if err != nil {
 			return CheckpointStats{}, fmt.Errorf("situfact: pool snapshot: shard %d: %w", i, err)
 		}
+		stats.Bytes += int64(len(buf))
 	}
 	// The manifest durably pins the captured LSNs, so every one of them
 	// must be durable in the WAL first: a buffered-but-unsynced record
@@ -309,7 +398,9 @@ func (p *Pool) Checkpoint(dir string, sidecars func() (map[string][]byte, error)
 	if havePrev {
 		persist.RemoveGeneration(dir, prev.Shards, prev.Generation)
 	}
-	return CheckpointStats{Generation: gen, TruncatableLSN: slices.Min(lsns)}, nil
+	stats.TruncatableLSN = slices.Min(lsns)
+	stats.Elapsed = time.Since(began)
+	return stats, nil
 }
 
 // LoadPoolSnapshot reconstructs a pool from a directory written by
@@ -351,13 +442,12 @@ func RestorePool(schema *Schema, dir string) (*Pool, map[string][]byte, error) {
 	}
 	p := &Pool{schema: schema, shardDim: shardDim, shards: make([]poolShard, man.Shards)}
 	for i := range p.shards {
-		f, err := os.Open(filepath.Join(dir, persist.ShardSnapshotName(i, man.Generation)))
+		data, err := os.ReadFile(filepath.Join(dir, persist.ShardSnapshotName(i, man.Generation)))
 		if err != nil {
 			p.Close()
 			return nil, nil, fmt.Errorf("situfact: pool snapshot: %w", err)
 		}
-		eng, err := LoadSnapshot(schema, f)
-		f.Close()
+		eng, err := loadSnapshot(schema, data)
 		if err != nil {
 			p.Close()
 			return nil, nil, fmt.Errorf("situfact: pool snapshot: shard %d: %w", i, err)

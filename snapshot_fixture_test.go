@@ -2,6 +2,7 @@ package situfact
 
 import (
 	"bytes"
+	"encoding/gob"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -10,6 +11,7 @@ import (
 	"testing"
 
 	"repro/internal/persist"
+	"repro/internal/store"
 )
 
 // The testdata fixtures were written by the pre-refactor engine — cells
@@ -49,29 +51,148 @@ func fixtureSchema(t *testing.T) *Schema {
 	return s
 }
 
-// canonicalCells renders a decoded snapshot's cells in a stable order:
-// one line per cell, sorted, with member ids in stored order.
-func canonicalCells(sf *persist.EngineSnapshot) []string {
-	out := make([]string, 0, len(sf.Cells))
-	for _, c := range sf.Cells {
-		out = append(out, fmt.Sprintf("%x/%x=%v", c.CKey, c.M, c.IDs))
+// v1File mirrors the gob layout of a format v1 snapshot (gob matches
+// fields by name), so the fixtures' content is read here by something other
+// than the decoder under test.
+type v1File struct {
+	Magic, SchemaSig, Algorithm string
+	MaxBound, MaxMeas           int
+	DictValues                  [][]string
+	Tuples                      []struct {
+		Dims []int32
+		Raw  []float64
+	}
+	Deleted []int64
+	Counts  map[string]int64
+	Cells   []struct {
+		CKey string
+		M    uint32
+		IDs  []int64
+	}
+	Counters struct {
+		Tuples, Comparisons, Traversed, Facts int64
+		StoredTuples, Cells, Reads, Writes    int64
+	}
+}
+
+func readV1File(t *testing.T, raw []byte) *v1File {
+	t.Helper()
+	var f v1File
+	if err := gob.NewDecoder(bytes.NewReader(raw)).Decode(&f); err != nil {
+		t.Fatal(err)
+	}
+	return &f
+}
+
+// logicalContent renders what a v1 file holds, order-free: the oldest
+// fixtures list their cells and counts in map order.
+func (f *v1File) logicalContent() []string {
+	out := []string{fmt.Sprintf("header %s %s %d %d %+v", f.SchemaSig, f.Algorithm, f.MaxBound, f.MaxMeas, f.Counters)}
+	for i, vals := range f.DictValues {
+		out = append(out, fmt.Sprintf("dict %d %q", i, vals))
+	}
+	for i, tu := range f.Tuples {
+		out = append(out, fmt.Sprintf("tuple %d %v %v", i, tu.Dims, tu.Raw))
+	}
+	for _, id := range f.Deleted {
+		out = append(out, fmt.Sprintf("deleted %08d", id))
+	}
+	for k, n := range f.Counts {
+		out = append(out, fmt.Sprintf("count %x=%d", k, n))
+	}
+	for _, c := range f.Cells {
+		out = append(out, fmt.Sprintf("cell %x/%x=%v", c.CKey, c.M, c.IDs))
 	}
 	sort.Strings(out)
 	return out
 }
 
+// logicalContent renders an engine's state in the same lines, read off the
+// engine itself — the table, the tombstones, the counter, Memory.Walk.
+func (e *Engine) logicalContent() []string {
+	met := e.Metrics()
+	out := []string{fmt.Sprintf("header %s %s %d %d %+v", schemaSig(e.schema), e.algorithm, e.maxBound, e.maxMeasure, met)}
+	for i := 0; i < e.schema.NumDims(); i++ {
+		out = append(out, fmt.Sprintf("dict %d %q", i, e.table.Dict().Values(i)))
+	}
+	for i, tu := range e.table.Tuples() {
+		out = append(out, fmt.Sprintf("tuple %d %v %v", i, tu.Dims, tu.Raw))
+	}
+	for id := range e.deleted {
+		out = append(out, fmt.Sprintf("deleted %08d", id))
+	}
+	if e.counter != nil {
+		e.counter.Each(func(k string, n int64) { out = append(out, fmt.Sprintf("count %x=%d", k, n)) })
+	}
+	e.mem.Walk(func(k store.CellKey, c store.Cell) {
+		out = append(out, fmt.Sprintf("cell %x/%x=%v", string(k.C), uint32(k.M), c.IDList()))
+	})
+	sort.Strings(out)
+	return out
+}
+
+// walkOrder lists an engine's cells in Memory.Walk order, which is
+// constraint-id order: two engines with equal walkOrder number their
+// constraints alike and write byte-equal snapshots.
+func (e *Engine) walkOrder() []string {
+	var out []string
+	e.mem.Walk(func(k store.CellKey, c store.Cell) {
+		out = append(out, fmt.Sprintf("%x/%x=%v", string(k.C), uint32(k.M), c.IDList()))
+	})
+	return out
+}
+
+func diffLines(t *testing.T, what string, got, want []string) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Errorf("%s: %d lines, want %d", what, len(got), len(want))
+	}
+	for i := 0; i < min(len(got), len(want)); i++ {
+		if got[i] != want[i] {
+			t.Fatalf("%s: line %d:\n   got: %s\n  want: %s", what, i, got[i], want[i])
+		}
+	}
+}
+
+// checkGoldenNext feeds the fixtures' recorded follow-up arrival: its facts
+// and the cumulative metrics after it are the golden oracle.
+func checkGoldenNext(t *testing.T, eng *Engine, golden fixtureGolden) {
+	t.Helper()
+	arr, err := eng.Append(fixtureNextRow.dims, fixtureNextRow.measures)
+	if err != nil {
+		t.Fatal(err)
+	}
+	facts := make([]string, 0, len(arr.Facts))
+	for _, f := range arr.Facts {
+		facts = append(facts, f.String())
+	}
+	diffLines(t, "next arrival's facts", facts, golden.NextFacts)
+	if got := eng.Metrics(); got != golden.NextMetrics {
+		t.Errorf("metrics after next arrival = %+v, want %+v", got, golden.NextMetrics)
+	}
+}
+
+func readGolden(t *testing.T, name string) fixtureGolden {
+	t.Helper()
+	raw, err := os.ReadFile(filepath.Join("testdata", "prerefactor_"+name+".golden.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var golden fixtureGolden
+	if err := json.Unmarshal(raw, &golden); err != nil {
+		t.Fatal(err)
+	}
+	if golden.Algorithm == "" {
+		t.Fatal("fixture missing algorithm")
+	}
+	return golden
+}
+
 func TestPreRefactorSnapshotFixtures(t *testing.T) {
-	for _, name := range []string{"prerefactor_bottomup", "prerefactor_topdown"} {
-		t.Run(name, func(t *testing.T) {
-			raw, err := os.ReadFile(filepath.Join("testdata", name+".golden.json"))
-			if err != nil {
-				t.Fatal(err)
-			}
-			var golden fixtureGolden
-			if err := json.Unmarshal(raw, &golden); err != nil {
-				t.Fatal(err)
-			}
-			snap, err := os.ReadFile(filepath.Join("testdata", name+".snapshot"))
+	for _, name := range []string{"bottomup", "topdown"} {
+		t.Run("prerefactor_"+name, func(t *testing.T) {
+			golden := readGolden(t, name)
+			snap, err := os.ReadFile(filepath.Join("testdata", "prerefactor_"+name+".snapshot"))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -81,65 +202,127 @@ func TestPreRefactorSnapshotFixtures(t *testing.T) {
 				t.Fatalf("pre-refactor snapshot failed to restore: %v", err)
 			}
 			defer eng.Close()
-			if eng.Algorithm() == "" || string(golden.Algorithm) == "" {
-				t.Fatal("fixture missing algorithm")
+			if eng.Algorithm() == "" {
+				t.Fatal("restored engine names no algorithm")
 			}
 			if got := eng.Metrics(); got != golden.Metrics {
 				t.Errorf("restored metrics = %+v, want %+v", got, golden.Metrics)
 			}
 
-			// Re-encoding the restored engine must reproduce the fixture's
-			// logical content exactly: same dictionary, tuples, tombstones,
-			// counters, and cell membership (cell order is map-iteration
-			// dependent in both generations, so compare canonically).
+			// The restored engine must hold the fixture's logical content
+			// exactly — dictionary, tuples, tombstones, counters, context
+			// counts, cell membership — and so must an engine restored from
+			// its re-encoding (format v2), with its constraints numbered alike.
+			diffLines(t, "engine restored from the v1 file", eng.logicalContent(), readV1File(t, snap).logicalContent())
 			var buf bytes.Buffer
 			if err := eng.SaveSnapshot(&buf); err != nil {
 				t.Fatal(err)
 			}
-			want, err := persist.DecodeEngine(bytes.NewReader(snap))
+			again, err := LoadSnapshot(fixtureSchema(t), bytes.NewReader(buf.Bytes()))
 			if err != nil {
-				t.Fatal(err)
+				t.Fatalf("re-encoded snapshot failed to restore: %v", err)
 			}
-			got, err := persist.DecodeEngine(&buf)
-			if err != nil {
-				t.Fatal(err)
-			}
-			wantCells, gotCells := canonicalCells(want), canonicalCells(got)
-			if len(wantCells) != len(gotCells) {
-				t.Fatalf("re-encoded snapshot has %d cells, fixture %d", len(gotCells), len(wantCells))
-			}
-			for i := range wantCells {
-				if wantCells[i] != gotCells[i] {
-					t.Fatalf("cell %d differs:\n  fixture: %s\n  re-encoded: %s", i, wantCells[i], gotCells[i])
-				}
-			}
-			got.Cells, want.Cells = nil, nil
-			if fmt.Sprintf("%+v", got) != fmt.Sprintf("%+v", want) {
-				t.Errorf("re-encoded snapshot header differs:\n  fixture: %+v\n  re-encoded: %+v", want, got)
-			}
+			defer again.Close()
+			diffLines(t, "engine restored from the re-encoding", again.logicalContent(), eng.logicalContent())
+			diffLines(t, "re-encoded engine's Walk", again.walkOrder(), eng.walkOrder())
 
 			// The restored engine must keep discovering exactly as the
-			// pre-refactor engine did: the recorded follow-up arrival's
-			// facts and cumulative metrics are the golden oracle.
-			arr, err := eng.Append(fixtureNextRow.dims, fixtureNextRow.measures)
+			// pre-refactor engine did.
+			checkGoldenNext(t, eng, golden)
+		})
+	}
+}
+
+// TestV2SnapshotFixtures pins format v2 on disk: the checked-in files hold
+// the state of the pre-refactor pair (same rows, same golden expectations),
+// today's writer must reproduce them byte for byte — from the v1 files, and
+// from themselves — and today's reader must restore them.
+func TestV2SnapshotFixtures(t *testing.T) {
+	for _, name := range []string{"bottomup", "topdown"} {
+		t.Run("v2_"+name, func(t *testing.T) {
+			golden := readGolden(t, name)
+			want, err := os.ReadFile(filepath.Join("testdata", "v2_"+name+".snapshot"))
 			if err != nil {
 				t.Fatal(err)
 			}
-			facts := make([]string, 0, len(arr.Facts))
-			for _, f := range arr.Facts {
-				facts = append(facts, f.String())
-			}
-			if len(facts) != len(golden.NextFacts) {
-				t.Fatalf("next arrival emitted %d facts, fixture recorded %d", len(facts), len(golden.NextFacts))
-			}
-			for i := range facts {
-				if facts[i] != golden.NextFacts[i] {
-					t.Errorf("fact %d = %q, want %q", i, facts[i], golden.NextFacts[i])
+			for _, from := range []string{"prerefactor_", "v2_"} {
+				snap, err := os.ReadFile(filepath.Join("testdata", from+name+".snapshot"))
+				if err != nil {
+					t.Fatal(err)
 				}
-			}
-			if got := eng.Metrics(); got != golden.NextMetrics {
-				t.Errorf("metrics after next arrival = %+v, want %+v", got, golden.NextMetrics)
+				eng, err := LoadSnapshot(fixtureSchema(t), bytes.NewReader(snap))
+				if err != nil {
+					t.Fatalf("%s%s.snapshot failed to restore: %v", from, name, err)
+				}
+				defer eng.Close()
+				if got := eng.Metrics(); got != golden.Metrics {
+					t.Errorf("%s: restored metrics = %+v, want %+v", from, got, golden.Metrics)
+				}
+				var buf bytes.Buffer
+				if err := eng.SaveSnapshot(&buf); err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(buf.Bytes(), want) {
+					t.Errorf("snapshot of the engine restored from %s%s.snapshot is not v2_%s.snapshot (%d bytes, fixture %d): the format drifted",
+						from, name, name, buf.Len(), len(want))
+				}
+				checkGoldenNext(t, eng, golden)
 			}
 		})
 	}
+}
+
+// TestV1StateDirRestoresAndUpgrades: a state directory whose shard files are
+// format v1 — what every build before v2 left behind — restores, and the
+// next checkpoint over it writes v2, after which the directory restores to
+// the same pool.
+func TestV1StateDirRestoresAndUpgrades(t *testing.T) {
+	golden := readGolden(t, "bottomup")
+	snap, err := os.ReadFile(filepath.Join("testdata", "prerefactor_bottomup.snapshot"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	schema := fixtureSchema(t)
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, persist.ShardSnapshotName(0, 7)), snap, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := persist.WriteManifest(dir, persist.Manifest{
+		SchemaSig: schemaSig(schema.rs), ShardDim: "team", Shards: 1, Generation: 7,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	old, err := LoadPoolSnapshot(schema, dir)
+	if err != nil {
+		t.Fatalf("v1 state directory failed to restore: %v", err)
+	}
+	defer old.Close()
+	if got := old.Metrics(); got != golden.Metrics {
+		t.Errorf("restored metrics = %+v, want %+v", got, golden.Metrics)
+	}
+	st, err := old.Checkpoint(dir, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	next, err := os.ReadFile(filepath.Join(dir, persist.ShardSnapshotName(0, st.Generation)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile(filepath.Join("testdata", "v2_bottomup.snapshot"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Generation != 8 || !bytes.Equal(next, want) {
+		t.Errorf("checkpoint over the v1 directory wrote generation %d, %d bytes; want generation 8 holding v2_bottomup.snapshot", st.Generation, len(next))
+	}
+	if _, err := os.Stat(filepath.Join(dir, persist.ShardSnapshotName(0, 7))); !os.IsNotExist(err) {
+		t.Errorf("the v1 generation's file is still there (%v)", err)
+	}
+	upgraded, err := LoadPoolSnapshot(schema, dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer upgraded.Close()
+	diffLines(t, "pool restored from the upgraded directory", upgraded.shards[0].eng.logicalContent(), old.shards[0].eng.logicalContent())
+	checkGoldenNext(t, upgraded.shards[0].eng, golden)
 }
