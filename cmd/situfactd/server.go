@@ -640,6 +640,7 @@ func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 			LastLSN:    wst.LastLSN,
 			SyncedLSN:  wst.SyncedLSN,
 			LagRecords: wst.LastLSN - wst.SyncedLSN,
+			Syncs:      wst.Syncs,
 			Segments:   wst.Segments,
 			Repairs:    s.walRepairs.Load(),
 		}
@@ -747,19 +748,7 @@ func (s *server) handleAppend(w http.ResponseWriter, r *http.Request) {
 	}
 	arr, err := s.db().AppendContext(r.Context(), req.Dims, req.Measures)
 	if err != nil {
-		if writeIngestCtxErr(w, r, err) {
-			return
-		}
-		// A journal failure is the daemon's fault, not the request's: the
-		// daemon is degraded but repairing itself in the background, so
-		// report 503 + Retry-After — retry soon, do not drop the row as
-		// malformed (and do not treat the daemon as crashed).
-		if errors.Is(err, situfact.ErrWALFailed) {
-			w.Header().Set("Retry-After", "1")
-			writeErr(w, http.StatusServiceUnavailable, err.Error())
-			return
-		}
-		writeErr(w, http.StatusBadRequest, err.Error())
+		writeIngestErr(w, r, err, nil)
 		return
 	}
 	resp := toArrival(arr, req.Top, true)
@@ -796,15 +785,7 @@ func (s *server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	if batchErr != nil && arrs == nil {
 		// Nothing was processed: usually a pre-validation failure (400),
 		// but a poisoned WAL also fails whole batches before any arrival.
-		if writeIngestCtxErr(w, r, batchErr) {
-			return
-		}
-		if errors.Is(batchErr, situfact.ErrWALFailed) {
-			w.Header().Set("Retry-After", "1")
-			writeErr(w, http.StatusServiceUnavailable, batchErr.Error())
-			return
-		}
-		writeErr(w, http.StatusBadRequest, batchErr.Error())
+		writeIngestErr(w, r, batchErr, nil)
 		return
 	}
 	resp := batchResponse{Arrivals: make([]*arrivalResponse, len(arrs))}
@@ -816,19 +797,9 @@ func (s *server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		resp.Arrivals[i] = &a
 	}
 	if batchErr != nil {
-		// Mid-batch engine failure: the arrivals present above DID commit;
-		// report them with the error so the client can reconcile. A journal
-		// failure is the degraded-mode case — 503 + Retry-After, the batch
-		// (minus the committed arrivals) is retryable; so is a request
-		// deadline that ran out mid batch (the rows that made it in are
-		// reported, the rest were never accepted).
-		status := http.StatusInternalServerError
-		if errors.Is(batchErr, situfact.ErrWALFailed) || errors.Is(batchErr, context.DeadlineExceeded) {
-			w.Header().Set("Retry-After", "1")
-			status = http.StatusServiceUnavailable
-		}
-		resp.Error = strings.TrimPrefix(batchErr.Error(), "situfact: ")
-		writeJSON(w, status, resp)
+		// Mid-batch failure: the arrivals present above DID commit; report
+		// them with the error so the client can reconcile.
+		writeIngestErr(w, r, batchErr, &resp)
 		return
 	}
 	writeJSON(w, http.StatusOK, resp)
@@ -853,38 +824,67 @@ func (s *server) handleDelete(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if err := pool.DeleteContext(r.Context(), shard, tupleID); err != nil {
-		if writeIngestCtxErr(w, r, err) {
-			return
-		}
-		status := deleteStatus(err)
-		if status == http.StatusServiceUnavailable {
-			w.Header().Set("Retry-After", "1")
-		}
-		writeErr(w, status, err.Error())
+		writeIngestErr(w, r, err, nil)
 		return
 	}
 	w.WriteHeader(http.StatusNoContent)
 }
 
-// writeIngestCtxErr consumes the two context outcomes of the ingest
-// path's enqueue boundary, reporting whether it handled the error. A
-// canceled context means the client hung up while its request was
-// parked on a full queue — the op was never accepted, and nobody is
-// reading the response, so nothing is written. A deadline means the
-// -request-timeout budget ran out waiting for queue space: the daemon
-// is overloaded, so answer like every other overload rejection.
-func writeIngestCtxErr(w http.ResponseWriter, r *http.Request, err error) bool {
+// ingestFailure is the one mapping from an ingest error — append, batch or
+// delete; refused whole, or (partial) a batch some of whose rows committed —
+// to its answer: the HTTP status, whether it carries Retry-After, and the
+// access log's verdict. Status 0 answers nothing.
+func ingestFailure(err error, partial bool) (status int, retryAfter bool, verdict string) {
 	switch {
 	case errors.Is(err, context.Canceled):
-		middleware.SetVerdict(r, "canceled")
-		return true
+		// The client hung up while rows were parked on a full queue: those
+		// were never accepted, and nobody is reading a response.
+		return 0, false, "canceled"
 	case errors.Is(err, context.DeadlineExceeded):
-		middleware.SetVerdict(r, "deadline")
-		w.Header().Set("Retry-After", "1")
-		writeErr(w, http.StatusServiceUnavailable, "overloaded: request deadline exceeded waiting for ingest queue space")
-		return true
+		// The -request-timeout budget ran out waiting for queue space: the
+		// daemon is overloaded, so answer like every other overload rejection.
+		return http.StatusServiceUnavailable, true, "deadline"
+	case errors.Is(err, situfact.ErrWALFailed):
+		// A journal failure is the daemon's fault, not the request's: it is
+		// degraded but repairing itself in the background, so retry soon —
+		// the row is not malformed and the daemon has not crashed.
+		return http.StatusServiceUnavailable, true, ""
+	case partial:
+		return http.StatusInternalServerError, false, "" // an engine failed mid batch
+	case errors.Is(err, situfact.ErrNotFound):
+		return http.StatusNotFound, false, ""
+	case errors.Is(err, situfact.ErrAlreadyDeleted):
+		return http.StatusConflict, false, ""
+	default:
+		// The request's own defect: validation, ErrRowTooLarge, a delete the
+		// algorithm does not support (ErrDeleteUnsupported).
+		return http.StatusBadRequest, false, ""
 	}
-	return false
+}
+
+// writeIngestErr answers a failed ingest request as ingestFailure maps err.
+// partial, when non-nil, is the batch result so far: it goes out as the body
+// with the error beside the arrivals that committed.
+func writeIngestErr(w http.ResponseWriter, r *http.Request, err error, partial *batchResponse) {
+	status, retryAfter, verdict := ingestFailure(err, partial != nil)
+	if verdict != "" {
+		middleware.SetVerdict(r, verdict)
+	}
+	if status == 0 {
+		return
+	}
+	if retryAfter {
+		w.Header().Set("Retry-After", "1")
+	}
+	switch {
+	case partial != nil:
+		partial.Error = strings.TrimPrefix(err.Error(), "situfact: ")
+		writeJSON(w, status, partial)
+	case verdict == "deadline":
+		writeErr(w, status, "overloaded: request deadline exceeded waiting for ingest queue space")
+	default:
+		writeErr(w, status, err.Error())
+	}
 }
 
 // toArrival converts an arrival, capping the returned facts at top (0 =
@@ -925,22 +925,6 @@ func parseTupleID(id string) (shard int, tupleID int64, err error) {
 		return 0, 0, fmt.Errorf("bad tuple id %q: want <shard>:<tuple_id>", id)
 	}
 	return shard, tupleID, nil
-}
-
-// deleteStatus maps Pool.Delete errors onto HTTP statuses.
-func deleteStatus(err error) int {
-	switch {
-	case errors.Is(err, situfact.ErrNotFound):
-		return http.StatusNotFound
-	case errors.Is(err, situfact.ErrAlreadyDeleted):
-		return http.StatusConflict
-	case errors.Is(err, situfact.ErrWALFailed):
-		return http.StatusServiceUnavailable // degraded mode: retryable, see handleDelete
-	case errors.Is(err, situfact.ErrDeleteUnsupported):
-		return http.StatusBadRequest // the algorithm does not support deletion
-	default:
-		return http.StatusBadRequest
-	}
 }
 
 // Buffer pooling: every request used to pay a fresh decoder buffer on

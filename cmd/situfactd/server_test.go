@@ -494,6 +494,9 @@ func TestServerWALCrashRecovery(t *testing.T) {
 	if beforeMetrics.WAL.LagRecords != 0 {
 		t.Errorf("lag_records = %d after synchronous acks, want 0", beforeMetrics.WAL.LagRecords)
 	}
+	if n := beforeMetrics.WAL.Syncs; n < 1 || n > uint64(len(rows)) {
+		t.Errorf("syncs = %d after %d synchronously acked rows, want 1..%d", n, len(rows), len(rows))
+	}
 	if !beforeMetrics.Snapshot.Enabled || beforeMetrics.Snapshot.SecondsSinceLast != -1 {
 		t.Errorf("snapshot metrics before any checkpoint = %+v, want enabled with seconds_since_last -1", beforeMetrics.Snapshot)
 	}

@@ -121,6 +121,9 @@ type walWire struct {
 	LastLSN    uint64 `json:"last_lsn"`
 	SyncedLSN  uint64 `json:"synced_lsn"`
 	LagRecords uint64 `json:"lag_records"`
+	// Syncs counts the fsyncs that advanced SyncedLSN since the log was
+	// opened: Δsynced_lsn / Δsyncs is the records per group commit.
+	Syncs uint64 `json:"syncs"`
 	// Segments is the live log segment count; checkpoints truncate it.
 	Segments int `json:"segments"`
 	// Degraded reports a sticky log failure: writes are refused with 503

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/lattice"
+	"repro/internal/store"
 )
 
 func TestContextCounter(t *testing.T) {
@@ -43,23 +44,32 @@ func TestContextCounter(t *testing.T) {
 		t.Errorf("after unobserve |σ_⊤| = %d, want 4", got)
 	}
 
-	// Each → Reset/Set round trip (engine persistence). The restored counts
-	// must be the live kind: further arrivals and deletions move them.
-	cc2 := NewContextCounter(3, -1)
-	cc2.Observe(tb.Tuples()[0]) // dropped by Reset
-	cc2.Reset(cc.Len())
-	cc.Each(cc2.Set)
+	// Each → Set round trip (engine persistence) onto a second counter over
+	// the same key table: the ids come in order, and the restored counts
+	// must be the live kind, which further arrivals and deletions move.
+	cc2 := NewContextCounterOver(cc.in, 3, -1)
+	last := -1
+	cc.Each(func(id store.ConstraintID, n int64) {
+		if int(id) <= last || n <= 0 {
+			t.Errorf("Each visited constraint %d (count %d) after %d", id, n, last)
+		}
+		last = int(id)
+		cc2.Set(id, n)
+	})
 	if cc2.Len() != cc.Len() {
 		t.Errorf("restored counter has %d counts, want %d", cc2.Len(), cc.Len())
 	}
-	cc.Each(func(key string, n int64) {
-		if got := cc2.SizeOfKey(key); got != n {
-			t.Errorf("restored count of %x = %d, want %d", key, got, n)
+	for id := 0; id < cc.in.Len(); id++ {
+		if got, want := cc2.SizeOf(store.ConstraintID(id)), cc.SizeOf(store.ConstraintID(id)); got != want {
+			t.Errorf("restored count of constraint %d = %d, want %d", id, got, want)
 		}
-	})
+	}
 	cc2.Observe(tb.Tuples()[4])
 	if got := cc2.ContextSize(full); got != 2 {
 		t.Errorf("restored counter after observe |σ_abc| = %d, want 2", got)
+	}
+	if got := cc.ContextSize(full); got != 1 {
+		t.Errorf("a second counter over the table moved the first: |σ_abc| = %d, want 1", got)
 	}
 }
 
@@ -81,13 +91,17 @@ func TestContextCounterRespectsCap(t *testing.T) {
 	}
 }
 
-// TestContextCounterProbesAllocateNothing: once a tuple's constraints have
-// counts, observing, unobserving and sizing them builds every key in stack
-// scratch; and a count back at zero is dropped, so the counter tracks the
-// live constraints rather than every constraint ever seen.
+// TestContextCounterProbesAllocateNothing: once the key table knows a
+// tuple's constraints, observing, unobserving and sizing them builds every
+// key in stack scratch; retracting what was never counted assigns no id; and
+// Len follows the constraints that have a count, not every one ever seen.
 func TestContextCounterProbesAllocateNothing(t *testing.T) {
 	tb := table4(t)
 	cc := NewContextCounter(3, -1)
+	cc.Unobserve(tb.Tuples()[0])
+	if cc.in.Len() != 0 || cc.Len() != 0 {
+		t.Errorf("unobserving an unseen tuple interned %d constraints and left %d counts", cc.in.Len(), cc.Len())
+	}
 	for _, tu := range tb.Tuples() {
 		cc.Observe(tu)
 	}
@@ -103,9 +117,9 @@ func TestContextCounterProbesAllocateNothing(t *testing.T) {
 	for _, tu := range tb.Tuples() {
 		cc.Unobserve(tu)
 	}
-	if n := len(cc.counts); n != 0 {
-		t.Errorf("%d constraints kept after every tuple was unobserved", n)
-	}
+	cc.Each(func(id store.ConstraintID, n int64) {
+		t.Errorf("constraint %d kept count %d after every tuple was unobserved", id, n)
+	})
 	if cc.Len() != 0 {
 		t.Errorf("Len of an emptied counter = %d", cc.Len())
 	}

@@ -32,4 +32,12 @@
 // BottomUp family additionally supports exact deletion (Delete), and the
 // lattice families expose contextual skyline sizes (SkylineSizer) for
 // prominence scoring.
+//
+// ContextCounter is the other half of a prominence score, |σ_C(R)|: a column
+// of counts over a store.Interner's constraint ids. An engine builds it over
+// its discoverer's own table (NewContextCounterOver), so one id per
+// constraint finds its µ block and its count, and whoever holds the id reads
+// the count by SizeOf(id) — Each and Set speak ids too; ContextSize(c) is the
+// one probe by key, for callers that hold a constraint. NewContextCounter
+// gives a standalone counter a table of its own.
 package core

@@ -43,9 +43,6 @@ func NewSkyband(cfg Config, k int) (*Skyband, error) {
 // Name implements Discoverer.
 func (a *Skyband) Name() string { return fmt.Sprintf("Skyband(k=%d)", a.k) }
 
-// K returns the skyband depth.
-func (a *Skyband) K() int { return a.k }
-
 // Process implements Discoverer: it emits every (C, M) for which fewer
 // than k historical context tuples dominate t.
 func (a *Skyband) Process(t *relation.Tuple) []Fact {

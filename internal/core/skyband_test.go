@@ -18,8 +18,8 @@ func TestSkybandValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sb.Name() != "Skyband(k=3)" || sb.K() != 3 {
-		t.Errorf("Name/K = %s/%d", sb.Name(), sb.K())
+	if sb.Name() != "Skyband(k=3)" {
+		t.Errorf("Name = %s", sb.Name())
 	}
 }
 
@@ -72,7 +72,7 @@ func TestSkybandMonotoneInK(t *testing.T) {
 				}
 			}
 			prev = cur
-			if sb.K() == 1000 && len(facts) != allPairs {
+			if sb.k == 1000 && len(facts) != allPairs {
 				t.Fatalf("tuple %d: k=1000 yields %d facts, want all %d", tu.ID, len(facts), allPairs)
 			}
 		}

@@ -106,95 +106,96 @@ var (
 )
 
 // ContextCounter tracks |σ_C(R)| for every constraint with bound(C) ≤ d̂
-// over the observed stream: each arrival increments the counters of all
+// over the observed stream: each arrival increments the counts of all
 // constraints it satisfies. It is the numerator of the prominence measure
 // and is shared by any algorithm via composition.
 //
-// Every probe builds its key in stack scratch (the interner's
-// m[string(buf)] idiom) and counts are updated through a pointer, so
-// observing, unobserving and sizing a constraint that has a count allocate
-// nothing. A count that falls back to zero is dropped, so the map tracks
-// the live constraints, not every constraint ever seen.
+// A count is a column over a constraint intern table: n[id] is the count of
+// the constraint the table numbers id, so the counter keeps no key of its own
+// and no object per constraint. An engine hands in its µ store's table — a
+// constraint then has one id, which finds its block and its count alike —
+// and whoever already holds the id (the fact index, a snapshot) reads the
+// count with no key built and nothing hashed. Observing, unobserving and
+// sizing constraints the table knows allocate nothing.
 type ContextCounter struct {
-	masks  []lattice.Mask
-	counts map[string]*int64 // by constraint key; never zero
+	masks []lattice.Mask
+	in    *store.Interner
+	n     []int64 // by constraint id; 0 = no count
+	live  int     // constraints with a count
 }
 
 // NewContextCounter creates a counter for d dimension attributes with the
-// d̂ cap (maxBound < 0: none).
+// d̂ cap (maxBound < 0: none) over a key table of its own.
 func NewContextCounter(d, maxBound int) *ContextCounter {
-	return &ContextCounter{
-		masks:  lattice.CtMasks(d, maxBound),
-		counts: make(map[string]*int64),
-	}
+	return NewContextCounterOver(store.NewInterner(), d, maxBound)
 }
 
-// Observe folds an arrival into the counters.
+// NewContextCounterOver is NewContextCounter over the caller's key table,
+// which the counter shares: Observe interns the constraints of C^t it does
+// not find there.
+func NewContextCounterOver(in *store.Interner, d, maxBound int) *ContextCounter {
+	return &ContextCounter{masks: lattice.CtMasks(d, maxBound), in: in}
+}
+
+// Observe folds an arrival into the counts.
 func (cc *ContextCounter) Observe(t *relation.Tuple) {
-	var scratch [lattice.KeyScratch]byte
 	for _, m := range cc.masks {
-		buf := lattice.AppendKeyFromTuple(scratch[:0], t, m)
-		n, ok := cc.counts[string(buf)]
-		if !ok { // first sight of a constraint: its key and its count
-			n = new(int64)
-			cc.counts[string(buf)] = n
-		}
-		*n++
+		id := cc.in.InternTuple(t, m)
+		cc.Set(id, cc.SizeOf(id)+1)
 	}
 }
 
-// Unobserve reverses Observe for a deleted tuple, keeping |σ_C(R)|
-// counters exact under deletion.
+// Unobserve reverses Observe for a deleted tuple, keeping |σ_C(R)| exact
+// under deletion. It probes the table without assigning: a constraint that
+// was never counted stays unknown.
 func (cc *ContextCounter) Unobserve(t *relation.Tuple) {
-	var scratch [lattice.KeyScratch]byte
 	for _, m := range cc.masks {
-		buf := lattice.AppendKeyFromTuple(scratch[:0], t, m)
-		n, ok := cc.counts[string(buf)]
-		if !ok {
-			continue
-		}
-		if *n--; *n <= 0 {
-			delete(cc.counts, string(buf))
+		if id, ok := cc.in.LookupTuple(t, m); ok && cc.SizeOf(id) > 0 {
+			cc.Set(id, cc.n[id]-1)
 		}
 	}
 }
 
 // ContextSize returns |σ_C(R)| for the constraint (0 if never observed).
 func (cc *ContextCounter) ContextSize(c lattice.Constraint) int64 {
-	var scratch [lattice.KeyScratch]byte
-	if n, ok := cc.counts[string(c.AppendKey(scratch[:0]))]; ok {
-		return *n
+	if id, ok := cc.in.LookupConstraint(c); ok {
+		return cc.SizeOf(id)
 	}
 	return 0
 }
 
-// SizeOfKey is ContextSize by key bytes (Constraint.AppendKey's encoding,
-// which the store's interner shares): nothing is parsed or built.
-func (cc *ContextCounter) SizeOfKey(key string) int64 {
-	if n, ok := cc.counts[key]; ok {
-		return *n
+// SizeOf is ContextSize by the table's id of the constraint: an array read.
+func (cc *ContextCounter) SizeOf(id store.ConstraintID) int64 {
+	if int(id) < len(cc.n) {
+		return cc.n[id]
 	}
 	return 0
 }
 
 // Len returns the number of constraints that have a count.
-func (cc *ContextCounter) Len() int { return len(cc.counts) }
+func (cc *ContextCounter) Len() int { return cc.live }
 
-// Each calls fn with every constraint key that has a count, in no
-// particular order. Used by engine persistence.
-func (cc *ContextCounter) Each(fn func(key string, n int64)) {
-	for k, n := range cc.counts {
-		fn(k, *n)
+// Each calls fn with every constraint that has a count, in id order. Used by
+// engine persistence.
+func (cc *ContextCounter) Each(fn func(id store.ConstraintID, n int64)) {
+	for id, n := range cc.n {
+		if n > 0 {
+			fn(store.ConstraintID(id), n)
+		}
 	}
 }
 
-// Reset drops every count and makes room for n; snapshot restore then Sets
-// each (key, count) pair it read.
-func (cc *ContextCounter) Reset(n int) {
-	cc.counts = make(map[string]*int64, n)
-}
-
-// Set makes n, which must be positive, the count of the constraint key.
-func (cc *ContextCounter) Set(key string, n int64) {
-	cc.counts[key] = &n
+// Set makes n, which must not be negative, the count of constraint id; zero
+// leaves it without one.
+func (cc *ContextCounter) Set(id store.ConstraintID, n int64) {
+	if int(id) >= len(cc.n) {
+		cc.n = append(cc.n, make([]int64, int(id)+1-len(cc.n))...)
+	}
+	switch was := cc.n[id]; {
+	case was == 0 && n != 0:
+		cc.live++
+	case was != 0 && n == 0:
+		cc.live--
+	}
+	cc.n[id] = n
 }

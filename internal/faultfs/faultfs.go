@@ -6,7 +6,7 @@
 // fault tests it is a *Faulty, which injects programmable failures —
 // fail the Nth fsync (one-shot or sticky), report ENOSPC after K bytes,
 // tear a write in half — into an otherwise real filesystem. Because the
-// plan is a string (see ParsePlan), the real situfactd binary can arm it
+// plan is a string (see Program), the real situfactd binary can arm it
 // from the SITUFACTD_FAULT_PLAN environment hook, so crash-style tests
 // exercise child processes, not just in-process pools.
 //
@@ -99,8 +99,7 @@ func (p plan) active() bool {
 	return p.syncNth > 0 || p.syncFrom > 0 || p.enospcAfter >= 0 || p.shortAt > 0
 }
 
-// ParsePlan validates a fault-plan string without installing it anywhere.
-// Grammar: semicolon-separated clauses, each of
+// parsePlan reads a fault-plan string: semicolon-separated clauses, each of
 //
 //	fsync:nth=N          fail exactly the Nth fsync after programming (one-shot)
 //	fsync:from=N         fail every fsync from the Nth on (sticky)
@@ -113,11 +112,6 @@ func (p plan) active() bool {
 //
 // For example "fsync:from=2;clear-after=1s" makes every fsync after the
 // first fail, healing itself one second after the first failure.
-func ParsePlan(s string) error {
-	_, err := parsePlan(s)
-	return err
-}
-
 func parsePlan(s string) (plan, error) {
 	p := emptyPlan()
 	p.source = s
@@ -205,8 +199,8 @@ func NewWithPlan(base FS, planStr string) (*Faulty, error) {
 	return f, nil
 }
 
-// Program parses and installs a plan, resetting the plan-relative
-// counters. An empty string is equivalent to Clear.
+// Program parses and installs a plan (parsePlan has the grammar), resetting
+// the plan-relative counters. An empty string is equivalent to Clear.
 func (s *Faulty) Program(planStr string) error {
 	p, err := parsePlan(planStr)
 	if err != nil {

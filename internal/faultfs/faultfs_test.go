@@ -30,8 +30,8 @@ func TestFaultPlanParse(t *testing.T) {
 		" fsync:nth=1 ; write:enospc-after=4096 ",
 	}
 	for _, s := range good {
-		if err := ParsePlan(s); err != nil {
-			t.Errorf("ParsePlan(%q) = %v, want nil", s, err)
+		if _, err := parsePlan(s); err != nil {
+			t.Errorf("parsePlan(%q) = %v, want nil", s, err)
 		}
 	}
 	bad := []string{
@@ -44,8 +44,8 @@ func TestFaultPlanParse(t *testing.T) {
 		"disk:on-fire=true",
 	}
 	for _, s := range bad {
-		if err := ParsePlan(s); err == nil {
-			t.Errorf("ParsePlan(%q) = nil, want error", s)
+		if _, err := parsePlan(s); err == nil {
+			t.Errorf("parsePlan(%q) = nil, want error", s)
 		}
 	}
 }

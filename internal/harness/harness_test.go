@@ -2,6 +2,7 @@ package harness
 
 import (
 	"bytes"
+	"os"
 	"strings"
 	"testing"
 
@@ -135,20 +136,31 @@ func TestFig12and13(t *testing.T) {
 	if testing.Short() {
 		t.Skip("file-based experiments do real per-cell I/O")
 	}
-	// Per-cell file I/O makes even one tuple expensive — FSBottomUp costs
-	// seconds per tuple here, matching the 0.5–2.5 s/tuple the paper
-	// itself reports for the FS variants — so the smoke streams are tiny.
+	// Per-cell file I/O makes even one tuple expensive: under the paper's
+	// caps (d̂ = 4, every subspace) FSBottomUp writes 31 × 127 cell files for
+	// a tuple at d=5, m=7 and 16 256 at d=7 — seconds per tuple, matching the
+	// 0.5–2.5 s/tuple the paper itself reports for the FS variants. What is
+	// asserted is the shape of each result, which two tuples (one per
+	// checkpoint window) over a small lattice (d̂ = m̂ = 2: 16 × 28 files)
+	// give; SITUFACT_LONG_TESTS=1 runs the experiments' own caps on streams
+	// long enough to read timings off.
 	p := tiny()
 	p.Checkpoints = 2
-	p.N = 6
+	p.MaxBound, p.MaxMeasure = 2, 2
+	n, sweepN := 2, 2
+	if os.Getenv("SITUFACT_LONG_TESTS") != "" {
+		p.MaxBound, p.MaxMeasure = 0, 0 // the experiments' defaults
+		n, sweepN = 6, 3
+	}
+	p.N = n
 	res, err := Fig12a(p)
 	checkResult(t, res, err, 2)
-	p.N = 3
+	p.N = sweepN
 	res, err = Fig12b(p)
 	checkResult(t, res, err, 2)
 	res, err = Fig12c(p)
 	checkResult(t, res, err, 2)
-	p.N = 6
+	p.N = n
 	res, err = Fig13(p)
 	checkResult(t, res, err, 2)
 }

@@ -64,9 +64,6 @@ func (c Constraint) BoundMask() Mask {
 	return m
 }
 
-// IsTop reports whether c is ⊤ (no bound attributes).
-func (c Constraint) IsTop() bool { return c.Bound() == 0 }
-
 // Satisfies reports whether tuple t satisfies c (Def. 4): every bound
 // attribute of c equals t's value.
 func (c Constraint) Satisfies(t *relation.Tuple) bool {
@@ -76,25 +73,6 @@ func (c Constraint) Satisfies(t *relation.Tuple) bool {
 		}
 	}
 	return true
-}
-
-// SubsumedByOrEqual reports c ⊴ other (Def. 5): other's bound attributes
-// are a subset of c's with equal values.
-func (c Constraint) SubsumedByOrEqual(other Constraint) bool {
-	if len(c.Vals) != len(other.Vals) {
-		return false
-	}
-	for i, ov := range other.Vals {
-		if ov != Wildcard && ov != c.Vals[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// SubsumedBy reports c ◁ other: c ⊴ other and c ≠ other.
-func (c Constraint) SubsumedBy(other Constraint) bool {
-	return c.SubsumedByOrEqual(other) && !c.Equal(other)
 }
 
 // Equal reports structural equality.
@@ -198,31 +176,6 @@ func FullMask(d int) Mask { return (1 << uint(d)) - 1 }
 // PopCount returns the number of bound attributes of mask, bound(C).
 func PopCount(m Mask) int { return bits.OnesCount32(m) }
 
-// SharedMask returns the bitmask of dimension attributes on which t and u
-// take equal values. The intersection lattice C^{t,u} is exactly the set of
-// submasks of SharedMask(t, u), whose bottom ⊥(C^{t,u}) is the shared mask
-// itself (Def. 8).
-func SharedMask(t, u *relation.Tuple) Mask {
-	var m Mask
-	for i := range t.Dims {
-		if t.Dims[i] == u.Dims[i] {
-			m |= 1 << uint(i)
-		}
-	}
-	return m
-}
-
-// Parents appends to dst the parents of mask within C^t over d dimensions:
-// each parent unbinds exactly one bound attribute. |parents| = popcount.
-func Parents(mask Mask, dst []Mask) []Mask {
-	for m := mask; m != 0; {
-		bit := m & -m
-		dst = append(dst, mask&^bit)
-		m &^= bit
-	}
-	return dst
-}
-
 // Children appends to dst the children of mask within C^t over d
 // dimensions: each child binds exactly one more attribute.
 // |children| = d - popcount.
@@ -234,12 +187,6 @@ func Children(mask Mask, d int, dst []Mask) []Mask {
 	}
 	return dst
 }
-
-// IsSubmask reports a ⊆ b as attribute sets, i.e. whether the constraint
-// with mask b (within some C^t) is subsumed-by-or-equal the one with mask
-// a... NOTE the order: within C^t, constraint(m1) ⊴ constraint(m2) iff
-// m2 ⊆ m1 (binding MORE attributes makes a constraint MORE specific).
-func IsSubmask(a, b Mask) bool { return a&^b == 0 }
 
 // SubmasksOf calls fn for every submask of m, including m itself and 0.
 // This enumerates the intersection lattice C^{t,t'} when m is the shared
@@ -253,27 +200,6 @@ func SubmasksOf(m Mask, fn func(Mask)) {
 		}
 		s = (s - 1) & m
 	}
-}
-
-// MasksByLevel returns all masks over d dimensions with popcount ≤ maxBound,
-// grouped by popcount level: result[k] holds all masks with k bound
-// attributes. It is used for deterministic level-order traversals and for
-// test oracles. maxBound < 0 means no cap.
-func MasksByLevel(d, maxBound int) [][]Mask {
-	if maxBound < 0 || maxBound > d {
-		maxBound = d
-	}
-	levels := make([][]Mask, maxBound+1)
-	for m := Mask(0); m <= FullMask(d); m++ {
-		k := PopCount(m)
-		if k <= maxBound {
-			levels[k] = append(levels[k], m)
-		}
-		if d == 0 {
-			break
-		}
-	}
-	return levels
 }
 
 // CountMasks returns |{m : popcount(m) ≤ maxBound}| over d dimensions,

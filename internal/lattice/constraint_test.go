@@ -1,9 +1,7 @@
 package lattice
 
 import (
-	"math/bits"
 	"testing"
-	"testing/quick"
 
 	"repro/internal/relation"
 )
@@ -32,7 +30,7 @@ func TestTopAndFromTuple(t *testing.T) {
 	s := miniSchema(t)
 	tu := mkTuple(t, s, 7, 8, 9)
 	top := Top(3)
-	if !top.IsTop() || top.Bound() != 0 {
+	if top.Bound() != 0 || top.BoundMask() != 0 {
 		t.Errorf("Top(3) = %v", top)
 	}
 	c := FromTuple(tu, 0b101)
@@ -62,30 +60,6 @@ func TestSatisfies(t *testing.T) {
 	}
 	if !Top(3).Satisfies(other) {
 		t.Error("every tuple satisfies ⊤")
-	}
-}
-
-func TestSubsumption(t *testing.T) {
-	// Example 4 of the paper: C1=〈a,b,c〉 ◁ C2=〈a,*,c〉.
-	c1 := Constraint{Vals: []int32{0, 1, 2}}
-	c2 := Constraint{Vals: []int32{0, Wildcard, 2}}
-	if !c1.SubsumedBy(c2) {
-		t.Error("〈a,b,c〉 should be subsumed by 〈a,*,c〉")
-	}
-	if c2.SubsumedBy(c1) {
-		t.Error("subsumption should not be symmetric")
-	}
-	if !c1.SubsumedByOrEqual(c1) || c1.SubsumedBy(c1) {
-		t.Error("⊴ must be reflexive, ◁ irreflexive")
-	}
-	// Different bound values are incomparable.
-	c3 := Constraint{Vals: []int32{5, Wildcard, 2}}
-	if c1.SubsumedByOrEqual(c3) || c3.SubsumedByOrEqual(c1) {
-		t.Error("constraints with conflicting values must be incomparable")
-	}
-	// Everything is subsumed by ⊤.
-	if !c1.SubsumedBy(Top(3)) || !c2.SubsumedBy(Top(3)) {
-		t.Error("⊤ must subsume everything")
 	}
 }
 
@@ -124,53 +98,18 @@ func TestKeysEqualAcrossTuples(t *testing.T) {
 	}
 }
 
-func TestSharedMask(t *testing.T) {
-	s := miniSchema(t)
-	a := mkTuple(t, s, 1, 2, 3)
-	b := mkTuple(t, s, 1, 9, 3)
-	if got := SharedMask(a, b); got != 0b101 {
-		t.Errorf("SharedMask = %b, want 101", got)
-	}
-	if got := SharedMask(a, a); got != 0b111 {
-		t.Errorf("SharedMask(self) = %b, want 111", got)
-	}
-	c := mkTuple(t, s, 7, 8, 9)
-	if got := SharedMask(a, c); got != 0 {
-		t.Errorf("SharedMask(disjoint) = %b, want 0 (⊥ = ⊤ case of Def. 8)", got)
-	}
-}
-
 func TestParentsChildren(t *testing.T) {
-	var ps []Mask
-	ps = Parents(0b101, ps)
-	if len(ps) != 2 {
-		t.Fatalf("parents of 101: %b", ps)
-	}
-	seen := map[Mask]bool{}
-	for _, p := range ps {
-		seen[p] = true
-		if bits.OnesCount32(p) != 1 || p&^Mask(0b101) != 0 {
-			t.Errorf("bad parent %b", p)
-		}
-	}
-	if !seen[0b100] || !seen[0b001] {
-		t.Errorf("parents = %b, want {100, 001}", ps)
-	}
-
 	var cs []Mask
 	cs = Children(0b001, 3, cs)
 	if len(cs) != 2 {
 		t.Fatalf("children of 001 in d=3: %b", cs)
 	}
-	seen = map[Mask]bool{}
+	seen := map[Mask]bool{}
 	for _, c := range cs {
 		seen[c] = true
 	}
 	if !seen[0b011] || !seen[0b101] {
 		t.Errorf("children = %b, want {011, 101}", cs)
-	}
-	if got := Parents(0, nil); len(got) != 0 {
-		t.Errorf("⊤ has no parents, got %b", got)
 	}
 	if got := Children(0b111, 3, nil); len(got) != 0 {
 		t.Errorf("⊥ has no children, got %b", got)
@@ -196,40 +135,21 @@ func TestSubmasksOf(t *testing.T) {
 	}
 }
 
-func TestIsSubmaskOrientation(t *testing.T) {
-	// constraint(m2) ⊴ constraint(m1) within C^t iff m1 ⊆ m2.
-	s := miniSchema(t)
-	tu := mkTuple(t, s, 1, 2, 3)
-	for m1 := Mask(0); m1 < 8; m1++ {
-		for m2 := Mask(0); m2 < 8; m2++ {
-			c1, c2 := FromTuple(tu, m1), FromTuple(tu, m2)
-			if got, want := c2.SubsumedByOrEqual(c1), IsSubmask(m1, m2); got != want {
-				t.Errorf("m1=%b m2=%b: SubsumedByOrEqual=%v IsSubmask=%v", m1, m2, got, want)
-			}
-		}
-	}
-}
-
 func TestMasksByLevelAndCount(t *testing.T) {
-	levels := MasksByLevel(4, 2)
-	if len(levels) != 3 {
-		t.Fatalf("levels = %d, want 3 (bound 0..2)", len(levels))
-	}
+	// The masks of C^t under d̂ = 2, level by level: 1 + 4 + 6.
 	wantSizes := []int{1, 4, 6}
-	total := 0
-	for k, lv := range levels {
-		if len(lv) != wantSizes[k] {
-			t.Errorf("level %d has %d masks, want %d", k, len(lv), wantSizes[k])
-		}
-		for _, m := range lv {
-			if PopCount(m) != k {
-				t.Errorf("mask %b in level %d", m, k)
-			}
-		}
-		total += len(lv)
+	sizes := make([]int, len(wantSizes))
+	masks := CtMasks(4, 2)
+	for _, m := range masks {
+		sizes[PopCount(m)]++
 	}
-	if got := CountMasks(4, 2); got != total {
-		t.Errorf("CountMasks(4,2) = %d, want %d", got, total)
+	for k, n := range sizes {
+		if n != wantSizes[k] {
+			t.Errorf("level %d has %d masks, want %d", k, n, wantSizes[k])
+		}
+	}
+	if got := CountMasks(4, 2); got != len(masks) {
+		t.Errorf("CountMasks(4,2) = %d, want %d", got, len(masks))
 	}
 	if got := CountMasks(5, -1); got != 32 {
 		t.Errorf("CountMasks(5,-1) = %d, want 32", got)
@@ -237,43 +157,6 @@ func TestMasksByLevelAndCount(t *testing.T) {
 	if got := CountMasks(5, 7); got != 32 {
 		t.Errorf("CountMasks(5,7) = %d, want 32", got)
 	}
-}
-
-// Property: subsumption defined on constraint vectors coincides with mask
-// inclusion for random pairs from the same tuple, and SharedMask produces a
-// lattice bottom that both tuples satisfy.
-func TestSharedMaskProperty(t *testing.T) {
-	s := miniSchema(t)
-	f := func(a0, a1, a2, b0, b1, b2 uint8) bool {
-		a := mkTupleQuick(s, int32(a0%4), int32(a1%4), int32(a2%4))
-		b := mkTupleQuick(s, int32(b0%4), int32(b1%4), int32(b2%4))
-		shared := SharedMask(a, b)
-		bottom := FromTuple(a, shared)
-		if !bottom.Satisfies(a) || !bottom.Satisfies(b) {
-			return false
-		}
-		// Any mask binding an attribute outside shared is not satisfied by
-		// both (unless values coincide, which shared already captures).
-		for m := Mask(0); m < 8; m++ {
-			c := FromTuple(a, m)
-			both := c.Satisfies(a) && c.Satisfies(b)
-			if both != IsSubmask(m, shared) {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func mkTupleQuick(s *relation.Schema, dims ...int32) *relation.Tuple {
-	tu, err := relation.NewTuple(s, 0, dims, make([]float64, s.NumMeasures()))
-	if err != nil {
-		panic(err)
-	}
-	return tu
 }
 
 func TestConstraintFormat(t *testing.T) {

@@ -83,13 +83,3 @@ func BottomMasks(d, maxBound int) []Mask {
 	rec(0, maxBound, 0)
 	return out
 }
-
-// AncestorKeys calls fn with the store key of every ancestor-or-self of the
-// constraint selected by mask in C^t (all submasks of mask, 2^bound(C) of
-// them). TopDown-family stores a tuple only at maximal skyline constraints,
-// so reconstructing λ_M(σ_C(R)) requires visiting exactly these cells.
-func AncestorKeys(t *relation.Tuple, mask Mask, fn func(Key)) {
-	SubmasksOf(mask, func(m Mask) {
-		fn(KeyFromTuple(t, m))
-	})
-}

@@ -105,6 +105,7 @@ type WAL struct {
 		sync.Mutex
 		cond    *sync.Cond
 		synced  uint64 // highest LSN guaranteed on disk
+		syncs   uint64 // fsyncs that advanced synced (WALStats.Syncs)
 		syncing bool
 		err     error // sticky fsync failure
 	}
@@ -257,52 +258,23 @@ func (w *WAL) createSegment(base uint64) error {
 	return nil
 }
 
-// Append journals rec, assigning and returning its LSN. The record is
-// buffered, not yet durable: call WaitSync (or Sync) to make it so. A
-// failed write poisons the WAL — the buffer may hold a torn frame — and
-// every later operation reports the original error.
+// Append journals rec, assigning and returning its LSN: AppendAll of one
+// record.
 func (w *WAL) Append(rec Record) (uint64, error) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.closed {
-		return 0, ErrWALClosed
-	}
-	if w.writeErr != nil {
-		return 0, w.writeErr
-	}
-	if rec.Oversized() {
-		// Rejected before encoding (the WAL is not poisoned and scratch is
-		// not grown to the record's size): the reader caps payloads at
-		// maxRecordBytes, so writing this frame would produce a log that
-		// fails replay with ErrCorrupt.
-		return 0, fmt.Errorf("wal append: record exceeds %d payload bytes: %w", maxRecordBytes, ErrTooLarge)
-	}
-	rec.LSN = w.nextLSN
-	w.scratch = appendFrame(w.scratch[:0], rec)
-	if _, err := w.bw.Write(w.scratch); err != nil {
-		w.writeErr = fmt.Errorf("wal append: %w", err)
-		return 0, w.writeErr
-	}
-	w.nextLSN++
-	w.segBytes += int64(len(w.scratch))
-	if w.segBytes >= w.segSize {
-		if err := w.rotate(); err != nil {
-			w.writeErr = err
-			return 0, err
-		}
-	}
-	return rec.LSN, nil
+	return w.AppendAll([]Record{rec})
 }
 
-// AppendAll journals recs in order under one lock acquisition — the
-// batched form of Append for pipelined ingest: one mutex round-trip and
-// one encode pass cover the whole batch instead of one per record. It
-// returns the LSN assigned to the last record; the batch's LSNs are the
-// contiguous run ending there (last-len(recs)+1 … last). Like Append, the
-// records are buffered, not yet durable, and any failure poisons the WAL.
-// An oversized record mid-batch fails the whole call with nothing of the
-// batch journaled — callers pre-validate with Record.Oversized, exactly
-// as the single-record path does.
+// AppendAll journals recs in order under one lock acquisition: one mutex
+// round-trip and one encode pass cover a whole drained batch. It returns
+// the LSN assigned to the last record; the batch's LSNs are the contiguous
+// run ending there (last-len(recs)+1 … last). The records are buffered, not
+// yet durable: call WaitSync (or Sync) to make them so. A failed write
+// poisons the WAL — the buffer may hold a torn frame — and every later
+// operation reports the original error. An oversized record fails the whole
+// call with nothing of the batch journaled and the WAL not poisoned (the
+// reader caps payloads at maxRecordBytes, so writing the frame would produce
+// a log that fails replay with ErrCorrupt) — callers pre-validate with
+// Record.Oversized.
 func (w *WAL) AppendAll(recs []Record) (uint64, error) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -370,6 +342,7 @@ func (w *WAL) advanceSynced(lsn uint64) {
 	w.syncState.Lock()
 	if lsn > w.syncState.synced {
 		w.syncState.synced = lsn
+		w.syncState.syncs++
 	}
 	w.syncState.Unlock()
 	w.syncState.cond.Broadcast()
@@ -405,6 +378,7 @@ func (w *WAL) WaitSync(lsn uint64) error {
 			}
 		} else if target > s.synced {
 			s.synced = target
+			s.syncs++
 		}
 		s.cond.Broadcast()
 	}
@@ -605,6 +579,10 @@ type WALStats struct {
 	// SyncedLSN is the highest LSN guaranteed on disk; LastLSN − SyncedLSN
 	// is the number of unsynced (acknowledgeable-but-volatile) records.
 	SyncedLSN uint64
+	// Syncs counts the fsyncs that advanced SyncedLSN since the log was
+	// opened — group commits and rotation seals — so the records one fsync
+	// makes durable average (SyncedLSN − SyncedLSN at open) / Syncs.
+	Syncs uint64
 	// Segments is the live segment-file count, including the active one.
 	Segments int
 }
@@ -617,6 +595,7 @@ func (w *WAL) Stats() WALStats {
 	var st WALStats
 	w.syncState.Lock()
 	st.SyncedLSN = w.syncState.synced
+	st.Syncs = w.syncState.syncs
 	w.syncState.Unlock()
 	w.mu.Lock()
 	st.LastLSN = w.nextLSN - 1

@@ -296,15 +296,6 @@ func compareKeyOrder(a, b []int32) int {
 	return cmp.Compare(len(a), len(b))
 }
 
-// TopK returns the k highest-prominence facts (all of them if k ≤ 0 or
-// k ≥ len). The input must come from Score (sorted).
-func TopK(scored []ScoredFact, k int) []ScoredFact {
-	if k <= 0 || k >= len(scored) {
-		return scored
-	}
-	return scored[:k]
-}
-
 // Prominent returns the facts whose prominence equals the maximum among
 // the input AND is ≥ tau — the paper's definition of the prominent facts
 // pertinent to one arrival (ties make this a set). The input must come

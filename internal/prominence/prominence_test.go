@@ -129,16 +129,6 @@ func TestPaperProminenceExample(t *testing.T) {
 			t.Fatal("Score output not sorted by descending prominence")
 		}
 	}
-	// TopK.
-	if got := TopK(scored, 10); len(got) != 10 {
-		t.Errorf("TopK(10) returned %d", len(got))
-	}
-	if got := TopK(scored, 0); len(got) != len(scored) {
-		t.Errorf("TopK(0) should return all")
-	}
-	if got := TopK(scored, 9999); len(got) != len(scored) {
-		t.Errorf("TopK(big) should return all")
-	}
 }
 
 // TestSizerAgreement: the BottomUp and TopDown skyline-size computations

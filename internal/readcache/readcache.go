@@ -84,16 +84,9 @@ func (c *Cache) Get(key string, fill func() ([]byte, error)) ([]byte, error) {
 	}
 }
 
-// Invalidate drops every cached entry (in-flight fills complete and serve
-// their waiters, but later Gets refill). Counters survive.
-func (c *Cache) Invalidate() {
-	c.mu.Lock()
-	c.entries = make(map[string]*entry)
-	c.mu.Unlock()
-}
-
 // InvalidateFunc drops only the entries whose key satisfies pred, leaving
-// the rest to serve out their TTL. A follower uses this to evict just the
+// the rest to serve out their TTL (in-flight fills complete and serve their
+// waiters, but later Gets refill). Counters survive. A follower uses this to evict just the
 // responses scoped to shards whose applied LSN actually moved, instead of
 // emptying the whole cache on every tail batch.
 func (c *Cache) InvalidateFunc(pred func(key string) bool) {

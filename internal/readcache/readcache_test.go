@@ -122,7 +122,7 @@ func TestInvalidateDropsEntries(t *testing.T) {
 	fills := 0
 	fill := func() ([]byte, error) { fills++; return []byte("v"), nil }
 	c.Get("k", fill)
-	c.Invalidate()
+	c.InvalidateFunc(func(string) bool { return true })
 	if st := c.Stats(); st.Entries != 0 {
 		t.Errorf("entries after invalidate = %d, want 0", st.Entries)
 	}

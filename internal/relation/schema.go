@@ -161,30 +161,6 @@ func (s *Schema) MeasureIndex(name string) int {
 	return -1
 }
 
-// Project returns a new schema restricted to the named dimension and
-// measure attributes, in the order given. It is used by the experiment
-// harness to derive the d=4..7 / m=4..7 spaces of Tables V and VI from one
-// master schema.
-func (s *Schema) Project(dimNames, measureNames []string) (*Schema, error) {
-	dims := make([]DimAttr, 0, len(dimNames))
-	for _, n := range dimNames {
-		i := s.DimIndex(n)
-		if i < 0 {
-			return nil, fmt.Errorf("relation: project: unknown dimension %q", n)
-		}
-		dims = append(dims, s.dims[i])
-	}
-	measures := make([]MeasureAttr, 0, len(measureNames))
-	for _, n := range measureNames {
-		i := s.MeasureIndex(n)
-		if i < 0 {
-			return nil, fmt.Errorf("relation: project: unknown measure %q", n)
-		}
-		measures = append(measures, s.measures[i])
-	}
-	return NewSchema(s.name, dims, measures)
-}
-
 // String renders the schema as R(D;M) with directions, for diagnostics.
 func (s *Schema) String() string {
 	var b strings.Builder

@@ -91,26 +91,6 @@ func TestSchemaIndexLookups(t *testing.T) {
 	}
 }
 
-func TestSchemaProject(t *testing.T) {
-	s := testSchema(t)
-	p, err := s.Project([]string{"team", "season"}, []string{"points", "fouls"})
-	if err != nil {
-		t.Fatalf("Project: %v", err)
-	}
-	if p.NumDims() != 2 || p.Dim(0).Name != "team" || p.Dim(1).Name != "season" {
-		t.Errorf("projected dims = %v", p.Dims())
-	}
-	if p.NumMeasures() != 2 || p.Measure(1).Direction != SmallerBetter {
-		t.Errorf("projected measures = %v", p.Measures())
-	}
-	if _, err := s.Project([]string{"nope"}, []string{"points"}); err == nil {
-		t.Error("Project accepted unknown dimension")
-	}
-	if _, err := s.Project([]string{"team"}, []string{"nope"}); err == nil {
-		t.Error("Project accepted unknown measure")
-	}
-}
-
 func TestSchemaString(t *testing.T) {
 	s := testSchema(t)
 	str := s.String()

@@ -232,3 +232,12 @@ func (tb *Table) AppendEncoded(dims []int32, measures []float64) (*Tuple, error)
 	tb.tuples = append(tb.tuples, t)
 	return t, nil
 }
+
+// EncodedSize returns the byte size of one tuple under schema s in the
+// fixed-width binary layout of the paper's file store (§VI-C: "each non-empty
+// µC,M is stored as a binary file"): an int64 id, an int32 per dimension and
+// a float64 per measure. The stores keep ids only; Fig 10a's memory estimate
+// prices a stored entry at this size.
+func EncodedSize(s *Schema) int {
+	return 8 + 4*s.NumDims() + 8*s.NumMeasures()
+}

@@ -1,13 +1,11 @@
 package relation
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"math"
 	"strings"
 	"testing"
-	"testing/quick"
 )
 
 func TestTableAppendAndDict(t *testing.T) {
@@ -157,149 +155,5 @@ func TestTupleFormat(t *testing.T) {
 		if !strings.Contains(got, want) {
 			t.Errorf("Format = %q, missing %q", got, want)
 		}
-	}
-}
-
-func TestCodecRoundTrip(t *testing.T) {
-	s := testSchema(t)
-	tb := NewTable(s)
-	for i := 0; i < 10; i++ {
-		if _, err := tb.AppendEncoded(
-			[]int32{int32(i % 3), int32(i % 2), int32(i % 5), int32(i % 4), int32(i % 7)},
-			[]float64{float64(i), float64(i * i), -float64(i), float64(i) / 3}); err != nil {
-			t.Fatalf("append: %v", err)
-		}
-	}
-	buf := EncodeTuples(s, tb.Tuples())
-	if len(buf) != 10*EncodedSize(s) {
-		t.Fatalf("encoded size = %d, want %d", len(buf), 10*EncodedSize(s))
-	}
-	back, err := DecodeTuples(buf, s)
-	if err != nil {
-		t.Fatalf("DecodeTuples: %v", err)
-	}
-	if len(back) != 10 {
-		t.Fatalf("decoded %d tuples, want 10", len(back))
-	}
-	for i, orig := range tb.Tuples() {
-		got := back[i]
-		if got.ID != orig.ID {
-			t.Errorf("tuple %d: ID = %d, want %d", i, got.ID, orig.ID)
-		}
-		for j := range orig.Dims {
-			if got.Dims[j] != orig.Dims[j] {
-				t.Errorf("tuple %d dim %d: %d != %d", i, j, got.Dims[j], orig.Dims[j])
-			}
-		}
-		for j := range orig.Raw {
-			if got.Raw[j] != orig.Raw[j] || got.Oriented[j] != orig.Oriented[j] {
-				t.Errorf("tuple %d measure %d: raw %g/%g oriented %g/%g",
-					i, j, got.Raw[j], orig.Raw[j], got.Oriented[j], orig.Oriented[j])
-			}
-		}
-	}
-}
-
-func TestCodecErrors(t *testing.T) {
-	s := testSchema(t)
-	if _, err := DecodeTuples(make([]byte, EncodedSize(s)-1), s); err == nil {
-		t.Error("DecodeTuples accepted truncated buffer")
-	}
-	if _, _, err := DecodeTuple(nil, s); err == nil {
-		t.Error("DecodeTuple accepted empty buffer")
-	}
-}
-
-// Property: encode∘decode is the identity on arbitrary measure vectors.
-func TestCodecProperty(t *testing.T) {
-	s := testSchema(t)
-	f := func(id int64, d0, d1, d2, d3, d4 uint8, m0, m1, m2, m3 float64) bool {
-		tu, err := NewTuple(s, id, []int32{int32(d0), int32(d1), int32(d2), int32(d3), int32(d4)},
-			[]float64{m0, m1, m2, m3})
-		if err != nil {
-			return false
-		}
-		buf := EncodeTuple(nil, s, tu)
-		back, rest, err := DecodeTuple(buf, s)
-		if err != nil || len(rest) != 0 {
-			return false
-		}
-		if back.ID != tu.ID {
-			return false
-		}
-		for i := range tu.Dims {
-			if back.Dims[i] != tu.Dims[i] {
-				return false
-			}
-		}
-		for i := range tu.Raw {
-			// NaN round-trips bit-exactly through Float64bits; compare bits
-			// via != only for non-NaN.
-			if back.Raw[i] != tu.Raw[i] && (tu.Raw[i] == tu.Raw[i] || back.Raw[i] == back.Raw[i]) {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestCSVRoundTrip(t *testing.T) {
-	s := testSchema(t)
-	tb := NewTable(s)
-	rows := [][]string{
-		{"Bogues", "Feb", "1991-92", "Hornets", "Hawks"},
-		{"Seikaly", "Feb", "1991-92", "Heat", "Hawks"},
-		{"Sherman", "Dec", "1993-94", "Celtics", "Nets"},
-	}
-	meas := [][]float64{{4, 12, 5, 2}, {24, 5, 15, 3}, {13, 13, 5, 1}}
-	for i := range rows {
-		if _, err := tb.Append(rows[i], meas[i]); err != nil {
-			t.Fatalf("append: %v", err)
-		}
-	}
-	var buf bytes.Buffer
-	if err := WriteCSV(&buf, tb); err != nil {
-		t.Fatalf("WriteCSV: %v", err)
-	}
-	tb2 := NewTable(s)
-	n, err := ReadCSV(&buf, tb2)
-	if err != nil {
-		t.Fatalf("ReadCSV: %v", err)
-	}
-	if n != 3 || tb2.Len() != 3 {
-		t.Fatalf("read %d rows, want 3", n)
-	}
-	for i := range rows {
-		got := tb2.At(i)
-		for j := range rows[i] {
-			if v := tb2.Dict().Decode(j, got.Dims[j]); v != rows[i][j] {
-				t.Errorf("row %d dim %d = %q, want %q", i, j, v, rows[i][j])
-			}
-		}
-		for j := range meas[i] {
-			if got.Raw[j] != meas[i][j] {
-				t.Errorf("row %d measure %d = %g, want %g", i, j, got.Raw[j], meas[i][j])
-			}
-		}
-	}
-}
-
-func TestReadCSVNoHeader(t *testing.T) {
-	s := testSchema(t)
-	tb := NewTable(s)
-	n, err := ReadCSV(strings.NewReader("A,B,C,D,E,1,2,3,4\n"), tb)
-	if err != nil || n != 1 {
-		t.Fatalf("ReadCSV = %d, %v; want 1 row", n, err)
-	}
-}
-
-func TestReadCSVBadMeasure(t *testing.T) {
-	s := testSchema(t)
-	tb := NewTable(s)
-	if _, err := ReadCSV(strings.NewReader("A,B,C,D,E,1,2,x,4\n"), tb); err == nil {
-		t.Error("ReadCSV accepted non-numeric measure")
 	}
 }

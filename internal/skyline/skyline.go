@@ -64,17 +64,6 @@ func IsSkyline(t *relation.Tuple, ts []*relation.Tuple, m subspace.Mask) bool {
 	return true
 }
 
-// Skycube computes, for every non-empty measure subspace with |M| ≤
-// maxSize, the skyline of ts. Keys are subspace masks. It is the reference
-// for Pei et al.'s skycube and is used to validate the CSC implementation.
-func Skycube(ts []*relation.Tuple, m int, maxSize int) map[subspace.Mask][]*relation.Tuple {
-	out := make(map[subspace.Mask][]*relation.Tuple)
-	for _, sub := range subspace.Enumerate(m, maxSize) {
-		out[sub] = Compute(ts, sub)
-	}
-	return out
-}
-
 // MinimalSubspaces returns the minimal (by set inclusion) measure subspaces
 // in which t is a skyline tuple of ts, considering subspaces up to maxSize
 // attributes. These are the "minimum subspaces" in which the compressed

@@ -91,11 +91,12 @@ func TestIsSkyline(t *testing.T) {
 
 func TestSkycubeConsistency(t *testing.T) {
 	tb := paperTable(t)
-	cube := Skycube(tb.Tuples(), 2, -1)
-	if len(cube) != 3 {
-		t.Fatalf("skycube has %d subspaces, want 3", len(cube))
+	subs := subspace.Enumerate(2, -1)
+	if len(subs) != 3 {
+		t.Fatalf("skycube has %d subspaces, want 3", len(subs))
 	}
-	for sub, sky := range cube {
+	for _, sub := range subs {
+		sky := Compute(tb.Tuples(), sub)
 		for _, u := range tb.Tuples() {
 			want := IsSkyline(u, tb.Tuples(), sub)
 			got := ids(sky)[u.ID]

@@ -1,12 +1,13 @@
 // Package store implements the µ(C,M) cell store the discovery algorithms
 // maintain: for each constraint–measure-subspace pair, a small set of
 // skyline tuples. Constraints are hash-consed to dense uint32 ids by an
-// Interner, cells are addressed by one packed uint64 (constraint id +
-// subspace mask), and a cell is the 32-bit ids of its member tuples in
-// insertion order and nothing else — the measure vectors live once per
-// tuple with the algorithm that scans them (see docs/ARCHITECTURE.md
-// § "Hot path & memory layout"). Two implementations cover the system's
-// settings:
+// Interner — the one key table of an engine: an id finds the constraint's
+// block here and its context count in core.ContextCounter. Cells are
+// addressed by one packed uint64 (constraint id + subspace mask), and a
+// cell is the 32-bit ids of its member tuples in insertion order and
+// nothing else — the measure vectors live once per tuple with the
+// algorithm that scans them (see docs/ARCHITECTURE.md § "Hot path & memory
+// layout"). Two implementations cover the system's settings:
 //
 //   - Memory: one block of pointer-free slots per live constraint — 2^m
 //     of them indexed by subspace mask, or past 14 measures the live ones

@@ -131,6 +131,18 @@ func (in *Interner) LookupConstraint(c lattice.Constraint) (ConstraintID, bool) 
 	return id, ok
 }
 
+// LookupTuple is InternTuple without the assignment: ok is false when the
+// constraint of C^t selected by mask has never been interned. A retraction
+// probes with it, so undoing what was never counted grows nothing.
+func (in *Interner) LookupTuple(t *relation.Tuple, mask lattice.Mask) (ConstraintID, bool) {
+	var scratch [lattice.KeyScratch]byte
+	buf := lattice.AppendKeyFromTuple(scratch[:0], t, mask)
+	in.mu.RLock()
+	id, ok := in.ids[string(buf)]
+	in.mu.RUnlock()
+	return id, ok
+}
+
 func (in *Interner) internSlow(buf []byte) ConstraintID {
 	in.mu.Lock()
 	defer in.mu.Unlock()
@@ -554,17 +566,18 @@ func (m *Memory) cut(ids []uint32) []uint32 {
 // RestoreConstraint installs every cell of one constraint at once: snapshot
 // restore's entry, one Intern, one block and one observer call where
 // replaying the cells through Save would probe and bind per cell.
-// masks are the subspace masks of the cells, ascending; sizes[i] is cell i's
-// member count, at least one; ids holds the members of the cells one after
-// another, and the number of them the cells took is returned. The counters
-// move as if each cell had been saved once. A constraint that already has a
-// cell, or a mask outside the store's width, is refused with nothing changed.
-func (m *Memory) RestoreConstraint(key lattice.Key, masks, sizes, ids []uint32) (int, error) {
+// masks are the subspace masks of the cells, ascending and at least one;
+// sizes[i] is cell i's member count, at least one; ids holds the members of
+// the cells one after another. It returns the id the constraint is interned
+// under and the number of ids the cells took. The counters move as if each
+// cell had been saved once. A constraint that already has a cell, or a mask
+// outside the store's width, is refused with no cell changed.
+func (m *Memory) RestoreConstraint(key lattice.Key, masks, sizes, ids []uint32) (ConstraintID, int, error) {
 	if len(masks) == 0 {
-		return 0, nil
+		return 0, 0, fmt.Errorf("store: constraint %x restored without a cell", string(key))
 	}
 	if top := masks[len(masks)-1]; uint64(top) >= 1<<uint(m.width) {
-		return 0, fmt.Errorf("store: subspace mask %d in a store of %d measures", top, m.width)
+		return 0, 0, fmt.Errorf("store: subspace mask %d in a store of %d measures", top, m.width)
 	}
 	cid := m.in.Intern(key)
 	for int(cid) >= len(m.blocks) {
@@ -572,7 +585,7 @@ func (m *Memory) RestoreConstraint(key lattice.Key, masks, sizes, ids []uint32) 
 	}
 	b := &m.blocks[cid]
 	if b.live != 0 {
-		return 0, fmt.Errorf("store: constraint %x already has cells", string(key))
+		return 0, 0, fmt.Errorf("store: constraint %x already has cells", string(key))
 	}
 	if m.dense() {
 		b.cells = make([]slot, 1<<uint(m.width))
@@ -601,7 +614,7 @@ func (m *Memory) RestoreConstraint(key lattice.Key, masks, sizes, ids []uint32) 
 	if m.observer != nil {
 		m.observer(cid, true)
 	}
-	return used, nil
+	return cid, used, nil
 }
 
 // LoadKey is Load addressed by logical key (invariant checkers); absent

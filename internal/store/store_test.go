@@ -476,15 +476,15 @@ func testMemoryModel(t *testing.T, width int) {
 			}
 		}
 		tail := []uint32{7, 7} // members of some later constraint: not this one's
-		used, err := m.RestoreConstraint(key, rmasks, sizes, append(ids, tail...))
+		got, used, err := m.RestoreConstraint(key, rmasks, sizes, append(ids, tail...))
 		if len(liveMasks(cid)) > 0 {
 			if err == nil {
 				t.Fatalf("RestoreConstraint over constraint %d, which has cells, was accepted", cid)
 			}
 			return
 		}
-		if err != nil || used != len(ids) {
-			t.Fatalf("RestoreConstraint(%d, %v, %v) = %d, %v; want %d members taken", cid, rmasks, sizes, used, err, len(ids))
+		if err != nil || got != cid || used != len(ids) {
+			t.Fatalf("RestoreConstraint(%d, %v, %v) = constraint %d, %d members, %v; want %d members taken", cid, rmasks, sizes, got, used, err, len(ids))
 		}
 		for j, mask := range rmasks {
 			n := int(sizes[j])
@@ -498,7 +498,7 @@ func testMemoryModel(t *testing.T, width int) {
 		}
 		wantEvents = append(wantEvents, event{cid, true})
 	}
-	if _, err := m.RestoreConstraint(m.Interner().Key(cids[0]), []uint32{1, 1 << uint(width)}, []uint32{1, 1}, []uint32{0, 1}); err == nil {
+	if _, _, err := m.RestoreConstraint(m.Interner().Key(cids[0]), []uint32{1, 1 << uint(width)}, []uint32{1, 1}, []uint32{0, 1}); err == nil {
 		t.Fatalf("RestoreConstraint took mask %d in a store of width %d", 1<<uint(width), width)
 	}
 	restored := 0
@@ -633,6 +633,12 @@ func TestInterner(t *testing.T) {
 	}
 	if _, ok := in.Lookup(lattice.Key("\xff\xff\xff\xff\xff\xff\xff\xff")); ok {
 		t.Error("Lookup invented an id")
+	}
+	if got, ok := in.LookupTuple(ts[0], 0b11); !ok || got != b {
+		t.Errorf("LookupTuple = %d/%v, want %d/true", got, ok, b)
+	}
+	if _, ok := in.LookupTuple(ts[1], 0b11); ok || in.Len() != 2 {
+		t.Errorf("LookupTuple of an unseen constraint found one, or assigned one (Len %d)", in.Len())
 	}
 	if in.Key(a) != lattice.KeyFromTuple(ts[0], 0b01) {
 		t.Error("Key did not decode id back to its constraint key")

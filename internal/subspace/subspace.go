@@ -60,21 +60,6 @@ func Dominates(t, u *relation.Tuple, m Mask) bool {
 	return strict
 }
 
-// DominatesOrEqual reports t ≽_M u: equal or better on every attribute of M.
-func DominatesOrEqual(t, u *relation.Tuple, m Mask) bool {
-	for i := 0; m != 0; i++ {
-		bit := Mask(1) << uint(i)
-		if m&bit == 0 {
-			continue
-		}
-		m &^= bit
-		if t.Oriented[i] < u.Oriented[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // Relation is the Proposition-4 three-way partition of the measure space
 // with respect to an ordered tuple pair (t, u): Gt holds attributes where
 // t > u, Lt where t < u, Eq where equal.
@@ -112,29 +97,6 @@ func (r Relation) DominatedIn(sub Mask) bool {
 // DominatesIn reports whether t dominates u in subspace sub.
 func (r Relation) DominatesIn(sub Mask) bool {
 	return sub&r.Gt != 0 && sub&r.Lt == 0
-}
-
-// DominatedSubspaces calls fn for every non-empty subspace of the m-attr
-// measure space in which t is dominated by u, i.e. every M with M ⊆ Lt∪Eq
-// and M∩Lt ≠ ∅. The enumeration is done directly over the Lt/Eq masks
-// (never scanning subspaces where it cannot hold).
-func (r Relation) DominatedSubspaces(fn func(Mask)) {
-	// Subspaces within Lt ∪ Eq that touch Lt. Enumerate all submasks of
-	// Lt∪Eq and skip those fully inside Eq.
-	all := r.Lt | r.Eq
-	if r.Lt == 0 {
-		return
-	}
-	s := all
-	for {
-		if s&r.Lt != 0 {
-			fn(s)
-		}
-		if s == 0 {
-			return
-		}
-		s = (s - 1) & all
-	}
 }
 
 // Names renders subspace m as the measure-attribute names of schema s,

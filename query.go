@@ -282,19 +282,19 @@ func (p *Pool) QueryFactsContext(ctx context.Context, f FactFilter, cursor strin
 	return page, nil
 }
 
-// factFromCell builds the QueryFact for one matching cell; cons must be
-// the parse of key. It is the single construction point shared by the
-// served path and the tests' reference scan, so the two emit
-// bit-identical facts.
-func (e *Engine) factFromCell(shard int, key string, mask uint32, c store.Cell, cons lattice.Constraint) QueryFact {
+// factFromCell builds the QueryFact for one matching cell: c is the cell at
+// ent, and cons must be the parse of ent.Key. It is the single construction
+// point shared by the served path and the tests' reference scan, so the two
+// emit bit-identical facts.
+func (e *Engine) factFromCell(shard int, ent factindex.Entry, c store.Cell, cons lattice.Constraint) QueryFact {
 	d := e.table.Dict()
 	qf := QueryFact{
 		Shard:       shard,
-		Measures:    subspace.Names(subspace.Mask(mask), e.schema),
+		Measures:    subspace.Names(subspace.Mask(ent.Mask), e.schema),
 		SkylineSize: c.Len(),
 		TupleIDs:    c.IDList(),
-		sortKey:     key,
-		sortMask:    mask,
+		sortKey:     ent.Key,
+		sortMask:    ent.Mask,
 	}
 	slices.Sort(qf.TupleIDs)
 	for dim, v := range cons.Vals {
@@ -307,7 +307,7 @@ func (e *Engine) factFromCell(shard int, key string, mask uint32, c store.Cell, 
 		})
 	}
 	if e.counter != nil {
-		qf.ContextSize = e.counter.ContextSize(cons)
+		qf.ContextSize = e.counter.SizeOf(ent.ID)
 		if qf.SkylineSize > 0 {
 			qf.Prominence = float64(qf.ContextSize) / float64(qf.SkylineSize)
 		}
@@ -457,7 +457,7 @@ func (e *Engine) queryFactsSeek(q queryPlan, shard int, after *queryCursor, want
 			}
 			parsedFor = ent.Key
 		}
-		facts = append(facts, e.factFromCell(shard, ent.Key, ent.Mask, c, cons))
+		facts = append(facts, e.factFromCell(shard, ent, c, cons))
 		it.Next()
 	}
 	return facts, false, nil
@@ -516,7 +516,7 @@ func bestCells(cells []topCell, k int) []topCell {
 // topFacts returns the shard's k highest-prominence fact groups, best
 // first; the caller holds the shard's read lock. It is a threshold walk
 // over the fact index's constraints, not its cells: ctx(C) = |σ_C(R)|,
-// probed with the key bytes the index holds, bounds the prominence of every
+// read under the id the index item carries, bounds the prominence of every
 // cell of C (a live skyline has at least one tuple), so a constraint whose
 // ctx is strictly below the bar — the k-th best prominence among the
 // candidates when they were last cut back to k — is stepped over whole.
@@ -535,7 +535,7 @@ func (e *Engine) topFacts(shard, k int) ([]QueryFact, error) {
 		key, id := it.Constraint()
 		ctx := 0.0
 		if e.counter != nil {
-			ctx = float64(e.counter.SizeOfKey(key))
+			ctx = float64(e.counter.SizeOf(id))
 		}
 		if ctx < bar {
 			continue // stepped over whole: its block is never read
@@ -559,7 +559,7 @@ func (e *Engine) topFacts(shard, k int) ([]QueryFact, error) {
 			return nil, fmt.Errorf("situfact: query: shard %d: %w", shard, err)
 		}
 		cell := mem.Peek(store.Ref(c.ent.ID, subspace.Mask(c.ent.Mask)))
-		facts[i] = e.factFromCell(shard, c.ent.Key, c.ent.Mask, cell, cons)
+		facts[i] = e.factFromCell(shard, c.ent, cell, cons)
 	}
 	return facts, nil
 }

@@ -7,6 +7,7 @@ import (
 	"sort"
 	"strings"
 
+	"repro/internal/factindex"
 	"repro/internal/lattice"
 	"repro/internal/store"
 )
@@ -160,7 +161,8 @@ func (e *Engine) queryFacts(q queryPlan, shard int) ([]QueryFact, error) {
 				return
 			}
 		}
-		out = append(out, e.factFromCell(shard, string(k.C), uint32(k.M), c, cons))
+		id, _ := mem.Interner().Lookup(k.C)
+		out = append(out, e.factFromCell(shard, factindex.Entry{Key: string(k.C), ID: id, Mask: uint32(k.M)}, c, cons))
 	})
 	if walkErr != nil {
 		return nil, walkErr

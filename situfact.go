@@ -301,7 +301,10 @@ func New(schema *Schema, opt Options) (*Engine, error) {
 			return fail(fmt.Errorf("situfact: prominence tracking requires a lattice algorithm (BottomUp/TopDown family); %q has no µ store", algo))
 		}
 		eng.sizer = sizer
-		eng.counter = core.NewContextCounter(rs.NumDims(), maxBound)
+		// The counts are a column over the µ store's own key table: one id
+		// per constraint finds its block and its count.
+		in := disc.(interface{ Store() store.Store }).Store().Interner()
+		eng.counter = core.NewContextCounterOver(in, rs.NumDims(), maxBound)
 	}
 	eng.mem = memoryStoreOf(disc)
 	if _, ok := disc.(*core.BottomUp); ok && eng.mem != nil {

@@ -122,7 +122,7 @@ func (e *Engine) appendSnapshot(buf []byte) ([]byte, error) {
 		key := string(in.Key(c))
 		var count int64
 		if e.counter != nil {
-			if count = e.counter.SizeOfKey(key); count <= 0 {
+			if count = e.counter.SizeOf(c); count <= 0 {
 				return nil, fmt.Errorf("situfact: snapshot: constraint %x has cells and no context count", key)
 			}
 		}
@@ -136,9 +136,9 @@ func (e *Engine) appendSnapshot(buf []byte) ([]byte, error) {
 	// Every live constraint has a count, so equal sizes mean there is none.
 	var extra []persist.ContextCount
 	if e.counter != nil && e.counter.Len() != live {
-		e.counter.Each(func(key string, n int64) {
-			if c, ok := in.Lookup(lattice.Key(key)); !ok || mem.Live(c) == 0 {
-				extra = append(extra, persist.ContextCount{Key: key, N: n})
+		e.counter.Each(func(c store.ConstraintID, n int64) {
+			if mem.Live(c) == 0 {
+				extra = append(extra, persist.ContextCount{Key: string(in.Key(c)), N: n})
 			}
 		})
 		slices.SortFunc(extra, func(a, b persist.ContextCount) int { return strings.Compare(a.Key, b.Key) })
@@ -221,9 +221,6 @@ func loadSnapshot(schema *Schema, data []byte) (*Engine, error) {
 	// One block per constraint, in file order: the store interns the keys as
 	// they come, which is what makes the restored constraint ids — and with
 	// them Walk order and the next snapshot's bytes — those of the writer.
-	if sf.Prominence {
-		eng.counter.Reset(len(sf.Live) + len(sf.ExtraCounts))
-	}
 	lists := 0
 	for _, size := range sf.Sizes {
 		if size >= 2 {
@@ -235,17 +232,19 @@ func loadSnapshot(schema *Schema, data []byte) (*Engine, error) {
 	cell, member := 0, 0
 	for i, live := range sf.Live {
 		key := sf.Keys[i*kl : (i+1)*kl]
-		used, err := mem.RestoreConstraint(lattice.Key(key), sf.Masks[cell:cell+int(live)], sf.Sizes[cell:cell+int(live)], sf.IDs[member:])
+		id, used, err := mem.RestoreConstraint(lattice.Key(key), sf.Masks[cell:cell+int(live)], sf.Sizes[cell:cell+int(live)], sf.IDs[member:])
 		if err != nil {
 			return nil, fmt.Errorf("situfact: %w: cells: constraint %d: %v", persist.ErrCorruptSnapshot, i, err)
 		}
 		cell, member = cell+int(live), member+used
 		if sf.Prominence {
-			eng.counter.Set(key, sf.Counts[i])
+			eng.counter.Set(id, sf.Counts[i])
 		}
 	}
+	// The cell-less constraints are interned after every live one, so they
+	// leave the live constraints' ids — the next snapshot's order — alone.
 	for i, n := range sf.ExtraCounts {
-		eng.counter.Set(sf.ExtraKeys[i*kl:(i+1)*kl], n)
+		eng.counter.Set(mem.Interner().Intern(lattice.Key(sf.ExtraKeys[i*kl:(i+1)*kl])), n)
 	}
 	// Restoring the cells recomputed StoredTuples/Cells but counted itself
 	// as I/O; overwrite all counters with the saved ones. Snapshots written

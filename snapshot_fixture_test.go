@@ -122,7 +122,10 @@ func (e *Engine) logicalContent() []string {
 		out = append(out, fmt.Sprintf("deleted %08d", id))
 	}
 	if e.counter != nil {
-		e.counter.Each(func(k string, n int64) { out = append(out, fmt.Sprintf("count %x=%d", k, n)) })
+		in := e.mem.Interner()
+		e.counter.Each(func(c store.ConstraintID, n int64) {
+			out = append(out, fmt.Sprintf("count %x=%d", string(in.Key(c)), n))
+		})
 	}
 	e.mem.Walk(func(k store.CellKey, c store.Cell) {
 		out = append(out, fmt.Sprintf("cell %x/%x=%v", string(k.C), uint32(k.M), c.IDList()))
