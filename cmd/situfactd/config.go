@@ -36,11 +36,9 @@ func registerFlags(fs *flag.FlagSet, cfg *config) {
 	fs.StringVar(&cfg.shardDim, "shard-dim", "", "dimension attribute whose value routes a row to its shard (default: first of -dims)")
 	fs.StringVar(&cfg.stateDir, "state-dir", "", "snapshot directory: restore on start, save on graceful shutdown (empty = no persistence)")
 	fs.BoolVar(&cfg.wal, "wal", false, "write-ahead log under <state-dir>/wal: journal every ingest before applying it, replay the tail on start (requires -state-dir)")
-	fs.DurationVar(&cfg.walSync, "wal-sync", 0, "WAL durability: 0 fsyncs (group-committed) before acknowledging each request; >0 fsyncs in the background on this interval, risking up to one interval of acknowledged records on crash")
 	fs.Int64Var(&cfg.walSegBytes, "wal-segment-bytes", 0, "WAL segment rotation threshold in bytes (0 = 64 MiB)")
 	fs.DurationVar(&cfg.snapInterval, "snapshot-interval", 0, "background checkpoint period: snapshot every shard and truncate covered WAL segments (0 = snapshot only on graceful shutdown)")
-	fs.IntVar(&cfg.pipeQueue, "pipeline-queue", 0, "per-shard ingest queue depth; a full queue blocks producers (0 = 256)")
-	fs.BoolVar(&cfg.pipeAdaptive, "pipeline-adaptive", true, "let each shard's queue capacity float between a floor and -pipeline-queue, growing on backpressure and shrinking when calm (false = fixed at -pipeline-queue)")
+	fs.IntVar(&cfg.pipeQueue, "pipeline-queue", 0, "per-shard ingest queue depth ceiling: each queue's capacity floats between a floor and this, growing on backpressure and shrinking when calm; a full queue blocks producers (0 = 256)")
 	fs.StringVar(&cfg.pprofAddr, "pprof-addr", "", "serve net/http/pprof on this extra listener (e.g. localhost:6060); empty = off. Keep it on a loopback or firewalled port")
 	fs.StringVar(&cfg.follow, "follow", "", "run as a read-only follower of this leader base URL (e.g. http://leader:8080): bootstrap from its snapshot, replay its WAL tail; requires -state-dir as bootstrap scratch")
 	fs.DurationVar(&cfg.followPoll, "follow-poll", 500*time.Millisecond, "follower WAL-tail poll period (transient errors back the poll off exponentially from here)")
@@ -154,7 +152,7 @@ func (cfg *config) validate() error {
 		name string
 		v    time.Duration
 	}{
-		{"-wal-sync", cfg.walSync}, {"-snapshot-interval", cfg.snapInterval},
+		{"-snapshot-interval", cfg.snapInterval},
 		{"-follow-poll", cfg.followPoll}, {"-read-cache-ttl", cfg.readCacheTTL},
 		{"-shed-window", cfg.shedWindow}, {"-request-timeout", cfg.requestTimeout},
 		{"-read-timeout", cfg.readTimeout}, {"-write-timeout", cfg.writeTimeout},

@@ -49,7 +49,7 @@ func TestConfigValidateTable(t *testing.T) {
 		{"negative rate burst", func(c *config) { c.rateBurst = -3 }, "-rate-burst"},
 		{"negative max inflight", func(c *config) { c.maxInflight = -1 }, "-max-inflight"},
 		{"negative rate limit", func(c *config) { c.rateLimit = -0.5 }, "-rate-limit"},
-		{"negative wal sync", func(c *config) { c.walSync = -time.Second }, "-wal-sync"},
+		{"negative snapshot interval", func(c *config) { c.snapInterval = -time.Second }, "-snapshot-interval"},
 		{"negative shed window", func(c *config) { c.shedWindow = -time.Second }, "-shed-window"},
 		{"negative request timeout", func(c *config) { c.requestTimeout = -1 }, "-request-timeout"},
 		{"negative read timeout", func(c *config) { c.readTimeout = -1 }, "-read-timeout"},
@@ -121,7 +121,7 @@ func parseWithFile(t *testing.T, fileJSON string, args ...string) (config, error
 func TestConfigFileMerge(t *testing.T) {
 	cfg, err := parseWithFile(t,
 		`{"dims": "player,team", "measures": "points", "shards": 6,
-		  "rate-limit": 12.5, "wal-sync": "250ms", "pipeline-adaptive": false,
+		  "rate-limit": 12.5, "snapshot-interval": "250ms",
 		  "max-inflight": 4}`,
 		"-shards", "3", "-max-inflight", "128")
 	if err != nil {
@@ -139,11 +139,8 @@ func TestConfigFileMerge(t *testing.T) {
 	if cfg.rateLimit != 12.5 {
 		t.Fatalf("rateLimit = %v, want 12.5 from the file", cfg.rateLimit)
 	}
-	if cfg.walSync != 250*time.Millisecond {
-		t.Fatalf("walSync = %v, want 250ms from the file", cfg.walSync)
-	}
-	if cfg.pipeAdaptive {
-		t.Fatal("pipeline-adaptive=false from the file not applied")
+	if cfg.snapInterval != 250*time.Millisecond {
+		t.Fatalf("snapInterval = %v, want 250ms from the file", cfg.snapInterval)
 	}
 	if err := cfg.validate(); err != nil {
 		t.Fatalf("merged config invalid: %v", err)
@@ -161,7 +158,7 @@ func TestConfigFileRejects(t *testing.T) {
 	}{
 		{"unknown key", `{"shardz": 4}`, `unknown key "shardz"`},
 		{"misspelled key", `{"rate_limit": 5}`, `unknown key "rate_limit"`},
-		{"bad duration", `{"wal-sync": "fast"}`, `"wal-sync"`},
+		{"bad duration", `{"snapshot-interval": "fast"}`, `"snapshot-interval"`},
 		{"bad number", `{"shards": "many"}`, `"shards"`},
 		{"list value", `{"dims": ["a", "b"]}`, "unsupported value"},
 		{"object value", `{"shards": {"n": 4}}`, "unsupported value"},
@@ -225,7 +222,6 @@ func TestConfigValidateProperty(t *testing.T) {
 		cfg.dhat = rng.Intn(8)
 		cfg.mhat = rng.Intn(8)
 		cfg.pipeQueue = rng.Intn(4096)
-		cfg.walSync = dur(5000)
 		cfg.snapInterval = dur(60000)
 		cfg.readCacheTTL = dur(5000)
 		cfg.shedWindow = dur(10000)

@@ -10,9 +10,9 @@
 //	situfactd -dims player,team,opp_team -measures points,rebounds,-fouls \
 //	          [-addr :8080] [-algo sbottomup] [-shards 4] [-shard-dim team] \
 //	          [-dhat 0] [-mhat 0] [-state-dir /var/lib/situfactd] \
-//	          [-wal] [-wal-sync 0s] [-wal-segment-bytes 0] \
+//	          [-wal] [-wal-segment-bytes 0] \
 //	          [-snapshot-interval 0s] [-relation stream] \
-//	          [-pipeline-queue 0] [-pipeline-adaptive] [-read-cache-ttl 0s] \
+//	          [-pipeline-queue 0] [-read-cache-ttl 0s] \
 //	          [-follow http://leader:8080] [-follow-poll 500ms] [-follow-max-lag 0]
 //
 // Endpoints (wire format in docs/API.md):
@@ -40,7 +40,7 @@
 // directory, and the next start with the same schema restores it.
 //
 // With -wal on top, every ingest is journaled to <state-dir>/wal before
-// it is applied and (by default) fsynced before it is acknowledged, so a
+// it is applied and fsynced before it is acknowledged, so a
 // crash — kill -9, power loss — loses nothing acknowledged: the next
 // start restores the newest snapshot and replays the log's tail.
 // -snapshot-interval adds background checkpoints that bound replay time

@@ -107,7 +107,6 @@ func TestOverloadDrillShedsWithoutAckedLoss(t *testing.T) {
 	cfg := gamelogConfig(3, dir)
 	cfg.wal = true
 	cfg.pipeQueue = 2
-	cfg.pipeAdaptive = false
 	cfg.shedWindow = 50 * time.Millisecond
 	cfg.maxInflight = 16
 	s, err := newServer(cfg)

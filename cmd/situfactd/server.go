@@ -35,11 +35,9 @@ type config struct {
 	shardDim     string        // dimension routing rows to shards; "" = first dimension
 	stateDir     string        // snapshot directory; "" disables persistence
 	wal          bool          // journal ingest to <stateDir>/wal, replay on start
-	walSync      time.Duration // 0 = fsync before every ack; >0 = background interval fsync
 	walSegBytes  int64         // WAL segment rotation threshold (0 = 64 MiB)
 	snapInterval time.Duration // background checkpoint period; 0 = shutdown-only snapshots
 	pipeQueue    int           // per-shard ingest queue depth (0 = 256)
-	pipeAdaptive bool          // adaptive queue capacities (PipelineOptions.AdaptiveQueue)
 	pprofAddr    string        // extra net/http/pprof listener; "" = off
 	follow       string        // leader base URL; non-empty = read-only follower
 	followPoll   time.Duration // follower WAL-tail poll period (0 = 500ms)
@@ -265,10 +263,7 @@ func newServer(cfg config) (*server, error) {
 		log.Printf("FAULT INJECTION ACTIVE (testing only): %s", cfg.faultPlan)
 	}
 	if cfg.wal {
-		opts := situfact.WALOptions{
-			SegmentBytes: cfg.walSegBytes,
-			SyncInterval: cfg.walSync,
-		}
+		opts := situfact.WALOptions{SegmentBytes: cfg.walSegBytes}
 		if s.faults != nil {
 			opts.FS = s.faults
 		}
@@ -300,10 +295,11 @@ func newServer(cfg config) (*server, error) {
 	}
 	// The pipeline starts last: recovery (restore + replay) applies its
 	// records inline, and every live request from here on batches through
-	// the per-shard writers.
+	// the per-shard writers, each queue's capacity floating up to
+	// -pipeline-queue.
 	if err := pool.StartPipeline(situfact.PipelineOptions{
 		QueueDepth:    cfg.pipeQueue,
-		AdaptiveQueue: cfg.pipeAdaptive,
+		AdaptiveQueue: true,
 	}); err != nil {
 		s.close()
 		return nil, fmt.Errorf("situfactd: %w", err)

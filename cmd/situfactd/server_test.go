@@ -454,7 +454,7 @@ func TestServerRefusesTopDownFamily(t *testing.T) {
 		if _, err := pool.Append(table1[0].Dims, table1[0].Measures); err != nil {
 			t.Fatal(err)
 		}
-		if err := pool.SaveSnapshot(stateDir); err != nil {
+		if _, err := pool.Checkpoint(stateDir, nil); err != nil {
 			t.Fatal(err)
 		}
 		pool.Close()

@@ -116,8 +116,7 @@ type walWire struct {
 	Enabled bool `json:"enabled"`
 	// LastLSN is the highest journaled record; SyncedLSN the highest one
 	// fsynced. LagRecords = LastLSN − SyncedLSN is the number of records
-	// acknowledged (interval sync mode) or buffered (momentarily, in
-	// group-commit mode) but not yet durable.
+	// buffered but not yet synced — none of them acknowledged yet.
 	LastLSN    uint64 `json:"last_lsn"`
 	SyncedLSN  uint64 `json:"synced_lsn"`
 	LagRecords uint64 `json:"lag_records"`
@@ -138,8 +137,8 @@ type walWire struct {
 type ingestShardWire struct {
 	Shard int `json:"shard"`
 	// QueueDepth is the writer's current pending-operation count;
-	// QueueCap the queue's current capacity (fixed at -pipeline-queue, or
-	// floating below it under -pipeline-adaptive).
+	// QueueCap the queue's current capacity (floating up to
+	// -pipeline-queue).
 	QueueDepth int `json:"queue_depth"`
 	QueueCap   int `json:"queue_cap"`
 	// Enqueued / Batches count accepted operations and drain wakeups;

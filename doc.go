@@ -38,8 +38,8 @@
 // Engine.SaveSnapshot/LoadSnapshot serialise an in-memory engine's full
 // state (dictionary, tuples, tombstones, µ-store cells, prominence
 // counters, work metrics) so a stream can stop and resume exactly where it
-// left off; Pool.SaveSnapshot/LoadPoolSnapshot do the same per shard, plus
-// a manifest that pins the routing parameters. Options.StoreDir instead
+// left off; Pool.Checkpoint/RestorePool do the same per shard, plus a
+// manifest that pins the routing parameters. Options.StoreDir instead
 // keeps the µ(C,M) cells on disk continuously (the paper's FS* variants).
 //
 // # Beyond the library

@@ -24,7 +24,7 @@ import (
 //   - journal-before-apply, under the owning shard's lock, so each
 //     shard's journal order equals its apply order;
 //   - acknowledgement only after the record's group-committed fsync
-//     (ack-after-fsync), durability mode per WALOptions;
+//     (ack-after-fsync);
 //   - per-shard FIFO: operations racing for one shard are applied in
 //     enqueue order, and one caller's ordered operations stay ordered.
 //
@@ -84,9 +84,9 @@ type IngestSummary struct {
 	PerShard []IngestStats
 }
 
-// MergeIngestStats folds per-shard writer snapshots (Pool.PipelineStats)
+// mergeIngestStats folds per-shard writer snapshots (Pool.PipelineStats)
 // into an IngestSummary; nil yields the zero (pipeline-off) summary.
-func MergeIngestStats(stats []IngestStats) IngestSummary {
+func mergeIngestStats(stats []IngestStats) IngestSummary {
 	out := IngestSummary{Pipeline: stats != nil, PerShard: stats}
 	if stats == nil {
 		return out
@@ -116,7 +116,7 @@ func MergeIngestStats(stats []IngestStats) IngestSummary {
 // IngestSummary returns the merged monitoring view of the running
 // pipeline (the zero summary when none is running).
 func (p *Pool) IngestSummary() IngestSummary {
-	return MergeIngestStats(p.PipelineStats())
+	return mergeIngestStats(p.PipelineStats())
 }
 
 // pipeline is the running per-shard writer set plus the shared

@@ -27,8 +27,8 @@ import (
 // relation), the facts a shard reports are EXACTLY those a standalone
 // Engine reports over that shard's substream. The unit of truth is the
 // substream, not the union: a fact with an unbound shard dimension speaks
-// about the shard's relation, not the global one. TestPoolShardEquivalence
-// asserts the per-substream identity.
+// about the shard's relation, not the global one. The history checker
+// (history_test.go) asserts the per-substream identity.
 //
 // Pool is safe for concurrent use: each shard serialises its own arrivals
 // with a per-shard lock, and different shards proceed in parallel.
@@ -36,7 +36,7 @@ import (
 // With a WAL attached (AttachWAL), every mutation is journaled before it
 // is applied — under the owning shard's lock, so each shard's journal
 // order equals its apply order — and acknowledged only once the record is
-// durable under the log's sync mode (see wal.go).
+// durable (see wal.go).
 type Pool struct {
 	schema   *Schema
 	shardDim int
@@ -380,12 +380,12 @@ func (p *Pool) applyShard(shard int, ops []*ingestOp) (journaled uint64) {
 }
 
 // commit waits until every record up to lsn (0 = nothing was journaled)
-// is durable under the log's sync mode.
+// is durable: a group-committed fsync wait.
 func (p *Pool) commit(lsn uint64) error {
 	if lsn == 0 {
 		return nil
 	}
-	if err := p.wal.commit(lsn); err != nil {
+	if err := p.wal.w.WaitSync(lsn); err != nil {
 		return fmt.Errorf("%w: %w", ErrWALFailed, err)
 	}
 	return nil

@@ -1,7 +1,6 @@
 package situfact
 
 import (
-	"fmt"
 	"math/rand"
 	"sync"
 	"testing"
@@ -39,95 +38,6 @@ func poolRows(n int) []Row {
 		}
 	}
 	return rows
-}
-
-func factsEqual(t *testing.T, label string, want, got *Arrival) {
-	t.Helper()
-	if want.TupleID != got.TupleID {
-		t.Fatalf("%s: TupleID %d != solo %d", label, got.TupleID, want.TupleID)
-	}
-	if len(want.Facts) != len(got.Facts) {
-		t.Fatalf("%s: %d facts, solo engine has %d", label, len(got.Facts), len(want.Facts))
-	}
-	for i := range want.Facts {
-		w, g := want.Facts[i], got.Facts[i]
-		if w.String() != g.String() || w.ContextSize != g.ContextSize ||
-			w.SkylineSize != g.SkylineSize || w.Prominence != g.Prominence {
-			t.Fatalf("%s: fact %d differs: %s vs solo %s", label, i, g, w)
-		}
-	}
-}
-
-// soloArrivals replays each shard's substream through a standalone engine
-// and returns the arrival each row would produce there.
-func soloArrivals(t *testing.T, p *Pool, rows []Row) []*Arrival {
-	t.Helper()
-	out := make([]*Arrival, len(rows))
-	for s := 0; s < p.Shards(); s++ {
-		eng, err := New(poolSchema(t), Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer eng.Close()
-		for i, r := range rows {
-			if p.ShardFor(r.Dims[0]) != s {
-				continue
-			}
-			arr, err := eng.Append(r.Dims, r.Measures)
-			if err != nil {
-				t.Fatal(err)
-			}
-			out[i] = arr
-		}
-	}
-	return out
-}
-
-// TestPoolShardEquivalence is the acceptance property of the sharded
-// front-end: for every shard's substream, the pool produces the exact
-// facts (conditions, measures, prominence numerator and denominator) a
-// standalone Engine produces over that substream — via both Append and
-// AppendBatch.
-func TestPoolShardEquivalence(t *testing.T) {
-	rows := poolRows(150)
-	p, err := NewPool(poolSchema(t), PoolOptions{Shards: 3, ShardDim: "team"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer p.Close()
-	solo := soloArrivals(t, p, rows)
-
-	for i, r := range rows {
-		arr, err := p.Append(r.Dims, r.Measures)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if want := p.ShardFor(r.Dims[0]); arr.Shard != want {
-			t.Fatalf("row %d routed to shard %d, want %d", i, arr.Shard, want)
-		}
-		factsEqual(t, fmt.Sprintf("row %d (Append)", i), solo[i], arr)
-	}
-	if p.Len() != len(rows) {
-		t.Errorf("Len = %d, want %d", p.Len(), len(rows))
-	}
-
-	pb, err := NewPool(poolSchema(t), PoolOptions{Shards: 3, ShardDim: "team"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer pb.Close()
-	var batched []*Arrival
-	for lo := 0; lo < len(rows); lo += 32 {
-		hi := min(lo+32, len(rows))
-		arrs, err := pb.AppendBatch(rows[lo:hi])
-		if err != nil {
-			t.Fatal(err)
-		}
-		batched = append(batched, arrs...)
-	}
-	for i := range rows {
-		factsEqual(t, fmt.Sprintf("row %d (AppendBatch)", i), solo[i], batched[i])
-	}
 }
 
 // TestPoolRoutingDeterminism pins the routing function: same key → same

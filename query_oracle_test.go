@@ -16,9 +16,9 @@ import (
 // and filtered per query — O(n) per page where the served path
 // (Pool.QueryFacts over the incremental fact index) is O(page). It was
 // the product's read path before the index and is kept here, verbatim,
-// as the oracle TestPoolQueryIndexScanEquivalence,
-// TestPoolQueryEquivalence and BenchmarkPoolQueryDeepCursor compare
-// against; scanTopFacts ranks its output for the leaderboard's tests.
+// as the reference the history checker's read checks and
+// BenchmarkPoolQueryDeepCursor compare against; scanTopFacts ranks its
+// output for the leaderboard's tests.
 
 // scanFacts is QueryFacts answered by the reference scan. The filter and
 // cursor must be valid (the tests take them from QueryFacts itself).
@@ -84,8 +84,8 @@ func (p *Pool) scanFacts(f FactFilter, cursor string, limit int) (FactPage, erro
 // scanTopFacts is TopFacts answered the way it was served before the
 // threshold walk: materialise every fact group of every shard, sort them
 // all, keep k. O(cells) where the walk is O(live constraints + k); kept,
-// with its comparator, as the oracle TestPoolQueryTopFactsReference and
-// TestPoolReplayQuietEquivalence compare against. The facts come from the
+// with its comparator, as the reference the history checker and the
+// leaderboard's tests compare against. The facts come from the
 // reference scan of the store, so the oracle does not read the index the
 // walk steps through.
 func (p *Pool) scanTopFacts(k int) ([]QueryFact, error) {

@@ -10,7 +10,6 @@ import (
 	"sort"
 	"strings"
 	"testing"
-	"time"
 )
 
 // queryTestSchema builds a small 4-dim / 3-measure schema whose low
@@ -134,171 +133,15 @@ func collectPaginated(t *testing.T, p *Pool, f FactFilter, limit int) []QueryFac
 	}
 }
 
-// TestPoolQueryEquivalence is the query-level divergence proof: a sharded
-// pool's filtered, paginated scans must equal a brute-force filter over
-// the union of per-shard solo engines fed the identical partitioned
-// stream — for randomized filters and page sizes, across interleaved
-// appends and deletes.
-func TestPoolQueryEquivalence(t *testing.T) {
-	const shards = 3
-	const rowsPerRound = 60
-	const rounds = 3
-	schema := queryTestSchema(t)
-	rng := rand.New(rand.NewSource(7))
-
-	pool, err := NewPool(schema, PoolOptions{Shards: shards, ShardDim: "region"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer pool.Close()
-	// Solo engines, one per shard, fed exactly the rows the pool routes
-	// there — per-shard tuple ids then coincide by construction.
-	solo := make([]*Engine, shards)
-	for i := range solo {
-		if solo[i], err = New(schema, Options{}); err != nil {
-			t.Fatal(err)
-		}
-		defer solo[i].Close()
-	}
-
-	var rows []Row // every live row, for drawing realistic filter values
-	type handle struct {
-		shard int
-		id    int64
-	}
-	var live []handle
-	for round := 0; round < rounds; round++ {
-		for i := 0; i < rowsPerRound; i++ {
-			r := randomRow(rng)
-			rows = append(rows, r)
-			arr, err := pool.Append(r.Dims, r.Measures)
-			if err != nil {
-				t.Fatal(err)
-			}
-			shard := pool.ShardFor(r.Dims[0])
-			if arr.Shard != shard {
-				t.Fatalf("pool routed to shard %d, ShardFor says %d", arr.Shard, shard)
-			}
-			sarr, err := solo[shard].Append(r.Dims, r.Measures)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if sarr.TupleID != arr.TupleID {
-				t.Fatalf("solo engine assigned tuple id %d, pool assigned %d", sarr.TupleID, arr.TupleID)
-			}
-			live = append(live, handle{shard: arr.Shard, id: arr.TupleID})
-		}
-		// Retract a few random tuples on both sides.
-		for i := 0; i < 5 && len(live) > 0; i++ {
-			j := rng.Intn(len(live))
-			h := live[j]
-			live[j] = live[len(live)-1]
-			live = live[:len(live)-1]
-			if err := pool.Delete(h.shard, h.id); err != nil {
-				t.Fatal(err)
-			}
-			if err := solo[h.shard].Delete(h.id); err != nil {
-				t.Fatal(err)
-			}
-		}
-
-		// Reference: the union of full unfiltered per-shard scans.
-		var all []QueryFact
-		for shard, eng := range solo {
-			plan, err := pool.planQuery(FactFilter{Shard: AllShards, TupleID: -1})
-			if err != nil {
-				t.Fatal(err)
-			}
-			facts, err := eng.queryFacts(plan, shard)
-			if err != nil {
-				t.Fatal(err)
-			}
-			all = append(all, facts...)
-		}
-		sort.Slice(all, func(i, j int) bool {
-			if all[i].Shard != all[j].Shard {
-				return all[i].Shard < all[j].Shard
-			}
-			if all[i].sortKey != all[j].sortKey {
-				return all[i].sortKey < all[j].sortKey
-			}
-			return all[i].sortMask < all[j].sortMask
-		})
-
-		// Randomized filters against the reference, each drained through
-		// randomized page sizes.
-		measureNames := []string{"score", "cost", "bonus"}
-		for trial := 0; trial < 25; trial++ {
-			f := FactFilter{Shard: AllShards, TupleID: -1}
-			if rng.Intn(3) == 0 {
-				f.Shard = rng.Intn(shards)
-			}
-			for _, attr := range []string{"region", "kind", "tier", "label"} {
-				if rng.Intn(4) != 0 {
-					continue
-				}
-				var val string
-				if rng.Intn(5) == 0 {
-					val = "never-ingested" // matches nothing anywhere
-				} else {
-					r := rows[rng.Intn(len(rows))]
-					switch attr {
-					case "region":
-						val = r.Dims[0]
-					case "kind":
-						val = r.Dims[1]
-					case "tier":
-						val = r.Dims[2]
-					case "label":
-						val = r.Dims[3]
-					}
-				}
-				f.Conditions = append(f.Conditions, Condition{Attr: attr, Value: val})
-			}
-			if rng.Intn(3) == 0 {
-				k := 1 + rng.Intn(3)
-				perm := rng.Perm(len(measureNames))
-				for _, i := range perm[:k] {
-					f.Measures = append(f.Measures, measureNames[i])
-				}
-			}
-			if rng.Intn(5) == 0 && len(live) > 0 {
-				h := live[rng.Intn(len(live))]
-				f.Shard = h.shard
-				f.WithTuple = true
-				f.TupleID = h.id
-			}
-
-			want := applyFilterRef(all, f)
-			limit := 1 + rng.Intn(7)
-			got := collectPaginated(t, pool, f, limit)
-			if len(got) != len(want) {
-				t.Fatalf("round %d trial %d (filter %+v, limit %d): %d facts, reference has %d",
-					round, trial, f, limit, len(got), len(want))
-			}
-			for i := range got {
-				if factKey(got[i]) != factKey(want[i]) {
-					t.Fatalf("round %d trial %d (filter %+v, limit %d): fact %d differs:\n  got  %s\n  want %s",
-						round, trial, f, limit, i, factKey(got[i]), factKey(want[i]))
-				}
-			}
-			// The no-limit scan must agree with its own pagination.
-			whole := collectPaginated(t, pool, f, 0)
-			if len(whole) != len(want) {
-				t.Fatalf("round %d trial %d: unpaginated scan has %d facts, reference %d",
-					round, trial, len(whole), len(want))
-			}
-		}
-	}
-}
-
 // oracleFacts computes a pool's fact set from nothing but the rows it was
 // fed: per shard, for every constraint binding at most dhat attributes whose
 // context σ_C(R) is non-empty and every measure subspace of at most mhat
 // attributes, the contextual skyline λ_M(σ_C(R)) by a quadratic dominance
 // scan — the definition, not an algorithm, and no µ cell is read. Rows are
 // the shard's live tuples by tuple id; the result is in no particular order.
-func oracleFacts(shards []map[int64]Row, dhat, mhat int) []QueryFact {
+// A non-nil of keeps only the groups whose skyline holds that tuple: the facts
+// its arrival reports, when it is the shard's newest.
+func oracleFacts(shards []map[int64]Row, dhat, mhat int, of *poolHandle) []QueryFact {
 	dimNames := []string{"region", "kind", "tier", "label"}
 	measNames := []string{"score", "cost", "bonus"}
 	larger := []bool{true, false, true} // queryTestSchema's directions
@@ -323,6 +166,9 @@ func oracleFacts(shards []map[int64]Row, dhat, mhat int) []QueryFact {
 	}
 	var out []QueryFact
 	for shard, rows := range shards {
+		if of != nil && of.shard != shard {
+			continue
+		}
 		for bound := 0; bound < 1<<len(dimNames); bound++ {
 			if bits.OnesCount(uint(bound)) > dhat {
 				continue
@@ -339,6 +185,9 @@ func oracleFacts(shards []map[int64]Row, dhat, mhat int) []QueryFact {
 				contexts[key] = append(contexts[key], id)
 			}
 			for _, ids := range contexts {
+				if of != nil && !slices.Contains(ids, of.id) {
+					continue
+				}
 				slices.Sort(ids)
 				var conditions []Condition
 				for d, name := range dimNames {
@@ -347,7 +196,8 @@ func oracleFacts(shards []map[int64]Row, dhat, mhat int) []QueryFact {
 					}
 				}
 				for sub := 1; sub < 1<<len(measNames); sub++ {
-					if bits.OnesCount(uint(sub)) > mhat {
+					if bits.OnesCount(uint(sub)) > mhat || of != nil &&
+						slices.ContainsFunc(ids, func(o int64) bool { return dominates(rows[o], rows[of.id], sub) }) {
 						continue
 					}
 					qf := QueryFact{Shard: shard, Conditions: conditions, ContextSize: int64(len(ids))}
@@ -369,137 +219,6 @@ func oracleFacts(shards []map[int64]Row, dhat, mhat int) []QueryFact {
 		}
 	}
 	return out
-}
-
-// TestPoolQueryFactsAreTheContextualSkylines holds the read path to the
-// paper's contract — facts = oracle facts — with an oracle that does not
-// read the store: every other read reference (scanFacts, scanTopFacts, the
-// solo engines of TestPoolQueryEquivalence) walks the same µ cells as the
-// code under test, so a pool whose cells are not the contextual skylines
-// (TopDown's Invariant 2 keeps a tuple at its maximal constraints only)
-// agrees with all of them while serving storage, not facts. After a seeded
-// history with deletes, and again after checkpoint + restore + unobserved
-// replay, the full QueryFacts walk must equal oracleFacts group for group —
-// conditions, measures, tuple ids, skyline size, context size, prominence —
-// with nothing missing and nothing extra.
-func TestPoolQueryFactsAreTheContextualSkylines(t *testing.T) {
-	schema := queryTestSchema(t)
-	for _, tc := range []struct {
-		name       string
-		shards     int
-		opt        Options
-		dhat, mhat int // the caps the options spell, for the oracle
-	}{
-		{"sbottomup/shards=1", 1, Options{}, 4, 3},
-		{"sbottomup/shards=4", 4, Options{}, 4, 3},
-		{"bottomup/shards=4", 4, Options{Algorithm: AlgoBottomUp}, 4, 3},
-		{"bottomup/shards=1/dhat=2/mhat=2", 1, Options{Algorithm: AlgoBottomUp, MaxBoundDims: 2, MaxMeasureDims: 2}, 2, 2},
-		{"sbottomup/shards=4/dhat=3", 4, Options{MaxBoundDims: 3}, 3, 3},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			rng := rand.New(rand.NewSource(23))
-			walDir, snapDir := t.TempDir(), t.TempDir()
-			pool, err := NewPool(schema, PoolOptions{Shards: tc.shards, ShardDim: "region", Engine: tc.opt})
-			if err != nil {
-				t.Fatal(err)
-			}
-			w, err := OpenWAL(pool, walDir, WALOptions{SyncInterval: time.Minute})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := pool.AttachWAL(w); err != nil {
-				t.Fatal(err)
-			}
-			defer func() {
-				pool.Close()
-				w.Close()
-			}()
-			live := make([]map[int64]Row, tc.shards)
-			for i := range live {
-				live[i] = map[int64]Row{}
-			}
-			var handles []poolHandle
-			mutate := func(steps int) {
-				t.Helper()
-				for i := 0; i < steps; i++ {
-					if len(handles) > 8 && rng.Intn(5) == 0 {
-						j := rng.Intn(len(handles))
-						h := handles[j]
-						handles[j] = handles[len(handles)-1]
-						handles = handles[:len(handles)-1]
-						if err := pool.Delete(h.shard, h.id); err != nil {
-							t.Fatal(err)
-						}
-						delete(live[h.shard], h.id)
-						continue
-					}
-					r := randomRow(rng)
-					arr, err := pool.Append(r.Dims, r.Measures)
-					if err != nil {
-						t.Fatal(err)
-					}
-					live[arr.Shard][arr.TupleID] = r
-					handles = append(handles, poolHandle{shard: arr.Shard, id: arr.TupleID})
-				}
-			}
-			check := func(when string) {
-				t.Helper()
-				got := map[string]bool{}
-				for _, qf := range collectPaginated(t, pool, FactFilter{Shard: AllShards}, 64) {
-					if got[factKey(qf)] {
-						t.Errorf("%s: served twice: %s", when, factKey(qf))
-					}
-					got[factKey(qf)] = true
-				}
-				want := oracleFacts(live, tc.dhat, tc.mhat)
-				missing := 0
-				for _, qf := range want {
-					if !got[factKey(qf)] {
-						if missing++; missing <= 5 {
-							t.Errorf("%s: not served: %s", when, factKey(qf))
-						}
-					}
-					delete(got, factKey(qf))
-				}
-				extra := 0
-				for k := range got {
-					if extra++; extra <= 5 {
-						t.Errorf("%s: served, but no contextual skyline: %s", when, k)
-					}
-				}
-				if missing > 0 || len(got) > 0 {
-					t.Fatalf("%s: of %d contextual skylines %d are not served, and %d served groups are not one",
-						when, len(want), missing, len(got))
-				}
-				if st := pool.IndexStats(); st.Entries != int64(len(want)) {
-					t.Errorf("%s: IndexStats().Entries = %d, the oracle has %d fact groups", when, st.Entries, len(want))
-				}
-			}
-			mutate(90)
-			if _, err := pool.Checkpoint(snapDir, nil); err != nil {
-				t.Fatal(err)
-			}
-			mutate(50)
-			check("after the history")
-
-			if err := pool.Close(); err != nil {
-				t.Fatal(err)
-			}
-			if err := w.Close(); err != nil {
-				t.Fatal(err)
-			}
-			if pool, _, err = RestorePool(schema, snapDir); err != nil {
-				t.Fatal(err)
-			}
-			if w, err = OpenWAL(pool, walDir, WALOptions{}); err != nil {
-				t.Fatal(err)
-			}
-			if stats, err := pool.ReplayWAL(w, nil); err != nil || stats.Applied == 0 {
-				t.Fatalf("replay: %+v, %v", stats, err)
-			}
-			check("after checkpoint + restore + unobserved replay")
-		})
-	}
 }
 
 // collectPages walks the full cursor chain, keeping every page whole —
@@ -525,7 +244,7 @@ func collectPages(t *testing.T, query func(FactFilter, string, int) (FactPage, e
 	}
 }
 
-// randomQueryFilter draws a filter the way TestPoolQueryEquivalence does:
+// randomQueryFilter draws a filter for the history checker's read checks:
 // random shard restriction, conditions sampled from ingested rows (with
 // the occasional never-seen value), measure subsets, and tuple membership.
 func randomQueryFilter(rng *rand.Rand, shards int, rows []Row, live []poolHandle) FactFilter {
@@ -562,148 +281,6 @@ func randomQueryFilter(rng *rand.Rand, shards int, rows []Row, live []poolHandle
 type poolHandle struct {
 	shard int
 	id    int64
-}
-
-// comparePaths drains random filtered queries through the served read
-// path (the fact index) and the reference scan (query_oracle_test.go) and
-// fails on the first byte-level difference: page boundaries, cursor
-// strings, fact contents, and internal sort coordinates must all agree.
-func comparePaths(t *testing.T, pool *Pool, rng *rand.Rand, shards, trials int, rows []Row, live []poolHandle, label string) {
-	t.Helper()
-	for trial := 0; trial < trials; trial++ {
-		f := randomQueryFilter(rng, shards, rows, live)
-		limit := rng.Intn(7) // 0 = unpaginated
-		idxPages := collectPages(t, pool.QueryFacts, f, limit)
-		scanPages := collectPages(t, pool.scanFacts, f, limit)
-		if len(idxPages) != len(scanPages) {
-			t.Fatalf("%s trial %d (filter %+v, limit %d): index path made %d pages, scan path %d",
-				label, trial, f, limit, len(idxPages), len(scanPages))
-		}
-		for pi := range idxPages {
-			ip, sp := idxPages[pi], scanPages[pi]
-			if ip.NextCursor != sp.NextCursor {
-				t.Fatalf("%s trial %d page %d: cursor %q (index) vs %q (scan)",
-					label, trial, pi, ip.NextCursor, sp.NextCursor)
-			}
-			if len(ip.Facts) != len(sp.Facts) {
-				t.Fatalf("%s trial %d page %d: %d facts (index) vs %d (scan)",
-					label, trial, pi, len(ip.Facts), len(sp.Facts))
-			}
-			for i := range ip.Facts {
-				a, b := ip.Facts[i], sp.Facts[i]
-				if factKey(a) != factKey(b) || a.sortKey != b.sortKey || a.sortMask != b.sortMask {
-					t.Fatalf("%s trial %d page %d fact %d differs:\n  index %s (%x/%d)\n  scan  %s (%x/%d)",
-						label, trial, pi, i, factKey(a), a.sortKey, a.sortMask, factKey(b), b.sortKey, b.sortMask)
-				}
-			}
-		}
-	}
-}
-
-// TestPoolQueryIndexScanEquivalence is the index-vs-scan divergence
-// proof: under random interleaved appends, deletes, mid-stream
-// checkpoints, and full restarts (snapshot restore + WAL tail replay —
-// the paths that REBUILD the index rather than grow it), every filtered,
-// paginated query must come back byte-identical from the incremental
-// fact index and from the reference scan, cursor strings included.
-func TestPoolQueryIndexScanEquivalence(t *testing.T) {
-	const shards = 3
-	schema := queryTestSchema(t)
-	rng := rand.New(rand.NewSource(11))
-	walDir, snapDir := t.TempDir(), t.TempDir()
-
-	pool, err := NewPool(schema, PoolOptions{Shards: shards, ShardDim: "region"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	w, err := OpenWAL(pool, walDir, WALOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := pool.AttachWAL(w); err != nil {
-		t.Fatal(err)
-	}
-	var rows []Row
-	var live []poolHandle
-	mutate := func(appends, deletes int) {
-		t.Helper()
-		for i := 0; i < appends; i++ {
-			r := randomRow(rng)
-			rows = append(rows, r)
-			arr, err := pool.Append(r.Dims, r.Measures)
-			if err != nil {
-				t.Fatal(err)
-			}
-			live = append(live, poolHandle{shard: arr.Shard, id: arr.TupleID})
-		}
-		for i := 0; i < deletes && len(live) > 0; i++ {
-			j := rng.Intn(len(live))
-			h := live[j]
-			live[j] = live[len(live)-1]
-			live = live[:len(live)-1]
-			if err := pool.Delete(h.shard, h.id); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-
-	for phase := 0; phase < 3; phase++ {
-		mutate(50, 6)
-		if phase != 1 {
-			// Checkpoint mid-phase so the coming restart restores a snapshot
-			// AND replays a WAL tail past it; phase 1 restarts from the
-			// previous snapshot with a longer tail instead.
-			if _, err := pool.Checkpoint(snapDir, nil); err != nil {
-				t.Fatal(err)
-			}
-		}
-		mutate(25, 4)
-		comparePaths(t, pool, rng, shards, 20, rows, live, fmt.Sprintf("phase %d", phase))
-
-		// Full fact set (for the cross-restart identity check below).
-		before := collectPaginated(t, pool, FactFilter{Shard: AllShards, TupleID: -1}, 0)
-
-		if err := pool.Close(); err != nil {
-			t.Fatal(err)
-		}
-		if err := w.Close(); err != nil {
-			t.Fatal(err)
-		}
-		pool, _, err = RestorePool(schema, snapDir)
-		if err != nil {
-			t.Fatal(err)
-		}
-		w, err = OpenWAL(pool, walDir, WALOptions{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := pool.ReplayWAL(w, nil); err != nil {
-			t.Fatal(err)
-		}
-		if err := pool.AttachWAL(w); err != nil {
-			t.Fatal(err)
-		}
-		after := collectPaginated(t, pool, FactFilter{Shard: AllShards, TupleID: -1}, 0)
-		if len(before) != len(after) {
-			t.Fatalf("phase %d: restart changed fact count %d -> %d", phase, len(before), len(after))
-		}
-		for i := range before {
-			if factKey(before[i]) != factKey(after[i]) {
-				t.Fatalf("phase %d: restart changed fact %d:\n  before %s\n  after  %s",
-					phase, i, factKey(before[i]), factKey(after[i]))
-			}
-		}
-		comparePaths(t, pool, rng, shards, 10, rows, live, fmt.Sprintf("phase %d post-restart", phase))
-	}
-	if st := pool.IndexStats(); !st.Serving || st.Entries == 0 || st.Seeks == 0 {
-		t.Fatalf("index stats %+v: want serving with entries and seeks", st)
-	}
-	if err := pool.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
 }
 
 // TestQueryFactsValidation pins the query layer's error contract.

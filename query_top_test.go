@@ -2,16 +2,10 @@ package situfact
 
 import (
 	"fmt"
-	"math/rand"
 	"slices"
 	"strings"
 	"testing"
-	"time"
 )
-
-// topKs are the ranking depths every comparison runs at; the last entry is
-// replaced by "more than there are facts".
-var topKs = []int{1, 10, 64, 500, 0}
 
 // sameQueryFact is reflect.DeepEqual for two QueryFacts — every field, the
 // unexported pagination coordinates included, nil and empty slices told
@@ -29,39 +23,6 @@ func sameQueryFacts(a, b []QueryFact) bool {
 	return (a == nil) == (b == nil) && slices.EqualFunc(a, b, sameQueryFact)
 }
 
-// checkTopFacts compares TopFacts(k) with the scan-and-sort reference,
-// element for element (unexported pagination coordinates included), at
-// every depth of topKs. One reference scan serves all depths: the top k is
-// by definition the first k of the full ranking.
-func checkTopFacts(t *testing.T, pool *Pool, label string) []QueryFact {
-	t.Helper()
-	full, err := pool.scanTopFacts(1 << 30)
-	if err != nil {
-		t.Fatalf("%s: reference: %v", label, err)
-	}
-	for _, k := range topKs {
-		if k == 0 {
-			k = len(full) + 7
-		}
-		got, err := pool.TopFacts(k)
-		if err != nil {
-			t.Fatalf("%s: TopFacts(%d): %v", label, k, err)
-		}
-		want := full[:min(k, len(full))]
-		if len(got) != len(want) {
-			t.Fatalf("%s: TopFacts(%d) returned %d facts, reference %d", label, k, len(got), len(want))
-		}
-		for i := range want {
-			if !sameQueryFact(got[i], want[i]) {
-				t.Fatalf("%s: TopFacts(%d) position %d:\n  walk      %s (key %x mask %d)\n  reference %s (key %x mask %d)",
-					label, k, i, factKey(got[i]), got[i].sortKey, got[i].sortMask,
-					factKey(want[i]), want[i].sortKey, want[i].sortMask)
-			}
-		}
-	}
-	return full
-}
-
 // checkReadsRefused requires both read surfaces to refuse the pool with the
 // one sentence Engine.indexedStore gives, naming the invariant reads rest on.
 func checkReadsRefused(t *testing.T, pool *Pool) {
@@ -77,125 +38,6 @@ func checkReadsRefused(t *testing.T, pool *Pool) {
 	for _, f := range []FactFilter{{Shard: AllShards}, {Shard: 0, WithTuple: true}} {
 		if _, qerr := pool.QueryFacts(f, "", 3); qerr == nil || err == nil || qerr.Error() != err.Error() {
 			t.Errorf("QueryFacts(%+v) error %v, TopFacts error %v: want one message", f, qerr, err)
-		}
-	}
-}
-
-// TestPoolQueryTopFactsReference proves the threshold walk against the
-// ranking it replaced: after every append and delete of a seeded random
-// history — with a checkpoint, a restart from it and a WAL replay in the
-// middle — TopFacts equals the reference at every depth, for both BottomUp
-// algorithms, one shard and several, and with prominence disabled (no
-// counter: nothing bounds anything and the order is key order). A TopDown
-// pool is refused instead, before and after it holds rows: its cells are
-// Invariant 2's — a tuple sits at its maximal skyline constraints only —
-// so ranking them would rank storage, not facts.
-func TestPoolQueryTopFactsReference(t *testing.T) {
-	schema := queryTestSchema(t)
-	for _, tc := range []struct {
-		name string
-		opt  Options
-	}{
-		{"sbottomup", Options{}},
-		{"bottomup", Options{Algorithm: AlgoBottomUp}},
-		{"stopdown", Options{Algorithm: AlgoSTopDown}},
-		{"noprominence", Options{DisableProminence: true}},
-	} {
-		for _, shards := range []int{1, 4} {
-			t.Run(fmt.Sprintf("%s/shards=%d", tc.name, shards), func(t *testing.T) {
-				rng := rand.New(rand.NewSource(int64(19 + shards)))
-				walDir, snapDir := t.TempDir(), t.TempDir()
-				pool, err := NewPool(schema, PoolOptions{Shards: shards, ShardDim: "region", Engine: tc.opt})
-				if err != nil {
-					t.Fatal(err)
-				}
-				if tc.opt.Algorithm == AlgoSTopDown {
-					defer pool.Close()
-					checkReadsRefused(t, pool)
-					for i := 0; i < 20; i++ {
-						r := randomRow(rng)
-						if _, err := pool.Append(r.Dims, r.Measures); err != nil {
-							t.Fatal(err)
-						}
-					}
-					checkReadsRefused(t, pool)
-					return
-				}
-				// Interval sync: the journal is read back after a clean Close,
-				// and an fsync per step would be most of the test's time.
-				w, err := OpenWAL(pool, walDir, WALOptions{SyncInterval: time.Minute})
-				if err != nil {
-					t.Fatal(err)
-				}
-				if err := pool.AttachWAL(w); err != nil {
-					t.Fatal(err)
-				}
-				defer func() {
-					pool.Close()
-					w.Close()
-				}()
-				checkTopFacts(t, pool, "empty pool")
-
-				var live []poolHandle
-				facts := 0
-				mutate := func(phase string, steps int) {
-					t.Helper()
-					for i := 0; i < steps; i++ {
-						if len(live) > 8 && rng.Intn(6) == 0 {
-							j := rng.Intn(len(live))
-							h := live[j]
-							live[j] = live[len(live)-1]
-							live = live[:len(live)-1]
-							if err := pool.Delete(h.shard, h.id); err != nil {
-								t.Fatal(err)
-							}
-						} else {
-							r := randomRow(rng)
-							arr, err := pool.Append(r.Dims, r.Measures)
-							if err != nil {
-								t.Fatal(err)
-							}
-							live = append(live, poolHandle{shard: arr.Shard, id: arr.TupleID})
-						}
-						facts = len(checkTopFacts(t, pool, fmt.Sprintf("%s step %d", phase, i)))
-					}
-				}
-				mutate("before checkpoint", 45)
-				if _, err := pool.Checkpoint(snapDir, nil); err != nil {
-					t.Fatal(err)
-				}
-				mutate("after checkpoint", 25)
-				before := checkTopFacts(t, pool, "before restart")
-
-				// Restart: snapshot + the WAL tail past it, replayed unobserved.
-				if err := pool.Close(); err != nil {
-					t.Fatal(err)
-				}
-				if err := w.Close(); err != nil {
-					t.Fatal(err)
-				}
-				if pool, _, err = RestorePool(schema, snapDir); err != nil {
-					t.Fatal(err)
-				}
-				if w, err = OpenWAL(pool, walDir, WALOptions{}); err != nil {
-					t.Fatal(err)
-				}
-				if stats, err := pool.ReplayWAL(w, nil); err != nil || stats.Applied == 0 {
-					t.Fatalf("replay: %+v, %v", stats, err)
-				}
-				if err := pool.AttachWAL(w); err != nil {
-					t.Fatal(err)
-				}
-				if after := checkTopFacts(t, pool, "after restart"); !sameQueryFacts(after, before) {
-					t.Fatalf("restart changed the ranking of %d facts (now %d)", len(before), len(after))
-				}
-				mutate("after restart", 40)
-				// Every depth must have cut a longer ranking short at some
-				// point.
-				if facts <= 500 {
-					t.Fatalf("history ends with %d fact groups: k=500 never truncated", facts)
-				}
-			})
 		}
 	}
 }

@@ -37,17 +37,10 @@ func schemaSig(s *relation.Schema) string {
 	return s.String()
 }
 
-// CanSnapshot reports whether SaveSnapshot supports this engine: a
-// lattice algorithm (BottomUp/TopDown family) over the in-memory store.
-func (e *Engine) CanSnapshot() bool { return e.mem != nil }
-
-// CanSnapshot reports whether SaveSnapshot supports this pool's engines.
-func (p *Pool) CanSnapshot() bool { return p.shards[0].eng.CanSnapshot() }
-
 // ErrNoSnapshot reports that a directory holds no pool snapshot at all —
 // as opposed to holding a corrupt or mismatched one, which is a distinct
 // error. Daemons restore-or-start-fresh with errors.Is(err, ErrNoSnapshot);
-// any other LoadPoolSnapshot error should fail startup loudly rather than
+// any other RestorePool error should fail startup loudly rather than
 // silently serving an empty relation over existing state.
 var ErrNoSnapshot = errors.New("no pool snapshot")
 
@@ -269,17 +262,6 @@ func loadSnapshot(schema *Schema, data []byte) (*Engine, error) {
 	return eng, nil
 }
 
-// SaveSnapshot writes the pool's state into dir: a manifest plus one
-// engine snapshot per shard. Each shard is saved under its own lock; as
-// shards are independent substreams, per-shard consistency is the
-// meaningful unit and no cross-shard barrier is taken. It requires the
-// same engines Engine.SaveSnapshot does (lattice algorithms over the
-// in-memory store). Checkpoint is the richer form used with a WAL.
-func (p *Pool) SaveSnapshot(dir string) error {
-	_, err := p.Checkpoint(dir, nil)
-	return err
-}
-
 // CheckpointStats describes a committed pool checkpoint.
 type CheckpointStats struct {
 	// Generation numbers the committed snapshot.
@@ -299,8 +281,13 @@ type CheckpointStats struct {
 }
 
 // Checkpoint writes the pool's state into dir as a new snapshot
-// generation. When a WAL is attached, each shard file records the WAL
-// position it reflects, so recovery replays exactly the uncovered tail.
+// generation: a manifest plus one engine snapshot per shard. Each shard is
+// saved under its own lock; as shards are independent substreams,
+// per-shard consistency is the meaningful unit and no cross-shard barrier
+// is taken. It requires the engines Engine.SaveSnapshot does (lattice
+// algorithms over the in-memory store). When a WAL is attached, the
+// manifest records the WAL position each shard reflects, so recovery
+// replays exactly the uncovered tail.
 // sidecars, when non-nil, is invoked after the shard files are written
 // and before the manifest commits; the payloads it returns are committed
 // atomically with the snapshot and handed back by RestorePool — a hook for
@@ -361,8 +348,8 @@ func (p *Pool) Checkpoint(dir string, sidecars func() (map[string][]byte, error)
 	// must be durable in the WAL first: a buffered-but-unsynced record
 	// would be lost by a crash, its LSN reassigned to a NEW acknowledged
 	// operation on restart, and a later recovery would skip that operation
-	// as "already in the snapshot". This also holds in interval-sync mode,
-	// where appends are acknowledged ahead of the fsync.
+	// as "already in the snapshot". A record is journaled before its
+	// fsync, so the captured head can be ahead of the synced watermark.
 	if top := slices.Max(lsns); top > 0 {
 		if err := p.wal.w.WaitSync(top); err != nil {
 			return CheckpointStats{}, fmt.Errorf("situfact: pool snapshot: wal sync: %w", err)
@@ -402,18 +389,11 @@ func (p *Pool) Checkpoint(dir string, sidecars func() (map[string][]byte, error)
 	return stats, nil
 }
 
-// LoadPoolSnapshot reconstructs a pool from a directory written by
-// Pool.SaveSnapshot. The schema must match the one the snapshot was taken
-// under; shard count, routing dimension, algorithm and caps are restored
-// from the snapshot itself. RestorePool additionally returns the sidecar
-// payloads committed with the snapshot.
-func LoadPoolSnapshot(schema *Schema, dir string) (*Pool, error) {
-	p, _, err := RestorePool(schema, dir)
-	return p, err
-}
-
-// RestorePool is LoadPoolSnapshot plus the snapshot's sidecar payloads
-// (nil when the snapshot carries none).
+// RestorePool reconstructs a pool from the newest generation Checkpoint
+// committed in dir, and returns the sidecar payloads committed with it (nil
+// when the snapshot carries none). The schema must match the one the
+// snapshot was taken under; shard count, routing dimension, algorithm and
+// caps are restored from the snapshot itself.
 func RestorePool(schema *Schema, dir string) (*Pool, map[string][]byte, error) {
 	if schema == nil || schema.rs == nil {
 		return nil, nil, fmt.Errorf("situfact: nil schema")

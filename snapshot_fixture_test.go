@@ -295,7 +295,7 @@ func TestV1StateDirRestoresAndUpgrades(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	old, err := LoadPoolSnapshot(schema, dir)
+	old, _, err := RestorePool(schema, dir)
 	if err != nil {
 		t.Fatalf("v1 state directory failed to restore: %v", err)
 	}
@@ -321,7 +321,7 @@ func TestV1StateDirRestoresAndUpgrades(t *testing.T) {
 	if _, err := os.Stat(filepath.Join(dir, persist.ShardSnapshotName(0, 7))); !os.IsNotExist(err) {
 		t.Errorf("the v1 generation's file is still there (%v)", err)
 	}
-	upgraded, err := LoadPoolSnapshot(schema, dir)
+	upgraded, _, err := RestorePool(schema, dir)
 	if err != nil {
 		t.Fatal(err)
 	}

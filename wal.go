@@ -3,8 +3,6 @@ package situfact
 import (
 	"errors"
 	"fmt"
-	"sync"
-	"time"
 
 	"repro/internal/faultfs"
 	"repro/internal/persist"
@@ -18,12 +16,9 @@ import (
 // (Pool.AttachWAL). Periodic Pool.Checkpoint calls bound the tail and let
 // WAL.TruncateBefore reclaim covered segments.
 //
-// Durability contract: with WALOptions.SyncInterval zero, an operation
-// returns only after its record is fsynced — concurrent operations
-// group-commit into shared fsyncs. With a positive interval, operations
-// return as soon as the record is buffered and a background loop fsyncs
-// on the interval: faster, but a crash can lose up to one interval of
-// acknowledged records. WALStats reports the unsynced lag either way.
+// Durability contract: acked ⇒ durable. An operation returns only after
+// its record is fsynced; concurrent operations group-commit into shared
+// fsyncs. WALStats reports the records buffered but not yet synced.
 
 // ErrWALFailed marks an ingest failure caused by the write-ahead log —
 // a failed journal write or durability wait — rather than by the request
@@ -41,10 +36,6 @@ var ErrRowTooLarge = errors.New("row too large to journal")
 type WALOptions struct {
 	// SegmentBytes is the log's segment-rotation threshold; 0 = 64 MiB.
 	SegmentBytes int64
-	// SyncInterval selects the durability mode: 0 fsyncs before every
-	// acknowledgement (group-committed); > 0 fsyncs on this interval in
-	// the background and acknowledges immediately.
-	SyncInterval time.Duration
 	// FS is the filesystem seam segment I/O goes through; nil = the real
 	// one. Fault tests inject a faultfs.Faulty here (see internal/faultfs).
 	FS faultfs.FS
@@ -53,13 +44,8 @@ type WALOptions struct {
 // WAL is an open write-ahead log, bound to one pool identity (schema and
 // shard layout). It is safe for concurrent use.
 type WAL struct {
-	w        *persist.WAL
-	meta     string // the pool identity the log was opened under
-	interval time.Duration
-
-	stop chan struct{}
-	done chan struct{}
-	once sync.Once
+	w    *persist.WAL
+	meta string // the pool identity the log was opened under
 }
 
 // walMeta is the identity a log is bound to. Beyond the schema it covers
@@ -89,37 +75,10 @@ func OpenWAL(pool *Pool, dir string, opt WALOptions) (*WAL, error) {
 	if err != nil {
 		return nil, fmt.Errorf("situfact: %w", err)
 	}
-	w := &WAL{w: pw, meta: meta, interval: opt.SyncInterval}
-	if opt.SyncInterval > 0 {
-		w.stop = make(chan struct{})
-		w.done = make(chan struct{})
-		go func() {
-			defer close(w.done)
-			t := time.NewTicker(opt.SyncInterval)
-			defer t.Stop()
-			for {
-				select {
-				case <-w.stop:
-					return
-				case <-t.C:
-					w.w.Sync() // sticky failure surfaces on the next operation
-				}
-			}
-		}()
-	}
-	return w, nil
+	return &WAL{w: pw, meta: meta}, nil
 }
 
-// commit makes lsn durable under the log's durability mode: a blocking
-// (group-committed) fsync wait by default, a no-op in interval mode.
-func (w *WAL) commit(lsn uint64) error {
-	if w.interval > 0 {
-		return nil
-	}
-	return w.w.WaitSync(lsn)
-}
-
-// Sync forces every journaled record to disk, regardless of mode.
+// Sync forces every journaled record to disk.
 func (w *WAL) Sync() error { return w.w.Sync() }
 
 // Err returns the log's sticky failure (a poisoned write buffer or a
@@ -148,16 +107,8 @@ func (w *WAL) Stats() WALStats { return w.w.Stats() }
 // after a successful Checkpoint.
 func (w *WAL) TruncateBefore(lsn uint64) error { return w.w.TruncateBefore(lsn) }
 
-// Close stops the background syncer (if any), flushes and closes the log.
-func (w *WAL) Close() error {
-	w.once.Do(func() {
-		if w.stop != nil {
-			close(w.stop)
-			<-w.done
-		}
-	})
-	return w.w.Close()
-}
+// Close flushes and closes the log.
+func (w *WAL) Close() error { return w.w.Close() }
 
 // AttachWAL binds the pool to an open log: every subsequent
 // Append/AppendBatch/Delete is journaled before it is applied. Attach

@@ -2,13 +2,13 @@ package situfact
 
 import (
 	"errors"
-	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
-	"time"
+
+	"repro/internal/persist"
 )
 
 // poolFixture holds the state-dir layout the WAL tests share.
@@ -76,405 +76,37 @@ func assertPoolsAgree(t *testing.T, got, want *Pool, rows []struct {
 	}
 }
 
-// TestPoolWALReplayOnly: a fresh pool replaying a WAL (no snapshot at
-// all) must equal the pool that wrote it — appends, deletes, tombstones
-// and metrics.
-func TestPoolWALReplayOnly(t *testing.T) {
-	f := newPoolFixture(t)
-	reference := newGamelogPool(t)
-	defer reference.Close()
-
-	live := newGamelogPool(t)
-	w := f.openWAL(t, live)
-	if err := live.AttachWAL(w); err != nil {
-		t.Fatal(err)
-	}
-	var arrs []*Arrival
-	for _, r := range table1Rows[:5] {
-		arr, err := live.Append(r.d, r.m)
-		if err != nil {
-			t.Fatal(err)
-		}
-		arrs = append(arrs, arr)
-		if _, err := reference.Append(r.d, r.m); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := live.Delete(arrs[3].Shard, arrs[3].TupleID); err != nil {
-		t.Fatal(err)
-	}
-	if err := reference.Delete(arrs[3].Shard, arrs[3].TupleID); err != nil {
-		t.Fatal(err)
-	}
-	// A journaled delete that failed must replay as the same failure.
-	if err := live.Delete(arrs[3].Shard, arrs[3].TupleID); err == nil {
-		t.Fatal("double delete accepted")
-	}
-	live.Close() // simulated crash: no snapshot was ever taken
-	w.Close()
-
-	recovered := newGamelogPool(t)
-	defer recovered.Close()
-	w2 := f.openWAL(t, recovered)
-	defer w2.Close()
-	var replayed []*Arrival
-	stats, err := recovered.ReplayWAL(w2, func(a *Arrival) { replayed = append(replayed, a) })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.Applied != 6 || stats.Failed != 1 || stats.Skipped != 0 {
-		t.Fatalf("replay stats = %+v, want 6 applied / 1 failed / 0 skipped", stats)
-	}
-	// An observer sees every replayed append as its original caller did:
-	// same handle, same facts in the same order.
-	if len(replayed) != 5 {
-		t.Fatalf("onArrival saw %d appends, want 5", len(replayed))
-	}
-	for i, a := range replayed {
-		if len(a.Facts) == 0 || !reflect.DeepEqual(a, arrs[i]) {
-			t.Fatalf("replayed arrival %d = %d:%d with %d facts, original %d:%d with %d",
-				i, a.Shard, a.TupleID, len(a.Facts), arrs[i].Shard, arrs[i].TupleID, len(arrs[i].Facts))
-		}
-	}
-	if err := recovered.AttachWAL(w2); err != nil {
-		t.Fatal(err)
-	}
-	assertPoolsAgree(t, recovered, reference, table1Rows[5:])
-	// The tombstone survived replay.
-	if err := recovered.Delete(arrs[3].Shard, arrs[3].TupleID); err == nil {
-		t.Error("tombstone lost across WAL replay")
-	}
-}
-
-// TestPoolReplayQuietEquivalence: a journal re-applied with nobody watching
-// (nil onArrival: the appends' facts are neither ranked nor rendered) leaves
-// exactly the state the same journal leaves under an observer, which is the
-// state of the pool that wrote it — work counters (the store's read count
-// among them: sizing a fact is a read), index size, every fact group and
-// the leaderboard — through crash recovery (ReplayWAL) and through a
-// follower's tail apply (ApplyTail) alike, for both lattice families (a
-// TopDown pool serves no reads: its counters and its refusal are compared)
-// and with prominence off.
-func TestPoolReplayQuietEquivalence(t *testing.T) {
-	schema := queryTestSchema(t)
-	for _, tc := range []struct {
-		name string
-		opt  Options
-	}{
-		{"sbottomup", Options{}},
-		{"stopdown", Options{Algorithm: AlgoSTopDown}},
-		{"noprominence", Options{DisableProminence: true}},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			newPool := func() *Pool {
-				p, err := NewPool(schema, PoolOptions{Shards: 3, ShardDim: "region", Engine: tc.opt})
-				if err != nil {
-					t.Fatal(err)
-				}
-				t.Cleanup(func() { p.Close() })
-				return p
-			}
-			walDir := t.TempDir()
-			writer := newPool()
-			w, err := OpenWAL(writer, walDir, WALOptions{SyncInterval: time.Minute})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer w.Close()
-			if err := writer.AttachWAL(w); err != nil {
-				t.Fatal(err)
-			}
-			rng := rand.New(rand.NewSource(77))
-			appends := 0
-			var live []poolHandle
-			for i := 0; i < 150; i++ {
-				if writer.CanDelete() && len(live) > 4 && i%7 == 0 {
-					h := live[rng.Intn(len(live))]
-					// Repeats re-fail as "already deleted", at replay too.
-					writer.Delete(h.shard, h.id)
-					continue
-				}
-				r := randomRow(rng)
-				arr, err := writer.Append(r.Dims, r.Measures)
-				if err != nil {
-					t.Fatal(err)
-				}
-				appends++
-				live = append(live, poolHandle{shard: arr.Shard, id: arr.TupleID})
-			}
-			if err := w.Sync(); err != nil {
-				t.Fatal(err)
-			}
-			recs, _, more, err := w.ReadTail(1, 1<<20)
-			if err != nil || more {
-				t.Fatalf("ReadTail: %d records, more=%v, %v", len(recs), more, err)
-			}
-
-			type outcome struct {
-				name  string
-				pool  *Pool
-				stats ReplayStats
-			}
-			outcomes := []outcome{{name: "writer", pool: writer}}
-			for _, watched := range []bool{true, false} {
-				seen, facts := 0, int64(0)
-				var observer func(*Arrival)
-				name := "unobserved"
-				if watched {
-					name = "observed"
-					observer = func(a *Arrival) {
-						seen++
-						facts += int64(len(a.Facts))
-					}
-				}
-				replayed, tailed := newPool(), newPool()
-				rs, err := replayed.ReplayWAL(w, observer)
-				if err != nil {
-					t.Fatal(err)
-				}
-				ts, err := tailed.ApplyTail(w.Epoch(), recs, observer)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if watched && (seen != 2*appends || facts != 2*writer.Metrics().Facts) {
-					t.Fatalf("observer saw %d arrivals with %d facts over two passes, writer reported %d with %d",
-						seen, facts, appends, writer.Metrics().Facts)
-				}
-				outcomes = append(outcomes,
-					outcome{"ReplayWAL " + name, replayed, rs}, outcome{"ApplyTail " + name, tailed, ts})
-			}
-
-			// Reads compare the pools fact for fact where they are served; a
-			// TopDown pool's cells are not the fact set (Invariant 2), so there
-			// the counters carry the comparison and every pool refuses alike.
-			serving := writer.IndexStats().Serving
-			all := FactFilter{Shard: AllShards, TupleID: -1}
-			want := outcomes[0]
-			var wantFacts, wantTop []QueryFact
-			if serving {
-				wantFacts = collectPaginated(t, want.pool, all, 0)
-				if wantTop, err = want.pool.TopFacts(64); err != nil {
-					t.Fatal(err)
-				}
-				if len(wantFacts) < 64 {
-					t.Fatalf("history leaves only %d fact groups", len(wantFacts))
-				}
-			}
-			for _, got := range outcomes[1:] {
-				if got.stats != outcomes[1].stats || got.stats.Applied < appends {
-					t.Errorf("%s: stats %+v, ReplayWAL observed %+v", got.name, got.stats, outcomes[1].stats)
-				}
-				if g, w := got.pool.Metrics(), want.pool.Metrics(); g != w {
-					t.Errorf("%s: Metrics %+v, writer %+v", got.name, g, w)
-				}
-				if !serving {
-					checkReadsRefused(t, got.pool)
-					continue
-				}
-				if g, w := got.pool.IndexStats().Entries, want.pool.IndexStats().Entries; g != w {
-					t.Errorf("%s: %d index entries, writer %d", got.name, g, w)
-				}
-				if !sameQueryFacts(collectPaginated(t, got.pool, all, 0), wantFacts) {
-					t.Errorf("%s: the fact set differs from the writer's", got.name)
-				}
-				top, err := got.pool.TopFacts(64)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !sameQueryFacts(top, wantTop) {
-					t.Errorf("%s: TopFacts(64) differs from the writer's", got.name)
-				}
-			}
-		})
-	}
-}
-
-// TestPoolCheckpointPlusTail: recovery = newest checkpoint + WAL tail.
-// The checkpoint covers a prefix; replay must apply exactly the records
-// after each shard's snapshot LSN, even after the covered segments are
-// truncated away.
-func TestPoolCheckpointPlusTail(t *testing.T) {
-	f := newPoolFixture(t)
-	reference := newGamelogPool(t)
-	defer reference.Close()
-
-	live := newGamelogPool(t)
-	w := f.openWAL(t, live)
-	if err := live.AttachWAL(w); err != nil {
-		t.Fatal(err)
-	}
-	feed := func(p *Pool, rows []struct {
-		d []string
-		m []float64
-	}) {
-		for _, r := range rows {
-			if _, err := p.Append(r.d, r.m); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	feed(live, table1Rows[:4])
-	feed(reference, table1Rows[:4])
-	stats, err := live.Checkpoint(f.stateDir, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.Generation != 1 {
-		t.Fatalf("generation = %d, want 1", stats.Generation)
-	}
-	if stats.TruncatableLSN == 0 {
-		t.Fatal("TruncatableLSN = 0 with a WAL attached and records journaled")
-	}
-	if err := w.TruncateBefore(stats.TruncatableLSN + 1); err != nil {
-		t.Fatal(err)
-	}
-	// The tail: two more appends after the checkpoint.
-	feed(live, table1Rows[4:6])
-	feed(reference, table1Rows[4:6])
-	live.Close()
-	w.Close()
-
-	recovered, sidecars, err := RestorePool(gamelogSchema(t), f.stateDir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer recovered.Close()
-	w2 := f.openWAL(t, recovered)
-	defer w2.Close()
-	if len(sidecars) != 0 {
-		t.Fatalf("unexpected sidecars %v", sidecars)
-	}
-	rstats, err := recovered.ReplayWAL(w2, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rstats.Applied != 2 {
-		t.Fatalf("replayed %d records after checkpoint, want exactly the 2-record tail (stats %+v)", rstats.Applied, rstats)
-	}
-	if err := recovered.AttachWAL(w2); err != nil {
-		t.Fatal(err)
-	}
-	assertPoolsAgree(t, recovered, reference, table1Rows[6:])
-}
-
-// TestSnapshotPlusReplayEqualsReplayOnly: the two recovery paths — newest
-// snapshot + tail, and full-log replay into a fresh pool — must converge
-// on identical state.
-func TestSnapshotPlusReplayEqualsReplayOnly(t *testing.T) {
-	f := newPoolFixture(t)
-	live := newGamelogPool(t)
-	w := f.openWAL(t, live)
-	if err := live.AttachWAL(w); err != nil {
-		t.Fatal(err)
-	}
-	var arrs []*Arrival
-	for _, r := range table1Rows[:4] {
-		arr, err := live.Append(r.d, r.m)
-		if err != nil {
-			t.Fatal(err)
-		}
-		arrs = append(arrs, arr)
-	}
-	if _, err := live.Checkpoint(f.stateDir, nil); err != nil {
-		t.Fatal(err)
-	}
-	for _, r := range table1Rows[4:] {
-		if _, err := live.Append(r.d, r.m); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := live.Delete(arrs[2].Shard, arrs[2].TupleID); err != nil {
-		t.Fatal(err)
-	}
-	live.Close()
-	w.Close()
-
-	// Path A: snapshot + tail. Note the WAL was NOT truncated, so replay
-	// must skip the covered prefix via the manifest's shard LSNs.
-	fromSnap, _, err := RestorePool(gamelogSchema(t), f.stateDir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer fromSnap.Close()
-	wa := f.openWAL(t, fromSnap)
-	defer wa.Close()
-	sstats, err := fromSnap.ReplayWAL(wa, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sstats.Skipped != 4 || sstats.Applied != 4 {
-		t.Fatalf("snapshot-path replay stats = %+v, want 4 skipped / 4 applied", sstats)
-	}
-
-	// Path B: replay-only.
-	fromLog := newGamelogPool(t)
-	defer fromLog.Close()
-	if _, err := fromLog.ReplayWAL(wa, nil); err != nil {
-		t.Fatal(err)
-	}
-
-	if a, b := fromSnap.Metrics(), fromLog.Metrics(); a != b {
-		t.Fatalf("metrics diverge: snapshot+tail %+v, replay-only %+v", a, b)
-	}
-	if a, b := fromSnap.Len(), fromLog.Len(); a != b {
-		t.Fatalf("len diverges: %d vs %d", a, b)
-	}
-	// Both continue identically.
-	extra := struct {
-		d []string
-		m []float64
-	}{[]string{"Jordan", "Jun", "1997-98", "Bulls", "Jazz"}, []float64{45, 5, 7}}
-	fa, err := fromSnap.Append(extra.d, extra.m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fb, err := fromLog.Append(extra.d, extra.m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fa.Shard != fb.Shard || fa.TupleID != fb.TupleID || len(fa.Facts) != len(fb.Facts) {
-		t.Fatalf("post-recovery arrival diverges: %d:%d/%d facts vs %d:%d/%d facts",
-			fa.Shard, fa.TupleID, len(fa.Facts), fb.Shard, fb.TupleID, len(fb.Facts))
-	}
-	for i := range fa.Facts {
-		if fa.Facts[i].String() != fb.Facts[i].String() {
-			t.Fatalf("fact %d: %q vs %q", i, fa.Facts[i].String(), fb.Facts[i].String())
-		}
-	}
-}
-
 // TestCheckpointSyncsCoveredRecords: the manifest durably pins the
 // captured per-shard LSNs, so Checkpoint must fsync the WAL through them
 // first. Otherwise a crash loses a buffered record whose LSN the
 // manifest already claims, the reopened log reassigns that LSN to a new
 // acknowledged operation, and a later recovery skips it as "already in
-// the snapshot". Interval-sync mode exposes the window: appends are
-// acknowledged before any fsync.
+// the snapshot". The window is an op between its journal pass and its
+// durability wait: applyShard without commit leaves the records there.
 func TestCheckpointSyncsCoveredRecords(t *testing.T) {
 	f := newPoolFixture(t)
 	p := newGamelogPool(t)
 	defer p.Close()
-	w, err := OpenWAL(p, f.walDir, WALOptions{SyncInterval: time.Hour})
-	if err != nil {
-		t.Fatal(err)
-	}
+	w := f.openWAL(t, p)
 	defer w.Close()
 	if err := p.AttachWAL(w); err != nil {
 		t.Fatal(err)
 	}
+	var pinned uint64
 	for _, r := range table1Rows[:3] {
-		if _, err := p.Append(r.d, r.m); err != nil {
-			t.Fatal(err)
+		op := ingestOp{rec: persist.Record{Type: persist.RecAppend, Shard: p.ShardFor(r.d[p.shardDim]), Dims: r.d, Measures: r.m}}
+		if pinned = p.applyShard(op.rec.Shard, []*ingestOp{&op}); op.err != nil {
+			t.Fatal(op.err)
 		}
 	}
-	if st := w.Stats(); st.SyncedLSN != 0 {
-		t.Fatalf("pre-checkpoint synced LSN = %d; interval mode should not have fsynced yet", st.SyncedLSN)
+	if st := w.Stats(); st.SyncedLSN >= pinned {
+		t.Fatalf("pre-checkpoint synced LSN = %d: the journaled-but-uncommitted records up to %d are already durable", st.SyncedLSN, pinned)
 	}
 	if _, err := p.Checkpoint(f.stateDir, nil); err != nil {
 		t.Fatal(err)
 	}
-	if st := w.Stats(); st.SyncedLSN < 3 {
-		t.Fatalf("synced LSN = %d after checkpoint; the manifest pins LSNs up to 3, which must be durable", st.SyncedLSN)
+	if st := w.Stats(); st.SyncedLSN < pinned {
+		t.Fatalf("synced LSN = %d after checkpoint; the manifest pins LSNs up to %d, which must be durable", st.SyncedLSN, pinned)
 	}
 }
 
@@ -570,45 +202,6 @@ func TestCheckpointSidecars(t *testing.T) {
 	defer restored.Close()
 	if !reflect.DeepEqual(sidecars, want) {
 		t.Fatalf("sidecars = %v, want %v", sidecars, want)
-	}
-}
-
-// TestPoolAppendBatchWithWAL: the batch path journals too, and a batch is
-// recoverable record-by-record.
-func TestPoolAppendBatchWithWAL(t *testing.T) {
-	f := newPoolFixture(t)
-	reference := newGamelogPool(t)
-	defer reference.Close()
-	live := newGamelogPool(t)
-	w := f.openWAL(t, live)
-	if err := live.AttachWAL(w); err != nil {
-		t.Fatal(err)
-	}
-	rows := make([]Row, len(table1Rows))
-	for i, r := range table1Rows {
-		rows[i] = Row{Dims: r.d, Measures: r.m}
-	}
-	if _, err := live.AppendBatch(rows); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := reference.AppendBatch(rows); err != nil {
-		t.Fatal(err)
-	}
-	if st := w.Stats(); st.LastLSN != uint64(len(rows)) || st.SyncedLSN != st.LastLSN {
-		t.Fatalf("wal stats = %+v, want %d journaled and synced", st, len(rows))
-	}
-	live.Close()
-	w.Close()
-
-	recovered := newGamelogPool(t)
-	defer recovered.Close()
-	w2 := f.openWAL(t, recovered)
-	defer w2.Close()
-	if _, err := recovered.ReplayWAL(w2, nil); err != nil {
-		t.Fatal(err)
-	}
-	if g, want := recovered.Metrics(), reference.Metrics(); g != want {
-		t.Fatalf("recovered batch metrics = %+v, want %+v", g, want)
 	}
 }
 
