@@ -18,7 +18,10 @@
 //	tail -f gamelog.csv | situfact -dims ... -measures ...
 //
 // -shards N partitions the stream by the -shard-dim value across N engines
-// running in parallel (batches of -batch rows are fanned out together).
+// running in parallel (batches of -batch rows are fanned out together). A
+// sharded run is a situfact.Pool, which runs only bottomup or sbottomup: any
+// other -algo fails before the input is read. Every algorithm runs as a
+// single engine.
 // Sharded mode trades latency for throughput: output appears only when a
 // batch fills (or at EOF), so a slow live feed can sit on buffered rows
 // indefinitely. For tail -f–style pipelines use -batch 1 (per-row
@@ -63,7 +66,7 @@ func main() {
 	flag.Float64Var(&cfg.tau, "tau", 0, "only print arrivals whose max prominence ≥ τ (0 = print every arrival with facts)")
 	flag.IntVar(&cfg.top, "top", 3, "facts to print per arrival")
 	flag.BoolVar(&cfg.quiet, "quiet", false, "suppress per-arrival output; print summary only")
-	flag.IntVar(&cfg.shards, "shards", 1, "partition the stream across this many engines (≤ 1 = single engine)")
+	flag.IntVar(&cfg.shards, "shards", 1, "partition the stream across this many engines (≤ 1 = single engine); sharded runs take -algo bottomup or sbottomup only")
 	flag.StringVar(&cfg.shardDim, "shard-dim", "", "dimension column whose value routes a row to its shard (default: first of -dims)")
 	flag.IntVar(&cfg.batch, "batch", 64, "rows fanned out together per batch in sharded mode (output waits for a full batch; use 1 for live feeds)")
 	flag.Parse()

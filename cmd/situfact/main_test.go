@@ -139,4 +139,13 @@ func TestRunErrors(t *testing.T) {
 	if err := run(strings.NewReader(gamelogCSV), &out, cfg); err == nil {
 		t.Error("unknown algorithm accepted in sharded mode")
 	}
+	// A pool runs the BottomUp family only, and says so before it reads a
+	// byte of input.
+	cfg = mk("player,team", "points", "topdown")
+	cfg.shards = 2
+	in := strings.NewReader(gamelogCSV)
+	if err := run(in, &out, cfg); err == nil || !strings.Contains(err.Error(), "Invariant 1") ||
+		!strings.Contains(err.Error(), "topdown") || in.Len() != len(gamelogCSV) {
+		t.Errorf("-shards 2 -algo topdown: error %v after reading %d bytes", err, len(gamelogCSV)-in.Len())
+	}
 }

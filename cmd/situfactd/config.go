@@ -76,11 +76,8 @@ func applyConfigFile(fs *flag.FlagSet, path string) error {
 	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.UseNumber() // keep numbers textual: 0.5, 42 and 1e6 all round-trip
 	var raw map[string]any
-	if err := dec.Decode(&raw); err != nil {
+	if err := decodeOne(dec, &raw); err != nil {
 		return fmt.Errorf("config %s: %w", path, err)
-	}
-	if dec.More() {
-		return fmt.Errorf("config %s: trailing data after the config object", path)
 	}
 	fromCLI := make(map[string]bool)
 	fs.Visit(func(f *flag.Flag) { fromCLI[f.Name] = true })

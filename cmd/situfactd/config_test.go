@@ -165,6 +165,8 @@ func TestConfigFileRejects(t *testing.T) {
 		{"null value", `{"shards": null}`, "unsupported value"},
 		{"nested config", `{"config": "other.json"}`, "cannot nest"},
 		{"trailing garbage", `{"shards": 4} {"shards": 5}`, "trailing data"},
+		{"stray brace", `{"shards": 4}}`, "trailing data"},
+		{"stray bracket", `{"shards": 4}]`, "trailing data"},
 		{"not an object", `[1, 2, 3]`, "cannot unmarshal"},
 		// Flags that no longer exist are unknown keys like any other.
 		{"removed pipeline switch", `{"pipeline": false}`, `unknown key "pipeline"`},

@@ -1,8 +1,13 @@
 package main
 
 import (
+	"encoding/json"
 	"fmt"
+	"net/http"
+	"net/http/httptest"
 	"net/url"
+	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -84,6 +89,57 @@ func FuzzParseFactsQuery(f *testing.F) {
 		}
 		if fq2.key != fq.key {
 			t.Fatalf("query %q: non-deterministic cache key: %q vs %q", raw, fq.key, fq2.key)
+		}
+	})
+}
+
+// FuzzDecodeBody throws arbitrary bodies at the ingest decoder, as an
+// append and as a batch. A body it accepts is exactly one JSON value of the
+// request type: the whole body is one valid JSON value, it decodes to what
+// json.Unmarshal makes of it, and the body followed by any further byte
+// that is not space is refused. A refusal is a 400 (413 past the cap),
+// never a panic.
+func FuzzDecodeBody(f *testing.F) {
+	row := `{"dims":["Bogues","Feb","1991-92","Hornets","Hawks"],"measures":[4,12,5]}`
+	for _, body := range []string{
+		row,
+		row + " " + row,
+		row + "}",
+		row + "]",
+		row + " \n",
+		`{"rows":[` + row + `],"top":2}`,
+		`{"rows":[` + row + `]} {"rows":[]}`,
+		`{"rows":[` + row + `]}]`,
+		`{"dims":[],"measures":[],"bogus":1}`,
+		`null`,
+		``,
+	} {
+		f.Add(body)
+	}
+	targets := []func() any{func() any { return new(tupleRequest) }, func() any { return new(batchRequest) }}
+	decode := func(t *testing.T, body string, v any) bool {
+		rec := httptest.NewRecorder()
+		ok := decodeBody(rec, httptest.NewRequest("POST", "/v1/tuples", strings.NewReader(body)), 1<<20, v)
+		if !ok && rec.Code != http.StatusBadRequest && rec.Code != http.StatusRequestEntityTooLarge {
+			t.Fatalf("body %q refused with status %d", body, rec.Code)
+		}
+		return ok
+	}
+	f.Fuzz(func(t *testing.T, body string) {
+		for _, mk := range targets {
+			got := mk()
+			if !decode(t, body, got) {
+				continue
+			}
+			want := mk()
+			if !json.Valid([]byte(body)) || json.Unmarshal([]byte(body), want) != nil || !reflect.DeepEqual(got, want) {
+				t.Fatalf("accepted %q as %T %+v: not the one JSON value it holds", body, got, got)
+			}
+			for _, tail := range []string{"}", "]", "x", "0", "{}", body} {
+				if strings.TrimSpace(tail) != "" && decode(t, body+tail, mk()) {
+					t.Fatalf("accepted %q followed by %q", body, tail)
+				}
+			}
 		}
 	})
 }

@@ -52,6 +52,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"net/http"
 	_ "net/http/pprof" // registered on the -pprof-addr listener's DefaultServeMux only
@@ -84,7 +85,7 @@ func main() {
 		if cfg.stateDir == "" {
 			log.Fatal("-wal-verify requires -state-dir (the log lives at <state-dir>/wal)")
 		}
-		os.Exit(runWALVerify(filepath.Join(cfg.stateDir, "wal")))
+		os.Exit(runWALVerify(filepath.Join(cfg.stateDir, "wal"), os.Stdout, os.Stderr))
 	}
 	if cfg.dims == "" || cfg.measures == "" {
 		flag.Usage()
@@ -96,28 +97,28 @@ func main() {
 }
 
 // runWALVerify is `situfactd -wal-verify`: a read-only segment-by-segment
-// scan of the log, reporting per-segment record counts and where (if
-// anywhere) the log stops being clean. Exit status 0 = clean, 1 = damaged
-// or unreadable.
-func runWALVerify(dir string) int {
+// scan of the log, reporting per-segment record counts to stdout and where
+// (if anywhere) the log stops being clean to stderr. Exit status 0 = clean,
+// 1 = damaged or unreadable.
+func runWALVerify(dir string, stdout, stderr io.Writer) int {
 	reports, err := persist.VerifyWAL(dir)
 	for _, rep := range reports {
 		status := "ok"
 		if rep.Torn {
 			status = "torn tail (next open truncates it)"
 		}
-		fmt.Printf("%s  base_lsn=%d  records=%d  bytes=%d  %s\n",
+		fmt.Fprintf(stdout, "%s  base_lsn=%d  records=%d  bytes=%d  %s\n",
 			rep.Name, rep.Base, rep.Records, rep.Bytes, status)
 	}
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "situfactd: wal-verify %s: %v\n", dir, err)
+		fmt.Fprintf(stderr, "situfactd: wal-verify %s: %v\n", dir, err)
 		return 1
 	}
 	total := 0
 	for _, rep := range reports {
 		total += rep.Records
 	}
-	fmt.Printf("ok: %d segments, %d records\n", len(reports), total)
+	fmt.Fprintf(stdout, "ok: %d segments, %d records\n", len(reports), total)
 	return 0
 }
 

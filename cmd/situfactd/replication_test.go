@@ -296,9 +296,6 @@ func TestFollowerIndexedReadsIdentical(t *testing.T) {
 	}
 
 	lm, fm := getMetrics(t, lts.URL), getMetrics(t, its.URL)
-	if !lm.Index.Serving || !fm.Index.Serving {
-		t.Errorf("index not serving: leader %+v follower %+v", lm.Index, fm.Index)
-	}
 	if lm.Index.Entries == 0 || lm.Index.Entries != fm.Index.Entries {
 		t.Errorf("index entries diverged: leader %d follower %d", lm.Index.Entries, fm.Index.Entries)
 	}
@@ -549,5 +546,67 @@ func TestFollowerConvergesAcrossLeaderCrash(t *testing.T) {
 	lm, fm := getMetrics(t, d2.url), getMetrics(t, fts.URL)
 	if lm.Merged != fm.Merged {
 		t.Errorf("merged metrics diverged:\nleader   %+v\nfollower %+v", lm.Merged, fm.Merged)
+	}
+}
+
+// TestFollowerMaxLagHealth: a follower that knows its leader is more than
+// -follow-max-lag records ahead answers /healthz 503 naming the bound, and
+// 200 again once it has caught up. A stub in front of the leader withholds
+// the tail's records, not its head LSN, until it lets them through.
+func TestFollowerMaxLagHealth(t *testing.T) {
+	cfg := gamelogConfig(2, t.TempDir())
+	cfg.wal = true
+	leader, lts := startServer(t, cfg)
+	leaderAPI := leader.handler()
+	var withhold atomic.Bool
+	stub := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path != "/v1/wal" || !withhold.Load() {
+			leaderAPI.ServeHTTP(w, r)
+			return
+		}
+		rec := httptest.NewRecorder()
+		leaderAPI.ServeHTTP(rec, r)
+		var tail walTailResponse
+		if err := json.Unmarshal(rec.Body.Bytes(), &tail); err != nil {
+			t.Error(err)
+		}
+		tail.Records, tail.More = nil, false
+		writeJSON(w, rec.Code, tail)
+	}))
+	t.Cleanup(stub.Close)
+	if resp := doJSON(t, "POST", lts.URL+"/v1/tuples", reqOf(table1[0]), nil); resp.StatusCode != http.StatusOK {
+		t.Fatalf("leader: status %d", resp.StatusCode)
+	}
+	fcfg := gamelogConfig(2, t.TempDir())
+	fcfg.follow = stub.URL
+	fcfg.followPoll = 20 * time.Millisecond
+	fcfg.followMaxLag = 2
+	_, fts := startServer(t, fcfg)
+	waitApplied(t, fts.URL, 1)
+	if status, h := healthStatus(t, fts.URL); status != http.StatusOK {
+		t.Fatalf("caught-up follower /healthz = %d %+v", status, h)
+	}
+
+	withhold.Store(true)
+	for i, row := range table1[1:5] {
+		if resp := doJSON(t, "POST", lts.URL+"/v1/tuples", reqOf(row), nil); resp.StatusCode != http.StatusOK {
+			t.Fatalf("leader: row %d: status %d", i+1, resp.StatusCode)
+		}
+	}
+	const reason = "replication lag 4 records exceeds -follow-max-lag 2"
+	for deadline := time.Now().Add(30 * time.Second); ; time.Sleep(5 * time.Millisecond) {
+		status, h := healthStatus(t, fts.URL)
+		if status == http.StatusServiceUnavailable && h.Status == "unavailable" && h.Reason == reason {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("a follower 4 records behind with -follow-max-lag 2: /healthz %d %+v, want 503 %q", status, h, reason)
+		}
+	}
+
+	withhold.Store(false)
+	waitApplied(t, fts.URL, 5)
+	if status, h := healthStatus(t, fts.URL); status != http.StatusOK || h.Status != "ok" {
+		t.Fatalf("follower caught up again: /healthz %d %+v, want 200 ok", status, h)
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"log"
 	"net/http"
 	"os"
@@ -169,7 +170,6 @@ func newServer(cfg config) (*server, error) {
 		algo = string(situfact.AlgoSBottomUp)
 	}
 	var pool *situfact.Pool
-	pinnedBy := "-algo " + algo // what chose the pool's algorithm
 	if cfg.stateDir != "" {
 		// The manifest's sidecars are ignored: this daemon writes none, and
 		// one an older binary left behind is bytes nobody reads.
@@ -180,12 +180,12 @@ func newServer(cfg config) (*server, error) {
 			pool = nil // fresh start below
 		case err != nil:
 			// A corrupt or mismatched snapshot must fail startup loudly —
-			// starting empty over existing state would be silent data loss.
-			return nil, fmt.Errorf("situfactd: restore %s: %w", cfg.stateDir, err)
+			// starting empty over existing state would be silent data loss —
+			// and so must one taken under an algorithm a pool cannot run.
+			return nil, fmt.Errorf("situfactd: the snapshot in %s: %w", cfg.stateDir, err)
 		default:
 			log.Printf("restored %d shards (%d tuples) from %s in %s",
 				pool.Shards(), pool.Len(), cfg.stateDir, time.Since(began).Round(100*time.Microsecond))
-			pinnedBy = "the snapshot in " + cfg.stateDir
 			// A snapshot pins shard count, routing, algorithm and caps;
 			// flags that ask for something else are overridden — say so.
 			if cfg.shards > 0 && cfg.shards != pool.Shards() {
@@ -213,15 +213,10 @@ func newServer(cfg config) (*server, error) {
 			},
 		})
 		if err != nil {
-			return nil, err
+			// NewPool refuses every algorithm but bottomup and sbottomup, in
+			// the read path's own words.
+			return nil, fmt.Errorf("situfactd: -algo %s: %w", algo, err)
 		}
-	}
-	// Half the daemon's surface is reads, and they take an algorithm whose
-	// stored cells are the fact set (bottomup, sbottomup): refuse the others
-	// now, in the read path's own words, not at the first GET.
-	if _, err := pool.QueryFacts(situfact.FactFilter{Shard: situfact.AllShards}, "", 1); err != nil {
-		pool.Close()
-		return nil, fmt.Errorf("situfactd: %s: %w", pinnedBy, err)
 	}
 	s := &server{
 		cfg:      cfg,
@@ -682,7 +677,6 @@ func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	}
 	ist := pool.IndexStats()
 	resp.Index = indexWire{
-		Serving: ist.Serving,
 		Entries: ist.Entries,
 		Inserts: ist.Inserts,
 		Deletes: ist.Deletes,
@@ -852,8 +846,7 @@ func ingestFailure(err error, partial bool) (status int, retryAfter bool, verdic
 	case errors.Is(err, situfact.ErrAlreadyDeleted):
 		return http.StatusConflict, false, ""
 	default:
-		// The request's own defect: validation, ErrRowTooLarge, a delete the
-		// algorithm does not support (ErrDeleteUnsupported).
+		// The request's own defect: validation, ErrRowTooLarge.
 		return http.StatusBadRequest, false, ""
 	}
 }
@@ -960,8 +953,23 @@ var encPool = sync.Pool{New: func() any {
 	return e
 }}
 
-// decodeBody decodes a size-capped JSON body through a pooled read
-// buffer, writing the error response itself when decoding fails.
+// decodeOne decodes one JSON value from dec into v and requires it to be the
+// whole input: the next read must hit io.EOF, so a second value, a stray '}'
+// or ']' or any other byte after the value is refused as trailing data
+// instead of being silently dropped.
+func decodeOne(dec *json.Decoder, v any) error {
+	if err := dec.Decode(v); err != nil {
+		return err
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return errors.New("trailing data after the JSON value")
+	}
+	return nil
+}
+
+// decodeBody decodes a size-capped JSON body, exactly one value of v's
+// type, through a pooled read buffer, writing the error response itself
+// when decoding fails.
 func decodeBody(w http.ResponseWriter, r *http.Request, maxBytes int64, v any) bool {
 	r.Body = http.MaxBytesReader(w, r.Body, maxBytes)
 	buf := getBuf()
@@ -977,7 +985,7 @@ func decodeBody(w http.ResponseWriter, r *http.Request, maxBytes int64, v any) b
 	}
 	dec := json.NewDecoder(bytes.NewReader(buf.Bytes()))
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
+	if err := decodeOne(dec, v); err != nil {
 		writeErr(w, http.StatusBadRequest, "bad request body: "+err.Error())
 		return false
 	}

@@ -427,8 +427,9 @@ func TestServerStateDirValidation(t *testing.T) {
 // TestServerRefusesTopDownFamily: reads report a stored cell as a contextual
 // skyline, which a TopDown cell is not (Invariant 2: a tuple sits at its
 // maximal skyline constraints only), so the daemon refuses the family at
-// startup — asked for by -algo or pinned by a state dir's snapshot — with
-// the sentence the read path itself uses.
+// startup — asked for by -algo, or pinned by a state dir holding a snapshot
+// a TopDown pool wrote — with the sentence NewPool and the restore give,
+// naming the algorithm and what chose it.
 func TestServerRefusesTopDownFamily(t *testing.T) {
 	const sentence = "queries require bottomup or sbottomup over the in-memory store: " +
 		"only BottomUp's Invariant 1 makes a stored cell the contextual skyline a read reports"
@@ -436,32 +437,79 @@ func TestServerRefusesTopDownFamily(t *testing.T) {
 		cfg := gamelogConfig(2, "")
 		cfg.algo = algo
 		if _, err := newServer(cfg); err == nil || !strings.Contains(err.Error(), sentence) ||
-			!strings.Contains(err.Error(), "-algo "+algo) {
+			!strings.Contains(err.Error(), "-algo "+algo) || !strings.Contains(err.Error(), "(engine runs "+algo+")") {
 			t.Errorf("-algo %s: newServer error = %v", algo, err)
 		}
+	}
 
-		stateDir := t.TempDir()
-		schema, _, err := buildSchema(cfg)
+	stateDir := t.TempDir()
+	snap, err := os.ReadFile(filepath.Join("..", "..", "testdata", "v2_topdown.snapshot"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(stateDir, persist.ShardSnapshotName(0, 1)), snap, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	schema, _, err := buildSchema(gamelogConfig(1, stateDir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := persist.WriteManifest(stateDir, persist.Manifest{
+		SchemaSig: schema.String(), ShardDim: "team", Shards: 1, Generation: 1,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := newServer(gamelogConfig(1, stateDir)); err == nil || !strings.Contains(err.Error(), sentence) ||
+		!strings.Contains(err.Error(), "the snapshot in "+stateDir) || !strings.Contains(err.Error(), "(engine runs topdown)") {
+		t.Errorf("state dir snapshotted under topdown: newServer error = %v", err)
+	}
+}
+
+// TestServerRefusesTrailingData: an ingest body is exactly one JSON value.
+// Anything after it — a second row, a stray brace or bracket — is refused
+// with 400 before the pool sees the first value; whitespace is not data.
+func TestServerRefusesTrailingData(t *testing.T) {
+	s, ts := startServer(t, gamelogConfig(2, ""))
+	row, err := json.Marshal(reqOf(table1[0]))
+	if err != nil {
+		t.Fatal(err)
+	}
+	batch, err := json.Marshal(batchRequest{Rows: table1[:2]})
+	if err != nil {
+		t.Fatal(err)
+	}
+	post := func(path, body string) (int, string) {
+		t.Helper()
+		resp, err := http.Post(ts.URL+path, "application/json", strings.NewReader(body))
 		if err != nil {
 			t.Fatal(err)
 		}
-		pool, err := situfact.NewPool(schema, situfact.PoolOptions{
-			Shards: 2, ShardDim: "team", Engine: situfact.Options{Algorithm: situfact.Algorithm(algo)},
-		})
-		if err != nil {
-			t.Fatal(err)
+		defer resp.Body.Close()
+		var e errorResponse
+		json.NewDecoder(resp.Body).Decode(&e)
+		return resp.StatusCode, e.Error
+	}
+	for _, tc := range []struct{ path, body string }{
+		{"/v1/tuples", string(row) + " " + string(row)},
+		{"/v1/tuples", string(row) + "}"},
+		{"/v1/tuples", string(row) + "]"},
+		{"/v1/tuples", string(row) + " x"},
+		{"/v1/tuples:batch", string(batch) + string(batch)},
+		{"/v1/tuples:batch", string(batch) + "\n}"},
+		{"/v1/tuples:batch", string(batch) + "]"},
+	} {
+		if status, msg := post(tc.path, tc.body); status != http.StatusBadRequest || !strings.Contains(msg, "trailing data") {
+			t.Errorf("POST %s %q: status %d %q, want 400 naming the trailing data", tc.path, tc.body, status, msg)
 		}
-		if _, err := pool.Append(table1[0].Dims, table1[0].Measures); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := pool.Checkpoint(stateDir, nil); err != nil {
-			t.Fatal(err)
-		}
-		pool.Close()
-		if _, err := newServer(gamelogConfig(2, stateDir)); err == nil || !strings.Contains(err.Error(), sentence) ||
-			!strings.Contains(err.Error(), "the snapshot in "+stateDir) {
-			t.Errorf("state dir snapshotted under %s: newServer error = %v", algo, err)
-		}
+	}
+	if n := s.db().Len(); n != 0 {
+		t.Fatalf("refused bodies applied %d rows", n)
+	}
+	if status, msg := post("/v1/tuples", string(row)+" \n\t"); status != http.StatusOK {
+		t.Errorf("a row followed by whitespace: status %d %q, want 200", status, msg)
+	}
+	if status, msg := post("/v1/tuples:batch", string(batch)+"\n"); status != http.StatusOK {
+		t.Errorf("a batch followed by a newline: status %d %q, want 200", status, msg)
 	}
 }
 
@@ -639,6 +687,47 @@ func TestServerWALFlagValidation(t *testing.T) {
 	cfg.wal = true
 	if _, err := newServer(cfg); err == nil {
 		t.Error("-wal without -state-dir accepted")
+	}
+}
+
+// TestServerWALVerify drives -wal-verify's offline scan over a log a daemon
+// wrote: exit 0 with "ok: N segments, M records" on the clean log, exit 1
+// naming the damage once a record of a sealed segment fails its CRC.
+func TestServerWALVerify(t *testing.T) {
+	cfg := walConfig(2, t.TempDir())
+	cfg.walSegBytes = 256 // several segments from seven rows
+	s, ts := startServer(t, cfg)
+	for i, row := range append(append([]rowWire{}, table1...), wesley) {
+		if resp := doJSON(t, "POST", ts.URL+"/v1/tuples", reqOf(row), nil); resp.StatusCode != http.StatusOK {
+			t.Fatalf("row %d: status %d", i, resp.StatusCode)
+		}
+	}
+	if err := s.close(); err != nil {
+		t.Fatal(err)
+	}
+	dir := filepath.Join(cfg.stateDir, "wal")
+	segs, err := filepath.Glob(filepath.Join(dir, "wal-*.seg"))
+	if err != nil || len(segs) < 2 {
+		t.Fatalf("the log has %d segments (%v): the damage below needs a sealed one", len(segs), err)
+	}
+	var out, errOut bytes.Buffer
+	if code := runWALVerify(dir, &out, &errOut); code != 0 || errOut.Len() != 0 ||
+		!strings.HasSuffix(out.String(), fmt.Sprintf("ok: %d segments, 7 records\n", len(segs))) {
+		t.Fatalf("clean log: exit %d, stdout %q, stderr %q", code, out.String(), errOut.String())
+	}
+
+	seg, err := os.ReadFile(segs[0]) // sealed: the glob sorts by base LSN
+	if err != nil {
+		t.Fatal(err)
+	}
+	seg[len(seg)-2] ^= 0xff // inside the last record's payload
+	if err := os.WriteFile(segs[0], seg, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	out.Reset()
+	if code := runWALVerify(dir, &out, &errOut); code != 1 || strings.Contains(out.String(), "ok:") ||
+		!strings.Contains(errOut.String(), "wal-verify "+dir) {
+		t.Fatalf("damaged log: exit %d, stdout %q, stderr %q", code, out.String(), errOut.String())
 	}
 }
 

@@ -308,9 +308,6 @@ type overloadWire struct {
 
 // indexWire is the incremental-fact-index block of GET /v1/metrics.
 type indexWire struct {
-	// Serving reports whether the engines maintain the index /v1/facts
-	// pages are answered from (bottomup and sbottomup do).
-	Serving bool `json:"serving"`
 	// Entries is the live cell count summed over shards — one per fact
 	// group.
 	Entries int64 `json:"entries"`

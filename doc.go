@@ -28,19 +28,21 @@
 // # Concurrency
 //
 // An Engine is single-stream (arrivals are inherently ordered) and not
-// safe for concurrent use. For partitioned feeds — per-team game logs,
-// per-station weather streams — Pool shards one logical stream across
-// many engines by a chosen dimension and drives them concurrently; see
-// Pool and ExamplePool.
+// safe for concurrent use, and runs any of the paper's algorithms. For
+// partitioned feeds — per-team game logs, per-station weather streams —
+// Pool shards one logical stream across many engines by a chosen dimension
+// and drives them concurrently; see Pool and ExamplePool. A Pool serves
+// reads, deletes and checkpoints, so its engines run bottomup or sbottomup
+// over the in-memory store, the only ones whose stored cells are the facts.
 //
 // # Persistence
 //
-// Engine.SaveSnapshot/LoadSnapshot serialise an in-memory engine's full
-// state (dictionary, tuples, tombstones, µ-store cells, prominence
-// counters, work metrics) so a stream can stop and resume exactly where it
-// left off; Pool.Checkpoint/RestorePool do the same per shard, plus a
-// manifest that pins the routing parameters. Options.StoreDir instead
-// keeps the µ(C,M) cells on disk continuously (the paper's FS* variants).
+// Pool.Checkpoint/RestorePool serialise every shard engine's full state
+// (dictionary, tuples, tombstones, µ-store cells, prominence counters, work
+// metrics), plus a manifest that pins the routing parameters, so a stream
+// can stop and resume exactly where it left off; a WAL (OpenWAL) covers
+// what came after. Options.StoreDir instead keeps a single Engine's µ(C,M)
+// cells on disk continuously (the paper's FS* variants).
 //
 // # Beyond the library
 //

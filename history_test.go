@@ -38,7 +38,7 @@ var histSetups = []histSetup{
 	{"bottomup", Options{Algorithm: AlgoBottomUp}, 4, 3},
 	{"bottomup-dhat2-mhat2", Options{Algorithm: AlgoBottomUp, MaxBoundDims: 2, MaxMeasureDims: 2}, 2, 2},
 	{"sbottomup-noprominence", Options{DisableProminence: true}, 4, 3},
-	{"stopdown", Options{Algorithm: AlgoSTopDown}, 4, 3},
+	{"sbottomup-dhat1-mhat1", Options{MaxBoundDims: 1, MaxMeasureDims: 1}, 1, 1},
 }
 
 var histShards = []int{1, 3, 4}
@@ -309,13 +309,10 @@ func (h *history) delete(rng *rand.Rand) {
 	case k == 2 && len(dead) > 0:
 		hd = dead[rng.Intn(len(dead))]
 	}
-	p := h.lanes[0].pool
 	var want error
 	switch {
 	case hd.shard >= h.shards:
 		want = ErrNotFound
-	case !p.CanDelete():
-		want = ErrDeleteUnsupported
 	case hd.id >= h.m.next[hd.shard]:
 		want = ErrNotFound
 	case !slices.Contains(live, hd):
@@ -337,7 +334,7 @@ func (h *history) delete(rng *rand.Rand) {
 	case want == nil:
 		delete(h.m.live[hd.shard], hd.id)
 		h.m.applied++
-	case hd.shard < h.shards && p.CanDelete():
+	case hd.shard < h.shards:
 		h.m.failed++ // journaled before its validity is known
 	}
 }
@@ -345,17 +342,10 @@ func (h *history) delete(rng *rand.Rand) {
 // read drains a random filter at a random page size on every lane: the
 // lanes serve the same pages, the full walk is the oracle's fact set and the
 // reference scan's pages byte for byte, the filtered chain is the filtered
-// walk, and TopFacts is the reference ranking. An engine whose cells are not
-// the contextual skylines refuses every read.
+// walk, and TopFacts is the reference ranking.
 func (h *history) read(rng *rand.Rand) {
 	live, _ := h.handles()
 	f := randomQueryFilter(rng, h.shards, h.m.rows, live)
-	if !h.lanes[0].pool.IndexStats().Serving {
-		for _, l := range h.lanes {
-			checkReadsRefused(h.t, l.pool)
-		}
-		return
-	}
 	all := FactFilter{Shard: AllShards}
 	draw := 1 + rng.Intn(7)
 	// Page sizes scale with the result, so a chain is at most a few dozen
@@ -462,12 +452,10 @@ func (h *history) state(p *Pool) histState {
 			st.Content = append(st.Content, fmt.Sprint(i, " ", line))
 		}
 	}
-	if p.IndexStats().Serving {
-		st.Pages = collectPages(h.t, p.QueryFacts, FactFilter{Shard: AllShards}, 64)
-		var err error
-		st.Top, err = p.TopFacts(64)
-		h.check(err)
-	}
+	st.Pages = collectPages(h.t, p.QueryFacts, FactFilter{Shard: AllShards}, 64)
+	var err error
+	st.Top, err = p.TopFacts(64)
+	h.check(err)
 	return st
 }
 

@@ -14,10 +14,8 @@
 //	SBottomUp    §V-C — BottomUp + sharing across measure subspaces
 //	STopDown     Alg. 6 — TopDown + sharing across measure subspaces
 //
-// plus one extension beyond the paper: Skyband generalises discovery to
-// contextual k-skybands. All discovery algorithms produce identical fact
-// sets; they differ in time, memory and I/O profiles (the subject of the
-// paper's evaluation).
+// All of them produce identical fact sets; they differ in time, memory and
+// I/O profiles (the subject of the paper's evaluation).
 //
 // The lattice algorithms keep their µ(C,M) cells in a store.Store as lists
 // of tuple ids. What a scan compares against is held here, once per tuple:

@@ -176,32 +176,6 @@ func FullMask(d int) Mask { return (1 << uint(d)) - 1 }
 // PopCount returns the number of bound attributes of mask, bound(C).
 func PopCount(m Mask) int { return bits.OnesCount32(m) }
 
-// Children appends to dst the children of mask within C^t over d
-// dimensions: each child binds exactly one more attribute.
-// |children| = d - popcount.
-func Children(mask Mask, d int, dst []Mask) []Mask {
-	for unbound := FullMask(d) &^ mask; unbound != 0; {
-		bit := unbound & -unbound
-		dst = append(dst, mask|bit)
-		unbound &^= bit
-	}
-	return dst
-}
-
-// SubmasksOf calls fn for every submask of m, including m itself and 0.
-// This enumerates the intersection lattice C^{t,t'} when m is the shared
-// mask. The visit order is decreasing unsigned value.
-func SubmasksOf(m Mask, fn func(Mask)) {
-	s := m
-	for {
-		fn(s)
-		if s == 0 {
-			return
-		}
-		s = (s - 1) & m
-	}
-}
-
 // CountMasks returns |{m : popcount(m) ≤ maxBound}| over d dimensions,
 // i.e. the size of the (possibly d̂-truncated) per-tuple lattice.
 func CountMasks(d, maxBound int) int {

@@ -98,43 +98,6 @@ func TestKeysEqualAcrossTuples(t *testing.T) {
 	}
 }
 
-func TestParentsChildren(t *testing.T) {
-	var cs []Mask
-	cs = Children(0b001, 3, cs)
-	if len(cs) != 2 {
-		t.Fatalf("children of 001 in d=3: %b", cs)
-	}
-	seen := map[Mask]bool{}
-	for _, c := range cs {
-		seen[c] = true
-	}
-	if !seen[0b011] || !seen[0b101] {
-		t.Errorf("children = %b, want {011, 101}", cs)
-	}
-	if got := Children(0b111, 3, nil); len(got) != 0 {
-		t.Errorf("⊥ has no children, got %b", got)
-	}
-}
-
-func TestSubmasksOf(t *testing.T) {
-	var got []Mask
-	SubmasksOf(0b101, func(m Mask) { got = append(got, m) })
-	want := map[Mask]bool{0b101: true, 0b100: true, 0b001: true, 0: true}
-	if len(got) != len(want) {
-		t.Fatalf("SubmasksOf(101) = %b, want 4 masks", got)
-	}
-	for _, m := range got {
-		if !want[m] {
-			t.Errorf("unexpected submask %b", m)
-		}
-	}
-	got = nil
-	SubmasksOf(0, func(m Mask) { got = append(got, m) })
-	if len(got) != 1 || got[0] != 0 {
-		t.Errorf("SubmasksOf(0) = %v", got)
-	}
-}
-
 func TestMasksByLevelAndCount(t *testing.T) {
 	// The masks of C^t under d̂ = 2, level by level: 1 + 4 + 6.
 	wantSizes := []int{1, 4, 6}

@@ -136,7 +136,4 @@ func (f *File) Stats() Stats { return f.stats }
 // persisted state); callers remove the directory when done.
 func (f *File) Close() error { return nil }
 
-// Destroy removes the whole store directory tree.
-func (f *File) Destroy() error { return os.RemoveAll(f.dir) }
-
 var _ Store = (*File)(nil)

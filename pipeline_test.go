@@ -260,22 +260,4 @@ func TestPipelineRejectsBadRows(t *testing.T) {
 			t.Errorf("rejected rows reached a writer queue (enqueued %d)", st.Enqueued)
 		}
 	}
-	// Unsupported deletes are rejected before the queue and the journal.
-	tp, err := NewPool(poolSchema(t), PoolOptions{Shards: 2, ShardDim: "team",
-		Engine: Options{Algorithm: AlgoSTopDown}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer tp.Close()
-	if err := tp.StartPipeline(PipelineOptions{}); err != nil {
-		t.Fatal(err)
-	}
-	if err := tp.Delete(0, 0); !errors.Is(err, ErrDeleteUnsupported) {
-		t.Errorf("TopDown pipelined delete error = %v, want ErrDeleteUnsupported", err)
-	}
-	for _, st := range tp.PipelineStats() {
-		if st.Enqueued != 0 {
-			t.Errorf("unsupported delete reached a writer queue")
-		}
-	}
 }

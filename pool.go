@@ -1,11 +1,11 @@
 package situfact
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
 	"hash/fnv"
-	"path/filepath"
 	"runtime"
 	"strings"
 	"sync"
@@ -82,16 +82,21 @@ type PoolOptions struct {
 	// ShardDim names the dimension attribute whose value routes a row to
 	// its shard; empty selects the schema's first dimension.
 	ShardDim string
-	// Engine configures every shard's engine identically. When
-	// Engine.StoreDir is non-empty, shard i stores its cells under
-	// <StoreDir>/shard-<i>.
+	// Engine configures every shard's engine identically. It must select
+	// bottomup or sbottomup over the in-memory store (no StoreDir): a pool
+	// serves reads, deletes and checkpoints, and only those engines can.
 	Engine Options
 }
 
-// NewPool creates a pool of engines over the schema.
+// NewPool creates a pool of engines over the schema. Every algorithm but
+// bottomup and sbottomup, and any StoreDir, is refused before an engine is
+// built (see checkPoolEngine).
 func NewPool(schema *Schema, opt PoolOptions) (*Pool, error) {
 	if schema == nil || schema.rs == nil {
 		return nil, fmt.Errorf("situfact: nil schema")
+	}
+	if err := checkPoolEngine(opt.Engine); err != nil {
+		return nil, err
 	}
 	n := opt.Shards
 	if n <= 0 {
@@ -107,11 +112,7 @@ func NewPool(schema *Schema, opt PoolOptions) (*Pool, error) {
 	}
 	p := &Pool{schema: schema, shardDim: shardDim, shards: make([]poolShard, n)}
 	for i := range p.shards {
-		eopt := opt.Engine
-		if eopt.StoreDir != "" {
-			eopt.StoreDir = filepath.Join(eopt.StoreDir, fmt.Sprintf("shard-%d", i))
-		}
-		eng, err := New(schema, eopt)
+		eng, err := New(schema, opt.Engine)
 		if err != nil {
 			p.Close()
 			// New's errors are already "situfact: "-prefixed; strip it so
@@ -122,6 +123,25 @@ func NewPool(schema *Schema, opt PoolOptions) (*Pool, error) {
 		p.shards[i].eng = eng
 	}
 	return p, nil
+}
+
+// checkPoolEngine refuses the engines a pool cannot run, for NewPool and
+// for a snapshot restore, naming what was asked for. A read reports a
+// stored cell µ(C,M) as the contextual skyline λ_M(σ_C(R)), and only
+// BottomUp's Invariant 1 makes it one: TopDown's Invariant 2 keeps a tuple
+// at its maximal skyline constraints only, the baselines keep no cells and
+// the file store is not indexed. Only BottomUp can repair its store on
+// delete (§VIII), too.
+func checkPoolEngine(opt Options) error {
+	runs := string(cmp.Or(opt.Algorithm, AlgoSBottomUp))
+	switch {
+	case opt.StoreDir != "":
+		runs += " over a file store"
+	case runs == string(AlgoBottomUp) || runs == string(AlgoSBottomUp):
+		return nil
+	}
+	return fmt.Errorf("situfact: queries require bottomup or sbottomup over the in-memory store: "+
+		"only BottomUp's Invariant 1 makes a stored cell the contextual skyline a read reports (engine runs %s)", runs)
 }
 
 // Shards returns the number of shards.
@@ -256,10 +276,9 @@ func (p *Pool) AppendBatchContext(ctx context.Context, rows []Row) ([]*Arrival, 
 
 // Delete retracts tuple tupleID of the given shard — TupleIDs are
 // per-shard substream positions, so the pair (shard, tupleID) from an
-// Arrival names a tuple uniquely. Like Engine.Delete it requires the
-// BottomUp family. It travels the same path (and, with the pipeline
-// running, the same queue) as appends, so a shard's deletes order with
-// its appends exactly as they were issued.
+// Arrival names a tuple uniquely. It travels the same path (and, with the
+// pipeline running, the same queue) as appends, so a shard's deletes order
+// with its appends exactly as they were issued.
 func (p *Pool) Delete(shard int, tupleID int64) error {
 	return p.DeleteContext(context.Background(), shard, tupleID)
 }
@@ -269,12 +288,6 @@ func (p *Pool) Delete(shard int, tupleID int64) error {
 func (p *Pool) DeleteContext(ctx context.Context, shard int, tupleID int64) error {
 	if shard < 0 || shard >= len(p.shards) {
 		return fmt.Errorf("situfact: pool: shard %d of %d: %w", shard, len(p.shards), ErrNotFound)
-	}
-	if !p.CanDelete() {
-		// Reject before journaling: a RecDelete from an engine that cannot
-		// delete would abort every future replay of the log.
-		return fmt.Errorf("situfact: pool: Delete requires the BottomUp family; engines run %s: %w",
-			p.Algorithm(), ErrDeleteUnsupported)
 	}
 	// Journaled before tuple validity is known: a delete that fails at
 	// apply (unknown or tombstoned tuple) re-fails identically at replay,
@@ -473,10 +486,6 @@ func (p *Pool) submit(ctx context.Context, rec persist.Record) (*Arrival, error)
 // Algorithm returns the name of the algorithm the shard engines run.
 func (p *Pool) Algorithm() string { return p.shards[0].eng.Algorithm() }
 
-// CanDelete reports whether Delete supports this pool's engines (the
-// BottomUp family; all shards run the same algorithm).
-func (p *Pool) CanDelete() bool { return p.shards[0].eng.CanDelete() }
-
 // ShardStat describes one shard of a pool for monitoring.
 type ShardStat struct {
 	// Shard is the shard index.
@@ -490,10 +499,6 @@ type ShardStat struct {
 // IndexStat is a monitoring snapshot of the incremental fact index,
 // summed over the shards.
 type IndexStat struct {
-	// Serving reports whether the pool's engines maintain a fact index
-	// (bottomup and sbottomup over the in-memory store do); without one
-	// QueryFacts and TopFacts fail.
-	Serving bool
 	// Entries is the live cell count of the indexed stores across shards:
 	// the fact groups a full QueryFacts walk returns.
 	Entries int64
@@ -514,15 +519,12 @@ func (p *Pool) IndexStats() IndexStat {
 	for i := range p.shards {
 		s := &p.shards[i]
 		s.mu.RLock()
-		if e := s.eng; e.fidx != nil {
-			st.Serving = true
-			st.Entries += e.mem.Stats().Cells
-			is := e.fidx.Stats()
-			st.Inserts += is.Inserts
-			st.Deletes += is.Deletes
-			st.Seeks += is.Seeks
-		}
+		st.Entries += s.eng.factGroups()
+		is := s.eng.fidx.Stats()
 		s.mu.RUnlock()
+		st.Inserts += is.Inserts
+		st.Deletes += is.Deletes
+		st.Seeks += is.Seeks
 	}
 	return st
 }
@@ -578,21 +580,6 @@ func (p *Pool) Close() error {
 			continue // NewPool failed before this shard existed
 		}
 		if err := p.shards[i].eng.Close(); err != nil {
-			errs = append(errs, fmt.Errorf("situfact: pool shard %d: %w", i, err))
-		}
-	}
-	return errors.Join(errs...)
-}
-
-// DestroyStore removes the on-disk store directories of file-backed
-// shards; it is a no-op for in-memory pools.
-func (p *Pool) DestroyStore() error {
-	var errs []error
-	for i := range p.shards {
-		if p.shards[i].eng == nil {
-			continue
-		}
-		if err := p.shards[i].eng.DestroyStore(); err != nil {
 			errs = append(errs, fmt.Errorf("situfact: pool shard %d: %w", i, err))
 		}
 	}

@@ -139,32 +139,4 @@ func TestPoolOptionErrors(t *testing.T) {
 	if _, err := p.AppendBatch([]Row{{Dims: []string{"a", "b", "c"}, Measures: []float64{1}}}); err == nil {
 		t.Error("bad batch row arity accepted")
 	}
-	if err := p.DestroyStore(); err != nil {
-		t.Errorf("in-memory DestroyStore: %v", err)
-	}
-}
-
-// TestPoolFileStore exercises the per-shard StoreDir fan-out.
-func TestPoolFileStore(t *testing.T) {
-	dir := t.TempDir()
-	p, err := NewPool(poolSchema(t), PoolOptions{
-		Shards:   2,
-		ShardDim: "team",
-		Engine:   Options{Algorithm: AlgoSTopDown, StoreDir: dir + "/cells"},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := p.AppendBatch(poolRows(20)); err != nil {
-		t.Fatal(err)
-	}
-	if p.Metrics().Writes == 0 {
-		t.Error("file-backed pool did no writes")
-	}
-	if err := p.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := p.DestroyStore(); err != nil {
-		t.Fatal(err)
-	}
 }

@@ -19,8 +19,8 @@ import (
 
 // The pool's read path: point lookups of stored tuples and paginated,
 // filtered scans of the current fact set (under BottomUp's Invariant 1 —
-// the engines indexedStore admits — every (context, subspace) cell of the µ
-// store IS a contextual skyline, i.e. a group of situational facts). Reads
+// the engines a pool runs — every (context, subspace) cell of the µ store
+// IS a contextual skyline, i.e. a group of situational facts). Reads
 // take each shard's read lock only while collecting that
 // shard's page, so they ride alongside ingest instead of stalling it —
 // and, through the same methods, a read-only follower serves the exact
@@ -315,20 +315,6 @@ func (e *Engine) factFromCell(shard int, ent factindex.Entry, c store.Cell, cons
 	return qf
 }
 
-// indexedStore returns the µ store reads are served from and the index that
-// orders its constraints, or the error every read surface reports on an
-// engine without them. A read reports a stored cell µ(C,M) as the contextual
-// skyline λ_M(σ_C(R)); only BottomUp's Invariant 1 makes it one (TopDown's
-// Invariant 2 keeps a tuple at its maximal skyline constraints only, the
-// baselines keep no cells, the file store is not indexed).
-func (e *Engine) indexedStore() (*store.Memory, *factindex.Index, error) {
-	if e.fidx == nil {
-		return nil, nil, fmt.Errorf("situfact: queries require bottomup or sbottomup over the in-memory store: "+
-			"only BottomUp's Invariant 1 makes a stored cell the contextual skyline a read reports (engine runs %s)", e.disc.Name())
-	}
-	return e.mem, e.fidx, nil
-}
-
 // keyAfterPrefix returns the smallest byte string ordering strictly after
 // every string with the given prefix, and false when none exists (the
 // prefix is empty or all 0xFF — i.e. nothing past it).
@@ -353,10 +339,7 @@ func keyAfterPrefix(prefix string) (string, bool) {
 // jump rather than visiting its cells. The caller holds the shard's read
 // lock, which is what makes iterating the live tree safe.
 func (e *Engine) queryFactsSeek(q queryPlan, shard int, after *queryCursor, want int) (facts []QueryFact, more bool, err error) {
-	mem, fidx, err := e.indexedStore()
-	if err != nil {
-		return nil, false, err
-	}
+	mem, fidx := e.mem, e.fidx
 	// Resolve condition values against this shard's dictionary: a value
 	// the shard never saw matches nothing here (other shards may hold it).
 	d := e.table.Dict()
@@ -432,6 +415,10 @@ func (e *Engine) queryFactsSeek(q queryPlan, shard int, after *queryCursor, want
 			continue
 		}
 		ent := it.Entry()
+		if ent.Mask == uint32(e.hidden) {
+			it.Next() // the full space, last of its constraint's masks
+			continue
+		}
 		if q.haveMask && ent.Mask != uint32(q.mask) {
 			if ent.Mask < uint32(q.mask) {
 				it.SeekGE(ent.Key, uint32(q.mask))
@@ -525,10 +512,7 @@ func bestCells(cells []topCell, k int) []topCell {
 // them costs O(log k) a cell. Without a counter every ctx is 0, nothing is
 // skipped and the answer is the first k cells in key order.
 func (e *Engine) topFacts(shard, k int) ([]QueryFact, error) {
-	mem, fidx, err := e.indexedStore()
-	if err != nil {
-		return nil, err
-	}
+	mem, fidx := e.mem, e.fidx
 	var best []topCell
 	bar := -1.0 // below every prominence until k candidates have been seen
 	for it := fidx.Seek("", 0); it.Valid(); it.NextConstraint() {
@@ -541,6 +525,9 @@ func (e *Engine) topFacts(shard, k int) ([]QueryFact, error) {
 			continue // stepped over whole: its block is never read
 		}
 		for _, mask := range it.Masks() {
+			if mask == uint32(e.hidden) {
+				continue
+			}
 			size := mem.Peek(store.Ref(id, mask)).Len()
 			if prom := ctx / float64(size); prom >= bar {
 				best = append(best, topCell{prom, factindex.Entry{Key: key, ID: id, Mask: mask}})
@@ -562,6 +549,21 @@ func (e *Engine) topFacts(shard, k int) ([]QueryFact, error) {
 		facts[i] = e.factFromCell(shard, c.ent, cell, cons)
 	}
 	return facts, nil
+}
+
+// factGroups is the number of fact groups the read path serves: the live
+// cells, less the hidden full-space ones. The caller holds the shard's read
+// lock.
+func (e *Engine) factGroups() int64 {
+	n := e.mem.Stats().Cells
+	if e.hidden != 0 {
+		for c, end := store.ConstraintID(0), e.mem.Interner().Len(); int(c) < end; c++ {
+			if e.mem.Peek(store.Ref(c, e.hidden)).Len() > 0 {
+				n--
+			}
+		}
+	}
+	return n
 }
 
 // Tuple returns stored tuple tupleID of the given shard, decoded, under

@@ -3,6 +3,7 @@ package situfact
 import (
 	"cmp"
 	"fmt"
+	"math/bits"
 	"slices"
 	"sort"
 	"strings"
@@ -120,13 +121,11 @@ func (p *Pool) scanTopFacts(k int) ([]QueryFact, error) {
 	return all, nil
 }
 
-// queryFacts collects the shard engine's fact groups matching the plan.
-// The caller holds the shard's read lock.
+// queryFacts collects the shard engine's fact groups matching the plan: the
+// store's cells over subspaces within the m̂ cap. The caller holds the
+// shard's read lock.
 func (e *Engine) queryFacts(q queryPlan, shard int) ([]QueryFact, error) {
 	mem := e.mem
-	if mem == nil {
-		return nil, fmt.Errorf("situfact: the reference scan needs an in-memory µ store (engine runs %s)", e.disc.Name())
-	}
 	// Resolve condition values against this shard's dictionary: a value
 	// the shard never saw matches nothing here (other shards may hold it).
 	d := e.table.Dict()
@@ -145,7 +144,7 @@ func (e *Engine) queryFacts(q queryPlan, shard int) ([]QueryFact, error) {
 		if walkErr != nil {
 			return
 		}
-		if q.haveMask && k.M != q.mask {
+		if q.haveMask && k.M != q.mask || e.maxMeasure > 0 && bits.OnesCount32(uint32(k.M)) > e.maxMeasure {
 			return
 		}
 		if q.tuple && !c.ContainsID(q.tupleID) {

@@ -1,7 +1,11 @@
 package situfact
 
 import (
+	"errors"
 	"fmt"
+	"io/fs"
+	"os"
+	"path/filepath"
 	"slices"
 	"strings"
 	"testing"
@@ -21,25 +25,6 @@ func sameQueryFact(a, b QueryFact) bool {
 
 func sameQueryFacts(a, b []QueryFact) bool {
 	return (a == nil) == (b == nil) && slices.EqualFunc(a, b, sameQueryFact)
-}
-
-// checkReadsRefused requires both read surfaces to refuse the pool with the
-// one sentence Engine.indexedStore gives, naming the invariant reads rest on.
-func checkReadsRefused(t *testing.T, pool *Pool) {
-	t.Helper()
-	if st := pool.IndexStats(); st != (IndexStat{}) {
-		t.Errorf("IndexStats = %+v on a pool that serves no reads", st)
-	}
-	_, err := pool.TopFacts(3)
-	if err == nil || !strings.Contains(err.Error(), "queries require bottomup or sbottomup over the in-memory store") ||
-		!strings.Contains(err.Error(), "Invariant 1") {
-		t.Errorf("TopFacts error = %v", err)
-	}
-	for _, f := range []FactFilter{{Shard: AllShards}, {Shard: 0, WithTuple: true}} {
-		if _, qerr := pool.QueryFacts(f, "", 3); qerr == nil || err == nil || qerr.Error() != err.Error() {
-			t.Errorf("QueryFacts(%+v) error %v, TopFacts error %v: want one message", f, qerr, err)
-		}
-	}
 }
 
 // TestPoolQueryTopFactsTies constructs the boundary the walk's skip rule
@@ -103,27 +88,83 @@ func TestPoolQueryTopFactsTies(t *testing.T) {
 	}
 }
 
-// TestPoolQueryTopFactsNeedsIndex: engines without a fact index — the
-// baselines, the file-backed store — refuse the ranking with the message
-// every read surface uses.
+// wantPoolRefusal requires err to be the refusal of an engine a pool cannot
+// run: the Invariant-1 sentence the read path rests on, naming what ran.
+func wantPoolRefusal(t *testing.T, err error, runs string) {
+	t.Helper()
+	const sentence = "queries require bottomup or sbottomup over the in-memory store: " +
+		"only BottomUp's Invariant 1 makes a stored cell the contextual skyline a read reports"
+	if err == nil || !strings.Contains(err.Error(), sentence) || !strings.Contains(err.Error(), "(engine runs "+runs+")") {
+		t.Errorf("error %v, want the Invariant-1 refusal naming %s", err, runs)
+	}
+}
+
+// TestPoolQueryTopFactsNeedsIndex: a pool serves reads off the fact index of
+// bottomup or sbottomup over the in-memory store, and every other engine —
+// asked for by NewPool or pinned by a snapshot that RestorePool or the shard
+// loader reads — is refused up front, before any engine or store directory
+// exists, with the one sentence naming the algorithm. The BottomUp family
+// passes every door.
 func TestPoolQueryTopFactsNeedsIndex(t *testing.T) {
-	schema := queryTestSchema(t)
-	for name, opt := range map[string]Options{
-		"baseline":   {Algorithm: AlgoBaselineSeq, DisableProminence: true},
-		"file store": {StoreDir: t.TempDir()},
+	newPool := func(opt Options) func(*testing.T) error {
+		return func(t *testing.T) error {
+			p, err := NewPool(queryTestSchema(t), PoolOptions{Shards: 2, ShardDim: "region", Engine: opt})
+			if err == nil {
+				p.Close()
+			}
+			return err
+		}
+	}
+	restore := func(file string) func(*testing.T) error {
+		return func(t *testing.T) error {
+			p, _, err := RestorePool(fixtureSchema(t), fixtureStateDir(t, file, 1))
+			if err == nil {
+				p.Close()
+			}
+			return err
+		}
+	}
+	load := func(file string) func(*testing.T) error {
+		return func(t *testing.T) error {
+			_, err := loadSnapshot(fixtureSchema(t), readTestdata(t, file))
+			return err
+		}
+	}
+	storeDir := filepath.Join(t.TempDir(), "cells")
+	for _, tc := range []struct {
+		name string
+		try  func(*testing.T) error
+		runs string // "" = admitted
+	}{
+		{"bottomup", newPool(Options{Algorithm: AlgoBottomUp}), ""},
+		{"sbottomup", newPool(Options{}), ""},
+		{"topdown", newPool(Options{Algorithm: AlgoTopDown}), "topdown"},
+		{"stopdown", newPool(Options{Algorithm: AlgoSTopDown}), "stopdown"},
+		{"bruteforce", newPool(Options{Algorithm: AlgoBruteForce, DisableProminence: true}), "bruteforce"},
+		{"baseline", newPool(Options{Algorithm: AlgoBaselineSeq, DisableProminence: true}), "baselineseq"},
+		{"baselineidx", newPool(Options{Algorithm: AlgoBaselineIdx, DisableProminence: true}), "baselineidx"},
+		{"ccsc", newPool(Options{Algorithm: AlgoCCSC, DisableProminence: true}), "ccsc"},
+		{"file store", newPool(Options{StoreDir: storeDir}), "sbottomup over a file store"},
+		{"restore v2_bottomup", restore("v2_bottomup.snapshot"), ""},
+		{"restore v2_topdown", restore("v2_topdown.snapshot"), "topdown"},
+		{"restore prerefactor_topdown", restore("prerefactor_topdown.snapshot"), "topdown"},
+		{"load prerefactor_bottomup", load("prerefactor_bottomup.snapshot"), ""},
+		{"load v2_topdown", load("v2_topdown.snapshot"), "topdown"},
+		{"load prerefactor_topdown", load("prerefactor_topdown.snapshot"), "topdown"},
 	} {
-		t.Run(name, func(t *testing.T) {
-			pool, err := NewPool(schema, PoolOptions{Shards: 2, ShardDim: "region", Engine: opt})
-			if err != nil {
-				t.Fatal(err)
+		t.Run(tc.name, func(t *testing.T) {
+			err := tc.try(t)
+			if tc.runs == "" {
+				if err != nil {
+					t.Errorf("refused: %v", err)
+				}
+				return
 			}
-			if _, err := pool.Append([]string{"region-0", "kind-0", "tier-0", "label-0"}, []float64{1, 2, 3}); err != nil {
-				t.Fatal(err)
-			}
-			checkReadsRefused(t, pool)
-			pool.Close()
-			pool.DestroyStore()
+			wantPoolRefusal(t, err, tc.runs)
 		})
+	}
+	if _, err := os.Stat(storeDir); !errors.Is(err, fs.ErrNotExist) {
+		t.Errorf("the refused file store left %s behind (%v)", storeDir, err)
 	}
 }
 

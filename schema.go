@@ -24,15 +24,6 @@ func (s *Schema) DimensionNames() []string {
 	return out
 }
 
-// MeasureNames returns the measure attribute names in order.
-func (s *Schema) MeasureNames() []string {
-	out := make([]string, s.rs.NumMeasures())
-	for i := range out {
-		out[i] = s.rs.Measure(i).Name
-	}
-	return out
-}
-
 // String renders the schema.
 func (s *Schema) String() string { return s.rs.String() }
 

@@ -70,18 +70,14 @@ type Options struct {
 	// this many attributes. 0 or negative = no cap.
 	MaxMeasureDims int
 	// StoreDir, when non-empty, selects the file-backed µ(C,M) store
-	// rooted at this directory (the paper's FS* variants). Only the
-	// lattice algorithms use a store.
+	// rooted at this directory (the paper's FS* variants), for a single
+	// Engine: only the lattice algorithms use a store, and a Pool refuses
+	// one, since its reads are served from the in-memory store's fact index.
 	StoreDir string
 	// DisableProminence turns off context counting and fact scoring;
 	// Arrival.Facts then carries prominence 0. Prominence requires a
 	// lattice algorithm (BottomUp/TopDown family).
 	DisableProminence bool
-	// SkybandK ≥ 2 switches the engine to contextual k-skyband discovery
-	// (a fact needs fewer than k dominators instead of none) — an
-	// extension beyond the paper; see core.Skyband. It overrides
-	// Algorithm and implies DisableProminence.
-	SkybandK int
 }
 
 // Condition is one bound attribute of a fact's context, e.g. team=Celtics.
@@ -210,20 +206,23 @@ type Engine struct {
 	sizer   core.SkylineSizer
 	counter *core.ContextCounter
 	ranker  prominence.Ranker // arrival's ranking scratch, kept warm
-	fileSt  *store.File
 	deleted map[int64]bool
 
-	// mem is the in-memory µ store of a lattice algorithm, resolved once at
-	// construction; nil for the baselines and the file store, which can
-	// neither snapshot nor serve reads.
-	mem *store.Memory
-	// fidx orders mem's live constraints by key for the read path
-	// (indexedStore); the store's constraint-lifecycle observer keeps it
-	// current, so EVERY mutation path — ingest, delete, WAL replay,
-	// snapshot-restore cell replay, follower tail apply — does without its
-	// own hook. Nil unless the algorithm is of the BottomUp family over mem:
-	// only there is a stored cell the contextual skyline a read reports.
+	// mem is the in-memory µ store of a BottomUp-family engine, resolved
+	// once at construction, and fidx orders its live constraints by key for
+	// the read path. Both are nil for every other engine (TopDown, the
+	// baselines, the file store): only under Invariant 1 is a stored cell
+	// the contextual skyline a read reports, and a Pool runs no other
+	// engine. The store's constraint-lifecycle observer keeps fidx current,
+	// so EVERY mutation path — ingest, delete, WAL replay, snapshot-restore
+	// cell replay, follower tail apply — does without its own hook.
+	mem  *store.Memory
 	fidx *factindex.Index
+	// hidden is the full measure space 𝕄 when an m̂ cap leaves it out of the
+	// reported subspaces, 0 otherwise. SBottomUp keeps µ(C, 𝕄) under the cap
+	// to share its full-space comparisons with the subspace passes (§V-C);
+	// those cells are not facts, and the read path steps over them.
+	hidden subspace.Mask
 
 	dec factDecoder
 
@@ -268,15 +267,6 @@ func New(schema *Schema, opt Options) (*Engine, error) {
 		}
 		return nil, err
 	}
-	if opt.SkybandK >= 2 {
-		sb, err := core.NewSkyband(cfg, opt.SkybandK)
-		if err != nil {
-			return fail(err)
-		}
-		eng := &Engine{schema: rs, table: relation.NewTable(rs), disc: sb, fileSt: fileSt}
-		eng.dec = newFactDecoder(rs, eng.table.Dict(), maxBound)
-		return eng, nil
-	}
 	disc, err := core.NewDiscoverer(string(algo), cfg)
 	if err != nil {
 		// The registry error is re-prefixed here; drop its internal
@@ -290,12 +280,14 @@ func New(schema *Schema, opt Options) (*Engine, error) {
 		schema:     rs,
 		table:      relation.NewTable(rs),
 		disc:       disc,
-		fileSt:     fileSt,
 		algorithm:  algo,
 		maxBound:   maxBound,
 		maxMeasure: maxMeasure,
 	}
 	eng.dec = newFactDecoder(rs, eng.table.Dict(), maxBound)
+	if maxMeasure > 0 && maxMeasure < rs.NumMeasures() {
+		eng.hidden = subspace.Full(rs.NumMeasures())
+	}
 	if !opt.DisableProminence {
 		if sizer == nil {
 			return fail(fmt.Errorf("situfact: prominence tracking requires a lattice algorithm (BottomUp/TopDown family); %q has no µ store", algo))
@@ -306,9 +298,10 @@ func New(schema *Schema, opt Options) (*Engine, error) {
 		in := disc.(interface{ Store() store.Store }).Store().Interner()
 		eng.counter = core.NewContextCounterOver(in, rs.NumDims(), maxBound)
 	}
-	eng.mem = memoryStoreOf(disc)
-	if _, ok := disc.(*core.BottomUp); ok && eng.mem != nil {
-		mem := eng.mem
+	if bu, ok := disc.(*core.BottomUp); ok {
+		eng.mem, _ = bu.Store().(*store.Memory)
+	}
+	if mem := eng.mem; mem != nil {
 		in := mem.Interner()
 		idx := factindex.New(func(id uint32) string { return string(in.Key(id)) }, mem.Masks)
 		mem.SetObserver(func(c store.ConstraintID, live bool) {
@@ -519,13 +512,6 @@ func (e *Engine) Delete(tupleID int64) error {
 	return nil
 }
 
-// CanDelete reports whether Delete supports this engine's algorithm
-// (the BottomUp family).
-func (e *Engine) CanDelete() bool {
-	_, ok := e.disc.(deleter)
-	return ok
-}
-
 // Update retracts tuple tupleID and appends its replacement, returning
 // the replacement's arrival. Like Delete it requires the BottomUp family.
 func (e *Engine) Update(tupleID int64, dims []string, measures []float64) (*Arrival, error) {
@@ -575,12 +561,3 @@ func (e *Engine) Metrics() Metrics {
 
 // Close releases the engine's resources (file-store handles).
 func (e *Engine) Close() error { return e.disc.Close() }
-
-// DestroyStore removes the on-disk store directory of a file-backed
-// engine; it is a no-op for in-memory engines.
-func (e *Engine) DestroyStore() error {
-	if e.fileSt == nil {
-		return nil
-	}
-	return e.fileSt.Destroy()
-}

@@ -139,9 +139,6 @@ func TestEngineFileStore(t *testing.T) {
 	if err := eng.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if err := eng.DestroyStore(); err != nil {
-		t.Fatal(err)
-	}
 }
 
 func TestEngineOptionErrors(t *testing.T) {
@@ -196,9 +193,6 @@ func TestSchemaAccessors(t *testing.T) {
 	s := gamelogSchema(t)
 	if got := s.DimensionNames(); len(got) != 5 || got[0] != "player" {
 		t.Errorf("DimensionNames = %v", got)
-	}
-	if got := s.MeasureNames(); len(got) != 3 || got[2] != "rebounds" {
-		t.Errorf("MeasureNames = %v", got)
 	}
 	if !strings.Contains(s.String(), "gamelog") {
 		t.Errorf("String = %q", s.String())
@@ -348,31 +342,6 @@ func TestEngineUpdateErrorPaths(t *testing.T) {
 	if _, err := td.Update(0, table1Rows[0].d, table1Rows[0].m); err == nil ||
 		!strings.Contains(err.Error(), "BottomUp") {
 		t.Errorf("Update on STopDown: %v", err)
-	}
-}
-
-func TestEngineSkyband(t *testing.T) {
-	eng, err := New(gamelogSchema(t), Options{SkybandK: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if eng.Algorithm() != "Skyband(k=2)" {
-		t.Errorf("Algorithm = %q", eng.Algorithm())
-	}
-	var last *Arrival
-	for _, r := range table1Rows {
-		if last, err = eng.Append(r.d, r.m); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// With k=2, a fact needs < 2 dominators: t7's exclusions shrink to the
-	// pairs dominated by ≥ 2 of {t2, t3, t6}; the set must be a strict
-	// superset of the 195 skyline facts.
-	if len(last.Facts) <= 195 {
-		t.Errorf("k=2 skyband has %d facts, want > 195", len(last.Facts))
-	}
-	if _, err := New(gamelogSchema(t), Options{SkybandK: -3}); err != nil {
-		t.Errorf("SkybandK < 2 should fall back to skyline: %v", err)
 	}
 }
 

@@ -7,7 +7,6 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
-	"strings"
 	"time"
 
 	"repro/internal/core"
@@ -18,20 +17,17 @@ import (
 	"repro/internal/subspace"
 )
 
-// Snapshot persistence: SaveSnapshot serialises an in-memory engine's full
-// state (dictionary, tuples, tombstones, µ-store cells, prominence
-// counters) so a stream can be resumed later with LoadSnapshot — a
+// Snapshot persistence: Pool.Checkpoint serialises every shard engine's
+// full state (dictionary, tuples, tombstones, µ-store cells, prominence
+// counters) so a stream can be resumed later with RestorePool — a
 // production necessity the paper leaves implicit. This file is a thin
 // wrapper translating engine/pool state to and from internal/persist,
 // which owns the codec, the generational manifest, and the write-ahead
 // log (see wal.go for journaling and recovery). Format v2 is written —
 // the µ store's blocks, constraint by constraint, straight into the
-// encoder — and v1 (gob) is still read.
-//
-// Snapshots are supported for engines running the lattice algorithms
-// (BottomUp/TopDown families) over the default in-memory store; engines
-// with a StoreDir already keep their cells on disk, and baseline engines
-// would need their private histories replayed instead.
+// encoder — and v1 (gob) is still read. The engines are a pool's:
+// bottomup or sbottomup over the in-memory store, whose cells and counts
+// are the whole state.
 
 func schemaSig(s *relation.Schema) string {
 	return s.String()
@@ -44,25 +40,11 @@ func schemaSig(s *relation.Schema) string {
 // silently serving an empty relation over existing state.
 var ErrNoSnapshot = errors.New("no pool snapshot")
 
-// SaveSnapshot writes the engine's state to w. See the package note above
-// for which engines support it.
-func (e *Engine) SaveSnapshot(w io.Writer) error {
-	buf, err := e.appendSnapshot(nil)
-	if err != nil {
-		return err
-	}
-	_, err = w.Write(buf)
-	return err
-}
-
-// appendSnapshot appends the engine's state to buf in snapshot format v2:
-// one pass over the tuple table and the µ store's blocks that mutates
-// nothing, so a shard's read lock covers it.
+// appendSnapshot appends the state of a pool's engine to buf in snapshot
+// format v2: one pass over the tuple table and the µ store's blocks that
+// mutates nothing, so a shard's read lock covers it.
 func (e *Engine) appendSnapshot(buf []byte) ([]byte, error) {
 	mem := e.mem
-	if mem == nil {
-		return nil, fmt.Errorf("situfact: snapshots require a lattice algorithm over the in-memory store (engine runs %s)", e.disc.Name())
-	}
 	met := e.Metrics()
 	// Sized once, the buffer is not grown by doubling under the lock: the
 	// tuple arenas, a key and two counts per constraint, a mask and a member
@@ -106,7 +88,6 @@ func (e *Engine) appendSnapshot(buf []byte) ([]byte, error) {
 	// this order too and its next snapshot repeats these bytes.
 	enc.BeginCells()
 	writeCell := func(mask subspace.Mask, cell store.Cell) { enc.Cell(mask, cell.IDs()) }
-	live := 0
 	for c, n := store.ConstraintID(0), in.Len(); int(c) < n; c++ {
 		cells := mem.Live(c)
 		if cells == 0 {
@@ -121,37 +102,20 @@ func (e *Engine) appendSnapshot(buf []byte) ([]byte, error) {
 		}
 		enc.Constraint(key, count, cells)
 		mem.EachCell(c, writeCell)
-		live++
 	}
 	enc.EndCells()
-	// A constraint with tuples in its context and none in a cell: TopDown
-	// keeps a tuple only at its maximal skyline constraints (Invariant 2).
-	// Every live constraint has a count, so equal sizes mean there is none.
-	var extra []persist.ContextCount
-	if e.counter != nil && e.counter.Len() != live {
-		e.counter.Each(func(c store.ConstraintID, n int64) {
-			if mem.Live(c) == 0 {
-				extra = append(extra, persist.ContextCount{Key: string(in.Key(c)), N: n})
-			}
-		})
-		slices.SortFunc(extra, func(a, b persist.ContextCount) int { return strings.Compare(a.Key, b.Key) })
-	}
-	enc.Counts(extra)
+	// The counts section holds the context counts of constraints without a
+	// cell. Under Invariant 1 there are none: a live tuple of σ_C(R) puts
+	// some tuple in a skyline of C.
+	enc.Counts(nil)
 	return enc.Bytes(), nil
 }
 
-// LoadSnapshot reconstructs an engine from a snapshot written by
-// SaveSnapshot — in format v2, or in the gob format v1 of earlier builds.
-// The schema must match the one the snapshot was taken under. An error for
-// bytes that are not an acceptable snapshot wraps persist.ErrCorruptSnapshot.
-func LoadSnapshot(schema *Schema, r io.Reader) (*Engine, error) {
-	data, err := io.ReadAll(r)
-	if err != nil {
-		return nil, fmt.Errorf("situfact: reading snapshot: %w", err)
-	}
-	return loadSnapshot(schema, data)
-}
-
+// loadSnapshot reconstructs a pool's engine from one shard's snapshot, in
+// format v2 or in the gob format v1 of earlier builds. The schema must match
+// the one the snapshot was taken under, and the algorithm must be one a pool
+// runs (checkPoolEngine). An error for bytes that are not an acceptable
+// snapshot wraps persist.ErrCorruptSnapshot.
 func loadSnapshot(schema *Schema, data []byte) (*Engine, error) {
 	if schema == nil || schema.rs == nil {
 		return nil, fmt.Errorf("situfact: nil schema")
@@ -171,19 +135,24 @@ func loadSnapshot(schema *Schema, data []byte) (*Engine, error) {
 		return nil, fmt.Errorf("situfact: %w: header: %d dimensions and %d measures under a schema of %d and %d",
 			persist.ErrCorruptSnapshot, sf.D, sf.M, d, m)
 	}
-	eng, err := New(schema, Options{
+	opt := Options{
 		Algorithm:         Algorithm(sf.Algorithm),
 		MaxBoundDims:      sf.MaxBound,
 		MaxMeasureDims:    sf.MaxMeas,
 		DisableProminence: !sf.Prominence,
-	})
+	}
+	if err := checkPoolEngine(opt); err != nil {
+		return nil, err
+	}
+	if len(sf.ExtraCounts) > 0 {
+		return nil, fmt.Errorf("situfact: %w: counts: %d constraints without a cell, which Invariant 1 never leaves",
+			persist.ErrCorruptSnapshot, len(sf.ExtraCounts))
+	}
+	eng, err := New(schema, opt)
 	if err != nil {
 		return nil, err
 	}
-	mem := eng.mem
-	if mem == nil {
-		return nil, fmt.Errorf("situfact: snapshot algorithm %q has no in-memory store", sf.Algorithm)
-	}
+	mem, bu := eng.mem, eng.disc.(*core.BottomUp)
 	// Rebuild the dictionary in code order, then the table.
 	dict := eng.table.Dict()
 	for dim, vals := range sf.Dict {
@@ -197,13 +166,11 @@ func loadSnapshot(schema *Schema, data []byte) (*Engine, error) {
 		}
 	}
 	// Cells store only tuple ids; the discoverer's registry must be able to
-	// resolve restored ids to tuples and measure vectors (cell scans,
-	// TopDown re-homing, SkylineSize) even though these tuples never went
-	// through Process.
-	if rt, ok := eng.disc.(interface{ RegisterTuple(*relation.Tuple) }); ok {
-		for _, tu := range eng.table.Tuples() {
-			rt.RegisterTuple(tu)
-		}
+	// resolve restored ids to tuples and measure vectors (cell scans, delete
+	// repair, SkylineSize) even though these tuples never went through
+	// Process.
+	for _, tu := range eng.table.Tuples() {
+		bu.RegisterTuple(tu)
 	}
 	if len(sf.Deleted) > 0 {
 		eng.deleted = make(map[int64]bool, len(sf.Deleted))
@@ -234,24 +201,17 @@ func loadSnapshot(schema *Schema, data []byte) (*Engine, error) {
 			eng.counter.Set(id, sf.Counts[i])
 		}
 	}
-	// The cell-less constraints are interned after every live one, so they
-	// leave the live constraints' ids — the next snapshot's order — alone.
-	for i, n := range sf.ExtraCounts {
-		eng.counter.Set(mem.Interner().Intern(lattice.Key(sf.ExtraKeys[i*kl:(i+1)*kl])), n)
-	}
 	// Restoring the cells recomputed StoredTuples/Cells but counted itself
 	// as I/O; overwrite all counters with the saved ones. Snapshots written
 	// before Counters existed decode it as all-zero — leave the store stats
 	// the restore derived in place for those rather than zeroing live gauges.
 	if sf.Counters != (persist.SnapCounters{}) {
-		if rm, ok := eng.disc.(interface{ RestoreMetrics(core.Metrics) }); ok {
-			rm.RestoreMetrics(core.Metrics{
-				Tuples:      sf.Counters.Tuples,
-				Comparisons: sf.Counters.Comparisons,
-				Traversed:   sf.Counters.Traversed,
-				Facts:       sf.Counters.Facts,
-			})
-		}
+		bu.RestoreMetrics(core.Metrics{
+			Tuples:      sf.Counters.Tuples,
+			Comparisons: sf.Counters.Comparisons,
+			Traversed:   sf.Counters.Traversed,
+			Facts:       sf.Counters.Facts,
+		})
 		mem.RestoreStats(store.Stats{
 			StoredTuples: sf.Counters.StoredTuples,
 			Cells:        sf.Counters.Cells,
@@ -284,10 +244,8 @@ type CheckpointStats struct {
 // generation: a manifest plus one engine snapshot per shard. Each shard is
 // saved under its own lock; as shards are independent substreams,
 // per-shard consistency is the meaningful unit and no cross-shard barrier
-// is taken. It requires the engines Engine.SaveSnapshot does (lattice
-// algorithms over the in-memory store). When a WAL is attached, the
-// manifest records the WAL position each shard reflects, so recovery
-// replays exactly the uncovered tail.
+// is taken. When a WAL is attached, the manifest records the WAL position
+// each shard reflects, so recovery replays exactly the uncovered tail.
 // sidecars, when non-nil, is invoked after the shard files are written
 // and before the manifest commits; the payloads it returns are committed
 // atomically with the snapshot and handed back by RestorePool — a hook for
@@ -393,7 +351,8 @@ func (p *Pool) Checkpoint(dir string, sidecars func() (map[string][]byte, error)
 // committed in dir, and returns the sidecar payloads committed with it (nil
 // when the snapshot carries none). The schema must match the one the
 // snapshot was taken under; shard count, routing dimension, algorithm and
-// caps are restored from the snapshot itself.
+// caps are restored from the snapshot itself, and an algorithm NewPool
+// refuses is refused here too.
 func RestorePool(schema *Schema, dir string) (*Pool, map[string][]byte, error) {
 	if schema == nil || schema.rs == nil {
 		return nil, nil, fmt.Errorf("situfact: nil schema")
@@ -438,17 +397,4 @@ func RestorePool(schema *Schema, dir string) (*Pool, map[string][]byte, error) {
 	}
 	p.walEpoch = man.WALEpoch
 	return p, man.Sidecars, nil
-}
-
-// memoryStoreOf extracts the in-memory µ store of a lattice discoverer, nil
-// when there is none. Baselines embed an (unused) default store too, so the
-// algorithm type is checked explicitly: only the BottomUp/TopDown families
-// keep their whole state in the µ store.
-func memoryStoreOf(d core.Discoverer) *store.Memory {
-	switch d.(type) {
-	case *core.BottomUp, *core.TopDown:
-		mem, _ := d.(interface{ Store() store.Store }).Store().(*store.Memory)
-		return mem
-	}
-	return nil
 }

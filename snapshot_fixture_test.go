@@ -175,14 +175,11 @@ func checkGoldenNext(t *testing.T, eng *Engine, golden fixtureGolden) {
 	}
 }
 
-func readGolden(t *testing.T, name string) fixtureGolden {
+// readGolden reads what the BottomUp fixtures must restore to.
+func readGolden(t *testing.T) fixtureGolden {
 	t.Helper()
-	raw, err := os.ReadFile(filepath.Join("testdata", "prerefactor_"+name+".golden.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
 	var golden fixtureGolden
-	if err := json.Unmarshal(raw, &golden); err != nil {
+	if err := json.Unmarshal(readTestdata(t, "prerefactor_bottomup.golden.json"), &golden); err != nil {
 		t.Fatal(err)
 	}
 	if golden.Algorithm == "" {
@@ -191,88 +188,108 @@ func readGolden(t *testing.T, name string) fixtureGolden {
 	return golden
 }
 
-func TestPreRefactorSnapshotFixtures(t *testing.T) {
-	for _, name := range []string{"bottomup", "topdown"} {
-		t.Run("prerefactor_"+name, func(t *testing.T) {
-			golden := readGolden(t, name)
-			snap, err := os.ReadFile(filepath.Join("testdata", "prerefactor_"+name+".snapshot"))
-			if err != nil {
-				t.Fatal(err)
-			}
-
-			eng, err := LoadSnapshot(fixtureSchema(t), bytes.NewReader(snap))
-			if err != nil {
-				t.Fatalf("pre-refactor snapshot failed to restore: %v", err)
-			}
-			defer eng.Close()
-			if eng.Algorithm() == "" {
-				t.Fatal("restored engine names no algorithm")
-			}
-			if got := eng.Metrics(); got != golden.Metrics {
-				t.Errorf("restored metrics = %+v, want %+v", got, golden.Metrics)
-			}
-
-			// The restored engine must hold the fixture's logical content
-			// exactly — dictionary, tuples, tombstones, counters, context
-			// counts, cell membership — and so must an engine restored from
-			// its re-encoding (format v2), with its constraints numbered alike.
-			diffLines(t, "engine restored from the v1 file", eng.logicalContent(), readV1File(t, snap).logicalContent())
-			var buf bytes.Buffer
-			if err := eng.SaveSnapshot(&buf); err != nil {
-				t.Fatal(err)
-			}
-			again, err := LoadSnapshot(fixtureSchema(t), bytes.NewReader(buf.Bytes()))
-			if err != nil {
-				t.Fatalf("re-encoded snapshot failed to restore: %v", err)
-			}
-			defer again.Close()
-			diffLines(t, "engine restored from the re-encoding", again.logicalContent(), eng.logicalContent())
-			diffLines(t, "re-encoded engine's Walk", again.walkOrder(), eng.walkOrder())
-
-			// The restored engine must keep discovering exactly as the
-			// pre-refactor engine did.
-			checkGoldenNext(t, eng, golden)
-		})
+// readTestdata returns the bytes of a testdata file.
+func readTestdata(t *testing.T, name string) []byte {
+	t.Helper()
+	raw, err := os.ReadFile(filepath.Join("testdata", name))
+	if err != nil {
+		t.Fatal(err)
 	}
+	return raw
 }
 
-// TestV2SnapshotFixtures pins format v2 on disk: the checked-in files hold
-// the state of the pre-refactor pair (same rows, same golden expectations),
-// today's writer must reproduce them byte for byte — from the v1 files, and
-// from themselves — and today's reader must restore them.
+// fixtureStateDir lays a testdata snapshot out as a one-shard state
+// directory at generation gen: the shard file plus a manifest, as Checkpoint
+// leaves them.
+func fixtureStateDir(t *testing.T, file string, gen uint64) string {
+	t.Helper()
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, persist.ShardSnapshotName(0, gen)), readTestdata(t, file), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := persist.WriteManifest(dir, persist.Manifest{
+		SchemaSig: schemaSig(fixtureSchema(t).rs), ShardDim: "team", Shards: 1, Generation: gen,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	return dir
+}
+
+// TestPreRefactorSnapshotFixtures: the BottomUp fixture restores; the
+// TopDown one, taken when pools still ran TopDown, is refused.
+func TestPreRefactorSnapshotFixtures(t *testing.T) {
+	t.Run("prerefactor_bottomup", func(t *testing.T) {
+		golden := readGolden(t)
+		snap := readTestdata(t, "prerefactor_bottomup.snapshot")
+		eng, err := loadSnapshot(fixtureSchema(t), snap)
+		if err != nil {
+			t.Fatalf("pre-refactor snapshot failed to restore: %v", err)
+		}
+		defer eng.Close()
+		if got := eng.Metrics(); got != golden.Metrics {
+			t.Errorf("restored metrics = %+v, want %+v", got, golden.Metrics)
+		}
+
+		// The restored engine must hold the fixture's logical content
+		// exactly — dictionary, tuples, tombstones, counters, context
+		// counts, cell membership — and so must an engine restored from
+		// its re-encoding (format v2), with its constraints numbered alike.
+		diffLines(t, "engine restored from the v1 file", eng.logicalContent(), readV1File(t, snap).logicalContent())
+		buf, err := eng.appendSnapshot(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		again, err := loadSnapshot(fixtureSchema(t), buf)
+		if err != nil {
+			t.Fatalf("re-encoded snapshot failed to restore: %v", err)
+		}
+		defer again.Close()
+		diffLines(t, "engine restored from the re-encoding", again.logicalContent(), eng.logicalContent())
+		diffLines(t, "re-encoded engine's Walk", again.walkOrder(), eng.walkOrder())
+
+		// The restored engine must keep discovering exactly as the
+		// pre-refactor engine did.
+		checkGoldenNext(t, eng, golden)
+	})
+	t.Run("prerefactor_topdown", func(t *testing.T) {
+		_, err := loadSnapshot(fixtureSchema(t), readTestdata(t, "prerefactor_topdown.snapshot"))
+		wantPoolRefusal(t, err, "topdown")
+	})
+}
+
+// TestV2SnapshotFixtures pins format v2 on disk: v2_bottomup.snapshot holds
+// the state of the pre-refactor BottomUp fixture (same rows, same golden
+// expectations), today's writer must reproduce it byte for byte — from the
+// v1 file, and from itself — and today's reader must restore it.
+// v2_topdown.snapshot, written when pools still ran TopDown, is refused.
 func TestV2SnapshotFixtures(t *testing.T) {
-	for _, name := range []string{"bottomup", "topdown"} {
-		t.Run("v2_"+name, func(t *testing.T) {
-			golden := readGolden(t, name)
-			want, err := os.ReadFile(filepath.Join("testdata", "v2_"+name+".snapshot"))
+	t.Run("v2_bottomup", func(t *testing.T) {
+		golden := readGolden(t)
+		want := readTestdata(t, "v2_bottomup.snapshot")
+		for _, from := range []string{"prerefactor_", "v2_"} {
+			eng, err := loadSnapshot(fixtureSchema(t), readTestdata(t, from+"bottomup.snapshot"))
+			if err != nil {
+				t.Fatalf("%sbottomup.snapshot failed to restore: %v", from, err)
+			}
+			defer eng.Close()
+			if got := eng.Metrics(); got != golden.Metrics {
+				t.Errorf("%s: restored metrics = %+v, want %+v", from, got, golden.Metrics)
+			}
+			buf, err := eng.appendSnapshot(nil)
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, from := range []string{"prerefactor_", "v2_"} {
-				snap, err := os.ReadFile(filepath.Join("testdata", from+name+".snapshot"))
-				if err != nil {
-					t.Fatal(err)
-				}
-				eng, err := LoadSnapshot(fixtureSchema(t), bytes.NewReader(snap))
-				if err != nil {
-					t.Fatalf("%s%s.snapshot failed to restore: %v", from, name, err)
-				}
-				defer eng.Close()
-				if got := eng.Metrics(); got != golden.Metrics {
-					t.Errorf("%s: restored metrics = %+v, want %+v", from, got, golden.Metrics)
-				}
-				var buf bytes.Buffer
-				if err := eng.SaveSnapshot(&buf); err != nil {
-					t.Fatal(err)
-				}
-				if !bytes.Equal(buf.Bytes(), want) {
-					t.Errorf("snapshot of the engine restored from %s%s.snapshot is not v2_%s.snapshot (%d bytes, fixture %d): the format drifted",
-						from, name, name, buf.Len(), len(want))
-				}
-				checkGoldenNext(t, eng, golden)
+			if !bytes.Equal(buf, want) {
+				t.Errorf("snapshot of the engine restored from %sbottomup.snapshot is not v2_bottomup.snapshot (%d bytes, fixture %d): the format drifted",
+					from, len(buf), len(want))
 			}
-		})
-	}
+			checkGoldenNext(t, eng, golden)
+		}
+	})
+	t.Run("v2_topdown", func(t *testing.T) {
+		_, err := loadSnapshot(fixtureSchema(t), readTestdata(t, "v2_topdown.snapshot"))
+		wantPoolRefusal(t, err, "topdown")
+	})
 }
 
 // TestV1StateDirRestoresAndUpgrades: a state directory whose shard files are
@@ -280,21 +297,9 @@ func TestV2SnapshotFixtures(t *testing.T) {
 // next checkpoint over it writes v2, after which the directory restores to
 // the same pool.
 func TestV1StateDirRestoresAndUpgrades(t *testing.T) {
-	golden := readGolden(t, "bottomup")
-	snap, err := os.ReadFile(filepath.Join("testdata", "prerefactor_bottomup.snapshot"))
-	if err != nil {
-		t.Fatal(err)
-	}
+	golden := readGolden(t)
 	schema := fixtureSchema(t)
-	dir := t.TempDir()
-	if err := os.WriteFile(filepath.Join(dir, persist.ShardSnapshotName(0, 7)), snap, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := persist.WriteManifest(dir, persist.Manifest{
-		SchemaSig: schemaSig(schema.rs), ShardDim: "team", Shards: 1, Generation: 7,
-	}); err != nil {
-		t.Fatal(err)
-	}
+	dir := fixtureStateDir(t, "prerefactor_bottomup.snapshot", 7)
 	old, _, err := RestorePool(schema, dir)
 	if err != nil {
 		t.Fatalf("v1 state directory failed to restore: %v", err)
@@ -311,10 +316,7 @@ func TestV1StateDirRestoresAndUpgrades(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := os.ReadFile(filepath.Join("testdata", "v2_bottomup.snapshot"))
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := readTestdata(t, "v2_bottomup.snapshot")
 	if st.Generation != 8 || !bytes.Equal(next, want) {
 		t.Errorf("checkpoint over the v1 directory wrote generation %d, %d bytes; want generation 8 holding v2_bottomup.snapshot", st.Generation, len(next))
 	}

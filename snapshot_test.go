@@ -44,11 +44,11 @@ func TestSnapshotRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	var buf bytes.Buffer
-	if err := snapped.SaveSnapshot(&buf); err != nil {
+	buf, err := snapped.appendSnapshot(nil)
+	if err != nil {
 		t.Fatal(err)
 	}
-	restored, err := LoadSnapshot(gamelogSchema(t), &buf)
+	restored, err := loadSnapshot(gamelogSchema(t), buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,56 +113,46 @@ func TestPoolSnapshotErrors(t *testing.T) {
 }
 
 func TestSnapshotErrors(t *testing.T) {
-	// Baseline engines cannot snapshot.
-	eng, err := New(gamelogSchema(t), Options{Algorithm: AlgoBaselineSeq, DisableProminence: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := eng.SaveSnapshot(&buf); err == nil {
-		t.Error("baseline snapshot accepted")
-	}
-
 	// Garbage input.
-	if _, err := LoadSnapshot(gamelogSchema(t), strings.NewReader("not a snapshot")); err == nil {
+	if _, err := loadSnapshot(gamelogSchema(t), []byte("not a snapshot")); err == nil {
 		t.Error("garbage snapshot accepted")
 	}
 
 	// Schema mismatch.
-	good, err := New(gamelogSchema(t), Options{Algorithm: AlgoTopDown})
+	good, err := New(gamelogSchema(t), Options{Algorithm: AlgoBottomUp})
 	if err != nil {
 		t.Fatal(err)
 	}
 	good.Append(table1Rows[0].d, table1Rows[0].m)
-	buf.Reset()
-	if err := good.SaveSnapshot(&buf); err != nil {
+	buf, err := good.appendSnapshot(nil)
+	if err != nil {
 		t.Fatal(err)
 	}
 	other, err := NewSchemaBuilder("other").Dimension("x").Measure("y", LargerBetter).Build()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := LoadSnapshot(other, &buf); err == nil {
+	if _, err := loadSnapshot(other, buf); err == nil {
 		t.Error("schema mismatch accepted")
 	}
-	if _, err := LoadSnapshot(nil, &buf); err == nil {
+	if _, err := loadSnapshot(nil, buf); err == nil {
 		t.Error("nil schema accepted")
 	}
 }
 
 func TestSnapshotWithoutProminence(t *testing.T) {
-	eng, err := New(gamelogSchema(t), Options{Algorithm: AlgoSTopDown, DisableProminence: true})
+	eng, err := New(gamelogSchema(t), Options{DisableProminence: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, r := range table1Rows[:3] {
 		eng.Append(r.d, r.m)
 	}
-	var buf bytes.Buffer
-	if err := eng.SaveSnapshot(&buf); err != nil {
+	buf, err := eng.appendSnapshot(nil)
+	if err != nil {
 		t.Fatal(err)
 	}
-	restored, err := LoadSnapshot(gamelogSchema(t), &buf)
+	restored, err := loadSnapshot(gamelogSchema(t), buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,11 +184,10 @@ func readShardSnapshots(t *testing.T, dir string, shards int) [][]byte {
 }
 
 // snapshotHistory drives a seeded random history into a two-shard pool over
-// the query-test schema: appends under tight cardinalities, and — where the
-// algorithm can delete — retractions of single rows and of every row
-// carrying one label, which empties whole constraints (their blocks are
-// released and their context counts dropped, leaving holes in the store's
-// constraint ids).
+// the query-test schema: appends under tight cardinalities, retractions of
+// single rows, and retractions of every row carrying one label, which empty
+// whole constraints (their blocks are released and their context counts
+// dropped, leaving holes in the store's constraint ids).
 func snapshotHistory(t *testing.T, algo Algorithm, prominence bool, seed int64) *Pool {
 	t.Helper()
 	opts := Options{Algorithm: algo, DisableProminence: !prominence}
@@ -218,7 +207,7 @@ func snapshotHistory(t *testing.T, algo Algorithm, prominence bool, seed int64) 
 	var live []handle
 	for step := 0; step < 120; step++ {
 		switch {
-		case pool.CanDelete() && len(live) > 10 && step%40 == 39:
+		case len(live) > 10 && step%40 == 39:
 			label := live[rng.Intn(len(live))].label
 			kept := live[:0]
 			for _, h := range live {
@@ -229,7 +218,7 @@ func snapshotHistory(t *testing.T, algo Algorithm, prominence bool, seed int64) 
 				}
 			}
 			live = kept
-		case pool.CanDelete() && len(live) > 10 && rng.Intn(6) == 0:
+		case len(live) > 10 && rng.Intn(6) == 0:
 			j := rng.Intn(len(live))
 			if err := pool.Delete(live[j].shard, live[j].id); err != nil {
 				t.Fatal(err)
@@ -247,14 +236,14 @@ func snapshotHistory(t *testing.T, algo Algorithm, prominence bool, seed int64) 
 	return pool
 }
 
-// TestSnapshotRestoreProperties: over seeded random histories, every
-// algorithm that snapshots, prominence on and off — any snapshot restores to
-// an engine with equal Metrics, equal logical content, equal Memory.Walk
-// (hence equal constraint numbering), equal /v1/facts pages and equal facts
-// for the next arrival; and save → restore → save is a byte-for-byte fixed
-// point, the restored pool's checkpoint repeating the files it came from.
-// The history checker covers the same properties for its five engine setups;
-// this test keeps them for TopDown, which the checker does not run.
+// TestSnapshotRestoreProperties: over seeded random histories, both pool
+// algorithms, prominence on and off — any snapshot restores to an engine
+// with equal Metrics, equal logical content, equal Memory.Walk (hence equal
+// constraint numbering), equal /v1/facts pages and equal facts for the next
+// arrival; and save → restore → save is a byte-for-byte fixed point, the
+// restored pool's checkpoint repeating the files it came from. Its histories
+// retract whole labels, so it also pins the constraint-id holes a restore
+// numbers densely.
 func TestSnapshotRestoreProperties(t *testing.T) {
 	schema := queryTestSchema(t)
 	// holes counts constraint ids the writers had interned and kept no cell
@@ -265,7 +254,7 @@ func TestSnapshotRestoreProperties(t *testing.T) {
 			t.Error("no history left a constraint without cells: the id-compaction case went unexercised")
 		}
 	}()
-	for _, algo := range []Algorithm{AlgoBottomUp, AlgoSBottomUp, AlgoTopDown, AlgoSTopDown} {
+	for _, algo := range []Algorithm{AlgoBottomUp, AlgoSBottomUp} {
 		for _, prominence := range []bool{true, false} {
 			for seed := int64(1); seed <= 4; seed++ {
 				t.Run(fmt.Sprintf("%s/prominence=%v/seed=%d", algo, prominence, seed), func(t *testing.T) {
@@ -299,12 +288,10 @@ func TestSnapshotRestoreProperties(t *testing.T) {
 						diffLines(t, fmt.Sprintf("shard %d content", i), b.logicalContent(), a.logicalContent())
 						diffLines(t, fmt.Sprintf("shard %d Walk", i), b.walkOrder(), a.walkOrder())
 					}
-					if pool.IndexStats().Serving {
-						want := collectPages(t, pool.QueryFacts, FactFilter{Shard: AllShards}, 17)
-						got := collectPages(t, restored.QueryFacts, FactFilter{Shard: AllShards}, 17)
-						if !reflect.DeepEqual(got, want) {
-							t.Errorf("restored pool serves %d pages that differ from the original's %d", len(got), len(want))
-						}
+					want := collectPages(t, pool.QueryFacts, FactFilter{Shard: AllShards}, 17)
+					got := collectPages(t, restored.QueryFacts, FactFilter{Shard: AllShards}, 17)
+					if !reflect.DeepEqual(got, want) {
+						t.Errorf("restored pool serves %d pages that differ from the original's %d", len(got), len(want))
 					}
 
 					dir2 := t.TempDir()
@@ -347,10 +334,7 @@ func TestSnapshotRestoreProperties(t *testing.T) {
 // took the daemon down at boot). They come back as ErrCorruptSnapshot naming
 // the section and the cell, from a v1 file as from a v2 one.
 func TestLoadSnapshotRefusesWhatWouldPanic(t *testing.T) {
-	snap, err := os.ReadFile(filepath.Join("testdata", "prerefactor_bottomup.snapshot"))
-	if err != nil {
-		t.Fatal(err)
-	}
+	snap := readTestdata(t, "prerefactor_bottomup.snapshot")
 	cases := []struct {
 		name   string
 		mutate func(f *v1File)
@@ -361,6 +345,9 @@ func TestLoadSnapshotRefusesWhatWouldPanic(t *testing.T) {
 		{"member past the table", func(f *v1File) { f.Cells[0].IDs[0] = int64(len(f.Tuples)) }, "cells: constraint 0: cell "},
 		{"empty cell", func(f *v1File) { f.Cells[0].IDs = nil }, "cells: constraint 0: cell "},
 		{"count of zero", func(f *v1File) { f.Counts[f.Cells[0].CKey] = 0 }, "cells: constraint 0: context count 0"},
+		// A count without a cell is TopDown state (Invariant 2); BottomUp never
+		// leaves one.
+		{"cell-less count", func(f *v1File) { f.Counts[strings.Repeat("\xff", 16)+"\xfe\xff\xff\x7f"] = 3 }, "counts: 1 constraints without a cell, which Invariant 1 never leaves"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -370,9 +357,9 @@ func TestLoadSnapshotRefusesWhatWouldPanic(t *testing.T) {
 			if err := gob.NewEncoder(&buf).Encode(f); err != nil {
 				t.Fatal(err)
 			}
-			_, err := LoadSnapshot(fixtureSchema(t), &buf)
+			_, err := loadSnapshot(fixtureSchema(t), buf.Bytes())
 			if !errors.Is(err, persist.ErrCorruptSnapshot) || !strings.Contains(err.Error(), tc.want) {
-				t.Errorf("LoadSnapshot = %v, want an error wrapping ErrCorruptSnapshot that says %q", err, tc.want)
+				t.Errorf("loadSnapshot = %v, want an error wrapping ErrCorruptSnapshot that says %q", err, tc.want)
 			}
 		})
 	}
@@ -392,9 +379,9 @@ func TestLoadSnapshotRefusesWhatWouldPanic(t *testing.T) {
 	enc.Cell(1<<3, []uint32{0})
 	enc.EndCells()
 	enc.Counts(nil)
-	_, err = LoadSnapshot(fixtureSchema(t), bytes.NewReader(enc.Bytes()))
+	_, err := loadSnapshot(fixtureSchema(t), enc.Bytes())
 	if !errors.Is(err, persist.ErrCorruptSnapshot) || !strings.Contains(err.Error(), "header: 5 dimensions and 4 measures") {
-		t.Errorf("LoadSnapshot of a four-measure file under a three-measure schema = %v, want ErrCorruptSnapshot naming the header", err)
+		t.Errorf("loadSnapshot of a four-measure file under a three-measure schema = %v, want ErrCorruptSnapshot naming the header", err)
 	}
 }
 

@@ -225,57 +225,6 @@ func TestAttachWALErrors(t *testing.T) {
 	}
 }
 
-// TestPoolDeleteUnsupportedNotJournaled: a Delete against a TopDown-family
-// pool must be rejected BEFORE it reaches the journal — a RecDelete such a
-// pool can never apply would make every future replay of the log fatal,
-// bricking the daemon's restarts.
-func TestPoolDeleteUnsupportedNotJournaled(t *testing.T) {
-	f := newPoolFixture(t)
-	newTopDownPool := func() *Pool {
-		p, err := NewPool(gamelogSchema(t), PoolOptions{
-			Shards: 3, ShardDim: "team",
-			Engine: Options{Algorithm: AlgoSTopDown},
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return p
-	}
-	live := newTopDownPool()
-	if live.CanDelete() {
-		t.Fatal("stopdown pool must not report CanDelete")
-	}
-	w := f.openWAL(t, live)
-	if err := live.AttachWAL(w); err != nil {
-		t.Fatal(err)
-	}
-	arr, err := live.Append(table1Rows[0].d, table1Rows[0].m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := live.Delete(arr.Shard, arr.TupleID); !errors.Is(err, ErrDeleteUnsupported) {
-		t.Fatalf("delete on stopdown pool: err %v, want ErrDeleteUnsupported", err)
-	}
-	if st := w.Stats(); st.LastLSN != 1 {
-		t.Fatalf("wal holds %d records after a rejected delete, want only the 1 append", st.LastLSN)
-	}
-	live.Close()
-	w.Close()
-
-	// The restart the rejected delete must not poison.
-	recovered := newTopDownPool()
-	defer recovered.Close()
-	w2 := f.openWAL(t, recovered)
-	defer w2.Close()
-	stats, err := recovered.ReplayWAL(w2, nil)
-	if err != nil {
-		t.Fatalf("replay after a rejected delete: %v", err)
-	}
-	if stats.Applied != 1 || stats.Failed != 0 {
-		t.Fatalf("replay stats = %+v, want 1 applied / 0 failed", stats)
-	}
-}
-
 // TestWALLayoutBinding: RecDelete coordinates are (shard, per-shard tuple
 // id), meaningful only under the layout that assigned them — a log must
 // refuse to open under a different shard count or routing dimension, and a
