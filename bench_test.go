@@ -12,6 +12,7 @@ package situfact
 
 import (
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"testing"
@@ -379,41 +380,50 @@ func BenchmarkPoolAppend(b *testing.B) {
 // thousand facts (reported as facts/row), so ns/op and allocs/op show what a
 // fact costs after it is discovered. The engine is rebuilt every 200
 // arrivals, outside the timer, so every iteration count measures the same
-// depth of relation.
+// depth of relation. The sub-benchmarks time the same rows on the same warm
+// engine under each cap on the facts an arrival carries: /all (Append),
+// /top5 (what a daemon ack carries) and /count (a batch ack or an
+// unobserved replay: the count alone).
 func BenchmarkEngineAppendWide(b *testing.B) {
 	const warm, span = 300, 200
 	schema, rows := wideStream(b, warm+span)
-	var eng *Engine
-	defer func() { eng.Close() }()
-	facts := 0
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if i%span == 0 {
-			b.StopTimer()
-			if eng != nil {
-				eng.Close()
-			}
-			var err error
-			if eng, err = New(schema, Options{MaxBoundDims: wideDhat}); err != nil {
-				b.Fatal(err)
-			}
-			for _, r := range rows[:warm] {
-				if _, err := eng.Append(r.Dims, r.Measures); err != nil {
+	for _, bc := range []struct {
+		name string
+		k    int
+	}{{"all", math.MaxInt}, {"top5", 5}, {"count", 0}} {
+		b.Run(bc.name, func(b *testing.B) {
+			var eng *Engine
+			defer func() { eng.Close() }()
+			facts := 0
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if i%span == 0 {
+					b.StopTimer()
+					if eng != nil {
+						eng.Close()
+					}
+					var err error
+					if eng, err = New(schema, Options{MaxBoundDims: wideDhat}); err != nil {
+						b.Fatal(err)
+					}
+					for _, r := range rows[:warm] {
+						if _, err := eng.Append(r.Dims, r.Measures); err != nil {
+							b.Fatal(err)
+						}
+					}
+					b.StartTimer()
+				}
+				r := rows[warm+i%span]
+				arr, err := eng.append(r.Dims, r.Measures, bc.k)
+				if err != nil {
 					b.Fatal(err)
 				}
+				facts += arr.FactCount
 			}
-			b.StartTimer()
-		}
-		r := rows[warm+i%span]
-		arr, err := eng.Append(r.Dims, r.Measures)
-		if err != nil {
-			b.Fatal(err)
-		}
-		facts += len(arr.Facts)
+			b.StopTimer()
+			b.ReportMetric(float64(facts)/float64(b.N), "facts/row")
+		})
 	}
-	b.StopTimer()
-	b.ReportMetric(float64(facts)/float64(b.N), "facts/row")
 }
 
 // benchQueryPool is the read benchmarks' pool: the first 4 096 rows of the

@@ -2,12 +2,14 @@ package main
 
 import (
 	"bytes"
+	"cmp"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"log"
+	"math"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -733,15 +735,15 @@ func (s *server) handleAppend(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req tupleRequest
-	if !decodeBody(w, r, s.maxBodyBytes(), &req) {
+	if !decodeBody(w, r, s.maxBodyBytes(), &req) || !validTop(w, req.Top) {
 		return
 	}
-	arr, err := s.db().AppendContext(r.Context(), req.Dims, req.Measures)
+	arr, err := s.db().AppendContext(r.Context(), req.Dims, req.Measures, cmp.Or(req.Top, math.MaxInt))
 	if err != nil {
 		writeIngestErr(w, r, err, nil)
 		return
 	}
-	resp := toArrival(arr, req.Top, true)
+	resp := toArrival(arr)
 	if req.Narrate != nil {
 		values := make(map[string]float64, len(s.measures))
 		for i, m := range s.measures {
@@ -760,7 +762,7 @@ func (s *server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req batchRequest
-	if !decodeBody(w, r, s.maxBatchBytes(), &req) {
+	if !decodeBody(w, r, s.maxBatchBytes(), &req) || !validTop(w, req.Top) {
 		return
 	}
 	if len(req.Rows) == 0 {
@@ -771,7 +773,7 @@ func (s *server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	for i, rw := range req.Rows {
 		rows[i] = situfact.Row{Dims: rw.Dims, Measures: rw.Measures}
 	}
-	arrs, batchErr := s.db().AppendBatchContext(r.Context(), rows)
+	arrs, batchErr := s.db().AppendBatchContext(r.Context(), rows, req.Top)
 	if batchErr != nil && arrs == nil {
 		// Nothing was processed: usually a pre-validation failure (400),
 		// but a poisoned WAL also fails whole batches before any arrival.
@@ -783,7 +785,7 @@ func (s *server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		if arr == nil {
 			continue // unprocessed row of a failed shard
 		}
-		a := toArrival(arr, req.Top, req.Top > 0)
+		a := toArrival(arr)
 		resp.Arrivals[i] = &a
 	}
 	if batchErr != nil {
@@ -876,24 +878,27 @@ func writeIngestErr(w http.ResponseWriter, r *http.Request, err error, partial *
 	}
 }
 
-// toArrival converts an arrival, capping the returned facts at top (0 =
-// all of them) when includeFacts.
-func toArrival(arr *situfact.Arrival, top int, includeFacts bool) arrivalResponse {
+// validTop refuses a negative top with 400.
+func validTop(w http.ResponseWriter, top int) bool {
+	if top < 0 {
+		writeErr(w, http.StatusBadRequest, fmt.Sprintf("top must be >= 0, got %d", top))
+		return false
+	}
+	return true
+}
+
+// toArrival converts an arrival with the facts it carries: the pool
+// already capped them at the request's top.
+func toArrival(arr *situfact.Arrival) arrivalResponse {
 	resp := arrivalResponse{
 		ID:        strconv.Itoa(arr.Shard) + ":" + strconv.FormatInt(arr.TupleID, 10),
 		Shard:     arr.Shard,
 		TupleID:   arr.TupleID,
-		FactCount: len(arr.Facts),
+		FactCount: arr.FactCount,
+		Facts:     make([]factWire, len(arr.Facts)),
 	}
-	if includeFacts {
-		facts := arr.Facts
-		if top > 0 {
-			facts = arr.Top(top)
-		}
-		resp.Facts = make([]factWire, len(facts))
-		for i, f := range facts {
-			resp.Facts[i] = toWireFact(f)
-		}
+	for i, f := range arr.Facts {
+		resp.Facts[i] = toWireFact(f)
 	}
 	return resp
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -511,6 +512,81 @@ func TestServerRefusesTrailingData(t *testing.T) {
 	if status, msg := post("/v1/tuples:batch", string(batch)+"\n"); status != http.StatusOK {
 		t.Errorf("a batch followed by a newline: status %d %q, want 200", status, msg)
 	}
+}
+
+// TestServerTopTable: top is one cap on both ingest endpoints. A negative
+// top is refused with 400 naming it, before the pool sees the row; 0 asks a
+// single row for all its facts and a batch for counts only; a positive top
+// carries at most that many. fact_count always counts every fact.
+func TestServerTopTable(t *testing.T) {
+	for _, tc := range []struct {
+		path   string
+		top    int
+		status int
+		msg    string // the error, or the facts Wesley's arrival carries of its 195
+	}{
+		{"/v1/tuples", -1, 400, "top must be >= 0, got -1"},
+		{"/v1/tuples:batch", -1, 400, "top must be >= 0, got -1"},
+		{"/v1/tuples", -7, 400, "top must be >= 0, got -7"},
+		{"/v1/tuples:batch", -7, 400, "top must be >= 0, got -7"},
+		{"/v1/tuples", 0, 200, "195 of 195 facts"},
+		{"/v1/tuples:batch", 0, 200, "0 of 195 facts"},
+		{"/v1/tuples", 3, 200, "3 of 195 facts"},
+		{"/v1/tuples:batch", 3, 200, "3 of 195 facts"},
+		{"/v1/tuples:batch", 500, 200, "195 of 195 facts"},
+	} {
+		s, ts := startServer(t, gamelogConfig(1, ""))
+		if resp := doJSON(t, "POST", ts.URL+"/v1/tuples:batch", batchRequest{Rows: table1}, nil); resp.StatusCode != 200 {
+			t.Fatalf("Table I: status %d", resp.StatusCode)
+		}
+		batch := strings.HasSuffix(tc.path, ":batch")
+		var body any = tupleRequest{Dims: wesley.Dims, Measures: wesley.Measures, Top: tc.top}
+		if batch {
+			body = batchRequest{Rows: []rowWire{wesley}, Top: tc.top}
+		}
+		raw, err := json.Marshal(body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		status, msg := postBody(t, ts.URL+tc.path, raw)
+		if status == http.StatusOK {
+			var arr arrivalResponse
+			if batch {
+				var br batchResponse
+				json.Unmarshal([]byte(msg), &br)
+				arr = *br.Arrivals[0]
+			} else {
+				json.Unmarshal([]byte(msg), &arr)
+			}
+			msg = fmt.Sprintf("%d of %d facts", len(arr.Facts), arr.FactCount)
+		} else {
+			var e errorResponse
+			json.Unmarshal([]byte(msg), &e)
+			msg = e.Error
+		}
+		if status != tc.status || msg != tc.msg {
+			t.Errorf("POST %s top=%d: status %d %q, want %d %q", tc.path, tc.top, status, msg, tc.status, tc.msg)
+		}
+		if n := s.db().Len(); n != len(table1)+1 && status == http.StatusOK || n != len(table1) && status != http.StatusOK {
+			t.Errorf("POST %s top=%d: status %d with %d rows applied", tc.path, tc.top, status, n)
+		}
+		s.close()
+	}
+}
+
+// postBody posts a JSON body and returns the status and the response body.
+func postBody(t *testing.T, url string, body []byte) (int, string) {
+	t.Helper()
+	resp, err := http.Post(url, "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	out, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return resp.StatusCode, string(out)
 }
 
 // walConfig enables the journal on a gamelog config.

@@ -10,7 +10,8 @@ import situfact "repro"
 type tupleRequest struct {
 	Dims     []string  `json:"dims"`
 	Measures []float64 `json:"measures"`
-	// Top caps the facts returned (0 = all facts of the arrival).
+	// Top caps the facts returned (0 = all facts of the arrival; negative
+	// is refused). Only the facts returned are sorted and decoded.
 	Top int `json:"top,omitempty"`
 	// Narrate, when present, adds a newsroom-style sentence to each
 	// returned fact, speaking about Subject (e.g. a player name).
@@ -31,7 +32,8 @@ type rowWire struct {
 type batchRequest struct {
 	Rows []rowWire `json:"rows"`
 	// Top caps the facts returned per arrival (0 = counts only, the
-	// default for batches — a batch can surface thousands of facts).
+	// default for batches — a batch can surface thousands of facts;
+	// negative is refused).
 	Top int `json:"top,omitempty"`
 }
 
@@ -54,7 +56,8 @@ type factWire struct {
 	Narration string `json:"narration,omitempty"`
 }
 
-// arrivalResponse reports the outcome of one appended row.
+// arrivalResponse reports the outcome of one appended row. FactCount counts
+// every fact of the arrival; Facts carries the request's top of them.
 type arrivalResponse struct {
 	// ID is "<shard>:<tuple_id>", the handle DELETE /v1/tuples/{id} takes.
 	ID        string     `json:"id"`

@@ -25,6 +25,9 @@
 //		fmt.Println(f)
 //	}
 //
+// Append returns all of an arrival's facts; Pool.AppendContext takes a cap,
+// and then only the best few are sorted and decoded (all are counted).
+//
 // # Concurrency
 //
 // An Engine is single-stream (arrivals are inherently ordered) and not

@@ -1,8 +1,11 @@
 package situfact
 
 import (
+	"context"
 	"errors"
 	"fmt"
+	"math"
+	"math/bits"
 	"math/rand"
 	"os"
 	"reflect"
@@ -12,12 +15,13 @@ import (
 
 // The history checker: one contract, one model, every configuration. A
 // seeded generator draws an op sequence over queryTestSchema — Append,
-// AppendBatch of 2–8 rows, Delete of a live, tombstoned or never-assigned
-// handle, a read check (a random filter drained at a random page size, and
-// TopFacts), Checkpoint + TruncateBefore, crash-and-recover (restore the
-// newest checkpoint or start fresh, replay observed or quiet, reattach,
-// restart the pipeline) and a follower sync (restore the checkpoint, apply
-// the leader's tail). Each history runs under one engine setup and shard
+// AppendBatch of 2–8 rows (each arrival carrying 0, 1, 5 or all facts),
+// Delete of a live, tombstoned or never-assigned handle, a read check (a
+// random filter drained at a random page size, and TopFacts), Checkpoint +
+// TruncateBefore, crash-and-recover (restore the newest checkpoint or start
+// fresh, replay observed or quiet, reattach, restart the pipeline) and a
+// follower sync (restore the checkpoint, apply the leader's tail). Each
+// history runs under one engine setup and shard
 // count, in lockstep on three pools with a WAL attached: inline, pipelined
 // at queue depth 4, pipelined adaptive. After every step the pools must
 // agree with each other, and with a model that is nothing but the rows the
@@ -42,6 +46,10 @@ var histSetups = []histSetup{
 }
 
 var histShards = []int{1, 3, 4}
+
+// histTops are the caps an append's arrival is drawn with: the count only,
+// one fact, a daemon ack's five, all of them.
+var histTops = []int{0, 1, 5, math.MaxInt}
 
 // histPipelines are the lanes a history runs in lockstep; nil runs the write
 // path inline.
@@ -110,7 +118,7 @@ type histModel struct {
 	rows     []Row           // every row appended
 	applied  int             // journaled ops that succeeded
 	failed   int             // journaled ops that failed
-	arrivals [][]*Arrival    // per shard, the journaled appends' arrivals
+	arrivals [][]*Arrival    // per shard, the journaled appends' arrivals, as capped
 	ckpt     bool            // a checkpoint exists
 }
 
@@ -163,14 +171,14 @@ func runHistory(t *testing.T, rng *rand.Rand, setup histSetup, shards int, pipes
 		switch k := rng.Intn(20); {
 		case k < 8:
 			h.op = "append"
-			h.append([]Row{randomRow(rng)}, false)
+			h.append([]Row{randomRow(rng)}, false, histTops[rng.Intn(len(histTops))])
 		case k < 11:
 			h.op = "batch"
 			rows := make([]Row, 2+rng.Intn(7))
 			for i := range rows {
 				rows[i] = randomRow(rng)
 			}
-			h.append(rows, true)
+			h.append(rows, true, histTops[rng.Intn(len(histTops))])
 		case k < 13:
 			h.op = "delete"
 			h.delete(rng)
@@ -230,18 +238,19 @@ func (h *history) serve(l *histLane) {
 	}
 }
 
-// append feeds rows to every lane (as one batch, or one Append) and checks
-// each arrival against the oracle.
-func (h *history) append(rows []Row, batch bool) {
+// append feeds rows to every lane (as one batch, or one append), each
+// arrival carrying at most top facts, and checks each arrival against the
+// oracle.
+func (h *history) append(rows []Row, batch bool, top int) {
 	var want []*Arrival
 	for i, l := range h.lanes {
 		var arrs []*Arrival
 		var err error
 		if batch {
-			arrs, err = l.pool.AppendBatch(rows)
+			arrs, err = l.pool.AppendBatchContext(context.Background(), rows, top)
 		} else {
 			var arr *Arrival
-			arr, err = l.pool.Append(rows[0].Dims, rows[0].Measures)
+			arr, err = l.pool.AppendContext(context.Background(), rows[0].Dims, rows[0].Measures, top)
 			arrs = []*Arrival{arr}
 		}
 		h.check(err)
@@ -252,15 +261,16 @@ func (h *history) append(rows []Row, batch bool) {
 		}
 	}
 	for i, r := range rows {
-		h.arrived(r, want[i])
+		h.arrived(r, want[i], top)
 	}
 }
 
-// arrived records an acknowledged row in the model and holds its arrival to
-// the definition: its facts, as a set, are the groups of its shard whose
-// contextual skyline holds it — sizes and prominence included — ranked by
-// non-increasing prominence.
-func (h *history) arrived(r Row, arr *Arrival) {
+// arrived records an acknowledged row in the model and holds its arrival,
+// drawn with at most top facts, to the definition: it counts the groups of
+// its shard whose contextual skyline holds it, and carries the best top of
+// them — sizes and prominence included — in ranking order, so no group it
+// leaves out ranks above one it carries.
+func (h *history) arrived(r Row, arr *Arrival, top int) {
 	s := h.lanes[0].pool.ShardFor(r.Dims[0])
 	if arr.Shard != s || arr.TupleID != h.m.next[s] {
 		h.fatalf("arrival %d:%d, the model routes it to %d:%d", arr.Shard, arr.TupleID, s, h.m.next[s])
@@ -271,27 +281,75 @@ func (h *history) arrived(r Row, arr *Arrival) {
 	h.m.rows = append(h.m.rows, r)
 	h.m.applied++
 	h.m.arrivals[s] = append(h.m.arrivals[s], arr)
+	var oracle []Fact
 	want := map[string]bool{}
 	for _, qf := range oracleFacts(h.m.live, h.setup.dhat, h.setup.mhat, &poolHandle{s, arr.TupleID}) {
 		f := Fact{Conditions: qf.Conditions, Measures: qf.Measures}
 		if !h.setup.opt.DisableProminence {
 			f.ContextSize, f.SkylineSize, f.Prominence = qf.ContextSize, qf.SkylineSize, qf.Prominence
 		}
+		oracle = append(oracle, f)
 		want[fmt.Sprint(f)] = true
+	}
+	if arr.FactCount != len(oracle) || len(arr.Facts) != min(top, len(oracle)) {
+		h.fatalf("tuple %d:%d counts %d facts and carries %d at top=%d; %d contextual skylines hold it",
+			s, arr.TupleID, arr.FactCount, len(arr.Facts), top, len(oracle))
 	}
 	for i, f := range arr.Facts {
 		if !want[fmt.Sprint(f)] {
 			h.fatalf("tuple %d:%d reports %v, not one of the %d contextual skylines that hold it (or twice)",
-				s, arr.TupleID, f, len(arr.Facts))
+				s, arr.TupleID, f, len(oracle))
 		}
 		delete(want, fmt.Sprint(f))
-		if i > 0 && f.Prominence > arr.Facts[i-1].Prominence {
+		if i > 0 && !h.ranksBefore(arr.Facts[i-1], f) {
 			h.fatalf("tuple %d:%d: fact %d ranks above fact %d", s, arr.TupleID, i, i-1)
 		}
 	}
-	for k := range want {
-		h.fatalf("tuple %d:%d does not report %s (%d missing)", s, arr.TupleID, k, len(want))
+	if len(arr.Facts) == 0 {
+		return
 	}
+	last := arr.Facts[len(arr.Facts)-1]
+	for _, f := range oracle {
+		if want[fmt.Sprint(f)] && h.ranksBefore(f, last) {
+			h.fatalf("tuple %d:%d leaves out %v at top=%d, which ranks above the last it carries, %v", s, arr.TupleID, f, top, last)
+		}
+	}
+}
+
+// ranksBefore orders two facts of one arrival as the engine ranks them:
+// higher prominence first, then more bound attributes, a smaller measure
+// subspace, a smaller subspace mask, and last the constraints' key order,
+// which between two members of one tuple's C^t puts first the one binding
+// the first attribute they disagree on. Without prominence the order is
+// the rendered text's.
+func (h *history) ranksBefore(a, b Fact) bool {
+	if h.setup.opt.DisableProminence {
+		return a.String() < b.String()
+	}
+	bound := func(f Fact) (m uint32) {
+		for _, c := range f.Conditions {
+			m |= 1 << h.schema.rs.DimIndex(c.Attr)
+		}
+		return m
+	}
+	subspace := func(f Fact) (m uint32) {
+		for _, name := range f.Measures {
+			m |= 1 << h.schema.rs.MeasureIndex(name)
+		}
+		return m
+	}
+	switch {
+	case a.Prominence != b.Prominence:
+		return a.Prominence > b.Prominence
+	case len(a.Conditions) != len(b.Conditions):
+		return len(a.Conditions) > len(b.Conditions)
+	case len(a.Measures) != len(b.Measures):
+		return len(a.Measures) < len(b.Measures)
+	case subspace(a) != subspace(b):
+		return subspace(a) < subspace(b)
+	}
+	differ := bound(a) ^ bound(b)
+	return differ != 0 && bound(a)&(1<<bits.TrailingZeros32(differ)) != 0
 }
 
 // delete retracts a live, a tombstoned or a never-assigned handle on every
@@ -534,7 +592,8 @@ func (h *history) checkpoint() {
 // (a fresh pool without one), the log replayed observed or quiet, the log
 // reattached and the pipeline restarted. Exactly the acknowledged ops come
 // back, replay counts what the model journaled since the checkpoint, and an
-// observer sees the original arrivals.
+// observer sees the original arrivals with all their facts: the ones they
+// carried first.
 func (h *history) crash(observe bool) {
 	before := h.states()
 	for i, l := range h.lanes {
@@ -553,8 +612,17 @@ func (h *history) crash(observe bool) {
 			h.fatalf("lane %d replayed %d applied / %d failed, the model journaled %d / %d since the checkpoint",
 				i, st.Applied, st.Failed, h.m.applied, h.m.failed)
 		}
-		if observe && !reflect.DeepEqual(seen, h.m.arrivals) {
-			h.fatalf("lane %d: the observed replay's arrivals are not the original ones", i)
+		for s := range seen {
+			if observe && len(seen[s]) != len(h.m.arrivals[s]) {
+				h.fatalf("lane %d: the observed replay saw %d arrivals on shard %d, the model %d", i, len(seen[s]), s, len(h.m.arrivals[s]))
+			}
+			for j, a := range seen[s] {
+				orig := h.m.arrivals[s][j]
+				if a.Shard != orig.Shard || a.TupleID != orig.TupleID || a.FactCount != orig.FactCount ||
+					len(a.Facts) != a.FactCount || len(orig.Facts) > 0 && !reflect.DeepEqual(a.Facts[:len(orig.Facts)], orig.Facts) {
+					h.fatalf("lane %d: the observed replay's arrival %d:%d is not the original one", i, s, a.TupleID)
+				}
+			}
 		}
 		h.serve(l)
 	}

@@ -42,10 +42,10 @@ type ContextSizer interface {
 // descending prominence (ties broken by more bound attributes first, then
 // smaller subspace, for stable and intuition-friendly output; the final
 // tie-break is the byte order of the constraints' store keys). It is
-// Ranker.Rank written out as a slice.
+// Ranker.Rank of every fact written out as a slice.
 func Score(facts []core.Fact, ctx ContextSizer, sky core.SkylineSizer) []ScoredFact {
 	var r Ranker
-	r.Rank(facts, ctx, sky)
+	r.Rank(facts, ctx, sky, len(facts))
 	out := make([]ScoredFact, r.Len())
 	for i := range out {
 		out[i] = r.At(i)
@@ -54,23 +54,23 @@ func Score(facts []core.Fact, ctx ContextSizer, sky core.SkylineSizer) []ScoredF
 }
 
 // Ranker computes Score's ranking without writing it out: Rank orders the
-// facts, At reads the i-th of them. A Ranker keeps its working storage from
-// one Rank to the next, so an engine that ranks every arrival through its
-// own Ranker allocates nothing for it once warm; the zero value is ready.
-// It refers to its last input until the next Rank, and is not safe for
-// concurrent use.
+// best k facts, At reads the i-th of them. A Ranker keeps its working
+// storage from one Rank to the next, so an engine that ranks every arrival
+// through its own Ranker allocates nothing for it once warm; the zero value
+// is ready. It refers to its last input until the next Rank, and is not
+// safe for concurrent use.
 //
 // The facts of one arrival number in the thousands but draw their
 // constraints from the at most 2^d members of C^t, so everything that
 // depends on the constraint alone — the context size, the bound count, its
 // id in the skyline sizer's store, its place in key order — is resolved
-// once per distinct constraint, and the sort reads nothing but three
-// integers per fact.
+// once per distinct constraint, and the selection and the sort read nothing
+// but three integers per fact.
 type Ranker struct {
 	facts []core.Fact
 	words [numWords][]uint64 // what the order reads, by input position
 	sky   []int              // skyline size, by input position
-	perm  []uint32           // the ranking: input positions, best first
+	perm  []uint32           // the ranking's first k: input positions, best first
 	spare []uint32           // the sort's other buffer
 
 	// The distinct constraints of the input. Constraints are identified by
@@ -112,33 +112,70 @@ const (
 	numWords
 )
 
-// sort fills perm with the input positions in ranking order: a stable LSD
-// radix sort of the positions, by the bytes of the words that differ
-// between facts at all — about a dozen of the twenty-four at the paper's
-// shape: most of prominence's, one each for mask, size, bound count and
-// ordinal. Facts equal in every word keep their input order.
-func (r *Ranker) sort() {
-	n := len(r.facts)
-	r.perm, r.spare = sized(r.perm, n), sized(r.spare, n)
-	for i := range r.perm {
-		r.perm[i] = uint32(i)
+// less orders two input positions as the ranking does: by the words, first
+// word most significant, and facts equal in every word by input position.
+func (r *Ranker) less(a, b uint32) bool {
+	for w := range r.words {
+		if x, y := r.words[w][a], r.words[w][b]; x != y {
+			return x < y
+		}
 	}
-	if n < 2 {
+	return a < b
+}
+
+// selectBest leaves in perm, which holds the first k input positions, the
+// positions of the k best facts, in input order. perm is kept a heap whose
+// root is the worst of the best so far, which each later fact that ranks
+// above it replaces.
+func (r *Ranker) selectBest() {
+	h := r.perm
+	down := func(i int) { // no position ranks below a child of its own
+		for c := 2*i + 1; c < len(h); i, c = c, 2*c+1 {
+			if c+1 < len(h) && r.less(h[c], h[c+1]) {
+				c++
+			}
+			if !r.less(h[i], h[c]) {
+				return
+			}
+			h[i], h[c] = h[c], h[i]
+		}
+	}
+	for i := len(h)/2 - 1; i >= 0; i-- {
+		down(i)
+	}
+	for pos := uint32(len(h)); int(pos) < len(r.facts); pos++ {
+		if r.less(pos, h[0]) {
+			h[0] = pos
+			down(0)
+		}
+	}
+	slices.Sort(h)
+}
+
+// sort puts the positions in perm in ranking order: a stable LSD radix sort
+// by the bytes of the words that differ between those facts at all — about
+// a dozen of the twenty-four at the paper's shape: most of prominence's,
+// one each for mask, size, bound count and ordinal. Facts equal in every
+// word keep their order in perm.
+func (r *Ranker) sort() {
+	r.spare = sized(r.spare, len(r.perm))
+	if len(r.perm) < 2 {
 		return
 	}
 	for w := numWords - 1; w >= 0; w-- {
 		word := r.words[w]
 		var differ uint64
-		for _, v := range word {
-			differ |= v ^ word[0]
+		first := word[r.perm[0]]
+		for _, pos := range r.perm {
+			differ |= word[pos] ^ first
 		}
 		for shift := 0; differ>>shift != 0; shift += 8 {
 			if differ>>shift&0xff == 0 {
 				continue
 			}
 			var next [256]uint32
-			for _, v := range word {
-				next[uint8(v>>shift)]++
+			for _, pos := range r.perm {
+				next[uint8(word[pos]>>shift)]++
 			}
 			at := uint32(0)
 			for d, c := range next {
@@ -180,11 +217,12 @@ func ascending(u uint64) float64 {
 // constraints are; wider bound masks share buckets.
 const maxBucketBits = 12
 
-// Rank orders facts as Score documents. ctx is asked once per distinct
-// constraint. When sky is a core.ConstraintSizer it resolves each distinct
-// constraint once and sizes every fact by id; any other sizer is asked
-// fact by fact.
-func (r *Ranker) Rank(facts []core.Fact, ctx ContextSizer, sky core.SkylineSizer) {
+// Rank keeps the first k facts of Score's ranking (all for k ≥ len(facts),
+// none for k ≤ 0), sorting only those. Every fact is scored whatever k is:
+// ctx is asked once per distinct constraint; a core.ConstraintSizer sky
+// resolves each distinct constraint once and sizes every fact by id, any
+// other sizer is asked fact by fact.
+func (r *Ranker) Rank(facts []core.Fact, ctx ContextSizer, sky core.SkylineSizer, k int) {
 	for i := range r.ents {
 		r.heads[r.ents[i].bucket] = 0
 	}
@@ -233,10 +271,17 @@ func (r *Ranker) Rank(facts []core.Fact, ctx ContextSizer, sky core.SkylineSizer
 	for i, ei := range ords {
 		ords[i] = uint64(r.ents[ei].ord)
 	}
+	r.perm = sized(r.perm, max(0, min(k, len(facts))))
+	for i := range r.perm {
+		r.perm[i] = uint32(i)
+	}
+	if 0 < len(r.perm) && len(r.perm) < len(facts) {
+		r.selectBest()
+	}
 	r.sort()
 }
 
-// Len returns the number of ranked facts.
+// Len returns the number of facts the last Rank kept.
 func (r *Ranker) Len() int { return len(r.perm) }
 
 // At returns the fact ranked i-th, scored.

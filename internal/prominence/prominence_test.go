@@ -258,105 +258,113 @@ func referenceOrder(facts []core.Fact, ctx ContextSizer, sky core.SkylineSizer) 
 	return out
 }
 
-// TestScoreMatchesReferenceOrder: over random schemas and fact sets built
-// to tie — few distinct sizes, Wildcard-heavy constraints, codes whose
+// tieHeavyInput draws a random schema and up to maxN facts over it built to
+// tie — few distinct sizes, Wildcard-heavy constraints, codes whose
 // little-endian bytes order differently from their values, the same
-// constraint arriving in separate Vals slices (with the same subspace too)
-// — Score returns exactly what the reference returns, element for element.
+// constraint arriving in separate Vals slices (with the same subspace too).
 // Every third round draws its constraints the way arrivals do, as C^t
 // members of a handful of tuples, so that facts of different tuples share a
 // bound mask and differ only in the values under it; every fourth gives
 // every fact the same prominence, so that the order runs through all three
-// tie-breaks down to the constraints' key order. Each input is ranked
-// twice, through a plain sizer and through a ConstraintSizer some of whose
-// constraints are not stored.
-func TestScoreMatchesReferenceOrder(t *testing.T) {
-	rng := rand.New(rand.NewSource(2014))
+// tie-breaks down to the constraints' key order. Besides the sizers it
+// returns a ConstraintSizer over sky some of whose constraints are not
+// stored.
+func tieHeavyInput(rng *rand.Rand, round, maxN int) (facts []core.Fact, ctx contextFunc, sky sizerFunc, byID func() *byIDSizer) {
 	// Codes straddling byte boundaries: 256 < 1 as keys (00 01 00 00 vs
 	// 01 00 00 00), 65536 < 256 < 1.
 	codes := []int32{0, 1, 2, 255, 256, 257, 65535, 65536, 1 << 24, 1<<31 - 1}
-	for round := 0; round < 300; round++ {
-		d := 1 + rng.Intn(6)
-		m := 1 + rng.Intn(5)
-		ncodes := 1 + rng.Intn(len(codes))
-		wild := rng.Float64()
-		newVals := func() []int32 {
+	d := 1 + rng.Intn(6)
+	m := 1 + rng.Intn(5)
+	ncodes := 1 + rng.Intn(len(codes))
+	wild := rng.Float64()
+	newVals := func() []int32 {
+		vals := make([]int32, d)
+		for i := range vals {
+			vals[i] = codes[rng.Intn(ncodes)]
+			if rng.Float64() < wild {
+				vals[i] = lattice.Wildcard
+			}
+		}
+		return vals
+	}
+	if round%3 == 0 {
+		tuples := make([][]int32, 2+rng.Intn(4))
+		for i := range tuples {
+			tuples[i] = make([]int32, d)
+			for j := range tuples[i] {
+				tuples[i][j] = codes[rng.Intn(ncodes)]
+			}
+		}
+		newVals = func() []int32 {
+			tu, bound := tuples[rng.Intn(len(tuples))], rng.Intn(1<<uint(d))
 			vals := make([]int32, d)
 			for i := range vals {
-				vals[i] = codes[rng.Intn(ncodes)]
-				if rng.Float64() < wild {
-					vals[i] = lattice.Wildcard
+				vals[i] = lattice.Wildcard
+				if bound&(1<<uint(i)) != 0 {
+					vals[i] = tu[i]
 				}
 			}
 			return vals
 		}
-		if round%3 == 0 {
-			tuples := make([][]int32, 2+rng.Intn(4))
-			for i := range tuples {
-				tuples[i] = make([]int32, d)
-				for j := range tuples[i] {
-					tuples[i][j] = codes[rng.Intn(ncodes)]
-				}
-			}
-			newVals = func() []int32 {
-				tu, bound := tuples[rng.Intn(len(tuples))], rng.Intn(1<<uint(d))
-				vals := make([]int32, d)
-				for i := range vals {
-					vals[i] = lattice.Wildcard
-					if bound&(1<<uint(i)) != 0 {
-						vals[i] = tu[i]
-					}
-				}
-				return vals
-			}
+	}
+	n := rng.Intn(maxN)
+	facts = make([]core.Fact, 0, n)
+	for len(facts) < n {
+		f := core.Fact{
+			Constraint: lattice.Constraint{Vals: newVals()},
+			Subspace:   subspace.Mask(1 + rng.Intn(1<<uint(m)-1)),
 		}
-		n := rng.Intn(400)
-		facts := make([]core.Fact, 0, n)
-		for len(facts) < n {
-			f := core.Fact{
-				Constraint: lattice.Constraint{Vals: newVals()},
-				Subspace:   subspace.Mask(1 + rng.Intn(1<<uint(m)-1)),
+		facts = append(facts, f)
+		// The same constraint again, as another tuple would emit it.
+		for len(facts) < n && rng.Intn(3) == 0 {
+			dup := core.Fact{
+				Constraint: lattice.Constraint{Vals: append([]int32(nil), f.Constraint.Vals...)},
+				Subspace:   f.Subspace,
 			}
-			facts = append(facts, f)
-			// The same constraint again, as another tuple would emit it.
-			for len(facts) < n && rng.Intn(3) == 0 {
-				dup := core.Fact{
-					Constraint: lattice.Constraint{Vals: append([]int32(nil), f.Constraint.Vals...)},
-					Subspace:   f.Subspace,
-				}
-				if rng.Intn(2) == 0 {
-					dup.Subspace = subspace.Mask(1 + rng.Intn(1<<uint(m)-1))
-				}
-				facts = append(facts, dup)
+			if rng.Intn(2) == 0 {
+				dup.Subspace = subspace.Mask(1 + rng.Intn(1<<uint(m)-1))
 			}
+			facts = append(facts, dup)
 		}
-		// Sizes are functions of the values alone and take few distinct
-		// values, so prominence ties are the rule; some skylines are empty.
-		ctxMod, skyMod := int64(1+rng.Intn(4)), 1+rng.Intn(3)
-		if round%4 == 0 {
-			ctxMod, skyMod = 1, 0 // one context size, one skyline size: all tie
+	}
+	// Sizes are functions of the values alone and take few distinct
+	// values, so prominence ties are the rule; some skylines are empty.
+	ctxMod, skyMod := int64(1+rng.Intn(4)), 1+rng.Intn(3)
+	if round%4 == 0 {
+		ctxMod, skyMod = 1, 0 // one context size, one skyline size: all tie
+	}
+	hash := func(c lattice.Constraint) int64 {
+		var h int64
+		for _, v := range c.Vals {
+			h = h*31 + int64(v) + 2
 		}
-		hash := func(c lattice.Constraint) int64 {
-			var h int64
-			for _, v := range c.Vals {
-				h = h*31 + int64(v) + 2
-			}
-			return h
+		return h
+	}
+	ctx = func(c lattice.Constraint) int64 {
+		return 1 + (hash(c)%ctxMod+ctxMod)%ctxMod
+	}
+	absent := func(c lattice.Constraint) bool { return skyMod > 0 && hash(c)%5 == 0 }
+	sky = func(c lattice.Constraint, sm subspace.Mask) int {
+		if absent(c) {
+			return 0
 		}
-		ctx := contextFunc(func(c lattice.Constraint) int64 {
-			return 1 + (hash(c)%ctxMod+ctxMod)%ctxMod
-		})
-		absent := func(c lattice.Constraint) bool { return skyMod > 0 && hash(c)%5 == 0 }
-		sky := sizerFunc(func(c lattice.Constraint, sm subspace.Mask) int {
-			if absent(c) {
-				return 0
-			}
-			return 1 + (c.Bound()+int(sm))%(skyMod+1) - min(skyMod, 1)
-		})
+		return 1 + (c.Bound()+int(sm))%(skyMod+1) - min(skyMod, 1)
+	}
+	return facts, ctx, sky, func() *byIDSizer { return &byIDSizer{size: sky, absent: absent} }
+}
+
+// TestScoreMatchesReferenceOrder: over tieHeavyInput's fact sets, Score
+// returns exactly what the reference returns, element for element. Each
+// input is ranked twice, through a plain sizer and through a
+// ConstraintSizer some of whose constraints are not stored.
+func TestScoreMatchesReferenceOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(2014))
+	for round := 0; round < 300; round++ {
+		facts, ctx, sky, byID := tieHeavyInput(rng, round, 400)
 		want := referenceOrder(facts, ctx, sky)
 		for name, sizer := range map[string]core.SkylineSizer{
 			"per fact":       sky,
-			"per constraint": &byIDSizer{size: sky, absent: absent},
+			"per constraint": byID(),
 		} {
 			got := Score(facts, ctx, sizer)
 			if len(got) != len(want) {
@@ -364,7 +372,31 @@ func TestScoreMatchesReferenceOrder(t *testing.T) {
 			}
 			for i := range want {
 				if !reflect.DeepEqual(got[i], want[i]) {
-					t.Fatalf("round %d (d=%d m=%d n=%d), sized %s, position %d:\n got  %+v\n want %+v", round, d, m, n, name, i, got[i], want[i])
+					t.Fatalf("round %d (n=%d), sized %s, position %d:\n got  %+v\n want %+v", round, len(facts), name, i, got[i], want[i])
+				}
+			}
+		}
+	}
+}
+
+// TestRankKeepsScoresFirstK: for every k from 0 to one past the input, one
+// warm Ranker keeps exactly the first k facts of Score's ranking, in order,
+// over tieHeavyInput's fact sets — ties in prominence, and facts equal in
+// every word, included.
+func TestRankKeepsScoresFirstK(t *testing.T) {
+	rng := rand.New(rand.NewSource(27))
+	var r Ranker
+	for round := 0; round < 120; round++ {
+		facts, ctx, _, byID := tieHeavyInput(rng, round, 64)
+		want := Score(facts, ctx, byID())
+		for k := 0; k <= len(facts)+1; k++ {
+			r.Rank(facts, ctx, byID(), k)
+			if r.Len() != min(k, len(facts)) {
+				t.Fatalf("round %d, k=%d: kept %d of %d facts", round, k, r.Len(), len(facts))
+			}
+			for i := 0; i < r.Len(); i++ {
+				if got := r.At(i); !reflect.DeepEqual(got, want[i]) {
+					t.Fatalf("round %d (n=%d), k=%d, position %d:\n got  %+v\n want %+v", round, len(facts), k, i, got, want[i])
 				}
 			}
 		}
@@ -391,7 +423,8 @@ func TestScoreMixedWidths(t *testing.T) {
 // TestScoreSizesEachConstraintOnce: the context size is probed, and the
 // constraint's id in the sizer's store resolved, once per distinct
 // constraint of the input, however many facts share it; only the cell
-// lookup by id is per fact.
+// lookup by id is per fact. Keeping 5 facts, or none, sizes exactly as
+// much as keeping them all: every fact is scored whatever the cap.
 func TestScoreSizesEachConstraintOnce(t *testing.T) {
 	W := lattice.Wildcard
 	var facts []core.Fact
@@ -400,16 +433,19 @@ func TestScoreSizesEachConstraintOnce(t *testing.T) {
 			facts = append(facts, core.Fact{Constraint: lattice.Constraint{Vals: append([]int32(nil), vals...)}, Subspace: sm})
 		}
 	}
-	probes := 0
-	ctx := contextFunc(func(lattice.Constraint) int64 { probes++; return 7 })
-	sky := &byIDSizer{size: func(lattice.Constraint, subspace.Mask) int { return 1 }}
-	Score(facts, ctx, sky)
-	if probes != 5 {
-		t.Errorf("%d context-size probes for 5 distinct constraints over %d facts", probes, len(facts))
-	}
-	if sky.resolves != 5 || sky.byID != len(facts) || sky.byConstraint != 0 {
-		t.Errorf("%d constraint-id resolutions, %d sizings by id and %d by constraint for 5 distinct constraints over %d facts",
-			sky.resolves, sky.byID, sky.byConstraint, len(facts))
+	var r Ranker
+	for _, k := range []int{len(facts), 5, 0} {
+		probes := 0
+		ctx := contextFunc(func(lattice.Constraint) int64 { probes++; return 7 })
+		sky := &byIDSizer{size: func(lattice.Constraint, subspace.Mask) int { return 1 }}
+		r.Rank(facts, ctx, sky, k)
+		if probes != 5 {
+			t.Errorf("k=%d: %d context-size probes for 5 distinct constraints over %d facts", k, probes, len(facts))
+		}
+		if sky.resolves != 5 || sky.byID != len(facts) || sky.byConstraint != 0 {
+			t.Errorf("k=%d: %d constraint-id resolutions, %d sizings by id and %d by constraint for 5 distinct constraints over %d facts",
+				k, sky.resolves, sky.byID, sky.byConstraint, len(facts))
+		}
 	}
 }
 
@@ -430,7 +466,8 @@ func TestDescendingKeepsFloatOrder(t *testing.T) {
 // BenchmarkRankWide ranks arrivals of the paper's Fig 7a shape (NBA d=5,
 // m=7, d̂=4, some two thousand facts over at most 31 constraints each)
 // through one warm Ranker against the BottomUp store that discovered them;
-// ns/op is one arrival's scoring and ordering, facts/op its size.
+// ns/op is one arrival's scoring and ordering, facts/op its size. /all
+// orders every fact, /top5 the five an ack carries.
 func BenchmarkRankWide(b *testing.B) {
 	const rows, kept = 400, 50
 	g, err := gen.NewNBA(gen.NBAConfig{Seed: 2014}, 5, 7)
@@ -455,13 +492,20 @@ func BenchmarkRankWide(b *testing.B) {
 			arrivals = append(arrivals, facts)
 		}
 	}
-	var r Ranker
-	facts := 0
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		r.Rank(arrivals[i%kept], cc, alg)
-		facts += r.Len()
+	for _, bc := range []struct {
+		name string
+		k    int
+	}{{"all", math.MaxInt}, {"top5", 5}} {
+		b.Run(bc.name, func(b *testing.B) {
+			var r Ranker
+			facts := 0
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				raw := arrivals[i%kept]
+				r.Rank(raw, cc, alg, bc.k)
+				facts += len(raw)
+			}
+			b.ReportMetric(float64(facts)/float64(b.N), "facts/op")
+		})
 	}
-	b.ReportMetric(float64(facts)/float64(b.N), "facts/op")
 }

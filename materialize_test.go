@@ -1,6 +1,7 @@
 package situfact
 
 import (
+	"math"
 	"reflect"
 	"runtime"
 	"slices"
@@ -133,7 +134,7 @@ func TestEngineAppendAllocsScaleWithConstraints(t *testing.T) {
 		runtime.ReadMemStats(&ms)
 		mallocs := ms.Mallocs
 		eng.counter.Observe(tu)
-		arr := eng.arrival(tu, raw)
+		arr := eng.arrival(tu, raw, math.MaxInt)
 		runtime.ReadMemStats(&ms)
 		samples = append(samples, sample{len(arr.Facts), ms.Mallocs - mallocs})
 		total += ms.Mallocs - mallocs
@@ -171,7 +172,7 @@ func TestEngineArrivalMatchesScore(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got := eng.arrival(tu, raw).Facts
+			got := eng.arrival(tu, raw, math.MaxInt).Facts
 			// The counters now hold tu, as they did when arrival ranked.
 			want := make([]Fact, 0, len(raw))
 			for _, sf := range prominence.Score(raw, eng.counter, eng.sizer) {
@@ -202,6 +203,47 @@ func TestEngineArrivalMatchesScore(t *testing.T) {
 			t.Fatalf("%s: only %d facts compared", algo, facts)
 		}
 		eng.Close()
+	}
+}
+
+// TestEngineCapIsTheFullRankingsTop: an arrival capped at k carries exactly
+// the first k facts of the uncapped arrival, and counts them all; capped at
+// 0 it carries none. Every fact is scored whatever the cap, so engines fed
+// the wide stream at k = 5, k = 0 and k = all end with the same Metrics,
+// store reads included.
+func TestEngineCapIsTheFullRankingsTop(t *testing.T) {
+	schema, rows := wideStream(t, 200)
+	var engs [3]*Engine
+	for i := range engs {
+		eng, err := New(schema, Options{MaxBoundDims: wideDhat})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer eng.Close()
+		engs[i] = eng
+	}
+	for i, r := range rows {
+		all, err := engs[0].append(r.Dims, r.Measures, math.MaxInt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		top5, err := engs[1].append(r.Dims, r.Measures, 5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		count, err := engs[2].append(r.Dims, r.Measures, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if all.FactCount != len(all.Facts) || top5.FactCount != all.FactCount || count.FactCount != all.FactCount {
+			t.Fatalf("row %d: FactCount %d (carrying %d), %d at k = 5, %d at k = 0", i, all.FactCount, len(all.Facts), top5.FactCount, count.FactCount)
+		}
+		if !reflect.DeepEqual(top5.Facts, all.Top(5)) || len(count.Facts) != 0 {
+			t.Fatalf("row %d: k = 5 carries %v, the full arrival's Top(5) is %v; k = 0 carries %d facts", i, top5.Facts, all.Top(5), len(count.Facts))
+		}
+	}
+	if m := engs[0].Metrics(); engs[1].Metrics() != m || engs[2].Metrics() != m || m.Reads == 0 {
+		t.Fatalf("Metrics at k = all %+v, k = 5 %+v, k = 0 %+v", m, engs[1].Metrics(), engs[2].Metrics())
 	}
 }
 

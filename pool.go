@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
+	"math"
 	"runtime"
 	"strings"
 	"sync"
@@ -165,17 +166,18 @@ func (p *Pool) ShardFor(value string) int {
 // (inline) or enqueue order (with the ingest pipeline running — see
 // StartPipeline); either way each shard applies them sequentially.
 func (p *Pool) Append(dims []string, measures []float64) (*Arrival, error) {
-	return p.AppendContext(context.Background(), dims, measures)
+	return p.AppendContext(context.Background(), dims, measures, math.MaxInt)
 }
 
-// AppendContext is Append with a cancellation point at the pipeline's
-// queue boundary: a ctx that ends while the caller is parked on a full
-// shard queue gives up — the row was never journaled, never applied and
-// never acknowledged (IngestStats.Canceled counts it), so a client that
-// disconnected under backpressure holds no future. Once the row is
-// accepted the cancellation point has passed and the call completes
-// like Append.
-func (p *Pool) AppendContext(ctx context.Context, dims []string, measures []float64) (*Arrival, error) {
+// AppendContext is Append whose arrival carries only the top best facts
+// (none for top ≤ 0; the pool's state and Metrics do not depend on top),
+// with a cancellation point at the pipeline's queue boundary: a ctx that
+// ends while the caller is parked on a full shard queue gives up — the row
+// was never journaled, never applied and never acknowledged
+// (IngestStats.Canceled counts it), so a client that disconnected under
+// backpressure holds no future. Once the row is accepted the cancellation
+// point has passed and the call completes like Append.
+func (p *Pool) AppendContext(ctx context.Context, dims []string, measures []float64, top int) (*Arrival, error) {
 	// Validated before journaling (the engine would reject these too, but
 	// a rejected row must not leave a permanent record in the WAL).
 	if len(dims) != p.schema.rs.NumDims() {
@@ -194,7 +196,7 @@ func (p *Pool) AppendContext(ctx context.Context, dims []string, measures []floa
 	if p.wal != nil && rec.Oversized() {
 		return nil, fmt.Errorf("situfact: pool: %w (the WAL caps one record at 16 MiB)", ErrRowTooLarge)
 	}
-	return p.submit(ctx, rec)
+	return p.submit(ctx, rec, top)
 }
 
 // AppendBatch routes a batch of rows across the shards and processes the
@@ -206,14 +208,14 @@ func (p *Pool) AppendContext(ctx context.Context, dims []string, measures []floa
 // failures are joined per row and returned alongside the arrivals that
 // did commit, with only the failed rows' entries nil.
 func (p *Pool) AppendBatch(rows []Row) ([]*Arrival, error) {
-	return p.AppendBatchContext(context.Background(), rows)
+	return p.AppendBatchContext(context.Background(), rows, math.MaxInt)
 }
 
-// AppendBatchContext is AppendBatch with the same queue-boundary
-// cancellation as AppendContext: rows already enqueued when ctx ends
-// complete normally (they may be journaled), rows not yet enqueued fail
-// with ctx's error — never a half-acknowledged row.
-func (p *Pool) AppendBatchContext(ctx context.Context, rows []Row) ([]*Arrival, error) {
+// AppendBatchContext is AppendBatch with AppendContext's cap on every
+// arrival's facts and its queue-boundary cancellation: rows already
+// enqueued when ctx ends complete normally (they may be journaled), rows
+// not yet enqueued fail with ctx's error — never a half-acknowledged row.
+func (p *Pool) AppendBatchContext(ctx context.Context, rows []Row, top int) ([]*Arrival, error) {
 	d, m := p.schema.rs.NumDims(), p.schema.rs.NumMeasures()
 	for i, r := range rows {
 		if len(r.Dims) != d || len(r.Measures) != m {
@@ -239,6 +241,7 @@ func (p *Pool) AppendBatchContext(ctx context.Context, rows []Row) ([]*Arrival, 
 		shard := p.ShardFor(r.Dims[p.shardDim])
 		op := getOp()
 		op.rec = persist.Record{Type: persist.RecAppend, Shard: shard, Dims: r.Dims, Measures: r.Measures}
+		op.top = top
 		ops[i] = op
 		if pipe != nil {
 			op.wg = &wg
@@ -292,7 +295,7 @@ func (p *Pool) DeleteContext(ctx context.Context, shard int, tupleID int64) erro
 	// Journaled before tuple validity is known: a delete that fails at
 	// apply (unknown or tombstoned tuple) re-fails identically at replay,
 	// so the record is harmless.
-	_, err := p.submit(ctx, persist.Record{Type: persist.RecDelete, Shard: shard, TupleID: tupleID})
+	_, err := p.submit(ctx, persist.Record{Type: persist.RecDelete, Shard: shard, TupleID: tupleID}, 0)
 	return err
 }
 
@@ -313,15 +316,15 @@ type ingestOp struct {
 	// TupleID (delete). LSN is non-zero on entry only for a replayed
 	// record; a live op receives its LSN from the journal pass.
 	rec persist.Record
+	// top caps the facts an append's arrival carries (0 = the count only,
+	// as for a replayed append nobody observes).
+	top int
 	arr *Arrival // result of a successful append
 	err error
 	// skipped reports a replayed record at or below the shard's
 	// watermark: already reflected in the restored state, not re-applied.
 	skipped bool
-	// quiet marks a replayed append nobody observes: applied through
-	// Engine.appendQuiet, arr stays nil.
-	quiet bool
-	wg    *sync.WaitGroup // nil for inline ops
+	wg      *sync.WaitGroup // nil for inline ops
 }
 
 // opPool recycles live ingestOps.
@@ -377,9 +380,7 @@ func (p *Pool) applyShard(shard int, ops []*ingestOp) (journaled uint64) {
 		}
 		switch op.rec.Type {
 		case persist.RecAppend:
-			if op.quiet {
-				op.err = sh.eng.appendQuiet(op.rec.Dims, op.rec.Measures)
-			} else if op.arr, op.err = sh.eng.Append(op.rec.Dims, op.rec.Measures); op.err == nil {
+			if op.arr, op.err = sh.eng.append(op.rec.Dims, op.rec.Measures, op.top); op.err == nil {
 				op.arr.Shard = shard
 			}
 		case persist.RecDelete:
@@ -454,10 +455,10 @@ func (p *Pool) applyInline(groups [][]*ingestOp) {
 // accepted: nothing was journaled or acknowledged. Cancellation only
 // applies at that boundary; once accepted the op completes and the wait
 // is unconditional (its record may already be journaled).
-func (p *Pool) submit(ctx context.Context, rec persist.Record) (*Arrival, error) {
+func (p *Pool) submit(ctx context.Context, rec persist.Record, top int) (*Arrival, error) {
 	op := getOp()
 	defer putOp(op)
-	op.rec = rec
+	op.rec, op.top = rec, top
 	queued := false
 	if pipe := p.pipe.Load(); pipe != nil {
 		var wg sync.WaitGroup

@@ -151,7 +151,7 @@ func (p *Pool) TailCursor() uint64 {
 // the records came from: the first ApplyTail pins it (a pool restored
 // from a leader snapshot already carries it from the manifest), and a
 // different epoch later fails with ErrEpochMismatch. onArrival is
-// ReplayWAL's: nil applies the appends without ranking their facts.
+// ReplayWAL's: nil applies the appends without sorting or decoding their facts.
 //
 // The pool must not itself be journaling (ApplyTail re-applies another
 // log's records; journaling them again would fork history) and must not

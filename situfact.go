@@ -3,6 +3,7 @@ package situfact
 import (
 	"errors"
 	"fmt"
+	"math"
 	"slices"
 	"strings"
 
@@ -139,12 +140,15 @@ type Arrival struct {
 	// Shard is the index of the pool shard that processed the arrival; 0
 	// for a standalone Engine.
 	Shard int
-	// Facts are the situational facts pertinent to this arrival, sorted
-	// by descending prominence when tracking is enabled.
+	// Facts are the situational facts pertinent to this arrival, sorted by
+	// descending prominence when tracking is enabled: all of them, or the
+	// first of that ranking under a cap (Pool.AppendContext).
 	Facts []Fact
+	// FactCount is the number of facts the arrival has, carried or not.
+	FactCount int
 }
 
-// Top returns the k highest-prominence facts.
+// Top returns the k highest-prominence facts of those carried.
 func (a *Arrival) Top(k int) []Fact {
 	if k <= 0 || k >= len(a.Facts) {
 		return a.Facts
@@ -153,8 +157,8 @@ func (a *Arrival) Top(k int) []Fact {
 }
 
 // Prominent returns the facts attaining the arrival's maximum prominence,
-// provided it is at least tau — the paper's §VII definition. It returns
-// nil when prominence tracking is disabled.
+// provided it is at least tau — the paper's §VII definition — among those
+// carried. It returns nil when prominence tracking is disabled.
 func (a *Arrival) Prominent(tau float64) []Fact {
 	if len(a.Facts) == 0 || a.Facts[0].SkylineSize == 0 {
 		return nil
@@ -318,13 +322,19 @@ func New(schema *Schema, opt Options) (*Engine, error) {
 
 // Append processes one arriving tuple: dims are the dimension values in
 // schema order, measures the measure values in schema order. It returns
-// the arrival's situational facts, ranked.
+// the arrival's situational facts, all of them, ranked.
 func (e *Engine) Append(dims []string, measures []float64) (*Arrival, error) {
+	return e.append(dims, measures, math.MaxInt)
+}
+
+// append is Append with an arrival carrying only the k best of its facts
+// (none for k ≤ 0, which leaves the count).
+func (e *Engine) append(dims []string, measures []float64, k int) (*Arrival, error) {
 	tu, raw, err := e.apply(dims, measures)
 	if err != nil {
 		return nil, err
 	}
-	return e.arrival(tu, raw), nil
+	return e.arrival(tu, raw, k), nil
 }
 
 // apply is what an arriving tuple changes: it joins the table, discovery
@@ -342,33 +352,17 @@ func (e *Engine) apply(dims []string, measures []float64) (*relation.Tuple, []co
 	return tu, raw, nil
 }
 
-// appendQuiet is Append for a row whose facts nobody reads (a journaled row
-// re-applied without an observer): no ranking, no decoding, no []Fact. The
-// facts are still sized, because sizing is a counted store read
-// (Metrics.Reads) and a replica's counters must equal its leader's.
-func (e *Engine) appendQuiet(dims []string, measures []float64) error {
-	_, raw, err := e.apply(dims, measures)
-	if err != nil {
-		return err
-	}
-	if e.counter != nil {
-		for _, f := range raw {
-			e.sizer.SkylineSize(f.Constraint, f.Subspace)
-		}
-	}
-	return nil
-}
-
-// arrival is what Append does after apply: it ranks the facts discovery
-// found for tu (the ranking prominence.Score writes out) and decodes them
-// in that order, straight into the arrival. Its cost follows the distinct
-// constraints of the arrival, not its facts, apart from the sort and the
-// facts slice itself.
-func (e *Engine) arrival(tu *relation.Tuple, raw []core.Fact) *Arrival {
-	arr := &Arrival{TupleID: tu.ID, Facts: make([]Fact, len(raw))}
+// arrival is what append does after apply: it scores every fact discovery
+// found for tu — sizing is a counted store read (Metrics.Reads), and a
+// replica's counters must equal its leader's whatever k is — then decodes
+// the k best (the first k of prominence.Score's ranking) straight into the
+// arrival, in that order.
+func (e *Engine) arrival(tu *relation.Tuple, raw []core.Fact, k int) *Arrival {
+	arr := &Arrival{TupleID: tu.ID, FactCount: len(raw)}
 	defer e.dec.endArrival()
 	if e.counter != nil {
-		e.ranker.Rank(raw, e.counter, e.sizer)
+		e.ranker.Rank(raw, e.counter, e.sizer, k)
+		arr.Facts = make([]Fact, e.ranker.Len())
 		for i := range arr.Facts {
 			sf := e.ranker.At(i)
 			arr.Facts[i] = Fact{
@@ -383,6 +377,10 @@ func (e *Engine) arrival(tu *relation.Tuple, raw []core.Fact) *Arrival {
 	}
 	// Without prominence the order is that of the rendered facts; each is
 	// rendered once, not once per comparison.
+	arr.Facts = make([]Fact, max(0, min(k, len(raw))))
+	if len(arr.Facts) == 0 {
+		return arr
+	}
 	type rendered struct {
 		text string
 		fact Fact
@@ -393,8 +391,8 @@ func (e *Engine) arrival(tu *relation.Tuple, raw []core.Fact) *Arrival {
 		byText[i] = rendered{f.String(), f}
 	}
 	slices.SortFunc(byText, func(a, b rendered) int { return strings.Compare(a.text, b.text) })
-	for i, r := range byText {
-		arr.Facts[i] = r.fact
+	for i := range arr.Facts {
+		arr.Facts[i] = byText[i].fact
 	}
 	return arr
 }

@@ -3,6 +3,7 @@ package situfact
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"repro/internal/faultfs"
 	"repro/internal/persist"
@@ -170,10 +171,9 @@ type ReplayStats struct {
 // ReplayWAL applies the log's records that are not yet reflected in the
 // pool — for a pool restored by RestorePool, exactly the tail after its
 // checkpoint; for a fresh pool, the whole log. onArrival, when non-nil,
-// observes every replayed append's arrival, facts included; with a nil
-// onArrival nobody reads them, so the appends are applied without ranking
-// or rendering their facts and the recovered state is the same. Call
-// before AttachWAL, before serving traffic.
+// observes every replayed append's arrival with all its facts; with a nil
+// onArrival the arrivals carry none (scored, not sorted or decoded) and the
+// recovered state is the same. Call before AttachWAL, before serving traffic.
 func (p *Pool) ReplayWAL(w *WAL, onArrival func(*Arrival)) (ReplayStats, error) {
 	if w == nil {
 		return ReplayStats{}, fmt.Errorf("situfact: nil WAL")
@@ -231,14 +231,17 @@ func (p *Pool) applyRecord(rec persist.Record, stats *ReplayStats, onArrival fun
 	default:
 		return fmt.Errorf("situfact: wal replay: record %d has unknown type %d", rec.LSN, rec.Type)
 	}
-	op := ingestOp{rec: rec, quiet: onArrival == nil}
+	op := ingestOp{rec: rec}
+	if onArrival != nil {
+		op.top = math.MaxInt
+	}
 	p.applyShard(rec.Shard, []*ingestOp{&op})
 	switch {
 	case op.skipped:
 		stats.Skipped++
 	case op.err == nil:
 		stats.Applied++
-		if op.arr != nil { // an observed append: not a delete, not quiet
+		if op.arr != nil && onArrival != nil { // an observed append
 			onArrival(op.arr)
 		}
 	case rec.Type == persist.RecAppend,
