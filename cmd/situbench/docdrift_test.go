@@ -11,7 +11,7 @@ import (
 
 // TestDocFlags is situbench's flag doc-drift guard (the sibling of
 // situfactd's TestAPIDocFlags): the -flag names in main.go's usage comment,
-// and those docs/API.md mentions in inline code from "## Chaos mode" on
+// and those docs/API.md mentions in inline code from "## situbench" on
 // (where the daemon's flags end and situbench's begin), must each equal the
 // set registerFlags registers. A passage still naming a removed flag — or a
 // flag added without documentation — fails CI.
@@ -55,9 +55,9 @@ func TestDocFlags(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, bench, found := strings.Cut(string(doc), "\n## Chaos mode")
+	_, bench, found := strings.Cut(string(doc), "\n## situbench")
 	if !found {
-		t.Fatal(`docs/API.md has no "## Chaos mode" heading to start the situbench part at`)
+		t.Fatal(`docs/API.md has no "## situbench" heading to start the situbench part at`)
 	}
 	// Fenced examples are usage, not documentation; only inline code counts.
 	bench = regexp.MustCompile("(?s)```.*?```").ReplaceAllString(bench, "")

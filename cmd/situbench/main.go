@@ -12,15 +12,6 @@
 // Experiment ids: fig7a fig7b fig7c fig8a fig8b fig8c fig9 fig10 fig11
 // fig12a fig12b fig12c fig13 fig14 fig15 casestudy all.
 //
-// With -chaos <situfactd-binary>, situbench instead runs the durability
-// drill behind CI's TestChaosHarness: fault-injected kill -9 cycles over
-// one state directory, then zero-acked-row-loss and byte-identical
-// follower-convergence checks (see chaos.go):
-//
-//	situbench -chaos ./situfactd [-chaos-cycles 3] [-chaos-rows 400] \
-//	          [-chaos-conns 4] [-chaos-fault-plans ',fsync:from=3;clear-after=750ms'] \
-//	          [-chaos-json chaos.json]
-//
 // Load against a running daemon is bench/run.sh's job (see bench/README.md).
 package main
 
@@ -29,7 +20,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"strings"
 
 	"repro/internal/harness"
 )
@@ -59,12 +49,10 @@ var order = []string{
 
 // config is situbench's parsed command line.
 type config struct {
-	exp        string
-	params     harness.Params
-	csv        bool
-	out        string
-	chaos      chaosParams
-	chaosPlans string // comma-separated, split into chaos.FaultPlans
+	exp    string
+	params harness.Params
+	csv    bool
+	out    string
 }
 
 // registerFlags declares every situbench flag on fs, filling cfg. main
@@ -81,13 +69,6 @@ func registerFlags(fs *flag.FlagSet, cfg *config) {
 	fs.Int64Var(&cfg.params.Seed, "seed", 1, "workload seed")
 	fs.BoolVar(&cfg.csv, "csv", false, "emit CSV instead of aligned text")
 	fs.StringVar(&cfg.out, "out", "", "output file (default stdout)")
-	fs.StringVar(&cfg.chaos.Binary, "chaos", "", "situfactd binary path; switches to chaos mode: fault-injected kill -9 cycles, then verify zero acked-row loss and byte-identical follower convergence (ignores -exp)")
-	fs.IntVar(&cfg.chaos.Cycles, "chaos-cycles", 3, "kill -9 cycles in chaos mode")
-	fs.Int64Var(&cfg.chaos.Rows, "chaos-rows", 400, "acked-row target per chaos cycle (the kill may land earlier)")
-	fs.IntVar(&cfg.chaos.Conns, "chaos-conns", 4, "concurrent posters per chaos cycle")
-	fs.StringVar(&cfg.chaosPlans, "chaos-fault-plans", ",fsync:from=3;clear-after=750ms,write:enospc-after=4096;clear-after=750ms",
-		"comma-separated faultfs plans applied round-robin across chaos cycles (clauses within a plan use ';'); an empty element = a fault-free cycle")
-	fs.StringVar(&cfg.chaos.JSONPath, "chaos-json", "", "write the chaos drill report as JSON to this path (schema situbench-chaos/v1)")
 }
 
 func main() {
@@ -95,7 +76,7 @@ func main() {
 	registerFlags(flag.CommandLine, &cfg)
 	flag.Parse()
 
-	if cfg.exp == "" && cfg.chaos.Binary == "" {
+	if cfg.exp == "" {
 		flag.Usage()
 		os.Exit(2)
 	}
@@ -108,16 +89,6 @@ func main() {
 		}
 		defer f.Close()
 		w = f
-	}
-
-	if cfg.chaos.Binary != "" {
-		if cfg.chaosPlans != "" {
-			cfg.chaos.FaultPlans = strings.Split(cfg.chaosPlans, ",")
-		}
-		if err := runChaos(w, cfg.chaos); err != nil {
-			fatal(err)
-		}
-		return
 	}
 
 	switch cfg.exp {

@@ -45,8 +45,7 @@ func registerFlags(fs *flag.FlagSet, cfg *config) {
 	fs.Uint64Var(&cfg.followMaxLag, "follow-max-lag", 0, "replication lag in records beyond which the follower's /healthz degrades to 503 (0 = no bound)")
 	fs.IntVar(&cfg.followRebootstrapMax, "follow-rebootstrap-max", 5, "consecutive snapshot re-bootstrap attempts a follower makes after a fatal replication error (leader WAL epoch change, truncated tail) before giving up; 0 disables self-healing")
 	fs.DurationVar(&cfg.readCacheTTL, "read-cache-ttl", 0, "front /v1/facts and /v1/facts/top with a TTL'd singleflight cache; staleness is bounded by the TTL on a leader and by replication progress on a follower (0 = off)")
-	fs.StringVar(&cfg.faultPlan, "fault-plan", os.Getenv("SITUFACTD_FAULT_PLAN"),
-		"TESTING ONLY: inject WAL I/O faults per this plan (see internal/faultfs; e.g. 'fsync:from=3;clear-after=2s'); defaults to $SITUFACTD_FAULT_PLAN so test harnesses can arm child processes; requires -wal")
+	fs.StringVar(&cfg.faultPlan, "fault-plan", "", "TESTING ONLY: inject WAL I/O faults per this plan (see internal/faultfs; e.g. 'fsync:from=3;clear-after=2s'); requires -wal")
 	fs.BoolVar(&cfg.walVerifyMode, "wal-verify", false, "offline fsck: scan <state-dir>/wal segment by segment (framing, CRCs, LSN density), print a report, and exit — non-zero on corruption; the log is opened read-only and never modified")
 
 	// Overload protection & request lifecycle.
@@ -127,9 +126,10 @@ func flagValueString(v any) (string, error) {
 
 // validate checks the merged configuration as a whole: ranges first,
 // then combinations that contradict each other. It runs before any
-// state is touched, so a bad config can never half-start the daemon.
-// Requirements with richer context (snapshot/flag mismatches, WAL
-// leftovers) stay in newServer where that context lives.
+// state is touched, so a bad config can never half-start the daemon. It
+// is the one home of every flag contradiction; requirements with richer
+// context (snapshot/flag mismatches, WAL leftovers) stay in newServer
+// where that context lives.
 func (cfg *config) validate() error {
 	// Ranges.
 	for _, c := range []struct {
@@ -184,6 +184,9 @@ func (cfg *config) validate() error {
 	}
 	if cfg.faultPlan != "" && !cfg.wal {
 		return fmt.Errorf("-fault-plan covers the write-ahead log and needs -wal")
+	}
+	if cfg.walVerifyMode && cfg.stateDir == "" {
+		return fmt.Errorf("-wal-verify requires -state-dir (the log lives at <state-dir>/wal)")
 	}
 	if cfg.rateBurst > 0 && cfg.rateLimit <= 0 {
 		return fmt.Errorf("-rate-burst %d without -rate-limit: a burst is meaningless with no rate", cfg.rateBurst)

@@ -64,6 +64,7 @@ func TestConfigValidateTable(t *testing.T) {
 		}, "-wal conflicts with -follow"},
 		{"follow without state dir", func(c *config) { c.follow = "http://leader:8080" }, "-follow requires -state-dir"},
 		{"fault plan without wal", func(c *config) { c.faultPlan = "fsync:from=1" }, "-fault-plan"},
+		{"wal verify without state dir", func(c *config) { c.walVerifyMode = true }, "-wal-verify requires -state-dir"},
 		{"burst without rate", func(c *config) { c.rateBurst = 10 }, "-rate-burst"},
 
 		// Valid combinations that must NOT be rejected.

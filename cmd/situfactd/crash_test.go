@@ -10,20 +10,27 @@ import (
 	"os/exec"
 	"path/filepath"
 	"reflect"
+	"sync"
 	"testing"
 	"time"
 )
 
 // TestCrashRecoverySIGKILL is the end-to-end durability acceptance test:
-// a real situfactd process with -state-dir -wal is SIGKILLed mid-ingest —
-// no drain, no shutdown snapshot — restarted over the same state
-// directory, and fed the remainder of the stream. Its final
-// /v1/facts/top and /v1/metrics must equal those of an uninterrupted
-// daemon over the same input.
+// real situfactd processes, built once, are SIGKILLed — no drain, no
+// shutdown snapshot — over one state directory in three cycles.
 //
-// Determinism: the feeder sends rows one at a time over one connection,
-// so the applied set is always a prefix of the stream; merged.tuples of
-// the recovered daemon says exactly where to resume.
+//  1. Clean: kill -9 mid-ingest, restart, feed the rest of the stream; the
+//     final /v1/facts/top and /v1/metrics must equal those of an
+//     uninterrupted daemon over the same input. The feeder sends rows one
+//     at a time over one connection, so the applied set is always a prefix
+//     of the stream; merged.tuples of the recovered daemon says exactly
+//     where to resume.
+//  2. Faulted: restart armed with a self-expiring fsync fault while
+//     concurrent posters send unique rows; writes must degrade to 503 +
+//     Retry-After and heal unattended, then the daemon is killed mid-flight.
+//  3. Survivor: a fault-free restart must hold every row ever acked, by
+//     content (a repair may shift tuple-id handles, never acked content),
+//     and an in-process follower of it must serve byte-identical reads.
 func TestCrashRecoverySIGKILL(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and kills real daemon processes")
@@ -43,7 +50,7 @@ func TestCrashRecoverySIGKILL(t *testing.T) {
 	wantMetrics := getMetrics(t, ref.url)
 	ref.stop()
 
-	// Crash run: feed in the background, SIGKILL mid-stream.
+	// Cycle 1, clean: feed in the background, SIGKILL mid-stream.
 	crashDir := t.TempDir()
 	d := startDaemon(t, bin, crashDir)
 	acked := make(chan int, 1)
@@ -67,10 +74,7 @@ func TestCrashRecoverySIGKILL(t *testing.T) {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	if err := d.cmd.Process.Kill(); err != nil {
-		t.Fatal(err)
-	}
-	d.cmd.Wait()
+	d.stop()
 	nAcked := <-acked
 	if nAcked >= len(rows) {
 		t.Fatalf("daemon survived to the end of the stream (%d rows) — the kill was not mid-ingest", nAcked)
@@ -79,7 +83,6 @@ func TestCrashRecoverySIGKILL(t *testing.T) {
 	// Restart over the same state dir: recovery = newest snapshot + WAL
 	// tail. Every acknowledged row must be there.
 	d2 := startDaemon(t, bin, crashDir)
-	defer d2.stop()
 	m := getMetrics(t, d2.url)
 	applied := int(m.Merged.Tuples)
 	if applied < nAcked {
@@ -110,6 +113,112 @@ func TestCrashRecoverySIGKILL(t *testing.T) {
 		t.Errorf("leaderboard after crash+recovery diverged from uninterrupted run:\n got %+v\nwant %+v",
 			gotTop, wantTop)
 	}
+	d2.stop()
+
+	// Cycle 2, faulted: from the third WAL fsync on every fsync fails until
+	// 400ms after the first failure. Posters record exactly which rows got a
+	// 200; a 503 is a rejection, retried with a fresh row after a beat.
+	d3 := startDaemonAt(t, bin, crashDir, freeAddr(t), "-fault-plan", "fsync:from=3;clear-after=400ms")
+	var (
+		mu             sync.Mutex
+		ackedRows      []rowWire
+		degraded, heal int // 503s with Retry-After; 200s after the first of them
+		other          []int
+	)
+	healed := make(chan struct{}) // closed at the 30th 200 after a 503
+	var wg sync.WaitGroup
+	for c := range 3 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for seq := 0; ; seq++ {
+				r := rowWire{
+					Dims:     []string{fmt.Sprintf("team-%d", seq%7), fmt.Sprintf("acked-%d-%d", c, seq)},
+					Measures: []float64{float64(seq % 37), float64(seq % 11)},
+				}
+				status, retry, err := post(d3.url, r)
+				if err != nil {
+					return // the kill -9 below ends every poster here
+				}
+				mu.Lock()
+				switch {
+				case status == http.StatusOK:
+					ackedRows = append(ackedRows, r)
+					if degraded > 0 {
+						if heal++; heal == 30 {
+							close(healed)
+						}
+					}
+				case status == http.StatusServiceUnavailable && retry != "":
+					degraded++
+				default:
+					other = append(other, status)
+				}
+				mu.Unlock()
+				if status != http.StatusOK {
+					time.Sleep(25 * time.Millisecond)
+				}
+			}
+		}()
+	}
+	select {
+	case <-healed:
+	case <-time.After(20 * time.Second):
+	}
+	wal := getMetrics(t, d3.url).WAL
+	d3.stop()
+	wg.Wait()
+	t.Logf("faulted cycle: %d acked, %d degraded 503s, %d 200s after them, %+v", len(ackedRows), degraded, heal, wal)
+	if degraded == 0 || heal == 0 {
+		t.Fatalf("faulted cycle: %d 503s with Retry-After, %d 200s after them; want both > 0", degraded, heal)
+	}
+	if len(other) > 0 {
+		t.Errorf("faulted cycle: statuses %v, want only 200 or 503 with Retry-After", other)
+	}
+	if wal.Degraded || wal.Repairs < 1 {
+		t.Errorf("faulted cycle: wal metrics %+v, want not degraded with repairs >= 1", wal)
+	}
+
+	// Cycle 3, survivor: every row ever acked is present, counted by content.
+	d4 := startDaemon(t, bin, crashDir)
+	have := map[string]int{}
+	for shard := 0; shard < 3; shard++ {
+		for id := 0; ; id++ {
+			status, body := getBody(t, fmt.Sprintf("%s/v1/tuples/%d:%d", d4.url, shard, id))
+			if status == http.StatusNotFound {
+				break
+			}
+			var tu tupleResponse
+			if err := json.Unmarshal(body, &tu); err != nil {
+				t.Fatalf("tuple %d:%d: %v: %s", shard, id, err, body)
+			}
+			if !tu.Deleted {
+				have[fmt.Sprint(tu.Dims, tu.Measures)]++
+			}
+		}
+	}
+	var lost []string
+	for _, r := range append(ackedRows, rows...) {
+		k := fmt.Sprint(r.Dims, r.Measures)
+		if have[k] == 0 {
+			lost = append(lost, k)
+		}
+		have[k]--
+	}
+	if len(lost) > 0 {
+		t.Errorf("%d acked rows lost after the faulted crash, e.g. %v", len(lost), lost[0])
+	}
+
+	fcfg := config{relation: "stream", dims: "team,player", measures: "points,rebounds",
+		stateDir: t.TempDir(), follow: d4.url, followPoll: 20 * time.Millisecond}
+	_, fts := startServer(t, fcfg)
+	for _, r := range rows[:30] { // rows past the bootstrap make the follower tail
+		if !postRow(d4.url, r) {
+			t.Fatal("survivor rejected a row")
+		}
+	}
+	waitApplied(t, fts.URL, getMetrics(t, d4.url).WAL.LastLSN)
+	assertSameReads(t, d4.url, fts.URL, []string{"", "shard=1", "where=team=team-0"})
 }
 
 // buildDaemon compiles this package into a runnable binary.
@@ -227,17 +336,24 @@ func crashRows(n int) []rowWire {
 	return rows
 }
 
-func postRow(url string, r rowWire) bool {
+// post POSTs one row and returns the status code plus the Retry-After
+// header (degraded-mode 503s must carry one).
+func post(url string, r rowWire) (int, string, error) {
 	body, _ := json.Marshal(tupleRequest{Dims: r.Dims, Measures: r.Measures})
 	resp, err := http.Post(url+"/v1/tuples", "application/json", bytes.NewReader(body))
 	if err != nil {
-		return false
+		return 0, "", err
 	}
 	defer resp.Body.Close()
 	// Drain so the connection is reused and request order is strict.
 	var sink json.RawMessage
 	json.NewDecoder(resp.Body).Decode(&sink)
-	return resp.StatusCode == http.StatusOK
+	return resp.StatusCode, resp.Header.Get("Retry-After"), nil
+}
+
+func postRow(url string, r rowWire) bool {
+	status, _, err := post(url, r)
+	return err == nil && status == http.StatusOK
 }
 
 func tryMetrics(url string) (metricsResponse, error) {

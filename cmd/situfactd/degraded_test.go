@@ -1,30 +1,23 @@
 package main
 
 import (
-	"bytes"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
-	"os"
-	"os/exec"
 	"sync/atomic"
 	"testing"
 	"time"
 )
 
-// postStatus POSTs one row and returns the status code plus the
-// Retry-After header (degraded-mode 503s must carry one).
+// postStatus is post for the test goroutine: a transport error fails
+// the test.
 func postStatus(t *testing.T, url string, r rowWire) (int, string) {
 	t.Helper()
-	body, _ := json.Marshal(tupleRequest{Dims: r.Dims, Measures: r.Measures})
-	resp, err := http.Post(url+"/v1/tuples", "application/json", bytes.NewReader(body))
+	status, retry, err := post(url, r)
 	if err != nil {
 		t.Fatalf("POST /v1/tuples: %v", err)
 	}
-	defer resp.Body.Close()
-	var sink json.RawMessage
-	json.NewDecoder(resp.Body).Decode(&sink)
-	return resp.StatusCode, resp.Header.Get("Retry-After")
+	return status, retry
 }
 
 func healthStatus(t *testing.T, url string) (int, healthResponse) {
@@ -107,75 +100,6 @@ func TestDegradedModeServesReadsAndHeals(t *testing.T) {
 	m = getMetrics(t, ts.URL)
 	if m.WAL.Degraded || m.WAL.Repairs < 1 {
 		t.Errorf("metrics after heal = %+v, want not degraded with repairs >= 1", m.WAL)
-	}
-}
-
-// TestDegradedChildProcessEnvPlan drives the same degradation through a
-// real situfactd process armed purely by the SITUFACTD_FAULT_PLAN
-// environment hook — the interface the chaos harness uses. The plan's
-// clear-after makes the fault self-expire, so the daemon must go
-// 503 -> healed with no intervention at all.
-func TestDegradedChildProcessEnvPlan(t *testing.T) {
-	if testing.Short() {
-		t.Skip("builds and runs a real daemon process")
-	}
-	bin := buildDaemon(t)
-	addr := freeAddr(t)
-	cmd := exec.Command(bin,
-		"-addr", addr,
-		"-dims", "team,player",
-		"-measures", "points,rebounds",
-		"-shards", "2",
-		"-shard-dim", "team",
-		"-state-dir", t.TempDir(),
-		"-wal",
-	)
-	cmd.Env = append(os.Environ(), "SITUFACTD_FAULT_PLAN=fsync:from=1;clear-after=1500ms")
-	var logs bytes.Buffer
-	cmd.Stdout = &logs
-	cmd.Stderr = &logs
-	if err := cmd.Start(); err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() {
-		cmd.Process.Kill()
-		cmd.Wait()
-		if t.Failed() {
-			t.Logf("daemon logs:\n%s", logs.String())
-		}
-	})
-	url := "http://" + addr
-	waitUp := time.Now().Add(30 * time.Second)
-	for {
-		if resp, err := http.Get(url + "/healthz"); err == nil {
-			resp.Body.Close()
-			break
-		}
-		if time.Now().After(waitUp) {
-			t.Fatalf("daemon never came up\n%s", logs.String())
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-
-	row := rowWire{Dims: []string{"team-1", "player-1"}, Measures: []float64{10, 2}}
-	st, retry := postStatus(t, url, row)
-	if st != http.StatusServiceUnavailable || retry == "" {
-		t.Fatalf("first write under env fault plan: status %d retry-after %q, want 503 with Retry-After", st, retry)
-	}
-	// clear-after expires the plan; the repair loop heals unattended.
-	deadline := time.Now().Add(20 * time.Second)
-	for {
-		if st, _ := postStatus(t, url, row); st == http.StatusOK {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("daemon never healed\n%s", logs.String())
-		}
-		time.Sleep(25 * time.Millisecond)
-	}
-	m := getMetrics(t, url)
-	if m.WAL.Degraded || m.WAL.Repairs < 1 {
-		t.Errorf("metrics after self-heal = %+v, want not degraded with repairs >= 1", m.WAL)
 	}
 }
 

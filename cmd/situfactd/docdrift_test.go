@@ -49,7 +49,7 @@ func TestAPIDocEndpoints(t *testing.T) {
 
 // TestAPIDocFlags is the flag-side doc-drift guard: the set of -flag
 // names docs/API.md mentions in inline code, in its daemon part (before
-// "## Chaos mode", where situbench's own flags begin — cmd/situbench's
+// "## situbench", where situbench's own flags begin — cmd/situbench's
 // TestDocFlags guards those), must equal the set registerFlags registers.
 // A flag added without documentation — or a passage still describing a
 // removed one — fails CI.
@@ -58,9 +58,9 @@ func TestAPIDocFlags(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	daemon, _, found := strings.Cut(string(data), "\n## Chaos mode")
+	daemon, _, found := strings.Cut(string(data), "\n## situbench")
 	if !found {
-		t.Fatal(`docs/API.md has no "## Chaos mode" heading to end the daemon part at`)
+		t.Fatal(`docs/API.md has no "## situbench" heading to end the daemon part at`)
 	}
 	// Fenced examples are usage, not documentation; only inline code counts.
 	daemon = regexp.MustCompile("(?s)```.*?```").ReplaceAllString(daemon, "")

@@ -82,9 +82,6 @@ func main() {
 	}
 
 	if cfg.walVerifyMode {
-		if cfg.stateDir == "" {
-			log.Fatal("-wal-verify requires -state-dir (the log lives at <state-dir>/wal)")
-		}
 		os.Exit(runWALVerify(filepath.Join(cfg.stateDir, "wal"), os.Stdout, os.Stderr))
 	}
 	if cfg.dims == "" || cfg.measures == "" {

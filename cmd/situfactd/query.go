@@ -26,7 +26,8 @@ type factsQuery struct {
 	cursor string
 	limit  int
 	// key is the canonical cache key: parameters in a fixed order,
-	// where-conditions sorted, so equivalent requests share one entry.
+	// where-conditions sorted and escaped, so equivalent requests share
+	// one entry and different ones never do.
 	key string
 }
 
@@ -59,12 +60,16 @@ func (s *server) parseFactsQuery(pool *situfact.Pool, q url.Values) (factsQuery,
 	}
 	wheres := append([]string(nil), q["where"]...)
 	sort.Strings(wheres)
-	for _, w := range wheres {
+	for i, w := range wheres {
 		attr, val, found := strings.Cut(w, "=")
 		if !found || attr == "" {
 			return fq, fmt.Errorf("bad where %q: want attr=value", w)
 		}
 		fq.filter.Conditions = append(fq.filter.Conditions, situfact.Condition{Attr: attr, Value: val})
+		// Escaped for the key, so an '&' or '|' inside a value cannot
+		// pass for a separator: where=a=x&where=b=y and where=a=x%26b=y
+		// are different queries and must not share an entry.
+		wheres[i] = url.QueryEscape(w)
 	}
 	if v := q.Get("measures"); v != "" {
 		for _, m := range strings.Split(v, ",") {

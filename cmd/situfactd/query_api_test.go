@@ -211,3 +211,42 @@ func TestReadCache(t *testing.T) {
 		t.Errorf("read cache holds %d entries, want >= 2", m.ReadCache.Entries)
 	}
 }
+
+// TestReadCacheKeys pins the /v1/facts cache key: with the cache on, a
+// where value holding '&' or '|' must not be served the entry of the
+// conditions it spells, and a permutation of the same wheres must share
+// one entry. Every body must equal what a cacheless daemon answers.
+func TestReadCacheKeys(t *testing.T) {
+	_, ref := startServer(t, gamelogConfig(1, ""))
+	const two = "where=opp_team=Nets&where=team=Celtics"
+	cases := []struct {
+		name, second string
+		entries      int
+	}{
+		{"ampersand inside a value", "where=opp_team=Nets%26team=Celtics", 2},
+		{"bar inside a value", "where=opp_team=Nets%7Cteam=Celtics", 2},
+		{"permuted wheres", "where=team=Celtics&where=opp_team=Nets", 1},
+	}
+	for _, row := range table1 {
+		doJSON(t, "POST", ref.URL+"/v1/tuples", reqOf(row), nil)
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := gamelogConfig(1, "")
+			cfg.readCacheTTL = time.Minute
+			_, ts := startServer(t, cfg)
+			for _, row := range table1 {
+				doJSON(t, "POST", ts.URL+"/v1/tuples", reqOf(row), nil)
+			}
+			for _, q := range []string{two, tc.second} {
+				_, got := getBody(t, ts.URL+"/v1/facts?limit=2&"+q)
+				if _, want := getBody(t, ref.URL+"/v1/facts?limit=2&"+q); !bytes.Equal(got, want) {
+					t.Errorf("%s: cached daemon answered\n%s\nwant\n%s", q, got, want)
+				}
+			}
+			if n := getMetrics(t, ts.URL).ReadCache.Entries; n != tc.entries {
+				t.Errorf("read cache holds %d entries, want %d", n, tc.entries)
+			}
+		})
+	}
+}

@@ -193,12 +193,6 @@ func newFollower(cfg config) (*server, error) {
 	if err != nil {
 		return nil, err
 	}
-	if cfg.stateDir == "" {
-		return nil, fmt.Errorf("situfactd: -follow requires -state-dir (scratch space for the snapshot bootstrap)")
-	}
-	if cfg.wal {
-		return nil, fmt.Errorf("situfactd: -wal conflicts with -follow: a follower replays the leader's log, it does not journal its own")
-	}
 	leader := strings.TrimRight(cfg.follow, "/")
 	client := &http.Client{Timeout: 5 * time.Minute}
 	bootstrapDir := filepath.Join(cfg.stateDir, "bootstrap")

@@ -95,10 +95,9 @@ type server struct {
 	// repl is the follower runtime (see replication.go); nil on a leader.
 	repl *replState
 
-	// faults is the injected I/O plan under the WAL (-fault-plan or the
-	// SITUFACTD_FAULT_PLAN env hook); nil without one. In-process tests
-	// clear or reprogram it to drive the daemon into and out of degraded
-	// mode.
+	// faults is the injected I/O plan under the WAL (-fault-plan); nil
+	// without one. In-process tests clear or reprogram it to drive the
+	// daemon into and out of degraded mode.
 	faults *faultfs.Faulty
 	// walRepairs counts successful background WAL repairs this process.
 	walRepairs atomic.Uint64
@@ -155,7 +154,7 @@ func buildSchema(cfg config) (*situfact.Schema, []measureWire, error) {
 // newServer builds the pool and the server around it, running the full
 // recovery sequence when cfg.stateDir holds prior state: restore the
 // newest snapshot, replay the WAL tail through the write path, then attach
-// the WAL for live journaling.
+// the WAL for live journaling. cfg must have passed validate.
 func newServer(cfg config) (*server, error) {
 	if cfg.follow != "" {
 		return newFollower(cfg)
@@ -163,9 +162,6 @@ func newServer(cfg config) (*server, error) {
 	schema, wires, err := buildSchema(cfg)
 	if err != nil {
 		return nil, err
-	}
-	if cfg.wal && cfg.stateDir == "" {
-		return nil, fmt.Errorf("situfactd: -wal requires -state-dir")
 	}
 	algo := cfg.algo
 	if algo == "" {
@@ -249,9 +245,6 @@ func newServer(cfg config) (*server, error) {
 		}
 	}
 	if cfg.faultPlan != "" {
-		if !cfg.wal {
-			return nil, fmt.Errorf("situfactd: -fault-plan covers the write-ahead log and needs -wal")
-		}
 		faults, err := faultfs.NewWithPlan(faultfs.OS, cfg.faultPlan)
 		if err != nil {
 			return nil, fmt.Errorf("situfactd: %w", err)

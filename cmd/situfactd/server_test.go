@@ -757,15 +757,6 @@ func TestServerIgnoresLeaderboardSidecar(t *testing.T) {
 	}
 }
 
-// TestServerWALFlagValidation: -wal without -state-dir is refused.
-func TestServerWALFlagValidation(t *testing.T) {
-	cfg := gamelogConfig(1, "")
-	cfg.wal = true
-	if _, err := newServer(cfg); err == nil {
-		t.Error("-wal without -state-dir accepted")
-	}
-}
-
 // TestServerWALVerify drives -wal-verify's offline scan over a log a daemon
 // wrote: exit 0 with "ok: N segments, M records" on the clean log, exit 1
 // naming the damage once a record of a sealed segment fails its CRC.

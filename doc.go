@@ -51,7 +51,6 @@
 //
 // Three commands wrap the package: cmd/situfact (streaming CSV monitor),
 // cmd/situfactd (HTTP daemon serving discovery over JSON, documented in
-// docs/API.md), and cmd/situbench (paper-figure regeneration and the
-// kill -9 chaos drill). bench/ is the end-to-end benchmark;
-// docs/ARCHITECTURE.md maps the layers.
+// docs/API.md), and cmd/situbench (paper-figure regeneration). bench/ is
+// the end-to-end benchmark; docs/ARCHITECTURE.md maps the layers.
 package situfact

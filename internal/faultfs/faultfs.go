@@ -7,8 +7,8 @@
 // fail the Nth fsync (one-shot or sticky), report ENOSPC after K bytes,
 // tear a write in half — into an otherwise real filesystem. Because the
 // plan is a string (see Program), the real situfactd binary can arm it
-// from the SITUFACTD_FAULT_PLAN environment hook, so crash-style tests
-// exercise child processes, not just in-process pools.
+// from its -fault-plan flag, so crash-style tests exercise child
+// processes, not just in-process pools.
 //
 // Faults fire only on files opened writable through OpenFile: the log's
 // segment files. Read-only opens (segment scans, directory fsyncs) always
