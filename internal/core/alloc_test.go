@@ -12,10 +12,11 @@ import (
 // constraint and a Vals slice per emitted fact (thousands of objects per
 // arrival at the Fig 7 warm point — 4244 allocs/op measured pre-refactor,
 // 2017 after, a >50% drop). At steady state the remaining allocations are
-// the returned facts slice, the occasional fact-arena block and cell
-// regrowth — a small constant. The bound has ~3× headroom over the
-// measured average so the test fails on a reintroduced per-visit or
-// per-fact allocation, not on allocator noise.
+// the occasional fact-arena block and cell regrowth: the returned facts
+// slice reuses the previous arrival's storage, so fewer than one object per
+// arrival remains, which AllocsPerRun's truncating average reports as 0 (a
+// facts slice allocated per arrival reads 1). The race detector adds one
+// object per arrival of its own, and the budget with it.
 //
 // The lattice queue is held to zero: every subspace pass refills it, and
 // after warm-up it must do so in the storage it already has (popping it
@@ -25,8 +26,8 @@ func TestBottomUpSteadyStateAllocs(t *testing.T) {
 	const (
 		n        = 560
 		warm     = 500
-		maxAvg   = 3.0 // measured average is 1.0/op
-		measured = 50  // arrivals timed by AllocsPerRun
+		maxAvg   = 0.0 + raceAllocs // under one object per arrival
+		measured = 50               // arrivals timed by AllocsPerRun
 	)
 	rng := rand.New(rand.NewSource(77))
 	tb := randomTable(t, rng, n, 3, 2, 2, 4)
@@ -53,7 +54,7 @@ func TestBottomUpSteadyStateAllocs(t *testing.T) {
 	}
 	if avg > maxAvg {
 		t.Errorf("BottomUp.Process steady-state allocations = %.1f/op, budget %.0f "+
-			"(a per-visited-constraint or per-fact allocation crept back into the hot path)",
+			"(a per-arrival, per-visited-constraint or per-fact allocation crept back into the hot path)",
 			avg, maxAvg)
 	}
 }

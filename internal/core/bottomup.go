@@ -154,11 +154,14 @@ func (a *BottomUp) traverse(t *relation.Tuple, m subspace.Mask, root bool, facts
 			// Prune C and all its ancestors (Alg. 4 lines 11–12).
 			a.markSubmasksPruned(c)
 		} else {
-			if emitting {
-				facts = a.emit(t, c, m, facts)
-			}
 			cell.Append(t.ID)
 			changed = true
+			if emitting {
+				// Invariant 1: the cell, evictees removed and t appended, is
+				// λ_M(σ_C(R)), and no later pass of this arrival visits it.
+				facts = a.emit(t, c, m, facts)
+				facts[len(facts)-1].SkylineSize = int32(cell.Len())
+			}
 			for cc := c; cc != 0; {
 				bit := cc & -cc
 				p := c &^ bit

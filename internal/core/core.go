@@ -24,6 +24,10 @@ type Fact struct {
 	Constraint lattice.Constraint
 	// Subspace is the measure subspace mask M.
 	Subspace subspace.Mask
+	// SkylineSize is |λ_M(σ_C(R))| including the arriving tuple, as the
+	// BottomUp family finds it (under Invariant 1 the cell it appends the
+	// tuple to is that skyline); 0 from every other algorithm.
+	SkylineSize int32
 }
 
 // Metrics aggregates the work counters reported in the paper's Figure 11
@@ -47,7 +51,9 @@ type Discoverer interface {
 	Name() string
 	// Process discovers the facts pertinent to the arrival of t and folds
 	// t into the internal state. Tuples must be presented in arrival order
-	// with unique IDs.
+	// with unique IDs. The returned slice is valid until the next Process
+	// or Delete on the same discoverer, which may reuse its storage; the
+	// facts copied out of it stay valid.
 	Process(t *relation.Tuple) []Fact
 	// Metrics returns a snapshot of the work counters.
 	Metrics() Metrics
@@ -133,7 +139,7 @@ type base struct {
 	vals     []int32   // fact-constraint arena (see emit)
 	factVals [][]int32 // this tuple's emitted constraint values, by mask
 	valsSeen []uint32  // factVals[c] is current iff valsSeen[c] == keyStamp
-	factCap  int       // last arrival's fact count, seeds the next facts slice
+	facts    []Fact    // the last arrival's facts; the next one reuses the storage
 
 	// Scratch of the batched cell scans (kernel.go): member indices the
 	// candidate dominates / is dominated by in the cell under scan, and
@@ -143,16 +149,14 @@ type base struct {
 	rehomeIDs []int64
 }
 
-// newFacts allocates the per-arrival facts slice, pre-sized to the
-// previous arrival's fact count — consecutive arrivals emit similar
-// volumes, so this removes the doubling-growth copies from the hot path.
-func (b *base) newFacts() []Fact {
-	return make([]Fact, 0, b.factCap+8)
-}
+// newFacts returns the previous arrival's facts slice, emptied: the storage
+// grows to the largest arrival once and is then written in place (see
+// Discoverer.Process for how long a result stays valid).
+func (b *base) newFacts() []Fact { return b.facts[:0] }
 
-// doneFacts records the arrival's final fact count for the next newFacts.
+// doneFacts keeps the arrival's facts slice for the next newFacts.
 func (b *base) doneFacts(facts []Fact) []Fact {
-	b.factCap = len(facts)
+	b.facts = facts
 	return facts
 }
 
@@ -307,9 +311,9 @@ func (b *base) indices(m subspace.Mask) []uint8 {
 // most 2^d constraints of C^t, so the value slice of each is built once
 // per tuple and shared, read-only, by every fact over it (see Fact). The
 // slices are carved out of a block arena — one allocation per emitBlock
-// constraints. Blocks are never reused, so emitted facts stay valid
-// indefinitely; the three-index slice keeps one constraint's Vals from
-// being overwritten by the next.
+// constraints. Blocks are never reused, so a fact copied out of the
+// arrival's slice stays valid indefinitely; the three-index slice keeps one
+// constraint's Vals from being overwritten by the next.
 func (b *base) emit(t *relation.Tuple, c lattice.Mask, m subspace.Mask, facts []Fact) []Fact {
 	b.met.Facts++
 	if b.valsSeen[c] != b.keyStamp {

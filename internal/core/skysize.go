@@ -15,38 +15,17 @@ type SkylineSizer interface {
 	SkylineSize(c lattice.Constraint, m subspace.Mask) int
 }
 
-// ConstraintSizer is a SkylineSizer whose constraint lookup can be hoisted
-// out of a run of sizings: an arrival's thousands of facts sit under a few
-// dozen constraints, and finding a constraint's store id (key bytes, the
-// intern table's lock, a string-map probe) costs more than reading a
-// cell's length. SkylineSizeOf(id, m) after ResolveConstraint(c) returned
-// (id, true) equals SkylineSize(c, m), store counters included; when it
-// returned false every skyline of c is empty.
-type ConstraintSizer interface {
-	SkylineSizer
-	ResolveConstraint(c lattice.Constraint) (id store.ConstraintID, ok bool)
-	SkylineSizeOf(id store.ConstraintID, m subspace.Mask) int
-}
-
 // SkylineSize implements SkylineSizer for the BottomUp family: Invariant 1
-// makes µ(C,M) the skyline itself, so the size is the cell length.
+// makes µ(C,M) the skyline itself, so the size is the cell length. The
+// probe goes through Interner.LookupConstraint so sizing absent
+// constraints does not grow the intern table. Discovery hands each fact
+// this size as it emits it (Fact.SkylineSize), so ranking an arrival asks
+// for none.
 func (a *BottomUp) SkylineSize(c lattice.Constraint, m subspace.Mask) int {
-	id, ok := a.ResolveConstraint(c)
+	id, ok := a.in.LookupConstraint(c)
 	if !ok {
 		return 0
 	}
-	return a.SkylineSizeOf(id, m)
-}
-
-// ResolveConstraint implements ConstraintSizer. The probe goes through
-// Interner.LookupConstraint so sizing absent constraints does not grow the
-// intern table.
-func (a *BottomUp) ResolveConstraint(c lattice.Constraint) (store.ConstraintID, bool) {
-	return a.in.LookupConstraint(c)
-}
-
-// SkylineSizeOf implements ConstraintSizer.
-func (a *BottomUp) SkylineSizeOf(id store.ConstraintID, m subspace.Mask) int {
 	return a.st.Load(store.Ref(id, m)).Len()
 }
 
@@ -101,8 +80,8 @@ func (a *TopDown) SkylineSize(c lattice.Constraint, m subspace.Mask) int {
 }
 
 var (
-	_ ConstraintSizer = (*BottomUp)(nil)
-	_ SkylineSizer    = (*TopDown)(nil)
+	_ SkylineSizer = (*BottomUp)(nil)
+	_ SkylineSizer = (*TopDown)(nil)
 )
 
 // ContextCounter tracks |σ_C(R)| for every constraint with bound(C) ≤ d̂

@@ -27,7 +27,8 @@ type ScoredFact struct {
 	core.Fact
 	// ContextSize is |σ_C(R)| including the arriving tuple.
 	ContextSize int64
-	// SkylineSize is |λ_M(σ_C(R))| including the arriving tuple.
+	// SkylineSize is |λ_M(σ_C(R))| including the arriving tuple: the
+	// embedded Fact's, or the sizer's where discovery left that 0.
 	SkylineSize int
 	// Prominence is ContextSize / SkylineSize.
 	Prominence float64
@@ -63,9 +64,8 @@ func Score(facts []core.Fact, ctx ContextSizer, sky core.SkylineSizer) []ScoredF
 // The facts of one arrival number in the thousands but draw their
 // constraints from the at most 2^d members of C^t, so everything that
 // depends on the constraint alone — the context size, the bound count, its
-// id in the skyline sizer's store, its place in key order — is resolved
-// once per distinct constraint, and the selection and the sort read nothing
-// but three integers per fact.
+// place in key order — is resolved once per distinct constraint, and the
+// selection and the sort read nothing but three integers per fact.
 type Ranker struct {
 	facts []core.Fact
 	words [numWords][]uint64 // what the order reads, by input position
@@ -88,8 +88,6 @@ type contextEntry struct {
 	vals   []int32
 	size   int64  // |σ_C(R)|
 	rank   uint64 // the constraint's part of a fact's wordRank
-	id     uint32 // ConstraintSizer's id for the constraint, when stored
-	stored bool
 	bucket uint32
 	next   int32  // 1 + position of the next entry in the bucket, 0 at the end
 	ord    uint32 // position in key order among ents
@@ -219,9 +217,8 @@ const maxBucketBits = 12
 
 // Rank keeps the first k facts of Score's ranking (all for k ≥ len(facts),
 // none for k ≤ 0), sorting only those. Every fact is scored whatever k is:
-// ctx is asked once per distinct constraint; a core.ConstraintSizer sky
-// resolves each distinct constraint once and sizes every fact by id, any
-// other sizer is asked fact by fact.
+// ctx is asked once per distinct constraint, and sky only for the facts
+// that do not carry their skyline size (Fact.SkylineSize 0: TopDown's).
 func (r *Ranker) Rank(facts []core.Fact, ctx ContextSizer, sky core.SkylineSizer, k int) {
 	for i := range r.ents {
 		r.heads[r.ents[i].bucket] = 0
@@ -234,17 +231,13 @@ func (r *Ranker) Rank(facts []core.Fact, ctx ContextSizer, sky core.SkylineSizer
 	}
 	r.sky = sized(r.sky, len(facts))
 	proms, ranks, ords := r.words[wordProminence], r.words[wordRank], r.words[wordOrd]
-	byID, _ := sky.(core.ConstraintSizer)
 
 	for i, f := range facts {
-		ei := r.resolve(f.Constraint, ctx, byID)
+		ei := r.resolve(f.Constraint, ctx)
 		ent := &r.ents[ei]
-		ss := 0
-		switch {
-		case byID == nil:
+		ss := int(f.SkylineSize)
+		if ss == 0 {
 			ss = sky.SkylineSize(f.Constraint, f.Subspace)
-		case ent.stored:
-			ss = byID.SkylineSizeOf(ent.id, f.Subspace)
 		}
 		var prom float64
 		if ss > 0 {
@@ -296,8 +289,8 @@ func (r *Ranker) At(i int) ScoredFact {
 }
 
 // resolve returns the position in ents of c's entry, making it — sizing
-// c's context, resolving its id — on first sight.
-func (r *Ranker) resolve(c lattice.Constraint, ctx ContextSizer, byID core.ConstraintSizer) int32 {
+// c's context — on first sight.
+func (r *Ranker) resolve(c lattice.Constraint, ctx ContextSizer) int32 {
 	if want := 1 << min(len(c.Vals), maxBucketBits); want > len(r.heads) {
 		r.heads = make([]int32, want)
 		for i := range r.ents { // re-bucket what is already there
@@ -319,9 +312,6 @@ func (r *Ranker) resolve(c lattice.Constraint, ctx ContextSizer, byID core.Const
 		rank:   uint64(^uint16(c.Bound())) << 40,
 		bucket: bucket,
 		next:   r.heads[bucket],
-	}
-	if byID != nil {
-		e.id, e.stored = byID.ResolveConstraint(c)
 	}
 	r.ents = append(r.ents, e)
 	r.heads[bucket] = int32(len(r.ents))

@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 
@@ -131,9 +132,9 @@ func TestPaperProminenceExample(t *testing.T) {
 	}
 }
 
-// TestSizerAgreement: the BottomUp and TopDown skyline-size computations
-// must agree on random streams (they implement the same quantity over
-// different storage schemes).
+// TestSizerAgreement: the skyline sizes BottomUp's facts carry and the ones
+// TopDown's sizer computes must agree on random streams (the same quantity
+// over different storage schemes).
 func TestSizerAgreement(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
 	dims := []relation.DimAttr{{Name: "d1"}, {Name: "d2"}, {Name: "d3"}}
@@ -156,8 +157,12 @@ func TestSizerAgreement(t *testing.T) {
 		facts := bu.Process(tu)
 		td.Process(tu)
 		cc.Observe(tu)
+		unsized := slices.Clone(facts)
+		for j := range unsized {
+			unsized[j].SkylineSize = 0
+		}
 		sb := Score(facts, cc, bu)
-		st := Score(facts, cc, td)
+		st := Score(unsized, cc, td)
 		for j := range sb {
 			if sb[j].SkylineSize != st[j].SkylineSize || sb[j].Prominence != st[j].Prominence {
 				t.Fatalf("tuple %d fact %d: BottomUp sizer %d vs TopDown sizer %d",
@@ -186,38 +191,22 @@ type sizerFunc func(lattice.Constraint, subspace.Mask) int
 
 func (f sizerFunc) SkylineSize(c lattice.Constraint, m subspace.Mask) int { return f(c, m) }
 
-// byIDSizer serves a sizerFunc through core.ConstraintSizer: ids are
-// positions in the list of constraints resolved so far; the constraints
-// absent reports are not stored (every skyline of theirs is empty). It
-// counts the calls of each kind.
-type byIDSizer struct {
-	size   sizerFunc
-	absent func(lattice.Constraint) bool
-	seen   []lattice.Constraint
-
-	resolves, byID, byConstraint int
-}
-
-func (s *byIDSizer) SkylineSize(c lattice.Constraint, m subspace.Mask) int {
-	s.byConstraint++
-	return s.size(c, m)
-}
-
-func (s *byIDSizer) ResolveConstraint(c lattice.Constraint) (uint32, bool) {
-	s.resolves++
-	if s.absent != nil && s.absent(c) {
-		return 0, false
+// carrying returns a copy of facts in which every fact carries its skyline
+// size, as the BottomUp family emits them, and a sizer that fails t when it
+// is asked for a size a fact carries. A fact whose skyline is empty carries
+// 0, which is what an unsized fact carries, so the sizer answers for those.
+func carrying(t *testing.T, facts []core.Fact, sky sizerFunc) ([]core.Fact, sizerFunc) {
+	out := slices.Clone(facts)
+	for i, f := range out {
+		out[i].SkylineSize = int32(sky(f.Constraint, f.Subspace))
 	}
-	s.seen = append(s.seen, c)
-	return uint32(len(s.seen) - 1), true
+	return out, func(c lattice.Constraint, m subspace.Mask) int {
+		if n := sky(c, m); n != 0 {
+			t.Fatalf("sizer asked for (%v, %b), whose size of %d the fact carries", c.Vals, m, n)
+		}
+		return 0
+	}
 }
-
-func (s *byIDSizer) SkylineSizeOf(id uint32, m subspace.Mask) int {
-	s.byID++
-	return s.size(s.seen[id], m)
-}
-
-var _ core.ConstraintSizer = (*byIDSizer)(nil)
 
 type contextFunc func(lattice.Constraint) int64
 
@@ -266,10 +255,8 @@ func referenceOrder(facts []core.Fact, ctx ContextSizer, sky core.SkylineSizer) 
 // members of a handful of tuples, so that facts of different tuples share a
 // bound mask and differ only in the values under it; every fourth gives
 // every fact the same prominence, so that the order runs through all three
-// tie-breaks down to the constraints' key order. Besides the sizers it
-// returns a ConstraintSizer over sky some of whose constraints are not
-// stored.
-func tieHeavyInput(rng *rand.Rand, round, maxN int) (facts []core.Fact, ctx contextFunc, sky sizerFunc, byID func() *byIDSizer) {
+// tie-breaks down to the constraints' key order. Some skylines are empty.
+func tieHeavyInput(rng *rand.Rand, round, maxN int) (facts []core.Fact, ctx contextFunc, sky sizerFunc) {
 	// Codes straddling byte boundaries: 256 < 1 as keys (00 01 00 00 vs
 	// 01 00 00 00), 65536 < 256 < 1.
 	codes := []int32{0, 1, 2, 255, 256, 257, 65535, 65536, 1 << 24, 1<<31 - 1}
@@ -350,23 +337,26 @@ func tieHeavyInput(rng *rand.Rand, round, maxN int) (facts []core.Fact, ctx cont
 		}
 		return 1 + (c.Bound()+int(sm))%(skyMod+1) - min(skyMod, 1)
 	}
-	return facts, ctx, sky, func() *byIDSizer { return &byIDSizer{size: sky, absent: absent} }
+	return facts, ctx, sky
 }
 
 // TestScoreMatchesReferenceOrder: over tieHeavyInput's fact sets, Score
 // returns exactly what the reference returns, element for element. Each
-// input is ranked twice, through a plain sizer and through a
-// ConstraintSizer some of whose constraints are not stored.
+// input is ranked twice: sized by the sizer, and carrying its sizes.
 func TestScoreMatchesReferenceOrder(t *testing.T) {
 	rng := rand.New(rand.NewSource(2014))
 	for round := 0; round < 300; round++ {
-		facts, ctx, sky, byID := tieHeavyInput(rng, round, 400)
-		want := referenceOrder(facts, ctx, sky)
-		for name, sizer := range map[string]core.SkylineSizer{
-			"per fact":       sky,
-			"per constraint": byID(),
+		facts, ctx, sky := tieHeavyInput(rng, round, 400)
+		carried, refuse := carrying(t, facts, sky)
+		for name, in := range map[string]struct {
+			facts []core.Fact
+			sizer sizerFunc
+		}{
+			"by the sizer":  {facts, sky},
+			"as they carry": {carried, refuse},
 		} {
-			got := Score(facts, ctx, sizer)
+			want := referenceOrder(in.facts, ctx, sky)
+			got := Score(in.facts, ctx, in.sizer)
 			if len(got) != len(want) {
 				t.Fatalf("round %d, sized %s: %d scored facts, reference has %d", round, name, len(got), len(want))
 			}
@@ -387,10 +377,13 @@ func TestRankKeepsScoresFirstK(t *testing.T) {
 	rng := rand.New(rand.NewSource(27))
 	var r Ranker
 	for round := 0; round < 120; round++ {
-		facts, ctx, _, byID := tieHeavyInput(rng, round, 64)
-		want := Score(facts, ctx, byID())
+		facts, ctx, sky := tieHeavyInput(rng, round, 64)
+		if round%2 == 1 {
+			facts, sky = carrying(t, facts, sky)
+		}
+		want := Score(facts, ctx, sky)
 		for k := 0; k <= len(facts)+1; k++ {
-			r.Rank(facts, ctx, byID(), k)
+			r.Rank(facts, ctx, sky, k)
 			if r.Len() != min(k, len(facts)) {
 				t.Fatalf("round %d, k=%d: kept %d of %d facts", round, k, r.Len(), len(facts))
 			}
@@ -420,31 +413,37 @@ func TestScoreMixedWidths(t *testing.T) {
 	}
 }
 
-// TestScoreSizesEachConstraintOnce: the context size is probed, and the
-// constraint's id in the sizer's store resolved, once per distinct
-// constraint of the input, however many facts share it; only the cell
-// lookup by id is per fact. Keeping 5 facts, or none, sizes exactly as
+// TestScoreSizesEachConstraintOnce: the context size is probed once per
+// distinct constraint of the input, however many facts share it; the
+// skyline sizer is asked nothing for a fact that carries its size and once
+// for each fact that does not. Keeping 5 facts, or none, sizes exactly as
 // much as keeping them all: every fact is scored whatever the cap.
 func TestScoreSizesEachConstraintOnce(t *testing.T) {
 	W := lattice.Wildcard
 	var facts []core.Fact
+	unsized := 0
 	for sm := subspace.Mask(1); sm < 64; sm++ {
 		for _, vals := range [][]int32{{W, W}, {1, W}, {W, 1}, {1, 1}, {2, 1}} {
-			facts = append(facts, core.Fact{Constraint: lattice.Constraint{Vals: append([]int32(nil), vals...)}, Subspace: sm})
+			f := core.Fact{Constraint: lattice.Constraint{Vals: append([]int32(nil), vals...)}, Subspace: sm}
+			if len(facts)%3 == 0 {
+				unsized++
+			} else {
+				f.SkylineSize = 1
+			}
+			facts = append(facts, f)
 		}
 	}
 	var r Ranker
 	for _, k := range []int{len(facts), 5, 0} {
-		probes := 0
+		probes, sizings := 0, 0
 		ctx := contextFunc(func(lattice.Constraint) int64 { probes++; return 7 })
-		sky := &byIDSizer{size: func(lattice.Constraint, subspace.Mask) int { return 1 }}
+		sky := sizerFunc(func(lattice.Constraint, subspace.Mask) int { sizings++; return 1 })
 		r.Rank(facts, ctx, sky, k)
 		if probes != 5 {
 			t.Errorf("k=%d: %d context-size probes for 5 distinct constraints over %d facts", k, probes, len(facts))
 		}
-		if sky.resolves != 5 || sky.byID != len(facts) || sky.byConstraint != 0 {
-			t.Errorf("k=%d: %d constraint-id resolutions, %d sizings by id and %d by constraint for 5 distinct constraints over %d facts",
-				k, sky.resolves, sky.byID, sky.byConstraint, len(facts))
+		if sizings != unsized {
+			t.Errorf("k=%d: %d skyline sizings for %d facts, %d of which carry no size", k, sizings, len(facts), unsized)
 		}
 	}
 }
@@ -465,8 +464,8 @@ func TestDescendingKeepsFloatOrder(t *testing.T) {
 
 // BenchmarkRankWide ranks arrivals of the paper's Fig 7a shape (NBA d=5,
 // m=7, d̂=4, some two thousand facts over at most 31 constraints each)
-// through one warm Ranker against the BottomUp store that discovered them;
-// ns/op is one arrival's scoring and ordering, facts/op its size. /all
+// through one warm Ranker, each fact carrying the skyline size discovery
+// found; ns/op is one arrival's scoring and ordering, facts/op its size. /all
 // orders every fact, /top5 the five an ack carries.
 func BenchmarkRankWide(b *testing.B) {
 	const rows, kept = 400, 50
@@ -489,7 +488,7 @@ func BenchmarkRankWide(b *testing.B) {
 		facts := alg.Process(tu)
 		cc.Observe(tu)
 		if i >= rows-kept {
-			arrivals = append(arrivals, facts)
+			arrivals = append(arrivals, slices.Clone(facts))
 		}
 	}
 	for _, bc := range []struct {

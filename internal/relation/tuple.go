@@ -184,11 +184,24 @@ func (tb *Table) At(i int) *Tuple { return tb.tuples[i] }
 // must not mutate it.
 func (tb *Table) Tuples() []*Tuple { return tb.tuples }
 
-// Append interns the dimension strings, orients the measures, assigns the
-// next ID and appends the tuple, returning it.
-func (tb *Table) Append(dims []string, measures []float64) (*Tuple, error) {
+// CheckRow returns the error Append refuses a row of the wrong shape with:
+// a dimension or measure count the schema does not have.
+func (tb *Table) CheckRow(dims []string, measures []float64) error {
 	if len(dims) != tb.schema.NumDims() {
-		return nil, fmt.Errorf("relation: append: got %d dimension values, want %d", len(dims), tb.schema.NumDims())
+		return fmt.Errorf("relation: append: got %d dimension values, want %d", len(dims), tb.schema.NumDims())
+	}
+	if len(measures) != tb.schema.NumMeasures() {
+		return fmt.Errorf("relation: append: got %d measure values, want %d", len(measures), tb.schema.NumMeasures())
+	}
+	return nil
+}
+
+// Append interns the dimension strings, orients the measures, assigns the
+// next ID and appends the tuple, returning it. A refused row leaves the
+// table and its dictionary as they were.
+func (tb *Table) Append(dims []string, measures []float64) (*Tuple, error) {
+	if err := tb.CheckRow(dims, measures); err != nil {
+		return nil, err
 	}
 	id, err := tb.nextID()
 	if err != nil {
@@ -217,6 +230,10 @@ func (tb *Table) AppendEncoded(dims []int32, measures []float64) (*Tuple, error)
 	if err != nil {
 		return nil, fmt.Errorf("relation: append-encoded: %w", err)
 	}
+	t, err := NewTuple(tb.schema, id, dims, measures)
+	if err != nil {
+		return nil, err
+	}
 	for i, c := range dims {
 		if c < 0 {
 			return nil, fmt.Errorf("relation: append-encoded: negative code %d for dimension %d", c, i)
@@ -224,10 +241,6 @@ func (tb *Table) AppendEncoded(dims []int32, measures []float64) (*Tuple, error)
 		for int(c) >= tb.dict.Cardinality(i) {
 			tb.dict.Encode(i, fmt.Sprintf("%s#%d", tb.schema.Dim(i).Name, tb.dict.Cardinality(i)))
 		}
-	}
-	t, err := NewTuple(tb.schema, id, dims, measures)
-	if err != nil {
-		return nil, err
 	}
 	tb.tuples = append(tb.tuples, t)
 	return t, nil

@@ -82,16 +82,17 @@ func TestAppendArityErrors(t *testing.T) {
 // TestTableLimit drives both append paths to a lowered row limit and past
 // it: the row at position limit−1 is the last one accepted and carries the
 // last id a cell can hold, the rows at limit and limit+1 are refused with
-// ErrTableFull and an error that names the limit, and a refused row leaves
-// neither a tuple nor a dictionary entry behind.
+// ErrTableFull and an error that names the limit, and a refused row — past
+// the limit, or one measure short before it — leaves neither a tuple nor a
+// dictionary entry behind.
 func TestTableLimit(t *testing.T) {
 	const limit = 5
-	appends := map[string]func(tb *Table, i int) (*Tuple, error){
-		"Append": func(tb *Table, i int) (*Tuple, error) {
-			return tb.Append([]string{fmt.Sprint("p", i), "Feb", "1994-95", "Celtics", "Nets"}, []float64{1, 2, 3, 4})
+	appends := map[string]func(tb *Table, i int, measures []float64) (*Tuple, error){
+		"Append": func(tb *Table, i int, measures []float64) (*Tuple, error) {
+			return tb.Append([]string{fmt.Sprint("p", i), "Feb", "1994-95", "Celtics", "Nets"}, measures)
 		},
-		"AppendEncoded": func(tb *Table, i int) (*Tuple, error) {
-			return tb.AppendEncoded([]int32{int32(i), 0, 0, 0, 0}, []float64{1, 2, 3, 4})
+		"AppendEncoded": func(tb *Table, i int, measures []float64) (*Tuple, error) {
+			return tb.AppendEncoded([]int32{int32(i), 0, 0, 0, 0}, measures)
 		},
 	}
 	for name, appendRow := range appends {
@@ -103,30 +104,43 @@ func TestTableLimit(t *testing.T) {
 			}
 			tb.limit = limit
 			for _, tc := range []struct {
-				row  int // position of the row being appended
-				full bool
+				row   int // position of the row being appended
+				short bool
+				full  bool
 			}{
-				{0, false}, {1, false}, {2, false}, {3, false},
-				{limit - 1, false},
-				{limit, true},
-				{limit + 1, true},
+				{0, false, false}, {1, false, false},
+				{2, true, false},
+				{2, false, false}, {3, false, false},
+				{limit - 1, false, false},
+				{limit, false, true},
+				{limit + 1, false, true},
 			} {
-				tu, err := appendRow(tb, tc.row)
-				if !tc.full {
+				measures := []float64{1, 2, 3, 4}
+				if tc.short {
+					measures = measures[:3]
+				}
+				tu, err := appendRow(tb, tc.row, measures)
+				switch {
+				case tc.short:
+					if err == nil || !strings.Contains(err.Error(), "3 measure values") || tu != nil {
+						t.Fatalf("row %d, a measure short: tuple %+v, error %v", tc.row, tu, err)
+					}
+				case tc.full:
+					if !errors.Is(err, ErrTableFull) || tu != nil {
+						t.Fatalf("row %d of %d: tuple %+v, error %v, want ErrTableFull", tc.row, limit, tu, err)
+					}
+					if !strings.Contains(err.Error(), fmt.Sprint(limit)) {
+						t.Errorf("row %d: error %q does not name the limit %d", tc.row, err, limit)
+					}
+				default:
 					if err != nil || tu.ID != int64(tc.row) {
 						t.Fatalf("row %d of %d: tuple %+v, error %v", tc.row, limit, tu, err)
 					}
 					continue
 				}
-				if !errors.Is(err, ErrTableFull) || tu != nil {
-					t.Fatalf("row %d of %d: tuple %+v, error %v, want ErrTableFull", tc.row, limit, tu, err)
-				}
-				if !strings.Contains(err.Error(), fmt.Sprint(limit)) {
-					t.Errorf("row %d: error %q does not name the limit %d", tc.row, err, limit)
-				}
-				if tb.Len() != limit || tb.Dict().Cardinality(0) != limit {
+				if want := min(tc.row, limit); tb.Len() != want || tb.Dict().Cardinality(0) != want {
 					t.Errorf("row %d: the refused append left %d tuples and %d player values, want %d and %d",
-						tc.row, tb.Len(), tb.Dict().Cardinality(0), limit, limit)
+						tc.row, tb.Len(), tb.Dict().Cardinality(0), want, want)
 				}
 			}
 		})

@@ -288,7 +288,8 @@ type Stats struct {
 	// Cells is the current number of non-empty cells.
 	Cells int64
 	// Reads counts cell loads that had to fetch a non-empty cell
-	// (file reads for the file store).
+	// (file reads for the file store). Discovery's loads are the paper's
+	// §VI I/O count; Peek, the read path's, counts none.
 	Reads int64
 	// Writes counts cell saves that persisted a change (file writes).
 	Writes int64

@@ -183,8 +183,10 @@ type Metrics struct {
 	Tuples, Comparisons, Traversed, Facts int64
 	// StoredTuples and Cells describe the µ store (Fig 10b's quantity).
 	StoredTuples, Cells int64
-	// Reads and Writes count store I/O operations (file store only does
-	// real I/O).
+	// Reads and Writes count cell loads and saves (only the file store does
+	// real I/O): discovery's and deletion repair's, the paper's §VI I/O
+	// count, plus under the TopDown family the loads that size the skylines
+	// of an arrival's ranked facts.
 	Reads, Writes int64
 }
 
@@ -353,12 +355,17 @@ func (e *Engine) apply(dims []string, measures []float64) (*relation.Tuple, []co
 }
 
 // arrival is what append does after apply: it scores every fact discovery
-// found for tu — sizing is a counted store read (Metrics.Reads), and a
-// replica's counters must equal its leader's whatever k is — then decodes
-// the k best (the first k of prominence.Score's ranking) straight into the
-// arrival, in that order.
+// found for tu, then decodes the k best (the first k of prominence.Score's
+// ranking) straight into the arrival, in that order. An arrival that
+// carries no fact (k ≤ 0: replay, a follower's apply, a batch ack) is
+// counted, not ranked: a BottomUp-family fact carries its skyline size, so
+// ranking loads no cell and skipping it changes no counter a replica must
+// share.
 func (e *Engine) arrival(tu *relation.Tuple, raw []core.Fact, k int) *Arrival {
 	arr := &Arrival{TupleID: tu.ID, FactCount: len(raw)}
+	if k <= 0 {
+		return arr
+	}
 	defer e.dec.endArrival()
 	if e.counter != nil {
 		e.ranker.Rank(raw, e.counter, e.sizer, k)
@@ -377,10 +384,7 @@ func (e *Engine) arrival(tu *relation.Tuple, raw []core.Fact, k int) *Arrival {
 	}
 	// Without prominence the order is that of the rendered facts; each is
 	// rendered once, not once per comparison.
-	arr.Facts = make([]Fact, max(0, min(k, len(raw))))
-	if len(arr.Facts) == 0 {
-		return arr
-	}
+	arr.Facts = make([]Fact, min(k, len(raw)))
 	type rendered struct {
 		text string
 		fact Fact
@@ -512,7 +516,11 @@ func (e *Engine) Delete(tupleID int64) error {
 
 // Update retracts tuple tupleID and appends its replacement, returning
 // the replacement's arrival. Like Delete it requires the BottomUp family.
+// A replacement of the wrong shape is refused before anything is retracted.
 func (e *Engine) Update(tupleID int64, dims []string, measures []float64) (*Arrival, error) {
+	if err := e.table.CheckRow(dims, measures); err != nil {
+		return nil, err
+	}
 	if err := e.Delete(tupleID); err != nil {
 		return nil, err
 	}

@@ -1,6 +1,7 @@
 package situfact
 
 import (
+	"errors"
 	"strings"
 	"testing"
 )
@@ -303,34 +304,60 @@ func TestEngineUpdate(t *testing.T) {
 	}
 }
 
+// TestEngineUpdateErrorPaths: an Update that fails leaves the engine as it
+// was — Len, the tuples and dictionary, the context counts and every µ cell,
+// so every fact the tuple it names is in. A replacement of the wrong shape
+// is refused with the error Append gives that row (which Append, too,
+// refuses without a trace) before the original is retracted.
 func TestEngineUpdateErrorPaths(t *testing.T) {
 	eng, err := New(gamelogSchema(t), Options{Algorithm: AlgoBottomUp})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer eng.Close()
-	for _, r := range table1Rows[:3] {
+	for _, r := range table1Rows[:6] {
 		if _, err := eng.Append(r.d, r.m); err != nil {
 			t.Fatal(err)
 		}
 	}
-	// Out-of-range IDs: negative and one past the end.
-	if _, err := eng.Update(-1, table1Rows[0].d, table1Rows[0].m); err == nil {
-		t.Error("Update(-1) accepted")
-	}
-	if _, err := eng.Update(3, table1Rows[0].d, table1Rows[0].m); err == nil {
-		t.Error("Update of not-yet-appended id accepted")
-	}
-	// Updating a tuple that was already deleted must fail without
-	// touching the stream.
 	if err := eng.Delete(1); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := eng.Update(1, table1Rows[1].d, table1Rows[1].m); err == nil {
-		t.Error("Update of deleted tuple accepted")
-	}
-	if eng.Len() != 2 {
-		t.Errorf("failed updates changed Len to %d, want 2", eng.Len())
+	row := table1Rows[6]
+	for _, tc := range []struct {
+		name     string
+		id       int64
+		dims     []string
+		measures []float64
+
+		err  error  // a sentinel the error wraps, or
+		text string // the error's text: Append's for this row
+	}{
+		{"wrong dims", 5, []string{"x"}, row.m, nil, "relation: append: got 1 dimension values, want 5"},
+		{"wrong measures", 5, row.d, row.m[:2], nil, "relation: append: got 2 measure values, want 3"},
+		{"unknown id", 99, row.d, row.m, ErrNotFound, ""},
+		{"negative id", -1, row.d, row.m, ErrNotFound, ""},
+		{"deleted id", 1, row.d, row.m, ErrAlreadyDeleted, ""},
+	} {
+		before, n := eng.logicalContent(), eng.Len()
+		_, err := eng.Update(tc.id, tc.dims, tc.measures)
+		switch {
+		case err == nil:
+			t.Errorf("%s: Update(%d) accepted", tc.name, tc.id)
+		case tc.err != nil && !errors.Is(err, tc.err):
+			t.Errorf("%s: Update(%d) = %v, want %v", tc.name, tc.id, err, tc.err)
+		case tc.text != "" && err.Error() != tc.text:
+			t.Errorf("%s: Update(%d) = %q, want %q", tc.name, tc.id, err, tc.text)
+		}
+		if tc.text != "" {
+			if _, err := eng.Append(tc.dims, tc.measures); err == nil || err.Error() != tc.text {
+				t.Errorf("%s: Append = %v, want %q", tc.name, err, tc.text)
+			}
+		}
+		if eng.Len() != n {
+			t.Errorf("%s: the failed Update changed Len from %d to %d", tc.name, n, eng.Len())
+		}
+		diffLines(t, tc.name+": engine after the failed Update", eng.logicalContent(), before)
 	}
 	// Update on a non-deleting algorithm surfaces the capability error.
 	td, err := New(gamelogSchema(t), Options{Algorithm: AlgoSTopDown})

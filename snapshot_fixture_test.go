@@ -158,7 +158,10 @@ func diffLines(t *testing.T, what string, got, want []string) {
 }
 
 // checkGoldenNext feeds the fixtures' recorded follow-up arrival: its facts
-// and the cumulative metrics after it are the golden oracle.
+// and the cumulative metrics after it are the golden oracle. Its Reads is
+// the pre-refactor engine's less one per fact of the arrival (152), because
+// ranking now takes each fact's skyline size from discovery instead of
+// loading the fact's cell.
 func checkGoldenNext(t *testing.T, eng *Engine, golden fixtureGolden) {
 	t.Helper()
 	arr, err := eng.Append(fixtureNextRow.dims, fixtureNextRow.measures)

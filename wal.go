@@ -172,8 +172,8 @@ type ReplayStats struct {
 // pool — for a pool restored by RestorePool, exactly the tail after its
 // checkpoint; for a fresh pool, the whole log. onArrival, when non-nil,
 // observes every replayed append's arrival with all its facts; with a nil
-// onArrival the arrivals carry none (scored, not sorted or decoded) and the
-// recovered state is the same. Call before AttachWAL, before serving traffic.
+// onArrival the arrivals carry none (counted, not ranked) and the recovered
+// state is the same. Call before AttachWAL, before serving traffic.
 func (p *Pool) ReplayWAL(w *WAL, onArrival func(*Arrival)) (ReplayStats, error) {
 	if w == nil {
 		return ReplayStats{}, fmt.Errorf("situfact: nil WAL")
