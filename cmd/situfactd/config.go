@@ -41,7 +41,7 @@ func registerFlags(fs *flag.FlagSet, cfg *config) {
 	fs.IntVar(&cfg.pipeQueue, "pipeline-queue", 0, "per-shard ingest queue depth ceiling: each queue's capacity floats between a floor and this, growing on backpressure and shrinking when calm; a full queue blocks producers (0 = 256)")
 	fs.StringVar(&cfg.pprofAddr, "pprof-addr", "", "serve net/http/pprof on this extra listener (e.g. localhost:6060); empty = off. Keep it on a loopback or firewalled port")
 	fs.StringVar(&cfg.follow, "follow", "", "run as a read-only follower of this leader base URL (e.g. http://leader:8080): bootstrap from its snapshot, replay its WAL tail; requires -state-dir as bootstrap scratch")
-	fs.DurationVar(&cfg.followPoll, "follow-poll", 500*time.Millisecond, "follower WAL-tail poll period (transient errors back the poll off exponentially from here)")
+	fs.DurationVar(&cfg.followPoll, "follow-poll", 500*time.Millisecond, "follower WAL-tail poll period, > 0 (transient errors back the poll off exponentially from here)")
 	fs.Uint64Var(&cfg.followMaxLag, "follow-max-lag", 0, "replication lag in records beyond which the follower's /healthz degrades to 503 (0 = no bound)")
 	fs.IntVar(&cfg.followRebootstrapMax, "follow-rebootstrap-max", 5, "consecutive snapshot re-bootstrap attempts a follower makes after a fatal replication error (leader WAL epoch change, truncated tail) before giving up; 0 disables self-healing")
 	fs.DurationVar(&cfg.readCacheTTL, "read-cache-ttl", 0, "front /v1/facts and /v1/facts/top with a TTL'd singleflight cache; staleness is bounded by the TTL on a leader and by replication progress on a follower (0 = off)")
@@ -129,7 +129,8 @@ func flagValueString(v any) (string, error) {
 // state is touched, so a bad config can never half-start the daemon. It
 // is the one home of every flag contradiction; requirements with richer
 // context (snapshot/flag mismatches, WAL leftovers) stay in newServer
-// where that context lives.
+// where that context lives. Defaults live in registerFlags alone: the
+// daemon does not re-default a value validate let through.
 func (cfg *config) validate() error {
 	// Ranges.
 	for _, c := range []struct {
@@ -149,8 +150,7 @@ func (cfg *config) validate() error {
 		name string
 		v    time.Duration
 	}{
-		{"-snapshot-interval", cfg.snapInterval},
-		{"-follow-poll", cfg.followPoll}, {"-read-cache-ttl", cfg.readCacheTTL},
+		{"-snapshot-interval", cfg.snapInterval}, {"-read-cache-ttl", cfg.readCacheTTL},
 		{"-shed-window", cfg.shedWindow}, {"-request-timeout", cfg.requestTimeout},
 		{"-read-timeout", cfg.readTimeout}, {"-write-timeout", cfg.writeTimeout},
 		{"-idle-timeout", cfg.idleTimeout},
@@ -158,6 +158,9 @@ func (cfg *config) validate() error {
 		if c.v < 0 {
 			return fmt.Errorf("%s must be >= 0, got %v", c.name, c.v)
 		}
+	}
+	if cfg.followPoll <= 0 {
+		return fmt.Errorf("-follow-poll must be > 0, got %v", cfg.followPoll)
 	}
 	if cfg.rateLimit < 0 {
 		return fmt.Errorf("-rate-limit must be >= 0, got %v", cfg.rateLimit)

@@ -11,17 +11,24 @@ import (
 	"time"
 )
 
+// flagConfig is the config a situfactd command line makes of args: every
+// in-process daemon a test builds starts from the flag defaults, so it
+// runs what a deployment runs unless the test says otherwise.
+func flagConfig(args ...string) config {
+	var cfg config
+	fs := flag.NewFlagSet("test", flag.ContinueOnError)
+	registerFlags(fs, &cfg)
+	if err := fs.Parse(args); err != nil {
+		panic(err)
+	}
+	return cfg
+}
+
 // validConfig is a minimal configuration that must pass validate: the
 // flag defaults plus the two required schema fields. Every table case
 // below starts here and breaks exactly one thing.
 func validConfig() config {
-	var cfg config
-	fs := flag.NewFlagSet("test", flag.ContinueOnError)
-	registerFlags(fs, &cfg)
-	if err := fs.Parse([]string{"-dims", "player,team", "-measures", "points,-fouls"}); err != nil {
-		panic(err)
-	}
-	return cfg
+	return flagConfig("-dims", "player,team", "-measures", "points,-fouls")
 }
 
 // TestConfigDefaultsAreValid pins that a bare `situfactd -dims ...
@@ -54,6 +61,7 @@ func TestConfigValidateTable(t *testing.T) {
 		{"negative request timeout", func(c *config) { c.requestTimeout = -1 }, "-request-timeout"},
 		{"negative read timeout", func(c *config) { c.readTimeout = -1 }, "-read-timeout"},
 		{"negative segment bytes", func(c *config) { c.walSegBytes = -1 }, "-wal-segment-bytes"},
+		{"zero follow poll", func(c *config) { c.followPoll = 0 }, "-follow-poll must be > 0"},
 		{"zero body cap", func(c *config) { c.maxBody = 0 }, "-max-body-bytes"},
 		{"batch cap below body cap", func(c *config) { c.maxBatchBody = c.maxBody - 1 }, "must be >= -max-body-bytes"},
 		{"wal without state dir", func(c *config) { c.wal = true }, "-wal requires -state-dir"},
@@ -251,6 +259,7 @@ func TestConfigValidateProperty(t *testing.T) {
 		func(c *config) { c.rateLimit = -float64(1 + rng.Intn(100)) },
 		func(c *config) { c.shedWindow = -dur(5000) - time.Millisecond },
 		func(c *config) { c.requestTimeout = -dur(5000) - time.Millisecond },
+		func(c *config) { c.followPoll = -dur(5000) },
 		func(c *config) { c.maxBody = -c.maxBody },
 		func(c *config) { c.maxBatchBody = c.maxBody - 1 - rng.Int63n(1000) },
 		func(c *config) { c.rateLimit = 0; c.rateBurst = 1 + rng.Intn(100) },

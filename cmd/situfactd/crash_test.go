@@ -209,9 +209,8 @@ func TestCrashRecoverySIGKILL(t *testing.T) {
 		t.Errorf("%d acked rows lost after the faulted crash, e.g. %v", len(lost), lost[0])
 	}
 
-	fcfg := config{relation: "stream", dims: "team,player", measures: "points,rebounds",
-		stateDir: t.TempDir(), follow: d4.url, followPoll: 20 * time.Millisecond}
-	_, fts := startServer(t, fcfg)
+	_, fts := startServer(t, flagConfig("-dims", "team,player", "-measures", "points,rebounds",
+		"-state-dir", t.TempDir(), "-follow", d4.url, "-follow-poll", "20ms"))
 	for _, r := range rows[:30] { // rows past the bootstrap make the follower tail
 		if !postRow(d4.url, r) {
 			t.Fatal("survivor rejected a row")

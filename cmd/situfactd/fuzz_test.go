@@ -9,6 +9,8 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	situfact "repro"
 )
 
 // FuzzParseTupleID throws arbitrary strings at the "<shard>:<tuple_id>"
@@ -27,12 +29,12 @@ func FuzzParseTupleID(f *testing.F) {
 	f.Add("+1:07")
 	f.Add("9999999999999999999999:1")
 	f.Fuzz(func(t *testing.T, id string) {
-		shard, tuple, err := parseTupleID(id)
+		shard, tuple, err := parseTupleID(id, situfact.AllShards, 1)
 		if err != nil {
 			return
 		}
 		canon := fmt.Sprintf("%d:%d", shard, tuple)
-		shard2, tuple2, err := parseTupleID(canon)
+		shard2, tuple2, err := parseTupleID(canon, situfact.AllShards, 1)
 		if err != nil {
 			t.Fatalf("canonical form %q of accepted id %q does not re-parse: %v", canon, id, err)
 		}

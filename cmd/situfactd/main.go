@@ -142,7 +142,8 @@ func newHTTPServer(cfg config, h http.Handler) *http.Server {
 }
 
 // serve runs the daemon until SIGINT/SIGTERM, then drains in-flight
-// requests, snapshots the pool, and closes it.
+// requests, checkpoints the pool if the drain finished, and closes the
+// server.
 func serve(cfg config) error {
 	s, err := newServer(cfg)
 	if err != nil {
@@ -168,19 +169,6 @@ func serve(cfg config) error {
 	srv := newHTTPServer(cfg, s.handler())
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
 	defer stop()
-
-	// snapDone joins the background snapshotter before saveState/close: a
-	// checkpoint in flight when the shutdown signal lands must finish
-	// before the pool and WAL are closed under it.
-	snapDone := make(chan struct{})
-	if cfg.stateDir != "" && cfg.snapInterval > 0 && cfg.follow == "" {
-		go func() {
-			defer close(snapDone)
-			s.snapshotLoop(ctx, cfg.snapInterval)
-		}()
-	} else {
-		close(snapDone)
-	}
 	errCh := make(chan error, 1)
 	go func() {
 		durability := "no persistence"
@@ -198,8 +186,6 @@ func serve(cfg config) error {
 
 	select {
 	case err := <-errCh:
-		stop() // release the snapshotter's context so it can exit
-		<-snapDone
 		s.close()
 		return fmt.Errorf("serve: %w", err)
 	case <-ctx.Done():
@@ -207,27 +193,22 @@ func serve(cfg config) error {
 	log.Printf("shutting down: draining requests")
 	shutdownCtx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
+	// A follower's server has no state dir: it never checkpoints.
+	dir := s.cfg.stateDir
 	var errs []error
-	drainErr := srv.Shutdown(shutdownCtx)
-	<-snapDone // ctx is done; wait out any in-flight checkpoint
-	if drainErr != nil {
-		errs = append(errs, fmt.Errorf("drain: %w", drainErr))
-	}
-	if cfg.stateDir != "" && cfg.follow == "" {
-		if drainErr != nil {
+	if err := srv.Shutdown(shutdownCtx); err != nil {
+		errs = append(errs, fmt.Errorf("drain: %w", err))
+		if dir != "" {
 			// Handlers may still be appending: a snapshot taken now could
 			// omit writes already acked 200. The previous snapshot
 			// generation stays valid, so refusing loses nothing committed —
 			// and with -wal the journal still covers every acked write.
-			log.Printf("drain incomplete; NOT snapshotting to %s (previous snapshot untouched)", cfg.stateDir)
-		} else if err := s.saveState(); err != nil {
-			errs = append(errs, err)
-		} else {
-			log.Printf("snapshotted %d tuples to %s", s.db().Len(), cfg.stateDir)
+			log.Printf("drain incomplete; NOT snapshotting to %s (previous snapshot untouched)", dir)
 		}
-	}
-	if err := s.close(); err != nil {
+	} else if err := s.checkpoint(); err != nil {
 		errs = append(errs, err)
+	} else if dir != "" {
+		log.Printf("snapshotted %d tuples to %s", s.db().Len(), dir)
 	}
-	return errors.Join(errs...)
+	return errors.Join(append(errs, s.close())...)
 }

@@ -11,6 +11,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	situfact "repro"
 )
 
 // TestOverloadSlowlorisBoundedGoroutines is the connection-lifecycle
@@ -198,7 +200,7 @@ func TestOverloadDrillShedsWithoutAckedLoss(t *testing.T) {
 		t.Fatalf("recovered %d rows, acked %d", got, want)
 	}
 	for _, a := range acked {
-		shard, tupleID, err := parseTupleID(a.id)
+		shard, tupleID, err := parseTupleID(a.id, situfact.AllShards, pool.Shards())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -218,6 +220,7 @@ func TestOverloadDrillShedsWithoutAckedLoss(t *testing.T) {
 // with the stack off entirely.
 func TestOverloadEquivalenceHighLimits(t *testing.T) {
 	plain := gamelogConfig(3, "")
+	plain.shedWindow = 0
 	_, pts := startServer(t, plain)
 
 	limited := gamelogConfig(3, "")

@@ -163,7 +163,7 @@ func TestServerPipelineRecovery(t *testing.T) {
 	for _, row := range table1 {
 		doJSON(t, http.MethodPost, ts.URL+"/v1/tuples", reqOf(row), nil)
 	}
-	if err := s.saveState(); err != nil {
+	if err := s.checkpoint(); err != nil {
 		t.Fatal(err)
 	}
 	// Tail past the checkpoint, then stop without snapshotting: the WAL

@@ -81,29 +81,15 @@ func (s *server) parseFactsQuery(pool *situfact.Pool, q url.Values) (factsQuery,
 		}
 	}
 	if v := q.Get("tuple"); v != "" {
-		if !strings.Contains(v, ":") {
-			// A bare id needs a shard to be meaningful; on a single-shard
-			// pool that is shard 0, otherwise require the explicit handle
-			// (same rule as DELETE /v1/tuples/{id}).
-			switch {
-			case fq.filter.Shard >= 0:
-				// shard= names it.
-			case pool.Shards() == 1:
-				fq.filter.Shard = 0
-			default:
-				return fq, fmt.Errorf("bare tuple id %q is ambiguous with %d shards: use <shard>:<tuple_id>", v, pool.Shards())
-			}
-		}
-		shard, tupleID, err := parseTupleID(v)
+		// shard= names the shard of a bare id.
+		shard, tupleID, err := parseTupleID(v, fq.filter.Shard, pool.Shards())
 		if err != nil {
 			return fq, err
 		}
-		if strings.Contains(v, ":") {
-			if fq.filter.Shard >= 0 && fq.filter.Shard != shard {
-				return fq, fmt.Errorf("tuple %q names shard %d but shard=%d was also given", v, shard, fq.filter.Shard)
-			}
-			fq.filter.Shard = shard
+		if fq.filter.Shard >= 0 && fq.filter.Shard != shard {
+			return fq, fmt.Errorf("tuple %q names shard %d but shard=%d was also given", v, shard, fq.filter.Shard)
 		}
+		fq.filter.Shard = shard
 		fq.filter.WithTuple = true
 		fq.filter.TupleID = tupleID
 	}
@@ -150,14 +136,8 @@ func (s *server) handleFacts(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *server) handleTuple(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
 	pool := s.db()
-	if !strings.Contains(id, ":") && pool.Shards() > 1 {
-		writeErr(w, http.StatusBadRequest,
-			fmt.Sprintf("bare tuple id %q is ambiguous with %d shards: use <shard>:<tuple_id>", id, pool.Shards()))
-		return
-	}
-	shard, tupleID, err := parseTupleID(id)
+	shard, tupleID, err := parseTupleID(r.PathValue("id"), situfact.AllShards, pool.Shards())
 	if err != nil {
 		writeErr(w, http.StatusBadRequest, err.Error())
 		return

@@ -19,6 +19,7 @@ package main
 
 import (
 	"bufio"
+	"context"
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
@@ -136,39 +137,18 @@ func (s *server) handleWALTail(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusInternalServerError, err.Error())
 		return
 	}
-	resp := walTailResponse{
-		Epoch:   s.wal.Epoch(),
-		LastLSN: lastLSN,
-		Records: make([]walRecordWire, len(recs)),
-		More:    more,
-	}
-	for i, rec := range recs {
-		resp.Records[i] = walRecordWire{
-			LSN: rec.LSN, Op: rec.Op, Shard: rec.Shard,
-			Dims: rec.Dims, Measures: rec.Measures, TupleID: rec.TupleID,
-		}
-	}
-	writeJSON(w, http.StatusOK, resp)
+	writeJSON(w, http.StatusOK, walTailResponse{Epoch: s.wal.Epoch(), LastLSN: lastLSN, Records: recs, More: more})
 }
 
 // -------------------------------------------------------------- follower
 
-// replState is a follower's replication runtime.
+// replState is a follower's replication runtime; the server's config
+// carries its poll period and re-bootstrap budget.
 type replState struct {
-	client *http.Client
-	leader string // leader base URL, no trailing slash
-	maxLag uint64 // 0 = no health bound
-	poll   time.Duration
-
-	// Re-bootstrap inputs: everything bootstrapPool needs to rebuild the
-	// follower's pool from a fresh leader snapshot after a fatal error.
-	schema         *situfact.Schema
-	bootstrapDir   string
-	rebootstrapMax int // consecutive attempts per fatal episode; 0 = disabled
-
-	stop     chan struct{}
-	done     chan struct{}
-	stopOnce sync.Once
+	client       *http.Client
+	leader       string // leader base URL, no trailing slash
+	maxLag       uint64 // 0 = no health bound
+	bootstrapDir string // scratch a (re-)bootstrap downloads the snapshot into
 
 	mu        sync.Mutex
 	epoch     string // leader WAL epoch pinned at (re-)bootstrap
@@ -196,7 +176,7 @@ func newFollower(cfg config) (*server, error) {
 	leader := strings.TrimRight(cfg.follow, "/")
 	client := &http.Client{Timeout: 5 * time.Minute}
 	bootstrapDir := filepath.Join(cfg.stateDir, "bootstrap")
-	pool, epoch, err := bootstrapPool(client, leader, bootstrapDir, schema)
+	pool, epoch, err := bootstrapPool(context.Background(), client, leader, bootstrapDir, schema)
 	if err != nil {
 		return nil, fmt.Errorf("situfactd: %w", err)
 	}
@@ -204,39 +184,20 @@ func newFollower(cfg config) (*server, error) {
 	// bootstrap only) and never starts the ingest pipeline, which would
 	// race ApplyTail.
 	cfg.stateDir = ""
-	s := &server{
-		cfg:      cfg,
-		schema:   schema,
-		measures: wires,
-		started:  time.Now(),
-		cache:    newReadCache(cfg),
-	}
-	// The same admission limits a leader enforces hold here: a follower
-	// fleet is exactly where unbounded read fan-in lands.
-	s.initAdmission()
-	s.poolv.Store(pool)
-	poll := cfg.followPoll
-	if poll <= 0 {
-		poll = 500 * time.Millisecond
-	}
+	s := serverFor(cfg, schema, wires, pool)
 	next := pool.TailCursor()
 	s.repl = &replState{
-		client:         client,
-		leader:         leader,
-		epoch:          epoch,
-		maxLag:         cfg.followMaxLag,
-		poll:           poll,
-		schema:         schema,
-		bootstrapDir:   bootstrapDir,
-		rebootstrapMax: cfg.followRebootstrapMax,
-		stop:           make(chan struct{}),
-		done:           make(chan struct{}),
-		nextLSN:        next,
-		leaderLSN:      next - 1, // lag 0 until the first poll says otherwise
+		client:       client,
+		leader:       leader,
+		maxLag:       cfg.followMaxLag,
+		bootstrapDir: bootstrapDir,
+		epoch:        epoch,
+		nextLSN:      next,
+		leaderLSN:    next - 1, // lag 0 until the first poll says otherwise
 	}
 	log.Printf("following %s from lsn %d (epoch %s, %d tuples bootstrapped)",
 		leader, next, epoch, pool.Len())
-	go s.repl.run(s)
+	s.run(func(ctx context.Context) { s.repl.run(ctx, s) })
 	return s, nil
 }
 
@@ -245,14 +206,14 @@ func newFollower(cfg config) (*server, error) {
 // torn download is never worth salvaging) and restores a serving pool
 // from it. Shared by the initial bootstrap and the automatic re-bootstrap
 // after a fatal replication error.
-func bootstrapPool(client *http.Client, leader, bootstrapDir string, schema *situfact.Schema) (*situfact.Pool, string, error) {
+func bootstrapPool(ctx context.Context, client *http.Client, leader, bootstrapDir string, schema *situfact.Schema) (*situfact.Pool, string, error) {
 	if err := os.RemoveAll(bootstrapDir); err != nil {
 		return nil, "", fmt.Errorf("clearing %s: %w", bootstrapDir, err)
 	}
 	if err := os.MkdirAll(bootstrapDir, 0o755); err != nil {
 		return nil, "", err
 	}
-	if err := fetchSnapshot(client, leader, bootstrapDir); err != nil {
+	if err := fetchSnapshot(ctx, client, leader, bootstrapDir); err != nil {
 		return nil, "", fmt.Errorf("bootstrap from %s: %w", leader, err)
 	}
 	pool, _, err := situfact.RestorePool(schema, bootstrapDir)
@@ -273,17 +234,13 @@ func bootstrapPool(client *http.Client, leader, bootstrapDir string, schema *sit
 // file lands via an atomic write; the manifest arrives last, so a
 // truncated stream leaves no manifest and the error below fires instead
 // of a half-restored pool.
-func fetchSnapshot(client *http.Client, leader, dir string) error {
-	resp, err := client.Get(leader + "/v1/snapshot")
+func fetchSnapshot(ctx context.Context, client *http.Client, leader, dir string) error {
+	body, err := getOK(ctx, client, leader+"/v1/snapshot")
 	if err != nil {
 		return err
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		body, _ := io.ReadAll(io.LimitReader(resp.Body, 1024))
-		return fmt.Errorf("leader returned %s: %s", resp.Status, strings.TrimSpace(string(body)))
-	}
-	br := bufio.NewReader(resp.Body)
+	defer body.Close()
+	br := bufio.NewReader(body)
 	magic := make([]byte, len(snapshotStreamMagic))
 	if _, err := io.ReadFull(br, magic); err != nil {
 		return fmt.Errorf("reading stream header: %w", err)
@@ -330,42 +287,51 @@ func fetchSnapshot(client *http.Client, leader, dir string) error {
 	return nil
 }
 
-// shutdown stops the tail loop and waits it out; safe to call twice.
-func (r *replState) shutdown() {
-	r.stopOnce.Do(func() { close(r.stop) })
-	<-r.done
+// getOK GETs url from the leader under ctx and returns the body of a 200;
+// any other status is an error quoting the leader's answer.
+func getOK(ctx context.Context, client *http.Client, url string) (io.ReadCloser, error) {
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
+	if err != nil {
+		return nil, err
+	}
+	resp, err := client.Do(req)
+	if err != nil {
+		return nil, err
+	}
+	if resp.StatusCode != http.StatusOK {
+		defer resp.Body.Close()
+		body, _ := io.ReadAll(io.LimitReader(resp.Body, 1024))
+		return nil, fmt.Errorf("leader returned %s: %s", resp.Status, strings.TrimSpace(string(body)))
+	}
+	return resp.Body, nil
 }
 
-// run is the follower's tail loop: drain the leader's WAL, sleep, repeat.
-// Healthy polls sleep one poll period; transient failures back off
-// exponentially (capped, ±25% jitter so a follower fleet does not retry
-// in lockstep) instead of hammering a struggling leader at full poll
-// rate. A fatal error hands off to rebootstrap; the loop exits only on
-// stop or an exhausted re-bootstrap budget.
-func (r *replState) run(s *server) {
-	defer close(r.done)
+// run is the follower's tail loop: drain the leader's WAL, sleep, repeat,
+// until ctx ends. Healthy polls sleep one poll period; transient failures
+// back off exponentially (capped and jittered) instead of hammering a
+// struggling leader at full poll rate. A fatal error hands off to
+// rebootstrap; an exhausted re-bootstrap budget also ends the loop.
+func (r *replState) run(ctx context.Context, s *server) {
 	rng := rand.New(rand.NewSource(time.Now().UnixNano()))
-	maxDelay := max(min(32*r.poll, 30*time.Second), r.poll)
-	delay := r.poll
+	poll := s.cfg.followPoll
+	maxDelay := max(min(32*poll, 30*time.Second), poll)
+	delay := poll
 	for {
-		healthy := r.drain(s)
-		if r.fatalReason() != "" {
-			if !r.rebootstrap(s, rng) {
+		healthy := r.drain(ctx, s)
+		switch {
+		case r.fatalReason() != "":
+			if !r.rebootstrap(ctx, s, rng) {
 				return // budget exhausted or disabled: stay fatal until restarted
 			}
-			delay = r.poll
+			delay = poll
 			continue
-		}
-		if healthy {
-			delay = r.poll
-		} else {
+		case healthy:
+			delay = poll
+		default:
 			delay = min(2*delay, maxDelay)
 		}
-		jittered := delay + time.Duration((rng.Float64()-0.5)*0.5*float64(delay))
-		select {
-		case <-r.stop:
+		if !sleep(ctx, jitter(rng, delay)) {
 			return
-		case <-time.After(jittered):
 		}
 	}
 }
@@ -379,25 +345,24 @@ func (r *replState) fatalReason() string {
 // rebootstrap heals a fatal replication error without a restart: it
 // re-runs the snapshot bootstrap and swaps the restored pool in under
 // live readers (handlers hold the old pool at most for the request that
-// loaded it). Up to rebootstrapMax consecutive download attempts are
-// made, backing off between failures; it reports whether replication may
-// continue. The old pool is left to the garbage collector — follower
+// loaded it). Up to -follow-rebootstrap-max consecutive download attempts
+// are made, backing off between failures; it reports whether replication
+// may continue. The old pool is left to the garbage collector — follower
 // pools own no WAL or pipeline, so there is nothing to close out from
 // under in-flight readers.
-func (r *replState) rebootstrap(s *server, rng *rand.Rand) bool {
-	if r.rebootstrapMax <= 0 {
+func (r *replState) rebootstrap(ctx context.Context, s *server, rng *rand.Rand) bool {
+	budget := s.cfg.followRebootstrapMax
+	if budget <= 0 {
 		return false
 	}
-	backoff := r.poll
-	for attempt := 1; attempt <= r.rebootstrapMax; attempt++ {
-		select {
-		case <-r.stop:
+	backoff := s.cfg.followPoll
+	for attempt := 1; attempt <= budget; attempt++ {
+		if ctx.Err() != nil {
 			return false
-		default:
 		}
 		log.Printf("re-bootstrapping from %s (attempt %d/%d) after: %s",
-			r.leader, attempt, r.rebootstrapMax, r.fatalReason())
-		pool, epoch, err := bootstrapPool(r.client, r.leader, r.bootstrapDir, r.schema)
+			r.leader, attempt, budget, r.fatalReason())
+		pool, epoch, err := bootstrapPool(ctx, r.client, r.leader, r.bootstrapDir, s.schema)
 		if err == nil {
 			s.poolv.Store(pool)
 			// Everything cached predates the new pool.
@@ -418,33 +383,25 @@ func (r *replState) rebootstrap(s *server, rng *rand.Rand) bool {
 				n, r.leader, next, epoch, pool.Len())
 			return true
 		}
-		log.Printf("re-bootstrap attempt %d/%d failed: %v", attempt, r.rebootstrapMax, err)
-		if attempt == r.rebootstrapMax {
+		log.Printf("re-bootstrap attempt %d/%d failed: %v", attempt, budget, err)
+		if attempt == budget {
 			break
 		}
-		jittered := backoff + time.Duration((rng.Float64()-0.5)*0.5*float64(backoff))
-		select {
-		case <-r.stop:
+		if !sleep(ctx, jitter(rng, backoff)) {
 			return false
-		case <-time.After(jittered):
 		}
 		backoff = min(2*backoff, 30*time.Second)
 	}
-	log.Printf("re-bootstrap budget (%d) exhausted; replication stays stopped until this follower is restarted", r.rebootstrapMax)
+	log.Printf("re-bootstrap budget (%d) exhausted; replication stays stopped until this follower is restarted", budget)
 	return false
 }
 
 // drain polls and applies WAL batches until the leader has no more, a
-// transient error says back off and retry, or a fatal error hands off to
-// re-bootstrap. It reports false exactly when a transient error ended the
-// drain — the signal run uses to back its poll delay off.
-func (r *replState) drain(s *server) bool {
-	for {
-		select {
-		case <-r.stop:
-			return true
-		default:
-		}
+// transient error says back off and retry, a fatal error hands off to
+// re-bootstrap, or ctx ends. It reports false exactly when a transient
+// error ended the drain — the signal run uses to back its poll delay off.
+func (r *replState) drain(ctx context.Context, s *server) bool {
+	for ctx.Err() == nil {
 		r.mu.Lock()
 		if r.fatal != "" {
 			r.mu.Unlock()
@@ -454,7 +411,7 @@ func (r *replState) drain(s *server) bool {
 		r.mu.Unlock()
 		pool := s.db()
 
-		resp, err := r.pollTail(from)
+		resp, err := r.pollTail(ctx, from)
 		if err != nil {
 			r.mu.Lock()
 			r.lastErr = err.Error()
@@ -471,14 +428,7 @@ func (r *replState) drain(s *server) bool {
 			r.setFatal(fmt.Sprintf("leader truncated wal records %d..%d before they replicated", from, resp.Records[0].LSN-1))
 			return true
 		}
-		if len(resp.Records) > 0 {
-			recs := make([]situfact.TailRecord, len(resp.Records))
-			for i, rec := range resp.Records {
-				recs[i] = situfact.TailRecord{
-					LSN: rec.LSN, Op: rec.Op, Shard: rec.Shard,
-					Dims: rec.Dims, Measures: rec.Measures, TupleID: rec.TupleID,
-				}
-			}
+		if recs := resp.Records; len(recs) > 0 {
 			before := pool.ShardLSNs()
 			stats, err := pool.ApplyTail(resp.Epoch, recs, nil)
 			r.mu.Lock()
@@ -513,6 +463,7 @@ func (r *replState) drain(s *server) bool {
 			return true
 		}
 	}
+	return true
 }
 
 // invalidatorFor builds the read-cache eviction predicate for a tail
@@ -546,19 +497,14 @@ func invalidatorFor(before, after []uint64) func(key string) bool {
 }
 
 // pollTail fetches one WAL batch from the leader.
-func (r *replState) pollTail(from uint64) (*walTailResponse, error) {
-	url := fmt.Sprintf("%s/v1/wal?from_lsn=%d&max=%d", r.leader, from, walTailDefaultMax)
-	resp, err := r.client.Get(url)
+func (r *replState) pollTail(ctx context.Context, from uint64) (*walTailResponse, error) {
+	body, err := getOK(ctx, r.client, fmt.Sprintf("%s/v1/wal?from_lsn=%d&max=%d", r.leader, from, walTailDefaultMax))
 	if err != nil {
 		return nil, err
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		body, _ := io.ReadAll(io.LimitReader(resp.Body, 1024))
-		return nil, fmt.Errorf("leader returned %s: %s", resp.Status, strings.TrimSpace(string(body)))
-	}
+	defer body.Close()
 	var tail walTailResponse
-	if err := json.NewDecoder(resp.Body).Decode(&tail); err != nil {
+	if err := json.NewDecoder(body).Decode(&tail); err != nil {
 		return nil, fmt.Errorf("decoding wal tail: %w", err)
 	}
 	return &tail, nil

@@ -415,7 +415,11 @@ func TestFollowerEpochMismatch(t *testing.T) {
 		}
 	}
 
-	_, fts := followerOf(t, stub.URL, 1)
+	fcfg := gamelogConfig(1, t.TempDir())
+	fcfg.follow = stub.URL
+	fcfg.followPoll = 20 * time.Millisecond
+	fcfg.followRebootstrapMax = 0 // park on the fatal error
+	_, fts := startServer(t, fcfg)
 	waitApplied(t, fts.URL, 2)
 
 	// Swap in leader B: same URL, different WAL epoch, different history.
@@ -474,17 +478,8 @@ func TestFollowerConvergesAcrossLeaderCrash(t *testing.T) {
 	segFlag := []string{"-wal-segment-bytes", "1048576"}
 
 	d := startDaemonAt(t, bin, leaderDir, addr, segFlag...)
-	fcfg := config{
-		relation:   "stream", // the binary's -relation default
-		dims:       "team,player",
-		measures:   "points,rebounds",
-		shards:     3,
-		shardDim:   "team",
-		stateDir:   t.TempDir(),
-		follow:     d.url,
-		followPoll: 20 * time.Millisecond,
-	}
-	_, fts := startServer(t, fcfg)
+	_, fts := startServer(t, flagConfig("-dims", "team,player", "-measures", "points,rebounds",
+		"-state-dir", t.TempDir(), "-follow", d.url, "-follow-poll", "20ms"))
 
 	acked := make(chan int, 1)
 	go func() {
@@ -608,5 +603,46 @@ func TestFollowerMaxLagHealth(t *testing.T) {
 	waitApplied(t, fts.URL, 5)
 	if status, h := healthStatus(t, fts.URL); status != http.StatusOK || h.Status != "ok" {
 		t.Fatalf("follower caught up again: /healthz %d %+v, want 200 ok", status, h)
+	}
+}
+
+// TestServerWALTailPage pins one GET /v1/wal page byte for byte: each
+// record is a situfact.TailRecord in its JSON form — an append with its
+// row, an LSN a WAL repair burned as a bare noop, a delete with its tuple.
+func TestServerWALTailPage(t *testing.T) {
+	cfg := walConfig(1, t.TempDir())
+	cfg.faultPlan = "fsync:from=999999" // inert; a torn write is armed below
+	s, ts := startServer(t, cfg)
+	defer s.close()
+	for i, row := range table1[:2] {
+		if st, _ := postStatus(t, ts.URL, row); st != http.StatusOK {
+			t.Fatalf("row %d: status %d", i, st)
+		}
+	}
+	if err := s.faults.Program("write:short-at=1"); err != nil {
+		t.Fatal(err)
+	}
+	if st, _ := postStatus(t, ts.URL, table1[2]); st != http.StatusServiceUnavailable {
+		t.Fatalf("row torn on its way to the log: status %d, want 503", st)
+	}
+	s.faults.Clear()
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(5 * time.Millisecond) {
+		if wal := getMetrics(t, ts.URL).WAL; wal.Repairs >= 1 && !wal.Degraded {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the repair loop never healed the torn log")
+		}
+	}
+	if resp := doJSON(t, "DELETE", ts.URL+"/v1/tuples/0:1", nil, nil); resp.StatusCode != http.StatusNoContent {
+		t.Fatalf("DELETE 0:1: status %d", resp.StatusCode)
+	}
+	want := `{"epoch":"` + s.wal.Epoch() + `","last_lsn":4,"records":[` +
+		`{"lsn":1,"op":"append","shard":0,"dims":["Bogues","Feb","1991-92","Hornets","Hawks"],"measures":[4,12,5]},` +
+		`{"lsn":2,"op":"append","shard":0,"dims":["Seikaly","Feb","1991-92","Heat","Hawks"],"measures":[24,5,15]},` +
+		`{"lsn":3,"op":"noop","shard":0},` +
+		`{"lsn":4,"op":"delete","shard":0,"tuple_id":1}],"more":false}` + "\n"
+	if status, got := getBody(t, ts.URL+"/v1/wal?from_lsn=1"); status != http.StatusOK || string(got) != want {
+		t.Errorf("GET /v1/wal: %d\n got %s\nwant %s", status, got, want)
 	}
 }

@@ -10,6 +10,7 @@ import (
 	"io"
 	"log"
 	"math"
+	"math/rand"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -43,7 +44,7 @@ type config struct {
 	pipeQueue    int           // per-shard ingest queue depth (0 = 256)
 	pprofAddr    string        // extra net/http/pprof listener; "" = off
 	follow       string        // leader base URL; non-empty = read-only follower
-	followPoll   time.Duration // follower WAL-tail poll period (0 = 500ms)
+	followPoll   time.Duration // follower WAL-tail poll period (> 0)
 	followMaxLag uint64        // replication lag (records) beyond which /healthz degrades
 	readCacheTTL time.Duration // TTL of the read cache over /v1/facts{,/top}; 0 = off
 	faultPlan    string        // faultfs plan injected under the WAL (testing only); "" = none
@@ -101,9 +102,6 @@ type server struct {
 	faults *faultfs.Faulty
 	// walRepairs counts successful background WAL repairs this process.
 	walRepairs atomic.Uint64
-	repairStop chan struct{} // closes to stop walRepairLoop; nil without -wal
-	repairDone chan struct{}
-	repairOnce sync.Once
 
 	// Admission control (nil members = that layer is off; every accessor
 	// on them is nil-safe). limiter and admit protect leaders and
@@ -113,11 +111,12 @@ type server struct {
 	admit   *middleware.Gate
 	shedder *middleware.Shedder
 	panics  atomic.Uint64 // handler panics Recover turned into 500s
-	// shedStop/shedDone bound the backpressure sampler goroutine
-	// (shedLoop); nil when the shedder is off.
-	shedStop chan struct{}
-	shedDone chan struct{}
-	shedOnce sync.Once
+
+	// Background work (see run): every loop runs under ctx, and close
+	// cancels it and waits on loops before it closes what they use.
+	ctx    context.Context
+	cancel context.CancelFunc
+	loops  sync.WaitGroup
 
 	// stateMu serialises checkpoints (background snapshotter vs shutdown).
 	stateMu sync.Mutex
@@ -163,10 +162,6 @@ func newServer(cfg config) (*server, error) {
 	if err != nil {
 		return nil, err
 	}
-	algo := cfg.algo
-	if algo == "" {
-		algo = string(situfact.AlgoSBottomUp)
-	}
 	var pool *situfact.Pool
 	if cfg.stateDir != "" {
 		// The manifest's sidecars are ignored: this daemon writes none, and
@@ -192,8 +187,8 @@ func newServer(cfg config) (*server, error) {
 			if d := strings.TrimSpace(cfg.shardDim); d != "" && d != pool.ShardDim() {
 				log.Printf("warning: -shard-dim %s ignored, snapshot routes by %s", d, pool.ShardDim())
 			}
-			if !strings.EqualFold(pool.Algorithm(), algo) {
-				log.Printf("warning: -algo %s ignored, snapshot was taken under %s", algo, pool.Algorithm())
+			if !strings.EqualFold(pool.Algorithm(), cfg.algo) {
+				log.Printf("warning: -algo %s ignored, snapshot was taken under %s", cfg.algo, pool.Algorithm())
 			}
 			if cfg.dhat != 0 || cfg.mhat != 0 {
 				log.Printf("warning: -dhat/-mhat are pinned by the snapshot; flag values ignored")
@@ -205,7 +200,7 @@ func newServer(cfg config) (*server, error) {
 			Shards:   cfg.shards,
 			ShardDim: strings.TrimSpace(cfg.shardDim),
 			Engine: situfact.Options{
-				Algorithm:      situfact.Algorithm(algo),
+				Algorithm:      situfact.Algorithm(cfg.algo),
 				MaxBoundDims:   cfg.dhat,
 				MaxMeasureDims: cfg.mhat,
 			},
@@ -213,18 +208,50 @@ func newServer(cfg config) (*server, error) {
 		if err != nil {
 			// NewPool refuses every algorithm but bottomup and sbottomup, in
 			// the read path's own words.
-			return nil, fmt.Errorf("situfactd: -algo %s: %w", algo, err)
+			return nil, fmt.Errorf("situfactd: -algo %s: %w", cfg.algo, err)
 		}
 	}
+	s := serverFor(cfg, schema, wires, pool)
+	if err := s.startLeader(); err != nil {
+		s.close()
+		return nil, err
+	}
+	return s, nil
+}
+
+// serverFor wraps a built pool in a server: the read cache and admission
+// layers the config asks for, and the context its background loops run
+// under. Leaders and followers share it, so every limit a leader enforces
+// holds on its followers too — a follower fleet is exactly where unbounded
+// read fan-in lands. Layers the config leaves at zero come back nil, and
+// every middleware accessor treats nil as "off".
+func serverFor(cfg config, schema *situfact.Schema, wires []measureWire, pool *situfact.Pool) *server {
 	s := &server{
 		cfg:      cfg,
 		schema:   schema,
 		measures: wires,
 		started:  time.Now(),
-		cache:    newReadCache(cfg),
+		limiter:  middleware.NewLimiter(cfg.rateLimit, cfg.rateBurst),
+		admit:    middleware.NewGate(cfg.maxInflight),
 	}
-	s.initAdmission()
+	if cfg.readCacheTTL > 0 {
+		s.cache = readcache.New(cfg.readCacheTTL)
+	}
+	if cfg.follow == "" {
+		// Shedding watches the ingest pipeline's backpressure; a follower
+		// runs none, so there is nothing to watch.
+		s.shedder = middleware.NewShedder(cfg.shedWindow)
+	}
+	s.ctx, s.cancel = context.WithCancel(context.Background())
 	s.poolv.Store(pool)
+	return s
+}
+
+// startLeader brings a leader's pool into service: it refuses a journal a
+// -wal run left behind, replays and attaches the WAL, starts the ingest
+// pipeline and then the background loops. On error the caller closes s.
+func (s *server) startLeader() error {
+	cfg, pool := s.cfg, s.db()
 	if !cfg.wal && cfg.stateDir != "" {
 		// A journal from a prior -wal run may hold acknowledged rows past
 		// the newest snapshot; starting without -wal would silently drop
@@ -234,20 +261,18 @@ func newServer(cfg config) (*server, error) {
 		ents, err := os.ReadDir(walDir)
 		switch {
 		case err == nil && len(ents) > 0:
-			pool.Close()
-			return nil, fmt.Errorf("situfactd: %s holds a write-ahead log but -wal is off: "+
+			return fmt.Errorf("situfactd: %s holds a write-ahead log but -wal is off: "+
 				"its unreplayed tail would be silently dropped; restart with -wal, or move the wal directory away to discard it", walDir)
 		case err != nil && !os.IsNotExist(err):
 			// Unreadable is not the same as absent — starting anyway could
 			// silently drop the very tail the guard protects.
-			pool.Close()
-			return nil, fmt.Errorf("situfactd: checking %s for a leftover write-ahead log: %w", walDir, err)
+			return fmt.Errorf("situfactd: checking %s for a leftover write-ahead log: %w", walDir, err)
 		}
 	}
 	if cfg.faultPlan != "" {
 		faults, err := faultfs.NewWithPlan(faultfs.OS, cfg.faultPlan)
 		if err != nil {
-			return nil, fmt.Errorf("situfactd: %w", err)
+			return fmt.Errorf("situfactd: %w", err)
 		}
 		s.faults = faults
 		log.Printf("FAULT INJECTION ACTIVE (testing only): %s", cfg.faultPlan)
@@ -259,48 +284,73 @@ func newServer(cfg config) (*server, error) {
 		}
 		wal, err := situfact.OpenWAL(pool, filepath.Join(cfg.stateDir, "wal"), opts)
 		if err != nil {
-			pool.Close()
-			return nil, fmt.Errorf("situfactd: %w", err)
+			return fmt.Errorf("situfactd: %w", err)
 		}
+		s.wal = wal
 		// Replay through the write path, unobserved: the tail changes the
 		// pool's state exactly as the original requests did, and nobody
 		// reads the facts they reported, so they are not ranked again.
 		began := time.Now()
 		stats, err := pool.ReplayWAL(wal, nil)
 		if err != nil {
-			wal.Close()
-			pool.Close()
-			return nil, fmt.Errorf("situfactd: wal replay: %w", err)
+			return fmt.Errorf("situfactd: wal replay: %w", err)
 		}
 		if stats.Records > 0 {
 			log.Printf("wal: replayed %d records (%d applied, %d already in snapshot, %d re-failed) in %s; %d tuples live",
 				stats.Records, stats.Applied, stats.Skipped, stats.Failed, time.Since(began).Round(100*time.Microsecond), pool.Len())
 		}
 		if err := pool.AttachWAL(wal); err != nil {
-			wal.Close()
-			pool.Close()
-			return nil, fmt.Errorf("situfactd: %w", err)
+			return fmt.Errorf("situfactd: %w", err)
 		}
-		s.wal = wal
 	}
-	// The pipeline starts last: recovery (restore + replay) applies its
-	// records inline, and every live request from here on batches through
+	// The pipeline starts after recovery (restore + replay), which applies
+	// its records inline; every live request from here on batches through
 	// the per-shard writers, each queue's capacity floating up to
 	// -pipeline-queue.
 	if err := pool.StartPipeline(situfact.PipelineOptions{
 		QueueDepth:    cfg.pipeQueue,
 		AdaptiveQueue: true,
 	}); err != nil {
-		s.close()
-		return nil, fmt.Errorf("situfactd: %w", err)
+		return fmt.Errorf("situfactd: %w", err)
 	}
-	s.startShedLoop()
+	if cfg.stateDir != "" && cfg.snapInterval > 0 {
+		s.run(s.snapshotLoop)
+	}
+	if s.shedder != nil {
+		s.run(s.shedLoop)
+	}
 	if s.wal != nil {
-		s.repairStop = make(chan struct{})
-		s.repairDone = make(chan struct{})
-		go s.walRepairLoop()
+		s.run(s.walRepairLoop)
 	}
-	return s, nil
+	return nil
+}
+
+// run starts fn as one of the server's background loops. fn must return
+// once ctx ends; close cancels ctx and waits for it before closing the
+// pool and the WAL it works on.
+func (s *server) run(fn func(ctx context.Context)) {
+	s.loops.Add(1)
+	go func() {
+		defer s.loops.Done()
+		fn(s.ctx)
+	}()
+}
+
+// sleep waits d, reporting false instead if ctx ends first: every
+// background loop paces itself with it, so close never waits out a period.
+func sleep(ctx context.Context, d time.Duration) bool {
+	select {
+	case <-ctx.Done():
+		return false
+	case <-time.After(d):
+		return true
+	}
+}
+
+// jitter spreads d by up to ±25 %, so a fleet retrying the same failure
+// does not retry in lockstep.
+func jitter(rng *rand.Rand, d time.Duration) time.Duration {
+	return d + time.Duration((rng.Float64()-0.5)*0.5*float64(d))
 }
 
 // walRepairLoop watches the log for a sticky failure and retries
@@ -308,17 +358,11 @@ func newServer(cfg config) (*server, error) {
 // mode: a relieved ENOSPC or transient device error clears without a
 // process restart, and writers that were receiving 503s resume. See
 // docs/ARCHITECTURE.md "Failure domains & degraded mode".
-func (s *server) walRepairLoop() {
-	defer close(s.repairDone)
+func (s *server) walRepairLoop(ctx context.Context) {
 	const probe = 50 * time.Millisecond
 	const maxBackoff = 5 * time.Second
 	backoff := probe
-	for {
-		select {
-		case <-s.repairStop:
-			return
-		case <-time.After(backoff):
-		}
+	for sleep(ctx, backoff) {
 		if s.wal.Err() == nil {
 			backoff = probe
 			continue
@@ -353,44 +397,10 @@ func (s *server) routes() map[string]http.HandlerFunc {
 	}
 }
 
-// newReadCache builds the read cache when -read-cache-ttl asks for one.
-func newReadCache(cfg config) *readcache.Cache {
-	if cfg.readCacheTTL <= 0 {
-		return nil
-	}
-	return readcache.New(cfg.readCacheTTL)
-}
-
-// initAdmission builds the admission layers from the config. Both
-// constructors (newServer and newFollower) call it, so every limit a
-// leader enforces holds on its followers too. Layers the config leaves
-// at zero come back nil, and every middleware accessor treats nil as
-// "off".
-func (s *server) initAdmission() {
-	s.limiter = middleware.NewLimiter(s.cfg.rateLimit, s.cfg.rateBurst)
-	s.admit = middleware.NewGate(s.cfg.maxInflight)
-	if s.cfg.follow == "" && s.cfg.shedWindow > 0 {
-		// Shedding watches the ingest pipeline's backpressure; a follower
-		// runs none, so there is nothing to watch.
-		s.shedder = middleware.NewShedder(s.cfg.shedWindow)
-	}
-}
-
 // shedSamplePeriod is how often shedLoop samples the pipeline for
 // sustained backpressure; it must divide the -shed-window finely enough
 // that a calm sample inside the window resets it.
 const shedSamplePeriod = 50 * time.Millisecond
-
-// startShedLoop launches the backpressure sampler when a shedder is
-// configured; a no-op otherwise. Called after StartPipeline.
-func (s *server) startShedLoop() {
-	if s.shedder == nil {
-		return
-	}
-	s.shedStop = make(chan struct{})
-	s.shedDone = make(chan struct{})
-	go s.shedLoop()
-}
 
 // shedLoop feeds the shedder its saturation signal: the pipeline is
 // saturated when producers blocked on a full queue since the last sample
@@ -399,47 +409,22 @@ func (s *server) startShedLoop() {
 // growing; the second alone would trip on a queue that is full but
 // draining fine. Only both, sustained across the whole -shed-window,
 // turn shedding on — and one calm sample turns it back off.
-func (s *server) shedLoop() {
-	defer close(s.shedDone)
-	t := time.NewTicker(shedSamplePeriod)
-	defer t.Stop()
+func (s *server) shedLoop(ctx context.Context) {
 	var lastFullWaits uint64
-	for {
-		select {
-		case <-s.shedStop:
-			return
-		case now := <-t.C:
-			sum := s.db().IngestSummary()
-			saturated := false
-			if sum.FullWaits > lastFullWaits {
-				for _, st := range sum.PerShard {
-					if st.Depth >= st.Cap {
-						saturated = true
-						break
-					}
+	for sleep(ctx, shedSamplePeriod) {
+		sum := s.db().IngestSummary()
+		saturated := false
+		if sum.FullWaits > lastFullWaits {
+			for _, st := range sum.PerShard {
+				if st.Depth >= st.Cap {
+					saturated = true
+					break
 				}
 			}
-			lastFullWaits = sum.FullWaits
-			s.shedder.Observe(saturated, now)
 		}
+		lastFullWaits = sum.FullWaits
+		s.shedder.Observe(saturated, time.Now())
 	}
-}
-
-// maxBodyBytes / maxBatchBytes are the request body caps, defaulted here
-// rather than in the config so in-process tests that build a bare config
-// keep the production caps.
-func (s *server) maxBodyBytes() int64 {
-	if s.cfg.maxBody > 0 {
-		return s.cfg.maxBody
-	}
-	return 1 << 20
-}
-
-func (s *server) maxBatchBytes() int64 {
-	if s.cfg.maxBatchBody > 0 {
-		return s.cfg.maxBatchBody
-	}
-	return 32 << 20
 }
 
 // handler routes the API behind the admission and lifecycle middleware.
@@ -476,13 +461,10 @@ func (s *server) handler() http.Handler {
 	return middleware.Chain(layers...)(mux)
 }
 
-// saveState commits a checkpoint; a no-op without -state-dir. It is the
-// graceful-shutdown entry point and shares checkpoint's serialisation
-// with the background snapshotter.
-func (s *server) saveState() error { return s.checkpoint() }
-
 // checkpoint snapshots every shard into the state dir and truncates WAL
-// segments the new generation covers.
+// segments the new generation covers; a no-op without -state-dir. The
+// background snapshotter and graceful shutdown both call it, and stateMu
+// serialises them.
 func (s *server) checkpoint() error {
 	if s.cfg.stateDir == "" {
 		return nil
@@ -516,39 +498,23 @@ func (s *server) checkpointLocked() (situfact.CheckpointStats, error) {
 	return stats, nil
 }
 
-// snapshotLoop checkpoints on a fixed period until ctx is cancelled — the
+// snapshotLoop checkpoints every -snapshot-interval until ctx ends — the
 // background companion to the WAL: the log bounds data loss, the loop
 // bounds the log.
-func (s *server) snapshotLoop(ctx context.Context, every time.Duration) {
-	t := time.NewTicker(every)
-	defer t.Stop()
-	for {
-		select {
-		case <-ctx.Done():
-			return
-		case <-t.C:
-			if err := s.checkpoint(); err != nil {
-				log.Printf("background checkpoint: %v", err)
-			}
+func (s *server) snapshotLoop(ctx context.Context) {
+	for sleep(ctx, s.cfg.snapInterval) {
+		if err := s.checkpoint(); err != nil {
+			log.Printf("background checkpoint: %v", err)
 		}
 	}
 }
 
+// close stops the background loops — a checkpoint, repair or tail batch
+// in flight finishes first — and then closes the pool and the WAL they
+// work on.
 func (s *server) close() error {
-	if s.repl != nil {
-		// Stop the replication loop before the pool it applies into.
-		s.repl.shutdown()
-	}
-	if s.shedStop != nil {
-		// Stop the backpressure sampler before the pool it samples.
-		s.shedOnce.Do(func() { close(s.shedStop) })
-		<-s.shedDone
-	}
-	if s.repairStop != nil {
-		// Stop the repair loop before the WAL it repairs.
-		s.repairOnce.Do(func() { close(s.repairStop) })
-		<-s.repairDone
-	}
+	s.cancel()
+	s.loops.Wait()
 	err := s.db().Close()
 	if s.wal != nil {
 		err = errors.Join(err, s.wal.Close())
@@ -728,7 +694,7 @@ func (s *server) handleAppend(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req tupleRequest
-	if !decodeBody(w, r, s.maxBodyBytes(), &req) || !validTop(w, req.Top) {
+	if !decodeBody(w, r, s.cfg.maxBody, &req) || !validTop(w, req.Top) {
 		return
 	}
 	arr, err := s.db().AppendContext(r.Context(), req.Dims, req.Measures, cmp.Or(req.Top, math.MaxInt))
@@ -755,7 +721,7 @@ func (s *server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req batchRequest
-	if !decodeBody(w, r, s.maxBatchBytes(), &req) || !validTop(w, req.Top) {
+	if !decodeBody(w, r, s.cfg.maxBatchBody, &req) || !validTop(w, req.Top) {
 		return
 	}
 	if len(req.Rows) == 0 {
@@ -794,16 +760,8 @@ func (s *server) handleDelete(w http.ResponseWriter, r *http.Request) {
 	if s.rejectOnFollower(w) {
 		return
 	}
-	id := r.PathValue("id")
 	pool := s.db()
-	if !strings.Contains(id, ":") && pool.Shards() > 1 {
-		// A bare number would silently target shard 0 — on a multi-shard
-		// pool that could retract the wrong tuple, so refuse it loudly.
-		writeErr(w, http.StatusBadRequest,
-			fmt.Sprintf("bare tuple id %q is ambiguous with %d shards: use <shard>:<tuple_id>", id, pool.Shards()))
-		return
-	}
-	shard, tupleID, err := parseTupleID(id)
+	shard, tupleID, err := parseTupleID(r.PathValue("id"), situfact.AllShards, pool.Shards())
 	if err != nil {
 		writeErr(w, http.StatusBadRequest, err.Error())
 		return
@@ -896,18 +854,26 @@ func toArrival(arr *situfact.Arrival) arrivalResponse {
 	return resp
 }
 
-// parseTupleID parses the "<shard>:<tuple_id>" handle; a bare number is
-// accepted as shard 0 for single-shard deployments.
-func parseTupleID(id string) (shard int, tupleID int64, err error) {
+// parseTupleID resolves a "<shard>:<tuple_id>" handle on a pool of shards
+// shards. A bare tuple id is of shard bare, the shard the request names
+// elsewhere; with bare AllShards it is of shard 0 on a single-shard pool
+// and refused on a multi-shard one, where it could retract or read the
+// wrong tuple.
+func parseTupleID(id string, bare, shards int) (shard int, tupleID int64, err error) {
 	shardStr, tupleStr, found := strings.Cut(id, ":")
-	if !found {
-		shardStr, tupleStr = "0", id
+	switch {
+	case found:
+		shard, err = strconv.Atoi(shardStr)
+	case bare != situfact.AllShards:
+		shard, tupleStr = bare, id
+	case shards == 1:
+		tupleStr = id
+	default:
+		return 0, 0, fmt.Errorf("bare tuple id %q is ambiguous with %d shards: use <shard>:<tuple_id>", id, shards)
 	}
-	shard, err = strconv.Atoi(shardStr)
-	if err != nil {
-		return 0, 0, fmt.Errorf("bad tuple id %q: want <shard>:<tuple_id>", id)
+	if err == nil {
+		tupleID, err = strconv.ParseInt(tupleStr, 10, 64)
 	}
-	tupleID, err = strconv.ParseInt(tupleStr, 10, 64)
 	if err != nil {
 		return 0, 0, fmt.Errorf("bad tuple id %q: want <shard>:<tuple_id>", id)
 	}

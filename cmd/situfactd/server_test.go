@@ -10,7 +10,9 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"slices"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -41,14 +43,9 @@ var wesley = rowWire{
 func reqOf(r rowWire) tupleRequest { return tupleRequest{Dims: r.Dims, Measures: r.Measures} }
 
 func gamelogConfig(shards int, stateDir string) config {
-	return config{
-		relation: "gamelog",
-		dims:     "player,month,season,team,opp_team",
-		measures: "points,assists,rebounds",
-		shards:   shards,
-		shardDim: "team",
-		stateDir: stateDir,
-	}
+	return flagConfig("-relation", "gamelog",
+		"-dims", "player,month,season,team,opp_team", "-measures", "points,assists,rebounds",
+		"-shards", strconv.Itoa(shards), "-shard-dim", "team", "-state-dir", stateDir)
 }
 
 // startServer builds the app and serves it on a random port.
@@ -141,7 +138,7 @@ func TestServerTableI(t *testing.T) {
 	// SIGTERM-equivalent shutdown: stop accepting, drain, snapshot, close —
 	// the same sequence serve() runs on a signal.
 	ts.Close()
-	if err := s.saveState(); err != nil {
+	if err := s.checkpoint(); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.close(); err != nil {
@@ -377,27 +374,55 @@ func TestServerTopFacts(t *testing.T) {
 	}
 }
 
+// TestParseTupleID pins the one "<shard>:<tuple_id>" resolver, and that
+// DELETE and GET /v1/tuples/{id} both answer a bare id on a multi-shard
+// pool with its 400.
 func TestParseTupleID(t *testing.T) {
+	const ambiguous = `bare tuple id "5" is ambiguous with 3 shards: use <shard>:<tuple_id>`
 	for _, tc := range []struct {
-		in      string
-		shard   int
-		tuple   int64
-		wantErr bool
+		in           string
+		bare, shards int // the shard a bare id names (AllShards: none), the pool's shards
+		shard        int
+		tuple        int64
+		wantErr      string
 	}{
-		{"2:17", 2, 17, false},
-		{"0:0", 0, 0, false},
-		{"5", 0, 5, false}, // bare id = shard 0
-		{"a:b", 0, 0, true},
-		{"1:", 0, 0, true},
-		{"", 0, 0, true},
+		{"2:17", situfact.AllShards, 3, 2, 17, ""},
+		{"0:0", situfact.AllShards, 1, 0, 0, ""},
+		{"5", situfact.AllShards, 1, 0, 5, ""}, // single shard: shard 0
+		{"5", 2, 3, 2, 5, ""},                  // shard= names it
+		{"5", situfact.AllShards, 3, 0, 0, ambiguous},
+		{"a:b", situfact.AllShards, 1, 0, 0, `bad tuple id "a:b"`},
+		{"1:", situfact.AllShards, 1, 0, 0, `bad tuple id "1:"`},
+		{"", situfact.AllShards, 1, 0, 0, `bad tuple id ""`},
+		{"x", 1, 3, 0, 0, `bad tuple id "x"`},
 	} {
-		shard, tuple, err := parseTupleID(tc.in)
-		if (err != nil) != tc.wantErr {
-			t.Errorf("parseTupleID(%q) err = %v, wantErr %v", tc.in, err, tc.wantErr)
+		shard, tuple, err := parseTupleID(tc.in, tc.bare, tc.shards)
+		if tc.wantErr != "" {
+			if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+				t.Errorf("parseTupleID(%q, %d, %d) err = %v, want %q", tc.in, tc.bare, tc.shards, err, tc.wantErr)
+			}
 			continue
 		}
-		if err == nil && (shard != tc.shard || tuple != tc.tuple) {
-			t.Errorf("parseTupleID(%q) = %d,%d, want %d,%d", tc.in, shard, tuple, tc.shard, tc.tuple)
+		if err != nil || shard != tc.shard || tuple != tc.tuple {
+			t.Errorf("parseTupleID(%q, %d, %d) = %d,%d,%v, want %d,%d", tc.in, tc.bare, tc.shards, shard, tuple, err, tc.shard, tc.tuple)
+		}
+	}
+
+	_, ts := startServer(t, gamelogConfig(3, ""))
+	for _, method := range []string{http.MethodDelete, http.MethodGet} {
+		req, err := http.NewRequest(method, ts.URL+"/v1/tuples/5", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var e errorResponse
+		json.NewDecoder(resp.Body).Decode(&e)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || e.Error != ambiguous {
+			t.Errorf("%s /v1/tuples/5 on 3 shards: %d %q, want 400 %q", method, resp.StatusCode, e.Error, ambiguous)
 		}
 	}
 }
@@ -420,8 +445,8 @@ func TestServerStateDirValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.close()
-	if err := s.saveState(); err != nil {
-		t.Errorf("saveState without state-dir must be a no-op, got %v", err)
+	if err := s.checkpoint(); err != nil {
+		t.Errorf("checkpoint without state-dir must be a no-op, got %v", err)
 	}
 }
 
@@ -630,7 +655,7 @@ func TestServerWALCrashRecovery(t *testing.T) {
 		t.Fatal("no leaderboard entries before crash")
 	}
 
-	// Crash: no saveState, no graceful close. (The WAL fsynced every
+	// Crash: no checkpoint, no graceful close. (The WAL fsynced every
 	// acknowledged append, so abandoning the server loses nothing.)
 	ts.Close()
 
@@ -866,5 +891,54 @@ func TestServerConcurrentIngestAndCheckpoint(t *testing.T) {
 	// the recovered leaderboard is the same bytes, ties included.
 	if _, afterTop := getBody(t, ts2.URL+"/v1/facts/top?k=500"); !bytes.Equal(afterTop, beforeTop) {
 		t.Errorf("recovered leaderboard diverged:\n got %s\nwant %s", afterTop, beforeTop)
+	}
+}
+
+// TestServerLifecycle: newServer starts every background loop the daemon
+// runs — a leader's checkpoint ticker, WAL repair loop and shedder
+// sampler, a follower's tail loop — and close stops them all, so the
+// goroutine count comes back to where it was before either server existed.
+func TestServerLifecycle(t *testing.T) {
+	baseline := runtime.NumGoroutine()
+	cfg := walConfig(2, t.TempDir())
+	cfg.snapInterval = 20 * time.Millisecond
+	leader, lts := startServer(t, cfg)
+	if leader.shedder == nil {
+		t.Fatal("the default -shed-window started no shedder")
+	}
+	for i, row := range table1 {
+		if resp := doJSON(t, "POST", lts.URL+"/v1/tuples", reqOf(row), nil); resp.StatusCode != http.StatusOK {
+			t.Fatalf("row %d: status %d", i, resp.StatusCode)
+		}
+	}
+	// Before the follower, whose bootstrap checkpoints too: only the ticker
+	// can have written this generation.
+	for deadline := time.Now().Add(10 * time.Second); getMetrics(t, lts.URL).Snapshot.Generation < 1; time.Sleep(5 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("no background checkpoint 10s into a -snapshot-interval 20ms leader")
+		}
+	}
+
+	follower, fts := followerOf(t, lts.URL, 2)
+	if resp := doJSON(t, "POST", lts.URL+"/v1/tuples", reqOf(wesley), nil); resp.StatusCode != http.StatusOK {
+		t.Fatalf("wesley: status %d", resp.StatusCode)
+	}
+	waitApplied(t, fts.URL, uint64(len(table1))+1)
+
+	fts.Close()
+	if err := follower.close(); err != nil {
+		t.Fatal(err)
+	}
+	lts.Close()
+	if err := leader.close(); err != nil {
+		t.Fatal(err)
+	}
+	http.DefaultTransport.(*http.Transport).CloseIdleConnections()
+	for deadline := time.Now().Add(10 * time.Second); runtime.NumGoroutine() > baseline; time.Sleep(10 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<16)
+			t.Fatalf("%d goroutines after close, %d before the servers:\n%s",
+				runtime.NumGoroutine(), baseline, buf[:runtime.Stack(buf, true)])
+		}
 	}
 }

@@ -383,29 +383,17 @@ type tupleResponse struct {
 	Deleted  bool      `json:"deleted"`
 }
 
-// walRecordWire is one journaled operation of GET /v1/wal.
-type walRecordWire struct {
-	LSN uint64 `json:"lsn"`
-	// Op is "append", "delete", or "noop" (a repair-burned LSN).
-	Op    string `json:"op"`
-	Shard int    `json:"shard"`
-	// Dims and Measures carry the appended row (appends only).
-	Dims     []string  `json:"dims,omitempty"`
-	Measures []float64 `json:"measures,omitempty"`
-	// TupleID is the retracted tuple's per-shard id (deletes only).
-	TupleID int64 `json:"tuple_id,omitempty"`
-}
-
 // walTailResponse is the body of GET /v1/wal: a batch of journaled
-// records with LSN >= from_lsn. Records are dense — a first record past
-// the requested from_lsn means the tail was truncated away and the
+// records with LSN >= from_lsn, each in situfact.TailRecord's JSON form
+// (op "noop" is a repair-burned LSN). Records are dense — a first record
+// past the requested from_lsn means the tail was truncated away and the
 // follower must re-bootstrap from a snapshot. More reports records
 // remaining past the batch; LastLSN is the log's highest assigned LSN.
 type walTailResponse struct {
-	Epoch   string          `json:"epoch"`
-	LastLSN uint64          `json:"last_lsn"`
-	Records []walRecordWire `json:"records"`
-	More    bool            `json:"more"`
+	Epoch   string                `json:"epoch"`
+	LastLSN uint64                `json:"last_lsn"`
+	Records []situfact.TailRecord `json:"records"`
+	More    bool                  `json:"more"`
 }
 
 // healthResponse is the body of GET /healthz.

@@ -80,8 +80,8 @@ func TestWriterEnqueueContextDeadline(t *testing.T) {
 	release := make(chan struct{})
 	w := NewWriter(1, func(batch []int) { <-release })
 	defer func() { close(release); w.Close() }()
-	w.Enqueue(1)
-	w.Enqueue(2)
+	w.EnqueueContext(context.Background(), 1)
+	w.EnqueueContext(context.Background(), 2)
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
 	defer cancel()
 	start := time.Now()

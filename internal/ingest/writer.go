@@ -39,7 +39,7 @@ const (
 	shrinkFactor = 4
 )
 
-// Writer is one batching queue/goroutine pair. Enqueue is safe for any
+// Writer is one batching queue/goroutine pair. EnqueueContext is safe for any
 // number of producers; the single consumer goroutine drains the queue
 // into maximal batches and hands each to the process function, so per-op
 // costs the function can amortise (locks, journal passes, fsyncs) are
@@ -143,39 +143,14 @@ func startWriter[T any](floor, ceil int, process func(batch []T)) *Writer[T] {
 	return w
 }
 
-// Enqueue appends op to the queue, blocking while the queue is full. It
-// reports false when the writer is closed (the op was not accepted) —
-// callers then process the op themselves.
-func (w *Writer[T]) Enqueue(op T) bool {
-	w.mu.Lock()
-	for len(w.queue) >= w.cap && !w.closed {
-		w.fullWaits++
-		w.fullSinceDrain++
-		w.notFull.Wait()
-	}
-	if w.closed {
-		w.mu.Unlock()
-		return false
-	}
-	w.queue = append(w.queue, op)
-	w.enqueued++
-	w.mu.Unlock()
-	w.wake.Signal()
-	return true
-}
-
-// EnqueueContext is Enqueue with cancellation while parked: a producer
-// whose ctx ends before queue space frees gives up its slot and returns
-// ctx's error — the op was never accepted, so nothing will be journaled
-// or acknowledged for it (counted in Stats.Canceled). Once the op is in
-// the queue the cancellation point has passed and the op completes
-// normally, exactly like Enqueue. ok mirrors Enqueue's: false with a nil
-// error means the writer is closed and the caller should process the
-// op itself.
+// EnqueueContext appends op to the queue, blocking while the queue is
+// full. A producer whose ctx ends while parked gives up its slot and
+// returns ctx's error — the op was never accepted, so nothing will be
+// journaled or acknowledged for it (counted in Stats.Canceled). Once the
+// op is in the queue the cancellation point has passed and the op
+// completes normally. ok is false with a nil error when the writer is
+// closed: the op was not accepted, and the caller processes it itself.
 func (w *Writer[T]) EnqueueContext(ctx context.Context, op T) (ok bool, err error) {
-	if ctx.Done() == nil {
-		return w.Enqueue(op), nil
-	}
 	w.mu.Lock()
 	for len(w.queue) >= w.cap && !w.closed {
 		if ctx.Err() != nil {
@@ -185,14 +160,18 @@ func (w *Writer[T]) EnqueueContext(ctx context.Context, op T) (ok bool, err erro
 		}
 		w.fullWaits++
 		w.fullSinceDrain++
-		// The cond has no cancellable wait, so arrange a Broadcast when
-		// ctx ends; taking mu in the callback guarantees the waiter is
-		// parked (or already past the check) when the wakeup fires.
-		stop := context.AfterFunc(ctx, func() {
-			w.mu.Lock()
-			w.notFull.Broadcast()
-			w.mu.Unlock()
-		})
+		// The cond has no cancellable wait, so a ctx that can end arranges
+		// a Broadcast for when it does; taking mu in the callback
+		// guarantees the waiter is parked (or already past the check) when
+		// the wakeup fires.
+		stop := func() bool { return false }
+		if ctx.Done() != nil {
+			stop = context.AfterFunc(ctx, func() {
+				w.mu.Lock()
+				w.notFull.Broadcast()
+				w.mu.Unlock()
+			})
+		}
 		w.notFull.Wait()
 		stop()
 	}
@@ -253,7 +232,7 @@ func (w *Writer[T]) run(process func([]T)) {
 //	steady: no backpressure but a substantial batch → restart the streak,
 //	        keep the capacity.
 //
-// Shrinking never evicts queued ops: Enqueue blocks while len(queue) ≥
+// Shrinking never evicts queued ops: EnqueueContext blocks while len(queue) ≥
 // cap, and the next drain always takes the whole queue, so a shrink only
 // delays producers until the writer catches up.
 func (w *Writer[T]) adapt(batchLen int) {
@@ -297,7 +276,8 @@ func histBucket(n int) int {
 }
 
 // Close stops accepting ops, waits for the queue to drain and the writer
-// goroutine to exit. Safe to call twice; Enqueue returns false afterwards.
+// goroutine to exit. Safe to call twice; EnqueueContext reports false
+// afterwards.
 func (w *Writer[T]) Close() {
 	w.mu.Lock()
 	if !w.closed {

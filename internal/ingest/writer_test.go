@@ -1,9 +1,17 @@
 package ingest
 
 import (
+	"context"
 	"sync"
 	"testing"
 )
+
+// enqueue is EnqueueContext under a context that never ends, reporting
+// whether the writer accepted op.
+func enqueue[T any](w *Writer[T], op T) bool {
+	ok, _ := w.EnqueueContext(context.Background(), op)
+	return ok
+}
 
 // TestWriterFIFO pins the queueing discipline: ops drain in enqueue
 // order, every op exactly once, across multiple drain wakeups.
@@ -17,8 +25,8 @@ func TestWriterFIFO(t *testing.T) {
 	})
 	const n = 1000
 	for i := 0; i < n; i++ {
-		if !w.Enqueue(i) {
-			t.Fatalf("Enqueue(%d) rejected on a running writer", i)
+		if !enqueue(w, i) {
+			t.Fatalf("enqueue(%d) rejected on a running writer", i)
 		}
 	}
 	w.Close()
@@ -49,10 +57,10 @@ func TestWriterBatching(t *testing.T) {
 		copy(cp, batch)
 		batches = append(batches, cp)
 	})
-	w.Enqueue(0) // wakes the writer, which blocks in process
-	<-started    // the writer holds batch [0]; everything below piles up
+	enqueue(w, 0) // wakes the writer, which blocks in process
+	<-started     // the writer holds batch [0]; everything below piles up
 	for i := 1; i <= 16; i++ {
-		w.Enqueue(i)
+		enqueue(w, i)
 	}
 	close(block)
 	w.Close()
@@ -106,7 +114,7 @@ func TestWriterBackpressure(t *testing.T) {
 		go func(p int) {
 			defer wg.Done()
 			for i := 0; i < per; i++ {
-				w.Enqueue(p*per + i)
+				enqueue(w, p*per+i)
 			}
 		}(p)
 	}
@@ -130,19 +138,19 @@ func TestWriterBackpressure(t *testing.T) {
 }
 
 // TestWriterClose pins the shutdown contract: Close drains the queue,
-// Enqueue afterwards reports false, and a second Close is a no-op.
+// EnqueueContext afterwards reports false, and a second Close is a no-op.
 func TestWriterClose(t *testing.T) {
 	var n int
 	w := NewWriter(16, func(batch []int) { n += len(batch) })
 	for i := 0; i < 10; i++ {
-		w.Enqueue(i)
+		enqueue(w, i)
 	}
 	w.Close()
 	if n != 10 {
 		t.Fatalf("Close drained %d ops, want 10", n)
 	}
-	if w.Enqueue(99) {
-		t.Error("Enqueue accepted an op after Close")
+	if enqueue(w, 99) {
+		t.Error("EnqueueContext accepted an op after Close")
 	}
 	w.Close() // must not hang or panic
 	if st := w.Stats(); st.Depth != 0 || st.Enqueued != 10 {
@@ -217,7 +225,7 @@ func TestAdaptiveWriterGrows(t *testing.T) {
 	done := make(chan struct{})
 	go func() {
 		for i := 0; i < ops; i++ {
-			w.Enqueue(i)
+			enqueue(w, i)
 		}
 		close(done)
 	}()
@@ -247,7 +255,7 @@ func TestFixedWriterNeverResizes(t *testing.T) {
 	done := make(chan struct{})
 	go func() {
 		for i := 0; i < 100; i++ {
-			w.Enqueue(i)
+			enqueue(w, i)
 		}
 		close(done)
 	}()

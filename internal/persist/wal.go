@@ -143,37 +143,45 @@ func OpenWAL(dir string, opt WALOptions) (*WAL, error) {
 		w.nextLSN = 1
 		w.segments = 1
 	} else {
-		// Scan the final segment to find the durable end of the log,
-		// truncating a torn tail. Earlier segments were sealed by a
-		// rotation fsync; Replay verifies them in full.
-		base := bases[len(bases)-1]
-		path := w.segmentPath(base)
-		end, next, torn, err := readSegment(fsys, path, base, true, nil)
-		if err != nil {
+		if w.nextLSN, err = w.openTail(bases[len(bases)-1]); err != nil {
 			return nil, err
 		}
-		if torn {
-			if err := truncateFile(fsys, path, end); err != nil {
-				return nil, fmt.Errorf("wal: repair torn tail: %w", err)
-			}
-		}
-		f, err := fsys.OpenFile(path, os.O_RDWR, 0)
-		if err != nil {
-			return nil, fmt.Errorf("wal: %w", err)
-		}
-		if _, err := f.Seek(end, io.SeekStart); err != nil {
-			f.Close()
-			return nil, fmt.Errorf("wal: %w", err)
-		}
-		w.f = f
-		w.bw = bufio.NewWriterSize(f, walWriteBufBytes)
-		w.segBase = base
-		w.segBytes = end
-		w.nextLSN = next
 		w.segments = len(bases)
 	}
 	w.syncState.synced = w.nextLSN - 1 // nothing buffered yet
 	return w, nil
+}
+
+// openTail makes the final segment, based at base, the active one: it
+// scans it for the durable end of the log, truncates a torn tail there and
+// re-opens the file for appending at that end, returning the LSN the next
+// record takes. Earlier segments were sealed by a rotation fsync; Replay
+// verifies them in full. A scan that finds real corruption returns
+// ErrCorrupt.
+func (w *WAL) openTail(base uint64) (next uint64, err error) {
+	path := w.segmentPath(base)
+	end, next, torn, err := readSegment(w.fs, path, base, true, nil)
+	if err != nil {
+		return 0, err
+	}
+	if torn {
+		if err := truncateFile(w.fs, path, end); err != nil {
+			return 0, fmt.Errorf("wal: truncate torn tail: %w", err)
+		}
+	}
+	f, err := w.fs.OpenFile(path, os.O_RDWR, 0)
+	if err != nil {
+		return 0, fmt.Errorf("wal: %w", err)
+	}
+	if _, err := f.Seek(end, io.SeekStart); err != nil {
+		f.Close()
+		return 0, fmt.Errorf("wal: %w", err)
+	}
+	w.f = f
+	w.bw = bufio.NewWriterSize(f, walWriteBufBytes)
+	w.segBase = base
+	w.segBytes = end
+	return next, nil
 }
 
 // checkWALMeta writes the identity file on first open and verifies it on
@@ -679,29 +687,10 @@ func (w *WAL) Repair() (lost uint64, err error) {
 		return 0, fmt.Errorf("wal repair: no segments on disk: %w", ErrCorrupt)
 	}
 	w.segments = len(bases) // recount: a fault mid-rotation may have lied
-	base := bases[len(bases)-1]
-	path := w.segmentPath(base)
-	end, next, torn, err := readSegment(w.fs, path, base, true, nil)
+	next, err := w.openTail(bases[len(bases)-1])
 	if err != nil {
-		return 0, err // ErrCorrupt: not repairable
+		return 0, err // ErrCorrupt is not repairable; an I/O error may clear
 	}
-	if torn {
-		if err := truncateFile(w.fs, path, end); err != nil {
-			return 0, fmt.Errorf("wal repair: truncate torn tail: %w", err)
-		}
-	}
-	f, err := w.fs.OpenFile(path, os.O_RDWR, 0)
-	if err != nil {
-		return 0, fmt.Errorf("wal repair: %w", err)
-	}
-	if _, err := f.Seek(end, io.SeekStart); err != nil {
-		f.Close()
-		return 0, fmt.Errorf("wal repair: %w", err)
-	}
-	w.f = f
-	w.bw = bufio.NewWriterSize(f, walWriteBufBytes)
-	w.segBase = base
-	w.segBytes = end
 	for lsn := next; lsn < w.nextLSN; lsn++ {
 		w.scratch = appendFrame(w.scratch[:0], Record{LSN: lsn, Type: RecNoop})
 		if _, err := w.bw.Write(w.scratch); err != nil {

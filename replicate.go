@@ -34,20 +34,21 @@ const (
 
 // TailRecord is one journaled operation in shipping form — the wire
 // mirror of a WAL record, typed for transport between a leader's ReadTail
-// and a follower's ApplyTail.
+// and a follower's ApplyTail. Its JSON form is a record of situfactd's
+// GET /v1/wal.
 type TailRecord struct {
-	LSN uint64
-	// Op is OpAppend or OpDelete.
-	Op string
+	LSN uint64 `json:"lsn"`
+	// Op is OpAppend, OpDelete or OpNoop.
+	Op string `json:"op"`
 	// Shard is the shard the leader applied the operation to (appends are
 	// re-routed by the applier and carry it as a cross-check only;
 	// deletes target it).
-	Shard int
+	Shard int `json:"shard"`
 	// Dims and Measures are the appended row, in schema order (appends).
-	Dims     []string
-	Measures []float64
+	Dims     []string  `json:"dims,omitempty"`
+	Measures []float64 `json:"measures,omitempty"`
 	// TupleID is the retracted tuple's per-shard id (deletes).
-	TupleID int64
+	TupleID int64 `json:"tuple_id,omitempty"`
 }
 
 // record converts the shipping form back to a journal record.
