@@ -29,8 +29,8 @@ import (
 //     concurrent posters send unique rows; writes must degrade to 503 +
 //     Retry-After and heal unattended, then the daemon is killed mid-flight.
 //  3. Survivor: a fault-free restart must hold every row ever acked, by
-//     content (a repair may shift tuple-id handles, never acked content),
-//     and an in-process follower of it must serve byte-identical reads.
+//     content, and an in-process follower of it must serve byte-identical
+//     reads.
 func TestCrashRecoverySIGKILL(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and kills real daemon processes")

@@ -214,53 +214,6 @@ func TestOverloadDrillShedsWithoutAckedLoss(t *testing.T) {
 	}
 }
 
-// TestOverloadEquivalenceHighLimits pins that the admission stack is
-// observationally free when it never fires: a daemon with every limit
-// set far above the workload must produce byte-identical reads to one
-// with the stack off entirely.
-func TestOverloadEquivalenceHighLimits(t *testing.T) {
-	plain := gamelogConfig(3, "")
-	plain.shedWindow = 0
-	_, pts := startServer(t, plain)
-
-	limited := gamelogConfig(3, "")
-	limited.logRequests = true
-	limited.rateLimit = 1e6
-	limited.rateBurst = 1e6
-	limited.maxInflight = 1 << 20
-	limited.requestTimeout = time.Minute
-	limited.shedWindow = 10 * time.Second
-	limited.maxBody = 1 << 20
-	limited.maxBatchBody = 32 << 20
-	_, lts := startServer(t, limited)
-
-	rows := append(append([]rowWire{}, table1...), wesley)
-	for i, row := range rows {
-		for _, url := range []string{pts.URL, lts.URL} {
-			if resp := doJSON(t, "POST", url+"/v1/tuples", reqOf(row), nil); resp.StatusCode != http.StatusOK {
-				t.Fatalf("row %d to %s: status %d", i, url, resp.StatusCode)
-			}
-		}
-	}
-	for _, q := range []string{"", "?where=month=Feb", "?measures=assists", "?shard=1"} {
-		pp := factsPages(t, pts.URL, q, 3)
-		lp := factsPages(t, lts.URL, q, 3)
-		if len(pp) != len(lp) {
-			t.Fatalf("query %q: %d pages plain, %d pages limited", q, len(pp), len(lp))
-		}
-		for i := range pp {
-			if string(pp[i]) != string(lp[i]) {
-				t.Fatalf("query %q page %d diverged:\nplain   %s\nlimited %s", q, i, pp[i], lp[i])
-			}
-		}
-	}
-	_, ptop := getBody(t, pts.URL+"/v1/facts/top?k=16")
-	_, ltop := getBody(t, lts.URL+"/v1/facts/top?k=16")
-	if string(ptop) != string(ltop) {
-		t.Fatalf("leaderboards diverged:\nplain   %s\nlimited %s", ptop, ltop)
-	}
-}
-
 // TestOverloadLimiter429 drives the per-client token bucket over HTTP:
 // a 1 req/s bucket admits the first request and 429s the burst behind
 // it, naming a whole-second Retry-After.

@@ -7,28 +7,11 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
-	"os"
-	"path/filepath"
-	"reflect"
-	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
-
-	situfact "repro"
-	"repro/internal/persist"
 )
-
-// followerOf starts an in-process read-only follower of the given leader
-// URL with a fast poll, sharing the leader's schema shape.
-func followerOf(t *testing.T, leaderURL string, shards int) (*server, *httptest.Server) {
-	t.Helper()
-	cfg := gamelogConfig(shards, t.TempDir())
-	cfg.follow = leaderURL
-	cfg.followPoll = 20 * time.Millisecond
-	return startServer(t, cfg)
-}
 
 // waitApplied blocks until the follower reports applied_lsn >= want with
 // zero lag, or fails the test after 30s.
@@ -47,6 +30,17 @@ func waitApplied(t *testing.T, url string, want uint64) {
 	t.Fatalf("follower never applied LSN %d: replication state %+v", want, m.Replication)
 }
 
+// healed reports whether the daemon at url heals its log within 10s: not
+// degraded, and more than repairs repairs since it started.
+func healed(url string, repairs uint64) bool {
+	for deadline := time.Now().Add(10 * time.Second); time.Now().Before(deadline); time.Sleep(5 * time.Millisecond) {
+		if m, err := tryMetrics(url); err == nil && !m.WAL.Degraded && m.WAL.Repairs > repairs {
+			return true
+		}
+	}
+	return false
+}
+
 // getBody GETs a URL and returns the status code and the raw body.
 func getBody(t *testing.T, url string) (int, []byte) {
 	t.Helper()
@@ -60,6 +54,27 @@ func getBody(t *testing.T, url string) (int, []byte) {
 		t.Fatalf("GET %s: read body: %v", url, err)
 	}
 	return resp.StatusCode, body
+}
+
+// postStatus is post for the test goroutine: a transport error fails
+// the test.
+func postStatus(t *testing.T, url string, r rowWire) (int, string) {
+	t.Helper()
+	status, retry, err := post(url, r)
+	if err != nil {
+		t.Fatalf("POST /v1/tuples: %v", err)
+	}
+	return status, retry
+}
+
+func healthStatus(t *testing.T, url string) (int, healthResponse) {
+	t.Helper()
+	status, body := getBody(t, url+"/healthz")
+	var h healthResponse
+	if err := json.Unmarshal(body, &h); err != nil {
+		t.Fatalf("decode /healthz %s: %v", body, err)
+	}
+	return status, h
 }
 
 // factsPages drains the /v1/facts pagination for one query, returning
@@ -128,189 +143,6 @@ var gamelogQueries = []string{
 	"where=month=Feb",
 	"where=month=Feb&measures=assists",
 	"where=player=Wesley&where=season=1995-96",
-}
-
-// TestFollowerServesIdenticalFacts is the core replication acceptance
-// test: a follower bootstrapped from a leader snapshot and tailing its
-// WAL must serve byte-identical query results — after the bootstrap,
-// and again after further appends and a delete — while rejecting writes
-// and staying healthy.
-func TestFollowerServesIdenticalFacts(t *testing.T) {
-	cfg := gamelogConfig(2, t.TempDir())
-	cfg.wal = true
-	leader, lts := startServer(t, cfg)
-	for i, row := range table1 {
-		if resp := doJSON(t, "POST", lts.URL+"/v1/tuples", reqOf(row), nil); resp.StatusCode != http.StatusOK {
-			t.Fatalf("leader: row %d: status %d", i, resp.StatusCode)
-		}
-	}
-
-	follower, fts := followerOf(t, lts.URL, 2)
-	waitApplied(t, fts.URL, uint64(len(table1)))
-	assertSameReads(t, lts.URL, fts.URL, gamelogQueries)
-
-	// Followers are read-only: every write verb is refused.
-	if resp := doJSON(t, "POST", fts.URL+"/v1/tuples", reqOf(wesley), nil); resp.StatusCode != http.StatusForbidden {
-		t.Errorf("follower accepted POST /v1/tuples: status %d", resp.StatusCode)
-	}
-	if resp := doJSON(t, "POST", fts.URL+"/v1/tuples:batch", batchRequest{Rows: table1[:1]}, nil); resp.StatusCode != http.StatusForbidden {
-		t.Errorf("follower accepted POST /v1/tuples:batch: status %d", resp.StatusCode)
-	}
-	if resp := doJSON(t, "DELETE", fts.URL+"/v1/tuples/0:0", nil, nil); resp.StatusCode != http.StatusForbidden {
-		t.Errorf("follower accepted DELETE: status %d", resp.StatusCode)
-	}
-
-	// A caught-up follower with no lag bound is healthy.
-	if status, body := getBody(t, fts.URL+"/healthz"); status != http.StatusOK {
-		t.Errorf("follower /healthz = %d: %s", status, body)
-	}
-	fm := getMetrics(t, fts.URL)
-	if fm.Replication == nil || !fm.Replication.Follower || fm.Replication.Epoch == "" {
-		t.Fatalf("follower metrics missing replication state: %+v", fm.Replication)
-	}
-	if fm.Replication.AppliedLSN != uint64(len(table1)) {
-		t.Errorf("follower applied LSN %d, want %d", fm.Replication.AppliedLSN, len(table1))
-	}
-
-	// Mutate the leader — another append plus a delete — and require
-	// convergence again. The leaderboard ranks the live fact set, so the
-	// deleted tuple leaves it on both nodes.
-	if resp := doJSON(t, "POST", lts.URL+"/v1/tuples", reqOf(wesley), nil); resp.StatusCode != http.StatusOK {
-		t.Fatalf("leader: wesley rejected: status %d", resp.StatusCode)
-	}
-	celtics := leader.db().ShardFor("Celtics")
-	ranks := func(base string) bool {
-		var top topFactsResponse
-		doJSON(t, "GET", base+"/v1/facts/top?k=500", nil, &top)
-		return slices.ContainsFunc(top.Facts, func(f queryFactWire) bool {
-			return f.Shard == celtics && slices.Contains(f.TupleIDs, 0)
-		})
-	}
-	if !ranks(lts.URL) {
-		t.Fatalf("tuple %d:0 ranks nowhere on the leader before its deletion", celtics)
-	}
-	if resp := doJSON(t, "DELETE", fmt.Sprintf("%s/v1/tuples/%d:0", lts.URL, celtics), nil, nil); resp.StatusCode != http.StatusNoContent {
-		t.Fatalf("leader: delete rejected: status %d", resp.StatusCode)
-	}
-	waitApplied(t, fts.URL, uint64(len(table1))+2)
-	assertSameReads(t, lts.URL, fts.URL, gamelogQueries)
-	if ranks(lts.URL) || ranks(fts.URL) {
-		t.Errorf("deleted tuple %d:0 still on a leaderboard: leader %v, follower %v", celtics, ranks(lts.URL), ranks(fts.URL))
-	}
-
-	lm, fm2 := getMetrics(t, lts.URL), getMetrics(t, fts.URL)
-	if lm.Merged != fm2.Merged {
-		t.Errorf("merged metrics diverged:\nleader   %+v\nfollower %+v", lm.Merged, fm2.Merged)
-	}
-	if !reflect.DeepEqual(lm.PerShard, fm2.PerShard) {
-		t.Errorf("per-shard metrics diverged:\nleader   %+v\nfollower %+v", lm.PerShard, fm2.PerShard)
-	}
-
-	// Same LSN, same bytes: a snapshot has no map order in it and a restore
-	// numbers the constraints as the writer had them, so the follower —
-	// restored from the leader's files, then fed its tail — checkpoints to
-	// the shard files the leader writes.
-	ldir, fdir := t.TempDir(), t.TempDir()
-	if _, err := leader.db().Checkpoint(ldir, nil); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := follower.db().Checkpoint(fdir, nil); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 2; i++ {
-		name := persist.ShardSnapshotName(i, 1)
-		lf, err := os.ReadFile(filepath.Join(ldir, name))
-		if err != nil {
-			t.Fatal(err)
-		}
-		ff, err := os.ReadFile(filepath.Join(fdir, name))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(lf, ff) {
-			t.Errorf("%s: leader wrote %d bytes, follower %d, and they differ", name, len(lf), len(ff))
-		}
-	}
-}
-
-// TestFollowerIndexedReadsIdentical pins the read path the fleet runs:
-// leader and follower, both serving from the incremental fact index, must
-// stay byte-identical across appends and a delete — and identical to an
-// in-process Pool fed the same history directly, whose index was only
-// ever grown by live appends: never rebuilt by a snapshot restore, never
-// maintained through ApplyTail.
-func TestFollowerIndexedReadsIdentical(t *testing.T) {
-	cfg := gamelogConfig(2, t.TempDir())
-	cfg.wal = true
-	leader, lts := startServer(t, cfg)
-	ref, err := situfact.NewPool(leader.schema, situfact.PoolOptions{Shards: 2, ShardDim: "team"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ref.Close()
-	for i, row := range table1 {
-		if resp := doJSON(t, "POST", lts.URL+"/v1/tuples", reqOf(row), nil); resp.StatusCode != http.StatusOK {
-			t.Fatalf("leader: row %d: status %d", i, resp.StatusCode)
-		}
-		if _, err := ref.Append(row.Dims, row.Measures); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	_, its := followerOf(t, lts.URL, 2)
-
-	// Mutate past the bootstrap so the follower exercises ApplyTail's
-	// index maintenance, not just the restore-time rebuild.
-	if resp := doJSON(t, "POST", lts.URL+"/v1/tuples", reqOf(wesley), nil); resp.StatusCode != http.StatusOK {
-		t.Fatalf("leader: wesley rejected: status %d", resp.StatusCode)
-	}
-	celtics := leader.db().ShardFor("Celtics")
-	if resp := doJSON(t, "DELETE", fmt.Sprintf("%s/v1/tuples/%d:0", lts.URL, celtics), nil, nil); resp.StatusCode != http.StatusNoContent {
-		t.Fatalf("leader: delete rejected: status %d", resp.StatusCode)
-	}
-	if _, err := ref.Append(wesley.Dims, wesley.Measures); err != nil {
-		t.Fatal(err)
-	}
-	if err := ref.Delete(celtics, 0); err != nil {
-		t.Fatal(err)
-	}
-	waitApplied(t, its.URL, uint64(len(table1))+2)
-
-	assertSameReads(t, lts.URL, its.URL, gamelogQueries)
-	// The reference pool is served by a bare server: same handlers, no
-	// daemon around it.
-	var bare server
-	bare.poolv.Store(ref)
-	rts := httptest.NewServer(bare.handler())
-	defer rts.Close()
-	for _, q := range gamelogQueries {
-		fp, rp := factsPages(t, its.URL, q, 3), factsPages(t, rts.URL, q, 3)
-		if len(fp) != len(rp) {
-			t.Fatalf("query %q: follower returned %d pages, reference pool %d", q, len(fp), len(rp))
-		}
-		for i := range fp {
-			if !bytes.Equal(fp[i], rp[i]) {
-				t.Errorf("query %q page %d diverged:\nfollower  %s\nreference %s", q, i, fp[i], rp[i])
-			}
-		}
-	}
-
-	lm, fm := getMetrics(t, lts.URL), getMetrics(t, its.URL)
-	if lm.Index.Entries == 0 || lm.Index.Entries != fm.Index.Entries {
-		t.Errorf("index entries diverged: leader %d follower %d", lm.Index.Entries, fm.Index.Entries)
-	}
-	if got := ref.IndexStats().Entries; got != lm.Index.Entries {
-		t.Errorf("reference pool's index holds %d entries, leader's %d", got, lm.Index.Entries)
-	}
-
-	// The leaderboard ranks current cells, so it sees the delete the same
-	// way on every node.
-	_, ltop := getBody(t, lts.URL+"/v1/facts/top?k=16")
-	_, itop := getBody(t, its.URL+"/v1/facts/top?k=16")
-	_, rtop := getBody(t, rts.URL+"/v1/facts/top?k=16")
-	if !bytes.Equal(ltop, itop) || !bytes.Equal(ltop, rtop) {
-		t.Errorf("leaderboard diverged:\nleader    %s\nfollower  %s\nreference %s", ltop, itop, rtop)
-	}
 }
 
 // TestInvalidatorFor pins the per-shard eviction predicate: keys scoped
@@ -458,6 +290,73 @@ func TestFollowerEpochMismatch(t *testing.T) {
 	if m.Replication.AppliedLSN != 2 {
 		t.Errorf("follower applied LSN advanced to %d after epoch mismatch, want 2", m.Replication.AppliedLSN)
 	}
+}
+
+// TestRebootstrapAfterEpochSwap replaces the leader behind a fixed URL
+// with a different instance, exactly like TestFollowerEpochMismatch —
+// but this follower runs with a re-bootstrap budget, so instead of
+// staying down it must re-download the new leader's snapshot, swap its
+// pool under live readers, and converge on the new history.
+func TestRebootstrapAfterEpochSwap(t *testing.T) {
+	var inner atomic.Value
+	stub := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		inner.Load().(http.Handler).ServeHTTP(w, r)
+	}))
+	t.Cleanup(stub.Close)
+
+	cfgA := gamelogConfig(2, t.TempDir())
+	cfgA.wal = true
+	a, _ := startServer(t, cfgA)
+	inner.Store(a.handler())
+	for _, row := range table1[:2] {
+		if st, _ := postStatus(t, stub.URL, row); st != http.StatusOK {
+			t.Fatalf("leader A rejected row: status %d", st)
+		}
+	}
+
+	fcfg := gamelogConfig(2, t.TempDir())
+	fcfg.follow = stub.URL
+	fcfg.followPoll = 20 * time.Millisecond
+	fcfg.followRebootstrapMax = 3
+	_, fts := startServer(t, fcfg)
+	waitApplied(t, fts.URL, 2)
+
+	// Swap in leader B: same URL, different WAL epoch, different history.
+	cfgB := gamelogConfig(2, t.TempDir())
+	cfgB.wal = true
+	b, bts := startServer(t, cfgB)
+	for _, row := range table1[2:5] {
+		if st, _ := postStatus(t, bts.URL, row); st != http.StatusOK {
+			t.Fatalf("leader B rejected row: status %d", st)
+		}
+	}
+	inner.Store(b.handler())
+
+	// The follower must detect the epoch change and self-heal: one
+	// re-bootstrap, then convergence on B's three rows.
+	deadline := time.Now().Add(30 * time.Second)
+	for {
+		m, err := tryMetrics(fts.URL)
+		if err == nil && m.Replication != nil && m.Replication.Rebootstraps >= 1 &&
+			m.Replication.Fatal == "" && m.Replication.AppliedLSN >= 3 && m.Replication.LagRecords == 0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("follower never re-bootstrapped: replication state %+v", m.Replication)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	if status, h := healthStatus(t, fts.URL); status != http.StatusOK {
+		t.Fatalf("re-bootstrapped follower /healthz = %d %+v, want 200", status, h)
+	}
+	assertSameReads(t, bts.URL, fts.URL, gamelogQueries)
+
+	// More writes on B keep replicating through the swapped pool.
+	if st, _ := postStatus(t, bts.URL, table1[5]); st != http.StatusOK {
+		t.Fatal("leader B rejected the post-swap row")
+	}
+	waitApplied(t, fts.URL, 4)
+	assertSameReads(t, bts.URL, fts.URL, gamelogQueries)
 }
 
 // TestFollowerConvergesAcrossLeaderCrash runs the full read-path story
@@ -608,7 +507,9 @@ func TestFollowerMaxLagHealth(t *testing.T) {
 
 // TestServerWALTailPage pins one GET /v1/wal page byte for byte: each
 // record is a situfact.TailRecord in its JSON form — an append with its
-// row, an LSN a WAL repair burned as a bare noop, a delete with its tuple.
+// row, a delete with its tuple — and the append whose write was torn, which
+// the daemon applied though it answered 503, is there under its own LSN
+// once the repair loop has written it again.
 func TestServerWALTailPage(t *testing.T) {
 	cfg := walConfig(1, t.TempDir())
 	cfg.faultPlan = "fsync:from=999999" // inert; a torn write is armed below
@@ -626,13 +527,8 @@ func TestServerWALTailPage(t *testing.T) {
 		t.Fatalf("row torn on its way to the log: status %d, want 503", st)
 	}
 	s.faults.Clear()
-	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(5 * time.Millisecond) {
-		if wal := getMetrics(t, ts.URL).WAL; wal.Repairs >= 1 && !wal.Degraded {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("the repair loop never healed the torn log")
-		}
+	if !healed(ts.URL, 0) {
+		t.Fatal("the repair loop never healed the torn log")
 	}
 	if resp := doJSON(t, "DELETE", ts.URL+"/v1/tuples/0:1", nil, nil); resp.StatusCode != http.StatusNoContent {
 		t.Fatalf("DELETE 0:1: status %d", resp.StatusCode)
@@ -640,7 +536,7 @@ func TestServerWALTailPage(t *testing.T) {
 	want := `{"epoch":"` + s.wal.Epoch() + `","last_lsn":4,"records":[` +
 		`{"lsn":1,"op":"append","shard":0,"dims":["Bogues","Feb","1991-92","Hornets","Hawks"],"measures":[4,12,5]},` +
 		`{"lsn":2,"op":"append","shard":0,"dims":["Seikaly","Feb","1991-92","Heat","Hawks"],"measures":[24,5,15]},` +
-		`{"lsn":3,"op":"noop","shard":0},` +
+		`{"lsn":3,"op":"append","shard":0,"dims":["Sherman","Dec","1993-94","Celtics","Nets"],"measures":[13,13,5]},` +
 		`{"lsn":4,"op":"delete","shard":0,"tuple_id":1}],"more":false}` + "\n"
 	if status, got := getBody(t, ts.URL+"/v1/wal?from_lsn=1"); status != http.StatusOK || string(got) != want {
 		t.Errorf("GET /v1/wal: %d\n got %s\nwant %s", status, got, want)

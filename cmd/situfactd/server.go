@@ -367,7 +367,7 @@ func (s *server) walRepairLoop(ctx context.Context) {
 			backoff = probe
 			continue
 		}
-		lost, err := s.wal.Repair()
+		rewritten, err := s.wal.Repair()
 		if err != nil {
 			backoff = min(backoff*2, maxBackoff)
 			log.Printf("wal repair failed (next attempt in %v): %v", backoff, err)
@@ -375,7 +375,7 @@ func (s *server) walRepairLoop(ctx context.Context) {
 		}
 		s.walRepairs.Add(1)
 		backoff = probe
-		log.Printf("wal repaired: resuming writes (%d journaled-but-unacknowledged records noop-filled)", lost)
+		log.Printf("wal repaired: resuming writes (%d unsynced records written again)", rewritten)
 	}
 }
 

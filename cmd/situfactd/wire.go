@@ -316,7 +316,7 @@ type indexWire struct {
 	Entries int64 `json:"entries"`
 	// Inserts/Deletes count index maintenance operations since start (a
 	// constraint's first cell, its last); Seeks counts ordered lookups run
-	// on behalf of queries.
+	// on behalf of queries and checkpoints.
 	Inserts uint64 `json:"inserts"`
 	Deletes uint64 `json:"deletes"`
 	Seeks   uint64 `json:"seeks"`
@@ -385,9 +385,9 @@ type tupleResponse struct {
 
 // walTailResponse is the body of GET /v1/wal: a batch of journaled
 // records with LSN >= from_lsn, each in situfact.TailRecord's JSON form
-// (op "noop" is a repair-burned LSN). Records are dense — a first record
-// past the requested from_lsn means the tail was truncated away and the
-// follower must re-bootstrap from a snapshot. More reports records
+// (op "noop" is an LSN an earlier build's repair burned). Records are
+// dense — a first record past the requested from_lsn means the tail was
+// truncated away and the follower must re-bootstrap from a snapshot. More reports records
 // remaining past the batch; LastLSN is the log's highest assigned LSN.
 type walTailResponse struct {
 	Epoch   string                `json:"epoch"`

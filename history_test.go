@@ -554,8 +554,8 @@ func (h *history) recovered(dir string) *Pool {
 }
 
 // checkpoint checkpoints and truncates every lane: the shard files are the
-// same bytes on every lane, a restore reproduces the pool — constraint
-// numbering included — and the restored pool's checkpoint the bytes.
+// same bytes on every lane, a restore reproduces the pool, and the
+// restored pool's checkpoint the bytes.
 func (h *history) checkpoint() {
 	var files [][]byte
 	for i, l := range h.lanes {
@@ -577,9 +577,6 @@ func (h *history) checkpoint() {
 	r := h.recovered(h.lanes[0].snapDir)
 	defer r.Close()
 	h.sameState(h.state(r), want, "the restored pool")
-	for i := range r.shards {
-		diffLines(h.t, fmt.Sprintf("step %d: shard %d Walk", h.step, i), r.shards[i].eng.walkOrder(), h.lanes[0].pool.shards[i].eng.walkOrder())
-	}
 	dir := h.t.TempDir()
 	_, err := r.Checkpoint(dir, nil)
 	h.check(err)
@@ -631,8 +628,9 @@ func (h *history) crash(observe bool) {
 
 // follow bootstraps a follower of every lane from a copy of its checkpoint
 // (a fresh pool without one) and applies the leader's tail from the
-// follower's cursor: the tail has no gap, and the follower serves the
-// leader's state.
+// follower's cursor: the tail has no gap, the follower serves the leader's
+// state, and its snapshot is the leader's, byte for byte — though it
+// interned the constraints the tail revived after the ones it restored.
 func (h *history) follow() {
 	want := h.states()
 	for i, l := range h.lanes {
@@ -650,5 +648,22 @@ func (h *history) follow() {
 		_, err = f.ApplyTail(l.wal.Epoch(), recs, nil)
 		h.check(err)
 		h.sameState(h.state(f), want, "lane %d's follower against its leader", i)
+		if !reflect.DeepEqual(snapshotsOf(h.t, f), snapshotsOf(h.t, l.pool)) {
+			h.fatalf("lane %d: the follower's snapshot differs from its leader's", i)
+		}
 	}
+}
+
+// snapshotsOf encodes every shard of p as a checkpoint does: equal bytes
+// are equal states, tuple ids and tombstones included.
+func snapshotsOf(t *testing.T, p *Pool) [][]byte {
+	t.Helper()
+	out := make([][]byte, len(p.shards))
+	for i := range p.shards {
+		var err error
+		if out[i], err = p.shards[i].eng.appendSnapshot(nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return out
 }

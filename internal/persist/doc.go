@@ -6,9 +6,9 @@
 //
 //   - WAL — a segmented, CRC-framed write-ahead log of ingest operations
 //     (appends and deletes). Records are assigned monotonically increasing
-//     LSNs, appended through one buffered writer, and made durable by
-//     group-committed fsyncs: concurrent WaitSync callers coalesce into a
-//     single fsync covering all of them. Segments rotate at a size
+//     LSNs, encoded into the log's pending-frame buffer, and made durable
+//     by group-committed fsyncs: concurrent WaitSync callers coalesce into
+//     a single write and fsync covering all of them. Segments rotate at a size
 //     threshold and are deleted once a snapshot covers them.
 //
 //   - Snapshot — the codec for one engine's complete state (dictionary,

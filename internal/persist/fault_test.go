@@ -24,163 +24,69 @@ func faultWAL(t *testing.T, dir, plan string) (*WAL, *faultfs.Faulty) {
 	return w, fs
 }
 
-// TestFaultFsyncRepair: a one-shot fsync fault poisons the log sticky;
-// Repair clears it with nothing lost — the records were flushed, only the
-// fsync acknowledgement failed — and the log keeps working.
-func TestFaultFsyncRepair(t *testing.T) {
-	dir := t.TempDir()
-	w, _ := faultWAL(t, dir, "fsync:nth=1")
-	defer w.Close()
-	for i := 0; i < 5; i++ {
-		if _, err := w.Append(appendRec(i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := w.Sync(); !errors.Is(err, faultfs.ErrInjected) {
-		t.Fatalf("sync = %v, want injected fault", err)
-	}
-	// Sticky: the fault was one-shot, but the poisoned state is not.
-	if err := w.Err(); !errors.Is(err, faultfs.ErrInjected) {
-		t.Fatalf("Err() = %v, want injected fault", err)
-	}
-	if _, err := w.Append(appendRec(9)); err == nil {
-		t.Fatal("append on poisoned log succeeded")
-	}
-	lost, err := w.Repair()
-	if err != nil {
-		t.Fatalf("repair: %v", err)
-	}
-	if lost != 0 {
-		t.Fatalf("repair lost %d records, want 0 (all were flushed)", lost)
-	}
-	if err := w.Err(); err != nil {
-		t.Fatalf("Err() after repair = %v", err)
-	}
-	if _, err := w.Append(appendRec(5)); err != nil {
-		t.Fatalf("append after repair: %v", err)
-	}
-	if err := w.Sync(); err != nil {
-		t.Fatalf("sync after repair: %v", err)
-	}
-	if got := collect(t, w); len(got) != 6 {
-		t.Fatalf("replay found %d records, want 6", len(got))
-	}
-}
-
-// TestFaultRepairNoopFill: an ENOSPC fault tears a flush mid-frame. The
-// unsynced (never-acknowledged) records are destroyed; Repair truncates
-// the torn tail and burns their LSNs with noop frames so the log stays
-// dense, and replay skips the noops.
-func TestFaultRepairNoopFill(t *testing.T) {
-	dir := t.TempDir()
-	w, fs := faultWAL(t, dir, "")
-	defer w.Close()
-	// Establish a durable prefix, then arm the fault: the next flush
-	// tears partway into its first frame.
-	for i := 0; i < 3; i++ {
-		if _, err := w.Append(appendRec(i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := w.Sync(); err != nil {
-		t.Fatal(err)
-	}
-	if err := fs.Program("write:enospc-after=10"); err != nil {
-		t.Fatal(err)
-	}
-	for i := 3; i < 8; i++ {
-		if _, err := w.Append(appendRec(i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := w.Sync(); err == nil {
-		t.Fatal("sync through full disk succeeded")
-	}
-	fs.Clear() // space relieved
-	lost, err := w.Repair()
-	if err != nil {
-		t.Fatalf("repair: %v", err)
-	}
-	if lost != 5 {
-		t.Fatalf("repair lost %d records, want the 5 unsynced ones", lost)
-	}
-	// The log is dense and usable; the burned LSNs replay as noops.
-	var noops, rows int
-	if err := w.Replay(func(r Record) error {
-		if r.Type == RecNoop {
-			noops++
-		} else {
-			rows++
-		}
-		return nil
-	}); err != nil {
-		t.Fatalf("replay: %v", err)
-	}
-	if rows != 3 || noops != 5 {
-		t.Fatalf("replay saw %d rows / %d noops, want 3 / 5", rows, noops)
-	}
-	lsn, err := w.Append(appendRec(100))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if lsn != 9 {
-		t.Fatalf("post-repair lsn = %d, want 9 (LSNs 4-8 burned)", lsn)
-	}
-	if err := w.Sync(); err != nil {
-		t.Fatal(err)
-	}
-
-	// A reopen (process restart) accepts the repaired log.
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	w2, err := OpenWAL(dir, WALOptions{Meta: "sig"})
-	if err != nil {
-		t.Fatalf("reopen repaired log: %v", err)
-	}
-	defer w2.Close()
-	if got := collect(t, w2); len(got) != 9 {
-		t.Fatalf("reopen replay found %d records, want 9", len(got))
-	}
-}
-
-// TestFaultShortWriteRepair: a torn (short) write poisons the flush; the
-// half-frame on disk is truncated by Repair.
-func TestFaultShortWriteRepair(t *testing.T) {
-	dir := t.TempDir()
-	w, fs := faultWAL(t, dir, "")
-	defer w.Close()
-	if _, err := w.Append(appendRec(0)); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Sync(); err != nil {
-		t.Fatal(err)
-	}
-	if err := fs.Program("write:short-at=1"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := w.Append(appendRec(1)); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Sync(); err == nil {
-		t.Fatal("sync through short write succeeded")
-	}
-	fs.Clear()
-	lost, err := w.Repair()
-	if err != nil {
-		t.Fatalf("repair: %v", err)
-	}
-	if lost != 1 {
-		t.Fatalf("repair lost %d, want 1", lost)
-	}
-	if got := collect(t, w); len(got) != 2 { // row + noop
-		t.Fatalf("replay found %d records, want 2", len(got))
+// TestFaultRepairRewritesUnsynced: a fault on the way to disk — a failed
+// fsync, a disk that fills mid-frame, a torn write — poisons the log, and
+// stays sticky after a one-shot fault has passed. The five records it left
+// unsynced were never acknowledged, but their ops may already be applied:
+// Repair cuts back whatever the fault left past the durable end and writes
+// the same five records again under their own LSNs, the log keeps working,
+// and a reopen replays every record, in order, as written.
+func TestFaultRepairRewritesUnsynced(t *testing.T) {
+	for _, plan := range []string{"fsync:nth=1", "write:enospc-after=10", "write:short-at=1"} {
+		t.Run(plan, func(t *testing.T) {
+			dir := t.TempDir()
+			w, fs := faultWAL(t, dir, "")
+			defer w.Close()
+			for i := range 8 {
+				if i == 3 { // a durable prefix, then the fault
+					if err := w.Sync(); err != nil {
+						t.Fatal(err)
+					}
+					if err := fs.Program(plan); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if _, err := w.Append(appendRec(i)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := w.Sync(); !errors.Is(err, faultfs.ErrInjected) {
+				t.Fatalf("sync = %v, want the injected fault", err)
+			}
+			if _, err := w.Append(appendRec(9)); err == nil || !errors.Is(w.Err(), faultfs.ErrInjected) {
+				t.Fatalf("append on the poisoned log = %v, Err() = %v; want both failing", err, w.Err())
+			}
+			fs.Clear()
+			if n, err := w.Repair(); err != nil || n != 5 || w.Err() != nil {
+				t.Fatalf("Repair = %d, %v, then Err() = %v; want the 5 unsynced records written again", n, err, w.Err())
+			}
+			if lsn, err := w.Append(appendRec(8)); err != nil || lsn != 9 {
+				t.Fatalf("append after the repair = lsn %d, %v; want lsn 9", lsn, err)
+			}
+			if err := w.Close(); err != nil {
+				t.Fatal(err)
+			}
+			w2, err := OpenWAL(dir, WALOptions{Meta: "sig"})
+			if err != nil {
+				t.Fatalf("reopen repaired log: %v", err)
+			}
+			defer w2.Close()
+			got := collect(t, w2)
+			if len(got) != 9 {
+				t.Fatalf("reopen replay found %d records, want 9", len(got))
+			}
+			for i, rec := range got {
+				if want := appendRec(i); rec.LSN != uint64(i+1) || rec.Type != RecAppend || rec.Dims[1] != want.Dims[1] {
+					t.Fatalf("record %d = %+v, want lsn %d holding %+v", i, rec, i+1, want)
+				}
+			}
+		})
 	}
 }
 
 // TestFaultReadFromServesDegraded: a poisoned log still serves its
 // durable prefix to followers — and never serves unsynced records, which
-// a later Repair may destroy.
+// a crash could still lose.
 func TestFaultReadFromServesDegraded(t *testing.T) {
 	dir := t.TempDir()
 	w, fs := faultWAL(t, dir, "")

@@ -17,11 +17,10 @@ const (
 	RecAppend RecordType = 1
 	// RecDelete journals the retraction of one tuple of one shard.
 	RecDelete RecordType = 2
-	// RecNoop carries no operation. Repair writes noop frames over the
-	// LSN range a write fault destroyed: those LSNs were assigned (and may
-	// have advanced shard watermarks), so reusing them for real records
-	// would make replay skip the newcomers, while leaving a hole would
-	// fail the density check. Replay and tailing count a noop as skipped.
+	// RecNoop carries no operation. Repairs by earlier builds wrote noop
+	// frames over the LSNs a write fault destroyed; today's Repair writes
+	// the destroyed frames again instead, so only logs from those builds
+	// hold noops. Replay and tailing count a noop as skipped.
 	RecNoop RecordType = 3
 )
 

@@ -27,15 +27,15 @@ import (
 //	            measures
 //	tombstones  count, then the deleted tuple ids ascending
 //	cells       constraint, cell and member totals (uint64 each), then per
-//	            live constraint in constraint-id order: its 4·d-byte key, its
+//	            live constraint in key-byte order: its 4·d-byte key, its
 //	            context count (prominence on only), its cell count, and per
 //	            cell in mask order: mask, member count, member ids
 //	counts      context counts of the constraints that have no cell (TopDown
 //	            family): count, then (key, count) pairs ascending by key
 //
-// Nothing in a file depends on map iteration, so equal engine states encode
-// to equal bytes, and a restored engine's next snapshot repeats the file it
-// was restored from. The decoder checks every length against the bytes that
+// Nothing in a file depends on map iteration or on constraint ids, so equal
+// engine states encode to equal bytes, and a restored engine's next snapshot
+// repeats the file it was restored from. The decoder checks every length against the bytes that
 // remain before it allocates from it, and every section's CRC before it
 // reads the payload.
 
@@ -92,7 +92,8 @@ type Snapshot struct {
 	// Deleted lists the tombstoned tuple ids, ascending.
 	Deleted []int64
 
-	// The µ store, one entry per live constraint in constraint-id order:
+	// The µ store, one entry per live constraint in file order (key-byte
+	// order; earlier builds wrote constraint-id order, read alike):
 	// constraint i's key is Keys[i·4D:(i+1)·4D], its context size Counts[i]
 	// (nil without prominence) and it has Live[i] cells. The cells of all
 	// constraints follow one another in Masks (ascending within a

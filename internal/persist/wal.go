@@ -47,14 +47,13 @@ type WALOptions struct {
 
 const (
 	defaultSegmentBytes = 64 << 20
-	// walWriteBufBytes sizes each segment's write buffer. Batched appends
-	// accumulate here and reach the kernel in one write per group commit;
-	// the default 4 KiB bufio buffer forced a syscall every ~hundred
-	// records, which showed up as ~15% CPU under sustained pipelined load.
-	walWriteBufBytes = 256 << 10
-	walMetaName      = "wal.meta"
-	walMetaMagic     = "situfact-wal-v1"
-	segmentSuffix    = ".seg"
+	// maxIdlePendingBytes caps the capacity the pending-frame buffer keeps
+	// once an fsync has emptied it, so one huge batch does not pin its
+	// high-water memory for the life of the segment.
+	maxIdlePendingBytes = 256 << 10
+	walMetaName         = "wal.meta"
+	walMetaMagic        = "situfact-wal-v1"
+	segmentSuffix       = ".seg"
 )
 
 type walMeta struct {
@@ -67,10 +66,10 @@ type walMeta struct {
 	Epoch string
 }
 
-// WAL is a segmented, CRC-framed write-ahead log. Appends go through one
-// buffered writer under a mutex; durability comes from WaitSync, whose
-// concurrent callers group-commit into a single fsync. See the package
-// doc for the crash-safety rules.
+// WAL is a segmented, CRC-framed write-ahead log. Appends encode frames
+// into a buffer under a mutex; durability comes from WaitSync, whose
+// concurrent callers group-commit into a single write and fsync. See the
+// package doc for the crash-safety rules.
 type WAL struct {
 	dir     string
 	segSize int64
@@ -80,24 +79,29 @@ type WAL struct {
 	// mu guards the file state: writes, rotation, truncation. The fsync
 	// itself runs OUTSIDE mu (syncNow flushes under the lock, then syncs
 	// the grabbed handle after releasing it), so appenders keep journaling
-	// into the OS buffer while a group commit's fsync is on disk —
-	// otherwise every fsync would freeze ingest for its full device
-	// latency. syncingF/closeAfterSync coordinate the one hazard: a
-	// rotation or Close that wants to close the very file an fsync holds
-	// hands the close to the syncer instead (fsync on a closed fd would
-	// fail and poison the log).
+	// while a group commit's fsync is on disk — otherwise every fsync would
+	// freeze ingest for its full device latency. syncingF/closeAfterSync
+	// coordinate the one hazard: a rotation or Close that wants to close
+	// the very file an fsync holds hands the close to the syncer instead
+	// (fsync on a closed fd would fail and poison the log).
 	mu             sync.Mutex
 	f              faultfs.File
-	bw             *bufio.Writer
 	syncingF       faultfs.File // file an fsync is running on outside mu; nil = none
 	closeAfterSync bool         // close syncingF when its fsync returns
 	nextLSN        uint64
 	segBase        uint64 // first LSN of the active segment
-	segBytes       int64  // bytes written to the active segment
+	segBytes       int64  // bytes of the active segment, pending frames included
 	segments       int    // live segment files, including the active one
-	scratch        []byte
-	writeErr       error // sticky: a failed write leaves the buffer torn
-	closed         bool
+	// pending holds the active segment's frames that no successful fsync
+	// has covered, in LSN order: the first flushed bytes are in the file,
+	// the rest only here, and unsynced counts the frames. The pool applies
+	// an op once its frame is here, so after a write or fsync fault Repair
+	// writes these frames again: the log keeps exactly the ops applied.
+	pending  []byte
+	flushed  int
+	unsynced int
+	writeErr error // sticky: a failed write or fsync leaves the file torn
+	closed   bool
 
 	// syncState guards the durability watermark and the group-commit
 	// election; it is never held across a file operation.
@@ -178,7 +182,6 @@ func (w *WAL) openTail(base uint64) (next uint64, err error) {
 		return 0, fmt.Errorf("wal: %w", err)
 	}
 	w.f = f
-	w.bw = bufio.NewWriterSize(f, walWriteBufBytes)
 	w.segBase = base
 	w.segBytes = end
 	return next, nil
@@ -260,7 +263,6 @@ func (w *WAL) createSegment(base uint64) error {
 		return err
 	}
 	w.f = f
-	w.bw = bufio.NewWriterSize(f, walWriteBufBytes)
 	w.segBase = base
 	w.segBytes = 0
 	return nil
@@ -276,10 +278,11 @@ func (w *WAL) Append(rec Record) (uint64, error) {
 // round-trip and one encode pass cover a whole drained batch. It returns
 // the LSN assigned to the last record; the batch's LSNs are the contiguous
 // run ending there (last-len(recs)+1 … last). The records are buffered, not
-// yet durable: call WaitSync (or Sync) to make them so. A failed write
-// poisons the WAL — the buffer may hold a torn frame — and every later
-// operation reports the original error. An oversized record fails the whole
-// call with nothing of the batch journaled and the WAL not poisoned (the
+// yet durable: call WaitSync (or Sync) to make them so. The call is all or
+// nothing: a full segment rotates before the batch's first frame, never
+// inside it, so a failed rotation journals none of the batch (and poisons
+// the WAL: every later operation reports the original error until Repair).
+// An oversized record fails the whole call without poisoning the WAL (the
 // reader caps payloads at maxRecordBytes, so writing the frame would produce
 // a log that fails replay with ErrCorrupt) — callers pre-validate with
 // Record.Oversized.
@@ -297,35 +300,56 @@ func (w *WAL) AppendAll(recs []Record) (uint64, error) {
 			return 0, fmt.Errorf("wal append: record exceeds %d payload bytes: %w", maxRecordBytes, ErrTooLarge)
 		}
 	}
-	for _, rec := range recs {
-		rec.LSN = w.nextLSN
-		w.scratch = appendFrame(w.scratch[:0], rec)
-		if _, err := w.bw.Write(w.scratch); err != nil {
-			w.writeErr = fmt.Errorf("wal append: %w", err)
-			return 0, w.writeErr
-		}
-		w.nextLSN++
-		w.segBytes += int64(len(w.scratch))
-		if w.segBytes >= w.segSize {
-			if err := w.rotate(); err != nil {
-				w.writeErr = err
-				return 0, err
-			}
+	if w.segBytes >= w.segSize {
+		if err := w.rotate(); err != nil {
+			w.writeErr = err
+			return 0, err
 		}
 	}
+	n := len(w.pending)
+	for _, rec := range recs {
+		rec.LSN = w.nextLSN
+		w.pending = appendFrame(w.pending, rec)
+		w.nextLSN++
+	}
+	w.segBytes += int64(len(w.pending) - n)
+	w.unsynced += len(recs)
 	return w.nextLSN - 1, nil
+}
+
+// flush writes the pending frames the file does not have yet. Caller holds
+// mu.
+func (w *WAL) flush() error {
+	if w.flushed == len(w.pending) {
+		return nil
+	}
+	n, err := w.f.Write(w.pending[w.flushed:])
+	w.flushed += n
+	return err
+}
+
+// dropSynced drops the first covered bytes (frames frames) of pending: an
+// fsync of what flush wrote has made them durable. Caller holds mu.
+func (w *WAL) dropSynced(covered, frames int) {
+	w.pending = w.pending[:copy(w.pending, w.pending[covered:])]
+	if len(w.pending) == 0 && cap(w.pending) > maxIdlePendingBytes {
+		w.pending = nil
+	}
+	w.flushed -= covered
+	w.unsynced -= frames
 }
 
 // rotate seals the active segment (flush, fsync, close) and opens the
 // next. Everything in the sealed segment is durable afterwards, so the
 // sync watermark advances. Caller holds mu.
 func (w *WAL) rotate() error {
-	if err := w.bw.Flush(); err != nil {
+	if err := w.flush(); err != nil {
 		return fmt.Errorf("wal rotate: %w", err)
 	}
 	if err := w.f.Sync(); err != nil {
 		return fmt.Errorf("wal rotate: %w", err)
 	}
+	w.dropSynced(w.flushed, w.unsynced)
 	if w.syncingF == w.f {
 		// An out-of-lock fsync holds this handle; closing it now would
 		// fail that fsync. The segment is already durable (the Sync
@@ -334,9 +358,9 @@ func (w *WAL) rotate() error {
 	} else if err := w.f.Close(); err != nil {
 		return fmt.Errorf("wal rotate: %w", err)
 	}
-	// Cleared until createSegment replaces them: if it fails, the WAL is
+	// Cleared until createSegment replaces it: if that fails, the WAL is
 	// poisoned with w.f already closed, and Close must not close it again.
-	w.f, w.bw = nil, nil
+	w.f = nil
 	sealed := w.nextLSN - 1
 	if err := w.createSegment(w.nextLSN); err != nil {
 		return err
@@ -392,7 +416,7 @@ func (w *WAL) WaitSync(lsn uint64) error {
 	}
 }
 
-// syncNow flushes the buffer under the lock, then fsyncs the active
+// syncNow writes the pending frames under the lock, then fsyncs the active
 // segment OUTSIDE it, returning the highest LSN the fsync covers.
 // Appends (and whole pipeline batches) proceed concurrently with the
 // fsync; they are simply not covered by it. WaitSync's syncing flag
@@ -410,13 +434,13 @@ func (w *WAL) syncNow() (uint64, error) {
 		w.mu.Unlock()
 		return 0, err
 	}
-	if err := w.bw.Flush(); err != nil {
+	if err := w.flush(); err != nil {
 		w.writeErr = fmt.Errorf("wal sync: %w", err)
 		w.mu.Unlock()
 		return 0, w.writeErr
 	}
 	target := w.nextLSN - 1
-	f := w.f
+	f, covered, frames := w.f, w.flushed, w.unsynced
 	w.syncingF = f
 	w.mu.Unlock()
 
@@ -435,6 +459,11 @@ func (w *WAL) syncNow() (uint64, error) {
 		err := w.writeErr
 		w.mu.Unlock()
 		return 0, err
+	}
+	if w.f == f {
+		// Still the active segment; a rotation meanwhile would have made
+		// all of it durable and emptied pending itself.
+		w.dropSynced(covered, frames)
 	}
 	w.mu.Unlock()
 	return target, nil
@@ -459,7 +488,7 @@ func (w *WAL) Replay(fn func(Record) error) error {
 	if w.closed {
 		return ErrWALClosed
 	}
-	if err := w.bw.Flush(); err != nil {
+	if err := w.flush(); err != nil {
 		w.writeErr = fmt.Errorf("wal replay flush: %w", err)
 		return w.writeErr
 	}
@@ -489,9 +518,9 @@ var errStopRead = errors.New("stop read")
 // read — the tail-shipping primitive behind a follower's catch-up
 // polling. Serving only up to the synced watermark keeps two promises at
 // once: a degraded log (sticky write/fsync error) still serves reads —
-// synced frames are on disk by definition, no flush of the poisoned
-// buffer is needed — and a follower never applies a record that a later
-// Repair noop-fills away. Segments entirely below from are skipped by
+// synced frames are on disk by definition, no write of the pending
+// frames is needed — and a follower never applies a record that a crash
+// of the leader could still lose. Segments entirely below from are skipped by
 // name; the first overlapping segment is decoded from its start with the
 // early records filtered out. Like Replay it blocks appends for its
 // duration, but the duration is bounded by max plus at most one segment's
@@ -624,8 +653,8 @@ func (w *WAL) LastLSN() uint64 {
 	return w.nextLSN - 1
 }
 
-// Err returns the log's sticky failure — a poisoned write buffer or a
-// failed fsync — or nil while healthy. A closed log reports ErrWALClosed.
+// Err returns the log's sticky failure — a failed write or fsync — or nil
+// while healthy. A closed log reports ErrWALClosed.
 func (w *WAL) Err() error {
 	w.mu.Lock()
 	werr, closed := w.writeErr, w.closed
@@ -642,23 +671,23 @@ func (w *WAL) Err() error {
 }
 
 // Repair attempts to return a poisoned log to service without a process
-// restart — the degraded daemon's background heal path. It re-scans the
-// active segment to find the durable end (truncating a torn tail the
-// fault left), reopens the handle, and noop-fills the LSN range the fault
-// destroyed: those LSNs were assigned to records that never reached disk
-// intact, and since appended-but-unacknowledged rows may have advanced
-// shard watermarks past them, reusing them for future records would make
-// replay skip the newcomers. The noops keep the log dense instead.
+// restart — the degraded daemon's background heal path. The frames no
+// successful fsync covered are still pending, and the pool has applied
+// their ops (an op is applied once AppendAll journals it, before its
+// fsync), so Repair cuts the active segment back to its durable end —
+// dropping whatever torn or unsynced bytes the fault left — and writes
+// those frames again under their own LSNs: the log holds exactly the ops
+// the pool applied, and every later record, and every tuple id, means on
+// replay and on a follower what it meant on the leader.
 //
 // On success the sticky write and fsync errors are cleared, the synced
 // watermark covers the whole repaired log, and blocked WaitSync callers
-// wake; lost is how many records were replaced by noops (every one of
-// them was unacknowledged — acked records are synced, and synced frames
-// survive repair untouched). Repair returns a non-nil error and leaves
-// the log poisoned when the fault still holds (the repair I/O itself
-// failed — retry later) or the tail is genuinely corrupt (ErrCorrupt:
-// non-zero garbage that a sequential write cannot explain).
-func (w *WAL) Repair() (lost uint64, err error) {
+// wake; rewritten is how many frames were written again (none of them
+// was acknowledged: an ack waits for its fsync). Repair returns a non-nil
+// error and leaves the log poisoned when the fault still holds (the repair
+// I/O itself failed — retry later) or the durable part of the segment does
+// not end where the pending frames begin (ErrCorrupt).
+func (w *WAL) Repair() (rewritten uint64, err error) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.closed {
@@ -673,11 +702,11 @@ func (w *WAL) Repair() (lost uint64, err error) {
 	if w.writeErr == nil && serr == nil {
 		return 0, nil // healthy
 	}
-	// Drop the poisoned handle: its buffer may hold a torn frame. nil
+	// Drop the poisoned handle: the file may end in a torn frame. nil
 	// already when a failed rotation closed it.
 	if w.f != nil {
 		w.f.Close()
-		w.f, w.bw = nil, nil
+		w.f = nil
 	}
 	bases, err := listSegments(w.fs, w.dir)
 	if err != nil {
@@ -687,20 +716,24 @@ func (w *WAL) Repair() (lost uint64, err error) {
 		return 0, fmt.Errorf("wal repair: no segments on disk: %w", ErrCorrupt)
 	}
 	w.segments = len(bases) // recount: a fault mid-rotation may have lied
-	next, err := w.openTail(bases[len(bases)-1])
+	tail := bases[len(bases)-1]
+	if tail == w.segBase {
+		// A rotation that failed after creating the next segment left it
+		// empty, with nothing pending; otherwise the durable end is here.
+		if err := truncateFile(w.fs, w.segmentPath(tail), w.segBytes-int64(len(w.pending))); err != nil {
+			return 0, fmt.Errorf("wal repair: %w", err)
+		}
+	}
+	next, err := w.openTail(tail)
 	if err != nil {
 		return 0, err // ErrCorrupt is not repairable; an I/O error may clear
 	}
-	for lsn := next; lsn < w.nextLSN; lsn++ {
-		w.scratch = appendFrame(w.scratch[:0], Record{LSN: lsn, Type: RecNoop})
-		if _, err := w.bw.Write(w.scratch); err != nil {
-			w.writeErr = fmt.Errorf("wal repair: %w", err)
-			return 0, w.writeErr
-		}
-		w.segBytes += int64(len(w.scratch))
-		lost++
+	if first := w.nextLSN - uint64(w.unsynced); next != first {
+		return 0, fmt.Errorf("wal repair: the durable log ends before lsn %d, the pending frames begin at %d: %w", next, first, ErrCorrupt)
 	}
-	if err := w.bw.Flush(); err != nil {
+	w.segBytes += int64(len(w.pending))
+	w.flushed = 0
+	if err := w.flush(); err != nil {
 		w.writeErr = fmt.Errorf("wal repair: %w", err)
 		return 0, w.writeErr
 	}
@@ -708,6 +741,8 @@ func (w *WAL) Repair() (lost uint64, err error) {
 		w.writeErr = fmt.Errorf("wal repair: %w", err)
 		return 0, w.writeErr
 	}
+	rewritten = uint64(w.unsynced)
+	w.dropSynced(w.flushed, w.unsynced)
 	w.writeErr = nil
 	w.syncState.Lock()
 	w.syncState.err = nil
@@ -716,15 +751,7 @@ func (w *WAL) Repair() (lost uint64, err error) {
 	}
 	w.syncState.Unlock()
 	w.syncState.cond.Broadcast()
-	if w.segBytes >= w.segSize {
-		// The fault may have struck mid-rotation; finish it so the next
-		// append does not land in an over-full segment.
-		if err := w.rotate(); err != nil {
-			w.writeErr = err
-			return lost, err
-		}
-	}
-	return lost, nil
+	return rewritten, nil // a full segment rotates before the next append
 }
 
 // Close flushes, fsyncs and closes the log. Waiting WaitSync callers
@@ -739,7 +766,7 @@ func (w *WAL) Close() error {
 	last := w.nextLSN - 1
 	poisoned := w.writeErr != nil
 	if !poisoned {
-		if err := w.bw.Flush(); err != nil {
+		if err := w.flush(); err != nil {
 			errs = append(errs, err)
 		} else if err := w.f.Sync(); err != nil {
 			errs = append(errs, err)

@@ -10,9 +10,10 @@ import (
 
 // The golden segment pins the journal's bytes on disk the way the v2
 // snapshot fixtures pin the snapshot's: one single append, one batch of two
-// (AppendAll, as pipelined ingest journals), one delete and one noop (what a
-// repair burns an LSN with). Today's writer must reproduce the file byte for
-// byte and today's reader must replay it to the same records.
+// (AppendAll, as pipelined ingest journals), one delete and one noop (what
+// earlier builds' repairs burned an LSN with). Today's writer must reproduce
+// the file byte for byte and today's reader must replay it to the same
+// records.
 const goldenSegment = "golden_segment.seg"
 
 func goldenRecords() (single Record, batch []Record, del, noop Record) {

@@ -8,8 +8,8 @@ import (
 )
 
 // TestAppendAllMatchesAppend pins the batched journal pass: AppendAll's
-// frames, LSNs and rotation behaviour are indistinguishable on replay
-// from the same records journaled one Append at a time.
+// frames and LSNs are indistinguishable on replay from the same records
+// journaled one Append at a time, and a batch never straddles a rotation.
 func TestAppendAllMatchesAppend(t *testing.T) {
 	recs := make([]Record, 40)
 	for i := range recs {
@@ -22,7 +22,8 @@ func TestAppendAllMatchesAppend(t *testing.T) {
 			Measures: []float64{float64(i), 0.5},
 		}
 	}
-	// Tiny segments force several rotations inside the batched pass.
+	// Tiny segments: the single appends rotate every few records, the
+	// batches only between the two calls.
 	single, err := OpenWAL(t.TempDir(), WALOptions{Meta: "m", SegmentBytes: 256})
 	if err != nil {
 		t.Fatal(err)
@@ -78,8 +79,8 @@ func TestAppendAllMatchesAppend(t *testing.T) {
 			t.Fatalf("record %d differs:\n batched %+v\n single  %+v", i, got[i], want[i])
 		}
 	}
-	if gs, ws := batched.Stats(), single.Stats(); gs.Segments != ws.Segments {
-		t.Errorf("batched log rotated into %d segments, single-append log %d", gs.Segments, ws.Segments)
+	if gs, ws := batched.Stats(), single.Stats(); gs.Segments != 2 || ws.Segments <= 2 {
+		t.Errorf("batched log rotated into %d segments, single-append log %d; want 2, one per batch, and more", gs.Segments, ws.Segments)
 	}
 }
 
@@ -93,7 +94,8 @@ func TestRotateDefersCloseDuringSync(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer w.Close()
-	rec := Record{Type: RecAppend, Dims: []string{strings.Repeat("d", 64)}, Measures: []float64{1}}
+	// One frame fills a segment, so the next append rotates first.
+	rec := Record{Type: RecAppend, Dims: []string{strings.Repeat("d", 128)}, Measures: []float64{1}}
 
 	// Emulate syncNow's pre-fsync half: flush under the lock, grab the
 	// handle, mark the fsync in flight. (WaitSync's syncing flag
@@ -102,15 +104,15 @@ func TestRotateDefersCloseDuringSync(t *testing.T) {
 		t.Fatal(err)
 	}
 	w.mu.Lock()
-	if err := w.bw.Flush(); err != nil {
+	if err := w.flush(); err != nil {
 		t.Fatal(err)
 	}
 	f := w.f
 	w.syncingF = f
 	w.mu.Unlock()
 
-	// "While the fsync runs", an append crosses the rotation threshold:
-	// rotate must hand the close off instead of closing f under the sync.
+	// "While the fsync runs", an append finds the segment full: rotate
+	// must hand the close off instead of closing f under the sync.
 	if _, err := w.Append(rec); err != nil {
 		t.Fatal(err)
 	}

@@ -27,6 +27,7 @@ type Cache struct {
 
 	mu      sync.Mutex
 	entries map[string]*entry
+	swept   time.Time // last sweep of expired entries (see Get)
 
 	hits   atomic.Uint64
 	misses atomic.Uint64
@@ -42,10 +43,15 @@ func New(ttl time.Duration) *Cache {
 // (waiters count as hits; only the filler counts a miss). A fill error is
 // returned to everyone waiting on it and then evicted, so the next Get
 // retries. Stale entries (older than the TTL) are refilled in the same
-// way.
+// way. Keys nobody asks for again — every cursor page is its own key — are
+// swept out at most once per TTL, so the cache holds about one TTL's worth
+// of keys, not every key it ever served.
 func (c *Cache) Get(key string, fill func() ([]byte, error)) ([]byte, error) {
 	for {
 		c.mu.Lock()
+		if now := time.Now(); now.Sub(c.swept) > c.ttl {
+			c.sweep(now)
+		}
 		e, ok := c.entries[key]
 		if ok {
 			c.mu.Unlock()
@@ -81,6 +87,20 @@ func (c *Cache) Get(key string, fill func() ([]byte, error)) ([]byte, error) {
 			return nil, e.err
 		}
 		return e.val, nil
+	}
+}
+
+// sweep drops the completed fills older than the TTL. Caller holds mu.
+func (c *Cache) sweep(now time.Time) {
+	c.swept = now
+	for k, e := range c.entries {
+		select {
+		case <-e.done:
+			if now.Sub(e.at) > c.ttl {
+				delete(c.entries, k)
+			}
+		default: // in flight
+		}
 	}
 }
 

@@ -2,6 +2,7 @@ package readcache
 
 import (
 	"errors"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -132,5 +133,21 @@ func TestInvalidateDropsEntries(t *testing.T) {
 	}
 	if st := c.Stats(); st.Hits != 0 || st.Misses != 2 {
 		t.Errorf("counters after invalidate = %+v, want them to survive (0 hits, 2 misses)", st)
+	}
+}
+
+// TestReadCacheReclaimsExpired: a key nobody asks for again — a cursor page
+// a client walked past — must not stay cached forever. A thousand keys
+// filled at a 5ms TTL are gone after the next Get past their expiry.
+func TestReadCacheReclaimsExpired(t *testing.T) {
+	c := New(5 * time.Millisecond)
+	fill := func() ([]byte, error) { return []byte("v"), nil }
+	for i := range 1000 {
+		c.Get(strconv.Itoa(i), fill)
+	}
+	time.Sleep(20 * time.Millisecond)
+	c.Get("next", fill)
+	if st := c.Stats(); st.Entries != 1 {
+		t.Errorf("%d entries cached after every other key expired, want 1", st.Entries)
 	}
 }

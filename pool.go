@@ -508,8 +508,8 @@ type IndexStat struct {
 	// (snapshot restore and WAL replay rebuild through Inserts too).
 	Inserts uint64
 	Deletes uint64
-	// Seeks counts iterator seek operations: cursor positioning plus
-	// predicate-pushdown skips.
+	// Seeks counts iterator seek operations: cursor positioning,
+	// predicate-pushdown skips, and a checkpoint's key-order walk.
 	Seeks uint64
 }
 

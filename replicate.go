@@ -26,9 +26,9 @@ var ErrEpochMismatch = errors.New("wal epoch mismatch")
 const (
 	OpAppend = "append"
 	OpDelete = "delete"
-	// OpNoop ships a repair noop frame (see persist.RecNoop): it carries
-	// no operation, but followers must still see it to keep their tail
-	// cursor dense.
+	// OpNoop ships a noop frame an earlier build's repair wrote (see
+	// persist.RecNoop): it carries no operation, but followers must still
+	// see it to keep their tail cursor dense.
 	OpNoop = "noop"
 )
 

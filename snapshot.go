@@ -83,17 +83,17 @@ func (e *Engine) appendSnapshot(buf []byte) ([]byte, error) {
 	slices.Sort(deleted)
 	enc.Tombstones(deleted)
 
-	// The blocks, in constraint-id order: a restore interns the keys in the
-	// order it reads them, so the restored store numbers its constraints in
-	// this order too and its next snapshot repeats these bytes.
+	// The blocks, in key order — the fact index's, which holds exactly the
+	// constraints with cells. Constraint ids depend on history (a follower
+	// interns a constraint that revives after its bootstrap last, where
+	// the leader kept its old id), keys do not: equal states write equal
+	// bytes, and a restore, which interns the keys in file order, writes
+	// its file again.
 	enc.BeginCells()
 	writeCell := func(mask subspace.Mask, cell store.Cell) { enc.Cell(mask, cell.IDs()) }
-	for c, n := store.ConstraintID(0), in.Len(); int(c) < n; c++ {
+	for it := e.fidx.Seek("", 0); it.Valid(); it.NextConstraint() {
+		key, c := it.Constraint()
 		cells := mem.Live(c)
-		if cells == 0 {
-			continue
-		}
-		key := string(in.Key(c))
 		var count int64
 		if e.counter != nil {
 			if count = e.counter.SizeOf(c); count <= 0 {

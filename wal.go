@@ -82,19 +82,19 @@ func OpenWAL(pool *Pool, dir string, opt WALOptions) (*WAL, error) {
 // Sync forces every journaled record to disk.
 func (w *WAL) Sync() error { return w.w.Sync() }
 
-// Err returns the log's sticky failure (a poisoned write buffer or a
-// failed fsync), or nil while healthy. A non-nil Err means every ingest
-// operation is failing with ErrWALFailed: the degraded state Repair (or
-// a restart) clears.
+// Err returns the log's sticky failure (a failed write or fsync), or nil
+// while healthy. A non-nil Err means every ingest operation is failing
+// with ErrWALFailed: the degraded state Repair (or a restart) clears.
 func (w *WAL) Err() error { return w.w.Err() }
 
-// Repair attempts to clear a sticky log failure in place: truncate the
-// torn tail the fault left, burn the destroyed (never-acknowledged)
-// records' LSNs with noop frames so the log stays dense, and resume
-// journaling. It returns how many records were lost to the fault — all
-// unacknowledged — or an error when the fault still holds (retry later)
-// or the tail is genuinely corrupt. See persist.WAL.Repair.
-func (w *WAL) Repair() (lost uint64, err error) { return w.w.Repair() }
+// Repair attempts to clear a sticky log failure in place: cut the log back
+// to its last fsync, write again the records the fault left unsynced — the
+// pool applied their ops, though none was acknowledged — and resume
+// journaling, so replay and followers see exactly the ops the pool
+// applied, under the tuple ids it assigned. It returns how many records
+// were written again, or an error when the fault still holds (retry
+// later) or the log is corrupt. See persist.WAL.Repair.
+func (w *WAL) Repair() (rewritten uint64, err error) { return w.w.Repair() }
 
 // WALStats is a monitoring snapshot of the log; see persist.WALStats.
 type WALStats = persist.WALStats
@@ -224,8 +224,8 @@ func (p *Pool) applyRecord(rec persist.Record, stats *ReplayStats, onArrival fun
 				rec.LSN, rec.Shard, len(p.shards))
 		}
 	case persist.RecNoop:
-		// Repair filler over an LSN a write fault destroyed: no operation,
-		// no shard, no watermark to advance.
+		// An earlier build's repair filler over an LSN a write fault
+		// destroyed: no operation, no shard, no watermark to advance.
 		stats.Skipped++
 		return nil
 	default:

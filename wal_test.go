@@ -2,12 +2,14 @@ package situfact
 
 import (
 	"errors"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
 
+	"repro/internal/faultfs"
 	"repro/internal/persist"
 )
 
@@ -413,5 +415,107 @@ func TestWALFailedClassification(t *testing.T) {
 	}
 	if err := p.Delete(0, 0); !errors.Is(err, ErrWALFailed) {
 		t.Fatalf("delete over closed WAL: err %v, want ErrWALFailed", err)
+	}
+}
+
+// TestWALRepairKeepsHandles runs the WAL's write path through each class of
+// fault it meets. The append a fault strikes is applied yet refused with
+// ErrWALFailed, and the next one is refused and not applied, until Repair.
+// After the repair an append Y, an append Z and the delete of Y by the
+// handle it was acked with must leave, on a follower applying the log and
+// replayed after a crash, the live pool's state: its snapshot, tuple ids
+// and tombstones included.
+func TestWALRepairKeepsHandles(t *testing.T) {
+	for _, plan := range []string{
+		"fsync:nth=3",            // one fsync fails; the log stays poisoned until repaired
+		"fsync:from=2",           // every fsync fails
+		"write:enospc-after=600", // the disk fills mid-frame
+		"write:short-at=2",       // a write is torn
+	} {
+		t.Run(plan, func(t *testing.T) {
+			dir, faults := t.TempDir(), faultfs.New(faultfs.OS)
+			newPool := func() *Pool {
+				p, err := NewPool(queryTestSchema(t), PoolOptions{Shards: 2, ShardDim: "region"})
+				if err != nil {
+					t.Fatal(err)
+				}
+				t.Cleanup(func() { p.Close() })
+				return p
+			}
+			live := newPool()
+			w, err := OpenWAL(live, dir, WALOptions{FS: faults})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := live.AttachWAL(w); err != nil {
+				t.Fatal(err)
+			}
+			rng := rand.New(rand.NewSource(7))
+			// add appends a row and reports whether the pool applied it; ok
+			// requires it acknowledged.
+			add := func() (*Arrival, bool, error) {
+				r, before := randomRow(rng), live.Len()
+				arr, err := live.Append(r.Dims, r.Measures)
+				return arr, live.Len() > before, err
+			}
+			ok := func() *Arrival {
+				arr, _, err := add()
+				if err != nil {
+					t.Fatal(err)
+				}
+				return arr
+			}
+			for range 3 {
+				ok()
+			}
+			if err := faults.Program(plan); err != nil {
+				t.Fatal(err)
+			}
+			_, applied, err := add()
+			for n := 1; err == nil && n < 64; n++ {
+				_, applied, err = add()
+			}
+			if !errors.Is(err, ErrWALFailed) || !applied {
+				t.Fatalf("the append the fault struck: %v, applied %v; want ErrWALFailed, applied", err, applied)
+			}
+			if _, applied, err = add(); !errors.Is(err, ErrWALFailed) || applied {
+				t.Fatalf("append on the poisoned log: %v, applied %v; want ErrWALFailed, not applied", err, applied)
+			}
+			faults.Clear()
+			if n, err := w.Repair(); err != nil || n != 1 {
+				t.Fatalf("Repair = %d, %v; want the struck append's record written again", n, err)
+			}
+			y := ok()
+			ok()
+			if err := live.Delete(y.Shard, y.TupleID); err != nil {
+				t.Fatal(err)
+			}
+
+			follower := newPool()
+			recs, _, _, err := w.ReadTail(1, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := follower.ApplyTail(w.Epoch(), recs, nil); err != nil {
+				t.Fatal(err)
+			}
+			if err := w.Close(); err != nil {
+				t.Fatal(err)
+			}
+			replayed := newPool()
+			rw, err := OpenWAL(replayed, dir, WALOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer rw.Close()
+			if _, err := replayed.ReplayWAL(rw, nil); err != nil {
+				t.Fatal(err)
+			}
+			for name, p := range map[string]*Pool{"follower": follower, "replay": replayed} {
+				if !reflect.DeepEqual(snapshotsOf(t, p), snapshotsOf(t, live)) {
+					t.Errorf("%s: %d tuples live, the live pool %d, and their snapshots differ", name, p.Len(), live.Len())
+				}
+			}
+		})
 	}
 }
