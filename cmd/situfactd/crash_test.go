@@ -13,6 +13,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	situfact "repro"
 )
 
 // TestCrashRecoverySIGKILL is the end-to-end durability acceptance test:
@@ -121,7 +123,7 @@ func TestCrashRecoverySIGKILL(t *testing.T) {
 	d3 := startDaemonAt(t, bin, crashDir, freeAddr(t), "-fault-plan", "fsync:from=3;clear-after=400ms")
 	var (
 		mu             sync.Mutex
-		ackedRows      []rowWire
+		ackedRows      []situfact.Row
 		degraded, heal int // 503s with Retry-After; 200s after the first of them
 		other          []int
 	)
@@ -132,7 +134,7 @@ func TestCrashRecoverySIGKILL(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for seq := 0; ; seq++ {
-				r := rowWire{
+				r := situfact.Row{
 					Dims:     []string{fmt.Sprintf("team-%d", seq%7), fmt.Sprintf("acked-%d-%d", c, seq)},
 					Measures: []float64{float64(seq % 37), float64(seq % 11)},
 				}
@@ -320,11 +322,11 @@ func (d *daemon) stop() {
 
 // crashRows builds a deterministic stream with a skewed team dimension so
 // shards fill unevenly — the harder case for per-shard snapshot LSNs.
-func crashRows(n int) []rowWire {
+func crashRows(n int) []situfact.Row {
 	rng := rand.New(rand.NewSource(42))
-	rows := make([]rowWire, n)
+	rows := make([]situfact.Row, n)
 	for i := range rows {
-		rows[i] = rowWire{
+		rows[i] = situfact.Row{
 			Dims: []string{
 				fmt.Sprintf("team-%d", rng.Intn(7)*rng.Intn(2)), // skewed: team-0 is hot
 				fmt.Sprintf("player-%d", rng.Intn(23)),
@@ -337,8 +339,8 @@ func crashRows(n int) []rowWire {
 
 // post POSTs one row and returns the status code plus the Retry-After
 // header (degraded-mode 503s must carry one).
-func post(url string, r rowWire) (int, string, error) {
-	body, _ := json.Marshal(tupleRequest{Dims: r.Dims, Measures: r.Measures})
+func post(url string, r situfact.Row) (int, string, error) {
+	body, _ := json.Marshal(tupleRequest{Row: r})
 	resp, err := http.Post(url+"/v1/tuples", "application/json", bytes.NewReader(body))
 	if err != nil {
 		return 0, "", err
@@ -350,7 +352,7 @@ func post(url string, r rowWire) (int, string, error) {
 	return resp.StatusCode, resp.Header.Get("Retry-After"), nil
 }
 
-func postRow(url string, r rowWire) bool {
+func postRow(url string, r situfact.Row) bool {
 	status, _, err := post(url, r)
 	return err == nil && status == http.StatusOK
 }

@@ -137,7 +137,7 @@ func TestOverloadDrillShedsWithoutAckedLoss(t *testing.T) {
 			defer wg.Done()
 			for seq := 0; time.Now().Before(stop); seq++ {
 				player := fmt.Sprintf("p-%d-%d", w, seq)
-				row := rowWire{
+				row := situfact.Row{
 					Dims:     []string{player, "Feb", "1995-96", teams[(w+seq)%len(teams)], teams[w%len(teams)]},
 					Measures: []float64{float64(seq % 40), float64(w % 15), float64((w + seq) % 12)},
 				}

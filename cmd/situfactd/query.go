@@ -8,7 +8,6 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -151,14 +150,7 @@ func (s *server) handleTuple(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, status, err.Error())
 		return
 	}
-	writeJSON(w, http.StatusOK, tupleResponse{
-		ID:       fmt.Sprintf("%d:%d", info.Shard, info.TupleID),
-		Shard:    info.Shard,
-		TupleID:  info.TupleID,
-		Dims:     info.Dims,
-		Measures: info.Measures,
-		Deleted:  info.Deleted,
-	})
+	writeJSON(w, http.StatusOK, tupleResponse{ID: fmt.Sprintf("%d:%d", info.Shard, info.TupleID), TupleInfo: info})
 }
 
 // serveCached writes fill's body through the read cache when one is
@@ -191,41 +183,7 @@ func (s *server) serveCached(w http.ResponseWriter, key string, fill func() ([]b
 	writeRawJSON(w, http.StatusOK, body)
 }
 
-// marshalBody renders a response body exactly as writeJSON's Encoder would
-// (trailing newline included), so cached and uncached responses are
-// byte-identical.
-func marshalBody(v any) ([]byte, error) {
-	b, err := json.Marshal(v)
-	if err != nil {
-		return nil, err
-	}
-	return append(b, '\n'), nil
-}
-
-// writeRawJSON writes an already-rendered JSON body.
-func writeRawJSON(w http.ResponseWriter, status int, body []byte) {
-	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
-	w.WriteHeader(status)
-	if _, err := w.Write(body); err != nil {
-		return // client went away; nothing to do
-	}
-}
-
 // toQueryFactWire converts one queried fact.
 func toQueryFactWire(f *situfact.QueryFact) queryFactWire {
-	conds := make([]conditionWire, len(f.Conditions))
-	for i, c := range f.Conditions {
-		conds[i] = conditionWire{Attr: c.Attr, Value: c.Value}
-	}
-	return queryFactWire{
-		Shard:       f.Shard,
-		Conditions:  conds,
-		Measures:    f.Measures,
-		ContextSize: f.ContextSize,
-		SkylineSize: f.SkylineSize,
-		Prominence:  f.Prominence,
-		TupleIDs:    f.TupleIDs,
-		Text:        f.String(),
-	}
+	return queryFactWire{QueryFact: *f, Text: f.String()}
 }

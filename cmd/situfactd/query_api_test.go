@@ -8,6 +8,8 @@ import (
 	"reflect"
 	"testing"
 	"time"
+
+	situfact "repro"
 )
 
 // getFacts fetches one /v1/facts page and decodes it, asserting the
@@ -32,7 +34,7 @@ func getFacts(t *testing.T, url string, wantStatus int) factsResponse {
 // of the unpaginated listing, and malformed parameters are rejected.
 func TestFactsEndpoint(t *testing.T) {
 	_, ts := startServer(t, gamelogConfig(2, ""))
-	for _, row := range append(append([]rowWire{}, table1...), wesley) {
+	for _, row := range append(append([]situfact.Row{}, table1...), wesley) {
 		if resp := doJSON(t, "POST", ts.URL+"/v1/tuples", reqOf(row), nil); resp.StatusCode != http.StatusOK {
 			t.Fatalf("ingest rejected: status %d", resp.StatusCode)
 		}

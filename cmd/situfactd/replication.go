@@ -367,7 +367,7 @@ func (r *replState) rebootstrap(ctx context.Context, s *server, rng *rand.Rand) 
 			s.poolv.Store(pool)
 			// Everything cached predates the new pool.
 			if s.cache != nil {
-				s.cache.InvalidateFunc(func(string) bool { return true })
+				s.cache.Clear()
 			}
 			next := pool.TailCursor()
 			r.mu.Lock()
@@ -429,7 +429,6 @@ func (r *replState) drain(ctx context.Context, s *server) bool {
 			return true
 		}
 		if recs := resp.Records; len(recs) > 0 {
-			before := pool.ShardLSNs()
 			stats, err := pool.ApplyTail(resp.Epoch, recs, nil)
 			r.mu.Lock()
 			r.applied.Records += stats.Records
@@ -441,14 +440,11 @@ func (r *replState) drain(ctx context.Context, s *server) bool {
 				r.setFatal("applying wal tail: " + err.Error())
 				return true
 			}
-			// Reads must see the advance — but only reads whose shard
-			// actually advanced. Cached pages scoped to an untouched shard
-			// are still correct, so evict just the moved shards' keys plus
-			// everything cross-shard (all-shard pages and leaderboards).
-			// Eviction runs BEFORE nextLSN advances: once the applied LSN is
-			// observable in /v1/metrics, no pre-batch page may serve.
+			// Reads must see the advance, so the cache is cleared BEFORE
+			// nextLSN advances: once the applied LSN is observable in
+			// /v1/metrics, no pre-batch page may serve.
 			if s.cache != nil {
-				s.cache.InvalidateFunc(invalidatorFor(before, pool.ShardLSNs()))
+				s.cache.Clear()
 			}
 			r.mu.Lock()
 			r.nextLSN = recs[len(recs)-1].LSN + 1
@@ -464,36 +460,6 @@ func (r *replState) drain(ctx context.Context, s *server) bool {
 		}
 	}
 	return true
-}
-
-// invalidatorFor builds the read-cache eviction predicate for a tail
-// batch, given the per-shard applied LSNs before and after ApplyTail.
-// Keys scoped to one shard ("facts|<shard>|...") die only when that
-// shard's LSN moved; cross-shard keys ("facts|-1|..." for all-shard
-// pages, "top|..." for leaderboards) die when any shard moved.
-func invalidatorFor(before, after []uint64) func(key string) bool {
-	any := false
-	moved := make(map[string]bool, len(after))
-	for i := range after {
-		if i >= len(before) || after[i] != before[i] {
-			moved["facts|"+strconv.Itoa(i)+"|"] = true
-			any = true
-		}
-	}
-	return func(key string) bool {
-		if !any {
-			return false
-		}
-		if strings.HasPrefix(key, "top|") || strings.HasPrefix(key, "facts|-1|") {
-			return true
-		}
-		for prefix := range moved {
-			if strings.HasPrefix(key, prefix) {
-				return true
-			}
-		}
-		return false
-	}
 }
 
 // pollTail fetches one WAL batch from the leader.

@@ -11,6 +11,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	situfact "repro"
 )
 
 // waitApplied blocks until the follower reports applied_lsn >= want with
@@ -58,7 +60,7 @@ func getBody(t *testing.T, url string) (int, []byte) {
 
 // postStatus is post for the test goroutine: a transport error fails
 // the test.
-func postStatus(t *testing.T, url string, r rowWire) (int, string) {
+func postStatus(t *testing.T, url string, r situfact.Row) (int, string) {
 	t.Helper()
 	status, retry, err := post(url, r)
 	if err != nil {
@@ -143,87 +145,6 @@ var gamelogQueries = []string{
 	"where=month=Feb",
 	"where=month=Feb&measures=assists",
 	"where=player=Wesley&where=season=1995-96",
-}
-
-// TestInvalidatorFor pins the per-shard eviction predicate: keys scoped
-// to an advanced shard die, keys scoped to a quiet shard survive, and
-// cross-shard keys die whenever anything moved.
-func TestInvalidatorFor(t *testing.T) {
-	pred := invalidatorFor([]uint64{5, 7, 9}, []uint64{5, 8, 9})
-	cases := []struct {
-		key  string
-		want bool
-	}{
-		{"facts|0|where|...", false}, // shard 0 did not move
-		{"facts|1|where|...", true},  // shard 1 advanced
-		{"facts|2|where|...", false},
-		{"facts|-1|all-shards", true}, // cross-shard page
-		{"top|10", true},              // leaderboard
-	}
-	for _, c := range cases {
-		if got := pred(c.key); got != c.want {
-			t.Errorf("pred(%q) = %v, want %v", c.key, got, c.want)
-		}
-	}
-	if quiet := invalidatorFor([]uint64{5, 7}, []uint64{5, 7}); quiet("top|10") || quiet("facts|-1|x") {
-		t.Error("nothing moved but cross-shard keys were evicted")
-	}
-	// A follower that grew shards mid-flight (bootstrap) treats the new
-	// shard as moved.
-	if grown := invalidatorFor([]uint64{5}, []uint64{5, 1}); !grown("facts|1|x") {
-		t.Error("newly appeared shard not treated as moved")
-	}
-}
-
-// TestFollowerPerShardCacheInvalidation drives the selective eviction end
-// to end: with the read cache on, a tail batch touching only one shard
-// must leave the other shard's cached page serving hits.
-func TestFollowerPerShardCacheInvalidation(t *testing.T) {
-	cfg := gamelogConfig(2, t.TempDir())
-	cfg.wal = true
-	leader, lts := startServer(t, cfg)
-	for i, row := range table1 {
-		if resp := doJSON(t, "POST", lts.URL+"/v1/tuples", reqOf(row), nil); resp.StatusCode != http.StatusOK {
-			t.Fatalf("leader: row %d: status %d", i, resp.StatusCode)
-		}
-	}
-	fcfg := gamelogConfig(2, t.TempDir())
-	fcfg.follow = lts.URL
-	fcfg.followPoll = 20 * time.Millisecond
-	fcfg.readCacheTTL = time.Minute
-	follower, fts := startServer(t, fcfg)
-	waitApplied(t, fts.URL, uint64(len(table1)))
-
-	hot := leader.db().ShardFor(wesley.Dims[3]) // shard the next append lands on
-	cold := 1 - hot
-	// limit=500 keeps each shard's fact set on one page, so the hot
-	// shard's body is guaranteed to change when the append lands.
-	hotURL := fmt.Sprintf("%s/v1/facts?shard=%d&limit=500", fts.URL, hot)
-	coldURL := fmt.Sprintf("%s/v1/facts?shard=%d&limit=500", fts.URL, cold)
-	_, hotBefore := getBody(t, hotURL) // warm both cache entries
-	_, coldBefore := getBody(t, coldURL)
-
-	if resp := doJSON(t, "POST", lts.URL+"/v1/tuples", reqOf(wesley), nil); resp.StatusCode != http.StatusOK {
-		t.Fatalf("leader: wesley rejected: status %d", resp.StatusCode)
-	}
-	waitApplied(t, fts.URL, uint64(len(table1))+1)
-
-	st := follower.cache.Stats()
-	_, hotAfter := getBody(t, hotURL)
-	_, coldAfter := getBody(t, coldURL)
-	if bytes.Equal(hotBefore, hotAfter) {
-		t.Errorf("shard %d page unchanged after an append routed to it", hot)
-	}
-	if !bytes.Equal(coldBefore, coldAfter) {
-		t.Errorf("shard %d page changed by an append routed to shard %d:\nbefore %s\nafter  %s", cold, hot, coldBefore, coldAfter)
-	}
-	st2 := follower.cache.Stats()
-	if gotMisses := st2.Misses - st.Misses; gotMisses != 1 {
-		t.Errorf("re-reading both shards after a one-shard advance refilled %d entries, want 1 (the advanced shard)", gotMisses)
-	}
-	if gotHits := st2.Hits - st.Hits; gotHits != 1 {
-		t.Errorf("quiet shard's cached page served %d hits, want 1", gotHits)
-	}
 }
 
 // TestFollowerEpochMismatch replaces the leader behind a fixed URL with a
@@ -446,7 +367,9 @@ func TestFollowerConvergesAcrossLeaderCrash(t *testing.T) {
 // TestFollowerMaxLagHealth: a follower that knows its leader is more than
 // -follow-max-lag records ahead answers /healthz 503 naming the bound, and
 // 200 again once it has caught up. A stub in front of the leader withholds
-// the tail's records, not its head LSN, until it lets them through.
+// the tail's records, not its head LSN, until it lets them through. The
+// follower's read cache holds a leaderboard through the lag, and the tail
+// batch that ends it clears the cache: the next read is the leader's bytes.
 func TestFollowerMaxLagHealth(t *testing.T) {
 	cfg := gamelogConfig(2, t.TempDir())
 	cfg.wal = true
@@ -475,11 +398,14 @@ func TestFollowerMaxLagHealth(t *testing.T) {
 	fcfg.follow = stub.URL
 	fcfg.followPoll = 20 * time.Millisecond
 	fcfg.followMaxLag = 2
+	fcfg.readCacheTTL = time.Hour
 	_, fts := startServer(t, fcfg)
 	waitApplied(t, fts.URL, 1)
 	if status, h := healthStatus(t, fts.URL); status != http.StatusOK {
 		t.Fatalf("caught-up follower /healthz = %d %+v", status, h)
 	}
+	const top = "/v1/facts/top?k=5"
+	_, stale := getBody(t, fts.URL+top) // cached from here on
 
 	withhold.Store(true)
 	for i, row := range table1[1:5] {
@@ -498,10 +424,18 @@ func TestFollowerMaxLagHealth(t *testing.T) {
 		}
 	}
 
+	if _, got := getBody(t, fts.URL+top); !bytes.Equal(got, stale) {
+		t.Errorf("the cached leaderboard changed while no record was applied:\n got %s\nwant %s", got, stale)
+	}
+
 	withhold.Store(false)
 	waitApplied(t, fts.URL, 5)
 	if status, h := healthStatus(t, fts.URL); status != http.StatusOK || h.Status != "ok" {
 		t.Fatalf("follower caught up again: /healthz %d %+v, want 200 ok", status, h)
+	}
+	_, want := getBody(t, lts.URL+top)
+	if _, got := getBody(t, fts.URL+top); bytes.Equal(got, stale) || !bytes.Equal(got, want) {
+		t.Errorf("follower leaderboard after the tail batch:\n got %s\nwant the leader's %s", got, want)
 	}
 }
 

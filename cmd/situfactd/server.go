@@ -1,7 +1,6 @@
 package main
 
 import (
-	"bytes"
 	"cmp"
 	"context"
 	"encoding/json"
@@ -570,21 +569,19 @@ func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	// to merged even under concurrent ingest (Pool.Metrics would re-take
 	// the shard locks in a second pass that could disagree).
 	pool := s.db()
-	stats := pool.ShardStats()
 	resp := metricsResponse{
 		Algorithm:     pool.Algorithm(),
 		ShardDim:      pool.ShardDim(),
 		Shards:        pool.Shards(),
 		UptimeSeconds: time.Since(s.started).Seconds(),
-		PerShard:      make([]shardWire, len(stats)),
+		PerShard:      pool.ShardStats(),
+		Ingest:        pool.IngestSummary(),
+		Index:         pool.IndexStats(),
 	}
-	var merged situfact.Metrics
-	for i, st := range stats {
+	for _, st := range resp.PerShard {
 		resp.Len += st.Len
-		resp.PerShard[i] = shardWire{Shard: st.Shard, Len: st.Len, Metrics: toWireMetrics(st.Metrics)}
-		merged.Add(st.Metrics)
+		resp.Merged.Add(st.Metrics)
 	}
-	resp.Merged = toWireMetrics(merged)
 	if s.wal != nil {
 		wst := s.wal.Stats()
 		resp.WAL = walWire{
@@ -601,7 +598,6 @@ func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 			resp.WAL.DegradedReason = errMsg(werr)
 		}
 	}
-	resp.Ingest = toWireIngest(pool.IngestSummary())
 	resp.Snapshot = snapshotWire{Enabled: s.cfg.stateDir != "", SecondsSinceLast: -1}
 	s.snapMu.Lock()
 	if !s.lastSnap.IsZero() {
@@ -635,13 +631,6 @@ func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		Clients:      s.limiter.Clients(),
 		Shedding:     s.shedder.Shedding(),
 		Panics:       s.panics.Load(),
-	}
-	ist := pool.IndexStats()
-	resp.Index = indexWire{
-		Entries: ist.Entries,
-		Inserts: ist.Inserts,
-		Deletes: ist.Deletes,
-		Seeks:   ist.Seeks,
 	}
 	writeJSON(w, http.StatusOK, resp)
 }
@@ -728,11 +717,7 @@ func (s *server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, "empty batch")
 		return
 	}
-	rows := make([]situfact.Row, len(req.Rows))
-	for i, rw := range req.Rows {
-		rows[i] = situfact.Row{Dims: rw.Dims, Measures: rw.Measures}
-	}
-	arrs, batchErr := s.db().AppendBatchContext(r.Context(), rows, req.Top)
+	arrs, batchErr := s.db().AppendBatchContext(r.Context(), req.Rows, req.Top)
 	if batchErr != nil && arrs == nil {
 		// Nothing was processed: usually a pre-validation failure (400),
 		// but a poisoned WAL also fails whole batches before any arrival.
@@ -849,7 +834,7 @@ func toArrival(arr *situfact.Arrival) arrivalResponse {
 		Facts:     make([]factWire, len(arr.Facts)),
 	}
 	for i, f := range arr.Facts {
-		resp.Facts[i] = toWireFact(f)
+		resp.Facts[i] = factWire{Fact: f, Text: f.String()}
 	}
 	return resp
 }
@@ -880,43 +865,6 @@ func parseTupleID(id string, bare, shards int) (shard int, tupleID int64, err er
 	return shard, tupleID, nil
 }
 
-// Buffer pooling: every request used to pay a fresh decoder buffer on
-// the way in and a fresh encoder state on the way out — per-request
-// garbage that grows with connection count. Request bodies are slurped
-// into pooled buffers, and responses are encoded through pooled
-// buffer+encoder pairs before one Write (which also yields a
-// Content-Length). Buffers that ballooned serving a large batch are
-// dropped rather than pooled, so a burst of big requests cannot pin
-// their high-water memory forever.
-
-const maxPooledBuf = 1 << 20
-
-var bufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
-
-func getBuf() *bytes.Buffer {
-	b := bufPool.Get().(*bytes.Buffer)
-	b.Reset()
-	return b
-}
-
-func putBuf(b *bytes.Buffer) {
-	if b.Cap() <= maxPooledBuf {
-		bufPool.Put(b)
-	}
-}
-
-// jsonEncoder is a pooled response encoder bound to its own buffer.
-type jsonEncoder struct {
-	buf bytes.Buffer
-	enc *json.Encoder
-}
-
-var encPool = sync.Pool{New: func() any {
-	e := new(jsonEncoder)
-	e.enc = json.NewEncoder(&e.buf)
-	return e
-}}
-
 // decodeOne decodes one JSON value from dec into v and requires it to be the
 // whole input: the next read must hit io.EOF, so a second value, a stray '}'
 // or ']' or any other byte after the value is refused as trailing data
@@ -932,49 +880,57 @@ func decodeOne(dec *json.Decoder, v any) error {
 }
 
 // decodeBody decodes a size-capped JSON body, exactly one value of v's
-// type, through a pooled read buffer, writing the error response itself
-// when decoding fails.
+// type, straight off the request, writing the error response itself when
+// decoding fails. A body past maxBytes is 413 wherever the overflow falls —
+// inside the value, or after a complete one, where decodeOne alone would
+// report trailing data — so a refused body is read to the cap before the
+// status is chosen.
 func decodeBody(w http.ResponseWriter, r *http.Request, maxBytes int64, v any) bool {
-	r.Body = http.MaxBytesReader(w, r.Body, maxBytes)
-	buf := getBuf()
-	defer putBuf(buf)
-	if _, err := buf.ReadFrom(r.Body); err != nil {
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			writeErr(w, http.StatusRequestEntityTooLarge, err.Error())
-			return false
-		}
-		writeErr(w, http.StatusBadRequest, "bad request body: "+err.Error())
-		return false
-	}
-	dec := json.NewDecoder(bytes.NewReader(buf.Bytes()))
+	body := http.MaxBytesReader(w, r.Body, maxBytes)
+	dec := json.NewDecoder(body)
 	dec.DisallowUnknownFields()
-	if err := decodeOne(dec, v); err != nil {
-		writeErr(w, http.StatusBadRequest, "bad request body: "+err.Error())
+	err := decodeOne(dec, v)
+	if err == nil {
+		return true
+	}
+	var tooLarge *http.MaxBytesError
+	if _, rest := io.Copy(io.Discard, body); errors.As(err, &tooLarge) || errors.As(rest, &tooLarge) {
+		writeErr(w, http.StatusRequestEntityTooLarge, tooLarge.Error())
 		return false
 	}
-	return true
+	writeErr(w, http.StatusBadRequest, "bad request body: "+err.Error())
+	return false
 }
 
+// writeJSON renders v as a response body with status: the one encoder, which
+// cached reads use too (marshalBody, then writeRawJSON from the cache).
 func writeJSON(w http.ResponseWriter, status int, v any) {
-	e := encPool.Get().(*jsonEncoder)
-	e.buf.Reset()
-	if err := e.enc.Encode(v); err != nil {
+	body, err := marshalBody(v)
+	if err != nil {
 		// Nothing has been written yet, so a plain 500 is still possible.
 		log.Printf("encode response: %v", err)
 		http.Error(w, `{"error":"response encoding failed"}`, http.StatusInternalServerError)
-		encPool.Put(e)
 		return
 	}
+	writeRawJSON(w, status, body)
+}
+
+// marshalBody renders a response body: the value's JSON and a trailing
+// newline.
+func marshalBody(v any) ([]byte, error) {
+	b, err := json.Marshal(v)
+	if err != nil {
+		return nil, err
+	}
+	return append(b, '\n'), nil
+}
+
+// writeRawJSON writes an already-rendered JSON body.
+func writeRawJSON(w http.ResponseWriter, status int, body []byte) {
 	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set("Content-Length", strconv.Itoa(e.buf.Len()))
+	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
 	w.WriteHeader(status)
-	if _, err := w.Write(e.buf.Bytes()); err != nil {
-		log.Printf("write response: %v", err)
-	}
-	if e.buf.Cap() <= maxPooledBuf {
-		encPool.Put(e)
-	}
+	_, _ = w.Write(body) // a failed write is a client gone away; nothing to do
 }
 
 func writeErr(w http.ResponseWriter, status int, msg string) {

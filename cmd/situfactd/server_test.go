@@ -25,7 +25,7 @@ import (
 // package's example_test.go: after the first six rows, David Wesley's
 // 12/13/5 game must yield 195 facts, topped by
 // "month=Feb | {assists} (prominence 5 = 5/1)".
-var table1 = []rowWire{
+var table1 = []situfact.Row{
 	{Dims: []string{"Bogues", "Feb", "1991-92", "Hornets", "Hawks"}, Measures: []float64{4, 12, 5}},
 	{Dims: []string{"Seikaly", "Feb", "1991-92", "Heat", "Hawks"}, Measures: []float64{24, 5, 15}},
 	{Dims: []string{"Sherman", "Dec", "1993-94", "Celtics", "Nets"}, Measures: []float64{13, 13, 5}},
@@ -34,12 +34,12 @@ var table1 = []rowWire{
 	{Dims: []string{"Strickland", "Jan", "1995-96", "Blazers", "Celtics"}, Measures: []float64{27, 18, 8}},
 }
 
-var wesley = rowWire{
+var wesley = situfact.Row{
 	Dims:     []string{"Wesley", "Feb", "1995-96", "Celtics", "Nets"},
 	Measures: []float64{12, 13, 5},
 }
 
-func reqOf(r rowWire) tupleRequest { return tupleRequest{Dims: r.Dims, Measures: r.Measures} }
+func reqOf(r situfact.Row) tupleRequest { return tupleRequest{Row: r} }
 
 func gamelogConfig(shards int, stateDir string) config {
 	return flagConfig("-relation", "gamelog",
@@ -100,7 +100,7 @@ func TestServerTableI(t *testing.T) {
 	}
 	var arr arrivalResponse
 	req := tupleRequest{
-		Dims: wesley.Dims, Measures: wesley.Measures,
+		Row: wesley,
 		Top: 1, Narrate: &narrateRequest{Subject: "David Wesley"},
 	}
 	if resp := doJSON(t, "POST", ts.URL+"/v1/tuples", req, &arr); resp.StatusCode != 200 {
@@ -175,7 +175,7 @@ func TestServerBatchDeleteAndErrors(t *testing.T) {
 	_, ts := startServer(t, gamelogConfig(3, ""))
 
 	var batch batchResponse
-	req := batchRequest{Rows: append(append([]rowWire{}, table1...), wesley), Top: 2}
+	req := batchRequest{Rows: append(append([]situfact.Row{}, table1...), wesley), Top: 2}
 	if resp := doJSON(t, "POST", ts.URL+"/v1/tuples:batch", req, &batch); resp.StatusCode != 200 {
 		t.Fatalf("batch: status %d", resp.StatusCode)
 	}
@@ -238,7 +238,7 @@ func TestServerBatchDeleteAndErrors(t *testing.T) {
 
 	// Malformed appends are rejected before touching the pool.
 	if resp := doJSON(t, "POST", ts.URL+"/v1/tuples",
-		tupleRequest{Dims: []string{"only", "two"}, Measures: []float64{1, 2, 3}}, nil); resp.StatusCode != 400 {
+		reqOf(situfact.Row{Dims: []string{"only", "two"}, Measures: []float64{1, 2, 3}}), nil); resp.StatusCode != 400 {
 		t.Errorf("short row: status %d, want 400", resp.StatusCode)
 	}
 	if resp := doJSON(t, "POST", ts.URL+"/v1/tuples:batch", batchRequest{}, nil); resp.StatusCode != 400 {
@@ -260,7 +260,7 @@ func TestServerTopFacts(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ref.Close()
-	for _, row := range append(append([]rowWire{}, table1...), wesley) {
+	for _, row := range append(append([]situfact.Row{}, table1...), wesley) {
 		if resp := doJSON(t, "POST", ts.URL+"/v1/tuples", reqOf(row), nil); resp.StatusCode != 200 {
 			t.Fatalf("ingest rejected: status %d", resp.StatusCode)
 		}
@@ -367,7 +367,7 @@ func TestServerTopFacts(t *testing.T) {
 	if err := ref.Delete(shard, victim); err != nil {
 		t.Fatal(err)
 	}
-	s.cache.InvalidateFunc(func(string) bool { return true })
+	s.cache.Clear()
 	for _, f := range check("?k=500", factsMaxLimit).Facts {
 		if f.Shard == shard && slices.Contains(f.TupleIDs, victim) {
 			t.Fatalf("deleted tuple %d:%d still ranks: %+v", shard, victim, f)
@@ -566,9 +566,9 @@ func TestServerTopTable(t *testing.T) {
 			t.Fatalf("Table I: status %d", resp.StatusCode)
 		}
 		batch := strings.HasSuffix(tc.path, ":batch")
-		var body any = tupleRequest{Dims: wesley.Dims, Measures: wesley.Measures, Top: tc.top}
+		var body any = tupleRequest{Row: wesley, Top: tc.top}
 		if batch {
-			body = batchRequest{Rows: []rowWire{wesley}, Top: tc.top}
+			body = batchRequest{Rows: []situfact.Row{wesley}, Top: tc.top}
 		}
 		raw, err := json.Marshal(body)
 		if err != nil {
@@ -629,7 +629,7 @@ func walConfig(shards int, stateDir string) config {
 func TestServerIgnoresLeaderboardSidecar(t *testing.T) {
 	stateDir := t.TempDir()
 	s, ts := startServer(t, gamelogConfig(2, stateDir))
-	for _, row := range append(append([]rowWire{}, table1...), wesley) {
+	for _, row := range append(append([]situfact.Row{}, table1...), wesley) {
 		doJSON(t, "POST", ts.URL+"/v1/tuples", reqOf(row), nil)
 	}
 	_, want := getBody(t, ts.URL+"/v1/facts/top?k=20")
@@ -668,7 +668,7 @@ func TestServerWALVerify(t *testing.T) {
 	cfg := walConfig(2, t.TempDir())
 	cfg.walSegBytes = 256 // several segments from seven rows
 	s, ts := startServer(t, cfg)
-	for i, row := range append(append([]rowWire{}, table1...), wesley) {
+	for i, row := range append(append([]situfact.Row{}, table1...), wesley) {
 		if resp := doJSON(t, "POST", ts.URL+"/v1/tuples", reqOf(row), nil); resp.StatusCode != http.StatusOK {
 			t.Fatalf("row %d: status %d", i, resp.StatusCode)
 		}
@@ -719,14 +719,14 @@ func TestServerConcurrentIngestAndCheckpoint(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < perWriter; i++ {
-				row := rowWire{
+				row := situfact.Row{
 					Dims:     []string{fmt.Sprintf("p%d-%d", w, i), "Feb", "1991-92", fmt.Sprintf("team-%d", i%5), "Hawks"},
 					Measures: []float64{float64(i), float64(w), 1},
 				}
 				if w%2 == 0 {
 					doJSON(t, "POST", ts.URL+"/v1/tuples", reqOf(row), nil)
 				} else {
-					doJSON(t, "POST", ts.URL+"/v1/tuples:batch", batchRequest{Rows: []rowWire{row}}, nil)
+					doJSON(t, "POST", ts.URL+"/v1/tuples:batch", batchRequest{Rows: []situfact.Row{row}}, nil)
 				}
 			}
 		}(w)

@@ -4,12 +4,14 @@ import situfact "repro"
 
 // Wire types of the situfactd JSON API, documented in docs/API.md. Field
 // names are the contract; keep them in sync with the curl examples there.
+// A library value goes out as itself: its JSON names live on the library
+// type (situfact.Fact, Metrics, IngestSummary, …), and a wire type here
+// only adds what the wire carries beside it. TestWireGolden pins the bytes.
 
 // tupleRequest is the body of POST /v1/tuples: one arriving row, in schema
 // order, plus response shaping.
 type tupleRequest struct {
-	Dims     []string  `json:"dims"`
-	Measures []float64 `json:"measures"`
+	situfact.Row
 	// Top caps the facts returned (0 = all facts of the arrival; negative
 	// is refused). Only the facts returned are sorted and decoded.
 	Top int `json:"top,omitempty"`
@@ -22,34 +24,18 @@ type narrateRequest struct {
 	Subject string `json:"subject"`
 }
 
-// rowWire is one row of POST /v1/tuples:batch.
-type rowWire struct {
-	Dims     []string  `json:"dims"`
-	Measures []float64 `json:"measures"`
-}
-
 // batchRequest is the body of POST /v1/tuples:batch.
 type batchRequest struct {
-	Rows []rowWire `json:"rows"`
+	Rows []situfact.Row `json:"rows"`
 	// Top caps the facts returned per arrival (0 = counts only, the
 	// default for batches — a batch can surface thousands of facts;
 	// negative is refused).
 	Top int `json:"top,omitempty"`
 }
 
-// conditionWire is one bound attribute of a fact's context.
-type conditionWire struct {
-	Attr  string `json:"attr"`
-	Value string `json:"value"`
-}
-
 // factWire is one discovered situational fact.
 type factWire struct {
-	Conditions  []conditionWire `json:"conditions"`
-	Measures    []string        `json:"measures"`
-	ContextSize int64           `json:"context_size,omitempty"`
-	SkylineSize int             `json:"skyline_size,omitempty"`
-	Prominence  float64         `json:"prominence,omitempty"`
+	situfact.Fact
 	// Text is the paper-notation rendering (Fact.String).
 	Text string `json:"text"`
 	// Narration is the newsroom sentence; only set when requested.
@@ -94,25 +80,6 @@ type schemaResponse struct {
 	Algorithm  string        `json:"algorithm"`
 }
 
-// metricsWire mirrors situfact.Metrics.
-type metricsWire struct {
-	Tuples       int64 `json:"tuples"`
-	Comparisons  int64 `json:"comparisons"`
-	Traversed    int64 `json:"traversed"`
-	Facts        int64 `json:"facts"`
-	StoredTuples int64 `json:"stored_tuples"`
-	Cells        int64 `json:"cells"`
-	Reads        int64 `json:"reads"`
-	Writes       int64 `json:"writes"`
-}
-
-// shardWire is one shard's row of GET /v1/metrics.
-type shardWire struct {
-	Shard   int         `json:"shard"`
-	Len     int         `json:"len"`
-	Metrics metricsWire `json:"metrics"`
-}
-
 // walWire is the write-ahead-log block of GET /v1/metrics.
 type walWire struct {
 	// Enabled reports whether the daemon journals to a WAL (-wal).
@@ -134,89 +101,6 @@ type walWire struct {
 	Degraded       bool   `json:"degraded"`
 	DegradedReason string `json:"degraded_reason,omitempty"`
 	Repairs        uint64 `json:"repairs"`
-}
-
-// ingestShardWire is one shard writer's row of the ingest block.
-type ingestShardWire struct {
-	Shard int `json:"shard"`
-	// QueueDepth is the writer's current pending-operation count;
-	// QueueCap the queue's current capacity (floating up to
-	// -pipeline-queue).
-	QueueDepth int `json:"queue_depth"`
-	QueueCap   int `json:"queue_cap"`
-	// Enqueued / Batches count accepted operations and drain wakeups;
-	// their ratio is the shard's mean drained-batch size.
-	Enqueued uint64 `json:"enqueued"`
-	Batches  uint64 `json:"batches"`
-	MaxBatch int    `json:"max_batch"`
-	// FullWaits counts producer blocks on a full queue (backpressure).
-	FullWaits uint64 `json:"full_waits"`
-	// Canceled counts producers whose request context ended while parked
-	// on the full queue — the op was never accepted or acknowledged.
-	Canceled uint64 `json:"canceled"`
-	// Resizes counts adaptive capacity changes (grows and shrinks).
-	Resizes uint64 `json:"resizes"`
-}
-
-// ingestWire is the ingest-pipeline block of GET /v1/metrics.
-type ingestWire struct {
-	// Pipeline reports whether the per-shard batching writers are running:
-	// true on a leader; false on a follower, which takes no writes, and
-	// the remaining fields are zero.
-	Pipeline bool `json:"pipeline"`
-	// QueueDepth and QueueCap sum the shards' pending-operation counts
-	// and current queue capacities.
-	QueueDepth int    `json:"queue_depth"`
-	QueueCap   int    `json:"queue_cap"`
-	Enqueued   uint64 `json:"enqueued"`
-	Batches    uint64 `json:"batches"`
-	// MeanBatch and MaxBatch summarise drained-batch sizes across shards.
-	MeanBatch float64 `json:"mean_batch"`
-	MaxBatch  int     `json:"max_batch"`
-	// FullWaits sums the shards' backpressure (queue-full) events.
-	FullWaits uint64 `json:"full_waits"`
-	// Canceled sums producers whose context ended while parked on a full
-	// queue (client disconnects and request deadlines at the enqueue
-	// boundary); none of them were acknowledged.
-	Canceled uint64 `json:"canceled"`
-	// Resizes sums the shards' adaptive capacity changes.
-	Resizes uint64 `json:"resizes"`
-	// BatchHist is the merged drained-batch-size histogram: bucket i
-	// counts batches of size (2^(i-1), 2^i], the last bucket everything
-	// larger.
-	BatchHist []uint64          `json:"batch_hist,omitempty"`
-	PerShard  []ingestShardWire `json:"per_shard,omitempty"`
-}
-
-// toWireIngest maps the library's merged summary (Pool.IngestSummary —
-// sums, mean batch and histogram are computed there, once) onto the wire
-// block; the pipeline-off summary yields the zero block.
-func toWireIngest(sum situfact.IngestSummary) ingestWire {
-	out := ingestWire{
-		Pipeline:   sum.Pipeline,
-		QueueDepth: sum.QueueDepth,
-		QueueCap:   sum.QueueCap,
-		Enqueued:   sum.Enqueued,
-		Batches:    sum.Batches,
-		MeanBatch:  sum.MeanBatch,
-		MaxBatch:   sum.MaxBatch,
-		FullWaits:  sum.FullWaits,
-		Canceled:   sum.Canceled,
-		Resizes:    sum.Resizes,
-		BatchHist:  sum.BatchHist,
-	}
-	if !sum.Pipeline {
-		return out
-	}
-	out.PerShard = make([]ingestShardWire, len(sum.PerShard))
-	for i, st := range sum.PerShard {
-		out.PerShard[i] = ingestShardWire{
-			Shard: i, QueueDepth: st.Depth, QueueCap: st.Cap,
-			Enqueued: st.Enqueued, Batches: st.Batches, MaxBatch: st.MaxBatch,
-			FullWaits: st.FullWaits, Canceled: st.Canceled, Resizes: st.Resizes,
-		}
-	}
-	return out
 }
 
 // snapshotWire is the checkpoint block of GET /v1/metrics.
@@ -309,35 +193,22 @@ type overloadWire struct {
 	Panics uint64 `json:"panics"`
 }
 
-// indexWire is the incremental-fact-index block of GET /v1/metrics.
-type indexWire struct {
-	// Entries is the live cell count summed over shards — one per fact
-	// group.
-	Entries int64 `json:"entries"`
-	// Inserts/Deletes count index maintenance operations since start (a
-	// constraint's first cell, its last); Seeks counts ordered lookups run
-	// on behalf of queries and checkpoints.
-	Inserts uint64 `json:"inserts"`
-	Deletes uint64 `json:"deletes"`
-	Seeks   uint64 `json:"seeks"`
-}
-
 // metricsResponse is the body of GET /v1/metrics.
 type metricsResponse struct {
-	Algorithm     string           `json:"algorithm"`
-	ShardDim      string           `json:"shard_dim"`
-	Shards        int              `json:"shards"`
-	Len           int              `json:"len"`
-	UptimeSeconds float64          `json:"uptime_seconds"`
-	Merged        metricsWire      `json:"merged"`
-	PerShard      []shardWire      `json:"per_shard"`
-	WAL           walWire          `json:"wal"`
-	Ingest        ingestWire       `json:"ingest"`
-	Snapshot      snapshotWire     `json:"snapshot"`
-	Replication   *replicationWire `json:"replication,omitempty"`
-	ReadCache     readCacheWire    `json:"read_cache"`
-	Overload      overloadWire     `json:"overload"`
-	Index         indexWire        `json:"index"`
+	Algorithm     string                 `json:"algorithm"`
+	ShardDim      string                 `json:"shard_dim"`
+	Shards        int                    `json:"shards"`
+	Len           int                    `json:"len"`
+	UptimeSeconds float64                `json:"uptime_seconds"`
+	Merged        situfact.Metrics       `json:"merged"`
+	PerShard      []situfact.ShardStat   `json:"per_shard"`
+	WAL           walWire                `json:"wal"`
+	Ingest        situfact.IngestSummary `json:"ingest"`
+	Snapshot      snapshotWire           `json:"snapshot"`
+	Replication   *replicationWire       `json:"replication,omitempty"`
+	ReadCache     readCacheWire          `json:"read_cache"`
+	Overload      overloadWire           `json:"overload"`
+	Index         situfact.IndexStat     `json:"index"`
 }
 
 // topFactsResponse is the body of GET /v1/facts/top: the k
@@ -354,15 +225,8 @@ type topFactsResponse struct {
 // arrival's view) it names the owning shard and the skyline's tuple ids,
 // because a query spans shards and pages are resumable.
 type queryFactWire struct {
-	Shard       int             `json:"shard"`
-	Conditions  []conditionWire `json:"conditions,omitempty"`
-	Measures    []string        `json:"measures"`
-	ContextSize int64           `json:"context_size,omitempty"`
-	SkylineSize int             `json:"skyline_size"`
-	Prominence  float64         `json:"prominence,omitempty"`
-	// TupleIDs are the per-shard ids of the skyline tuples, ascending.
-	TupleIDs []int64 `json:"tuple_ids"`
-	// Text is the paper-notation rendering (Fact.String).
+	situfact.QueryFact
+	// Text is the paper-notation rendering (QueryFact.String).
 	Text string `json:"text"`
 }
 
@@ -375,12 +239,9 @@ type factsResponse struct {
 
 // tupleResponse is the body of GET /v1/tuples/{id}.
 type tupleResponse struct {
-	ID       string    `json:"id"`
-	Shard    int       `json:"shard"`
-	TupleID  int64     `json:"tuple_id"`
-	Dims     []string  `json:"dims"`
-	Measures []float64 `json:"measures"`
-	Deleted  bool      `json:"deleted"`
+	// ID is "<shard>:<tuple_id>", as an arrival names it.
+	ID string `json:"id"`
+	situfact.TupleInfo
 }
 
 // walTailResponse is the body of GET /v1/wal: a batch of journaled
@@ -408,27 +269,4 @@ type healthResponse struct {
 // errorResponse is the body of every non-2xx response.
 type errorResponse struct {
 	Error string `json:"error"`
-}
-
-func toWireFact(f situfact.Fact) factWire {
-	w := factWire{
-		Measures:    f.Measures,
-		ContextSize: f.ContextSize,
-		SkylineSize: f.SkylineSize,
-		Prominence:  f.Prominence,
-		Text:        f.String(),
-	}
-	for _, c := range f.Conditions {
-		w.Conditions = append(w.Conditions, conditionWire{Attr: c.Attr, Value: c.Value})
-	}
-	return w
-}
-
-func toWireMetrics(m situfact.Metrics) metricsWire {
-	return metricsWire{
-		Tuples: m.Tuples, Comparisons: m.Comparisons,
-		Traversed: m.Traversed, Facts: m.Facts,
-		StoredTuples: m.StoredTuples, Cells: m.Cells,
-		Reads: m.Reads, Writes: m.Writes,
-	}
 }

@@ -73,32 +73,32 @@ type Writer[T any] struct {
 // Stats is a monitoring snapshot of one Writer.
 type Stats struct {
 	// Depth is the current queue depth (ops accepted, not yet drained).
-	Depth int
+	Depth int `json:"queue_depth"`
 	// Cap is the current queue capacity. Fixed writers report their
 	// configured depth; adaptive writers report where in [floor, ceiling]
 	// the capacity currently sits.
-	Cap int
-	// Resizes counts adaptive capacity changes (grows and shrinks); 0 for
-	// a fixed writer.
-	Resizes uint64
+	Cap int `json:"queue_cap"`
 	// Enqueued is the total ops accepted since start.
-	Enqueued uint64
+	Enqueued uint64 `json:"enqueued"`
 	// Batches is the number of drain wakeups; Enqueued/Batches is the
 	// mean drained-batch size.
-	Batches uint64
+	Batches uint64 `json:"batches"`
 	// MaxBatch is the largest batch drained in one wakeup.
-	MaxBatch int
+	MaxBatch int `json:"max_batch"`
 	// FullWaits counts producer blocks on a full queue — each is one
 	// backpressure event where ingest outran the writer.
-	FullWaits uint64
+	FullWaits uint64 `json:"full_waits"`
 	// Canceled counts producers whose context ended while they were
 	// parked on a full queue: the op was never accepted, never journaled
 	// and never acknowledged (EnqueueContext).
-	Canceled uint64
+	Canceled uint64 `json:"canceled"`
+	// Resizes counts adaptive capacity changes (grows and shrinks); 0 for
+	// a fixed writer.
+	Resizes uint64 `json:"resizes"`
 	// BatchHist is a power-of-two histogram of drained batch sizes:
 	// bucket i counts batches of size (2^(i-1), 2^i], the last bucket
-	// counts everything larger.
-	BatchHist [batchHistBuckets]uint64
+	// counts everything larger. Monitoring shows the pool-wide merge only.
+	BatchHist [batchHistBuckets]uint64 `json:"-"`
 }
 
 // NewWriter starts a writer whose queue holds at most capacity ops

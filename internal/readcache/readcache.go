@@ -104,18 +104,12 @@ func (c *Cache) sweep(now time.Time) {
 	}
 }
 
-// InvalidateFunc drops only the entries whose key satisfies pred, leaving
-// the rest to serve out their TTL (in-flight fills complete and serve their
-// waiters, but later Gets refill). Counters survive. A follower uses this to evict just the
-// responses scoped to shards whose applied LSN actually moved, instead of
-// emptying the whole cache on every tail batch.
-func (c *Cache) InvalidateFunc(pred func(key string) bool) {
+// Clear drops every entry (in-flight fills complete and serve their
+// waiters, but later Gets refill); the counters survive. A follower clears
+// the cache whenever its applied LSN advances.
+func (c *Cache) Clear() {
 	c.mu.Lock()
-	for k := range c.entries {
-		if pred(k) {
-			delete(c.entries, k)
-		}
-	}
+	clear(c.entries)
 	c.mu.Unlock()
 }
 

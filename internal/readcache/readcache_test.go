@@ -88,42 +88,12 @@ func TestErrorIsNotCached(t *testing.T) {
 	}
 }
 
-func TestInvalidateFuncDropsOnlyMatches(t *testing.T) {
-	c := New(time.Minute)
-	fills := map[string]int{}
-	fillFor := func(k string) func() ([]byte, error) {
-		return func() ([]byte, error) { fills[k]++; return []byte(k), nil }
-	}
-	keys := []string{"facts|0|a", "facts|1|a", "facts|-1|a", "top|10"}
-	for _, k := range keys {
-		c.Get(k, fillFor(k))
-	}
-	// Shard 1 advanced: its keys and the cross-shard ones die, shard 0's
-	// entry survives.
-	c.InvalidateFunc(func(k string) bool { return k != "facts|0|a" })
-	if st := c.Stats(); st.Entries != 1 {
-		t.Errorf("entries after selective invalidate = %d, want 1", st.Entries)
-	}
-	for _, k := range keys {
-		c.Get(k, fillFor(k))
-	}
-	for _, k := range keys {
-		want := 2
-		if k == "facts|0|a" {
-			want = 1 // survived: second Get was a hit
-		}
-		if fills[k] != want {
-			t.Errorf("key %q filled %d times, want %d", k, fills[k], want)
-		}
-	}
-}
-
 func TestInvalidateDropsEntries(t *testing.T) {
 	c := New(time.Minute)
 	fills := 0
 	fill := func() ([]byte, error) { fills++; return []byte("v"), nil }
 	c.Get("k", fill)
-	c.InvalidateFunc(func(string) bool { return true })
+	c.Clear()
 	if st := c.Stats(); st.Entries != 0 {
 		t.Errorf("entries after invalidate = %d, want 0", st.Entries)
 	}

@@ -50,9 +50,13 @@ type PipelineOptions struct {
 	AdaptiveQueue bool
 }
 
-// IngestStats is one shard writer's monitoring snapshot: queue depth,
-// drained-batch-size histogram, and backpressure counters.
-type IngestStats = ingest.Stats
+// IngestStats is one shard writer's monitoring snapshot: the shard it
+// serves, its queue depth, drained-batch-size histogram, and backpressure
+// counters.
+type IngestStats struct {
+	Shard int `json:"shard"`
+	ingest.Stats
+}
 
 // IngestSummary is the pool-wide merge of the shard writers' snapshots —
 // the one place the derived figures (sums, mean batch size, merged
@@ -62,37 +66,43 @@ type IngestStats = ingest.Stats
 type IngestSummary struct {
 	// Pipeline reports whether a pipeline is running; false means the
 	// remaining fields are zero.
-	Pipeline bool
+	Pipeline bool `json:"pipeline"`
 	// QueueDepth and QueueCap sum the shards' pending operations and
 	// current queue capacities.
-	QueueDepth int
-	QueueCap   int
-	Enqueued   uint64
-	Batches    uint64
+	QueueDepth int    `json:"queue_depth"`
+	QueueCap   int    `json:"queue_cap"`
+	Enqueued   uint64 `json:"enqueued"`
+	Batches    uint64 `json:"batches"`
 	// MeanBatch is Enqueued/Batches (0 before the first drain).
-	MeanBatch float64
-	MaxBatch  int
-	FullWaits uint64
+	MeanBatch float64 `json:"mean_batch"`
+	MaxBatch  int     `json:"max_batch"`
+	FullWaits uint64  `json:"full_waits"`
 	// Canceled sums producers whose context ended while parked on a full
 	// queue: their ops were never accepted, journaled or acknowledged.
-	Canceled uint64
+	Canceled uint64 `json:"canceled"`
 	// Resizes sums the shards' adaptive capacity changes.
-	Resizes uint64
+	Resizes uint64 `json:"resizes"`
 	// BatchHist is the merged drained-batch-size histogram.
-	BatchHist []uint64
+	BatchHist []uint64 `json:"batch_hist,omitempty"`
 	// PerShard holds the underlying snapshots, index = shard.
-	PerShard []IngestStats
+	PerShard []IngestStats `json:"per_shard,omitempty"`
 }
 
-// mergeIngestStats folds per-shard writer snapshots (Pool.PipelineStats)
-// into an IngestSummary; nil yields the zero (pipeline-off) summary.
-func mergeIngestStats(stats []IngestStats) IngestSummary {
-	out := IngestSummary{Pipeline: stats != nil, PerShard: stats}
-	if stats == nil {
-		return out
+// IngestSummary returns the merged monitoring view of the running
+// pipeline (the zero summary when none is running).
+func (p *Pool) IngestSummary() IngestSummary {
+	pipe := p.pipe.Load()
+	if pipe == nil {
+		return IngestSummary{}
 	}
-	out.BatchHist = make([]uint64, len(IngestStats{}.BatchHist))
-	for _, st := range stats {
+	out := IngestSummary{
+		Pipeline:  true,
+		BatchHist: make([]uint64, len(ingest.Stats{}.BatchHist)),
+		PerShard:  make([]IngestStats, len(pipe.writers)),
+	}
+	for i, w := range pipe.writers {
+		st := w.Stats()
+		out.PerShard[i] = IngestStats{Shard: i, Stats: st}
 		out.QueueDepth += st.Depth
 		out.QueueCap += st.Cap
 		out.Enqueued += st.Enqueued
@@ -100,9 +110,7 @@ func mergeIngestStats(stats []IngestStats) IngestSummary {
 		out.FullWaits += st.FullWaits
 		out.Canceled += st.Canceled
 		out.Resizes += st.Resizes
-		if st.MaxBatch > out.MaxBatch {
-			out.MaxBatch = st.MaxBatch
-		}
+		out.MaxBatch = max(out.MaxBatch, st.MaxBatch)
 		for b, c := range st.BatchHist {
 			out.BatchHist[b] += c
 		}
@@ -111,12 +119,6 @@ func mergeIngestStats(stats []IngestStats) IngestSummary {
 		out.MeanBatch = float64(out.Enqueued) / float64(out.Batches)
 	}
 	return out
-}
-
-// IngestSummary returns the merged monitoring view of the running
-// pipeline (the zero summary when none is running).
-func (p *Pool) IngestSummary() IngestSummary {
-	return mergeIngestStats(p.PipelineStats())
 }
 
 // pipeline is the running per-shard writer set plus the shared
@@ -240,18 +242,4 @@ func (p *Pool) commitLoop(pipe *pipeline) {
 			return
 		}
 	}
-}
-
-// PipelineStats returns one monitoring snapshot per shard writer, nil
-// when no pipeline is running.
-func (p *Pool) PipelineStats() []IngestStats {
-	pipe := p.pipe.Load()
-	if pipe == nil {
-		return nil
-	}
-	out := make([]IngestStats, len(pipe.writers))
-	for i, w := range pipe.writers {
-		out[i] = w.Stats()
-	}
-	return out
 }

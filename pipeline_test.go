@@ -159,7 +159,7 @@ func TestPipelineStress(t *testing.T) {
 		t.Errorf("Len = %d, want %d (appended %d − deleted %d)", p.Len(), want, appended, deleted)
 	}
 	var enq uint64
-	for _, st := range p.PipelineStats() {
+	for _, st := range p.IngestSummary().PerShard {
 		enq += st.Enqueued
 		var hist uint64
 		for _, c := range st.BatchHist {
@@ -195,16 +195,16 @@ func TestPipelineLifecycle(t *testing.T) {
 	} else if !strings.Contains(err.Error(), "already has an ingest pipeline") {
 		t.Fatalf("second StartPipeline error = %v", err)
 	}
-	if p.PipelineStats() == nil {
-		t.Fatal("PipelineStats = nil while running")
+	if sum := p.IngestSummary(); !sum.Pipeline || len(sum.PerShard) != 2 {
+		t.Fatalf("IngestSummary while running = %+v, want the pipeline and 2 shards", sum)
 	}
 	rows := poolRows(10)
 	if _, err := p.Append(rows[0].Dims, rows[0].Measures); err != nil {
 		t.Fatal(err)
 	}
 	p.StopPipeline()
-	if p.PipelineStats() != nil {
-		t.Fatal("PipelineStats non-nil after stop")
+	if sum := p.IngestSummary(); sum.Pipeline || sum.PerShard != nil {
+		t.Fatalf("IngestSummary after stop = %+v, want the zero summary", sum)
 	}
 	if _, err := p.Append(rows[1].Dims, rows[1].Measures); err != nil {
 		t.Fatalf("inline append after StopPipeline: %v", err)
@@ -255,7 +255,7 @@ func TestPipelineRejectsBadRows(t *testing.T) {
 	if st := w.Stats(); st.LastLSN != 0 {
 		t.Errorf("rejected rows left %d WAL records", st.LastLSN)
 	}
-	for _, st := range p.PipelineStats() {
+	for _, st := range p.IngestSummary().PerShard {
 		if st.Enqueued != 0 {
 			t.Errorf("rejected rows reached a writer queue (enqueued %d)", st.Enqueued)
 		}

@@ -72,8 +72,8 @@ type poolShard struct {
 // Row is one arrival for Pool.AppendBatch: dimension values and measure
 // values in schema order.
 type Row struct {
-	Dims     []string
-	Measures []float64
+	Dims     []string  `json:"dims"`
+	Measures []float64 `json:"measures"`
 }
 
 // PoolOptions configures a Pool.
@@ -490,11 +490,11 @@ func (p *Pool) Algorithm() string { return p.shards[0].eng.Algorithm() }
 // ShardStat describes one shard of a pool for monitoring.
 type ShardStat struct {
 	// Shard is the shard index.
-	Shard int
+	Shard int `json:"shard"`
 	// Len is the shard's live (appended and not deleted) tuple count.
-	Len int
+	Len int `json:"len"`
 	// Metrics is the shard engine's work counters.
-	Metrics Metrics
+	Metrics Metrics `json:"metrics"`
 }
 
 // IndexStat is a monitoring snapshot of the incremental fact index,
@@ -502,15 +502,15 @@ type ShardStat struct {
 type IndexStat struct {
 	// Entries is the live cell count of the indexed stores across shards:
 	// the fact groups a full QueryFacts walk returns.
-	Entries int64
+	Entries int64 `json:"entries"`
 	// Inserts and Deletes count the index's maintenance operations: a
 	// constraint gaining its first cell, a constraint losing its last
 	// (snapshot restore and WAL replay rebuild through Inserts too).
-	Inserts uint64
-	Deletes uint64
+	Inserts uint64 `json:"inserts"`
+	Deletes uint64 `json:"deletes"`
 	// Seeks counts iterator seek operations: cursor positioning,
 	// predicate-pushdown skips, and a checkpoint's key-order walk.
-	Seeks uint64
+	Seeks uint64 `json:"seeks"`
 }
 
 // IndexStats returns the fact-index counters merged over all shards,

@@ -58,14 +58,14 @@ const AllShards = -1
 // QueryFact is one fact group of a query result: one (context, subspace)
 // cell of a shard's µ store, i.e. one contextual skyline.
 type QueryFact struct {
-	Shard       int
-	Conditions  []Condition
-	Measures    []string
-	ContextSize int64
-	SkylineSize int
-	Prominence  float64
+	Shard       int         `json:"shard"`
+	Conditions  []Condition `json:"conditions,omitempty"`
+	Measures    []string    `json:"measures"`
+	ContextSize int64       `json:"context_size,omitempty"`
+	SkylineSize int         `json:"skyline_size"`
+	Prominence  float64     `json:"prominence,omitempty"`
 	// TupleIDs are the skyline members (per-shard tuple ids), ascending.
-	TupleIDs []int64
+	TupleIDs []int64 `json:"tuple_ids"`
 
 	// Pagination coordinates (constraint key bytes + subspace mask);
 	// internal, carried so the pool can order results and mint cursors.
@@ -94,11 +94,11 @@ type FactPage struct {
 
 // TupleInfo is one stored tuple, decoded, as returned by Pool.Tuple.
 type TupleInfo struct {
-	Shard    int
-	TupleID  int64
-	Dims     []string
-	Measures []float64
-	Deleted  bool
+	Shard    int       `json:"shard"`
+	TupleID  int64     `json:"tuple_id"`
+	Dims     []string  `json:"dims"`
+	Measures []float64 `json:"measures"`
+	Deleted  bool      `json:"deleted"`
 }
 
 // queryPlan is a FactFilter validated against the schema: condition and

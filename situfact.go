@@ -83,8 +83,8 @@ type Options struct {
 
 // Condition is one bound attribute of a fact's context, e.g. team=Celtics.
 type Condition struct {
-	Attr  string
-	Value string
+	Attr  string `json:"attr"`
+	Value string `json:"value"`
 }
 
 // Fact is one discovered situational fact, decoded for human consumption.
@@ -96,17 +96,17 @@ type Condition struct {
 type Fact struct {
 	// Conditions is the conjunctive context constraint; empty means the
 	// whole table.
-	Conditions []Condition
+	Conditions []Condition `json:"conditions"`
 	// Measures names the attributes of the measure subspace.
-	Measures []string
+	Measures []string `json:"measures"`
 	// ContextSize is |σ_C(R)| including the new tuple (0 when prominence
 	// tracking is disabled).
-	ContextSize int64
+	ContextSize int64 `json:"context_size,omitempty"`
 	// SkylineSize is |λ_M(σ_C(R))| including the new tuple (0 when
 	// prominence tracking is disabled).
-	SkylineSize int
+	SkylineSize int `json:"skyline_size,omitempty"`
 	// Prominence is ContextSize/SkylineSize (0 when tracking is disabled).
-	Prominence float64
+	Prominence float64 `json:"prominence,omitempty"`
 }
 
 // String renders the fact in the paper's notation.
@@ -180,14 +180,19 @@ func (a *Arrival) Prominent(tau float64) []Fact {
 // Metrics is a snapshot of the engine's work counters.
 type Metrics struct {
 	// Tuples, Comparisons, Traversed, Facts mirror core.Metrics.
-	Tuples, Comparisons, Traversed, Facts int64
+	Tuples      int64 `json:"tuples"`
+	Comparisons int64 `json:"comparisons"`
+	Traversed   int64 `json:"traversed"`
+	Facts       int64 `json:"facts"`
 	// StoredTuples and Cells describe the µ store (Fig 10b's quantity).
-	StoredTuples, Cells int64
+	StoredTuples int64 `json:"stored_tuples"`
+	Cells        int64 `json:"cells"`
 	// Reads and Writes count cell loads and saves (only the file store does
 	// real I/O): discovery's and deletion repair's, the paper's §VI I/O
 	// count, plus under the TopDown family the loads that size the skylines
 	// of an arrival's ranked facts.
-	Reads, Writes int64
+	Reads  int64 `json:"reads"`
+	Writes int64 `json:"writes"`
 }
 
 // Add accumulates o into m field-by-field; the one place the counter list
