@@ -38,7 +38,7 @@ type config struct {
 	shardDim     string        // dimension routing rows to shards; "" = first dimension
 	stateDir     string        // snapshot directory; "" disables persistence
 	wal          bool          // journal ingest to <stateDir>/wal, replay on start
-	walSegBytes  int64         // WAL segment rotation threshold (0 = 64 MiB)
+	walSegBytes  int64         // WAL segment size, sealed at the first group commit past it (0 = 64 MiB)
 	snapInterval time.Duration // background checkpoint period; 0 = shutdown-only snapshots
 	pipeQueue    int           // per-shard ingest queue depth (0 = 256)
 	pprofAddr    string        // extra net/http/pprof listener; "" = off

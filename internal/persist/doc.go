@@ -8,8 +8,9 @@
 //     (appends and deletes). Records are assigned monotonically increasing
 //     LSNs, encoded into the log's pending-frame buffer, and made durable
 //     by group-committed fsyncs: concurrent WaitSync callers coalesce into
-//     a single write and fsync covering all of them. Segments rotate at a size
-//     threshold and are deleted once a snapshot covers them.
+//     a single write and fsync covering all of them. A segment is sealed at
+//     the first group commit past the size threshold and deleted once a
+//     snapshot covers it.
 //
 //   - Snapshot — the codec for one engine's complete state (dictionary,
 //     tuples, tombstones, µ-store cells, prominence counters, work
@@ -24,13 +25,14 @@
 //     written last and atomically, names the generation it covers, the
 //     per-shard WAL LSN each shard file reflects (so replay resumes
 //     exactly where the snapshot ends), and small opaque sidecar payloads
-//     committed atomically with the snapshot (the daemon persists its
-//     prominence leaderboard this way).
+//     committed atomically with the snapshot (a hook for a caller's
+//     derived state; the daemon writes none).
 //
 // Crash-safety rules the WAL reader enforces: a record whose bytes are
 // incomplete at the tail of the final segment is a torn write — it is
 // truncated away and the log continues from the last complete record. A
 // record that is fully present but fails its CRC, appears out of LSN
-// sequence, or sits in a non-final segment with a short tail is corruption
-// and fails loudly: recovering past it would silently lose data.
+// sequence, or sits in a non-final segment with a short tail is corruption,
+// as is a gap between segments, and fails loudly: recovering past it would
+// silently lose data.
 package persist

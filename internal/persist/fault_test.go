@@ -46,21 +46,21 @@ func TestFaultRepairRewritesUnsynced(t *testing.T) {
 						t.Fatal(err)
 					}
 				}
-				if _, err := w.Append(appendRec(i)); err != nil {
+				if _, err := w.AppendAll([]Record{appendRec(i)}); err != nil {
 					t.Fatal(err)
 				}
 			}
 			if err := w.Sync(); !errors.Is(err, faultfs.ErrInjected) {
 				t.Fatalf("sync = %v, want the injected fault", err)
 			}
-			if _, err := w.Append(appendRec(9)); err == nil || !errors.Is(w.Err(), faultfs.ErrInjected) {
+			if _, err := w.AppendAll([]Record{appendRec(9)}); err == nil || !errors.Is(w.Err(), faultfs.ErrInjected) {
 				t.Fatalf("append on the poisoned log = %v, Err() = %v; want both failing", err, w.Err())
 			}
 			fs.Clear()
 			if n, err := w.Repair(); err != nil || n != 5 || w.Err() != nil {
 				t.Fatalf("Repair = %d, %v, then Err() = %v; want the 5 unsynced records written again", n, err, w.Err())
 			}
-			if lsn, err := w.Append(appendRec(8)); err != nil || lsn != 9 {
+			if lsn, err := w.AppendAll([]Record{appendRec(8)}); err != nil || lsn != 9 {
 				t.Fatalf("append after the repair = lsn %d, %v; want lsn 9", lsn, err)
 			}
 			if err := w.Close(); err != nil {
@@ -92,7 +92,7 @@ func TestFaultReadFromServesDegraded(t *testing.T) {
 	w, fs := faultWAL(t, dir, "")
 	defer w.Close()
 	for i := 0; i < 4; i++ {
-		if _, err := w.Append(appendRec(i)); err != nil {
+		if _, err := w.AppendAll([]Record{appendRec(i)}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -103,7 +103,7 @@ func TestFaultReadFromServesDegraded(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 4; i < 6; i++ {
-		if _, err := w.Append(appendRec(i)); err != nil {
+		if _, err := w.AppendAll([]Record{appendRec(i)}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -129,12 +129,12 @@ func TestFaultVerifyWAL(t *testing.T) {
 	}
 	total := 12
 	for i := 0; i < total; i++ {
-		if _, err := w.Append(appendRec(i)); err != nil {
+		if _, err := w.AppendAll([]Record{appendRec(i)}); err != nil {
 			t.Fatal(err)
 		}
-	}
-	if err := w.Sync(); err != nil {
-		t.Fatal(err)
+		if err := w.Sync(); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if err := w.Close(); err != nil {
 		t.Fatal(err)

@@ -37,7 +37,8 @@ type Manifest struct {
 	// discard them. Empty without an attached WAL.
 	WALEpoch string
 	// Sidecars are small opaque payloads committed atomically with the
-	// snapshot — the daemon persists its prominence leaderboard here.
+	// snapshot, for a caller's derived state. The daemon writes none: its
+	// leaderboard is the live ranking.
 	Sidecars map[string][]byte
 }
 

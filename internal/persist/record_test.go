@@ -20,10 +20,10 @@ func TestAppendRejectsOversizedRecord(t *testing.T) {
 		Type: RecAppend,
 		Dims: []string{strings.Repeat("x", maxRecordBytes+1)},
 	}
-	if _, err := w.Append(huge); err == nil {
+	if _, err := w.AppendAll([]Record{huge}); err == nil {
 		t.Fatal("oversized record accepted; replay would fail with ErrCorrupt")
 	}
-	lsn, err := w.Append(appendRec(0))
+	lsn, err := w.AppendAll([]Record{appendRec(0)})
 	if err != nil {
 		t.Fatalf("append after oversized rejection: %v", err)
 	}

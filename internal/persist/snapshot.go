@@ -30,8 +30,9 @@ import (
 //	            live constraint in key-byte order: its 4·d-byte key, its
 //	            context count (prominence on only), its cell count, and per
 //	            cell in mask order: mask, member count, member ids
-//	counts      context counts of the constraints that have no cell (TopDown
-//	            family): count, then (key, count) pairs ascending by key
+//	counts      context counts of the constraints that have no cell, which
+//	            only the TopDown family kept: count, then (key, count)
+//	            pairs. Written empty; a reader keeps only the count
 //
 // Nothing in a file depends on map iteration or on constraint ids, so equal
 // engine states encode to equal bytes, and a restored engine's next snapshot
@@ -105,25 +106,18 @@ type Snapshot struct {
 	Sizes  []uint32
 	IDs    []uint32
 
-	// ExtraKeys/ExtraCounts are the context counts of constraints that have
-	// no cell, ascending by key, laid out like Keys/Counts.
-	ExtraKeys   string
-	ExtraCounts []int64
+	// CellLess is how many context counts the counts section holds for
+	// constraints without a cell: TopDown state, which a pool refuses.
+	CellLess int
 }
 
 // KeyLen is the byte length of one constraint key.
 func (s *Snapshot) KeyLen() int { return 4 * s.D }
 
-// ContextCount is a constraint key with its context size |σ_C(R)|.
-type ContextCount struct {
-	Key string
-	N   int64
-}
-
 // SnapshotEncoder appends one snapshot to a buffer, section by section.
 // Call, in this order: NewSnapshotEncoder, Dict, Tuples, Tombstones,
 // BeginCells, then Constraint followed by that constraint's Cells for every
-// live constraint, EndCells, Counts, Bytes.
+// live constraint, EndCells, Bytes.
 type SnapshotEncoder struct {
 	buf        []byte
 	start      int // where the open section's payload begins
@@ -248,23 +242,15 @@ func (e *SnapshotEncoder) Cell(mask uint32, ids []uint32) {
 	e.ids += uint64(len(ids))
 }
 
-// EndCells closes the µ store section.
+// EndCells closes the µ store section and writes the counts section,
+// empty: every constraint a pool engine counts has a cell.
 func (e *SnapshotEncoder) EndCells() {
 	binary.LittleEndian.PutUint64(e.buf[e.totals:], e.constraints)
 	binary.LittleEndian.PutUint64(e.buf[e.totals+8:], e.cells)
 	binary.LittleEndian.PutUint64(e.buf[e.totals+16:], e.ids)
 	e.close()
-}
-
-// Counts writes the context counts of the constraints without a cell, which
-// must be ascending by key (none without prominence).
-func (e *SnapshotEncoder) Counts(extra []ContextCount) {
 	e.open()
-	e.uvarint(uint64(len(extra)))
-	for _, c := range extra {
-		e.buf = append(e.buf, c.Key...)
-		e.uvarint(uint64(c.N))
-	}
+	e.uvarint(0)
 	e.close()
 }
 
@@ -517,15 +503,13 @@ func decodeV2(rest []byte) (*Snapshot, error) {
 	if r, rest, err = section("counts", rest); err != nil {
 		return nil, err
 	}
-	s.ExtraCounts = make([]int64, r.count("count", kl+1))
-	keys := make([]byte, 0, len(s.ExtraCounts)*kl)
+	s.CellLess = r.count("count", kl+1)
 	r.item = "constraint"
-	for r.i = 0; r.i < len(s.ExtraCounts) && r.err == nil; r.i++ {
-		keys = append(keys, r.bytes("key", kl)...)
-		s.ExtraCounts[r.i] = int64(r.uvarint("context count", math.MaxInt64))
+	for r.i = 0; r.i < s.CellLess && r.err == nil; r.i++ {
+		r.bytes("key", kl)
+		r.uvarint("context count", math.MaxInt64)
 	}
 	r.item = ""
-	s.ExtraKeys = string(keys)
 	if err := r.end(); err != nil {
 		return nil, err
 	}
@@ -623,7 +607,7 @@ func (s *Snapshot) validate() error {
 	if len(s.Keys) != len(s.Live)*kl {
 		return corrupt("cells", "%d key bytes for %d constraints of %d dimensions", len(s.Keys), len(s.Live), s.D)
 	}
-	if !s.Prominence && (s.Counts != nil || len(s.ExtraCounts) != 0) {
+	if !s.Prominence && (s.Counts != nil || s.CellLess != 0) {
 		return corrupt("counts", "context counts in a snapshot without prominence")
 	}
 	if s.Prominence && len(s.Counts) != len(s.Live) {
@@ -661,17 +645,6 @@ func (s *Snapshot) validate() error {
 	}
 	if cell != len(s.Masks) || member != len(s.IDs) {
 		return corrupt("cells", "%d cells and %d members belong to no constraint", len(s.Masks)-cell, len(s.IDs)-member)
-	}
-	if len(s.ExtraKeys) != len(s.ExtraCounts)*kl {
-		return corrupt("counts", "%d key bytes for %d constraints of %d dimensions", len(s.ExtraKeys), len(s.ExtraCounts), s.D)
-	}
-	for i, n := range s.ExtraCounts {
-		if n <= 0 {
-			return corrupt("counts", "constraint %d: context count %d", i, n)
-		}
-		if i > 0 && s.ExtraKeys[(i-1)*kl:i*kl] >= s.ExtraKeys[i*kl:(i+1)*kl] {
-			return corrupt("counts", "constraint %d: key not after the one before it", i)
-		}
 	}
 	return nil
 }

@@ -12,7 +12,7 @@ import (
 
 // sampleSnapshot is a small valid state over d=2, m=2: three tuples, one
 // tombstone, two live constraints (one with two cells, one of them with two
-// members) and one context count without a cell.
+// members) and two context counts without a cell.
 func sampleSnapshot() *Snapshot {
 	key := func(a, b byte) string { return string([]byte{a, 0, 0, 0, b, 0, 0, 0}) }
 	return &Snapshot{
@@ -34,12 +34,21 @@ func sampleSnapshot() *Snapshot {
 		Sizes:  []uint32{1, 2, 1},
 		IDs:    []uint32{0, 0, 2, 1},
 
-		ExtraKeys:   key(0, 255) + key(1, 0),
-		ExtraCounts: []int64{1, 200},
+		CellLess: 2,
 	}
 }
 
-// encodeSnapshot writes a decoded snapshot back out through the encoder.
+// cellLessKey is the key of the i-th context count a test writes without a
+// cell: no live constraint's, and below any printable one.
+func cellLessKey(kl, i int) string {
+	k := make([]byte, kl)
+	k[kl-1] = byte(0xf0 + i)
+	return string(k)
+}
+
+// encodeSnapshot writes a decoded snapshot back out through the encoder,
+// then, for a snapshot with cell-less counts, swaps the empty counts section
+// the encoder wrote for one that holds them.
 func encodeSnapshot(s *Snapshot) []byte {
 	e := NewSnapshotEncoder(nil, s.SnapshotHeader)
 	e.Dict(s.Dict)
@@ -62,11 +71,16 @@ func encodeSnapshot(s *Snapshot) []byte {
 		}
 	}
 	e.EndCells()
-	var extra []ContextCount
-	for i, n := range s.ExtraCounts {
-		extra = append(extra, ContextCount{Key: s.ExtraKeys[i*kl : (i+1)*kl], N: n})
+	if s.CellLess > 0 {
+		e.buf = e.buf[:e.start-8]
+		e.open()
+		e.uvarint(uint64(s.CellLess))
+		for i := range s.CellLess {
+			e.buf = append(e.buf, cellLessKey(kl, i)...)
+			e.uvarint(1)
+		}
+		e.close()
 	}
-	e.Counts(extra)
 	return e.Bytes()
 }
 
@@ -84,8 +98,8 @@ func encodeV1(t testing.TB, s *Snapshot) []byte {
 	kl := s.KeyLen()
 	if s.Prominence {
 		v.Counts = map[string]int64{}
-		for i, n := range s.ExtraCounts {
-			v.Counts[s.ExtraKeys[i*kl:(i+1)*kl]] = n
+		for i := range s.CellLess {
+			v.Counts[cellLessKey(kl, i)] = 1
 		}
 	}
 	cell, member := 0, 0
@@ -132,13 +146,13 @@ func TestSnapshotRoundTrip(t *testing.T) {
 
 	// Without prominence there are no counts, in either place.
 	bare := sampleSnapshot()
-	bare.Prominence, bare.Counts, bare.ExtraKeys, bare.ExtraCounts = false, nil, "", nil
+	bare.Prominence, bare.Counts, bare.CellLess = false, nil, 0
 	for _, data := range [][]byte{encodeSnapshot(bare), encodeV1(t, bare)} {
 		got, err := DecodeSnapshot(data)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got.Prominence || got.Counts != nil || len(got.ExtraCounts) != 0 || !reflect.DeepEqual(got.IDs, bare.IDs) {
+		if got.Prominence || got.Counts != nil || got.CellLess != 0 || !reflect.DeepEqual(got.IDs, bare.IDs) {
 			t.Errorf("prominence-free snapshot decoded as %+v", got)
 		}
 	}
@@ -166,11 +180,6 @@ func TestDecodeSnapshotRejects(t *testing.T) {
 		}, "cells: constraint 1: 0 cells", true},
 		{"member past the table", func(s *Snapshot) { s.IDs[2] = 3 }, "cells: constraint 0: cell 1: member 1: tuple 3 of 3", false},
 		{"context count zero", func(s *Snapshot) { s.Counts[1] = 0 }, "cells: constraint 1: context count 0", false},
-		{"cell-less count zero", func(s *Snapshot) { s.ExtraCounts[0] = 0 }, "counts: constraint 0: context count 0", false},
-		{"cell-less counts out of order", func(s *Snapshot) {
-			kl := s.KeyLen()
-			s.ExtraKeys = s.ExtraKeys[kl:] + s.ExtraKeys[:kl]
-		}, "counts: constraint 1: key not after", true},
 		{"counts without prominence", func(s *Snapshot) { s.Prominence, s.Counts = false, nil }, "counts: context counts in a snapshot without prominence", true},
 		{"tombstone past the table", func(s *Snapshot) { s.Deleted[0] = 3 }, "tombstones: tombstone 0: tuple 3 of 3", false},
 		{"tombstone repeats", func(s *Snapshot) { s.Deleted = []int64{1, 1} }, "tombstones: tombstone 1: tuple 1 after 1", false},
@@ -255,7 +264,7 @@ func checkRejected(t *testing.T, what string, data []byte) {
 // section — and nothing panics on the way.
 func TestDecodeSnapshotSingleCorruption(t *testing.T) {
 	bare := sampleSnapshot()
-	bare.Prominence, bare.Counts, bare.ExtraKeys, bare.ExtraCounts = false, nil, "", nil
+	bare.Prominence, bare.Counts, bare.CellLess = false, nil, 0
 	for _, s := range []*Snapshot{sampleSnapshot(), bare} {
 		valid := encodeSnapshot(s)
 		if _, err := DecodeSnapshot(valid); err != nil {

@@ -51,8 +51,8 @@ const snapshotV1Magic = "situfact-snapshot-v1"
 // decodeV1 reads a format v1 file into the flat form: cells grouped by
 // constraint in order of first appearance (the ids a cell-by-cell replay
 // would have interned them under) and sorted by mask within one, tombstones
-// sorted, the context counts split into those of live constraints and the
-// rest. What the values mean is left to validate, like decodeV2.
+// sorted, the context counts of live constraints kept and the rest only
+// counted. What the values mean is left to validate, like decodeV2.
 func decodeV1(data []byte) (*Snapshot, error) {
 	var v snapshotV1
 	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&v); err != nil {
@@ -128,14 +128,11 @@ func decodeV1(data []byte) (*Snapshot, error) {
 		}
 	}
 	slices.Sort(extra)
-	flat = flat[:0]
 	for i, key := range extra {
 		if len(key) != s.KeyLen() {
 			return nil, corrupt("counts", "constraint %d: key of %d bytes under %d dimensions", i, len(key), s.D)
 		}
-		flat = append(flat, key...)
-		s.ExtraCounts = append(s.ExtraCounts, v.Counts[key])
 	}
-	s.ExtraKeys = string(flat)
+	s.CellLess = len(extra)
 	return s, nil
 }

@@ -1,9 +1,7 @@
 package persist
 
 import (
-	"encoding/gob"
 	"fmt"
-	"os"
 	"path/filepath"
 
 	"repro/internal/faultfs"
@@ -33,43 +31,18 @@ type SegmentReport struct {
 // clean. A torn tail in the final segment is reported, not repaired, and
 // is not an error: the next Open truncates it.
 func VerifyWAL(dir string) ([]SegmentReport, error) {
-	f, err := os.Open(filepath.Join(dir, walMetaName))
-	if err != nil {
+	if _, err := readWALMeta(dir); err != nil {
 		return nil, fmt.Errorf("wal verify: %w", err)
 	}
-	var m walMeta
-	err = gob.NewDecoder(f).Decode(&m)
-	f.Close()
-	if err != nil || m.Magic != walMetaMagic {
-		return nil, fmt.Errorf("wal verify: %s is not a wal meta file: %w", walMetaName, ErrCorrupt)
-	}
-	bases, err := listSegments(faultfs.OS, dir)
-	if err != nil {
-		return nil, err
-	}
-	if len(bases) == 0 {
-		return nil, fmt.Errorf("wal verify: no segments in %s: %w", dir, ErrCorrupt)
-	}
 	var reports []SegmentReport
-	for i, base := range bases {
-		isLast := i == len(bases)-1
-		path := filepath.Join(dir, fmt.Sprintf("wal-%020d%s", base, segmentSuffix))
-		rep := SegmentReport{Name: filepath.Base(path), Base: base}
-		end, next, torn, err := readSegment(faultfs.OS, path, base, isLast, func(Record) error {
-			rep.Records++
-			return nil
+	err := walk(faultfs.OS, dir, 0, func(Record) error { return nil }, func(base uint64, end int64, next uint64, torn bool) {
+		reports = append(reports, SegmentReport{
+			Name: filepath.Base(segmentPath(dir, base)), Base: base,
+			Records: int(next - base), Bytes: end, Torn: torn,
 		})
-		if err != nil {
-			reports = append(reports, rep)
-			return reports, err
-		}
-		rep.Bytes = end
-		rep.Torn = torn
-		reports = append(reports, rep)
-		if !isLast && bases[i+1] != next {
-			return reports, fmt.Errorf("wal: gap between segments: %d ends at lsn %d, next starts at %d: %w",
-				base, next-1, bases[i+1], ErrCorrupt)
-		}
+	})
+	if err == nil && len(reports) == 0 {
+		err = fmt.Errorf("wal verify: no segments in %s: %w", dir, ErrCorrupt)
 	}
-	return reports, nil
+	return reports, err
 }

@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"sort"
@@ -24,14 +25,15 @@ import (
 var ErrWALClosed = errors.New("wal closed")
 
 // ErrCorrupt marks unrecoverable log damage: a full record failing its
-// CRC, an out-of-sequence LSN, or a short tail in a non-final segment.
-// Test with errors.Is; recovering past it would silently lose data.
+// CRC, an out-of-sequence LSN, a short tail in a non-final segment, or a
+// gap between segments. Test with errors.Is; recovering past it would
+// silently lose data.
 var ErrCorrupt = errors.New("wal corrupt")
 
 // WALOptions configures Open.
 type WALOptions struct {
-	// SegmentBytes is the rotation threshold; a segment is closed once it
-	// grows past this. 0 selects 64 MiB.
+	// SegmentBytes is the segment size threshold: the active segment is
+	// sealed at the first group commit past this size. 0 selects 64 MiB.
 	SegmentBytes int64
 	// Meta is an identity string (the pool's schema signature) stored in
 	// the log directory on creation and verified on every reopen, so a log
@@ -70,28 +72,27 @@ type walMeta struct {
 // into a buffer under a mutex; durability comes from WaitSync, whose
 // concurrent callers group-commit into a single write and fsync. See the
 // package doc for the crash-safety rules.
+//
+// The active segment has one owner: whoever holds the sync slot
+// (syncState.syncing) — the elected group-commit syncer, Close or Repair.
+// Only the owner writes, fsyncs, seals, closes or replaces the file, so no
+// fsync is ever in flight on a file someone else closes.
 type WAL struct {
 	dir     string
 	segSize int64
 	epoch   string     // this log instance's identity, from wal.meta
 	fs      faultfs.FS // segment I/O seam; faultfs.OS in production
 
-	// mu guards the file state: writes, rotation, truncation. The fsync
-	// itself runs OUTSIDE mu (syncNow flushes under the lock, then syncs
-	// the grabbed handle after releasing it), so appenders keep journaling
-	// while a group commit's fsync is on disk — otherwise every fsync would
-	// freeze ingest for its full device latency. syncingF/closeAfterSync
-	// coordinate the one hazard: a rotation or Close that wants to close
-	// the very file an fsync holds hands the close to the syncer instead
-	// (fsync on a closed fd would fail and poison the log).
-	mu             sync.Mutex
-	f              faultfs.File
-	syncingF       faultfs.File // file an fsync is running on outside mu; nil = none
-	closeAfterSync bool         // close syncingF when its fsync returns
-	nextLSN        uint64
-	segBase        uint64 // first LSN of the active segment
-	segBytes       int64  // bytes of the active segment, pending frames included
-	segments       int    // live segment files, including the active one
+	// mu guards the log's state: LSNs, the pending frames, the active
+	// segment's handle and size, the segment count. The syncer's fsync runs
+	// OUTSIDE mu, so appenders keep journaling while a group commit is on
+	// disk; a seal's fsync runs under it.
+	mu       sync.Mutex
+	f        faultfs.File
+	nextLSN  uint64
+	segBase  uint64 // first LSN of the active segment
+	segBytes int64  // bytes of the active segment, pending frames included
+	segments int    // live segment files, including the active one
 	// pending holds the active segment's frames that no successful fsync
 	// has covered, in LSN order: the first flushed bytes are in the file,
 	// the rest only here, and unsynced counts the frames. The pool applies
@@ -103,21 +104,21 @@ type WAL struct {
 	writeErr error // sticky: a failed write or fsync leaves the file torn
 	closed   bool
 
-	// syncState guards the durability watermark and the group-commit
-	// election; it is never held across a file operation.
+	// syncState guards the durability watermark and the sync slot; it is
+	// never held across a file operation.
 	syncState struct {
 		sync.Mutex
 		cond    *sync.Cond
 		synced  uint64 // highest LSN guaranteed on disk
-		syncs   uint64 // fsyncs that advanced synced (WALStats.Syncs)
-		syncing bool
-		err     error // sticky fsync failure
+		syncs   uint64 // group commits that advanced synced (WALStats.Syncs)
+		syncing bool   // the sync slot: its holder owns the active segment
+		err     error  // sticky fsync failure
 	}
 }
 
 // OpenWAL opens (or creates) the log rooted at dir, repairing a torn tail
-// left by a crash. The returned WAL is ready for Append; call Replay first
-// to observe existing records.
+// left by a crash. The returned WAL is ready for AppendAll; call Replay
+// first to observe existing records.
 func OpenWAL(dir string, opt WALOptions) (*WAL, error) {
 	if opt.SegmentBytes <= 0 {
 		opt.SegmentBytes = defaultSegmentBytes
@@ -159,11 +160,10 @@ func OpenWAL(dir string, opt WALOptions) (*WAL, error) {
 // openTail makes the final segment, based at base, the active one: it
 // scans it for the durable end of the log, truncates a torn tail there and
 // re-opens the file for appending at that end, returning the LSN the next
-// record takes. Earlier segments were sealed by a rotation fsync; Replay
-// verifies them in full. A scan that finds real corruption returns
-// ErrCorrupt.
+// record takes. Earlier segments were sealed by an fsync; Replay verifies
+// them in full. A scan that finds real corruption returns ErrCorrupt.
 func (w *WAL) openTail(base uint64) (next uint64, err error) {
-	path := w.segmentPath(base)
+	path := segmentPath(w.dir, base)
 	end, next, torn, err := readSegment(w.fs, path, base, true, nil)
 	if err != nil {
 		return 0, err
@@ -190,29 +190,38 @@ func (w *WAL) openTail(base uint64) (next uint64, err error) {
 // checkWALMeta writes the identity file on first open and verifies it on
 // every later one, returning the log's epoch either way.
 func checkWALMeta(dir, meta string) (string, error) {
-	path := filepath.Join(dir, walMetaName)
-	f, err := os.Open(path)
-	if os.IsNotExist(err) {
+	m, err := readWALMeta(dir)
+	if errors.Is(err, fs.ErrNotExist) {
 		epoch, err := newEpoch()
 		if err != nil {
 			return "", fmt.Errorf("wal: %w", err)
 		}
-		return epoch, WriteFileAtomic(path, func(w io.Writer) error {
+		return epoch, WriteFileAtomic(filepath.Join(dir, walMetaName), func(w io.Writer) error {
 			return gob.NewEncoder(w).Encode(&walMeta{Magic: walMetaMagic, Meta: meta, Epoch: epoch})
 		})
 	}
 	if err != nil {
-		return "", fmt.Errorf("wal: %w", err)
-	}
-	defer f.Close()
-	var m walMeta
-	if err := gob.NewDecoder(f).Decode(&m); err != nil || m.Magic != walMetaMagic {
-		return "", fmt.Errorf("wal: %s is not a wal meta file: %w", path, ErrCorrupt)
+		return "", err
 	}
 	if m.Meta != meta {
 		return "", fmt.Errorf("wal: log at %s was written under %q, not %q", dir, m.Meta, meta)
 	}
 	return m.Epoch, nil
+}
+
+// readWALMeta decodes dir's identity file, read only.
+func readWALMeta(dir string) (walMeta, error) {
+	path := filepath.Join(dir, walMetaName)
+	f, err := os.Open(path)
+	if err != nil {
+		return walMeta{}, fmt.Errorf("wal: %w", err)
+	}
+	defer f.Close()
+	var m walMeta
+	if err := gob.NewDecoder(f).Decode(&m); err != nil || m.Magic != walMetaMagic {
+		return walMeta{}, fmt.Errorf("wal: %s is not a wal meta file: %w", path, ErrCorrupt)
+	}
+	return m, nil
 }
 
 // newEpoch returns a random log-instance identifier.
@@ -224,8 +233,9 @@ func newEpoch() (string, error) {
 	return hex.EncodeToString(b[:]), nil
 }
 
-func (w *WAL) segmentPath(base uint64) string {
-	return filepath.Join(w.dir, fmt.Sprintf("wal-%020d%s", base, segmentSuffix))
+// segmentPath names the segment of dir whose first record is base.
+func segmentPath(dir string, base uint64) string {
+	return filepath.Join(dir, fmt.Sprintf("wal-%020d%s", base, segmentSuffix))
 }
 
 // listSegments returns the segment base LSNs in ascending order.
@@ -252,9 +262,9 @@ func listSegments(fsys faultfs.FS, dir string) ([]uint64, error) {
 
 // createSegment opens a fresh segment whose first record will be base,
 // fsyncing the directory so the name survives a crash. Caller holds mu
-// (or the WAL is not yet shared).
+// and the sync slot (or the WAL is not yet shared).
 func (w *WAL) createSegment(base uint64) error {
-	f, err := w.fs.OpenFile(w.segmentPath(base), os.O_RDWR|os.O_CREATE|os.O_EXCL, 0o644)
+	f, err := w.fs.OpenFile(segmentPath(w.dir, base), os.O_RDWR|os.O_CREATE|os.O_EXCL, 0o644)
 	if err != nil {
 		return fmt.Errorf("wal: %w", err)
 	}
@@ -268,25 +278,22 @@ func (w *WAL) createSegment(base uint64) error {
 	return nil
 }
 
-// Append journals rec, assigning and returning its LSN: AppendAll of one
-// record.
-func (w *WAL) Append(rec Record) (uint64, error) {
-	return w.AppendAll([]Record{rec})
-}
-
 // AppendAll journals recs in order under one lock acquisition: one mutex
 // round-trip and one encode pass cover a whole drained batch. It returns
 // the LSN assigned to the last record; the batch's LSNs are the contiguous
-// run ending there (last-len(recs)+1 … last). The records are buffered, not
-// yet durable: call WaitSync (or Sync) to make them so. The call is all or
-// nothing: a full segment rotates before the batch's first frame, never
-// inside it, so a failed rotation journals none of the batch (and poisons
-// the WAL: every later operation reports the original error until Repair).
-// An oversized record fails the whole call without poisoning the WAL (the
-// reader caps payloads at maxRecordBytes, so writing the frame would produce
-// a log that fails replay with ErrCorrupt) — callers pre-validate with
-// Record.Oversized.
+// run ending there (last-len(recs)+1 … last). The records are only encoded
+// into the pending frames, not written: call WaitSync (or Sync) to make
+// them durable. The call is all or nothing. It refuses a closed or
+// poisoned log, and an oversized record, which fails the whole call
+// without poisoning the WAL (the reader caps payloads at maxRecordBytes, so
+// writing the frame would produce a log that fails replay with ErrCorrupt)
+// — callers pre-validate with Record.Oversized.
 func (w *WAL) AppendAll(recs []Record) (uint64, error) {
+	for _, rec := range recs {
+		if rec.Oversized() {
+			return 0, fmt.Errorf("wal append: record exceeds %d payload bytes: %w", maxRecordBytes, ErrTooLarge)
+		}
+	}
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.closed {
@@ -294,17 +301,6 @@ func (w *WAL) AppendAll(recs []Record) (uint64, error) {
 	}
 	if w.writeErr != nil {
 		return 0, w.writeErr
-	}
-	for _, rec := range recs {
-		if rec.Oversized() {
-			return 0, fmt.Errorf("wal append: record exceeds %d payload bytes: %w", maxRecordBytes, ErrTooLarge)
-		}
-	}
-	if w.segBytes >= w.segSize {
-		if err := w.rotate(); err != nil {
-			w.writeErr = err
-			return 0, err
-		}
 	}
 	n := len(w.pending)
 	for _, rec := range recs {
@@ -318,7 +314,7 @@ func (w *WAL) AppendAll(recs []Record) (uint64, error) {
 }
 
 // flush writes the pending frames the file does not have yet. Caller holds
-// mu.
+// mu and the sync slot.
 func (w *WAL) flush() error {
 	if w.flushed == len(w.pending) {
 		return nil
@@ -339,51 +335,61 @@ func (w *WAL) dropSynced(covered, frames int) {
 	w.unsynced -= frames
 }
 
-// rotate seals the active segment (flush, fsync, close) and opens the
-// next. Everything in the sealed segment is durable afterwards, so the
-// sync watermark advances. Caller holds mu.
+// poison makes err the log's sticky write failure and returns it. Caller
+// holds mu.
+func (w *WAL) poison(op string, err error) error {
+	w.writeErr = fmt.Errorf("%s: %w", op, err)
+	return w.writeErr
+}
+
+// rotate seals the active segment, every frame of which flush has written:
+// fsync, close, then create the next segment. The fsync comes first, so a
+// crash never leaves a successor beside an unsealed segment. Caller holds
+// mu and the sync slot.
 func (w *WAL) rotate() error {
-	if err := w.flush(); err != nil {
-		return fmt.Errorf("wal rotate: %w", err)
-	}
 	if err := w.f.Sync(); err != nil {
-		return fmt.Errorf("wal rotate: %w", err)
+		return w.poison("wal rotate", err)
 	}
 	w.dropSynced(w.flushed, w.unsynced)
-	if w.syncingF == w.f {
-		// An out-of-lock fsync holds this handle; closing it now would
-		// fail that fsync. The segment is already durable (the Sync
-		// above), so hand the close to the syncer.
-		w.closeAfterSync = true
-	} else if err := w.f.Close(); err != nil {
-		return fmt.Errorf("wal rotate: %w", err)
-	}
+	err := w.f.Close()
 	// Cleared until createSegment replaces it: if that fails, the WAL is
 	// poisoned with w.f already closed, and Close must not close it again.
 	w.f = nil
-	sealed := w.nextLSN - 1
-	if err := w.createSegment(w.nextLSN); err != nil {
-		return err
+	if err == nil {
+		err = w.createSegment(w.nextLSN)
+	}
+	if err != nil {
+		return w.poison("wal rotate", err)
 	}
 	w.segments++
-	w.advanceSynced(sealed)
 	return nil
 }
 
-func (w *WAL) advanceSynced(lsn uint64) {
-	w.syncState.Lock()
-	if lsn > w.syncState.synced {
-		w.syncState.synced = lsn
-		w.syncState.syncs++
+// claimSync waits for the sync slot and takes it, making the caller the
+// active segment's one owner until releaseSync. Caller holds neither mu
+// nor syncState.
+func (w *WAL) claimSync() {
+	s := &w.syncState
+	s.Lock()
+	for s.syncing {
+		s.cond.Wait()
 	}
-	w.syncState.Unlock()
-	w.syncState.cond.Broadcast()
+	s.syncing = true
+	s.Unlock()
+}
+
+func (w *WAL) releaseSync() {
+	s := &w.syncState
+	s.Lock()
+	s.syncing = false
+	s.Unlock()
+	s.cond.Broadcast()
 }
 
 // WaitSync blocks until every record up to and including lsn is on disk,
-// running the fsync itself if no one else is. Concurrent callers coalesce:
-// one fsync commits every record buffered when it starts, and the rest
-// just observe the advanced watermark (group commit).
+// running the group commit itself if no one holds the sync slot.
+// Concurrent callers coalesce: one fsync commits every record buffered
+// when it starts, and the rest just observe the advanced watermark.
 func (w *WAL) WaitSync(lsn uint64) error {
 	s := &w.syncState
 	s.Lock()
@@ -416,56 +422,39 @@ func (w *WAL) WaitSync(lsn uint64) error {
 	}
 }
 
-// syncNow writes the pending frames under the lock, then fsyncs the active
-// segment OUTSIDE it, returning the highest LSN the fsync covers.
-// Appends (and whole pipeline batches) proceed concurrently with the
-// fsync; they are simply not covered by it. WaitSync's syncing flag
-// guarantees at most one syncNow is in flight, so syncingF is a single
-// slot; if a rotation or Close meanwhile wanted to close the file, the
-// handoff flag tells this goroutine to do it.
+// syncNow is the group commit, run by the holder of the sync slot. It
+// writes the pending frames under mu and fsyncs the active segment OUTSIDE
+// it, so appends (and whole pipeline batches) proceed concurrently with the
+// fsync; they are simply not covered by it. A segment that has reached the
+// size threshold is sealed instead, under mu (rotate). It returns the
+// highest LSN now durable.
 func (w *WAL) syncNow() (uint64, error) {
 	w.mu.Lock()
+	defer w.mu.Unlock()
 	if w.closed {
-		w.mu.Unlock()
 		return 0, ErrWALClosed
 	}
 	if w.writeErr != nil {
-		err := w.writeErr
-		w.mu.Unlock()
-		return 0, err
-	}
-	if err := w.flush(); err != nil {
-		w.writeErr = fmt.Errorf("wal sync: %w", err)
-		w.mu.Unlock()
 		return 0, w.writeErr
 	}
+	if err := w.flush(); err != nil {
+		return 0, w.poison("wal sync", err)
+	}
 	target := w.nextLSN - 1
-	f, covered, frames := w.f, w.flushed, w.unsynced
-	w.syncingF = f
-	w.mu.Unlock()
-
-	serr := f.Sync()
-
-	w.mu.Lock()
-	w.syncingF = nil
-	if w.closeAfterSync {
-		w.closeAfterSync = false
-		f.Close() // already sealed durable by the rotation/Close that deferred this
-	}
-	if serr != nil {
-		if w.writeErr == nil {
-			w.writeErr = fmt.Errorf("wal sync: %w", serr)
+	if w.segBytes >= w.segSize {
+		if err := w.rotate(); err != nil {
+			return 0, err
 		}
-		err := w.writeErr
-		w.mu.Unlock()
-		return 0, err
+		return target, nil
 	}
-	if w.f == f {
-		// Still the active segment; a rotation meanwhile would have made
-		// all of it durable and emptied pending itself.
-		w.dropSynced(covered, frames)
-	}
+	f, covered, frames := w.f, w.flushed, w.unsynced
 	w.mu.Unlock()
+	err := f.Sync()
+	w.mu.Lock()
+	if err != nil {
+		return 0, w.poison("wal sync", err)
+	}
+	w.dropSynced(covered, frames)
 	return target, nil
 }
 
@@ -477,36 +466,22 @@ func (w *WAL) Sync() error {
 	return w.WaitSync(last)
 }
 
-// Replay streams every record of the log, in LSN order, to fn; fn's error
-// aborts the walk. It verifies CRCs and LSN continuity across segments,
-// failing with ErrCorrupt on damage (a torn tail of the final segment was
-// already repaired by Open and simply ends the walk). Replay is meant to
-// run before ingest starts; it blocks appends for its duration.
+// Replay makes every appended record durable, then streams every record of
+// the log, in LSN order, to fn; fn's error aborts the walk. It verifies
+// CRCs and LSN continuity within and across segments, failing with
+// ErrCorrupt on damage (a torn tail of the final segment was already
+// repaired by Open and simply ends the walk). Replay is meant to run
+// before ingest starts; it blocks appends for its duration.
 func (w *WAL) Replay(fn func(Record) error) error {
+	if err := w.Sync(); err != nil {
+		return err
+	}
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.closed {
 		return ErrWALClosed
 	}
-	if err := w.flush(); err != nil {
-		w.writeErr = fmt.Errorf("wal replay flush: %w", err)
-		return w.writeErr
-	}
-	bases, err := listSegments(w.fs, w.dir)
-	if err != nil {
-		return err
-	}
-	for i, base := range bases {
-		_, next, _, err := readSegment(w.fs, w.segmentPath(base), base, i == len(bases)-1, fn)
-		if err != nil {
-			return err
-		}
-		if i+1 < len(bases) && bases[i+1] != next {
-			return fmt.Errorf("wal: gap between segments: %d ends at lsn %d, next starts at %d: %w",
-				base, next-1, bases[i+1], ErrCorrupt)
-		}
-	}
-	return nil
+	return walk(w.fs, w.dir, 0, fn, nil)
 }
 
 // errStopRead aborts a ReadFrom segment walk once max records are
@@ -520,9 +495,9 @@ var errStopRead = errors.New("stop read")
 // once: a degraded log (sticky write/fsync error) still serves reads —
 // synced frames are on disk by definition, no write of the pending
 // frames is needed — and a follower never applies a record that a crash
-// of the leader could still lose. Segments entirely below from are skipped by
-// name; the first overlapping segment is decoded from its start with the
-// early records filtered out. Like Replay it blocks appends for its
+// of the leader could still lose. Segments entirely below from are skipped
+// by name, and the walk checks the seam between the segments it reads, so
+// the records returned never jump. Like Replay it blocks appends for its
 // duration, but the duration is bounded by max plus at most one segment's
 // decode.
 //
@@ -541,39 +516,54 @@ func (w *WAL) ReadFrom(from uint64, max int) (recs []Record, lastLSN uint64, err
 	if w.closed {
 		return nil, 0, ErrWALClosed
 	}
-	lastLSN = synced
-	bases, err := listSegments(w.fs, w.dir)
-	if err != nil {
+	err = walk(w.fs, w.dir, from, func(rec Record) error {
+		if rec.LSN > synced || max > 0 && len(recs) >= max {
+			return errStopRead
+		}
+		recs = append(recs, rec)
+		return nil
+	}, nil)
+	if err != nil && !errors.Is(err, errStopRead) {
 		return nil, 0, err
 	}
+	return recs, synced, nil
+}
+
+// walk is the one segment walk behind Replay, ReadFrom and VerifyWAL. It
+// lists dir's segments, skips those wholly below from, reads the rest in
+// order — handing fn each record with LSN >= from, and seg (when non-nil)
+// each segment's scan, the damaged one included — and checks every seam:
+// a segment must begin at the LSN after its predecessor's last record, so a
+// missing segment is ErrCorrupt, never a jump in the stream.
+func walk(fsys faultfs.FS, dir string, from uint64, fn func(Record) error,
+	seg func(base uint64, end int64, next uint64, torn bool)) error {
+	bases, err := listSegments(fsys, dir)
+	if err != nil {
+		return err
+	}
 	for i, base := range bases {
-		if i+1 < len(bases) && bases[i+1] <= from {
-			continue // every record of this segment is below from
+		last := i == len(bases)-1
+		if !last && bases[i+1] <= from {
+			continue
 		}
-		if base > synced {
-			break // nothing durable at or past this segment
-		}
-		_, _, _, err := readSegment(w.fs, w.segmentPath(base), base, i == len(bases)-1, func(rec Record) error {
-			if rec.LSN > synced {
-				return errStopRead
-			}
+		end, next, torn, err := readSegment(fsys, segmentPath(dir, base), base, last, func(rec Record) error {
 			if rec.LSN < from {
 				return nil
 			}
-			if max > 0 && len(recs) >= max {
-				return errStopRead
-			}
-			recs = append(recs, rec)
-			return nil
+			return fn(rec)
 		})
-		if errors.Is(err, errStopRead) {
-			return recs, lastLSN, nil
+		if seg != nil {
+			seg(base, end, next, torn)
 		}
 		if err != nil {
-			return nil, 0, err
+			return err
+		}
+		if !last && bases[i+1] != next {
+			return fmt.Errorf("wal: gap between segments: %d ends at lsn %d, next starts at %d: %w",
+				base, next-1, bases[i+1], ErrCorrupt)
 		}
 	}
-	return recs, lastLSN, nil
+	return nil
 }
 
 // TruncateBefore removes segments every record of which has LSN < lsn —
@@ -595,7 +585,7 @@ func (w *WAL) TruncateBefore(lsn uint64) error {
 		if bases[i] == w.segBase {
 			break // never the active segment
 		}
-		if err := w.fs.Remove(w.segmentPath(bases[i])); err != nil {
+		if err := w.fs.Remove(segmentPath(w.dir, bases[i])); err != nil {
 			return fmt.Errorf("wal truncate: %w", err)
 		}
 		removed++
@@ -616,9 +606,9 @@ type WALStats struct {
 	// SyncedLSN is the highest LSN guaranteed on disk; LastLSN − SyncedLSN
 	// is the number of unsynced (acknowledgeable-but-volatile) records.
 	SyncedLSN uint64
-	// Syncs counts the fsyncs that advanced SyncedLSN since the log was
-	// opened — group commits and rotation seals — so the records one fsync
-	// makes durable average (SyncedLSN − SyncedLSN at open) / Syncs.
+	// Syncs counts the group commits that advanced SyncedLSN since the log
+	// was opened (a segment seal is one), so the records one fsync makes
+	// durable average (SyncedLSN − SyncedLSN at open) / Syncs.
 	Syncs uint64
 	// Segments is the live segment-file count, including the active one.
 	Segments int
@@ -678,7 +668,8 @@ func (w *WAL) Err() error {
 // dropping whatever torn or unsynced bytes the fault left — and writes
 // those frames again under their own LSNs: the log holds exactly the ops
 // the pool applied, and every later record, and every tuple id, means on
-// replay and on a follower what it meant on the leader.
+// replay and on a follower what it meant on the leader. It claims the sync
+// slot first, so it waits out a group commit in flight.
 //
 // On success the sticky write and fsync errors are cleared, the synced
 // watermark covers the whole repaired log, and blocked WaitSync callers
@@ -688,13 +679,12 @@ func (w *WAL) Err() error {
 // I/O itself failed — retry later) or the durable part of the segment does
 // not end where the pending frames begin (ErrCorrupt).
 func (w *WAL) Repair() (rewritten uint64, err error) {
+	w.claimSync()
+	defer w.releaseSync()
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.closed {
 		return 0, ErrWALClosed
-	}
-	if w.syncingF != nil {
-		return 0, errors.New("wal repair: an fsync is in flight; retry")
 	}
 	w.syncState.Lock()
 	serr := w.syncState.err
@@ -720,7 +710,7 @@ func (w *WAL) Repair() (rewritten uint64, err error) {
 	if tail == w.segBase {
 		// A rotation that failed after creating the next segment left it
 		// empty, with nothing pending; otherwise the durable end is here.
-		if err := truncateFile(w.fs, w.segmentPath(tail), w.segBytes-int64(len(w.pending))); err != nil {
+		if err := truncateFile(w.fs, segmentPath(w.dir, tail), w.segBytes-int64(len(w.pending))); err != nil {
 			return 0, fmt.Errorf("wal repair: %w", err)
 		}
 	}
@@ -734,12 +724,10 @@ func (w *WAL) Repair() (rewritten uint64, err error) {
 	w.segBytes += int64(len(w.pending))
 	w.flushed = 0
 	if err := w.flush(); err != nil {
-		w.writeErr = fmt.Errorf("wal repair: %w", err)
-		return 0, w.writeErr
+		return 0, w.poison("wal repair", err)
 	}
 	if err := w.f.Sync(); err != nil {
-		w.writeErr = fmt.Errorf("wal repair: %w", err)
-		return 0, w.writeErr
+		return 0, w.poison("wal repair", err)
 	}
 	rewritten = uint64(w.unsynced)
 	w.dropSynced(w.flushed, w.unsynced)
@@ -750,42 +738,36 @@ func (w *WAL) Repair() (rewritten uint64, err error) {
 		w.syncState.synced = last
 	}
 	w.syncState.Unlock()
-	w.syncState.cond.Broadcast()
-	return rewritten, nil // a full segment rotates before the next append
+	return rewritten, nil // a full segment seals at the next group commit
 }
 
-// Close flushes, fsyncs and closes the log. Waiting WaitSync callers
-// observe either the final watermark or ErrWALClosed.
+// Close flushes, fsyncs and closes the log, claiming the sync slot first so
+// a group commit in flight finishes on an open file. Waiting WaitSync
+// callers observe either the final watermark or ErrWALClosed.
 func (w *WAL) Close() error {
+	w.claimSync()
+	defer w.releaseSync()
 	w.mu.Lock()
 	if w.closed {
 		w.mu.Unlock()
 		return nil
 	}
-	var errs []error
+	var err error
 	last := w.nextLSN - 1
 	poisoned := w.writeErr != nil
 	if !poisoned {
-		if err := w.flush(); err != nil {
-			errs = append(errs, err)
-		} else if err := w.f.Sync(); err != nil {
-			errs = append(errs, err)
+		if err = w.flush(); err == nil {
+			err = w.f.Sync()
 		}
 	}
 	if w.f != nil { // nil after a failed rotation already closed it
-		if w.syncingF == w.f {
-			// An in-flight fsync holds the handle; it closes it on return
-			// (the flush+sync above already made everything durable).
-			w.closeAfterSync = true
-		} else if err := w.f.Close(); err != nil {
-			errs = append(errs, err)
-		}
+		err = errors.Join(err, w.f.Close())
 	}
 	w.closed = true
 	w.mu.Unlock()
 
 	w.syncState.Lock()
-	if len(errs) == 0 && !poisoned && w.syncState.err == nil {
+	if err == nil && !poisoned && w.syncState.err == nil {
 		if last > w.syncState.synced {
 			w.syncState.synced = last
 		}
@@ -793,16 +775,15 @@ func (w *WAL) Close() error {
 		w.syncState.err = ErrWALClosed
 	}
 	w.syncState.Unlock()
-	w.syncState.cond.Broadcast()
-	return errors.Join(errs...)
+	return err
 }
 
 // readSegment scans one segment file, verifying framing, CRCs and LSN
 // continuity from base, invoking fn (when non-nil) per record. It returns
 // the offset after the last complete record, the next expected LSN, and
-// whether a torn tail was found. Torn tails are tolerated only in the
-// final segment (isLast); anywhere else they are corruption, as is any
-// full record failing its CRC.
+// whether a torn tail was found — on an error, how far the scan got. Torn
+// tails are tolerated only in the final segment (isLast); anywhere else
+// they are corruption, as is any full record failing its CRC.
 //
 // A torn tail is not only a short read: power loss can persist the final
 // record's file-size extension without all of its data blocks, leaving a
@@ -814,9 +795,10 @@ func (w *WAL) Close() error {
 // sequential write and stays ErrCorrupt: truncating there could drop
 // fsynced records.
 func readSegment(fsys faultfs.FS, path string, base uint64, isLast bool, fn func(Record) error) (end int64, next uint64, torn bool, err error) {
+	next = base
 	f, err := fsys.Open(path)
 	if err != nil {
-		return 0, 0, false, fmt.Errorf("wal: %w", err)
+		return 0, next, false, fmt.Errorf("wal: %w", err)
 	}
 	defer f.Close()
 	br := bufio.NewReaderSize(f, 1<<20)
@@ -825,7 +807,6 @@ func readSegment(fsys faultfs.FS, path string, base uint64, isLast bool, fn func
 		hdr     [frameHeaderLen]byte
 		payload []byte
 	)
-	next = base
 	for {
 		_, rerr := io.ReadFull(br, hdr[:])
 		if rerr == io.EOF {
@@ -833,12 +814,12 @@ func readSegment(fsys faultfs.FS, path string, base uint64, isLast bool, fn func
 		}
 		if rerr == io.ErrUnexpectedEOF {
 			if !isLast {
-				return 0, 0, false, fmt.Errorf("wal: %s: torn record header at offset %d in sealed segment: %w", path, off, ErrCorrupt)
+				return off, next, false, fmt.Errorf("wal: %s: torn record header at offset %d in sealed segment: %w", path, off, ErrCorrupt)
 			}
 			return off, next, true, nil
 		}
 		if rerr != nil {
-			return 0, 0, false, fmt.Errorf("wal: %s: %w", path, rerr)
+			return off, next, false, fmt.Errorf("wal: %s: %w", path, rerr)
 		}
 		length := binary.LittleEndian.Uint32(hdr[:4])
 		sum := binary.LittleEndian.Uint32(hdr[4:])
@@ -846,7 +827,7 @@ func readSegment(fsys faultfs.FS, path string, base uint64, isLast bool, fn func
 			if isLast && restIsZeros(br) {
 				return off, next, true, nil // zero-filled torn tail
 			}
-			return 0, 0, false, fmt.Errorf("wal: %s: record length %d at offset %d: %w", path, length, off, ErrCorrupt)
+			return off, next, false, fmt.Errorf("wal: %s: record length %d at offset %d: %w", path, length, off, ErrCorrupt)
 		}
 		if cap(payload) < int(length) {
 			payload = make([]byte, length)
@@ -855,28 +836,28 @@ func readSegment(fsys faultfs.FS, path string, base uint64, isLast bool, fn func
 		if _, rerr := io.ReadFull(br, payload); rerr != nil {
 			if rerr == io.ErrUnexpectedEOF || rerr == io.EOF {
 				if !isLast {
-					return 0, 0, false, fmt.Errorf("wal: %s: torn record at offset %d in sealed segment: %w", path, off, ErrCorrupt)
+					return off, next, false, fmt.Errorf("wal: %s: torn record at offset %d in sealed segment: %w", path, off, ErrCorrupt)
 				}
 				return off, next, true, nil
 			}
-			return 0, 0, false, fmt.Errorf("wal: %s: %w", path, rerr)
+			return off, next, false, fmt.Errorf("wal: %s: %w", path, rerr)
 		}
 		if crc32.ChecksumIEEE(payload) != sum {
 			if isLast && restIsZeros(br) {
 				return off, next, true, nil // half-persisted torn tail
 			}
-			return 0, 0, false, fmt.Errorf("wal: %s: crc mismatch at offset %d (lsn %d expected): %w", path, off, next, ErrCorrupt)
+			return off, next, false, fmt.Errorf("wal: %s: crc mismatch at offset %d (lsn %d expected): %w", path, off, next, ErrCorrupt)
 		}
 		rec, perr := parsePayload(payload)
 		if perr != nil {
-			return 0, 0, false, fmt.Errorf("wal: %s: offset %d: %v: %w", path, off, perr, ErrCorrupt)
+			return off, next, false, fmt.Errorf("wal: %s: offset %d: %v: %w", path, off, perr, ErrCorrupt)
 		}
 		if rec.LSN != next {
-			return 0, 0, false, fmt.Errorf("wal: %s: lsn %d at offset %d, want %d: %w", path, rec.LSN, off, next, ErrCorrupt)
+			return off, next, false, fmt.Errorf("wal: %s: lsn %d at offset %d, want %d: %w", path, rec.LSN, off, next, ErrCorrupt)
 		}
 		if fn != nil {
 			if ferr := fn(rec); ferr != nil {
-				return 0, 0, false, ferr
+				return off, next, false, ferr
 			}
 		}
 		next++

@@ -40,22 +40,22 @@ func TestGoldenWALSegment(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := w.Append(single); err != nil {
+	if _, err := w.AppendAll([]Record{single}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := w.AppendAll(batch); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := w.Append(del); err != nil {
+	if _, err := w.AppendAll([]Record{del}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := w.Append(noop); err != nil {
+	if _, err := w.AppendAll([]Record{noop}); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	got, err := os.ReadFile(w.segmentPath(1))
+	got, err := os.ReadFile(segmentPath(dir, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +66,7 @@ func TestGoldenWALSegment(t *testing.T) {
 	// Reader: the checked-in file, dropped into an empty log directory,
 	// replays to the records in LSN order and the log continues after them.
 	dir = t.TempDir()
-	if err := os.WriteFile(filepath.Join(dir, filepath.Base(w.segmentPath(1))), want, 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(dir, filepath.Base(segmentPath(dir, 1))), want, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	r, err := OpenWAL(dir, WALOptions{})
@@ -88,7 +88,7 @@ func TestGoldenWALSegment(t *testing.T) {
 			t.Errorf("record %d = %+v, want %+v", i, rec, wantRecs[i])
 		}
 	}
-	if next, err := r.Append(noop); err != nil || next != uint64(len(wantRecs))+1 {
+	if next, err := r.AppendAll([]Record{noop}); err != nil || next != uint64(len(wantRecs))+1 {
 		t.Errorf("append after the golden records got LSN %d (%v), want %d", next, err, len(wantRecs)+1)
 	}
 }

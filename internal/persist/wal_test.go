@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 
@@ -39,7 +40,7 @@ func TestWALRoundTrip(t *testing.T) {
 	var want []Record
 	for i := 0; i < 10; i++ {
 		rec := appendRec(i)
-		lsn, err := w.Append(rec)
+		lsn, err := w.AppendAll([]Record{rec})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -50,7 +51,7 @@ func TestWALRoundTrip(t *testing.T) {
 		want = append(want, rec)
 	}
 	del := Record{Type: RecDelete, Shard: 2, TupleID: 7}
-	lsn, err := w.Append(del)
+	lsn, err := w.AppendAll([]Record{del})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +76,7 @@ func TestWALRoundTrip(t *testing.T) {
 	if got := collect(t, w2); !reflect.DeepEqual(got, want) {
 		t.Fatalf("replay after reopen mismatch")
 	}
-	if lsn, err := w2.Append(appendRec(99)); err != nil || lsn != uint64(len(want)+1) {
+	if lsn, err := w2.AppendAll([]Record{appendRec(99)}); err != nil || lsn != uint64(len(want)+1) {
 		t.Fatalf("post-reopen append: lsn %d err %v, want %d", lsn, err, len(want)+1)
 	}
 }
@@ -100,24 +101,30 @@ func TestWALRotationAndTruncate(t *testing.T) {
 	}
 	const n = 50
 	for i := 0; i < n; i++ {
-		if _, err := w.Append(appendRec(i)); err != nil {
+		if _, err := w.AppendAll([]Record{appendRec(i)}); err != nil {
 			t.Fatal(err)
 		}
-	}
-	if err := w.Sync(); err != nil {
-		t.Fatal(err)
+		if err := w.Sync(); err != nil {
+			t.Fatal(err)
+		}
 	}
 	st := w.Stats()
 	if st.Segments < 3 {
 		t.Fatalf("got %d segments, want rotation to have produced several", st.Segments)
 	}
-	if st.LastLSN != n || st.SyncedLSN != n {
-		t.Fatalf("stats = %+v, want last/synced %d", st, n)
+	// Every group commit, seals included, advanced the watermark by one.
+	if st.LastLSN != n || st.SyncedLSN != n || st.Syncs != n {
+		t.Fatalf("stats = %+v, want last/synced/syncs %d", st, n)
 	}
-	// Each rotation's seal advanced the watermark; the Sync did if the last
-	// segment held anything.
-	if seals := uint64(st.Segments - 1); st.Syncs < seals || st.Syncs > seals+1 {
-		t.Fatalf("stats = %+v, want %d or %d syncs", st, seals, seals+1)
+	// A segment is sealed at the first group commit past the threshold.
+	bases, err := listSegments(faultfs.OS, dir)
+	if err != nil || len(bases) != st.Segments {
+		t.Fatalf("%d segment files (%v), stats say %d", len(bases), err, st.Segments)
+	}
+	for _, base := range bases[:len(bases)-1] {
+		if fi, err := os.Stat(segmentPath(dir, base)); err != nil || fi.Size() < 128 {
+			t.Fatalf("sealed segment %d: %v, %v; want at least 128 bytes", base, fi, err)
+		}
 	}
 	if got := collect(t, w); len(got) != n {
 		t.Fatalf("replayed %d records across segments, want %d", len(got), n)
@@ -152,7 +159,7 @@ func TestWALRotationAndTruncate(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer w2.Close()
-	if lsn, err := w2.Append(appendRec(0)); err != nil || lsn != n+1 {
+	if lsn, err := w2.AppendAll([]Record{appendRec(0)}); err != nil || lsn != n+1 {
 		t.Fatalf("append after reopen: lsn %d err %v, want %d", lsn, err, n+1)
 	}
 }
@@ -168,12 +175,12 @@ func TestWALTornFinalRecord(t *testing.T) {
 			t.Fatal(err)
 		}
 		for i := 0; i < 5; i++ {
-			if _, err := w.Append(appendRec(i)); err != nil {
+			if _, err := w.AppendAll([]Record{appendRec(i)}); err != nil {
 				t.Fatal(err)
 			}
 		}
 		w.Close()
-		seg := w.segmentPath(1)
+		seg := segmentPath(dir, 1)
 		info, err := os.Stat(seg)
 		if err != nil {
 			t.Fatal(err)
@@ -199,7 +206,7 @@ func TestWALTornFinalRecord(t *testing.T) {
 		if len(got) != 5 {
 			t.Fatalf("cut=%d: %d records after torn-tail repair, want 5", cut, len(got))
 		}
-		if lsn, err := w2.Append(appendRec(9)); err != nil || lsn != 6 {
+		if lsn, err := w2.AppendAll([]Record{appendRec(9)}); err != nil || lsn != 6 {
 			t.Fatalf("cut=%d: append after repair: lsn %d err %v, want 6", cut, lsn, err)
 		}
 		if err := w2.Sync(); err != nil {
@@ -246,12 +253,12 @@ func TestWALTornFinalRecordFullLength(t *testing.T) {
 				t.Fatal(err)
 			}
 			for i := 0; i < 5; i++ {
-				if _, err := w.Append(appendRec(i)); err != nil {
+				if _, err := w.AppendAll([]Record{appendRec(i)}); err != nil {
 					t.Fatal(err)
 				}
 			}
 			w.Close()
-			seg := w.segmentPath(1)
+			seg := segmentPath(dir, 1)
 			full, err := os.ReadFile(seg)
 			if err != nil {
 				t.Fatal(err)
@@ -267,7 +274,7 @@ func TestWALTornFinalRecordFullLength(t *testing.T) {
 			if got := collect(t, w2); len(got) != 5 {
 				t.Fatalf("%d records after repair, want 5", len(got))
 			}
-			if lsn, err := w2.Append(appendRec(9)); err != nil || lsn != 6 {
+			if lsn, err := w2.AppendAll([]Record{appendRec(9)}); err != nil || lsn != 6 {
 				t.Fatalf("append after repair: lsn %d err %v, want 6", lsn, err)
 			}
 		})
@@ -283,12 +290,12 @@ func TestWALCRCMismatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 5; i++ {
-		if _, err := w.Append(appendRec(i)); err != nil {
+		if _, err := w.AppendAll([]Record{appendRec(i)}); err != nil {
 			t.Fatal(err)
 		}
 	}
 	w.Close()
-	seg := w.segmentPath(1)
+	seg := segmentPath(dir, 1)
 	data, err := os.ReadFile(seg)
 	if err != nil {
 		t.Fatal(err)
@@ -311,7 +318,10 @@ func TestWALCorruptSealedSegment(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 40; i++ {
-		if _, err := w.Append(appendRec(i)); err != nil {
+		if _, err := w.AppendAll([]Record{appendRec(i)}); err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Sync(); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -320,7 +330,7 @@ func TestWALCorruptSealedSegment(t *testing.T) {
 	if err != nil || len(bases) < 2 {
 		t.Fatalf("want ≥ 2 segments, got %d (err %v)", len(bases), err)
 	}
-	first := w.segmentPath(bases[0])
+	first := segmentPath(dir, bases[0])
 	data, err := os.ReadFile(first)
 	if err != nil {
 		t.Fatal(err)
@@ -339,6 +349,53 @@ func TestWALCorruptSealedSegment(t *testing.T) {
 	}
 }
 
+// TestWALSeamGap: a log missing a middle sealed segment fails every walk
+// with ErrCorrupt naming the gap — Replay, VerifyWAL, and ReadFrom from
+// below the hole, which must not hand a follower a tail that jumps.
+func TestWALSeamGap(t *testing.T) {
+	dir := t.TempDir()
+	w, err := OpenWAL(dir, WALOptions{Meta: "sig", SegmentBytes: 128})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 30; i++ {
+		if _, err := w.AppendAll([]Record{appendRec(i)}); err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Sync(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	w.Close()
+	bases, err := listSegments(faultfs.OS, dir)
+	if err != nil || len(bases) < 4 {
+		t.Fatalf("want ≥ 4 segments, got %d (err %v)", len(bases), err)
+	}
+	if err := os.Remove(segmentPath(dir, bases[1])); err != nil {
+		t.Fatal(err)
+	}
+	w2, err := OpenWAL(dir, WALOptions{Meta: "sig", SegmentBytes: 128})
+	if err != nil {
+		t.Fatal(err) // Open scans only the final segment — intact
+	}
+	defer w2.Close()
+	check := func(what string, err error) {
+		t.Helper()
+		if !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), "gap between segments") {
+			t.Errorf("%s over a missing segment: %v, want ErrCorrupt naming the gap", what, err)
+		}
+	}
+	check("Replay", w2.Replay(func(Record) error { return nil }))
+	_, _, err = w2.ReadFrom(bases[0], 0)
+	check("ReadFrom", err)
+	_, err = VerifyWAL(dir)
+	check("VerifyWAL", err)
+	// Past the hole the log is whole.
+	if recs, _, err := w2.ReadFrom(bases[2], 0); err != nil || len(recs) != 30-int(bases[2])+1 {
+		t.Errorf("ReadFrom past the hole = %d records, %v; want %d", len(recs), err, 30-int(bases[2])+1)
+	}
+}
+
 // TestWALEmptySegment: a rotation can leave a fresh segment with no
 // records yet; reopening must resume at the right LSN, and replay must
 // walk past it.
@@ -349,7 +406,7 @@ func TestWALEmptySegment(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {
-		if _, err := w.Append(appendRec(i)); err != nil {
+		if _, err := w.AppendAll([]Record{appendRec(i)}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -367,7 +424,7 @@ func TestWALEmptySegment(t *testing.T) {
 	if got := collect(t, w2); len(got) != 3 {
 		t.Fatalf("replayed %d records, want 3", len(got))
 	}
-	if lsn, err := w2.Append(appendRec(5)); err != nil || lsn != 4 {
+	if lsn, err := w2.AppendAll([]Record{appendRec(5)}); err != nil || lsn != 4 {
 		t.Fatalf("append into empty segment: lsn %d err %v, want 4", lsn, err)
 	}
 	if err := w2.Sync(); err != nil {
@@ -393,7 +450,7 @@ func TestWALGroupCommit(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			lsn, err := w.Append(appendRec(i))
+			lsn, err := w.AppendAll([]Record{appendRec(i)})
 			if err == nil {
 				err = w.WaitSync(lsn)
 			}

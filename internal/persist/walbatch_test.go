@@ -3,13 +3,21 @@ package persist
 import (
 	"errors"
 	"fmt"
+	"os"
+	"path/filepath"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
+	"time"
+
+	"repro/internal/faultfs"
 )
 
 // TestAppendAllMatchesAppend pins the batched journal pass: AppendAll's
 // frames and LSNs are indistinguishable on replay from the same records
-// journaled one Append at a time, and a batch never straddles a rotation.
+// journaled one at a time, and a batch never straddles a segment: the group
+// commit after it writes the whole batch, then seals the segment.
 func TestAppendAllMatchesAppend(t *testing.T) {
 	recs := make([]Record, 40)
 	for i := range recs {
@@ -22,8 +30,8 @@ func TestAppendAllMatchesAppend(t *testing.T) {
 			Measures: []float64{float64(i), 0.5},
 		}
 	}
-	// Tiny segments: the single appends rotate every few records, the
-	// batches only between the two calls.
+	// Tiny segments: the single appends seal one every few records, the
+	// batches one per batch.
 	single, err := OpenWAL(t.TempDir(), WALOptions{Meta: "m", SegmentBytes: 256})
 	if err != nil {
 		t.Fatal(err)
@@ -36,41 +44,29 @@ func TestAppendAllMatchesAppend(t *testing.T) {
 	defer batched.Close()
 
 	for _, rec := range recs {
-		if _, err := single.Append(rec); err != nil {
+		if _, err := single.AppendAll([]Record{rec}); err != nil {
+			t.Fatal(err)
+		}
+		if err := single.Sync(); err != nil {
 			t.Fatal(err)
 		}
 	}
 	// Two batches: LSNs must continue contiguously across calls.
 	mid := len(recs) / 2
-	last1, err := batched.AppendAll(recs[:mid])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := uint64(mid); last1 != want {
-		t.Fatalf("first AppendAll returned last LSN %d, want %d", last1, want)
-	}
-	last2, err := batched.AppendAll(recs[mid:])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := uint64(len(recs)); last2 != want {
-		t.Fatalf("second AppendAll returned last LSN %d, want %d", last2, want)
-	}
-	if err := batched.Sync(); err != nil {
-		t.Fatal(err)
-	}
-
-	read := func(w *WAL) []Record {
-		var out []Record
-		if err := w.Replay(func(rec Record) error {
-			out = append(out, rec)
-			return nil
-		}); err != nil {
+	for b, batch := range [][]Record{recs[:mid], recs[mid:]} {
+		last, err := batched.AppendAll(batch)
+		if err != nil {
 			t.Fatal(err)
 		}
-		return out
+		if want := uint64((b + 1) * mid); last != want {
+			t.Fatalf("AppendAll %d returned last LSN %d, want %d", b, last, want)
+		}
+		if err := batched.Sync(); err != nil {
+			t.Fatal(err)
+		}
 	}
-	got, want := read(batched), read(single)
+
+	got, want := collect(t, batched), collect(t, single)
 	if len(got) != len(want) {
 		t.Fatalf("batched log replays %d records, single-append log %d", len(got), len(want))
 	}
@@ -79,77 +75,242 @@ func TestAppendAllMatchesAppend(t *testing.T) {
 			t.Fatalf("record %d differs:\n batched %+v\n single  %+v", i, got[i], want[i])
 		}
 	}
-	if gs, ws := batched.Stats(), single.Stats(); gs.Segments != 2 || ws.Segments <= 2 {
-		t.Errorf("batched log rotated into %d segments, single-append log %d; want 2, one per batch, and more", gs.Segments, ws.Segments)
+	if gs, ws := batched.Stats(), single.Stats(); gs.Segments != 3 || ws.Segments <= 3 {
+		t.Errorf("batched log has %d segments, single-append log %d; want 3, one per batch and the empty active one, and more", gs.Segments, ws.Segments)
 	}
 }
 
-// TestRotateDefersCloseDuringSync pins the fsync/rotation handoff: a
-// rotation (or Close) that would close the file an out-of-lock fsync
-// holds must defer the close to the syncer instead of pulling the fd out
-// from under it.
-func TestRotateDefersCloseDuringSync(t *testing.T) {
-	w, err := OpenWAL(t.TempDir(), WALOptions{Meta: "m", SegmentBytes: 128})
+// gateFS runs segment I/O on the real filesystem, logging every operation
+// on a writable file in order; once armed, it blocks the next fsync until
+// the test releases it.
+type gateFS struct {
+	faultfs.FS
+	mu   sync.Mutex
+	ops  []string
+	gate *syncGate
+}
+
+// syncGate is one armed fsync: started closes when it begins, and it
+// returns the error sent on release.
+type syncGate struct {
+	started chan struct{}
+	release chan error
+}
+
+func (g *gateFS) arm() *syncGate {
+	gt := &syncGate{started: make(chan struct{}), release: make(chan error, 1)}
+	g.mu.Lock()
+	g.gate = gt
+	g.mu.Unlock()
+	return gt
+}
+
+func (g *gateFS) log(op string, f faultfs.File) {
+	g.mu.Lock()
+	g.ops = append(g.ops, op+" "+filepath.Base(f.Name()))
+	g.mu.Unlock()
+}
+
+func (g *gateFS) logged() []string {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	return slices.Clone(g.ops)
+}
+
+func (g *gateFS) OpenFile(name string, flag int, perm os.FileMode) (faultfs.File, error) {
+	f, err := g.FS.OpenFile(name, flag, perm)
 	if err != nil {
-		t.Fatal(err)
+		return nil, err
 	}
-	defer w.Close()
-	// One frame fills a segment, so the next append rotates first.
-	rec := Record{Type: RecAppend, Dims: []string{strings.Repeat("d", 128)}, Measures: []float64{1}}
+	if flag&os.O_CREATE != 0 {
+		g.log("create", f)
+	}
+	return &gateFile{File: f, fs: g}, nil
+}
 
-	// Emulate syncNow's pre-fsync half: flush under the lock, grab the
-	// handle, mark the fsync in flight. (WaitSync's syncing flag
-	// guarantees only one syncer, so faking it here is faithful.)
-	if _, err := w.Append(rec); err != nil {
-		t.Fatal(err)
-	}
-	w.mu.Lock()
-	if err := w.flush(); err != nil {
-		t.Fatal(err)
-	}
-	f := w.f
-	w.syncingF = f
-	w.mu.Unlock()
+type gateFile struct {
+	faultfs.File
+	fs *gateFS
+}
 
-	// "While the fsync runs", an append finds the segment full: rotate
-	// must hand the close off instead of closing f under the sync.
-	if _, err := w.Append(rec); err != nil {
-		t.Fatal(err)
+func (f *gateFile) Write(p []byte) (int, error) {
+	f.fs.log("write", f)
+	return f.File.Write(p)
+}
+
+func (f *gateFile) Close() error {
+	f.fs.log("close", f)
+	return f.File.Close()
+}
+
+func (f *gateFile) Sync() error {
+	f.fs.log("sync", f)
+	f.fs.mu.Lock()
+	gt := f.fs.gate
+	f.fs.gate = nil
+	f.fs.mu.Unlock()
+	var err error
+	if gt != nil {
+		close(gt.started)
+		err = <-gt.release
 	}
-	w.mu.Lock()
-	if !w.closeAfterSync {
-		t.Error("rotation during an in-flight fsync did not defer the close")
+	if err == nil {
+		err = f.File.Sync()
 	}
-	if w.f == f {
-		t.Error("rotation did not open a fresh segment")
+	f.fs.log("synced", f)
+	return err
+}
+
+// checkSegmentOps asserts the one-owner rules on a gateFS log: no file is
+// closed while an fsync on it is in flight, and a segment's successor is
+// created only once an fsync has covered the segment's last write.
+func checkSegmentOps(t *testing.T, ops []string) {
+	t.Helper()
+	var sealed string // the segment created last, which the next create seals
+	for i, op := range ops {
+		kind, name, _ := strings.Cut(op, " ")
+		switch kind {
+		case "close":
+			if count(ops[:i], "sync "+name) != count(ops[:i], "synced "+name) {
+				t.Fatalf("op %d closes %s with its fsync in flight: %q", i, name, ops[:i+1])
+			}
+		case "create":
+			if sealed != "" && lastIndex(ops[:i], "write "+sealed) > lastIndex(ops[:i], "synced "+sealed) {
+				t.Fatalf("op %d creates %s before an fsync covered %s's last write: %q", i, name, sealed, ops[:i+1])
+			}
+			sealed = name
+		}
 	}
-	w.mu.Unlock()
-	if st := w.Stats(); st.Segments != 2 {
-		t.Fatalf("segments = %d, want 2 (rotation must still have happened)", st.Segments)
+}
+
+func count(ops []string, op string) (n int) {
+	for _, o := range ops {
+		if o == op {
+			n++
+		}
 	}
-	// The deferred handle must still be alive — this is the fsync the
-	// syncer is notionally executing right now.
-	if err := f.Sync(); err != nil {
-		t.Fatalf("deferred file handle is dead: %v", err)
+	return n
+}
+
+func lastIndex(ops []string, op string) int {
+	for i := len(ops) - 1; i >= 0; i-- {
+		if ops[i] == op {
+			return i
+		}
 	}
-	// Emulate the post-fsync half: consume the handoff.
-	w.mu.Lock()
-	w.syncingF = nil
-	if w.closeAfterSync {
-		w.closeAfterSync = false
-		f.Close()
+	return -1
+}
+
+// TestWALSyncSlotOwnsSegment: the group-commit syncer owns the active
+// segment. Close and Repair called while its fsync is blocked return only
+// after that fsync; an append meanwhile makes no file call; no file is
+// closed with an fsync on it in flight; and every sealed segment is
+// fsynced before its successor is created.
+func TestWALSyncSlotOwnsSegment(t *testing.T) {
+	rec := Record{Type: RecAppend, Dims: []string{"d"}, Measures: []float64{1}}
+	open := func(t *testing.T, segBytes int64) (*WAL, *gateFS, string) {
+		dir, g := t.TempDir(), &gateFS{FS: faultfs.OS}
+		w, err := OpenWAL(dir, WALOptions{Meta: "m", FS: g, SegmentBytes: segBytes})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { w.Close() })
+		return w, g, dir
 	}
-	w.mu.Unlock()
-	if err := f.Sync(); err == nil {
-		t.Error("deferred file still open after the syncer consumed the handoff")
+	// during runs op while a group commit's fsync, ending in fsyncErr, is
+	// blocked, and returns the group commit's error once op has returned.
+	during := func(t *testing.T, w *WAL, g *gateFS, fsyncErr error, op func() error) error {
+		lsn, err := w.AppendAll([]Record{rec})
+		if err != nil {
+			t.Fatal(err)
+		}
+		gt := g.arm()
+		synced := make(chan error, 1)
+		go func() { synced <- w.WaitSync(lsn) }()
+		<-gt.started
+		before := len(g.logged())
+		if _, err := w.AppendAll([]Record{rec}); err != nil {
+			t.Fatalf("append during the fsync: %v", err)
+		}
+		if n := len(g.logged()) - before; n != 0 {
+			t.Fatalf("append during the fsync made %d file calls", n)
+		}
+		done := make(chan error, 1)
+		go func() { done <- op() }()
+		select {
+		case err := <-done:
+			gt.release <- fsyncErr
+			t.Fatalf("returned (%v) while the group commit's fsync was in flight", err)
+		case <-time.After(50 * time.Millisecond):
+		}
+		gt.release <- fsyncErr
+		if err := <-done; err != nil {
+			t.Fatal(err)
+		}
+		return <-synced
 	}
-	// The log stays fully usable afterwards.
-	if _, err := w.Append(rec); err != nil {
-		t.Fatal(err)
+	// replayed reopens dir on the real filesystem and counts its records.
+	replayed := func(t *testing.T, dir string) int {
+		w, err := OpenWAL(dir, WALOptions{Meta: "m"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer w.Close()
+		return len(collect(t, w))
 	}
-	if err := w.WaitSync(w.LastLSN()); err != nil {
-		t.Fatal(err)
-	}
+
+	t.Run("Close", func(t *testing.T) {
+		w, g, dir := open(t, 0)
+		if err := during(t, w, g, nil, w.Close); err != nil {
+			t.Fatalf("the group commit Close waited for: %v", err)
+		}
+		checkSegmentOps(t, g.logged())
+		if n := replayed(t, dir); n != 2 {
+			t.Fatalf("closed log replays %d records, want 2", n)
+		}
+	})
+
+	t.Run("Repair", func(t *testing.T) {
+		w, g, dir := open(t, 0)
+		repair := func() error {
+			if n, err := w.Repair(); err != nil || n != 2 {
+				return fmt.Errorf("Repair = %d, %v; want the two unsynced records written again", n, err)
+			}
+			return nil
+		}
+		if err := during(t, w, g, faultfs.ErrInjected, repair); !errors.Is(err, faultfs.ErrInjected) {
+			t.Fatalf("the group commit Repair waited for = %v, want the injected fault", err)
+		}
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+		checkSegmentOps(t, g.logged())
+		if n := replayed(t, dir); n != 2 {
+			t.Fatalf("repaired log replays %d records, want 2", n)
+		}
+	})
+
+	t.Run("seal", func(t *testing.T) {
+		w, g, dir := open(t, 64)
+		for range 20 {
+			if _, err := w.AppendAll([]Record{rec}); err != nil {
+				t.Fatal(err)
+			}
+			if err := w.Sync(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if st := w.Stats(); st.Segments < 4 || st.Syncs != 20 {
+			t.Fatalf("stats = %+v, want several segments and one group commit per append", st)
+		}
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+		checkSegmentOps(t, g.logged())
+		if n := replayed(t, dir); n != 20 {
+			t.Fatalf("sealed log replays %d records, want 20", n)
+		}
+	})
 }
 
 // TestAppendAllOversized pins the all-or-nothing contract: an oversized
@@ -173,7 +334,7 @@ func TestAppendAllOversized(t *testing.T) {
 	if last, err := w.AppendAll([]Record{good, good}); err != nil || last != 2 {
 		t.Fatalf("AppendAll after rejected batch = (%d, %v), want (2, nil)", last, err)
 	}
-	if _, err := w.Append(good); err != nil {
-		t.Fatalf("Append after rejected batch: %v", err)
+	if last, err := w.AppendAll([]Record{good}); err != nil || last != 3 {
+		t.Fatalf("AppendAll after rejected batch = (%d, %v), want (3, nil)", last, err)
 	}
 }

@@ -104,10 +104,6 @@ func (e *Engine) appendSnapshot(buf []byte) ([]byte, error) {
 		mem.EachCell(c, writeCell)
 	}
 	enc.EndCells()
-	// The counts section holds the context counts of constraints without a
-	// cell. Under Invariant 1 there are none: a live tuple of σ_C(R) puts
-	// some tuple in a skyline of C.
-	enc.Counts(nil)
 	return enc.Bytes(), nil
 }
 
@@ -144,9 +140,11 @@ func loadSnapshot(schema *Schema, data []byte) (*Engine, error) {
 	if err := checkPoolEngine(opt); err != nil {
 		return nil, err
 	}
-	if len(sf.ExtraCounts) > 0 {
+	// Under Invariant 1 every context count has a cell: a live tuple of
+	// σ_C(R) puts some tuple in a skyline of C.
+	if sf.CellLess > 0 {
 		return nil, fmt.Errorf("situfact: %w: counts: %d constraints without a cell, which Invariant 1 never leaves",
-			persist.ErrCorruptSnapshot, len(sf.ExtraCounts))
+			persist.ErrCorruptSnapshot, sf.CellLess)
 	}
 	eng, err := New(schema, opt)
 	if err != nil {

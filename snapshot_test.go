@@ -376,7 +376,6 @@ func TestLoadSnapshotRefusesWhatWouldPanic(t *testing.T) {
 	enc.Constraint(strings.Repeat("\xff", 20), 0, 1)
 	enc.Cell(1<<3, []uint32{0})
 	enc.EndCells()
-	enc.Counts(nil)
 	_, err := loadSnapshot(fixtureSchema(t), enc.Bytes())
 	if !errors.Is(err, persist.ErrCorruptSnapshot) || !strings.Contains(err.Error(), "header: 5 dimensions and 4 measures") {
 		t.Errorf("loadSnapshot of a four-measure file under a three-measure schema = %v, want ErrCorruptSnapshot naming the header", err)

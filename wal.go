@@ -35,7 +35,8 @@ var ErrRowTooLarge = errors.New("row too large to journal")
 
 // WALOptions configures OpenWAL.
 type WALOptions struct {
-	// SegmentBytes is the log's segment-rotation threshold; 0 = 64 MiB.
+	// SegmentBytes is the log's segment size: a segment is sealed at the
+	// first group commit past it. 0 = 64 MiB.
 	SegmentBytes int64
 	// FS is the filesystem seam segment I/O goes through; nil = the real
 	// one. Fault tests inject a faultfs.Faulty here (see internal/faultfs).
