@@ -28,7 +28,7 @@ const (
 // (the replaying pool re-routes it, so the shard is informational);
 // deletes carry the (shard, tuple) pair that names the target.
 type Record struct {
-	// LSN is the record's log sequence number, assigned by WAL.Append.
+	// LSN is the record's log sequence number, assigned by WAL.AppendAll.
 	LSN  uint64
 	Type RecordType
 
@@ -62,7 +62,7 @@ var ErrTooLarge = errors.New("record too large")
 // Oversized reports whether the record's framed payload would exceed
 // maxRecordBytes, without encoding it. The estimate assumes a max-width
 // LSN varint, so it can exceed the true size by a few bytes: an Oversized
-// record always fails Append, and a record passing this check always fits.
+// record always fails AppendAll, and a record passing this check always fits.
 func (rec Record) Oversized() bool {
 	size := 1 + binary.MaxVarintLen64 + uvarintLen(uint64(rec.Shard))
 	switch rec.Type {

@@ -7,7 +7,7 @@ import (
 )
 
 // TestAppendRejectsOversizedRecord: a record whose payload exceeds
-// maxRecordBytes must be rejected at Append — the reader caps payloads
+// maxRecordBytes must be rejected at AppendAll — the reader caps payloads
 // there, so buffering it would create a log that fails its own replay.
 // The rejection must not poison the WAL for well-formed records.
 func TestAppendRejectsOversizedRecord(t *testing.T) {
