@@ -10,11 +10,14 @@ import (
 	"os/exec"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"sync"
+	"syscall"
 	"testing"
 	"time"
 
 	situfact "repro"
+	"repro/internal/persist"
 )
 
 // TestCrashRecoverySIGKILL is the end-to-end durability acceptance test:
@@ -33,6 +36,10 @@ import (
 //  3. Survivor: a fault-free restart must hold every row ever acked, by
 //     content, and an in-process follower of it must serve byte-identical
 //     reads.
+//
+// The daemons that recover (and the reference) end with a graceful
+// shutdown, whose checkpoint must leave the state dir holding one
+// generation beside the log: whatever a killed checkpoint left is swept.
 func TestCrashRecoverySIGKILL(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and kills real daemon processes")
@@ -50,7 +57,8 @@ func TestCrashRecoverySIGKILL(t *testing.T) {
 	}
 	wantTop := getTop(t, ref.url)
 	wantMetrics := getMetrics(t, ref.url)
-	ref.stop()
+	ref.shutdown()
+	assertOneGeneration(t, refDir, "the reference run")
 
 	// Cycle 1, clean: feed in the background, SIGKILL mid-stream.
 	crashDir := t.TempDir()
@@ -115,7 +123,8 @@ func TestCrashRecoverySIGKILL(t *testing.T) {
 		t.Errorf("leaderboard after crash+recovery diverged from uninterrupted run:\n got %+v\nwant %+v",
 			gotTop, wantTop)
 	}
-	d2.stop()
+	d2.shutdown()
+	assertOneGeneration(t, crashDir, "cycle 1")
 
 	// Cycle 2, faulted: from the third WAL fsync on every fsync fails until
 	// 400ms after the first failure. Posters record exactly which rows got a
@@ -220,6 +229,22 @@ func TestCrashRecoverySIGKILL(t *testing.T) {
 	}
 	waitApplied(t, fts.URL, getMetrics(t, d4.url).WAL.LastLSN)
 	assertSameReads(t, d4.url, fts.URL, []string{"", "shard=1", "where=team=team-0"})
+	d4.shutdown()
+	assertOneGeneration(t, crashDir, "cycles 2 and 3")
+}
+
+// assertOneGeneration: once a daemon's last checkpoint has committed, its
+// state dir holds that generation beside the log, and nothing a killed
+// checkpoint left behind (a superseded generation, temp files).
+func assertOneGeneration(t *testing.T, dir, what string) {
+	t.Helper()
+	man, ok, err := persist.ReadManifest(dir)
+	if err != nil || !ok {
+		t.Fatalf("%s: manifest of %s: %v (present: %v)", what, dir, err, ok)
+	}
+	if got, want := stateDirFiles(t, dir), oneGeneration(3, man.Generation); !slices.Equal(got, want) {
+		t.Errorf("%s: the state dir holds %v, want %v", what, got, want)
+	}
 }
 
 // buildDaemon compiles this package into a runnable binary.
@@ -317,6 +342,18 @@ func (d *daemon) stop() {
 	if d.cmd.ProcessState == nil {
 		d.cmd.Process.Kill()
 		d.cmd.Wait()
+	}
+}
+
+// shutdown stops the daemon gracefully, with the final checkpoint SIGTERM
+// takes, and waits for it to exit.
+func (d *daemon) shutdown() {
+	d.t.Helper()
+	if err := d.cmd.Process.Signal(syscall.SIGTERM); err != nil {
+		d.t.Fatal(err)
+	}
+	if err := d.cmd.Wait(); err != nil {
+		d.t.Fatalf("graceful shutdown: %v", err)
 	}
 }
 

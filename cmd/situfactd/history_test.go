@@ -345,9 +345,10 @@ func (h *daemonHistory) checkLeader() {
 	h.same(h.ts.URL, "GET", "/healthz", "")
 }
 
-// checkpoint checkpoints the leader and truncates its log: the metrics
-// report the generation's shard files' bytes, and a longest shard-lock
-// hold inside the checkpoint's time.
+// checkpoint checkpoints the leader and truncates its log: the state dir
+// holds that one generation beside the log, and the metrics report the
+// generation's shard files' bytes and a longest shard-lock hold inside the
+// checkpoint's time.
 func (h *daemonHistory) checkpoint() {
 	if h.f != nil {
 		// Its truncation must not outrun the follower, which would then
@@ -358,6 +359,9 @@ func (h *daemonHistory) checkpoint() {
 		h.fatalf("checkpoint: %v", err)
 	}
 	h.gen, h.ckpt = h.gen+1, true
+	if got, want := stateDirFiles(h.t, h.cfg.stateDir), oneGeneration(h.shards, h.gen); !slices.Equal(got, want) {
+		h.fatalf("after the checkpoint of generation %d the state dir holds %v, want %v", h.gen, got, want)
+	}
 	_, onDisk := h.shardFiles(h.cfg.stateDir, h.gen)
 	if sn := getMetrics(h.t, h.ts.URL).Snapshot; sn.LastBytes != onDisk || sn.LastMS <= 0 || sn.LastHoldMS <= 0 || sn.LastHoldMS > sn.LastMS {
 		h.fatalf("snapshot %+v, want last_bytes %d and 0 < last_hold_ms <= last_ms", sn, onDisk)
@@ -404,6 +408,37 @@ func (h *daemonHistory) follow() {
 	if !reflect.DeepEqual(files[0], files[1]) {
 		h.fatalf("at the same LSN, the follower's shard files differ from the leader's")
 	}
+}
+
+// stateDirFiles lists the entries of a daemon's state dir, sorted,
+// directories with a trailing slash.
+func stateDirFiles(t testing.TB, dir string) []string {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out []string
+	for _, e := range entries {
+		if e.IsDir() {
+			out = append(out, e.Name()+"/")
+		} else {
+			out = append(out, e.Name())
+		}
+	}
+	return out
+}
+
+// oneGeneration is what a -wal daemon's state dir holds once a checkpoint
+// of generation gen has committed: the manifest, that generation's shard
+// files and the log's directory.
+func oneGeneration(shards int, gen uint64) []string {
+	out := []string{persist.ManifestName, "wal/"}
+	for i := range shards {
+		out = append(out, persist.ShardSnapshotName(i, gen))
+	}
+	slices.Sort(out)
+	return out
 }
 
 // shardFiles reads a snapshot generation's shard files in dir.

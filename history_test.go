@@ -553,14 +553,18 @@ func (h *history) recovered(dir string) *Pool {
 	return p
 }
 
-// checkpoint checkpoints and truncates every lane: the shard files are the
-// same bytes on every lane, a restore reproduces the pool, and the
-// restored pool's checkpoint the bytes.
+// checkpoint checkpoints and truncates every lane: the snapshot directory
+// holds the one generation committed, the shard files are the same bytes on
+// every lane, a restore reproduces the pool, and the restored pool's
+// checkpoint the bytes.
 func (h *history) checkpoint() {
 	var files [][]byte
 	for i, l := range h.lanes {
 		st, err := l.pool.Checkpoint(l.snapDir, nil)
 		h.check(err)
+		if got, want := snapshotDirFiles(h.t, l.snapDir), oneGeneration(h.shards, st.Generation); !slices.Equal(got, want) {
+			h.fatalf("lane %d: after the checkpoint of generation %d the snapshot directory holds %v, want %v", i, st.Generation, got, want)
+		}
 		h.check(l.wal.TruncateBefore(st.TruncatableLSN + 1))
 		got := readShardSnapshots(h.t, l.snapDir, h.shards)
 		if i == 0 {

@@ -1,9 +1,6 @@
 package core
 
-import (
-	"repro/internal/relation"
-	"repro/internal/subspace"
-)
+import "repro/internal/relation"
 
 // BruteForce is Algorithm 2 of the paper: for every measure subspace and
 // every constraint satisfied by the new tuple, scan the entire history to
@@ -74,63 +71,6 @@ func satisfiesMask(t, u *relation.Tuple, c uint32) bool {
 
 var _ Discoverer = (*BruteForce)(nil)
 
-// Oracle is a slow but independently-derived reference implementation used
-// by the test suite: it decides each (C, M) membership from first
-// principles using one Proposition-4 comparison per historical tuple.
-// Unlike BruteForce it shares nothing with the lattice traversal code
-// paths, which makes it a meaningful differential-testing target.
-type Oracle struct {
-	*base
-	history []*relation.Tuple
-}
-
-// NewOracle creates the reference discoverer.
-func NewOracle(cfg Config) (*Oracle, error) {
-	b, err := newBase(cfg)
-	if err != nil {
-		return nil, err
-	}
-	return &Oracle{base: b}, nil
-}
-
-// Name implements Discoverer.
-func (a *Oracle) Name() string { return "Oracle" }
-
-// Process implements Discoverer.
-func (a *Oracle) Process(t *relation.Tuple) []Fact {
-	a.met.Tuples++
-	a.newTupleScratch(t)
-	// For each historical tuple record (shared mask, relation); then (C,M)
-	// is a fact iff no record has C ⊆ shared and t dominated in M.
-	type rec struct {
-		shared uint32
-		rel    subspace.Relation
-	}
-	recs := make([]rec, 0, len(a.history))
-	for _, u := range a.history {
-		a.met.Comparisons++
-		recs = append(recs, rec{sharedOf(t, u), subspace.Compare(t, u, a.m)})
-	}
-	var facts []Fact
-	for _, m := range a.subs {
-		for _, c := range a.ctMasks {
-			a.met.Traversed++
-			dominated := false
-			for _, r := range recs {
-				if c&^r.shared == 0 && r.rel.DominatedIn(m) {
-					dominated = true
-					break
-				}
-			}
-			if !dominated {
-				facts = a.emit(t, c, m, facts)
-			}
-		}
-	}
-	a.history = append(a.history, t)
-	return facts
-}
-
 func sharedOf(t, u *relation.Tuple) uint32 {
 	var m uint32
 	for i := range t.Dims {
@@ -140,5 +80,3 @@ func sharedOf(t, u *relation.Tuple) uint32 {
 	}
 	return m
 }
-
-var _ Discoverer = (*Oracle)(nil)

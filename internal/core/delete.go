@@ -94,14 +94,3 @@ func (a *BottomUp) Delete(u *relation.Tuple, alive []*relation.Tuple) {
 		}
 	}
 }
-
-// Delete removes a tuple from the Oracle's history (test support for
-// differential deletion testing).
-func (a *Oracle) Delete(u *relation.Tuple) {
-	for i, w := range a.history {
-		if w.ID == u.ID {
-			a.history = append(a.history[:i], a.history[i+1:]...)
-			return
-		}
-	}
-}

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"repro/internal/relation"
-	"repro/internal/skyline"
 	"repro/internal/subspace"
 )
 
@@ -97,7 +96,7 @@ func TestCSCInvariantRandom(t *testing.T) {
 			// Inserted tuple's reported subspaces must match the oracle.
 			var want []subspace.Mask
 			for _, sub := range subspace.Enumerate(m, -1) {
-				if skyline.IsSkyline(tu, all, sub) {
+				if isSkyline(tu, all, sub) {
 					want = append(want, sub)
 				}
 			}
@@ -114,7 +113,7 @@ func TestCSCInvariantRandom(t *testing.T) {
 		for _, sub := range subspace.Enumerate(m, -1) {
 			var wantCell []*relation.Tuple
 			for _, u := range all {
-				mins := skyline.MinimalSubspaces(u, all, m, -1)
+				mins := minimalSubspaces(u, all, m, -1)
 				for _, mm := range mins {
 					if mm == sub {
 						wantCell = append(wantCell, u)
@@ -127,9 +126,9 @@ func TestCSCInvariantRandom(t *testing.T) {
 					trial, sub, idsOf(c.Cells()[sub]), idsOf(wantCell))
 			}
 			// Query correctness.
-			if !sameIDs(c.Query(sub), skyline.Compute(all, sub)) {
+			if !sameIDs(c.Query(sub), computeSkyline(all, sub)) {
 				t.Fatalf("trial %d query %b: got %v, want %v",
-					trial, sub, idsOf(c.Query(sub)), idsOf(skyline.Compute(all, sub)))
+					trial, sub, idsOf(c.Query(sub)), idsOf(computeSkyline(all, sub)))
 			}
 		}
 	}

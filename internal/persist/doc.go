@@ -14,11 +14,10 @@
 //
 //   - Snapshot — the codec for one engine's complete state (dictionary,
 //     tuples, tombstones, µ-store cells, prominence counters, work
-//     metrics). Format v2 is written: the µ store's per-constraint blocks
-//     flat, in length-prefixed, checksummed sections (snapshot.go has the
-//     layout). Format v1, one gob struct per engine, is read only, so
-//     older state directories restore. Both decode to the same checked,
-//     flat Snapshot; errors wrap ErrCorruptSnapshot.
+//     metrics), in format v2: the µ store's per-constraint blocks flat, in
+//     length-prefixed, checksummed sections (snapshot.go has the layout),
+//     decoded to one checked, flat Snapshot. Errors wrap
+//     ErrCorruptSnapshot; a file of the gob format v1 is refused with one.
 //
 //   - Manifest — the generational commit record of a pool snapshot
 //     directory. Shard files carry a generation number; the manifest,
@@ -26,7 +25,9 @@
 //     per-shard WAL LSN each shard file reflects (so replay resumes
 //     exactly where the snapshot ends), and small opaque sidecar payloads
 //     committed atomically with the snapshot (a hook for a caller's
-//     derived state; the daemon writes none).
+//     derived state; the daemon writes none). After a commit, Sweep
+//     removes every other generation's shard files and the temp files of
+//     interrupted writes, so a directory holds one generation.
 //
 // Crash-safety rules the WAL reader enforces: a record whose bytes are
 // incomplete at the tail of the final segment is a torn write — it is

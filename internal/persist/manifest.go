@@ -8,6 +8,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"strings"
 )
 
 // Pool snapshots are generational: shard files carry a generation number,
@@ -15,8 +16,8 @@ import (
 // naming the generation it covers. A save that dies partway leaves either
 // no manifest (fresh directory: the next start begins clean) or the
 // previous manifest still pointing at the previous generation's complete
-// file set; mixed-generation restores are impossible. Files of superseded
-// generations are removed after a successful commit.
+// file set; mixed-generation restores are impossible. After a successful
+// commit, Sweep leaves the directory holding that one generation.
 
 // Manifest is the commit record of a pool snapshot directory.
 type Manifest struct {
@@ -81,12 +82,24 @@ func WriteManifest(dir string, man Manifest) error {
 	})
 }
 
-// RemoveGeneration deletes a superseded generation's shard files.
-// Best-effort: once the manifest moved on they can never be restored, so
-// a leftover file is garbage, not a hazard.
-func RemoveGeneration(dir string, shards int, gen uint64) {
-	for i := 0; i < shards; i++ {
-		os.Remove(filepath.Join(dir, ShardSnapshotName(i, gen)))
+// Sweep deletes what dir holds of pool snapshots besides generation gen,
+// the one its manifest commits: the shard files of every other generation
+// (a superseded one, or one a crash left uncommitted) and the temp files of
+// a shard or manifest write that a crash cut off before its rename. It
+// touches nothing else, and no subdirectory (the WAL's). Best-effort: once
+// the manifest moved on such a file can never be restored, so one that
+// survives is garbage, not a hazard, and the next sweep retries it.
+func Sweep(dir string, gen uint64) {
+	entries, _ := os.ReadDir(dir)
+	keep := fmt.Sprintf(".g%d.snap", gen)
+	for _, e := range entries {
+		name := e.Name()
+		shard, _ := filepath.Match("shard-*.g*.snap", name)
+		tmp, _ := filepath.Match("shard-*.tmp-*", name)
+		tmpMan, _ := filepath.Match(ManifestName+".tmp-*", name)
+		if !e.IsDir() && (shard && !strings.HasSuffix(name, keep) || tmp || tmpMan) {
+			os.Remove(filepath.Join(dir, name))
+		}
 	}
 }
 

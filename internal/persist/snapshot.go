@@ -72,8 +72,7 @@ type SnapshotHeader struct {
 	// Prominence reports whether the engine keeps context counts.
 	Prominence bool
 	// Counters preserves the cumulative work metrics, so a restored engine's
-	// Metrics match an uninterrupted run's. All-zero in snapshots older than
-	// the field.
+	// Metrics match an uninterrupted run's.
 	Counters SnapCounters
 }
 
@@ -257,18 +256,18 @@ func (e *SnapshotEncoder) EndCells() {
 // Bytes returns the buffer: whatever it held before, then the snapshot.
 func (e *SnapshotEncoder) Bytes() []byte { return e.buf }
 
-// DecodeSnapshot decodes and checks one engine snapshot, of this format or
-// of the gob format it replaced (told apart by the magic). Every error wraps
+// DecodeSnapshot decodes and checks one engine snapshot. Every error wraps
 // ErrCorruptSnapshot; no input makes it panic or allocate more than a small
-// multiple of len(data).
+// multiple of len(data). A file without the magic is refused too: format v1,
+// one gob struct per engine, is no longer read (the error says how to
+// upgrade one).
 func DecodeSnapshot(data []byte) (*Snapshot, error) {
-	var s *Snapshot
-	var err error
-	if rest, ok := bytes.CutPrefix(data, []byte(snapshotMagic)); ok {
-		s, err = decodeV2(rest)
-	} else {
-		s, err = decodeV1(data)
+	rest, ok := bytes.CutPrefix(data, []byte(snapshotMagic))
+	if !ok {
+		return nil, corrupt("magic", "no %q magic, so not format v2: a pre-v2 (gob) snapshot restores under the builds "+
+			"from commit 9903ce0 to 1e3c305, and their next checkpoint rewrites it as v2", snapshotMagic)
 	}
+	s, err := decodeV2(rest)
 	if err == nil {
 		err = s.validate()
 	}
@@ -577,8 +576,8 @@ func (s *Snapshot) decodeCells(r *sectionReader) error {
 	return r.err
 }
 
-// validate checks what the values of a structurally sound snapshot mean, for
-// both formats: everything a restore indexes with, and everything the writer
+// validate checks what the values of a structurally sound snapshot mean:
+// everything a restore indexes with, and everything the writer
 // guarantees that a later snapshot's bytes depend on.
 func (s *Snapshot) validate() error {
 	if len(s.Dict) != s.D {

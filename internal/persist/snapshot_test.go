@@ -84,157 +84,85 @@ func encodeSnapshot(s *Snapshot) []byte {
 	return e.Bytes()
 }
 
-// encodeV1 writes the same state in the gob format, cell by cell.
-func encodeV1(t testing.TB, s *Snapshot) []byte {
-	t.Helper()
-	v := snapshotV1{
-		Magic: snapshotV1Magic, SchemaSig: s.SchemaSig, Algorithm: s.Algorithm,
-		MaxBound: s.MaxBound, MaxMeas: s.MaxMeas,
-		DictValues: s.Dict, Deleted: s.Deleted, Counters: s.Counters,
-	}
-	for i := 0; i < s.N; i++ {
-		v.Tuples = append(v.Tuples, tupleV1{Dims: s.Dims[i*s.D : (i+1)*s.D], Raw: s.Raw[i*s.M : (i+1)*s.M]})
-	}
-	kl := s.KeyLen()
-	if s.Prominence {
-		v.Counts = map[string]int64{}
-		for i := range s.CellLess {
-			v.Counts[cellLessKey(kl, i)] = 1
-		}
-	}
-	cell, member := 0, 0
-	for i, live := range s.Live {
-		key := s.Keys[i*kl : (i+1)*kl]
-		if s.Prominence {
-			v.Counts[key] = s.Counts[i]
-		}
-		for ; live > 0; live, cell = live-1, cell+1 {
-			c := cellV1{CKey: key, M: s.Masks[cell]}
-			for _, id := range s.IDs[member : member+int(s.Sizes[cell])] {
-				c.IDs = append(c.IDs, int64(id))
-			}
-			member += int(s.Sizes[cell])
-			v.Cells = append(v.Cells, c)
-		}
-	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(&v); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
-}
-
 func TestSnapshotRoundTrip(t *testing.T) {
 	want := sampleSnapshot()
-	for _, enc := range []struct {
-		name string
-		data []byte
-	}{{"v2", encodeSnapshot(want)}, {"v1", encodeV1(t, want)}} {
-		got, err := DecodeSnapshot(enc.data)
-		if err != nil {
-			t.Fatalf("%s: %v", enc.name, err)
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("%s: decoded\n %+v\nwant\n %+v", enc.name, got, want)
-		}
-		// Whatever the file's format, the decoded state writes out as the
-		// same v2 bytes: no map order, no source format left in it.
-		if !bytes.Equal(encodeSnapshot(got), encodeSnapshot(want)) {
-			t.Errorf("%s: re-encoding differs from the v2 encoding of the same state", enc.name)
-		}
+	got, err := DecodeSnapshot(encodeSnapshot(want))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("decoded\n %+v\nwant\n %+v", got, want)
 	}
 
 	// Without prominence there are no counts, in either place.
 	bare := sampleSnapshot()
 	bare.Prominence, bare.Counts, bare.CellLess = false, nil, 0
-	for _, data := range [][]byte{encodeSnapshot(bare), encodeV1(t, bare)} {
-		got, err := DecodeSnapshot(data)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got.Prominence || got.Counts != nil || got.CellLess != 0 || !reflect.DeepEqual(got.IDs, bare.IDs) {
-			t.Errorf("prominence-free snapshot decoded as %+v", got)
-		}
+	got, err = DecodeSnapshot(encodeSnapshot(bare))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Prominence || got.Counts != nil || got.CellLess != 0 || !reflect.DeepEqual(got.IDs, bare.IDs) {
+		t.Errorf("prominence-free snapshot decoded as %+v", got)
 	}
 }
 
 // TestDecodeSnapshotRejects: each way a structurally sound file can still be
-// unusable — every value a restore would index with — is refused by both
-// decoders with an error that wraps ErrCorruptSnapshot and names the section
-// and the constraint, cell or tuple at fault.
+// unusable — every value a restore would index with — is refused with an
+// error that wraps ErrCorruptSnapshot and names the section and the
+// constraint, cell or tuple at fault.
 func TestDecodeSnapshotRejects(t *testing.T) {
 	cases := []struct {
 		name   string
 		mutate func(s *Snapshot)
 		want   string // substring of the error
-		v2only bool   // not expressible in, or not kept by, the v1 layout
 	}{
-		{"mask past 2^m", func(s *Snapshot) { s.Masks[2] = 1 << 9 }, "cells: constraint 1: cell 0: mask 512", false},
-		{"mask 2^m", func(s *Snapshot) { s.Masks[1] = 4 }, "cells: constraint 0: cell 1: mask 4", false},
-		{"mask zero", func(s *Snapshot) { s.Masks[0] = 0 }, "cells: constraint 0: cell 0: mask 0", false},
-		{"mask repeats", func(s *Snapshot) { s.Masks[1] = 1 }, "cells: constraint 0: cell 1: mask 1 after 1", false},
-		{"masks descend", func(s *Snapshot) { s.Masks[0], s.Masks[1] = 3, 1 }, "cells: constraint 0: cell 1: mask 1 after 3", true},
-		{"empty cell", func(s *Snapshot) { s.Sizes[2], s.IDs = 0, s.IDs[:3] }, "cells: constraint 1: cell 0: 0 members", false},
+		{"mask past 2^m", func(s *Snapshot) { s.Masks[2] = 1 << 9 }, "cells: constraint 1: cell 0: mask 512"},
+		{"mask 2^m", func(s *Snapshot) { s.Masks[1] = 4 }, "cells: constraint 0: cell 1: mask 4"},
+		{"mask zero", func(s *Snapshot) { s.Masks[0] = 0 }, "cells: constraint 0: cell 0: mask 0"},
+		{"mask repeats", func(s *Snapshot) { s.Masks[1] = 1 }, "cells: constraint 0: cell 1: mask 1 after 1"},
+		{"masks descend", func(s *Snapshot) { s.Masks[0], s.Masks[1] = 3, 1 }, "cells: constraint 0: cell 1: mask 1 after 3"},
+		{"empty cell", func(s *Snapshot) { s.Sizes[2], s.IDs = 0, s.IDs[:3] }, "cells: constraint 1: cell 0: 0 members"},
 		{"constraint without cells", func(s *Snapshot) {
 			s.Live, s.Masks, s.Sizes, s.IDs = []uint32{2, 0}, s.Masks[:2], s.Sizes[:2], s.IDs[:3]
-		}, "cells: constraint 1: 0 cells", true},
-		{"member past the table", func(s *Snapshot) { s.IDs[2] = 3 }, "cells: constraint 0: cell 1: member 1: tuple 3 of 3", false},
-		{"context count zero", func(s *Snapshot) { s.Counts[1] = 0 }, "cells: constraint 1: context count 0", false},
-		{"counts without prominence", func(s *Snapshot) { s.Prominence, s.Counts = false, nil }, "counts: context counts in a snapshot without prominence", true},
-		{"tombstone past the table", func(s *Snapshot) { s.Deleted[0] = 3 }, "tombstones: tombstone 0: tuple 3 of 3", false},
-		{"tombstone repeats", func(s *Snapshot) { s.Deleted = []int64{1, 1} }, "tombstones: tombstone 1: tuple 1 after 1", false},
-		{"code outside the dictionary", func(s *Snapshot) { s.Dims[3] = 3 }, "tuples: tuple 1: dimension 1: code 3 outside the dictionary's 3 values", false},
-		{"negative code", func(s *Snapshot) { s.Dims[0] = -1 }, "tuples: tuple 0: dimension 0: code -1", false},
+		}, "cells: constraint 1: 0 cells"},
+		{"member past the table", func(s *Snapshot) { s.IDs[2] = 3 }, "cells: constraint 0: cell 1: member 1: tuple 3 of 3"},
+		{"context count zero", func(s *Snapshot) { s.Counts[1] = 0 }, "cells: constraint 1: context count 0"},
+		{"counts without prominence", func(s *Snapshot) { s.Prominence, s.Counts = false, nil }, "counts: context counts in a snapshot without prominence"},
+		{"tombstone past the table", func(s *Snapshot) { s.Deleted[0] = 3 }, "tombstones: tombstone 0: tuple 3 of 3"},
+		{"tombstone repeats", func(s *Snapshot) { s.Deleted = []int64{1, 1} }, "tombstones: tombstone 1: tuple 1 after 1"},
+		{"code outside the dictionary", func(s *Snapshot) { s.Dims[3] = 3 }, "tuples: tuple 1: dimension 1: code 3 outside the dictionary's 3 values"},
+		{"negative code", func(s *Snapshot) { s.Dims[0] = -1 }, "tuples: tuple 0: dimension 0: code -1"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			s := sampleSnapshot()
 			tc.mutate(s)
-			encodings := map[string][]byte{"v2": encodeSnapshot(s)}
-			if !tc.v2only {
-				encodings["v1"] = encodeV1(t, s)
+			got, err := DecodeSnapshot(encodeSnapshot(s))
+			if err == nil {
+				t.Fatalf("accepted: %+v", got)
 			}
-			for format, data := range encodings {
-				got, err := DecodeSnapshot(data)
-				if err == nil {
-					t.Fatalf("%s: accepted: %+v", format, got)
-				}
-				if !errors.Is(err, ErrCorruptSnapshot) || !strings.Contains(err.Error(), tc.want) {
-					t.Errorf("%s: error %q, want one wrapping ErrCorruptSnapshot that says %q", format, err, tc.want)
-				}
-			}
-		})
-	}
-
-	// What only the v1 layout can say: a key of the wrong length, a member
-	// that is no 32-bit id, tuples of different widths.
-	v1cases := []struct {
-		name   string
-		mutate func(v *snapshotV1)
-		want   string
-	}{
-		{"short key", func(v *snapshotV1) { v.Cells[2].CKey = "abc" }, "cells: constraint 1: key of 3 bytes under 2 dimensions"},
-		{"short count key", func(v *snapshotV1) { v.Counts["abc"] = 1 }, "counts: constraint 2: key of 3 bytes under 2 dimensions"},
-		{"negative member", func(v *snapshotV1) { v.Cells[1].IDs[0] = -1 }, "cells: constraint 0: cell 1: member -1 is no tuple id"},
-		{"ragged tuple", func(v *snapshotV1) { v.Tuples[1].Raw = v.Tuples[1].Raw[:1] }, "tuples: tuple 1: 2 codes and 1 measures"},
-		{"foreign gob", func(v *snapshotV1) { v.Magic = "something else" }, "magic: a gob stream, but not a snapshot"},
-	}
-	for _, tc := range v1cases {
-		t.Run("v1 "+tc.name, func(t *testing.T) {
-			var v snapshotV1
-			if err := gob.NewDecoder(bytes.NewReader(encodeV1(t, sampleSnapshot()))).Decode(&v); err != nil {
-				t.Fatal(err)
-			}
-			tc.mutate(&v)
-			var buf bytes.Buffer
-			if err := gob.NewEncoder(&buf).Encode(&v); err != nil {
-				t.Fatal(err)
-			}
-			_, err := DecodeSnapshot(buf.Bytes())
 			if !errors.Is(err, ErrCorruptSnapshot) || !strings.Contains(err.Error(), tc.want) {
-				t.Errorf("error %v, want one wrapping ErrCorruptSnapshot that says %q", err, tc.want)
+				t.Errorf("error %q, want one wrapping ErrCorruptSnapshot that says %q", err, tc.want)
 			}
 		})
+	}
+}
+
+// TestDecodeSnapshotRefusesGob: a file without the v2 magic — a gob stream
+// such as the format v1 that earlier builds wrote, or any other bytes — is
+// refused at the magic, and the error names the builds that upgrade a v1
+// file.
+func TestDecodeSnapshotRefusesGob(t *testing.T) {
+	var gobbed bytes.Buffer
+	if err := gob.NewEncoder(&gobbed).Encode(struct{ Magic string }{"situfact-snapshot-v1"}); err != nil {
+		t.Fatal(err)
+	}
+	for _, data := range [][]byte{gobbed.Bytes(), []byte("situsna"), nil} {
+		_, err := DecodeSnapshot(data)
+		if !errors.Is(err, ErrCorruptSnapshot) || !strings.Contains(err.Error(), "magic: ") ||
+			!strings.Contains(err.Error(), "pre-v2 (gob) snapshot") || !strings.Contains(err.Error(), "9903ce0 to 1e3c305") {
+			t.Errorf("DecodeSnapshot(%q) = %v, want ErrCorruptSnapshot at the magic naming the v1 upgrade route", data, err)
+		}
 	}
 }
 

@@ -147,10 +147,8 @@ func TestPoolQueryTopFactsNeedsIndex(t *testing.T) {
 		{"file store", newPool(Options{StoreDir: storeDir}), "sbottomup over a file store"},
 		{"restore v2_bottomup", restore("v2_bottomup.snapshot"), ""},
 		{"restore v2_topdown", restore("v2_topdown.snapshot"), "topdown"},
-		{"restore prerefactor_topdown", restore("prerefactor_topdown.snapshot"), "topdown"},
-		{"load prerefactor_bottomup", load("prerefactor_bottomup.snapshot"), ""},
+		{"load v2_bottomup", load("v2_bottomup.snapshot"), ""},
 		{"load v2_topdown", load("v2_topdown.snapshot"), "topdown"},
-		{"load prerefactor_topdown", load("prerefactor_topdown.snapshot"), "topdown"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			err := tc.try(t)

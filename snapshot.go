@@ -23,9 +23,10 @@ import (
 // production necessity the paper leaves implicit. This file is a thin
 // wrapper translating engine/pool state to and from internal/persist,
 // which owns the codec, the generational manifest, and the write-ahead
-// log (see wal.go for journaling and recovery). Format v2 is written —
-// the µ store's blocks, constraint by constraint, straight into the
-// encoder — and v1 (gob) is still read. The engines are a pool's:
+// log (see wal.go for journaling and recovery). Snapshots are format v2,
+// the only one read or written: the µ store's blocks, constraint by
+// constraint, straight into the encoder. A snapshot directory keeps one
+// generation, the one its manifest commits. The engines are a pool's:
 // bottomup or sbottomup over the in-memory store, whose cells and counts
 // are the whole state.
 
@@ -107,11 +108,11 @@ func (e *Engine) appendSnapshot(buf []byte) ([]byte, error) {
 	return enc.Bytes(), nil
 }
 
-// loadSnapshot reconstructs a pool's engine from one shard's snapshot, in
-// format v2 or in the gob format v1 of earlier builds. The schema must match
-// the one the snapshot was taken under, and the algorithm must be one a pool
-// runs (checkPoolEngine). An error for bytes that are not an acceptable
-// snapshot wraps persist.ErrCorruptSnapshot.
+// loadSnapshot reconstructs a pool's engine from one shard's snapshot. The
+// schema must match the one the snapshot was taken under, and the algorithm
+// must be one a pool runs (checkPoolEngine). An error for bytes that are not
+// an acceptable snapshot, a gob (v1) file among them, wraps
+// persist.ErrCorruptSnapshot.
 func loadSnapshot(schema *Schema, data []byte) (*Engine, error) {
 	if schema == nil || schema.rs == nil {
 		return nil, fmt.Errorf("situfact: nil schema")
@@ -124,10 +125,9 @@ func loadSnapshot(schema *Schema, data []byte) (*Engine, error) {
 		return nil, fmt.Errorf("situfact: snapshot schema %q does not match %q", sf.SchemaSig, got)
 	}
 	// The decoder checked the snapshot against its own d and m; they index
-	// this schema's structures below. (A v1 file without tuples has no m,
-	// and no cells either.)
+	// this schema's structures below.
 	d, m := schema.rs.NumDims(), schema.rs.NumMeasures()
-	if sf.D != d || sf.N > 0 && sf.M != m {
+	if sf.D != d || sf.M != m {
 		return nil, fmt.Errorf("situfact: %w: header: %d dimensions and %d measures under a schema of %d and %d",
 			persist.ErrCorruptSnapshot, sf.D, sf.M, d, m)
 	}
@@ -200,23 +200,19 @@ func loadSnapshot(schema *Schema, data []byte) (*Engine, error) {
 		}
 	}
 	// Restoring the cells recomputed StoredTuples/Cells but counted itself
-	// as I/O; overwrite all counters with the saved ones. Snapshots written
-	// before Counters existed decode it as all-zero — leave the store stats
-	// the restore derived in place for those rather than zeroing live gauges.
-	if sf.Counters != (persist.SnapCounters{}) {
-		bu.RestoreMetrics(core.Metrics{
-			Tuples:      sf.Counters.Tuples,
-			Comparisons: sf.Counters.Comparisons,
-			Traversed:   sf.Counters.Traversed,
-			Facts:       sf.Counters.Facts,
-		})
-		mem.RestoreStats(store.Stats{
-			StoredTuples: sf.Counters.StoredTuples,
-			Cells:        sf.Counters.Cells,
-			Reads:        sf.Counters.Reads,
-			Writes:       sf.Counters.Writes,
-		})
-	}
+	// as I/O; overwrite all counters with the saved ones.
+	bu.RestoreMetrics(core.Metrics{
+		Tuples:      sf.Counters.Tuples,
+		Comparisons: sf.Counters.Comparisons,
+		Traversed:   sf.Counters.Traversed,
+		Facts:       sf.Counters.Facts,
+	})
+	mem.RestoreStats(store.Stats{
+		StoredTuples: sf.Counters.StoredTuples,
+		Cells:        sf.Counters.Cells,
+		Reads:        sf.Counters.Reads,
+		Writes:       sf.Counters.Writes,
+	})
 	return eng, nil
 }
 
@@ -239,7 +235,12 @@ type CheckpointStats struct {
 }
 
 // Checkpoint writes the pool's state into dir as a new snapshot
-// generation: a manifest plus one engine snapshot per shard. Each shard is
+// generation: a manifest plus one engine snapshot per shard. Once the
+// manifest commits, the directory is swept down to that generation: the
+// shard files of every other one, and the temp files an interrupted
+// checkpoint left, are removed; nothing else in dir is touched. Checkpoints
+// into one directory must not overlap (the sweep would take the other's
+// files for leftovers); the caller serialises them. Each shard is
 // saved under its own lock; as shards are independent substreams,
 // per-shard consistency is the meaningful unit and no cross-shard barrier
 // is taken. When a WAL is attached, the manifest records the WAL position
@@ -336,10 +337,8 @@ func (p *Pool) Checkpoint(dir string, sidecars func() (map[string][]byte, error)
 	if err := persist.WriteManifest(dir, man); err != nil {
 		return CheckpointStats{}, fmt.Errorf("situfact: pool snapshot: manifest: %w", err)
 	}
-	// Committed; the superseded generation is garbage now.
-	if havePrev {
-		persist.RemoveGeneration(dir, prev.Shards, prev.Generation)
-	}
+	// Committed; every other generation is garbage now.
+	persist.Sweep(dir, gen)
 	stats.TruncatableLSN = slices.Min(lsns)
 	stats.Elapsed = time.Since(began)
 	return stats, nil
@@ -376,8 +375,10 @@ func RestorePool(schema *Schema, dir string) (*Pool, map[string][]byte, error) {
 		return nil, nil, fmt.Errorf("situfact: pool snapshot shard dimension %q not in schema %s",
 			man.ShardDim, schema.rs)
 	}
-	p := &Pool{schema: schema, shardDim: shardDim, shards: make([]poolShard, man.Shards)}
-	for i := range p.shards {
+	// The shards grow file by file: the manifest may come from a leader, so
+	// its shard count sizes nothing before the files it names are read.
+	p := &Pool{schema: schema, shardDim: shardDim}
+	for i := 0; i < man.Shards; i++ {
 		data, err := os.ReadFile(filepath.Join(dir, persist.ShardSnapshotName(i, man.Generation)))
 		if err != nil {
 			p.Close()
@@ -388,7 +389,7 @@ func RestorePool(schema *Schema, dir string) (*Pool, map[string][]byte, error) {
 			p.Close()
 			return nil, nil, fmt.Errorf("situfact: pool snapshot: shard %d: %w", i, err)
 		}
-		p.shards[i].eng = eng
+		p.shards = append(p.shards, poolShard{eng: eng})
 		if man.ShardLSNs != nil {
 			p.shards[i].lastLSN = man.ShardLSNs[i]
 		}

@@ -4,22 +4,27 @@ import (
 	"bytes"
 	"encoding/gob"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
+	"strings"
 	"testing"
 
 	"repro/internal/persist"
 	"repro/internal/store"
 )
 
-// The testdata fixtures were written by the pre-refactor engine — cells
-// were map[CellKey][]*Tuple then — and pin the snapshot wire format
-// across the interned-id/SoA-cell storage rewrite: a snapshot taken
-// before the refactor must restore into the new layout with identical
-// metrics, identical logical cell contents, and identical discovery
-// behaviour afterwards.
+// The prerefactor_* fixtures were written by the pre-refactor engine —
+// cells were map[CellKey][]*Tuple then — in the gob format v1, which no
+// build reads any more: they are refusal inputs now. v2_bottomup.snapshot
+// holds the same state in format v2, and pins it across the
+// interned-id/SoA-cell storage rewrite: it must restore with the
+// pre-refactor engine's metrics, logical cell contents (read here out of
+// the v1 file by a gob mirror of its own) and discovery behaviour
+// afterwards.
 
 type fixtureGolden struct {
 	Algorithm   string   `json:"algorithm"`
@@ -52,8 +57,8 @@ func fixtureSchema(t *testing.T) *Schema {
 }
 
 // v1File mirrors the gob layout of a format v1 snapshot (gob matches
-// fields by name), so the fixtures' content is read here by something other
-// than the decoder under test.
+// fields by name), so the pre-refactor fixture's content is read here by
+// something other than the decoder under test.
 type v1File struct {
 	Magic, SchemaSig, Algorithm string
 	MaxBound, MaxMeas           int
@@ -207,78 +212,39 @@ func fixtureStateDir(t *testing.T, file string, gen uint64) string {
 	return dir
 }
 
-// TestPreRefactorSnapshotFixtures: the BottomUp fixture restores; the
-// TopDown one, taken when pools still ran TopDown, is refused.
-func TestPreRefactorSnapshotFixtures(t *testing.T) {
-	t.Run("prerefactor_bottomup", func(t *testing.T) {
+// TestV2SnapshotFixtures pins format v2 on disk: v2_bottomup.snapshot holds
+// the state of the pre-refactor BottomUp fixture (same content, same golden
+// expectations), today's reader must restore it and today's writer
+// reproduce it byte for byte. v2_topdown.snapshot, written when pools still
+// ran TopDown, is refused.
+func TestV2SnapshotFixtures(t *testing.T) {
+	t.Run("v2_bottomup", func(t *testing.T) {
 		golden := readGolden(t)
-		snap := readTestdata(t, "prerefactor_bottomup.snapshot")
-		eng, err := loadSnapshot(fixtureSchema(t), snap)
+		want := readTestdata(t, "v2_bottomup.snapshot")
+		eng, err := loadSnapshot(fixtureSchema(t), want)
 		if err != nil {
-			t.Fatalf("pre-refactor snapshot failed to restore: %v", err)
+			t.Fatalf("v2_bottomup.snapshot failed to restore: %v", err)
 		}
 		defer eng.Close()
 		if got := eng.Metrics(); got != golden.Metrics {
 			t.Errorf("restored metrics = %+v, want %+v", got, golden.Metrics)
 		}
-
-		// The restored engine must hold the fixture's logical content
-		// exactly — dictionary, tuples, tombstones, counters, context
-		// counts, cell membership — and so must an engine restored from
-		// its re-encoding (format v2), whose own snapshot repeats it.
-		diffLines(t, "engine restored from the v1 file", eng.logicalContent(), readV1File(t, snap).logicalContent())
+		// The restored engine must hold the pre-refactor file's logical
+		// content exactly — dictionary, tuples, tombstones, counters,
+		// context counts, cell membership.
+		diffLines(t, "engine restored from v2_bottomup.snapshot", eng.logicalContent(),
+			readV1File(t, readTestdata(t, "prerefactor_bottomup.snapshot")).logicalContent())
 		buf, err := eng.appendSnapshot(nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		again, err := loadSnapshot(fixtureSchema(t), buf)
-		if err != nil {
-			t.Fatalf("re-encoded snapshot failed to restore: %v", err)
+		if !bytes.Equal(buf, want) {
+			t.Errorf("snapshot of the engine restored from v2_bottomup.snapshot is not the file (%d bytes, fixture %d): the format drifted",
+				len(buf), len(want))
 		}
-		defer again.Close()
-		diffLines(t, "engine restored from the re-encoding", again.logicalContent(), eng.logicalContent())
-		if next, err := again.appendSnapshot(nil); err != nil || !bytes.Equal(next, buf) {
-			t.Errorf("encode → restore → encode changed the snapshot (%d bytes, then %d; %v)", len(buf), len(next), err)
-		}
-
 		// The restored engine must keep discovering exactly as the
 		// pre-refactor engine did.
 		checkGoldenNext(t, eng, golden)
-	})
-	t.Run("prerefactor_topdown", func(t *testing.T) {
-		_, err := loadSnapshot(fixtureSchema(t), readTestdata(t, "prerefactor_topdown.snapshot"))
-		wantPoolRefusal(t, err, "topdown")
-	})
-}
-
-// TestV2SnapshotFixtures pins format v2 on disk: v2_bottomup.snapshot holds
-// the state of the pre-refactor BottomUp fixture (same rows, same golden
-// expectations), today's writer must reproduce it byte for byte — from the
-// v1 file, and from itself — and today's reader must restore it.
-// v2_topdown.snapshot, written when pools still ran TopDown, is refused.
-func TestV2SnapshotFixtures(t *testing.T) {
-	t.Run("v2_bottomup", func(t *testing.T) {
-		golden := readGolden(t)
-		want := readTestdata(t, "v2_bottomup.snapshot")
-		for _, from := range []string{"prerefactor_", "v2_"} {
-			eng, err := loadSnapshot(fixtureSchema(t), readTestdata(t, from+"bottomup.snapshot"))
-			if err != nil {
-				t.Fatalf("%sbottomup.snapshot failed to restore: %v", from, err)
-			}
-			defer eng.Close()
-			if got := eng.Metrics(); got != golden.Metrics {
-				t.Errorf("%s: restored metrics = %+v, want %+v", from, got, golden.Metrics)
-			}
-			buf, err := eng.appendSnapshot(nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(buf, want) {
-				t.Errorf("snapshot of the engine restored from %sbottomup.snapshot is not v2_bottomup.snapshot (%d bytes, fixture %d): the format drifted",
-					from, len(buf), len(want))
-			}
-			checkGoldenNext(t, eng, golden)
-		}
 	})
 	t.Run("v2_topdown", func(t *testing.T) {
 		_, err := loadSnapshot(fixtureSchema(t), readTestdata(t, "v2_topdown.snapshot"))
@@ -286,42 +252,27 @@ func TestV2SnapshotFixtures(t *testing.T) {
 	})
 }
 
-// TestV1StateDirRestoresAndUpgrades: a state directory whose shard files are
-// format v1 — what every build before v2 left behind — restores, and the
-// next checkpoint over it writes v2, after which the directory restores to
-// the same pool.
-func TestV1StateDirRestoresAndUpgrades(t *testing.T) {
-	golden := readGolden(t)
-	schema := fixtureSchema(t)
-	dir := fixtureStateDir(t, "prerefactor_bottomup.snapshot", 7)
-	old, _, err := RestorePool(schema, dir)
-	if err != nil {
-		t.Fatalf("v1 state directory failed to restore: %v", err)
+// TestPreRefactorSnapshotFixtures: a state directory whose shard file is
+// one of the gob (v1) files the pre-refactor engine wrote — what every build
+// before v2 left behind — fails to restore with ErrCorruptSnapshot at the
+// magic, naming the shard, v1 and the builds that upgrade it, and is left as
+// it was: the operator takes that very file to one of those builds.
+func TestPreRefactorSnapshotFixtures(t *testing.T) {
+	for _, name := range []string{"prerefactor_bottomup", "prerefactor_topdown"} {
+		t.Run(name, func(t *testing.T) {
+			dir := fixtureStateDir(t, name+".snapshot", 7)
+			before := snapshotDirFiles(t, dir)
+			p, _, err := RestorePool(fixtureSchema(t), dir)
+			if err == nil {
+				p.Close()
+			}
+			if !errors.Is(err, persist.ErrCorruptSnapshot) || !strings.Contains(err.Error(), "shard 0: ") || !strings.Contains(err.Error(), "magic: ") ||
+				!strings.Contains(err.Error(), "pre-v2 (gob) snapshot") || !strings.Contains(err.Error(), "9903ce0 to 1e3c305") {
+				t.Errorf("RestorePool error %v, want ErrCorruptSnapshot naming shard 0, v1 and the builds that upgrade it", err)
+			}
+			if got := snapshotDirFiles(t, dir); !slices.Equal(got, before) {
+				t.Errorf("the refused restore changed the directory: %v, was %v", got, before)
+			}
+		})
 	}
-	defer old.Close()
-	if got := old.Metrics(); got != golden.Metrics {
-		t.Errorf("restored metrics = %+v, want %+v", got, golden.Metrics)
-	}
-	st, err := old.Checkpoint(dir, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	next, err := os.ReadFile(filepath.Join(dir, persist.ShardSnapshotName(0, st.Generation)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := readTestdata(t, "v2_bottomup.snapshot")
-	if st.Generation != 8 || !bytes.Equal(next, want) {
-		t.Errorf("checkpoint over the v1 directory wrote generation %d, %d bytes; want generation 8 holding v2_bottomup.snapshot", st.Generation, len(next))
-	}
-	if _, err := os.Stat(filepath.Join(dir, persist.ShardSnapshotName(0, 7))); !os.IsNotExist(err) {
-		t.Errorf("the v1 generation's file is still there (%v)", err)
-	}
-	upgraded, _, err := RestorePool(schema, dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer upgraded.Close()
-	diffLines(t, "pool restored from the upgraded directory", upgraded.shards[0].eng.logicalContent(), old.shards[0].eng.logicalContent())
-	checkGoldenNext(t, upgraded.shards[0].eng, golden)
 }

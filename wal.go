@@ -214,9 +214,11 @@ func (p *Pool) applyRecord(rec persist.Record, stats *ReplayStats, onArrival fun
 	stats.LastLSN = rec.LSN
 	switch rec.Type {
 	case persist.RecAppend:
-		if len(rec.Dims) != p.schema.rs.NumDims() {
-			return fmt.Errorf("situfact: wal replay: record %d has %d dimension values for schema %s",
-				rec.LSN, len(rec.Dims), p.schema.rs)
+		// Every live append is count-checked before it is journaled, so a
+		// record of the wrong shape is drift, not a re-failure.
+		if len(rec.Dims) != p.schema.rs.NumDims() || len(rec.Measures) != p.schema.rs.NumMeasures() {
+			return fmt.Errorf("situfact: wal replay: record %d has %d dimension values and %d measures for schema %s",
+				rec.LSN, len(rec.Dims), len(rec.Measures), p.schema.rs)
 		}
 		rec.Shard = p.ShardFor(rec.Dims[p.shardDim])
 	case persist.RecDelete:

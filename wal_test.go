@@ -418,6 +418,41 @@ func TestWALFailedClassification(t *testing.T) {
 	}
 }
 
+// TestWALRecordOfWrongShapeIsDrift: every live append is count-checked
+// before it is journaled, so an append record with the wrong number of
+// dimension values or of measures cannot be a deterministic re-failure. A
+// follower refuses it as drift, naming its LSN, and applies nothing.
+func TestWALRecordOfWrongShapeIsDrift(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		dims     []string
+		measures []float64
+	}{
+		{"one measure of two", []string{"Celtics", "p1", "Jan"}, []float64{3}},
+		{"three measures of two", []string{"Celtics", "p1", "Jan"}, []float64{3, 4, 5}},
+		{"two dimensions of three", []string{"Celtics", "p1"}, []float64{3, 4}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			p, err := NewPool(poolSchema(t), PoolOptions{Shards: 2, ShardDim: "team"})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer p.Close()
+			recs := []TailRecord{
+				{LSN: 1, Op: OpAppend, Dims: []string{"Lakers", "p2", "Feb"}, Measures: []float64{1, 2}},
+				{LSN: 2, Op: OpAppend, Dims: tc.dims, Measures: tc.measures},
+			}
+			st, err := p.ApplyTail("epoch", recs, nil)
+			if err == nil || !strings.Contains(err.Error(), "record 2 has ") {
+				t.Fatalf("ApplyTail = %+v, %v; want an error naming record 2", st, err)
+			}
+			if st.Applied != 1 || st.Failed != 0 || p.Len() != 1 {
+				t.Errorf("ApplyTail applied %d and failed %d, pool holds %d rows; want the first record alone applied", st.Applied, st.Failed, p.Len())
+			}
+		})
+	}
+}
+
 // TestWALRepairKeepsHandles runs the WAL's write path through each class of
 // fault it meets. The append a fault strikes is applied yet refused with
 // ErrWALFailed, and the next one is refused and not applied, until Repair.
