@@ -406,8 +406,10 @@ func BenchmarkEngineAppendWide(b *testing.B) {
 					if eng, err = New(schema, Options{MaxBoundDims: wideDhat}); err != nil {
 						b.Fatal(err)
 					}
+					// Warmed at k = 0, so a profile holds only the timed
+					// arrivals' ranking.
 					for _, r := range rows[:warm] {
-						if _, err := eng.Append(r.Dims, r.Measures); err != nil {
+						if _, err := eng.append(r.Dims, r.Measures, 0); err != nil {
 							b.Fatal(err)
 						}
 					}
@@ -662,6 +664,61 @@ func BenchmarkPoolRestore(b *testing.B) {
 			b.ReportMetric(float64(snapshotDirBytes(b, dir))/float64(sh.n), "bytes/row")
 		})
 	}
+}
+
+// BenchmarkPoolReplayWAL is one ReplayWAL per iteration onto a pool
+// restored from a checkpoint: the wide shape (d=5, m=7, d̂=4), four shards
+// by team, 150 checkpointed rows and a 250-row journal tail — what a
+// restart pays after RestorePool. rows/s is the tail's replay rate.
+func BenchmarkPoolReplayWAL(b *testing.B) {
+	const preload, tail = 150, 250
+	schema, rows := nbaRows(b, 5, 7, preload+tail)
+	dir := b.TempDir()
+	walDir := filepath.Join(dir, "wal")
+	check := func(err error) {
+		if err != nil {
+			b.Fatal(err)
+		}
+	}
+	pool, err := NewPool(schema, PoolOptions{Shards: 4, ShardDim: "team", Engine: Options{MaxBoundDims: 4}})
+	check(err)
+	w, err := OpenWAL(pool, walDir, WALOptions{})
+	check(err)
+	check(pool.AttachWAL(w))
+	_, err = pool.AppendBatch(rows[:preload])
+	check(err)
+	_, err = pool.Checkpoint(dir, nil)
+	check(err)
+	_, err = pool.AppendBatch(rows[preload:])
+	check(err)
+	check(w.Close())
+	check(pool.Close())
+	restore := func() *Pool {
+		p, _, err := RestorePool(schema, dir)
+		check(err)
+		return p
+	}
+	p := restore()
+	w, err = OpenWAL(p, walDir, WALOptions{})
+	check(err)
+	defer w.Close()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if i > 0 {
+			b.StopTimer()
+			p = restore()
+			b.StartTimer()
+		}
+		st, err := p.ReplayWAL(w, nil)
+		if err != nil || st.Applied != tail || st.Skipped != preload {
+			b.Fatalf("ReplayWAL = %+v, %v; want %d applied and %d skipped", st, err, tail, preload)
+		}
+		b.StopTimer()
+		p.Close()
+		b.StartTimer()
+	}
+	b.ReportMetric(float64(tail*b.N)/b.Elapsed().Seconds(), "rows/s")
 }
 
 // TestMain keeps the benchmark file's imports exercised under plain

@@ -303,9 +303,9 @@ func (s *server) startLeader() error {
 		}
 	}
 	// The pipeline starts after recovery (restore + replay), which applies
-	// its records inline; every live request from here on batches through
-	// the per-shard writers, each queue's capacity floating up to
-	// -pipeline-queue.
+	// its records on its own per-shard appliers; every live request from
+	// here on batches through the per-shard writers, each queue's capacity
+	// floating up to -pipeline-queue.
 	if err := pool.StartPipeline(situfact.PipelineOptions{
 		QueueDepth:    cfg.pipeQueue,
 		AdaptiveQueue: true,

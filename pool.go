@@ -302,11 +302,12 @@ func (p *Pool) DeleteContext(ctx context.Context, shard int, tupleID int64) erro
 // The write path. Every mutation of a shard — a live Append, AppendBatch
 // or Delete, a record re-applied by ReplayWAL or ApplyTail — is an
 // ingestOp handed to applyShard, the one function that journals and
-// applies. There are two ways of calling it: inline, on the caller's
-// goroutine (submit and applyInline, and always for replay), or queued,
-// from the shard's pipeline writer with whatever has queued since its
-// last wakeup (pipeline.go). Either way the caller returns only after its
-// op is applied and, with a WAL, durable.
+// applies. There are three ways of calling it: inline, on the caller's
+// goroutine (submit and applyInline); queued, from the shard's pipeline
+// writer with whatever has queued since its last wakeup (pipeline.go); or
+// replayed, one run of journaled records at a time (the replayer in
+// wal.go). Either way the caller returns only after its op is applied
+// and, with a WAL, durable.
 
 // ingestOp is one mutation plus its outcome. applyShard fills arr/err (or
 // skipped); a queued op also carries the future its enqueuer waits on,

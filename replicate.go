@@ -10,7 +10,7 @@ import (
 // Read-path replication: a leader ships its state as a snapshot (the
 // Checkpoint directory's files) plus a WAL tail (ReadTail), and a
 // read-only follower restores the snapshot (RestorePool) and then applies
-// successive tails (ApplyTail) through exactly the code path ReplayWAL
+// successive tails (ApplyTail) through exactly the replayer ReplayWAL
 // uses for crash recovery. A follower therefore converges to the leader's
 // state record by record — same routing, same per-shard watermarks, same
 // deterministic re-failures — which is what the divergence tests assert.
@@ -40,9 +40,9 @@ type TailRecord struct {
 	LSN uint64 `json:"lsn"`
 	// Op is OpAppend, OpDelete or OpNoop.
 	Op string `json:"op"`
-	// Shard is the shard the leader applied the operation to (appends are
-	// re-routed by the applier and carry it as a cross-check only;
-	// deletes target it).
+	// Shard is the shard the leader applied the operation to. Deletes
+	// target it; for appends it is informational — the applier re-routes
+	// them by their shard-dimension value and ignores the field.
 	Shard int `json:"shard"`
 	// Dims and Measures are the appended row, in schema order (appends).
 	Dims     []string  `json:"dims,omitempty"`
@@ -148,11 +148,12 @@ func (p *Pool) TailCursor() uint64 {
 }
 
 // ApplyTail applies a leader-shipped WAL tail to a follower pool through
-// the same per-record path ReplayWAL uses. epoch names the log instance
-// the records came from: the first ApplyTail pins it (a pool restored
-// from a leader snapshot already carries it from the manifest), and a
-// different epoch later fails with ErrEpochMismatch. onArrival is
-// ReplayWAL's: nil applies the appends without sorting or decoding their facts.
+// the replayer ReplayWAL uses, with its order, onArrival and errors (after
+// an error the follower re-bootstraps); a tail that touches one shard
+// applies on the caller's goroutine. epoch names the log instance the
+// records came from: the first ApplyTail pins it (a pool restored from a
+// leader snapshot already carries it from the manifest), and a different
+// epoch later fails with ErrEpochMismatch.
 //
 // The pool must not itself be journaling (ApplyTail re-applies another
 // log's records; journaling them again would fork history) and must not
@@ -173,15 +174,16 @@ func (p *Pool) ApplyTail(epoch string, recs []TailRecord, onArrival func(*Arriva
 		return ReplayStats{}, fmt.Errorf("situfact: apply tail: pool tracks epoch %s, tail is from %s: %w",
 			p.walEpoch, epoch, ErrEpochMismatch)
 	}
-	var stats ReplayStats
+	r := newReplayer(p, onArrival)
+	var err error
 	for _, tr := range recs {
-		rec, err := tr.record()
-		if err != nil {
-			return stats, err
+		var rec persist.Record
+		if rec, err = tr.record(); err == nil {
+			err = r.add(rec)
 		}
-		if err := p.applyRecord(rec, &stats, onArrival); err != nil {
-			return stats, err
+		if err != nil {
+			break
 		}
 	}
-	return stats, nil
+	return r.finish(err)
 }

@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
+	"sync"
 	"time"
 
 	"repro/internal/core"
@@ -349,7 +350,9 @@ func (p *Pool) Checkpoint(dir string, sidecars func() (map[string][]byte, error)
 // when the snapshot carries none). The schema must match the one the
 // snapshot was taken under; shard count, routing dimension, algorithm and
 // caps are restored from the snapshot itself, and an algorithm NewPool
-// refuses is refused here too.
+// refuses is refused here too. The shard files are read in order, then
+// decoded one goroutine each. If any fails to read or decode, the restore
+// fails with the lowest failing shard's error and closes every engine.
 func RestorePool(schema *Schema, dir string) (*Pool, map[string][]byte, error) {
 	if schema == nil || schema.rs == nil {
 		return nil, nil, fmt.Errorf("situfact: nil schema")
@@ -377,22 +380,37 @@ func RestorePool(schema *Schema, dir string) (*Pool, map[string][]byte, error) {
 	}
 	// The shards grow file by file: the manifest may come from a leader, so
 	// its shard count sizes nothing before the files it names are read.
-	p := &Pool{schema: schema, shardDim: shardDim}
+	var files [][]byte
 	for i := 0; i < man.Shards; i++ {
-		data, err := os.ReadFile(filepath.Join(dir, persist.ShardSnapshotName(i, man.Generation)))
-		if err != nil {
-			p.Close()
-			return nil, nil, fmt.Errorf("situfact: pool snapshot: %w", err)
+		data, rerr := os.ReadFile(filepath.Join(dir, persist.ShardSnapshotName(i, man.Generation)))
+		if rerr != nil {
+			err = fmt.Errorf("situfact: pool snapshot: %w", rerr)
+			break
 		}
-		eng, err := loadSnapshot(schema, data)
-		if err != nil {
-			p.Close()
-			return nil, nil, fmt.Errorf("situfact: pool snapshot: shard %d: %w", i, err)
+		files = append(files, data)
+	}
+	p := &Pool{schema: schema, shardDim: shardDim, shards: make([]poolShard, len(files))}
+	errs := make([]error, len(files))
+	var wg sync.WaitGroup
+	for i, data := range files {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			p.shards[i].eng, errs[i] = loadSnapshot(schema, data)
+		}()
+	}
+	wg.Wait()
+	for i, derr := range slices.Backward(errs) {
+		if derr != nil {
+			err = fmt.Errorf("situfact: pool snapshot: shard %d: %w", i, derr)
 		}
-		p.shards = append(p.shards, poolShard{eng: eng})
 		if man.ShardLSNs != nil {
 			p.shards[i].lastLSN = man.ShardLSNs[i]
 		}
+	}
+	if err != nil {
+		p.Close()
+		return nil, nil, err
 	}
 	p.walEpoch = man.WALEpoch
 	return p, man.Sidecars, nil

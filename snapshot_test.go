@@ -11,10 +11,12 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"slices"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/persist"
 )
@@ -112,6 +114,46 @@ func TestPoolSnapshotErrors(t *testing.T) {
 	}
 	if _, _, err := RestorePool(other, dir); err == nil {
 		t.Error("schema mismatch accepted")
+	}
+
+	// A corrupt shard fails the whole restore, naming the lowest corrupt
+	// shard, after every decode has ended: no goroutine outlives it.
+	four, err := NewPool(poolSchema(t), PoolOptions{Shards: 4, ShardDim: "team"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer four.Close()
+	if _, err := four.AppendBatch(poolRows(120)); err != nil {
+		t.Fatal(err)
+	}
+	dir = t.TempDir()
+	st, err := four.Checkpoint(dir, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range []int{3, 2} {
+		name := filepath.Join(dir, persist.ShardSnapshotName(s, st.Generation))
+		data, err := os.ReadFile(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		data[len(data)/2] ^= 0xff
+		if err := os.WriteFile(name, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	before := runtime.NumGoroutine()
+	if p, _, err := RestorePool(poolSchema(t), dir); !errors.Is(err, persist.ErrCorruptSnapshot) || !strings.Contains(err.Error(), "shard 2:") {
+		if err == nil {
+			p.Close()
+		}
+		t.Errorf("RestorePool with shards 2 and 3 of 4 corrupt = %v, want ErrCorruptSnapshot naming shard 2", err)
+	}
+	// A decode goroutine that has signalled its end may still be exiting.
+	for deadline := time.Now().Add(time.Second); runtime.NumGoroutine() > before; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after a failed restore, %d before", runtime.NumGoroutine(), before)
+		}
 	}
 
 	// A manifest is input from outside the program (a follower writes the

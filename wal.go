@@ -1,11 +1,15 @@
 package situfact
 
 import (
+	"cmp"
+	"context"
 	"errors"
 	"fmt"
 	"math"
+	"sync"
 
 	"repro/internal/faultfs"
+	"repro/internal/ingest"
 	"repro/internal/persist"
 )
 
@@ -171,10 +175,19 @@ type ReplayStats struct {
 
 // ReplayWAL applies the log's records that are not yet reflected in the
 // pool — for a pool restored by RestorePool, exactly the tail after its
-// checkpoint; for a fresh pool, the whole log. onArrival, when non-nil,
-// observes every replayed append's arrival with all its facts; with a nil
-// onArrival the arrivals carry none (counted, not ranked) and the recovered
-// state is the same. Call before AttachWAL, before serving traffic.
+// checkpoint; for a fresh pool, the whole log. Records are validated and
+// routed in journal order, and each shard applies its own, in that order,
+// on a goroutine of its own. onArrival, when non-nil, observes every
+// replayed append's arrival with all its facts, in each shard's journal
+// order; calls are serialised, never concurrent. With a nil onArrival the
+// arrivals carry none (counted, not ranked) and the recovered state is
+// the same. Call before AttachWAL, before serving traffic.
+//
+// A record the log cannot hold stops the replay: the records before it
+// are applied and counted, none after it. An apply that fails unlike its
+// live original (drift) fails the call with the lowest such LSN, though
+// other records may have applied past it. After any error the stats count
+// what was applied, and the pool must be discarded.
 func (p *Pool) ReplayWAL(w *WAL, onArrival func(*Arrival)) (ReplayStats, error) {
 	if w == nil {
 		return ReplayStats{}, fmt.Errorf("situfact: nil WAL")
@@ -189,77 +202,153 @@ func (p *Pool) ReplayWAL(w *WAL, onArrival func(*Arrival)) (ReplayStats, error) 
 		return ReplayStats{}, fmt.Errorf("situfact: WAL was opened under %q, not this pool's %q", w.meta, p.walMeta())
 	}
 	p.adoptWAL(w)
-	var stats ReplayStats
-	err := w.w.Replay(func(rec persist.Record) error {
-		return p.applyRecord(rec, &stats, onArrival)
-	})
-	if err != nil {
-		return stats, err
-	}
-	return stats, nil
+	r := newReplayer(p, onArrival)
+	return r.finish(w.w.Replay(r.add))
 }
 
-// applyRecord re-applies one journaled record — the shared step behind
-// crash recovery (ReplayWAL) and follower catch-up (ApplyTail). It
-// validates the record, hands it to applyShard (which, because the record
-// carries its LSN, journals nothing and skips it when the shard's
-// watermark already covers it) and classifies the outcome.
-func (p *Pool) applyRecord(rec persist.Record, stats *ReplayStats, onArrival func(*Arrival)) error {
+// replayRun is how many records a shard's applier hands applyShard under
+// one lock hold.
+const replayRun = 64
+
+// replayer re-applies journaled records: the one path behind ReplayWAL and
+// ApplyTail. The reader validates each record and adds it to its shard's
+// run; a full run goes to the shard's applier goroutine, which applies it
+// in one applyShard call and classifies the outcomes.
+type replayer struct {
+	p         *Pool
+	onArrival func(*Arrival)
+	runs      [][]*ingestOp                 // per shard: the run being filled
+	appliers  []*ingest.Writer[[]*ingestOp] // per shard: nil until started
+	noops     int                           // the reader's, as are stats.Records and LastLSN
+	mu        sync.Mutex                    // serialises the appliers' outcomes and onArrival
+	stats     ReplayStats
+	drift     error // the drift with the lowest LSN, driftLSN
+	driftLSN  uint64
+}
+
+func newReplayer(p *Pool, onArrival func(*Arrival)) *replayer {
+	return &replayer{p: p, onArrival: onArrival,
+		runs: make([][]*ingestOp, len(p.shards)), appliers: make([]*ingest.Writer[[]*ingestOp], len(p.shards))}
+}
+
+// add validates one record and adds it to its shard's run. Its error — a
+// record the journal cannot hold — stops the replay.
+func (r *replayer) add(rec persist.Record) error {
 	if rec.LSN == 0 {
 		// LSNs start at 1; applyShard would take an unnumbered record for
 		// a live op.
 		return fmt.Errorf("situfact: wal replay: record without an LSN")
 	}
-	stats.Records++
-	stats.LastLSN = rec.LSN
+	r.stats.Records++
+	r.stats.LastLSN = rec.LSN
 	switch rec.Type {
 	case persist.RecAppend:
 		// Every live append is count-checked before it is journaled, so a
 		// record of the wrong shape is drift, not a re-failure.
-		if len(rec.Dims) != p.schema.rs.NumDims() || len(rec.Measures) != p.schema.rs.NumMeasures() {
+		if len(rec.Dims) != r.p.schema.rs.NumDims() || len(rec.Measures) != r.p.schema.rs.NumMeasures() {
 			return fmt.Errorf("situfact: wal replay: record %d has %d dimension values and %d measures for schema %s",
-				rec.LSN, len(rec.Dims), len(rec.Measures), p.schema.rs)
+				rec.LSN, len(rec.Dims), len(rec.Measures), r.p.schema.rs)
 		}
-		rec.Shard = p.ShardFor(rec.Dims[p.shardDim])
+		rec.Shard = r.p.ShardFor(rec.Dims[r.p.shardDim])
 	case persist.RecDelete:
-		if rec.Shard < 0 || rec.Shard >= len(p.shards) {
+		if rec.Shard < 0 || rec.Shard >= len(r.runs) {
 			return fmt.Errorf("situfact: wal replay: record %d targets shard %d of %d",
-				rec.LSN, rec.Shard, len(p.shards))
+				rec.LSN, rec.Shard, len(r.runs))
 		}
 	case persist.RecNoop:
 		// An earlier build's repair filler over an LSN a write fault
 		// destroyed: no operation, no shard, no watermark to advance.
-		stats.Skipped++
+		r.noops++
 		return nil
 	default:
 		return fmt.Errorf("situfact: wal replay: record %d has unknown type %d", rec.LSN, rec.Type)
 	}
-	op := ingestOp{rec: rec}
-	if onArrival != nil {
+	op := getOp()
+	op.rec = rec
+	if r.onArrival != nil {
 		op.top = math.MaxInt
 	}
-	p.applyShard(rec.Shard, []*ingestOp{&op})
-	switch {
-	case op.skipped:
-		stats.Skipped++
-	case op.err == nil:
-		stats.Applied++
-		if op.arr != nil && onArrival != nil { // an observed append
-			onArrival(op.arr)
-		}
-	case rec.Type == persist.RecAppend,
-		errors.Is(op.err, ErrNotFound), errors.Is(op.err, ErrAlreadyDeleted):
-		// The original application failed the same deterministic way
-		// (journaling precedes applying), so the record adds nothing to
-		// recovered state.
-		stats.Failed++
-	default:
-		// Pool.Delete rejects unsupported deletes before journaling, so a
-		// RecDelete proves the writing pool applied (or could have
-		// applied) it. ErrDeleteUnsupported here means the pool was
-		// restarted under a non-deleting algorithm — real drift, like any
-		// other unexpected failure.
-		return fmt.Errorf("situfact: wal replay: record %d: %w", rec.LSN, op.err)
+	if r.runs[rec.Shard] = append(r.runs[rec.Shard], op); len(r.runs[rec.Shard]) == replayRun {
+		r.handOff(rec.Shard)
 	}
 	return nil
+}
+
+// handOff passes shard s's run to its applier, started with the shard's
+// first run: a batching writer whose queue holds one run, so while it
+// applies one the next waits and the reader fills a third — a replay holds
+// at most three runs a shard however long the tail is.
+func (r *replayer) handOff(s int) {
+	if r.appliers[s] == nil {
+		r.appliers[s] = ingest.NewWriter(1, func(runs [][]*ingestOp) {
+			for _, run := range runs {
+				r.apply(s, run)
+			}
+		})
+	}
+	// Always accepted: the writer closes only in finish, after the last
+	// hand-off, and a background context never ends.
+	_, _ = r.appliers[s].EnqueueContext(context.Background(), r.runs[s])
+	r.runs[s] = make([]*ingestOp, 0, replayRun)
+}
+
+// apply runs one of shard s's runs under one shard-lock hold, then
+// classifies each outcome as skipped, applied, re-failed or drift. r.mu is
+// held across onArrival, whose calls the contract serialises; no shard
+// lock is held by then.
+func (r *replayer) apply(s int, run []*ingestOp) {
+	r.p.applyShard(s, run)
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	for _, op := range run {
+		switch {
+		case op.skipped:
+			r.stats.Skipped++
+		case op.err == nil:
+			r.stats.Applied++
+			if op.arr != nil && r.onArrival != nil { // an observed append
+				r.onArrival(op.arr)
+			}
+		case op.rec.Type == persist.RecAppend,
+			errors.Is(op.err, ErrNotFound), errors.Is(op.err, ErrAlreadyDeleted):
+			// The original application failed the same deterministic way
+			// (journaling precedes applying), so the record adds nothing to
+			// recovered state.
+			r.stats.Failed++
+		case r.drift == nil || op.rec.LSN < r.driftLSN:
+			// Pool.Delete rejects unsupported deletes before journaling, so
+			// a RecDelete proves the writing pool applied (or could have
+			// applied) it. ErrDeleteUnsupported here means the pool was
+			// restarted under a non-deleting algorithm — real drift, like
+			// any other unexpected failure.
+			r.drift = fmt.Errorf("situfact: wal replay: record %d: %w", op.rec.LSN, op.err)
+			r.driftLSN = op.rec.LSN
+		}
+		putOp(op)
+	}
+}
+
+// finish hands off every run still filling but one, which the caller
+// applies itself — so a replay that touched one shard, a follower's
+// typical poll, starts no goroutine — and waits out the appliers. The
+// error is the drift with the lowest LSN, else the reader's err.
+func (r *replayer) finish(err error) (ReplayStats, error) {
+	inline := -1
+	for s, run := range r.runs {
+		if len(run) > 0 && (inline >= 0 || r.appliers[s] != nil) {
+			r.handOff(s)
+		} else if len(run) > 0 {
+			inline = s
+		}
+	}
+	if inline >= 0 {
+		r.apply(inline, r.runs[inline])
+	}
+	for _, w := range r.appliers {
+		if w != nil {
+			w.Close()
+		}
+	}
+	r.stats.Skipped += r.noops
+	return r.stats, cmp.Or(r.drift, err)
 }

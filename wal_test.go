@@ -2,11 +2,15 @@ package situfact
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
+	"slices"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/faultfs"
@@ -418,36 +422,181 @@ func TestWALFailedClassification(t *testing.T) {
 	}
 }
 
+// TestReplayAppliesEveryShardInJournalOrder drives the replayer past its
+// run size on every shard: a four-shard log of appends and deletes — some
+// of unknown or already-deleted tuples, which re-fail — half covered by a
+// checkpoint. A crash replay and a follower's tail apply must each rebuild
+// the live pool's shard snapshots byte for byte and count every record,
+// and the replay's observer must see each shard's arrivals in journal
+// order, never two calls at once.
+func TestReplayAppliesEveryShardInJournalOrder(t *testing.T) {
+	const shards, covered, tail = 4, 300, 4 * 3 * replayRun
+	f := newPoolFixture(t)
+	newPool := func() *Pool {
+		p, err := NewPool(queryTestSchema(t), PoolOptions{Shards: shards, ShardDim: "region"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	live := newPool()
+	w := f.openWAL(t, live)
+	if err := live.AttachWAL(w); err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(11))
+	var acked []*Arrival
+	var want ReplayStats // what the records after the checkpoint do
+	perShard := make([]int, shards)
+	for i := range covered + tail {
+		if i == covered {
+			if _, err := live.Checkpoint(f.stateDir, nil); err != nil {
+				t.Fatal(err)
+			}
+			want = ReplayStats{}
+		}
+		if i%10 == 9 { // a delete: of an acked tuple, again, or of none
+			a := acked[rng.Intn(len(acked))]
+			shard, id := a.Shard, a.TupleID
+			if i%30 == 29 {
+				id = 1 << 20
+			}
+			if err := live.Delete(shard, id); err == nil {
+				want.Applied++
+			} else if errors.Is(err, ErrNotFound) || errors.Is(err, ErrAlreadyDeleted) {
+				want.Failed++
+			} else {
+				t.Fatal(err)
+			}
+			continue
+		}
+		r := randomRow(rng)
+		r.Dims[0] = fmt.Sprint("region-", rng.Intn(16))
+		a, err := live.Append(r.Dims, r.Measures)
+		if err != nil {
+			t.Fatal(err)
+		}
+		acked = append(acked, a)
+		want.Applied++
+		if i >= covered {
+			perShard[a.Shard]++
+		}
+	}
+	for s, n := range perShard {
+		if n <= 2*replayRun {
+			t.Fatalf("shard %d has %d appends in the tail; the test wants several runs on every shard", s, n)
+		}
+	}
+	wantSnaps := snapshotsOf(t, live)
+	if err := errors.Join(live.Close(), w.Close()); err != nil {
+		t.Fatal(err)
+	}
+
+	restore := func() *Pool {
+		p, _, err := RestorePool(queryTestSchema(t), f.stateDir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { p.Close() })
+		return p
+	}
+	replayed := restore()
+	rw := f.openWAL(t, replayed)
+	defer rw.Close()
+	var calls atomic.Int32
+	last := slices.Repeat([]int64{-1}, shards)
+	seen := make([]int, shards)
+	st, err := replayed.ReplayWAL(rw, func(a *Arrival) {
+		if calls.Add(1) != 1 {
+			t.Error("two onArrival calls at once")
+		}
+		runtime.Gosched() // let another applier's call overlap, if it can
+		if a.TupleID <= last[a.Shard] {
+			t.Errorf("shard %d: arrival %d observed after %d", a.Shard, a.TupleID, last[a.Shard])
+		}
+		last[a.Shard] = a.TupleID
+		seen[a.Shard]++
+		calls.Add(-1)
+	})
+	total := covered + tail
+	if err != nil || st != (ReplayStats{Records: total, Applied: want.Applied, Skipped: covered, Failed: want.Failed, LastLSN: uint64(total)}) {
+		t.Fatalf("ReplayWAL = %+v, %v; want %d applied, %d re-failed, %d skipped of %d", st, err, want.Applied, want.Failed, covered, total)
+	}
+	if !slices.Equal(seen, perShard) {
+		t.Errorf("observed %v arrivals per shard, the tail appended %v", seen, perShard)
+	}
+	if !reflect.DeepEqual(snapshotsOf(t, replayed), wantSnaps) {
+		t.Error("the replayed pool's shard snapshots differ from the live pool's")
+	}
+
+	follower := restore()
+	recs, _, _, err := rw.ReadTail(follower.TailCursor(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st, err := follower.ApplyTail(rw.Epoch(), recs, nil); err != nil || st.Applied != want.Applied || st.Failed != want.Failed || st.Records != tail {
+		t.Fatalf("ApplyTail = %+v, %v; want %d applied and %d re-failed of %d", st, err, want.Applied, want.Failed, tail)
+	}
+	if !reflect.DeepEqual(snapshotsOf(t, follower), wantSnaps) {
+		t.Error("the follower's shard snapshots differ from the live pool's")
+	}
+}
+
 // TestWALRecordOfWrongShapeIsDrift: every live append is count-checked
 // before it is journaled, so an append record with the wrong number of
 // dimension values or of measures cannot be a deterministic re-failure. A
-// follower refuses it as drift, naming its LSN, and applies nothing.
+// follower refuses it as drift, naming its LSN: every record before it is
+// applied — on four shards, runs of them on every shard — and none after.
 func TestWALRecordOfWrongShapeIsDrift(t *testing.T) {
 	for _, tc := range []struct {
 		name     string
+		shards   int
+		perShard int // good records per shard before the bad one
 		dims     []string
 		measures []float64
 	}{
-		{"one measure of two", []string{"Celtics", "p1", "Jan"}, []float64{3}},
-		{"three measures of two", []string{"Celtics", "p1", "Jan"}, []float64{3, 4, 5}},
-		{"two dimensions of three", []string{"Celtics", "p1"}, []float64{3, 4}},
+		{"one measure of two", 2, 0, []string{"Celtics", "p1", "Jan"}, []float64{3}},
+		{"three measures of two", 2, 0, []string{"Celtics", "p1", "Jan"}, []float64{3, 4, 5}},
+		{"two dimensions of three", 2, 0, []string{"Celtics", "p1"}, []float64{3, 4}},
+		{"every shard of four first", 4, 2*replayRun + 3, []string{"Celtics", "p1", "Jan"}, []float64{3}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			p, err := NewPool(poolSchema(t), PoolOptions{Shards: 2, ShardDim: "team"})
+			p, err := NewPool(poolSchema(t), PoolOptions{Shards: tc.shards, ShardDim: "team"})
 			if err != nil {
 				t.Fatal(err)
 			}
 			defer p.Close()
-			recs := []TailRecord{
-				{LSN: 1, Op: OpAppend, Dims: []string{"Lakers", "p2", "Feb"}, Measures: []float64{1, 2}},
-				{LSN: 2, Op: OpAppend, Dims: tc.dims, Measures: tc.measures},
+			recs := []TailRecord{{LSN: 1, Op: OpAppend, Dims: []string{"Lakers", "p2", "Feb"}, Measures: []float64{1, 2}}}
+			// One team per shard, rows dealt round-robin over the shards.
+			teams := map[int]string{}
+			for i := 0; len(teams) < tc.shards; i++ {
+				team := fmt.Sprintf("team%d", i)
+				if _, ok := teams[p.ShardFor(team)]; !ok {
+					teams[p.ShardFor(team)] = team
+				}
 			}
+			for i := range tc.perShard * tc.shards {
+				recs = append(recs, TailRecord{LSN: uint64(len(recs) + 1), Op: OpAppend,
+					Dims: []string{teams[i%tc.shards], fmt.Sprint("p", i), "Mar"}, Measures: []float64{float64(i % 7), float64(i % 5)}})
+			}
+			bad := uint64(len(recs) + 1)
+			recs = append(recs, TailRecord{LSN: bad, Op: OpAppend, Dims: tc.dims, Measures: tc.measures})
+			for i := range tc.shards {
+				recs = append(recs, TailRecord{LSN: uint64(len(recs) + 1), Op: OpAppend,
+					Dims: []string{teams[i], "after", "Apr"}, Measures: []float64{9, 9}})
+			}
+			want := int(bad) - 1
 			st, err := p.ApplyTail("epoch", recs, nil)
-			if err == nil || !strings.Contains(err.Error(), "record 2 has ") {
-				t.Fatalf("ApplyTail = %+v, %v; want an error naming record 2", st, err)
+			if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("record %d has ", bad)) {
+				t.Fatalf("ApplyTail = %+v, %v; want an error naming record %d", st, err, bad)
 			}
-			if st.Applied != 1 || st.Failed != 0 || p.Len() != 1 {
-				t.Errorf("ApplyTail applied %d and failed %d, pool holds %d rows; want the first record alone applied", st.Applied, st.Failed, p.Len())
+			if st.Applied != want || st.Failed != 0 || st.Records != want+1 || st.LastLSN != bad || p.Len() != want {
+				t.Errorf("ApplyTail = %+v, pool holds %d rows; want the %d records before %d alone applied", st, p.Len(), want, bad)
+			}
+			for s, lsn := range p.ShardLSNs() {
+				if lsn >= bad || tc.perShard > 0 && lsn == 0 {
+					t.Errorf("shard %d applied up to record %d; want records before %d on every shard and none after", s, lsn, bad)
+				}
 			}
 		})
 	}
