@@ -149,11 +149,12 @@ func (p *Pool) TailCursor() uint64 {
 
 // ApplyTail applies a leader-shipped WAL tail to a follower pool through
 // the replayer ReplayWAL uses, with its order, onArrival and errors (after
-// an error the follower re-bootstraps); a tail that touches one shard
-// applies on the caller's goroutine. epoch names the log instance the
-// records came from: the first ApplyTail pins it (a pool restored from a
-// leader snapshot already carries it from the manifest), and a different
-// epoch later fails with ErrEpochMismatch.
+// an error the follower re-bootstraps). A shard's write lock is held for a
+// run of up to 64 records, so a read of that shard can wait that many
+// discovery steps while the follower catches up. epoch names the log
+// instance the records came from: the first ApplyTail pins it (a pool
+// restored from a leader snapshot already carries it from the manifest),
+// and a different epoch later fails with ErrEpochMismatch.
 //
 // The pool must not itself be journaling (ApplyTail re-applies another
 // log's records; journaling them again would fork history) and must not

@@ -6,8 +6,8 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"runtime"
 	"slices"
-	"sync"
 	"time"
 
 	"repro/internal/core"
@@ -350,9 +350,10 @@ func (p *Pool) Checkpoint(dir string, sidecars func() (map[string][]byte, error)
 // when the snapshot carries none). The schema must match the one the
 // snapshot was taken under; shard count, routing dimension, algorithm and
 // caps are restored from the snapshot itself, and an algorithm NewPool
-// refuses is refused here too. The shard files are read in order, then
-// decoded one goroutine each. If any fails to read or decode, the restore
-// fails with the lowest failing shard's error and closes every engine.
+// refuses is refused here too. The shard files are read in order and each
+// is decoded on a goroutine of its own, at most GOMAXPROCS at once. If any
+// fails to read or decode, the restore fails with the lowest failing
+// shard's error and closes every engine.
 func RestorePool(schema *Schema, dir string) (*Pool, map[string][]byte, error) {
 	if schema == nil || schema.rs == nil {
 		return nil, nil, fmt.Errorf("situfact: nil schema")
@@ -379,30 +380,36 @@ func RestorePool(schema *Schema, dir string) (*Pool, map[string][]byte, error) {
 			man.ShardDim, schema.rs)
 	}
 	// The shards grow file by file: the manifest may come from a leader, so
-	// its shard count sizes nothing before the files it names are read.
-	var files [][]byte
+	// its shard count sizes nothing before the files it names are read. A
+	// file is decoded on a goroutine of its own once read; the slots bound
+	// the files and decoded copies alive at once to GOMAXPROCS.
+	type decoded struct {
+		eng *Engine
+		err error
+	}
+	var results []chan decoded // one per file read
+	slots := make(chan struct{}, runtime.GOMAXPROCS(0))
 	for i := 0; i < man.Shards; i++ {
+		slots <- struct{}{}
 		data, rerr := os.ReadFile(filepath.Join(dir, persist.ShardSnapshotName(i, man.Generation)))
 		if rerr != nil {
 			err = fmt.Errorf("situfact: pool snapshot: %w", rerr)
 			break
 		}
-		files = append(files, data)
-	}
-	p := &Pool{schema: schema, shardDim: shardDim, shards: make([]poolShard, len(files))}
-	errs := make([]error, len(files))
-	var wg sync.WaitGroup
-	for i, data := range files {
-		wg.Add(1)
+		res := make(chan decoded, 1)
+		results = append(results, res)
 		go func() {
-			defer wg.Done()
-			p.shards[i].eng, errs[i] = loadSnapshot(schema, data)
+			eng, derr := loadSnapshot(schema, data)
+			<-slots
+			res <- decoded{eng, derr}
 		}()
 	}
-	wg.Wait()
-	for i, derr := range slices.Backward(errs) {
-		if derr != nil {
-			err = fmt.Errorf("situfact: pool snapshot: shard %d: %w", i, derr)
+	p := &Pool{schema: schema, shardDim: shardDim, shards: make([]poolShard, len(results))}
+	// Backward, so the lowest failing shard's error is the one left in err.
+	for i, res := range slices.Backward(results) {
+		d := <-res
+		if p.shards[i].eng = d.eng; d.err != nil {
+			err = fmt.Errorf("situfact: pool snapshot: shard %d: %w", i, d.err)
 		}
 		if man.ShardLSNs != nil {
 			p.shards[i].lastLSN = man.ShardLSNs[i]

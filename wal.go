@@ -2,14 +2,12 @@ package situfact
 
 import (
 	"cmp"
-	"context"
 	"errors"
 	"fmt"
 	"math"
 	"sync"
 
 	"repro/internal/faultfs"
-	"repro/internal/ingest"
 	"repro/internal/persist"
 )
 
@@ -206,29 +204,31 @@ func (p *Pool) ReplayWAL(w *WAL, onArrival func(*Arrival)) (ReplayStats, error) 
 	return r.finish(w.w.Replay(r.add))
 }
 
-// replayRun is how many records a shard's applier hands applyShard under
-// one lock hold.
+// replayRun is how many records a shard's applier applies under one
+// shard-lock hold.
 const replayRun = 64
 
 // replayer re-applies journaled records: the one path behind ReplayWAL and
 // ApplyTail. The reader validates each record and adds it to its shard's
-// run; a full run goes to the shard's applier goroutine, which applies it
-// in one applyShard call and classifies the outcomes.
+// run; a full run goes over a one-slot channel to the shard's applier
+// goroutine, so a replay holds at most three runs a shard however long the
+// tail is. An applier applies a run in one applyShard call and classifies
+// the outcomes under mu, which also serialises onArrival.
 type replayer struct {
 	p         *Pool
 	onArrival func(*Arrival)
-	runs      [][]*ingestOp                 // per shard: the run being filled
-	appliers  []*ingest.Writer[[]*ingestOp] // per shard: nil until started
-	noops     int                           // the reader's, as are stats.Records and LastLSN
-	mu        sync.Mutex                    // serialises the appliers' outcomes and onArrival
-	stats     ReplayStats
-	drift     error // the drift with the lowest LSN, driftLSN
+	runs      [][]*ingestOp      // per shard: the run being filled
+	appliers  []chan []*ingestOp // per shard: nil until its first run
+	wg        sync.WaitGroup     // the appliers
+	mu        sync.Mutex
+	stats     ReplayStats // Records and LastLSN are the reader's; the rest is under mu
+	drift     error       // the drift with the lowest LSN, driftLSN
 	driftLSN  uint64
 }
 
 func newReplayer(p *Pool, onArrival func(*Arrival)) *replayer {
 	return &replayer{p: p, onArrival: onArrival,
-		runs: make([][]*ingestOp, len(p.shards)), appliers: make([]*ingest.Writer[[]*ingestOp], len(p.shards))}
+		runs: make([][]*ingestOp, len(p.shards)), appliers: make([]chan []*ingestOp, len(p.shards))}
 }
 
 // add validates one record and adds it to its shard's run. Its error — a
@@ -258,7 +258,9 @@ func (r *replayer) add(rec persist.Record) error {
 	case persist.RecNoop:
 		// An earlier build's repair filler over an LSN a write fault
 		// destroyed: no operation, no shard, no watermark to advance.
-		r.noops++
+		r.mu.Lock()
+		r.stats.Skipped++
+		r.mu.Unlock()
 		return nil
 	default:
 		return fmt.Errorf("situfact: wal replay: record %d has unknown type %d", rec.LSN, rec.Type)
@@ -275,20 +277,19 @@ func (r *replayer) add(rec persist.Record) error {
 }
 
 // handOff passes shard s's run to its applier, started with the shard's
-// first run: a batching writer whose queue holds one run, so while it
-// applies one the next waits and the reader fills a third — a replay holds
-// at most three runs a shard however long the tail is.
+// first run.
 func (r *replayer) handOff(s int) {
 	if r.appliers[s] == nil {
-		r.appliers[s] = ingest.NewWriter(1, func(runs [][]*ingestOp) {
-			for _, run := range runs {
+		r.appliers[s] = make(chan []*ingestOp, 1)
+		r.wg.Add(1)
+		go func(runs <-chan []*ingestOp) {
+			defer r.wg.Done()
+			for run := range runs {
 				r.apply(s, run)
 			}
-		})
+		}(r.appliers[s])
 	}
-	// Always accepted: the writer closes only in finish, after the last
-	// hand-off, and a background context never ends.
-	_, _ = r.appliers[s].EnqueueContext(context.Background(), r.runs[s])
+	r.appliers[s] <- r.runs[s]
 	r.runs[s] = make([]*ingestOp, 0, replayRun)
 }
 
@@ -328,27 +329,17 @@ func (r *replayer) apply(s int, run []*ingestOp) {
 	}
 }
 
-// finish hands off every run still filling but one, which the caller
-// applies itself — so a replay that touched one shard, a follower's
-// typical poll, starts no goroutine — and waits out the appliers. The
+// finish hands off every run still filling and waits out the appliers. The
 // error is the drift with the lowest LSN, else the reader's err.
 func (r *replayer) finish(err error) (ReplayStats, error) {
-	inline := -1
 	for s, run := range r.runs {
-		if len(run) > 0 && (inline >= 0 || r.appliers[s] != nil) {
+		if len(run) > 0 {
 			r.handOff(s)
-		} else if len(run) > 0 {
-			inline = s
+		}
+		if r.appliers[s] != nil {
+			close(r.appliers[s])
 		}
 	}
-	if inline >= 0 {
-		r.apply(inline, r.runs[inline])
-	}
-	for _, w := range r.appliers {
-		if w != nil {
-			w.Close()
-		}
-	}
-	r.stats.Skipped += r.noops
+	r.wg.Wait()
 	return r.stats, cmp.Or(r.drift, err)
 }
