@@ -2,6 +2,8 @@ package store
 
 import (
 	"fmt"
+	"math"
+	"math/bits"
 	"slices"
 	"sync"
 
@@ -178,14 +180,16 @@ func (in *Interner) Len() int {
 // order, and nothing else. An id is 32 bits wide (relation.MaxTuples is the
 // checked limit). The oriented measure vectors are not stored: the
 // algorithms keep one vector per tuple in an arena indexed by id, and a
-// skyline scan reads a member's row there. Most cells hold exactly one
-// tuple; that member sits inline in the value, so such a cell owns no heap
-// object. Dimension values are resolved through the algorithms' tuple
-// registry on the rare paths that need them.
+// skyline scan reads a member's row there. Up to two members sit inline in
+// the value, so a one-member cell — most of them — owns no heap object and
+// neither does its first append. A cell Memory hands out with two or more
+// is a range of its id arena with room for one more member. Dimension
+// values are resolved through the algorithms' tuple registry on the rare
+// paths that need them.
 type Cell struct {
 	n    int       // member count
-	one  [1]uint32 // the member when n == 1
-	many []uint32  // the members when n >= 2
+	two  [2]uint32 // the members while many is nil
+	many []uint32  // the members once in a list: an arena range, or the cell's own
 }
 
 // Len returns the number of member tuples.
@@ -195,33 +199,34 @@ func (c Cell) Len() int { return c.n }
 // cell: it is valid until the cell is next mutated, and must not be
 // written through.
 func (c *Cell) IDs() []uint32 {
-	if c.n <= 1 {
-		return c.one[:c.n]
+	if c.many != nil {
+		return c.many
 	}
-	return c.many
+	return c.two[:c.n]
 }
 
 // ID returns the i-th member's tuple id.
 func (c Cell) ID(i int) int64 { return int64(c.IDs()[i]) }
 
-// Append adds a member. The first member is stored inline; the second
-// moves both to a list with room for four (the cells that outgrow the
-// inline form average three members), which doubles from there.
+// Append adds a member. An arena range takes it in place while it has room
+// (it always has for one); an inline cell takes two, and its third member
+// moves all three to a list of its own, which Save copies into the arena.
 func (c *Cell) Append(id int64) {
-	switch c.n {
-	case 0:
-		c.one[0] = uint32(id)
-	case 1:
-		c.many = append(make([]uint32, 0, 4), c.one[0], uint32(id))
-	default:
+	switch {
+	case c.many != nil:
 		c.many = append(c.many, uint32(id))
+	case c.n < 2:
+		c.two[c.n] = uint32(id)
+	default:
+		c.many = append(make([]uint32, 0, 4), c.two[0], c.two[1], uint32(id))
 	}
 	c.n++
 }
 
 // RemoveSorted deletes the members at the given ascending indices in one
 // order-preserving compaction pass: the batched dominance scan collects
-// every member the candidate dominates and removes them together.
+// every member the candidate dominates and removes them together. A list
+// stays a list, however few it keeps.
 func (c *Cell) RemoveSorted(idxs []int) {
 	if len(idxs) == 0 {
 		return
@@ -236,12 +241,8 @@ func (c *Cell) RemoveSorted(idxs []int) {
 		ids[dst] = ids[i]
 		dst++
 	}
-	if dst >= 2 {
+	if c.many != nil {
 		c.many = c.many[:dst]
-	} else {
-		// Back to the inline form; the list is dropped, not kept for a
-		// regrowth that most cells never see.
-		c.one[0], c.many = ids[0], nil
 	}
 	c.n = dst
 }
@@ -327,7 +328,7 @@ const denseMaxWidth = 14
 // of slots is memory the collector never scans.
 type slot struct {
 	n   uint32 // member count; 0 = no cell
-	ref uint32 // n == 1: the member itself; n >= 2: its list's index in Memory.lists
+	ref uint32 // n == 1: the member itself; n >= 2: its range's offset in Memory.arena
 }
 
 // block holds every cell of one constraint, in one of two layouts chosen by
@@ -346,18 +347,25 @@ type block struct {
 // hashing in the dense layout — the interner's ids are dense by construction
 // and subspace masks are small — and an array lookup plus a binary search of
 // a short list in the sparse one. A one-member cell — four in five of them —
-// is its slot; the member lists of the others are kept aside in lists, the
-// only part of the store that holds pointers. A block comes with its
-// constraint's first cell and is released when its last cell empties.
+// is its slot; the members of the others live in one pointer-free id arena.
+// A block comes with its constraint's first cell and is released when its
+// last cell empties.
 type Memory struct {
 	in    *Interner
 	width int
 
 	blocks []block // by constraint id
 
-	lists [][]uint32 // member lists of the cells with two or more members
-	spare []uint32   // vacated indices of lists
-	chunk []uint32   // what RestoreConstraint cuts its member lists from
+	// arena holds the members of every cell of n >= 2 in a range of
+	// 1<<class(n) ids; free[k] heads class k's vacated ranges, chained
+	// through their first word (offset+1; 0 ends a chain).
+	arena []uint32
+	free  [33]uint32
+
+	// loaded is the slot of loadedRef while a Load has resolved it to a
+	// non-empty cell and no Save has run since.
+	loadedRef CellRef
+	loaded    *slot
 
 	stats Stats
 
@@ -393,20 +401,21 @@ func (m *Memory) dense() bool { return m.width <= denseMaxWidth }
 // Interner implements Store.
 func (m *Memory) Interner() *Interner { return m.in }
 
-// lookup resolves a ref to its slot, the zero slot when there is no cell.
-func (m *Memory) lookup(ref CellRef) slot {
+// lookup resolves a ref to its slot, nil when its constraint has no block
+// or, in the sparse layout, the block no slot for it.
+func (m *Memory) lookup(ref CellRef) *slot {
 	cid, mask := RefParts(ref)
 	if int(cid) >= len(m.blocks) || m.blocks[cid].live == 0 {
-		return slot{}
+		return nil
 	}
 	b := &m.blocks[cid]
 	if m.dense() {
-		return b.cells[mask]
+		return &b.cells[mask]
 	}
 	if i, ok := slices.BinarySearch(b.masks, mask); ok {
-		return b.cells[i]
+		return &b.cells[i]
 	}
-	return slot{}
+	return nil
 }
 
 // bind stores s as the slot of ref; was is the slot it replaces, and the
@@ -473,54 +482,105 @@ func (m *Memory) Masks(c ConstraintID, buf []uint32) []uint32 {
 	return buf
 }
 
-// cell rebuilds the handed-out form of a slot. A list is shared with the
-// store, not copied: that is what lets the algorithms edit a cell in place
-// between Load and Save.
-func (m *Memory) cell(s slot) Cell {
-	if s.n >= 2 {
-		return Cell{n: int(s.n), many: m.lists[s.ref]}
+// class is the size class of a list of n >= 2 members: a range of 1<<class
+// ids, the power of two above n, so one more member always fits.
+func class(n uint32) int { return bits.Len32(n) }
+
+// alloc returns the offset of a range of class k: a vacated one if the class
+// has one, else a new one at the end of the arena.
+func (m *Memory) alloc(k int) uint32 {
+	if head := m.free[k]; head != 0 {
+		m.free[k] = m.arena[head-1]
+		return head - 1
 	}
-	return Cell{n: int(s.n), one: [1]uint32{s.ref}}
+	off := len(m.arena)
+	if off+1<<k > math.MaxUint32 {
+		panic("store: id arena full")
+	}
+	m.arena = slices.Grow(m.arena, 1<<k)[:off+1<<k]
+	return uint32(off)
 }
 
-// Load implements Store.
-func (m *Memory) Load(ref CellRef) Cell {
-	s := m.lookup(ref)
-	if s.n > 0 {
-		m.stats.Reads++
+// release puts the range at off, of class k, on its class's free list.
+func (m *Memory) release(off uint32, k int) {
+	m.arena[off] = m.free[k]
+	m.free[k] = off + 1
+}
+
+// cell rebuilds the handed-out form of a slot. A list is the cell's arena
+// range, not a copy, capped at the range's end: that is what lets the
+// algorithms edit a cell in place between Load and Save.
+func (m *Memory) cell(s slot) Cell {
+	if s.n >= 2 {
+		return Cell{n: int(s.n), many: m.arena[s.ref : s.ref+s.n : s.ref+1<<class(s.n)]}
 	}
-	return m.cell(s)
+	return Cell{n: int(s.n), two: [2]uint32{s.ref}}
+}
+
+// Load implements Store. It remembers the slot it resolved for the
+// matching Save.
+func (m *Memory) Load(ref CellRef) Cell {
+	p := m.lookup(ref)
+	if p == nil || p.n == 0 {
+		m.loaded = nil
+		return Cell{}
+	}
+	m.stats.Reads++
+	m.loadedRef, m.loaded = ref, p
+	return m.cell(*p)
 }
 
 // Peek returns the cell at ref without bumping the Reads counter. Query
 // paths use it: they run under a shared (read) lock where a counter write
 // would race, and a follower answering reads must not drift its store
 // counters away from the leader's (snapshot byte-identity).
-func (m *Memory) Peek(ref CellRef) Cell { return m.cell(m.lookup(ref)) }
+func (m *Memory) Peek(ref CellRef) Cell {
+	if p := m.lookup(ref); p != nil {
+		return m.cell(*p)
+	}
+	return Cell{}
+}
 
-// Save implements Store. Everything is resolved again from ref, so a cell
-// handed out by Load stays valid across Saves of other cells (TopDown
-// re-homes evictees into other cells between one cell's Load and Save).
+// Save implements Store. The Save that follows a cell's Load writes the
+// slot Load resolved; after a Save of another cell in between (TopDown
+// re-homes evictees there) the slot is looked up again. Members are copied
+// into the arena only when their count changed class or the cell no longer
+// points at its range: it outgrew it, or the arena moved.
 func (m *Memory) Save(ref CellRef, c Cell) {
-	was := m.lookup(ref)
+	p := m.loaded
+	if p == nil || m.loadedRef != ref {
+		p = m.lookup(ref)
+	}
+	m.loaded = nil
+	var was slot
+	if p != nil {
+		was = *p
+	}
 	if was.n == 0 && c.n == 0 {
 		return // empty → empty: nothing happened
 	}
+	ids := c.IDs()
 	s := slot{n: uint32(c.n)}
+	moved := was.n >= 2 && (s.n < 2 || class(s.n) != class(was.n))
 	switch {
-	case c.n == 1:
-		s.ref = c.one[0]
-	case c.n >= 2 && was.n >= 2:
+	case s.n == 1:
+		s.ref = ids[0]
+	case s.n >= 2 && (was.n < 2 || moved):
+		s.ref = m.alloc(class(s.n))
+	case s.n >= 2:
 		s.ref = was.ref
-		m.lists[s.ref] = c.many
-	case c.n >= 2:
-		s.ref = m.keepList(c.many)
 	}
-	if was.n >= 2 && c.n < 2 {
-		m.lists[was.ref] = nil
-		m.spare = append(m.spare, was.ref)
+	if s.n >= 2 && &m.arena[s.ref] != &ids[0] {
+		copy(m.arena[s.ref:s.ref+s.n], ids)
 	}
-	m.bind(ref, was, s)
+	if moved {
+		m.release(was.ref, class(was.n))
+	}
+	if was.n > 0 && s.n > 0 {
+		*p = s
+	} else {
+		m.bind(ref, was, s)
+	}
 	m.stats.StoredTuples += int64(c.n) - int64(was.n)
 	m.stats.Writes++
 	switch {
@@ -531,37 +591,19 @@ func (m *Memory) Save(ref CellRef, c Cell) {
 	}
 }
 
-// keepList files a member list under a vacated index of lists, or a new one.
-func (m *Memory) keepList(ids []uint32) uint32 {
-	if n := len(m.spare); n > 0 {
-		i := m.spare[n-1]
-		m.spare = m.spare[:n-1]
-		m.lists[i] = ids
-		return i
+// Grow makes room for that many more constraints with cells and for cells
+// of the given member counts, so a restore that knows both fills the
+// store's tables and its arena without growing them by doubling.
+func (m *Memory) Grow(constraints int, sizes []uint32) {
+	words := 0
+	for _, n := range sizes {
+		if n >= 2 {
+			words += 1 << class(n)
+		}
 	}
-	m.lists = append(m.lists, ids)
-	return uint32(len(m.lists) - 1)
-}
-
-// Grow makes room for that many more constraints with cells and that many
-// more cells of two or more members, so a restore that knows both does not
-// grow the store's tables by doubling.
-func (m *Memory) Grow(constraints, lists int) {
 	m.in.grow(constraints)
 	m.blocks = slices.Grow(m.blocks, constraints)
-	m.lists = slices.Grow(m.lists, lists)
-}
-
-// cut copies ids into the current chunk, starting another when it is full: a
-// restore's member lists cost one allocation per few thousand, not one each.
-// The copy has no spare capacity, so a cell that grows moves out of the chunk.
-func (m *Memory) cut(ids []uint32) []uint32 {
-	if len(ids) > cap(m.chunk)-len(m.chunk) {
-		m.chunk = make([]uint32, 0, max(len(ids), 1<<14))
-	}
-	at := len(m.chunk)
-	m.chunk = append(m.chunk, ids...)
-	return m.chunk[at:len(m.chunk):len(m.chunk)]
+	m.arena = slices.Grow(m.arena, words)
 }
 
 // RestoreConstraint installs every cell of one constraint at once: snapshot
@@ -581,6 +623,7 @@ func (m *Memory) RestoreConstraint(key lattice.Key, masks, sizes, ids []uint32) 
 		return 0, 0, fmt.Errorf("store: subspace mask %d in a store of %d measures", top, m.width)
 	}
 	cid := m.in.Intern(key)
+	m.loaded = nil
 	for int(cid) >= len(m.blocks) {
 		m.blocks = append(m.blocks, block{})
 	}
@@ -596,12 +639,12 @@ func (m *Memory) RestoreConstraint(key lattice.Key, masks, sizes, ids []uint32) 
 	}
 	used := 0
 	for i, mask := range masks {
-		n := int(sizes[i])
-		s := slot{n: uint32(n), ref: ids[used]}
-		if n >= 2 {
-			s.ref = m.keepList(m.cut(ids[used : used+n]))
+		s := slot{n: sizes[i], ref: ids[used]}
+		if s.n >= 2 {
+			s.ref = m.alloc(class(s.n))
+			copy(m.arena[s.ref:s.ref+s.n], ids[used:])
 		}
-		used += n
+		used += int(s.n)
 		if m.dense() {
 			b.cells[mask] = s
 		} else {

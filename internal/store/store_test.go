@@ -251,7 +251,7 @@ func TestCellRemoveSorted(t *testing.T) {
 		{5, 6, 7},
 		{0, 3, 6},
 		{1, 2, 5, 6},
-		{1, 2, 3, 4, 5, 6, 7}, // down to the inline form
+		{1, 2, 3, 4, 5, 6, 7}, // down to one member
 		{0, 1, 2, 3, 4, 5, 6, 7},
 	}
 	for _, idxs := range cases {
@@ -278,7 +278,7 @@ func without(ids []int64, idxs []int) []int64 {
 }
 
 // checkCell compares every read accessor of c against the model.
-func checkCell(t *testing.T, what string, c Cell, want []int64) {
+func checkCell(t testing.TB, what string, c Cell, want []int64) {
 	t.Helper()
 	if c.Len() != len(want) || len(c.IDs()) != len(want) || !slices.Equal(c.IDList(), want) {
 		t.Fatalf("%s: cell holds %v (Len %d, %d IDs), want %v", what, c.IDList(), c.Len(), len(c.IDs()), want)
@@ -292,7 +292,7 @@ func checkCell(t *testing.T, what string, c Cell, want []int64) {
 
 // TestCellModel drives a Cell and a plain []int64 through the same seeded
 // Append / RemoveSorted / RemoveID sequence. Sizes hover around the
-// empty / inline / list boundaries (0↔1↔2 members), where the
+// empty / inline / list boundaries (0↔1↔2↔3 members), where the
 // representation changes; ids reach the top of the 32-bit range.
 func TestCellModel(t *testing.T) {
 	rng := rand.New(rand.NewSource(18))
@@ -329,289 +329,495 @@ func TestCellModel(t *testing.T) {
 			}
 		}
 		checkCell(t, fmt.Sprintf("step %d", step), c, model)
-		crossed[[2]int{min(before, 2), min(len(model), 2)}]++
+		crossed[[2]int{min(before, 3), min(len(model), 3)}]++
 	}
-	for _, tr := range [][2]int{{0, 1}, {1, 0}, {1, 2}, {2, 1}, {2, 0}, {2, 2}} {
+	for _, tr := range [][2]int{{0, 1}, {1, 0}, {1, 2}, {2, 1}, {2, 0}, {2, 3}, {3, 2}, {3, 1}, {3, 0}, {3, 3}} {
 		if crossed[tr] == 0 {
-			t.Errorf("the sequence never took a cell from %d to %d members (2 = two or more)", tr[0], tr[1])
+			t.Errorf("the sequence never took a cell from %d to %d members (3 = three or more)", tr[0], tr[1])
 		}
 	}
 }
 
 // TestMemoryModel drives a Memory and a map[CellRef][]int64 through the
 // same seeded Load / mutate / Save sequence, in the dense layout and in the
-// sparse one, and compares after every step: the loaded cell, Stats, Masks
-// of every constraint (the model's live masks, ascending), the observer's
-// events (exactly one when a constraint gains its first cell and one when it
-// loses its last, none in between), and — white-box — that a constraint
-// owns a block exactly while it has a cell, that a sparse block holds its
-// live slots and nothing else, and that a list is kept exactly for the
-// cells with two or more members. One step in three saves two other cells
-// between a cell's Load and its Save, as TopDown's re-homing does. Walk is
-// checked against the sorted model.
+// sparse one, and checks the store after every step (memoryModel.check).
+// The cells of one constraint grow past 64 members and shrink back, so
+// their lists cross the arena's size classes both ways.
 func TestMemoryModel(t *testing.T) {
 	for _, width := range []int{3, denseMaxWidth + 1} {
-		t.Run(fmt.Sprintf("width=%d", width), func(t *testing.T) { testMemoryModel(t, width) })
+		t.Run(fmt.Sprintf("width=%d", width), func(t *testing.T) {
+			rng := rand.New(rand.NewSource(int64(width)))
+			mm := newMemoryModel(t, width, rng.Intn)
+			for step := 0; step < 3000; step++ {
+				mm.step(step)
+			}
+			if mm.restored < 10 {
+				t.Errorf("the sequence restored a constraint in bulk %d times: too few to check it", mm.restored)
+			}
+			if mm.fired[true] < 10 || mm.fired[false] < 10 {
+				t.Errorf("the sequence allocated a block %d times and released one %d times: too few to check the lifecycle",
+					mm.fired[true], mm.fired[false])
+			}
+			if mm.biggest <= 64 || mm.up < 100 || mm.down < 100 || mm.stale == 0 {
+				t.Errorf("the largest cell held %d members, lists moved up a class %d times and down one %d times, "+
+					"and %d cells were saved after the arena moved: too few to check the arena", mm.biggest, mm.up, mm.down, mm.stale)
+			}
+		})
 	}
 }
 
-func testMemoryModel(t *testing.T, width int) {
-	const constraints, masks = 5, 7
-	rng := rand.New(rand.NewSource(int64(width)))
-	m := NewMemory(width)
-	type event struct {
-		c    ConstraintID
-		live bool
-	}
-	var events, wantEvents []event
-	fired := map[bool]int{}
-	m.SetObserver(func(c ConstraintID, live bool) {
-		events = append(events, event{c, live})
-		fired[live]++
+// FuzzMemoryModel is TestMemoryModel with its layout and its choices read
+// from the input, one byte a choice: which cells a step loads, how it
+// mutates them, whether two other cells are saved between a cell's Load and
+// its Save, and when a constraint is restored in bulk.
+func FuzzMemoryModel(f *testing.F) {
+	f.Add(false, []byte{0, 1, 2, 3, 4, 5, 6, 7})
+	f.Add(true, []byte("\x04\x00\x03\x01\x00\x07\x00\x00\x05\x02"))
+	f.Fuzz(func(t *testing.T, sparse bool, data []byte) {
+		pick := func(n int) int {
+			if len(data) == 0 {
+				return 0
+			}
+			v := int(data[0]) % n
+			data = data[1:]
+			return v
+		}
+		width := 3
+		if sparse {
+			width = denseMaxWidth + 1
+		}
+		mm := newMemoryModel(t, width, pick)
+		for step := 0; len(data) > 0; step++ {
+			mm.step(step)
+		}
+		mm.walk(-1)
 	})
-	var cids []ConstraintID
-	for i := 0; i < constraints; i++ {
-		cids = append(cids, m.Interner().Intern(lattice.Key([]byte{byte(i), 0, 0, 0})))
+}
+
+// The model's constraints and the subspace masks its cells take.
+const modelConstraints, modelMasks = 5, 7
+
+type modelEvent struct {
+	c    ConstraintID
+	live bool
+}
+
+// memoryModel is a Memory beside a map[CellRef][]int64 model of it, driven
+// through the same Load / mutate / Save steps; pick draws every choice, a
+// value in [0, n).
+type memoryModel struct {
+	t     testing.TB
+	pick  func(n int) int
+	m     *Memory
+	cids  []ConstraintID
+	model map[CellRef][]int64
+	want  Stats
+	next  int64
+
+	events, wantEvents []modelEvent
+	fired              map[bool]int // observer calls, by live
+	restored           int          // bulk restores taken
+	biggest            int          // the most members a cell has held
+	up, down           int          // Saves that moved a list of two or more to a larger or smaller class
+	stale              int          // Saves of a cell loaded from an arena that has moved since
+}
+
+func newMemoryModel(t testing.TB, width int, pick func(n int) int) *memoryModel {
+	mm := &memoryModel{t: t, pick: pick, m: NewMemory(width), model: map[CellRef][]int64{}, fired: map[bool]int{}}
+	mm.m.SetObserver(func(c ConstraintID, live bool) {
+		mm.events = append(mm.events, modelEvent{c, live})
+		mm.fired[live]++
+	})
+	for i := 0; i < modelConstraints; i++ {
+		mm.cids = append(mm.cids, mm.m.Interner().Intern(lattice.Key([]byte{byte(i), 0, 0, 0})))
 	}
-	model := map[CellRef][]int64{}
-	// liveMasks is what Masks must return for a constraint, from the model.
-	liveMasks := func(cid ConstraintID) []uint32 {
-		var out []uint32
-		for mask := uint32(1); mask <= masks; mask++ {
-			if len(model[Ref(cid, mask)]) > 0 {
-				out = append(out, mask)
-			}
-		}
-		return out
-	}
-	var want Stats
-	next := int64(0)
-	// Constraint i draws from the masks 1 … 2i+1 (at most all seven): the
-	// low ones keep losing their last cell, the high ones almost never do.
-	randomRef := func(not ...CellRef) CellRef {
-		for {
-			i := rng.Intn(constraints)
-			r := Ref(cids[i], uint32(1+rng.Intn(min(2*i+1, masks))))
-			if !slices.Contains(not, r) {
-				return r
-			}
-		}
-	}
-	load := func(r CellRef) Cell {
-		c := m.Load(r)
-		if len(model[r]) > 0 {
-			want.Reads++
-		}
-		checkCell(t, fmt.Sprintf("Load(%x)", r), c, model[r])
-		return c
-	}
-	// mutate edits c and returns what the model should hold after its Save.
-	mutate := func(r CellRef, c *Cell) []int64 {
-		ids := slices.Clone(model[r])
-		switch op := rng.Intn(6); {
-		case len(ids) == 0 || op < 3 && len(ids) < 5:
-			for n := 1 + rng.Intn(2); n > 0; n-- {
-				c.Append(next)
-				ids = append(ids, next)
-				next++
-			}
-		case op < 5:
-			var idxs []int
-			for i := range ids {
-				if rng.Intn(2) == 0 {
-					idxs = append(idxs, i)
-				}
-			}
-			c.RemoveSorted(idxs)
-			ids = without(ids, idxs)
-		default: // empty it
-			for len(ids) > 0 {
-				c.RemoveID(ids[0])
-				ids = ids[1:]
-			}
-		}
-		return ids
-	}
-	save := func(r CellRef, c Cell, ids []int64) {
-		m.Save(r, c)
-		was := len(model[r])
-		if was > 0 || len(ids) > 0 {
-			want.Writes++
-		}
-		want.StoredTuples += int64(len(ids) - was)
-		cid, _ := RefParts(r)
-		before := len(liveMasks(cid))
-		if len(ids) == 0 {
-			delete(model, r)
-		} else {
-			model[r] = ids
-		}
-		if (was == 0) != (len(ids) == 0) {
-			if was == 0 {
-				want.Cells++
-			} else {
-				want.Cells--
-			}
-			if after := len(liveMasks(cid)); before == 0 || after == 0 {
-				wantEvents = append(wantEvents, event{cid, after > 0})
-			}
-		}
-	}
-	// restore is RestoreConstraint against the model: it must leave the store
-	// as saving the same cells one by one would, and tell the observer once.
-	restore := func(i int) {
-		cid := cids[i]
-		key := m.Interner().Key(cid)
-		var rmasks, sizes, ids []uint32
-		top := uint32(min(2*i+1, masks)) // the masks randomRef draws for it
-		for mask := uint32(1); mask <= top; mask++ {
-			if rng.Intn(2) == 0 && (mask < top || len(rmasks) > 0) {
-				continue // skip it, but never all of them
-			}
-			n := 1 + rng.Intn(3)
-			rmasks, sizes = append(rmasks, mask), append(sizes, uint32(n))
-			for ; n > 0; n-- {
-				ids = append(ids, uint32(next))
-				next++
-			}
-		}
-		tail := []uint32{7, 7} // members of some later constraint: not this one's
-		got, used, err := m.RestoreConstraint(key, rmasks, sizes, append(ids, tail...))
-		if len(liveMasks(cid)) > 0 {
-			if err == nil {
-				t.Fatalf("RestoreConstraint over constraint %d, which has cells, was accepted", cid)
-			}
-			return
-		}
-		if err != nil || got != cid || used != len(ids) {
-			t.Fatalf("RestoreConstraint(%d, %v, %v) = constraint %d, %d members, %v; want %d members taken", cid, rmasks, sizes, got, used, err, len(ids))
-		}
-		for j, mask := range rmasks {
-			n := int(sizes[j])
-			for _, id := range ids[:n] {
-				model[Ref(cid, mask)] = append(model[Ref(cid, mask)], int64(id))
-			}
-			ids = ids[n:]
-			want.Cells++
-			want.Writes++
-			want.StoredTuples += int64(n)
-		}
-		wantEvents = append(wantEvents, event{cid, true})
-	}
-	if _, _, err := m.RestoreConstraint(m.Interner().Key(cids[0]), []uint32{1, 1 << uint(width)}, []uint32{1, 1}, []uint32{0, 1}); err == nil {
+	if _, _, err := mm.m.RestoreConstraint(mm.m.Interner().Key(mm.cids[0]), []uint32{1, 1 << uint(width)}, []uint32{1, 1}, []uint32{0, 1}); err == nil {
 		t.Fatalf("RestoreConstraint took mask %d in a store of width %d", 1<<uint(width), width)
 	}
-	restored := 0
-	for step := 0; step < 3000; step++ {
-		if step%5 == 0 {
-			// An empty constraint if there is one (constraint 0 often is), and
-			// the refusal otherwise.
-			i := rng.Intn(constraints)
-			for j := range cids {
-				if len(liveMasks(cids[j])) == 0 {
-					i = j
-					restored++
-					break
-				}
-			}
-			restore(i)
-		}
-		a := randomRef()
-		ca := load(a)
-		idsA := mutate(a, &ca)
-		if step%3 == 0 {
-			b := randomRef(a)
-			cb := load(b)
-			save(b, cb, mutate(b, &cb))
-			c := randomRef(a, b)
-			cc := load(c)
-			save(c, cc, mutate(c, &cc))
-		}
-		save(a, ca, idsA)
+	return mm
+}
 
-		if got := m.Stats(); got != want {
-			t.Fatalf("step %d: Stats %+v, want %+v", step, got, want)
+// liveMasks is what Masks must return for a constraint, from the model.
+func (mm *memoryModel) liveMasks(cid ConstraintID) []uint32 {
+	var out []uint32
+	for mask := uint32(1); mask <= modelMasks; mask++ {
+		if len(mm.model[Ref(cid, mask)]) > 0 {
+			out = append(out, mask)
 		}
-		if !slices.Equal(events, wantEvents) {
-			t.Fatalf("step %d: observer saw %v, want %v", step, events, wantEvents)
+	}
+	return out
+}
+
+// refs lists the cells constraint i draws from: masks 1 … 2i+1, at most all
+// seven. The low constraints keep losing their last cell, the high ones
+// almost never do.
+func (mm *memoryModel) refs(i int) []CellRef {
+	var out []CellRef
+	for mask := uint32(1); mask <= uint32(min(2*i+1, modelMasks)); mask++ {
+		out = append(out, Ref(mm.cids[i], mask))
+	}
+	return out
+}
+
+// randomRef draws a constraint, then one of its cells; a drawn cell in not
+// passes to the next one of the model's.
+func (mm *memoryModel) randomRef(not ...CellRef) CellRef {
+	var all []CellRef
+	for i := range mm.cids {
+		all = append(all, mm.refs(i)...)
+	}
+	i := mm.pick(modelConstraints)
+	at := slices.Index(all, mm.refs(i)[0]) + mm.pick(min(2*i+1, modelMasks))
+	for slices.Contains(not, all[at%len(all)]) {
+		at++
+	}
+	return all[at%len(all)]
+}
+
+func (mm *memoryModel) load(r CellRef) Cell {
+	c := mm.m.Load(r)
+	if len(mm.model[r]) > 0 {
+		mm.want.Reads++
+	}
+	checkCell(mm.t, fmt.Sprintf("Load(%x)", r), c, mm.model[r])
+	return c
+}
+
+// mutate edits c and returns what the model should hold after its Save. The
+// last constraint's cells grow up to 100 members, by single appends (what
+// BottomUp makes per visit, in the range's room) and by bursts (which
+// outgrow the range), and shrink by light and heavy removals.
+func (mm *memoryModel) mutate(r CellRef, c *Cell) []int64 {
+	ids := slices.Clone(mm.model[r])
+	limit := 5
+	if cid, _ := RefParts(r); cid == mm.cids[modelConstraints-1] {
+		limit = 100
+	}
+	switch op := mm.pick(8); {
+	case len(ids) == 0 || op < 4 && len(ids) < limit:
+		n := 1 + mm.pick(2)
+		if op == 0 && limit > 5 {
+			n = 1 + mm.pick(40)
 		}
-		events, wantEvents = events[:0], wantEvents[:0]
-		checkCell(t, fmt.Sprintf("step %d: Peek(%x)", step, a), m.Peek(a), model[a])
-		if m.Stats() != want {
-			t.Fatalf("step %d: Peek moved the counters", step)
+		for ; n > 0; n-- {
+			c.Append(mm.next)
+			ids = append(ids, mm.next)
+			mm.next++
 		}
-		lists := 0
-		for _, ids := range model {
-			if len(ids) >= 2 {
-				lists++
+	case op < 7:
+		var idxs []int
+		for i := range ids {
+			if op == 6 && mm.pick(2) == 0 || op < 6 && mm.pick(8) == 0 {
+				idxs = append(idxs, i)
 			}
 		}
-		if kept := len(m.lists) - len(m.spare); kept != lists {
-			t.Fatalf("step %d: %d member lists kept for %d cells with two or more members", step, kept, lists)
+		c.RemoveSorted(idxs)
+		ids = without(ids, idxs)
+	case limit > 5 && mm.pick(4) != 0:
+		// The big cells are rarely emptied.
+	default: // empty it
+		for len(ids) > 0 {
+			c.RemoveID(ids[0])
+			ids = ids[1:]
 		}
-		for _, i := range m.spare {
-			if m.lists[i] != nil {
-				t.Fatalf("step %d: vacated list %d still holds %v", step, i, m.lists[i])
+	}
+	return ids
+}
+
+func (mm *memoryModel) save(r CellRef, c Cell, ids []int64) {
+	mm.m.Save(r, c)
+	was := len(mm.model[r])
+	if was > 0 || len(ids) > 0 {
+		mm.want.Writes++
+	}
+	if was >= 2 && len(ids) >= 2 && class(uint32(was)) != class(uint32(len(ids))) {
+		if len(ids) > was {
+			mm.up++
+		} else {
+			mm.down++
+		}
+	}
+	mm.biggest = max(mm.biggest, len(ids))
+	mm.want.StoredTuples += int64(len(ids) - was)
+	cid, _ := RefParts(r)
+	before := len(mm.liveMasks(cid))
+	if len(ids) == 0 {
+		delete(mm.model, r)
+	} else {
+		mm.model[r] = ids
+	}
+	if (was == 0) != (len(ids) == 0) {
+		if was == 0 {
+			mm.want.Cells++
+		} else {
+			mm.want.Cells--
+		}
+		if after := len(mm.liveMasks(cid)); before == 0 || after == 0 {
+			mm.wantEvents = append(mm.wantEvents, modelEvent{cid, after > 0})
+		}
+	}
+}
+
+// restore is RestoreConstraint against the model: it must leave the store
+// as saving the same cells one by one would, and tell the observer once.
+func (mm *memoryModel) restore(i int) {
+	cid := mm.cids[i]
+	key := mm.m.Interner().Key(cid)
+	var rmasks, sizes, ids []uint32
+	top := uint32(min(2*i+1, modelMasks)) // the masks randomRef draws for it
+	for mask := uint32(1); mask <= top; mask++ {
+		if mm.pick(2) == 0 && (mask < top || len(rmasks) > 0) {
+			continue // skip it, but never all of them
+		}
+		n := 1 + mm.pick(3)
+		if mm.pick(8) == 0 {
+			n = 1 + mm.pick(70)
+		}
+		rmasks, sizes = append(rmasks, mask), append(sizes, uint32(n))
+		for ; n > 0; n-- {
+			ids = append(ids, uint32(mm.next))
+			mm.next++
+		}
+	}
+	tail := []uint32{7, 7} // members of some later constraint: not this one's
+	got, used, err := mm.m.RestoreConstraint(key, rmasks, sizes, append(ids, tail...))
+	if len(mm.liveMasks(cid)) > 0 {
+		if err == nil {
+			mm.t.Fatalf("RestoreConstraint over constraint %d, which has cells, was accepted", cid)
+		}
+		return
+	}
+	if err != nil || got != cid || used != len(ids) {
+		mm.t.Fatalf("RestoreConstraint(%d, %v, %v) = constraint %d, %d members, %v; want %d members taken", cid, rmasks, sizes, got, used, err, len(ids))
+	}
+	mm.restored++
+	for j, mask := range rmasks {
+		n := int(sizes[j])
+		for _, id := range ids[:n] {
+			mm.model[Ref(cid, mask)] = append(mm.model[Ref(cid, mask)], int64(id))
+		}
+		ids = ids[n:]
+		mm.want.Cells++
+		mm.want.Writes++
+		mm.want.StoredTuples += int64(n)
+		mm.biggest = max(mm.biggest, n)
+	}
+	mm.wantEvents = append(mm.wantEvents, modelEvent{cid, true})
+}
+
+// step is one Load / mutate / Save of a cell; one step in three saves two
+// other cells between that Load and its Save, as TopDown's re-homing does,
+// one in eight saves the cell once more, and one in five first restores a
+// constraint in bulk: an empty one if there is one (constraint 0 often is),
+// and the refusal otherwise.
+func (mm *memoryModel) step(step int) {
+	if mm.pick(5) == 0 {
+		i := mm.pick(modelConstraints)
+		for j := range mm.cids {
+			if len(mm.liveMasks(mm.cids[j])) == 0 {
+				i = j
+				break
 			}
 		}
-		if len(m.blocks) > constraints {
-			t.Fatalf("step %d: %d blocks for %d constraints", step, len(m.blocks), constraints)
+		mm.restore(i)
+	}
+	a := mm.randomRef()
+	ca := mm.load(a)
+	idsA := mm.mutate(a, &ca)
+	if mm.pick(3) == 0 {
+		grown := cap(mm.m.arena)
+		b := mm.randomRef(a)
+		cb := mm.load(b)
+		mm.save(b, cb, mm.mutate(b, &cb))
+		c := mm.randomRef(a, b)
+		cc := mm.load(c)
+		mm.save(c, cc, mm.mutate(c, &cc))
+		if ca.many != nil && cap(mm.m.arena) != grown {
+			mm.stale++ // the arena moved: ca's list is a copy now
 		}
-		// blocks reaches the highest constraint id saved so far; Masks must
-		// answer for the ids past it too.
-		for i, cid := range cids {
-			live := liveMasks(cid)
-			if got := m.Masks(cid, []uint32{99}); !slices.Equal(got, append([]uint32{99}, live...)) {
-				t.Fatalf("step %d: Masks(%d) appended %v to [99], want %v", step, cid, got[1:], live)
-			}
-			if i >= len(m.blocks) {
-				if len(live) > 0 {
-					t.Fatalf("step %d: constraint %d has cells and no block", step, cid)
-				}
-				continue
-			}
-			b := m.blocks[cid]
-			if int(b.live) != len(live) || (b.cells != nil) != (len(live) > 0) {
-				t.Fatalf("step %d: constraint %d has %d cells, its block says %d (allocated: %v)",
-					step, cid, len(live), b.live, b.cells != nil)
-			}
-			if width > denseMaxWidth && (!slices.Equal(b.masks, live) || len(b.cells) != len(live)) {
-				t.Fatalf("step %d: constraint %d: sparse block holds masks %v in %d slots, want %v",
-					step, cid, b.masks, len(b.cells), live)
-			}
-			if width <= denseMaxWidth && (b.masks != nil || len(b.cells) != 0 && len(b.cells) != 1<<width) {
-				t.Fatalf("step %d: constraint %d: dense block has %d slots and masks %v", step, cid, len(b.cells), b.masks)
-			}
+	}
+	mm.save(a, ca, idsA)
+	if mm.pick(8) == 0 {
+		// Saved again with no Load: a fresh cell of its members less the
+		// first, so the slot the Load resolved must not be trusted.
+		ids := slices.Clone(idsA[min(1, len(idsA)):])
+		var c Cell
+		for _, id := range ids {
+			c.Append(id)
 		}
-		if step%100 != 0 {
+		mm.save(a, c, ids)
+	}
+	mm.check(step, a)
+	if step%100 == 0 {
+		mm.walk(step)
+	}
+}
+
+// check compares the store with the model after a step that saved a: the
+// cell Peek hands out, Stats, Masks of every constraint (the model's live
+// masks, ascending), the observer's events (exactly one when a constraint
+// gains its first cell and one when it loses its last, none in between),
+// and — white-box — that a constraint owns a block exactly while it has a
+// cell, that a sparse block holds its live slots and nothing else, and the
+// id arena's invariants (checkArena).
+func (mm *memoryModel) check(step int, a CellRef) {
+	t, m := mm.t, mm.m
+	if got := m.Stats(); got != mm.want {
+		t.Fatalf("step %d: Stats %+v, want %+v", step, got, mm.want)
+	}
+	if !slices.Equal(mm.events, mm.wantEvents) {
+		t.Fatalf("step %d: observer saw %v, want %v", step, mm.events, mm.wantEvents)
+	}
+	mm.events, mm.wantEvents = mm.events[:0], mm.wantEvents[:0]
+	checkCell(t, fmt.Sprintf("step %d: Peek(%x)", step, a), m.Peek(a), mm.model[a])
+	if m.Stats() != mm.want {
+		t.Fatalf("step %d: Peek moved the counters", step)
+	}
+	if err := checkArena(m); err != nil {
+		t.Fatalf("step %d: %v", step, err)
+	}
+	if len(m.blocks) > modelConstraints {
+		t.Fatalf("step %d: %d blocks for %d constraints", step, len(m.blocks), modelConstraints)
+	}
+	// blocks reaches the highest constraint id saved so far; Masks must
+	// answer for the ids past it too.
+	for i, cid := range mm.cids {
+		live := mm.liveMasks(cid)
+		if got := m.Masks(cid, []uint32{99}); !slices.Equal(got, append([]uint32{99}, live...)) {
+			t.Fatalf("step %d: Masks(%d) appended %v to [99], want %v", step, cid, got[1:], live)
+		}
+		if i >= len(m.blocks) {
+			if len(live) > 0 {
+				t.Fatalf("step %d: constraint %d has cells and no block", step, cid)
+			}
 			continue
 		}
-		var walked []CellRef
-		m.Walk(func(k CellKey, c Cell) {
-			id, ok := m.Interner().Lookup(k.C)
-			if !ok {
-				t.Fatalf("step %d: Walk handed out unknown key %x", step, string(k.C))
+		b := m.blocks[cid]
+		if int(b.live) != len(live) || (b.cells != nil) != (len(live) > 0) {
+			t.Fatalf("step %d: constraint %d has %d cells, its block says %d (allocated: %v)",
+				step, cid, len(live), b.live, b.cells != nil)
+		}
+		if !m.dense() && (!slices.Equal(b.masks, live) || len(b.cells) != len(live)) {
+			t.Fatalf("step %d: constraint %d: sparse block holds masks %v in %d slots, want %v",
+				step, cid, b.masks, len(b.cells), live)
+		}
+		if m.dense() && (b.masks != nil || len(b.cells) != 0 && len(b.cells) != 1<<m.width) {
+			t.Fatalf("step %d: constraint %d: dense block has %d slots and masks %v", step, cid, len(b.cells), b.masks)
+		}
+	}
+}
+
+// walk checks Walk against the sorted model: every cell, in (constraint
+// id, mask) order.
+func (mm *memoryModel) walk(step int) {
+	var walked []CellRef
+	mm.m.Walk(func(k CellKey, c Cell) {
+		id, ok := mm.m.Interner().Lookup(k.C)
+		if !ok {
+			mm.t.Fatalf("step %d: Walk handed out unknown key %x", step, string(k.C))
+		}
+		r := Ref(id, k.M)
+		walked = append(walked, r)
+		checkCell(mm.t, fmt.Sprintf("step %d: Walk(%x)", step, r), c, mm.model[r])
+	})
+	want := make([]CellRef, 0, len(mm.model))
+	for r := range mm.model {
+		want = append(want, r)
+	}
+	slices.Sort(want) // a CellRef orders by (constraint id, mask)
+	if !slices.Equal(walked, want) {
+		mm.t.Fatalf("step %d: Walk order %x, want %x", step, walked, want)
+	}
+}
+
+// checkArena checks the id arena's four invariants, in this order, and
+// names the first one broken. A live range is the 1<<class(n) ids from the
+// offset in the slot of a cell of n >= 2 members; a free range is one its
+// class's free list reaches.
+//  1. Live ranges are pairwise disjoint.
+//  2. A live range is exactly its class's size: the cell Peek hands out
+//     has that capacity, and the range ends before the next range (live or
+//     free) starts, and within the arena.
+//  3. Free ranges are disjoint from live ones and from each other.
+//  4. Live and free words add up to the arena.
+func checkArena(m *Memory) error {
+	type span struct {
+		off, size int
+		free      bool
+	}
+	var spans []span
+	words := 0
+	for cid := range m.blocks {
+		b := &m.blocks[cid]
+		for i, s := range b.cells {
+			if s.n < 2 {
+				continue
 			}
-			r := Ref(id, k.M)
-			walked = append(walked, r)
-			checkCell(t, fmt.Sprintf("step %d: Walk(%x)", step, r), c, model[r])
-		})
-		wantWalk := make([]CellRef, 0, len(model))
-		for r := range model {
-			wantWalk = append(wantWalk, r)
+			size := 1 << class(s.n)
+			mask := uint32(i)
+			if !m.dense() {
+				mask = b.masks[i]
+			}
+			if int(s.ref)+size > len(m.arena) {
+				return fmt.Errorf("invariant 2: cell (%d, %b) of %d members runs past the %d-id arena", cid, mask, s.n, len(m.arena))
+			}
+			if c := m.Peek(Ref(ConstraintID(cid), mask)); cap(c.many) != size {
+				return fmt.Errorf("invariant 2: cell (%d, %b) of %d members is handed out with room for %d, its class holds %d",
+					cid, mask, s.n, cap(c.many), size)
+			}
+			spans = append(spans, span{int(s.ref), size, false})
+			words += size
 		}
-		slices.Sort(wantWalk) // a CellRef orders by (constraint id, mask)
-		if !slices.Equal(walked, wantWalk) {
-			t.Fatalf("step %d: Walk order %x, want %x", step, walked, wantWalk)
+	}
+	for k, head := range m.free {
+		for h, hops := head, 0; h != 0; h, hops = m.arena[h-1], hops+1 {
+			if int(h-1) >= len(m.arena) || hops > len(m.arena) {
+				return fmt.Errorf("invariant 3: class %d's free list leaves the %d-id arena or loops (offset %d, %d ranges)", k, len(m.arena), h-1, hops)
+			}
+			spans = append(spans, span{int(h - 1), 1 << k, true})
+			words += 1 << k
 		}
 	}
-	if restored < 10 {
-		t.Errorf("the sequence restored a constraint in bulk %d times: too few to check it", restored)
+	slices.SortStableFunc(spans, func(a, b span) int { return a.off - b.off })
+	overlap := func(free bool) error {
+		for i, a := range spans {
+			for _, b := range spans[i+1:] {
+				if b.off >= a.off+a.size {
+					break
+				}
+				if !a.free && !b.free && !free {
+					return fmt.Errorf("invariant 1: live ranges [%d, %d) and [%d, %d) overlap", a.off, a.off+a.size, b.off, b.off+b.size)
+				}
+				if (a.free || b.free) && free {
+					return fmt.Errorf("invariant 3: ranges [%d, %d) (free %v) and [%d, %d) (free %v) overlap",
+						a.off, a.off+a.size, a.free, b.off, b.off+b.size, b.free)
+				}
+			}
+		}
+		return nil
 	}
-	if fired[true] < 10 || fired[false] < 10 {
-		t.Errorf("the sequence allocated a block %d times and released one %d times: too few to check the lifecycle",
-			fired[true], fired[false])
+	if err := overlap(false); err != nil {
+		return err
 	}
+	for i, a := range spans {
+		end := len(m.arena)
+		for _, b := range spans[i+1:] {
+			if b.off > a.off {
+				end = b.off
+				break
+			}
+		}
+		if !a.free && a.off+a.size > end {
+			return fmt.Errorf("invariant 2: the live range at %d of class size %d runs into the range at %d", a.off, a.size, end)
+		}
+	}
+	if err := overlap(true); err != nil {
+		return err
+	}
+	if words != len(m.arena) {
+		return fmt.Errorf("invariant 4: %d live and free ids in a %d-id arena", words, len(m.arena))
+	}
+	return nil
 }
 
 func TestInterner(t *testing.T) {
