@@ -315,11 +315,13 @@ func BenchmarkTable1Quickstart(b *testing.B) {
 // sweep degenerates to measuring fan-out overhead.) Each shard count runs
 // both ways of calling the write path: inline (one call per shard's
 // sub-batch) and pipelined (per-shard batching writers, StartPipeline).
+// The single mode is pipelined with one Append per row, the path of a
+// single-row POST: its ns/op is one row's whole round trip.
 func BenchmarkPoolAppend(b *testing.B) {
 	const batch = 64
 	const nRows = 4096
 	for _, shards := range []int{1, 2, 4, 8} {
-		for _, mode := range []string{"inline", "pipelined"} {
+		for _, mode := range []string{"inline", "pipelined", "single"} {
 			b.Run(fmt.Sprintf("shards=%d/%s", shards, mode), func(b *testing.B) {
 				s := newBenchStream(b, "nba", 5, 7)
 				s.tuple(b, nRows-1) // force generation
@@ -343,7 +345,7 @@ func BenchmarkPoolAppend(b *testing.B) {
 					b.Fatal(err)
 				}
 				defer pool.Close()
-				if mode == "pipelined" {
+				if mode != "inline" {
 					if err := pool.StartPipeline(PipelineOptions{}); err != nil {
 						b.Fatal(err)
 					}
@@ -354,16 +356,25 @@ func BenchmarkPoolAppend(b *testing.B) {
 				chunk := make([]Row, batch)
 				b.ReportAllocs()
 				b.ResetTimer()
-				for i := 0; i < b.N; i += batch {
-					n := batch
-					if rem := b.N - i; rem < n {
-						n = rem
+				if mode == "single" {
+					for i := 0; i < b.N; i++ {
+						r := rows[i%nRows]
+						if _, err := pool.Append(r.Dims, r.Measures); err != nil {
+							b.Fatal(err)
+						}
 					}
-					for j := 0; j < n; j++ {
-						chunk[j] = rows[(i+j)%nRows]
-					}
-					if _, err := pool.AppendBatch(chunk[:n]); err != nil {
-						b.Fatal(err)
+				} else {
+					for i := 0; i < b.N; i += batch {
+						n := batch
+						if rem := b.N - i; rem < n {
+							n = rem
+						}
+						for j := 0; j < n; j++ {
+							chunk[j] = rows[(i+j)%nRows]
+						}
+						if _, err := pool.AppendBatch(chunk[:n]); err != nil {
+							b.Fatal(err)
+						}
 					}
 				}
 				b.StopTimer()

@@ -38,7 +38,7 @@ func registerFlags(fs *flag.FlagSet, cfg *config) {
 	fs.BoolVar(&cfg.wal, "wal", false, "write-ahead log under <state-dir>/wal: journal every ingest before applying it, replay the tail on start (requires -state-dir)")
 	fs.Int64Var(&cfg.walSegBytes, "wal-segment-bytes", 0, "WAL segment size in bytes: a segment is sealed at the first group commit past it (0 = 64 MiB)")
 	fs.DurationVar(&cfg.snapInterval, "snapshot-interval", 0, "background checkpoint period: snapshot every shard and truncate covered WAL segments (0 = snapshot only on graceful shutdown)")
-	fs.IntVar(&cfg.pipeQueue, "pipeline-queue", 0, "per-shard ingest queue depth ceiling: each queue's capacity floats between a floor and this, growing on backpressure and shrinking when calm; a full queue blocks producers (0 = 256)")
+	fs.IntVar(&cfg.pipeQueue, "pipeline-queue", 0, "per-shard ingest queue capacity; a full queue blocks producers (0 = 256)")
 	fs.StringVar(&cfg.pprofAddr, "pprof-addr", "", "serve net/http/pprof on this extra listener (e.g. localhost:6060); empty = off. Keep it on a loopback or firewalled port")
 	fs.StringVar(&cfg.follow, "follow", "", "run as a read-only follower of this leader base URL (e.g. http://leader:8080): bootstrap from its snapshot, replay its WAL tail; requires -state-dir as bootstrap scratch")
 	fs.DurationVar(&cfg.followPoll, "follow-poll", 500*time.Millisecond, "follower WAL-tail poll period, > 0 (transient errors back the poll off exponentially from here)")

@@ -304,12 +304,9 @@ func (s *server) startLeader() error {
 	}
 	// The pipeline starts after recovery (restore + replay), which applies
 	// its records on its own per-shard appliers; every live request from
-	// here on batches through the per-shard writers, each queue's capacity
-	// floating up to -pipeline-queue.
-	if err := pool.StartPipeline(situfact.PipelineOptions{
-		QueueDepth:    cfg.pipeQueue,
-		AdaptiveQueue: true,
-	}); err != nil {
+	// here on batches through the per-shard writers, each queue holding
+	// -pipeline-queue ops.
+	if err := pool.StartPipeline(situfact.PipelineOptions{QueueDepth: cfg.pipeQueue}); err != nil {
 		return fmt.Errorf("situfactd: %w", err)
 	}
 	if cfg.stateDir != "" && cfg.snapInterval > 0 {
@@ -404,8 +401,8 @@ const shedSamplePeriod = 50 * time.Millisecond
 // shedLoop feeds the shedder its saturation signal: the pipeline is
 // saturated when producers blocked on a full queue since the last sample
 // AND some shard's queue is still at capacity now. The first condition
-// alone would trip on a momentary blip the adaptive queue absorbs by
-// growing; the second alone would trip on a queue that is full but
+// alone would trip on a momentary blip the queue absorbs once the writer
+// drains; the second alone would trip on a queue that is full but
 // draining fine. Only both, sustained across the whole -shed-window,
 // turn shedding on — and one calm sample turns it back off.
 func (s *server) shedLoop(ctx context.Context) {
@@ -765,8 +762,8 @@ func (s *server) handleDelete(w http.ResponseWriter, r *http.Request) {
 func ingestFailure(err error, partial bool) (status int, retryAfter bool, verdict string) {
 	switch {
 	case errors.Is(err, context.Canceled):
-		// The client hung up while rows were parked on a full queue: those
-		// were never accepted, and nobody is reading a response.
+		// The client hung up before its rows were accepted: those were
+		// never journaled, and nobody is reading a response.
 		return 0, false, "canceled"
 	case errors.Is(err, context.DeadlineExceeded):
 		// The -request-timeout budget ran out waiting for queue space: the

@@ -19,12 +19,12 @@ import (
 // Delete of a live, tombstoned or never-assigned handle, a read check (a
 // random filter drained at a random page size, and TopFacts), Checkpoint +
 // TruncateBefore, crash-and-recover (restore the newest checkpoint or start
-// fresh, replay observed or quiet, reattach, restart the pipeline) and a
-// follower sync (restore the checkpoint, apply the leader's tail). Each
-// history runs under one engine setup and shard
-// count, in lockstep on three pools with a WAL attached: inline, pipelined
-// at queue depth 4, pipelined adaptive. After every step the pools must
-// agree with each other, and with a model that is nothing but the rows the
+// fresh, replay observed or quiet, reattach, restart the pipeline), a
+// follower sync (restore the checkpoint, apply the leader's tail) and a write
+// under an ended context. Each history runs under one engine setup and shard
+// count, in lockstep on three pools with a WAL attached: inline, pipelined at
+// queue depth 4, pipelined at the default depth. After every step the pools
+// must agree with each other, and with a model that is nothing but the rows the
 // test fed each shard — facts are checked against oracleFacts, the
 // contextual skylines by definition, never against another path through the
 // same µ cells.
@@ -53,7 +53,7 @@ var histTops = []int{0, 1, 5, math.MaxInt}
 
 // histPipelines are the lanes a history runs in lockstep; nil runs the write
 // path inline.
-var histPipelines = []*PipelineOptions{nil, {QueueDepth: 4}, {AdaptiveQueue: true}}
+var histPipelines = []*PipelineOptions{nil, {QueueDepth: 4}, {}}
 
 // TestHistory runs one seeded history per engine setup and shard count (one
 // per setup under -short).
@@ -77,6 +77,13 @@ func FuzzPoolHistory(f *testing.F) {
 	f.Add([]byte{0, 1, 0, 0, 9, 3, 0, 0, 12, 1, 2, 15, 16, 0, 18, 17, 4, 0, 19, 13})
 	f.Add([]byte{1, 2, 9, 5, 0, 0, 0, 0, 11, 3, 9, 4, 16, 12, 0, 17, 1, 18, 19, 14, 2})
 	f.Add([]byte{4, 1, 0, 0, 15, 16, 12, 0, 17, 0, 19, 18, 14, 1})
+	// One append; a delete of it, a batch and an append under an ended
+	// context; a crash.
+	f.Add([]byte{0, 2, 0, 0, 2, 2, 4, 2, 4, 6, 6,
+		22, 0, 2, 4, 0, 6, 8, 0, 4, 4, 0, 2, 2, 6, 8, 2, 2, 4, 0,
+		22, 0, 0, 0, 0, 0, 0, 0, 0, 2, 2, 2, 2, 2, 2, 2, 0, 2,
+		22, 0, 4, 4, 2, 6, 14, 14, 14, 0, 0, 0, 0, 0, 0, 0, 6, 0,
+		26, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		src := &fuzzSource{data: data}
 		rng := rand.New(src)
@@ -191,9 +198,12 @@ func runHistory(t *testing.T, rng *rand.Rand, setup histSetup, shards int, pipes
 		case k < 18:
 			h.op = "crash"
 			h.crash(rng.Intn(2) == 0)
-		default:
+		case k < 19:
 			h.op = "follow"
 			h.follow()
+		default:
+			h.op = "cancel"
+			h.cancel(rng)
 		}
 		p, live := h.lanes[0].pool, 0
 		for _, rows := range h.m.live {
@@ -394,6 +404,63 @@ func (h *history) delete(rng *rand.Rand) {
 		h.m.applied++
 	case hd.shard < h.shards:
 		h.m.failed++ // journaled before its validity is known
+	}
+}
+
+// cancel issues an append, a batch or a delete of a live handle on every
+// lane under a context that has already ended. Every op must fail with
+// context.Canceled and nothing may be journaled; the model does not move,
+// so the step's Len check and a later replay's counts hold the pools to it.
+func (h *history) cancel(rng *rand.Rand) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	rows := make([]Row, 2+rng.Intn(7))
+	for i := range rows {
+		rows[i] = randomRow(rng)
+	}
+	top := histTops[rng.Intn(len(histTops))]
+	live, _ := h.handles()
+	kind := rng.Intn(3)
+	if kind == 2 && len(live) == 0 {
+		kind = 0
+	}
+	var hd poolHandle
+	if kind == 2 {
+		hd = live[rng.Intn(len(live))]
+	}
+	h.op = "cancel " + []string{"append", "batch", "delete"}[kind]
+	for i, l := range h.lanes {
+		lsn := l.wal.Stats().LastLSN
+		var errs []error
+		switch kind {
+		case 0:
+			arr, err := l.pool.AppendContext(ctx, rows[0].Dims, rows[0].Measures, top)
+			if arr != nil {
+				h.fatalf("lane %d: an append under an ended context arrived as %d:%d", i, arr.Shard, arr.TupleID)
+			}
+			errs = []error{err}
+		case 1:
+			arrs, err := l.pool.AppendBatchContext(ctx, rows, top)
+			if slices.ContainsFunc(arrs, func(a *Arrival) bool { return a != nil }) {
+				h.fatalf("lane %d: a batch under an ended context has arrivals", i)
+			}
+			if joined, ok := err.(interface{ Unwrap() []error }); ok {
+				errs = joined.Unwrap()
+			}
+			if len(errs) != len(rows) {
+				h.fatalf("lane %d: a batch of %d rows under an ended context failed %d: %v", i, len(rows), len(errs), err)
+			}
+		default:
+			errs = []error{l.pool.DeleteContext(ctx, hd.shard, hd.id)}
+		}
+		for _, err := range errs {
+			if !errors.Is(err, context.Canceled) {
+				h.fatalf("lane %d: returned %v under an ended context, want context.Canceled", i, err)
+			}
+		}
+		if got := l.wal.Stats().LastLSN; got != lsn {
+			h.fatalf("lane %d: ops under an ended context journaled records %d..%d", i, lsn+1, got)
+		}
 	}
 }
 

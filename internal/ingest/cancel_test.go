@@ -104,3 +104,26 @@ func TestWriterEnqueueContextClosed(t *testing.T) {
 		t.Fatalf("closed writer: ok=%v err=%v, want false/nil", ok, err)
 	}
 }
+
+// TestWriterEnqueueContextEnded: a ctx that ended before the call is
+// refused even with room in the queue — counted as Canceled, never
+// processed — and a live ctx behind it is still accepted.
+func TestWriterEnqueueContextEnded(t *testing.T) {
+	var processed []int
+	w := NewWriter(4, func(batch []int) { processed = append(processed, batch...) })
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if ok, err := w.EnqueueContext(ctx, 1); ok || !errors.Is(err, context.Canceled) {
+		t.Fatalf("ended ctx: ok=%v err=%v, want false, context.Canceled", ok, err)
+	}
+	if ok, err := w.EnqueueContext(context.Background(), 2); !ok || err != nil {
+		t.Fatalf("live ctx: ok=%v err=%v", ok, err)
+	}
+	w.Close()
+	if st := w.Stats(); st.Canceled != 1 || st.Enqueued != 1 {
+		t.Errorf("Canceled = %d, Enqueued = %d; want 1 and 1", st.Canceled, st.Enqueued)
+	}
+	if len(processed) != 1 || processed[0] != 2 {
+		t.Errorf("processed %v, want only op 2", processed)
+	}
+}

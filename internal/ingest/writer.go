@@ -23,22 +23,6 @@ import (
 // past 2^(batchHistBuckets-2).
 const batchHistBuckets = 9
 
-// Adaptive-capacity tuning (NewAdaptiveWriter). The queue capacity floats
-// between a floor and a ceiling, driven by the two signals the writer
-// already collects: producer blocks on a full queue (backpressure — the
-// queue is too small for the arrival rate) and drained batch sizes (a
-// batch much smaller than the capacity means the queue is oversized and
-// only adds worst-case latency and memory).
-const (
-	// shrinkWindow is the number of consecutive calm drains — no full
-	// waits, batch at most cap/shrinkFactor — before the capacity halves.
-	shrinkWindow = 32
-	// shrinkFactor is the headroom a calm drain must leave: only batches
-	// ≤ cap/shrinkFactor count toward shrinking, so capacity settles at
-	// two doublings above the observed batch size, not flush against it.
-	shrinkFactor = 4
-)
-
 // Writer is one batching queue/goroutine pair. EnqueueContext is safe for any
 // number of producers; the single consumer goroutine drains the queue
 // into maximal batches and hands each to the process function, so per-op
@@ -50,9 +34,7 @@ type Writer[T any] struct {
 	wake    sync.Cond // waits: the consumer, on an empty queue
 	queue   []T       // pending ops, FIFO
 	spare   []T       // drained buffer recycled between wakeups
-	cap     int       // current capacity; floats in [floor, ceil]
-	floor   int       // adaptive lower bound; floor == ceil means fixed
-	ceil    int       // adaptive upper bound (the configured depth)
+	cap     int       // the queue's fixed capacity
 	closed  bool
 	done    chan struct{}
 
@@ -61,22 +43,15 @@ type Writer[T any] struct {
 	batches   uint64
 	maxBatch  int
 	fullWaits uint64 // producer blocks on a full queue (backpressure)
-	canceled  uint64 // producers that gave up while parked on a full queue
-	resizes   uint64 // adaptive capacity changes (grow + shrink)
+	canceled  uint64 // producers refused because their context had ended
 	hist      [batchHistBuckets]uint64
-
-	// Adaptation state, maintained under mu (see adapt).
-	fullSinceDrain uint64 // full waits observed since the last drain
-	calmDrains     int    // consecutive drains qualifying for a shrink
 }
 
 // Stats is a monitoring snapshot of one Writer.
 type Stats struct {
 	// Depth is the current queue depth (ops accepted, not yet drained).
 	Depth int `json:"queue_depth"`
-	// Cap is the current queue capacity. Fixed writers report their
-	// configured depth; adaptive writers report where in [floor, ceiling]
-	// the capacity currently sits.
+	// Cap is the queue's capacity, the depth it was built with.
 	Cap int `json:"queue_cap"`
 	// Enqueued is the total ops accepted since start.
 	Enqueued uint64 `json:"enqueued"`
@@ -88,13 +63,10 @@ type Stats struct {
 	// FullWaits counts producer blocks on a full queue — each is one
 	// backpressure event where ingest outran the writer.
 	FullWaits uint64 `json:"full_waits"`
-	// Canceled counts producers whose context ended while they were
-	// parked on a full queue: the op was never accepted, never journaled
-	// and never acknowledged (EnqueueContext).
+	// Canceled counts producers whose context had ended, before the call
+	// or while parked on a full queue: the op was never accepted, never
+	// journaled and never acknowledged (EnqueueContext).
 	Canceled uint64 `json:"canceled"`
-	// Resizes counts adaptive capacity changes (grows and shrinks); 0 for
-	// a fixed writer.
-	Resizes uint64 `json:"resizes"`
 	// BatchHist is a power-of-two histogram of drained batch sizes:
 	// bucket i counts batches of size (2^(i-1), 2^i], the last bucket
 	// counts everything larger. Monitoring shows the pool-wide merge only.
@@ -108,35 +80,7 @@ func NewWriter[T any](capacity int, process func(batch []T)) *Writer[T] {
 	if capacity <= 0 {
 		capacity = 256
 	}
-	return startWriter(capacity, capacity, process)
-}
-
-// NewAdaptiveWriter starts a writer whose queue capacity floats between
-// floor and ceil (each <= 0 selects a default: ceiling 256, floor
-// ceiling/16 but at least 16), beginning at the floor. Backpressure since
-// the last drain doubles the capacity toward the ceiling; shrinkWindow
-// consecutive calm drains halve it toward the floor — so an idle or
-// lightly loaded shard holds a small queue (small worst-case batch, small
-// ack latency, small memory) and a hot shard earns the configured depth.
-// Stats.Cap and Stats.Resizes expose the current state.
-func NewAdaptiveWriter[T any](floor, ceil int, process func(batch []T)) *Writer[T] {
-	if ceil <= 0 {
-		ceil = 256
-	}
-	if floor <= 0 {
-		floor = ceil / 16
-		if floor < 16 {
-			floor = 16
-		}
-	}
-	if floor > ceil {
-		floor = ceil
-	}
-	return startWriter(floor, ceil, process)
-}
-
-func startWriter[T any](floor, ceil int, process func(batch []T)) *Writer[T] {
-	w := &Writer[T]{cap: floor, floor: floor, ceil: ceil, done: make(chan struct{})}
+	w := &Writer[T]{cap: capacity, done: make(chan struct{})}
 	w.notFull.L = &w.mu
 	w.wake.L = &w.mu
 	go w.run(process)
@@ -144,22 +88,29 @@ func startWriter[T any](floor, ceil int, process func(batch []T)) *Writer[T] {
 }
 
 // EnqueueContext appends op to the queue, blocking while the queue is
-// full. A producer whose ctx ends while parked gives up its slot and
-// returns ctx's error — the op was never accepted, so nothing will be
-// journaled or acknowledged for it (counted in Stats.Canceled). Once the
-// op is in the queue the cancellation point has passed and the op
+// full. Acceptance is the op's one cancellation point: a ctx that has
+// ended — before the call, or while the producer is parked — refuses the
+// op under the writer's lock and EnqueueContext returns ctx's error. The
+// op was never accepted, so nothing will be journaled or acknowledged for
+// it (counted in Stats.Canceled). Once the op is in the queue it
 // completes normally. ok is false with a nil error when the writer is
 // closed: the op was not accepted, and the caller processes it itself.
 func (w *Writer[T]) EnqueueContext(ctx context.Context, op T) (ok bool, err error) {
 	w.mu.Lock()
-	for len(w.queue) >= w.cap && !w.closed {
-		if ctx.Err() != nil {
+	for !w.closed {
+		if err = ctx.Err(); err != nil {
 			w.canceled++
 			w.mu.Unlock()
-			return false, ctx.Err()
+			return false, err
+		}
+		if len(w.queue) < w.cap {
+			w.queue = append(w.queue, op)
+			w.enqueued++
+			w.mu.Unlock()
+			w.wake.Signal()
+			return true, nil
 		}
 		w.fullWaits++
-		w.fullSinceDrain++
 		// The cond has no cancellable wait, so a ctx that can end arranges
 		// a Broadcast for when it does; taking mu in the callback
 		// guarantees the waiter is parked (or already past the check) when
@@ -175,15 +126,8 @@ func (w *Writer[T]) EnqueueContext(ctx context.Context, op T) (ok bool, err erro
 		w.notFull.Wait()
 		stop()
 	}
-	if w.closed {
-		w.mu.Unlock()
-		return false, nil
-	}
-	w.queue = append(w.queue, op)
-	w.enqueued++
 	w.mu.Unlock()
-	w.wake.Signal()
-	return true, nil
+	return false, nil
 }
 
 // run is the writer goroutine: drain everything queued, process it as
@@ -208,61 +152,13 @@ func (w *Writer[T]) run(process func([]T)) {
 			w.maxBatch = len(batch)
 		}
 		w.hist[histBucket(len(batch))]++
-		w.adapt(len(batch))
 		w.mu.Unlock()
-		// Broadcast covers both the freed queue space and any capacity
-		// grow adapt just applied.
 		w.notFull.Broadcast()
 
 		process(batch)
 
 		clear(batch) // drop op references so pooled ops are collectable
 		w.spare = batch
-	}
-}
-
-// adapt applies the capacity policy at drain time (caller holds mu; the
-// drained batch's size is batchLen). The state machine has three moves:
-//
-//	grow:   any producer blocked on the full queue since the last drain →
-//	        double toward the ceiling, reset the calm streak;
-//	calm:   no backpressure and the batch left shrinkFactor× headroom →
-//	        extend the streak; shrinkWindow in a row halve toward the
-//	        floor and restart the streak;
-//	steady: no backpressure but a substantial batch → restart the streak,
-//	        keep the capacity.
-//
-// Shrinking never evicts queued ops: EnqueueContext blocks while len(queue) ≥
-// cap, and the next drain always takes the whole queue, so a shrink only
-// delays producers until the writer catches up.
-func (w *Writer[T]) adapt(batchLen int) {
-	if w.floor == w.ceil {
-		return // fixed-capacity writer
-	}
-	full := w.fullSinceDrain
-	w.fullSinceDrain = 0
-	switch {
-	case full > 0:
-		w.calmDrains = 0
-		if w.cap < w.ceil {
-			w.cap *= 2
-			if w.cap > w.ceil {
-				w.cap = w.ceil
-			}
-			w.resizes++
-		}
-	case w.cap > w.floor && batchLen*shrinkFactor <= w.cap:
-		w.calmDrains++
-		if w.calmDrains >= shrinkWindow {
-			w.calmDrains = 0
-			w.cap /= 2
-			if w.cap < w.floor {
-				w.cap = w.floor
-			}
-			w.resizes++
-		}
-	default:
-		w.calmDrains = 0
 	}
 }
 
@@ -296,7 +192,6 @@ func (w *Writer[T]) Stats() Stats {
 	return Stats{
 		Depth:     len(w.queue),
 		Cap:       w.cap,
-		Resizes:   w.resizes,
 		Enqueued:  w.enqueued,
 		Batches:   w.batches,
 		MaxBatch:  w.maxBatch,

@@ -158,98 +158,9 @@ func TestWriterClose(t *testing.T) {
 	}
 }
 
-// TestAdaptivePolicy drives adapt directly (under mu, the writer
-// goroutine idles on an empty queue) and pins the capacity state machine:
-// backpressure doubles toward the ceiling, shrinkWindow calm drains halve
-// toward the floor, a busy drain resets the calm streak, and a fixed
-// writer never moves.
-func TestAdaptivePolicy(t *testing.T) {
-	w := NewAdaptiveWriter(4, 64, func(batch []int) {})
-	defer w.Close()
-	w.mu.Lock()
-	defer w.mu.Unlock()
-
-	if w.cap != 4 {
-		t.Fatalf("adaptive writer starts at cap %d, want the floor 4", w.cap)
-	}
-	// Grow: one full wait since the last drain doubles, up to the ceiling.
-	for _, want := range []int{8, 16, 32, 64, 64} {
-		w.fullSinceDrain = 1
-		w.adapt(w.cap)
-		if w.cap != want {
-			t.Fatalf("after backpressure drain cap = %d, want %d", w.cap, want)
-		}
-	}
-	if w.resizes != 4 {
-		t.Errorf("resizes = %d after 4 grows (the 5th was already at the ceiling), want 4", w.resizes)
-	}
-	// Shrink: needs shrinkWindow consecutive calm drains with headroom.
-	for i := 0; i < shrinkWindow-1; i++ {
-		w.adapt(1)
-	}
-	if w.cap != 64 {
-		t.Fatalf("cap moved to %d after %d calm drains, want none before the window fills", w.cap, shrinkWindow-1)
-	}
-	w.adapt(1)
-	if w.cap != 32 {
-		t.Fatalf("cap = %d after a full calm window, want 32", w.cap)
-	}
-	// A busy drain (no headroom) restarts the streak.
-	for i := 0; i < shrinkWindow-1; i++ {
-		w.adapt(1)
-	}
-	w.adapt(w.cap) // batch flush against cap: not calm
-	w.adapt(1)     // streak restarted — one calm drain, no shrink
-	if w.cap != 32 {
-		t.Fatalf("cap = %d, want 32: a busy drain must reset the calm streak", w.cap)
-	}
-	// Shrinks stop at the floor.
-	for i := 0; i < 8*shrinkWindow; i++ {
-		w.adapt(1)
-	}
-	if w.cap != 4 {
-		t.Fatalf("cap = %d after sustained calm, want the floor 4", w.cap)
-	}
-}
-
-// TestAdaptiveWriterGrows runs the policy end to end: producers
-// overflowing a gated writer must raise the capacity and count resizes.
-func TestAdaptiveWriterGrows(t *testing.T) {
-	gate := make(chan struct{})
-	var n int
-	w := NewAdaptiveWriter(2, 256, func(batch []int) {
-		<-gate
-		n += len(batch)
-	})
-	const ops = 200
-	done := make(chan struct{})
-	go func() {
-		for i := 0; i < ops; i++ {
-			enqueue(w, i)
-		}
-		close(done)
-	}()
-	for {
-		select {
-		case gate <- struct{}{}:
-		case <-done:
-			close(gate)
-			w.Close()
-			st := w.Stats()
-			if n != ops {
-				t.Fatalf("processed %d ops, want %d", n, ops)
-			}
-			if st.Cap <= 2 || st.Resizes == 0 {
-				t.Errorf("Cap = %d, Resizes = %d; sustained backpressure on a floor-2 queue should have grown it", st.Cap, st.Resizes)
-			}
-			return
-		}
-	}
-}
-
-// TestFixedWriterNeverResizes pins that NewWriter keeps its configured
-// capacity under both backpressure and calm.
-func TestFixedWriterNeverResizes(t *testing.T) {
+// TestWriterCapacity pins that NewWriter keeps the capacity it was built
+// with under backpressure, and that a capacity <= 0 selects 256.
+func TestWriterCapacity(t *testing.T) {
 	gate := make(chan struct{})
 	w := NewWriter(2, func(batch []int) { <-gate })
 	done := make(chan struct{})
@@ -259,32 +170,26 @@ func TestFixedWriterNeverResizes(t *testing.T) {
 		}
 		close(done)
 	}()
-	for {
+	for producing := true; producing; {
 		select {
 		case gate <- struct{}{}:
-		case <-done:
-			close(gate)
-			w.Close()
-			if st := w.Stats(); st.Cap != 2 || st.Resizes != 0 {
-				t.Errorf("fixed writer Cap = %d, Resizes = %d; want 2 and 0", st.Cap, st.Resizes)
+			if st := w.Stats(); st.Depth > 2 {
+				t.Fatalf("queue depth %d past the capacity 2", st.Depth)
 			}
-			return
+		case <-done:
+			producing = false
 		}
 	}
-}
-
-// TestNewAdaptiveWriterDefaults pins the constructor's bound handling.
-func TestNewAdaptiveWriterDefaults(t *testing.T) {
-	w := NewAdaptiveWriter[int](0, 0, func([]int) {})
-	if w.floor != 16 || w.ceil != 256 || w.cap != 16 {
-		t.Errorf("defaults: floor %d ceil %d cap %d, want 16/256/16", w.floor, w.ceil, w.cap)
-	}
+	close(gate)
 	w.Close()
-	w = NewAdaptiveWriter[int](100, 50, func([]int) {})
-	if w.floor != 50 || w.ceil != 50 {
-		t.Errorf("floor > ceil: floor %d ceil %d, want both clamped to 50", w.floor, w.ceil)
+	if st := w.Stats(); st.Cap != 2 || st.FullWaits == 0 {
+		t.Errorf("Cap = %d, FullWaits = %d; want 2 and a producer blocked on the full queue", st.Cap, st.FullWaits)
 	}
-	w.Close()
+	w = NewWriter(0, func([]int) {})
+	defer w.Close()
+	if st := w.Stats(); st.Cap != 256 {
+		t.Errorf("NewWriter(0) Cap = %d, want 256", st.Cap)
+	}
 }
 
 // TestHistBucket pins the power-of-two bucket mapping.

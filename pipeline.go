@@ -37,16 +37,13 @@ import (
 
 // PipelineOptions configures Pool.StartPipeline.
 type PipelineOptions struct {
-	// QueueDepth bounds each shard's pending-operation queue; a full
-	// queue blocks producers until the writer drains (backpressure,
-	// counted in IngestStats.FullWaits). <= 0 selects 256.
+	// QueueDepth is each shard's queue capacity; a full queue blocks
+	// producers until the writer drains (backpressure, counted in
+	// IngestStats.FullWaits). <= 0 selects 256.
 	QueueDepth int
-	// AdaptiveQueue lets each shard's queue capacity float between a
-	// floor (QueueDepth/16, at least 16) and QueueDepth instead of
-	// sitting at QueueDepth: backpressure grows it, sustained calm
-	// shrinks it, so idle shards hold small queues (small worst-case
-	// batches and ack latency) while hot shards earn the full depth.
-	// IngestStats.Cap and Resizes expose the movement.
+	// AdaptiveQueue is ignored: every shard's queue holds QueueDepth.
+	//
+	// Deprecated: kept only so existing callers compile; it will be removed.
 	AdaptiveQueue bool
 }
 
@@ -68,7 +65,7 @@ type IngestSummary struct {
 	// remaining fields are zero.
 	Pipeline bool `json:"pipeline"`
 	// QueueDepth and QueueCap sum the shards' pending operations and
-	// current queue capacities.
+	// queue capacities.
 	QueueDepth int    `json:"queue_depth"`
 	QueueCap   int    `json:"queue_cap"`
 	Enqueued   uint64 `json:"enqueued"`
@@ -77,11 +74,9 @@ type IngestSummary struct {
 	MeanBatch float64 `json:"mean_batch"`
 	MaxBatch  int     `json:"max_batch"`
 	FullWaits uint64  `json:"full_waits"`
-	// Canceled sums producers whose context ended while parked on a full
-	// queue: their ops were never accepted, journaled or acknowledged.
+	// Canceled sums producers refused because their context had ended:
+	// their ops were never accepted, journaled or acknowledged.
 	Canceled uint64 `json:"canceled"`
-	// Resizes sums the shards' adaptive capacity changes.
-	Resizes uint64 `json:"resizes"`
 	// BatchHist is the merged drained-batch-size histogram.
 	BatchHist []uint64 `json:"batch_hist,omitempty"`
 	// PerShard holds the underlying snapshots, index = shard.
@@ -109,7 +104,6 @@ func (p *Pool) IngestSummary() IngestSummary {
 		out.Batches += st.Batches
 		out.FullWaits += st.FullWaits
 		out.Canceled += st.Canceled
-		out.Resizes += st.Resizes
 		out.MaxBatch = max(out.MaxBatch, st.MaxBatch)
 		for b, c := range st.BatchHist {
 			out.BatchHist[b] += c
@@ -168,11 +162,7 @@ func (p *Pool) StartPipeline(opt PipelineOptions) error {
 			// slice as soon as this returns.
 			pipe.commits <- commitGroup{lsn: lsn, ops: append([]*ingestOp(nil), batch...)}
 		}
-		if opt.AdaptiveQueue {
-			pipe.writers[i] = ingest.NewAdaptiveWriter(0, opt.QueueDepth, process)
-		} else {
-			pipe.writers[i] = ingest.NewWriter(opt.QueueDepth, process)
-		}
+		pipe.writers[i] = ingest.NewWriter(opt.QueueDepth, process)
 	}
 	go p.commitLoop(pipe)
 	if !p.pipe.CompareAndSwap(nil, pipe) {

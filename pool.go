@@ -171,11 +171,11 @@ func (p *Pool) Append(dims []string, measures []float64) (*Arrival, error) {
 
 // AppendContext is Append whose arrival carries only the top best facts
 // (none for top ≤ 0; the pool's state and Metrics do not depend on top),
-// with a cancellation point at the pipeline's queue boundary: a ctx that
-// ends while the caller is parked on a full shard queue gives up — the row
-// was never journaled, never applied and never acknowledged
-// (IngestStats.Canceled counts it), so a client that disconnected under
-// backpressure holds no future. Once the row is accepted the cancellation
+// and whose row is refused if ctx has ended when it would be accepted: on
+// its shard's queue, or before it runs inline (see write). A refused row
+// was never journaled, applied or acknowledged, and the call returns ctx's
+// error; so a client that disconnected, or whose deadline passed under
+// backpressure, holds no future. Once the row is accepted the cancellation
 // point has passed and the call completes like Append.
 func (p *Pool) AppendContext(ctx context.Context, dims []string, measures []float64, top int) (*Arrival, error) {
 	// Validated before journaling (the engine would reject these too, but
@@ -196,7 +196,7 @@ func (p *Pool) AppendContext(ctx context.Context, dims []string, measures []floa
 	if p.wal != nil && rec.Oversized() {
 		return nil, fmt.Errorf("situfact: pool: %w (the WAL caps one record at 16 MiB)", ErrRowTooLarge)
 	}
-	return p.submit(ctx, rec, top)
+	return p.writeOne(ctx, rec, top)
 }
 
 // AppendBatch routes a batch of rows across the shards and processes the
@@ -212,9 +212,9 @@ func (p *Pool) AppendBatch(rows []Row) ([]*Arrival, error) {
 }
 
 // AppendBatchContext is AppendBatch with AppendContext's cap on every
-// arrival's facts and its queue-boundary cancellation: rows already
-// enqueued when ctx ends complete normally (they may be journaled), rows
-// not yet enqueued fail with ctx's error — never a half-acknowledged row.
+// arrival's facts and its one cancellation point, row by row: rows
+// accepted before ctx ends complete normally (they may be journaled), rows
+// not yet accepted fail with ctx's error — never a half-acknowledged row.
 func (p *Pool) AppendBatchContext(ctx context.Context, rows []Row, top int) ([]*Arrival, error) {
 	d, m := p.schema.rs.NumDims(), p.schema.rs.NumMeasures()
 	for i, r := range rows {
@@ -232,39 +232,13 @@ func (p *Pool) AppendBatchContext(ctx context.Context, rows []Row, top int) ([]*
 		}
 	}
 	ops := make([]*ingestOp, len(rows))
-	// inline[s] collects shard s's rows, in input order, that no writer
-	// queue accepted: all of them without a pipeline.
-	inline := make([][]*ingestOp, len(p.shards))
-	pipe := p.pipe.Load()
-	var wg sync.WaitGroup
 	for i, r := range rows {
-		shard := p.ShardFor(r.Dims[p.shardDim])
-		op := getOp()
-		op.rec = persist.Record{Type: persist.RecAppend, Shard: shard, Dims: r.Dims, Measures: r.Measures}
-		op.top = top
-		ops[i] = op
-		if pipe != nil {
-			op.wg = &wg
-			wg.Add(1)
-			ok, cerr := pipe.writers[shard].EnqueueContext(ctx, op)
-			if ok {
-				continue
-			}
-			op.wg = nil
-			wg.Done()
-			if cerr != nil {
-				// Caller canceled while parked: this row (and only this row)
-				// was never accepted.
-				op.err = fmt.Errorf("enqueue canceled: %w", cerr)
-				continue
-			}
-			// The pipeline stopped mid-call (a lifecycle race the API
-			// forbids); run the row inline so the batch still completes.
-		}
-		inline[shard] = append(inline[shard], op)
+		ops[i] = getOp()
+		ops[i].rec = persist.Record{Type: persist.RecAppend, Shard: p.ShardFor(r.Dims[p.shardDim]),
+			Dims: r.Dims, Measures: r.Measures}
+		ops[i].top = top
 	}
-	p.applyInline(inline)
-	wg.Wait()
+	p.write(ctx, ops)
 	out := make([]*Arrival, len(rows))
 	var errs []error
 	for i, op := range ops {
@@ -286,8 +260,7 @@ func (p *Pool) Delete(shard int, tupleID int64) error {
 	return p.DeleteContext(context.Background(), shard, tupleID)
 }
 
-// DeleteContext is Delete with the same queue-boundary cancellation as
-// AppendContext.
+// DeleteContext is Delete with AppendContext's one cancellation point.
 func (p *Pool) DeleteContext(ctx context.Context, shard int, tupleID int64) error {
 	if shard < 0 || shard >= len(p.shards) {
 		return fmt.Errorf("situfact: pool: shard %d of %d: %w", shard, len(p.shards), ErrNotFound)
@@ -295,18 +268,18 @@ func (p *Pool) DeleteContext(ctx context.Context, shard int, tupleID int64) erro
 	// Journaled before tuple validity is known: a delete that fails at
 	// apply (unknown or tombstoned tuple) re-fails identically at replay,
 	// so the record is harmless.
-	_, err := p.submit(ctx, persist.Record{Type: persist.RecDelete, Shard: shard, TupleID: tupleID}, 0)
+	_, err := p.writeOne(ctx, persist.Record{Type: persist.RecDelete, Shard: shard, TupleID: tupleID}, 0)
 	return err
 }
 
 // The write path. Every mutation of a shard — a live Append, AppendBatch
 // or Delete, a record re-applied by ReplayWAL or ApplyTail — is an
 // ingestOp handed to applyShard, the one function that journals and
-// applies. There are three ways of calling it: inline, on the caller's
-// goroutine (submit and applyInline); queued, from the shard's pipeline
-// writer with whatever has queued since its last wakeup (pipeline.go); or
-// replayed, one run of journaled records at a time (the replayer in
-// wal.go). Either way the caller returns only after its op is applied
+// applies. A live op reaches it through write: queued, from the shard's
+// pipeline writer with whatever has queued since its last wakeup
+// (pipeline.go), or inline, grouped by shard on the caller's side. A
+// replayed record reaches it in a run of journaled records (the replayer
+// in wal.go). Either way the caller returns only after its op is applied
 // and, with a WAL, durable.
 
 // ingestOp is one mutation plus its outcome. applyShard fills arr/err (or
@@ -422,64 +395,88 @@ func settle(ops []*ingestOp, commitErr error) {
 	}
 }
 
-// applyInline runs groups[s] against shard s for every non-empty group,
-// shards concurrently, then waits out one group-committed fsync at the
-// highest journaled LSN before acknowledging any of them.
-func (p *Pool) applyInline(groups [][]*ingestOp) {
-	journaled := make([]uint64, len(groups))
-	var wg sync.WaitGroup
-	for s, ops := range groups {
-		if len(ops) == 0 {
+// write runs live ops through the write path; every Append, AppendBatch
+// and Delete comes here. Each op is accepted at one point: its shard's
+// writer queue when the pipeline runs, else (no pipeline, or it stopped
+// mid-call) its shard's inline group. An op whose ctx has ended by then
+// is refused with ctx's error and is never journaled, applied or
+// acknowledged. The inline groups run shards concurrently, one of them on
+// the caller's goroutine so a lone inline op spawns nothing, and share
+// one group-committed fsync; then write waits for the queued ops. On
+// return every op is applied and durable, or carries its error.
+func (p *Pool) write(ctx context.Context, ops []*ingestOp) {
+	pipe := p.pipe.Load()
+	var queued *sync.WaitGroup
+	if pipe != nil {
+		queued = new(sync.WaitGroup)
+	}
+	var inline [][]*ingestOp // by shard, made for the first inline op
+	for _, op := range ops {
+		s := op.rec.Shard
+		if pipe != nil {
+			op.wg = queued
+			queued.Add(1)
+			if ok, _ := pipe.writers[s].EnqueueContext(ctx, op); ok {
+				continue
+			}
+			// Refused because ctx ended (refused below too), or the writer
+			// closed: the pipeline stopped mid-call, and the op runs inline.
+			op.wg = nil
+			queued.Done()
+		}
+		if err := ctx.Err(); err != nil {
+			op.err = fmt.Errorf("enqueue canceled: %w", err)
 			continue
 		}
-		wg.Add(1)
-		go func(s int, ops []*ingestOp) {
-			defer wg.Done()
-			journaled[s] = p.applyShard(s, ops)
-		}(s, ops)
+		if inline == nil {
+			inline = make([][]*ingestOp, len(p.shards))
+		}
+		inline[s] = append(inline[s], op)
 	}
-	wg.Wait()
-	var top uint64
-	for _, l := range journaled {
-		top = max(top, l)
+	if inline != nil {
+		var wg sync.WaitGroup
+		mine := -1
+		for s, group := range inline {
+			switch {
+			case len(group) == 0:
+			case mine < 0:
+				mine = s
+			default:
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					p.applyShard(s, group)
+				}()
+			}
+		}
+		p.applyShard(mine, inline[mine])
+		wg.Wait()
+		// applyShard left every journaled op its LSN.
+		var top uint64
+		for _, group := range inline {
+			for _, op := range group {
+				top = max(top, op.rec.LSN)
+			}
+		}
+		err := p.commit(top)
+		for _, group := range inline {
+			settle(group, err)
+		}
 	}
-	err := p.commit(top)
-	for _, ops := range groups {
-		settle(ops, err)
+	if queued != nil {
+		queued.Wait()
 	}
 }
 
-// submit runs one live op through the write path — on its shard's writer
-// queue when the pipeline runs, inline otherwise — and returns its
-// outcome once it is applied and durable. A non-nil ctx error means the
-// caller gave up while parked on a full queue, before the op was
-// accepted: nothing was journaled or acknowledged. Cancellation only
-// applies at that boundary; once accepted the op completes and the wait
-// is unconditional (its record may already be journaled).
-func (p *Pool) submit(ctx context.Context, rec persist.Record, top int) (*Arrival, error) {
+// writeOne runs one live op through write and returns its outcome. A
+// refusal or a journal failure gets the pool's prefix; an engine's error
+// already names its source.
+func (p *Pool) writeOne(ctx context.Context, rec persist.Record, top int) (*Arrival, error) {
 	op := getOp()
 	defer putOp(op)
 	op.rec, op.top = rec, top
-	queued := false
-	if pipe := p.pipe.Load(); pipe != nil {
-		var wg sync.WaitGroup
-		wg.Add(1)
-		op.wg = &wg
-		var cerr error
-		if queued, cerr = pipe.writers[rec.Shard].EnqueueContext(ctx, op); cerr != nil {
-			return nil, fmt.Errorf("situfact: pool: enqueue canceled: %w", cerr)
-		}
-		if queued {
-			wg.Wait()
-		}
-	}
-	if !queued {
-		// No pipeline, or it stopped between the load and the enqueue.
-		op.wg = nil
-		ops := []*ingestOp{op}
-		settle(ops, p.commit(p.applyShard(rec.Shard, ops)))
-	}
-	if errors.Is(op.err, ErrWALFailed) {
+	p.write(ctx, []*ingestOp{op})
+	if cerr := ctx.Err(); errors.Is(op.err, ErrWALFailed) || cerr != nil && errors.Is(op.err, cerr) {
 		return nil, fmt.Errorf("situfact: pool: %w", op.err)
 	}
 	return op.arr, op.err
