@@ -313,15 +313,14 @@ func BenchmarkTable1Quickstart(b *testing.B) {
 // shards grow, since batches are absorbed by the shards concurrently while
 // per-shard results stay exactly sequential. (On a single-core box the
 // sweep degenerates to measuring fan-out overhead.) Each shard count runs
-// both ways of calling the write path: inline (one call per shard's
-// sub-batch) and pipelined (per-shard batching writers, StartPipeline).
-// The single mode is pipelined with one Append per row, the path of a
-// single-row POST: its ns/op is one row's whole round trip.
+// two modes: pipelined, the AppendBatch of 64 rows through the shard
+// writers, and single, one Append per row, the path of a single-row POST:
+// its ns/op is one row's whole round trip.
 func BenchmarkPoolAppend(b *testing.B) {
 	const batch = 64
 	const nRows = 4096
 	for _, shards := range []int{1, 2, 4, 8} {
-		for _, mode := range []string{"inline", "pipelined", "single"} {
+		for _, mode := range []string{"pipelined", "single"} {
 			b.Run(fmt.Sprintf("shards=%d/%s", shards, mode), func(b *testing.B) {
 				s := newBenchStream(b, "nba", 5, 7)
 				s.tuple(b, nRows-1) // force generation
@@ -345,11 +344,6 @@ func BenchmarkPoolAppend(b *testing.B) {
 					b.Fatal(err)
 				}
 				defer pool.Close()
-				if mode != "inline" {
-					if err := pool.StartPipeline(PipelineOptions{}); err != nil {
-						b.Fatal(err)
-					}
-				}
 				// One reusable batch buffer: allocating it inside the timed
 				// loop would charge harness cost to allocs/op, masking the
 				// engine's own allocation behaviour.

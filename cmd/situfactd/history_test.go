@@ -73,8 +73,9 @@ type daemonHistory struct {
 	op     string
 	gen    uint64 // the state dir's newest snapshot generation
 	lsn    uint64 // the records journaled, one per op the daemon applied or failed
-	// Since the daemon last started: the ops its pipeline accepted, the
-	// ones acknowledged after an fsync, and whether it checkpointed.
+	// Since the daemon last started: the ops its shard writers accepted —
+	// every record its recovery replayed, then every live op — the ones
+	// acknowledged after an fsync, and whether it checkpointed.
 	enqueued, synced uint64
 	ckpt             bool
 }
@@ -166,7 +167,12 @@ func (h *daemonHistory) start() {
 		h.fatalf("newServer: %v", err)
 	}
 	h.s, h.ts = s, httptest.NewServer(s.handler())
-	h.enqueued, h.synced, h.ckpt = 0, 0, false
+	// The replay queued every record the log still holds.
+	recs, _, _, err := s.wal.ReadTail(1, 0)
+	if err != nil {
+		h.fatalf("read the replayed log: %v", err)
+	}
+	h.enqueued, h.synced, h.ckpt = uint64(len(recs)), 0, false
 }
 
 // row draws a row's JSON fields from small domains, so rows share contexts
@@ -319,7 +325,7 @@ func (h *daemonHistory) sameMetrics(base string) metricsResponse {
 }
 
 // checkLeader runs after every step: the leader's metrics agree with the
-// reference's; its pipeline accepted and drained every op since it started,
+// reference's; its writers accepted and drained every op since it started,
 // each shard and batch counted; its log holds exactly the records of the
 // ops it applied or failed, every one synced, in at least one fsync and at
 // most one per op; and it reports a checkpoint exactly when this process
@@ -336,7 +342,7 @@ func (h *daemonHistory) checkLeader() {
 	switch sn, w := m.Snapshot, m.WAL; {
 	case !in.Pipeline || in.Enqueued != h.enqueued || in.QueueDepth != 0 || len(in.PerShard) != h.shards ||
 		shardOps != in.Enqueued || hist != in.Batches || in.Enqueued > 0 && in.MeanBatch <= 0:
-		h.fatalf("ingest %+v, yet the pipeline accepted %d ops since the daemon started", in, h.enqueued)
+		h.fatalf("ingest %+v, yet the writers accepted %d ops since the daemon started", in, h.enqueued)
 	case !w.Enabled || w.Degraded || w.LastLSN != h.lsn || w.LagRecords != 0 || w.Syncs > h.enqueued || h.synced > 0 && w.Syncs == 0:
 		h.fatalf("wal %+v; %d records journaled, %d ops accepted since the start, %d of them acknowledged after an fsync", w, h.lsn, h.enqueued, h.synced)
 	case !sn.Enabled, h.ckpt && (sn.SecondsSinceLast < 0 || sn.Generation != h.gen), !h.ckpt && sn.SecondsSinceLast != -1:

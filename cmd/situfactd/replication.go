@@ -176,13 +176,12 @@ func newFollower(cfg config) (*server, error) {
 	leader := strings.TrimRight(cfg.follow, "/")
 	client := &http.Client{Timeout: 5 * time.Minute}
 	bootstrapDir := filepath.Join(cfg.stateDir, "bootstrap")
-	pool, epoch, err := bootstrapPool(context.Background(), client, leader, bootstrapDir, schema)
+	pool, epoch, err := bootstrapPool(context.Background(), client, leader, bootstrapDir, schema, cfg.pipeQueue)
 	if err != nil {
 		return nil, fmt.Errorf("situfactd: %w", err)
 	}
-	// The follower never checkpoints (stateDir was scratch for the
-	// bootstrap only) and never starts the ingest pipeline, which would
-	// race ApplyTail.
+	// The follower never checkpoints: stateDir was scratch for the
+	// bootstrap only.
 	cfg.stateDir = ""
 	s := serverFor(cfg, schema, wires, pool)
 	next := pool.TailCursor()
@@ -204,9 +203,9 @@ func newFollower(cfg config) (*server, error) {
 // bootstrapPool downloads the leader's snapshot stream into bootstrapDir
 // (wiped first: follower state is a cache of the leader's, so a stale or
 // torn download is never worth salvaging) and restores a serving pool
-// from it. Shared by the initial bootstrap and the automatic re-bootstrap
-// after a fatal replication error.
-func bootstrapPool(ctx context.Context, client *http.Client, leader, bootstrapDir string, schema *situfact.Schema) (*situfact.Pool, string, error) {
+// from it, each shard queue holding queue ops. Shared by the initial
+// bootstrap and the automatic re-bootstrap after a fatal replication error.
+func bootstrapPool(ctx context.Context, client *http.Client, leader, bootstrapDir string, schema *situfact.Schema, queue int) (*situfact.Pool, string, error) {
 	if err := os.RemoveAll(bootstrapDir); err != nil {
 		return nil, "", fmt.Errorf("clearing %s: %w", bootstrapDir, err)
 	}
@@ -227,7 +226,7 @@ func bootstrapPool(ctx context.Context, client *http.Client, leader, bootstrapDi
 	}
 	// The fact index reads are served from was rebuilt during the restore
 	// above, and ApplyTail maintains it from here on.
-	return pool, epoch, nil
+	return pool, epoch, pool.StartPipeline(situfact.PipelineOptions{QueueDepth: queue})
 }
 
 // fetchSnapshot downloads the leader's snapshot stream into dir. Each
@@ -347,9 +346,9 @@ func (r *replState) fatalReason() string {
 // live readers (handlers hold the old pool at most for the request that
 // loaded it). Up to -follow-rebootstrap-max consecutive download attempts
 // are made, backing off between failures; it reports whether replication
-// may continue. The old pool is left to the garbage collector — follower
-// pools own no WAL or pipeline, so there is nothing to close out from
-// under in-flight readers.
+// may continue. The old pool is closed once the new one serves: that stops
+// its shard writers, which nothing feeds any more, and reads still in
+// flight on it keep serving.
 func (r *replState) rebootstrap(ctx context.Context, s *server, rng *rand.Rand) bool {
 	budget := s.cfg.followRebootstrapMax
 	if budget <= 0 {
@@ -362,9 +361,9 @@ func (r *replState) rebootstrap(ctx context.Context, s *server, rng *rand.Rand) 
 		}
 		log.Printf("re-bootstrapping from %s (attempt %d/%d) after: %s",
 			r.leader, attempt, budget, r.fatalReason())
-		pool, epoch, err := bootstrapPool(ctx, r.client, r.leader, r.bootstrapDir, s.schema)
+		pool, epoch, err := bootstrapPool(ctx, r.client, r.leader, r.bootstrapDir, s.schema, s.cfg.pipeQueue)
 		if err == nil {
-			s.poolv.Store(pool)
+			s.poolv.Swap(pool).Close()
 			// Everything cached predates the new pool.
 			if s.cache != nil {
 				s.cache.Clear()

@@ -71,10 +71,10 @@ type config struct {
 
 // server owns the pool. Append/Delete handlers rely on the Pool's own
 // ingest discipline for safety — the server adds no request serialization
-// of its own. A leader's pool runs the ingest pipeline:
-// handlers enqueue onto per-shard batching writers, arrivals racing for
-// one shard are applied in enqueue order, and different shards proceed in
-// parallel (see docs/ARCHITECTURE.md for why that ordering is sound).
+// of its own. Handlers enqueue onto the pool's per-shard batching
+// writers: arrivals racing for one shard are applied in enqueue order, and
+// different shards proceed in parallel (see docs/ARCHITECTURE.md for why
+// that ordering is sound).
 type server struct {
 	cfg      config
 	schema   *situfact.Schema
@@ -104,8 +104,8 @@ type server struct {
 
 	// Admission control (nil members = that layer is off; every accessor
 	// on them is nil-safe). limiter and admit protect leaders and
-	// followers alike; shedder only runs where there is a pipeline to
-	// watch, so it is nil on followers.
+	// followers alike; shedder only runs where clients write, so it is nil
+	// on followers.
 	limiter *middleware.Limiter
 	admit   *middleware.Gate
 	shedder *middleware.Shedder
@@ -237,8 +237,8 @@ func serverFor(cfg config, schema *situfact.Schema, wires []measureWire, pool *s
 		s.cache = readcache.New(cfg.readCacheTTL)
 	}
 	if cfg.follow == "" {
-		// Shedding watches the ingest pipeline's backpressure; a follower
-		// runs none, so there is nothing to watch.
+		// Shedding watches the shard queues' backpressure from client
+		// writes; a follower's queues carry only its own catch-up.
 		s.shedder = middleware.NewShedder(cfg.shedWindow)
 	}
 	s.ctx, s.cancel = context.WithCancel(context.Background())
@@ -247,8 +247,8 @@ func serverFor(cfg config, schema *situfact.Schema, wires []measureWire, pool *s
 }
 
 // startLeader brings a leader's pool into service: it refuses a journal a
-// -wal run left behind, replays and attaches the WAL, starts the ingest
-// pipeline and then the background loops. On error the caller closes s.
+// -wal run left behind, replays and attaches the WAL, sizes the shard
+// queues and then starts the background loops. On error the caller closes s.
 func (s *server) startLeader() error {
 	cfg, pool := s.cfg, s.db()
 	if !cfg.wal && cfg.stateDir != "" {
@@ -302,10 +302,8 @@ func (s *server) startLeader() error {
 			return fmt.Errorf("situfactd: %w", err)
 		}
 	}
-	// The pipeline starts after recovery (restore + replay), which applies
-	// its records on its own per-shard appliers; every live request from
-	// here on batches through the per-shard writers, each queue holding
-	// -pipeline-queue ops.
+	// Recovery and every live request batch through the per-shard
+	// writers; from here on each queue holds -pipeline-queue ops.
 	if err := pool.StartPipeline(situfact.PipelineOptions{QueueDepth: cfg.pipeQueue}); err != nil {
 		return fmt.Errorf("situfactd: %w", err)
 	}

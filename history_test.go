@@ -19,11 +19,11 @@ import (
 // Delete of a live, tombstoned or never-assigned handle, a read check (a
 // random filter drained at a random page size, and TopFacts), Checkpoint +
 // TruncateBefore, crash-and-recover (restore the newest checkpoint or start
-// fresh, replay observed or quiet, reattach, restart the pipeline), a
-// follower sync (restore the checkpoint, apply the leader's tail) and a write
-// under an ended context. Each history runs under one engine setup and shard
-// count, in lockstep on three pools with a WAL attached: inline, pipelined at
-// queue depth 4, pipelined at the default depth. After every step the pools
+// fresh, replay observed or quiet, reattach), a follower sync (restore the
+// checkpoint, apply the leader's tail) and a write under an ended context.
+// Each history runs under one engine setup and shard count, in lockstep on
+// two pools with a WAL attached: shard queues of depth 4, and of the default
+// depth. After every step the pools
 // must agree with each other, and with a model that is nothing but the rows the
 // test fed each shard — facts are checked against oracleFacts, the
 // contextual skylines by definition, never against another path through the
@@ -51,9 +51,9 @@ var histShards = []int{1, 3, 4}
 // one fact, a daemon ack's five, all of them.
 var histTops = []int{0, 1, 5, math.MaxInt}
 
-// histPipelines are the lanes a history runs in lockstep; nil runs the write
-// path inline.
-var histPipelines = []*PipelineOptions{nil, {QueueDepth: 4}, {}}
+// histPipelines are the lanes a history runs in lockstep: the shard queues'
+// capacity each lane's pools run with, replay and catch-up included.
+var histPipelines = []PipelineOptions{{QueueDepth: 4}, {}}
 
 // TestHistory runs one seeded history per engine setup and shard count (one
 // per setup under -short).
@@ -72,7 +72,7 @@ func TestHistory(t *testing.T) {
 }
 
 // FuzzPoolHistory decodes fuzz bytes into the same op sequence, setup and
-// shard count included, over the inline and fixed-queue pools.
+// shard count included, over the same lanes.
 func FuzzPoolHistory(f *testing.F) {
 	f.Add([]byte{0, 1, 0, 0, 9, 3, 0, 0, 12, 1, 2, 15, 16, 0, 18, 17, 4, 0, 19, 13})
 	f.Add([]byte{1, 2, 9, 5, 0, 0, 0, 0, 11, 3, 9, 4, 16, 12, 0, 17, 1, 18, 19, 14, 2})
@@ -88,7 +88,7 @@ func FuzzPoolHistory(f *testing.F) {
 		src := &fuzzSource{data: data}
 		rng := rand.New(src)
 		setup, shards := histSetups[rng.Intn(len(histSetups))], histShards[rng.Intn(len(histShards))]
-		runHistory(t, rng, setup, shards, histPipelines[:2], 64, func() bool { return len(src.data) == 0 })
+		runHistory(t, rng, setup, shards, histPipelines, 64, func() bool { return len(src.data) == 0 })
 	})
 }
 
@@ -110,7 +110,7 @@ func (s *fuzzSource) Seed(int64) {}
 
 // histLane is one of the pools a history runs in lockstep.
 type histLane struct {
-	pipe            *PipelineOptions
+	pipe            PipelineOptions
 	pool            *Pool
 	wal             *WAL
 	walDir, snapDir string
@@ -154,7 +154,7 @@ func (h *history) check(err error) {
 
 // runHistory draws up to steps ops from rng (fewer once done reports the
 // source spent) and runs each in lockstep on one lane per entry of pipes.
-func runHistory(t *testing.T, rng *rand.Rand, setup histSetup, shards int, pipes []*PipelineOptions, steps int, done func() bool) {
+func runHistory(t *testing.T, rng *rand.Rand, setup histSetup, shards int, pipes []PipelineOptions, steps int, done func() bool) {
 	h := &history{t: t, schema: queryTestSchema(t), setup: setup, shards: shards}
 	h.m.next = make([]int64, shards)
 	h.m.live = make([]map[int64]Row, shards)
@@ -165,7 +165,7 @@ func runHistory(t *testing.T, rng *rand.Rand, setup histSetup, shards int, pipes
 	for _, pipe := range pipes {
 		l := &histLane{pipe: pipe, walDir: t.TempDir(), snapDir: t.TempDir()}
 		h.open(l, h.newPool())
-		h.serve(l)
+		h.check(l.pool.AttachWAL(l.wal))
 		h.lanes = append(h.lanes, l)
 	}
 	t.Cleanup(func() {
@@ -232,20 +232,14 @@ func (h *history) newPool() *Pool {
 	return p
 }
 
-// open gives a lane its pool and opens the lane's log for it. Small
-// segments, so a checkpoint's truncation really removes records.
+// open gives a lane its pool, sized to the lane's queues, and opens the
+// lane's log for it. Small segments, so a checkpoint's truncation really
+// removes records.
 func (h *history) open(l *histLane, p *Pool) {
+	h.check(p.StartPipeline(l.pipe))
 	w, err := OpenWAL(p, l.walDir, WALOptions{SegmentBytes: 512})
 	h.check(err)
 	l.pool, l.wal = p, w
-}
-
-// serve attaches the lane's log and starts its pipeline, as configured.
-func (h *history) serve(l *histLane) {
-	h.check(l.pool.AttachWAL(l.wal))
-	if l.pipe != nil {
-		h.check(l.pool.StartPipeline(*l.pipe))
-	}
 }
 
 // append feeds rows to every lane (as one batch, or one append), each
@@ -657,8 +651,8 @@ func (h *history) checkpoint() {
 }
 
 // crash drops every lane's pool and log and recovers: the newest checkpoint
-// (a fresh pool without one), the log replayed observed or quiet, the log
-// reattached and the pipeline restarted. Exactly the acknowledged ops come
+// (a fresh pool without one), the log replayed observed or quiet and
+// reattached. Exactly the acknowledged ops come
 // back, replay counts what the model journaled since the checkpoint, and an
 // observer sees the original arrivals with all their facts: the ones they
 // carried first.
@@ -692,7 +686,7 @@ func (h *history) crash(observe bool) {
 				}
 			}
 		}
-		h.serve(l)
+		h.check(p.AttachWAL(l.wal))
 	}
 	h.sameState(h.states(), before, "the recovered state against the state before the crash")
 }
@@ -709,6 +703,7 @@ func (h *history) follow() {
 		h.check(os.CopyFS(dir, os.DirFS(l.snapDir)))
 		f := h.recovered(dir)
 		defer f.Close()
+		h.check(f.StartPipeline(l.pipe))
 		cursor := f.TailCursor()
 		recs, last, _, err := l.wal.ReadTail(cursor, 0)
 		h.check(err)

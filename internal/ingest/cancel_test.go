@@ -27,20 +27,19 @@ func TestWriterEnqueueContextCanceled(t *testing.T) {
 
 	// Fill: op 1 drains immediately into the (blocked) process call, op 2
 	// occupies the queue slot, so op 3 must park.
-	if ok, err := w.EnqueueContext(context.Background(), 1); !ok || err != nil {
-		t.Fatalf("enqueue 1: ok=%v err=%v", ok, err)
+	if err := w.EnqueueContext(context.Background(), 1); err != nil {
+		t.Fatalf("enqueue 1: %v", err)
 	}
-	if ok, err := w.EnqueueContext(context.Background(), 2); !ok || err != nil {
-		t.Fatalf("enqueue 2: ok=%v err=%v", ok, err)
+	if err := w.EnqueueContext(context.Background(), 2); err != nil {
+		t.Fatalf("enqueue 2: %v", err)
 	}
 
 	ctx, cancel := context.WithCancel(context.Background())
 	errCh := make(chan error, 1)
 	go func() {
-		ok, err := w.EnqueueContext(ctx, 3)
-		if ok {
-			errCh <- errors.New("canceled op was accepted")
-			return
+		err := w.EnqueueContext(ctx, 3)
+		if err == nil {
+			err = errors.New("canceled op was accepted")
 		}
 		errCh <- err
 	}()
@@ -85,23 +84,25 @@ func TestWriterEnqueueContextDeadline(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
 	defer cancel()
 	start := time.Now()
-	ok, err := w.EnqueueContext(ctx, 3)
-	if ok || !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("ok=%v err=%v, want deadline exceeded", ok, err)
+	if err := w.EnqueueContext(ctx, 3); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("err=%v, want deadline exceeded", err)
 	}
 	if time.Since(start) > 5*time.Second {
 		t.Fatal("deadline enqueue blocked far past its budget")
 	}
 }
 
-// TestWriterEnqueueContextClosed: a closed writer reports (false, nil) —
-// the direct-path fallback signal, not a cancellation.
+// TestWriterEnqueueContextClosed: a closed writer refuses an op with
+// ErrClosed, not a cancellation, and never processes it.
 func TestWriterEnqueueContextClosed(t *testing.T) {
-	w := NewWriter(4, func(batch []int) {})
+	processed := 0
+	w := NewWriter(4, func(batch []int) { processed += len(batch) })
 	w.Close()
-	ok, err := w.EnqueueContext(context.Background(), 1)
-	if ok || err != nil {
-		t.Fatalf("closed writer: ok=%v err=%v, want false/nil", ok, err)
+	if err := w.EnqueueContext(context.Background(), 1); !errors.Is(err, ErrClosed) {
+		t.Fatalf("closed writer: err=%v, want ErrClosed", err)
+	}
+	if st := w.Stats(); processed != 0 || st.Enqueued != 0 || st.Canceled != 0 {
+		t.Errorf("processed %d, stats %+v; want nothing accepted or canceled", processed, st)
 	}
 }
 
@@ -113,11 +114,11 @@ func TestWriterEnqueueContextEnded(t *testing.T) {
 	w := NewWriter(4, func(batch []int) { processed = append(processed, batch...) })
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if ok, err := w.EnqueueContext(ctx, 1); ok || !errors.Is(err, context.Canceled) {
-		t.Fatalf("ended ctx: ok=%v err=%v, want false, context.Canceled", ok, err)
+	if err := w.EnqueueContext(ctx, 1); !errors.Is(err, context.Canceled) {
+		t.Fatalf("ended ctx: err=%v, want context.Canceled", err)
 	}
-	if ok, err := w.EnqueueContext(context.Background(), 2); !ok || err != nil {
-		t.Fatalf("live ctx: ok=%v err=%v", ok, err)
+	if err := w.EnqueueContext(context.Background(), 2); err != nil {
+		t.Fatalf("live ctx: %v", err)
 	}
 	w.Close()
 	if st := w.Stats(); st.Canceled != 1 || st.Enqueued != 1 {

@@ -4,13 +4,13 @@ import (
 	"context"
 	"sync"
 	"testing"
+	"time"
 )
 
 // enqueue is EnqueueContext under a context that never ends, reporting
 // whether the writer accepted op.
 func enqueue[T any](w *Writer[T], op T) bool {
-	ok, _ := w.EnqueueContext(context.Background(), op)
-	return ok
+	return w.EnqueueContext(context.Background(), op) == nil
 }
 
 // TestWriterFIFO pins the queueing discipline: ops drain in enqueue
@@ -158,8 +158,9 @@ func TestWriterClose(t *testing.T) {
 	}
 }
 
-// TestWriterCapacity pins that NewWriter keeps the capacity it was built
-// with under backpressure, and that a capacity <= 0 selects 256.
+// TestWriterCapacity pins that a writer keeps the capacity it was built
+// with under backpressure, that SetCap changes it for parked producers, and
+// that a capacity <= 0 selects 256.
 func TestWriterCapacity(t *testing.T) {
 	gate := make(chan struct{})
 	w := NewWriter(2, func(batch []int) { <-gate })
@@ -185,10 +186,76 @@ func TestWriterCapacity(t *testing.T) {
 	if st := w.Stats(); st.Cap != 2 || st.FullWaits == 0 {
 		t.Errorf("Cap = %d, FullWaits = %d; want 2 and a producer blocked on the full queue", st.Cap, st.FullWaits)
 	}
+
+	// A producer parked on a full queue is admitted once SetCap grows it.
+	release := make(chan struct{})
+	w = NewWriter(1, func([]int) { <-release })
+	enqueue(w, 1) // drained into the blocked process call
+	enqueue(w, 2) // fills the queue
+	parked := w.Stats().FullWaits
+	admitted := make(chan bool)
+	go func() { admitted <- enqueue(w, 3) }()
+	for w.Stats().FullWaits == parked {
+		time.Sleep(time.Millisecond)
+	}
+	w.SetCap(2)
+	if !<-admitted {
+		t.Error("the parked producer was refused")
+	}
+	if st := w.Stats(); st.Cap != 2 || st.Depth != 2 {
+		t.Errorf("after SetCap(2): Cap = %d, Depth = %d; want 2 and 2", st.Cap, st.Depth)
+	}
+	w.SetCap(0)
+	close(release)
+	w.Close()
+	if st := w.Stats(); st.Cap != 256 {
+		t.Errorf("SetCap(0) Cap = %d, want 256", st.Cap)
+	}
 	w = NewWriter(0, func([]int) {})
 	defer w.Close()
 	if st := w.Stats(); st.Cap != 256 {
 		t.Errorf("NewWriter(0) Cap = %d, want 256", st.Cap)
+	}
+}
+
+// TestWriterBatchLimit pins the bound on one process call: a queue four
+// times batchLimit deep drains in calls of at most batchLimit ops, in
+// enqueue order, and MaxBatch reports the bound.
+func TestWriterBatchLimit(t *testing.T) {
+	const n = 4 * batchLimit
+	started, release := make(chan struct{}), make(chan struct{})
+	var sizes []int
+	var got []int
+	w := NewWriter(n, func(batch []int) {
+		if len(got) == 0 {
+			close(started)
+			<-release // hold the writer so the rest of the ops pile up
+		}
+		sizes = append(sizes, len(batch))
+		got = append(got, batch...)
+	})
+	enqueue(w, 0)
+	<-started
+	for i := 1; i <= n; i++ {
+		enqueue(w, i)
+	}
+	close(release)
+	w.Close()
+	for i, size := range sizes {
+		if size > batchLimit {
+			t.Errorf("batch %d has %d ops, past the bound %d", i, size, batchLimit)
+		}
+	}
+	if len(got) != n+1 {
+		t.Fatalf("processed %d ops, want %d", len(got), n+1)
+	}
+	for i, v := range got {
+		if v != i {
+			t.Fatalf("op %d processed at position %d: FIFO violated", v, i)
+		}
+	}
+	if st := w.Stats(); st.MaxBatch != batchLimit || st.Batches != uint64(len(sizes)) {
+		t.Errorf("MaxBatch = %d, Batches = %d; want %d and %d", st.MaxBatch, st.Batches, batchLimit, len(sizes))
 	}
 }
 

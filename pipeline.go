@@ -1,39 +1,28 @@
 package situfact
 
-import (
-	"fmt"
+import "repro/internal/ingest"
 
-	"repro/internal/ingest"
-)
-
-// Pipelined ingest: StartPipeline gives every shard a long-lived writer
-// goroutine fed by a bounded queue, decoupling accept → journal → apply
-// → respond. Append/AppendBatch/Delete keep their synchronous APIs —
-// the caller still returns only after its operation is applied and (with
-// a WAL) durable — but instead of calling applyShard themselves with a
-// batch of one, they enqueue the op and wait on its future. The writer
-// hands applyShard whatever has queued since its last wakeup, so the
-// per-row overheads are paid once per batch: one WAL append pass, one
-// shard-lock acquisition covering journal + apply, and one
-// group-committed fsync. Under load, batches grow and per-row cost
-// amortises toward the engine's own apply time; when idle, batches are
-// single ops. The path of one op is handler → shard writer → committer →
-// handler.
+// The shard writers: every pool runs one long-lived writer goroutine per
+// shard, fed by a bounded queue, from NewPool or RestorePool until Close.
+// Every mutation of a shard is an ingestOp on its writer — a live
+// Append/AppendBatch/Delete, and a record ReplayWAL or ApplyTail re-applies
+// — and the writer hands applyShard whatever has queued since its last
+// wakeup, at most 64 ops at a time. The per-op overheads are paid once per
+// batch: one WAL append pass, one shard-lock acquisition covering journal +
+// apply, and one group-committed fsync. Under load batches grow and per-op
+// cost amortises toward the engine's own apply time; when idle, batches
+// are single ops. The path of one live op is caller → shard writer →
+// committer → caller, and the caller returns only after its op is applied
+// and (with a WAL) durable.
 //
-// Queued or inline, applyShard's invariants are the same:
+// The invariants this gives every shard:
 //   - journal-before-apply, under the owning shard's lock, so each
 //     shard's journal order equals its apply order;
 //   - acknowledgement only after the record's group-committed fsync
 //     (ack-after-fsync);
 //   - per-shard FIFO: operations racing for one shard are applied in
-//     enqueue order, and one caller's ordered operations stay ordered.
-//
-// Lifecycle: start the pipeline after recovery (ReplayWAL + AttachWAL)
-// and before serving traffic; stop it after in-flight operations have
-// drained. Stopping while calls are in flight is a lifecycle race like
-// AttachWAL's — in-flight operations still complete correctly (they run
-// inline), but ordering with the draining writers is no longer
-// guaranteed.
+//     enqueue order, and one caller's ordered operations stay ordered;
+//   - one applier per shard: applyShard runs only on the shard's writer.
 
 // PipelineOptions configures Pool.StartPipeline.
 type PipelineOptions struct {
@@ -61,15 +50,17 @@ type IngestStats struct {
 // bench reports) agrees on the derivation instead of re-deriving per
 // scrape.
 type IngestSummary struct {
-	// Pipeline reports whether a pipeline is running; false means the
-	// remaining fields are zero.
+	// Pipeline is always true: every pool writes through its shard
+	// writers. The field stays for the wire, where /v1/metrics reports it.
 	Pipeline bool `json:"pipeline"`
 	// QueueDepth and QueueCap sum the shards' pending operations and
 	// queue capacities.
-	QueueDepth int    `json:"queue_depth"`
-	QueueCap   int    `json:"queue_cap"`
-	Enqueued   uint64 `json:"enqueued"`
-	Batches    uint64 `json:"batches"`
+	QueueDepth int `json:"queue_depth"`
+	QueueCap   int `json:"queue_cap"`
+	// Enqueued counts the ops the writers accepted: live writes and the
+	// records ReplayWAL and ApplyTail re-applied.
+	Enqueued uint64 `json:"enqueued"`
+	Batches  uint64 `json:"batches"`
 	// MeanBatch is Enqueued/Batches (0 before the first drain).
 	MeanBatch float64 `json:"mean_batch"`
 	MaxBatch  int     `json:"max_batch"`
@@ -83,19 +74,14 @@ type IngestSummary struct {
 	PerShard []IngestStats `json:"per_shard,omitempty"`
 }
 
-// IngestSummary returns the merged monitoring view of the running
-// pipeline (the zero summary when none is running).
+// IngestSummary returns the merged monitoring view of the shard writers.
 func (p *Pool) IngestSummary() IngestSummary {
-	pipe := p.pipe.Load()
-	if pipe == nil {
-		return IngestSummary{}
-	}
 	out := IngestSummary{
 		Pipeline:  true,
 		BatchHist: make([]uint64, len(ingest.Stats{}.BatchHist)),
-		PerShard:  make([]IngestStats, len(pipe.writers)),
+		PerShard:  make([]IngestStats, len(p.writers)),
 	}
-	for i, w := range pipe.writers {
+	for i, w := range p.writers {
 		st := w.Stats()
 		out.PerShard[i] = IngestStats{Shard: i, Stats: st}
 		out.QueueDepth += st.Depth
@@ -115,22 +101,6 @@ func (p *Pool) IngestSummary() IngestSummary {
 	return out
 }
 
-// pipeline is the running per-shard writer set plus the shared
-// group-committer; Pool.pipe holds it.
-type pipeline struct {
-	writers []*ingest.Writer[*ingestOp]
-	// commits feeds journaled-and-applied batches to the committer
-	// goroutine, which coalesces their durability waits into shared
-	// fsyncs and completes the futures. Writers hand a batch off here
-	// instead of blocking on its fsync themselves, so a shard keeps
-	// journaling and applying its next batch while the previous one is
-	// being made durable — the fsync rate self-paces to the device
-	// (one fsync in flight, everything queued meanwhile joins the next)
-	// instead of tracking the batch rate.
-	commits    chan commitGroup
-	commitDone chan struct{}
-}
-
 // commitGroup is one drained batch awaiting durability: every op is
 // journaled (≤ lsn) and applied, none are acknowledged yet.
 type commitGroup struct {
@@ -138,70 +108,76 @@ type commitGroup struct {
 	ops []*ingestOp
 }
 
-// StartPipeline starts one batching writer per shard and routes every
-// subsequent Append/AppendBatch/Delete through it. Call after recovery
-// (ReplayWAL/AttachWAL), before serving traffic. A pool accepts one
-// pipeline at a time; StopPipeline (or Close) tears it down.
-func (p *Pool) StartPipeline(opt PipelineOptions) error {
-	pipe := &pipeline{
-		writers: make([]*ingest.Writer[*ingestOp], len(p.shards)),
-		// Room for a few batches per shard, so a writer rarely blocks on
-		// the hand-off while one fsync is in flight.
-		commits:    make(chan commitGroup, 4*len(p.shards)),
-		commitDone: make(chan struct{}),
-	}
-	for i := range pipe.writers {
-		shard := i
-		process := func(batch []*ingestOp) {
+// startWriters starts one writer per shard, each queue holding 256 ops,
+// and the committer they hand journaled batches to.
+func (p *Pool) startWriters() {
+	p.writers = make([]*ingest.Writer[*ingestOp], len(p.shards))
+	// Room for a few batches per shard, so a writer rarely blocks on the
+	// hand-off while one fsync is in flight.
+	p.commits = make(chan commitGroup, 4*len(p.shards))
+	p.commitDone = make(chan struct{})
+	for shard := range p.writers {
+		p.writers[shard] = ingest.NewWriter(0, func(batch []*ingestOp) {
 			lsn := p.applyShard(shard, batch)
 			if lsn == 0 {
-				settle(batch, nil) // nothing to wait for: no WAL, or the journal pass failed
+				settle(batch, nil) // nothing to wait for: no WAL, a replay, or the journal pass failed
 				return
 			}
 			// The ops are copied out because the writer recycles its batch
 			// slice as soon as this returns.
-			pipe.commits <- commitGroup{lsn: lsn, ops: append([]*ingestOp(nil), batch...)}
-		}
-		pipe.writers[i] = ingest.NewWriter(opt.QueueDepth, process)
+			p.commits <- commitGroup{lsn: lsn, ops: append([]*ingestOp(nil), batch...)}
+		})
 	}
-	go p.commitLoop(pipe)
-	if !p.pipe.CompareAndSwap(nil, pipe) {
-		for _, w := range pipe.writers {
+	go p.commitLoop()
+}
+
+// stopWriters drains every shard's queue, then stops the writers and the
+// committer; a write afterwards fails naming the closed pool. Safe to call
+// twice, and on a pool whose writers never started.
+func (p *Pool) stopWriters() {
+	p.stopOnce.Do(func() {
+		if p.writers == nil {
+			return
+		}
+		for _, w := range p.writers {
 			w.Close()
 		}
-		close(pipe.commits)
-		<-pipe.commitDone
-		return fmt.Errorf("situfact: pool already has an ingest pipeline")
+		// Writers are drained and stopped; nothing feeds the committer now.
+		close(p.commits)
+		<-p.commitDone
+	})
+}
+
+// StartPipeline sets every shard writer's queue capacity to
+// opt.QueueDepth (<= 0 selects 256). The writers themselves run from
+// NewPool or RestorePool until Close, so it never fails.
+func (p *Pool) StartPipeline(opt PipelineOptions) error {
+	for _, w := range p.writers {
+		w.SetCap(opt.QueueDepth)
 	}
 	return nil
 }
 
-// StopPipeline detaches the pipeline, drains every shard's queue, stops
-// the writers and the committer; callers run the write path inline
-// again. A no-op when no pipeline is running.
-func (p *Pool) StopPipeline() {
-	pipe := p.pipe.Swap(nil)
-	if pipe == nil {
-		return
-	}
-	for _, w := range pipe.writers {
-		w.Close()
-	}
-	// Writers are drained and stopped; nothing feeds the committer now.
-	close(pipe.commits)
-	<-pipe.commitDone
-}
+// StopPipeline does nothing: the shard writers run until Close, which
+// drains and stops them.
+//
+// Deprecated: kept only so existing callers compile; it will be removed.
+func (p *Pool) StopPipeline() {}
 
-// commitLoop is the pipeline's durability stage: it gathers every batch
-// the writers have handed off, waits out ONE fsync covering the highest
-// LSN among them, and completes their futures. While that fsync is on
-// disk more batches queue up and join the next pass — cross-shard group
-// commit at the granularity of whole batches.
-func (p *Pool) commitLoop(pipe *pipeline) {
-	defer close(pipe.commitDone)
+// commitLoop is the durability stage: it gathers every batch the writers
+// have handed off, waits out ONE fsync covering the highest LSN among
+// them, and completes their futures. While that fsync is on disk more
+// batches queue up and join the next pass — cross-shard group commit at
+// the granularity of whole batches. Writers hand a batch off here instead
+// of blocking on its fsync themselves, so a shard keeps journaling and
+// applying its next batch while the previous one is being made durable:
+// the fsync rate self-paces to the device instead of tracking the batch
+// rate.
+func (p *Pool) commitLoop() {
+	defer close(p.commitDone)
 	var pending []commitGroup
 	for {
-		grp, ok := <-pipe.commits
+		grp, ok := <-p.commits
 		if !ok {
 			return
 		}
@@ -210,7 +186,7 @@ func (p *Pool) commitLoop(pipe *pipeline) {
 	gather:
 		for {
 			select {
-			case g, ok := <-pipe.commits:
+			case g, ok := <-p.commits:
 				if !ok {
 					closed = true
 					break gather

@@ -8,11 +8,11 @@ import (
 	"testing"
 )
 
-// TestPipelineCompletionStress hammers a journaled pipeline
-// from many goroutines while the pipeline is stopped and restarted
-// mid-flight: every acknowledged op must be applied exactly once, and
-// shutdown must complete every handed-off future (a lost wg.Done here
-// deadlocks the test). Run under -race in CI with -count=3.
+// TestPipelineCompletionStress hammers a journaled pool from many
+// goroutines while StartPipeline resizes the shard queues mid-flight: every
+// acknowledged op must be applied exactly once, and Close must complete
+// every handed-off future (a lost wg.Done here deadlocks the test). Run
+// under -race in CI with -count=3.
 func TestPipelineCompletionStress(t *testing.T) {
 	dir := t.TempDir()
 	p, err := NewPool(poolSchema(t), PoolOptions{Shards: 4, ShardDim: "team"})
@@ -28,14 +28,14 @@ func TestPipelineCompletionStress(t *testing.T) {
 	if err := p.AttachWAL(w); err != nil {
 		t.Fatal(err)
 	}
-	start := func() {
-		// Tiny queues fill constantly, so full-wait blocks and many small
-		// commit groups happen under the race detector.
-		if err := p.StartPipeline(PipelineOptions{QueueDepth: 8}); err != nil {
+	resize := func(depth int) {
+		if err := p.StartPipeline(PipelineOptions{QueueDepth: depth}); err != nil {
 			t.Error(err)
 		}
 	}
-	start()
+	// Tiny queues fill constantly, so full-wait blocks and many small
+	// commit groups happen under the race detector.
+	resize(8)
 	const workers, perWorker = 8, 50
 	rows := poolRows(workers * perWorker)
 	var appended, deleted int64
@@ -66,11 +66,10 @@ func TestPipelineCompletionStress(t *testing.T) {
 			}
 		}(g)
 	}
-	// Bounce the pipeline mid-flight: racing ops run inline, and the
-	// restart races new enqueues against fresh writers.
-	for i := 0; i < 3; i++ {
-		p.StopPipeline()
-		start()
+	// Resize the queues mid-flight: producers parked on a full queue
+	// re-check against each new capacity.
+	for _, depth := range []int{1, 3, 8} {
+		resize(depth)
 	}
 	wg.Wait()
 	if t.Failed() {
@@ -79,9 +78,11 @@ func TestPipelineCompletionStress(t *testing.T) {
 	if want := int(appended - deleted); p.Len() != want {
 		t.Errorf("Len = %d, want %d (appended %d − deleted %d)", p.Len(), want, appended, deleted)
 	}
-	p.StopPipeline()
+	if err := p.Close(); err != nil {
+		t.Fatal(err)
+	}
 	if st := w.Stats(); st.LastLSN != st.SyncedLSN {
-		t.Errorf("wal last LSN %d != synced %d after stop", st.LastLSN, st.SyncedLSN)
+		t.Errorf("wal last LSN %d != synced %d after Close", st.LastLSN, st.SyncedLSN)
 	}
 }
 
@@ -179,46 +180,67 @@ func TestPipelineStress(t *testing.T) {
 	}
 }
 
-// TestPipelineLifecycle pins start/stop semantics: double start errors,
-// stop reverts to inline execution, and both ways of calling ingest
-// correctly.
+// TestPipelineLifecycle pins the writers' lifecycle: they run from NewPool
+// to Close at the default capacity, StartPipeline sets the capacity,
+// StopPipeline changes nothing, and a write after Close fails naming the
+// closed pool — neither journaled nor applied — while reads keep serving.
 func TestPipelineLifecycle(t *testing.T) {
 	p, err := NewPool(poolSchema(t), PoolOptions{Shards: 2, ShardDim: "team"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer p.Close()
-	if err := p.StartPipeline(PipelineOptions{}); err != nil {
+	w, err := OpenWAL(p, t.TempDir(), WALOptions{})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := p.StartPipeline(PipelineOptions{}); err == nil {
-		t.Fatal("second StartPipeline succeeded")
-	} else if !strings.Contains(err.Error(), "already has an ingest pipeline") {
-		t.Fatalf("second StartPipeline error = %v", err)
+	defer w.Close()
+	if err := p.AttachWAL(w); err != nil {
+		t.Fatal(err)
 	}
-	if sum := p.IngestSummary(); !sum.Pipeline || len(sum.PerShard) != 2 {
-		t.Fatalf("IngestSummary while running = %+v, want the pipeline and 2 shards", sum)
+	caps := func(want int) {
+		t.Helper()
+		sum := p.IngestSummary()
+		if !sum.Pipeline || len(sum.PerShard) != 2 || sum.QueueCap != 2*want {
+			t.Fatalf("IngestSummary = %+v, want 2 writers of capacity %d", sum, want)
+		}
 	}
-	rows := poolRows(10)
+	caps(256)
+	rows := poolRows(4)
 	if _, err := p.Append(rows[0].Dims, rows[0].Measures); err != nil {
 		t.Fatal(err)
 	}
-	p.StopPipeline()
-	if sum := p.IngestSummary(); sum.Pipeline || sum.PerShard != nil {
-		t.Fatalf("IngestSummary after stop = %+v, want the zero summary", sum)
-	}
-	if _, err := p.Append(rows[1].Dims, rows[1].Measures); err != nil {
-		t.Fatalf("inline append after StopPipeline: %v", err)
-	}
-	p.StopPipeline() // idempotent
-	if err := p.StartPipeline(PipelineOptions{}); err != nil {
-		t.Fatalf("restart after stop: %v", err)
-	}
-	if _, err := p.Append(rows[2].Dims, rows[2].Measures); err != nil {
+	if err := p.StartPipeline(PipelineOptions{QueueDepth: 8}); err != nil {
 		t.Fatal(err)
 	}
-	if p.Len() != 3 {
-		t.Errorf("Len = %d, want 3", p.Len())
+	caps(8)
+	p.StopPipeline()
+	caps(8)
+	if _, err := p.Append(rows[1].Dims, rows[1].Measures); err != nil {
+		t.Fatalf("append after StopPipeline: %v", err)
+	}
+	if err := p.StartPipeline(PipelineOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	caps(256)
+	if err := p.Close(); err != nil {
+		t.Fatal(err)
+	}
+	lsn := w.Stats().LastLSN
+	for name, write := range map[string]func() error{
+		"Append":      func() error { _, err := p.Append(rows[2].Dims, rows[2].Measures); return err },
+		"AppendBatch": func() error { _, err := p.AppendBatch(rows[2:]); return err },
+		"Delete":      func() error { return p.Delete(0, 0) },
+	} {
+		if err := write(); err == nil || !strings.Contains(err.Error(), "closed pool") {
+			t.Errorf("%s after Close = %v, want an error naming the closed pool", name, err)
+		}
+	}
+	if p.Len() != 2 || w.Stats().LastLSN != lsn {
+		t.Errorf("writes after Close moved the pool: Len %d, LastLSN %d → %d; want 2 and no record", p.Len(), lsn, w.Stats().LastLSN)
+	}
+	if err := p.Close(); err != nil {
+		t.Errorf("second Close: %v", err)
 	}
 }
 
@@ -264,70 +286,57 @@ func TestPipelineRejectsBadRows(t *testing.T) {
 }
 
 // TestPipelineRefusesEndedContext pins the one acceptance point: a write
-// whose context has already ended is refused before it is queued or run
-// inline. Append, AppendBatch and Delete each fail with context.Canceled,
-// and neither the pool nor the journal moves, with or without a pipeline.
+// whose context has already ended is refused before it is queued. Append,
+// AppendBatch and Delete each fail with context.Canceled, and neither the
+// pool nor the journal moves.
 func TestPipelineRefusesEndedContext(t *testing.T) {
 	ended, cancel := context.WithCancel(context.Background())
 	cancel()
 	rows := poolRows(5)
-	for _, pipe := range []*PipelineOptions{nil, {}} {
-		name := "inline"
-		if pipe != nil {
-			name = "pipelined"
-		}
-		t.Run(name, func(t *testing.T) {
-			p, err := NewPool(poolSchema(t), PoolOptions{Shards: 2, ShardDim: "team"})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer p.Close()
-			w, err := OpenWAL(p, t.TempDir(), WALOptions{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer w.Close()
-			if err := p.AttachWAL(w); err != nil {
-				t.Fatal(err)
-			}
-			if pipe != nil {
-				if err := p.StartPipeline(*pipe); err != nil {
-					t.Fatal(err)
-				}
-			}
-			arr, err := p.Append(rows[0].Dims, rows[0].Measures)
-			if err != nil {
-				t.Fatal(err)
-			}
-			len0, m0, lsn0 := p.Len(), p.Metrics(), w.Stats().LastLSN
-			unmoved := func(op string) {
-				t.Helper()
-				if p.Len() != len0 || p.Metrics() != m0 || w.Stats().LastLSN != lsn0 {
-					t.Errorf("%s under an ended context moved the pool: Len %d → %d, LastLSN %d → %d",
-						op, len0, p.Len(), lsn0, w.Stats().LastLSN)
-				}
-			}
-			if got, err := p.AppendContext(ended, rows[1].Dims, rows[1].Measures, 5); got != nil || !errors.Is(err, context.Canceled) {
-				t.Errorf("AppendContext = %v, %v; want nil, context.Canceled", got, err)
-			}
-			unmoved("Append")
-			arrs, err := p.AppendBatchContext(ended, rows[1:], 5)
-			if !errors.Is(err, context.Canceled) {
-				t.Errorf("AppendBatchContext error = %v, want context.Canceled", err)
-			}
-			if errs, _ := err.(interface{ Unwrap() []error }); errs == nil || len(errs.Unwrap()) != len(rows)-1 {
-				t.Errorf("AppendBatchContext error = %v, want one per row", err)
-			}
-			for i, a := range arrs {
-				if a != nil {
-					t.Errorf("row %d of a refused batch has an arrival", i)
-				}
-			}
-			unmoved("AppendBatch")
-			if err := p.DeleteContext(ended, arr.Shard, arr.TupleID); !errors.Is(err, context.Canceled) {
-				t.Errorf("DeleteContext = %v, want context.Canceled", err)
-			}
-			unmoved("Delete")
-		})
+	p, err := NewPool(poolSchema(t), PoolOptions{Shards: 2, ShardDim: "team"})
+	if err != nil {
+		t.Fatal(err)
 	}
+	defer p.Close()
+	w, err := OpenWAL(p, t.TempDir(), WALOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	if err := p.AttachWAL(w); err != nil {
+		t.Fatal(err)
+	}
+	arr, err := p.Append(rows[0].Dims, rows[0].Measures)
+	if err != nil {
+		t.Fatal(err)
+	}
+	len0, m0, lsn0 := p.Len(), p.Metrics(), w.Stats().LastLSN
+	unmoved := func(op string) {
+		t.Helper()
+		if p.Len() != len0 || p.Metrics() != m0 || w.Stats().LastLSN != lsn0 {
+			t.Errorf("%s under an ended context moved the pool: Len %d → %d, LastLSN %d → %d",
+				op, len0, p.Len(), lsn0, w.Stats().LastLSN)
+		}
+	}
+	if got, err := p.AppendContext(ended, rows[1].Dims, rows[1].Measures, 5); got != nil || !errors.Is(err, context.Canceled) {
+		t.Errorf("AppendContext = %v, %v; want nil, context.Canceled", got, err)
+	}
+	unmoved("Append")
+	arrs, err := p.AppendBatchContext(ended, rows[1:], 5)
+	if !errors.Is(err, context.Canceled) {
+		t.Errorf("AppendBatchContext error = %v, want context.Canceled", err)
+	}
+	if errs, _ := err.(interface{ Unwrap() []error }); errs == nil || len(errs.Unwrap()) != len(rows)-1 {
+		t.Errorf("AppendBatchContext error = %v, want one per row", err)
+	}
+	for i, a := range arrs {
+		if a != nil {
+			t.Errorf("row %d of a refused batch has an arrival", i)
+		}
+	}
+	unmoved("AppendBatch")
+	if err := p.DeleteContext(ended, arr.Shard, arr.TupleID); !errors.Is(err, context.Canceled) {
+		t.Errorf("DeleteContext = %v, want context.Canceled", err)
+	}
+	unmoved("Delete")
 }

@@ -10,8 +10,8 @@ import (
 	"runtime"
 	"strings"
 	"sync"
-	"sync/atomic"
 
+	"repro/internal/ingest"
 	"repro/internal/persist"
 )
 
@@ -31,8 +31,10 @@ import (
 // about the shard's relation, not the global one. The history checker
 // (history_test.go) asserts the per-substream identity.
 //
-// Pool is safe for concurrent use: each shard serialises its own arrivals
-// with a per-shard lock, and different shards proceed in parallel.
+// Pool is safe for concurrent use: each shard applies its arrivals on its
+// own writer goroutine, in the order they were queued, and different shards
+// proceed in parallel (see pipeline.go). Close stops the writers; a write
+// to a closed pool fails.
 //
 // With a WAL attached (AttachWAL), every mutation is journaled before it
 // is applied — under the owning shard's lock, so each shard's journal
@@ -48,10 +50,13 @@ type Pool struct {
 	// is replayed or attached. Watermarks are discarded against a log
 	// with a different epoch (see Pool.adoptWAL in wal.go).
 	walEpoch string
-	// pipe, when non-nil, is the running ingest pipeline: one batching
-	// writer goroutine per shard (see pipeline.go). Nil = callers run the
-	// write path inline.
-	pipe atomic.Pointer[pipeline]
+	// writers holds one batching writer per shard, the only goroutine that
+	// applies the shard's ops; commits feeds the journaled batches to
+	// commitLoop, which closes commitDone when it exits (see pipeline.go).
+	writers    []*ingest.Writer[*ingestOp]
+	commits    chan commitGroup
+	commitDone chan struct{}
+	stopOnce   sync.Once
 }
 
 type poolShard struct {
@@ -123,6 +128,7 @@ func NewPool(schema *Schema, opt PoolOptions) (*Pool, error) {
 		}
 		p.shards[i].eng = eng
 	}
+	p.startWriters()
 	return p, nil
 }
 
@@ -162,17 +168,16 @@ func (p *Pool) ShardFor(value string) int {
 
 // Append routes one arriving row to the shard owning its partition value
 // and processes it there. It may be called from any number of goroutines;
-// arrivals racing for one shard are serialised in lock-acquisition order
-// (inline) or enqueue order (with the ingest pipeline running — see
-// StartPipeline); either way each shard applies them sequentially.
+// arrivals racing for one shard are applied one after another, in the
+// order its writer queued them.
 func (p *Pool) Append(dims []string, measures []float64) (*Arrival, error) {
 	return p.AppendContext(context.Background(), dims, measures, math.MaxInt)
 }
 
 // AppendContext is Append whose arrival carries only the top best facts
 // (none for top ≤ 0; the pool's state and Metrics do not depend on top),
-// and whose row is refused if ctx has ended when it would be accepted: on
-// its shard's queue, or before it runs inline (see write). A refused row
+// and whose row is refused if ctx has ended when its shard's queue would
+// accept it, under backpressure too (see write). A refused row
 // was never journaled, applied or acknowledged, and the call returns ctx's
 // error; so a client that disconnected, or whose deadline passed under
 // backpressure, holds no future. Once the row is accepted the cancellation
@@ -253,9 +258,8 @@ func (p *Pool) AppendBatchContext(ctx context.Context, rows []Row, top int) ([]*
 
 // Delete retracts tuple tupleID of the given shard — TupleIDs are
 // per-shard substream positions, so the pair (shard, tupleID) from an
-// Arrival names a tuple uniquely. It travels the same path (and, with the
-// pipeline running, the same queue) as appends, so a shard's deletes order
-// with its appends exactly as they were issued.
+// Arrival names a tuple uniquely. It travels the same queue as appends, so
+// a shard's deletes order with its appends exactly as they were issued.
 func (p *Pool) Delete(shard int, tupleID int64) error {
 	return p.DeleteContext(context.Background(), shard, tupleID)
 }
@@ -274,17 +278,15 @@ func (p *Pool) DeleteContext(ctx context.Context, shard int, tupleID int64) erro
 
 // The write path. Every mutation of a shard — a live Append, AppendBatch
 // or Delete, a record re-applied by ReplayWAL or ApplyTail — is an
-// ingestOp handed to applyShard, the one function that journals and
-// applies. A live op reaches it through write: queued, from the shard's
-// pipeline writer with whatever has queued since its last wakeup
-// (pipeline.go), or inline, grouped by shard on the caller's side. A
-// replayed record reaches it in a run of journaled records (the replayer
-// in wal.go). Either way the caller returns only after its op is applied
-// and, with a WAL, durable.
+// ingestOp on the shard's writer, which hands it to applyShard, the one
+// function that journals and applies, in a batch with whatever else has
+// queued (pipeline.go). A live op gets there through write, a replayed
+// record through the replayer (wal.go). Either way the caller returns only
+// after its op is applied and, with a WAL, durable.
 
 // ingestOp is one mutation plus its outcome. applyShard fills arr/err (or
-// skipped); a queued op also carries the future its enqueuer waits on,
-// completed exactly once by settle.
+// skipped); settle completes it exactly once, ending its enqueuer's wait
+// on wg or, for a replayed record, handing it to its replayer.
 type ingestOp struct {
 	// rec is the operation: Type + Shard, Dims/Measures (append) or
 	// TupleID (delete). LSN is non-zero on entry only for a replayed
@@ -298,7 +300,8 @@ type ingestOp struct {
 	// skipped reports a replayed record at or below the shard's
 	// watermark: already reflected in the restored state, not re-applied.
 	skipped bool
-	wg      *sync.WaitGroup // nil for inline ops
+	wg      *sync.WaitGroup // a live op's enqueuer waits here
+	replay  *replayer       // the replay a re-applied record belongs to
 }
 
 // opPool recycles live ingestOps.
@@ -313,11 +316,11 @@ func putOp(op *ingestOp) {
 
 // applyShard runs ops, in order, against one shard under its write lock:
 // one journal pass (a single WAL.AppendAll assigning the ops their LSNs;
-// skipped when they already carry LSNs — replay — or no WAL is attached),
-// then the apply loop, advancing the shard's watermark past every op
-// that succeeded. The lock spans journal + apply, so the shard's journal
-// order equals its apply order — Checkpoint's truncation cover relies on
-// that atomicity. Outcomes land on the ops, unwrapped (callers add their
+// skipped when no WAL is attached, which a replay requires), then the
+// apply loop, advancing the shard's watermark past every op that
+// succeeded. Only the shard's writer calls it. The lock spans journal +
+// apply, so the shard's journal order equals its apply order —
+// Checkpoint's truncation cover relies on that atomicity. Outcomes land on the ops, unwrapped (callers add their
 // own context); a failed journal pass fails every op with ErrWALFailed
 // and applies none. It returns the highest LSN it journaled (0 = none)
 // for the caller to make durable before acknowledging: the fsync wait
@@ -328,8 +331,7 @@ func (p *Pool) applyShard(shard int, ops []*ingestOp) (journaled uint64) {
 	sh := &p.shards[shard]
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	replay := ops[0].rec.LSN != 0
-	if p.wal != nil && !replay {
+	if p.wal != nil {
 		sh.recs = sh.recs[:0]
 		for _, op := range ops {
 			sh.recs = append(sh.recs, op.rec)
@@ -348,7 +350,7 @@ func (p *Pool) applyShard(shard int, ops []*ingestOp) (journaled uint64) {
 		}
 	}
 	for _, op := range ops {
-		if replay && op.rec.LSN <= sh.lastLSN {
+		if op.replay != nil && op.rec.LSN <= sh.lastLSN {
 			op.skipped = true
 			continue
 		}
@@ -379,93 +381,56 @@ func (p *Pool) commit(lsn uint64) error {
 	return nil
 }
 
-// settle acknowledges applied ops once their durability wait has ended
-// with commitErr. A failed wait reports ErrWALFailed even where the
-// apply succeeded; an op that already failed keeps its own, more
-// specific error. Queued ops' futures complete here — the enqueuer owns
-// the op again from that moment.
+// settle acknowledges applied ops, in order, once their durability wait
+// has ended with commitErr. A failed wait reports ErrWALFailed even where
+// the apply succeeded; an op that already failed keeps its own, more
+// specific error. The enqueuer owns a live op again from the moment its
+// wait ends; a replayed record goes back to its replayer.
 func settle(ops []*ingestOp, commitErr error) {
 	for _, op := range ops {
 		if commitErr != nil && op.err == nil {
 			op.arr, op.err = nil, commitErr
 		}
-		if op.wg != nil {
+		if op.replay != nil {
+			op.replay.settled(op)
+		} else {
 			op.wg.Done()
 		}
 	}
 }
 
+// errPoolClosed fails a write to a pool whose writers Close stopped.
+var errPoolClosed = errors.New("write to a closed pool")
+
+// enqueue hands op to its shard's writer. Its error is a refusal: ctx had
+// ended (enqueue canceled), or the pool is closed. A refused op was never
+// accepted, so it is never journaled, applied or acknowledged.
+func (p *Pool) enqueue(ctx context.Context, op *ingestOp) error {
+	err := p.writers[op.rec.Shard].EnqueueContext(ctx, op)
+	switch {
+	case err == nil:
+		return nil
+	case errors.Is(err, ingest.ErrClosed):
+		return errPoolClosed
+	}
+	return fmt.Errorf("enqueue canceled: %w", err)
+}
+
 // write runs live ops through the write path; every Append, AppendBatch
-// and Delete comes here. Each op is accepted at one point: its shard's
-// writer queue when the pipeline runs, else (no pipeline, or it stopped
-// mid-call) its shard's inline group. An op whose ctx has ended by then
-// is refused with ctx's error and is never journaled, applied or
-// acknowledged. The inline groups run shards concurrently, one of them on
-// the caller's goroutine so a lone inline op spawns nothing, and share
-// one group-committed fsync; then write waits for the queued ops. On
-// return every op is applied and durable, or carries its error.
+// and Delete comes here. Each op is accepted on its shard's writer queue,
+// the one point where it can be refused (see enqueue), and write waits
+// until every accepted op is applied and durable, or carries its error.
 func (p *Pool) write(ctx context.Context, ops []*ingestOp) {
-	pipe := p.pipe.Load()
-	var queued *sync.WaitGroup
-	if pipe != nil {
-		queued = new(sync.WaitGroup)
-	}
-	var inline [][]*ingestOp // by shard, made for the first inline op
+	var wg sync.WaitGroup
 	for _, op := range ops {
-		s := op.rec.Shard
-		if pipe != nil {
-			op.wg = queued
-			queued.Add(1)
-			if ok, _ := pipe.writers[s].EnqueueContext(ctx, op); ok {
-				continue
-			}
-			// Refused because ctx ended (refused below too), or the writer
-			// closed: the pipeline stopped mid-call, and the op runs inline.
-			op.wg = nil
-			queued.Done()
-		}
-		if err := ctx.Err(); err != nil {
-			op.err = fmt.Errorf("enqueue canceled: %w", err)
-			continue
-		}
-		if inline == nil {
-			inline = make([][]*ingestOp, len(p.shards))
-		}
-		inline[s] = append(inline[s], op)
-	}
-	if inline != nil {
-		var wg sync.WaitGroup
-		mine := -1
-		for s, group := range inline {
-			switch {
-			case len(group) == 0:
-			case mine < 0:
-				mine = s
-			default:
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					p.applyShard(s, group)
-				}()
-			}
-		}
-		p.applyShard(mine, inline[mine])
-		wg.Wait()
-		// applyShard left every journaled op its LSN.
-		var top uint64
-		for _, group := range inline {
-			for _, op := range group {
-				top = max(top, op.rec.LSN)
-			}
-		}
-		err := p.commit(top)
-		for _, group := range inline {
-			settle(group, err)
+		op.wg = &wg
+		wg.Add(1)
+		if err := p.enqueue(ctx, op); err != nil {
+			op.err = err
+			wg.Done()
 		}
 	}
-	if queued != nil {
-		queued.Wait()
-	}
+	wg.Wait()
 }
 
 // writeOne runs one live op through write and returns its outcome. A
@@ -476,7 +441,8 @@ func (p *Pool) writeOne(ctx context.Context, rec persist.Record, top int) (*Arri
 	defer putOp(op)
 	op.rec, op.top = rec, top
 	p.write(ctx, []*ingestOp{op})
-	if cerr := ctx.Err(); errors.Is(op.err, ErrWALFailed) || cerr != nil && errors.Is(op.err, cerr) {
+	if cerr := ctx.Err(); errors.Is(op.err, ErrWALFailed) || errors.Is(op.err, errPoolClosed) ||
+		cerr != nil && errors.Is(op.err, cerr) {
 		return nil, fmt.Errorf("situfact: pool: %w", op.err)
 	}
 	return op.arr, op.err
@@ -568,11 +534,12 @@ func (p *Pool) Metrics() Metrics {
 	return total
 }
 
-// Close releases every shard's resources; all shards are closed even if
-// some fail, and the failures are joined. A running ingest pipeline is
-// drained and stopped first.
+// Close drains and stops the shard writers, then releases every shard's
+// resources; all shards are closed even if some fail, and the failures are
+// joined. A write after Close fails naming the closed pool; reads keep
+// serving.
 func (p *Pool) Close() error {
-	p.StopPipeline()
+	p.stopWriters()
 	var errs []error
 	for i := range p.shards {
 		if p.shards[i].eng == nil {

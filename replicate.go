@@ -149,16 +149,15 @@ func (p *Pool) TailCursor() uint64 {
 
 // ApplyTail applies a leader-shipped WAL tail to a follower pool through
 // the replayer ReplayWAL uses, with its order, onArrival and errors (after
-// an error the follower re-bootstraps). A shard's write lock is held for a
-// run of up to 64 records, so a read of that shard can wait that many
-// discovery steps while the follower catches up. epoch names the log
-// instance the records came from: the first ApplyTail pins it (a pool
+// an error the follower re-bootstraps). A shard's write lock is held for
+// one writer batch of up to 64 records, so a read of that shard can wait
+// that many discovery steps while the follower catches up. epoch names the
+// log instance the records came from: the first ApplyTail pins it (a pool
 // restored from a leader snapshot already carries it from the manifest),
 // and a different epoch later fails with ErrEpochMismatch.
 //
-// The pool must not itself be journaling (ApplyTail re-applies another
-// log's records; journaling them again would fork history) and must not
-// have the ingest pipeline running.
+// The pool must not itself be journaling: ApplyTail re-applies another
+// log's records, and journaling them again would fork history.
 func (p *Pool) ApplyTail(epoch string, recs []TailRecord, onArrival func(*Arrival)) (ReplayStats, error) {
 	if epoch == "" {
 		return ReplayStats{}, fmt.Errorf("situfact: apply tail: empty epoch")
@@ -166,16 +165,13 @@ func (p *Pool) ApplyTail(epoch string, recs []TailRecord, onArrival func(*Arriva
 	if p.wal != nil {
 		return ReplayStats{}, fmt.Errorf("situfact: apply tail: pool has its own WAL attached")
 	}
-	if p.pipe.Load() != nil {
-		return ReplayStats{}, fmt.Errorf("situfact: apply tail with the ingest pipeline running would race its writers")
-	}
 	if p.walEpoch == "" {
 		p.walEpoch = epoch
 	} else if p.walEpoch != epoch {
 		return ReplayStats{}, fmt.Errorf("situfact: apply tail: pool tracks epoch %s, tail is from %s: %w",
 			p.walEpoch, epoch, ErrEpochMismatch)
 	}
-	r := newReplayer(p, onArrival)
+	r := &replayer{p: p, onArrival: onArrival}
 	var err error
 	for _, tr := range recs {
 		var rec persist.Record

@@ -414,5 +414,6 @@ func RestorePool(schema *Schema, dir string) (*Pool, map[string][]byte, error) {
 		return nil, nil, err
 	}
 	p.walEpoch = man.WALEpoch
+	p.startWriters()
 	return p, man.Sidecars, nil
 }

@@ -2,6 +2,7 @@ package situfact
 
 import (
 	"cmp"
+	"context"
 	"errors"
 	"fmt"
 	"math"
@@ -174,12 +175,13 @@ type ReplayStats struct {
 // ReplayWAL applies the log's records that are not yet reflected in the
 // pool — for a pool restored by RestorePool, exactly the tail after its
 // checkpoint; for a fresh pool, the whole log. Records are validated and
-// routed in journal order, and each shard applies its own, in that order,
-// on a goroutine of its own. onArrival, when non-nil, observes every
-// replayed append's arrival with all its facts, in each shard's journal
-// order; calls are serialised, never concurrent. With a nil onArrival the
-// arrivals carry none (counted, not ranked) and the recovered state is
-// the same. Call before AttachWAL, before serving traffic.
+// routed in journal order, and each shard's writer applies its own, in
+// that order. onArrival, when non-nil, observes every replayed append's
+// arrival with all its facts, in each shard's journal order; calls are
+// serialised, never concurrent, and run on the shard's writer, so
+// onArrival must not write to the pool. With a nil onArrival the arrivals
+// carry none (counted, not ranked) and the recovered state is the same.
+// Call before AttachWAL, before serving traffic.
 //
 // A record the log cannot hold stops the replay: the records before it
 // are applied and counted, none after it. An apply that fails unlike its
@@ -193,50 +195,37 @@ func (p *Pool) ReplayWAL(w *WAL, onArrival func(*Arrival)) (ReplayStats, error) 
 	if p.wal != nil {
 		return ReplayStats{}, fmt.Errorf("situfact: replay after AttachWAL would re-journal the log into itself")
 	}
-	if p.pipe.Load() != nil {
-		return ReplayStats{}, fmt.Errorf("situfact: replay with the ingest pipeline running would race its writers; replay before StartPipeline")
-	}
 	if w.meta != p.walMeta() {
 		return ReplayStats{}, fmt.Errorf("situfact: WAL was opened under %q, not this pool's %q", w.meta, p.walMeta())
 	}
 	p.adoptWAL(w)
-	r := newReplayer(p, onArrival)
+	r := &replayer{p: p, onArrival: onArrival}
 	return r.finish(w.w.Replay(r.add))
 }
 
-// replayRun is how many records a shard's applier applies under one
-// shard-lock hold.
-const replayRun = 64
-
 // replayer re-applies journaled records: the one path behind ReplayWAL and
-// ApplyTail. The reader validates each record and adds it to its shard's
-// run; a full run goes over a one-slot channel to the shard's applier
-// goroutine, so a replay holds at most three runs a shard however long the
-// tail is. An applier applies a run in one applyShard call and classifies
-// the outcomes under mu, which also serialises onArrival.
+// ApplyTail. The reader validates each record and queues it on its shard's
+// writer, so a replay holds at most a queue's worth of records a shard
+// however long the tail is, and a shard's lock is held for at most one
+// writer batch. As each record settles on its writer, in the shard's
+// journal order, settled classifies its outcome under mu, which also
+// serialises onArrival.
 type replayer struct {
 	p         *Pool
 	onArrival func(*Arrival)
-	runs      [][]*ingestOp      // per shard: the run being filled
-	appliers  []chan []*ingestOp // per shard: nil until its first run
-	wg        sync.WaitGroup     // the appliers
+	wg        sync.WaitGroup // the records queued and not yet settled
 	mu        sync.Mutex
 	stats     ReplayStats // Records and LastLSN are the reader's; the rest is under mu
 	drift     error       // the drift with the lowest LSN, driftLSN
 	driftLSN  uint64
 }
 
-func newReplayer(p *Pool, onArrival func(*Arrival)) *replayer {
-	return &replayer{p: p, onArrival: onArrival,
-		runs: make([][]*ingestOp, len(p.shards)), appliers: make([]chan []*ingestOp, len(p.shards))}
-}
-
-// add validates one record and adds it to its shard's run. Its error — a
-// record the journal cannot hold — stops the replay.
+// add validates one record and queues it on its shard's writer. Its error —
+// a record the journal cannot hold, or a closed pool — stops the replay.
 func (r *replayer) add(rec persist.Record) error {
 	if rec.LSN == 0 {
-		// LSNs start at 1; applyShard would take an unnumbered record for
-		// a live op.
+		// LSNs start at 1; every watermark would cover an unnumbered
+		// record.
 		return fmt.Errorf("situfact: wal replay: record without an LSN")
 	}
 	r.stats.Records++
@@ -251,9 +240,9 @@ func (r *replayer) add(rec persist.Record) error {
 		}
 		rec.Shard = r.p.ShardFor(rec.Dims[r.p.shardDim])
 	case persist.RecDelete:
-		if rec.Shard < 0 || rec.Shard >= len(r.runs) {
+		if rec.Shard < 0 || rec.Shard >= len(r.p.shards) {
 			return fmt.Errorf("situfact: wal replay: record %d targets shard %d of %d",
-				rec.LSN, rec.Shard, len(r.runs))
+				rec.LSN, rec.Shard, len(r.p.shards))
 		}
 	case persist.RecNoop:
 		// An earlier build's repair filler over an LSN a write fault
@@ -266,80 +255,56 @@ func (r *replayer) add(rec persist.Record) error {
 		return fmt.Errorf("situfact: wal replay: record %d has unknown type %d", rec.LSN, rec.Type)
 	}
 	op := getOp()
-	op.rec = rec
+	op.rec, op.replay = rec, r
 	if r.onArrival != nil {
 		op.top = math.MaxInt
 	}
-	if r.runs[rec.Shard] = append(r.runs[rec.Shard], op); len(r.runs[rec.Shard]) == replayRun {
-		r.handOff(rec.Shard)
+	r.wg.Add(1)
+	if err := r.p.enqueue(context.Background(), op); err != nil {
+		r.wg.Done()
+		putOp(op)
+		return fmt.Errorf("situfact: wal replay: record %d: %w", rec.LSN, err)
 	}
 	return nil
 }
 
-// handOff passes shard s's run to its applier, started with the shard's
-// first run.
-func (r *replayer) handOff(s int) {
-	if r.appliers[s] == nil {
-		r.appliers[s] = make(chan []*ingestOp, 1)
-		r.wg.Add(1)
-		go func(runs <-chan []*ingestOp) {
-			defer r.wg.Done()
-			for run := range runs {
-				r.apply(s, run)
-			}
-		}(r.appliers[s])
-	}
-	r.appliers[s] <- r.runs[s]
-	r.runs[s] = make([]*ingestOp, 0, replayRun)
-}
-
-// apply runs one of shard s's runs under one shard-lock hold, then
-// classifies each outcome as skipped, applied, re-failed or drift. r.mu is
-// held across onArrival, whose calls the contract serialises; no shard
-// lock is held by then.
-func (r *replayer) apply(s int, run []*ingestOp) {
-	r.p.applyShard(s, run)
+// settled classifies one applied record's outcome as skipped, applied,
+// re-failed or drift, on its shard's writer. r.mu is held across
+// onArrival, whose calls the contract serialises; no shard lock is held by
+// then.
+func (r *replayer) settled(op *ingestOp) {
 	r.mu.Lock()
-	defer r.mu.Unlock()
-	for _, op := range run {
-		switch {
-		case op.skipped:
-			r.stats.Skipped++
-		case op.err == nil:
-			r.stats.Applied++
-			if op.arr != nil && r.onArrival != nil { // an observed append
-				r.onArrival(op.arr)
-			}
-		case op.rec.Type == persist.RecAppend,
-			errors.Is(op.err, ErrNotFound), errors.Is(op.err, ErrAlreadyDeleted):
-			// The original application failed the same deterministic way
-			// (journaling precedes applying), so the record adds nothing to
-			// recovered state.
-			r.stats.Failed++
-		case r.drift == nil || op.rec.LSN < r.driftLSN:
-			// Pool.Delete rejects unsupported deletes before journaling, so
-			// a RecDelete proves the writing pool applied (or could have
-			// applied) it. ErrDeleteUnsupported here means the pool was
-			// restarted under a non-deleting algorithm — real drift, like
-			// any other unexpected failure.
-			r.drift = fmt.Errorf("situfact: wal replay: record %d: %w", op.rec.LSN, op.err)
-			r.driftLSN = op.rec.LSN
+	switch {
+	case op.skipped:
+		r.stats.Skipped++
+	case op.err == nil:
+		r.stats.Applied++
+		if op.arr != nil && r.onArrival != nil { // an observed append
+			r.onArrival(op.arr)
 		}
-		putOp(op)
+	case op.rec.Type == persist.RecAppend,
+		errors.Is(op.err, ErrNotFound), errors.Is(op.err, ErrAlreadyDeleted):
+		// The original application failed the same deterministic way
+		// (journaling precedes applying), so the record adds nothing to
+		// recovered state.
+		r.stats.Failed++
+	case r.drift == nil || op.rec.LSN < r.driftLSN:
+		// Pool.Delete rejects unsupported deletes before journaling, so
+		// a RecDelete proves the writing pool applied (or could have
+		// applied) it. ErrDeleteUnsupported here means the pool was
+		// restarted under a non-deleting algorithm — real drift, like
+		// any other unexpected failure.
+		r.drift = fmt.Errorf("situfact: wal replay: record %d: %w", op.rec.LSN, op.err)
+		r.driftLSN = op.rec.LSN
 	}
+	r.mu.Unlock()
+	putOp(op)
+	r.wg.Done()
 }
 
-// finish hands off every run still filling and waits out the appliers. The
-// error is the drift with the lowest LSN, else the reader's err.
+// finish waits until every queued record has settled. The error is the
+// drift with the lowest LSN, else the reader's err.
 func (r *replayer) finish(err error) (ReplayStats, error) {
-	for s, run := range r.runs {
-		if len(run) > 0 {
-			r.handOff(s)
-		}
-		if r.appliers[s] != nil {
-			close(r.appliers[s])
-		}
-	}
 	r.wg.Wait()
 	return r.stats, cmp.Or(r.drift, err)
 }

@@ -422,6 +422,11 @@ func TestWALFailedClassification(t *testing.T) {
 	}
 }
 
+// replayRun is the most records a shard writer hands applyShard at once
+// (internal/ingest's batch limit): the run a replay applies under one
+// shard-lock hold.
+const replayRun = 64
+
 // TestReplayAppliesEveryShardInJournalOrder drives the replayer past its
 // run size on every shard: a four-shard log of appends and deletes — some
 // of unknown or already-deleted tuples, which re-fail — half covered by a
