@@ -288,55 +288,61 @@ func TestPipelineRejectsBadRows(t *testing.T) {
 // TestPipelineRefusesEndedContext pins the one acceptance point: a write
 // whose context has already ended is refused before it is queued. Append,
 // AppendBatch and Delete each fail with context.Canceled, and neither the
-// pool nor the journal moves.
+// pool nor the journal moves, also once StartPipeline has sized the shard
+// queues.
 func TestPipelineRefusesEndedContext(t *testing.T) {
 	ended, cancel := context.WithCancel(context.Background())
 	cancel()
 	rows := poolRows(5)
-	p, err := NewPool(poolSchema(t), PoolOptions{Shards: 2, ShardDim: "team"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer p.Close()
-	w, err := OpenWAL(p, t.TempDir(), WALOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer w.Close()
-	if err := p.AttachWAL(w); err != nil {
-		t.Fatal(err)
-	}
-	arr, err := p.Append(rows[0].Dims, rows[0].Measures)
-	if err != nil {
-		t.Fatal(err)
-	}
-	len0, m0, lsn0 := p.Len(), p.Metrics(), w.Stats().LastLSN
-	unmoved := func(op string) {
-		t.Helper()
-		if p.Len() != len0 || p.Metrics() != m0 || w.Stats().LastLSN != lsn0 {
-			t.Errorf("%s under an ended context moved the pool: Len %d → %d, LastLSN %d → %d",
-				op, len0, p.Len(), lsn0, w.Stats().LastLSN)
+	t.Run("pipelined", func(t *testing.T) {
+		p, err := NewPool(poolSchema(t), PoolOptions{Shards: 2, ShardDim: "team"})
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	if got, err := p.AppendContext(ended, rows[1].Dims, rows[1].Measures, 5); got != nil || !errors.Is(err, context.Canceled) {
-		t.Errorf("AppendContext = %v, %v; want nil, context.Canceled", got, err)
-	}
-	unmoved("Append")
-	arrs, err := p.AppendBatchContext(ended, rows[1:], 5)
-	if !errors.Is(err, context.Canceled) {
-		t.Errorf("AppendBatchContext error = %v, want context.Canceled", err)
-	}
-	if errs, _ := err.(interface{ Unwrap() []error }); errs == nil || len(errs.Unwrap()) != len(rows)-1 {
-		t.Errorf("AppendBatchContext error = %v, want one per row", err)
-	}
-	for i, a := range arrs {
-		if a != nil {
-			t.Errorf("row %d of a refused batch has an arrival", i)
+		defer p.Close()
+		w, err := OpenWAL(p, t.TempDir(), WALOptions{})
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	unmoved("AppendBatch")
-	if err := p.DeleteContext(ended, arr.Shard, arr.TupleID); !errors.Is(err, context.Canceled) {
-		t.Errorf("DeleteContext = %v, want context.Canceled", err)
-	}
-	unmoved("Delete")
+		defer w.Close()
+		if err := p.AttachWAL(w); err != nil {
+			t.Fatal(err)
+		}
+		if err := p.StartPipeline(PipelineOptions{}); err != nil {
+			t.Fatal(err)
+		}
+		arr, err := p.Append(rows[0].Dims, rows[0].Measures)
+		if err != nil {
+			t.Fatal(err)
+		}
+		len0, m0, lsn0 := p.Len(), p.Metrics(), w.Stats().LastLSN
+		unmoved := func(op string) {
+			t.Helper()
+			if p.Len() != len0 || p.Metrics() != m0 || w.Stats().LastLSN != lsn0 {
+				t.Errorf("%s under an ended context moved the pool: Len %d → %d, LastLSN %d → %d",
+					op, len0, p.Len(), lsn0, w.Stats().LastLSN)
+			}
+		}
+		if got, err := p.AppendContext(ended, rows[1].Dims, rows[1].Measures, 5); got != nil || !errors.Is(err, context.Canceled) {
+			t.Errorf("AppendContext = %v, %v; want nil, context.Canceled", got, err)
+		}
+		unmoved("Append")
+		arrs, err := p.AppendBatchContext(ended, rows[1:], 5)
+		if !errors.Is(err, context.Canceled) {
+			t.Errorf("AppendBatchContext error = %v, want context.Canceled", err)
+		}
+		if errs, _ := err.(interface{ Unwrap() []error }); errs == nil || len(errs.Unwrap()) != len(rows)-1 {
+			t.Errorf("AppendBatchContext error = %v, want one per row", err)
+		}
+		for i, a := range arrs {
+			if a != nil {
+				t.Errorf("row %d of a refused batch has an arrival", i)
+			}
+		}
+		unmoved("AppendBatch")
+		if err := p.DeleteContext(ended, arr.Shard, arr.TupleID); !errors.Is(err, context.Canceled) {
+			t.Errorf("DeleteContext = %v, want context.Canceled", err)
+		}
+		unmoved("Delete")
+	})
 }
