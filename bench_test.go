@@ -383,20 +383,35 @@ func BenchmarkPoolAppend(b *testing.B) {
 // (NBA d=5, m=7, d̂=4; the stream of TestEngineAppendAllocsScaleWithConstraints),
 // against an engine warmed with 300 rows. An arrival there has some two
 // thousand facts (reported as facts/row), so ns/op and allocs/op show what a
-// fact costs after it is discovered. The engine is rebuilt every 200
-// arrivals, outside the timer, so every iteration count measures the same
-// depth of relation. The sub-benchmarks time the same rows on the same warm
-// engine under each cap on the facts an arrival carries: /all (Append),
-// /top5 (what a daemon ack carries) and /count (a batch ack or an
-// unobserved replay: the count alone).
+// fact costs after it is discovered. The sub-benchmarks time the same rows
+// on the same warm engine under each cap on the facts an arrival carries:
+// /all (Append), /top5 (what a daemon ack carries) and /count (a batch ack
+// or an unobserved replay: the count alone).
 func BenchmarkEngineAppendWide(b *testing.B) {
 	const warm, span = 300, 200
 	schema, rows := wideStream(b, warm+span)
-	for _, bc := range []struct {
-		name string
-		k    int
-	}{{"all", math.MaxInt}, {"top5", 5}, {"count", 0}} {
-		b.Run(bc.name, func(b *testing.B) {
+	benchEngineAppend(b, schema, Options{MaxBoundDims: wideDhat}, rows, warm, []int{math.MaxInt, 5, 0})
+}
+
+// BenchmarkEngineAppendNarrow is BenchmarkEngineAppendWide at the narrow
+// shape (NBA d=4, m=4, d̂=4) against an engine warmed with 3 000 rows: some
+// tens of facts an arrival, so discovery's fixed costs per arrival and per
+// visited cell weigh more than at the wide shape. /top5 and /count only.
+func BenchmarkEngineAppendNarrow(b *testing.B) {
+	const warm, span = 3000, 2000
+	schema, rows := nbaRows(b, 4, 4, warm+span)
+	benchEngineAppend(b, schema, Options{MaxBoundDims: 4}, rows, warm, []int{5, 0})
+}
+
+// benchEngineAppend times one Engine.append per iteration of the rows after
+// the first warm, one sub-benchmark per cap k (all, top5 or count). The
+// engine is rebuilt every len(rows)-warm arrivals, outside the timer, so
+// every iteration count measures the same depth of relation.
+func benchEngineAppend(b *testing.B, schema *Schema, opt Options, rows []Row, warm int, caps []int) {
+	span := len(rows) - warm
+	for _, k := range caps {
+		name := map[int]string{math.MaxInt: "all", 5: "top5", 0: "count"}[k]
+		b.Run(name, func(b *testing.B) {
 			var eng *Engine
 			defer func() { eng.Close() }()
 			facts := 0
@@ -408,7 +423,7 @@ func BenchmarkEngineAppendWide(b *testing.B) {
 						eng.Close()
 					}
 					var err error
-					if eng, err = New(schema, Options{MaxBoundDims: wideDhat}); err != nil {
+					if eng, err = New(schema, opt); err != nil {
 						b.Fatal(err)
 					}
 					// Warmed at k = 0, so a profile holds only the timed
@@ -421,7 +436,7 @@ func BenchmarkEngineAppendWide(b *testing.B) {
 					b.StartTimer()
 				}
 				r := rows[warm+i%span]
-				arr, err := eng.append(r.Dims, r.Measures, bc.k)
+				arr, err := eng.append(r.Dims, r.Measures, k)
 				if err != nil {
 					b.Fatal(err)
 				}

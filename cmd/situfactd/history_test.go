@@ -340,7 +340,7 @@ func (h *daemonHistory) checkLeader() {
 		hist += n
 	}
 	switch sn, w := m.Snapshot, m.WAL; {
-	case !in.Pipeline || in.Enqueued != h.enqueued || in.QueueDepth != 0 || len(in.PerShard) != h.shards ||
+	case in.Enqueued != h.enqueued || in.QueueDepth != 0 || len(in.PerShard) != h.shards ||
 		shardOps != in.Enqueued || hist != in.Batches || in.Enqueued > 0 && in.MeanBatch <= 0:
 		h.fatalf("ingest %+v, yet the writers accepted %d ops since the daemon started", in, h.enqueued)
 	case !w.Enabled || w.Degraded || w.LastLSN != h.lsn || w.LagRecords != 0 || w.Syncs > h.enqueued || h.synced > 0 && w.Syncs == 0:

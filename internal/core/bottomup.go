@@ -1,8 +1,11 @@
 package core
 
 import (
+	"slices"
+
 	"repro/internal/lattice"
 	"repro/internal/relation"
+	"repro/internal/store"
 	"repro/internal/subspace"
 )
 
@@ -22,9 +25,14 @@ import (
 type BottomUp struct {
 	*base
 	shared bool
+	kept   []subspace.Mask // the subspaces it keeps cells in (store.Store.Keep)
 
 	recs    []pairRec
 	recSeen map[int64]bool
+
+	// fresh lists, in first-visit order, the arrival's constraints no
+	// earlier tuple satisfies (freshAt stamps them): Process installs them.
+	fresh []lattice.Mask
 }
 
 // pairRec is one root-phase comparison record used by the sharing passes.
@@ -34,21 +42,24 @@ type pairRec struct {
 }
 
 // NewBottomUp creates plain BottomUp.
-func NewBottomUp(cfg Config) (*BottomUp, error) {
-	b, err := newBase(cfg)
-	if err != nil {
-		return nil, err
-	}
-	return &BottomUp{base: b}, nil
-}
+func NewBottomUp(cfg Config) (*BottomUp, error) { return newBottomUp(cfg, false) }
 
 // NewSBottomUp creates SBottomUp (sharing across measure subspaces).
-func NewSBottomUp(cfg Config) (*BottomUp, error) {
+func NewSBottomUp(cfg Config) (*BottomUp, error) { return newBottomUp(cfg, true) }
+
+func newBottomUp(cfg Config, shared bool) (*BottomUp, error) {
 	b, err := newBase(cfg)
 	if err != nil {
 		return nil, err
 	}
-	return &BottomUp{base: b, shared: true}, nil
+	kept := b.subs
+	if shared && b.mhat < b.m {
+		// The sharing root pass keeps full-space cells too.
+		kept = append(slices.Clip(kept), b.fullM)
+	}
+	b.st.Keep(kept)
+	b.freshAt = make([]uint32, len(b.keyEpoch))
+	return &BottomUp{base: b, shared: shared, kept: kept}, nil
 }
 
 // Name implements Discoverer.
@@ -64,25 +75,25 @@ func (a *BottomUp) Process(t *relation.Tuple) []Fact {
 	a.met.Tuples++
 	a.newTupleScratch(t)
 	facts := a.newFacts()
-	if !a.shared {
-		for _, m := range a.subs {
-			facts = a.traverse(t, m, false, facts)
+	a.fresh = a.fresh[:0]
+	if a.shared {
+		// SBottomUp: root pass over the full space 𝕄, recording relations.
+		a.recs = a.recs[:0]
+		if a.recSeen == nil {
+			a.recSeen = make(map[int64]bool, 64)
+		} else {
+			clear(a.recSeen)
 		}
-		return a.doneFacts(facts)
+		facts = a.traverse(t, a.fullM, true, facts)
 	}
-	// SBottomUp: root pass over the full space 𝕄, recording relations.
-	a.recs = a.recs[:0]
-	if a.recSeen == nil {
-		a.recSeen = make(map[int64]bool, 64)
-	} else {
-		clear(a.recSeen)
-	}
-	facts = a.traverse(t, a.fullM, true, facts)
 	for _, m := range a.subs {
-		if m == a.fullM {
+		if a.shared && m == a.fullM {
 			continue
 		}
 		facts = a.traverse(t, m, false, facts)
+	}
+	for _, c := range a.fresh {
+		a.st.Install(a.cids[c], uint32(t.ID))
 	}
 	return a.doneFacts(facts)
 }
@@ -125,13 +136,27 @@ func (a *BottomUp) traverse(t *relation.Tuple, m subspace.Mask, root bool, facts
 		}
 		a.met.Traversed++
 		ref := a.cellRef(t, c, m)
-		cell := a.st.Load(ref)
+		// Under Invariant 1 a constraint's kept cells are all empty exactly
+		// when it is fresh. Nothing prunes a fresh C (σ_D(R) ⊆ σ_C(R) = ∅ for
+		// D ⊇ C), so every pass visits it and finds t alone: no cell to touch.
+		fresh := a.freshAt[c] == a.keyStamp
+		var cell store.Cell
+		if !fresh {
+			cell = a.st.Load(ref)
+			if fresh = cell.Len() == 0; fresh {
+				a.freshAt[c] = a.keyStamp
+				a.fresh = append(a.fresh, c)
+			}
+		}
 		// Batched scan (kernel.go): four members per pass, stopping at the
 		// first one dominating t. One Comparison is charged per member
 		// visited — the sequence a member-at-a-time loop walks (removals
 		// are order-preserving), so the counter is that loop's.
 		ids := cell.IDs()
-		visited, dominated, rem := scanFirstDom(tv, a.vecs, ids, a.m, idx, a.remIdx[:0])
+		visited, dominated, rem := 0, false, a.remIdx[:0]
+		if !fresh {
+			visited, dominated, rem = scanFirstDom(tv, a.vecs, ids, a.m, idx, rem)
+		}
 		a.met.Comparisons += int64(visited)
 		if root {
 			// Record one Proposition-4 relation per visited distinct tuple,
@@ -155,7 +180,7 @@ func (a *BottomUp) traverse(t *relation.Tuple, m subspace.Mask, root bool, facts
 			a.markSubmasksPruned(c)
 		} else {
 			cell.Append(t.ID)
-			changed = true
+			changed = !fresh // Process installs a fresh constraint's cells
 			if emitting {
 				// Invariant 1: the cell, evictees removed and t appended, is
 				// λ_M(σ_C(R)), and no later pass of this arrival visits it.

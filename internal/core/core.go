@@ -136,6 +136,7 @@ type base struct {
 	keyStamp uint32
 	keyEpoch []uint32
 	cids     []store.ConstraintID
+	freshAt  []uint32  // BottomUp's: c is fresh in this arrival iff freshAt[c] == keyStamp
 	vals     []int32   // fact-constraint arena (see emit)
 	factVals [][]int32 // this tuple's emitted constraint values, by mask
 	valsSeen []uint32  // factVals[c] is current iff valsSeen[c] == keyStamp
@@ -248,6 +249,7 @@ func (b *base) newTupleScratch(t *relation.Tuple) {
 		for i := range b.keyEpoch {
 			b.keyEpoch[i], b.valsSeen[i] = 0, 0
 		}
+		clear(b.freshAt)
 		b.keyStamp = 1
 	}
 }

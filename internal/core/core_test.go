@@ -274,6 +274,8 @@ func TestEquivalenceRandom(t *testing.T) {
 
 // TestEquivalenceFileStore runs the four lattice algorithms over file
 // stores (the FS* variants of §VI-C) and cross-checks against the oracle.
+// The BottomUp family runs one visit path over both stores, so a twin of
+// each over a Memory ends with the same work and store counters.
 func TestEquivalenceFileStore(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	tb := randomTable(t, rng, 35, 3, 3, 2, 3)
@@ -302,6 +304,14 @@ func TestEquivalenceFileStore(t *testing.T) {
 		}
 		algs = append(algs, a)
 	}
+	twins := map[Discoverer]Discoverer{}
+	for _, i := range []int{0, 2} {
+		twin, err := mk[i](cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		twins[algs[i]] = twin
+	}
 	for _, tu := range tb.Tuples() {
 		ref := oracle.Process(tu)
 		for _, alg := range algs {
@@ -309,12 +319,21 @@ func TestEquivalenceFileStore(t *testing.T) {
 			if ok, why := sameFacts(ref, got); !ok {
 				t.Fatalf("tuple %d: FS-%s disagrees with Oracle: %s", tu.ID, alg.Name(), why)
 			}
+			if twin := twins[alg]; twin != nil {
+				twin.Process(tu)
+			}
 		}
 	}
 	// File stores must have performed real I/O.
 	for _, alg := range algs {
 		if alg.StoreStats().Writes == 0 {
 			t.Errorf("FS-%s performed no writes", alg.Name())
+		}
+	}
+	for alg, twin := range twins {
+		if alg.Metrics() != twin.Metrics() || alg.StoreStats() != twin.StoreStats() {
+			t.Errorf("FS-%s ends with %+v and store %+v, over a Memory %+v and %+v",
+				alg.Name(), alg.Metrics(), alg.StoreStats(), twin.Metrics(), twin.StoreStats())
 		}
 	}
 }

@@ -3,7 +3,6 @@ package core
 import (
 	"repro/internal/relation"
 	"repro/internal/store"
-	"repro/internal/subspace"
 )
 
 // Delete removes tuple u from the BottomUp-family state, repairing
@@ -28,16 +27,11 @@ import (
 // two storage schemes already embody.
 func (a *BottomUp) Delete(u *relation.Tuple, alive []*relation.Tuple) {
 	a.newTupleScratch(u)
-	subs := a.subs
-	if a.shared && a.mhat < a.m {
-		// The sharing root pass maintains full-space cells too.
-		subs = append(append([]subspace.Mask(nil), subs...), a.fullM)
-	}
 	var ctx, cands []*relation.Tuple
 	for _, c := range a.ctMasks {
 		cid := a.cid(u, c)
 		collected := false
-		for _, m := range subs {
+		for _, m := range a.kept {
 			ref := store.Ref(cid, m)
 			cell := a.st.Load(ref)
 			if cell.Len() == 0 {

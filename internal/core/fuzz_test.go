@@ -1,6 +1,8 @@
 package core
 
 import (
+	"math"
+	"math/rand"
 	"testing"
 
 	"repro/internal/lattice"
@@ -71,21 +73,74 @@ func FuzzEquivalence(f *testing.F) {
 				t.Fatalf("tuple %d: STopDown diverged: %s", tu.ID, why)
 			}
 			for _, alg := range []*BottomUp{bu, sbu} {
-				got := alg.Process(tu)
-				if len(got) != len(want) {
-					t.Fatalf("tuple %d: %s %d facts, oracle %d", tu.ID, alg.Name(), len(got), len(want))
-				} else if ok, why := sameFacts(want, got); !ok {
-					t.Fatalf("tuple %d: %s diverged: %s", tu.ID, alg.Name(), why)
-				}
-				for _, f := range got {
-					if n := skylineCount(history, f.Constraint, f.Subspace); int(f.SkylineSize) != n {
-						t.Fatalf("tuple %d: %s fact (%v, %b) carries skyline size %d, λ_M(σ_C(R)) holds %d",
-							tu.ID, alg.Name(), f.Constraint.Vals, f.Subspace, f.SkylineSize, n)
-					}
-				}
+				checkArrival(t, alg, tu, history, want)
 			}
 		}
 	})
+}
+
+// checkArrival processes tu, the last tuple of history, on alg and checks
+// its facts against the oracle's, want, and each fact's skyline size
+// against the brute-force |λ_M(σ_C(R))|.
+func checkArrival(t *testing.T, alg *BottomUp, tu *relation.Tuple, history []*relation.Tuple, want []Fact) {
+	t.Helper()
+	got := alg.Process(tu)
+	if len(got) != len(want) {
+		t.Fatalf("tuple %d: %s %d facts, oracle %d", tu.ID, alg.Name(), len(got), len(want))
+	} else if ok, why := sameFacts(want, got); !ok {
+		t.Fatalf("tuple %d: %s diverged: %s", tu.ID, alg.Name(), why)
+	}
+	for _, f := range got {
+		if n := skylineCount(history, f.Constraint, f.Subspace); int(f.SkylineSize) != n {
+			t.Fatalf("tuple %d: %s fact (%v, %b) carries skyline size %d, λ_M(σ_C(R)) holds %d",
+				tu.ID, alg.Name(), f.Constraint.Vals, f.Subspace, f.SkylineSize, n)
+		}
+	}
+}
+
+// TestStampWrapAround runs BottomUp and SBottomUp across the wrap of both
+// 32-bit scratch stamps: the per-pass epoch (pruned, queued and ancestor
+// marks) and the per-arrival key stamp (constraint ids, fact values, fresh
+// constraints). A long-running engine reaches the epoch's after about 33 M
+// wide arrivals. Three arrivals mark the scratch with small stamps, then both
+// jump to just below 2^32 and wrap within the next arrival, so one that did
+// not clear the marks would meet those small stamps again at once. Every
+// arrival is checked as FuzzEquivalence checks it.
+func TestStampWrapAround(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	tb := randomTable(t, rng, 60, 3, 2, 3, 4)
+	cfg := Config{Schema: tb.Schema(), MaxBound: -1, MaxMeasure: -1}
+	oracle, err := NewOracle(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bu, err := NewBottomUp(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sbu, err := NewSBottomUp(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	algs := []*BottomUp{bu, sbu}
+	var history []*relation.Tuple
+	for i, tu := range tb.Tuples() {
+		if i == 3 {
+			for _, alg := range algs {
+				alg.epoch, alg.keyStamp = math.MaxUint32-2, math.MaxUint32-2
+			}
+		}
+		history = append(history, tu)
+		want := oracle.Process(tu)
+		for _, alg := range algs {
+			checkArrival(t, alg, tu, history, want)
+		}
+	}
+	for _, alg := range algs {
+		if alg.epoch >= math.MaxUint32-2 || alg.keyStamp >= math.MaxUint32-2 {
+			t.Errorf("%s: stamps at epoch %d, key %d: not wrapped", alg.Name(), alg.epoch, alg.keyStamp)
+		}
+	}
 }
 
 // skylineCount is |λ_M(σ_C(R))| over history, by brute force.

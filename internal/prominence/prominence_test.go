@@ -396,6 +396,57 @@ func TestRankKeepsScoresFirstK(t *testing.T) {
 	}
 }
 
+// TestRankIgnoresInputOrder: two facts of one arrival never tie on all
+// three words — within an arrival the key ordinal names the constraint and
+// the rank word carries the subspace — so the last tie-break, input
+// position, never decides, and shuffling an arrival's facts leaves the
+// facts Rank keeps and their order unchanged, at k = 5 and at k = all. The
+// arrivals are SBottomUp's on a generated stream; a context size of three
+// values makes prominence ties common.
+func TestRankIgnoresInputOrder(t *testing.T) {
+	g, err := gen.NewNBA(gen.NBAConfig{Seed: 42}, 4, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tb := relation.NewTable(g.Schema())
+	if err := g.Fill(tb, 400); err != nil {
+		t.Fatal(err)
+	}
+	alg, err := core.NewSBottomUp(core.Config{Schema: tb.Schema(), MaxBound: -1, MaxMeasure: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := contextFunc(func(c lattice.Constraint) int64 { return int64(1 + c.Bound()%3) })
+	carried := sizerFunc(func(lattice.Constraint, subspace.Mask) int {
+		t.Fatal("a BottomUp fact carries its skyline size")
+		return 0
+	})
+	rng := rand.New(rand.NewSource(42))
+	var inOrder, shuffled Ranker
+	checked := 0
+	for i, tu := range tb.Tuples() {
+		facts := alg.Process(tu)
+		if i%8 != 0 || len(facts) < 10 {
+			continue
+		}
+		mixed := slices.Clone(facts)
+		rng.Shuffle(len(mixed), func(a, b int) { mixed[a], mixed[b] = mixed[b], mixed[a] })
+		for _, k := range []int{5, len(facts)} {
+			inOrder.Rank(facts, ctx, carried, k)
+			shuffled.Rank(mixed, ctx, carried, k)
+			for j := 0; j < inOrder.Len(); j++ {
+				if got, want := shuffled.At(j), inOrder.At(j); !reflect.DeepEqual(got, want) {
+					t.Fatalf("tuple %d, k=%d, position %d: shuffled input ranks %+v, input order %+v", tu.ID, k, j, got, want)
+				}
+			}
+		}
+		checked++
+	}
+	if checked < 20 {
+		t.Fatalf("checked %d arrivals, want at least 20", checked)
+	}
+}
+
 // TestScoreMixedWidths: Score is a general function, so constraints of
 // different widths may meet in one input; a key that is a prefix of
 // another sorts first, as the key strings do.

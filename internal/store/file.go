@@ -6,8 +6,10 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 
 	"repro/internal/relation"
+	"repro/internal/subspace"
 )
 
 // File is the file-backed µ(C,M) store of the paper's §VI-C: "each
@@ -30,7 +32,8 @@ type File struct {
 	// cellSizes tracks the entry count of every non-empty cell so that
 	// StoredTuples/Cells stay O(1); it mirrors what is on disk.
 	cellSizes map[CellRef]int
-	enc       []byte // reused encode buffer
+	enc       []byte   // reused encode buffer
+	kept      []uint32 // the masks Install fills (Keep)
 }
 
 // NewFile creates (or reuses) dir as the store root. The directory and its
@@ -127,6 +130,16 @@ func (f *File) Save(ref CellRef, c Cell) {
 	f.stats.StoredTuples += int64(c.Len() - old)
 	f.cellSizes[ref] = c.Len()
 	f.stats.Writes++
+}
+
+// Keep implements Store.
+func (f *File) Keep(masks []subspace.Mask) { f.kept = slices.Clone(masks) }
+
+// Install implements Store as one Save, one cell file, per kept mask.
+func (f *File) Install(c ConstraintID, id uint32) {
+	for _, mask := range f.kept {
+		f.Save(Ref(c, mask), Cell{n: 1, two: [2]uint32{id}})
+	}
 }
 
 // Stats implements Store.

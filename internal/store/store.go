@@ -313,6 +313,12 @@ type Store interface {
 	Load(ref CellRef) Cell
 	// Save persists the (possibly mutated) cell value.
 	Save(ref CellRef, c Cell)
+	// Keep names, ascending, the subspace masks the discoverer over the
+	// store keeps cells in. It is called once, before the first Install.
+	Keep(masks []subspace.Mask)
+	// Install gives constraint c, which has no cell, a cell of tuple id
+	// alone per kept mask; counters and observer move as per-cell Saves.
+	Install(c ConstraintID, id uint32)
 	// Stats returns a snapshot of the store counters.
 	Stats() Stats
 	// Close releases resources (files); the store must not be used after.
@@ -335,12 +341,18 @@ type slot struct {
 // the store's width. Dense: cells is 2^width slots indexed by subspace mask
 // and masks stays nil. Sparse: cells holds the live slots only, ascending by
 // subspace mask, and masks[i] is the mask of cells[i]. Either way the block
-// is the one record of which of the constraint's cells are live.
+// is the one record of which of the constraint's cells are live. A
+// one-member block has no slots: its cells are the kept masks', each
+// holding the tuple one, until a Save changes one of them.
 type block struct {
 	cells []slot
 	masks []uint32
-	live  int32 // non-empty slots; 0 = the constraint has no cell and no storage
+	live  int32  // non-empty cells; 0 = the constraint has no cell and no storage
+	one   uint32 // a one-member block's tuple
 }
+
+// single reports whether b is a one-member block.
+func (b *block) single() bool { return b.cells == nil && b.live > 0 }
 
 // Memory is the in-memory store. Each live constraint owns one block, so
 // resolving (constraint id, subspace mask) is two array lookups with no
@@ -349,12 +361,13 @@ type block struct {
 // a short list in the sparse one. A one-member cell — four in five of them —
 // is its slot; the members of the others live in one pointer-free id arena.
 // A block comes with its constraint's first cell and is released when its
-// last cell empties.
+// last cell empties, or is one-member: a tuple's id and no slots.
 type Memory struct {
 	in    *Interner
 	width int
 
-	blocks []block // by constraint id
+	blocks []block  // by constraint id
+	kept   []uint32 // the masks a one-member block covers, ascending (Keep)
 
 	// arena holds the members of every cell of n >= 2 in a range of
 	// 1<<class(n) ids; free[k] heads class k's vacated ranges, chained
@@ -369,11 +382,11 @@ type Memory struct {
 
 	stats Stats
 
-	// observer, when set, is called from Save when a constraint gains its
-	// first cell (live=true: its block has just been allocated) and when it
-	// loses its last (live=false: the block has just been released). Cells
-	// coming and going under a constraint that keeps at least one do not
-	// fire: which cells those are is read off the block (Masks).
+	// observer, when set, is called when a constraint gains its first cell
+	// (live=true: Save, Install or RestoreConstraint has just allocated its
+	// block) and when it loses its last (live=false: Save has just released
+	// the block). Cells coming and going under a constraint that keeps one
+	// do not fire: which cells those are is read off the block (Masks).
 	observer func(c ConstraintID, live bool)
 }
 
@@ -386,8 +399,8 @@ func NewMemory(width int) *Memory {
 // SetObserver installs the constraint lifecycle callback (see the observer
 // field). The constraint is named by its interned id, no key decoded on the
 // observer's behalf; one that wants the key bytes asks the Interner. The
-// observer runs synchronously inside Save under whatever lock the caller
-// holds; it must not call back into the store's cells.
+// observer runs synchronously inside the store call under whatever lock the
+// caller holds; it must not call back into the store's cells.
 func (m *Memory) SetObserver(fn func(c ConstraintID, live bool)) {
 	m.observer = fn
 }
@@ -401,21 +414,50 @@ func (m *Memory) dense() bool { return m.width <= denseMaxWidth }
 // Interner implements Store.
 func (m *Memory) Interner() *Interner { return m.in }
 
-// lookup resolves a ref to its slot, nil when its constraint has no block
-// or, in the sparse layout, the block no slot for it.
-func (m *Memory) lookup(ref CellRef) *slot {
+// at resolves a ref to its cell's slot, and to its address if the block
+// has that slot (not one-member, and in the sparse layout a live one).
+func (m *Memory) at(ref CellRef) (slot, *slot) {
 	cid, mask := RefParts(ref)
 	if int(cid) >= len(m.blocks) || m.blocks[cid].live == 0 {
-		return nil
+		return slot{}, nil
 	}
 	b := &m.blocks[cid]
-	if m.dense() {
-		return &b.cells[mask]
+	switch {
+	case b.single():
+		if _, kept := slices.BinarySearch(m.kept, mask); kept {
+			return slot{n: 1, ref: b.one}, nil
+		}
+		return slot{}, nil
+	case m.dense():
+		return b.cells[mask], &b.cells[mask]
 	}
 	if i, ok := slices.BinarySearch(b.masks, mask); ok {
-		return &b.cells[i]
+		return b.cells[i], &b.cells[i]
 	}
-	return nil
+	return slot{}, nil
+}
+
+// spread gives one-member block b its slots, one per kept mask.
+func (m *Memory) spread(b *block) {
+	if m.dense() {
+		b.cells = make([]slot, 1<<uint(m.width))
+	} else {
+		b.cells, b.masks = make([]slot, len(m.kept)), slices.Clone(m.kept)
+	}
+	for i, mask := range m.kept {
+		if m.dense() {
+			i = int(mask)
+		}
+		b.cells[i] = slot{n: 1, ref: b.one}
+	}
+}
+
+// blockOf returns constraint c's block, growing the table to reach it.
+func (m *Memory) blockOf(c ConstraintID) *block {
+	for int(c) >= len(m.blocks) {
+		m.blocks = append(m.blocks, block{})
+	}
+	return &m.blocks[c]
 }
 
 // bind stores s as the slot of ref; was is the slot it replaces, and the
@@ -423,10 +465,7 @@ func (m *Memory) lookup(ref CellRef) *slot {
 // and goes with its last, and the observer hears of exactly those two.
 func (m *Memory) bind(ref CellRef, was, s slot) {
 	cid, mask := RefParts(ref)
-	for int(cid) >= len(m.blocks) {
-		m.blocks = append(m.blocks, block{})
-	}
-	b := &m.blocks[cid]
+	b := m.blockOf(cid)
 	switch {
 	case was.n == 0:
 		if b.live++; b.live == 1 {
@@ -470,7 +509,10 @@ func (m *Memory) Masks(c ConstraintID, buf []uint32) []uint32 {
 		return buf
 	}
 	b := &m.blocks[c]
-	if !m.dense() {
+	switch {
+	case b.single():
+		return append(buf, m.kept...)
+	case !m.dense():
 		return append(buf, b.masks...)
 	}
 	buf = slices.Grow(buf, int(b.live))
@@ -520,14 +562,14 @@ func (m *Memory) cell(s slot) Cell {
 // Load implements Store. It remembers the slot it resolved for the
 // matching Save.
 func (m *Memory) Load(ref CellRef) Cell {
-	p := m.lookup(ref)
-	if p == nil || p.n == 0 {
+	s, p := m.at(ref)
+	if s.n == 0 {
 		m.loaded = nil
 		return Cell{}
 	}
 	m.stats.Reads++
 	m.loadedRef, m.loaded = ref, p
-	return m.cell(*p)
+	return m.cell(s)
 }
 
 // Peek returns the cell at ref without bumping the Reads counter. Query
@@ -535,31 +577,37 @@ func (m *Memory) Load(ref CellRef) Cell {
 // would race, and a follower answering reads must not drift its store
 // counters away from the leader's (snapshot byte-identity).
 func (m *Memory) Peek(ref CellRef) Cell {
-	if p := m.lookup(ref); p != nil {
-		return m.cell(*p)
-	}
-	return Cell{}
+	s, _ := m.at(ref)
+	return m.cell(s)
 }
 
 // Save implements Store. The Save that follows a cell's Load writes the
 // slot Load resolved; after a Save of another cell in between (TopDown
 // re-homes evictees there) the slot is looked up again. Members are copied
 // into the arena only when their count changed class or the cell no longer
-// points at its range: it outgrew it, or the arena moved.
+// points at its range: it outgrew it, or the arena moved. A Save that
+// changes a cell of a one-member block gives the block its slots first.
 func (m *Memory) Save(ref CellRef, c Cell) {
 	p := m.loaded
-	if p == nil || m.loadedRef != ref {
-		p = m.lookup(ref)
-	}
 	m.loaded = nil
 	var was slot
-	if p != nil {
+	if p != nil && m.loadedRef == ref {
 		was = *p
+	} else {
+		was, p = m.at(ref)
 	}
 	if was.n == 0 && c.n == 0 {
 		return // empty → empty: nothing happened
 	}
 	ids := c.IDs()
+	if cid, _ := RefParts(ref); p == nil && int(cid) < len(m.blocks) && m.blocks[cid].single() {
+		if was.n == 1 && c.n == 1 && ids[0] == was.ref {
+			m.stats.Writes++
+			return // saved unchanged
+		}
+		m.spread(&m.blocks[cid])
+		was, p = m.at(ref)
+	}
 	s := slot{n: uint32(c.n)}
 	moved := was.n >= 2 && (s.n < 2 || class(s.n) != class(was.n))
 	switch {
@@ -591,6 +639,30 @@ func (m *Memory) Save(ref CellRef, c Cell) {
 	}
 }
 
+// Keep implements Store; one-member blocks rely on the set never changing.
+func (m *Memory) Keep(masks []subspace.Mask) {
+	if m.kept != nil && !slices.Equal(m.kept, masks) {
+		panic(fmt.Sprintf("store: kept masks %v, already %v", masks, m.kept))
+	}
+	m.kept = slices.Clone(masks)
+}
+
+// Install implements Store: constraint c becomes a one-member block.
+func (m *Memory) Install(c ConstraintID, id uint32) {
+	b := m.blockOf(c)
+	if len(m.kept) == 0 || b.live != 0 {
+		panic(fmt.Sprintf("store: Install of constraint %d over %d kept masks and %d cells", c, len(m.kept), b.live))
+	}
+	*b = block{live: int32(len(m.kept)), one: id}
+	k := int64(len(m.kept))
+	m.stats.Writes += k
+	m.stats.Cells += k
+	m.stats.StoredTuples += k
+	if m.observer != nil {
+		m.observer(c, true)
+	}
+}
+
 // Grow makes room for that many more constraints with cells and for cells
 // of the given member counts, so a restore that knows both fills the
 // store's tables and its arena without growing them by doubling.
@@ -613,8 +685,10 @@ func (m *Memory) Grow(constraints int, sizes []uint32) {
 // sizes[i] is cell i's member count, at least one; ids holds the members of
 // the cells one after another. It returns the id the constraint is interned
 // under and the number of ids the cells took. The counters move as if each
-// cell had been saved once. A constraint that already has a cell, or a mask
-// outside the store's width, is refused with no cell changed.
+// cell had been saved once. Cells that are exactly the kept masks, each
+// holding one and the same tuple, become a one-member block. A constraint
+// that already has a cell, or a mask outside the store's width, is refused
+// with no cell changed.
 func (m *Memory) RestoreConstraint(key lattice.Key, masks, sizes, ids []uint32) (ConstraintID, int, error) {
 	if len(masks) == 0 {
 		return 0, 0, fmt.Errorf("store: constraint %x restored without a cell", string(key))
@@ -624,20 +698,24 @@ func (m *Memory) RestoreConstraint(key lattice.Key, masks, sizes, ids []uint32) 
 	}
 	cid := m.in.Intern(key)
 	m.loaded = nil
-	for int(cid) >= len(m.blocks) {
-		m.blocks = append(m.blocks, block{})
-	}
-	b := &m.blocks[cid]
+	b := m.blockOf(cid)
 	if b.live != 0 {
 		return 0, 0, fmt.Errorf("store: constraint %x already has cells", string(key))
 	}
-	if m.dense() {
+	// Exactly the kept masks, each holding the same one tuple: one member.
+	one, n, used := slices.Equal(masks, m.kept), len(masks), 0
+	for i := 0; one && i < n; i++ {
+		one = sizes[i] == 1 && ids[i] == ids[0]
+	}
+	switch {
+	case one:
+		b.one, used, masks = ids[0], n, nil
+	case m.dense():
 		b.cells = make([]slot, 1<<uint(m.width))
-	} else {
-		b.cells = make([]slot, len(masks))
+	default:
+		b.cells = make([]slot, n)
 		b.masks = slices.Clone(masks)
 	}
-	used := 0
 	for i, mask := range masks {
 		s := slot{n: sizes[i], ref: ids[used]}
 		if s.n >= 2 {
@@ -651,9 +729,9 @@ func (m *Memory) RestoreConstraint(key lattice.Key, masks, sizes, ids []uint32) 
 			b.cells[i] = s
 		}
 	}
-	b.live = int32(len(masks))
-	m.stats.Cells += int64(len(masks))
-	m.stats.Writes += int64(len(masks))
+	b.live = int32(n)
+	m.stats.Cells += int64(n)
+	m.stats.Writes += int64(n)
 	m.stats.StoredTuples += int64(used)
 	if m.observer != nil {
 		m.observer(cid, true)
@@ -698,6 +776,12 @@ func (m *Memory) EachCell(c ConstraintID, fn func(mask subspace.Mask, cell Cell)
 		return
 	}
 	b := &m.blocks[c]
+	if b.single() {
+		for _, mask := range m.kept {
+			fn(mask, Cell{n: 1, two: [2]uint32{b.one}})
+		}
+		return
+	}
 	for i, s := range b.cells {
 		if s.n == 0 {
 			continue

@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/lattice"
 	"repro/internal/relation"
+	"repro/internal/subspace"
 )
 
 func storeSchema(t *testing.T) *relation.Schema {
@@ -342,7 +343,9 @@ func TestCellModel(t *testing.T) {
 // same seeded Load / mutate / Save sequence, in the dense layout and in the
 // sparse one, and checks the store after every step (memoryModel.check).
 // The cells of one constraint grow past 64 members and shrink back, so
-// their lists cross the arena's size classes both ways.
+// their lists cross the arena's size classes both ways. Constraints become
+// one-member blocks by Install and by RestoreConstraint, and lose that form
+// to a Save that changes one of their cells.
 func TestMemoryModel(t *testing.T) {
 	for _, width := range []int{3, denseMaxWidth + 1} {
 		t.Run(fmt.Sprintf("width=%d", width), func(t *testing.T) {
@@ -362,6 +365,11 @@ func TestMemoryModel(t *testing.T) {
 				t.Errorf("the largest cell held %d members, lists moved up a class %d times and down one %d times, "+
 					"and %d cells were saved after the arena moved: too few to check the arena", mm.biggest, mm.up, mm.down, mm.stale)
 			}
+			if mm.installed < 10 || mm.restoredOne < 10 || mm.spread < 10 || mm.unchanged == 0 || mm.releasedOne < 10 {
+				t.Errorf("the sequence installed %d one-member blocks and restored %d, gave %d of them slots, saved one unchanged %d times "+
+					"and released %d that had been one-member: too few to check them",
+					mm.installed, mm.restoredOne, mm.spread, mm.unchanged, mm.releasedOne)
+			}
 		})
 	}
 }
@@ -369,7 +377,7 @@ func TestMemoryModel(t *testing.T) {
 // FuzzMemoryModel is TestMemoryModel with its layout and its choices read
 // from the input, one byte a choice: which cells a step loads, how it
 // mutates them, whether two other cells are saved between a cell's Load and
-// its Save, and when a constraint is restored in bulk.
+// its Save, and when a constraint is restored in bulk or installed.
 func FuzzMemoryModel(f *testing.F) {
 	f.Add(false, []byte{0, 1, 2, 3, 4, 5, 6, 7})
 	f.Add(true, []byte("\x04\x00\x03\x01\x00\x07\x00\x00\x05\x02"))
@@ -397,6 +405,11 @@ func FuzzMemoryModel(f *testing.F) {
 // The model's constraints and the subspace masks its cells take.
 const modelConstraints, modelMasks = 5, 7
 
+// modelKept is the store's kept masks: a one-member block's cells. Every
+// constraint but the first draws them, and the other masks too, so reads
+// and Saves reach the masks a one-member block does not cover.
+var modelKept = []uint32{1, 3}
+
 type modelEvent struct {
 	c    ConstraintID
 	live bool
@@ -415,15 +428,24 @@ type memoryModel struct {
 	next  int64
 
 	events, wantEvents []modelEvent
-	fired              map[bool]int // observer calls, by live
-	restored           int          // bulk restores taken
-	biggest            int          // the most members a cell has held
-	up, down           int          // Saves that moved a list of two or more to a larger or smaller class
-	stale              int          // Saves of a cell loaded from an arena that has moved since
+	fired              map[bool]int          // observer calls, by live
+	one                map[ConstraintID]bool // constraints that must be one-member blocks
+	wasOne             map[ConstraintID]bool // constraints one-member since their last release
+	restored           int                   // bulk restores taken
+	restoredOne        int                   // one-member blocks made by RestoreConstraint
+	installed          int                   // Installs
+	spread             int                   // Saves that gave a one-member block its slots
+	unchanged          int                   // Saves of a one-member block's cell unchanged
+	releasedOne        int                   // releases of a block that had been one-member
+	biggest            int                   // the most members a cell has held
+	up, down           int                   // Saves that moved a list of two or more to a larger or smaller class
+	stale              int                   // Saves of a cell loaded from an arena that has moved since
 }
 
 func newMemoryModel(t testing.TB, width int, pick func(n int) int) *memoryModel {
-	mm := &memoryModel{t: t, pick: pick, m: NewMemory(width), model: map[CellRef][]int64{}, fired: map[bool]int{}}
+	mm := &memoryModel{t: t, pick: pick, m: NewMemory(width), model: map[CellRef][]int64{}, fired: map[bool]int{},
+		one: map[ConstraintID]bool{}, wasOne: map[ConstraintID]bool{}}
+	mm.m.Keep(modelKept)
 	mm.m.SetObserver(func(c ConstraintID, live bool) {
 		mm.events = append(mm.events, modelEvent{c, live})
 		mm.fired[live]++
@@ -540,6 +562,14 @@ func (mm *memoryModel) save(r CellRef, c Cell, ids []int64) {
 	mm.biggest = max(mm.biggest, len(ids))
 	mm.want.StoredTuples += int64(len(ids) - was)
 	cid, _ := RefParts(r)
+	if mm.one[cid] {
+		if slices.Equal(mm.model[r], ids) {
+			mm.unchanged++
+		} else {
+			mm.one[cid] = false // only the changed block gets slots
+			mm.spread++
+		}
+	}
 	before := len(mm.liveMasks(cid))
 	if len(ids) == 0 {
 		delete(mm.model, r)
@@ -554,6 +584,10 @@ func (mm *memoryModel) save(r CellRef, c Cell, ids []int64) {
 		}
 		if after := len(mm.liveMasks(cid)); before == 0 || after == 0 {
 			mm.wantEvents = append(mm.wantEvents, modelEvent{cid, after > 0})
+			if after == 0 && mm.wasOne[cid] {
+				mm.releasedOne++
+				mm.wasOne[cid] = false
+			}
 		}
 	}
 }
@@ -605,21 +639,63 @@ func (mm *memoryModel) restore(i int) {
 	mm.wantEvents = append(mm.wantEvents, modelEvent{cid, true})
 }
 
+// install empties constraint i by Saves, as a delete does, then gives it a
+// one-member block, by Install or by RestoreConstraint of that shape,
+// against the model: each kept cell holds a new tuple, the counters move as
+// if each had been saved, and the observer hears once.
+func (mm *memoryModel) install(i int, restore bool) {
+	cid, id := mm.cids[i], mm.next
+	for _, mask := range mm.liveMasks(cid) {
+		mm.load(Ref(cid, mask))
+		mm.save(Ref(cid, mask), Cell{}, nil)
+	}
+	mm.next++
+	if restore {
+		ids := make([]uint32, len(modelKept), len(modelKept)+1)
+		for j := range ids {
+			ids[j] = uint32(id)
+		}
+		sizes := slices.Repeat([]uint32{1}, len(modelKept))
+		got, used, err := mm.m.RestoreConstraint(mm.m.Interner().Key(cid), modelKept, sizes, append(ids, 7))
+		if err != nil || got != cid || used != len(modelKept) {
+			mm.t.Fatalf("RestoreConstraint of one-member constraint %d = constraint %d, %d members, %v", cid, got, used, err)
+		}
+		mm.restoredOne++
+	} else {
+		mm.m.Install(cid, uint32(id))
+		mm.installed++
+	}
+	for _, mask := range modelKept {
+		mm.model[Ref(cid, mask)] = []int64{id}
+	}
+	k := int64(len(modelKept))
+	mm.want.Writes += k
+	mm.want.Cells += k
+	mm.want.StoredTuples += k
+	mm.wantEvents = append(mm.wantEvents, modelEvent{cid, true})
+	mm.one[cid], mm.wasOne[cid] = true, true
+}
+
 // step is one Load / mutate / Save of a cell; one step in three saves two
 // other cells between that Load and its Save, as TopDown's re-homing does,
-// one in eight saves the cell once more, and one in five first restores a
-// constraint in bulk: an empty one if there is one (constraint 0 often is),
-// and the refusal otherwise.
+// and one in eight saves the cell once more. One step in five first
+// restores a constraint in bulk: the first empty one from a drawn one on
+// if there is one (constraint 0 often is), and the refusal otherwise. Another one in five installs a
+// constraint whose drawn masks cover the kept ones, short of the last,
+// whose big cells would not grow with it emptied that often.
 func (mm *memoryModel) step(step int) {
-	if mm.pick(5) == 0 {
+	switch mm.pick(5) {
+	case 0:
 		i := mm.pick(modelConstraints)
-		for j := range mm.cids {
-			if len(mm.liveMasks(mm.cids[j])) == 0 {
+		for k := range mm.cids {
+			if j := (i + k) % modelConstraints; len(mm.liveMasks(mm.cids[j])) == 0 {
 				i = j
 				break
 			}
 		}
 		mm.restore(i)
+	case 1:
+		mm.install(1+mm.pick(modelConstraints-2), mm.pick(3) == 0)
 	}
 	a := mm.randomRef()
 	ca := mm.load(a)
@@ -658,8 +734,9 @@ func (mm *memoryModel) step(step int) {
 // masks, ascending), the observer's events (exactly one when a constraint
 // gains its first cell and one when it loses its last, none in between),
 // and — white-box — that a constraint owns a block exactly while it has a
-// cell, that a sparse block holds its live slots and nothing else, and the
-// id arena's invariants (checkArena).
+// cell, that it is one-member exactly when the model says so, that a sparse
+// block holds its live slots and nothing else, and the id arena's
+// invariants (checkArena). A one-member block's reads must not allocate.
 func (mm *memoryModel) check(step int, a CellRef) {
 	t, m := mm.t, mm.m
 	if got := m.Stats(); got != mm.want {
@@ -693,6 +770,16 @@ func (mm *memoryModel) check(step int, a CellRef) {
 			continue
 		}
 		b := m.blocks[cid]
+		if b.single() != mm.one[cid] {
+			t.Fatalf("step %d: constraint %d: one-member block %v, want %v", step, cid, b.single(), mm.one[cid])
+		}
+		if b.single() {
+			if int(b.live) != len(live) || b.masks != nil {
+				t.Fatalf("step %d: constraint %d: one-member block of %d cells and masks %v, want %d cells", step, cid, b.live, b.masks, len(live))
+			}
+			mm.checkOne(step, cid)
+			continue
+		}
 		if int(b.live) != len(live) || (b.cells != nil) != (len(live) > 0) {
 			t.Fatalf("step %d: constraint %d has %d cells, its block says %d (allocated: %v)",
 				step, cid, len(live), b.live, b.cells != nil)
@@ -707,8 +794,42 @@ func (mm *memoryModel) check(step int, a CellRef) {
 	}
 }
 
+// checkOne reads one-member block cid every way the store can: Load and
+// Peek of every mask the model draws (those it does not keep read empty),
+// Masks, EachCell and Live. Each must agree with the model and none may
+// allocate. The Loads' reads are not counted against the model.
+func (mm *memoryModel) checkOne(step int, cid ConstraintID) {
+	m, stats := mm.m, mm.m.Stats()
+	for mask := uint32(0); mask <= modelMasks; mask++ {
+		want := mm.model[Ref(cid, mask)]
+		checkCell(mm.t, fmt.Sprintf("step %d: one-member Peek(%d, %d)", step, cid, mask), m.Peek(Ref(cid, mask)), want)
+		checkCell(mm.t, fmt.Sprintf("step %d: one-member Load(%d, %d)", step, cid, mask), m.Load(Ref(cid, mask)), want)
+	}
+	var each []uint32
+	m.EachCell(cid, func(mask subspace.Mask, c Cell) {
+		each = append(each, mask)
+		checkCell(mm.t, fmt.Sprintf("step %d: one-member EachCell(%d, %d)", step, cid, mask), c, mm.model[Ref(cid, mask)])
+	})
+	if !slices.Equal(each, modelKept) || m.Live(cid) != len(modelKept) {
+		mm.t.Fatalf("step %d: one-member block %d: EachCell visits %v, Live %d, want %v", step, cid, each, m.Live(cid), modelKept)
+	}
+	buf, sum := make([]uint32, 0, modelMasks), 0
+	if allocs := testing.AllocsPerRun(2, func() {
+		for mask := uint32(0); mask <= modelMasks; mask++ {
+			sum += m.Load(Ref(cid, mask)).Len() + m.Peek(Ref(cid, mask)).Len()
+		}
+		sum += len(m.Masks(cid, buf[:0])) + m.Live(cid)
+		m.EachCell(cid, func(_ subspace.Mask, c Cell) { sum += c.Len() })
+	}); allocs != 0 {
+		mm.t.Fatalf("step %d: reading one-member block %d allocates %.0f times", step, cid, allocs)
+	}
+	m.RestoreStats(stats)
+}
+
 // walk checks Walk against the sorted model: every cell, in (constraint
-// id, mask) order.
+// id, mask) order, with no allocation. It then restores every constraint's
+// cells into a second store, as a snapshot restore does, which must read
+// back the same and keep each one-member block one.
 func (mm *memoryModel) walk(step int) {
 	var walked []CellRef
 	mm.m.Walk(func(k CellKey, c Cell) {
@@ -727,6 +848,34 @@ func (mm *memoryModel) walk(step int) {
 	slices.Sort(want) // a CellRef orders by (constraint id, mask)
 	if !slices.Equal(walked, want) {
 		mm.t.Fatalf("step %d: Walk order %x, want %x", step, walked, want)
+	}
+	if allocs := testing.AllocsPerRun(1, func() { mm.m.Walk(func(CellKey, Cell) {}) }); allocs != 0 {
+		mm.t.Fatalf("step %d: Walk allocates %.0f times", step, allocs)
+	}
+	twin := NewMemory(mm.m.width)
+	twin.Keep(modelKept)
+	for _, cid := range mm.cids {
+		var masks, sizes, ids []uint32
+		mm.m.EachCell(cid, func(mask subspace.Mask, c Cell) {
+			masks, sizes, ids = append(masks, mask), append(sizes, uint32(c.Len())), append(ids, c.IDs()...)
+		})
+		if len(masks) == 0 {
+			continue
+		}
+		tid, used, err := twin.RestoreConstraint(mm.m.Interner().Key(cid), masks, sizes, ids)
+		if err != nil || used != len(ids) {
+			mm.t.Fatalf("step %d: restoring constraint %d's cells took %d of %d ids: %v", step, cid, used, len(ids), err)
+		}
+		// One-member exactly when the cells are a one-member block's: a block
+		// that got slots and came back to that shape is one again.
+		want := slices.Equal(masks, modelKept) && len(ids) == len(masks) && ids[0] == ids[len(ids)-1]
+		if got := twin.blocks[tid].single(); got != want || mm.m.blocks[cid].single() && !got {
+			mm.t.Fatalf("step %d: constraint %d (cells %v of %v) restored as one-member %v, was %v",
+				step, cid, masks, ids, got, mm.m.blocks[cid].single())
+		}
+		for mask := uint32(0); mask <= modelMasks; mask++ {
+			checkCell(mm.t, fmt.Sprintf("step %d: restored (%d, %d)", step, cid, mask), twin.Peek(Ref(tid, mask)), mm.model[Ref(cid, mask)])
+		}
 	}
 }
 

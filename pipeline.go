@@ -50,9 +50,6 @@ type IngestStats struct {
 // bench reports) agrees on the derivation instead of re-deriving per
 // scrape.
 type IngestSummary struct {
-	// Pipeline is always true: every pool writes through its shard
-	// writers. The field stays for the wire, where /v1/metrics reports it.
-	Pipeline bool `json:"pipeline"`
 	// QueueDepth and QueueCap sum the shards' pending operations and
 	// queue capacities.
 	QueueDepth int `json:"queue_depth"`
@@ -77,7 +74,6 @@ type IngestSummary struct {
 // IngestSummary returns the merged monitoring view of the shard writers.
 func (p *Pool) IngestSummary() IngestSummary {
 	out := IngestSummary{
-		Pipeline:  true,
 		BatchHist: make([]uint64, len(ingest.Stats{}.BatchHist)),
 		PerShard:  make([]IngestStats, len(p.writers)),
 	}

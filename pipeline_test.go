@@ -201,7 +201,7 @@ func TestPipelineLifecycle(t *testing.T) {
 	caps := func(want int) {
 		t.Helper()
 		sum := p.IngestSummary()
-		if !sum.Pipeline || len(sum.PerShard) != 2 || sum.QueueCap != 2*want {
+		if len(sum.PerShard) != 2 || sum.QueueCap != 2*want {
 			t.Fatalf("IngestSummary = %+v, want 2 writers of capacity %d", sum, want)
 		}
 	}
