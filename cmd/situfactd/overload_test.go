@@ -20,10 +20,12 @@ import (
 // stall must all be cut off by the header timeout, and the goroutines
 // serving them must drain back to near the baseline — a daemon without
 // ReadHeaderTimeout grows one parked goroutine per stalled socket,
-// forever.
+// forever. It also pins that -write-timeout and -idle-timeout, at values
+// other than their defaults, land on the http.Server.
 func TestOverloadSlowlorisBoundedGoroutines(t *testing.T) {
 	cfg := gamelogConfig(2, "")
 	cfg.readTimeout = 300 * time.Millisecond // also tightens the header timeout
+	cfg.writeTimeout, cfg.idleTimeout = 7*time.Second, 11*time.Second
 	s, err := newServer(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -33,6 +35,10 @@ func TestOverloadSlowlorisBoundedGoroutines(t *testing.T) {
 	if srv.ReadHeaderTimeout != cfg.readTimeout {
 		t.Fatalf("ReadHeaderTimeout = %v: -read-timeout %v below 10s must tighten it",
 			srv.ReadHeaderTimeout, cfg.readTimeout)
+	}
+	if srv.WriteTimeout != cfg.writeTimeout || srv.IdleTimeout != cfg.idleTimeout {
+		t.Fatalf("WriteTimeout %v and IdleTimeout %v: -write-timeout %v and -idle-timeout %v must land on the server",
+			srv.WriteTimeout, srv.IdleTimeout, cfg.writeTimeout, cfg.idleTimeout)
 	}
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {

@@ -269,11 +269,7 @@ func (h *history) append(rows []Row, batch bool, top int) {
 	}
 }
 
-// arrived records an acknowledged row in the model and holds its arrival,
-// drawn with at most top facts, to the definition: it counts the groups of
-// its shard whose contextual skyline holds it, and carries the best top of
-// them — sizes and prominence included — in ranking order, so no group it
-// leaves out ranks above one it carries.
+// arrived records an acknowledged row in the model and checks its arrival.
 func (h *history) arrived(r Row, arr *Arrival, top int) {
 	s := h.lanes[0].pool.ShardFor(r.Dims[0])
 	if arr.Shard != s || arr.TupleID != h.m.next[s] {
@@ -285,9 +281,19 @@ func (h *history) arrived(r Row, arr *Arrival, top int) {
 	h.m.rows = append(h.m.rows, r)
 	h.m.applied++
 	h.m.arrivals[s] = append(h.m.arrivals[s], arr)
+	h.checkArrival(h.m.live, arr, top)
+}
+
+// checkArrival holds an arrival, drawn with at most top facts, to the
+// definition over live, in which it is its shard's newest tuple: it counts
+// the groups of its shard whose contextual skyline holds it, and carries the
+// best top of them — sizes and prominence included — in ranking order, so no
+// group it leaves out ranks above one it carries.
+func (h *history) checkArrival(live []map[int64]Row, arr *Arrival, top int) {
+	s := arr.Shard
 	var oracle []Fact
 	want := map[string]bool{}
-	for _, qf := range oracleFacts(h.m.live, h.setup.dhat, h.setup.mhat, &poolHandle{s, arr.TupleID}) {
+	for _, qf := range oracleFacts(live, h.setup.dhat, h.setup.mhat, &poolHandle{s, arr.TupleID}) {
 		f := Fact{Conditions: qf.Conditions, Measures: qf.Measures}
 		if !h.setup.opt.DisableProminence {
 			f.ContextSize, f.SkylineSize, f.Prominence = qf.ContextSize, qf.SkylineSize, qf.Prominence
@@ -679,9 +685,7 @@ func (h *history) crash(observe bool) {
 				h.fatalf("lane %d: the observed replay saw %d arrivals on shard %d, the model %d", i, len(seen[s]), s, len(h.m.arrivals[s]))
 			}
 			for j, a := range seen[s] {
-				orig := h.m.arrivals[s][j]
-				if a.Shard != orig.Shard || a.TupleID != orig.TupleID || a.FactCount != orig.FactCount ||
-					len(a.Facts) != a.FactCount || len(orig.Facts) > 0 && !reflect.DeepEqual(a.Facts[:len(orig.Facts)], orig.Facts) {
+				if !sameArrival(a, h.m.arrivals[s][j]) {
 					h.fatalf("lane %d: the observed replay's arrival %d:%d is not the original one", i, s, a.TupleID)
 				}
 			}
@@ -689,6 +693,13 @@ func (h *history) crash(observe bool) {
 		h.check(p.AttachWAL(l.wal))
 	}
 	h.sameState(h.states(), before, "the recovered state against the state before the crash")
+}
+
+// sameArrival reports whether a, a replayed arrival carrying all its facts,
+// is orig, which carried the best of them.
+func sameArrival(a, orig *Arrival) bool {
+	return a.Shard == orig.Shard && a.TupleID == orig.TupleID && a.FactCount == orig.FactCount &&
+		len(a.Facts) == a.FactCount && (len(orig.Facts) == 0 || reflect.DeepEqual(a.Facts[:len(orig.Facts)], orig.Facts))
 }
 
 // follow bootstraps a follower of every lane from a copy of its checkpoint

@@ -4,181 +4,8 @@ import (
 	"context"
 	"errors"
 	"strings"
-	"sync"
 	"testing"
 )
-
-// TestPipelineCompletionStress hammers a journaled pool from many
-// goroutines while StartPipeline resizes the shard queues mid-flight: every
-// acknowledged op must be applied exactly once, and Close must complete
-// every handed-off future (a lost wg.Done here deadlocks the test). Run
-// under -race in CI with -count=3.
-func TestPipelineCompletionStress(t *testing.T) {
-	dir := t.TempDir()
-	p, err := NewPool(poolSchema(t), PoolOptions{Shards: 4, ShardDim: "team"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer p.Close()
-	w, err := OpenWAL(p, dir, WALOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer w.Close()
-	if err := p.AttachWAL(w); err != nil {
-		t.Fatal(err)
-	}
-	resize := func(depth int) {
-		if err := p.StartPipeline(PipelineOptions{QueueDepth: depth}); err != nil {
-			t.Error(err)
-		}
-	}
-	// Tiny queues fill constantly, so full-wait blocks and many small
-	// commit groups happen under the race detector.
-	resize(8)
-	const workers, perWorker = 8, 50
-	rows := poolRows(workers * perWorker)
-	var appended, deleted int64
-	var mu sync.Mutex
-	var wg sync.WaitGroup
-	for g := 0; g < workers; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i, r := range rows[g*perWorker : (g+1)*perWorker] {
-				arr, err := p.Append(r.Dims, r.Measures)
-				if err != nil {
-					t.Error(err)
-					return
-				}
-				mu.Lock()
-				appended++
-				mu.Unlock()
-				if i%7 == 2 {
-					if err := p.Delete(arr.Shard, arr.TupleID); err != nil {
-						t.Error(err)
-						return
-					}
-					mu.Lock()
-					deleted++
-					mu.Unlock()
-				}
-			}
-		}(g)
-	}
-	// Resize the queues mid-flight: producers parked on a full queue
-	// re-check against each new capacity.
-	for _, depth := range []int{1, 3, 8} {
-		resize(depth)
-	}
-	wg.Wait()
-	if t.Failed() {
-		return
-	}
-	if want := int(appended - deleted); p.Len() != want {
-		t.Errorf("Len = %d, want %d (appended %d − deleted %d)", p.Len(), want, appended, deleted)
-	}
-	if err := p.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if st := w.Stats(); st.LastLSN != st.SyncedLSN {
-		t.Errorf("wal last LSN %d != synced %d after Close", st.LastLSN, st.SyncedLSN)
-	}
-}
-
-// TestPipelineStress hammers one pipelined pool from many goroutines —
-// mixed Append, AppendBatch and Delete, with a WAL attached and a small
-// queue so backpressure engages. Run under -race (CI does); the
-// assertions are conservation properties: every acknowledged row is
-// either live or deleted, and the stats counters account for every op.
-func TestPipelineStress(t *testing.T) {
-	dir := t.TempDir()
-	p, err := NewPool(poolSchema(t), PoolOptions{Shards: 4, ShardDim: "team"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer p.Close()
-	w, err := OpenWAL(p, dir, WALOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer w.Close()
-	if err := p.AttachWAL(w); err != nil {
-		t.Fatal(err)
-	}
-	if err := p.StartPipeline(PipelineOptions{QueueDepth: 16}); err != nil {
-		t.Fatal(err)
-	}
-	const workers, perWorker = 8, 60
-	rows := poolRows(workers * perWorker)
-	var appended, deleted int64
-	var mu sync.Mutex
-	var wg sync.WaitGroup
-	for g := 0; g < workers; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			mine := rows[g*perWorker : (g+1)*perWorker]
-			for i := 0; i < len(mine); {
-				if g%3 == 0 && i+8 <= len(mine) { // every third worker batches
-					arrs, err := p.AppendBatch(mine[i : i+8])
-					if err != nil {
-						t.Error(err)
-						return
-					}
-					mu.Lock()
-					appended += int64(len(arrs))
-					mu.Unlock()
-					i += 8
-					continue
-				}
-				arr, err := p.Append(mine[i].Dims, mine[i].Measures)
-				if err != nil {
-					t.Error(err)
-					return
-				}
-				mu.Lock()
-				appended++
-				mu.Unlock()
-				if i%9 == 4 { // delete my own acked row: per-shard FIFO orders it after the append
-					if err := p.Delete(arr.Shard, arr.TupleID); err != nil {
-						t.Error(err)
-						return
-					}
-					mu.Lock()
-					deleted++
-					mu.Unlock()
-				}
-				i++
-			}
-		}(g)
-	}
-	wg.Wait()
-	if t.Failed() {
-		return
-	}
-	if want := int(appended - deleted); p.Len() != want {
-		t.Errorf("Len = %d, want %d (appended %d − deleted %d)", p.Len(), want, appended, deleted)
-	}
-	var enq uint64
-	for _, st := range p.IngestSummary().PerShard {
-		enq += st.Enqueued
-		var hist uint64
-		for _, c := range st.BatchHist {
-			hist += c
-		}
-		if hist != st.Batches {
-			t.Errorf("shard histogram sums to %d, want %d batches", hist, st.Batches)
-		}
-	}
-	if want := uint64(appended + deleted); enq != want {
-		t.Errorf("writers enqueued %d ops, want %d", enq, want)
-	}
-	// The log must carry exactly one record per acknowledged op.
-	if st := w.Stats(); st.LastLSN != uint64(appended+deleted) {
-		t.Errorf("wal holds %d records, want %d", st.LastLSN, appended+deleted)
-	}
-}
 
 // TestPipelineLifecycle pins the writers' lifecycle: they run from NewPool
 // to Close at the default capacity, StartPipeline sets the capacity,

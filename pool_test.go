@@ -2,7 +2,6 @@ package situfact
 
 import (
 	"math/rand"
-	"sync"
 	"testing"
 )
 
@@ -73,42 +72,6 @@ func TestPoolRoutingDeterminism(t *testing.T) {
 	}
 	if arr.Shard != 1 {
 		t.Errorf("Lakers arrival on shard %d, want 1", arr.Shard)
-	}
-}
-
-// TestPoolConcurrentAppend drives one pool from many goroutines; under
-// -race this exercises the per-shard locking. Totals must be exact.
-func TestPoolConcurrentAppend(t *testing.T) {
-	p, err := NewPool(poolSchema(t), PoolOptions{Shards: 4, ShardDim: "team"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer p.Close()
-	rows := poolRows(200)
-	const writers = 8
-	var wg sync.WaitGroup
-	wg.Add(writers)
-	for w := 0; w < writers; w++ {
-		go func(w int) {
-			defer wg.Done()
-			for i := w; i < len(rows); i += writers {
-				if _, err := p.Append(rows[i].Dims, rows[i].Measures); err != nil {
-					t.Error(err)
-					return
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	if p.Len() != len(rows) {
-		t.Errorf("Len = %d, want %d", p.Len(), len(rows))
-	}
-	m := p.Metrics()
-	if m.Tuples != int64(len(rows)) {
-		t.Errorf("merged Tuples = %d, want %d", m.Tuples, len(rows))
-	}
-	if m.Facts == 0 || m.StoredTuples == 0 {
-		t.Errorf("implausible merged metrics: %+v", m)
 	}
 }
 
