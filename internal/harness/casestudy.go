@@ -3,55 +3,66 @@ package harness
 import (
 	"fmt"
 	"io"
+	"slices"
+	"strings"
 
 	"repro/internal/core"
 	"repro/internal/prominence"
+	"repro/internal/relation"
 	"repro/internal/subspace"
 )
 
-// promRecord captures the prominent-fact outcome of one arrival: the
-// maximum prominence among S_t and the (bound(C), |M|) profile of every
-// fact attaining it. Recording the profiles once lets Fig14/Fig15 be
+// promRecord captures the prominent-fact outcome of one arrival: every
+// fact of S_t attaining its maximum prominence, in Score's order.
+// Recording them once lets Fig14, Fig15 and the case study be
 // post-filtered for any τ.
 type promRecord struct {
 	tupleID int64
-	best    float64
-	// facts holds (bound, msize) of every max-prominence fact.
-	facts [][2]int
+	facts   []prominence.ScoredFact
 }
 
-// promStream runs SBottomUp with prominence tracking over the stream and
-// returns one record per arrival. Params: the paper's §VII setting is
-// d=5, m=7, d̂=3, m̂=3.
-func promStream(p Params) ([]promRecord, error) {
+// best is the arrival's maximum prominence (0 without facts).
+func (r promRecord) best() float64 {
+	if len(r.facts) == 0 {
+		return 0
+	}
+	return r.facts[0].Prominence
+}
+
+// section7 applies the §VII setting: d̂ = 3 and m̂ = 3 unless given.
+func (p Params) section7() Params {
+	p = p.withDefaults(20000, 5, 7)
+	if p.MaxBound == 4 {
+		p.MaxBound = 3
+	}
+	if p.MaxMeasure < 0 {
+		p.MaxMeasure = 3
+	}
+	return p
+}
+
+// promStream runs SBottomUp with prominence tracking over the NBA stream
+// and returns one record per arrival, with the stream itself. Params: the
+// paper's §VII setting is d=5, m=7, d̂=3, m̂=3.
+func promStream(p Params) ([]promRecord, *relation.Table, error) {
 	tb, err := StreamSpec{Dataset: "nba", D: p.D, M: p.M, N: p.N, Seed: p.Seed}.Build()
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	alg, err := core.NewSBottomUp(p.config(tb.Schema()))
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	counter := core.NewContextCounter(p.D, p.MaxBound)
-	recs := make([]promRecord, 0, tb.Len())
-	for i := 0; i < tb.Len(); i++ {
+	recs := make([]promRecord, tb.Len())
+	for i := range recs {
 		tu := tb.At(i)
 		facts := alg.Process(tu)
 		counter.Observe(tu)
 		scored := prominence.Score(facts, counter, alg)
-		rec := promRecord{tupleID: tu.ID}
-		if len(scored) > 0 {
-			rec.best = scored[0].Prominence
-			for _, sf := range scored {
-				if sf.Prominence != rec.best {
-					break
-				}
-				rec.facts = append(rec.facts, [2]int{sf.Constraint.Bound(), subspace.Size(sf.Subspace)})
-			}
-		}
-		recs = append(recs, rec)
+		recs[i] = promRecord{tupleID: tu.ID, facts: slices.Clone(prominence.Prominent(scored, 0))}
 	}
-	return recs, nil
+	return recs, tb, nil
 }
 
 // Fig14 reports the number of prominent facts per bucket of 1K tuples for
@@ -60,24 +71,18 @@ func promStream(p Params) ([]promRecord, error) {
 // Expected shape: values oscillate with no downward trend, because new
 // dimension values (players, seasons) keep forming new contexts.
 func Fig14(p Params) (*Result, error) {
-	p = p.withDefaults(20000, 5, 7)
-	if p.MaxBound == 4 {
-		p.MaxBound = 3 // §VII setting
-	}
-	if p.MaxMeasure < 0 {
-		p.MaxMeasure = 3
-	}
+	p = p.section7()
 	if p.Tau == 0 {
 		p.Tau = float64(p.N) / 40
 	}
-	recs, err := promStream(p)
+	recs, _, err := promStream(p)
 	if err != nil {
 		return nil, err
 	}
 	bucket := 1000
 	counts := map[int]int{}
 	for _, r := range recs {
-		if r.best >= p.Tau {
+		if r.best() >= p.Tau {
 			counts[int(r.tupleID)/bucket] += len(r.facts)
 		}
 	}
@@ -106,14 +111,8 @@ func Fig14(p Params) (*Result, error) {
 // too small (≥ τ tuples needed), and single measures demand strict maxima
 // while wide subspaces dilute prominence with big skylines.
 func Fig15(p Params) (*Result, error) {
-	p = p.withDefaults(20000, 5, 7)
-	if p.MaxBound == 4 {
-		p.MaxBound = 3
-	}
-	if p.MaxMeasure < 0 {
-		p.MaxMeasure = 3
-	}
-	recs, err := promStream(p)
+	p = p.section7()
+	recs, _, err := promStream(p)
 	if err != nil {
 		return nil, err
 	}
@@ -134,12 +133,12 @@ func Fig15(p Params) (*Result, error) {
 		byBound := map[int]int{}
 		byMsize := map[int]int{}
 		for _, r := range recs {
-			if r.best < tau {
+			if r.best() < tau {
 				continue
 			}
 			for _, f := range r.facts {
-				byBound[f[0]]++
-				byMsize[f[1]]++
+				byBound[f.Constraint.Bound()]++
+				byMsize[subspace.Size(f.Subspace)]++
 			}
 		}
 		sb := Series{Label: fmt.Sprintf("b=,τ=%g", tau)}
@@ -161,63 +160,29 @@ func Fig15(p Params) (*Result, error) {
 // highest-prominence discovered facts, narrated, to w (the analogue of the
 // paper's Lamar Odom / Allen Iverson / Damon Stoudamire bullets).
 func CaseStudy(w io.Writer, p Params) error {
-	p = p.withDefaults(20000, 5, 7)
-	if p.MaxBound == 4 {
-		p.MaxBound = 3
-	}
-	if p.MaxMeasure < 0 {
-		p.MaxMeasure = 3
-	}
+	p = p.section7()
 	if p.Tau == 0 {
 		p.Tau = float64(p.N) / 40
 	}
-	tb, err := StreamSpec{Dataset: "nba", D: p.D, M: p.M, N: p.N, Seed: p.Seed}.Build()
+	recs, tb, err := promStream(p)
 	if err != nil {
 		return err
 	}
-	alg, err := core.NewSBottomUp(p.config(tb.Schema()))
-	if err != nil {
-		return err
-	}
-	counter := core.NewContextCounter(p.D, p.MaxBound)
 	fmt.Fprintf(w, "# Case study (§VII): prominent facts, τ=%g, d̂=%d, m̂=%d, n=%d\n",
 		p.Tau, p.MaxBound, p.MaxMeasure, p.N)
 	shown := 0
-	for i := 0; i < tb.Len(); i++ {
-		tu := tb.At(i)
-		facts := alg.Process(tu)
-		counter.Observe(tu)
-		scored := prominence.Score(facts, counter, alg)
-		prom := prominence.Prominent(scored, p.Tau)
-		if len(prom) == 0 {
+	for _, r := range recs {
+		if len(r.facts) == 0 || r.best() < p.Tau {
 			continue
 		}
-		for _, sf := range prom[:min(2, len(prom))] {
+		for _, sf := range r.facts[:min(2, len(r.facts))] {
 			fmt.Fprintf(w, "tuple %6d  prom %8.4g = %6d/%-3d  (%s | {%s})\n",
-				tu.ID, sf.Prominence, sf.ContextSize, sf.SkylineSize,
+				r.tupleID, sf.Prominence, sf.ContextSize, sf.SkylineSize,
 				sf.Constraint.Format(tb.Schema(), tb.Dict()),
-				joinNames(subspace.Names(sf.Subspace, tb.Schema())))
+				strings.Join(subspace.Names(sf.Subspace, tb.Schema()), ", "))
 		}
 		shown++
 	}
 	fmt.Fprintf(w, "# arrivals with prominent facts: %d of %d\n", shown, tb.Len())
 	return nil
-}
-
-func joinNames(ns []string) string {
-	out := ""
-	for i, n := range ns {
-		if i > 0 {
-			out += ", "
-		}
-		out += n
-	}
-	return out
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

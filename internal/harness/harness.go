@@ -8,8 +8,9 @@
 // Absolute numbers differ from the paper (different hardware, language and
 // — necessarily — synthetic rather than proprietary data); the reproduced
 // property is the SHAPE of each figure: orderings, gaps in orders of
-// magnitude, growth trends and crossovers. EXPERIMENTS.md records
-// paper-vs-measured for every figure.
+// magnitude, growth trends and crossovers. Every series of Figs 7–13
+// records §VI's counters beside its time (Series.Counts), and
+// TestFigureClaims checks each figure's claim against those counts.
 package harness
 
 import (
@@ -17,9 +18,9 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/gen"
@@ -44,47 +45,26 @@ const (
 	FSTopDown   AlgorithmID = "FSTopDown"  // file-backed STopDown
 )
 
-// NewDiscoverer instantiates an algorithm. File-backed variants place
-// their cell store under dir (one fresh subdirectory per instance).
+// NewDiscoverer instantiates an algorithm through core's registry. FSBottomUp
+// and FSTopDown are SBottomUp and STopDown on a file store under dir (one
+// fresh subdirectory per instance; a new temp directory when dir is "").
 func NewDiscoverer(id AlgorithmID, cfg core.Config, dir string) (core.Discoverer, error) {
-	switch id {
-	case BruteForce:
-		return core.NewBruteForce(cfg)
-	case BaselineSeq:
-		return core.NewBaselineSeq(cfg)
-	case BaselineIdx:
-		return core.NewBaselineIdx(cfg)
-	case CCSC:
-		return core.NewCCSC(cfg)
-	case BottomUp:
-		return core.NewBottomUp(cfg)
-	case TopDown:
-		return core.NewTopDown(cfg)
-	case SBottomUp:
-		return core.NewSBottomUp(cfg)
-	case STopDown:
-		return core.NewSTopDown(cfg)
-	case FSBottomUp, FSTopDown:
+	name := strings.ToLower(strings.ReplaceAll(string(id), "-", ""))
+	if id == FSBottomUp || id == FSTopDown {
 		if dir == "" {
 			var err error
-			dir, err = os.MkdirTemp("", "situfact-cells-*")
-			if err != nil {
+			if dir, err = os.MkdirTemp("", "situfact-cells-*"); err != nil {
 				return nil, err
 			}
 		}
-		sub := filepath.Join(dir, strings.ToLower(string(id)))
-		fs, err := store.NewFile(sub, cfg.Schema)
+		fs, err := store.NewFile(filepath.Join(dir, name), cfg.Schema)
 		if err != nil {
 			return nil, err
 		}
 		cfg.Store = fs
-		if id == FSBottomUp {
-			return core.NewSBottomUp(cfg)
-		}
-		return core.NewSTopDown(cfg)
-	default:
-		return nil, fmt.Errorf("harness: unknown algorithm %q", id)
+		name = strings.TrimPrefix(name, "f")
 	}
+	return core.NewDiscoverer(name, cfg)
 }
 
 // StreamSpec describes a workload stream.
@@ -102,42 +82,40 @@ type StreamSpec struct {
 
 // Build materialises the stream as a table.
 func (s StreamSpec) Build() (*relation.Table, error) {
-	switch {
+	var g interface {
+		Schema() *relation.Schema
+		Fill(tb *relation.Table, n int) error
+	}
+	var err error
+	switch dist, generic := strings.CutPrefix(s.Dataset, "generic:"); {
 	case s.Dataset == "nba":
-		g, err := gen.NewNBA(gen.NBAConfig{Seed: s.Seed}, s.D, s.M)
-		if err != nil {
-			return nil, err
-		}
-		tb := relation.NewTable(g.Schema())
-		return tb, g.Fill(tb, s.N)
+		g, err = gen.NewNBA(gen.NBAConfig{Seed: s.Seed}, s.D, s.M)
 	case s.Dataset == "weather":
-		g, err := gen.NewWeather(gen.WeatherConfig{Seed: s.Seed}, s.D, s.M)
-		if err != nil {
-			return nil, err
-		}
-		tb := relation.NewTable(g.Schema())
-		return tb, g.Fill(tb, s.N)
-	case strings.HasPrefix(s.Dataset, "generic:"):
-		var dist gen.Distribution
-		switch strings.TrimPrefix(s.Dataset, "generic:") {
-		case "independent":
-			dist = gen.Independent
-		case "correlated":
-			dist = gen.Correlated
-		case "anti-correlated":
-			dist = gen.AntiCorrelated
-		default:
+		g, err = gen.NewWeather(gen.WeatherConfig{Seed: s.Seed}, s.D, s.M)
+	case generic:
+		dists := []gen.Distribution{gen.Independent, gen.Correlated, gen.AntiCorrelated}
+		i := slices.IndexFunc(dists, func(d gen.Distribution) bool { return d.String() == dist })
+		if i < 0 {
 			return nil, fmt.Errorf("harness: unknown generic distribution in %q", s.Dataset)
 		}
-		g, err := gen.NewGeneric(gen.GenericConfig{Seed: s.Seed, D: s.D, M: s.M, Dist: dist})
-		if err != nil {
-			return nil, err
-		}
-		tb := relation.NewTable(g.Schema())
-		return tb, g.Fill(tb, s.N)
+		g, err = gen.NewGeneric(gen.GenericConfig{Seed: s.Seed, D: s.D, M: s.M, Dist: dists[i]})
 	default:
 		return nil, fmt.Errorf("harness: unknown dataset %q", s.Dataset)
 	}
+	if err != nil {
+		return nil, err
+	}
+	tb := relation.NewTable(g.Schema())
+	return tb, g.Fill(tb, s.N)
+}
+
+// Counts are §VI's counters after a checkpoint's last arrival: the
+// algorithm's cumulative work (core.Metrics: comparisons and traversed
+// constraints) and its µ store's state and I/O (store.Stats: stored tuples,
+// cells, reads and writes).
+type Counts struct {
+	core.Metrics
+	store.Stats
 }
 
 // Series is one labelled line of a figure.
@@ -145,6 +123,10 @@ type Series struct {
 	Label string
 	X     []float64
 	Y     []float64
+	// Counts holds the counters behind each point of a Figs 7–13 series,
+	// whatever its y charts; nil for Figs 14 and 15, whose y values are
+	// themselves counts.
+	Counts []Counts
 }
 
 // Result is a rendered experiment: the textual equivalent of one figure.
@@ -225,35 +207,4 @@ func lookup(s Series, x float64) (float64, bool) {
 		}
 	}
 	return 0, false
-}
-
-// runTimed feeds the table's tuples to the discoverer, recording the
-// average per-tuple execution time (in milliseconds) over each checkpoint
-// window. It returns the checkpoint positions and window averages plus the
-// overall average.
-func runTimed(d core.Discoverer, tb *relation.Table, checkpoints int) (xs, ys []float64, avgMs float64) {
-	n := tb.Len()
-	if checkpoints <= 0 {
-		checkpoints = 10
-	}
-	window := n / checkpoints
-	if window == 0 {
-		window = 1
-	}
-	var windowDur, totalDur time.Duration
-	count := 0
-	for i := 0; i < n; i++ {
-		t0 := time.Now()
-		d.Process(tb.At(i))
-		el := time.Since(t0)
-		windowDur += el
-		totalDur += el
-		count++
-		if count == window || i == n-1 {
-			xs = append(xs, float64(i+1))
-			ys = append(ys, float64(windowDur.Microseconds())/float64(count)/1000.0)
-			windowDur, count = 0, 0
-		}
-	}
-	return xs, ys, float64(totalDur.Microseconds()) / float64(n) / 1000.0
 }
