@@ -654,7 +654,7 @@ func (s *server) handleTopFacts(w http.ResponseWriter, r *http.Request) {
 		if err != nil {
 			return nil, err
 		}
-		resp := topFactsResponse{Source: "live", Facts: make([]queryFactWire, len(facts))}
+		resp := topFactsResponse{Facts: make([]queryFactWire, len(facts))}
 		for i := range facts {
 			resp.Facts[i] = toQueryFactWire(&facts[i])
 		}

@@ -247,7 +247,7 @@ func TestServerBatchDeleteAndErrors(t *testing.T) {
 }
 
 // TestServerTopFacts pins GET /v1/facts/top: one shape (queryFactWire
-// entries, source live), best first, exactly the ranking an
+// entries), best first, exactly the ranking an
 // in-process pool fed the same history computes — a delete included — with
 // k defaulted, clamped like /v1/facts' limit, validated, and nothing else
 // read from the query string.
@@ -284,8 +284,8 @@ func TestServerTopFacts(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if top.Source != "live" || len(top.Facts) != len(want) {
-			t.Fatalf("top%s: source %q with %d facts, want \"live\" with %d", query, top.Source, len(top.Facts), len(want))
+		if len(top.Facts) != len(want) {
+			t.Fatalf("top%s: %d facts, want %d", query, len(top.Facts), len(want))
 		}
 		for i := range want {
 			// Wire renderings of plain structs: Marshal cannot fail.

@@ -213,12 +213,10 @@ type metricsResponse struct {
 
 // topFactsResponse is the body of GET /v1/facts/top: the k
 // highest-prominence fact groups of the current fact set, best first. They
-// are live µ-store cells, hence queryFactWire. Source is the constant
-// "live": the ranking is computed from current state, not remembered from
-// arrivals.
+// are live µ-store cells, hence queryFactWire: the ranking is computed
+// from current state, not remembered from arrivals.
 type topFactsResponse struct {
-	Source string          `json:"source"`
-	Facts  []queryFactWire `json:"facts"`
+	Facts []queryFactWire `json:"facts"`
 }
 
 // queryFactWire is one fact of GET /v1/facts. Unlike factWire (an

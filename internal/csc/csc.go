@@ -25,15 +25,17 @@
 package csc
 
 import (
+	"slices"
+
 	"repro/internal/relation"
 	"repro/internal/subspace"
 )
 
 // CSC is a compressed skycube over one set of tuples (one context).
 type CSC struct {
-	m       int // number of measure attributes
-	maxSize int // m̂ cap on subspace size (-1: no cap)
-	subs    []subspace.Mask
+	m       int             // number of measure attributes
+	maxSize int             // m̂ cap on subspace size (-1: no cap)
+	subs    []subspace.Mask // ascending, so the order every cell walk takes
 	cells   map[subspace.Mask][]*relation.Tuple
 
 	// stored counts tuple entries across cells (memory proxy, Fig 10b).
@@ -59,14 +61,16 @@ func (c *CSC) StoredTuples() int64 { return c.stored }
 // Comparisons returns the cumulative pairwise dominance-test count.
 func (c *CSC) Comparisons() int64 { return c.comparisons }
 
-// candidates collects the distinct tuples stored in every cell M' ⊆ M.
+// candidates collects the distinct tuples stored in every cell M' ⊆ M, in
+// ascending mask order: the dominance loops over them stop at the first
+// dominator, so their comparison counts depend on this order.
 func (c *CSC) candidates(m subspace.Mask, scratch map[int64]bool) []*relation.Tuple {
 	var out []*relation.Tuple
-	for cellMask, ts := range c.cells {
+	for _, cellMask := range c.subs {
 		if cellMask&^m != 0 {
 			continue // not a subset of M
 		}
-		for _, u := range ts {
+		for _, u := range c.cells[cellMask] {
 			if !scratch[u.ID] {
 				scratch[u.ID] = true
 				out = append(out, u)
@@ -150,8 +154,8 @@ func (c *CSC) repairAfter(t *relation.Tuple) {
 	}
 	var victims []victim
 	seen := map[int64]bool{}
-	for cellMask, ts := range c.cells {
-		for _, u := range ts {
+	for _, cellMask := range c.subs {
+		for _, u := range c.cells[cellMask] {
 			c.comparisons++
 			if subspace.Dominates(t, u, cellMask) && !seen[u.ID] {
 				seen[u.ID] = true
@@ -209,12 +213,9 @@ func (c *CSC) repairAfter(t *relation.Tuple) {
 
 func (c *CSC) minsOf(u *relation.Tuple) []subspace.Mask {
 	var out []subspace.Mask
-	for m, ts := range c.cells {
-		for _, v := range ts {
-			if v == u {
-				out = append(out, m)
-				break
-			}
+	for _, m := range c.subs {
+		if slices.Contains(c.cells[m], u) {
+			out = append(out, m)
 		}
 	}
 	return out

@@ -19,9 +19,9 @@ var updateGolden = flag.Bool("update", false, "rewrite testdata/figures.golden f
 // small enough for tier-1, large enough for the paper's claims to show.
 // SITUFACT_LONG_TESTS=1 runs TestFigureClaims at long instead. The
 // file-backed figures (12a–13) run a one-attribute lattice (d̂ = m̂ = 1): a
-// file store makes its 256 shard directories up front and writes one file
-// per cell, so under the experiments' own caps even one tuple costs
-// seconds, matching the 0.5–2.5 s/tuple the paper itself reports for them.
+// file store writes one file per cell, so under the experiments' own caps
+// even one tuple costs seconds, matching the 0.5–2.5 s/tuple the paper
+// itself reports for them.
 var figureCases = []struct {
 	id      string
 	run     func(Params) (*Result, error)
@@ -119,8 +119,9 @@ var countFigures = map[string]bool{"fig10": true, "fig11": true, "fig14": true, 
 
 // TestFiguresGolden pins every figure's title, series labels and x values,
 // the y values of every count-valued series (Fig 10's stored entries and
-// MB, Fig 11's comparisons and traversals, Figs 14 and 15) and the case
-// study's text, byte for byte. Timings are never pinned.
+// MB, Fig 11's comparisons and traversals, Figs 14 and 15), the comparison
+// counts behind every C-CSC timing series and the case study's text, byte
+// for byte. Timings are never pinned.
 // `go test ./internal/harness -run TestFiguresGolden -update` rewrites
 // testdata/figures.golden; any other change to it changes what a figure
 // reports.
@@ -134,6 +135,13 @@ func TestFiguresGolden(t *testing.T) {
 			fmt.Fprintf(&out, "%s\n  x: %v\n", s.Label, s.X)
 			if countFigures[fc.id] {
 				fmt.Fprintf(&out, "  y: %v\n", s.Y)
+			}
+			if s.Label == string(CCSC) {
+				cmp := make([]int64, len(s.Counts))
+				for i, c := range s.Counts {
+					cmp[i] = c.Comparisons
+				}
+				fmt.Fprintf(&out, "  comparisons: %v\n", cmp)
 			}
 		}
 	}

@@ -7,10 +7,13 @@
 //   - WAL — a segmented, CRC-framed write-ahead log of ingest operations
 //     (appends and deletes). Records are assigned monotonically increasing
 //     LSNs, encoded into the log's pending-frame buffer, and made durable
-//     by group-committed fsyncs: concurrent WaitSync callers coalesce into
-//     a single write and fsync covering all of them. A segment is sealed at
-//     the first group commit past the size threshold and deleted once a
-//     snapshot covers it.
+//     by group-committed fsyncs. The sync slot is one mutex: a WaitSync
+//     caller that gets it writes and fsyncs everything pending, and the
+//     callers that fsync covered return when they get it in turn. Close
+//     and Repair hold the same slot, so the active segment has one owner.
+//     A segment is sealed at the first group commit past the size
+//     threshold and deleted once a snapshot covers it. A failed write or
+//     fsync is the log's one sticky error until Repair clears it.
 //
 //   - Snapshot — the codec for one engine's complete state (dictionary,
 //     tuples, tombstones, µ-store cells, prominence counters, work

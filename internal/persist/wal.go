@@ -73,23 +73,30 @@ type walMeta struct {
 // concurrent callers group-commit into a single write and fsync. See the
 // package doc for the crash-safety rules.
 //
-// The active segment has one owner: whoever holds the sync slot
-// (syncState.syncing) — the elected group-commit syncer, Close or Repair.
-// Only the owner writes, fsyncs, seals, closes or replaces the file, so no
-// fsync is ever in flight on a file someone else closes.
+// The active segment has one owner: whoever holds the sync slot, syncMu —
+// a WaitSync group commit, Close or Repair. Only the owner writes, fsyncs,
+// seals, closes or replaces the file, so no fsync is ever in flight on a
+// file someone else closes.
 type WAL struct {
 	dir     string
 	segSize int64
 	epoch   string     // this log instance's identity, from wal.meta
 	fs      faultfs.FS // segment I/O seam; faultfs.OS in production
 
-	// mu guards the log's state: LSNs, the pending frames, the active
-	// segment's handle and size, the segment count. The syncer's fsync runs
-	// OUTSIDE mu, so appenders keep journaling while a group commit is on
+	// syncMu is the sync slot. Its holder takes it before mu, never under
+	// it, and holds it across its file operations.
+	syncMu sync.Mutex
+
+	// mu guards the log's state: LSNs and the durability watermark, the
+	// pending frames, the active segment's handle and size, the segment
+	// count, the sticky failure. A group commit's fsync runs OUTSIDE mu, so
+	// appenders keep journaling and readers keep reading while it is on
 	// disk; a seal's fsync runs under it.
 	mu       sync.Mutex
 	f        faultfs.File
 	nextLSN  uint64
+	synced   uint64 // highest LSN guaranteed on disk
+	syncs    uint64 // group commits that advanced synced (WALStats.Syncs)
 	segBase  uint64 // first LSN of the active segment
 	segBytes int64  // bytes of the active segment, pending frames included
 	segments int    // live segment files, including the active one
@@ -103,17 +110,6 @@ type WAL struct {
 	unsynced int
 	writeErr error // sticky: a failed write or fsync leaves the file torn
 	closed   bool
-
-	// syncState guards the durability watermark and the sync slot; it is
-	// never held across a file operation.
-	syncState struct {
-		sync.Mutex
-		cond    *sync.Cond
-		synced  uint64 // highest LSN guaranteed on disk
-		syncs   uint64 // group commits that advanced synced (WALStats.Syncs)
-		syncing bool   // the sync slot: its holder owns the active segment
-		err     error  // sticky fsync failure
-	}
 }
 
 // OpenWAL opens (or creates) the log rooted at dir, repairing a torn tail
@@ -135,7 +131,6 @@ func OpenWAL(dir string, opt WALOptions) (*WAL, error) {
 		return nil, err
 	}
 	w := &WAL{dir: dir, segSize: opt.SegmentBytes, epoch: epoch, fs: fsys}
-	w.syncState.cond = sync.NewCond(&w.syncState.Mutex)
 
 	bases, err := listSegments(fsys, dir)
 	if err != nil {
@@ -153,7 +148,7 @@ func OpenWAL(dir string, opt WALOptions) (*WAL, error) {
 		}
 		w.segments = len(bases)
 	}
-	w.syncState.synced = w.nextLSN - 1 // nothing buffered yet
+	w.synced = w.nextLSN - 1 // nothing buffered yet
 	return w, nil
 }
 
@@ -365,97 +360,64 @@ func (w *WAL) rotate() error {
 	return nil
 }
 
-// claimSync waits for the sync slot and takes it, making the caller the
-// active segment's one owner until releaseSync. Caller holds neither mu
-// nor syncState.
-func (w *WAL) claimSync() {
-	s := &w.syncState
-	s.Lock()
-	for s.syncing {
-		s.cond.Wait()
-	}
-	s.syncing = true
-	s.Unlock()
-}
-
-func (w *WAL) releaseSync() {
-	s := &w.syncState
-	s.Lock()
-	s.syncing = false
-	s.Unlock()
-	s.cond.Broadcast()
-}
-
-// WaitSync blocks until every record up to and including lsn is on disk,
-// running the group commit itself if no one holds the sync slot.
-// Concurrent callers coalesce: one fsync commits every record buffered
-// when it starts, and the rest just observe the advanced watermark.
+// WaitSync blocks until every record up to and including lsn (an LSN
+// AppendAll returned) is on disk, running the group commit itself once it
+// holds the sync slot. Concurrent callers coalesce: one fsync commits every
+// record buffered when it starts, and the callers it covered find the
+// advanced watermark when they get the slot.
 func (w *WAL) WaitSync(lsn uint64) error {
-	s := &w.syncState
-	s.Lock()
-	defer s.Unlock()
-	for {
-		if s.synced >= lsn {
-			return nil
-		}
-		if s.err != nil {
-			return s.err
-		}
-		if s.syncing {
-			s.cond.Wait()
-			continue
-		}
-		s.syncing = true
-		s.Unlock()
-		target, err := w.syncNow()
-		s.Lock()
-		s.syncing = false
-		if err != nil {
-			if s.err == nil {
-				s.err = err
-			}
-		} else if target > s.synced {
-			s.synced = target
-			s.syncs++
-		}
-		s.cond.Broadcast()
+	w.mu.Lock()
+	synced := w.synced
+	w.mu.Unlock()
+	if synced >= lsn {
+		return nil
 	}
-}
-
-// syncNow is the group commit, run by the holder of the sync slot. It
-// writes the pending frames under mu and fsyncs the active segment OUTSIDE
-// it, so appends (and whole pipeline batches) proceed concurrently with the
-// fsync; they are simply not covered by it. A segment that has reached the
-// size threshold is sealed instead, under mu (rotate). It returns the
-// highest LSN now durable.
-func (w *WAL) syncNow() (uint64, error) {
+	w.syncMu.Lock()
+	defer w.syncMu.Unlock()
 	w.mu.Lock()
 	defer w.mu.Unlock()
+	if w.synced >= lsn {
+		return nil
+	}
+	return w.syncNow()
+}
+
+// syncNow is the group commit: it writes the pending frames and fsyncs
+// the active segment, dropping mu around the fsync so appends (and whole
+// pipeline batches) proceed concurrently with it; they are simply not
+// covered by it. A segment that has reached the size threshold is sealed
+// instead, under mu (rotate). On success synced covers every record
+// appended before the call. Caller holds the sync slot and mu.
+func (w *WAL) syncNow() error {
 	if w.closed {
-		return 0, ErrWALClosed
+		return ErrWALClosed
 	}
 	if w.writeErr != nil {
-		return 0, w.writeErr
+		return w.writeErr
 	}
 	if err := w.flush(); err != nil {
-		return 0, w.poison("wal sync", err)
+		return w.poison("wal sync", err)
 	}
 	target := w.nextLSN - 1
 	if w.segBytes >= w.segSize {
 		if err := w.rotate(); err != nil {
-			return 0, err
+			return err
 		}
-		return target, nil
+	} else {
+		f, covered, frames := w.f, w.flushed, w.unsynced
+		w.mu.Unlock()
+		err := f.Sync()
+		w.mu.Lock()
+		if err != nil {
+			return w.poison("wal sync", err)
+		}
+		w.dropSynced(covered, frames)
 	}
-	f, covered, frames := w.f, w.flushed, w.unsynced
-	w.mu.Unlock()
-	err := f.Sync()
-	w.mu.Lock()
-	if err != nil {
-		return 0, w.poison("wal sync", err)
+	if target > w.synced {
+		w.synced = target
+		w.syncs++
 	}
-	w.dropSynced(covered, frames)
-	return target, nil
+	return nil
 }
 
 // Sync makes every appended record durable.
@@ -506,16 +468,12 @@ var errStopRead = errors.New("stop read")
 // removed by TruncateBefore and the caller must re-bootstrap from a
 // snapshot rather than replay the tail.
 func (w *WAL) ReadFrom(from uint64, max int) (recs []Record, lastLSN uint64, err error) {
-	// synced is read before mu: it only advances, so any record it admits
-	// is durable by the time the scan below reaches it.
-	w.syncState.Lock()
-	synced := w.syncState.synced
-	w.syncState.Unlock()
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.closed {
 		return nil, 0, ErrWALClosed
 	}
+	synced := w.synced
 	err = walk(w.fs, w.dir, from, func(rec Record) error {
 		if rec.LSN > synced || max > 0 && len(recs) >= max {
 			return errStopRead
@@ -614,21 +572,12 @@ type WALStats struct {
 	Segments int
 }
 
-// Stats returns a monitoring snapshot. The watermarks are read under
-// separate locks, SyncedLSN first: both only advance, and synced never
-// passes last at any instant, so this order keeps the reported
-// LastLSN ≥ SyncedLSN (a concurrent append can only widen the gap).
+// Stats returns a monitoring snapshot, read under mu alone: it never
+// waits for a group commit's fsync.
 func (w *WAL) Stats() WALStats {
-	var st WALStats
-	w.syncState.Lock()
-	st.SyncedLSN = w.syncState.synced
-	st.Syncs = w.syncState.syncs
-	w.syncState.Unlock()
 	w.mu.Lock()
-	st.LastLSN = w.nextLSN - 1
-	st.Segments = w.segments
-	w.mu.Unlock()
-	return st
+	defer w.mu.Unlock()
+	return WALStats{LastLSN: w.nextLSN - 1, SyncedLSN: w.synced, Syncs: w.syncs, Segments: w.segments}
 }
 
 // Epoch returns the log instance's random identity, assigned when the
@@ -647,17 +596,11 @@ func (w *WAL) LastLSN() uint64 {
 // while healthy. A closed log reports ErrWALClosed.
 func (w *WAL) Err() error {
 	w.mu.Lock()
-	werr, closed := w.writeErr, w.closed
-	w.mu.Unlock()
-	if closed {
+	defer w.mu.Unlock()
+	if w.closed {
 		return ErrWALClosed
 	}
-	if werr != nil {
-		return werr
-	}
-	w.syncState.Lock()
-	defer w.syncState.Unlock()
-	return w.syncState.err
+	return w.writeErr
 }
 
 // Repair attempts to return a poisoned log to service without a process
@@ -668,28 +611,25 @@ func (w *WAL) Err() error {
 // dropping whatever torn or unsynced bytes the fault left — and writes
 // those frames again under their own LSNs: the log holds exactly the ops
 // the pool applied, and every later record, and every tuple id, means on
-// replay and on a follower what it meant on the leader. It claims the sync
+// replay and on a follower what it meant on the leader. It takes the sync
 // slot first, so it waits out a group commit in flight.
 //
-// On success the sticky write and fsync errors are cleared, the synced
-// watermark covers the whole repaired log, and blocked WaitSync callers
-// wake; rewritten is how many frames were written again (none of them
-// was acknowledged: an ack waits for its fsync). Repair returns a non-nil
+// On success the sticky failure is cleared and the synced watermark covers
+// the whole repaired log, so WaitSync callers queued on the slot return
+// without an fsync; rewritten is how many frames were written again (none
+// of them was acknowledged: an ack waits for its fsync). Repair returns a non-nil
 // error and leaves the log poisoned when the fault still holds (the repair
 // I/O itself failed — retry later) or the durable part of the segment does
 // not end where the pending frames begin (ErrCorrupt).
 func (w *WAL) Repair() (rewritten uint64, err error) {
-	w.claimSync()
-	defer w.releaseSync()
+	w.syncMu.Lock()
+	defer w.syncMu.Unlock()
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.closed {
 		return 0, ErrWALClosed
 	}
-	w.syncState.Lock()
-	serr := w.syncState.err
-	w.syncState.Unlock()
-	if w.writeErr == nil && serr == nil {
+	if w.writeErr == nil {
 		return 0, nil // healthy
 	}
 	// Drop the poisoned handle: the file may end in a torn frame. nil
@@ -732,49 +672,34 @@ func (w *WAL) Repair() (rewritten uint64, err error) {
 	rewritten = uint64(w.unsynced)
 	w.dropSynced(w.flushed, w.unsynced)
 	w.writeErr = nil
-	w.syncState.Lock()
-	w.syncState.err = nil
-	if last := w.nextLSN - 1; last > w.syncState.synced {
-		w.syncState.synced = last
-	}
-	w.syncState.Unlock()
+	w.synced = w.nextLSN - 1
 	return rewritten, nil // a full segment seals at the next group commit
 }
 
-// Close flushes, fsyncs and closes the log, claiming the sync slot first so
+// Close flushes, fsyncs and closes the log, taking the sync slot first so
 // a group commit in flight finishes on an open file. Waiting WaitSync
 // callers observe either the final watermark or ErrWALClosed.
 func (w *WAL) Close() error {
-	w.claimSync()
-	defer w.releaseSync()
+	w.syncMu.Lock()
+	defer w.syncMu.Unlock()
 	w.mu.Lock()
+	defer w.mu.Unlock()
 	if w.closed {
-		w.mu.Unlock()
 		return nil
 	}
 	var err error
-	last := w.nextLSN - 1
-	poisoned := w.writeErr != nil
-	if !poisoned {
+	if w.writeErr == nil {
 		if err = w.flush(); err == nil {
 			err = w.f.Sync()
+		}
+		if err == nil {
+			w.synced = w.nextLSN - 1
 		}
 	}
 	if w.f != nil { // nil after a failed rotation already closed it
 		err = errors.Join(err, w.f.Close())
 	}
 	w.closed = true
-	w.mu.Unlock()
-
-	w.syncState.Lock()
-	if err == nil && !poisoned && w.syncState.err == nil {
-		if last > w.syncState.synced {
-			w.syncState.synced = last
-		}
-	} else if w.syncState.err == nil {
-		w.syncState.err = ErrWALClosed
-	}
-	w.syncState.Unlock()
 	return err
 }
 

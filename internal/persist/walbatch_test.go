@@ -203,7 +203,8 @@ func lastIndex(ops []string, op string) int {
 
 // TestWALSyncSlotOwnsSegment: the group-commit syncer owns the active
 // segment. Close and Repair called while its fsync is blocked return only
-// after that fsync; an append meanwhile makes no file call; no file is
+// after that fsync; an append meanwhile makes no file call, and Stats,
+// Err, a covered WaitSync and ReadFrom return without waiting; no file is
 // closed with an fsync on it in flight; and every sealed segment is
 // fsynced before its successor is created.
 func TestWALSyncSlotOwnsSegment(t *testing.T) {
@@ -287,6 +288,97 @@ func TestWALSyncSlotOwnsSegment(t *testing.T) {
 		checkSegmentOps(t, g.logged())
 		if n := replayed(t, dir); n != 2 {
 			t.Fatalf("repaired log replays %d records, want 2", n)
+		}
+	})
+
+	// reads: while a group commit's fsync is blocked, the reads that need
+	// no file write return at once, each seeing the watermark before it.
+	t.Run("reads", func(t *testing.T) {
+		w, g, _ := open(t, 0)
+		if _, err := w.AppendAll([]Record{rec}); err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Sync(); err != nil {
+			t.Fatal(err)
+		}
+		lsn, err := w.AppendAll([]Record{rec})
+		if err != nil {
+			t.Fatal(err)
+		}
+		gt := g.arm()
+		synced := make(chan error, 1)
+		go func() { synced <- w.WaitSync(lsn) }()
+		<-gt.started
+		reads := []struct {
+			name string
+			read func() error
+		}{
+			{"Stats", func() error {
+				if st := w.Stats(); st.SyncedLSN != 1 || st.LastLSN != 2 {
+					return fmt.Errorf("stats = %+v, want SyncedLSN 1 < LastLSN 2", st)
+				}
+				return nil
+			}},
+			{"Err", w.Err},
+			{"WaitSync of a synced LSN", func() error { return w.WaitSync(1) }},
+			{"ReadFrom", func() error {
+				if recs, last, err := w.ReadFrom(1, 0); err != nil || len(recs) != 1 || last != 1 {
+					return fmt.Errorf("ReadFrom(1, 0) = %d records, watermark %d, %v; want the 1 synced record", len(recs), last, err)
+				}
+				return nil
+			}},
+		}
+		for _, r := range reads {
+			done := make(chan error, 1)
+			go func() { done <- r.read() }()
+			select {
+			case err := <-done:
+				if err != nil {
+					gt.release <- nil
+					t.Fatalf("%s during the fsync: %v", r.name, err)
+				}
+			case <-time.After(5 * time.Second):
+				gt.release <- nil
+				t.Fatalf("%s waited for the group commit's fsync", r.name)
+			}
+		}
+		gt.release <- nil
+		if err := <-synced; err != nil {
+			t.Fatal(err)
+		}
+	})
+
+	// coalesce: a WaitSync queued on the slot behind a group commit that
+	// covers its LSN returns without an fsync of its own.
+	t.Run("coalesce", func(t *testing.T) {
+		w, g, _ := open(t, 0)
+		lsn, err := w.AppendAll([]Record{rec})
+		if err != nil {
+			t.Fatal(err)
+		}
+		gt := g.arm()
+		waits := make(chan error, 2)
+		for range 2 {
+			go func() { waits <- w.WaitSync(lsn) }()
+		}
+		<-gt.started
+		// Time for the other caller to queue on the slot; one that comes
+		// later takes the fast path, so the count below holds either way.
+		time.Sleep(50 * time.Millisecond)
+		gt.release <- nil
+		for range 2 {
+			if err := <-waits; err != nil {
+				t.Fatal(err)
+			}
+		}
+		fsyncs := 0
+		for _, op := range g.logged() {
+			if strings.HasPrefix(op, "sync ") {
+				fsyncs++
+			}
+		}
+		if fsyncs != 1 {
+			t.Fatalf("two WaitSync calls for one record made %d fsyncs, want 1", fsyncs)
 		}
 	})
 

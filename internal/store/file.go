@@ -32,23 +32,19 @@ type File struct {
 	// cellSizes tracks the entry count of every non-empty cell so that
 	// StoredTuples/Cells stay O(1); it mirrors what is on disk.
 	cellSizes map[CellRef]int
-	enc       []byte   // reused encode buffer
-	kept      []uint32 // the masks Install fills (Keep)
+	enc       []byte    // reused encode buffer
+	kept      []uint32  // the masks Install fills (Keep)
+	made      [256]bool // shard directories created so far
 }
 
-// NewFile creates (or reuses) dir as the store root. The directory and its
-// 256 shard subdirectories are created eagerly, so the Save hot path does
-// no mkdir work. Any pre-existing cell files are ignored (the paper's
-// experiments always start from an empty store); use a fresh directory per
-// run.
+// NewFile creates (or reuses) dir as the store root. Each shard
+// subdirectory is created by the first Save into it, so a small run makes
+// only the directories it writes. Any pre-existing cell files are ignored
+// (the paper's experiments always start from an empty store); use a fresh
+// directory per run.
 func NewFile(dir string, schema *relation.Schema) (*File, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("store: create dir: %w", err)
-	}
-	for i := 0; i < 256; i++ {
-		if err := os.MkdirAll(filepath.Join(dir, fmt.Sprintf("%02x", i)), 0o755); err != nil {
-			return nil, fmt.Errorf("store: create shard dir: %w", err)
-		}
 	}
 	return &File{
 		dir:       dir,
@@ -61,7 +57,8 @@ func NewFile(dir string, schema *relation.Schema) (*File, error) {
 // idSize is the encoded byte size of one cell member.
 const idSize = 4
 
-func (f *File) path(ref CellRef) string {
+// path names ref's cell file and the shard directory it lives in.
+func (f *File) path(ref CellRef) (string, byte) {
 	id, mask := RefParts(ref)
 	key := f.in.Key(id)
 	name := hex.EncodeToString([]byte(key)) + fmt.Sprintf("-%x.cell", mask)
@@ -70,7 +67,7 @@ func (f *File) path(ref CellRef) string {
 		shard ^= key[i]
 	}
 	shard ^= byte(mask)
-	return filepath.Join(f.dir, fmt.Sprintf("%02x", shard), name)
+	return filepath.Join(f.dir, fmt.Sprintf("%02x", shard), name), shard
 }
 
 // Width implements Store.
@@ -85,7 +82,8 @@ func (f *File) Load(ref CellRef) Cell {
 	if !ok || n == 0 {
 		return Cell{}
 	}
-	buf, err := os.ReadFile(f.path(ref))
+	path, _ := f.path(ref)
+	buf, err := os.ReadFile(path)
 	if err != nil {
 		// The size index says the file exists; treat loss as corruption.
 		panic(fmt.Sprintf("store: cell %x vanished: %v", ref, err))
@@ -104,11 +102,12 @@ func (f *File) Load(ref CellRef) Cell {
 // Save implements Store: overwrites (or deletes) the cell file.
 func (f *File) Save(ref CellRef, c Cell) {
 	old := f.cellSizes[ref]
+	if c.Len() == 0 && old == 0 {
+		return
+	}
+	path, shard := f.path(ref)
 	if c.Len() == 0 {
-		if old == 0 {
-			return
-		}
-		if err := os.Remove(f.path(ref)); err != nil {
+		if err := os.Remove(path); err != nil {
 			panic(fmt.Sprintf("store: remove cell %x: %v", ref, err))
 		}
 		delete(f.cellSizes, ref)
@@ -121,7 +120,13 @@ func (f *File) Save(ref CellRef, c Cell) {
 	for _, id := range c.IDs() {
 		f.enc = binary.LittleEndian.AppendUint32(f.enc, id)
 	}
-	if err := os.WriteFile(f.path(ref), f.enc, 0o644); err != nil {
+	if !f.made[shard] {
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			panic(fmt.Sprintf("store: create shard dir: %v", err))
+		}
+		f.made[shard] = true
+	}
+	if err := os.WriteFile(path, f.enc, 0o644); err != nil {
 		panic(fmt.Sprintf("store: write cell %x: %v", ref, err))
 	}
 	if old == 0 {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"os"
 	"slices"
 	"testing"
 
@@ -150,6 +151,37 @@ func TestFileStoreIOCounters(t *testing.T) {
 	st.Load(k)
 	if st.Stats().Reads != 1 {
 		t.Errorf("Reads = %d, want 1", st.Stats().Reads)
+	}
+}
+
+// TestFileStoreShardDirsOnUse: a file store makes a shard directory at its
+// first Save into it, not up front.
+func TestFileStoreShardDirsOnUse(t *testing.T) {
+	s := storeSchema(t)
+	dir := t.TempDir()
+	st, err := NewFile(dir, s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dirs := func() int {
+		ents, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return len(ents)
+	}
+	if n := dirs(); n != 0 {
+		t.Fatalf("a new store made %d shard directories, want 0", n)
+	}
+	ts := mkTuples(t, s, 2)
+	k := ref(t, st, ts[0], 0b11, 0b11)
+	st.Save(k, cellOf(ts[0]))
+	st.Save(k, cellOf(ts...))
+	if n := dirs(); n != 1 {
+		t.Fatalf("two saves of one cell made %d shard directories, want 1", n)
+	}
+	if got := st.Load(k); got.Len() != 2 {
+		t.Fatalf("loaded %d members, want 2", got.Len())
 	}
 }
 
