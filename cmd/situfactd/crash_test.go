@@ -40,6 +40,8 @@ import (
 // The daemons that recover (and the reference) end with a graceful
 // shutdown, whose checkpoint must leave the state dir holding one
 // generation beside the log: whatever a killed checkpoint left is swept.
+// The reference also runs -pprof-addr: the profiler answers on its own
+// listener, and the API listener does not serve it.
 func TestCrashRecoverySIGKILL(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and kills real daemon processes")
@@ -48,8 +50,24 @@ func TestCrashRecoverySIGKILL(t *testing.T) {
 	rows := crashRows(400)
 
 	// Uninterrupted reference run.
-	refDir := t.TempDir()
-	ref := startDaemon(t, bin, refDir)
+	refDir, pprofAddr := t.TempDir(), freeAddr(t)
+	ref := startDaemonAt(t, bin, refDir, freeAddr(t), "-pprof-addr", pprofAddr)
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(10 * time.Millisecond) {
+		resp, err := http.Get("http://" + pprofAddr + "/debug/pprof/cmdline")
+		if err == nil {
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("GET /debug/pprof/cmdline on -pprof-addr: status %d, want 200", resp.StatusCode)
+			}
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("-pprof-addr %s never answered: %v", pprofAddr, err)
+		}
+	}
+	if status, _ := getBody(t, ref.url+"/debug/pprof/"); status != http.StatusNotFound {
+		t.Errorf("the API listener answers /debug/pprof/ with %d, want 404", status)
+	}
 	for i, r := range rows {
 		if !postRow(ref.url, r) {
 			t.Fatalf("reference: row %d rejected", i)

@@ -16,6 +16,7 @@ import (
 	"slices"
 	"strconv"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -31,10 +32,13 @@ import (
 // root checker's op mix (appends and batches at every top, deletes of
 // live, tombstoned, never-assigned and malformed ids, filtered reads walked
 // by cursor, checkpoints, crashes, followers) plus a fault armed under the
-// WAL. Every answer must be byte-equal to the one serverFor's handlers give
-// over a reference Pool fed the same ops inline, without a WAL or an
-// admission layer, and the daemon's own counters must account for what it
-// did. A failure names the seed (subtest), the step and the op.
+// WAL. The leader serves at one address across its crashes, so a follower
+// rides out each outage on transient poll errors and converges once the
+// restarted leader is back. Every answer must be byte-equal to the one
+// serverFor's handlers give over a reference Pool fed the same ops inline,
+// without a WAL or an admission layer, and the daemon's own counters must
+// account for what it did. A failure names the seed (subtest), the step and
+// the op.
 
 // TestDaemonHistory runs one seeded history per setup (one under -short).
 func TestDaemonHistory(t *testing.T) {
@@ -64,9 +68,10 @@ type daemonHistory struct {
 	cfg    config
 	shards int
 	s      *server
-	ts     *httptest.Server
-	ref    http.Handler // serverFor's handlers over the reference pool
-	f      *server      // a follower of s, once a follow step started one
+	ts     *httptest.Server // the leader's one address: lead's handler, or a 503 while it is down
+	lead   atomic.Value     // http.Handler
+	ref    http.Handler     // serverFor's handlers over the reference pool
+	f      *server          // a follower of s, once a follow step started one
 	fts    *httptest.Server
 	ids    []string // every handle assigned, in order
 	step   int
@@ -106,6 +111,9 @@ func runDaemonHistory(t *testing.T, seed int64, shards int, args []string, steps
 	}
 	h := &daemonHistory{t: t, rng: rand.New(rand.NewSource(seed)), cfg: cfg, shards: shards,
 		ref: serverFor(refCfg, schema, wires, pool).handler()}
+	h.ts = httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		h.lead.Load().(http.Handler).ServeHTTP(w, r)
+	}))
 	h.start()
 	t.Cleanup(func() {
 		h.unfollow()
@@ -141,13 +149,7 @@ func runDaemonHistory(t *testing.T, seed int64, shards int, args []string, steps
 			h.checkpoint()
 		case k < 16:
 			h.op = "crash"
-			h.unfollow()
-			h.ts.Close()
-			if err := h.s.close(); err != nil {
-				h.fatalf("close: %v", err)
-			}
-			h.start()
-			h.read(h.ts.URL)
+			h.crash()
 		case k < 18:
 			h.op = "follow"
 			h.follow()
@@ -166,13 +168,49 @@ func (h *daemonHistory) start() {
 	if err != nil {
 		h.fatalf("newServer: %v", err)
 	}
-	h.s, h.ts = s, httptest.NewServer(s.handler())
+	h.s = s
+	h.lead.Store(s.handler())
 	// The replay queued every record the log still holds.
 	recs, _, _, err := s.wal.ReadTail(1, 0)
 	if err != nil {
 		h.fatalf("read the replayed log: %v", err)
 	}
 	h.enqueued, h.synced, h.ckpt = uint64(len(recs)), 0, false
+}
+
+// down is the leader's address while no leader runs.
+var down = http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+	http.Error(w, "the leader is down", http.StatusServiceUnavailable)
+})
+
+// crash stops the leader (close, no checkpoint) and starts another over its
+// state dir at the same address. A follower sees the outage as a transient
+// poll error, never a fatal one, and then converges on the restarted leader
+// without a re-bootstrap.
+func (h *daemonHistory) crash() {
+	h.lead.Store(http.Handler(down))
+	if err := h.s.close(); err != nil {
+		h.fatalf("close: %v", err)
+	}
+	if h.f != nil {
+		for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(5 * time.Millisecond) {
+			r := getMetrics(h.t, h.fts.URL).Replication
+			if r.Fatal != "" {
+				h.fatalf("the follower went fatal while its leader was down: %s", r.Fatal)
+			}
+			if r.LastError != "" {
+				break
+			}
+			if time.Now().After(deadline) {
+				h.fatalf("the follower has not polled its leader in the 10 s it was down")
+			}
+		}
+	}
+	h.start()
+	h.read(h.ts.URL)
+	if h.f != nil {
+		h.follow()
+	}
 }
 
 // row draws a row's JSON fields from small domains, so rows share contexts
@@ -374,11 +412,11 @@ func (h *daemonHistory) checkpoint() {
 	}
 }
 
-// follow bootstraps a follower of the leader over HTTP, or keeps the one
-// an earlier step bootstrapped, and waits until it has applied the leader's
-// log: it serves every read the reference's way, counts the leader's work,
-// refuses the three write verbs, is healthy, and checkpoints to the
-// leader's shard files byte for byte.
+// follow bootstraps a follower of the leader over HTTP, or keeps the one an
+// earlier step bootstrapped (across the leader's crashes), and waits until it
+// has applied the leader's log: it serves every read the reference's way,
+// counts the leader's work, refuses the three write verbs, is healthy, and
+// checkpoints to the leader's shard files byte for byte.
 func (h *daemonHistory) follow() {
 	if h.f == nil {
 		cfg := h.cfg

@@ -280,90 +280,6 @@ func TestRebootstrapAfterEpochSwap(t *testing.T) {
 	assertSameReads(t, bts.URL, fts.URL, gamelogQueries)
 }
 
-// TestFollowerConvergesAcrossLeaderCrash runs the full read-path story
-// against a real leader binary: the leader is SIGKILLed mid-ingest and
-// restarted over the same state dir and address; the follower — which
-// never restarts — must ride through the outage (transient poll errors,
-// not fatal ones) and converge to byte-identical reads once the resumed
-// stream finishes. Segments are oversized so the restarted leader cannot
-// truncate records the follower still needs.
-func TestFollowerConvergesAcrossLeaderCrash(t *testing.T) {
-	if testing.Short() {
-		t.Skip("builds and kills real daemon processes")
-	}
-	bin := buildDaemon(t)
-	rows := crashRows(300)
-	leaderDir := t.TempDir()
-	addr := freeAddr(t)
-	segFlag := []string{"-wal-segment-bytes", "1048576"}
-
-	d := startDaemonAt(t, bin, leaderDir, addr, segFlag...)
-	_, fts := startServer(t, flagConfig("-dims", "team,player", "-measures", "points,rebounds",
-		"-state-dir", t.TempDir(), "-follow", d.url, "-follow-poll", "20ms"))
-
-	acked := make(chan int, 1)
-	go func() {
-		n := 0
-		for _, r := range rows {
-			if !postRow(d.url, r) {
-				break
-			}
-			n++
-		}
-		acked <- n
-	}()
-	deadline := time.Now().Add(30 * time.Second)
-	for time.Now().Before(deadline) {
-		if m, err := tryMetrics(d.url); err == nil && m.Merged.Tuples >= int64(len(rows)/3) {
-			break
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	if err := d.cmd.Process.Kill(); err != nil {
-		t.Fatal(err)
-	}
-	d.cmd.Wait()
-	nAcked := <-acked
-	if nAcked >= len(rows) {
-		t.Fatalf("leader survived the whole stream (%d rows) — the kill was not mid-ingest", nAcked)
-	}
-
-	// While the leader is down the follower must degrade to transient
-	// poll errors, not a fatal stop.
-	if m, err := tryMetrics(fts.URL); err == nil && m.Replication != nil && m.Replication.Fatal != "" {
-		t.Fatalf("follower went fatal during the leader outage: %s", m.Replication.Fatal)
-	}
-
-	d2 := startDaemonAt(t, bin, leaderDir, addr, segFlag...)
-	defer d2.stop()
-	applied := int(getMetrics(t, d2.url).Merged.Tuples)
-	if applied < nAcked {
-		t.Fatalf("recovered leader lost acknowledged rows: %d applied < %d acked", applied, nAcked)
-	}
-	for i, r := range rows[applied:] {
-		if !postRow(d2.url, r) {
-			t.Fatalf("resumed feed: row %d rejected", applied+i)
-		}
-	}
-
-	// Every row is one WAL record and LSNs are dense, so the final head
-	// is exactly len(rows).
-	waitApplied(t, fts.URL, uint64(len(rows)))
-	if status, body := getBody(t, fts.URL+"/healthz"); status != http.StatusOK {
-		t.Errorf("follower /healthz after convergence = %d: %s", status, body)
-	}
-	assertSameReads(t, d2.url, fts.URL, []string{
-		"",
-		"shard=2",
-		"where=team=team-0",
-		"where=team=team-0&measures=points",
-	})
-	lm, fm := getMetrics(t, d2.url), getMetrics(t, fts.URL)
-	if lm.Merged != fm.Merged {
-		t.Errorf("merged metrics diverged:\nleader   %+v\nfollower %+v", lm.Merged, fm.Merged)
-	}
-}
-
 // TestFollowerMaxLagHealth: a follower that knows its leader is more than
 // -follow-max-lag records ahead answers /healthz 503 naming the bound, and
 // 200 again once it has caught up. A stub in front of the leader withholds

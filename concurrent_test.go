@@ -8,6 +8,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"slices"
 	"strings"
 	"sync"
@@ -18,18 +19,23 @@ import (
 
 // TestConcurrentHistory is the history checker's concurrent tier. Six writers
 // draw appends, batches of 2–8 rows, deletes (of their own acked rows, a
-// tombstoned or a never-assigned handle), rows of the wrong arity and writes
-// under a context that ended before the call or ends during it, perhaps while
-// the op is parked on a full queue, against a journaled pool at queue depth 4.
-// Beside them a reader takes a shard's first page of facts or TopFacts, a
-// checkpointer checkpoints without truncating, and a resizer sets the queues
-// to 1, 3 and 8 ops. Each op stamps its invocation and response on one
-// logical clock (a failure's "step") and reads the synced LSN at its response.
+// tombstoned or a never-assigned handle), rows of the wrong arity or past the
+// WAL's record cap, and writes under a context that ended before the call or
+// ends during it, perhaps while the op is parked on a full queue, against a
+// journaled pool at queue depth 4. Beside them a reader takes a shard's first
+// page of facts or TopFacts, a checkpointer checkpoints without truncating,
+// and a resizer sets the queues to 1, 3 and 8 ops (and calls the no-op
+// StopPipeline) until it has shrunk a queue below the ops it holds. Then comes
+// a calm stretch: no resize and no context ends, so only a drain wakes a
+// producer parked on a full queue. Each op stamps its invocation and response
+// on one logical clock (a failure's "step") and reads the synced LSN at its
+// response.
 // The journal is the linearization: an append's tuple id is its rank among its
 // shard's appends, which links each ack to its record. After quiescence:
 //
 //	(a) an op a queue accepted has exactly one record and its replay's
-//	    outcome; a refused op (ended context, bad row, closed pool) has none;
+//	    outcome; a refused op (ended context, bad row, closed pool) has none,
+//	    and an oversized row is ErrRowTooLarge, not a journal failure;
 //	(b) an op acked before another was invoked has the lower LSN;
 //	(c) an arrival carries the oracle's facts over its shard's journal up to
 //	    its record;
@@ -37,14 +43,15 @@ import (
 //	(e) a read equals the oracle at a prefix of its shard's journal holding
 //	    every op acked before the read and none invoked after it;
 //	(f) a restore of a mid-run checkpoint plus ReplayWAL, and a follower of it
-//	    running ApplyTail, replay the acks in journal order to the live pool's
-//	    snapshot bytes;
+//	    running ApplyTail, replay the acks in journal order, one observer call
+//	    at a time, to the live pool's snapshot bytes;
 //	(g) Len, Metrics and the ingest counters account for every record, and
 //	    Close leaves none unsynced.
 //
 // The writers draw until a batch of more than one op was drained, a producer
-// parked and a context ended mid-call refused an op, so the run cannot pass
-// by running sequentially.
+// parked, a context ended mid-call refused an op and, in the calm stretch,
+// a producer parked again, so the run cannot pass by running sequentially.
+// An op unanswered after opDeadline fails the run, naming every such op.
 func TestConcurrentHistory(t *testing.T) {
 	for seed, setup := range histSetups[:3] {
 		if testing.Short() && seed > 0 {
@@ -61,7 +68,8 @@ func TestConcurrentHistory(t *testing.T) {
 // what came back, when, and the records the check links to it.
 type cop struct {
 	who, kind string // "writer 3's op 12"; append, batch, delete, page or top
-	ctx       string // "", or "ended" before the call, "ending" during it, "bad row"
+	began     time.Time
+	ctx       string // "", or "ended" before the call, "ending" during it, "bad row", "oversized row"
 	rows      []Row
 	top       int // an append's fact cap; TopFacts' k
 	del       poolHandle
@@ -86,8 +94,12 @@ type jrec struct {
 	row        int
 }
 
+// opDeadline is how long a write may stay unanswered: far past any op's
+// latency under -race, short of go test's timeout.
+const opDeadline = 10 * time.Second
+
 func runConcurrentHistory(t *testing.T, seed int64, setup histSetup) {
-	const shards, writers, minOps, maxOps, maxWindow = 4, 6, 40, 400, 24
+	const shards, writers, minOps, maxOps, minCalm, maxResizes, maxWindow = 4, 6, 40, 400, 10, 2000, 24
 	h := &history{t: t, schema: queryTestSchema(t), setup: setup, shards: shards}
 	p := h.newPool()
 	defer p.Close()
@@ -99,7 +111,10 @@ func runConcurrentHistory(t *testing.T, seed int64, setup histSetup) {
 	h.check(p.StartPipeline(PipelineOptions{QueueDepth: 4}))
 
 	var clock, completed, refused atomic.Int64
-	var done atomic.Bool
+	var done, shrunk, calm atomic.Bool
+	var calmFrom atomic.Uint64 // the full-queue waits when the calm stretch began
+	pending := make([]atomic.Pointer[cop], writers)
+	huge := strings.Repeat("x", 16<<20) // past the WAL's record cap
 	stamp := func(o *cop, call func()) {
 		o.inv = clock.Add(1)
 		call()
@@ -122,7 +137,11 @@ func runConcurrentHistory(t *testing.T, seed int64, setup histSetup) {
 			defer writing.Done()
 			rng := rand.New(rand.NewSource(seed<<8 | int64(wr)))
 			var live, dead []poolHandle
-			for seq := 0; seq < minOps || seq < maxOps && (p.IngestSummary().MaxBatch < 2 || parks() == 0 || refused.Load() == 0); seq++ {
+			calmOps := 0
+			more := func() bool {
+				return p.IngestSummary().MaxBatch < 2 || refused.Load() == 0 || !calm.Load() || calmOps < minCalm || parks() == calmFrom.Load()
+			}
+			for seq := 0; seq < minOps || seq < maxOps && more(); seq++ {
 				o := &cop{who: fmt.Sprintf("writer %d's op %d", wr, seq), top: histTops[rng.Intn(len(histTops))]}
 				switch k := rng.Intn(10); {
 				case k < 5:
@@ -141,7 +160,13 @@ func runConcurrentHistory(t *testing.T, seed int64, setup histSetup) {
 				ctx, cancel := context.WithCancel(context.Background())
 				var back atomic.Bool
 				ended := make(chan struct{})
-				switch k := rng.Intn(10); {
+				k := rng.Intn(10)
+				if calm.Load() {
+					if calmOps++; k < 3 { // no context ends in the calm stretch
+						k = 9
+					}
+				}
+				switch {
 				case k == 0:
 					o.ctx = "ended"
 					cancel()
@@ -166,8 +191,17 @@ func runConcurrentHistory(t *testing.T, seed int64, setup histSetup) {
 					}(parks(targets...))
 				case k == 3 && o.kind != "delete":
 					o.ctx = "bad row"
-					o.rows[0].Dims = o.rows[0].Dims[:2]
+					switch rng.Intn(3) {
+					case 0:
+						o.rows[0].Dims = o.rows[0].Dims[:2]
+					case 1:
+						o.rows[0].Measures = o.rows[0].Measures[:2]
+					default:
+						o.ctx, o.rows[0].Dims[1] = "oversized row", huge
+					}
 				}
+				o.began = time.Now()
+				pending[wr].Store(o)
 				stamp(o, func() {
 					switch o.kind {
 					case "delete":
@@ -179,6 +213,7 @@ func runConcurrentHistory(t *testing.T, seed int64, setup histSetup) {
 						o.arrs, o.err = p.AppendBatchContext(ctx, o.rows, o.top)
 					}
 				})
+				pending[wr].Store(nil)
 				if back.Store(true); o.ctx == "ending" {
 					<-ended
 					if errors.Is(o.err, context.Canceled) {
@@ -230,26 +265,55 @@ func runConcurrentHistory(t *testing.T, seed int64, setup histSetup) {
 			time.Sleep(time.Millisecond)
 		}
 	}()
+	// The resizer runs until it has shrunk a queue below the ops it holds: a
+	// queue that still holds more than its new capacity after the resize held
+	// them when the capacity was set. Then the calm stretch begins.
 	go func() { // StartPipeline never fails: it only sets the queues' capacity
 		defer beside.Done()
-		for i := 0; !half(); i++ {
+		for i := 0; !done.Load() && (!half() || !shrunk.Load() && i < maxResizes); i++ {
 			time.Sleep(500 * time.Microsecond)
-			_ = p.StartPipeline(PipelineOptions{QueueDepth: []int{1, 3, 8}[i%3]})
+			c := []int{1, 3, 8}[i%3]
+			_ = p.StartPipeline(PipelineOptions{QueueDepth: c})
+			p.StopPipeline()
+			if slices.ContainsFunc(p.IngestSummary().PerShard, func(st IngestStats) bool { return st.Depth > c }) {
+				shrunk.Store(true)
+			}
 		}
 		_ = p.StartPipeline(PipelineOptions{QueueDepth: 4})
+		calmFrom.Store(parks())
+		calm.Store(true)
 	}()
 	quiet := make(chan struct{})
 	go func() { writing.Wait(); close(quiet) }()
-	select {
-	case <-quiet:
-	case <-time.After(30 * time.Second):
-		done.Store(true)
-		beside.Wait()
-		t.Fatal("(a) the writers have not returned in 30 s: an op was never answered")
+	for tick := time.NewTicker(50 * time.Millisecond); ; {
+		select {
+		case <-quiet:
+			tick.Stop()
+		case <-tick.C:
+			var late []string
+			for wr := range pending {
+				if o := pending[wr].Load(); o != nil && time.Since(o.began) > opDeadline {
+					late = append(late, fmt.Sprintf("%s (%s on shard %v)", o.who, o.kind, o.shards(p)))
+				}
+			}
+			if len(late) > 0 {
+				done.Store(true)
+				beside.Wait()
+				t.Fatalf("(a) unanswered after %v: %s", opDeadline, strings.Join(late, "; "))
+			}
+			continue
+		}
+		break
 	}
 	done.Store(true)
 	if beside.Wait(); t.Failed() {
 		return
+	}
+	h.op = "quiescence"
+	sum := p.IngestSummary()
+	if sum.MaxBatch < 2 || sum.FullWaits == 0 || !shrunk.Load() || sum.FullWaits == calmFrom.Load() {
+		h.fatalf("the run showed no concurrency: max_batch %d, full_waits %d (%d in the calm stretch), a queue shrunk below its ops: %v",
+			sum.MaxBatch, sum.FullWaits, sum.FullWaits-calmFrom.Load(), shrunk.Load())
 	}
 
 	// The journal, placed in each shard's order.
@@ -295,13 +359,25 @@ func runConcurrentHistory(t *testing.T, seed int64, setup histSetup) {
 	// as the next record of its handle (only its writer deletes a drawn handle,
 	// one op after another).
 	var writes []*cop
+	var canceled uint64 // the ops refused as their context ended
 	for _, o := range slices.Concat(ops[:writers]...) {
 		name(o)
+		if o.ctx == "ended" || o.ctx == "ending" { // a row without an arrival, or a delete, was refused
+			canceled += uint64(len(o.arrs) - len(slices.DeleteFunc(slices.Clone(o.arrs), func(a *Arrival) bool { return a == nil })))
+			if o.kind == "delete" && o.del.shard < shards && errors.Is(o.err, context.Canceled) {
+				canceled++
+			}
+		}
+		bad := strings.HasSuffix(o.ctx, " row")
+		if bad && (o.err == nil || slices.ContainsFunc(o.arrs, func(a *Arrival) bool { return a != nil }) ||
+			o.ctx == "oversized row" && (!errors.Is(o.err, ErrRowTooLarge) || errors.Is(o.err, ErrWALFailed))) {
+			h.fatalf("(a) arrivals %v, error %v", o.arrs, o.err)
+		}
 		for i, a := range o.arrs {
 			switch {
-			case a == nil && o.err != nil && (o.ctx == "bad row" || o.ctx != "" && errors.Is(o.err, context.Canceled)):
+			case a == nil && o.err != nil && (bad || o.ctx != "" && errors.Is(o.err, context.Canceled)):
 				continue
-			case a == nil || o.ctx == "ended" || o.ctx == "bad row":
+			case a == nil || o.ctx == "ended" || bad:
 				h.fatalf("(a) row %d arrived as %v, and the op returned %v", i, a, o.err)
 			case a.Shard < 0 || a.Shard >= shards || a.TupleID < 0 || a.TupleID >= int64(len(appends[a.Shard])) ||
 				appends[a.Shard][a.TupleID].op != nil:
@@ -440,7 +516,7 @@ func runConcurrentHistory(t *testing.T, seed int64, setup histSetup) {
 
 	// (g) The counters account for every record.
 	h.step, h.op = 0, "quiescence"
-	sum, live, appended := p.IngestSummary(), 0, 0
+	live, appended := 0, 0
 	var enqueued uint64
 	for s, st := range sum.PerShard {
 		var batches uint64
@@ -452,14 +528,13 @@ func runConcurrentHistory(t *testing.T, seed int64, setup histSetup) {
 		}
 		live, appended = live+len(state(s, len(byShard[s]))[s]), appended+len(appends[s])
 	}
+	if sum.Canceled != canceled {
+		h.fatalf("(g) the writers counted %d ops refused as their context ended; %d were", sum.Canceled, canceled)
+	}
 	if m := p.Metrics(); enqueued != uint64(len(recs)) || p.Len() != live || m.Tuples != int64(appended) || m.Facts == 0 || m.StoredTuples == 0 {
 		h.fatalf("(g) %d ops enqueued, Len %d and Metrics %+v; the journal holds %d records, %d appends and %d live rows",
 			enqueued, p.Len(), m, len(recs), appended, live)
 	}
-	if sum.MaxBatch < 2 || sum.FullWaits == 0 {
-		h.fatalf("the run showed no concurrency: max_batch %d, full_waits %d", sum.MaxBatch, sum.FullWaits)
-	}
-
 	// (f) A follower of the mid-run checkpoint, and a restore of it plus the
 	// log, replay the acks in journal order to the live pool's bytes.
 	want := snapshotsOf(t, p)
@@ -468,16 +543,50 @@ func runConcurrentHistory(t *testing.T, seed int64, setup histSetup) {
 		q, _, err := RestorePool(h.schema, ckptDir)
 		h.check(err)
 		defer q.Close()
-		seen, bad := make([]int64, shards), []string(nil)
-		st, err := replay(q, func(a *Arrival) {
-			if a.TupleID >= int64(len(appends[a.Shard])) {
-				bad = append(bad, fmt.Sprintf("%d:%d, never journaled", a.Shard, a.TupleID))
-			} else if j := appends[a.Shard][a.TupleID]; a.TupleID < seen[a.Shard] || !sameArrival(a, j.op.arrs[j.row]) {
-				bad = append(bad, fmt.Sprintf("%d:%d at LSN %d", a.Shard, a.TupleID, j.LSN))
-			}
-			seen[a.Shard] = a.TupleID + 1
-		})
+		from := q.ShardLSNs() // the checkpoint's watermarks: the records past them replay
+		seen, observed, bad := make([]int64, shards), make([]int, shards), []string(nil)
+		var calls atomic.Int32
+		var overlap atomic.Bool
+		type replayed struct {
+			st  ReplayStats
+			err error
+		}
+		done := make(chan replayed, 1)
+		go func() {
+			st, err := replay(q, func(a *Arrival) {
+				if calls.Add(1) != 1 {
+					overlap.Store(true)
+					calls.Add(-1)
+					return // another call is running: leave seen and bad to it
+				}
+				defer calls.Add(-1)
+				runtime.Gosched() // let another writer's call overlap, if it can
+				if a.TupleID >= int64(len(appends[a.Shard])) {
+					bad = append(bad, fmt.Sprintf("%d:%d, never journaled", a.Shard, a.TupleID))
+				} else if j := appends[a.Shard][a.TupleID]; a.TupleID < seen[a.Shard] || !sameArrival(a, j.op.arrs[j.row]) {
+					bad = append(bad, fmt.Sprintf("%d:%d at LSN %d", a.Shard, a.TupleID, j.LSN))
+				}
+				seen[a.Shard] = a.TupleID + 1
+				observed[a.Shard]++
+			})
+			done <- replayed{st, err}
+		}()
+		var st ReplayStats
+		select {
+		case r := <-done:
+			st, err = r.st, r.err
+		case <-time.After(opDeadline):
+			h.fatalf("(f) the replay has not returned in %v", opDeadline)
+		}
 		h.check(err)
+		if overlap.Load() {
+			h.fatalf("(f) two observer calls at once")
+		}
+		for s := range shards {
+			if n := len(slices.DeleteFunc(slices.Clone(appends[s]), func(j *jrec) bool { return j.LSN <= from[s] })); observed[s] != n {
+				h.fatalf("(f) shard %d: %d arrivals observed once the replay returned; %d appends follow the checkpoint's LSN %d", s, observed[s], n, from[s])
+			}
+		}
 		if len(bad) > 0 || st.Applied == 0 {
 			h.fatalf("(f) %d records applied; %d arrivals out of journal order or unlike their acks: %v", st.Applied, len(bad), bad[:min(len(bad), 4)])
 		}
@@ -487,24 +596,60 @@ func runConcurrentHistory(t *testing.T, seed int64, setup histSetup) {
 	}
 	replays("a follower of the mid-run checkpoint", func(q *Pool, on func(*Arrival)) (ReplayStats, error) {
 		tail, _, _, err := w.ReadTail(q.TailCursor(), 0)
-		h.check(err)
+		if err != nil {
+			return ReplayStats{}, err
+		}
 		return q.ApplyTail(w.Epoch(), tail, on)
 	})
 	h.op = "close"
 	h.check(p.Close())
-	if _, err := p.AppendBatch([]Row{randomRow(rand.New(rand.NewSource(seed)))}); err == nil || !strings.Contains(err.Error(), "closed pool") {
-		h.fatalf("(a) an append to the closed pool returned %v", err)
+	row := randomRow(rand.New(rand.NewSource(seed)))
+	for _, write := range []func() error{
+		func() error { _, err := p.Append(row.Dims, row.Measures); return err },
+		func() error { _, err := p.AppendBatch([]Row{row, row}); return err },
+		func() error { return p.Delete(0, 0) },
+	} {
+		answer := make(chan error, 1)
+		go func() { answer <- write() }()
+		select {
+		case err := <-answer:
+			if err == nil || !strings.Contains(err.Error(), "closed pool") {
+				h.fatalf("(a) a write to the closed pool returned %v", err)
+			}
+		case <-time.After(opDeadline):
+			h.fatalf("(a) a write to the closed pool is unanswered after %v", opDeadline)
+		}
 	}
+	if p.Len() != live || p.IngestSummary().Canceled != canceled {
+		h.fatalf("(g) writes to the closed pool moved Len from %d to %d, canceled from %d to %d", live, p.Len(), canceled, p.IngestSummary().Canceled)
+	}
+	h.check(p.Close())
 	if st := w.Stats(); st.LastLSN != uint64(len(recs)) || st.SyncedLSN != st.LastLSN {
 		h.fatalf("(g) after Close the log has synced %d of %d records; the journal read %d", st.SyncedLSN, st.LastLSN, len(recs))
 	}
 	h.check(w.Close())
 	replays("a restore of the mid-run checkpoint", func(q *Pool, on func(*Arrival)) (ReplayStats, error) {
 		rw, err := OpenWAL(q, walDir, WALOptions{})
-		h.check(err)
+		if err != nil {
+			return ReplayStats{}, err
+		}
 		defer rw.Close()
 		return q.ReplayWAL(rw, on)
 	})
-	t.Logf("%d records; max_batch %d, full_waits %d; %d writes refused as their context ended mid-call; %d reads checked, %d windows past %d records",
-		len(recs), sum.MaxBatch, sum.FullWaits, refused.Load(), checked, wide, maxWindow)
+	t.Logf("%d records; max_batch %d, full_waits %d (%d in the calm stretch); %d writes refused as their context ended mid-call; %d reads checked, %d windows past %d records",
+		len(recs), sum.MaxBatch, sum.FullWaits, sum.FullWaits-calmFrom.Load(), refused.Load(), checked, wide, maxWindow)
+}
+
+// shards names the shards a write goes to.
+func (o *cop) shards(p *Pool) []int {
+	if o.kind == "delete" {
+		return []int{o.del.shard}
+	}
+	var out []int
+	for _, r := range o.rows {
+		if s := p.ShardFor(r.Dims[0]); !slices.Contains(out, s) {
+			out = append(out, s)
+		}
+	}
+	return out
 }

@@ -1,9 +1,11 @@
 package situfact
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
+	"hash/fnv"
 	"math"
 	"math/bits"
 	"math/rand"
@@ -11,6 +13,9 @@ import (
 	"reflect"
 	"slices"
 	"testing"
+	"unsafe"
+
+	"repro/internal/relation"
 )
 
 // The history checker: one contract, one model, every configuration. A
@@ -30,19 +35,22 @@ import (
 // same µ cells.
 
 // histSetup is an engine configuration a history runs under, with the caps
-// its options spell for the oracle.
+// its options spell for the oracle and the rows a shard's table holds: 0 for
+// the 2^32 that tuple ids can name, or a limit low enough that a shard fills
+// up within a history and refuses the rows past it.
 type histSetup struct {
 	name       string
 	opt        Options
 	dhat, mhat int
+	limit      int64
 }
 
 var histSetups = []histSetup{
-	{"sbottomup", Options{}, 4, 3},
-	{"bottomup", Options{Algorithm: AlgoBottomUp}, 4, 3},
-	{"bottomup-dhat2-mhat2", Options{Algorithm: AlgoBottomUp, MaxBoundDims: 2, MaxMeasureDims: 2}, 2, 2},
-	{"sbottomup-noprominence", Options{DisableProminence: true}, 4, 3},
-	{"sbottomup-dhat1-mhat1", Options{MaxBoundDims: 1, MaxMeasureDims: 1}, 1, 1},
+	{"sbottomup", Options{}, 4, 3, 0},
+	{"bottomup", Options{Algorithm: AlgoBottomUp}, 4, 3, 0},
+	{"bottomup-dhat2-mhat2", Options{Algorithm: AlgoBottomUp, MaxBoundDims: 2, MaxMeasureDims: 2}, 2, 2, 0},
+	{"sbottomup-noprominence", Options{DisableProminence: true}, 4, 3, 0},
+	{"sbottomup-dhat1-mhat1", Options{MaxBoundDims: 1, MaxMeasureDims: 1}, 1, 1, 16},
 }
 
 var histShards = []int{1, 3, 4}
@@ -216,6 +224,9 @@ func runHistory(t *testing.T, rng *rand.Rand, setup histSetup, shards int, pipes
 			if st := l.wal.Stats(); st.SyncedLSN != st.LastLSN {
 				h.fatalf("lane %d: every op is acknowledged, yet the log has synced %d of %d records", i, st.SyncedLSN, st.LastLSN)
 			}
+			if sum := l.pool.IngestSummary(); sum.QueueCap != h.shards*cmp.Or(l.pipe.QueueDepth, 256) || sum.QueueDepth != 0 {
+				h.fatalf("lane %d: %d shard queues hold %d ops of %d capacity, want %+v and none pending", i, h.shards, sum.QueueDepth, sum.QueueCap, l.pipe)
+			}
 		}
 		for i, l := range h.lanes[1:] {
 			if l.pool.Metrics() != p.Metrics() || l.pool.Len() != p.Len() || l.pool.IndexStats() != p.IndexStats() {
@@ -229,7 +240,29 @@ func runHistory(t *testing.T, rng *rand.Rand, setup histSetup, shards int, pipes
 func (h *history) newPool() *Pool {
 	p, err := NewPool(h.schema, PoolOptions{Shards: h.shards, ShardDim: "region", Engine: h.setup.opt})
 	h.check(err)
+	return h.limited(p)
+}
+
+// limited lowers the row limit of p's shards to the setup's.
+func (h *history) limited(p *Pool) *Pool {
+	for i := range p.shards {
+		if h.setup.limit > 0 {
+			lowerTupleLimit(h.t, p.shards[i].eng, h.setup.limit)
+		}
+	}
 	return p
+}
+
+// lowerTupleLimit lowers the row limit of e's table. The real limit — 2^32
+// rows, what a 32-bit cell member can name — is out of a test's reach, and
+// relation keeps the field unexported so that nothing but a test moves it.
+func lowerTupleLimit(t *testing.T, e *Engine, limit int64) {
+	t.Helper()
+	f := reflect.ValueOf(e.table).Elem().FieldByName("limit")
+	if !f.IsValid() || f.Kind() != reflect.Int64 {
+		t.Fatal("relation.Table has no int64 field named limit")
+	}
+	*(*int64)(unsafe.Pointer(f.UnsafeAddr())) = limit
 }
 
 // open gives a lane its pool, sized to the lane's queues, and opens the
@@ -244,8 +277,16 @@ func (h *history) open(l *histLane, p *Pool) {
 
 // append feeds rows to every lane (as one batch, or one append), each
 // arrival carrying at most top facts, and checks each arrival against the
-// oracle.
+// oracle. A row to a full shard fails alone, with relation.ErrTableFull —
+// not a journal failure — and leaves a record that replay re-fails.
 func (h *history) append(rows []Row, batch bool, top int) {
+	full, next := make([]bool, len(rows)), slices.Clone(h.m.next)
+	for i, r := range rows {
+		s := h.route(r)
+		if full[i] = h.setup.limit > 0 && next[s] >= h.setup.limit; !full[i] {
+			next[s]++
+		}
+	}
 	var want []*Arrival
 	for i, l := range h.lanes {
 		var arrs []*Arrival
@@ -257,7 +298,16 @@ func (h *history) append(rows []Row, batch bool, top int) {
 			arr, err = l.pool.AppendContext(context.Background(), rows[0].Dims, rows[0].Measures, top)
 			arrs = []*Arrival{arr}
 		}
-		h.check(err)
+		if !slices.Contains(full, true) {
+			h.check(err)
+		} else if !errors.Is(err, relation.ErrTableFull) || errors.Is(err, ErrWALFailed) {
+			h.fatalf("lane %d: rows %v go to full shards, and the call returned %v", i, full, err)
+		}
+		for j, a := range arrs {
+			if (a == nil) != full[j] {
+				h.fatalf("lane %d: row %d arrived as %v; the model says its shard is full: %v", i, j, a, full[j])
+			}
+		}
 		if i == 0 {
 			want = arrs
 		} else if !reflect.DeepEqual(arrs, want) {
@@ -265,13 +315,25 @@ func (h *history) append(rows []Row, batch bool, top int) {
 		}
 	}
 	for i, r := range rows {
-		h.arrived(r, want[i], top)
+		if full[i] {
+			h.m.failed++ // journaled before the shard refused it
+		} else {
+			h.arrived(r, want[i], top)
+		}
 	}
+}
+
+// route is the model's routing: FNV-1a of a row's region, modulo the shard
+// count, as the pool's documentation specifies.
+func (h *history) route(r Row) int {
+	fnv1a := fnv.New32a()
+	fnv1a.Write([]byte(r.Dims[0]))
+	return int(fnv1a.Sum32() % uint32(h.shards))
 }
 
 // arrived records an acknowledged row in the model and checks its arrival.
 func (h *history) arrived(r Row, arr *Arrival, top int) {
-	s := h.lanes[0].pool.ShardFor(r.Dims[0])
+	s := h.route(r)
 	if arr.Shard != s || arr.TupleID != h.m.next[s] {
 		h.fatalf("arrival %d:%d, the model routes it to %d:%d", arr.Shard, arr.TupleID, s, h.m.next[s])
 	}
@@ -288,7 +350,9 @@ func (h *history) arrived(r Row, arr *Arrival, top int) {
 // definition over live, in which it is its shard's newest tuple: it counts
 // the groups of its shard whose contextual skyline holds it, and carries the
 // best top of them — sizes and prominence included — in ranking order, so no
-// group it leaves out ranks above one it carries.
+// group it leaves out ranks above one it carries. A fact's Conditions and
+// Measures are the caller's: two appends to one of them do not see each
+// other, however many facts and arrivals share their backing arrays.
 func (h *history) checkArrival(live []map[int64]Row, arr *Arrival, top int) {
 	s := arr.Shard
 	var oracle []Fact
@@ -311,6 +375,12 @@ func (h *history) checkArrival(live []map[int64]Row, arr *Arrival, top int) {
 				s, arr.TupleID, f, len(oracle))
 		}
 		delete(want, fmt.Sprint(f))
+		if a, b := append(f.Conditions, Condition{Attr: "a"}), append(f.Conditions, Condition{Attr: "b"}); a[len(a)-1] == b[len(b)-1] {
+			h.fatalf("tuple %d:%d: fact %d's Conditions has room past its end, shared by its holders", s, arr.TupleID, i)
+		}
+		if a, b := append(f.Measures, "a"), append(f.Measures, "b"); a[len(a)-1] == b[len(b)-1] {
+			h.fatalf("tuple %d:%d: fact %d's Measures has room past its end, shared by its holders", s, arr.TupleID, i)
+		}
 		if i > 0 && !h.ranksBefore(arr.Facts[i-1], f) {
 			h.fatalf("tuple %d:%d: fact %d ranks above fact %d", s, arr.TupleID, i, i-1)
 		}
@@ -467,8 +537,28 @@ func (h *history) cancel(rng *rand.Rand) {
 // read drains a random filter at a random page size on every lane: the
 // lanes serve the same pages, the full walk is the oracle's fact set and the
 // reference scan's pages byte for byte, the filtered chain is the filtered
-// walk, and TopFacts is the reference ranking.
+// walk, and TopFacts is the reference ranking. Every handle assigned reads
+// back as the row it was assigned to, deleted or not; the next id of each
+// shard, and a shard past the pool, are not found.
 func (h *history) read(rng *rand.Rand) {
+	for _, l := range h.lanes {
+		for i, hd := range h.m.handles {
+			_, live := h.m.live[hd.shard][hd.id]
+			want := TupleInfo{Shard: hd.shard, TupleID: hd.id, Dims: h.m.rows[i].Dims, Measures: h.m.rows[i].Measures, Deleted: !live}
+			if got, err := l.pool.Tuple(hd.shard, hd.id); err != nil || !reflect.DeepEqual(got, want) {
+				h.fatalf("Tuple(%d, %d) = %+v, %v; the model holds %+v", hd.shard, hd.id, got, err, want)
+			}
+		}
+		for s := range h.shards + 1 {
+			id := int64(0)
+			if s < h.shards {
+				id = h.m.next[s]
+			}
+			if _, err := l.pool.Tuple(s, id); !errors.Is(err, ErrNotFound) {
+				h.fatalf("Tuple(%d, %d) of a handle never assigned = %v, want ErrNotFound", s, id, err)
+			}
+		}
+	}
 	live, _ := h.handles()
 	f := randomQueryFilter(rng, h.shards, h.m.rows, live)
 	all := FactFilter{Shard: AllShards}
@@ -617,7 +707,7 @@ func (h *history) recovered(dir string) *Pool {
 	}
 	p, _, err := RestorePool(h.schema, dir)
 	h.check(err)
-	return p
+	return h.limited(p)
 }
 
 // checkpoint checkpoints and truncates every lane: the snapshot directory
@@ -631,6 +721,9 @@ func (h *history) checkpoint() {
 		h.check(err)
 		if got, want := snapshotDirFiles(h.t, l.snapDir), oneGeneration(h.shards, st.Generation); !slices.Equal(got, want) {
 			h.fatalf("lane %d: after the checkpoint of generation %d the snapshot directory holds %v, want %v", i, st.Generation, got, want)
+		}
+		if head := l.wal.Stats().LastLSN; st.TruncatableLSN != head {
+			h.fatalf("lane %d: the checkpoint lets the log truncate through %d, its head is %d", i, st.TruncatableLSN, head)
 		}
 		h.check(l.wal.TruncateBefore(st.TruncatableLSN + 1))
 		got := readShardSnapshots(h.t, l.snapDir, h.shards)
@@ -676,9 +769,9 @@ func (h *history) crash(observe bool) {
 		}
 		st, err := p.ReplayWAL(l.wal, onArrival)
 		h.check(err)
-		if st.Applied != h.m.applied || st.Failed != h.m.failed {
-			h.fatalf("lane %d replayed %d applied / %d failed, the model journaled %d / %d since the checkpoint",
-				i, st.Applied, st.Failed, h.m.applied, h.m.failed)
+		if st.Applied != h.m.applied || st.Failed != h.m.failed || st.Records != st.Applied+st.Failed+st.Skipped || st.LastLSN != l.wal.Stats().LastLSN {
+			h.fatalf("lane %d replayed %+v from a log whose head is %d; the model journaled %d applied / %d failed since the checkpoint",
+				i, st, l.wal.Stats().LastLSN, h.m.applied, h.m.failed)
 		}
 		for s := range seen {
 			if observe && len(seen[s]) != len(h.m.arrivals[s]) {

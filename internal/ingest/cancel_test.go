@@ -91,40 +91,3 @@ func TestWriterEnqueueContextDeadline(t *testing.T) {
 		t.Fatal("deadline enqueue blocked far past its budget")
 	}
 }
-
-// TestWriterEnqueueContextClosed: a closed writer refuses an op with
-// ErrClosed, not a cancellation, and never processes it.
-func TestWriterEnqueueContextClosed(t *testing.T) {
-	processed := 0
-	w := NewWriter(4, func(batch []int) { processed += len(batch) })
-	w.Close()
-	if err := w.EnqueueContext(context.Background(), 1); !errors.Is(err, ErrClosed) {
-		t.Fatalf("closed writer: err=%v, want ErrClosed", err)
-	}
-	if st := w.Stats(); processed != 0 || st.Enqueued != 0 || st.Canceled != 0 {
-		t.Errorf("processed %d, stats %+v; want nothing accepted or canceled", processed, st)
-	}
-}
-
-// TestWriterEnqueueContextEnded: a ctx that ended before the call is
-// refused even with room in the queue — counted as Canceled, never
-// processed — and a live ctx behind it is still accepted.
-func TestWriterEnqueueContextEnded(t *testing.T) {
-	var processed []int
-	w := NewWriter(4, func(batch []int) { processed = append(processed, batch...) })
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if err := w.EnqueueContext(ctx, 1); !errors.Is(err, context.Canceled) {
-		t.Fatalf("ended ctx: err=%v, want context.Canceled", err)
-	}
-	if err := w.EnqueueContext(context.Background(), 2); err != nil {
-		t.Fatalf("live ctx: %v", err)
-	}
-	w.Close()
-	if st := w.Stats(); st.Canceled != 1 || st.Enqueued != 1 {
-		t.Errorf("Canceled = %d, Enqueued = %d; want 1 and 1", st.Canceled, st.Enqueued)
-	}
-	if len(processed) != 1 || processed[0] != 2 {
-		t.Errorf("processed %v, want only op 2", processed)
-	}
-}

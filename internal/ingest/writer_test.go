@@ -2,7 +2,6 @@ package ingest
 
 import (
 	"context"
-	"sync"
 	"testing"
 	"time"
 )
@@ -11,130 +10,6 @@ import (
 // whether the writer accepted op.
 func enqueue[T any](w *Writer[T], op T) bool {
 	return w.EnqueueContext(context.Background(), op) == nil
-}
-
-// TestWriterFIFO pins the queueing discipline: ops drain in enqueue
-// order, every op exactly once, across multiple drain wakeups.
-func TestWriterFIFO(t *testing.T) {
-	var mu sync.Mutex
-	var got []int
-	w := NewWriter(4, func(batch []int) {
-		mu.Lock()
-		got = append(got, batch...)
-		mu.Unlock()
-	})
-	const n = 1000
-	for i := 0; i < n; i++ {
-		if !enqueue(w, i) {
-			t.Fatalf("enqueue(%d) rejected on a running writer", i)
-		}
-	}
-	w.Close()
-	if len(got) != n {
-		t.Fatalf("processed %d ops, want %d", len(got), n)
-	}
-	for i, v := range got {
-		if v != i {
-			t.Fatalf("op %d drained at position %d: FIFO violated", v, i)
-		}
-	}
-}
-
-// TestWriterBatching verifies ops queued while the writer is busy drain
-// as one batch, and that the stats see it.
-func TestWriterBatching(t *testing.T) {
-	started := make(chan struct{})
-	block := make(chan struct{})
-	first := true
-	var batches [][]int
-	w := NewWriter(64, func(batch []int) {
-		if first {
-			first = false
-			started <- struct{}{}
-			<-block // hold the writer so the rest of the ops pile up
-		}
-		cp := make([]int, len(batch))
-		copy(cp, batch)
-		batches = append(batches, cp)
-	})
-	enqueue(w, 0) // wakes the writer, which blocks in process
-	<-started     // the writer holds batch [0]; everything below piles up
-	for i := 1; i <= 16; i++ {
-		enqueue(w, i)
-	}
-	close(block)
-	w.Close()
-	if len(batches) != 2 {
-		t.Fatalf("expected the 16 blocked ops to drain as one batch after [0], got %d batches", len(batches))
-	}
-	if len(batches[1]) != 16 {
-		t.Errorf("second drain took %d ops, want the whole 16-op pile-up", len(batches[1]))
-	}
-	st := w.Stats()
-	if st.Enqueued != 17 {
-		t.Errorf("Enqueued = %d, want 17", st.Enqueued)
-	}
-	if st.Batches != uint64(len(batches)) {
-		t.Errorf("Batches = %d, want %d", st.Batches, len(batches))
-	}
-	if st.MaxBatch != len(batches[1]) {
-		t.Errorf("MaxBatch = %d, want %d", st.MaxBatch, len(batches[1]))
-	}
-	var histTotal uint64
-	for _, c := range st.BatchHist {
-		histTotal += c
-	}
-	if histTotal != st.Batches {
-		t.Errorf("histogram sums to %d batches, want %d", histTotal, st.Batches)
-	}
-}
-
-// TestWriterBackpressure fills a tiny queue from many producers and
-// checks every op still lands exactly once, with FullWaits counting the
-// overflow blocks.
-func TestWriterBackpressure(t *testing.T) {
-	var mu sync.Mutex
-	seen := make(map[int]bool)
-	gate := make(chan struct{})
-	w := NewWriter(2, func(batch []int) {
-		<-gate // slow writer: producers must outrun the queue
-		mu.Lock()
-		for _, v := range batch {
-			if seen[v] {
-				t.Errorf("op %d processed twice", v)
-			}
-			seen[v] = true
-		}
-		mu.Unlock()
-	})
-	const producers, per = 8, 50
-	var wg sync.WaitGroup
-	for p := 0; p < producers; p++ {
-		wg.Add(1)
-		go func(p int) {
-			defer wg.Done()
-			for i := 0; i < per; i++ {
-				enqueue(w, p*per+i)
-			}
-		}(p)
-	}
-	done := make(chan struct{})
-	go func() { wg.Wait(); close(done) }()
-	for {
-		select {
-		case gate <- struct{}{}: // release one writer batch
-		case <-done:
-			close(gate) // producers finished; let the writer free-run
-			w.Close()
-			if len(seen) != producers*per {
-				t.Fatalf("processed %d ops, want %d", len(seen), producers*per)
-			}
-			if st := w.Stats(); st.FullWaits == 0 {
-				t.Error("FullWaits = 0; a capacity-2 queue under 8 producers should have blocked")
-			}
-			return
-		}
-	}
 }
 
 // TestWriterClose pins the shutdown contract: Close drains the queue,

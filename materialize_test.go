@@ -5,7 +5,6 @@ import (
 	"reflect"
 	"runtime"
 	"slices"
-	"sync"
 	"testing"
 	"unsafe"
 
@@ -221,153 +220,4 @@ func TestEngineArrivalMatchesScore(t *testing.T) {
 		}
 		eng.Close()
 	}
-}
-
-// TestEngineCapIsTheFullRankingsTop: an arrival capped at k carries exactly
-// the first k facts of the uncapped arrival, and counts them all; capped at
-// 0 it carries none. Ranking loads no cell (each fact carries its skyline
-// size), so engines fed the wide stream at k = 5, k = 0 (counted, not
-// ranked) and k = all end with the same Metrics, store reads included.
-func TestEngineCapIsTheFullRankingsTop(t *testing.T) {
-	schema, rows := wideStream(t, 200)
-	var engs [3]*Engine
-	for i := range engs {
-		eng, err := New(schema, Options{MaxBoundDims: wideDhat})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer eng.Close()
-		engs[i] = eng
-	}
-	for i, r := range rows {
-		all, err := engs[0].append(r.Dims, r.Measures, math.MaxInt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		top5, err := engs[1].append(r.Dims, r.Measures, 5)
-		if err != nil {
-			t.Fatal(err)
-		}
-		count, err := engs[2].append(r.Dims, r.Measures, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if all.FactCount != len(all.Facts) || top5.FactCount != all.FactCount || count.FactCount != all.FactCount {
-			t.Fatalf("row %d: FactCount %d (carrying %d), %d at k = 5, %d at k = 0", i, all.FactCount, len(all.Facts), top5.FactCount, count.FactCount)
-		}
-		if !reflect.DeepEqual(top5.Facts, all.Top(5)) || len(count.Facts) != 0 {
-			t.Fatalf("row %d: k = 5 carries %v, the full arrival's Top(5) is %v; k = 0 carries %d facts", i, top5.Facts, all.Top(5), len(count.Facts))
-		}
-	}
-	if m := engs[0].Metrics(); engs[1].Metrics() != m || engs[2].Metrics() != m || m.Reads == 0 {
-		t.Fatalf("Metrics at k = all %+v, k = 5 %+v, k = 0 %+v", m, engs[1].Metrics(), engs[2].Metrics())
-	}
-}
-
-// TestSharedFactSlicesAreSafe: the facts of one arrival share their
-// Conditions and Measures backing arrays, and the decoder reuses its memo
-// table from arrival to arrival — so nothing it hands out may ever be
-// written again. Two shards append concurrently (run under -race), with
-// deletes in between; every arrival is retained and every fact's rendering
-// recorded as it arrives. At the end each retained fact must still render
-// the same, and appending to one fact's slices must copy, not write into
-// the neighbour that follows it in the shared array.
-func TestSharedFactSlicesAreSafe(t *testing.T) {
-	const rowsN = 500
-	schema, rows := wideStream(t, rowsN)
-	pool, err := NewPool(schema, PoolOptions{
-		Shards:   2,
-		ShardDim: "team",
-		Engine:   Options{MaxBoundDims: 2, MaxMeasureDims: 3},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer pool.Close()
-	team := slices.Index(schema.DimensionNames(), "team")
-	perShard := make([][]Row, pool.Shards())
-	for _, r := range rows {
-		s := pool.ShardFor(r.Dims[team])
-		perShard[s] = append(perShard[s], r)
-	}
-
-	type retained struct {
-		arr      *Arrival
-		rendered []string
-	}
-	kept := make([][]retained, pool.Shards())
-	var wg sync.WaitGroup
-	for s := range perShard {
-		if len(perShard[s]) < 50 {
-			t.Fatalf("shard %d got %d of %d rows: the stream does not exercise both shards", s, len(perShard[s]), rowsN)
-		}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i, r := range perShard[s] {
-				arr, err := pool.Append(r.Dims, r.Measures)
-				if err != nil {
-					t.Error(err)
-					return
-				}
-				k := retained{arr: arr, rendered: make([]string, len(arr.Facts))}
-				for j, f := range arr.Facts {
-					k.rendered[j] = f.String()
-				}
-				kept[s] = append(kept[s], k)
-				if i%10 == 9 {
-					if err := pool.Delete(s, kept[s][i-5].arr.TupleID); err != nil {
-						t.Error(err)
-						return
-					}
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	if t.Failed() {
-		return
-	}
-
-	check := func(when string) {
-		t.Helper()
-		for s := range kept {
-			for _, k := range kept[s] {
-				for j, f := range k.arr.Facts {
-					if got := f.String(); got != k.rendered[j] {
-						t.Fatalf("%s: shard %d tuple %d fact %d renders %q, rendered %q on arrival", when, s, k.arr.TupleID, j, got, k.rendered[j])
-					}
-				}
-			}
-		}
-	}
-	check("after the stream")
-
-	// Append to every fact's slices: each append must land in a copy.
-	shared := 0
-	for s := range kept {
-		for _, k := range kept[s] {
-			seen := map[*Condition]bool{}
-			for _, f := range k.arr.Facts {
-				if len(f.Conditions) > 0 {
-					if seen[&f.Conditions[0]] {
-						shared++
-					}
-					seen[&f.Conditions[0]] = true
-				}
-				_ = append(f.Conditions, Condition{Attr: "scribble", Value: "scribble"})
-				// Two holders of one Measures array each append: the first
-				// must not see the second's element.
-				mine := append(f.Measures, "mine")
-				_ = append(f.Measures, "theirs")
-				if got := mine[len(mine)-1]; got != "mine" {
-					t.Fatalf("append to a shared Measures slice wrote through: %q", got)
-				}
-			}
-		}
-	}
-	if shared == 0 {
-		t.Fatal("no two facts of an arrival share a Conditions array: the test no longer exercises sharing")
-	}
-	check("after appending to every fact's Conditions and Measures")
 }

@@ -39,42 +39,6 @@ func poolRows(n int) []Row {
 	return rows
 }
 
-// TestPoolRoutingDeterminism pins the routing function: same key → same
-// shard within a pool, across pools, and across runs/processes (FNV-1a is
-// specified, so the expected indices are hard-coded).
-func TestPoolRoutingDeterminism(t *testing.T) {
-	p1, err := NewPool(poolSchema(t), PoolOptions{Shards: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer p1.Close()
-	p2, err := NewPool(poolSchema(t), PoolOptions{Shards: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer p2.Close()
-	for _, v := range poolTeams {
-		if p1.ShardFor(v) != p2.ShardFor(v) {
-			t.Errorf("%s routes to %d and %d in twin pools", v, p1.ShardFor(v), p2.ShardFor(v))
-		}
-	}
-	// FNV-1a(32) of the team names, mod 3: stable across runs by spec.
-	want := map[string]int{"Celtics": 2, "Lakers": 1, "Bulls": 2, "Heat": 2, "Pacers": 1, "Suns": 2}
-	for v, s := range want {
-		if got := p1.ShardFor(v); got != s {
-			t.Errorf("ShardFor(%s) = %d, want %d", v, got, s)
-		}
-	}
-	// Arrivals must carry the routing decision.
-	arr, err := p1.Append([]string{"Lakers", "p1", "Jan"}, []float64{10, 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if arr.Shard != 1 {
-		t.Errorf("Lakers arrival on shard %d, want 1", arr.Shard)
-	}
-}
-
 func TestPoolOptionErrors(t *testing.T) {
 	if _, err := NewPool(nil, PoolOptions{}); err == nil {
 		t.Error("nil schema accepted")

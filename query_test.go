@@ -2,7 +2,6 @@ package situfact
 
 import (
 	"encoding/base64"
-	"errors"
 	"fmt"
 	"math/bits"
 	"math/rand"
@@ -477,55 +476,5 @@ func TestQueryFactsCursorIsClientBytes(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-// TestPoolTuple pins the point-read contract.
-func TestPoolTuple(t *testing.T) {
-	schema := queryTestSchema(t)
-	pool, err := NewPool(schema, PoolOptions{Shards: 2, ShardDim: "region"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer pool.Close()
-	dims := []string{"region-1", "kind-2", "tier-0", "label-3"}
-	meas := []float64{5, 1, 7}
-	arr, err := pool.Append(dims, meas)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	info, err := pool.Tuple(arr.Shard, arr.TupleID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if info.Shard != arr.Shard || info.TupleID != arr.TupleID || info.Deleted {
-		t.Fatalf("info = %+v, want shard %d tuple %d live", info, arr.Shard, arr.TupleID)
-	}
-	if strings.Join(info.Dims, ",") != strings.Join(dims, ",") {
-		t.Fatalf("dims = %v, want %v", info.Dims, dims)
-	}
-	for i, m := range info.Measures {
-		if m != meas[i] {
-			t.Fatalf("measures = %v, want %v", info.Measures, meas)
-		}
-	}
-
-	if err := pool.Delete(arr.Shard, arr.TupleID); err != nil {
-		t.Fatal(err)
-	}
-	info, err = pool.Tuple(arr.Shard, arr.TupleID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !info.Deleted {
-		t.Fatal("tuple not marked deleted after Delete")
-	}
-
-	if _, err := pool.Tuple(arr.Shard, 999); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("out-of-range tuple: err = %v, want ErrNotFound", err)
-	}
-	if _, err := pool.Tuple(99, 0); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("out-of-range shard: err = %v, want ErrNotFound", err)
 	}
 }

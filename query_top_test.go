@@ -2,7 +2,6 @@ package situfact
 
 import (
 	"errors"
-	"fmt"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -25,67 +24,6 @@ func sameQueryFact(a, b QueryFact) bool {
 
 func sameQueryFacts(a, b []QueryFact) bool {
 	return (a == nil) == (b == nil) && slices.EqualFunc(a, b, sameQueryFact)
-}
-
-// TestPoolQueryTopFactsTies constructs the boundary the walk's skip rule
-// and the merge are easiest to get wrong on: many cells with one
-// prominence. Two shards each hold two rows with the same dimension values
-// and incomparable measures, so every context has size 2 and every skyline
-// size 1 or 2 — two prominence values over some two hundred cells — and
-// the k-th and (k+1)-th fact tie at almost every k: between two masks of
-// one constraint, between two constraints of a shard, and across the two
-// shards. Every k from 1 to past the end must match the reference.
-func TestPoolQueryTopFactsTies(t *testing.T) {
-	schema := queryTestSchema(t)
-	pool, err := NewPool(schema, PoolOptions{Shards: 2, ShardDim: "region"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer pool.Close()
-	// Two region values that land on different shards.
-	regions := []string{"region-0"}
-	for i := 1; len(regions) < 2; i++ {
-		if r := fmt.Sprintf("region-%d", i); pool.ShardFor(r) != pool.ShardFor(regions[0]) {
-			regions = append(regions, r)
-		}
-	}
-	for _, region := range regions {
-		dims := []string{region, "kind-0", "tier-0", "label-0"}
-		for _, m := range [][]float64{{5, 5, 1}, {1, 1, 5}} { // cost is smaller-better
-			if _, err := pool.Append(dims, m); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	full, err := pool.scanTopFacts(1 << 30)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var maskTie, keyTie, shardTie bool
-	for k := 1; k <= len(full)+1; k++ {
-		got, err := pool.TopFacts(k)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if want := full[:min(k, len(full))]; !sameQueryFacts(got, want) {
-			t.Fatalf("TopFacts(%d) differs from the first %d of the reference ranking", k, len(want))
-		}
-		if k < len(full) && full[k-1].Prominence == full[k].Prominence {
-			a, b := full[k-1], full[k]
-			switch {
-			case a.Shard != b.Shard:
-				shardTie = true
-			case a.sortKey != b.sortKey:
-				keyTie = true
-			default:
-				maskTie = true
-			}
-		}
-	}
-	if !maskTie || !keyTie || !shardTie {
-		t.Fatalf("constructed history lacks a tie at the cut: across masks %v, constraints %v, shards %v",
-			maskTie, keyTie, shardTie)
-	}
 }
 
 // wantPoolRefusal requires err to be the refusal of an engine a pool cannot

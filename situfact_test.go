@@ -171,25 +171,6 @@ func TestEngineOptionErrors(t *testing.T) {
 	}
 }
 
-func TestEngineCaps(t *testing.T) {
-	eng, err := New(gamelogSchema(t), Options{MaxBoundDims: 2, MaxMeasureDims: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var last *Arrival
-	for _, r := range table1Rows {
-		last, _ = eng.Append(r.d, r.m)
-	}
-	for _, f := range last.Facts {
-		if len(f.Conditions) > 2 {
-			t.Fatalf("fact binds %d dims, cap is 2", len(f.Conditions))
-		}
-		if len(f.Measures) > 2 {
-			t.Fatalf("fact has %d measures, cap is 2", len(f.Measures))
-		}
-	}
-}
-
 func TestSchemaAccessors(t *testing.T) {
 	s := gamelogSchema(t)
 	if got := s.DimensionNames(); len(got) != 5 || got[0] != "player" {

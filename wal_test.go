@@ -7,10 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
-	"runtime"
-	"slices"
 	"strings"
-	"sync/atomic"
 	"testing"
 
 	"repro/internal/faultfs"
@@ -113,76 +110,6 @@ func TestCheckpointSyncsCoveredRecords(t *testing.T) {
 	}
 	if st := w.Stats(); st.SyncedLSN < pinned {
 		t.Fatalf("synced LSN = %d after checkpoint; the manifest pins LSNs up to %d, which must be durable", st.SyncedLSN, pinned)
-	}
-}
-
-// TestCheckpointWatermarksCoverTruncation: the truncation point a
-// checkpoint reports and the per-shard watermarks its manifest pins must
-// agree — both are the log head seen under each shard's lock. A shard the
-// hash routes no recent rows to used to keep its low lastLSN in the
-// manifest while TruncatableLSN was taken from the head, so a follower
-// restored from the snapshot computed a tail cursor below the leader's
-// truncation point and met a gap it could never close.
-func TestCheckpointWatermarksCoverTruncation(t *testing.T) {
-	rows := poolRows(61)
-	snapDir, walDir := t.TempDir(), t.TempDir()
-	p, err := NewPool(poolSchema(t), PoolOptions{Shards: 3, ShardDim: "team"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer p.Close()
-	// Tiny segments, so truncation has whole segments to drop.
-	w, err := OpenWAL(p, walDir, WALOptions{SegmentBytes: 256})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer w.Close()
-	if err := p.AttachWAL(w); err != nil {
-		t.Fatal(err)
-	}
-	for _, r := range rows[:60] {
-		if _, err := p.Append(r.Dims, r.Measures); err != nil {
-			t.Fatal(err)
-		}
-	}
-	st, err := p.Checkpoint(snapDir, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.TruncatableLSN != 60 {
-		t.Fatalf("TruncatableLSN = %d, want the log head 60", st.TruncatableLSN)
-	}
-	if err := w.TruncateBefore(st.TruncatableLSN + 1); err != nil {
-		t.Fatal(err)
-	}
-
-	follower, _, err := RestorePool(poolSchema(t), snapDir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer follower.Close()
-	cursor := follower.TailCursor()
-	if cursor != st.TruncatableLSN+1 {
-		t.Fatalf("restored pool tails from LSN %d (watermarks %v), but the checkpoint let the leader truncate through %d",
-			cursor, follower.ShardLSNs(), st.TruncatableLSN)
-	}
-	if _, err := p.Append(rows[60].Dims, rows[60].Measures); err != nil {
-		t.Fatal(err)
-	}
-	recs, _, _, err := w.ReadTail(cursor, 100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(recs) != 1 || recs[0].LSN != cursor {
-		t.Fatalf("ReadTail(%d) = %+v, want exactly record %d", cursor, recs, cursor)
-	}
-	as, err := follower.ApplyTail(w.Epoch(), recs, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if as.Applied != 1 || follower.Len() != p.Len() || follower.Metrics() != p.Metrics() {
-		t.Errorf("follower applied %d, len %d, metrics %+v; leader len %d, metrics %+v",
-			as.Applied, follower.Len(), follower.Metrics(), p.Len(), p.Metrics())
 	}
 }
 
@@ -366,186 +293,10 @@ func TestWALEpochMismatchResetsWatermarks(t *testing.T) {
 	assertPoolsAgree(t, run3, reference, table1Rows[6:])
 }
 
-// TestPoolRejectedRowsNotJournaled: rows the pool must reject — wrong
-// measure count, or an encoding over the WAL's per-record cap — are
-// refused BEFORE journaling (the log must hold no garbage records), and
-// the oversize rejection is ErrRowTooLarge, a request defect distinct
-// from the retryable ErrWALFailed.
-func TestPoolRejectedRowsNotJournaled(t *testing.T) {
-	f := newPoolFixture(t)
-	p := newGamelogPool(t)
-	defer p.Close()
-	w := f.openWAL(t, p)
-	defer w.Close()
-	if err := p.AttachWAL(w); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := p.Append(table1Rows[0].d, []float64{1, 2}); err == nil {
-		t.Error("short measure row accepted")
-	}
-	big := append([]string{strings.Repeat("x", 16<<20)}, table1Rows[0].d[1:]...)
-	if _, err := p.Append(big, table1Rows[0].m); !errors.Is(err, ErrRowTooLarge) || errors.Is(err, ErrWALFailed) {
-		t.Errorf("oversized append: err %v, want ErrRowTooLarge and not ErrWALFailed", err)
-	}
-	if _, err := p.AppendBatch([]Row{{Dims: big, Measures: table1Rows[0].m}}); !errors.Is(err, ErrRowTooLarge) {
-		t.Errorf("oversized batch row: err %v, want ErrRowTooLarge", err)
-	}
-	if st := w.Stats(); st.LastLSN != 0 {
-		t.Fatalf("wal holds %d records after only rejected rows", st.LastLSN)
-	}
-	// The rejections left the WAL healthy.
-	if _, err := p.Append(table1Rows[0].d, table1Rows[0].m); err != nil {
-		t.Fatalf("append after rejections: %v", err)
-	}
-}
-
-// TestWALFailedClassification: a journal failure surfaces as
-// ErrWALFailed — a daemon-side fault, distinct from request defects.
-func TestWALFailedClassification(t *testing.T) {
-	f := newPoolFixture(t)
-	p := newGamelogPool(t)
-	defer p.Close()
-	w := f.openWAL(t, p)
-	if err := p.AttachWAL(w); err != nil {
-		t.Fatal(err)
-	}
-	w.Close() // the pool's journal is now gone
-	_, err := p.Append(table1Rows[0].d, table1Rows[0].m)
-	if !errors.Is(err, ErrWALFailed) {
-		t.Fatalf("append over closed WAL: err %v, want ErrWALFailed", err)
-	}
-	if _, err := p.AppendBatch([]Row{{Dims: table1Rows[0].d, Measures: table1Rows[0].m}}); !errors.Is(err, ErrWALFailed) {
-		t.Fatalf("batch over closed WAL: err %v, want ErrWALFailed", err)
-	}
-	if err := p.Delete(0, 0); !errors.Is(err, ErrWALFailed) {
-		t.Fatalf("delete over closed WAL: err %v, want ErrWALFailed", err)
-	}
-}
-
 // replayRun is the most records a shard writer hands applyShard at once
 // (internal/ingest's batch limit): the run a replay applies under one
 // shard-lock hold.
 const replayRun = 64
-
-// TestReplayAppliesEveryShardInJournalOrder drives the replayer past its
-// run size on every shard: a four-shard log of appends and deletes — some
-// of unknown or already-deleted tuples, which re-fail — half covered by a
-// checkpoint. A crash replay and a follower's tail apply must each rebuild
-// the live pool's shard snapshots byte for byte and count every record,
-// and the replay's observer must see each shard's arrivals in journal
-// order, never two calls at once.
-func TestReplayAppliesEveryShardInJournalOrder(t *testing.T) {
-	const shards, covered, tail = 4, 300, 4 * 3 * replayRun
-	f := newPoolFixture(t)
-	newPool := func() *Pool {
-		p, err := NewPool(queryTestSchema(t), PoolOptions{Shards: shards, ShardDim: "region"})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return p
-	}
-	live := newPool()
-	w := f.openWAL(t, live)
-	if err := live.AttachWAL(w); err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(11))
-	var acked []*Arrival
-	var want ReplayStats // what the records after the checkpoint do
-	perShard := make([]int, shards)
-	for i := range covered + tail {
-		if i == covered {
-			if _, err := live.Checkpoint(f.stateDir, nil); err != nil {
-				t.Fatal(err)
-			}
-			want = ReplayStats{}
-		}
-		if i%10 == 9 { // a delete: of an acked tuple, again, or of none
-			a := acked[rng.Intn(len(acked))]
-			shard, id := a.Shard, a.TupleID
-			if i%30 == 29 {
-				id = 1 << 20
-			}
-			if err := live.Delete(shard, id); err == nil {
-				want.Applied++
-			} else if errors.Is(err, ErrNotFound) || errors.Is(err, ErrAlreadyDeleted) {
-				want.Failed++
-			} else {
-				t.Fatal(err)
-			}
-			continue
-		}
-		r := randomRow(rng)
-		r.Dims[0] = fmt.Sprint("region-", rng.Intn(16))
-		a, err := live.Append(r.Dims, r.Measures)
-		if err != nil {
-			t.Fatal(err)
-		}
-		acked = append(acked, a)
-		want.Applied++
-		if i >= covered {
-			perShard[a.Shard]++
-		}
-	}
-	for s, n := range perShard {
-		if n <= 2*replayRun {
-			t.Fatalf("shard %d has %d appends in the tail; the test wants several runs on every shard", s, n)
-		}
-	}
-	wantSnaps := snapshotsOf(t, live)
-	if err := errors.Join(live.Close(), w.Close()); err != nil {
-		t.Fatal(err)
-	}
-
-	restore := func() *Pool {
-		p, _, err := RestorePool(queryTestSchema(t), f.stateDir)
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { p.Close() })
-		return p
-	}
-	replayed := restore()
-	rw := f.openWAL(t, replayed)
-	defer rw.Close()
-	var calls atomic.Int32
-	last := slices.Repeat([]int64{-1}, shards)
-	seen := make([]int, shards)
-	st, err := replayed.ReplayWAL(rw, func(a *Arrival) {
-		if calls.Add(1) != 1 {
-			t.Error("two onArrival calls at once")
-		}
-		runtime.Gosched() // let another applier's call overlap, if it can
-		if a.TupleID <= last[a.Shard] {
-			t.Errorf("shard %d: arrival %d observed after %d", a.Shard, a.TupleID, last[a.Shard])
-		}
-		last[a.Shard] = a.TupleID
-		seen[a.Shard]++
-		calls.Add(-1)
-	})
-	total := covered + tail
-	if err != nil || st != (ReplayStats{Records: total, Applied: want.Applied, Skipped: covered, Failed: want.Failed, LastLSN: uint64(total)}) {
-		t.Fatalf("ReplayWAL = %+v, %v; want %d applied, %d re-failed, %d skipped of %d", st, err, want.Applied, want.Failed, covered, total)
-	}
-	if !slices.Equal(seen, perShard) {
-		t.Errorf("observed %v arrivals per shard, the tail appended %v", seen, perShard)
-	}
-	if !reflect.DeepEqual(snapshotsOf(t, replayed), wantSnaps) {
-		t.Error("the replayed pool's shard snapshots differ from the live pool's")
-	}
-
-	follower := restore()
-	recs, _, _, err := rw.ReadTail(follower.TailCursor(), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st, err := follower.ApplyTail(rw.Epoch(), recs, nil); err != nil || st.Applied != want.Applied || st.Failed != want.Failed || st.Records != tail {
-		t.Fatalf("ApplyTail = %+v, %v; want %d applied and %d re-failed of %d", st, err, want.Applied, want.Failed, tail)
-	}
-	if !reflect.DeepEqual(snapshotsOf(t, follower), wantSnaps) {
-		t.Error("the follower's shard snapshots differ from the live pool's")
-	}
-}
 
 // TestWALRecordOfWrongShapeIsDrift: every live append is count-checked
 // before it is journaled, so an append record with the wrong number of
