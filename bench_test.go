@@ -393,6 +393,17 @@ func BenchmarkEngineAppendWide(b *testing.B) {
 	benchEngineAppend(b, schema, Options{MaxBoundDims: wideDhat}, rows, warm, []int{math.MaxInt, 5, 0})
 }
 
+// BenchmarkEngineAppendWideShard is BenchmarkEngineAppendWide/top5 at the
+// depth one shard of the wide-single workload reaches in a run: an engine
+// warmed with 40 rows, timed over the next 60. Discovery there finds
+// several thousand facts per row against shallow cells, so this is the
+// in-process figure the daemon's CPU per wide row tracks.
+func BenchmarkEngineAppendWideShard(b *testing.B) {
+	const warm, span = 40, 60
+	schema, rows := wideStream(b, warm+span)
+	benchEngineAppend(b, schema, Options{MaxBoundDims: wideDhat}, rows, warm, []int{5})
+}
+
 // BenchmarkEngineAppendNarrow is BenchmarkEngineAppendWide at the narrow
 // shape (NBA d=4, m=4, d̂=4) against an engine warmed with 3 000 rows: some
 // tens of facts an arrival, so discovery's fixed costs per arrival and per

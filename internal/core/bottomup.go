@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math/bits"
 	"slices"
 
 	"repro/internal/lattice"
@@ -10,35 +11,32 @@ import (
 )
 
 // BottomUp is Algorithm 4 of the paper. It maintains Invariant 1 — µ(C,M)
-// stores ALL skyline tuples λ_M(σ_C(R)) — and traverses each arriving
-// tuple's constraint lattice bottom-up (from the most specific constraint
-// towards ⊤), pruning all ancestors of a constraint as soon as a stored
-// skyline tuple dominates t there.
+// stores ALL skyline tuples λ_M(σ_C(R)) — and walks each arriving tuple's
+// constraint lattice bottom-up (from the most specific constraint towards
+// ⊤), pruning all ancestors of a constraint in a subspace as soon as a
+// stored skyline tuple dominates t there. One walk covers up to 64
+// subspaces at once (walk), and t's relation to each stored member is
+// computed once per arrival (relTo), so no constraint or member is
+// revisited per subspace.
 //
-// With Shared=true it becomes SBottomUp (§V-C): a first pass over the full
+// With Shared=true it becomes SBottomUp (§V-C): a root walk over the full
 // measure space records one Proposition-4 relation per compared tuple, and
-// each subspace pass pre-prunes the submask closure of every recorded
-// dominator's shared mask, letting the bottom-up traversal stop earlier.
-// Subspace passes keep their own dominance checks (the pre-pruning is
-// sound but not complete for BottomUp's traversal order), which is why the
-// paper observes only marginal comparison savings for SBottomUp (Fig 11).
+// the walks over the other subspaces pre-prune the submask closure of every
+// recorded dominator's shared mask, letting them stop earlier. They keep
+// their own dominance checks (the pre-pruning is sound but not complete for
+// BottomUp's traversal order), which is why the paper observes only
+// marginal comparison savings for SBottomUp (Fig 11).
 type BottomUp struct {
 	*base
 	shared bool
 	kept   []subspace.Mask // the subspaces it keeps cells in (store.Store.Keep)
-
-	recs    []pairRec
-	recSeen map[int64]bool
+	// words splits the subspaces the walks report into runs of at most 64,
+	// one walk each; SBottomUp's root walk covers 𝕄 before them.
+	words [][]subspace.Mask
 
 	// fresh lists, in first-visit order, the arrival's constraints no
 	// earlier tuple satisfies (freshAt stamps them): Process installs them.
 	fresh []lattice.Mask
-}
-
-// pairRec is one root-phase comparison record used by the sharing passes.
-type pairRec struct {
-	shared lattice.Mask
-	rel    subspace.Relation
 }
 
 // NewBottomUp creates plain BottomUp.
@@ -54,12 +52,16 @@ func newBottomUp(cfg Config, shared bool) (*BottomUp, error) {
 	}
 	kept := b.subs
 	if shared && b.mhat < b.m {
-		// The sharing root pass keeps full-space cells too.
+		// The sharing root walk keeps full-space cells too.
 		kept = append(slices.Clip(kept), b.fullM)
 	}
 	b.st.Keep(kept)
 	b.freshAt = make([]uint32, len(b.keyEpoch))
-	return &BottomUp{base: b, shared: shared, kept: kept}, nil
+	walked := b.subs
+	if shared && b.mhat == b.m {
+		walked = walked[:len(walked)-1] // the root walk reports 𝕄
+	}
+	return &BottomUp{base: b, shared: shared, kept: kept, words: slices.Collect(slices.Chunk(walked, 64))}, nil
 }
 
 // Name implements Discoverer.
@@ -77,20 +79,11 @@ func (a *BottomUp) Process(t *relation.Tuple) []Fact {
 	facts := a.newFacts()
 	a.fresh = a.fresh[:0]
 	if a.shared {
-		// SBottomUp: root pass over the full space 𝕄, recording relations.
 		a.recs = a.recs[:0]
-		if a.recSeen == nil {
-			a.recSeen = make(map[int64]bool, 64)
-		} else {
-			clear(a.recSeen)
-		}
-		facts = a.traverse(t, a.fullM, true, facts)
+		facts = a.walk(t, []subspace.Mask{a.fullM}, true, facts)
 	}
-	for _, m := range a.subs {
-		if a.shared && m == a.fullM {
-			continue
-		}
-		facts = a.traverse(t, m, false, facts)
+	for _, word := range a.words {
+		facts = a.walk(t, word, false, facts)
 	}
 	for _, c := range a.fresh {
 		a.st.Install(a.cids[c], uint32(t.ID))
@@ -98,110 +91,135 @@ func (a *BottomUp) Process(t *relation.Tuple) []Fact {
 	return a.doneFacts(facts)
 }
 
-// traverse runs one bottom-up pass in measure subspace m. When root is
-// true this is SBottomUp's full-space pass (it records pair relations and
-// only emits facts if the full space is itself a reported subspace); when
-// a.shared and !root, recorded relations pre-prune the lattice.
-func (a *BottomUp) traverse(t *relation.Tuple, m subspace.Mask, root bool, facts []Fact) []Fact {
+// walk runs Alg. 4 once for every subspace of word (at most 64) in one
+// breadth-first walk from the bottoms, level by level towards ⊤: bit j of a
+// constraint's mark is word[j]'s pass. A constraint is visited in the bits
+// it is queued and not pruned in. Pruning reaches only the constraint and
+// its ancestors, all on later levels, so each bit visits what a pass of its
+// own would. When root is true this is SBottomUp's walk over 𝕄 alone: it
+// records the pair relations and emits facts only if 𝕄 is itself reported.
+func (a *BottomUp) walk(t *relation.Tuple, word []subspace.Mask, root bool, facts []Fact) []Fact {
 	a.nextEpoch()
-	emitting := !root || a.mhat == a.m
+	all := ^uint64(0) >> (64 - len(word))
 	if a.shared && !root {
-		for _, r := range a.recs {
-			if r.rel.DominatedIn(m) {
-				a.markSubmasksPruned(r.shared)
-			}
-		}
-		if a.allBottomsPruned() {
-			// t is dominated in every context: nothing to emit, and no
-			// stored tuple can need deletion (a tuple t dominates in a
-			// context where t is itself dominated cannot be in the
-			// skyline there).
-			return facts
-		}
+		a.prePrune(word)
 	}
 	a.queue = a.queue[:0]
 	for _, bm := range a.bottoms {
-		if a.pruned[bm] != a.epoch {
+		// A bit whose bottoms are all pre-pruned is dominated in every
+		// context: nothing to emit, and no stored tuple can need deletion
+		// (a tuple t dominates in a context where t is itself dominated
+		// cannot be in the skyline there).
+		if mk := a.mark(bm); mk.pruned != all {
+			mk.queued = all &^ mk.pruned
 			a.queue = append(a.queue, bm)
-			a.inQueue[bm] = a.epoch
 		}
 	}
-	tv, idx := t.Oriented, a.midx[m]
+	emitting := !root || a.mhat == a.m
+	rem := a.remIdx[:0]
 	for head := 0; head < len(a.queue); head++ {
 		c := a.queue[head]
-		if a.pruned[c] == a.epoch {
-			// Pruned after being enqueued; its parents are pruned too
-			// (pruned sets are submask-closed), so drop the branch.
+		mk := &a.marks[c]
+		// Bits pruned after c was queued drop their branch: their pruned
+		// sets are submask-closed, so c's parents are pruned there too.
+		live := mk.queued &^ mk.pruned
+		if live == 0 {
 			continue
 		}
-		a.met.Traversed++
-		ref := a.cellRef(t, c, m)
+		cid := a.cid(t, c)
 		// Under Invariant 1 a constraint's kept cells are all empty exactly
 		// when it is fresh. Nothing prunes a fresh C (σ_D(R) ⊆ σ_C(R) = ∅ for
-		// D ⊇ C), so every pass visits it and finds t alone: no cell to touch.
+		// D ⊇ C), so every bit visits it and finds t alone: no cell to touch.
 		fresh := a.freshAt[c] == a.keyStamp
-		var cell store.Cell
-		if !fresh {
-			cell = a.st.Load(ref)
-			if fresh = cell.Len() == 0; fresh {
-				a.freshAt[c] = a.keyStamp
-				a.fresh = append(a.fresh, c)
-			}
-		}
-		// Batched scan (kernel.go): four members per pass, stopping at the
-		// first one dominating t. One Comparison is charged per member
-		// visited — the sequence a member-at-a-time loop walks (removals
-		// are order-preserving), so the counter is that loop's.
-		ids := cell.IDs()
-		visited, dominated, rem := 0, false, a.remIdx[:0]
-		if !fresh {
-			visited, dominated, rem = scanFirstDom(tv, a.vecs, ids, a.m, idx, rem)
-		}
-		a.met.Comparisons += int64(visited)
-		if root {
-			// Record one Proposition-4 relation per visited distinct tuple,
-			// in member order, off the still-uncompacted cell.
-			for _, id := range ids[:visited] {
-				if uid := int64(id); !a.recSeen[uid] {
-					a.recSeen[uid] = true
-					u := a.tupleByID(uid)
-					a.recs = append(a.recs, pairRec{sharedOf(t, u), subspace.Compare(t, u, a.m)})
+		var dominated uint64
+		for bs := live; bs != 0; bs &= bs - 1 {
+			m := word[bits.TrailingZeros64(bs)]
+			a.met.Traversed++
+			ref := store.Ref(cid, m)
+			var cell store.Cell
+			if !fresh {
+				cell = a.st.Load(ref)
+				if fresh = cell.Len() == 0; fresh {
+					a.freshAt[c] = a.keyStamp
+					a.fresh = append(a.fresh, c)
 				}
 			}
-		}
-		changed := false
-		if len(rem) > 0 {
+			// Scan front to back, stopping at the first member dominating t.
+			// One Comparison is charged per member visited, the dominator
+			// included; removals are order-preserving.
+			ids := cell.IDs()
+			visited, isDom := 0, false
+			rem = rem[:0]
+			for i, id := range ids {
+				visited++
+				rel := a.relTo(t, id, root)
+				if rel.DominatedIn(m) {
+					isDom = true
+					break
+				}
+				if rel.DominatesIn(m) {
+					rem = append(rem, i)
+				}
+			}
+			a.met.Comparisons += int64(visited)
+			changed := len(rem) > 0
 			cell.RemoveSorted(rem)
-			changed = true
-		}
-		a.remIdx = rem[:0]
-		if dominated {
-			// Prune C and all its ancestors (Alg. 4 lines 11–12).
-			a.markSubmasksPruned(c)
-		} else {
-			cell.Append(t.ID)
-			changed = !fresh // Process installs a fresh constraint's cells
-			if emitting {
-				// Invariant 1: the cell, evictees removed and t appended, is
-				// λ_M(σ_C(R)), and no later pass of this arrival visits it.
-				facts = a.emit(t, c, m, facts)
-				facts[len(facts)-1].SkylineSize = int32(cell.Len())
-			}
-			for cc := c; cc != 0; {
-				bit := cc & -cc
-				p := c &^ bit
-				cc &^= bit
-				if a.pruned[p] != a.epoch && a.inQueue[p] != a.epoch {
-					a.inQueue[p] = a.epoch
-					a.queue = append(a.queue, p)
+			if isDom {
+				// Prune C and all its ancestors (Alg. 4 lines 11–12), below.
+				dominated |= bs & -bs
+			} else {
+				cell.Append(t.ID)
+				changed = !fresh // Process installs a fresh constraint's cells
+				if emitting {
+					// Invariant 1: the cell, evictees removed and t appended, is
+					// λ_M(σ_C(R)), and no later walk of this arrival visits it.
+					facts = a.emit(t, c, m, facts)
+					facts[len(facts)-1].SkylineSize = int32(cell.Len())
 				}
 			}
+			if changed {
+				a.st.Save(ref, cell)
+			}
 		}
-		if changed {
-			a.st.Save(ref, cell)
+		a.prune(c, dominated)
+		if up := live &^ dominated; up != 0 {
+			for cc := c; cc != 0; cc &= cc - 1 {
+				p := c &^ (cc & -cc)
+				pm := a.mark(p)
+				if add := up &^ pm.pruned; add != 0 {
+					if pm.queued == 0 {
+						a.queue = append(a.queue, p)
+					}
+					pm.queued |= add
+				}
+			}
 		}
 	}
+	a.remIdx = rem[:0]
 	return facts
+}
+
+// prePrune applies SBottomUp's root records to a walk over word: where the
+// recorded u dominates t in word[j] (Proposition 4), every constraint t
+// shares with u is pruned in bit j.
+func (a *BottomUp) prePrune(word []subspace.Mask) {
+	var has [relation.MaxMeasures]uint64 // has[i]: the bits whose subspace holds measure i
+	for j, m := range word {
+		for ; m != 0; m &= m - 1 {
+			has[bits.TrailingZeros32(m)] |= 1 << j
+		}
+	}
+	for _, r := range a.recs {
+		// Dominated in word[j] iff it meets Lt and misses Gt.
+		var lt, gt uint64
+		for s := r.rel.Lt; s != 0; s &= s - 1 {
+			lt |= has[bits.TrailingZeros32(s)]
+		}
+		for s := r.rel.Gt; s != 0; s &= s - 1 {
+			gt |= has[bits.TrailingZeros32(s)]
+		}
+		a.prune(r.shared, lt&^gt)
+	}
 }
 
 var _ Discoverer = (*BottomUp)(nil)

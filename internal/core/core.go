@@ -124,15 +124,16 @@ type base struct {
 
 	met Metrics
 
-	// Epoch-stamped per-mask scratch (avoids O(2^d) clearing per subspace).
-	// queue is one pass's traversal order: a pass truncates it, appends each
-	// mask at most once and walks it by index, so its storage — at most 2^d
-	// masks — is allocated once per algorithm instance, not once per pass.
-	epoch    uint32
-	pruned   []uint32
-	inQueue  []uint32
-	inAnces  []uint32
-	queue    []lattice.Mask
+	// Per-constraint walk scratch, stamped by epoch so that a new walk
+	// clears nothing (see walkMark). queue is one walk's traversal order: a
+	// walk truncates it, appends each mask at most once and reads it by
+	// index, so its storage — at most 2^d masks — is allocated once per
+	// algorithm instance.
+	epoch uint32
+	marks []walkMark
+	queue []lattice.Mask
+
+	// Per-arrival scratch, current iff stamped with keyStamp.
 	keyStamp uint32
 	keyEpoch []uint32
 	cids     []store.ConstraintID
@@ -142,9 +143,16 @@ type base struct {
 	valsSeen []uint32  // factVals[c] is current iff valsSeen[c] == keyStamp
 	facts    []Fact    // the last arrival's facts; the next one reuses the storage
 
-	// Scratch of the batched cell scans (kernel.go): member indices the
-	// candidate dominates / is dominated by in the cell under scan, and
-	// the evictees' tuple ids resolved before the cell is compacted.
+	// rels caches, by member id, the arriving tuple's Proposition-4
+	// relation to that member over 𝕄 (relTo), so each stored member is
+	// compared once per arrival however many subspaces test it. recs lists
+	// the S* root pass's records, one per member it compared.
+	rels []relEntry
+	recs []pairRec
+
+	// Scratch of the cell scans: member indices the candidate dominates /
+	// is dominated by in the cell under scan, and the evictees' tuple ids
+	// resolved before the cell is compacted.
 	remIdx    []int
 	domIdx    []int
 	rehomeIDs []int64
@@ -216,9 +224,7 @@ func newBase(cfg Config) (*base, error) {
 		st:       st,
 		in:       st.Interner(),
 		midx:     midx,
-		pruned:   make([]uint32, size),
-		inQueue:  make([]uint32, size),
-		inAnces:  make([]uint32, size),
+		marks:    make([]walkMark, size),
 		keyEpoch: make([]uint32, size),
 		factVals: make([][]int32, size),
 		valsSeen: make([]uint32, size),
@@ -226,30 +232,46 @@ func newBase(cfg Config) (*base, error) {
 	}, nil
 }
 
-// nextEpoch invalidates the pruned/inQueue/inAnces scratch marks.
+// walkMark is one constraint's scratch in the current walk, current while
+// epoch is base.epoch (mark resets a stale one). Bit j of pruned and
+// queued stands for the walk's j-th subspace: a BottomUp walk carries up to
+// 64 of them, a TopDown pass one, bit 0.
+type walkMark struct {
+	epoch          uint32
+	anc            bool // TopDown: a parent is not pruned, so t is stored above c
+	pruned, queued uint64
+}
+
+// nextEpoch starts a walk: every mark goes stale.
 func (b *base) nextEpoch() {
 	b.epoch++
 	if b.epoch == 0 { // wrapped: hard reset
-		for i := range b.pruned {
-			b.pruned[i], b.inQueue[i], b.inAnces[i] = 0, 0, 0
-		}
+		clear(b.marks)
 		b.epoch = 1
 	}
 }
 
+// mark returns constraint c's scratch in the current walk.
+func (b *base) mark(c lattice.Mask) *walkMark {
+	mk := &b.marks[c]
+	if mk.epoch != b.epoch {
+		*mk = walkMark{epoch: b.epoch}
+	}
+	return mk
+}
+
 // newTupleScratch starts a fresh per-tuple generation: it registers the
-// tuple in the id registry, clears the mark arrays (via a new epoch) and
-// invalidates the cached constraint ids, which are per-tuple because they
-// embed the tuple's dimension values.
+// tuple in the id registry and, by a new key stamp, invalidates the cached
+// constraint ids, which embed the tuple's dimension values, and the
+// tuple's relations to stored members. Each walk starts its own epoch.
 func (b *base) newTupleScratch(t *relation.Tuple) {
 	b.register(t)
-	b.nextEpoch()
 	b.keyStamp++
-	if b.keyStamp == 0 {
-		for i := range b.keyEpoch {
-			b.keyEpoch[i], b.valsSeen[i] = 0, 0
-		}
+	if b.keyStamp == 0 { // wrapped: hard reset
+		clear(b.keyEpoch)
+		clear(b.valsSeen)
 		clear(b.freshAt)
+		clear(b.rels)
 		b.keyStamp = 1
 	}
 }
@@ -259,6 +281,7 @@ func (b *base) register(t *relation.Tuple) {
 	for int64(len(b.reg)) <= t.ID {
 		b.reg = append(b.reg, nil)
 		b.vecs = append(b.vecs, make([]float64, b.m)...)
+		b.rels = append(b.rels, relEntry{})
 	}
 	b.reg[t.ID] = t
 	copy(b.vec(t.ID), t.Oriented)
@@ -370,36 +393,57 @@ func (b *base) cmpIn(t, u *relation.Tuple, m subspace.Mask) (dominated, dominate
 	return cmpVecs(t.Oriented, u.Oriented, b.indices(m))
 }
 
-// markSubmasksPruned stamps every submask of m as pruned for the current
-// epoch (Proposition 3: the interval [⊥(C^{t,t'}), ⊤] of the intersection
+// prune marks every submask of c pruned in the walk's subspace bits
+// (Proposition 3: the interval [⊥(C^{t,t'}), ⊤] of the intersection
 // lattice, which in mask terms is the submask closure of the shared mask).
-// All pruning in this package goes through this routine, so the pruned set
-// is always submask-closed; if m itself is already stamped, so is its
-// whole closure and the scan is skipped.
-func (b *base) markSubmasksPruned(m lattice.Mask) {
-	if b.pruned[m] == b.epoch {
+// All pruning in this package goes through this routine, so each bit's
+// pruned set is submask-closed; bits c already has pruned are closed below
+// it, and only the others are spread.
+func (b *base) prune(c lattice.Mask, bits uint64) {
+	if bits &^= b.mark(c).pruned; bits == 0 {
 		return
 	}
-	s := m
-	for {
-		b.pruned[s] = b.epoch
+	for s := c; ; s = (s - 1) & c {
+		b.mark(s).pruned |= bits
 		if s == 0 {
 			break
 		}
-		s = (s - 1) & m
 	}
 }
 
-// allBottomsPruned reports whether every minimal mask of the truncated
-// lattice is pruned; pruned sets are submask-closed, so this is equivalent
-// to "every constraint is pruned".
-func (b *base) allBottomsPruned() bool {
-	for _, bm := range b.bottoms {
-		if b.pruned[bm] != b.epoch {
-			return false
-		}
+// relEntry is one member's slot in the relation cache: rel is current for
+// this arrival iff stamp == keyStamp.
+type relEntry struct {
+	stamp uint32
+	rel   subspace.Relation
+}
+
+// pairRec is one S* root-pass record: t's relation to a member u it
+// compared, and the dimensions t and u share.
+type pairRec struct {
+	shared lattice.Mask
+	rel    subspace.Relation
+}
+
+// relTo returns t's relation to member id over 𝕄 (§V-C, Proposition 4): one
+// comparison of the two vectors answers dominance in every subspace
+// (Relation.DominatedIn, DominatesIn). The arrival's first call for id
+// computes and caches it; with record set, that call also appends the pair's
+// root-pass record.
+func (b *base) relTo(t *relation.Tuple, id uint32, record bool) subspace.Relation {
+	e := &b.rels[id]
+	if e.stamp != b.keyStamp {
+		b.relate(t, id, record)
 	}
-	return true
+	return e.rel
+}
+
+func (b *base) relate(t *relation.Tuple, id uint32, record bool) {
+	rel := subspace.CompareVecs(t.Oriented, b.vec(int64(id)))
+	b.rels[id] = relEntry{b.keyStamp, rel}
+	if record {
+		b.recs = append(b.recs, pairRec{sharedOf(t, b.reg[id]), rel})
+	}
 }
 
 // Metrics implements Discoverer.

@@ -248,6 +248,13 @@ func TestEquivalenceRandom(t *testing.T) {
 		{"deep-dims", 30, 5, 2, 2, 5, 3, -1},
 		{"one-measure", 40, 3, 1, 3, 4, -1, -1},
 		{"wide-measures", 25, 2, 5, 2, 3, -1, 3},
+		// Past 63 subspaces BottomUp walks the lattice once per 64 of them:
+		// 127 (two walks), 255 (four) and, under m̂ = 3, 92 with SBottomUp's
+		// full-space cells kept but unreported.
+		{"m7", 30, 3, 7, 2, 3, -1, -1},
+		{"m8", 25, 3, 8, 2, 3, -1, 8},
+		{"m8-mhat3", 30, 3, 8, 2, 3, -1, 3},
+		{"m8-dhat2", 25, 4, 8, 2, 3, 2, -1},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -22,7 +22,9 @@
 // base.vecs is one flat arena of oriented measure vectors (tuple id's row
 // at id·m) and base.reg resolves an id back to its tuple; both are filled
 // when a tuple is first processed, or by RegisterTuple after a snapshot
-// restore. The cell scans (kernel.go) take the arena and a cell's id list.
+// restore. BottomUp compares the arrival with a stored member's row once,
+// over every measure, and tests each subspace on that relation (relTo);
+// TopDown's cell scans (kernel.go) take the arena and a cell's id list.
 //
 // Algorithms are constructed by lower-case name through NewDiscoverer's
 // table of the eight. Every Discoverer reports Metrics (comparisons,

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -98,17 +99,21 @@ func checkArrival(t *testing.T, alg *BottomUp, tu *relation.Tuple, history []*re
 	}
 }
 
-// TestStampWrapAround runs BottomUp and SBottomUp across the wrap of both
-// 32-bit scratch stamps: the per-pass epoch (pruned, queued and ancestor
-// marks) and the per-arrival key stamp (constraint ids, fact values, fresh
-// constraints). A long-running engine reaches the epoch's after about 33 M
-// wide arrivals. Three arrivals mark the scratch with small stamps, then both
-// jump to just below 2^32 and wrap within the next arrival, so one that did
-// not clear the marks would meet those small stamps again at once. Every
-// arrival is checked as FuzzEquivalence checks it.
+// TestStampWrapAround runs BottomUp, SBottomUp and STopDown across the wrap
+// of both 32-bit scratch stamps: the per-walk epoch (pruned, queued and
+// ancestor marks) and the per-arrival key stamp (constraint ids, fact
+// values, fresh constraints and the relation cache). A long-running engine
+// reaches the epoch's after about 1.4 G wide arrivals (three walks each: the
+// root walk and two of 64 subspaces) and the key stamp's after 4.3 G. Three
+// arrivals mark the scratch with small stamps, then both jump to just below
+// 2^32 and wrap within the next arrival, so one that did not clear the
+// marks would meet those small stamps again at once. Every arrival is
+// checked against the oracle, the BottomUp family's as FuzzEquivalence
+// checks it, and after every arrival no scratch stamp may run ahead of its
+// clock — what a wrap that kept its old marks leaves behind.
 func TestStampWrapAround(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
-	tb := randomTable(t, rng, 60, 3, 2, 3, 4)
+	tb := randomTable(t, rng, 60, 3, 7, 3, 4)
 	cfg := Config{Schema: tb.Schema(), MaxBound: -1, MaxMeasure: -1}
 	oracle, err := NewOracle(cfg)
 	if err != nil {
@@ -122,25 +127,64 @@ func TestStampWrapAround(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	algs := []*BottomUp{bu, sbu}
+	std, err := NewSTopDown(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bases := map[string]*base{bu.Name(): bu.base, sbu.Name(): sbu.base, std.Name(): std.base}
+	const wrapAt = 30
 	var history []*relation.Tuple
 	for i, tu := range tb.Tuples() {
-		if i == 3 {
-			for _, alg := range algs {
-				alg.epoch, alg.keyStamp = math.MaxUint32-2, math.MaxUint32-2
+		if i == wrapAt {
+			for _, b := range bases {
+				b.epoch, b.keyStamp = math.MaxUint32-2, math.MaxUint32-2
 			}
 		}
 		history = append(history, tu)
 		want := oracle.Process(tu)
-		for _, alg := range algs {
+		for _, alg := range []*BottomUp{bu, sbu} {
 			checkArrival(t, alg, tu, history, want)
 		}
-	}
-	for _, alg := range algs {
-		if alg.epoch >= math.MaxUint32-2 || alg.keyStamp >= math.MaxUint32-2 {
-			t.Errorf("%s: stamps at epoch %d, key %d: not wrapped", alg.Name(), alg.epoch, alg.keyStamp)
+		if ok, why := sameFacts(want, std.Process(tu)); !ok {
+			t.Fatalf("tuple %d: STopDown diverged: %s", tu.ID, why)
+		}
+		for name, b := range bases {
+			if why := stampAhead(b); why != "" {
+				t.Fatalf("tuple %d: %s: %s", tu.ID, name, why)
+			}
 		}
 	}
+	for name, b := range bases {
+		if b.epoch >= math.MaxUint32-2 || b.keyStamp >= math.MaxUint32-2 {
+			t.Errorf("%s: stamps at epoch %d, key %d: not wrapped", name, b.epoch, b.keyStamp)
+		}
+	}
+}
+
+// stampAhead names the first scratch entry stamped later than its clock
+// now reads, or returns "".
+func stampAhead(b *base) string {
+	for c, mk := range b.marks {
+		if mk.epoch > b.epoch {
+			return fmt.Sprintf("constraint %b marked at epoch %d, now %d", c, mk.epoch, b.epoch)
+		}
+	}
+	for _, col := range []struct {
+		name   string
+		stamps []uint32
+	}{{"constraint id", b.keyEpoch}, {"fact values", b.valsSeen}, {"fresh mark", b.freshAt}} {
+		for c, s := range col.stamps {
+			if s > b.keyStamp {
+				return fmt.Sprintf("%s of constraint %b stamped %d, key stamp now %d", col.name, c, s, b.keyStamp)
+			}
+		}
+	}
+	for id, e := range b.rels {
+		if e.stamp > b.keyStamp {
+			return fmt.Sprintf("relation to tuple %d stamped %d, key stamp now %d", id, e.stamp, b.keyStamp)
+		}
+	}
+	return ""
 }
 
 // skylineCount is |λ_M(σ_C(R))| over history, by brute force.

@@ -28,9 +28,6 @@ import (
 type TopDown struct {
 	*base
 	shared bool
-
-	recs    []pairRec
-	recSeen map[int64]bool
 }
 
 // NewTopDown creates plain TopDown.
@@ -73,11 +70,6 @@ func (a *TopDown) Process(t *relation.Tuple) []Fact {
 	// STopDown: STopDownRoot over the full space, then STopDownNode per
 	// remaining subspace.
 	a.recs = a.recs[:0]
-	if a.recSeen == nil {
-		a.recSeen = make(map[int64]bool, 64)
-	} else {
-		clear(a.recSeen)
-	}
 	facts = a.traverseRoot(t, a.fullM, true, facts)
 	for _, m := range a.subs {
 		if m == a.fullM {
@@ -94,7 +86,7 @@ func (a *TopDown) traverseRoot(t *relation.Tuple, m subspace.Mask, record bool, 
 	a.nextEpoch()
 	emitting := !record || a.mhat == a.m
 	a.queue = append(a.queue[:0], 0) // ⊤
-	a.inQueue[0] = a.epoch
+	a.mark(0).queued = 1
 	tv, idx := t.Oriented, a.midx[m]
 	for head := 0; head < len(a.queue); head++ {
 		c := a.queue[head]
@@ -108,17 +100,15 @@ func (a *TopDown) traverseRoot(t *relation.Tuple, m subspace.Mask, record bool, 
 		dom, doms := scanAll(tv, a.vecs, ids, a.m, idx, a.domIdx[:0], a.remIdx[:0])
 		a.met.Comparisons += int64(len(ids))
 		if record {
+			// One Proposition-4 record per distinct member compared: the
+			// relation cache marks the ones already recorded.
 			for _, id := range ids {
-				if uid := int64(id); !a.recSeen[uid] {
-					a.recSeen[uid] = true
-					u := a.tupleByID(uid)
-					a.recs = append(a.recs, pairRec{sharedOf(t, u), subspace.Compare(t, u, a.m)})
-				}
+				a.relTo(t, id, true)
 			}
 		}
 		// Dominated procedure: prune C^{t,u} per dominating member.
 		for _, i := range dom {
-			a.markSubmasksPruned(sharedOf(t, a.tupleByID(int64(ids[i]))))
+			a.prune(sharedOf(t, a.tupleByID(int64(ids[i]))), 1)
 		}
 		a.domIdx = dom[:0]
 		// Dominates procedure: evict every dominated member in one
@@ -137,11 +127,11 @@ func (a *TopDown) traverseRoot(t *relation.Tuple, m subspace.Mask, record bool, 
 			}
 		}
 		a.remIdx = doms[:0]
-		if a.pruned[c] != a.epoch {
+		if mk := a.mark(c); mk.pruned == 0 {
 			if emitting {
 				facts = a.emit(t, c, m, facts)
 			}
-			if a.inAnces[c] != a.epoch {
+			if !mk.anc {
 				cell.Append(t.ID)
 				changed = true
 			}
@@ -160,7 +150,7 @@ func (a *TopDown) traverseNode(t *relation.Tuple, m subspace.Mask, facts []Fact)
 	a.nextEpoch()
 	for _, r := range a.recs {
 		if r.rel.DominatedIn(m) {
-			a.markSubmasksPruned(r.shared)
+			a.prune(r.shared, 1)
 		}
 	}
 	if a.allBottomsPruned() {
@@ -170,11 +160,11 @@ func (a *TopDown) traverseNode(t *relation.Tuple, m subspace.Mask, facts []Fact)
 		return facts
 	}
 	a.queue = append(a.queue[:0], 0)
-	a.inQueue[0] = a.epoch
+	a.mark(0).queued = 1
 	tv, idx := t.Oriented, a.midx[m]
 	for head := 0; head < len(a.queue); head++ {
 		c := a.queue[head]
-		if a.pruned[c] != a.epoch {
+		if mk := a.mark(c); mk.pruned == 0 {
 			// Only non-pruned constraints are truly "visited" (cell
 			// examined); pruned ones are skipped over by the walk, which
 			// is STopDown's Fig-11b advantage over TopDown.
@@ -201,7 +191,7 @@ func (a *TopDown) traverseNode(t *relation.Tuple, m subspace.Mask, facts []Fact)
 				}
 			}
 			a.remIdx = doms[:0]
-			if a.inAnces[c] != a.epoch {
+			if !mk.anc {
 				cell.Append(t.ID)
 				changed = true
 			}
@@ -216,12 +206,12 @@ func (a *TopDown) traverseNode(t *relation.Tuple, m subspace.Mask, facts []Fact)
 
 // enqueueChildren implements the EnqueueChildren procedure: children are
 // enqueued UNCONDITIONALLY (skyline constraints are downward-closed, so
-// non-pruned constraints can sit below pruned ones), and inAnces
+// non-pruned constraints can sit below pruned ones), and the anc mark
 // propagates from any non-pruned parent (if C is a skyline constraint of
 // t, t is stored at C or one of its ancestors, so no descendant may store
 // it again).
 func (a *TopDown) enqueueChildren(c lattice.Mask) {
-	notPruned := a.pruned[c] != a.epoch
+	notPruned := a.mark(c).pruned == 0
 	for unbound := lattice.FullMask(a.d) &^ c; unbound != 0; {
 		bit := unbound & -unbound
 		unbound &^= bit
@@ -229,14 +219,27 @@ func (a *TopDown) enqueueChildren(c lattice.Mask) {
 		if lattice.PopCount(ch) > a.dhat {
 			continue
 		}
+		mk := a.mark(ch)
 		if notPruned {
-			a.inAnces[ch] = a.epoch
+			mk.anc = true
 		}
-		if a.inQueue[ch] != a.epoch {
-			a.inQueue[ch] = a.epoch
+		if mk.queued == 0 {
+			mk.queued = 1
 			a.queue = append(a.queue, ch)
 		}
 	}
+}
+
+// allBottomsPruned reports whether every minimal mask of the truncated
+// lattice is pruned; pruned sets are submask-closed, so this is equivalent
+// to "every constraint is pruned".
+func (a *TopDown) allBottomsPruned() bool {
+	for _, bm := range a.bottoms {
+		if a.mark(bm).pruned == 0 {
+			return false
+		}
+	}
+	return true
 }
 
 // rehome implements the Dominates procedure's maintenance half: after u

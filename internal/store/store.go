@@ -375,10 +375,11 @@ type Memory struct {
 	arena []uint32
 	free  [33]uint32
 
-	// loaded is the slot of loadedRef while a Load has resolved it to a
-	// non-empty cell and no Save has run since.
+	// loadedAt is 1 + the index, in loadedRef's block, of the slot a Load
+	// has resolved to a non-empty cell while no Save has run since, and 0
+	// when there is none: an index, so that a Load writes no pointer.
 	loadedRef CellRef
-	loaded    *slot
+	loadedAt  int
 
 	stats Stats
 
@@ -414,27 +415,28 @@ func (m *Memory) dense() bool { return m.width <= denseMaxWidth }
 // Interner implements Store.
 func (m *Memory) Interner() *Interner { return m.in }
 
-// at resolves a ref to its cell's slot, and to its address if the block
-// has that slot (not one-member, and in the sparse layout a live one).
-func (m *Memory) at(ref CellRef) (slot, *slot) {
+// at resolves a ref to its cell's slot, and to 1 + the slot's index in the
+// block's cells if the block has that slot (not one-member, and in the
+// sparse layout a live one), else 0.
+func (m *Memory) at(ref CellRef) (slot, int) {
 	cid, mask := RefParts(ref)
 	if int(cid) >= len(m.blocks) || m.blocks[cid].live == 0 {
-		return slot{}, nil
+		return slot{}, 0
 	}
 	b := &m.blocks[cid]
 	switch {
 	case b.single():
 		if _, kept := slices.BinarySearch(m.kept, mask); kept {
-			return slot{n: 1, ref: b.one}, nil
+			return slot{n: 1, ref: b.one}, 0
 		}
-		return slot{}, nil
+		return slot{}, 0
 	case m.dense():
-		return b.cells[mask], &b.cells[mask]
+		return b.cells[mask], int(mask) + 1
 	}
 	if i, ok := slices.BinarySearch(b.masks, mask); ok {
-		return b.cells[i], &b.cells[i]
+		return b.cells[i], i + 1
 	}
-	return slot{}, nil
+	return slot{}, 0
 }
 
 // spread gives one-member block b its slots, one per kept mask.
@@ -562,13 +564,13 @@ func (m *Memory) cell(s slot) Cell {
 // Load implements Store. It remembers the slot it resolved for the
 // matching Save.
 func (m *Memory) Load(ref CellRef) Cell {
-	s, p := m.at(ref)
+	s, i := m.at(ref)
 	if s.n == 0 {
-		m.loaded = nil
+		m.loadedAt = 0
 		return Cell{}
 	}
 	m.stats.Reads++
-	m.loadedRef, m.loaded = ref, p
+	m.loadedRef, m.loadedAt = ref, i
 	return m.cell(s)
 }
 
@@ -588,25 +590,26 @@ func (m *Memory) Peek(ref CellRef) Cell {
 // points at its range: it outgrew it, or the arena moved. A Save that
 // changes a cell of a one-member block gives the block its slots first.
 func (m *Memory) Save(ref CellRef, c Cell) {
-	p := m.loaded
-	m.loaded = nil
+	cid, _ := RefParts(ref)
+	i := m.loadedAt
+	m.loadedAt = 0
 	var was slot
-	if p != nil && m.loadedRef == ref {
-		was = *p
+	if i > 0 && m.loadedRef == ref {
+		was = m.blocks[cid].cells[i-1]
 	} else {
-		was, p = m.at(ref)
+		was, i = m.at(ref)
 	}
 	if was.n == 0 && c.n == 0 {
 		return // empty → empty: nothing happened
 	}
 	ids := c.IDs()
-	if cid, _ := RefParts(ref); p == nil && int(cid) < len(m.blocks) && m.blocks[cid].single() {
+	if i == 0 && int(cid) < len(m.blocks) && m.blocks[cid].single() {
 		if was.n == 1 && c.n == 1 && ids[0] == was.ref {
 			m.stats.Writes++
 			return // saved unchanged
 		}
 		m.spread(&m.blocks[cid])
-		was, p = m.at(ref)
+		was, i = m.at(ref)
 	}
 	s := slot{n: uint32(c.n)}
 	moved := was.n >= 2 && (s.n < 2 || class(s.n) != class(was.n))
@@ -625,7 +628,7 @@ func (m *Memory) Save(ref CellRef, c Cell) {
 		m.release(was.ref, class(was.n))
 	}
 	if was.n > 0 && s.n > 0 {
-		*p = s
+		m.blocks[cid].cells[i-1] = s
 	} else {
 		m.bind(ref, was, s)
 	}
@@ -697,7 +700,7 @@ func (m *Memory) RestoreConstraint(key lattice.Key, masks, sizes, ids []uint32) 
 		return 0, 0, fmt.Errorf("store: subspace mask %d in a store of %d measures", top, m.width)
 	}
 	cid := m.in.Intern(key)
-	m.loaded = nil
+	m.loadedAt = 0
 	b := m.blockOf(cid)
 	if b.live != 0 {
 		return 0, 0, fmt.Errorf("store: constraint %x already has cells", string(key))

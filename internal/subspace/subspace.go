@@ -73,13 +73,18 @@ type Relation struct {
 
 // Compare computes the Relation of t versus u over m measure attributes.
 func Compare(t, u *relation.Tuple, m int) Relation {
+	return CompareVecs(t.Oriented[:m], u.Oriented[:m])
+}
+
+// CompareVecs is Compare over two oriented measure vectors of equal length.
+func CompareVecs(tv, uv []float64) Relation {
 	var r Relation
-	for i := 0; i < m; i++ {
+	for i, a := range tv {
 		bit := Mask(1) << uint(i)
-		switch {
-		case t.Oriented[i] > u.Oriented[i]:
+		switch b := uv[i]; {
+		case a > b:
 			r.Gt |= bit
-		case t.Oriented[i] < u.Oriented[i]:
+		case a < b:
 			r.Lt |= bit
 		default:
 			r.Eq |= bit
