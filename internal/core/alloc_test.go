@@ -18,10 +18,9 @@ import (
 // facts slice allocated per arrival reads 1). The race detector adds one
 // object per arrival of its own, and the budget with it.
 //
-// The lattice queue is held to zero: every subspace pass refills it, and
-// after warm-up it must do so in the storage it already has (popping it
-// with queue = queue[1:] gave that storage away, one re-grown queue per
-// pass).
+// The lattice queue is held to zero: every walk refills it, and after
+// warm-up it must do so in the storage it already has (popping it with
+// queue = queue[1:] gave that storage away, one re-grown queue per walk).
 func TestBottomUpSteadyStateAllocs(t *testing.T) {
 	const (
 		n        = 560

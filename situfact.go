@@ -231,7 +231,7 @@ type Engine struct {
 	fidx *factindex.Index
 	// hidden is the full measure space 𝕄 when an m̂ cap leaves it out of the
 	// reported subspaces, 0 otherwise. SBottomUp keeps µ(C, 𝕄) under the cap
-	// to share its full-space comparisons with the subspace passes (§V-C);
+	// to share its full-space comparisons with the other subspaces' walks (§V-C);
 	// those cells are not facts, and the read path steps over them.
 	hidden subspace.Mask
 
