@@ -42,7 +42,7 @@ func (a *BaselineSeq) Process(t *relation.Tuple) []Fact {
 		full := false // becomes true when C^{t,t'} = C^t (everything pruned)
 		for _, u := range a.history {
 			a.met.Comparisons++
-			if dominated, _ := a.cmpIn(t, u, m); dominated {
+			if a.relTo(t, uint32(u.ID), false).DominatedIn(m) {
 				sh := sharedOf(t, u)
 				if a.addMaximalShared(sh) && sh == lattice.FullMask(a.d) {
 					full = true
@@ -138,7 +138,7 @@ func (a *BaselineIdx) Process(t *relation.Tuple) []Fact {
 			a.met.Comparisons++
 			// The query returns u ≽_M t including ties; keep strict
 			// dominators only.
-			if dominated, _ := a.cmpIn(t, u, m); dominated {
+			if a.relTo(t, uint32(u.ID), false).DominatedIn(m) {
 				sh := sharedOf(t, u)
 				if a.seq.addMaximalShared(sh) && sh == lattice.FullMask(a.d) {
 					full = true

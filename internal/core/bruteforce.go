@@ -1,6 +1,9 @@
 package core
 
-import "repro/internal/relation"
+import (
+	"repro/internal/relation"
+	"repro/internal/subspace"
+)
 
 // BruteForce is Algorithm 2 of the paper: for every measure subspace and
 // every constraint satisfied by the new tuple, scan the entire history to
@@ -25,7 +28,8 @@ func NewBruteForce(cfg Config) (*BruteForce, error) {
 func (a *BruteForce) Name() string { return "BruteForce" }
 
 // Process implements Discoverer (Alg. 2 verbatim: the t' ∈ σ_C(R) check is
-// the satisfaction test against each constraint).
+// the satisfaction test against each constraint, and the dominance test is
+// Def. 2 itself, subspace.Dominates).
 func (a *BruteForce) Process(t *relation.Tuple) []Fact {
 	a.met.Tuples++
 	a.newTupleScratch(t)
@@ -36,7 +40,7 @@ func (a *BruteForce) Process(t *relation.Tuple) []Fact {
 			pruned := false
 			for _, u := range a.history {
 				a.met.Comparisons++
-				if dominated, _ := a.cmpIn(t, u, m); dominated {
+				if subspace.Dominates(u, t, m) {
 					// t' ∈ σ_C(R) ⇔ C ⊆ shared(t, t') in mask terms.
 					if satisfiesMask(t, u, c) {
 						pruned = true

@@ -105,12 +105,6 @@ type base struct {
 	st store.Store
 	in *store.Interner // st's intern table (cached to skip the interface call)
 
-	// midx[s] lists the measure indices of subspace s — the dominance
-	// kernel iterates this flat list instead of scanning mask bits.
-	// Filled for every reported subspace plus 𝕄 at construction; indices
-	// fits uint8 because masks are 32-bit.
-	midx [][]uint8
-
 	// reg resolves tuple ids back to tuples (reg[id], ids are arrival
 	// positions). Cells store only ids; the rare paths that need dimension
 	// values — TopDown re-homing, SkylineSize, the S* record passes —
@@ -150,11 +144,10 @@ type base struct {
 	rels []relEntry
 	recs []pairRec
 
-	// Scratch of the cell scans: member indices the candidate dominates /
-	// is dominated by in the cell under scan, and the evictees' tuple ids
-	// resolved before the cell is compacted.
+	// Scratch of the cell scans: member indices the candidate dominates in
+	// the cell under scan, and the evictees' tuple ids resolved before the
+	// cell is compacted.
 	remIdx    []int
-	domIdx    []int
 	rehomeIDs []int64
 }
 
@@ -192,24 +185,6 @@ func newBase(cfg Config) (*base, error) {
 		return nil, fmt.Errorf("core: store vector width %d does not match schema's %d measures", st.Width(), m)
 	}
 	subs := subspace.Enumerate(m, mhat)
-	fullM := subspace.Full(m)
-	midx := make([][]uint8, int(fullM)+1)
-	fill := func(s subspace.Mask) {
-		if s == 0 || midx[s] != nil {
-			return
-		}
-		idx := make([]uint8, 0, subspace.Size(s))
-		for i := 0; i < m; i++ {
-			if s&(1<<uint(i)) != 0 {
-				idx = append(idx, uint8(i))
-			}
-		}
-		midx[s] = idx
-	}
-	for _, s := range subs {
-		fill(s)
-	}
-	fill(fullM)
 	size := 1 << uint(d)
 	return &base{
 		schema:   cfg.Schema,
@@ -220,10 +195,9 @@ func newBase(cfg Config) (*base, error) {
 		ctMasks:  lattice.CtMasks(d, dhat),
 		bottoms:  lattice.BottomMasks(d, dhat),
 		subs:     subs,
-		fullM:    fullM,
+		fullM:    subspace.Full(m),
 		st:       st,
 		in:       st.Interner(),
-		midx:     midx,
 		marks:    make([]walkMark, size),
 		keyEpoch: make([]uint32, size),
 		factVals: make([][]int32, size),
@@ -315,23 +289,6 @@ func (b *base) cellRef(t *relation.Tuple, c lattice.Mask, m subspace.Mask) store
 	return store.Ref(b.cid(t, c), m)
 }
 
-// indices returns the measure-index list of subspace m, building it on
-// demand for masks outside the reported set (not concurrency-safe; bases
-// are single-goroutine by contract).
-func (b *base) indices(m subspace.Mask) []uint8 {
-	idx := b.midx[m]
-	if idx == nil {
-		idx = make([]uint8, 0, subspace.Size(m))
-		for i := 0; i < b.m; i++ {
-			if m&(1<<uint(i)) != 0 {
-				idx = append(idx, uint8(i))
-			}
-		}
-		b.midx[m] = idx
-	}
-	return idx
-}
-
 // emit materialises a fact. A tuple's thousands of facts draw on the at
 // most 2^d constraints of C^t, so the value slice of each is built once
 // per tuple and shared, read-only, by every fact over it (see Fact). The
@@ -361,37 +318,6 @@ func (b *base) emit(t *relation.Tuple, c lattice.Mask, m subspace.Mask, facts []
 
 // emitBlock is the fact-arena block size, in constraints.
 const emitBlock = 256
-
-// cmpVecs is the dominance kernel: it compares two full-width oriented
-// vectors over the measure indices idx (one subspace's precomputed index
-// list), so the innermost loop streams flat float64 slices with no mask
-// bit-scan. dominated reports t ≺ u, dominates reports t ≻ u in that
-// subspace. Exactly one Metrics comparison is charged per call by the
-// caller.
-func cmpVecs(tv, uv []float64, idx []uint8) (dominated, dominates bool) {
-	var hasGt, hasLt bool
-	for _, j := range idx {
-		a, b := tv[j], uv[j]
-		if a > b {
-			if hasLt {
-				return false, false
-			}
-			hasGt = true
-		} else if a < b {
-			if hasGt {
-				return false, false
-			}
-			hasLt = true
-		}
-	}
-	return hasLt && !hasGt, hasGt && !hasLt
-}
-
-// cmpIn is the tuple-pair form of cmpVecs, used by the history-scanning
-// algorithms (baselines, deletion repair) where both sides are tuples.
-func (b *base) cmpIn(t, u *relation.Tuple, m subspace.Mask) (dominated, dominates bool) {
-	return cmpVecs(t.Oriented, u.Oriented, b.indices(m))
-}
 
 // prune marks every submask of c pruned in the walk's subspace bits
 // (Proposition 3: the interval [⊥(C^{t,t'}), ⊤] of the intersection

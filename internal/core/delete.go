@@ -3,6 +3,7 @@ package core
 import (
 	"repro/internal/relation"
 	"repro/internal/store"
+	"repro/internal/subspace"
 )
 
 // Delete removes tuple u from the BottomUp-family state, repairing
@@ -50,12 +51,12 @@ func (a *BottomUp) Delete(u *relation.Tuple, alive []*relation.Tuple) {
 					}
 				}
 			}
-			idx := a.indices(m)
-			// Collect the context tuples u was dominating here.
+			// Collect the context tuples u was dominating here: u's relation
+			// to each is computed once per Delete (relTo), whatever cell asks.
 			cands = cands[:0]
 			for _, w := range ctx {
 				a.met.Comparisons++
-				if _, doms := cmpVecs(u.Oriented, w.Oriented, idx); doms {
+				if a.relTo(u, uint32(w.ID), false).DominatesIn(m) {
 					cands = append(cands, w)
 				}
 			}
@@ -63,7 +64,7 @@ func (a *BottomUp) Delete(u *relation.Tuple, alive []*relation.Tuple) {
 				dominated := false
 				for _, id := range cell.IDs() {
 					a.met.Comparisons++
-					if _, doms := cmpVecs(a.vec(int64(id)), w.Oriented, idx); doms {
+					if subspace.CompareVecs(a.vec(int64(id)), w.Oriented).DominatesIn(m) {
 						dominated = true
 						break
 					}
@@ -74,7 +75,7 @@ func (a *BottomUp) Delete(u *relation.Tuple, alive []*relation.Tuple) {
 							continue
 						}
 						a.met.Comparisons++
-						if _, doms := cmpVecs(x.Oriented, w.Oriented, idx); doms {
+						if subspace.CompareVecs(x.Oriented, w.Oriented).DominatesIn(m) {
 							dominated = true
 							break
 						}

@@ -22,9 +22,9 @@
 // base.vecs is one flat arena of oriented measure vectors (tuple id's row
 // at id·m) and base.reg resolves an id back to its tuple; both are filled
 // when a tuple is first processed, or by RegisterTuple after a snapshot
-// restore. BottomUp compares the arrival with a stored member's row once,
-// over every measure, and tests each subspace on that relation (relTo);
-// TopDown's cell scans (kernel.go) take the arena and a cell's id list.
+// restore. Every lattice algorithm and baseline compares the arrival with
+// a tuple's row once, over every measure, and tests each subspace on that
+// Proposition-4 relation (relTo); BruteForce reads Def. 2 itself.
 //
 // Algorithms are constructed by lower-case name through NewDiscoverer's
 // table of the eight. Every Discoverer reports Metrics (comparisons,

@@ -6,43 +6,7 @@ import (
 
 	"repro/internal/lattice"
 	"repro/internal/relation"
-	"repro/internal/subspace"
 )
-
-// Property: the single-pass cmpVecs kernel agrees with the two reference
-// dominance tests for arbitrary measure vectors and subspaces.
-func TestCmpInMatchesDominates(t *testing.T) {
-	s, err := relation.NewSchema("r",
-		[]relation.DimAttr{{Name: "d"}},
-		[]relation.MeasureAttr{{Name: "m1"}, {Name: "m2"}, {Name: "m3"}, {Name: "m4"}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	mk := func(v [4]int8) *relation.Tuple {
-		tu, err := relation.NewTuple(s, 0, []int32{0},
-			[]float64{float64(v[0] % 4), float64(v[1] % 4), float64(v[2] % 4), float64(v[3] % 4)})
-		if err != nil {
-			panic(err)
-		}
-		return tu
-	}
-	f := func(a, b [4]int8, subRaw uint8) bool {
-		sub := subspace.Mask(subRaw)&0b1111 | 1 // non-empty
-		idx := make([]uint8, 0, 4)
-		for i := 0; i < 4; i++ {
-			if sub&(1<<uint(i)) != 0 {
-				idx = append(idx, uint8(i))
-			}
-		}
-		ta, tb := mk(a), mk(b)
-		dominated, dominates := cmpVecs(ta.Oriented, tb.Oriented, idx)
-		return dominated == subspace.Dominates(tb, ta, sub) &&
-			dominates == subspace.Dominates(ta, tb, sub)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 5000}); err != nil {
-		t.Error(err)
-	}
-}
 
 // Property: satisfiesMask agrees with Constraint.Satisfies for every mask.
 func TestSatisfiesMaskMatchesConstraint(t *testing.T) {

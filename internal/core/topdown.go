@@ -87,58 +87,32 @@ func (a *TopDown) traverseRoot(t *relation.Tuple, m subspace.Mask, record bool, 
 	emitting := !record || a.mhat == a.m
 	a.queue = append(a.queue[:0], 0) // ⊤
 	a.mark(0).queued = 1
-	tv, idx := t.Oriented, a.midx[m]
 	for head := 0; head < len(a.queue); head++ {
 		c := a.queue[head]
 		a.met.Traversed++
 		ref := a.cellRef(t, c, m)
 		cell := a.st.Load(ref)
+		// Every member is visited — TopDown cannot break at a dominator,
+		// other stored tuples may prune different intersection lattices — so
+		// one Comparison is charged per member. With record set, relTo keeps
+		// one Proposition-4 record per distinct member compared.
 		ids := cell.IDs()
-		// Batched scan (kernel.go): every member is visited — TopDown cannot
-		// break at a dominator, other stored tuples may prune different
-		// intersection lattices — so one Comparison is charged per member.
-		dom, doms := scanAll(tv, a.vecs, ids, a.m, idx, a.domIdx[:0], a.remIdx[:0])
+		rem := a.remIdx[:0]
+		for i, id := range ids {
+			rel := a.relTo(t, id, record)
+			if rel.DominatedIn(m) {
+				// Dominated procedure: prune C^{t,u}.
+				a.prune(sharedOf(t, a.tupleByID(int64(id))), 1)
+			} else if rel.DominatesIn(m) {
+				rem = append(rem, i)
+			}
+		}
 		a.met.Comparisons += int64(len(ids))
-		if record {
-			// One Proposition-4 record per distinct member compared: the
-			// relation cache marks the ones already recorded.
-			for _, id := range ids {
-				a.relTo(t, id, true)
-			}
+		mk := a.mark(c)
+		if mk.pruned == 0 && emitting {
+			facts = a.emit(t, c, m, facts)
 		}
-		// Dominated procedure: prune C^{t,u} per dominating member.
-		for _, i := range dom {
-			a.prune(sharedOf(t, a.tupleByID(int64(ids[i]))), 1)
-		}
-		a.domIdx = dom[:0]
-		// Dominates procedure: evict every dominated member in one
-		// compaction (ids copied out first — compaction shifts them), then
-		// re-home each evictee, in member order.
-		changed := false
-		if len(doms) > 0 {
-			a.rehomeIDs = a.rehomeIDs[:0]
-			for _, i := range doms {
-				a.rehomeIDs = append(a.rehomeIDs, int64(ids[i]))
-			}
-			cell.RemoveSorted(doms)
-			changed = true
-			for _, uid := range a.rehomeIDs {
-				a.rehome(t, uid, c, m)
-			}
-		}
-		a.remIdx = doms[:0]
-		if mk := a.mark(c); mk.pruned == 0 {
-			if emitting {
-				facts = a.emit(t, c, m, facts)
-			}
-			if !mk.anc {
-				cell.Append(t.ID)
-				changed = true
-			}
-		}
-		if changed {
-			a.st.Save(ref, cell)
-		}
+		a.settle(t, ref, cell, rem, c, m, mk.pruned == 0 && !mk.anc)
 		a.enqueueChildren(c)
 	}
 	return facts
@@ -161,7 +135,6 @@ func (a *TopDown) traverseNode(t *relation.Tuple, m subspace.Mask, facts []Fact)
 	}
 	a.queue = append(a.queue[:0], 0)
 	a.mark(0).queued = 1
-	tv, idx := t.Oriented, a.midx[m]
 	for head := 0; head < len(a.queue); head++ {
 		c := a.queue[head]
 		if mk := a.mark(c); mk.pruned == 0 {
@@ -172,36 +145,48 @@ func (a *TopDown) traverseNode(t *relation.Tuple, m subspace.Mask, facts []Fact)
 			facts = a.emit(t, c, m, facts)
 			ref := a.cellRef(t, c, m)
 			cell := a.st.Load(ref)
-			ids := cell.IDs()
 			// The pre-pruning is complete for this pass (no stored member can
 			// dominate t at a non-pruned constraint), so only the evictions
-			// matter; the batched scan's dominator list stays empty.
-			_, doms := scanAll(tv, a.vecs, ids, a.m, idx, a.domIdx[:0], a.remIdx[:0])
+			// matter.
+			ids := cell.IDs()
+			rem := a.remIdx[:0]
+			for i, id := range ids {
+				if a.relTo(t, id, false).DominatesIn(m) {
+					rem = append(rem, i)
+				}
+			}
 			a.met.Comparisons += int64(len(ids))
-			changed := false
-			if len(doms) > 0 {
-				a.rehomeIDs = a.rehomeIDs[:0]
-				for _, i := range doms {
-					a.rehomeIDs = append(a.rehomeIDs, int64(ids[i]))
-				}
-				cell.RemoveSorted(doms)
-				changed = true
-				for _, uid := range a.rehomeIDs {
-					a.rehome(t, uid, c, m)
-				}
-			}
-			a.remIdx = doms[:0]
-			if !mk.anc {
-				cell.Append(t.ID)
-				changed = true
-			}
-			if changed {
-				a.st.Save(ref, cell)
-			}
+			a.settle(t, ref, cell, rem, c, m, !mk.anc)
 		}
 		a.enqueueChildren(c)
 	}
 	return facts
+}
+
+// settle finishes a pass's visit of µ(C,M): the Dominates procedure evicts
+// the members at indices rem (t dominates them) in one compaction — their
+// ids copied out first, since compaction shifts them — and re-homes each,
+// in member order; then t is appended if keep is set, and the cell saved if
+// either changed it.
+func (a *TopDown) settle(t *relation.Tuple, ref store.CellRef, cell store.Cell, rem []int, c lattice.Mask, m subspace.Mask, keep bool) {
+	ids := cell.IDs()
+	a.rehomeIDs = a.rehomeIDs[:0]
+	for _, i := range rem {
+		a.rehomeIDs = append(a.rehomeIDs, int64(ids[i]))
+	}
+	changed := len(rem) > 0
+	cell.RemoveSorted(rem)
+	a.remIdx = rem[:0]
+	for _, uid := range a.rehomeIDs {
+		a.rehome(t, uid, c, m)
+	}
+	if keep {
+		cell.Append(t.ID)
+		changed = true
+	}
+	if changed {
+		a.st.Save(ref, cell)
+	}
 }
 
 // enqueueChildren implements the EnqueueChildren procedure: children are

@@ -224,9 +224,9 @@ func (c *Cell) Append(id int64) {
 }
 
 // RemoveSorted deletes the members at the given ascending indices in one
-// order-preserving compaction pass: the batched dominance scan collects
-// every member the candidate dominates and removes them together. A list
-// stays a list, however few it keeps.
+// order-preserving compaction pass: a cell scan collects every member the
+// candidate dominates and removes them together. A list stays a list,
+// however few it keeps.
 func (c *Cell) RemoveSorted(idxs []int) {
 	if len(idxs) == 0 {
 		return

@@ -272,9 +272,9 @@ func TestCellRemoval(t *testing.T) {
 	}
 }
 
-// TestCellRemoveSorted pins the batched removal path (the dominance
-// kernel removes every member a candidate dominates in one compaction
-// pass) against removing the same indices from a plain slice, last first.
+// TestCellRemoveSorted pins the batched removal path (a cell scan
+// removes every member a candidate dominates in one compaction pass)
+// against removing the same indices from a plain slice, last first.
 func TestCellRemoveSorted(t *testing.T) {
 	cases := [][]int{
 		nil,

@@ -160,7 +160,8 @@ func TestDominatedSubspaces(t *testing.T) {
 	}
 }
 
-// Property: one Compare answers {M : Dominates(u,t,M)} for every subspace.
+// Property: one Compare answers {M : Dominates(u,t,M)} and
+// {M : Dominates(t,u,M)} for every subspace.
 func TestDominatedSubspacesProperty(t *testing.T) {
 	s := measureSchema(t, 4)
 	f := func(a0, a1, a2, a3, b0, b1, b2, b3 int8) bool {
@@ -168,7 +169,7 @@ func TestDominatedSubspacesProperty(t *testing.T) {
 		b := tupQuick(s, float64(b0%4), float64(b1%4), float64(b2%4), float64(b3%4))
 		r := Compare(a, b, 4)
 		for sub := Mask(1); sub < 16; sub++ {
-			if r.DominatedIn(sub) != Dominates(b, a, sub) {
+			if r.DominatedIn(sub) != Dominates(b, a, sub) || r.DominatesIn(sub) != Dominates(a, b, sub) {
 				return false
 			}
 		}
