@@ -137,10 +137,10 @@ type base struct {
 	valsSeen []uint32  // factVals[c] is current iff valsSeen[c] == keyStamp
 	facts    []Fact    // the last arrival's facts; the next one reuses the storage
 
-	// rels caches, by member id, the arriving tuple's Proposition-4
-	// relation to that member over 𝕄 (relTo), so each stored member is
-	// compared once per arrival however many subspaces test it. recs lists
-	// the S* root pass's records, one per member it compared.
+	// rels caches, by tuple id, the current tuple's Proposition-4 relation
+	// to that tuple over 𝕄 (relTo) — the arrival's, or the one Delete
+	// removes — so each pair is compared once however many subspaces test
+	// it. recs lists the S* root pass's records, one per member it compared.
 	rels []relEntry
 	recs []pairRec
 
