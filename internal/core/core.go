@@ -20,7 +20,10 @@ type Fact struct {
 	// Constraint is the context selector C. Its Vals are read-only: the
 	// facts of one arrival over the same constraint share one backing
 	// array, capped at its length so that an append copies. It is never
-	// written again, however long the fact is kept.
+	// written again, however long the fact is kept, so two facts whose
+	// Vals start at one address with one length are over one constraint.
+	// The BottomUp family's walk emits a constraint's facts one after
+	// another, and prominence.Ranker resolves such a run's context once.
 	Constraint lattice.Constraint
 	// Subspace is the measure subspace mask M.
 	Subspace subspace.Mask

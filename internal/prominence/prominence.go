@@ -65,7 +65,11 @@ func Score(facts []core.Fact, ctx ContextSizer, sky core.SkylineSizer) []ScoredF
 // constraints from the at most 2^d members of C^t, so everything that
 // depends on the constraint alone — the context size, the bound count, its
 // place in key order — is resolved once per distinct constraint, and the
-// selection and the sort read nothing but three integers per fact.
+// selection and the sort read nothing but three integers per fact. The
+// facts over one constraint share one Vals array (core.Fact) and a lattice
+// walk emits them one after another, so a fact whose Vals is its
+// predecessor's slice — same first element, same length — takes its
+// predecessor's entry without resolving its constraint again.
 type Ranker struct {
 	facts []core.Fact
 	words [numWords][]uint64 // what the order reads, by input position
@@ -232,8 +236,11 @@ func (r *Ranker) Rank(facts []core.Fact, ctx ContextSizer, sky core.SkylineSizer
 	r.sky = sized(r.sky, len(facts))
 	proms, ranks, ords := r.words[wordProminence], r.words[wordRank], r.words[wordOrd]
 
+	ei := int32(-1)
 	for i, f := range facts {
-		ei := r.resolve(f.Constraint, ctx)
+		if ei < 0 || !sameSlice(f.Constraint.Vals, facts[i-1].Constraint.Vals) {
+			ei = r.resolve(f.Constraint, ctx)
+		}
 		ent := &r.ents[ei]
 		ss := int(f.SkylineSize)
 		if ss == 0 {
@@ -286,6 +293,12 @@ func (r *Ranker) At(i int) ScoredFact {
 		SkylineSize: r.sky[pos],
 		Prominence:  ascending(r.words[wordProminence][pos]),
 	}
+}
+
+// sameSlice reports whether a and b are one slice of one array, and so hold
+// the same values.
+func sameSlice(a, b []int32) bool {
+	return len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0])
 }
 
 // resolve returns the position in ents of c's entry, making it — sizing

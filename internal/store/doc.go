@@ -12,7 +12,9 @@
 //   - Memory: one block of pointer-free slots per live constraint — 2^m
 //     of them indexed by subspace mask, or past 14 measures the live ones
 //     only, sorted by mask; a one-member cell is its slot, the others are
-//     ranges of one pointer-free id arena (paper §VI-B). A constraint whose
+//     ranges of a pointer-free id arena (paper §VI-B) whose fixed-size
+//     pages never move: a slot keeps a range's 32-bit offset, the page is
+//     its high bits, and no range straddles two pages. A constraint whose
 //     kept cells (Keep) all hold the same one tuple, as Install leaves
 //     them, is that id and no slots until a Save changes one. The block
 //     is the one record of a constraint's live cells: Masks reads them
@@ -28,7 +30,8 @@
 // The Load/Save protocol is shaped by the file implementation: algorithms
 // Load a cell, work on the returned value, and Save it back if (and only
 // if) they changed it. Install is Save of one tuple into every kept cell of
-// a constraint that has none: one file per cell in the file store. The memory store hands out a value that shares the
-// cell's arena range, making Save cheap; the file store performs real I/O
-// and counts it in Stats (the cost driver of the paper's Figures 10 and 12).
+// a constraint that has none: one file per cell in the file store. The
+// memory store hands out a value that shares the cell's range, making Save
+// cheap; the file store performs real I/O and counts it in Stats (the cost
+// driver of the paper's Figures 10 and 12).
 package store

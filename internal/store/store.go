@@ -334,7 +334,7 @@ const denseMaxWidth = 14
 // of slots is memory the collector never scans.
 type slot struct {
 	n   uint32 // member count; 0 = no cell
-	ref uint32 // n == 1: the member itself; n >= 2: its range's offset in Memory.arena
+	ref uint32 // n == 1: the member itself; n >= 2: its range's offset in Memory.pages
 }
 
 // block holds every cell of one constraint, in one of two layouts chosen by
@@ -359,9 +359,10 @@ func (b *block) single() bool { return b.cells == nil && b.live > 0 }
 // hashing in the dense layout — the interner's ids are dense by construction
 // and subspace masks are small — and an array lookup plus a binary search of
 // a short list in the sparse one. A one-member cell — four in five of them —
-// is its slot; the members of the others live in one pointer-free id arena.
-// A block comes with its constraint's first cell and is released when its
-// last cell empties, or is one-member: a tuple's id and no slots.
+// is its slot; the members of the others live in an id arena of fixed-size,
+// pointer-free pages that never move. A block comes with its constraint's
+// first cell and is released when its last cell empties, or is one-member:
+// a tuple's id and no slots.
 type Memory struct {
 	in    *Interner
 	width int
@@ -369,10 +370,13 @@ type Memory struct {
 	blocks []block  // by constraint id
 	kept   []uint32 // the masks a one-member block covers, ascending (Keep)
 
-	// arena holds the members of every cell of n >= 2 in a range of
-	// 1<<class(n) ids; free[k] heads class k's vacated ranges, chained
-	// through their first word (offset+1; 0 ends a chain).
-	arena []uint32
+	// pages hold the members of every cell of n >= 2 in a range of
+	// 1<<class(n) ids at an offset below top; the range's page is
+	// offset>>pageBits, and pages never move. free[k] heads class k's
+	// vacated ranges, chained through their first word (offset+1; 0 ends a
+	// chain).
+	pages [][]uint32
+	top   int
 	free  [33]uint32
 
 	// loadedAt is 1 + the index, in loadedRef's block, of the slot a Load
@@ -530,33 +534,76 @@ func (m *Memory) Masks(c ConstraintID, buf []uint32) []uint32 {
 // ids, the power of two above n, so one more member always fits.
 func class(n uint32) int { return bits.Len32(n) }
 
+// pageBits sets the id pages' size, 2^pageBits ids (16 KiB). It was chosen
+// by the daemon's peak RSS on the benchmark's wide and narrow single-row
+// workloads: 2^12-id pages kept it lowest of 2^12, 2^14 and 2^16, and
+// below what an arena grown by doubling reached; 2^16 did not.
+const pageBits = 12
+
 // alloc returns the offset of a range of class k: a vacated one if the class
-// has one, else a new one at the end of the arena.
+// has one, else a new one at top. A range never straddles two pages: one
+// that does not fit the current page's tail starts a new page, and the tail
+// goes to the free lists. A range larger than a page takes a run of new
+// pages backed by one allocation.
 func (m *Memory) alloc(k int) uint32 {
 	if head := m.free[k]; head != 0 {
-		m.free[k] = m.arena[head-1]
+		m.free[k] = *m.word(head - 1)
 		return head - 1
 	}
-	off := len(m.arena)
-	if off+1<<k > math.MaxUint32 {
+	size := 1 << k
+	if at := m.top & (1<<pageBits - 1); at != 0 && at+size > 1<<pageBits {
+		m.freeTail(1<<pageBits - at)
+	}
+	if m.top+size > math.MaxUint32 {
 		panic("store: id arena full")
 	}
-	m.arena = slices.Grow(m.arena, 1<<k)[:off+1<<k]
+	if m.top&(1<<pageBits-1) == 0 {
+		run := make([]uint32, max(size, 1<<pageBits))
+		for p := 0; p < len(run); p += 1 << pageBits {
+			m.pages = append(m.pages, run[p:])
+		}
+	}
+	off := m.top
+	m.top += size
 	return uint32(off)
+}
+
+// freeTail puts the last n ids of the current page on the free lists, one
+// range per bit of n, and moves top to the next page. Ranges are at least
+// four ids, so n is a sum of the classes' sizes.
+func (m *Memory) freeTail(n int) {
+	for n > 0 {
+		k := bits.Len(uint(n)) - 1
+		m.release(uint32(m.top), k)
+		m.top += 1 << k
+		n -= 1 << k
+	}
+}
+
+// word returns the id at offset off.
+func (m *Memory) word(off uint32) *uint32 {
+	return &m.pages[off>>pageBits][off&(1<<pageBits-1)]
+}
+
+// ids returns the n ids from offset off, with room up to the range's end,
+// the 1<<k ids of class k.
+func (m *Memory) ids(off, n uint32, k int) []uint32 {
+	at := off & (1<<pageBits - 1)
+	return m.pages[off>>pageBits][at : at+n : at+1<<k]
 }
 
 // release puts the range at off, of class k, on its class's free list.
 func (m *Memory) release(off uint32, k int) {
-	m.arena[off] = m.free[k]
+	*m.word(off) = m.free[k]
 	m.free[k] = off + 1
 }
 
-// cell rebuilds the handed-out form of a slot. A list is the cell's arena
-// range, not a copy, capped at the range's end: that is what lets the
-// algorithms edit a cell in place between Load and Save.
+// cell rebuilds the handed-out form of a slot. A list is the cell's range,
+// not a copy, capped at the range's end: that is what lets the algorithms
+// edit a cell in place between Load and Save.
 func (m *Memory) cell(s slot) Cell {
 	if s.n >= 2 {
-		return Cell{n: int(s.n), many: m.arena[s.ref : s.ref+s.n : s.ref+1<<class(s.n)]}
+		return Cell{n: int(s.n), many: m.ids(s.ref, s.n, class(s.n))}
 	}
 	return Cell{n: int(s.n), two: [2]uint32{s.ref}}
 }
@@ -586,9 +633,9 @@ func (m *Memory) Peek(ref CellRef) Cell {
 // Save implements Store. The Save that follows a cell's Load writes the
 // slot Load resolved; after a Save of another cell in between (TopDown
 // re-homes evictees there) the slot is looked up again. Members are copied
-// into the arena only when their count changed class or the cell no longer
-// points at its range: it outgrew it, or the arena moved. A Save that
-// changes a cell of a one-member block gives the block its slots first.
+// into a range only when their count changed class or the cell no longer
+// points at its range (it outgrew it, and Append moved the list). A Save
+// that changes a cell of a one-member block gives the block its slots first.
 func (m *Memory) Save(ref CellRef, c Cell) {
 	cid, _ := RefParts(ref)
 	i := m.loadedAt
@@ -621,8 +668,10 @@ func (m *Memory) Save(ref CellRef, c Cell) {
 	case s.n >= 2:
 		s.ref = was.ref
 	}
-	if s.n >= 2 && &m.arena[s.ref] != &ids[0] {
-		copy(m.arena[s.ref:s.ref+s.n], ids)
+	if s.n >= 2 {
+		if dst := m.ids(s.ref, s.n, class(s.n)); &dst[0] != &ids[0] {
+			copy(dst, ids)
+		}
 	}
 	if moved {
 		m.release(was.ref, class(was.n))
@@ -666,19 +715,12 @@ func (m *Memory) Install(c ConstraintID, id uint32) {
 	}
 }
 
-// Grow makes room for that many more constraints with cells and for cells
-// of the given member counts, so a restore that knows both fills the
-// store's tables and its arena without growing them by doubling.
-func (m *Memory) Grow(constraints int, sizes []uint32) {
-	words := 0
-	for _, n := range sizes {
-		if n >= 2 {
-			words += 1 << class(n)
-		}
-	}
+// Grow makes room for that many more constraints with cells, so a restore
+// that knows their number fills the store's tables without growing them by
+// doubling.
+func (m *Memory) Grow(constraints int) {
 	m.in.grow(constraints)
 	m.blocks = slices.Grow(m.blocks, constraints)
-	m.arena = slices.Grow(m.arena, words)
 }
 
 // RestoreConstraint installs every cell of one constraint at once: snapshot
@@ -723,7 +765,7 @@ func (m *Memory) RestoreConstraint(key lattice.Key, masks, sizes, ids []uint32) 
 		s := slot{n: sizes[i], ref: ids[used]}
 		if s.n >= 2 {
 			s.ref = m.alloc(class(s.n))
-			copy(m.arena[s.ref:s.ref+s.n], ids[used:])
+			copy(m.ids(s.ref, s.n, class(s.n)), ids[used:])
 		}
 		used += int(s.n)
 		if m.dense() {

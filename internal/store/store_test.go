@@ -310,14 +310,17 @@ func without(ids []int64, idxs []int) []int64 {
 	return ids
 }
 
-// checkCell compares every read accessor of c against the model.
+// checkCell compares every read accessor of c against the model. ContainsID
+// scans the cell, so past a few hundred members (memoryModel.pages' cells)
+// it is asked of one member in a thousand and the last.
 func checkCell(t testing.TB, what string, c Cell, want []int64) {
 	t.Helper()
 	if c.Len() != len(want) || len(c.IDs()) != len(want) || !slices.Equal(c.IDList(), want) {
 		t.Fatalf("%s: cell holds %v (Len %d, %d IDs), want %v", what, c.IDList(), c.Len(), len(c.IDs()), want)
 	}
 	for i, id := range want {
-		if c.ID(i) != id || int64(c.IDs()[i]) != id || !c.ContainsID(id) {
+		scan := len(want) <= 256 || i%1000 == 0 || i == len(want)-1
+		if c.ID(i) != id || int64(c.IDs()[i]) != id || scan && !c.ContainsID(id) {
 			t.Fatalf("%s: member %d: ID %d, IDs %d, ContainsID %v, want %d", what, i, c.ID(i), c.IDs()[i], c.ContainsID(id), id)
 		}
 	}
@@ -377,7 +380,8 @@ func TestCellModel(t *testing.T) {
 // The cells of one constraint grow past 64 members and shrink back, so
 // their lists cross the arena's size classes both ways. Constraints become
 // one-member blocks by Install and by RestoreConstraint, and lose that form
-// to a Save that changes one of their cells.
+// to a Save that changes one of their cells. A last phase (memoryModel.pages)
+// grows a cell past a page.
 func TestMemoryModel(t *testing.T) {
 	for _, width := range []int{3, denseMaxWidth + 1} {
 		t.Run(fmt.Sprintf("width=%d", width), func(t *testing.T) {
@@ -386,6 +390,7 @@ func TestMemoryModel(t *testing.T) {
 			for step := 0; step < 3000; step++ {
 				mm.step(step)
 			}
+			mm.pages(3000)
 			if mm.restored < 10 {
 				t.Errorf("the sequence restored a constraint in bulk %d times: too few to check it", mm.restored)
 			}
@@ -393,9 +398,10 @@ func TestMemoryModel(t *testing.T) {
 				t.Errorf("the sequence allocated a block %d times and released one %d times: too few to check the lifecycle",
 					mm.fired[true], mm.fired[false])
 			}
-			if mm.biggest <= 64 || mm.up < 100 || mm.down < 100 || mm.stale == 0 {
+			if mm.biggest <= 1<<pageBits || mm.up < 100 || mm.down < 100 || mm.tails == 0 || mm.runs < 2 {
 				t.Errorf("the largest cell held %d members, lists moved up a class %d times and down one %d times, "+
-					"and %d cells were saved after the arena moved: too few to check the arena", mm.biggest, mm.up, mm.down, mm.stale)
+					"%d new ranges left a page tail behind and %d took a run of pages: too few to check the arena",
+					mm.biggest, mm.up, mm.down, mm.tails, mm.runs)
 			}
 			if mm.installed < 10 || mm.restoredOne < 10 || mm.spread < 10 || mm.unchanged == 0 || mm.releasedOne < 10 {
 				t.Errorf("the sequence installed %d one-member blocks and restored %d, gave %d of them slots, saved one unchanged %d times "+
@@ -471,7 +477,8 @@ type memoryModel struct {
 	releasedOne        int                   // releases of a block that had been one-member
 	biggest            int                   // the most members a cell has held
 	up, down           int                   // Saves that moved a list of two or more to a larger or smaller class
-	stale              int                   // Saves of a cell loaded from an arena that has moved since
+	tails              int                   // Saves whose new range started a page past a page's unused tail
+	runs               int                   // Saves that put a list in a new range of more than one page
 }
 
 func newMemoryModel(t testing.TB, width int, pick func(n int) int) *memoryModel {
@@ -579,7 +586,17 @@ func (mm *memoryModel) mutate(r CellRef, c *Cell) []int64 {
 }
 
 func (mm *memoryModel) save(r CellRef, c Cell, ids []int64) {
+	top := mm.m.top
+	old, _ := mm.m.at(r)
 	mm.m.Save(r, c)
+	if s, _ := mm.m.at(r); s.n >= 2 && (old.n < 2 || s.ref != old.ref) {
+		if int(s.ref) > top { // free ranges lie below top: this one is new, past a tail
+			mm.tails++
+		}
+		if class(s.n) > pageBits {
+			mm.runs++
+		}
+	}
 	was := len(mm.model[r])
 	if was > 0 || len(ids) > 0 {
 		mm.want.Writes++
@@ -733,16 +750,12 @@ func (mm *memoryModel) step(step int) {
 	ca := mm.load(a)
 	idsA := mm.mutate(a, &ca)
 	if mm.pick(3) == 0 {
-		grown := cap(mm.m.arena)
 		b := mm.randomRef(a)
 		cb := mm.load(b)
 		mm.save(b, cb, mm.mutate(b, &cb))
 		c := mm.randomRef(a, b)
 		cc := mm.load(c)
 		mm.save(c, cc, mm.mutate(c, &cc))
-		if ca.many != nil && cap(mm.m.arena) != grown {
-			mm.stale++ // the arena moved: ca's list is a copy now
-		}
 	}
 	mm.save(a, ca, idsA)
 	if mm.pick(8) == 0 {
@@ -759,6 +772,35 @@ func (mm *memoryModel) step(step int) {
 	if step%100 == 0 {
 		mm.walk(step)
 	}
+}
+
+// pages grows one cell of the last constraint past what the steps reach,
+// checking after each Save: to half a page and one member, whose class is a
+// whole page and so does not fit the tail the steps left of theirs, then to
+// a page and one, a run of two pages; shrunk to three members, which frees
+// the run, and grown again, which takes it back from its free list.
+func (mm *memoryModel) pages(step int) {
+	r := Ref(mm.cids[modelConstraints-1], modelKept[0])
+	for _, n := range []int{1<<(pageBits-1) + 1, 1<<pageBits + 1, 3, 1<<pageBits + 1, 2} {
+		c := mm.load(r)
+		ids := slices.Clone(mm.model[r])
+		for ; len(ids) < n; mm.next++ {
+			c.Append(mm.next)
+			ids = append(ids, mm.next)
+		}
+		if len(ids) > n {
+			var idxs []int
+			for i := n; i < len(ids); i++ {
+				idxs = append(idxs, i)
+			}
+			c.RemoveSorted(idxs)
+			ids = ids[:n]
+		}
+		mm.save(r, c, ids)
+		mm.check(step, r)
+		step++
+	}
+	mm.walk(step)
 }
 
 // check compares the store with the model after a step that saved a: the
@@ -914,20 +956,47 @@ func (mm *memoryModel) walk(step int) {
 // checkArena checks the id arena's four invariants, in this order, and
 // names the first one broken. A live range is the 1<<class(n) ids from the
 // offset in the slot of a cell of n >= 2 members; a free range is one its
-// class's free list reaches.
+// class's free list reaches, a page tail split up included.
 //  1. Live ranges are pairwise disjoint.
 //  2. A live range is exactly its class's size: the cell Peek hands out
 //     has that capacity, and the range ends before the next range (live or
-//     free) starts, and within the arena.
-//  3. Free ranges are disjoint from live ones and from each other.
-//  4. Live and free words add up to the arena.
+//     free) starts. It lies inside one page below top, or is a run of whole
+//     pages from a page boundary whose headers address one allocation in
+//     order.
+//  3. Free ranges are disjoint from live ones and from each other, and lie
+//     in the pages as live ones do.
+//  4. Live and free words add up to the pages' words below top, and the
+//     pages are exactly those top reaches into.
 func checkArena(m *Memory) error {
+	const page = 1 << pageBits
 	type span struct {
 		off, size int
 		free      bool
 	}
 	var spans []span
 	words := 0
+	placed := func(off, size int) error {
+		switch {
+		case off+size > m.top:
+			return fmt.Errorf("the range [%d, %d) runs past top %d", off, off+size, m.top)
+		case size <= page && off/page != (off+size-1)/page:
+			return fmt.Errorf("the range [%d, %d) straddles pages %d and %d", off, off+size, off/page, off/page+1)
+		case size <= page:
+			return nil
+		case off%page != 0:
+			return fmt.Errorf("the %d-page range at %d starts inside a page", size/page, off)
+		}
+		run := m.pages[off/page]
+		if len(run) < size {
+			return fmt.Errorf("the %d-page range at %d has a run of %d ids", size/page, off, len(run))
+		}
+		for j := 1; j < size/page; j++ {
+			if &m.pages[off/page+j][0] != &run[j*page] {
+				return fmt.Errorf("page %d of the range at %d is not the run's page %d", off/page+j, off, j)
+			}
+		}
+		return nil
+	}
 	for cid := range m.blocks {
 		b := &m.blocks[cid]
 		for i, s := range b.cells {
@@ -939,8 +1008,8 @@ func checkArena(m *Memory) error {
 			if !m.dense() {
 				mask = b.masks[i]
 			}
-			if int(s.ref)+size > len(m.arena) {
-				return fmt.Errorf("invariant 2: cell (%d, %b) of %d members runs past the %d-id arena", cid, mask, s.n, len(m.arena))
+			if err := placed(int(s.ref), size); err != nil {
+				return fmt.Errorf("invariant 2: cell (%d, %b) of %d members: %v", cid, mask, s.n, err)
 			}
 			if c := m.Peek(Ref(ConstraintID(cid), mask)); cap(c.many) != size {
 				return fmt.Errorf("invariant 2: cell (%d, %b) of %d members is handed out with room for %d, its class holds %d",
@@ -951,9 +1020,12 @@ func checkArena(m *Memory) error {
 		}
 	}
 	for k, head := range m.free {
-		for h, hops := head, 0; h != 0; h, hops = m.arena[h-1], hops+1 {
-			if int(h-1) >= len(m.arena) || hops > len(m.arena) {
-				return fmt.Errorf("invariant 3: class %d's free list leaves the %d-id arena or loops (offset %d, %d ranges)", k, len(m.arena), h-1, hops)
+		for h, hops := head, 0; h != 0; h, hops = *m.word(h - 1), hops+1 {
+			if hops > m.top {
+				return fmt.Errorf("invariant 3: class %d's free list loops", k)
+			}
+			if err := placed(int(h-1), 1<<k); err != nil {
+				return fmt.Errorf("invariant 3: class %d's free list: %v", k, err)
 			}
 			spans = append(spans, span{int(h - 1), 1 << k, true})
 			words += 1 << k
@@ -981,7 +1053,7 @@ func checkArena(m *Memory) error {
 		return err
 	}
 	for i, a := range spans {
-		end := len(m.arena)
+		end := m.top
 		for _, b := range spans[i+1:] {
 			if b.off > a.off {
 				end = b.off
@@ -995,8 +1067,8 @@ func checkArena(m *Memory) error {
 	if err := overlap(true); err != nil {
 		return err
 	}
-	if words != len(m.arena) {
-		return fmt.Errorf("invariant 4: %d live and free ids in a %d-id arena", words, len(m.arena))
+	if words != m.top || len(m.pages) != (m.top+page-1)/page {
+		return fmt.Errorf("invariant 4: %d live and free ids below top %d, in %d pages", words, m.top, len(m.pages))
 	}
 	return nil
 }

@@ -180,7 +180,7 @@ func loadSnapshot(schema *Schema, data []byte) (*Engine, error) {
 	// One block per constraint, in file order: the store interns the keys as
 	// they come, which is what makes the restored constraint ids — and with
 	// them Walk order and the next snapshot's bytes — those of the writer.
-	mem.Grow(len(sf.Live), sf.Sizes)
+	mem.Grow(len(sf.Live))
 	kl := sf.KeyLen()
 	cell, member := 0, 0
 	for i, live := range sf.Live {
