@@ -390,6 +390,7 @@ func TestMemoryModel(t *testing.T) {
 			for step := 0; step < 3000; step++ {
 				mm.step(step)
 			}
+			stepped := mm.biggest // the random steps' largest cell, before pages grows one past a page
 			mm.pages(3000)
 			if mm.restored < 10 {
 				t.Errorf("the sequence restored a constraint in bulk %d times: too few to check it", mm.restored)
@@ -398,10 +399,13 @@ func TestMemoryModel(t *testing.T) {
 				t.Errorf("the sequence allocated a block %d times and released one %d times: too few to check the lifecycle",
 					mm.fired[true], mm.fired[false])
 			}
-			if mm.biggest <= 1<<pageBits || mm.up < 100 || mm.down < 100 || mm.tails == 0 || mm.runs < 2 {
-				t.Errorf("the largest cell held %d members, lists moved up a class %d times and down one %d times, "+
-					"%d new ranges left a page tail behind and %d took a run of pages: too few to check the arena",
-					mm.biggest, mm.up, mm.down, mm.tails, mm.runs)
+			if stepped <= 64 || mm.up < 100 || mm.down < 100 {
+				t.Errorf("the steps' largest cell held %d members, lists moved up a class %d times and down one %d times: "+
+					"too few to check the size classes", stepped, mm.up, mm.down)
+			}
+			if mm.biggest <= 1<<pageBits || mm.tails == 0 || mm.runs < 2 {
+				t.Errorf("the largest cell held %d members, %d new ranges left a page tail behind and %d took a run of pages: "+
+					"too few to check the pages", mm.biggest, mm.tails, mm.runs)
 			}
 			if mm.installed < 10 || mm.restoredOne < 10 || mm.spread < 10 || mm.unchanged == 0 || mm.releasedOne < 10 {
 				t.Errorf("the sequence installed %d one-member blocks and restored %d, gave %d of them slots, saved one unchanged %d times "+
