@@ -56,7 +56,7 @@ func (a *BaselineSeq) Process(t *relation.Tuple) []Fact {
 		for _, c := range a.ctMasks {
 			a.met.Traversed++
 			if !a.coveredByShared(c) {
-				facts = a.emit(t, c, m, facts)
+				facts = a.emit(c, m, 0, facts)
 			}
 		}
 	}
@@ -153,7 +153,7 @@ func (a *BaselineIdx) Process(t *relation.Tuple) []Fact {
 		for _, c := range a.ctMasks {
 			a.met.Traversed++
 			if !a.seq.coveredByShared(c) {
-				facts = a.emit(t, c, m, facts)
+				facts = a.emit(c, m, 0, facts)
 			}
 		}
 	}

@@ -173,8 +173,7 @@ func (a *BottomUp) walk(t *relation.Tuple, word []subspace.Mask, root bool, fact
 				if emitting {
 					// Invariant 1: the cell, evictees removed and t appended, is
 					// λ_M(σ_C(R)), and no later walk of this arrival visits it.
-					facts = a.emit(t, c, m, facts)
-					facts[len(facts)-1].SkylineSize = int32(cell.Len())
+					facts = a.emit(c, m, int32(cell.Len()), facts)
 				}
 			}
 			if changed {

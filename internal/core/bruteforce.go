@@ -49,7 +49,7 @@ func (a *BruteForce) Process(t *relation.Tuple) []Fact {
 				}
 			}
 			if !pruned {
-				facts = a.emit(t, c, m, facts)
+				facts = a.emit(c, m, 0, facts)
 			}
 		}
 	}

@@ -55,7 +55,7 @@ func (a *CCSC) Process(t *relation.Tuple) []Fact {
 		a.stored += cube.StoredTuples() - beforeStored
 		a.comps += cube.Comparisons() - beforeComps
 		for _, m := range skySubs {
-			facts = a.emit(t, c, m, facts)
+			facts = a.emit(c, m, 0, facts)
 		}
 	}
 	a.met.Comparisons = a.comps

@@ -14,17 +14,14 @@ import (
 // d ≤ 8.
 const MaxLatticeDims = 16
 
-// Fact is one discovered situational fact: the arriving tuple is a
-// contextual skyline tuple for (Constraint, Subspace).
+// Fact is one discovered situational fact about the tuple t the discoverer
+// last processed: t is a contextual skyline tuple for (C, Subspace), where C
+// is the member of C^t that binds the dimensions in Bound to t's values and
+// leaves the others unbound. A fact of t always has C ∈ C^t, so the mask
+// names C; lattice.FromTuple(t, Bound) builds it where one is wanted.
 type Fact struct {
-	// Constraint is the context selector C. Its Vals are read-only: the
-	// facts of one arrival over the same constraint share one backing
-	// array, capped at its length so that an append copies. It is never
-	// written again, however long the fact is kept, so two facts whose
-	// Vals start at one address with one length are over one constraint.
-	// The BottomUp family's walk emits a constraint's facts one after
-	// another, and prominence.Ranker resolves such a run's context once.
-	Constraint lattice.Constraint
+	// Bound is the bound mask of the context selector C.
+	Bound lattice.Mask
 	// Subspace is the measure subspace mask M.
 	Subspace subspace.Mask
 	// SkylineSize is |λ_M(σ_C(R))| including the arriving tuple, as the
@@ -54,9 +51,9 @@ type Discoverer interface {
 	Name() string
 	// Process discovers the facts pertinent to the arrival of t and folds
 	// t into the internal state. Tuples must be presented in arrival order
-	// with unique IDs. The returned slice is valid until the next Process
-	// or Delete on the same discoverer, which may reuse its storage; the
-	// facts copied out of it stay valid.
+	// with unique IDs. The facts are about t: their masks name members of
+	// C^t. The returned slice is valid until the next Process or Delete on
+	// the same discoverer, which may reuse its storage.
 	Process(t *relation.Tuple) []Fact
 	// Metrics returns a snapshot of the work counters.
 	Metrics() Metrics
@@ -130,15 +127,15 @@ type base struct {
 	marks []walkMark
 	queue []lattice.Mask
 
-	// Per-arrival scratch, current iff stamped with keyStamp.
+	// Per-arrival scratch, current iff stamped with keyStamp. cur is the
+	// tuple of the last Process or Delete, the one the skyline sizers
+	// answer for.
 	keyStamp uint32
 	keyEpoch []uint32
 	cids     []store.ConstraintID
-	freshAt  []uint32  // BottomUp's: c is fresh in this arrival iff freshAt[c] == keyStamp
-	vals     []int32   // fact-constraint arena (see emit)
-	factVals [][]int32 // this tuple's emitted constraint values, by mask
-	valsSeen []uint32  // factVals[c] is current iff valsSeen[c] == keyStamp
-	facts    []Fact    // the last arrival's facts; the next one reuses the storage
+	freshAt  []uint32 // BottomUp's: c is fresh in this arrival iff freshAt[c] == keyStamp
+	facts    []Fact   // the last arrival's facts; the next one reuses the storage
+	cur      *relation.Tuple
 
 	// rels caches, by tuple id, the current tuple's Proposition-4 relation
 	// to that tuple over 𝕄 (relTo) — the arrival's, or the one Delete
@@ -203,8 +200,6 @@ func newBase(cfg Config) (*base, error) {
 		in:       st.Interner(),
 		marks:    make([]walkMark, size),
 		keyEpoch: make([]uint32, size),
-		factVals: make([][]int32, size),
-		valsSeen: make([]uint32, size),
 		cids:     make([]store.ConstraintID, size),
 	}, nil
 }
@@ -243,10 +238,10 @@ func (b *base) mark(c lattice.Mask) *walkMark {
 // tuple's relations to stored members. Each walk starts its own epoch.
 func (b *base) newTupleScratch(t *relation.Tuple) {
 	b.register(t)
+	b.cur = t
 	b.keyStamp++
 	if b.keyStamp == 0 { // wrapped: hard reset
 		clear(b.keyEpoch)
-		clear(b.valsSeen)
 		clear(b.freshAt)
 		clear(b.rels)
 		b.keyStamp = 1
@@ -292,35 +287,13 @@ func (b *base) cellRef(t *relation.Tuple, c lattice.Mask, m subspace.Mask) store
 	return store.Ref(b.cid(t, c), m)
 }
 
-// emit materialises a fact. A tuple's thousands of facts draw on the at
-// most 2^d constraints of C^t, so the value slice of each is built once
-// per tuple and shared, read-only, by every fact over it (see Fact). The
-// slices are carved out of a block arena — one allocation per emitBlock
-// constraints. Blocks are never reused, so a fact copied out of the
-// arrival's slice stays valid indefinitely; the three-index slice keeps one
-// constraint's Vals from being overwritten by the next.
-func (b *base) emit(t *relation.Tuple, c lattice.Mask, m subspace.Mask, facts []Fact) []Fact {
+// emit records the fact (C, m) of the current arrival, C the member of C^t
+// that binds c; sky is its skyline size where the algorithm knows it, else
+// 0.
+func (b *base) emit(c lattice.Mask, m subspace.Mask, sky int32, facts []Fact) []Fact {
 	b.met.Facts++
-	if b.valsSeen[c] != b.keyStamp {
-		if cap(b.vals)-len(b.vals) < b.d {
-			b.vals = make([]int32, 0, emitBlock*b.d)
-		}
-		start := len(b.vals)
-		for i := 0; i < b.d; i++ {
-			v := lattice.Wildcard
-			if c&(1<<uint(i)) != 0 {
-				v = t.Dims[i]
-			}
-			b.vals = append(b.vals, v)
-		}
-		b.factVals[c] = b.vals[start:len(b.vals):len(b.vals)]
-		b.valsSeen[c] = b.keyStamp
-	}
-	return append(facts, Fact{Constraint: lattice.Constraint{Vals: b.factVals[c]}, Subspace: m})
+	return append(facts, Fact{Bound: c, Subspace: m, SkylineSize: sky})
 }
-
-// emitBlock is the fact-arena block size, in constraints.
-const emitBlock = 256
 
 // prune marks every submask of c pruned in the walk's subspace bits
 // (Proposition 3: the interval [⊥(C^{t,t'}), ⊤] of the intersection

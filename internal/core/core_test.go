@@ -33,9 +33,13 @@ func TestExample1Table1(t *testing.T) {
 			facts = alg.Process(tu) // keep only t7's facts
 		}
 		set := factSet(facts)
+		t7 := tb.Tuples()[6]
 
 		has := func(c lattice.Constraint, m subspace.Mask) bool {
-			return set[factKey{c.Key(), m}]
+			if !c.Satisfies(t7) {
+				t.Fatalf("constraint %v is not a member of C^t7", c.Vals)
+			}
+			return set[factKey{c.BoundMask(), m}]
 		}
 		d := tb.Dict()
 		lookup := func(dim int, v string) int32 {
@@ -269,9 +273,9 @@ func TestEquivalenceRandom(t *testing.T) {
 					if ok, why := sameFacts(ref, got); !ok {
 						t.Fatalf("tuple %d: %s disagrees with Oracle: %s\noracle: %v\n%s: %v",
 							tu.ID, alg.Name(), why,
-							sortedFactStrings(ref, tb.Schema(), tb.Dict()),
+							sortedFactStrings(ref, tu, tb.Schema(), tb.Dict()),
 							alg.Name(),
-							sortedFactStrings(got, tb.Schema(), tb.Dict()))
+							sortedFactStrings(got, tu, tb.Schema(), tb.Dict()))
 					}
 				}
 			}
@@ -441,8 +445,8 @@ func TestMetricsSanity(t *testing.T) {
 }
 
 // TestFactsWellFormed checks basic fact hygiene on a random stream: the
-// constraint is satisfied by the arriving tuple, the subspace is non-empty
-// and within m̂, bound(C) ≤ d̂.
+// bound mask names a member of C^t, the subspace is non-empty and within
+// m̂, bound(C) ≤ d̂.
 func TestFactsWellFormed(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	tb := randomTable(t, rng, 50, 4, 3, 3, 4)
@@ -450,11 +454,11 @@ func TestFactsWellFormed(t *testing.T) {
 	for _, alg := range allAlgorithms(t, cfg) {
 		for _, tu := range tb.Tuples() {
 			for _, f := range alg.Process(tu) {
-				if !f.Constraint.Satisfies(tu) {
-					t.Fatalf("%s: fact constraint %v not satisfied by its tuple", alg.Name(), f.Constraint.Vals)
+				if f.Bound>>4 != 0 {
+					t.Fatalf("%s: fact bound mask %b names no member of C^t over 4 dimensions", alg.Name(), f.Bound)
 				}
-				if f.Constraint.Bound() > 2 {
-					t.Fatalf("%s: fact bound(C)=%d exceeds d̂=2", alg.Name(), f.Constraint.Bound())
+				if lattice.PopCount(f.Bound) > 2 {
+					t.Fatalf("%s: fact bound(C)=%d exceeds d̂=2", alg.Name(), lattice.PopCount(f.Bound))
 				}
 				if f.Subspace == 0 || subspace.Size(f.Subspace) > 2 {
 					t.Fatalf("%s: fact subspace %b violates m̂=2", alg.Name(), f.Subspace)

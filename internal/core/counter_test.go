@@ -7,40 +7,46 @@ import (
 	"repro/internal/store"
 )
 
+// countOf is |σ_C(R)| as cc counts it, found by C's key; 0 for a
+// constraint it never saw.
+func countOf(cc *ContextCounter, c lattice.Constraint) int64 {
+	if id, ok := cc.in.Lookup(c.Key()); ok {
+		return cc.SizeOf(id)
+	}
+	return 0
+}
+
 func TestContextCounter(t *testing.T) {
 	tb := table4(t)
 	cc := NewContextCounter(3, -1)
 	for _, tu := range tb.Tuples() {
 		cc.Observe(tu)
 	}
-	// ⊤ counts everything.
-	if got := cc.ContextSize(lattice.Top(3)); got != 5 {
-		t.Errorf("|σ_⊤| = %d, want 5", got)
+	// ContextSize answers by mask for the last arrival, t5 = (a1,b1,c1): ⊤
+	// counts everything, 〈a1,*,*〉 holds t1, t2, t5 and 〈a1,b1,c1〉 t2, t5.
+	t5 := tb.Tuples()[4]
+	for mask, want := range map[lattice.Mask]int64{0: 5, 0b001: 3, 0b111: 2} {
+		if got := cc.ContextSize(mask); got != want {
+			t.Errorf("ContextSize(%03b) = %d, want %d", mask, got, want)
+		}
 	}
-	// 〈a1,*,*〉 holds t1, t2, t5.
-	a1, _ := tb.Dict().Lookup(0, "a1")
-	c := lattice.Constraint{Vals: []int32{a1, lattice.Wildcard, lattice.Wildcard}}
-	if got := cc.ContextSize(c); got != 3 {
-		t.Errorf("|σ_a1| = %d, want 3", got)
+	for mask := lattice.Mask(0); mask < 8; mask++ {
+		if got, want := cc.ContextSize(mask), countOf(cc, lattice.FromTuple(t5, mask)); got != want {
+			t.Errorf("ContextSize(%03b) = %d, the count under t5's constraint is %d", mask, got, want)
+		}
 	}
-	// 〈a1,b1,c1〉 holds t2, t5.
-	b1, _ := tb.Dict().Lookup(1, "b1")
-	c1, _ := tb.Dict().Lookup(2, "c1")
-	full := lattice.Constraint{Vals: []int32{a1, b1, c1}}
-	if got := cc.ContextSize(full); got != 2 {
-		t.Errorf("|σ_abc| = %d, want 2", got)
-	}
+	full := lattice.FromTuple(t5, 0b111)
 	// Never-seen constraints count zero.
-	if got := cc.ContextSize(lattice.Constraint{Vals: []int32{99, lattice.Wildcard, lattice.Wildcard}}); got != 0 {
+	if got := countOf(cc, lattice.Constraint{Vals: []int32{99, lattice.Wildcard, lattice.Wildcard}}); got != 0 {
 		t.Errorf("unknown context size = %d", got)
 	}
 
 	// Unobserve reverses exactly.
-	cc.Unobserve(tb.Tuples()[4]) // t5 = (a1,b1,c1)
-	if got := cc.ContextSize(full); got != 1 {
+	cc.Unobserve(t5)
+	if got := countOf(cc, full); got != 1 {
 		t.Errorf("after unobserve |σ_abc| = %d, want 1", got)
 	}
-	if got := cc.ContextSize(lattice.Top(3)); got != 4 {
+	if got := countOf(cc, lattice.Top(3)); got != 4 {
 		t.Errorf("after unobserve |σ_⊤| = %d, want 4", got)
 	}
 
@@ -64,11 +70,11 @@ func TestContextCounter(t *testing.T) {
 			t.Errorf("restored count of constraint %d = %d, want %d", id, got, want)
 		}
 	}
-	cc2.Observe(tb.Tuples()[4])
-	if got := cc2.ContextSize(full); got != 2 {
+	cc2.Observe(t5)
+	if got := cc2.ContextSize(0b111); got != 2 {
 		t.Errorf("restored counter after observe |σ_abc| = %d, want 2", got)
 	}
-	if got := cc.ContextSize(full); got != 1 {
+	if got := countOf(cc, full); got != 1 {
 		t.Errorf("a second counter over the table moved the first: |σ_abc| = %d, want 1", got)
 	}
 }
@@ -79,14 +85,14 @@ func TestContextCounterRespectsCap(t *testing.T) {
 	for _, tu := range tb.Tuples() {
 		cc.Observe(tu)
 	}
-	a1, _ := tb.Dict().Lookup(0, "a1")
-	b1, _ := tb.Dict().Lookup(1, "b1")
-	two := lattice.Constraint{Vals: []int32{a1, b1, lattice.Wildcard}}
-	if got := cc.ContextSize(two); got != 0 {
+	// The last arrival is t5 = (a1,b1,c1).
+	if got := cc.ContextSize(0b011); got != 0 {
 		t.Errorf("bound-2 constraint counted %d under d̂=1", got)
 	}
-	one := lattice.Constraint{Vals: []int32{a1, lattice.Wildcard, lattice.Wildcard}}
-	if got := cc.ContextSize(one); got != 3 {
+	if got := countOf(cc, lattice.FromTuple(tb.Tuples()[4], 0b011)); got != 0 {
+		t.Errorf("bound-2 constraint counted %d under d̂=1", got)
+	}
+	if got := cc.ContextSize(0b001); got != 3 {
 		t.Errorf("bound-1 constraint = %d, want 3", got)
 	}
 }
@@ -106,10 +112,9 @@ func TestContextCounterProbesAllocateNothing(t *testing.T) {
 		cc.Observe(tu)
 	}
 	tu := tb.Tuples()[4]
-	full := lattice.Constraint{Vals: tu.Dims}
 	if avg := testing.AllocsPerRun(100, func() {
 		cc.Observe(tu)
-		cc.ContextSize(full)
+		cc.ContextSize(0b111)
 		cc.Unobserve(tu)
 	}); avg != 0 {
 		t.Errorf("Observe+ContextSize+Unobserve of seen constraints = %.0f allocs, want 0", avg)

@@ -37,7 +37,8 @@
 // of counts over a store.Interner's constraint ids. An engine builds it over
 // its discoverer's own table (NewContextCounterOver), so one id per
 // constraint finds its µ block and its count, and whoever holds the id reads
-// the count by SizeOf(id) — Each and Set speak ids too; ContextSize(c) is the
-// one probe by key, for callers that hold a constraint. NewContextCounter
-// gives a standalone counter a table of its own.
+// the count by SizeOf(id) — Each and Set speak ids too. ContextSize(bound)
+// reads the last observed arrival's counts by mask, as ranking its facts
+// wants them. NewContextCounter gives a standalone counter a table of its
+// own.
 package core

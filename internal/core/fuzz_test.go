@@ -92,17 +92,18 @@ func checkArrival(t *testing.T, alg *BottomUp, tu *relation.Tuple, history []*re
 		t.Fatalf("tuple %d: %s diverged: %s", tu.ID, alg.Name(), why)
 	}
 	for _, f := range got {
-		if n := skylineCount(history, f.Constraint, f.Subspace); int(f.SkylineSize) != n {
+		c := lattice.FromTuple(tu, f.Bound)
+		if n := skylineCount(history, c, f.Subspace); int(f.SkylineSize) != n {
 			t.Fatalf("tuple %d: %s fact (%v, %b) carries skyline size %d, λ_M(σ_C(R)) holds %d",
-				tu.ID, alg.Name(), f.Constraint.Vals, f.Subspace, f.SkylineSize, n)
+				tu.ID, alg.Name(), c.Vals, f.Subspace, f.SkylineSize, n)
 		}
 	}
 }
 
 // TestStampWrapAround runs BottomUp, SBottomUp and STopDown across the wrap
 // of both 32-bit scratch stamps: the per-walk epoch (pruned, queued and
-// ancestor marks) and the per-arrival key stamp (constraint ids, fact
-// values, fresh constraints and the relation cache). A long-running engine
+// ancestor marks) and the per-arrival key stamp (constraint ids, fresh
+// constraints and the relation cache). A long-running engine
 // reaches the epoch's after about 1.4 G wide arrivals (three walks each: the
 // root walk and two of 64 subspaces) and the key stamp's after 4.3 G. Three
 // arrivals mark the scratch with small stamps, then both jump to just below
@@ -172,7 +173,7 @@ func stampAhead(b *base) string {
 	for _, col := range []struct {
 		name   string
 		stamps []uint32
-	}{{"constraint id", b.keyEpoch}, {"fact values", b.valsSeen}, {"fresh mark", b.freshAt}} {
+	}{{"constraint id", b.keyEpoch}, {"fresh mark", b.freshAt}} {
 		for c, s := range col.stamps {
 			if s > b.keyStamp {
 				return fmt.Sprintf("%s of constraint %b stamped %d, key stamp now %d", col.name, c, s, b.keyStamp)

@@ -31,18 +31,19 @@ import (
 //
 // Building the live store is also held to a budget of bytes allocated per
 // entry (TotalAlloc), which counts what the store copied and dropped on the
-// way. The id arena's pages never move, and building allocates 7.8 B per
-// entry on the wide shape and 33.7 B on the narrow one; with an arena grown
-// by doubling and copying it allocated 21.0 B and 45.6 B. The budgets lie
-// in between.
+// way. The id arena's pages never move, and a fact is two masks and a size,
+// so building allocates 7.2 B per entry on the wide shape and 31.5 B on the
+// narrow one; with a copy of each fact's constraint values it allocated
+// 7.8 B and 33.7 B, and with an arena grown by doubling and copying 21.0 B
+// and 45.6 B. The budgets lie between the first two.
 func TestDiscoveryHeapPerStoredEntry(t *testing.T) {
 	for _, tc := range []struct {
 		d, m, rows                          int
 		maxBytesPerEntry, maxObjectsPerCell float64
 		maxAllocPerEntry                    float64
 	}{
-		{5, 7, 400, 7.3, 0.012, 12},  // measured 5.7 B per entry, 0.010 objects per cell
-		{4, 4, 3000, 18.4, 0.13, 40}, // measured 15.5 B per entry, 0.107 objects per cell
+		{5, 7, 400, 7.3, 0.012, 7.5}, // measured 5.6 B per entry, 0.010 objects per cell
+		{4, 4, 3000, 18.4, 0.13, 33}, // measured 15.2 B per entry, 0.106 objects per cell
 	} {
 		t.Run(fmt.Sprintf("d=%d,m=%d", tc.d, tc.m), func(t *testing.T) {
 			g, err := gen.NewNBA(gen.NBAConfig{Seed: 2014}, tc.d, tc.m)

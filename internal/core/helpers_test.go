@@ -12,16 +12,17 @@ import (
 	"repro/internal/subspace"
 )
 
-// factKey is a canonical representation for set comparison.
+// factKey is a canonical representation for set comparison of one
+// arrival's facts, whose bound masks name their constraints.
 type factKey struct {
-	c lattice.Key
+	c lattice.Mask
 	m subspace.Mask
 }
 
 func factSet(fs []Fact) map[factKey]bool {
 	out := make(map[factKey]bool, len(fs))
 	for _, f := range fs {
-		out[factKey{f.Constraint.Key(), f.Subspace}] = true
+		out[factKey{f.Bound, f.Subspace}] = true
 	}
 	return out
 }
@@ -33,12 +34,12 @@ func sameFacts(a, b []Fact) (bool, string) {
 	}
 	for k := range sa {
 		if !sb[k] {
-			return false, fmt.Sprintf("fact %x/%b missing from second set", string(k.c), k.m)
+			return false, fmt.Sprintf("fact %b/%b missing from second set", k.c, k.m)
 		}
 	}
 	for k := range sb {
 		if !sa[k] {
-			return false, fmt.Sprintf("fact %x/%b missing from first set", string(k.c), k.m)
+			return false, fmt.Sprintf("fact %b/%b missing from first set", k.c, k.m)
 		}
 	}
 	return true, ""
@@ -269,10 +270,10 @@ func removeTuple(ts []*relation.Tuple, u *relation.Tuple) []*relation.Tuple {
 	return ts
 }
 
-func sortedFactStrings(fs []Fact, s *relation.Schema, dict *relation.Dict) []string {
+func sortedFactStrings(fs []Fact, tu *relation.Tuple, s *relation.Schema, dict *relation.Dict) []string {
 	out := make([]string, 0, len(fs))
 	for _, f := range fs {
-		out = append(out, fmt.Sprintf("%s | {%v}", f.Constraint.Format(s, dict), subspace.Names(f.Subspace, s)))
+		out = append(out, fmt.Sprintf("%s | {%v}", lattice.FromTuple(tu, f.Bound).Format(s, dict), subspace.Names(f.Subspace, s)))
 	}
 	sort.Strings(out)
 	return out

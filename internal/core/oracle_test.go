@@ -54,7 +54,7 @@ func (a *Oracle) Process(t *relation.Tuple) []Fact {
 				}
 			}
 			if !dominated {
-				facts = a.emit(t, c, m, facts)
+				facts = a.emit(c, m, 0, facts)
 			}
 		}
 	}

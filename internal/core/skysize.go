@@ -8,21 +8,22 @@ import (
 )
 
 // SkylineSizer reports |λ_M(σ_C(R))|, the denominator of the paper's
-// prominence measure |σ_C(R)| / |λ_M(σ_C(R))| (§VII). Both µ-store
-// families implement it; the cost differs because of their storage
-// schemes.
+// prominence measure |σ_C(R)| / |λ_M(σ_C(R))| (§VII), for the member C of
+// C^t that binds bound, t the tuple the discoverer last processed: like the
+// facts Process returns, an answer is about that arrival, until the next
+// Process or Delete. Both µ-store families implement it; the cost differs
+// because of their storage schemes.
 type SkylineSizer interface {
-	SkylineSize(c lattice.Constraint, m subspace.Mask) int
+	SkylineSize(bound lattice.Mask, m subspace.Mask) int
 }
 
 // SkylineSize implements SkylineSizer for the BottomUp family: Invariant 1
 // makes µ(C,M) the skyline itself, so the size is the cell length. The
-// probe goes through Interner.LookupConstraint so sizing absent
-// constraints does not grow the intern table. Discovery hands each fact
-// this size as it emits it (Fact.SkylineSize), so ranking an arrival asks
-// for none.
-func (a *BottomUp) SkylineSize(c lattice.Constraint, m subspace.Mask) int {
-	id, ok := a.in.LookupConstraint(c)
+// probe goes through Interner.LookupTuple so sizing absent constraints does
+// not grow the intern table. Discovery hands each fact this size as it
+// emits it (Fact.SkylineSize), so ranking an arrival asks for none.
+func (a *BottomUp) SkylineSize(bound lattice.Mask, m subspace.Mask) int {
+	id, ok := a.in.LookupTuple(a.cur, bound)
 	if !ok {
 		return 0
 	}
@@ -31,52 +32,35 @@ func (a *BottomUp) SkylineSize(c lattice.Constraint, m subspace.Mask) int {
 
 // SkylineSize implements SkylineSizer for the TopDown family: Invariant 2
 // stores a tuple only at its maximal skyline constraints, so the skyline
-// of (C,M) is the set of tuples stored at C or any of its ancestors
-// (2^bound(C) cells) that satisfy C. Tuples stored at two incomparable
-// ancestors are deduplicated by ID. Cells carry ids only; the satisfaction
-// test resolves dimension values through the tuple registry.
-func (a *TopDown) SkylineSize(c lattice.Constraint, m subspace.Mask) int {
-	bound := c.BoundMask()
+// of (C,M) is the set of tuples stored at C or any of its ancestors — the
+// 2^bound(C) submasks of bound — that satisfy C. Tuples stored at two
+// incomparable ancestors are deduplicated by ID. Cells carry ids only; the
+// satisfaction test resolves dimension values through the tuple registry.
+func (a *TopDown) SkylineSize(bound lattice.Mask, m subspace.Mask) int {
+	t := a.cur
 	var seen map[int64]bool
 	count := 0
-	visit := func(anc lattice.Constraint) {
-		id, ok := a.in.LookupConstraint(anc)
-		if !ok {
-			return
-		}
-		cell := a.st.Load(store.Ref(id, m))
-		for i, n := 0, cell.Len(); i < n; i++ {
-			uid := cell.ID(i)
-			if !c.Satisfies(a.tupleByID(uid)) {
-				continue
-			}
-			if seen == nil {
-				seen = make(map[int64]bool, 8)
-			}
-			if !seen[uid] {
-				seen[uid] = true
-				count++
+	for sub := bound; ; sub = (sub - 1) & bound {
+		if id, ok := a.in.LookupTuple(t, sub); ok {
+			cell := a.st.Load(store.Ref(id, m))
+			for i, n := 0, cell.Len(); i < n; i++ {
+				uid := cell.ID(i)
+				if !satisfiesMask(t, a.tupleByID(uid), bound) {
+					continue
+				}
+				if seen == nil {
+					seen = make(map[int64]bool, 8)
+				}
+				if !seen[uid] {
+					seen[uid] = true
+					count++
+				}
 			}
 		}
-	}
-	// Enumerate ancestors-or-self: blank out every subset of bound attrs.
-	sub := bound
-	for {
-		anc := lattice.Constraint{Vals: make([]int32, len(c.Vals))}
-		for i := range c.Vals {
-			if sub&(1<<uint(i)) != 0 {
-				anc.Vals[i] = c.Vals[i]
-			} else {
-				anc.Vals[i] = lattice.Wildcard
-			}
-		}
-		visit(anc)
 		if sub == 0 {
-			break
+			return count
 		}
-		sub = (sub - 1) & bound
 	}
-	return count
 }
 
 var (
@@ -101,6 +85,7 @@ type ContextCounter struct {
 	in    *store.Interner
 	n     []int64 // by constraint id; 0 = no count
 	live  int     // constraints with a count
+	last  []int64 // by bound mask: the last observed arrival's context sizes
 }
 
 // NewContextCounter creates a counter for d dimension attributes with the
@@ -113,14 +98,17 @@ func NewContextCounter(d, maxBound int) *ContextCounter {
 // which the counter shares: Observe interns the constraints of C^t it does
 // not find there.
 func NewContextCounterOver(in *store.Interner, d, maxBound int) *ContextCounter {
-	return &ContextCounter{masks: lattice.CtMasks(d, maxBound), in: in}
+	return &ContextCounter{masks: lattice.CtMasks(d, maxBound), in: in, last: make([]int64, 1<<uint(d))}
 }
 
-// Observe folds an arrival into the counts.
+// Observe folds an arrival into the counts, and records them by bound mask
+// for ContextSize.
 func (cc *ContextCounter) Observe(t *relation.Tuple) {
 	for _, m := range cc.masks {
 		id := cc.in.InternTuple(t, m)
-		cc.Set(id, cc.SizeOf(id)+1)
+		n := cc.SizeOf(id) + 1
+		cc.Set(id, n)
+		cc.last[m] = n
 	}
 }
 
@@ -135,15 +123,13 @@ func (cc *ContextCounter) Unobserve(t *relation.Tuple) {
 	}
 }
 
-// ContextSize returns |σ_C(R)| for the constraint (0 if never observed).
-func (cc *ContextCounter) ContextSize(c lattice.Constraint) int64 {
-	if id, ok := cc.in.LookupConstraint(c); ok {
-		return cc.SizeOf(id)
-	}
-	return 0
-}
+// ContextSize returns |σ_C(R)| as Observe counted it, C the member of C^t
+// that binds bound and t the arrival last observed: an array read, about
+// that arrival until the next Observe (Unobserve leaves it as it was). It
+// is 0 for a mask beyond the d̂ cap.
+func (cc *ContextCounter) ContextSize(bound lattice.Mask) int64 { return cc.last[bound] }
 
-// SizeOf is ContextSize by the table's id of the constraint: an array read.
+// SizeOf returns |σ_C(R)| by the table's id of C: an array read.
 func (cc *ContextCounter) SizeOf(id store.ConstraintID) int64 {
 	if int(id) < len(cc.n) {
 		return cc.n[id]

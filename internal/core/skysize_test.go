@@ -37,9 +37,9 @@ func TestDiscoverySizesAreSkylines(t *testing.T) {
 				facts := 0
 				for _, tu := range tb.Tuples() {
 					for _, f := range alg.Process(tu) {
-						if want := alg.SkylineSize(f.Constraint, f.Subspace); int(f.SkylineSize) != want {
-							t.Fatalf("tuple %d, fact (%v, %b): carries skyline size %d, the store's cell holds %d",
-								tu.ID, f.Constraint.Vals, f.Subspace, f.SkylineSize, want)
+						if want := alg.SkylineSize(f.Bound, f.Subspace); int(f.SkylineSize) != want {
+							t.Fatalf("tuple %d, fact (%b, %b): carries skyline size %d, the store's cell holds %d",
+								tu.ID, f.Bound, f.Subspace, f.SkylineSize, want)
 						}
 						facts++
 					}

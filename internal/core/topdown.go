@@ -110,7 +110,7 @@ func (a *TopDown) traverseRoot(t *relation.Tuple, m subspace.Mask, record bool, 
 		a.met.Comparisons += int64(len(ids))
 		mk := a.mark(c)
 		if mk.pruned == 0 && emitting {
-			facts = a.emit(t, c, m, facts)
+			facts = a.emit(c, m, 0, facts)
 		}
 		a.settle(t, ref, cell, rem, c, m, mk.pruned == 0 && !mk.anc)
 		a.enqueueChildren(c)
@@ -142,7 +142,7 @@ func (a *TopDown) traverseNode(t *relation.Tuple, m subspace.Mask, facts []Fact)
 			// examined); pruned ones are skipped over by the walk, which
 			// is STopDown's Fig-11b advantage over TopDown.
 			a.met.Traversed++
-			facts = a.emit(t, c, m, facts)
+			facts = a.emit(c, m, 0, facts)
 			ref := a.cellRef(t, c, m)
 			cell := a.st.Load(ref)
 			// The pre-pruning is complete for this pass (no stored member can

@@ -7,6 +7,7 @@ import (
 	"strings"
 
 	"repro/internal/core"
+	"repro/internal/lattice"
 	"repro/internal/prominence"
 	"repro/internal/relation"
 	"repro/internal/subspace"
@@ -137,7 +138,7 @@ func Fig15(p Params) (*Result, error) {
 				continue
 			}
 			for _, f := range r.facts {
-				byBound[f.Constraint.Bound()]++
+				byBound[lattice.PopCount(f.Bound)]++
 				byMsize[subspace.Size(f.Subspace)]++
 			}
 		}
@@ -178,7 +179,7 @@ func CaseStudy(w io.Writer, p Params) error {
 		for _, sf := range r.facts[:min(2, len(r.facts))] {
 			fmt.Fprintf(w, "tuple %6d  prom %8.4g = %6d/%-3d  (%s | {%s})\n",
 				r.tupleID, sf.Prominence, sf.ContextSize, sf.SkylineSize,
-				sf.Constraint.Format(tb.Schema(), tb.Dict()),
+				lattice.FromTuple(tb.At(int(r.tupleID)), sf.Bound).Format(tb.Schema(), tb.Dict()),
 				strings.Join(subspace.Names(sf.Subspace, tb.Schema()), ", "))
 		}
 		shown++

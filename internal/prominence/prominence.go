@@ -11,7 +11,6 @@
 package prominence
 
 import (
-	"cmp"
 	"math"
 	"math/bits"
 	"slices"
@@ -21,29 +20,29 @@ import (
 	"repro/internal/subspace"
 )
 
-// ScoredFact is a fact with its prominence value and the two cardinalities
-// it derives from.
+// ScoredFact is a fact with its prominence value and the context size it
+// derives from; the embedded Fact carries the skyline size.
 type ScoredFact struct {
 	core.Fact
 	// ContextSize is |σ_C(R)| including the arriving tuple.
 	ContextSize int64
-	// SkylineSize is |λ_M(σ_C(R))| including the arriving tuple: the
-	// embedded Fact's, or the sizer's where discovery left that 0.
-	SkylineSize int
 	// Prominence is ContextSize / SkylineSize.
 	Prominence float64
 }
 
-// ContextSizer supplies |σ_C(R)|; core.ContextCounter implements it.
+// ContextSizer supplies |σ_C(R)| for the member C of C^t that binds bound,
+// t the arrival last observed: an answer is about that arrival, until the
+// next one is observed. core.ContextCounter implements it.
 type ContextSizer interface {
-	ContextSize(c lattice.Constraint) int64
+	ContextSize(bound lattice.Mask) int64
 }
 
-// Score computes the prominence of every fact and returns them sorted in
-// descending prominence (ties broken by more bound attributes first, then
-// smaller subspace, for stable and intuition-friendly output; the final
-// tie-break is the byte order of the constraints' store keys). It is
-// Ranker.Rank of every fact written out as a slice.
+// Score computes the prominence of every fact of one arrival and returns
+// them sorted in descending prominence (ties broken by more bound
+// attributes first, then smaller subspace, for stable and
+// intuition-friendly output; the final tie-break is the byte order of the
+// constraints' store keys). ctx and sky must answer for the arrival whose
+// facts these are. It is Ranker.Rank of every fact written out as a slice.
 func Score(facts []core.Fact, ctx ContextSizer, sky core.SkylineSizer) []ScoredFact {
 	var r Ranker
 	r.Rank(facts, ctx, sky, len(facts))
@@ -58,43 +57,20 @@ func Score(facts []core.Fact, ctx ContextSizer, sky core.SkylineSizer) []ScoredF
 // best k facts, At reads the i-th of them. A Ranker keeps its working
 // storage from one Rank to the next, so an engine that ranks every arrival
 // through its own Ranker allocates nothing for it once warm; the zero value
-// is ready. It refers to its last input until the next Rank, and is not
-// safe for concurrent use.
+// is ready. It refers to its last input and sizers until the next Rank, and
+// is not safe for concurrent use.
 //
-// The facts of one arrival number in the thousands but draw their
-// constraints from the at most 2^d members of C^t, so everything that
-// depends on the constraint alone — the context size, the bound count, its
-// place in key order — is resolved once per distinct constraint, and the
-// selection and the sort read nothing but three integers per fact. The
-// facts over one constraint share one Vals array (core.Fact) and a lattice
-// walk emits them one after another, so a fact whose Vals is its
-// predecessor's slice — same first element, same length — takes its
-// predecessor's entry without resolving its constraint again.
+// Every fact of one arrival is over a member of C^t, so its bound mask
+// names its constraint: the context size is an array read by mask, the
+// bound count is the mask's popcount and the constraint's place in key
+// order is a function of the mask (keyOrdinal). The selection and the sort
+// read nothing but three integers per fact.
 type Ranker struct {
 	facts []core.Fact
+	ctx   ContextSizer
 	words [numWords][]uint64 // what the order reads, by input position
-	sky   []int              // skyline size, by input position
 	perm  []uint32           // the ranking's first k: input positions, best first
 	spare []uint32           // the sort's other buffer
-
-	// The distinct constraints of the input. Constraints are identified by
-	// value — equal constraints from different tuples carry different Vals
-	// slices — and found without building or hashing their key bytes:
-	// heads buckets them by bound mask (within one arrival the bound mask
-	// IS the constraint), next chains the ones sharing a bucket, and a
-	// probe compares values.
-	ents  []contextEntry
-	heads []int32 // bucket → 1 + position in ents of the chain's first entry
-	order []int32 // ents positions in key order
-}
-
-type contextEntry struct {
-	vals   []int32
-	size   int64  // |σ_C(R)|
-	rank   uint64 // the constraint's part of a fact's wordRank
-	bucket uint32
-	next   int32  // 1 + position of the next entry in the bucket, 0 at the end
-	ord    uint32 // position in key order among ents
 }
 
 // The ordering reads three integers about each fact, held in words by
@@ -107,9 +83,7 @@ const (
 	// wordRank packs the tie-breaks after prominence: inverted bound count,
 	// subspace size, subspace mask.
 	wordRank
-	// wordOrd is the constraint's position in key order, the last
-	// tie-break. (While the facts are being scored it is the constraint's
-	// position in ents, which At finds again through order.)
+	// wordOrd is the constraint's keyOrdinal, the last tie-break.
 	wordOrd
 	numWords
 )
@@ -215,61 +189,41 @@ func ascending(u uint64) float64 {
 	return math.Float64frombits(^u &^ (1 << 63))
 }
 
-// maxBucketBits caps the bucket table at 4096 slots however wide the
-// constraints are; wider bound masks share buckets.
-const maxBucketBits = 12
+// keyOrdinal orders the members of one C^t as their lattice.Key strings
+// compare. A key is the little-endian bytes of each dimension's value in
+// turn, and two members of C^t differ first at the lowest dimension one
+// binds and the other does not. There a dictionary code's bytes sort below
+// Wildcard's (all ones), so the mask that binds that dimension sorts first:
+// with the bits reversed, that is the smaller complement.
+func keyOrdinal(bound lattice.Mask) uint64 { return uint64(^bits.Reverse32(bound)) }
 
 // Rank keeps the first k facts of Score's ranking (all for k ≥ len(facts),
 // none for k ≤ 0), sorting only those. Every fact is scored whatever k is:
-// ctx is asked once per distinct constraint, and sky only for the facts
-// that do not carry their skyline size (Fact.SkylineSize 0: TopDown's).
+// ctx is asked once per run of facts over one constraint, and sky only for
+// the facts that do not carry their skyline size (Fact.SkylineSize 0:
+// TopDown's). Rank writes sky's answer into those facts.
 func (r *Ranker) Rank(facts []core.Fact, ctx ContextSizer, sky core.SkylineSizer, k int) {
-	for i := range r.ents {
-		r.heads[r.ents[i].bucket] = 0
-	}
-	clear(r.ents) // the entries hold the last input's Vals
-	r.ents = r.ents[:0]
-	r.facts = facts
+	r.facts, r.ctx = facts, ctx
 	for w := range r.words {
 		r.words[w] = sized(r.words[w], len(facts))
 	}
-	r.sky = sized(r.sky, len(facts))
 	proms, ranks, ords := r.words[wordProminence], r.words[wordRank], r.words[wordOrd]
-
-	ei := int32(-1)
-	for i, f := range facts {
-		if ei < 0 || !sameSlice(f.Constraint.Vals, facts[i-1].Constraint.Vals) {
-			ei = r.resolve(f.Constraint, ctx)
+	var size int64
+	for i := range facts {
+		f := &facts[i]
+		if i == 0 || f.Bound != facts[i-1].Bound {
+			size = ctx.ContextSize(f.Bound)
 		}
-		ent := &r.ents[ei]
-		ss := int(f.SkylineSize)
-		if ss == 0 {
-			ss = sky.SkylineSize(f.Constraint, f.Subspace)
+		if f.SkylineSize == 0 {
+			f.SkylineSize = int32(sky.SkylineSize(f.Bound, f.Subspace))
 		}
 		var prom float64
-		if ss > 0 {
-			prom = float64(ent.size) / float64(ss)
+		if f.SkylineSize > 0 {
+			prom = float64(size) / float64(f.SkylineSize)
 		}
-		r.sky[i] = ss
 		proms[i] = descending(prom)
-		ranks[i] = ent.rank | uint64(subspace.Size(f.Subspace))<<32 | uint64(f.Subspace)
-		ords[i] = uint64(ei)
-	}
-
-	// Each constraint's ordinal in key order, once per call rather than
-	// once per comparison of two facts that tie on everything else.
-	r.order = sized(r.order, len(r.ents))
-	for i := range r.order {
-		r.order[i] = int32(i)
-	}
-	slices.SortFunc(r.order, func(a, b int32) int {
-		return compareKeyOrder(r.ents[a].vals, r.ents[b].vals)
-	})
-	for ord, ei := range r.order {
-		r.ents[ei].ord = uint32(ord)
-	}
-	for i, ei := range ords {
-		ords[i] = uint64(r.ents[ei].ord)
+		ranks[i] = uint64(^uint16(lattice.PopCount(f.Bound)))<<40 | uint64(subspace.Size(f.Subspace))<<32 | uint64(f.Subspace)
+		ords[i] = keyOrdinal(f.Bound)
 	}
 	r.perm = sized(r.perm, max(0, min(k, len(facts))))
 	for i := range r.perm {
@@ -287,61 +241,12 @@ func (r *Ranker) Len() int { return len(r.perm) }
 // At returns the fact ranked i-th, scored.
 func (r *Ranker) At(i int) ScoredFact {
 	pos := r.perm[i]
+	f := r.facts[pos]
 	return ScoredFact{
-		Fact:        r.facts[pos],
-		ContextSize: r.ents[r.order[r.words[wordOrd][pos]]].size,
-		SkylineSize: r.sky[pos],
+		Fact:        f,
+		ContextSize: r.ctx.ContextSize(f.Bound),
 		Prominence:  ascending(r.words[wordProminence][pos]),
 	}
-}
-
-// sameSlice reports whether a and b are one slice of one array, and so hold
-// the same values.
-func sameSlice(a, b []int32) bool {
-	return len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0])
-}
-
-// resolve returns the position in ents of c's entry, making it — sizing
-// c's context — on first sight.
-func (r *Ranker) resolve(c lattice.Constraint, ctx ContextSizer) int32 {
-	if want := 1 << min(len(c.Vals), maxBucketBits); want > len(r.heads) {
-		r.heads = make([]int32, want)
-		for i := range r.ents { // re-bucket what is already there
-			e := &r.ents[i]
-			e.bucket = uint32(lattice.Constraint{Vals: e.vals}.BoundMask()) & uint32(want-1)
-			e.next, r.heads[e.bucket] = r.heads[e.bucket], int32(i)+1
-		}
-	}
-	bound := c.BoundMask()
-	bucket := uint32(bound) & uint32(len(r.heads)-1)
-	for at := r.heads[bucket]; at != 0; at = r.ents[at-1].next {
-		if slices.Equal(r.ents[at-1].vals, c.Vals) {
-			return at - 1
-		}
-	}
-	e := contextEntry{
-		vals:   c.Vals,
-		size:   ctx.ContextSize(c),
-		rank:   uint64(^uint16(c.Bound())) << 40,
-		bucket: bucket,
-		next:   r.heads[bucket],
-	}
-	r.ents = append(r.ents, e)
-	r.heads[bucket] = int32(len(r.ents))
-	return int32(len(r.ents)) - 1
-}
-
-// compareKeyOrder orders two constraints as their lattice.Key strings
-// compare, without building them: a key is the little-endian bytes of each
-// value in turn, so value pairs compare byte-reversed (Wildcard, all ones,
-// sorts last) and a key that is a prefix of the other sorts first.
-func compareKeyOrder(a, b []int32) int {
-	for i := 0; i < len(a) && i < len(b); i++ {
-		if a[i] != b[i] {
-			return cmp.Compare(bits.ReverseBytes32(uint32(a[i])), bits.ReverseBytes32(uint32(b[i])))
-		}
-	}
-	return cmp.Compare(len(a), len(b))
 }
 
 // Prominent returns the facts whose prominence equals the maximum among

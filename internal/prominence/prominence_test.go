@@ -1,6 +1,8 @@
 package prominence
 
 import (
+	"bytes"
+	"cmp"
 	"math"
 	"math/rand"
 	"reflect"
@@ -60,27 +62,25 @@ func TestPaperProminenceExample(t *testing.T) {
 	if len(scored) != 195 {
 		t.Fatalf("t7 has %d scored facts", len(scored))
 	}
-	find := func(c lattice.Constraint, m subspace.Mask) *ScoredFact {
+	// find looks a fact of t7 up by its context as the paper writes it.
+	t7 := tb.At(6)
+	find := func(where string, m subspace.Mask) *ScoredFact {
 		for i := range scored {
-			if scored[i].Subspace == m && scored[i].Constraint.Equal(c) {
+			if scored[i].Subspace == m && lattice.FromTuple(t7, scored[i].Bound).Format(s, tb.Dict()) == where {
 				return &scored[i]
 			}
 		}
 		return nil
 	}
-	W := lattice.Wildcard
-	feb, _ := tb.Dict().Lookup(1, "Feb")
-	celtics, _ := tb.Dict().Lookup(3, "Celtics")
-	nets, _ := tb.Dict().Lookup(4, "Nets")
 
-	f1 := find(lattice.Constraint{Vals: []int32{W, feb, W, W, W}}, 0b111)
+	f1 := find("month=Feb", 0b111)
 	if f1 == nil {
 		t.Fatal("(month=Feb, full) not among scored facts")
 	}
 	if f1.ContextSize != 5 || f1.SkylineSize != 2 || f1.Prominence != 2.5 {
 		t.Errorf("(month=Feb, full): %d/%d = %g, want 5/2 = 2.5", f1.ContextSize, f1.SkylineSize, f1.Prominence)
 	}
-	f2 := find(lattice.Constraint{Vals: []int32{W, W, W, celtics, nets}}, 0b110)
+	f2 := find("team=Celtics ∧ opp_team=Nets", 0b110)
 	if f2 == nil {
 		t.Fatal("(Celtics∧Nets, {assists,rebounds}) not among scored facts")
 	}
@@ -97,16 +97,15 @@ func TestPaperProminenceExample(t *testing.T) {
 	if scored[0].Prominence != 5 {
 		t.Errorf("max prominence = %g, want 5 (see erratum note)", scored[0].Prominence)
 	}
-	febAssists := find(lattice.Constraint{Vals: []int32{W, feb, W, W, W}}, 0b010)
+	febAssists := find("month=Feb", 0b010)
 	if febAssists == nil || febAssists.Prominence != 5 {
 		t.Errorf("(month=Feb, {assists}) should have prominence 5, got %+v", febAssists)
 	}
-	wesley, _ := tb.Dict().Lookup(0, "Wesley")
-	fw := find(lattice.Constraint{Vals: []int32{wesley, W, W, W, W}}, 0b100)
+	fw := find("player=Wesley", 0b100)
 	if fw == nil || fw.Prominence != 3 {
 		t.Errorf("(player=Wesley, {rebounds}) prominence = %+v, want 3", fw)
 	}
-	fc := find(lattice.Constraint{Vals: []int32{W, feb, W, celtics, W}}, 0b001)
+	fc := find("month=Feb ∧ team=Celtics", 0b001)
 	if fc == nil || fc.Prominence != 3 {
 		t.Errorf("(month=Feb ∧ team=Celtics, {points}) prominence = %+v, want 3", fc)
 	}
@@ -179,7 +178,7 @@ func TestSizerAgreement(t *testing.T) {
 }
 
 func TestEmptyScore(t *testing.T) {
-	if got := Score(nil, core.NewContextCounter(2, -1), sizerFunc(func(lattice.Constraint, subspace.Mask) int { return 1 })); len(got) != 0 {
+	if got := Score(nil, core.NewContextCounter(2, -1), sizerFunc(func(lattice.Mask, subspace.Mask) int { return 1 })); len(got) != 0 {
 		t.Errorf("Score(nil) = %v", got)
 	}
 	if got := Prominent(nil, 1); got != nil {
@@ -187,9 +186,18 @@ func TestEmptyScore(t *testing.T) {
 	}
 }
 
-type sizerFunc func(lattice.Constraint, subspace.Mask) int
+type sizerFunc func(lattice.Mask, subspace.Mask) int
 
-func (f sizerFunc) SkylineSize(c lattice.Constraint, m subspace.Mask) int { return f(c, m) }
+func (f sizerFunc) SkylineSize(b lattice.Mask, m subspace.Mask) int { return f(b, m) }
+
+type contextFunc func(lattice.Mask) int64
+
+func (f contextFunc) ContextSize(b lattice.Mask) int64 { return f(b) }
+
+// maskSizes is one arrival's context sizes, by bound mask.
+type maskSizes []int64
+
+func (s maskSizes) ContextSize(b lattice.Mask) int64 { return s[b] }
 
 // carrying returns a copy of facts in which every fact carries its skyline
 // size, as the BottomUp family emits them, and a sizer that fails t when it
@@ -198,155 +206,145 @@ func (f sizerFunc) SkylineSize(c lattice.Constraint, m subspace.Mask) int { retu
 func carrying(t *testing.T, facts []core.Fact, sky sizerFunc) ([]core.Fact, sizerFunc) {
 	out := slices.Clone(facts)
 	for i, f := range out {
-		out[i].SkylineSize = int32(sky(f.Constraint, f.Subspace))
+		out[i].SkylineSize = int32(sky(f.Bound, f.Subspace))
 	}
-	return out, func(c lattice.Constraint, m subspace.Mask) int {
-		if n := sky(c, m); n != 0 {
-			t.Fatalf("sizer asked for (%v, %b), whose size of %d the fact carries", c.Vals, m, n)
+	return out, func(b lattice.Mask, m subspace.Mask) int {
+		if n := sky(b, m); n != 0 {
+			t.Fatalf("sizer asked for (%b, %b), whose size of %d the fact carries", b, m, n)
 		}
 		return 0
 	}
 }
 
-type contextFunc func(lattice.Constraint) int64
-
-func (f contextFunc) ContextSize(c lattice.Constraint) int64 { return f(c) }
-
-// referenceOrder is Score as it was before the per-constraint memo and the
-// precomputed sort keys: every fact sized on its own, sort.Slice over the
-// scored facts, ties broken on freshly built Constraint.Key() strings. It
-// survives here as the oracle Score's output must equal.
-func referenceOrder(facts []core.Fact, ctx ContextSizer, sky core.SkylineSizer) []ScoredFact {
+// referenceOrder is Score written the plain way, as the oracle Score's
+// output must equal: every fact sized on its own, its constraint built from
+// the arrival tu with lattice.FromTuple, and sort.Slice over the scored
+// facts, ties broken on the constraints' bound counts and their freshly
+// built key bytes.
+func referenceOrder(tu *relation.Tuple, facts []core.Fact, ctx ContextSizer, sky core.SkylineSizer) []ScoredFact {
 	out := make([]ScoredFact, 0, len(facts))
+	cons := make([]lattice.Constraint, 0, len(facts))
 	for _, f := range facts {
-		cs := ctx.ContextSize(f.Constraint)
-		ss := sky.SkylineSize(f.Constraint, f.Subspace)
-		sf := ScoredFact{Fact: f, ContextSize: cs, SkylineSize: ss}
-		if ss > 0 {
-			sf.Prominence = float64(cs) / float64(ss)
+		f.SkylineSize = int32(sky.SkylineSize(f.Bound, f.Subspace))
+		sf := ScoredFact{Fact: f, ContextSize: ctx.ContextSize(f.Bound)}
+		if f.SkylineSize > 0 {
+			sf.Prominence = float64(sf.ContextSize) / float64(f.SkylineSize)
 		}
 		out = append(out, sf)
+		cons = append(cons, lattice.FromTuple(tu, f.Bound))
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Prominence != out[j].Prominence {
-			return out[i].Prominence > out[j].Prominence
+	idx := make([]int, len(out))
+	for i := range idx {
+		idx[i] = i
+	}
+	sort.Slice(idx, func(i, j int) bool {
+		a, b := out[idx[i]], out[idx[j]]
+		if a.Prominence != b.Prominence {
+			return a.Prominence > b.Prominence
 		}
-		bi, bj := out[i].Constraint.Bound(), out[j].Constraint.Bound()
-		if bi != bj {
-			return bi > bj
+		ca, cb := cons[idx[i]], cons[idx[j]]
+		if ba, bb := ca.Bound(), cb.Bound(); ba != bb {
+			return ba > bb
 		}
-		si, sj := subspace.Size(out[i].Subspace), subspace.Size(out[j].Subspace)
-		if si != sj {
-			return si < sj
+		if sa, sb := subspace.Size(a.Subspace), subspace.Size(b.Subspace); sa != sb {
+			return sa < sb
 		}
-		if out[i].Subspace != out[j].Subspace {
-			return out[i].Subspace < out[j].Subspace
+		if a.Subspace != b.Subspace {
+			return a.Subspace < b.Subspace
 		}
-		return out[i].Constraint.Key() < out[j].Constraint.Key()
+		return bytes.Compare([]byte(ca.Key()), []byte(cb.Key())) < 0
 	})
-	return out
+	sorted := make([]ScoredFact, len(out))
+	for i, at := range idx {
+		sorted[i] = out[at]
+	}
+	return sorted
 }
 
-// tieHeavyInput draws a random schema and up to maxN facts over it built to
-// tie — few distinct sizes, Wildcard-heavy constraints, codes whose
-// little-endian bytes order differently from their values, the same
-// constraint arriving in separate Vals slices (with the same subspace too).
-// Every third round draws its constraints the way arrivals do, as C^t
-// members of a handful of tuples, so that facts of different tuples share a
-// bound mask and differ only in the values under it; every fourth gives
-// every fact the same prominence, so that the order runs through all three
-// tie-breaks down to the constraints' key order. Some skylines are empty.
-func tieHeavyInput(rng *rand.Rand, round, maxN int) (facts []core.Fact, ctx contextFunc, sky sizerFunc) {
-	// Codes straddling byte boundaries: 256 < 1 as keys (00 01 00 00 vs
-	// 01 00 00 00), 65536 < 256 < 1.
-	codes := []int32{0, 1, 2, 255, 256, 257, 65535, 65536, 1 << 24, 1<<31 - 1}
-	d := 1 + rng.Intn(6)
+// randomTuple draws a tuple over 1 to 8 dimensions whose codes straddle
+// byte boundaries (256 sorts before 1 as key bytes, 00 01 00 00 against
+// 01 00 00 00; 65536 before 256) or spread over [0, MaxInt32].
+func randomTuple(rng *rand.Rand) *relation.Tuple {
+	codes := []int32{0, 1, 2, 255, 256, 257, 65535, 65536, 1 << 24, math.MaxInt32}
+	dims := make([]int32, 1+rng.Intn(8))
+	for i := range dims {
+		if rng.Intn(2) == 0 {
+			dims[i] = codes[rng.Intn(len(codes))]
+		} else {
+			dims[i] = rng.Int31()
+		}
+	}
+	return &relation.Tuple{Dims: dims}
+}
+
+// tieHeavyInput draws one arrival tu and up to maxN of its facts, built to
+// tie: few distinct sizes, the same constraint in separate runs of facts,
+// sometimes with the same subspace too. Every fourth round gives every fact
+// the same prominence, so that the order runs through all three tie-breaks
+// down to the constraints' key order. Some skylines are empty.
+func tieHeavyInput(rng *rand.Rand, round, maxN int) (tu *relation.Tuple, facts []core.Fact, ctx contextFunc, sky sizerFunc) {
+	tu = randomTuple(rng)
+	d := len(tu.Dims)
 	m := 1 + rng.Intn(5)
-	ncodes := 1 + rng.Intn(len(codes))
-	wild := rng.Float64()
-	newVals := func() []int32 {
-		vals := make([]int32, d)
-		for i := range vals {
-			vals[i] = codes[rng.Intn(ncodes)]
-			if rng.Float64() < wild {
-				vals[i] = lattice.Wildcard
-			}
-		}
-		return vals
-	}
-	if round%3 == 0 {
-		tuples := make([][]int32, 2+rng.Intn(4))
-		for i := range tuples {
-			tuples[i] = make([]int32, d)
-			for j := range tuples[i] {
-				tuples[i][j] = codes[rng.Intn(ncodes)]
-			}
-		}
-		newVals = func() []int32 {
-			tu, bound := tuples[rng.Intn(len(tuples))], rng.Intn(1<<uint(d))
-			vals := make([]int32, d)
-			for i := range vals {
-				vals[i] = lattice.Wildcard
-				if bound&(1<<uint(i)) != 0 {
-					vals[i] = tu[i]
-				}
-			}
-			return vals
-		}
-	}
 	n := rng.Intn(maxN)
 	facts = make([]core.Fact, 0, n)
 	for len(facts) < n {
-		f := core.Fact{
-			Constraint: lattice.Constraint{Vals: newVals()},
-			Subspace:   subspace.Mask(1 + rng.Intn(1<<uint(m)-1)),
-		}
+		f := core.Fact{Bound: lattice.Mask(rng.Intn(1 << d)), Subspace: subspace.Mask(1 + rng.Intn(1<<m-1))}
 		facts = append(facts, f)
-		// The same constraint again, as another tuple would emit it.
+		// More facts over the same constraint, as a walk emits them.
 		for len(facts) < n && rng.Intn(3) == 0 {
-			dup := core.Fact{
-				Constraint: lattice.Constraint{Vals: append([]int32(nil), f.Constraint.Vals...)},
-				Subspace:   f.Subspace,
-			}
 			if rng.Intn(2) == 0 {
-				dup.Subspace = subspace.Mask(1 + rng.Intn(1<<uint(m)-1))
+				f.Subspace = subspace.Mask(1 + rng.Intn(1<<m-1))
 			}
-			facts = append(facts, dup)
+			facts = append(facts, f)
 		}
 	}
-	// Sizes are functions of the values alone and take few distinct
-	// values, so prominence ties are the rule; some skylines are empty.
+	// Sizes are functions of the mask alone and take few distinct values, so
+	// prominence ties are the rule; some skylines are empty.
 	ctxMod, skyMod := int64(1+rng.Intn(4)), 1+rng.Intn(3)
 	if round%4 == 0 {
 		ctxMod, skyMod = 1, 0 // one context size, one skyline size: all tie
 	}
-	hash := func(c lattice.Constraint) int64 {
-		var h int64
-		for _, v := range c.Vals {
-			h = h*31 + int64(v) + 2
-		}
-		return h
-	}
-	ctx = func(c lattice.Constraint) int64 {
-		return 1 + (hash(c)%ctxMod+ctxMod)%ctxMod
-	}
-	absent := func(c lattice.Constraint) bool { return skyMod > 0 && hash(c)%5 == 0 }
-	sky = func(c lattice.Constraint, sm subspace.Mask) int {
-		if absent(c) {
+	hash := func(b lattice.Mask) int64 { return int64(b*2654435761>>7) + 3 }
+	ctx = func(b lattice.Mask) int64 { return 1 + hash(b)%ctxMod }
+	sky = func(b lattice.Mask, sm subspace.Mask) int {
+		if skyMod > 0 && hash(b)%5 == 0 {
 			return 0
 		}
-		return 1 + (c.Bound()+int(sm))%(skyMod+1) - min(skyMod, 1)
+		return 1 + (lattice.PopCount(b)+int(sm))%(skyMod+1) - min(skyMod, 1)
 	}
-	return facts, ctx, sky
+	return tu, facts, ctx, sky
 }
 
-// TestScoreMatchesReferenceOrder: over tieHeavyInput's fact sets, Score
+// TestKeyOrdinalIsKeyOrder: within one arrival, the ordinal the ranking's
+// last tie-break reads orders every pair of masks as the constraints' key
+// bytes do, for tuples of up to 8 dimensions whatever their codes.
+func TestKeyOrdinalIsKeyOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(52))
+	for round := 0; round < 1000; round++ {
+		tu := randomTuple(rng)
+		keys := make([][]byte, 1<<len(tu.Dims))
+		for b := range keys {
+			keys[b] = []byte(lattice.KeyFromTuple(tu, lattice.Mask(b)))
+		}
+		for a := range keys {
+			for b := range keys {
+				want := bytes.Compare(keys[a], keys[b])
+				if got := cmp.Compare(keyOrdinal(lattice.Mask(a)), keyOrdinal(lattice.Mask(b))); got != want {
+					t.Fatalf("tuple %v: masks %b and %b order %d, their keys %d", tu.Dims, a, b, got, want)
+				}
+			}
+		}
+	}
+}
+
+// TestScoreMatchesReferenceOrder: over tieHeavyInput's arrivals, Score
 // returns exactly what the reference returns, element for element. Each
 // input is ranked twice: sized by the sizer, and carrying its sizes.
 func TestScoreMatchesReferenceOrder(t *testing.T) {
 	rng := rand.New(rand.NewSource(2014))
 	for round := 0; round < 300; round++ {
-		facts, ctx, sky := tieHeavyInput(rng, round, 400)
+		tu, facts, ctx, sky := tieHeavyInput(rng, round, 400)
 		carried, refuse := carrying(t, facts, sky)
 		for name, in := range map[string]struct {
 			facts []core.Fact
@@ -355,7 +353,7 @@ func TestScoreMatchesReferenceOrder(t *testing.T) {
 			"by the sizer":  {facts, sky},
 			"as they carry": {carried, refuse},
 		} {
-			want := referenceOrder(in.facts, ctx, sky)
+			want := referenceOrder(tu, in.facts, ctx, sky)
 			got := Score(in.facts, ctx, in.sizer)
 			if len(got) != len(want) {
 				t.Fatalf("round %d, sized %s: %d scored facts, reference has %d", round, name, len(got), len(want))
@@ -371,13 +369,13 @@ func TestScoreMatchesReferenceOrder(t *testing.T) {
 
 // TestRankKeepsScoresFirstK: for every k from 0 to one past the input, one
 // warm Ranker keeps exactly the first k facts of Score's ranking, in order,
-// over tieHeavyInput's fact sets — ties in prominence, and facts equal in
+// over tieHeavyInput's arrivals — ties in prominence, and facts equal in
 // every word, included.
 func TestRankKeepsScoresFirstK(t *testing.T) {
 	rng := rand.New(rand.NewSource(27))
 	var r Ranker
 	for round := 0; round < 120; round++ {
-		facts, ctx, sky := tieHeavyInput(rng, round, 64)
+		_, facts, ctx, sky := tieHeavyInput(rng, round, 64)
 		if round%2 == 1 {
 			facts, sky = carrying(t, facts, sky)
 		}
@@ -416,8 +414,8 @@ func TestRankIgnoresInputOrder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctx := contextFunc(func(c lattice.Constraint) int64 { return int64(1 + c.Bound()%3) })
-	carried := sizerFunc(func(lattice.Constraint, subspace.Mask) int {
+	ctx := contextFunc(func(b lattice.Mask) int64 { return int64(1 + lattice.PopCount(b)%3) })
+	carried := sizerFunc(func(lattice.Mask, subspace.Mask) int {
 		t.Fatal("a BottomUp fact carries its skyline size")
 		return 0
 	})
@@ -447,35 +445,18 @@ func TestRankIgnoresInputOrder(t *testing.T) {
 	}
 }
 
-// TestScoreMixedWidths: Score is a general function, so constraints of
-// different widths may meet in one input; a key that is a prefix of
-// another sorts first, as the key strings do.
-func TestScoreMixedWidths(t *testing.T) {
-	W := lattice.Wildcard
-	facts := []core.Fact{
-		{Constraint: lattice.Constraint{Vals: []int32{W, W}}, Subspace: 1},
-		{Constraint: lattice.Constraint{Vals: []int32{W}}, Subspace: 1},
-		{Constraint: lattice.Constraint{Vals: []int32{W, W, W}}, Subspace: 1},
-	}
-	one := contextFunc(func(lattice.Constraint) int64 { return 1 })
-	sky := sizerFunc(func(lattice.Constraint, subspace.Mask) int { return 1 })
-	if got, want := Score(facts, one, sky), referenceOrder(facts, one, sky); !reflect.DeepEqual(got, want) {
-		t.Errorf("got %+v, want %+v", got, want)
-	}
-}
-
-// TestScoreSizesEachConstraintOnce: the context size is probed once per
-// distinct constraint of the input, however many facts share it; the
-// skyline sizer is asked nothing for a fact that carries its size and once
-// for each fact that does not. Keeping 5 facts, or none, sizes exactly as
-// much as keeping them all: every fact is scored whatever the cap.
+// TestScoreSizesEachConstraintOnce: over one arrival whose facts come
+// constraint by constraint, as a walk emits them, the context size is
+// probed once per constraint, however many facts share it; the skyline
+// sizer is asked nothing for a fact that carries its size and once for
+// each fact that does not. Keeping 5 facts, or none, sizes exactly as much
+// as keeping them all: every fact is scored whatever the cap.
 func TestScoreSizesEachConstraintOnce(t *testing.T) {
-	W := lattice.Wildcard
 	var facts []core.Fact
 	unsized := 0
-	for sm := subspace.Mask(1); sm < 64; sm++ {
-		for _, vals := range [][]int32{{W, W}, {1, W}, {W, 1}, {1, 1}, {2, 1}} {
-			f := core.Fact{Constraint: lattice.Constraint{Vals: append([]int32(nil), vals...)}, Subspace: sm}
+	for b := lattice.Mask(0); b < 4; b++ {
+		for sm := subspace.Mask(1); sm < 64; sm++ {
+			f := core.Fact{Bound: b, Subspace: sm}
 			if len(facts)%3 == 0 {
 				unsized++
 			} else {
@@ -487,11 +468,12 @@ func TestScoreSizesEachConstraintOnce(t *testing.T) {
 	var r Ranker
 	for _, k := range []int{len(facts), 5, 0} {
 		probes, sizings := 0, 0
-		ctx := contextFunc(func(lattice.Constraint) int64 { probes++; return 7 })
-		sky := sizerFunc(func(lattice.Constraint, subspace.Mask) int { sizings++; return 1 })
-		r.Rank(facts, ctx, sky, k)
-		if probes != 5 {
-			t.Errorf("k=%d: %d context-size probes for 5 distinct constraints over %d facts", k, probes, len(facts))
+		ctx := contextFunc(func(lattice.Mask) int64 { probes++; return 7 })
+		sky := sizerFunc(func(lattice.Mask, subspace.Mask) int { sizings++; return 1 })
+		in := slices.Clone(facts)
+		r.Rank(in, ctx, sky, k)
+		if probes != 4 {
+			t.Errorf("k=%d: %d context-size probes for 4 constraints over %d facts", k, probes, len(facts))
 		}
 		if sizings != unsized {
 			t.Errorf("k=%d: %d skyline sizings for %d facts, %d of which carry no size", k, sizings, len(facts), unsized)
@@ -516,8 +498,9 @@ func TestDescendingKeepsFloatOrder(t *testing.T) {
 // BenchmarkRankWide ranks arrivals of the paper's Fig 7a shape (NBA d=5,
 // m=7, d̂=4, some two thousand facts over at most 31 constraints each)
 // through one warm Ranker, each fact carrying the skyline size discovery
-// found; ns/op is one arrival's scoring and ordering, facts/op its size. /all
-// orders every fact, /top5 the five an ack carries.
+// found and each arrival its own context sizes; ns/op is one arrival's
+// scoring and ordering, facts/op its size. /all orders every fact, /top5 the
+// five an ack carries.
 func BenchmarkRankWide(b *testing.B) {
 	const rows, kept = 400, 50
 	g, err := gen.NewNBA(gen.NBAConfig{Seed: 2014}, 5, 7)
@@ -535,11 +518,17 @@ func BenchmarkRankWide(b *testing.B) {
 	defer alg.Close()
 	cc := core.NewContextCounter(5, 4)
 	var arrivals [][]core.Fact
+	var sizes []ContextSizer // each kept arrival's context sizes, boxed once
 	for i, tu := range tb.Tuples() {
 		facts := alg.Process(tu)
 		cc.Observe(tu)
 		if i >= rows-kept {
 			arrivals = append(arrivals, slices.Clone(facts))
+			ms := make(maskSizes, 1<<5)
+			for b := range ms {
+				ms[b] = cc.ContextSize(lattice.Mask(b))
+			}
+			sizes = append(sizes, ms)
 		}
 	}
 	for _, bc := range []struct {
@@ -552,7 +541,7 @@ func BenchmarkRankWide(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				raw := arrivals[i%kept]
-				r.Rank(raw, cc, alg, bc.k)
+				r.Rank(raw, sizes[i%kept], alg, bc.k)
 				facts += len(raw)
 			}
 			b.ReportMetric(float64(facts)/float64(b.N), "facts/op")

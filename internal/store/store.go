@@ -111,9 +111,8 @@ func (in *Interner) grow(n int) {
 }
 
 // Lookup returns the id of k without assigning one; ok is false when the
-// constraint has never been interned (hence no cell can exist for it).
-// Query paths (SkylineSize) use this so probing absent constraints does
-// not grow the table.
+// constraint has never been interned (hence no cell can exist for it), so
+// probing absent constraints does not grow the table.
 func (in *Interner) Lookup(k lattice.Key) (ConstraintID, bool) {
 	in.mu.RLock()
 	id, ok := in.ids[string(k)]
@@ -121,21 +120,10 @@ func (in *Interner) Lookup(k lattice.Key) (ConstraintID, bool) {
 	return id, ok
 }
 
-// LookupConstraint is Lookup for a materialised constraint, with the key
-// built in stack scratch like InternTuple's: sizing a fact's skyline
-// allocates nothing.
-func (in *Interner) LookupConstraint(c lattice.Constraint) (ConstraintID, bool) {
-	var scratch [lattice.KeyScratch]byte
-	buf := c.AppendKey(scratch[:0])
-	in.mu.RLock()
-	id, ok := in.ids[string(buf)]
-	in.mu.RUnlock()
-	return id, ok
-}
-
 // LookupTuple is InternTuple without the assignment: ok is false when the
 // constraint of C^t selected by mask has never been interned. A retraction
-// probes with it, so undoing what was never counted grows nothing.
+// and the skyline sizers probe with it, so undoing what was never counted,
+// or sizing a constraint that has no cell, grows nothing.
 func (in *Interner) LookupTuple(t *relation.Tuple, mask lattice.Mask) (ConstraintID, bool) {
 	var scratch [lattice.KeyScratch]byte
 	buf := lattice.AppendKeyFromTuple(scratch[:0], t, mask)

@@ -78,16 +78,17 @@ func nbaRows(tb testing.TB, d, m, n int) (*Schema, []Row) {
 // fifth — with nothing per fact or per store write. Discovery writes its facts into a
 // slice it keeps from arrival to arrival (regrown only by an arrival with
 // more facts than any before it), so what the median arrival allocates in
-// discovery — cell and index regrowth, the constraint-value arena — stays
-// below one fact's size per fact emitted: measured 1.8 B per 32-byte fact,
-// where a facts slice allocated per arrival made it 69.
+// discovery — cell and index regrowth — stays below one fact's size per
+// fact emitted: measured 1.6 B per 12-byte fact (1.8 B per 32-byte fact
+// while a fact carried its constraint's values), where a facts slice
+// allocated per arrival made it 69.
 func TestEngineAppendAllocsScaleWithConstraints(t *testing.T) {
 	const (
 		warm     = 300
 		measured = 50
-		budget   = 12.0 // arrival, facts, arena + the ranking's seven buffers and the count column regrown
+		budget   = 10.0 // arrival, facts, arena + the ranking's five buffers and the count column regrown (12 with its constraint table)
 		meanMax  = 4.0  // the average arrival after discovery: measured 3.0
-		wholeMax = 32.0 // the average Append, discovery included: measured 26
+		wholeMax = 32.0 // the average Append, discovery included: measured 20
 	)
 	ct := float64(lattice.CountMasks(wideDims, wideDhat))
 	schema, rows := wideStream(t, warm+2*measured+1)
@@ -192,8 +193,8 @@ func TestEngineArrivalMatchesScore(t *testing.T) {
 			// The counters now hold tu, as they did when arrival ranked.
 			want := make([]Fact, 0, len(raw))
 			for _, sf := range prominence.Score(raw, eng.counter, eng.sizer) {
-				f := Fact{ContextSize: sf.ContextSize, SkylineSize: sf.SkylineSize, Prominence: sf.Prominence}
-				for dim, v := range sf.Constraint.Vals {
+				f := Fact{ContextSize: sf.ContextSize, SkylineSize: int(sf.SkylineSize), Prominence: sf.Prominence}
+				for dim, v := range lattice.FromTuple(tu, sf.Bound).Vals {
 					if v != lattice.Wildcard {
 						f.Conditions = append(f.Conditions, Condition{Attr: rs.Dim(dim).Name, Value: dict.Decode(dim, v)})
 					}

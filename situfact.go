@@ -378,10 +378,10 @@ func (e *Engine) arrival(tu *relation.Tuple, raw []core.Fact, k int) *Arrival {
 		for i := range arr.Facts {
 			sf := e.ranker.At(i)
 			arr.Facts[i] = Fact{
-				Conditions:  e.dec.conditions(sf.Constraint),
+				Conditions:  e.dec.conditions(tu, sf.Bound),
 				Measures:    e.dec.measures(sf.Subspace),
 				ContextSize: sf.ContextSize,
-				SkylineSize: sf.SkylineSize,
+				SkylineSize: int(sf.SkylineSize),
 				Prominence:  sf.Prominence,
 			}
 		}
@@ -396,7 +396,7 @@ func (e *Engine) arrival(tu *relation.Tuple, raw []core.Fact, k int) *Arrival {
 	}
 	byText := make([]rendered, len(raw))
 	for i, rf := range raw {
-		f := Fact{Conditions: e.dec.conditions(rf.Constraint), Measures: e.dec.measures(rf.Subspace)}
+		f := Fact{Conditions: e.dec.conditions(tu, rf.Bound), Measures: e.dec.measures(rf.Subspace)}
 		byText[i] = rendered{f.String(), f}
 	}
 	slices.SortFunc(byText, func(a, b rendered) int { return strings.Compare(a.text, b.text) })
@@ -454,10 +454,9 @@ func (d *factDecoder) measures(m subspace.Mask) []string {
 	return names
 }
 
-// conditions returns the decoded context of c, shared by every fact of the
-// current arrival with that constraint; nil for ⊤.
-func (d *factDecoder) conditions(c lattice.Constraint) []Condition {
-	bound := c.BoundMask()
+// conditions returns the decoded context of the member of C^t that binds
+// bound, shared by every fact of the current arrival t over it; nil for ⊤.
+func (d *factDecoder) conditions(t *relation.Tuple, bound lattice.Mask) []Condition {
 	if conds := d.byMask[bound]; conds != nil || bound == 0 {
 		return conds
 	}
@@ -465,8 +464,8 @@ func (d *factDecoder) conditions(c lattice.Constraint) []Condition {
 		d.arena = make([]Condition, 0, max(d.chunk, n))
 	}
 	start := len(d.arena)
-	for i, v := range c.Vals {
-		if v != lattice.Wildcard {
+	for i, v := range t.Dims {
+		if bound&(1<<uint(i)) != 0 {
 			d.arena = append(d.arena, Condition{Attr: d.schema.Dim(i).Name, Value: d.dict.Decode(i, v)})
 		}
 	}
